@@ -99,6 +99,7 @@ func RunSmallWrites(env cluster.Env, spec workload.OverlapSpec, opts SmallWriteO
 		Elapsed: elapsed,
 	}
 	res.MBps = float64(res.Bytes) / (1 << 20) / elapsed.Seconds()
+	res.CtrlBusy = ctrlBusy(svc.VM)
 	return res, nil
 }
 

@@ -35,16 +35,14 @@ func TestRunSmallWrites(t *testing.T) {
 	}
 }
 
-// On the metered cost model, group commit must beat one control round
-// trip per call — the PR's acceptance criterion. The margin is large
-// (the control path dominates 4 KiB regions), so the > threshold is
-// safe against scheduler noise.
+// On the metered cost model, group commit must charge the control
+// server less than one round trip per call — the PR's acceptance
+// criterion, asserted in the simulation's own currency (metered busy
+// time) rather than wall-clock MB/s, which on a small host follows the
+// clients' CPU and not the control plane.
 func TestSmallWritesBatchedBeatsUnbatchedMetered(t *testing.T) {
-	if testing.Short() {
-		t.Skip("metered comparison is wall-clock-bound")
-	}
 	spec := workload.OverlapSpec{Clients: 16, Regions: 4, RegionSize: 4 << 10, OverlapFraction: 0.75}
-	run := func(mb int) float64 {
+	run := func(mb int) time.Duration {
 		res, err := RunSmallWrites(cluster.Metered(), spec, SmallWriteOptions{
 			Iterations: 6,
 			Batch:      vmanager.BatchConfig{MaxBatch: mb, MaxDelay: 200 * time.Microsecond},
@@ -53,12 +51,12 @@ func TestSmallWritesBatchedBeatsUnbatchedMetered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("maxbatch=%d: %v", mb, err)
 		}
-		return res.MBps
+		return res.CtrlBusy
 	}
 	unbatched := run(1)
 	batched := run(64)
-	t.Logf("unbatched %.1f MB/s, batched %.1f MB/s (%.2fx)", unbatched, batched, batched/unbatched)
-	if batched <= unbatched {
-		t.Fatalf("batched %.1f MB/s not faster than unbatched %.1f MB/s", batched, unbatched)
+	t.Logf("metered control time: unbatched %v, batched %v (%.2fx)", unbatched, batched, float64(unbatched)/float64(batched))
+	if batched >= unbatched {
+		t.Fatalf("batched control time %v not below unbatched %v", batched, unbatched)
 	}
 }

@@ -163,7 +163,7 @@ type Result struct {
 	Elapsed   time.Duration // wall time for the whole run
 	MBps      float64       // aggregated throughput
 	LockWait  time.Duration // cumulative lock wait (locking systems)
-	CtrlBusy  time.Duration // busiest control shard's metered service time (sharded runs)
+	CtrlBusy  time.Duration // busiest control shard's metered service time (small-write runs)
 	Conflicts int64         // detector conflicts (conflict-detect only)
 	Verified  bool          // atomicity verification ran and passed
 	VerifyErr error         // non-nil if verification failed

@@ -137,17 +137,22 @@ func RunReadTier(env cluster.Env, opts ReadTierOptions) (ReadTierResult, error) 
 	res := ReadTierResult{Mode: opts.Mode, Replicas: opts.Replicas, Readers: opts.Readers}
 
 	// Write phase: one pass over the whole keyspace, so every chunk
-	// exists at R copies before the readers start.
-	buf := make([]byte, span)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	vec, err := extent.NewVec(extent.List{{Offset: 0, Length: span}}, buf)
-	if err != nil {
-		return res, err
-	}
-	if err := d.WriteList(vec, true); err != nil {
-		return res, err
+	// exists at R copies before the readers start. One chunk per call:
+	// placement follows arrival order at the router, and the chunks of
+	// one call race each other there, so a single wide write would give
+	// every run (and every mode) a different set of zone-local chunks.
+	buf := make([]byte, env.ChunkSize)
+	for c := 0; c < opts.Pattern.Chunks; c++ {
+		for i := range buf {
+			buf[i] = byte(c + i)
+		}
+		vec, err := extent.NewVec(extent.List{{Offset: int64(c) * env.ChunkSize, Length: env.ChunkSize}}, buf)
+		if err != nil {
+			return res, err
+		}
+		if err := d.WriteList(vec, true); err != nil {
+			return res, err
+		}
 	}
 
 	// Read phase: every reader replays its seeded hot/cold pick

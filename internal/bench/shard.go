@@ -138,10 +138,15 @@ func RunShardedPublish(env cluster.Env, spec workload.OverlapSpec, opts ShardedP
 	// makespan of the busiest shard's metered service time. Wall time
 	// conflates this with host CPU capacity (on a small machine the
 	// clients' real compute dominates); the meters don't.
-	for i := 0; i < svc.VM.NumShards(); i++ {
-		if b := svc.VM.Shard(i).Meter().Stats().Busy; b > res.CtrlBusy {
-			res.CtrlBusy = b
-		}
-	}
+	res.CtrlBusy = ctrlBusy(svc.VM)
 	return res, nil
+}
+
+// ctrlBusy is the busiest control shard's metered service time.
+func ctrlBusy(vm *vmanager.Sharded) time.Duration {
+	var busiest time.Duration
+	for i := 0; i < vm.NumShards(); i++ {
+		busiest = max(busiest, vm.Shard(i).Meter().Stats().Busy)
+	}
+	return busiest
 }

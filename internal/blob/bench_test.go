@@ -54,3 +54,36 @@ func BenchmarkReadList(b *testing.B) {
 		}
 	}
 }
+
+// benchReadList times warm list-reads of q from a fully written blob
+// over in-process services: the blob layer's own cost, no wire.
+func benchReadList(b *testing.B, capacity, page int64, q extent.List) {
+	blob, err := Create(testServices(), 1, segtreeGeometry(capacity, page))
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := blob.Write(0, make([]byte, capacity), WriteOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(q.TotalLength())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := blob.ReadList(v, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadListStrided is the checkpoint restore shape: 32 x 1 MiB
+// at a 2 MiB pitch, page 1 MiB.
+func BenchmarkReadListStrided(b *testing.B) {
+	benchReadList(b, 64<<20, 1<<20, stridedQuery(32, 1<<20, 2<<20))
+}
+
+// BenchmarkReadListSubarray is the subarray re-read shape: 16 x 16 KiB
+// at a 1 MiB pitch, page 256 KiB.
+func BenchmarkReadListSubarray(b *testing.B) {
+	benchReadList(b, 16<<20, 256<<10, stridedQuery(16, 16<<10, 1<<20))
+}

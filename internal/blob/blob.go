@@ -16,7 +16,9 @@ package blob
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chunk"
 	"repro/internal/extent"
@@ -92,12 +94,22 @@ type Services struct {
 // for a handle's working set, nothing like the old unbounded map.
 const privateHintCacheBytes = 256 << 10
 
+// nodeCacheEntries bounds the per-handle cache of immutable tree nodes
+// (segtree.NodeCache): a few trees' worth of root paths and leaves, on
+// the order of a megabyte when full.
+const nodeCacheEntries = 4096
+
 // Blob is a handle to one versioned binary object.
 type Blob struct {
 	svc  Services
 	id   uint64
 	geo  segtree.Geometry
-	tree *segtree.Tree
+	tree *segtree.Tree // reads and writes svc.Meta through nodes
+
+	// nodes caches the immutable tree nodes this handle has fetched or
+	// stored, so a read goes to the metadata service only for nodes it
+	// has never seen.
+	nodes *segtree.NodeCache
 
 	// hints caches fresh replica sets learned from stale-hint reads:
 	// metadata refs are immutable, so after a repair moves a chunk's
@@ -135,7 +147,7 @@ type WriteOptions struct {
 }
 
 // DefaultWindow is the pipelined write path's default in-flight chunk
-// bound.
+// bound, and the read path's in-flight fragment bound.
 const DefaultWindow = 8
 
 // Create registers a new blob with the given geometry and returns its
@@ -164,14 +176,19 @@ func newBlob(svc Services, id uint64, geo segtree.Geometry) *Blob {
 			MaxBytes: privateHintCacheBytes,
 		})
 	}
+	nodes := segtree.NewNodeCache(svc.Meta, nodeCacheEntries)
 	return &Blob{
 		svc:   svc,
 		id:    id,
 		geo:   geo,
-		tree:  &segtree.Tree{Blob: id, Geo: geo, Store: svc.Meta},
+		tree:  &segtree.Tree{Blob: id, Geo: geo, Store: nodes},
+		nodes: nodes,
 		hints: hints,
 	}
 }
+
+// NodeCacheStats reports the handle's tree-node cache counters.
+func (b *Blob) NodeCacheStats() segtree.NodeCacheStats { return b.nodes.Stats() }
 
 // FreshHint returns the cached fresh replica set for a chunk whose
 // metadata hint was observed stale, if any.
@@ -435,62 +452,110 @@ func (b *Blob) ReadList(version uint64, q extent.List) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resolve on the normalized query, then gather into the caller's
-	// (possibly overlapping / unsorted) layout.
-	norm := q.Normalize()
-	frags, _, err := b.tree.Resolve(info.Root, norm)
+	return b.readSnapshot(info, q)
+}
+
+// readSnapshot serves a list-read from a snapshot the version manager
+// has vouched for: one tree walk, one fetch per fragment, one copy per
+// fragment into the returned buffer.
+func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, error) {
+	// Resolve on the normalized query; the caller's (possibly
+	// overlapping / unsorted) layout is restored by the scatter plan.
+	frags, _, err := b.tree.Resolve(info.Root, q.Normalize())
 	if err != nil {
 		return nil, err
 	}
+	// out is fresh, so holes read as zero without being touched.
+	out := make([]byte, q.TotalLength())
+	plan := scatterPlan(q, frags)
 
-	// Fetch fragments in parallel. Refs carry the replica set recorded
-	// at write time: GetFrom fails over across those copies when a
-	// provider is down, falling back to the router's placement map when
-	// the hint has gone stale (a repair moved the copies). A cached
-	// fresh hint from an earlier stale read overrides the metadata
-	// hint, and any newly learned fresh set is cached for next time.
-	data := make([][]byte, len(frags))
-	errs := make(chan error, len(frags))
+	// Fetch under the same bounded in-flight window as the pipelined
+	// write path: each worker copies the fragment it fetched straight
+	// into out (fragments are disjoint, so are their destinations) and
+	// drops it, so at most DefaultWindow fragment buffers are alive
+	// beside out however wide the read is.
+	var next atomic.Int64
+	workers := min(DefaultWindow, len(frags))
+	errs := make(chan error, workers)
 	var wg sync.WaitGroup
-	for i, f := range frags {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(i int, f segtree.Fragment) {
+		go func() {
 			defer wg.Done()
-			replicas, ok := b.FreshHint(f.Ref.Key)
-			if !ok {
-				replicas = make([]provider.ID, len(f.Ref.Replicas))
-				for j, id := range f.Ref.Replicas {
-					replicas[j] = provider.ID(id)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(frags) {
+					return
+				}
+				if err := b.fetchInto(out, frags[i], plan[i]); err != nil {
+					next.Store(int64(len(frags))) // stop the other workers early
+					errs <- err
+					return
 				}
 			}
-			d, fresh, err := b.svc.Data.GetFrom(replicas, f.Ref.Key, f.Ref.Offset, f.Ref.Length)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if fresh != nil {
-				b.cacheHint(f.Ref.Key, fresh)
-			}
-			data[i] = d
-		}(i, f)
+		}()
 	}
 	wg.Wait()
 	close(errs)
 	if err := <-errs; err != nil {
 		return nil, fmt.Errorf("blob: fetch chunks: %w", err)
 	}
-
-	// Assemble: scatter fragments into a bounding image, then gather
-	// the caller's layout from it.
-	bound := q.Bounding()
-	image := make([]byte, bound.Length)
-	for i, f := range frags {
-		copy(image[f.Ext.Offset-bound.Offset:], data[i])
-	}
-	out := make([]byte, q.TotalLength())
-	vec := extent.Vec{Extents: q, Buf: out}
-	vec.GatherFrom(image, bound.Offset)
 	return out, nil
+}
+
+// fetchInto fetches one fragment and lays it out in out. Refs carry the
+// replica set recorded at write time: GetFrom fails over across those
+// copies when a provider is down, falling back to the router's
+// placement map when the hint has gone stale (a repair moved the
+// copies). A cached fresh hint from an earlier stale read overrides the
+// metadata hint, and any newly learned fresh set is cached for next
+// time.
+func (b *Blob) fetchInto(out []byte, f segtree.Fragment, copies []scatterCopy) error {
+	replicas, ok := b.FreshHint(f.Ref.Key)
+	if !ok {
+		replicas = make([]provider.ID, len(f.Ref.Replicas))
+		for j, id := range f.Ref.Replicas {
+			replicas[j] = provider.ID(id)
+		}
+	}
+	d, fresh, err := b.svc.Data.GetFrom(replicas, f.Ref.Key, f.Ref.Offset, f.Ref.Length)
+	if err != nil {
+		return err
+	}
+	if int64(len(d)) != f.Ref.Length {
+		return fmt.Errorf("chunk %v: got %d bytes at offset %d, want %d", f.Ref.Key, len(d), f.Ref.Offset, f.Ref.Length)
+	}
+	if fresh != nil {
+		b.cacheHint(f.Ref.Key, fresh)
+	}
+	for _, c := range copies {
+		copy(out[c.dst:c.dst+c.n], d[c.src:])
+	}
+	return nil
+}
+
+// scatterCopy moves n bytes from offset src of a fetched fragment to
+// offset dst of the buffer returned to the caller.
+type scatterCopy struct{ dst, src, n int64 }
+
+// scatterPlan lists, per fragment, the copies that lay it out in the
+// caller's buffer: every caller extent is cut against the fragments it
+// intersects (frags are sorted by offset and disjoint, so a binary
+// search finds the first). Caller extents may be unsorted, overlapping
+// or repeated; a fragment then simply lands more than once.
+func scatterPlan(q extent.List, frags []segtree.Fragment) [][]scatterCopy {
+	plan := make([][]scatterCopy, len(frags))
+	var dst int64
+	for _, e := range q {
+		i := sort.Search(len(frags), func(i int) bool { return frags[i].Ext.End() > e.Offset })
+		for ; i < len(frags) && frags[i].Ext.Offset < e.End(); i++ {
+			lo := max(e.Offset, frags[i].Ext.Offset)
+			hi := min(e.End(), frags[i].Ext.End())
+			plan[i] = append(plan[i], scatterCopy{dst: dst + lo - e.Offset, src: lo - frags[i].Ext.Offset, n: hi - lo})
+		}
+		dst += e.Length
+	}
+	return plan
 }
 
 // ReadAt is the contiguous convenience form of ReadList.
@@ -501,11 +566,14 @@ func (b *Blob) ReadAt(version uint64, off, length int64) ([]byte, error) {
 // ReadLatest reads against the newest published snapshot and returns
 // the data along with the version it came from.
 func (b *Blob) ReadLatest(q extent.List) ([]byte, uint64, error) {
+	if err := q.Validate(); err != nil {
+		return nil, 0, err
+	}
 	info, err := b.svc.VM.LatestPublished(b.id)
 	if err != nil {
 		return nil, 0, err
 	}
-	data, err := b.ReadList(info.Version, q)
+	data, err := b.readSnapshot(info, q)
 	return data, info.Version, err
 }
 

@@ -1,0 +1,306 @@
+package blob
+
+import (
+	"bytes"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/chunk"
+	"repro/internal/extent"
+	"repro/internal/provider"
+	"repro/internal/segtree"
+)
+
+// lateMeta answers a seeded half of the write path's TryGetNode probes
+// with "not stored yet" — always a legal answer — so builders chain
+// leaves instead of flattening them, as they do when writers race.
+type lateMeta struct {
+	segtree.NodeStore
+	mu      sync.Mutex
+	rng     *rand.Rand
+	chained int // leaves stored with a back-pointer
+}
+
+func (m *lateMeta) PutNode(blob uint64, key segtree.NodeKey, n *segtree.Node) error {
+	if !n.Prev.IsZero() {
+		m.mu.Lock()
+		m.chained++
+		m.mu.Unlock()
+	}
+	return m.NodeStore.PutNode(blob, key, n)
+}
+
+func (m *lateMeta) TryGetNode(blob uint64, key segtree.NodeKey) (*segtree.Node, bool, error) {
+	m.mu.Lock()
+	late := m.rng.Intn(2) == 0
+	m.mu.Unlock()
+	if late {
+		return nil, false, nil
+	}
+	return m.NodeStore.TryGetNode(blob, key)
+}
+
+// randomWrite picks 1-4 disjoint extents — page-aligned, partial-page
+// and page-crossing alike — with random payload.
+func randomWrite(t *testing.T, rng *rand.Rand, geo segtree.Geometry) extent.Vec {
+	t.Helper()
+	var l extent.List
+	for n := 1 + rng.Intn(4); len(l) < n; {
+		e := extent.Extent{Offset: rng.Int63n(geo.Capacity - 1), Length: 1 + rng.Int63n(3*geo.Page)}
+		if rng.Intn(3) == 0 {
+			e.Offset -= e.Offset % geo.Page
+		}
+		if e.End() > geo.Capacity || l.IntersectsExtent(e) {
+			continue
+		}
+		l = append(l, e).Normalize()
+	}
+	buf := make([]byte, l.TotalLength())
+	rng.Read(buf)
+	vec, err := extent.NewVec(l, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vec
+}
+
+// randomQuery builds a caller layout that is deliberately not
+// normalized: unsorted, overlapping, duplicated, zero-gap and empty
+// extents.
+func randomQuery(rng *rand.Rand, capacity int64) extent.List {
+	var q extent.List
+	for n := 1 + rng.Intn(7); len(q) < n; {
+		e := extent.Extent{Offset: rng.Int63n(capacity), Length: rng.Int63n(6 << 10)}
+		if len(q) > 0 {
+			prev := q[rng.Intn(len(q))]
+			switch rng.Intn(5) {
+			case 0:
+				e = prev // duplicate
+			case 1:
+				e.Offset = prev.Offset + prev.Length/2 // overlaps prev
+			case 2:
+				e.Offset = prev.End() // zero gap
+			case 3:
+				e.Length = 0
+			}
+		}
+		if e.End() > capacity {
+			continue
+		}
+		q = append(q, e)
+	}
+	return q
+}
+
+// TestPropReadListMatchesFlatModel replays seeded random histories —
+// multi-version overlays, partial-page writes, holes, chained leaves,
+// buffered and pipelined — and compares random non-normalized
+// list-reads of every version, through the writing handle and through a
+// second one, byte for byte with a flat image per version.
+func TestPropReadListMatchesFlatModel(t *testing.T) {
+	geo := segtree.Geometry{Capacity: 64 << 10, Page: 1 << 10}
+	chained := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		svc := testServices()
+		meta := &lateMeta{NodeStore: svc.Meta, rng: rand.New(rand.NewSource(seed))}
+		svc.Meta = meta
+		w, err := Create(svc, 1, geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(svc, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models := [][]byte{make([]byte, geo.Capacity)} // version 0 is all holes
+		for i := 0; i < 16; i++ {
+			vec := randomWrite(t, rng, geo)
+			v, err := w.WriteList(vec, WriteOptions{Pipelined: rng.Intn(2) == 0})
+			if err != nil {
+				t.Fatalf("seed %d write %d: %v", seed, i, err)
+			}
+			if v != uint64(len(models)) {
+				t.Fatalf("seed %d: version %d after %d writes", seed, v, len(models)-1)
+			}
+			img := bytes.Clone(models[v-1])
+			vec.ScatterInto(img, 0)
+			models = append(models, img)
+		}
+		for i := 0; i < 60; i++ {
+			q := randomQuery(rng, geo.Capacity)
+			v := uint64(rng.Intn(len(models)))
+			var want []byte
+			for _, e := range q {
+				want = append(want, models[v][e.Offset:e.End()]...)
+			}
+			for name, h := range map[string]*Blob{"writer": w, "reader": r} {
+				got, err := h.ReadList(v, q)
+				if err != nil {
+					t.Fatalf("seed %d %s: ReadList(v%d, %v): %v", seed, name, v, q, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seed %d %s: ReadList(v%d, %v) differs from the model", seed, name, v, q)
+				}
+			}
+		}
+		got, v, err := r.ReadLatest(extent.List{geo.Root()})
+		if err != nil || v != uint64(len(models)-1) || !bytes.Equal(got, models[v]) {
+			t.Fatalf("seed %d: ReadLatest = v%d, %v; differs from the model", seed, v, err)
+		}
+		chained += meta.chained
+	}
+	if chained == 0 {
+		t.Error("no history chained a leaf: the chain walk went untested")
+	}
+	t.Logf("%d chained leaves across the histories", chained)
+}
+
+// stridedQuery is n extents of length bytes, pitch apart.
+func stridedQuery(n int, length, pitch int64) extent.List {
+	q := make(extent.List, n)
+	for i := range q {
+		q[i] = extent.Extent{Offset: int64(i) * pitch, Length: length}
+	}
+	return q
+}
+
+// readAllocBytes is the heap allocated per warm ReadList of q.
+func readAllocBytes(t *testing.T, b *Blob, v uint64, q extent.List) int64 {
+	t.Helper()
+	const rounds = 8
+	var before, after runtime.MemStats
+	for i := -1; i < rounds; i++ {
+		if i == 0 { // round -1 warmed the caches
+			runtime.ReadMemStats(&before)
+		}
+		if _, err := b.ReadList(v, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / rounds
+}
+
+// A list-read costs what it returns: the same 16 x 16 KiB query
+// allocates the same at a 64 KiB pitch as at a 1 MiB pitch (nothing is
+// sized by the 15 MiB the sparse one spans), and no more than the
+// returned buffer plus one buffer per fragment.
+func TestReadListAllocationIndependentOfSpan(t *testing.T) {
+	b, err := Create(testServices(), 1, segtreeGeometry(16<<20, 64<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := b.Write(0, make([]byte, 16<<20), WriteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slack = 64 << 10 // tree walk, plan, goroutines
+	dense := readAllocBytes(t, b, v, stridedQuery(16, 16<<10, 64<<10))
+	sparse := readAllocBytes(t, b, v, stridedQuery(16, 16<<10, 1<<20))
+	t.Logf("allocated per read: %d B at a 64 KiB pitch, %d B at a 1 MiB pitch", dense, sparse)
+	if d := sparse - dense; d > slack || d < -slack {
+		t.Errorf("allocation follows the span: %d B dense, %d B sparse", dense, sparse)
+	}
+	if user := int64(16 * 16 << 10); sparse > 2*user+slack {
+		t.Errorf("%d B allocated to return %d B", sparse, user)
+	}
+}
+
+// shortData returns every fragment one byte short.
+type shortData struct{ DataService }
+
+func (s shortData) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
+	d, fresh, err := s.DataService.GetFrom(replicas, key, off, length)
+	if err == nil && len(d) > 0 {
+		d = d[:len(d)-1]
+	}
+	return d, fresh, err
+}
+
+// A fragment that comes back shorter than its ref must fail the read
+// and name the chunk, not read as zeros.
+func TestReadListRejectsShortFragment(t *testing.T) {
+	svc := testServices()
+	b, err := Create(svc, 1, segtreeGeometry(1<<20, 1<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := b.Write(100, bytes.Repeat([]byte{9}, 300), WriteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Data = shortData{svc.Data}
+	r, err := Open(svc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := chunk.Key{Blob: 1, Version: v, Index: 0}
+	got, err := r.ReadAt(v, 100, 300)
+	if err == nil {
+		t.Fatalf("short fragment read as %d bytes ending in %v", len(got), got[len(got)-1])
+	}
+	if !strings.Contains(err.Error(), key.String()) {
+		t.Fatalf("error %q does not name chunk %v", err, key)
+	}
+}
+
+// A reader handle follows a writer across 100 versions, re-reading
+// through its node cache after every write: no read may ever see a
+// node of the wrong version.
+func TestReaderFollowsWriterThroughNodeCache(t *testing.T) {
+	geo := segtree.Geometry{Capacity: 64 << 10, Page: 1 << 10}
+	svc := testServices()
+	w, err := Create(svc, 1, geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(svc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	models := [][]byte{make([]byte, geo.Capacity)}
+	for i := 1; i <= 100; i++ {
+		vec := randomWrite(t, rng, geo)
+		v, err := w.WriteList(vec, WriteOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := bytes.Clone(models[v-1])
+		vec.ScatterInto(img, 0)
+		models = append(models, img)
+
+		q := randomQuery(rng, geo.Capacity)
+		got, latest, err := r.ReadLatest(q)
+		if err != nil || latest != v {
+			t.Fatalf("ReadLatest after v%d = v%d, %v", v, latest, err)
+		}
+		old := uint64(rng.Intn(len(models)))
+		gotOld, err := r.ReadList(old, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, wantOld []byte
+		for _, e := range q {
+			want = append(want, models[v][e.Offset:e.End()]...)
+			wantOld = append(wantOld, models[old][e.Offset:e.End()]...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("v%d: latest read of %v differs from the model", v, q)
+		}
+		if !bytes.Equal(gotOld, wantOld) {
+			t.Fatalf("v%d: read of %v at v%d differs from the model", v, q, old)
+		}
+	}
+	st := r.NodeCacheStats()
+	if st.Hits == 0 || st.Misses == 0 || st.Entries == 0 || st.Entries > nodeCacheEntries {
+		t.Fatalf("reader node cache %+v: want hits, misses and 1..%d entries", st, nodeCacheEntries)
+	}
+	if st := w.NodeCacheStats(); st.Entries == 0 {
+		t.Fatalf("writer node cache %+v: puts were not written through", st)
+	}
+}

@@ -591,6 +591,9 @@ func (p *framedPool) get(replicas []provider.ID, key chunk.Key, off, length int6
 }
 
 func (fc *framedConn) get(replicas []provider.ID, key chunk.Key, off, length int64) (data []byte, fresh []provider.ID, err error, fatal bool) {
+	if length < 0 {
+		return nil, nil, fmt.Errorf("remote: negative read length %d for chunk %v", length, key), false
+	}
 	h := frameHeader{op: opGet, key: key, off: off, length: length, replicas: replicas}
 	if err := writeHeader(fc.bw, h); err != nil {
 		return nil, nil, err, true
@@ -613,13 +616,21 @@ func (fc *framedConn) get(replicas []provider.ID, key chunk.Key, off, length int
 	if err != nil {
 		return nil, nil, err, true
 	}
-	data = make([]byte, 0, length)
+	// The reply must be exactly the bytes asked for: a frame that would
+	// overrun length is refused before it is read, a terminator that
+	// comes early fails the op. Either way the stream can no longer be
+	// trusted, so the connection goes with it.
+	data = make([]byte, length)
+	var got int64
 	for {
 		n, rerr := readU32(fc.br)
 		if rerr != nil {
 			return nil, nil, rerr, true
 		}
 		if n == 0 {
+			if got != length {
+				return nil, nil, fmt.Errorf("remote: short reply for chunk %v: %d of %d bytes", key, got, length), true
+			}
 			return data, fresh, nil, false
 		}
 		if n == frameAbort {
@@ -632,10 +643,12 @@ func (fc *framedConn) get(replicas []provider.ID, key chunk.Key, off, length int
 		if n > maxFrame {
 			return nil, nil, fmt.Errorf("remote: oversized frame (%d bytes)", n), true
 		}
-		cur := len(data)
-		data = append(data, make([]byte, n)...)
-		if _, rerr := io.ReadFull(fc.br, data[cur:]); rerr != nil {
+		if int64(n) > length-got {
+			return nil, nil, fmt.Errorf("remote: reply for chunk %v exceeds the %d bytes requested", key, length), true
+		}
+		if _, rerr := io.ReadFull(fc.br, data[got:got+int64(n)]); rerr != nil {
 			return nil, nil, rerr, true
 		}
+		got += int64(n)
 	}
 }

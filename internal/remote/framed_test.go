@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -389,4 +390,99 @@ func itoa(v int64) string {
 		v /= 10
 	}
 	return string(b[i:])
+}
+
+// fakeFramedGets serves framed gets on a loopback listener, answering
+// each with the given frame sizes instead of the bytes requested. The
+// returned channel gets one value per connection the client ended.
+func fakeFramedGets(t *testing.T, frames []int) (addr string, closed <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ch := make(chan struct{}, 8)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				magic := make([]byte, len(framedMagic))
+				if _, err := io.ReadFull(br, magic); err != nil || string(magic) != framedMagic {
+					return
+				}
+				for {
+					if _, err := readHeader(br); err != nil {
+						ch <- struct{}{} // EOF, or a reset if replies went unread
+						return
+					}
+					bw := bufio.NewWriter(conn)
+					bw.WriteByte(0)   // status ok
+					writeIDs(bw, nil) // no fresh replica set
+					for _, n := range frames {
+						writeU32(bw, uint32(n))
+						bw.Write(bytes.Repeat([]byte{0xAB}, n))
+					}
+					writeU32(bw, 0)
+					if bw.Flush() != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), ch
+}
+
+// TestFramedGetRejectsWrongLengthReply: a reply whose frames do not sum
+// to the requested length — one frame too few, one too many — must fail
+// the op and cost the connection: handed on as-is, a short fragment
+// reads as silent zeros and a long one grows without bound.
+func TestFramedGetRejectsWrongLengthReply(t *testing.T) {
+	key := chunk.Key{Blob: 1, Version: 2, Index: 3}
+	for name, tc := range map[string]struct {
+		frames []int
+		want   string
+	}{
+		"one frame too few":  {[]int{1000, 1000}, "short reply"},
+		"one frame too many": {[]int{1000, 1000, 1000, 1000}, "exceeds"},
+		"last frame too big": {[]int{1000, 1000, 1001}, "exceeds"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			addr, closed := fakeFramedGets(t, tc.frames)
+			pool := newFramedPool(addr)
+			defer pool.close()
+			data, _, err := pool.get(nil, key, 0, 3000)
+			if err == nil {
+				t.Fatalf("got %d bytes and no error for a 3000-byte read", len(data))
+			}
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), key.String()) {
+				t.Fatalf("error %q: want %q and the chunk key", err, tc.want)
+			}
+			if n := len(pool.idle); n != 0 {
+				t.Fatalf("%d connections pooled after a desynchronised reply", n)
+			}
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the client kept the connection open")
+			}
+		})
+	}
+	// The control: an exact reply is returned and keeps its connection.
+	addr, _ := fakeFramedGets(t, []int{1000, 1000, 1000})
+	pool := newFramedPool(addr)
+	defer pool.close()
+	data, _, err := pool.get(nil, key, 0, 3000)
+	if err != nil || len(data) != 3000 || data[2999] != 0xAB {
+		t.Fatalf("exact reply: %d bytes, %v", len(data), err)
+	}
+	if len(pool.idle) != 1 {
+		t.Fatalf("%d connections pooled after a good reply, want 1", len(pool.idle))
+	}
 }

@@ -132,7 +132,7 @@ func TestExclusiveChunksSharedRootFetchesNothing(t *testing.T) {
 	h := newHarness(t, geo)
 	v1 := h.writePaged(vec(t, extent.List{{Offset: 0, Length: 4 << 10}}, 0x33))
 	root := h.root(v1)
-	count := &countingStore{NodeStore: h.tree.Store}
+	count := &probeStore{NodeStore: h.tree.Store}
 	tree := &segtree.Tree{Blob: h.tree.Blob, Geo: geo, Store: count}
 	// Dropping a version whose root a keeper shares (an aborted
 	// version publishes its predecessor's root) must do zero metadata
@@ -141,19 +141,9 @@ func TestExclusiveChunksSharedRootFetchesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 0 || count.gets != 0 {
-		t.Fatalf("shared-root walk: %d keys, %d fetches; want 0, 0", len(keys), count.gets)
+	if len(keys) != 0 || count.gets.Load() != 0 {
+		t.Fatalf("shared-root walk: %d keys, %d fetches; want 0, 0", len(keys), count.gets.Load())
 	}
-}
-
-type countingStore struct {
-	segtree.NodeStore
-	gets int
-}
-
-func (c *countingStore) GetNode(blob uint64, key segtree.NodeKey) (*segtree.Node, error) {
-	c.gets++
-	return c.NodeStore.GetNode(blob, key)
 }
 
 // TestPropExclusiveChunksMatchBruteForce: for random overlapping write

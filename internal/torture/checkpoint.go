@@ -422,6 +422,7 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 		}
 		wg.Wait()
 	}
+	awaitFirst(&restoreCount, readErr)
 	close(stopReaders)
 	readersWG.Wait()
 	report.FailedWrites = len(failures)

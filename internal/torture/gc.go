@@ -266,6 +266,7 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	}
 	wg.Wait()
 	kill()
+	awaitFirst(&pinnedReads, readerErr)
 	close(stopReader)
 	<-readerDone
 	close(stopTicker)

@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/extent"
 	"repro/internal/mpiio"
@@ -149,4 +151,17 @@ type reader struct{ d mpiio.Driver }
 
 func (r reader) ReadList(q extent.List, atomic bool) ([]byte, error) {
 	return r.d.ReadList(q, atomic)
+}
+
+// awaitFirst keeps a schedule's concurrent readers running after its
+// writers are done until one read has completed or failed, for a
+// bounded time. A write phase lasts milliseconds; on a loaded host the
+// scheduler can starve a reader for all of it, and stopping the reader
+// then would trip the schedule's "lost its teeth" check through no
+// fault of the system under test.
+func awaitFirst(completed *atomic.Int64, failed <-chan error) {
+	deadline := time.Now().Add(10 * time.Second)
+	for completed.Load() == 0 && len(failed) == 0 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 }
