@@ -1,0 +1,195 @@
+package remote
+
+import (
+	"bytes"
+	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/chunk"
+	"repro/internal/iosim"
+	"repro/internal/metadata"
+	"repro/internal/metrics"
+	"repro/internal/provider"
+	"repro/internal/segtree"
+	"repro/internal/vmanager"
+)
+
+// countingListener counts the connections a node accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// gobConnsPerClient is what Dial opens before any chunk moves: one gob
+// connection each for the VM, Meta and Data endpoints.
+const gobConnsPerClient = 3
+
+// startCountedNode boots an all-roles node (8 providers on storeURL
+// stores, R=1) behind a counting listener.
+func startCountedNode(tb testing.TB, storeURL string, reg *metrics.Registry) (*countingListener, Endpoints) {
+	tb.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cl := &countingListener{Listener: lis}
+	mgr := provider.NewManager()
+	for i := 0; i < 8; i++ {
+		store, err := chunk.OpenStore(storeURL, iosim.NewMeter(iosim.CostModel{}, true))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		mgr.Register(provider.New(provider.ID(i), store))
+	}
+	node, err := serve(cl, Roles{
+		VM:      vmanager.New(iosim.CostModel{}),
+		Meta:    metadata.NewStore(8, iosim.CostModel{}),
+		Data:    provider.NewRouter(mgr),
+		Metrics: reg,
+	})
+	if err != nil {
+		lis.Close()
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { node.Close() })
+	addr := node.Addr()
+	return cl, Endpoints{VM: addr, Meta: addr, Data: addr}
+}
+
+// putWave stores n distinct 32 KiB chunks concurrently and returns the
+// first error.
+func putWave(c *Client, version uint64, n int, payload []byte) error {
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			_, err := c.Put(chunk.Key{Blob: 1, Version: version, Index: uint32(i)}, payload)
+			errs <- err
+		}(i)
+	}
+	var first error
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// metaWireRequests sums bs_rpc_requests_total over the Meta service's
+// methods: gob requests the metadata role received, whatever they carry.
+func metaWireRequests(reg *metrics.Registry) float64 {
+	var n float64
+	for series, v := range reg.Snapshot() {
+		if strings.HasPrefix(series, `bs_rpc_requests_total{method="Meta.`) {
+			n += v
+		}
+	}
+	return n
+}
+
+// BenchmarkFramedPutFanout is the data half of one tile_atomic write:
+// 92 concurrent 32 KiB puts through one framed client over TCP
+// loopback, onto null:// stores so the wire is what is timed. dials/op
+// is connections accepted per wave after a warm-up wave.
+func BenchmarkFramedPutFanout(b *testing.B) {
+	lis, ep := startCountedNode(b, "null://", nil)
+	c, err := DialFramed(ep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const pieces = 92
+	payload := bytes.Repeat([]byte{0x5A}, 32<<10)
+	if err := putWave(c, 0, pieces, payload); err != nil {
+		b.Fatal(err)
+	}
+	warm := lis.accepted.Load()
+	b.SetBytes(pieces * int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := putWave(c, uint64(i+1), pieces, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(lis.accepted.Load()-warm)/float64(b.N), "dials/op")
+}
+
+// BenchmarkNodePutParallel is the metadata half of one tile_atomic
+// write: 127 tree nodes stored from a window of 64 goroutines (segtree's
+// bound) through one client. wire-reqs/op is gob requests the metadata
+// role received per write.
+func BenchmarkNodePutParallel(b *testing.B) {
+	reg := metrics.NewRegistry()
+	_, ep := startCountedNode(b, "null://", reg)
+	c, err := Dial(ep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const nodes, window = 127, 64
+	node := &segtree.Node{Left: segtree.NodeKey{Version: 1, Size: 512}, Right: segtree.NodeKey{Version: 1, Offset: 512, Size: 512}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var next atomic.Int64
+		var failed atomic.Bool
+		var wg sync.WaitGroup
+		for g := 0; g < window; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := next.Add(1) - 1; j < nodes; j = next.Add(1) - 1 {
+					key := segtree.NodeKey{Version: uint64(i + 1), Offset: j * 1024, Size: 1024}
+					if c.PutNode(1, key, node) != nil {
+						failed.Store(true)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if failed.Load() {
+			b.Fatal("a node put failed")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(metaWireRequests(reg)/float64(b.N), "wire-reqs/op")
+}
+
+// BenchmarkNodeGetSerial is the idle path: one caller, one node get at
+// a time, as a tree walk issues them. It must cost one round trip, as a
+// single-node RPC did.
+func BenchmarkNodeGetSerial(b *testing.B) {
+	reg := metrics.NewRegistry()
+	_, ep := startCountedNode(b, "null://", reg)
+	c, err := Dial(ep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	key := segtree.NodeKey{Version: 1, Size: 1024}
+	if err := c.PutNode(1, key, &segtree.Node{Left: segtree.NodeKey{Version: 1, Size: 512}}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.GetNode(1, key); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric((metaWireRequests(reg)-1)/float64(b.N), "wire-reqs/op")
+}

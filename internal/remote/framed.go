@@ -403,54 +403,101 @@ type framedConn struct {
 	bw *bufio.Writer
 }
 
-// framedPool hands out exclusive connections to one data endpoint,
-// dialing on demand. Pooling is what pipelines the data plane: N
-// concurrent chunk transfers ride N connections instead of serializing
-// on net/rpc's single gob stream.
+// framedPoolCap bounds the connections a client keeps to one data
+// endpoint, in use plus idle. The pipelined writer and the list-reader
+// each keep a window of 8 transfers, so 16 never queues one behind the
+// other; the one wider fan-out, a buffered write's chunk puts (92 per
+// tile_atomic write), is as fast on 8, 16 or 32 warm connections and
+// slower only when it redials (CHANGES.md, PR 15, has the sweep).
+const framedPoolCap = 16
+
+// ErrClientClosed is returned by a framed op started after, or still
+// waiting for a connection at, Client.Close.
+var ErrClientClosed = errors.New("remote: client closed")
+
+// framedPool hands out exclusive connections to one data endpoint.
+// Pooling is what pipelines the data plane: N concurrent chunk
+// transfers ride N connections instead of serializing on net/rpc's
+// single gob stream. The pool is bounded: once framedPoolCap
+// connections exist an acquire waits for a release rather than dialing
+// another, so a fan-out wider than the pool queues on warm sockets and
+// steady state dials nothing.
 type framedPool struct {
-	addr string
-	mu   sync.Mutex
-	idle []*framedConn
-	// maxIdle bounds retained connections; extras close on release.
-	maxIdle int
+	addr  string
+	dials *metrics.Counter // bs_data_dials_total, nil-tolerant
+
+	mu     sync.Mutex
+	freed  sync.Cond // signalled when idle grows, open shrinks or the pool closes
+	idle   []*framedConn
+	open   int // connections in use plus idle, never above framedPoolCap
+	closed bool
 }
 
 func newFramedPool(addr string) *framedPool {
-	// Deep enough that a pipelined large-object write (window 64) keeps
-	// its connections across waves instead of redialing every chunk.
-	return &framedPool{addr: addr, maxIdle: 64}
+	p := &framedPool{addr: addr}
+	p.freed.L = &p.mu
+	return p
 }
 
-// acquire hands out an idle connection when one exists (pooled=true)
-// or dials a fresh one. Idle connections are never validated here —
+// acquire hands out an idle connection when one exists (pooled=true),
+// dials a fresh one while the pool is below its bound, and otherwise
+// waits for a release. Idle connections are never validated here —
 // only their first use can prove them dead — so op-level callers go
 // through withConn, which retries once on a fresh dial when a POOLED
 // connection fails.
 func (p *framedPool) acquire() (fc *framedConn, pooled bool, err error) {
 	p.mu.Lock()
+	for !p.closed && len(p.idle) == 0 && p.open >= framedPoolCap {
+		p.freed.Wait()
+	}
+	if p.closed {
+		p.mu.Unlock()
+		return nil, false, ErrClientClosed
+	}
 	if n := len(p.idle); n > 0 {
 		fc := p.idle[n-1]
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
 		return fc, true, nil
 	}
+	p.open++
 	p.mu.Unlock()
-	c, err := net.Dial("tcp", p.addr)
-	if err != nil {
-		return nil, false, fmt.Errorf("remote: dial framed %s: %w", p.addr, err)
-	}
-	fc = &framedConn{c: c, br: bufio.NewReaderSize(c, 64<<10), bw: bufio.NewWriterSize(c, 64<<10)}
-	if _, err := fc.bw.WriteString(framedMagic); err != nil {
-		c.Close()
+	if fc, err = p.dial(); err != nil {
+		p.drop(1)
 		return nil, false, err
 	}
 	return fc, false, nil
 }
 
+// dial opens one connection; the caller already holds its slot in open.
+func (p *framedPool) dial() (*framedConn, error) {
+	c, err := net.Dial("tcp", p.addr)
+	if err != nil {
+		return nil, fmt.Errorf("remote: dial framed %s: %w", p.addr, err)
+	}
+	p.dials.Inc()
+	fc := &framedConn{c: c, br: bufio.NewReaderSize(c, 64<<10), bw: bufio.NewWriterSize(c, 64<<10)}
+	if _, err := fc.bw.WriteString(framedMagic); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return fc, nil
+}
+
+// drop gives back the slots of n connections that were closed.
+func (p *framedPool) drop(n int) {
+	p.mu.Lock()
+	p.open -= n
+	p.mu.Unlock()
+	for ; n > 0; n-- {
+		p.freed.Signal()
+	}
+}
+
 // flushIdle closes every idle connection. Called after a pooled
 // connection turned out dead: the usual cause is a data-node restart,
 // which killed every socket the pool is holding — keeping them would
-// make the next maxIdle ops each pay the same discover-retry cycle.
+// make the next ops each pay the same discover-retry cycle.
 func (p *framedPool) flushIdle() {
 	p.mu.Lock()
 	idle := p.idle
@@ -459,15 +506,18 @@ func (p *framedPool) flushIdle() {
 	for _, fc := range idle {
 		fc.c.Close()
 	}
+	p.drop(len(idle))
 }
 
 // withConn runs one framed op on a pool connection. A fatal
 // (transport-level) failure on a POOLED connection is indistinguishable
 // from a stale socket left by a peer restart, so the op retries once on
-// a freshly dialed connection after flushing the rest of the idle list;
-// a failure on a fresh dial is a real peer problem and surfaces as-is.
-// Retried puts are safe: the chunk store is immutable, so the worst a
-// half-delivered first attempt yields is chunk.ErrExists on the retry.
+// a freshly dialed connection — in the failed one's slot, so the retry
+// never waits behind the bound — after flushing the rest of the idle
+// list; a failure on a fresh dial is a real peer problem and surfaces
+// as-is. Retried puts are safe: the chunk store is immutable, so the
+// worst a half-delivered first attempt yields is chunk.ErrExists on the
+// retry.
 func (p *framedPool) withConn(op func(fc *framedConn) (err error, fatal bool)) error {
 	fc, pooled, err := p.acquire()
 	if err != nil {
@@ -479,40 +529,46 @@ func (p *framedPool) withConn(op func(fc *framedConn) (err error, fatal bool)) e
 		return err
 	}
 	fc.c.Close()
-	if !pooled {
-		return err
+	if pooled {
+		p.flushIdle()
+		if fc, err = p.dial(); err == nil {
+			if err, fatal = op(fc); !fatal {
+				p.release(fc)
+				return err
+			}
+			fc.c.Close()
+		}
 	}
-	p.flushIdle()
-	fc, _, derr := p.acquire()
-	if derr != nil {
-		return derr
-	}
-	err, fatal = op(fc)
-	if fatal {
-		fc.c.Close()
-	} else {
-		p.release(fc)
-	}
+	p.drop(1)
 	return err
 }
 
-// release returns a healthy connection to the pool.
+// release returns a healthy connection to the pool, or closes it when
+// the pool closed while it was out.
 func (p *framedPool) release(fc *framedConn) {
 	p.mu.Lock()
-	if len(p.idle) < p.maxIdle {
+	if !p.closed {
 		p.idle = append(p.idle, fc)
 		p.mu.Unlock()
+		p.freed.Signal()
 		return
 	}
+	p.open--
 	p.mu.Unlock()
 	fc.c.Close()
 }
 
+// close closes every idle connection and marks the pool closed:
+// waiting and later acquires fail with ErrClientClosed, and a
+// connection that is out is closed by the release that ends its op.
 func (p *framedPool) close() {
 	p.mu.Lock()
+	p.closed = true
 	idle := p.idle
 	p.idle = nil
+	p.open -= len(idle)
 	p.mu.Unlock()
+	p.freed.Broadcast()
 	for _, fc := range idle {
 		fc.c.Close()
 	}

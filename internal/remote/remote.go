@@ -235,49 +235,13 @@ func (s *VMServer) ShardStatus(_ *ShardStatusArgs, reply *ShardStatusReply) erro
 
 // --- Metadata service ---
 
-// MetaServer exposes a metadata.Store over RPC.
+// MetaServer exposes a metadata.Store over RPC. Its one method, the
+// combined node call Meta.Nodes, lives in nodes.go.
 type MetaServer struct {
 	S *metadata.Store
-}
 
-// NodeArgs addresses one metadata node.
-type NodeArgs struct {
-	Blob uint64
-	Key  segtree.NodeKey
-	Node *segtree.Node // for puts
-}
-
-// NodeReply returns a node and whether it exists.
-type NodeReply struct {
-	Node  *segtree.Node
-	Found bool
-}
-
-// PutNode RPC.
-func (s *MetaServer) PutNode(a *NodeArgs, _ *struct{}) error {
-	return s.S.PutNode(a.Blob, a.Key, a.Node)
-}
-
-// GetNode RPC.
-func (s *MetaServer) GetNode(a *NodeArgs, reply *NodeReply) error {
-	n, err := s.S.GetNode(a.Blob, a.Key)
-	if err != nil {
-		return err
-	}
-	reply.Node = n
-	reply.Found = true
-	return nil
-}
-
-// TryGetNode RPC.
-func (s *MetaServer) TryGetNode(a *NodeArgs, reply *NodeReply) error {
-	n, ok, err := s.S.TryGetNode(a.Blob, a.Key)
-	if err != nil {
-		return err
-	}
-	reply.Node = n
-	reply.Found = ok
-	return nil
+	nodeOps  [nodeOpKinds]*metrics.Counter // bs_meta_node_ops_total{op}, nil-tolerant
+	batchOps *metrics.Histogram            // bs_meta_batch_ops, nil-tolerant
 }
 
 // --- Data service ---
@@ -574,6 +538,21 @@ type Node struct {
 
 // Listen starts serving the given roles on addr (e.g. "127.0.0.1:0").
 func Listen(addr string, roles Roles) (*Node, error) {
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("remote: listen %s: %w", addr, err)
+	}
+	n, err := serve(lis, roles)
+	if err != nil {
+		lis.Close()
+		return nil, err
+	}
+	return n, nil
+}
+
+// serve starts serving the given roles on an open listener, which the
+// returned node owns (tests pass one that counts accepted connections).
+func serve(lis net.Listener, roles Roles) (*Node, error) {
 	if roles.VM == nil && roles.Meta == nil && roles.Data == nil {
 		return nil, errors.New("remote: node must host at least one role")
 	}
@@ -584,7 +563,7 @@ func Listen(addr string, roles Roles) (*Node, error) {
 		}
 	}
 	if roles.Meta != nil {
-		if err := srv.RegisterName(metaService, &MetaServer{S: roles.Meta}); err != nil {
+		if err := srv.RegisterName(metaService, newMetaServer(roles.Meta, roles.Metrics)); err != nil {
 			return nil, err
 		}
 	}
@@ -597,10 +576,6 @@ func Listen(addr string, roles Roles) (*Node, error) {
 		if err := srv.RegisterName(nodeService, &NodeServer{Reg: roles.Metrics}); err != nil {
 			return nil, err
 		}
-	}
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: listen %s: %w", addr, err)
 	}
 	n := &Node{lis: lis, srv: srv, reg: roles.Metrics, conns: make(map[net.Conn]struct{})}
 	if roles.Data != nil {
@@ -764,6 +739,10 @@ type Client struct {
 	meta *rpc.Client
 	data *rpc.Client
 
+	// nodes combines concurrent PutNode/GetNode/TryGetNode calls into
+	// Meta.Nodes requests on the meta connection (nodes.go).
+	nodes nodeCombiner
+
 	// pool, when non-nil (DialFramed), carries PutChunk/GetChunk over
 	// the framed data plane on a pool of dedicated connections; control
 	// RPCs stay on the gob connections above.
@@ -794,6 +773,7 @@ func Dial(ep Endpoints) (*Client, error) {
 		c.meta.Close()
 		return nil, fmt.Errorf("remote: dial data %s: %w", ep.Data, err)
 	}
+	c.nodes.rpc = c.meta
 	return c, nil
 }
 
@@ -812,7 +792,21 @@ func DialFramed(ep Endpoints) (*Client, error) {
 	return c, nil
 }
 
-// Close terminates all connections.
+// SetMetrics counts the connections the framed plane dials into reg
+// (bs_data_dials_total: flat in steady state, the pool redials only
+// after a peer restart). Call it before the first chunk transfer.
+func (c *Client) SetMetrics(reg *metrics.Registry) {
+	if c.pool != nil {
+		c.pool.dials = reg.Counter("bs_data_dials_total")
+	}
+}
+
+// Close terminates all connections: the control connections and the
+// framed plane's idle ones at once, a framed connection with a transfer
+// on it when that transfer ends. Chunk transfers started, or still
+// waiting for a connection, after Close fail with ErrClientClosed;
+// control calls fail with rpc.ErrShutdown, node calls queued behind an
+// in-flight request included.
 func (c *Client) Close() error {
 	if c.pool != nil {
 		c.pool.close()
@@ -918,29 +912,6 @@ func (c *Client) GCInfo(blobID uint64) (vmanager.GCInfo, error) {
 // MarkReclaimed implements blob.VersionService.
 func (c *Client) MarkReclaimed(blobID, v uint64) error {
 	return c.vm.Call(vmService+".MarkReclaimed", &SnapshotArgs{Blob: blobID, Version: v}, &struct{}{})
-}
-
-// PutNode implements segtree.NodeStore.
-func (c *Client) PutNode(blobID uint64, key segtree.NodeKey, n *segtree.Node) error {
-	return c.meta.Call(metaService+".PutNode", &NodeArgs{Blob: blobID, Key: key, Node: n}, &struct{}{})
-}
-
-// GetNode implements segtree.NodeStore.
-func (c *Client) GetNode(blobID uint64, key segtree.NodeKey) (*segtree.Node, error) {
-	var reply NodeReply
-	if err := c.meta.Call(metaService+".GetNode", &NodeArgs{Blob: blobID, Key: key}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Node, nil
-}
-
-// TryGetNode implements segtree.NodeStore.
-func (c *Client) TryGetNode(blobID uint64, key segtree.NodeKey) (*segtree.Node, bool, error) {
-	var reply NodeReply
-	if err := c.meta.Call(metaService+".TryGetNode", &NodeArgs{Blob: blobID, Key: key}, &reply); err != nil {
-		return nil, false, err
-	}
-	return reply.Node, reply.Found, nil
 }
 
 // Put implements blob.DataService, over the framed plane when the
