@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/chunk"
 	"repro/internal/extent"
@@ -147,8 +146,14 @@ type WriteOptions struct {
 }
 
 // DefaultWindow is the pipelined write path's default in-flight chunk
-// bound, and the read path's in-flight fragment bound.
+// bound, and — times the page size — the read path's bound on fragment
+// bytes in flight.
 const DefaultWindow = 8
+
+// maxReadFragments caps the fragments one read keeps in flight however
+// small they are, so a read of tiny fragments does not put a goroutine
+// and a data-service call behind every one of them at once.
+const maxReadFragments = 64
 
 // Create registers a new blob with the given geometry and returns its
 // handle.
@@ -469,36 +474,54 @@ func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, 
 	out := make([]byte, q.TotalLength())
 	plan := scatterPlan(q, frags)
 
-	// Fetch under the same bounded in-flight window as the pipelined
-	// write path: each worker copies the fragment it fetched straight
+	// Fetch under a window of bytes: fragments are admitted in order
+	// while the bytes in flight stay within what DefaultWindow full-page
+	// fragments would hold — so worst-case memory beside out is that of a
+	// window of 8 however wide the read is, while a read of many small
+	// fragments puts enough of them in flight for the data wire to carry
+	// several per round trip. Each fetch copies its fragment straight
 	// into out (fragments are disjoint, so are their destinations) and
-	// drops it, so at most DefaultWindow fragment buffers are alive
-	// beside out however wide the read is.
-	var next atomic.Int64
-	workers := min(DefaultWindow, len(frags))
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	// drops it.
+	window := DefaultWindow * b.geo.Page
+	var (
+		mu       sync.Mutex
+		freed    = sync.Cond{L: &mu}
+		room     = window // bytes of the window not in flight
+		inFlight int
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for i := range frags {
+		// A fragment never exceeds a page; should one, it goes alone.
+		cost := min(frags[i].Ref.Length, window)
+		mu.Lock()
+		for firstErr == nil && (inFlight == maxReadFragments || cost > room) {
+			freed.Wait()
+		}
+		if firstErr != nil {
+			mu.Unlock()
+			break
+		}
+		inFlight++
+		room -= cost
+		mu.Unlock()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(frags) {
-					return
-				}
-				if err := b.fetchInto(out, frags[i], plan[i]); err != nil {
-					next.Store(int64(len(frags))) // stop the other workers early
-					errs <- err
-					return
-				}
+			err := b.fetchInto(out, frags[i], plan[i])
+			mu.Lock()
+			inFlight--
+			room += cost
+			if err != nil && firstErr == nil {
+				firstErr = err
 			}
+			mu.Unlock()
+			freed.Signal()
 		}()
 	}
 	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, fmt.Errorf("blob: fetch chunks: %w", err)
+	if firstErr != nil {
+		return nil, fmt.Errorf("blob: fetch chunks: %w", firstErr)
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/extent"
@@ -207,6 +208,105 @@ func TestReadListAllocationIndependentOfSpan(t *testing.T) {
 	}
 	if user := int64(16 * 16 << 10); sparse > 2*user+slack {
 		t.Errorf("%d B allocated to return %d B", sparse, user)
+	}
+}
+
+// gatedData holds every fragment fetch at a gate and records the most
+// fetches, and the most fragment bytes, ever in flight together.
+type gatedData struct {
+	DataService
+	gate chan struct{} // closed to let every fetch through
+
+	mu                 sync.Mutex
+	calls, bytes       int64
+	maxCalls, maxBytes int64
+}
+
+func (g *gatedData) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
+	g.mu.Lock()
+	g.calls++
+	g.bytes += length
+	g.maxCalls, g.maxBytes = max(g.maxCalls, g.calls), max(g.maxBytes, g.bytes)
+	g.mu.Unlock()
+	<-g.gate
+	defer func() {
+		g.mu.Lock()
+		g.calls--
+		g.bytes -= length
+		g.mu.Unlock()
+	}()
+	return g.DataService.GetFrom(replicas, key, off, length)
+}
+
+func (g *gatedData) inFlight() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.calls
+}
+
+// The read window is bytes — DefaultWindow pages' worth — under a fixed
+// ceiling on the count: a read of many small fragments keeps many in
+// flight, a read of page-sized ones exactly DefaultWindow, and no read
+// more than maxReadFragments.
+func TestReadWindowIsBytes(t *testing.T) {
+	const fragments = 200
+	for name, tc := range map[string]struct {
+		page, frag int64
+		want       int64 // fragments in flight once the window is full
+	}{
+		"small fragments fill the byte window": {page: 16 << 10, frag: 4 << 10, want: DefaultWindow * (16 << 10) / (4 << 10)},
+		"tiny fragments stop at the ceiling":   {page: 64 << 10, frag: 4 << 10, want: maxReadFragments},
+		"page-sized fragments keep the window": {page: 4 << 10, frag: 4 << 10, want: DefaultWindow},
+	} {
+		t.Run(name, func(t *testing.T) {
+			svc := testServices()
+			b, err := Create(svc, 1, segtreeGeometry(256*tc.page, tc.page))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One fragment per page: 200 extents of frag bytes at a page
+			// pitch, written as one list and read back the same way.
+			q := stridedQuery(fragments, tc.frag, tc.page)
+			want := make([]byte, q.TotalLength())
+			rand.New(rand.NewSource(1)).Read(want)
+			v, err := b.WriteList(extent.Vec{Extents: q, Buf: want}, WriteOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gated := &gatedData{DataService: svc.Data, gate: make(chan struct{})}
+			svc.Data = gated
+			r, err := Open(svc, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type result struct {
+				data []byte
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				data, err := r.ReadList(v, q)
+				done <- result{data, err}
+			}()
+			// Nothing completes while the gate is shut, so the read stalls
+			// with its window exactly full.
+			for deadline := time.Now().Add(5 * time.Second); gated.inFlight() < tc.want; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d fetches in flight, the window should admit %d", gated.inFlight(), tc.want)
+				}
+			}
+			close(gated.gate)
+			res := <-done
+			if res.err != nil || !bytes.Equal(res.data, want) {
+				t.Fatalf("read back: %v", res.err)
+			}
+			if gated.maxCalls != tc.want {
+				t.Errorf("at most %d fetches were in flight, want exactly %d", gated.maxCalls, tc.want)
+			}
+			if limit := DefaultWindow * tc.page; gated.maxBytes > limit {
+				t.Errorf("%d fragment bytes in flight, the window is %d", gated.maxBytes, limit)
+			}
+		})
 	}
 }
 

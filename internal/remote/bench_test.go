@@ -127,6 +127,137 @@ func BenchmarkFramedPutFanout(b *testing.B) {
 	b.ReportMetric(float64(lis.accepted.Load()-warm)/float64(b.N), "dials/op")
 }
 
+// BenchmarkFramedGetFanout is the data half of one tile_atomic read:
+// 122 gets of 16 KiB from a window of 32 goroutines through one framed
+// client, served from mem:// stores (stored slices, no copy), so the
+// wire is what is timed — and, client and server sharing the process,
+// what B/op counts beyond the 16 KiB each get returns.
+func BenchmarkFramedGetFanout(b *testing.B) {
+	lis, ep := startCountedNode(b, "mem://", nil)
+	c, err := DialFramed(ep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const fragments, window, size = 122, 32, 16 << 10
+	if err := putWave(c, 0, fragments, bytes.Repeat([]byte{0x5A}, size)); err != nil {
+		b.Fatal(err)
+	}
+	wave := func() {
+		var next atomic.Int64
+		var failed atomic.Bool
+		var wg sync.WaitGroup
+		for g := 0; g < window; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := next.Add(1) - 1; j < fragments; j = next.Add(1) - 1 {
+					data, err := c.Get(chunk.Key{Blob: 1, Index: uint32(j)}, 0, size)
+					if err != nil || len(data) != size {
+						failed.Store(true)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if failed.Load() {
+			b.Fatal("a get failed")
+		}
+	}
+	wave()
+	warm := lis.accepted.Load()
+	b.SetBytes(fragments * size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wave()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(lis.accepted.Load()-warm)/float64(b.N), "dials/op")
+}
+
+// BenchmarkFramedPutSerial and BenchmarkFramedGetSerial are the idle
+// path: one caller, one 32 KiB chunk at a time. A lone call is a train
+// of one through the same code as a train of thirty-two, and must cost
+// what a single op did before trains.
+func BenchmarkFramedPutSerial(b *testing.B) {
+	_, ep := startCountedNode(b, "null://", nil)
+	c, err := DialFramed(ep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	payload := bytes.Repeat([]byte{0x5A}, 32<<10)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Put(chunk.Key{Blob: 1, Index: uint32(i)}, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFramedGetSerial(b *testing.B) {
+	_, ep := startCountedNode(b, "mem://", nil)
+	c, err := DialFramed(ep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const size = 32 << 10
+	key := chunk.Key{Blob: 1}
+	if _, err := c.Put(key, bytes.Repeat([]byte{0x5A}, size)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if data, err := c.Get(key, 0, size); err != nil || len(data) != size {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFramedPut1MiBWindow8 is checkpoint_restore's shape: 32 puts
+// of 1 MiB under the pipelined writer's window of 8. A megabyte chunk
+// is a train of one and its frames never fit a write buffer, so trains
+// must leave this where it was.
+func BenchmarkFramedPut1MiBWindow8(b *testing.B) {
+	_, ep := startCountedNode(b, "null://", nil)
+	c, err := DialFramed(ep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const chunks, window = 32, 8
+	payload := bytes.Repeat([]byte{0x5A}, 1<<20)
+	b.SetBytes(chunks * int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var next atomic.Int64
+		var failed atomic.Bool
+		var wg sync.WaitGroup
+		for g := 0; g < window; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := next.Add(1) - 1; j < chunks; j = next.Add(1) - 1 {
+					if _, err := c.Put(chunk.Key{Blob: 1, Version: uint64(i), Index: uint32(j)}, payload); err != nil {
+						failed.Store(true)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if failed.Load() {
+			b.Fatal("a put failed")
+		}
+	}
+}
+
 // BenchmarkNodePutParallel is the metadata half of one tile_atomic
 // write: 127 tree nodes stored from a window of 64 goroutines (segtree's
 // bound) through one client. wire-reqs/op is gob requests the metadata

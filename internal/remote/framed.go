@@ -27,6 +27,20 @@
 //	            frame word already promised bytes that cannot arrive,
 //	            so there is no in-band way to abort without desyncing
 //	            the stream. Open-time errors keep the connection.
+//
+// Requests pipeline on a connection: a client may write any number of
+// whole requests back to back before it reads the first reply, and the
+// server answers them in order. The server flushes its reply buffer
+// only when it holds no further request bytes, so a lone request is
+// answered at once and the replies to a run of requests leave in as few
+// writes as they fit. That is safe because of one client-side rule: a
+// request, once begun, is written to its end without waiting for any
+// reply. The client here goes further and writes a whole train of
+// requests before it reads the train's first reply, and keeps a train
+// to one kind — put bodies still being written while get replies stream
+// back could fill both socket buffers and stop both ends. Nothing in
+// the format tells a pipelined request from a lone one, so clients and
+// servers from before trains interoperate with these.
 package remote
 
 import (
@@ -66,6 +80,19 @@ const (
 
 var errAborted = errors.New("remote: stream aborted by peer")
 
+// PutOverrunError refuses a put whose body carried payload beyond the
+// length its header declared. The store was handed exactly the declared
+// bytes; the error tells the sender that its header and body disagree
+// instead of acknowledging a body it did not store.
+type PutOverrunError struct {
+	Key             chunk.Key
+	Declared, Extra int64
+}
+
+func (e *PutOverrunError) Error() string {
+	return fmt.Sprintf("remote: put body for chunk %v carries %d bytes beyond the %d declared", e.Key, e.Extra, e.Declared)
+}
+
 // frameHeader is the fixed request header of one data-plane operation.
 type frameHeader struct {
 	op       byte
@@ -75,28 +102,42 @@ type frameHeader struct {
 	replicas []provider.ID
 }
 
-func writeHeader(w io.Writer, h frameHeader) error {
-	if len(h.replicas) > 255 {
-		h.replicas = h.replicas[:255]
+// maxWireIDs is what the one-byte ID counts of the format can carry.
+const maxWireIDs = 255
+
+// appendHeader appends h's wire form to buf.
+func appendHeader(buf []byte, h *frameHeader) []byte {
+	hints := h.replicas
+	if len(hints) > maxWireIDs {
+		hints = hints[:maxWireIDs]
 	}
-	buf := make([]byte, frameHeaderLen+4*len(h.replicas))
-	buf[0] = h.op
-	buf[2] = byte(len(h.replicas))
-	binary.LittleEndian.PutUint32(buf[4:], h.key.Index)
-	binary.LittleEndian.PutUint64(buf[8:], h.key.Blob)
-	binary.LittleEndian.PutUint64(buf[16:], h.key.Version)
-	binary.LittleEndian.PutUint64(buf[24:], uint64(h.off))
-	binary.LittleEndian.PutUint64(buf[32:], uint64(h.length))
-	for i, id := range h.replicas {
-		binary.LittleEndian.PutUint32(buf[frameHeaderLen+4*i:], uint32(id))
+	buf = append(buf, h.op, 0, byte(len(hints)), 0)
+	buf = binary.LittleEndian.AppendUint32(buf, h.key.Index)
+	buf = binary.LittleEndian.AppendUint64(buf, h.key.Blob)
+	buf = binary.LittleEndian.AppendUint64(buf, h.key.Version)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.off))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.length))
+	for _, id := range hints {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 	}
-	_, err := w.Write(buf)
-	return err
+	return buf
 }
 
-func readHeader(r io.Reader) (frameHeader, error) {
-	var buf [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+// peek returns the next n bytes of r without consuming them; the caller
+// discards them once parsed. n must not exceed r's buffer (every caller
+// asks for at most 4*maxWireIDs bytes). A stream that ends inside the n
+// bytes is an unexpected EOF, one that ends before them a clean one.
+func peek(r *bufio.Reader, n int) ([]byte, error) {
+	b, err := r.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
+func readHeader(r *bufio.Reader) (frameHeader, error) {
+	buf, err := peek(r, frameHeaderLen)
+	if err != nil {
 		return frameHeader{}, err
 	}
 	h := frameHeader{
@@ -109,44 +150,41 @@ func readHeader(r io.Reader) (frameHeader, error) {
 		off:    int64(binary.LittleEndian.Uint64(buf[24:])),
 		length: int64(binary.LittleEndian.Uint64(buf[32:])),
 	}
-	if n := int(buf[2]); n > 0 {
-		ids := make([]byte, 4*n)
-		if _, err := io.ReadFull(r, ids); err != nil {
-			return frameHeader{}, err
-		}
-		h.replicas = make([]provider.ID, n)
-		for i := 0; i < n; i++ {
-			h.replicas[i] = provider.ID(binary.LittleEndian.Uint32(ids[4*i:]))
-		}
-	}
-	return h, nil
+	hints := int(buf[2])
+	r.Discard(frameHeaderLen)
+	h.replicas, err = readIDList(r, hints)
+	return h, err
 }
 
-func writeU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
+func writeU32(w *bufio.Writer, v uint32) error {
+	_, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), v))
 	return err
 }
 
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
+func readU32(r *bufio.Reader) (uint32, error) {
+	b, err := peek(r, 4)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	v := binary.LittleEndian.Uint32(b)
+	r.Discard(4)
+	return v, nil
 }
 
-func writeErrString(w io.Writer, err error) error {
-	msg := []byte(err.Error())
-	if err := writeU32(w, uint32(len(msg))); err != nil {
-		return err
+// writeErrReply writes the error form of a put or get reply.
+func writeErrReply(w *bufio.Writer, err error) error {
+	msg := err.Error()
+	if werr := w.WriteByte(1); werr != nil {
+		return werr
 	}
-	_, werr := w.Write(msg)
+	if werr := writeU32(w, uint32(len(msg))); werr != nil {
+		return werr
+	}
+	_, werr := w.WriteString(msg)
 	return werr
 }
 
-func readErrString(r io.Reader) (string, error) {
+func readErrString(r *bufio.Reader) (string, error) {
 	n, err := readU32(r)
 	if err != nil {
 		return "", err
@@ -161,105 +199,133 @@ func readErrString(r io.Reader) (string, error) {
 	return string(msg), nil
 }
 
-func writeIDs(w io.Writer, ids []provider.ID) error {
-	if len(ids) > 255 {
-		ids = ids[:255]
+func writeIDs(w *bufio.Writer, ids []provider.ID) error {
+	if len(ids) > maxWireIDs {
+		ids = ids[:maxWireIDs]
 	}
-	buf := make([]byte, 1+4*len(ids))
-	buf[0] = byte(len(ids))
-	for i, id := range ids {
-		binary.LittleEndian.PutUint32(buf[1+4*i:], uint32(id))
+	buf := append(w.AvailableBuffer(), byte(len(ids)))
+	for _, id := range ids {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 	}
 	_, err := w.Write(buf)
 	return err
 }
 
-func readIDs(r io.Reader) ([]provider.ID, error) {
-	var c [1]byte
-	if _, err := io.ReadFull(r, c[:]); err != nil {
+func readIDs(r *bufio.Reader) ([]provider.ID, error) {
+	c, err := r.ReadByte()
+	if err != nil {
 		return nil, err
 	}
-	if c[0] == 0 {
+	return readIDList(r, int(c))
+}
+
+// readIDList reads n u32 replica IDs; none is a nil list.
+func readIDList(r *bufio.Reader, n int) ([]provider.ID, error) {
+	if n == 0 {
 		return nil, nil
 	}
-	buf := make([]byte, 4*int(c[0]))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := peek(r, 4*n)
+	if err != nil {
 		return nil, err
 	}
-	ids := make([]provider.ID, c[0])
+	ids := make([]provider.ID, n)
 	for i := range ids {
 		ids[i] = provider.ID(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
+	r.Discard(4 * n)
 	return ids, nil
 }
 
 // frameBodyReader adapts a framed put body to io.Reader, so the store's
 // PutFromReader consumes payload bytes straight off the connection —
 // the zero-copy path: socket buffer → store writer, no gob
-// materialization in between. It also feeds the per-frame metrics.
+// materialization in between. It also feeds the per-frame metrics. A
+// connection has one, reset per put.
 type frameBodyReader struct {
 	r       *bufio.Reader
 	left    uint32 // bytes remaining in the current frame
+	seen    int64  // payload bytes the body has carried so far
 	done    bool
 	aborted bool
 	frames  *metrics.Counter
 	bytes   *metrics.Counter
 }
 
+func (fr *frameBodyReader) reset() {
+	fr.left, fr.seen, fr.done, fr.aborted = 0, 0, false, false
+}
+
+// next reads the next frame word into left: io.EOF at the terminator,
+// errAborted at the abort sentinel.
+func (fr *frameBodyReader) next() error {
+	if fr.done || fr.aborted {
+		return io.EOF
+	}
+	n, err := readU32(fr.r)
+	if err != nil {
+		return err
+	}
+	switch {
+	case n == 0:
+		fr.done = true
+		return io.EOF
+	case n == frameAbort:
+		fr.aborted = true
+		return errAborted
+	case n > maxFrame:
+		return fmt.Errorf("remote: oversized frame (%d bytes)", n)
+	}
+	fr.left = n
+	fr.frames.Inc()
+	return nil
+}
+
+// consumed accounts for n payload bytes taken off the current frame.
+func (fr *frameBodyReader) consumed(n int) {
+	fr.left -= uint32(n)
+	fr.seen += int64(n)
+	fr.bytes.Add(int64(n))
+}
+
 func (fr *frameBodyReader) Read(p []byte) (int, error) {
 	for fr.left == 0 {
-		if fr.done || fr.aborted {
-			return 0, io.EOF
-		}
-		n, err := readU32(fr.r)
-		if err != nil {
+		if err := fr.next(); err != nil {
 			return 0, err
 		}
-		switch {
-		case n == 0:
-			fr.done = true
-			return 0, io.EOF
-		case n == frameAbort:
-			fr.aborted = true
-			return 0, errAborted
-		case n > maxFrame:
-			return 0, fmt.Errorf("remote: oversized frame (%d bytes)", n)
-		}
-		fr.left = n
-		fr.frames.Inc()
 	}
 	if uint32(len(p)) > fr.left {
 		p = p[:fr.left]
 	}
 	n, err := fr.r.Read(p)
-	fr.left -= uint32(n)
-	fr.bytes.Add(int64(n))
+	fr.consumed(n)
 	return n, err
 }
 
-// drain consumes the rest of the body after an error, keeping the
-// connection usable for the next request.
+// drain skips the rest of the body, keeping the connection aligned on
+// the next request whatever became of this one.
 func (fr *frameBodyReader) drain() error {
-	buf := make([]byte, 32<<10)
 	for {
-		_, err := fr.Read(buf)
-		if err == io.EOF {
-			return nil
-		}
-		if err == errAborted {
-			return nil
-		}
+		n, err := fr.r.Discard(int(fr.left))
+		fr.consumed(n)
 		if err != nil {
+			return err
+		}
+		if err := fr.next(); err == io.EOF || err == errAborted {
+			return nil
+		} else if err != nil {
 			return err
 		}
 	}
 }
 
-// framedServer serves the framed data plane of one node.
+// framedServer serves the framed data plane of one node. Its series
+// are nil-tolerant: a node without a metrics role serves uncounted.
 type framedServer struct {
-	r      *provider.Router
-	frames *metrics.Counter // bs_data_frames_total, nil-tolerant
-	bytes  *metrics.Counter // bs_data_stream_bytes_total, nil-tolerant
+	r        *provider.Router
+	frames   *metrics.Counter            // bs_data_frames_total
+	bytes    *metrics.Counter            // bs_data_stream_bytes_total
+	requests [opGet + 1]*metrics.Counter // bs_data_requests_total{op}
+	flushOps *metrics.Histogram          // bs_data_flush_ops
 }
 
 func newFramedServer(r *provider.Router, reg *metrics.Registry) *framedServer {
@@ -267,17 +333,29 @@ func newFramedServer(r *provider.Router, reg *metrics.Registry) *framedServer {
 	if reg != nil {
 		s.frames = reg.Counter("bs_data_frames_total")
 		s.bytes = reg.Counter("bs_data_stream_bytes_total")
+		s.requests[opPut] = reg.Counter("bs_data_requests_total", metrics.Label{Key: "op", Value: "put"})
+		s.requests[opGet] = reg.Counter("bs_data_requests_total", metrics.Label{Key: "op", Value: "get"})
+		s.flushOps = reg.Histogram("bs_data_flush_ops", trainBuckets())
 	}
 	return s
 }
 
+// trainBuckets are the bounds of the two requests-per-round-trip
+// histograms: 1, 2, 4 … up to the longest train a client forms.
+func trainBuckets() []float64 { return metrics.ExponentialBuckets(1, 2, 6) }
+
 // serve handles one framed connection until EOF or a protocol error.
-// Requests are processed in order — pipelining across requests comes
-// from the client's connection pool, not from interleaving on one
-// connection.
+// Requests are answered in order, and the reply buffer is flushed only
+// when no further request bytes are buffered: a lone request gets its
+// reply at once, while the replies to a train a client pipelined leave
+// together (bs_data_flush_ops counts requests answered per such flush).
+// A client must therefore never wait for a reply in the middle of
+// writing a request; see the file header.
 func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 	defer conn.Close()
 	bw := bufio.NewWriterSize(conn, 64<<10)
+	body := &frameBodyReader{r: br, frames: s.frames, bytes: s.bytes}
+	answered := 0 // requests served since the input last ran dry
 	for {
 		h, err := readHeader(br)
 		if err != nil {
@@ -285,7 +363,7 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 		}
 		switch h.op {
 		case opPut:
-			err = s.servePut(br, bw, h)
+			err = s.servePut(body, bw, h)
 		case opGet:
 			err = s.serveGet(conn, bw, h)
 		default:
@@ -294,46 +372,50 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 		if err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
-			return
+		s.requests[h.op].Inc()
+		answered++
+		if br.Buffered() == 0 {
+			if err := bw.Flush(); err != nil {
+				return
+			}
+			s.flushOps.Observe(float64(answered))
+			answered = 0
 		}
 	}
 }
 
-func (s *framedServer) servePut(br *bufio.Reader, bw *bufio.Writer, h frameHeader) error {
-	body := &frameBodyReader{r: br, frames: s.frames, bytes: s.bytes}
+func (s *framedServer) servePut(body *frameBodyReader, bw *bufio.Writer, h frameHeader) error {
+	body.reset()
+	var (
+		ids []provider.ID
+		err error
+	)
 	if max := s.r.MaxChunkSize(); h.length < 0 || h.length > max {
 		// The declared size comes straight off the wire; reject it here
 		// before the router can act on it (PutStream checks again, but
 		// the server must not trust the router to be its input filter).
-		// The body still drains so the connection stays aligned.
-		err := error(&provider.ChunkTooLargeError{Size: h.length, Max: max})
-		if derr := body.drain(); derr != nil {
-			return derr
-		}
-		if werr := bw.WriteByte(1); werr != nil {
-			return werr
-		}
-		return writeErrString(bw, err)
+		err = &provider.ChunkTooLargeError{Size: h.length, Max: max}
+	} else {
+		ids, err = s.r.PutStream(h.key, h.length, body)
 	}
-	ids, err := s.r.PutStream(h.key, h.length, body)
 	// Whatever happened, the body must be consumed to keep the
 	// connection aligned on the next header. A short store error (say
 	// ErrExists) leaves unread frames behind.
 	if derr := body.drain(); derr != nil {
 		return derr
 	}
-	if body.aborted && err == nil {
+	switch {
+	case err != nil:
+	case body.aborted:
 		// The client aborted after the store already consumed exactly
 		// length bytes — cannot happen with a well-formed abort, but
 		// never report success for an aborted upload.
 		err = errAborted
+	case body.seen > h.length:
+		err = &PutOverrunError{Key: h.key, Declared: h.length, Extra: body.seen - h.length}
 	}
 	if err != nil {
-		if werr := bw.WriteByte(1); werr != nil {
-			return werr
-		}
-		return writeErrString(bw, err)
+		return writeErrReply(bw, err)
 	}
 	if werr := bw.WriteByte(0); werr != nil {
 		return werr
@@ -353,10 +435,7 @@ func (s *framedServer) serveGet(conn net.Conn, bw *bufio.Writer, h frameHeader) 
 		rc, err = s.r.OpenReader(h.key, h.off, h.length)
 	}
 	if err != nil {
-		if werr := bw.WriteByte(1); werr != nil {
-			return werr
-		}
-		return writeErrString(bw, err)
+		return writeErrReply(bw, err)
 	}
 	defer rc.Close()
 	if werr := bw.WriteByte(0); werr != nil {
@@ -365,26 +444,46 @@ func (s *framedServer) serveGet(conn net.Conn, bw *bufio.Writer, h frameHeader) 
 	if werr := writeIDs(bw, fresh); werr != nil {
 		return werr
 	}
+	// A payload error below is fatal by construction — the frame word
+	// already promised n bytes — so it propagates up and closes the
+	// connection.
 	left := h.length
 	for left > 0 {
-		n := int64(maxFrame)
-		if n > left {
-			n = left
-		}
-		if werr := writeU32(bw, uint32(n)); werr != nil {
-			return werr
-		}
-		// Flush the frame word, then move the payload straight from the
-		// store reader to the socket: for disk stores rc is the chunk
-		// file itself, so the kernel sendfiles page cache → socket with
-		// no user-space copy at all. A payload error here is fatal by
-		// construction — the frame word already promised n bytes — so
-		// it propagates up and closes the connection.
-		if werr := bw.Flush(); werr != nil {
-			return werr
-		}
-		if _, cerr := io.CopyN(conn, rc, n); cerr != nil {
-			return cerr
+		n := min(left, maxFrame)
+		if need := 4 + int(n); need < bw.Size() {
+			// The frame fits the write buffer: copy it in beside its
+			// frame word, so small replies share writes with their
+			// neighbours and nothing is allocated to move them. (bufio
+			// reads straight into its buffer while it has room and hands
+			// the reader to the socket once it is empty, which would
+			// allocate a copy buffer: hence room is made first.)
+			if bw.Available() <= need {
+				if werr := bw.Flush(); werr != nil {
+					return werr
+				}
+			}
+			if werr := writeU32(bw, uint32(n)); werr != nil {
+				return werr
+			}
+			if _, cerr := io.CopyN(bw, rc, n); cerr != nil {
+				return cerr
+			}
+		} else {
+			// Flush the frame word, then move the payload straight from
+			// the store reader to the socket: for disk stores rc is the
+			// chunk file itself, so the kernel sendfiles page cache →
+			// socket with no user-space copy at all. Sending frames this
+			// large through the buffer instead costs a copy per byte
+			// (CHANGES.md, PR 15: 12 % of checkpoint_restore's read rate).
+			if werr := writeU32(bw, uint32(n)); werr != nil {
+				return werr
+			}
+			if werr := bw.Flush(); werr != nil {
+				return werr
+			}
+			if _, cerr := io.CopyN(conn, rc, n); cerr != nil {
+				return cerr
+			}
 		}
 		s.frames.Inc()
 		s.bytes.Add(n)
@@ -395,78 +494,236 @@ func (s *framedServer) serveGet(conn net.Conn, bw *bufio.Writer, h frameHeader) 
 
 // --- client side ---
 
-// framedConn is one pooled client connection to a data node's framed
-// plane.
+// framedPoolCap bounds the connections a client keeps to one data
+// endpoint, in use plus idle. A connection carries a whole train per
+// round trip, so further connections buy parallelism at the server and
+// cost shorter trains: swept with trains in place (CHANGES.md, PR 17),
+// tile_atomic's 92-put writes and 122-get reads are fastest on 2 or 4
+// connections and slower on 8 and 16, while checkpoint_restore — 1 MiB
+// transfers under a window of 8, each a train of one — is flat from 2
+// to 16. 4 rather than 2 keeps four of those large transfers moving at
+// once.
+const framedPoolCap = 4
+
+// A train is the run of calls one connection carries in one round trip:
+// at most maxTrainCalls of them and, past the first, at most
+// maxTrainBytes of payload (put bodies, or the bytes gets asked for), so
+// a megabyte chunk always travels alone and a train of small pieces
+// never holds a connection longer than one large transfer would.
+const (
+	maxTrainCalls = 32
+	maxTrainBytes = 1 << 20
+)
+
+// ErrClientClosed is returned by a framed op started after, or still
+// queued for a connection at, Client.Close.
+var ErrClientClosed = errors.New("remote: client closed")
+
+// framedCall is one chunk put or get on its way through the pool.
+type framedCall struct {
+	h    frameHeader
+	data []byte        // put: the payload; get: the bytes read
+	ids  []provider.ID // put: the replica set; get: the fresh set, if any
+	err  error
+
+	// retried marks a call already re-sent after a transport failure.
+	retried bool
+
+	// wake is signalled exactly once to a queued call: with train set it
+	// now leads that train on fc (nil: a free slot to dial into),
+	// otherwise its outcome is final.
+	wake  chan struct{}
+	train []*framedCall
+	fc    *framedConn
+}
+
+// payload is what the call counts towards maxTrainBytes.
+func (c *framedCall) payload() int64 {
+	if c.h.op == opPut {
+		return int64(len(c.data))
+	}
+	return c.h.length
+}
+
+// framedConn is one client connection to a data node's framed plane,
+// owned by one train at a time.
 type framedConn struct {
 	c  net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
+
+	// Reused from train to train: the bytes around the payloads
+	// (headers, frame words, terminators) and the write vector.
+	scratch []byte
+	bufs    net.Buffers
 }
 
-// framedPoolCap bounds the connections a client keeps to one data
-// endpoint, in use plus idle. The pipelined writer and the list-reader
-// each keep a window of 8 transfers, so 16 never queues one behind the
-// other; the one wider fan-out, a buffered write's chunk puts (92 per
-// tile_atomic write), is as fast on 8, 16 or 32 warm connections and
-// slower only when it redials (CHANGES.md, PR 15, has the sweep).
-const framedPoolCap = 16
-
-// ErrClientClosed is returned by a framed op started after, or still
-// waiting for a connection at, Client.Close.
-var ErrClientClosed = errors.New("remote: client closed")
-
-// framedPool hands out exclusive connections to one data endpoint.
-// Pooling is what pipelines the data plane: N concurrent chunk
-// transfers ride N connections instead of serializing on net/rpc's
-// single gob stream. The pool is bounded: once framedPoolCap
-// connections exist an acquire waits for a release rather than dialing
-// another, so a fan-out wider than the pool queues on warm sockets and
-// steady state dials nothing.
+// framedPool runs chunk calls over a bounded set of connections to one
+// data endpoint. A call that finds a connection free (or room to dial
+// one) runs at once, as a train of one. Calls that find every
+// connection busy queue, and a connection that comes free takes the
+// head of the queue plus the calls of the same kind right behind it, up
+// to the train bounds, and carries them in one round trip: all requests
+// in one write, replies read in order. The head's caller leads its
+// train — there is no pool goroutine and no timer — and hands the
+// connection on when the train is answered. Steady state dials nothing.
 type framedPool struct {
-	addr  string
-	dials *metrics.Counter // bs_data_dials_total, nil-tolerant
+	addr     string
+	dials    *metrics.Counter   // bs_data_dials_total, nil-tolerant
+	trainOps *metrics.Histogram // bs_data_train_ops, nil-tolerant
 
 	mu     sync.Mutex
-	freed  sync.Cond // signalled when idle grows, open shrinks or the pool closes
 	idle   []*framedConn
-	open   int // connections in use plus idle, never above framedPoolCap
+	open   int           // connections in use plus idle, never above framedPoolCap
+	queue  []*framedCall // non-empty only while idle is empty and open is at the cap
 	closed bool
 }
 
 func newFramedPool(addr string) *framedPool {
-	p := &framedPool{addr: addr}
-	p.freed.L = &p.mu
-	return p
+	return &framedPool{addr: addr}
 }
 
-// acquire hands out an idle connection when one exists (pooled=true),
-// dials a fresh one while the pool is below its bound, and otherwise
-// waits for a release. Idle connections are never validated here —
-// only their first use can prove them dead — so op-level callers go
-// through withConn, which retries once on a fresh dial when a POOLED
-// connection fails.
-func (p *framedPool) acquire() (fc *framedConn, pooled bool, err error) {
+// put performs one framed chunk store.
+func (p *framedPool) put(key chunk.Key, data []byte) ([]provider.ID, error) {
+	c := &framedCall{h: frameHeader{op: opPut, key: key, length: int64(len(data))}, data: data}
+	p.do(c)
+	return c.ids, c.err
+}
+
+// get performs one framed chunk read with an optional replica hint,
+// returning the data and — when the hint was stale — the fresh set.
+func (p *framedPool) get(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
+	if length < 0 {
+		return nil, nil, fmt.Errorf("remote: negative read length %d for chunk %v", length, key)
+	}
+	c := &framedCall{h: frameHeader{op: opGet, key: key, off: off, length: length, replicas: replicas}}
+	p.do(c)
+	return c.data, c.ids, c.err
+}
+
+// do runs c to its outcome: at once on a free connection or slot,
+// otherwise from the queue — as the leader of a train or inside
+// another's.
+func (p *framedPool) do(c *framedCall) {
 	p.mu.Lock()
-	for !p.closed && len(p.idle) == 0 && p.open >= framedPoolCap {
-		p.freed.Wait()
-	}
-	if p.closed {
+	switch {
+	case p.closed:
 		p.mu.Unlock()
-		return nil, false, ErrClientClosed
-	}
-	if n := len(p.idle); n > 0 {
-		fc := p.idle[n-1]
-		p.idle = p.idle[:n-1]
+		c.err = ErrClientClosed
+	case len(p.idle) > 0:
+		fc := p.idle[len(p.idle)-1]
+		p.idle = p.idle[:len(p.idle)-1]
 		p.mu.Unlock()
-		return fc, true, nil
+		p.lead(fc, []*framedCall{c})
+	case p.open < framedPoolCap:
+		p.open++
+		p.mu.Unlock()
+		p.lead(nil, []*framedCall{c})
+	default:
+		c.wake = make(chan struct{}, 1)
+		p.queue = append(p.queue, c)
+		p.mu.Unlock()
+		<-c.wake
+		if c.train != nil {
+			p.lead(c.fc, c.train)
+		}
 	}
-	p.open++
-	p.mu.Unlock()
-	if fc, err = p.dial(); err != nil {
-		p.drop(1)
-		return nil, false, err
+}
+
+// lead carries train, whose first call is the caller's own, over fc —
+// or over a connection dialed into the slot the caller holds when fc is
+// nil — wakes the other callers as their replies arrive, and hands the
+// connection on.
+//
+// Server-reported errors are outcomes like any other: one chunk's
+// ErrExists fails that call alone. A transport failure leaves answered
+// calls answered. On a connection that had been used before it is
+// indistinguishable from a stale socket left by a peer restart, so the
+// call it hit and those behind it are re-sent, once each, on a fresh
+// dial — in the failed connection's slot, so the retry never waits
+// behind the bound — after flushing the rest of the idle list; on a
+// fresh dial it is a real peer problem and fails the call it hit.
+// Re-sent puts are safe: the chunk store is immutable, so the worst a
+// half-delivered first attempt yields is chunk.ErrExists on the retry.
+func (p *framedPool) lead(fc *framedConn, train []*framedCall) {
+	me := train[0]
+	settle := func(c *framedCall) {
+		if c != me {
+			c.wake <- struct{}{}
+		}
 	}
-	return fc, false, nil
+	for len(train) > 0 {
+		var err error
+		dialed := fc == nil
+		if dialed {
+			if fc, err = p.dial(); err != nil {
+				for _, c := range train {
+					c.err = err
+					settle(c)
+				}
+				break
+			}
+		}
+		p.trainOps.Observe(float64(len(train)))
+		err = fc.send(train)
+		for err == nil && len(train) > 0 {
+			if err = fc.readReply(train[0]); err == nil {
+				settle(train[0])
+				train = train[1:]
+			}
+		}
+		if err == nil {
+			break
+		}
+		fc.c.Close()
+		fc = nil
+		if !dialed {
+			p.flushIdle()
+		}
+		again := train[:0]
+		for i, c := range train {
+			if c.retried || (i == 0 && dialed) {
+				c.err = err
+				settle(c)
+			} else {
+				c.retried = true
+				again = append(again, c)
+			}
+		}
+		train = again
+	}
+	p.handOn(fc)
+}
+
+// handOn ends a leader's turn: the connection (nil: just its slot)
+// goes to the train at the head of the queue, or idle, or — closed
+// pool, or nothing to reuse — away.
+func (p *framedPool) handOn(fc *framedConn) {
+	p.mu.Lock()
+	switch {
+	case p.closed || (fc == nil && len(p.queue) == 0):
+		p.open--
+		p.mu.Unlock()
+		if fc != nil {
+			fc.c.Close()
+		}
+	case len(p.queue) == 0:
+		p.idle = append(p.idle, fc)
+		p.mu.Unlock()
+	default:
+		q := p.queue
+		n, bytes := 1, q[0].payload()
+		for n < len(q) && n < maxTrainCalls && q[n].h.op == q[0].h.op && bytes+q[n].payload() <= maxTrainBytes {
+			bytes += q[n].payload()
+			n++
+		}
+		if p.queue = q[n:]; len(p.queue) == 0 {
+			p.queue = nil
+		}
+		p.mu.Unlock()
+		head := q[0]
+		head.train, head.fc = q[:n:n], fc
+		head.wake <- struct{}{}
+	}
 }
 
 // dial opens one connection; the caller already holds its slot in open.
@@ -476,234 +733,125 @@ func (p *framedPool) dial() (*framedConn, error) {
 		return nil, fmt.Errorf("remote: dial framed %s: %w", p.addr, err)
 	}
 	p.dials.Inc()
-	fc := &framedConn{c: c, br: bufio.NewReaderSize(c, 64<<10), bw: bufio.NewWriterSize(c, 64<<10)}
-	if _, err := fc.bw.WriteString(framedMagic); err != nil {
+	if _, err := c.Write([]byte(framedMagic)); err != nil {
 		c.Close()
 		return nil, err
 	}
-	return fc, nil
+	return &framedConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}, nil
 }
 
-// drop gives back the slots of n connections that were closed.
-func (p *framedPool) drop(n int) {
-	p.mu.Lock()
-	p.open -= n
-	p.mu.Unlock()
-	for ; n > 0; n-- {
-		p.freed.Signal()
-	}
-}
-
-// flushIdle closes every idle connection. Called after a pooled
+// flushIdle closes every idle connection. Called after a used
 // connection turned out dead: the usual cause is a data-node restart,
 // which killed every socket the pool is holding — keeping them would
-// make the next ops each pay the same discover-retry cycle.
+// make the next ops each pay the same discover-retry cycle. (The queue
+// is empty whenever idle is not, so nobody waits for the freed slots.)
 func (p *framedPool) flushIdle() {
 	p.mu.Lock()
 	idle := p.idle
 	p.idle = nil
+	p.open -= len(idle)
 	p.mu.Unlock()
 	for _, fc := range idle {
 		fc.c.Close()
 	}
-	p.drop(len(idle))
 }
 
-// withConn runs one framed op on a pool connection. A fatal
-// (transport-level) failure on a POOLED connection is indistinguishable
-// from a stale socket left by a peer restart, so the op retries once on
-// a freshly dialed connection — in the failed one's slot, so the retry
-// never waits behind the bound — after flushing the rest of the idle
-// list; a failure on a fresh dial is a real peer problem and surfaces
-// as-is. Retried puts are safe: the chunk store is immutable, so the
-// worst a half-delivered first attempt yields is chunk.ErrExists on the
-// retry.
-func (p *framedPool) withConn(op func(fc *framedConn) (err error, fatal bool)) error {
-	fc, pooled, err := p.acquire()
-	if err != nil {
-		return err
-	}
-	err, fatal := op(fc)
-	if !fatal {
-		p.release(fc)
-		return err
-	}
-	fc.c.Close()
-	if pooled {
-		p.flushIdle()
-		if fc, err = p.dial(); err == nil {
-			if err, fatal = op(fc); !fatal {
-				p.release(fc)
-				return err
-			}
-			fc.c.Close()
-		}
-	}
-	p.drop(1)
-	return err
-}
-
-// release returns a healthy connection to the pool, or closes it when
-// the pool closed while it was out.
-func (p *framedPool) release(fc *framedConn) {
-	p.mu.Lock()
-	if !p.closed {
-		p.idle = append(p.idle, fc)
-		p.mu.Unlock()
-		p.freed.Signal()
-		return
-	}
-	p.open--
-	p.mu.Unlock()
-	fc.c.Close()
-}
-
-// close closes every idle connection and marks the pool closed:
-// waiting and later acquires fail with ErrClientClosed, and a
-// connection that is out is closed by the release that ends its op.
+// close closes every idle connection and marks the pool closed: queued
+// and later calls fail with ErrClientClosed, a train on the wire
+// finishes and its leader closes the connection in handOn.
 func (p *framedPool) close() {
 	p.mu.Lock()
 	p.closed = true
-	idle := p.idle
-	p.idle = nil
+	idle, queue := p.idle, p.queue
+	p.idle, p.queue = nil, nil
 	p.open -= len(idle)
 	p.mu.Unlock()
-	p.freed.Broadcast()
 	for _, fc := range idle {
 		fc.c.Close()
 	}
+	for _, c := range queue {
+		c.err = ErrClientClosed
+		c.wake <- struct{}{}
+	}
 }
 
-// put performs one framed chunk store. A transport error closes the
-// connection (retrying once on a fresh dial if it was pooled — see
-// withConn); a server-reported error keeps it pooled.
-func (p *framedPool) put(key chunk.Key, data []byte) (ids []provider.ID, err error) {
-	err = p.withConn(func(fc *framedConn) (error, bool) {
-		var oerr error
-		var fatal bool
-		ids, oerr, fatal = fc.put(key, data)
-		return oerr, fatal
-	})
-	return ids, err
-}
-
-func (fc *framedConn) put(key chunk.Key, data []byte) (ids []provider.ID, err error, fatal bool) {
-	h := frameHeader{op: opPut, key: key, length: int64(len(data))}
-	if err := writeHeader(fc.bw, h); err != nil {
-		return nil, err, true
-	}
-	if err := fc.bw.Flush(); err != nil {
-		return nil, err, true
-	}
-	// Scatter-gather the body: frame words and payload slices go out in
-	// one writev batch, so the payload is never copied into a staging
-	// buffer — the zero-copy half of the put path.
-	nframes := (len(data) + maxFrame - 1) / maxFrame
-	words := make([]byte, 4*(nframes+1))
-	bufs := make(net.Buffers, 0, 2*nframes+1)
-	for i, off := 0, 0; off < len(data); i, off = i+1, off+maxFrame {
-		end := off + maxFrame
-		if end > len(data) {
-			end = len(data)
+// send writes every request of train in one vectored write: headers,
+// frame words and terminators from the connection's scratch, put
+// payloads from the callers' own slices — never copied into a staging
+// buffer, the zero-copy half of the put path.
+func (fc *framedConn) send(train []*framedCall) error {
+	buf, bufs, sent := fc.scratch[:0], fc.bufs[:0], 0
+	for _, c := range train {
+		buf = appendHeader(buf, &c.h)
+		if c.h.op != opPut {
+			continue
 		}
-		w := words[4*i : 4*i+4]
-		binary.LittleEndian.PutUint32(w, uint32(end-off))
-		bufs = append(bufs, w, data[off:end])
+		for data := c.data; len(data) > 0; {
+			frame := data[:min(len(data), maxFrame)]
+			data = data[len(frame):]
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(frame)))
+			bufs = append(bufs, buf[sent:], frame)
+			sent = len(buf)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, 0) // terminator
 	}
-	bufs = append(bufs, words[4*nframes:]) // zero terminator
-	if _, err := bufs.WriteTo(fc.c); err != nil {
-		return nil, err, true
-	}
+	bufs = append(bufs, buf[sent:])
+	// Keep what the appends grew; WriteTo clears the entries it wrote.
+	fc.scratch, fc.bufs = buf[:0], bufs[:0]
+	_, err := bufs.WriteTo(fc.c)
+	return err
+}
+
+// readReply reads the reply to c into it. A non-nil return means the
+// stream failed or can no longer be trusted, and costs the connection;
+// an error the server reported is c's outcome and returns nil.
+func (fc *framedConn) readReply(c *framedCall) error {
 	status, err := fc.br.ReadByte()
 	if err != nil {
-		return nil, err, true
+		return err
 	}
 	if status != 0 {
-		msg, rerr := readErrString(fc.br)
-		if rerr != nil {
-			return nil, rerr, true
+		msg, err := readErrString(fc.br)
+		if err != nil {
+			return err
 		}
-		return nil, errors.New(msg), false
+		c.err = errors.New(msg)
+		return nil
 	}
-	ids, err = readIDs(fc.br)
+	ids, err := readIDs(fc.br)
 	if err != nil {
-		return nil, err, true
+		return err
 	}
-	return ids, nil, false
-}
-
-// get performs one framed chunk read with an optional replica hint,
-// returning the data and — when the hint was stale — the fresh set.
-// Reads are idempotent, so the stale-pooled-connection retry in
-// withConn is unconditionally safe here.
-func (p *framedPool) get(replicas []provider.ID, key chunk.Key, off, length int64) (data []byte, fresh []provider.ID, err error) {
-	err = p.withConn(func(fc *framedConn) (error, bool) {
-		var oerr error
-		var fatal bool
-		data, fresh, oerr, fatal = fc.get(replicas, key, off, length)
-		return oerr, fatal
-	})
-	return data, fresh, err
-}
-
-func (fc *framedConn) get(replicas []provider.ID, key chunk.Key, off, length int64) (data []byte, fresh []provider.ID, err error, fatal bool) {
-	if length < 0 {
-		return nil, nil, fmt.Errorf("remote: negative read length %d for chunk %v", length, key), false
-	}
-	h := frameHeader{op: opGet, key: key, off: off, length: length, replicas: replicas}
-	if err := writeHeader(fc.bw, h); err != nil {
-		return nil, nil, err, true
-	}
-	if err := fc.bw.Flush(); err != nil {
-		return nil, nil, err, true
-	}
-	status, err := fc.br.ReadByte()
-	if err != nil {
-		return nil, nil, err, true
-	}
-	if status != 0 {
-		msg, rerr := readErrString(fc.br)
-		if rerr != nil {
-			return nil, nil, rerr, true
-		}
-		return nil, nil, errors.New(msg), false
-	}
-	fresh, err = readIDs(fc.br)
-	if err != nil {
-		return nil, nil, err, true
+	if c.h.op == opPut {
+		c.ids = ids
+		return nil
 	}
 	// The reply must be exactly the bytes asked for: a frame that would
 	// overrun length is refused before it is read, a terminator that
-	// comes early fails the op. Either way the stream can no longer be
-	// trusted, so the connection goes with it.
-	data = make([]byte, length)
+	// comes early fails the op.
+	key, length := c.h.key, c.h.length
+	data := make([]byte, length)
 	var got int64
 	for {
-		n, rerr := readU32(fc.br)
-		if rerr != nil {
-			return nil, nil, rerr, true
+		n, err := readU32(fc.br)
+		if err != nil {
+			return err
 		}
 		if n == 0 {
 			if got != length {
-				return nil, nil, fmt.Errorf("remote: short reply for chunk %v: %d of %d bytes", key, got, length), true
+				return fmt.Errorf("remote: short reply for chunk %v: %d of %d bytes", key, got, length)
 			}
-			return data, fresh, nil, false
-		}
-		if n == frameAbort {
-			msg, rerr := readErrString(fc.br)
-			if rerr != nil {
-				return nil, nil, rerr, true
-			}
-			return nil, nil, errors.New(msg), false
+			c.data, c.ids = data, ids
+			return nil
 		}
 		if n > maxFrame {
-			return nil, nil, fmt.Errorf("remote: oversized frame (%d bytes)", n), true
+			return fmt.Errorf("remote: oversized frame (%d bytes)", n)
 		}
 		if int64(n) > length-got {
-			return nil, nil, fmt.Errorf("remote: reply for chunk %v exceeds the %d bytes requested", key, length), true
+			return fmt.Errorf("remote: reply for chunk %v exceeds the %d bytes requested", key, length)
 		}
-		if _, rerr := io.ReadFull(fc.br, data[got:got+int64(n)]); rerr != nil {
-			return nil, nil, rerr, true
+		if _, err := io.ReadFull(fc.br, data[got:got+int64(n)]); err != nil {
+			return err
 		}
 		got += int64(n)
 	}

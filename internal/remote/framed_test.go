@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -185,6 +188,44 @@ func TestFramedMetrics(t *testing.T) {
 	if !strings.Contains(text, "bs_data_stream_bytes_total "+itoa(want)) {
 		t.Fatalf("want %d stream bytes, got:\n%s", want, text)
 	}
+
+	// Per-op requests, and requests answered per reply flush: the two
+	// serial calls above were each answered alone; a wave of concurrent
+	// small gets is not, and both ends' histograms account for every
+	// request exactly once.
+	creg := metrics.NewRegistry()
+	c.SetMetrics(creg)
+	const wave = 64
+	var wg sync.WaitGroup
+	for i := 0; i < wave; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Get(key, 0, 512); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	snap, csnap := reg.Snapshot(), creg.Snapshot()
+	for series, want := range map[string]float64{
+		`bs_data_requests_total{op="put"}`: 1,
+		`bs_data_requests_total{op="get"}`: 1 + wave,
+		`bs_data_flush_ops_sum`:            2 + wave,
+	} {
+		if got := snap[series]; got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+	if got := csnap["bs_data_train_ops_sum"]; got != wave {
+		t.Errorf("client bs_data_train_ops_sum = %v, want %d", got, wave)
+	}
+	if trains := csnap["bs_data_train_ops_count"]; trains < 1 || trains >= wave {
+		t.Errorf("%v trains carried %d concurrent gets on %d connections: none combined", trains, wave, framedPoolCap)
+	}
+	if flushes := snap["bs_data_flush_ops_count"]; flushes < 3 || flushes > 2+wave {
+		t.Errorf("bs_data_flush_ops_count = %v for %d requests", flushes, 2+wave)
+	}
 }
 
 // TestFramedPoolSurvivesNodeRestart is the regression test for the
@@ -263,58 +304,254 @@ func listenRetry(addr string, roles Roles) (node *Node, err error) {
 // and without desyncing the connection.
 func TestFramedServerRejectsOversizedPut(t *testing.T) {
 	_, ep := startNode(t)
-	conn, err := net.Dial("tcp", ep.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	if _, err := conn.Write([]byte(framedMagic)); err != nil {
-		t.Fatal(err)
-	}
+	conn, br := rawFramedConn(t, ep.Data)
+	key := chunk.Key{Blob: 42}
 
-	forge := func(length int64, body []byte) {
-		t.Helper()
-		hdr := make([]byte, frameHeaderLen)
-		hdr[0] = opPut
-		binary.LittleEndian.PutUint64(hdr[8:], 42) // blob
-		binary.LittleEndian.PutUint64(hdr[32:], uint64(length))
-		if _, err := conn.Write(hdr); err != nil {
-			t.Fatal(err)
-		}
-		if len(body) > 0 {
-			var word [4]byte
-			binary.LittleEndian.PutUint32(word[:], uint32(len(body)))
-			conn.Write(word[:])
-			conn.Write(body)
-		}
-		conn.Write([]byte{0, 0, 0, 0}) // terminator
-	}
-
-	forge(1<<31, nil)
-	status, err := br.ReadByte()
-	if err != nil {
+	if _, err := conn.Write(rawPut(key, 1<<31)); err != nil {
 		t.Fatal(err)
 	}
-	if status != 1 {
-		t.Fatalf("oversized put status = %d, want error status 1", status)
-	}
-	msg, err := readErrString(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(msg, "max chunk size") {
+	if _, msg := readPutReply(t, br); !strings.Contains(msg, "max chunk size") {
 		t.Fatalf("oversized put error = %q, want the size-bound error", msg)
 	}
 
 	// The rejection drained the body: the same connection still serves
 	// a well-formed put.
-	forge(5, []byte("hello"))
-	if status, err = br.ReadByte(); err != nil || status != 0 {
-		t.Fatalf("put after rejection: status %d, %v", status, err)
+	if _, err := conn.Write(rawPut(key, 5, []byte("hello"))); err != nil {
+		t.Fatal(err)
 	}
-	if ids, err := readIDs(br); err != nil || len(ids) == 0 {
-		t.Fatalf("put after rejection: ids %v, %v", ids, err)
+	if ids, msg := readPutReply(t, br); len(ids) == 0 {
+		t.Fatalf("put after rejection: ids %v, error %q", ids, msg)
+	}
+}
+
+// rawFramedConn opens a framed connection by hand, for tests that speak
+// the wire format themselves.
+func rawFramedConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write([]byte(framedMagic)); err != nil {
+		t.Fatal(err)
+	}
+	return conn, bufio.NewReader(conn)
+}
+
+// rawPut is the wire form of a put whose header declares length and
+// whose body carries the given frames.
+func rawPut(key chunk.Key, length int64, frames ...[]byte) []byte {
+	req := appendHeader(nil, &frameHeader{op: opPut, key: key, length: length})
+	for _, f := range frames {
+		req = binary.LittleEndian.AppendUint32(req, uint32(len(f)))
+		req = append(req, f...)
+	}
+	return binary.LittleEndian.AppendUint32(req, 0)
+}
+
+// readPutReply reads one put reply: the replica set, or the server's
+// error message.
+func readPutReply(t *testing.T, br *bufio.Reader) (ids []provider.ID, msg string) {
+	t.Helper()
+	status, err := br.ReadByte()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != 0 {
+		if msg, err = readErrString(br); err != nil {
+			t.Fatal(err)
+		}
+		return nil, msg
+	}
+	if ids, err = readIDs(br); err != nil {
+		t.Fatal(err)
+	}
+	return ids, ""
+}
+
+// TestFramedServerRejectsOverlongPut: a body carrying more payload than
+// its header declared used to be acknowledged — the store took the
+// declared bytes, the rest was discarded in silence and the reply said
+// ok. It must be an error, leave the connection aligned, and inside a
+// train of pipelined puts fail alone.
+func TestFramedServerRejectsOverlongPut(t *testing.T) {
+	_, ep := startNode(t)
+	conn, br := rawFramedConn(t, ep.Data)
+	key := func(i uint32) chunk.Key { return chunk.Key{Blob: 42, Version: 1, Index: i} }
+	extra := bytes.Repeat([]byte{0xEE}, 100)
+
+	// Alone: 5 + 100 bytes under a header declaring 5.
+	if _, err := conn.Write(rawPut(key(0), 5, []byte("hello"), extra)); err != nil {
+		t.Fatal(err)
+	}
+	if _, msg := readPutReply(t, br); !strings.Contains(msg, "100 bytes beyond the 5 declared") {
+		t.Fatalf("overlong put answered %q, want the overrun error", msg)
+	}
+	// Within one frame too: a single 105-byte frame under the same header.
+	if _, err := conn.Write(rawPut(key(1), 5, append([]byte("hello"), extra...))); err != nil {
+		t.Fatal(err)
+	}
+	if _, msg := readPutReply(t, br); !strings.Contains(msg, "100 bytes beyond the 5 declared") {
+		t.Fatalf("overlong single-frame put answered %q, want the overrun error", msg)
+	}
+
+	// In a train, written in one go: good, overlong, good.
+	train := rawPut(key(2), 5, []byte("first"))
+	train = append(train, rawPut(key(3), 5, []byte("hello"), extra)...)
+	train = append(train, rawPut(key(4), 5, []byte("third"))...)
+	if _, err := conn.Write(train); err != nil {
+		t.Fatal(err)
+	}
+	for i, wantErr := range []bool{false, true, false} {
+		ids, msg := readPutReply(t, br)
+		if wantErr != (msg != "") || wantErr == (len(ids) > 0) {
+			t.Fatalf("train put %d: ids %v, error %q", i, ids, msg)
+		}
+	}
+}
+
+// TestFramedServerAnswersLoneAndPipelinedRequests is the interop check
+// in the other direction, with a raw client standing in for one built
+// before trains: a request sent alone is answered without a second one
+// arriving (the flush rule), and requests written back to back are
+// answered in order.
+func TestFramedServerAnswersLoneAndPipelinedRequests(t *testing.T) {
+	_, ep := startNode(t)
+	conn, br := rawFramedConn(t, ep.Data)
+	payload := func(i uint32) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 3000+int(i)) }
+	key := func(i uint32) chunk.Key { return chunk.Key{Blob: 7, Version: 1, Index: i} }
+	rawGet := func(i uint32) []byte {
+		return appendHeader(nil, &frameHeader{op: opGet, key: key(i), length: int64(len(payload(i)))})
+	}
+	readGet := func(i uint32) {
+		t.Helper()
+		want := payload(i)
+		c := &framedCall{h: frameHeader{op: opGet, key: key(i), length: int64(len(want))}}
+		if err := (&framedConn{c: conn, br: br}).readReply(c); err != nil || c.err != nil {
+			t.Fatalf("get %d: %v, %v", i, err, c.err)
+		}
+		if !bytes.Equal(c.data, want) {
+			t.Fatalf("get %d: another chunk's bytes", i)
+		}
+	}
+
+	// One at a time, as the old client sent them: the header in one
+	// write, the body in another, then wait.
+	req := rawPut(key(0), int64(len(payload(0))), payload(0))
+	conn.Write(req[:frameHeaderLen])
+	conn.Write(req[frameHeaderLen:])
+	if ids, msg := readPutReply(t, br); len(ids) == 0 {
+		t.Fatalf("lone put: %q", msg)
+	}
+	conn.Write(rawGet(0))
+	readGet(0)
+
+	// Back to back: four puts in one write, then their four gets and a
+	// miss in one write.
+	var puts, gets []byte
+	for i := uint32(1); i <= 4; i++ {
+		puts = append(puts, rawPut(key(i), int64(len(payload(i))), payload(i))...)
+		gets = append(gets, rawGet(i)...)
+	}
+	conn.Write(puts)
+	for i := 1; i <= 4; i++ {
+		if ids, msg := readPutReply(t, br); len(ids) == 0 {
+			t.Fatalf("pipelined put %d: %q", i, msg)
+		}
+	}
+	conn.Write(append(gets, rawGet(99)...))
+	for i := uint32(1); i <= 4; i++ {
+		readGet(i)
+	}
+	miss := &framedCall{h: frameHeader{op: opGet, key: key(99), length: 1}}
+	if err := (&framedConn{c: conn, br: br}).readReply(miss); err != nil || miss.err == nil || !strings.Contains(miss.err.Error(), "not found") {
+		t.Fatalf("pipelined miss: %v, %v", err, miss.err)
+	}
+}
+
+// TestTrainsMatchRouter drives mixed puts, duplicate puts, gets, ranged
+// hinted gets and misses from 64 goroutines through one framed client,
+// and holds every answer to the router behind the wire: the bytes, the
+// replica sets, and which calls failed — a duplicate fails alone, with
+// its train-mates answered.
+func TestTrainsMatchRouter(t *testing.T) {
+	// R=3 over three providers: a duplicate put collides on every
+	// store, and replica sets are rotations worth comparing.
+	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	router := provider.NewRouter(mgr)
+	router.SetReplicas(3)
+	node, err := Listen("127.0.0.1:0", Roles{
+		VM:   vmanager.New(iosim.CostModel{}),
+		Meta: metadata.NewStore(2, iosim.CostModel{}),
+		Data: router,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	c := dialFramedClient(t, Endpoints{VM: node.Addr(), Meta: node.Addr(), Data: node.Addr()})
+	reg := metrics.NewRegistry()
+	c.SetMetrics(reg)
+
+	const callers, chunks = 64, 4
+	payload := func(g, i int) []byte {
+		data := make([]byte, 100+(g*chunks+i)*331%(40<<10))
+		for j := range data {
+			data[j] = byte(g + i*7 + j)
+		}
+		return data
+	}
+	var calls atomic.Int64
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < chunks; i++ {
+				key := chunk.Key{Blob: 9, Version: uint64(g + 1), Index: uint32(i)}
+				data := payload(g, i)
+				ids, err := c.Put(key, data)
+				if err != nil {
+					t.Errorf("put %v: %v", key, err)
+					return
+				}
+				if placed, _ := router.Locate(key); !slices.Equal(ids, placed) {
+					t.Errorf("put %v: replica set %v over the wire, %v at the router", key, ids, placed)
+				}
+				if _, err := c.Put(key, data); err == nil || !strings.Contains(err.Error(), "exists") {
+					t.Errorf("duplicate put %v: %v, want an exists error", key, err)
+				}
+				got, err := c.Get(key, 0, int64(len(data)))
+				if err != nil || !bytes.Equal(got, data) {
+					t.Errorf("get %v: %v", key, err)
+				}
+				direct, err := router.Get(key, 10, 50)
+				if err != nil {
+					t.Errorf("router get %v: %v", key, err)
+				}
+				part, fresh, err := c.GetFrom(ids, key, 10, 50)
+				if err != nil || fresh != nil || !bytes.Equal(part, direct) {
+					t.Errorf("hinted get %v: fresh %v, %v", key, fresh, err)
+				}
+				if _, err := c.Get(chunk.Key{Blob: 10, Version: uint64(g + 1), Index: uint32(i)}, 0, 1); err == nil || !strings.Contains(err.Error(), "not found") {
+					t.Errorf("missing get: %v, want a not-found error", err)
+				}
+				calls.Add(5)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	snap := reg.Snapshot()
+	if got := snap["bs_data_train_ops_sum"]; got != float64(calls.Load()) {
+		t.Errorf("bs_data_train_ops_sum = %v, %d calls were made", got, calls.Load())
+	}
+	if trains := snap["bs_data_train_ops_count"]; trains >= float64(calls.Load()) {
+		t.Errorf("%v trains for %d calls from %d callers on %d connections: none combined", trains, calls.Load(), callers, framedPoolCap)
 	}
 }
 

@@ -779,9 +779,10 @@ func Dial(ep Endpoints) (*Client, error) {
 
 // DialFramed connects like Dial but moves the chunk data path onto the
 // framed wire protocol: Put/Get/GetFrom stream payloads in frames over
-// a pool of dedicated data connections (so concurrent transfers
-// pipeline instead of serializing on one gob stream), while every
-// control RPC stays gob. The server negotiates per connection, so
+// a small pool of dedicated data connections, concurrent calls sharing
+// a connection's round trips as trains (so transfers pipeline instead
+// of serializing on one gob stream), while every control RPC stays
+// gob. The server negotiates per connection, so
 // framed and gob clients coexist against the same node.
 func DialFramed(ep Endpoints) (*Client, error) {
 	c, err := Dial(ep)
@@ -792,21 +793,26 @@ func DialFramed(ep Endpoints) (*Client, error) {
 	return c, nil
 }
 
-// SetMetrics counts the connections the framed plane dials into reg
-// (bs_data_dials_total: flat in steady state, the pool redials only
-// after a peer restart). Call it before the first chunk transfer.
+// SetMetrics registers the framed plane's client-side series in reg:
+// bs_data_dials_total, the connections it dials (flat in steady state —
+// the pool redials only after a peer restart), and the histogram
+// bs_data_train_ops, the requests each train carries in one round trip
+// (1 throughout means callers never outnumber connections). Call it
+// before the first chunk transfer.
 func (c *Client) SetMetrics(reg *metrics.Registry) {
 	if c.pool != nil {
 		c.pool.dials = reg.Counter("bs_data_dials_total")
+		c.pool.trainOps = reg.Histogram("bs_data_train_ops", trainBuckets())
 	}
 }
 
 // Close terminates all connections: the control connections and the
-// framed plane's idle ones at once, a framed connection with a transfer
-// on it when that transfer ends. Chunk transfers started, or still
-// waiting for a connection, after Close fail with ErrClientClosed;
-// control calls fail with rpc.ErrShutdown, node calls queued behind an
-// in-flight request included.
+// framed plane's idle ones at once, a framed connection with a train on
+// it when that train is answered. Chunk transfers started after Close,
+// or still queued for a connection at Close, fail with ErrClientClosed;
+// those already written to a connection finish. Control calls fail with
+// rpc.ErrShutdown, node calls queued behind an in-flight request
+// included.
 func (c *Client) Close() error {
 	if c.pool != nil {
 		c.pool.close()
