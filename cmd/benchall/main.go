@@ -23,11 +23,7 @@
 // repair, reap), and E16 control-plane sharding (E8's workload with
 // one blob per client rerun at 1/2/4/8 vmanager shards — publish
 // throughput scaling as the serialized control path is partitioned),
-// and E17 the streaming data plane (wall-clock MB/s of one client
-// writing and reading a large object through a live TCP node, across
-// data-plane transport gob vs framed, write mode buffered vs
-// streamed, and chunk backend mem/disk/null, plus a size sweep of
-// the winning combination), and E18 erasure-coded stripes (the same
+// and E18 erasure-coded stripes (the same
 // domain-racked pool and workload run under rs-4+2 coding vs the R=3
 // replicated control: storage overhead, write bandwidth, and read
 // throughput healthy and with one whole failure domain dead —
@@ -56,7 +52,7 @@ var experiments = map[string]func(bool){
 	"E1": runE1, "E2": runE2, "E3": runE3, "E4": runE4, "E5": runE5,
 	"E6": runE6, "E7": runE7, "E8": runE8, "E9": runE9, "E10": runE10,
 	"E11": runE11, "E12": runE12, "E13": runE13, "E14": runE14,
-	"E16": runE16, "E17": runE17, "E18": runE18,
+	"E16": runE16, "E18": runE18,
 }
 
 func main() {
@@ -92,7 +88,6 @@ func main() {
 		runE13(*quick)
 		runE14(*quick)
 		runE16(*quick)
-		runE17(*quick)
 		runE18(*quick)
 		runE6(*quick)
 	}
@@ -702,107 +697,6 @@ func runE16(quick bool) {
 		}
 	}
 	tbl.Render(os.Stdout)
-	fmt.Println()
-}
-
-// E17: the streaming data plane — wall-clock MB/s of one client
-// writing a large object through a live TCP loopback node and reading
-// the published version back, across the three axes this PR added:
-// data-plane transport (gob RPC vs framed binary), write mode
-// (buffered: store all chunks, then build the tree; streamed: chunk
-// upload pipelined against the tree build), and chunk backend (mem,
-// disk, null). Unlike the simulated experiments, E17 is real I/O —
-// the numbers are host-dependent, the ratios are the result. The full
-// run adds a size sweep of framed+streamed on disk, where the
-// pipelining headroom is largest.
-func runE17(quick bool) {
-	size := int64(256 << 20)
-	chunkSize := int64(1 << 20)
-	if quick {
-		size = 8 << 20
-		chunkSize = 256 << 10
-	}
-	dir, err := os.MkdirTemp("", "e17-")
-	if err != nil {
-		die(err)
-	}
-	defer os.RemoveAll(dir)
-
-	// One discarded warm-up cell: the first cell of a fresh process
-	// otherwise pays the heap's growth to steady state on its own
-	// clock, which consistently penalizes whatever case runs first.
-	if _, err := bench.RunLargeObject(bench.LargeObjectCase{StoreURL: "mem://"},
-		bench.LargeObjectOptions{Size: size, ChunkSize: chunkSize, Rounds: 1}); err != nil {
-		die(err)
-	}
-
-	tbl := bench.NewTable(fmt.Sprintf("E17: streaming data plane (%d MiB object, %d KiB chunks, TCP loopback)",
-		size>>20, chunkSize>>10),
-		"case", "write MB/s", "read MB/s", "write wall", "read wall", "write speedup vs gob+buffered")
-	cell := 0
-	for _, backend := range []string{"mem", "disk", "null"} {
-		var base float64
-		for _, combo := range []struct{ framed, pipelined bool }{
-			{false, false}, {false, true}, {true, false}, {true, true},
-		} {
-			c := bench.LargeObjectCase{Framed: combo.framed, Pipelined: combo.pipelined, StoreURL: backend + "://"}
-			var cellDir string
-			if backend == "disk" {
-				// Every cell writes the same chunk keys; a shared
-				// directory would hit them with duplicate-put errors.
-				cellDir = fmt.Sprintf("%s/cell%d", dir, cell)
-				c.StoreURL = "disk://" + cellDir
-			}
-			cell++
-			res, err := bench.RunLargeObject(c, bench.LargeObjectOptions{Size: size, ChunkSize: chunkSize})
-			if err != nil {
-				die(err)
-			}
-			if cellDir != "" {
-				// Deleting the cell's files before the kernel writes them
-				// back cancels the pending IO; otherwise each disk cell
-				// runs against the previous cells' accumulated writeback
-				// and the later cases in the table pay for the earlier.
-				os.RemoveAll(cellDir)
-			}
-			if !combo.framed && !combo.pipelined {
-				base = res.WriteMBps
-			}
-			tbl.AddRow(
-				c.Name(),
-				fmt.Sprintf("%.0f", res.WriteMBps),
-				fmt.Sprintf("%.0f", res.ReadMBps),
-				fmt.Sprintf("%.3fs", res.WriteElapsed.Seconds()),
-				fmt.Sprintf("%.3fs", res.ReadElapsed.Seconds()),
-				fmt.Sprintf("%.2fx", bench.Ratio(res.WriteMBps, base)),
-			)
-		}
-	}
-	tbl.Render(os.Stdout)
-	fmt.Println()
-
-	if quick {
-		return
-	}
-	sweep := bench.NewTable("E17: size sweep, framed+streamed on disk",
-		"size", "write MB/s", "read MB/s", "write wall", "read wall")
-	for i, s := range []int64{64 << 20, 256 << 20, 1 << 30} {
-		sweepDir := fmt.Sprintf("%s/sweep%d", dir, i)
-		c := bench.LargeObjectCase{Framed: true, Pipelined: true, StoreURL: "disk://" + sweepDir}
-		res, err := bench.RunLargeObject(c, bench.LargeObjectOptions{Size: s, ChunkSize: chunkSize})
-		if err != nil {
-			die(err)
-		}
-		os.RemoveAll(sweepDir)
-		sweep.AddRow(
-			fmt.Sprintf("%d MiB", s>>20),
-			fmt.Sprintf("%.0f", res.WriteMBps),
-			fmt.Sprintf("%.0f", res.ReadMBps),
-			fmt.Sprintf("%.3fs", res.WriteElapsed.Seconds()),
-			fmt.Sprintf("%.3fs", res.ReadElapsed.Seconds()),
-		)
-	}
-	sweep.Render(os.Stdout)
 	fmt.Println()
 }
 

@@ -70,7 +70,7 @@ func main() {
 		gcQueue    = flag.Int("gc-queue", 256, "bounded delete queue depth (gc)")
 
 		localDomain = flag.String("domain", "", "failure domain this node's readers sit in: same-domain replicas are tried first and cross-domain bytes avoided are counted (data role)")
-		readCache   = flag.Int64("read-cache", 0, "bounded read-through cache size in bytes; repeated chunk reads and replica-set hints are served from memory, invalidated on placement changes (data role; 0 = off)")
+		readCache   = flag.Int64("read-cache", 0, "bounded read cache size in bytes, invalidated on placement changes. Every network client reads chunks by framed stream, which bypasses the cache, so in a daemon it holds chunk data for no remote reader — replica-set hints for the reaper only (data role; 0 = off)")
 		cacheShards = flag.Int("cache-shards", 0, "read cache shard count, rounded up to a power of two (read-cache; 0 = default 16)")
 	)
 	flag.Parse()

@@ -64,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cli, err := remote.Dial(remote.Endpoints{VM: *vmAddr, Meta: *metaAddr, Data: *dataAddr})
+	cli, err := remote.DialFramed(remote.Endpoints{VM: *vmAddr, Meta: *metaAddr, Data: *dataAddr})
 	if err != nil {
 		fail(err)
 	}

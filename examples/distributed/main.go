@@ -56,7 +56,7 @@ func main() {
 		ep.VM, ep.Meta, ep.Data)
 
 	// --- Admin client creates the blob ---
-	admin, err := remote.Dial(ep)
+	admin, err := remote.DialFramed(ep)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cli, err := remote.Dial(ep)
+			cli, err := remote.DialFramed(ep)
 			if err != nil {
 				log.Fatalf("writer %d: %v", w, err)
 			}

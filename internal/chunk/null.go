@@ -10,9 +10,9 @@ import (
 // NullStore discards chunk payloads while keeping the full accounting
 // and error-identity surface of a real store: keys, sizes, ErrExists
 // and ErrNotFound all behave normally, but Get and OpenReader serve
-// zeros. It exists for pure control-plane benchmarks (E17's null
-// backend), where data-path cost must be removed from the measurement
-// without changing any protocol behavior.
+// zeros. It exists for benchmarks of everything but the medium (the
+// wire benchmarks' null:// backend), where data-path cost must be
+// removed from the measurement without changing any protocol behavior.
 type NullStore struct {
 	mu    sync.RWMutex
 	sizes map[Key]int64

@@ -88,7 +88,7 @@ func TestMPIIOTileOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	cli, err := remote.Dial(remote.Endpoints{VM: node.Addr(), Meta: node.Addr(), Data: node.Addr()})
+	cli, err := remote.DialFramed(remote.Endpoints{VM: node.Addr(), Meta: node.Addr(), Data: node.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

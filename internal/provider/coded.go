@@ -5,50 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/chunk"
 )
-
-// This file is the Router's erasure-coded placement mode: instead of R
-// full copies, each chunk is Reed-Solomon encoded into k data + m
-// parity fragments placed on k+m distinct providers (domain-spread by
-// the same allocator replication uses). Any k fragments reconstruct
-// the chunk, so durability matches m-loss replication at (k+m)/k
-// storage overhead instead of R.
-//
-// # Coded placement contract
-//
-//   - Placement is POSITIONAL: the i-th entry of a coded chunk's
-//     replica set is the provider holding fragment i (0..k-1 data,
-//     k..k+m-1 parity). Every placement entry has exactly k+m
-//     positions; a position whose provider lost (or never stored) its
-//     fragment is detected by store probes, not by a sentinel.
-//   - Fragment content is a pure function of (chunk bytes, position),
-//     so a provider that ever held position i holds bytes valid for
-//     position i forever (chunks are immutable). Repair therefore
-//     NEVER tolerates chunk.ErrExists on a new target: an existing key
-//     there is some other position's orphan, and recording it would
-//     serve wrong bytes.
-//   - Reads serve the requested sub-range straight from the data
-//     fragments it touches (no decode); any fragment failure falls
-//     back to degraded reconstruction from any k fragments.
-//   - Repair re-encodes: it reads any k surviving fragments, rebuilds
-//     the missing positions, and writes each one to a fresh provider
-//     in-position, preferring failure domains the survivors do not
-//     cover. Fewer than k survivors is data loss (RepairLost).
-//   - Replica-set hints are refreshed but never trusted for reads:
-//     positions may have moved since the hint was recorded, and a
-//     positional misread cannot always be detected. Placement is the
-//     only read authority; a hint that differs from it (ordered
-//     compare — position matters) returns a fresh set.
-//
-// Mode selection is boot-time configuration: switching a router with
-// recorded placement between replicated and coded modes is not
-// supported (existing entries would be misread under the other mode's
-// semantics).
 
 // ParseCoding parses an "rs-<k>+<m>" coding spec ("rs-4+2"). The empty
 // string means coding off (k=0, m=0, nil error).
@@ -71,13 +32,14 @@ func ParseCoding(s string) (k, m int, err error) {
 
 // SetCoding switches the router to erasure-coded placement with k data
 // and m parity fragments per chunk. SetCoding(0, 0) turns coding off
-// (back to replication). Coded mode supersedes SetReplicas: the
-// effective placement degree becomes k+m. Configure before storing any
-// chunks — see the mode-selection note above.
+// (back to replication). Coded mode supersedes SetReplicas, in whichever
+// order the two are called: the effective placement degree becomes k+m.
+// Configure before storing any chunks — see the mode-selection note on
+// coded.
 func (r *Router) SetCoding(k, m int) error {
 	if k == 0 && m == 0 {
 		r.cfg.Lock()
-		r.codeK, r.codeM, r.code = 0, 0, nil
+		r.mode = replicated{n: r.replicas}
 		r.cfg.Unlock()
 		return nil
 	}
@@ -86,129 +48,120 @@ func (r *Router) SetCoding(k, m int) error {
 		return err
 	}
 	r.cfg.Lock()
-	r.codeK, r.codeM, r.code = k, m, code
+	r.mode = coded{code}
 	r.cfg.Unlock()
 	return nil
 }
 
 // Coding reports the configured erasure code (on=false means the
 // router replicates).
-func (r *Router) Coding() (k, m int, on bool) {
-	r.cfg.RLock()
-	defer r.cfg.RUnlock()
-	return r.codeK, r.codeM, r.code != nil
+func (r *Router) Coding() (k, m int, on bool) { return r.placementMode().coding() }
+
+// coded is erasure-coded placement: instead of R full copies, each
+// chunk is Reed-Solomon encoded into k data + m parity fragments placed
+// on k+m distinct providers (domain-spread by the same allocator
+// replication uses). Any k fragments reconstruct the chunk, so
+// durability matches m-loss replication at (k+m)/k storage overhead
+// instead of R.
+//
+// # Coded placement contract
+//
+//   - Placement is POSITIONAL: the i-th entry of a coded chunk's
+//     replica set is the provider holding fragment i (0..k-1 data,
+//     k..k+m-1 parity). Every placement entry has exactly k+m
+//     positions and is never reordered; a position whose provider lost
+//     (or never stored) its fragment is detected by store probes, not by
+//     a sentinel.
+//   - Fragment content is a pure function of (chunk bytes, position),
+//     so a provider that ever held position i holds bytes valid for
+//     position i forever (chunks are immutable). Repair therefore
+//     NEVER tolerates chunk.ErrExists on a new target: an existing key
+//     there is some other position's orphan, and recording it would
+//     serve wrong bytes.
+//   - Reads serve the requested sub-range straight from the data
+//     fragments it touches (no decode); any fragment failure falls
+//     back to degraded reconstruction from any k fragments. They count
+//     as locality-flat: fragments are spread across domains by design,
+//     so a "local read" of one chunk does not exist.
+//   - Repair re-encodes: it reads any k surviving fragments, rebuilds
+//     the missing positions, and writes each one to a fresh provider
+//     in-position, preferring failure domains the survivors do not
+//     cover. Fewer than k survivors is data loss (RepairLost).
+//   - Replica-set hints are refreshed but never read through:
+//     positions may have moved since the hint was recorded, and a
+//     positional misread cannot always be detected. Placement is the
+//     only read authority; a hint that differs from it (ordered
+//     compare — position matters) returns a fresh set.
+//
+// Mode selection is boot-time configuration: switching a router with
+// recorded placement between replicated and coded modes is not
+// supported (existing entries would be misread under the other mode's
+// semantics).
+type coded struct{ code *chunk.RSCode }
+
+func (c coded) width() int               { return c.code.K + c.code.M }
+func (c coded) floor() int               { return c.code.K }
+func (c coded) coding() (int, int, bool) { return c.code.K, c.code.M, true }
+func (c coded) readsHints() bool         { return false }
+func (c coded) sameHint(a, b []ID) bool  { return slices.Equal(a, b) } // ordered: position matters
+
+// allocate spreads the stripe in allocateSpread's water-fill mode, which
+// an empty non-nil have selects: fragments still land one-per-domain
+// while enough domains are live, but a stripe as wide as the domain
+// count must not refuse every write during a single domain outage — it
+// doubles up in the survivors and the spread audit re-spreads once the
+// domain returns. (Replicated fresh allocation keeps the strict promise:
+// R is normally far below the domain count, so a refusal there signals
+// misconfiguration, not an outage.)
+func (c coded) allocate(r *Router) ([]*Provider, error) {
+	return r.allocateSpread(c.width(), nil, map[string]int{})
 }
 
-// codeState returns the active code, nil when the router replicates.
-func (r *Router) codeState() *chunk.RSCode {
-	r.cfg.RLock()
-	defer r.cfg.RUnlock()
-	return r.code
-}
+// payloads is the stripe: fragment i goes to the i-th target.
+func (c coded) payloads(data []byte) [][]byte { return c.code.Encode(data) }
 
-// degree is the number of placement positions every chunk should have:
-// k+m fragments in coded mode, R copies otherwise. Health, scrub and
-// convergence checks all compare against it.
-func (r *Router) degree() int {
-	r.cfg.RLock()
-	coded := r.code != nil
-	n := r.codeK + r.codeM
-	r.cfg.RUnlock()
-	if coded {
-		return n
-	}
-	return r.Replicas()
-}
-
-// sameIDList reports whether two ID slices are identical INCLUDING
-// order — the comparison coded placement needs, where the i-th entry
-// is fragment i's home and a permutation is a different placement.
-func sameIDList(a, b []ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// putCoded encodes the chunk into k+m fragments and stores fragment i
-// on the i-th of k+m distinct allocated providers in parallel. The put
-// succeeds once the write quorum of fragments landed (default k+m-1,
-// never below k); placement records ALL k+m positions — positions
-// whose store failed are found by the probe-based repair path, which
-// re-encodes them onto fresh providers.
-func (r *Router) putCoded(code *chunk.RSCode, key chunk.Key, data []byte) ([]ID, error) {
-	n := code.K + code.M
-	quorum := r.WriteQuorum()
-	// An empty non-nil have selects allocateSpread's water-fill mode:
-	// fragments still land one-per-domain while enough domains are
-	// live, but a stripe as wide as the domain count must not refuse
-	// every write during a single domain outage — it doubles up in the
-	// survivors and the spread audit re-spreads once the domain
-	// returns. (Replicated fresh allocation keeps the strict promise:
-	// R is normally far below the domain count, so a refusal there
-	// signals misconfiguration, not an outage.)
-	targets, err := r.allocateSpread(n, nil, map[string]int{})
-	if err != nil {
-		return nil, err
-	}
-	shards := code.Encode(data)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, p := range targets {
-		wg.Add(1)
-		go func(i int, p *Provider) {
-			defer wg.Done()
-			errs[i] = r.putOne(p, key, shards[i])
-		}(i, p)
-	}
-	wg.Wait()
-	stored := make([]ID, n)
-	landed := 0
-	var failures []error
+// recorded is ALL k+m positions, landed or not: a position whose store
+// failed is found by the probe-based repair path, which re-encodes it
+// onto a fresh provider.
+func (c coded) recorded(targets []*Provider, errs []error) []ID {
+	stored := make([]ID, len(targets))
 	for i, p := range targets {
 		stored[i] = p.ID()
-		if errs[i] == nil {
-			landed++
-		} else {
-			failures = append(failures, fmt.Errorf("provider %d (fragment %d): %w", p.ID(), i, errs[i]))
-		}
 	}
-	if landed < quorum {
-		return nil, fmt.Errorf("provider: write quorum not met (%d/%d fragments, need %d): %w",
-			landed, n, quorum, errors.Join(failures...))
+	return stored
+}
+
+// read serves a coded read from placement. The bytes are assembled from
+// fragments either way, so a stream read shares the byte read's path
+// and hands the result out behind a reader: there is no single store
+// file to splice to a socket.
+func (c coded) read(r *Router, ids []ID, q chunkRead) (out served, skips, storeErrs int, err error) {
+	data, skips, storeErrs, err := r.readCoded(c.code, ids, q.key, q.off, q.length)
+	if err != nil {
+		return served{}, skips, storeErrs, err
 	}
-	r.place.mu.Lock()
-	r.place.m[key] = stored
-	r.place.mu.Unlock()
-	if landed < n {
-		// Quorum-committed with missing fragments: born degraded, hand
-		// it to read-repair now.
-		r.noteDegraded(key)
+	r.met.getFlat.Inc()
+	if q.stream {
+		return served{rc: io.NopCloser(bytes.NewReader(data))}, skips, storeErrs, nil
 	}
-	return stored, nil
+	return served{data: data}, skips, storeErrs, nil
 }
 
 // readCoded serves one coded sub-range read from the positional set
 // ids. The direct path reads only the data fragments the range
-// touches; any failure there falls back to degraded reconstruction
-// from any k full fragments. degraded reports whether the direct path
-// failed (the repair signal). Every real store attempt feeds the
-// health monitor.
-func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, length int64) (data []byte, degraded bool, err error) {
+// touches; a fragment there that is flagged away (skips) or fails the
+// read (storeErrs) sends it to degraded reconstruction from any k full
+// fragments.
+func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, length int64) (data []byte, skips, storeErrs int, err error) {
 	n := code.K + code.M
 	if len(ids) != n {
-		return nil, false, fmt.Errorf("provider: coded placement of %s has %d positions, want %d", key, len(ids), n)
+		return nil, 0, 0, fmt.Errorf("provider: coded placement of %s has %d positions, want %d", key, len(ids), n)
 	}
 	if off < 0 || length < 0 {
-		return nil, false, fmt.Errorf("provider: invalid coded read [%d, %d) of %s", off, off+length, key)
+		return nil, 0, 0, fmt.Errorf("provider: invalid coded read [%d, %d) of %s", off, off+length, key)
 	}
 	if length == 0 {
-		return []byte{}, false, nil
+		return []byte{}, 0, 0, nil
 	}
 	// Fragment size: all k+m fragments of a chunk are equal by
 	// construction, so the first live fragment's Len is authoritative.
@@ -232,38 +185,35 @@ func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, len
 		if lastErr == nil {
 			lastErr = ErrProviderDown
 		}
-		return nil, true, fmt.Errorf("provider: no readable fragment of %s: %w", key, lastErr)
+		return nil, 0, 0, fmt.Errorf("provider: no readable fragment of %s: %w", key, lastErr)
 	}
 	if off+length > int64(code.K)*ss {
-		return nil, false, fmt.Errorf("provider: coded read [%d, %d) of %s exceeds chunk bound %d", off, off+length, key, int64(code.K)*ss)
+		return nil, 0, 0, fmt.Errorf("provider: coded read [%d, %d) of %s exceeds chunk bound %d", off, off+length, key, int64(code.K)*ss)
 	}
 	lo, hi := int(off/ss), int((off+length-1)/ss)
 	out := make([]byte, 0, length)
-	direct := true
+	// within clips the read to fragment i: the range of it that is asked
+	// for.
+	within := func(i int) (flo, fhi int64) {
+		return max(off-int64(i)*ss, 0), min(off+length-int64(i)*ss, ss)
+	}
 	for i := lo; i <= hi; i++ {
-		flo := off - int64(i)*ss
-		if flo < 0 {
-			flo = 0
-		}
-		fhi := off + length - int64(i)*ss
-		if fhi > ss {
-			fhi = ss
-		}
+		flo, fhi := within(i)
 		p := r.byID(ids[i])
 		if p == nil || p.Down() {
-			direct = false
+			skips++
 			break
 		}
 		frag, gerr := p.Store().Get(key, flo, fhi-flo)
 		r.reportError(ids[i], gerr)
 		if gerr != nil {
-			direct = false
+			storeErrs++
 			break
 		}
 		out = append(out, frag...)
 	}
-	if direct {
-		return out, false, nil
+	if skips+storeErrs == 0 {
+		return out, 0, 0, nil
 	}
 	// Degraded: collect any k full fragments and reconstruct.
 	shards := make([][]byte, n)
@@ -292,133 +242,28 @@ func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, len
 		if lastErr == nil {
 			lastErr = ErrProviderDown
 		}
-		return nil, true, fmt.Errorf("provider: only %d of %d fragments of %s readable, need %d: %w",
+		return nil, skips, storeErrs, fmt.Errorf("provider: only %d of %d fragments of %s readable, need %d: %w",
 			got, n, key, code.K, lastErr)
 	}
 	if rerr := code.Reconstruct(shards); rerr != nil {
-		return nil, true, rerr
+		return nil, skips, storeErrs, rerr
 	}
 	out = out[:0]
 	for i := lo; i <= hi; i++ {
-		flo := off - int64(i)*ss
-		if flo < 0 {
-			flo = 0
-		}
-		fhi := off + length - int64(i)*ss
-		if fhi > ss {
-			fhi = ss
-		}
+		flo, fhi := within(i)
 		out = append(out, shards[i][flo:fhi]...)
 	}
-	return out, true, nil
+	return out, skips, storeErrs, nil
 }
 
-// getCoded is the coded Get: read-through cache, then readCoded from
-// authoritative placement. Degraded reads feed the repair queue. Coded
-// reads count as locality-flat — fragments are spread across domains
-// by design, so a "local read" of one chunk does not exist.
-func (r *Router) getCoded(code *chunk.RSCode, key chunk.Key, off, length int64) ([]byte, error) {
-	cache := r.ReadCache()
-	if cache != nil {
-		if data, ok := cache.GetData(key, off, length); ok {
-			return data, nil
-		}
-	}
-	var start time.Time
-	if r.met.getSec != nil {
-		start = time.Now()
-	}
-	ids, ok := r.Locate(key)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	data, degraded, err := r.readCoded(code, ids, key, off, length)
-	if err != nil {
-		return nil, err
-	}
-	if degraded {
-		r.noteDegraded(key)
-	}
-	r.met.getFlat.Inc()
-	if r.met.getSec != nil {
-		r.met.getSec.ObserveSince(start)
-	}
-	r.fillData(cache, key, data, off)
-	return data, nil
-}
-
-// getFromCoded is the coded GetFrom. Unlike the replicated path, the
-// caller's hint is never read through (see the coded placement
-// contract: positions move, and a positional misread is undetectable),
-// but it IS refreshed: when authoritative placement differs from the
-// hint in any position, the fresh set returns for the caller to cache.
-func (r *Router) getFromCoded(code *chunk.RSCode, hint []ID, key chunk.Key, off, length int64) (data []byte, fresh []ID, err error) {
-	cache := r.ReadCache()
-	if cache != nil {
-		if data, ok := cache.GetData(key, off, length); ok {
-			if h, ok2 := cache.Hint(key); ok2 && !sameIDList(h, hint) {
-				return data, h, nil
-			}
-			return data, nil, nil
-		}
-	}
-	var start time.Time
-	if r.met.getSec != nil {
-		start = time.Now()
-	}
-	ids, ok := r.Locate(key)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	data, degraded, err := r.readCoded(code, ids, key, off, length)
-	if err != nil {
-		return nil, nil, err
-	}
-	if degraded {
-		r.noteDegraded(key)
-	}
-	r.met.getFlat.Inc()
-	if r.met.getSec != nil {
-		r.met.getSec.ObserveSince(start)
-	}
-	r.fillData(cache, key, data, off)
-	if !sameIDList(ids, hint) {
-		r.fillHint(cache, key, ids)
-		return data, ids, nil
-	}
-	return data, nil, nil
-}
-
-// openCoded materializes a coded sub-range read behind an
-// io.ReadCloser. Coded streaming reads cannot splice a single store
-// file to the socket anyway (the range spans fragments), so the
-// streaming plane shares the buffered read path.
-func (r *Router) openCoded(code *chunk.RSCode, key chunk.Key, off, length int64) (io.ReadCloser, error) {
-	data, err := r.getCoded(code, key, off, length)
-	if err != nil {
-		return nil, err
-	}
-	return io.NopCloser(bytes.NewReader(data)), nil
-}
-
-// openFromCoded is openCoded with the hint-refresh semantics of
-// getFromCoded.
-func (r *Router) openFromCoded(code *chunk.RSCode, hint []ID, key chunk.Key, off, length int64) (io.ReadCloser, []ID, error) {
-	data, fresh, err := r.getFromCoded(code, hint, key, off, length)
-	if err != nil {
-		return nil, nil, err
-	}
-	return io.NopCloser(bytes.NewReader(data)), fresh, nil
-}
-
-// repairCoded restores a coded chunk to k+m live fragments: probe
-// every position, read any k surviving fragments, re-encode, and write
-// each missing position onto a fresh provider (excluding every
-// recorded member, preferring uncovered failure domains). A chunk at
-// full degree whose fragments co-locate while a spare live domain
-// exists gets one fragment relocated instead. Caller holds the
-// chunk's in-flight claim.
-func (r *Router) repairCoded(code *chunk.RSCode, key chunk.Key) (outcome RepairOutcome, copied int, err error) {
+// repair restores a coded chunk to k+m live fragments: probe every
+// position, read any k surviving fragments, re-encode, and write each
+// missing position onto a fresh provider (excluding every recorded
+// member, preferring uncovered failure domains). A chunk at full degree
+// whose fragments co-locate while a spare live domain exists gets one
+// fragment relocated instead.
+func (c coded) repair(r *Router, key chunk.Key) (outcome RepairOutcome, copied int, err error) {
+	code := c.code
 	n := code.K + code.M
 	ids, ok := r.Locate(key)
 	if !ok {
@@ -518,7 +363,7 @@ func (r *Router) repairCoded(code *chunk.RSCode, key chunk.Key) (outcome RepairO
 			}
 			p := targets[0]
 			exclude[p.ID()] = true
-			if werr := r.putOne(p, key, shards[i]); werr != nil {
+			if werr := r.putOne(p, key, payload{data: shards[i]}); werr != nil {
 				fragErrs = append(fragErrs, fmt.Errorf("provider %d (fragment %d): %w", p.ID(), i, werr))
 				continue
 			}
@@ -583,7 +428,7 @@ func (r *Router) improveSpreadCoded(key chunk.Key, ids []ID) (moved bool, err er
 	if err != nil {
 		return false, err
 	}
-	if werr := r.putOne(target, key, frag); werr != nil {
+	if werr := r.putOne(target, key, payload{data: frag}); werr != nil {
 		return false, werr
 	}
 	derr := p.Store().Delete(key)

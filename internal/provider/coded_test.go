@@ -391,14 +391,14 @@ func TestCodedOpenReader(t *testing.T) {
 	}
 	check := func(off, length int64) {
 		t.Helper()
-		rc, err := r.OpenReader(key, off, length)
+		rc, _, err := r.OpenFrom(nil, key, off, length)
 		if err != nil {
-			t.Fatalf("OpenReader(%d,%d): %v", off, length, err)
+			t.Fatalf("OpenFrom(%d,%d): %v", off, length, err)
 		}
 		defer rc.Close()
 		got, err := io.ReadAll(rc)
 		if err != nil || !bytes.Equal(got, data[off:off+length]) {
-			t.Fatalf("OpenReader(%d,%d) mismatch (%v)", off, length, err)
+			t.Fatalf("OpenFrom(%d,%d) mismatch (%v)", off, length, err)
 		}
 	}
 	check(0, 5000)

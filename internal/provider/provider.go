@@ -15,10 +15,30 @@
 // deployment lose a storage machine without losing any published
 // snapshot.
 //
+// # One data path
+//
+// Chunk bytes move through the Router one way in each direction,
+// whatever the entry point and whatever the placement:
+//
+//   - Router.put is the one put core: allocate targets, store on each
+//     (putOne), apply the write quorum, record placement, note a chunk
+//     born degraded. Put and PutStream are its entry points and differ
+//     only in the payload they hand it, bytes or a reader.
+//   - Router.read is the one read core: the caller's hint, then recorded
+//     placement, the fresh decision, read-repair, the ReadCache rule.
+//     Get, GetFrom and OpenFrom are its entry points and differ only in
+//     how the bytes leave a store (chunkRead): into a slice or as a
+//     stream.
+//   - placementMode (placement.go) is the seam both cores and RepairChunk
+//     are written against, and the only code that knows whether chunks
+//     are replicated (placement.go) or erasure coded (coded.go): width
+//     and quorum floor, what each target stores and what is recorded,
+//     whether a hint may be read through, the read algorithm, repair.
+//
 // # Contracts
 //
-// Three contracts introduced by the replication, self-healing and
-// failure-domain work are load-bearing for every caller:
+// These contracts introduced by the replication, self-healing,
+// failure-domain and read-tier work are load-bearing for every caller:
 //
 //   - Manager.AllocateN(n) returns n DISTINCT live providers — on a
 //     flat (single-domain) pool a consecutive window of the live ring,
@@ -47,22 +67,25 @@
 //     new copies in domains the survivors do not cover, and a chunk at
 //     full degree whose live replicas co-locate while a spare live
 //     domain exists is re-spread by moving one copy (RepairChunk).
-//   - Router.GetFrom (and every other blob.DataService implementation)
-//     returns fresh == nil when the caller's replica hint served the
-//     read. A non-nil fresh set means the hint is stale — the read was
-//     served from authoritative placement, or placement disagrees with
-//     the hint after failover — and the caller should cache fresh in
-//     place of the hint.
+//   - Router.GetFrom and OpenFrom (and every other blob.DataService
+//     implementation) return fresh == nil when the set the caller's
+//     replica hint names served the read. A non-nil fresh set means the
+//     hint is stale — the read was served from a different authoritative
+//     placement, or placement disagrees with the hint after failover —
+//     and the caller should cache fresh in place of the hint.
 //   - Read tier: with a local domain set (SetLocalDomain) reads try
 //     same-domain replicas first, then rotate the rest — never
 //     narrowing the failover set, only reordering it. With a ReadCache
-//     wired (SetReadCache) reads are served read-through: chunk data
-//     and fresh replica-set hints are cached on success, and because
-//     chunks are immutable the ONLY invalidation signal is a placement
-//     change — every post-Put placement mutation (RepairChunk,
+//     wired (SetReadCache) BYTE reads are served read-through: chunk
+//     data and fresh replica-set hints are cached on success, and
+//     because chunks are immutable the ONLY invalidation signal is a
+//     placement change — every post-Put placement mutation (RepairChunk,
 //     improveSpread, trimExcess, DeleteReplicas) drops the chunk's
 //     cache entry. A stale cached hint can never fail a read: at worst
-//     it costs one extra failover, which refreshes the entry.
+//     it costs one extra failover, which refreshes the entry. STREAM
+//     reads (OpenFrom) bypass the cache in both placement modes — and
+//     every network client reads by stream (the framed plane), so a
+//     daemon's cache holds chunk data for in-process readers only.
 //
 // # Space reclamation
 //
@@ -78,6 +101,7 @@ package provider
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -786,16 +810,16 @@ type Router struct {
 	*Manager
 	place    placement
 	cfg      sync.RWMutex // guards replicas/quorum/coding/health/onDegraded/locality/cache
-	replicas int          // copies per chunk; 0 or 1 means no replication
+	replicas int          // copies per chunk while replicating; >= 1
 	quorum   int          // copies that must land for Put to succeed; 0 = replicas-1 (min 1)
 	rdNext   atomic.Uint64
 
-	// codeK/codeM/code select erasure-coded placement (see coded.go);
-	// nil code means the router replicates. maxChunk bounds declared
-	// streamed-put sizes (see stream.go); 0 means the default.
-	codeK, codeM int
-	code         *chunk.RSCode
-	maxChunk     int64
+	// mode is the placement seam (placement.go): everything replicated
+	// and erasure-coded placement differ in, chosen by SetReplicas and
+	// SetCoding. maxChunk bounds declared streamed-put sizes (see
+	// stream.go); 0 means the default.
+	mode     placementMode
+	maxChunk int64
 
 	// localDomain is the failure domain this router's reads originate
 	// from; preferLocal orders same-domain replicas first (see
@@ -862,9 +886,11 @@ func (r *Router) SetMetrics(reg *metrics.Registry) {
 // configuration stores one copy per chunk (no replication).
 func NewRouter(m *Manager) *Router {
 	return &Router{
-		Manager: m,
-		place:   placement{m: make(map[chunk.Key][]ID)},
-		busy:    make(map[chunk.Key]bool),
+		Manager:  m,
+		place:    placement{m: make(map[chunk.Key][]ID)},
+		replicas: 1,
+		mode:     replicated{n: 1},
+		busy:     make(map[chunk.Key]bool),
 	}
 }
 
@@ -1013,271 +1039,292 @@ func (r *Router) ReadCache() *ReadCache {
 }
 
 // SetReplicas sets the replication degree R: every subsequent Put
-// stores R copies on R distinct providers. r < 1 is normalized to 1.
+// stores R copies on R distinct providers. n < 1 is normalized to 1.
+// While erasure coding is on it supersedes R (see SetCoding); the two
+// may be set in either order.
 func (r *Router) SetReplicas(n int) {
 	r.cfg.Lock()
 	defer r.cfg.Unlock()
-	r.replicas = n
+	r.replicas = max(n, 1)
+	if _, _, on := r.mode.coding(); !on {
+		r.mode = replicated{n: r.replicas}
+	}
 }
 
 // Replicas returns the effective replication degree (>= 1).
 func (r *Router) Replicas() int {
 	r.cfg.RLock()
 	defer r.cfg.RUnlock()
-	if r.replicas < 1 {
-		return 1
-	}
 	return r.replicas
 }
 
-// SetWriteQuorum sets how many of the R copies must be stored for a
-// Put to succeed. 0 restores the default of R-1 (minimum 1): a write
-// survives the mid-flight loss of one provider, the failure unit this
-// layer is built around, while R healthy providers still normally
-// yield R copies. Values are clamped to [1, R] at use.
+// placementMode returns the placement strategy in force.
+func (r *Router) placementMode() placementMode {
+	r.cfg.RLock()
+	defer r.cfg.RUnlock()
+	return r.mode
+}
+
+// degree is the number of placement positions every chunk should have:
+// R copies, or k+m fragments. Health, scrub and convergence checks all
+// compare against it.
+func (r *Router) degree() int { return r.placementMode().width() }
+
+// SetWriteQuorum sets how many of a chunk's stores must land for a Put
+// to succeed. 0 restores the default of degree-1: a write survives the
+// mid-flight loss of one provider, the failure unit this layer is built
+// around, while healthy providers still normally yield every copy.
+// Values are clamped at use, see WriteQuorum.
 func (r *Router) SetWriteQuorum(q int) {
 	r.cfg.Lock()
 	defer r.cfg.Unlock()
 	r.quorum = q
 }
 
-// WriteQuorum returns the effective write quorum for the current
-// placement degree. In coded mode the degree is k+m fragments and the
-// quorum floor is k — committing with fewer would publish unreadable
-// data — with the same default of degree-1 (one mid-flight provider
-// loss tolerated).
+// WriteQuorum returns the effective write quorum: the configured value
+// (default degree-1) clamped to [floor, degree], where the floor is the
+// fewest stores that leave the chunk readable — 1 copy, or k fragments:
+// committing with fewer would publish unreadable data.
 func (r *Router) WriteQuorum() int {
 	r.cfg.RLock()
-	q, k, coded := r.quorum, r.codeK, r.code != nil
+	q, mode := r.quorum, r.mode
 	r.cfg.RUnlock()
-	n := r.degree()
-	floor := 1
-	if coded {
-		floor = k
-	}
+	n := mode.width()
 	if q == 0 {
 		q = n - 1
 	}
-	if q < floor {
-		q = floor
-	}
-	if q > n {
-		q = n
-	}
-	return q
+	return min(max(q, mode.floor()), n)
 }
 
-// Put allocates R distinct providers, stores the chunk on all of them
-// in parallel and records placement. It succeeds — returning the IDs
-// of the providers that actually hold a copy — as soon as at least the
-// write quorum of copies landed; with fewer it fails and reports the
-// replica errors. Copies that landed on a failed Put are orphans: the
-// write's ticket is retired by the caller, so no metadata ever
-// references them.
+// payload is what one put target is to store: data, or — a streamed put
+// — exactly size bytes still to come from rd. size is read only of a
+// payload with rd set and of the one the put core is handed.
+type payload struct {
+	data []byte
+	size int64
+	rd   io.Reader
+}
+
+// Put stores the chunk on the providers the placement mode allocates —
+// R distinct providers a copy each, or k+m a fragment each — in parallel
+// and records placement. It succeeds — returning the recorded set — as
+// soon as at least the write quorum of stores landed; with fewer it
+// fails and reports the store errors. Copies that landed on a failed
+// Put are orphans: the write's ticket is retired by the caller, so no
+// metadata ever references them.
 func (r *Router) Put(key chunk.Key, data []byte) ([]ID, error) {
+	return r.put(key, payload{data: data, size: int64(len(data))})
+}
+
+// put is the one put core: allocate targets, store on each (alone when
+// there is one target, in parallel otherwise), apply the write quorum,
+// record placement, note a chunk born degraded, feed bs_chunk_put_*.
+func (r *Router) put(key chunk.Key, src payload) ([]ID, error) {
 	var start time.Time
 	if r.met.putSec != nil {
 		start = time.Now()
 	}
-	stored, err := r.put(key, data)
-	if err == nil {
-		r.met.putTotal.Inc()
-		r.met.putBytes.Add(int64(len(data)))
-		if r.met.putSec != nil {
-			r.met.putSec.ObserveSince(start)
-		}
-	}
-	return stored, err
-}
-
-func (r *Router) put(key chunk.Key, data []byte) ([]ID, error) {
-	if code := r.codeState(); code != nil {
-		return r.putCoded(code, key, data)
-	}
-	want := r.Replicas()
+	mode := r.placementMode()
 	quorum := r.WriteQuorum()
-	targets, err := r.AllocateN(want)
+	targets, err := mode.allocate(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(targets) == 1 {
-		// Unreplicated fast path: no fan-out machinery on the default
-		// R=1 write path.
-		p := targets[0]
-		if err := r.putOne(p, key, data); err != nil {
-			return nil, fmt.Errorf("provider: write quorum not met (0/1 copies, need 1): provider %d: %w", p.ID(), err)
-		}
-		stored := []ID{p.ID()}
-		r.place.mu.Lock()
-		r.place.m[key] = stored
-		r.place.mu.Unlock()
-		return stored, nil
-	}
 	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, p := range targets {
-		wg.Add(1)
-		go func(i int, p *Provider) {
-			defer wg.Done()
-			errs[i] = r.putOne(p, key, data)
-		}(i, p)
+	if len(targets) == 1 {
+		// A lone target stores the chunk whole (only replication at R=1
+		// is this narrow), so it is handed the source itself: a stream
+		// goes from the socket into the store unbuffered, and the default
+		// write path runs no fan-out machinery.
+		errs[0] = r.putOne(targets[0], key, src)
+	} else {
+		if src.rd != nil {
+			// Fanning out needs the bytes in hand; the caller bounded size.
+			src.data = make([]byte, src.size)
+			if _, err := io.ReadFull(src.rd, src.data); err != nil {
+				return nil, fmt.Errorf("provider: stream %s: %w", key, err)
+			}
+		}
+		parts := mode.payloads(src.data)
+		var wg sync.WaitGroup
+		for i, p := range targets {
+			wg.Add(1)
+			go func(i int, p *Provider) {
+				defer wg.Done()
+				errs[i] = r.putOne(p, key, payload{data: parts[i]})
+			}(i, p)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	stored := make([]ID, 0, len(targets))
+	landed := 0
 	var failures []error
 	for i, p := range targets {
 		if errs[i] == nil {
-			stored = append(stored, p.ID())
+			landed++
 		} else {
 			failures = append(failures, fmt.Errorf("provider %d: %w", p.ID(), errs[i]))
 		}
 	}
-	if len(stored) < quorum {
-		return nil, fmt.Errorf("provider: write quorum not met (%d/%d copies, need %d): %w",
-			len(stored), want, quorum, errors.Join(failures...))
+	if landed < quorum {
+		return nil, fmt.Errorf("provider: write quorum not met (%d of %d stores landed, need %d): %w",
+			landed, len(targets), quorum, errors.Join(failures...))
 	}
+	stored := mode.recorded(targets, errs)
 	r.place.mu.Lock()
 	r.place.m[key] = stored
 	r.place.mu.Unlock()
-	if len(stored) < want {
-		// Quorum-committed short of R copies: born under-replicated
-		// (a provider died mid-flight). Hand it to read-repair now
-		// rather than waiting for the scrubber to find it.
+	if landed < len(targets) {
+		// Quorum-committed short of full degree: born degraded (a
+		// provider died mid-flight). Hand it to read-repair now rather
+		// than waiting for the scrubber to find it.
 		r.noteDegraded(key)
+	}
+	r.met.putTotal.Inc()
+	r.met.putBytes.Add(src.size)
+	if r.met.putSec != nil {
+		r.met.putSec.ObserveSince(start)
 	}
 	return stored, nil
 }
 
-// putOne stores one copy, treating a down provider as a failed store
-// (the machine died between allocation and the write reaching it). The
-// outcome of every real store attempt feeds the health monitor.
-func (r *Router) putOne(p *Provider, key chunk.Key, data []byte) error {
+// putOne stores one payload on one provider, treating a down provider
+// as a failed store (the machine died between allocation and the write
+// reaching it). The outcome of every real store attempt feeds the
+// health monitor.
+func (r *Router) putOne(p *Provider, key chunk.Key, pl payload) error {
 	if p.Down() {
 		return ErrProviderDown
 	}
-	err := p.Store().Put(key, data)
+	var err error
+	if pl.rd != nil {
+		err = p.Store().PutFromReader(key, pl.size, pl.rd)
+	} else {
+		err = p.Store().Put(key, pl.data)
+	}
 	r.reportError(p.ID(), err)
 	return err
 }
 
-// Get reads a chunk sub-range by consulting the read cache and then
-// the placement map, failing over across replicas: down providers are
-// skipped, and an error from one replica moves on to the next. Reads
-// rotate across the replica set so replicated read load spreads over
-// all copies (same-domain replicas first when a local domain is set).
-// A read that needed failover feeds read-repair via maybeNoteDegraded.
+// chunkRead is one sub-range read on its way through the router. stream
+// says how the bytes are to leave the store: false, Store.Get into a
+// slice; true, Store.OpenReader as a stream. Nothing else distinguishes
+// the two kinds of read — with the consequence that a byte read fails
+// over past a store error that strikes mid-read, while a stream read
+// fails over only at open: once a stream is handed out its errors
+// surface to the consumer, because bytes may already have left for it.
+type chunkRead struct {
+	key         chunk.Key
+	off, length int64
+	stream      bool
+}
+
+// served is what a store handed back for a chunkRead: data for a byte
+// read, rc (the caller's to Close) for a stream read.
+type served struct {
+	data []byte
+	rc   io.ReadCloser
+}
+
+// Get reads a chunk sub-range from recorded placement: GetFrom with no
+// hint to try.
 func (r *Router) Get(key chunk.Key, off, length int64) ([]byte, error) {
-	if code := r.codeState(); code != nil {
-		return r.getCoded(code, key, off, length)
-	}
-	cache := r.ReadCache()
-	if cache != nil {
-		if data, ok := cache.GetData(key, off, length); ok {
-			return data, nil
-		}
-	}
-	// Locate copies the replica slice under the lock. Reading the map
-	// entry directly and iterating after unlock — as this path once
-	// did — depends on every writer installing a fresh slice; copying
-	// here removes the read path's only use of that invariant.
-	ids, ok := r.Locate(key)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	data, skips, storeErrs, err := r.getFromSet(ids, key, off, length)
-	if err != nil {
-		return nil, err
-	}
-	if skips+storeErrs > 0 {
-		r.maybeNoteDegraded(key, storeErrs)
-	}
-	r.fillData(cache, key, data, off)
-	return data, nil
+	out, _, err := r.read(nil, chunkRead{key: key, off: off, length: length})
+	return out.data, err
 }
 
-// GetFrom reads like Get but tries the given replica set first — the
-// replica hint carried by chunk.Ref in metadata. The read cache is
-// consulted before any provider: cached data serves the read outright,
-// and a cached fresh set (left by an earlier read that corrected a
-// stale hint) supersedes the caller's hint. If every hinted replica
-// fails (stale hint after a repair moved the copies), it falls back to
-// the router's own placement map, capturing the set that served the
-// read in the SAME placement acquisition the read used. A non-nil
-// fresh return means the hint is out of date — the fallback served the
-// read, a cached set did, or the hint needed failover and placement
-// records a different set — and the caller should replace it (blob
-// caches it so later reads of the same chunk skip the dead copies).
+// GetFrom reads a chunk sub-range trying the given replica set first —
+// the hint carried by chunk.Ref in metadata — and recorded placement
+// after it. fresh is nil when the set the hint names served the read,
+// and otherwise the set the caller should hold in its place (blob
+// caches it, so later reads of the chunk skip the dead copies).
 func (r *Router) GetFrom(replicas []ID, key chunk.Key, off, length int64) (data []byte, fresh []ID, err error) {
-	if code := r.codeState(); code != nil {
-		return r.getFromCoded(code, replicas, key, off, length)
-	}
-	cache := r.ReadCache()
-	if cache != nil {
-		if data, ok := cache.GetData(key, off, length); ok {
-			if hint, ok := cache.Hint(key); ok && !sameIDSet(hint, replicas) {
-				return data, hint, nil
-			}
-			return data, nil, nil
-		}
-		if hint, ok := cache.Hint(key); ok && !sameIDSet(hint, replicas) {
-			// The cache holds a fresher set than the caller's hint; a
-			// set that fails entirely is dropped (placement moved again)
-			// and the normal path below retries from scratch.
-			data, skips, storeErrs, herr := r.getFromSet(hint, key, off, length)
-			if herr == nil {
-				if skips+storeErrs > 0 {
-					r.maybeNoteDegraded(key, storeErrs)
-				}
-				r.fillData(cache, key, data, off)
-				return data, hint, nil
-			}
-			cache.Invalidate(key)
-		}
-	}
-	if len(replicas) > 0 {
-		data, skips, storeErrs, err := r.getFromSet(replicas, key, off, length)
-		if err == nil {
-			r.fillData(cache, key, data, off)
-			if skips+storeErrs > 0 {
-				r.maybeNoteDegraded(key, storeErrs)
-				if fresh, ok := r.Locate(key); ok && !sameIDSet(fresh, replicas) {
-					r.fillHint(cache, key, fresh)
-					return data, fresh, nil
-				}
-			}
-			return data, nil, nil
-		}
-	}
-	// Fallback: every hinted replica failed. Snapshot the authoritative
-	// set ONCE and read from exactly that snapshot, so the fresh set we
-	// return is the set that served the read — calling Get and then
-	// Locate as two acquisitions (as this path once did) let a repair
-	// slip between them and hand the caller a set that never served
-	// anything.
-	ids, ok := r.Locate(key)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	data, skips, storeErrs, gerr := r.getFromSet(ids, key, off, length)
-	if gerr != nil {
-		return nil, nil, gerr
-	}
-	if skips+storeErrs > 0 {
-		r.maybeNoteDegraded(key, storeErrs)
-	}
-	r.fillData(cache, key, data, off)
-	r.fillHint(cache, key, ids)
-	return data, ids, nil
+	out, fresh, err := r.read(replicas, chunkRead{key: key, off: off, length: length})
+	return out.data, fresh, err
 }
 
-// fillData caches a successful read's bytes when the read covered a
-// prefix of the chunk (off == 0, the common whole-fragment read — the
-// cache stores prefixes, see ReadCache).
-func (r *Router) fillData(cache *ReadCache, key chunk.Key, data []byte, off int64) {
-	if cache == nil || off != 0 || len(data) == 0 {
-		return
+// read is the one read core. It tries the caller's hint where the
+// placement mode reads through hints, falls back to recorded placement,
+// and decides fresh: nil exactly when the read was served by the set
+// the hint names. Every store attempt feeds the health monitor (in the
+// mode's read), a read that needed failover feeds read-repair by
+// maybeNoteDegraded's rule, and bs_chunk_get_seconds sees each read that
+// reached a store once.
+//
+// The read cache has one rule for both modes. Byte reads are served
+// from it and fill it, data and fresh sets alike, and a cached set that
+// differs from the caller's hint — left by an earlier read that
+// corrected a stale one — supersedes it. Stream reads bypass it: they
+// exist to move a payload store→socket without materializing it, which
+// a cache fill or a cached copy would do.
+func (r *Router) read(hint []ID, q chunkRead) (out served, fresh []ID, err error) {
+	mode := r.placementMode()
+	var cache *ReadCache
+	if !q.stream {
+		cache = r.ReadCache()
 	}
-	cache.FillData(key, append([]byte(nil), data...))
+	try := hint
+	if cache != nil {
+		data, hit := cache.GetData(q.key, q.off, q.length)
+		if h, ok := cache.Hint(q.key); ok && !mode.sameHint(h, hint) {
+			try, fresh = h, h
+		}
+		if hit {
+			return served{data: data}, fresh, nil
+		}
+	}
+	var start time.Time
+	if r.met.getSec != nil {
+		start = time.Now()
+	}
+	var skips, storeErrs int
+	viaHint := len(try) > 0 && mode.readsHints()
+	if viaHint {
+		out, skips, storeErrs, err = mode.read(r, try, q)
+		viaHint = err == nil
+	}
+	if viaHint {
+		if skips+storeErrs > 0 {
+			// The hint served, but not at once: it names a copy that is
+			// gone. Hand back what placement records if that differs, or
+			// every later read walks the half-dead hint again.
+			if ids, ok := r.Locate(q.key); ok && !mode.sameHint(ids, try) {
+				fresh = ids
+				r.fillHint(cache, q.key, ids)
+			}
+		}
+	} else {
+		// Fallback: no hint to read through, or every copy it names
+		// failed (stale after a repair moved them). Snapshot the
+		// authoritative set ONCE and read from exactly that snapshot, so
+		// the fresh set returned is the set that served the read — reading
+		// and then locating as two acquisitions (as this path once did)
+		// let a repair slip between them and hand the caller a set that
+		// never served anything.
+		ids, ok := r.Locate(q.key)
+		if !ok {
+			return served{}, nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, q.key)
+		}
+		if out, skips, storeErrs, err = mode.read(r, ids, q); err != nil {
+			return served{}, nil, err
+		}
+		fresh = ids
+		if mode.sameHint(ids, hint) {
+			fresh = nil
+		}
+		r.fillHint(cache, q.key, ids)
+	}
+	if skips+storeErrs > 0 {
+		r.maybeNoteDegraded(q.key, storeErrs)
+	}
+	if cache != nil && q.off == 0 && len(out.data) > 0 {
+		// The cache stores prefixes, so it takes the common whole-fragment
+		// read; and it owns what it is given, so a copy.
+		cache.FillData(q.key, append([]byte(nil), out.data...))
+	}
+	if r.met.getSec != nil {
+		r.met.getSec.ObserveSince(start)
+	}
+	return out, fresh, nil
 }
 
 // fillHint caches a fresh replica set alongside any cached data.
@@ -1285,99 +1332,6 @@ func (r *Router) fillHint(cache *ReadCache, key chunk.Key, ids []ID) {
 	if cache != nil {
 		cache.FillHint(key, ids)
 	}
-}
-
-// getFromSet tries each replica in preference order (see replicaOrder)
-// and returns the first successful read, along with failover
-// accounting: skips counts replicas bypassed on flags (down or
-// unknown), storeErrs counts real store errors observed before the
-// success. Every real store attempt reports its outcome to the health
-// monitor, and successful reads feed the locality counters when a
-// reader domain is set.
-func (r *Router) getFromSet(ids []ID, key chunk.Key, off, length int64) (data []byte, skips, storeErrs int, err error) {
-	if len(ids) == 0 {
-		return nil, 0, 0, fmt.Errorf("%w: %s (empty replica set)", chunk.ErrNotFound, key)
-	}
-	var start time.Time
-	if r.met.getSec != nil {
-		start = time.Now()
-	}
-	local, prefer := r.readLocality()
-	var lastErr error
-	for _, id := range r.replicaOrder(ids, local, prefer) {
-		p := r.byID(id)
-		if p == nil {
-			lastErr = fmt.Errorf("provider: placement references unknown provider %d", id)
-			skips++
-			continue
-		}
-		if p.Down() {
-			lastErr = fmt.Errorf("provider %d: %w", id, ErrProviderDown)
-			skips++
-			continue
-		}
-		data, err := p.Store().Get(key, off, length)
-		r.reportError(id, err)
-		if err == nil {
-			switch {
-			case local == "":
-				r.met.getFlat.Inc()
-			case p.Domain() == local:
-				r.met.getLocal.Inc()
-			default:
-				r.met.getRemote.Inc()
-			}
-			if r.met.getSec != nil {
-				r.met.getSec.ObserveSince(start)
-			}
-			if local != "" {
-				if p.Domain() == local {
-					r.locLocalReads.Add(1)
-					r.locLocalBytes.Add(int64(len(data)))
-				} else {
-					r.locRemoteReads.Add(1)
-					r.locRemoteBytes.Add(int64(len(data)))
-				}
-			}
-			return data, skips, storeErrs, nil
-		}
-		storeErrs++
-		lastErr = fmt.Errorf("provider %d: %w", id, err)
-	}
-	return nil, skips, storeErrs, fmt.Errorf("provider: all %d replicas of %s failed: %w", len(ids), key, lastErr)
-}
-
-// replicaOrder returns the order getFromSet tries a replica set in:
-// rotated by the shared read cursor so replicated read load spreads
-// over all copies, then — when the reader prefers its own domain —
-// stably partitioned with same-domain replicas first. Partitioning
-// preserves the rotation within each group, so load still balances
-// across the local copies; the remote copies remain in the order as
-// failover targets, never dropped.
-func (r *Router) replicaOrder(ids []ID, local string, prefer bool) []ID {
-	start := r.rdNext.Add(1) - 1
-	out := make([]ID, 0, len(ids))
-	for i := 0; i < len(ids); i++ {
-		out = append(out, ids[(start+uint64(i))%uint64(len(ids))])
-	}
-	if !prefer || local == "" || len(out) < 2 {
-		return out
-	}
-	ordered := make([]ID, 0, len(out))
-	for _, id := range out {
-		if r.DomainOf(id) == local {
-			ordered = append(ordered, id)
-		}
-	}
-	if len(ordered) == 0 || len(ordered) == len(out) {
-		return out
-	}
-	for _, id := range out {
-		if r.DomainOf(id) != local {
-			ordered = append(ordered, id)
-		}
-	}
-	return ordered
 }
 
 // maybeNoteDegraded decides whether a read that needed failover should
@@ -1396,25 +1350,6 @@ func (r *Router) maybeNoteDegraded(key chunk.Key, storeErrs int) {
 	if live, want, known := r.ReplicaHealth(key); known && live < want {
 		r.noteDegraded(key)
 	}
-}
-
-// sameIDSet reports whether two replica sets name the same providers,
-// ignoring order.
-func sameIDSet(a, b []ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[ID]int, len(a))
-	for _, id := range a {
-		seen[id]++
-	}
-	for _, id := range b {
-		if seen[id] == 0 {
-			return false
-		}
-		seen[id]--
-	}
-	return true
 }
 
 // setPlacement installs a chunk's new replica set and invalidates any
@@ -1599,67 +1534,19 @@ func (r *Router) RepairChunk(key chunk.Key) (outcome RepairOutcome, copied int, 
 	if r.met.repairSec != nil {
 		start = time.Now()
 	}
-	outcome, copied, err = r.repairChunk(key)
-	if outcome >= RepairHealthy && outcome <= RepairLost {
-		r.met.repairOut[outcome].Inc()
-	}
-	if r.met.repairSec != nil {
-		r.met.repairSec.ObserveSince(start)
-	}
-	return outcome, copied, err
-}
-
-func (r *Router) repairChunk(key chunk.Key) (outcome RepairOutcome, copied int, err error) {
+	defer func() {
+		if outcome >= RepairHealthy && outcome <= RepairLost {
+			r.met.repairOut[outcome].Inc()
+		}
+		if r.met.repairSec != nil {
+			r.met.repairSec.ObserveSince(start)
+		}
+	}()
 	if !r.claimKey(key) {
 		return RepairHealthy, 0, nil
 	}
 	defer r.releaseKey(key)
-	if code := r.codeState(); code != nil {
-		return r.repairCoded(code, key)
-	}
-	want := r.Replicas()
-	ids, ok := r.Locate(key)
-	if !ok {
-		return RepairHealthy, 0, nil
-	}
-	live := r.liveReplicas(key, ids, true, true)
-	if len(live) == len(ids) && len(live) >= want {
-		// Full degree. Restore the domain spread if the set co-locates
-		// while a spare live domain exists, then retire any copies
-		// ABOVE degree (left behind by a spread move whose eviction
-		// failed); otherwise nothing to do.
-		if r.spreadViolatedSet(live) {
-			if moved, merr := r.improveSpread(key, live); merr != nil {
-				return RepairPartial, 0, merr
-			} else if moved {
-				return RepairRepaired, 1, nil
-			}
-		}
-		if len(live) > want {
-			r.trimExcess(key, live, want)
-		}
-		return RepairHealthy, 0, nil
-	}
-	if len(live) == 0 {
-		return RepairLost, 0, fmt.Errorf("provider: chunk %s has no surviving replica", key)
-	}
-	newIDs, rerr := r.rereplicate(key, live, want)
-	if rerr != nil {
-		// Record any copies that DID land before the failure: invisible
-		// copies would be orphans — unreadable, re-copied by the next
-		// repair, and never reclaimed by DeleteReplicas.
-		if len(newIDs) > len(live) {
-			copied = len(newIDs) - len(live)
-			r.setPlacement(key, newIDs)
-		}
-		return RepairPartial, copied, rerr
-	}
-	copied = len(newIDs) - len(live)
-	r.setPlacement(key, newIDs)
-	if len(newIDs) >= want {
-		return RepairRepaired, copied, nil
-	}
-	return RepairPartial, copied, nil
+	return r.placementMode().repair(r, key)
 }
 
 // Repair is the full re-replication pass: it scans the placement map
@@ -1696,59 +1583,6 @@ func (r *Router) Repair() RepairStats {
 		}
 	}
 	return st
-}
-
-// rereplicate copies one chunk from a surviving replica onto enough new
-// providers to restore the replication degree, returning the new
-// replica set (live survivors plus new copies). The survivors' failure
-// domains are handed to the allocator as already-covered, so new
-// copies land in uncovered domains first — a repair after a domain
-// loss restores the spread invariant along with the count.
-func (r *Router) rereplicate(key chunk.Key, live []ID, want int) ([]ID, error) {
-	missing := want - len(live)
-	if missing <= 0 {
-		return live, nil
-	}
-	data, err := r.readFull(key, live)
-	if err != nil {
-		return nil, err
-	}
-	exclude := make(map[ID]bool, len(live))
-	have := make(map[string]int, len(live))
-	for _, id := range live {
-		exclude[id] = true
-		have[r.DomainOf(id)]++
-	}
-	out := append([]ID(nil), live...)
-	var lastErr error
-	// A target whose store fails the copy (a dead machine the health
-	// monitor has not flagged yet) is excluded and allocation retried,
-	// so one repair call converges past flag-lagging losses instead of
-	// waiting for detection. The loop terminates: every round either
-	// places a copy or grows the exclusion set.
-	for missing > 0 {
-		targets, aerr := r.allocateSpread(missing, exclude, have)
-		if aerr != nil {
-			if lastErr == nil {
-				lastErr = aerr
-			}
-			return out, lastErr
-		}
-		for _, p := range targets {
-			exclude[p.ID()] = true
-			err := r.putOne(p, key, data)
-			// Tolerate ErrExists: an earlier partial repair or a
-			// quorum-failed Put may have left a valid copy here.
-			if err != nil && !errors.Is(err, chunk.ErrExists) {
-				lastErr = fmt.Errorf("provider %d: %w", p.ID(), err)
-				continue
-			}
-			out = append(out, p.ID())
-			have[p.Domain()]++
-			missing--
-		}
-	}
-	return out, nil
 }
 
 // liveDomainCount counts failure domains with at least one flag-live
@@ -1873,99 +1707,6 @@ func (r *Router) SpreadAudit() []chunk.Key {
 	return out
 }
 
-// improveSpread moves one replica of a full-degree chunk into a
-// failure domain the set does not cover: copy onto a provider in an
-// uncovered domain, then delete one copy from the most crowded domain.
-// moved is false when no uncovered live domain has a spare provider.
-// A failed delete leaves the extra copy in placement (harmless: one
-// copy above degree); the scrubber re-finds above-degree sets and
-// RepairChunk retires them via trimExcess. Caller holds the chunk's
-// in-flight claim.
-func (r *Router) improveSpread(key chunk.Key, live []ID) (moved bool, err error) {
-	exclude := make(map[ID]bool, len(live))
-	have := make(map[string]int, len(live))
-	for _, id := range live {
-		exclude[id] = true
-		have[r.DomainOf(id)]++
-	}
-	targets, err := r.allocateSpread(1, exclude, have)
-	if err != nil {
-		return false, nil // no spare provider at all; count is intact
-	}
-	target := targets[0]
-	if have[target.Domain()] > 0 {
-		return false, nil // every uncovered domain is down or exhausted
-	}
-	data, err := r.readFull(key, live)
-	if err != nil {
-		return false, err
-	}
-	if err := r.putOne(target, key, data); err != nil && !errors.Is(err, chunk.ErrExists) {
-		return false, err
-	}
-	// Evict one copy from a crowded domain (>= 2 live copies): the new
-	// copy covers a fresh domain, so coverage strictly improves. The
-	// LAST such replica goes, keeping the earliest-written copy in
-	// place.
-	newSet := append([]ID(nil), live...)
-	for i := len(newSet) - 1; i >= 0; i-- {
-		id := newSet[i]
-		if have[r.DomainOf(id)] < 2 {
-			continue
-		}
-		p := r.byID(id)
-		if p == nil || p.Down() {
-			continue
-		}
-		derr := p.Store().Delete(key)
-		r.reportError(id, derr)
-		if derr == nil || errors.Is(derr, chunk.ErrNotFound) {
-			newSet = append(newSet[:i], newSet[i+1:]...)
-		}
-		break
-	}
-	newSet = append(newSet, target.ID())
-	r.setPlacement(key, newSet)
-	return true, nil
-}
-
-// trimExcess deletes copies above the replication degree — left behind
-// when a spread move's eviction failed — keeping coverage by trimming
-// the most crowded domains first (the last replica there goes, as in
-// improveSpread). A failed delete stops the trim; the copy stays
-// recorded and the next scrub pass retries. Caller holds the chunk's
-// in-flight claim.
-func (r *Router) trimExcess(key chunk.Key, live []ID, want int) {
-	out := append([]ID(nil), live...)
-	trimmed := false
-	for len(out) > want {
-		counts := make(map[string]int, len(out))
-		for _, id := range out {
-			counts[r.DomainOf(id)]++
-		}
-		idx, best := -1, -1
-		for i, id := range out {
-			if c := counts[r.DomainOf(id)]; c >= best {
-				idx, best = i, c
-			}
-		}
-		p := r.byID(out[idx])
-		if p == nil || p.Down() {
-			break // unreachable copy; a later pass retries
-		}
-		derr := p.Store().Delete(key)
-		r.reportError(out[idx], derr)
-		if derr != nil && !errors.Is(derr, chunk.ErrNotFound) {
-			break
-		}
-		out = append(out[:idx], out[idx+1:]...)
-		trimmed = true
-	}
-	if trimmed {
-		r.setPlacement(key, out)
-	}
-}
-
 // ErrChunkBusy is returned by DeleteReplicas when the chunk has an
 // in-flight repair; the collector retries on its next pass.
 var ErrChunkBusy = errors.New("provider: chunk has an in-flight repair")
@@ -2056,31 +1797,4 @@ func (r *Router) Usage() []ProviderUsage {
 		out = append(out, ProviderUsage{Provider: p.ID(), Domain: p.Domain(), Chunks: chunks, Bytes: bytes, Down: p.Down()})
 	}
 	return out
-}
-
-// readFull reads a whole chunk from the first surviving replica able to
-// serve it.
-func (r *Router) readFull(key chunk.Key, live []ID) ([]byte, error) {
-	var lastErr error
-	for _, id := range live {
-		p := r.byID(id)
-		if p == nil || p.Down() {
-			continue
-		}
-		size, err := p.Store().Len(key)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, err := p.Store().Get(key, 0, size)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return data, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	return nil, lastErr
 }

@@ -4,17 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/chunk"
 )
 
-// This file is the Router's streaming data plane: chunk writes fed
+// This file is the Router's streaming entry points: chunk writes fed
 // from an io.Reader and chunk reads served as an io.ReadCloser, so the
 // remote framed transport can move payloads socket→store and
-// store→socket without materializing them. Placement, quorum, health
-// reporting and degraded-read accounting are shared with the buffered
-// Put/Get paths; only the payload transport differs.
+// store→socket without materializing them. They run through the same
+// put core and read core as Put and GetFrom (provider.go); only how the
+// bytes enter and leave a store differs.
 
 // DefaultMaxChunkSize bounds the declared size of a streamed chunk put
 // when SetMaxChunkSize was never called. Generous — chunks are
@@ -28,10 +27,10 @@ var ErrChunkTooLarge = errors.New("provider: chunk exceeds max chunk size")
 
 // ChunkTooLargeError rejects a streamed put whose declared size is
 // negative or exceeds the configured bound. The check runs before ANY
-// buffer allocation: the replicated and coded PutStream paths
-// materialize the payload into a size-sized buffer, and the size comes
-// straight from the wire header — an unchecked value would let one
-// corrupt frame force an arbitrary allocation.
+// buffer allocation: a put with more than one target materializes the
+// payload into a size-sized buffer, and the size comes straight from the
+// wire header — an unchecked value would let one corrupt frame force an
+// arbitrary allocation.
 type ChunkTooLargeError struct {
 	Size int64 // declared payload size
 	Max  int64 // configured bound
@@ -63,13 +62,11 @@ func (r *Router) MaxChunkSize() int64 {
 	return r.maxChunk
 }
 
-// PutStream stores a chunk whose payload arrives as a stream of
-// exactly size bytes. With R == 1 (the default) the stream is handed
-// straight to the provider's store — the zero-copy fast path the
-// framed transport exists for. With R > 1, and in coded mode, the
-// payload must be materialized once anyway to fan out to the targets,
-// so the stream is buffered and delegated to the replicated/coded Put
-// path (quorum, health and degraded accounting included). The declared
+// PutStream is Put for a chunk whose payload arrives as a stream of
+// exactly size bytes. With one target (R == 1, the default) the stream
+// is handed straight to the provider's store — the zero-copy path the
+// framed transport exists for; a wider placement needs the bytes in
+// hand to fan them out, so the put core buffers them once. The declared
 // size is bounded by MaxChunkSize before anything is allocated; an
 // oversize or negative size fails with a typed *ChunkTooLargeError.
 // Callers must not retry a failed PutStream with the same reader: the
@@ -78,150 +75,13 @@ func (r *Router) PutStream(key chunk.Key, size int64, rd io.Reader) ([]ID, error
 	if max := r.MaxChunkSize(); size < 0 || size > max {
 		return nil, &ChunkTooLargeError{Size: size, Max: max}
 	}
-	if _, _, coded := r.Coding(); coded || r.Replicas() > 1 {
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(rd, buf); err != nil {
-			return nil, fmt.Errorf("provider: stream %s: %w", key, err)
-		}
-		return r.Put(key, buf)
-	}
-	var start time.Time
-	if r.met.putSec != nil {
-		start = time.Now()
-	}
-	targets, err := r.AllocateN(1)
-	if err != nil {
-		return nil, err
-	}
-	p := targets[0]
-	if p.Down() {
-		return nil, fmt.Errorf("provider: write quorum not met (0/1 copies, need 1): provider %d: %w", p.ID(), ErrProviderDown)
-	}
-	err = p.Store().PutFromReader(key, size, rd)
-	r.reportError(p.ID(), err)
-	if err != nil {
-		return nil, fmt.Errorf("provider: write quorum not met (0/1 copies, need 1): provider %d: %w", p.ID(), err)
-	}
-	stored := []ID{p.ID()}
-	r.place.mu.Lock()
-	r.place.m[key] = stored
-	r.place.mu.Unlock()
-	r.met.putTotal.Inc()
-	r.met.putBytes.Add(size)
-	if r.met.putSec != nil {
-		r.met.putSec.ObserveSince(start)
-	}
-	return stored, nil
+	return r.put(key, payload{size: size, rd: rd})
 }
 
-// OpenReader opens a streaming read over a chunk sub-range, failing
-// over across replicas at open time exactly like Get (down providers
-// skipped, open errors move to the next copy, locality-ordered).
-// Unlike Get, failover covers only the open: once a stream is handed
-// out, a mid-stream error surfaces to the caller, because bytes may
-// already have left for the consumer. The read cache is bypassed —
-// streaming reads exist for payloads too large to cache.
-func (r *Router) OpenReader(key chunk.Key, off, length int64) (io.ReadCloser, error) {
-	if code := r.codeState(); code != nil {
-		return r.openCoded(code, key, off, length)
-	}
-	ids, ok := r.Locate(key)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	rc, skips, storeErrs, err := r.openFromSet(ids, key, off, length)
-	if err != nil {
-		return nil, err
-	}
-	if skips+storeErrs > 0 {
-		r.maybeNoteDegraded(key, storeErrs)
-	}
-	return rc, nil
-}
-
-// OpenFrom opens a streaming read trying the given replica hint first,
-// with the same fallback-to-placement and fresh-set semantics as
-// GetFrom (minus the read cache, which streaming bypasses): a non-nil
-// fresh return means the hint is stale and the caller should replace
-// it.
+// OpenFrom is GetFrom with the bytes leaving as a stream the caller
+// must Close: the same hint, fallback and fresh-set semantics, through
+// the same read core. An empty hint reads from recorded placement.
 func (r *Router) OpenFrom(replicas []ID, key chunk.Key, off, length int64) (rc io.ReadCloser, fresh []ID, err error) {
-	if code := r.codeState(); code != nil {
-		return r.openFromCoded(code, replicas, key, off, length)
-	}
-	if len(replicas) > 0 {
-		rc, skips, storeErrs, err := r.openFromSet(replicas, key, off, length)
-		if err == nil {
-			if skips+storeErrs > 0 {
-				r.maybeNoteDegraded(key, storeErrs)
-				if fresh, ok := r.Locate(key); ok && !sameIDSet(fresh, replicas) {
-					return rc, fresh, nil
-				}
-			}
-			return rc, nil, nil
-		}
-	}
-	ids, ok := r.Locate(key)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	rc, skips, storeErrs, oerr := r.openFromSet(ids, key, off, length)
-	if oerr != nil {
-		return nil, nil, oerr
-	}
-	if skips+storeErrs > 0 {
-		r.maybeNoteDegraded(key, storeErrs)
-	}
-	return rc, ids, nil
-}
-
-// openFromSet is getFromSet's streaming twin: try each replica in
-// preference order, return the first successfully opened stream with
-// the same failover accounting, feeding the health monitor and
-// locality counters.
-func (r *Router) openFromSet(ids []ID, key chunk.Key, off, length int64) (rc io.ReadCloser, skips, storeErrs int, err error) {
-	if len(ids) == 0 {
-		return nil, 0, 0, fmt.Errorf("%w: %s (empty replica set)", chunk.ErrNotFound, key)
-	}
-	var start time.Time
-	if r.met.getSec != nil {
-		start = time.Now()
-	}
-	local, prefer := r.readLocality()
-	var lastErr error
-	for _, id := range r.replicaOrder(ids, local, prefer) {
-		p := r.byID(id)
-		if p == nil {
-			lastErr = fmt.Errorf("provider: placement references unknown provider %d", id)
-			skips++
-			continue
-		}
-		if p.Down() {
-			lastErr = fmt.Errorf("provider %d: %w", id, ErrProviderDown)
-			skips++
-			continue
-		}
-		rc, err := p.Store().OpenReader(key, off, length)
-		r.reportError(id, err)
-		if err == nil {
-			switch {
-			case local == "":
-				r.met.getFlat.Inc()
-			case p.Domain() == local:
-				r.met.getLocal.Inc()
-				r.locLocalReads.Add(1)
-				r.locLocalBytes.Add(length)
-			default:
-				r.met.getRemote.Inc()
-				r.locRemoteReads.Add(1)
-				r.locRemoteBytes.Add(length)
-			}
-			if r.met.getSec != nil {
-				r.met.getSec.ObserveSince(start)
-			}
-			return rc, skips, storeErrs, nil
-		}
-		lastErr = fmt.Errorf("provider %d: %w", id, err)
-		storeErrs++
-	}
-	return nil, skips, storeErrs, fmt.Errorf("provider: all %d replicas failed for %s: %w", len(ids), key, lastErr)
+	out, fresh, err := r.read(replicas, chunkRead{key: key, off: off, length: length, stream: true})
+	return out.rc, fresh, err
 }

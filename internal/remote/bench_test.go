@@ -31,7 +31,7 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
-// gobConnsPerClient is what Dial opens before any chunk moves: one gob
+// gobConnsPerClient is what DialFramed opens before any chunk moves: one gob
 // connection each for the VM, Meta and Data endpoints.
 const gobConnsPerClient = 3
 
@@ -265,7 +265,7 @@ func BenchmarkFramedPut1MiBWindow8(b *testing.B) {
 func BenchmarkNodePutParallel(b *testing.B) {
 	reg := metrics.NewRegistry()
 	_, ep := startCountedNode(b, "null://", reg)
-	c, err := Dial(ep)
+	c, err := DialFramed(ep)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func BenchmarkNodePutParallel(b *testing.B) {
 func BenchmarkNodeGetSerial(b *testing.B) {
 	reg := metrics.NewRegistry()
 	_, ep := startCountedNode(b, "null://", reg)
-	c, err := Dial(ep)
+	c, err := DialFramed(ep)
 	if err != nil {
 		b.Fatal(err)
 	}

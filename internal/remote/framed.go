@@ -1,15 +1,16 @@
-// Framed data plane: a binary wire protocol for PutChunk/GetChunk that
-// streams chunk payloads in length-prefixed frames instead of encoding
-// them as one gob []byte. Control RPCs (tickets, metadata, admin) stay
-// on gob — only the bulk-byte path changes, because that is where
+// Framed data plane: the binary wire protocol that carries chunk
+// payloads — every Put, Get and GetFrom of a Client — streaming them in
+// length-prefixed frames instead of encoding them as one gob []byte.
+// It is the only transport for chunk bytes. Control RPCs (tickets,
+// metadata, admin) stay on gob: the bulk-byte path is where
 // serialization cost and the lack of pipelining dominate large-object
 // throughput.
 //
-// Negotiation is per-connection: a framed client opens its data
-// connection by sending the 4-byte magic "BSD1"; the server peeks the
-// first bytes of every accepted connection and routes magic-led ones to
-// the framed loop, everything else to the gob RPC server. Old clients
-// never see a difference.
+// Negotiation is per-connection: a client opens each data connection by
+// sending the 4-byte magic "BSD1"; the server peeks the first bytes of
+// every accepted connection and routes magic-led ones to the framed
+// loop, everything else to the gob RPC server that answers the control
+// calls.
 //
 // Wire format (all integers little-endian, matching chunk.Ref):
 //
@@ -238,8 +239,8 @@ func readIDList(r *bufio.Reader, n int) ([]provider.ID, error) {
 
 // frameBodyReader adapts a framed put body to io.Reader, so the store's
 // PutFromReader consumes payload bytes straight off the connection —
-// the zero-copy path: socket buffer → store writer, no gob
-// materialization in between. It also feeds the per-frame metrics. A
+// the zero-copy path: socket buffer → store writer, nothing
+// materialized in between. It also feeds the per-frame metrics. A
 // connection has one, reset per put.
 type frameBodyReader struct {
 	r       *bufio.Reader
@@ -424,16 +425,7 @@ func (s *framedServer) servePut(body *frameBodyReader, bw *bufio.Writer, h frame
 }
 
 func (s *framedServer) serveGet(conn net.Conn, bw *bufio.Writer, h frameHeader) error {
-	var (
-		rc    io.ReadCloser
-		fresh []provider.ID
-		err   error
-	)
-	if len(h.replicas) > 0 {
-		rc, fresh, err = s.r.OpenFrom(h.replicas, h.key, h.off, h.length)
-	} else {
-		rc, err = s.r.OpenReader(h.key, h.off, h.length)
-	}
+	rc, fresh, err := s.r.OpenFrom(h.replicas, h.key, h.off, h.length)
 	if err != nil {
 		return writeErrReply(bw, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"net/rpc"
 	"slices"
 	"strings"
 	"sync"
@@ -23,22 +24,12 @@ import (
 	"repro/internal/vmanager"
 )
 
-func dialFramedClient(t *testing.T, ep Endpoints) *Client {
-	t.Helper()
-	c, err := DialFramed(ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 // TestFramedChunkRoundTrip drives Put/Get/GetFrom over the framed wire
 // against a live node and checks payload fidelity for both a
 // sub-frame-sized chunk and one spanning several frames.
 func TestFramedChunkRoundTrip(t *testing.T) {
 	_, ep := startNode(t)
-	c := dialFramedClient(t, ep)
+	c := dialClient(t, ep)
 
 	for i, size := range []int{100, maxFrame*2 + 7777} {
 		key := chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}
@@ -91,7 +82,7 @@ func TestFramedErrorsKeepConnection(t *testing.T) {
 	}
 	defer node.Close()
 	ep := Endpoints{VM: node.Addr(), Meta: node.Addr(), Data: node.Addr()}
-	c := dialFramedClient(t, ep)
+	c := dialClient(t, ep)
 
 	key := chunk.Key{Blob: 2, Version: 1, Index: 0}
 	data := bytes.Repeat([]byte("x"), 4096)
@@ -111,15 +102,17 @@ func TestFramedErrorsKeepConnection(t *testing.T) {
 	}
 }
 
-// TestFramedAndGobCoexist pins the negotiation: a gob client and a
-// framed client share one node, and a full blob write/read cycle works
-// through each.
+// TestFramedAndGobCoexist pins the negotiation: gob control calls and
+// framed chunk transfers share one node and one port, so a full blob
+// write/read cycle — tickets and nodes by gob, payloads framed — and an
+// admin call work side by side, from two clients at once; and the gob
+// service no longer has a payload method for a client from before the
+// framed plane was the only one to find.
 func TestFramedAndGobCoexist(t *testing.T) {
 	_, ep := startNode(t)
-	gobC := dialClient(t, ep)
-	frC := dialFramedClient(t, ep)
+	c1, c2 := dialClient(t, ep), dialClient(t, ep)
 
-	for i, c := range []*Client{gobC, frC} {
+	for i, c := range []*Client{c1, c2} {
 		b, err := blob.Create(c.Services(), uint64(i+1), segtree.Geometry{Capacity: 1 << 20, Page: 4096})
 		if err != nil {
 			t.Fatal(err)
@@ -133,10 +126,12 @@ func TestFramedAndGobCoexist(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("client %d read: %v", i, err)
 		}
+		if us, err := c.Usage(); err != nil || len(us) != 3 {
+			t.Fatalf("client %d usage over gob beside framed transfers: %v, %v", i, us, err)
+		}
 	}
-	// Cross-visibility: the framed client reads the blob the gob client
-	// wrote.
-	b, err := blob.Open(frC.Services(), 1)
+	// Cross-visibility: the second client reads the blob the first wrote.
+	b, err := blob.Open(c2.Services(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +141,21 @@ func TestFramedAndGobCoexist(t *testing.T) {
 	}
 	got, err := b.ReadAt(info.Version, 0, 64<<10)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{1}, 64<<10)) {
-		t.Fatalf("cross-protocol read: %v", err)
+		t.Fatalf("cross-client read: %v", err)
+	}
+
+	old, err := rpc.Dial("tcp", ep.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	var ids []provider.ID
+	err = old.Call("Data.PutChunk", &struct {
+		Key  chunk.Key
+		Data []byte
+	}{Data: []byte("x")}, &ids)
+	if err == nil || !strings.Contains(err.Error(), "can't find method Data.PutChunk") {
+		t.Fatalf("gob payload put = %v, want rpc's can't-find-method error", err)
 	}
 }
 
@@ -166,7 +175,7 @@ func TestFramedMetrics(t *testing.T) {
 	}
 	defer node.Close()
 	ep := Endpoints{VM: node.Addr(), Meta: node.Addr(), Data: node.Addr()}
-	c := dialFramedClient(t, ep)
+	c := dialClient(t, ep)
 
 	key := chunk.Key{Blob: 3, Version: 1, Index: 0}
 	data := make([]byte, maxFrame+1000) // two frames up, two frames back
@@ -247,7 +256,7 @@ func TestFramedPoolSurvivesNodeRestart(t *testing.T) {
 	}
 	addr := node.Addr()
 	ep := Endpoints{VM: addr, Meta: addr, Data: addr}
-	c := dialFramedClient(t, ep)
+	c := dialClient(t, ep)
 
 	key1 := chunk.Key{Blob: 1, Version: 1, Index: 0}
 	data := bytes.Repeat([]byte("durable"), 1000)
@@ -491,7 +500,7 @@ func TestTrainsMatchRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	c := dialFramedClient(t, Endpoints{VM: node.Addr(), Meta: node.Addr(), Data: node.Addr()})
+	c := dialClient(t, Endpoints{VM: node.Addr(), Meta: node.Addr(), Data: node.Addr()})
 	reg := metrics.NewRegistry()
 	c.SetMetrics(reg)
 
@@ -574,7 +583,7 @@ func TestFramedCodedRoundTrip(t *testing.T) {
 	}
 	defer node.Close()
 	ep := Endpoints{VM: node.Addr(), Meta: node.Addr(), Data: node.Addr()}
-	c := dialFramedClient(t, ep)
+	c := dialClient(t, ep)
 
 	key := chunk.Key{Blob: 5, Version: 1, Index: 0}
 	data := make([]byte, maxFrame+12345)

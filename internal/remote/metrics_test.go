@@ -14,8 +14,9 @@ import (
 )
 
 // A node hosting the metrics role must answer the Node.Metrics RPC
-// with a Prometheus exposition covering both the instrumented
-// components and the per-method RPC counters the counting codec adds.
+// with a Prometheus exposition covering the instrumented components,
+// the per-method RPC counters the counting codec adds, and the framed
+// plane's request counters (chunk payloads are not RPCs).
 func TestMetricsOverRPC(t *testing.T) {
 	reg := metrics.NewRegistry()
 	vm := vmanager.New(iosim.CostModel{})
@@ -51,7 +52,7 @@ func TestMetricsOverRPC(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE bs_rpc_requests_total counter",
 		`bs_rpc_requests_total{method="VM.AssignTicket"}`,
-		`bs_rpc_requests_total{method="Data.PutChunk"}`,
+		`bs_data_requests_total{op="put"} 1`,
 		"bs_vm_ticket_total 1",
 		"bs_chunk_put_total 1",
 	} {

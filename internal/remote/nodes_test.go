@@ -331,11 +331,11 @@ func TestPropReadListOverFramedClients(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		_, ep := startNode(t)
-		w, err := blob.Create(dialFramedClient(t, ep).Services(), 1, geo)
+		w, err := blob.Create(dialClient(t, ep).Services(), 1, geo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := blob.Open(dialFramedClient(t, ep).Services(), 1)
+		r, err := blob.Open(dialClient(t, ep).Services(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

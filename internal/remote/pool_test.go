@@ -30,6 +30,16 @@ func TestFramedPoolIsBounded(t *testing.T) {
 	c.SetMetrics(reg)
 	payload := bytes.Repeat([]byte{0x5A}, 32<<10)
 
+	// The pool dials on first use: control calls alone open no framed
+	// connection.
+	waitFor(t, "the three gob connections", func() bool { return lis.accepted.Load() == gobConnsPerClient })
+	if _, err := c.Usage(); err != nil {
+		t.Fatal(err)
+	}
+	if n := lis.accepted.Load(); n != gobConnsPerClient || reg.Snapshot()["bs_data_dials_total"] != 0 {
+		t.Fatalf("a client that moved no chunk has %d connections, want the %d gob ones", n, gobConnsPerClient)
+	}
+
 	if err := putWave(c, 1, 200, payload); err != nil {
 		t.Fatalf("first wave: %v", err)
 	}

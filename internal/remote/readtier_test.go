@@ -42,8 +42,9 @@ func TestReadTierOverRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read twice: the first fills the server-side cache, the second
-	// hits it.
+	// Read twice. Both reads reach a replica: a remote reader's gets are
+	// stream reads, which bypass the server-side cache (the cache's own
+	// fill-then-hit behaviour is internal/provider's to test, in-process).
 	for i := 0; i < 2; i++ {
 		got, err := b.ReadAt(v, 0, int64(len(payload)))
 		if err != nil {
@@ -64,11 +65,8 @@ func TestReadTierOverRPC(t *testing.T) {
 	if !rt.CacheEnabled {
 		t.Fatal("cache reported off")
 	}
-	if rt.Cache.Fills == 0 || rt.Cache.Hits == 0 {
-		t.Fatalf("cache counters empty after a repeat read: %+v", rt.Cache)
-	}
-	if got := rt.Locality.LocalReads + rt.Locality.RemoteReads; got == 0 {
-		t.Fatal("locality counted no replica reads")
+	if got := rt.Locality.LocalReads + rt.Locality.RemoteReads; got < 2 {
+		t.Fatalf("locality counted %d replica reads, want both", got)
 	}
 
 	// A node without the tier answers too, reporting it off.

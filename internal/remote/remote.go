@@ -1,9 +1,11 @@
-// Package remote exposes the storage services over TCP using the
-// standard library's net/rpc with gob encoding, so the
+// Package remote exposes the storage services over TCP, so the
 // BlobSeer-equivalent service can run as real distributed processes
 // (cmd/blobseerd) while clients use the same blob.Services interfaces
-// as the in-process wiring. One server process can host any subset of
-// the three roles: version manager, metadata provider, data provider.
+// as the in-process wiring. Control calls — versions, metadata nodes,
+// administration — are the standard library's net/rpc with gob
+// encoding; chunk payloads travel on the framed plane (framed.go), the
+// one transport for chunk bytes. One server process can host any subset
+// of the three roles: version manager, metadata provider, data provider.
 package remote
 
 import (
@@ -246,65 +248,16 @@ type MetaServer struct {
 
 // --- Data service ---
 
-// DataServer exposes a provider.Router over RPC, plus — when the node
-// runs the self-healing loop — its health monitor and healer, and —
-// when it runs the garbage collector — its reaper.
+// DataServer exposes a provider.Router's control surface over RPC —
+// repair, provider flags, audits, statistics; chunk bytes travel on the
+// framed plane — plus, when the node runs the self-healing loop, its
+// health monitor and healer, and, when it runs the garbage collector,
+// its reaper.
 type DataServer struct {
 	R *provider.Router
 	H *provider.HealthMonitor // nil unless self-heal enabled
 	E *core.Healer            // nil unless self-heal enabled
 	G *core.Reaper            // nil unless GC enabled
-}
-
-// PutChunkArgs stores one chunk.
-type PutChunkArgs struct {
-	Key  chunk.Key
-	Data []byte
-}
-
-// PutChunk RPC. The reply is the replica set: the providers that hold
-// a copy after the quorum write.
-func (s *DataServer) PutChunk(a *PutChunkArgs, reply *[]provider.ID) error {
-	ids, err := s.R.Put(a.Key, a.Data)
-	if err != nil {
-		return err
-	}
-	*reply = ids
-	return nil
-}
-
-// GetChunkArgs reads a chunk sub-range. Replicas, when non-empty, is
-// the write-time replica hint from metadata: the server tries those
-// copies first and fails over before consulting its placement map.
-type GetChunkArgs struct {
-	Key         chunk.Key
-	Off, Length int64
-	Replicas    []provider.ID
-}
-
-// GetChunkReply carries the data plus, when the caller's replica hint
-// was stale, the current replica set so the client can cache it.
-type GetChunkReply struct {
-	Data  []byte
-	Fresh []provider.ID
-}
-
-// GetChunk RPC.
-func (s *DataServer) GetChunk(a *GetChunkArgs, reply *GetChunkReply) error {
-	if len(a.Replicas) > 0 {
-		data, fresh, err := s.R.GetFrom(a.Replicas, a.Key, a.Off, a.Length)
-		if err != nil {
-			return err
-		}
-		reply.Data, reply.Fresh = data, fresh
-		return nil
-	}
-	data, err := s.R.Get(a.Key, a.Off, a.Length)
-	if err != nil {
-		return err
-	}
-	reply.Data = data
-	return nil
 }
 
 // RepairArgs triggers a re-replication pass.
@@ -743,9 +696,9 @@ type Client struct {
 	// Meta.Nodes requests on the meta connection (nodes.go).
 	nodes nodeCombiner
 
-	// pool, when non-nil (DialFramed), carries PutChunk/GetChunk over
-	// the framed data plane on a pool of dedicated connections; control
-	// RPCs stay on the gob connections above.
+	// pool carries Put/Get/GetFrom over the framed data plane on its
+	// own connections to the data endpoint; control RPCs stay on the gob
+	// connections above.
 	pool *framedPool
 }
 
@@ -757,9 +710,15 @@ type Endpoints struct {
 	Data string
 }
 
-// Dial connects to all three endpoints.
-func Dial(ep Endpoints) (*Client, error) {
-	c := &Client{}
+// DialFramed connects to all three endpoints for control RPCs, which
+// are gob, and carries the chunk data path — Put/Get/GetFrom — on the
+// framed wire protocol: payloads stream in frames over a small pool of
+// dedicated connections to the data endpoint, concurrent calls sharing a
+// connection's round trips as trains. The pool dials on first use, so a
+// client that makes only control calls opens no framed connection. The
+// server negotiates per connection; both kinds arrive on one port.
+func DialFramed(ep Endpoints) (*Client, error) {
+	c := &Client{pool: newFramedPool(ep.Data)}
 	var err error
 	if c.vm, err = rpc.Dial("tcp", ep.VM); err != nil {
 		return nil, fmt.Errorf("remote: dial vm %s: %w", ep.VM, err)
@@ -777,22 +736,6 @@ func Dial(ep Endpoints) (*Client, error) {
 	return c, nil
 }
 
-// DialFramed connects like Dial but moves the chunk data path onto the
-// framed wire protocol: Put/Get/GetFrom stream payloads in frames over
-// a small pool of dedicated data connections, concurrent calls sharing
-// a connection's round trips as trains (so transfers pipeline instead
-// of serializing on one gob stream), while every control RPC stays
-// gob. The server negotiates per connection, so
-// framed and gob clients coexist against the same node.
-func DialFramed(ep Endpoints) (*Client, error) {
-	c, err := Dial(ep)
-	if err != nil {
-		return nil, err
-	}
-	c.pool = newFramedPool(ep.Data)
-	return c, nil
-}
-
 // SetMetrics registers the framed plane's client-side series in reg:
 // bs_data_dials_total, the connections it dials (flat in steady state —
 // the pool redials only after a peer restart), and the histogram
@@ -800,10 +743,8 @@ func DialFramed(ep Endpoints) (*Client, error) {
 // (1 throughout means callers never outnumber connections). Call it
 // before the first chunk transfer.
 func (c *Client) SetMetrics(reg *metrics.Registry) {
-	if c.pool != nil {
-		c.pool.dials = reg.Counter("bs_data_dials_total")
-		c.pool.trainOps = reg.Histogram("bs_data_train_ops", trainBuckets())
-	}
+	c.pool.dials = reg.Counter("bs_data_dials_total")
+	c.pool.trainOps = reg.Histogram("bs_data_train_ops", trainBuckets())
 }
 
 // Close terminates all connections: the control connections and the
@@ -814,9 +755,7 @@ func (c *Client) SetMetrics(reg *metrics.Registry) {
 // rpc.ErrShutdown, node calls queued behind an in-flight request
 // included.
 func (c *Client) Close() error {
-	if c.pool != nil {
-		c.pool.close()
-	}
+	c.pool.close()
 	return errors.Join(c.vm.Close(), c.meta.Close(), c.data.Close())
 }
 
@@ -920,40 +859,23 @@ func (c *Client) MarkReclaimed(blobID, v uint64) error {
 	return c.vm.Call(vmService+".MarkReclaimed", &SnapshotArgs{Blob: blobID, Version: v}, &struct{}{})
 }
 
-// Put implements blob.DataService, over the framed plane when the
-// client dialed with DialFramed.
+// Put implements blob.DataService over the framed plane.
 func (c *Client) Put(key chunk.Key, data []byte) ([]provider.ID, error) {
-	if c.pool != nil {
-		return c.pool.put(key, data)
-	}
-	var ids []provider.ID
-	err := c.data.Call(dataService+".PutChunk", &PutChunkArgs{Key: key, Data: data}, &ids)
-	return ids, err
+	return c.pool.put(key, data)
 }
 
-// Get implements blob.DataService, over the framed plane when the
-// client dialed with DialFramed.
+// Get implements blob.DataService over the framed plane.
 func (c *Client) Get(key chunk.Key, off, length int64) ([]byte, error) {
-	if c.pool != nil {
-		data, _, err := c.pool.get(nil, key, off, length)
-		return data, err
-	}
-	var reply GetChunkReply
-	err := c.data.Call(dataService+".GetChunk", &GetChunkArgs{Key: key, Off: off, Length: length}, &reply)
-	return reply.Data, err
+	data, _, err := c.pool.get(nil, key, off, length)
+	return data, err
 }
 
-// GetFrom implements blob.DataService: a read carrying the replica
-// hint recorded in metadata, served with server-side failover. A
-// non-nil fresh replica set means the hint was stale and the caller
-// should cache the returned set.
+// GetFrom implements blob.DataService over the framed plane: a read
+// carrying the replica hint recorded in metadata, served with
+// server-side failover. A non-nil fresh replica set means the hint was
+// stale and the caller should cache the returned set.
 func (c *Client) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
-	if c.pool != nil {
-		return c.pool.get(replicas, key, off, length)
-	}
-	var reply GetChunkReply
-	err := c.data.Call(dataService+".GetChunk", &GetChunkArgs{Key: key, Off: off, Length: length, Replicas: replicas}, &reply)
-	return reply.Data, reply.Fresh, err
+	return c.pool.get(replicas, key, off, length)
 }
 
 // Repair runs a re-replication pass on the data node and returns its
@@ -1000,7 +922,6 @@ func (c *Client) Scrub(sync bool) (core.HealerStats, error) {
 	return st, err
 }
 
-// Usage returns the data node's per-provider space accounting.
 // Coding reports the data node's chunk placement mode (erasure coding
 // vs replication) and effective write quorum.
 func (c *Client) Coding() (CodingReply, error) {
@@ -1009,6 +930,7 @@ func (c *Client) Coding() (CodingReply, error) {
 	return rep, err
 }
 
+// Usage returns the data node's per-provider space accounting.
 func (c *Client) Usage() ([]provider.ProviderUsage, error) {
 	var us []provider.ProviderUsage
 	err := c.data.Call(dataService+".Usage", &UsageArgs{}, &us)

@@ -36,7 +36,7 @@ func startNode(t *testing.T) (*Node, Endpoints) {
 
 func dialClient(t *testing.T, ep Endpoints) *Client {
 	t.Helper()
-	c, err := Dial(ep)
+	c, err := DialFramed(ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestListenValidation(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial(Endpoints{VM: "127.0.0.1:1", Meta: "127.0.0.1:1", Data: "127.0.0.1:1"}); err == nil {
+	if _, err := DialFramed(Endpoints{VM: "127.0.0.1:1", Meta: "127.0.0.1:1", Data: "127.0.0.1:1"}); err == nil {
 		t.Fatal("dialing a closed port must fail")
 	}
 }
@@ -92,7 +92,7 @@ func TestRemoteNonContiguousAtomicWrite(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			// Each writer uses its own connection, like a real client.
-			cw, err := Dial(ep)
+			cw, err := DialFramed(ep)
 			if err != nil {
 				t.Error(err)
 				return
@@ -181,7 +181,7 @@ func TestSplitRoleNodes(t *testing.T) {
 	}
 	defer dataNode.Close()
 
-	c, err := Dial(Endpoints{VM: vmNode.Addr(), Meta: metaNode.Addr(), Data: dataNode.Addr()})
+	c, err := DialFramed(Endpoints{VM: vmNode.Addr(), Meta: metaNode.Addr(), Data: dataNode.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
