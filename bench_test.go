@@ -1,13 +1,12 @@
-// Root benchmark suite: one testing.B benchmark per experiment in
-// EXPERIMENTS.md (E1–E6). Each benchmark iteration runs one complete
-// experiment cell on the metered (simulated-hardware) environment and
-// reports aggregated throughput as the custom metric MB/s — the
-// quantity the paper's evaluation plots. Run with:
+// Root benchmark suite: one testing.B benchmark per experiment of the
+// paper's evaluation (E1–E7), over the same cells cmd/benchall runs
+// with -quick — the matrices are internal/experiments', read here, not
+// re-typed. Each benchmark iteration runs one complete experiment cell
+// on the metered (simulated-hardware) environment and reports
+// aggregated throughput as the custom metric MB/s — the quantity the
+// paper's evaluation plots. Run with:
 //
 //	go test -bench=. -benchmem
-//
-// cmd/benchall runs the same experiments over the full parameter
-// matrix and renders the EXPERIMENTS.md tables.
 package repro_test
 
 import (
@@ -16,25 +15,17 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
+	"repro/internal/experiments"
 	"repro/internal/workload"
 )
 
-// overlapSpec is the standard E1 workload cell scaled for bench runs.
-func overlapSpec(clients int) workload.OverlapSpec {
-	return workload.OverlapSpec{
-		Clients:         clients,
-		Regions:         32,
-		RegionSize:      64 << 10,
-		OverlapFraction: 0.75,
-	}
-}
-
-func reportOverlap(b *testing.B, kind bench.SystemKind, env cluster.Env, spec workload.OverlapSpec) {
+// reportMBps runs one cell b.N times and reports its mean throughput.
+func reportMBps(b *testing.B, run func() (bench.Result, error)) {
 	b.Helper()
 	var mbps float64
 	var bytes int64
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunOverlap(kind, env, spec, bench.OverlapOptions{Iterations: 2, Warmup: 1})
+		res, err := run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,52 +36,37 @@ func reportOverlap(b *testing.B, kind bench.SystemKind, env cluster.Env, spec wo
 	b.ReportMetric(mbps/float64(b.N), "MB/s")
 }
 
-// BenchmarkE1AtomicScalability reproduces the paper's first experiment:
-// aggregated throughput of concurrent atomic overlapped non-contiguous
-// writes, versioning vs the locking baselines.
-func BenchmarkE1AtomicScalability(b *testing.B) {
-	for _, clients := range []int{1, 8, 32} {
-		for _, kind := range []bench.SystemKind{bench.Versioning, bench.LockBounding, bench.LockWholeFile} {
-			b.Run(fmt.Sprintf("clients=%d/%s", clients, kind), func(b *testing.B) {
-				reportOverlap(b, kind, cluster.Metered(), overlapSpec(clients))
+// benchSweep benchmarks every cell x system of an overlap sweep.
+func benchSweep(b *testing.B, s experiments.OverlapSweep) {
+	for _, cell := range s.Cells(true) {
+		for _, kind := range s.Systems {
+			b.Run(fmt.Sprintf("%s=%s/%s", s.Param, cell.Value, kind), func(b *testing.B) {
+				reportMBps(b, func() (bench.Result, error) {
+					return bench.RunOverlap(kind, cell.Env, cell.Spec, cell.Opts)
+				})
 			})
 		}
 	}
 }
 
+// BenchmarkE1AtomicScalability reproduces the paper's first experiment:
+// aggregated throughput of concurrent atomic overlapped non-contiguous
+// writes, versioning vs the locking baselines.
+func BenchmarkE1AtomicScalability(b *testing.B) { benchSweep(b, experiments.E1) }
+
 // BenchmarkE2MPITileIO reproduces the paper's second experiment: the
 // MPI-tile-IO benchmark with overlapping tiles under atomic mode.
 func BenchmarkE2MPITileIO(b *testing.B) {
-	spec := workload.TileSpec{
-		TilesX: 4, TilesY: 4,
-		TileX: 64, TileY: 64,
-		ElementSize: 32,
-		OverlapX:    16, OverlapY: 16,
-	}
+	m := experiments.E2
 	for _, collective := range []bool{false, true} {
-		mode := "independent"
-		if collective {
-			mode = "collective"
-		}
-		for _, kind := range []bench.SystemKind{bench.Versioning, bench.LockBounding} {
-			b.Run(fmt.Sprintf("%s/%s", mode, kind), func(b *testing.B) {
-				var mbps float64
-				var bytes int64
-				for i := 0; i < b.N; i++ {
-					res, err := bench.RunTile(kind, cluster.Metered(), spec, bench.TileOptions{
-						Collective: collective,
-						Iterations: 2,
-						Warmup:     1,
+		for _, g := range m.Grids(true) {
+			for _, kind := range m.Systems {
+				b.Run(fmt.Sprintf("%s/grid=%d/%s", experiments.TileMode(collective), g, kind), func(b *testing.B) {
+					reportMBps(b, func() (bench.Result, error) {
+						return bench.RunTile(kind, cluster.Metered(), m.Spec(g), m.Opts(collective))
 					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					mbps += res.MBps
-					bytes += res.Bytes
-				}
-				b.SetBytes(bytes / int64(b.N))
-				b.ReportMetric(mbps/float64(b.N), "MB/s")
-			})
+				})
+			}
 		}
 	}
 }
@@ -98,73 +74,39 @@ func BenchmarkE2MPITileIO(b *testing.B) {
 // BenchmarkE3RegionsSweep measures the cost of growing the number of
 // non-contiguous regions per call (locking cost grows; versioning is
 // insensitive).
-func BenchmarkE3RegionsSweep(b *testing.B) {
-	for _, regions := range []int{4, 64} {
-		for _, kind := range []bench.SystemKind{bench.Versioning, bench.LockBounding, bench.LockList} {
-			b.Run(fmt.Sprintf("regions=%d/%s", regions, kind), func(b *testing.B) {
-				spec := workload.OverlapSpec{
-					Clients:         16,
-					Regions:         regions,
-					RegionSize:      16 << 10,
-					OverlapFraction: 0.75,
-				}
-				reportOverlap(b, kind, cluster.Metered(), spec)
-			})
-		}
-	}
-}
+func BenchmarkE3RegionsSweep(b *testing.B) { benchSweep(b, experiments.E3) }
 
 // BenchmarkE4OverlapSweep measures sensitivity to the overlap fraction
 // (conflict detection wins at zero overlap, loses under full overlap;
 // versioning is flat).
-func BenchmarkE4OverlapSweep(b *testing.B) {
-	for _, f := range []float64{0, 1} {
-		for _, kind := range []bench.SystemKind{bench.Versioning, bench.LockBounding, bench.LockConflictDetect} {
-			b.Run(fmt.Sprintf("overlap=%.0f%%/%s", f*100, kind), func(b *testing.B) {
-				spec := workload.OverlapSpec{
-					Clients:         16,
-					Regions:         32,
-					RegionSize:      64 << 10,
-					OverlapFraction: f,
-				}
-				reportOverlap(b, kind, cluster.Metered(), spec)
-			})
-		}
-	}
-}
+func BenchmarkE4OverlapSweep(b *testing.B) { benchSweep(b, experiments.E4) }
 
 // BenchmarkE5StripingSweep measures the effect of the striping width
 // (the paper's data-striping design principle).
-func BenchmarkE5StripingSweep(b *testing.B) {
-	for _, providers := range []int{1, 4, 16} {
-		for _, kind := range []bench.SystemKind{bench.Versioning, bench.LockBounding} {
-			b.Run(fmt.Sprintf("providers=%d/%s", providers, kind), func(b *testing.B) {
-				env := cluster.Metered()
-				env.Providers = providers
-				reportOverlap(b, kind, env, overlapSpec(16))
-			})
-		}
-	}
-}
+func BenchmarkE5StripingSweep(b *testing.B) { benchSweep(b, experiments.E5) }
 
 // BenchmarkE6HeadlineRatio reports the headline number: the ratio of
-// versioning to lock-bounding aggregated throughput at 32 clients.
-// The paper claims 3.5x-10x across its setups.
+// versioning to lock-bounding aggregated throughput. The paper claims
+// 3.5x-10x across its setups.
 func BenchmarkE6HeadlineRatio(b *testing.B) {
-	spec := overlapSpec(32)
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		v, err := bench.RunOverlap(bench.Versioning, cluster.Metered(), spec, bench.OverlapOptions{Iterations: 2, Warmup: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		l, err := bench.RunOverlap(bench.LockBounding, cluster.Metered(), spec, bench.OverlapOptions{Iterations: 2, Warmup: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio += bench.Ratio(v.MBps, l.MBps)
+	s := experiments.E6
+	for _, cell := range s.Cells(true) {
+		b.Run(fmt.Sprintf("%s=%s", s.Param, cell.Value), func(b *testing.B) {
+			var ratio float64
+			for i := 0; i < b.N; i++ {
+				var mbps [2]float64
+				for j, kind := range s.Systems {
+					res, err := bench.RunOverlap(kind, cell.Env, cell.Spec, cell.Opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					mbps[j] = res.MBps
+				}
+				ratio += bench.Ratio(mbps[0], mbps[1])
+			}
+			b.ReportMetric(ratio/float64(b.N), "x-speedup")
+		})
 	}
-	b.ReportMetric(ratio/float64(b.N), "x-speedup")
 }
 
 // BenchmarkE7ProducerConsumer measures concurrent writers + full-file
@@ -172,29 +114,25 @@ func BenchmarkE6HeadlineRatio(b *testing.B) {
 // write storm; locking readers queue behind exclusive writer locks
 // (the paper's future-work argument for application-level versioning).
 func BenchmarkE7ProducerConsumer(b *testing.B) {
-	spec := bench.MixedSpec{
-		Writers: 8, Readers: 4,
-		WriteCalls: 2, ReadCalls: 2,
-		Pattern: workload.OverlapSpec{
-			Regions: 32, RegionSize: 64 << 10, OverlapFraction: 0.75,
-		},
-	}
-	for _, kind := range []bench.SystemKind{bench.Versioning, bench.LockBounding} {
-		b.Run(kind.String(), func(b *testing.B) {
-			var readMBps, writeMBps, readLatMs float64
-			for i := 0; i < b.N; i++ {
-				res, err := bench.RunMixed(kind, cluster.Metered(), spec)
-				if err != nil {
-					b.Fatal(err)
+	m := experiments.E7
+	for _, readers := range m.Readers(true) {
+		for _, kind := range m.Systems {
+			b.Run(fmt.Sprintf("readers=%d/%s", readers, kind), func(b *testing.B) {
+				var readMBps, writeMBps, readLatMs float64
+				for i := 0; i < b.N; i++ {
+					res, err := bench.RunMixed(kind, cluster.Metered(), m.Spec(readers))
+					if err != nil {
+						b.Fatal(err)
+					}
+					readMBps += res.ReadMBps
+					writeMBps += res.WriteMBps
+					readLatMs += float64(res.MeanReadLatency.Microseconds()) / 1000
 				}
-				readMBps += res.ReadMBps
-				writeMBps += res.WriteMBps
-				readLatMs += float64(res.MeanReadLatency.Microseconds()) / 1000
-			}
-			b.ReportMetric(readMBps/float64(b.N), "read-MB/s")
-			b.ReportMetric(writeMBps/float64(b.N), "write-MB/s")
-			b.ReportMetric(readLatMs/float64(b.N), "read-lat-ms")
-		})
+				b.ReportMetric(readMBps/float64(b.N), "read-MB/s")
+				b.ReportMetric(writeMBps/float64(b.N), "write-MB/s")
+				b.ReportMetric(readLatMs/float64(b.N), "read-lat-ms")
+			})
+		}
 	}
 }
 

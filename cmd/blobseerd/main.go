@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/blob"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/iosim"
 	"repro/internal/metadata"
@@ -106,32 +107,21 @@ func main() {
 		case "meta":
 			roles.Meta = metadata.NewStore(*shards, metaModel)
 		case "data":
-			if *replicas > *providers {
-				fmt.Fprintf(os.Stderr, "-replicas %d exceeds -providers %d\n", *replicas, *providers)
-				os.Exit(2)
-			}
-			codeK, codeM, err := provider.ParseCoding(*coding)
-			if err != nil {
+			// The shape checks (replicas vs providers, coding vs replicas
+			// and pool size, quorum range in both modes, the store URL)
+			// are cluster.Env's — one copy, one set of refusals.
+			shape := cluster.Default()
+			shape.Providers = *providers
+			shape.Replicas = *replicas
+			shape.Coding = *coding
+			shape.WriteQuorum = *quorum
+			shape.StoreURL = *storeURL
+			if err := shape.Validate(); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
-			if *coding != "" {
-				if *replicas > 1 {
-					fmt.Fprintf(os.Stderr, "-coding %s is mutually exclusive with -replicas %d\n", *coding, *replicas)
-					os.Exit(2)
-				}
-				if codeK+codeM > *providers {
-					fmt.Fprintf(os.Stderr, "-coding %s needs %d providers, -providers is %d\n", *coding, codeK+codeM, *providers)
-					os.Exit(2)
-				}
-				if *quorum != 0 && (*quorum < codeK || *quorum > codeK+codeM) {
-					fmt.Fprintf(os.Stderr, "-quorum %d outside [%d, %d] for -coding %s\n", *quorum, codeK, codeK+codeM, *coding)
-					os.Exit(2)
-				}
-			} else if r := max(*replicas, 1); *quorum > r {
-				fmt.Fprintf(os.Stderr, "-quorum %d exceeds -replicas %d\n", *quorum, r)
-				os.Exit(2)
-			}
+			// Validate parsed the spec already; it cannot fail here.
+			codeK, codeM, _ := provider.ParseCoding(*coding)
 			labels, err := domainLabels(*domains, *providers)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -240,14 +230,18 @@ func main() {
 	if roles.Healer != nil {
 		roles.Healer.Run()
 		defer roles.Healer.Stop()
+		// Print what runs, not what was typed: out-of-range flags fall
+		// back to defaults inside the constructors.
+		hc, mc := roles.Healer.Config(), roles.Health.Config()
 		fmt.Printf("self-heal: threshold %d, probation %s, scrub %d chunks (%s first) / repair %d chunks per %s tick\n",
-			*failThreshold, *probation, *scrubRate, *scrubOrder, *repairRate, *scrubInterval)
+			mc.Threshold, mc.Probation, hc.ScrubChunksPerTick, hc.Order, hc.RepairsPerTick, hc.Interval)
 	}
 	if roles.Reaper != nil {
 		roles.Reaper.Run()
 		defer roles.Reaper.Stop()
+		rc := roles.Reaper.Config()
 		fmt.Printf("gc: retain %d, %d deletes per %s tick, queue %d\n",
-			*retain, *gcRate, *gcInterval, *gcQueue)
+			rc.RetainLast, rc.DeletesPerTick, rc.Interval, rc.QueueDepth)
 	}
 	if roles.Data != nil && *domains != "" {
 		dm := roles.Data.DomainMap()

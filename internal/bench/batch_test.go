@@ -60,3 +60,27 @@ func TestSmallWritesBatchedBeatsUnbatchedMetered(t *testing.T) {
 		t.Fatalf("batched control time %v not below unbatched %v", batched, unbatched)
 	}
 }
+
+// With every client on blobs of its own, sharding the control plane
+// must take load off its busiest server: the same calls, metered,
+// cost the busiest of 4 shards less than they cost the single manager
+// (E16's claim, in the simulation's own currency).
+func TestSmallWritesShardedSpreadsControlLoad(t *testing.T) {
+	spec := workload.OverlapSpec{Clients: 8, Regions: 4, RegionSize: 4 << 10, OverlapFraction: 0.75}
+	run := func(shards int) Result {
+		res, err := RunSmallWrites(cluster.Metered(), spec, SmallWriteOptions{
+			Iterations: 4, PipeDepth: 4, Shards: shards, BlobsPerClient: 4,
+		})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if res.Calls != 32 || res.Bytes != 32*spec.BytesPerClient() {
+			t.Fatalf("shards=%d: %d calls, %d bytes", shards, res.Calls, res.Bytes)
+		}
+		return res
+	}
+	one, four := run(1), run(4)
+	if four.CtrlBusy >= one.CtrlBusy {
+		t.Fatalf("busiest of 4 shards metered %v, the single manager %v", four.CtrlBusy, one.CtrlBusy)
+	}
+}

@@ -2,14 +2,15 @@
 // test with identical simulated hardware, drives the paper's workloads
 // against it with concurrent clients, and reports aggregated
 // throughput, lock wait time and atomicity-verification results. Every
-// experiment in EXPERIMENTS.md is produced by one of the Run functions
-// here (driven by cmd/benchall, cmd/atomicbench, cmd/mpitileio and the
-// root bench_test.go).
+// experiment is produced by one of the Run functions here; the
+// experiments themselves — which cells, in which order, under which
+// names — are the table in internal/experiments, driven by
+// cmd/benchall and the root bench_test.go (cmd/atomicbench and
+// cmd/mpitileio drive single scenarios by flag).
 package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -154,6 +155,24 @@ func (s *System) LockWait() time.Duration {
 	return s.lockFile.Stats().LockStats.TotalWait
 }
 
+// result assembles the standard cell of a run on this system; warmWait
+// is the lock wait accumulated before the measured phase began.
+func (s *System) result(clients, calls int, bytes int64, elapsed, warmWait time.Duration) Result {
+	res := Result{
+		System:   s.Kind,
+		Clients:  clients,
+		Calls:    calls,
+		Bytes:    bytes,
+		Elapsed:  elapsed,
+		MBps:     mbps(bytes, elapsed),
+		LockWait: s.LockWait() - warmWait,
+	}
+	if s.detector != nil {
+		res.Conflicts = s.detector.Stats().Conflicts
+	}
+	return res
+}
+
 // Result is one measured experiment cell.
 type Result struct {
 	System    SystemKind
@@ -217,47 +236,28 @@ func RunOverlap(kind SystemKind, env cluster.Env, spec workload.OverlapSpec, opt
 		return Result{}, fmt.Errorf("bench: Warmup and Verify are mutually exclusive")
 	}
 	runAll := func(rounds int, stamped bool) error {
-		errs := make([]error, spec.Clients)
-		var wg sync.WaitGroup
-		for w := 0; w < spec.Clients; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				exts := spec.ExtentsFor(w)
-				for it := 0; it < rounds; it++ {
-					var buf []byte
-					if stamped {
-						v, err := verify.MakeVec(verify.Call{ID: ids(callID{w, it}), Extents: exts})
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						buf = v.Buf
-					} else {
-						buf = make([]byte, exts.TotalLength())
-						for i := range buf {
-							buf[i] = byte(w + 1)
-						}
-					}
-					vec, err := extent.NewVec(exts, buf)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					if err := sys.Driver.WriteList(vec, true); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
+		write := func(_, _ int, vec extent.Vec) error { return sys.Driver.WriteList(vec, true) }
+		if !stamped {
+			return writePhase(spec.Clients, rounds, spec.ExtentsFor, write)
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
+		// Verification needs every call to carry its own stamp; the
+		// payloads are built before the clients are released, so the
+		// phase itself is nothing but write calls.
+		vecs := make([]extent.Vec, len(calls))
+		for i, call := range calls {
+			var err error
+			if vecs[i], err = verify.MakeVec(call); err != nil {
 				return err
 			}
 		}
-		return nil
+		return eachClient(spec.Clients, func(w int) error {
+			for it := 0; it < rounds; it++ {
+				if err := write(w, it, vecs[ids(callID{w, it})-1]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
 
 	for i := 0; i < opts.Warmup; i++ {
@@ -273,18 +273,7 @@ func RunOverlap(kind SystemKind, env cluster.Env, spec workload.OverlapSpec, opt
 	}
 	elapsed := time.Since(start)
 
-	res := Result{
-		System:   kind,
-		Clients:  spec.Clients,
-		Calls:    spec.Clients * iters,
-		Bytes:    int64(spec.Clients) * int64(iters) * spec.BytesPerClient(),
-		Elapsed:  elapsed,
-		LockWait: sys.LockWait() - warmWait,
-	}
-	res.MBps = float64(res.Bytes) / (1 << 20) / elapsed.Seconds()
-	if sys.detector != nil {
-		res.Conflicts = sys.detector.Stats().Conflicts
-	}
+	res := sys.result(spec.Clients, spec.Clients*iters, int64(spec.Clients)*int64(iters)*spec.BytesPerClient(), elapsed, warmWait)
 	if opts.Verify {
 		res.VerifyErr = verify.CheckCalls(readerFor(sys), calls)
 		res.Verified = res.VerifyErr == nil

@@ -51,8 +51,6 @@ type CheckpointResult struct {
 	Restores      int   // old-epoch restore reads completed
 	Repaired      int64 // chunks re-replicated by the self-heal loop
 	Reclaimed     int64 // versions reclaimed by the reaper
-	Elapsed       time.Duration
-	WriteMBps     float64
 	// Stages are the per-stage latency histograms of the write and
 	// read paths, in pipeline order.
 	Stages []StageLatency
@@ -126,26 +124,12 @@ func RunCheckpointBlaster(env cluster.Env, spec workload.CheckpointSpec, opts Ch
 
 	// Background driver: the healer and reaper tick concurrently with
 	// the blaster, exactly as the daemon runs them.
-	stop := make(chan struct{})
-	var driver sync.WaitGroup
-	driver.Add(1)
-	go func() {
-		defer driver.Done()
-		ticker := time.NewTicker(time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				svc.Healer.Tick()
-				svc.Reaper.Tick()
-			}
-		}
-	}()
+	stopDriver := tickEvery(time.Millisecond, func() {
+		svc.Healer.Tick()
+		svc.Reaper.Tick()
+	})
 	fail := func(err error) (CheckpointResult, error) {
-		close(stop)
-		driver.Wait()
+		stopDriver()
 		return res, err
 	}
 
@@ -216,45 +200,37 @@ func RunCheckpointBlaster(env cluster.Env, spec workload.CheckpointSpec, opts Ch
 	for r := range pipes {
 		pipes[r] = be.NewPipe(opts.PipeDepth)
 	}
-	start := time.Now()
 	for epoch := 1; epoch <= opts.Epochs; epoch++ {
 		if opts.Kill && epoch == opts.Epochs/2+1 {
 			// Store-level kill: the health monitor must find out from
 			// errors alone, and the quorum write path must ride it out.
 			svc.Faults[0].SetDown(true)
 		}
-		errs := make([]error, spec.Ranks)
-		var wg sync.WaitGroup
-		for r := 0; r < spec.Ranks; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				exts := spec.ExtentsFor(r)
-				buf := make([]byte, exts.TotalLength())
-				stamp := byte(1 + (r*opts.Epochs+epoch)%250)
-				for i := range buf {
-					buf[i] = stamp
-				}
-				vec, err := extent.NewVec(exts, buf)
-				if err == nil {
-					if err = pipes[r].Submit(vec); err == nil {
-						_, err = pipes[r].Flush()
-					}
-				}
-				errs[r] = err
-			}(r)
-		}
-		wg.Wait()
-		for r, err := range errs {
-			if err != nil {
-				close(readersStop)
-				restores.Wait()
-				return fail(fmt.Errorf("bench: epoch %d rank %d write failed: %w", epoch, r, err))
+		err := eachClient(spec.Ranks, func(r int) error {
+			exts := spec.ExtentsFor(r)
+			buf := make([]byte, exts.TotalLength())
+			stamp := byte(1 + (r*opts.Epochs+epoch)%250)
+			for i := range buf {
+				buf[i] = stamp
 			}
+			vec, err := extent.NewVec(exts, buf)
+			if err == nil {
+				if err = pipes[r].Submit(vec); err == nil {
+					_, err = pipes[r].Flush()
+				}
+			}
+			if err != nil {
+				return fmt.Errorf("bench: epoch %d rank %d write failed: %w", epoch, r, err)
+			}
+			return nil
+		})
+		if err != nil {
+			close(readersStop)
+			restores.Wait()
+			return fail(err)
 		}
 		res.WrittenBytes += spec.BytesPerRank() * int64(spec.Ranks)
 	}
-	res.Elapsed = time.Since(start)
 	close(readersStop)
 	restores.Wait()
 	for _, err := range readErrs {
@@ -262,27 +238,16 @@ func RunCheckpointBlaster(env cluster.Env, spec workload.CheckpointSpec, opts Ch
 			return fail(err)
 		}
 	}
-	close(stop)
-	driver.Wait()
+	stopDriver()
 	res.Restores = int(restoreCount)
-	if secs := res.Elapsed.Seconds(); secs > 0 {
-		res.WriteMBps = float64(res.WrittenBytes) / (1 << 20) / secs
-	}
 
 	// Converge: drain the retention backlog first — dropped versions
 	// are no longer published, so the healer will not scrub their
 	// chunks, and until the reaper deletes them they sit in placement
 	// looking degraded. Then a synchronous scrub pass restores full
 	// replication of everything retained.
-	for t := 0; t < 5000; t++ {
-		info, err := be.Blob().GCInfo()
-		if err != nil {
-			return res, err
-		}
-		if len(info.Pending) == 0 {
-			break
-		}
-		svc.Reaper.Tick()
+	if err := reapUntilDrained(svc, be, 5000); err != nil {
+		return res, err
 	}
 	if opts.Kill {
 		svc.Healer.Pass()

@@ -2,13 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/extent"
+	"repro/internal/vmanager"
 	"repro/internal/workload"
 )
 
@@ -97,31 +97,11 @@ func RunGC(env cluster.Env, spec workload.OverlapSpec, opts GCOptions) (GCResult
 	// per-call latency.
 	writeRound := func() (time.Duration, error) {
 		start := time.Now()
-		errs := make([]error, spec.Clients)
-		var wg sync.WaitGroup
-		for w := 0; w < spec.Clients; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				exts := spec.ExtentsFor(w)
-				buf := make([]byte, exts.TotalLength())
-				for i := range buf {
-					buf[i] = byte(w + 1)
-				}
-				vec, err := extent.NewVec(exts, buf)
-				if err == nil {
-					_, err = be.WriteList(vec)
-				}
-				errs[w] = err
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start) / time.Duration(spec.Clients), nil
+		err := writePhase(spec.Clients, 1, spec.ExtentsFor, func(_, _ int, vec extent.Vec) error {
+			_, err := be.WriteList(vec)
+			return err
+		})
+		return time.Since(start) / time.Duration(spec.Clients), err
 	}
 
 	// Write phase: build the version history, measuring quiet-system
@@ -176,52 +156,28 @@ func RunGC(env cluster.Env, spec workload.OverlapSpec, opts GCOptions) (GCResult
 	// GC storm: the reaper drains the drop schedule at GCRate deletes
 	// per tick while foreground writes continue; the latency ratio is
 	// the starvation guard.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(2 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				svc.Reaper.Tick()
-			}
-		}
-	}()
+	stopReaper := tickEvery(2*time.Millisecond, svc.Reaper.Tick)
 	var storm time.Duration
 	stormRounds := 4
 	start := time.Now()
 	for r := 0; r < stormRounds; r++ {
 		lat, err := writeRound()
 		if err != nil {
-			close(stop)
-			wg.Wait()
+			stopReaper()
 			return res, err
 		}
 		storm += lat
 	}
 	res.StormLatency = storm / time.Duration(stormRounds)
 	res.Impact = Ratio(float64(res.StormLatency), float64(res.BaselineLatency))
-	close(stop)
-	wg.Wait()
+	stopReaper()
 
 	// Drive the reaper synchronously until the drop schedule drains —
 	// on the metered model each tick pays real (virtual) metadata and
 	// store time, so the reclamation rate reflects the configured
 	// delete budget, not wall-clock ticker cadence.
-	for t := 0; t < opts.MaxTicks; t++ {
-		info, err := b.GCInfo()
-		if err != nil {
-			return res, err
-		}
-		if len(info.Pending) == 0 {
-			break
-		}
-		svc.Reaper.Tick()
+	if err := reapUntilDrained(svc, be, opts.MaxTicks); err != nil {
+		return res, err
 	}
 	res.GCElapsed = time.Since(start)
 	res.Stats = svc.Reaper.Stats()
@@ -229,9 +185,7 @@ func RunGC(env cluster.Env, spec workload.OverlapSpec, opts GCOptions) (GCResult
 	res.Reclaimed = res.Stats.Reclaimed
 	res.DeletedBytes = res.Stats.DeletedBytes
 	res.BytesAfter = poolBytes(svc)
-	if secs := res.GCElapsed.Seconds(); secs > 0 {
-		res.ReclaimMBps = float64(res.DeletedBytes) / (1 << 20) / secs
-	}
+	res.ReclaimMBps = mbps(res.DeletedBytes, res.GCElapsed)
 	if res.DeletedBytes < res.ExpectedBytes {
 		return res, fmt.Errorf("bench: reclaimed %d bytes < expected %d for the drop schedule (stats %+v)",
 			res.DeletedBytes, res.ExpectedBytes, res.Stats)
@@ -243,6 +197,19 @@ func RunGC(env cluster.Env, spec workload.OverlapSpec, opts GCOptions) (GCResult
 	return res, nil
 }
 
+// reapUntilDrained ticks the reaper until no dropped version is still
+// pending reclamation, or max ticks have passed.
+func reapUntilDrained(svc *cluster.Versioning, be *core.VersioningBackend, max int) error {
+	var err error
+	tickUntil(max, svc.Reaper.Tick, func() bool {
+		var info vmanager.GCInfo
+		info, err = be.Blob().GCInfo()
+		return err != nil || len(info.Pending) == 0
+	})
+	return err
+}
+
+// poolBytes sums stored bytes across the provider pool.
 func poolBytes(svc *cluster.Versioning) int64 {
 	var total int64
 	for _, u := range svc.Router.Usage() {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -75,53 +74,23 @@ func RunMixed(kind SystemKind, env cluster.Env, spec MixedSpec) (MixedResult, er
 	}
 	warmWait := sys.LockWait()
 
-	readSpan := extent.List{{Offset: 0, Length: p.FileSpan()}}
-	errs := make([]error, spec.Writers+spec.Readers)
-	var wg sync.WaitGroup
+	// Both sides run over the common window: the writers' phase and the
+	// readers' whole-file scans start together.
+	var readLat []time.Duration
 	start := time.Now()
-	for w := 0; w < spec.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			exts := p.ExtentsFor(w)
-			buf := make([]byte, exts.TotalLength())
-			for i := range buf {
-				buf[i] = byte(w + 1)
-			}
-			vec, err := extent.NewVec(exts, buf)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			for it := 0; it < spec.WriteCalls; it++ {
-				if err := sys.Driver.WriteList(vec, true); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	readLat := make([]time.Duration, spec.Readers*spec.ReadCalls)
-	for r := 0; r < spec.Readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for it := 0; it < spec.ReadCalls; it++ {
-				t0 := time.Now()
-				if _, err := sys.Driver.ReadList(readSpan, true); err != nil {
-					errs[spec.Writers+r] = err
-					return
-				}
-				readLat[r*spec.ReadCalls+it] = time.Since(t0)
-			}
-		}(r)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return MixedResult{}, err
+	err = eachClient(2, func(side int) error {
+		if side == 0 {
+			return writePhase(spec.Writers, spec.WriteCalls, p.ExtentsFor, func(_, _ int, vec extent.Vec) error {
+				return sys.Driver.WriteList(vec, true)
+			})
 		}
+		var err error
+		readLat, err = readPhase(sys.Driver, spec.Readers, spec.ReadCalls, p.FileSpan())
+		return err
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		return MixedResult{}, err
 	}
 
 	res := MixedResult{
@@ -131,8 +100,8 @@ func RunMixed(kind SystemKind, env cluster.Env, spec MixedSpec) (MixedResult, er
 		ReadBytes:  int64(spec.Readers) * int64(spec.ReadCalls) * p.FileSpan(),
 		LockWait:   sys.LockWait() - warmWait,
 	}
-	res.WriteMBps = float64(res.WriteBytes) / (1 << 20) / elapsed.Seconds()
-	res.ReadMBps = float64(res.ReadBytes) / (1 << 20) / elapsed.Seconds()
+	res.WriteMBps = mbps(res.WriteBytes, elapsed)
+	res.ReadMBps = mbps(res.ReadBytes, elapsed)
 	res.ReadLatency = stats.Summarize(readLat)
 	res.MeanReadLatency = res.ReadLatency.Mean
 	res.MaxReadLatency = res.ReadLatency.Max

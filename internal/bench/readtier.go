@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -158,28 +157,19 @@ func RunReadTier(env cluster.Env, opts ReadTierOptions) (ReadTierResult, error) 
 	// Read phase: every reader replays its seeded hot/cold pick
 	// sequence as aligned whole-chunk reads.
 	start := time.Now()
-	errs := make([]error, opts.Readers)
-	var wg sync.WaitGroup
-	for r := 0; r < opts.Readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			pick := opts.Pattern.Picker(opts.Seed + int64(r))
-			for i := 0; i < opts.ReadsPerReader; i++ {
-				off := int64(pick()) * env.ChunkSize
-				q := extent.List{{Offset: off, Length: env.ChunkSize}}
-				if _, err := d.ReadList(q, true); err != nil {
-					errs[r] = err
-					return
-				}
+	err = eachClient(opts.Readers, func(r int) error {
+		pick := opts.Pattern.Picker(opts.Seed + int64(r))
+		for i := 0; i < opts.ReadsPerReader; i++ {
+			off := int64(pick()) * env.ChunkSize
+			q := extent.List{{Offset: off, Length: env.ChunkSize}}
+			if _, err := d.ReadList(q, true); err != nil {
+				return err
 			}
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return res, fmt.Errorf("bench: read tier (%s): %w", opts.Mode, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return res, fmt.Errorf("bench: read tier (%s): %w", opts.Mode, err)
 	}
 	elapsed := time.Since(start)
 	res.Reads = int64(opts.Readers) * int64(opts.ReadsPerReader)

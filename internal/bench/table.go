@@ -6,8 +6,7 @@ import (
 	"strings"
 )
 
-// Table renders experiment results as an aligned text table, the format
-// EXPERIMENTS.md records.
+// Table renders experiment results as an aligned text table.
 type Table struct {
 	Title  string
 	Header []string
@@ -24,16 +23,17 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddResult appends a standard result row:
-// system, clients, MB/s, elapsed, lock-wait.
-func (t *Table) AddResult(r Result) {
-	t.AddRow(
+// AddResult appends a standard result row —
+// system, clients, MB/s, elapsed, lock-wait — after any leading cells
+// (a sweep's parameter column).
+func (t *Table) AddResult(r Result, lead ...string) {
+	t.AddRow(append(lead,
 		r.System.String(),
 		fmt.Sprintf("%d", r.Clients),
 		fmt.Sprintf("%.1f", r.MBps),
 		fmt.Sprintf("%.3fs", r.Elapsed.Seconds()),
 		fmt.Sprintf("%.3fs", r.LockWait.Seconds()),
-	)
+	)...)
 }
 
 // StandardHeader is the column set AddResult fills.

@@ -25,6 +25,37 @@ type TileOptions struct {
 	Warmup int
 }
 
+// dumpArray is the MPI side of the tile and halo workloads: every rank
+// opens the shared file, sets its subarray view, fills its block with
+// its own byte and writes it iters times — collectively, or
+// independently with a barrier between dumps as mpi-tile-io does.
+func dumpArray(sys *System, ranks, iters int, collective, atomic bool, subarray func(rank int) datatype.Subarray, bytes func(rank int) int64) error {
+	return mpi.Run(ranks, func(c *mpi.Comm) error {
+		f := mpiio.Open(c, sys.Driver)
+		f.SetAtomicity(atomic)
+		if err := f.SetView(mpiio.View{Disp: 0, Etype: datatype.Byte, Filetype: subarray(c.Rank())}); err != nil {
+			return err
+		}
+		buf := make([]byte, bytes(c.Rank()))
+		for i := range buf {
+			buf[i] = byte(c.Rank() + 1)
+		}
+		for it := 0; it < iters; it++ {
+			if collective {
+				if err := f.WriteAtAll(0, buf); err != nil {
+					return fmt.Errorf("rank %d iter %d: %w", c.Rank(), it, err)
+				}
+				continue
+			}
+			if err := f.WriteAt(0, buf); err != nil {
+				return fmt.Errorf("rank %d iter %d: %w", c.Rank(), it, err)
+			}
+			c.Barrier()
+		}
+		return nil
+	})
+}
+
 // RunTile measures the MPI-tile-IO workload: spec.Ranks() MPI processes
 // each write their (overlapping) tile of a dense 2D array into the
 // shared file, via a subarray file view.
@@ -32,42 +63,15 @@ func RunTile(kind SystemKind, env cluster.Env, spec workload.TileSpec, opts Tile
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-	iters := opts.Iterations
-	if iters <= 0 {
-		iters = 1
-	}
+	iters := max(opts.Iterations, 1)
 	sys, err := Build(kind, env, spec.FileBytes())
 	if err != nil {
 		return Result{}, err
 	}
-
 	ranks := spec.Ranks()
 	runAll := func() error {
-		return mpi.Run(ranks, func(c *mpi.Comm) error {
-			f := mpiio.Open(c, sys.Driver)
-			f.SetAtomicity(!opts.NonAtomic)
-			sub := spec.Subarray(c.Rank())
-			if err := f.SetView(mpiio.View{Disp: 0, Etype: datatype.Byte, Filetype: sub}); err != nil {
-				return err
-			}
-			buf := make([]byte, spec.BytesPerRank())
-			for i := range buf {
-				buf[i] = byte(c.Rank() + 1)
-			}
-			for it := 0; it < iters; it++ {
-				if opts.Collective {
-					if err := f.WriteAtAll(0, buf); err != nil {
-						return fmt.Errorf("rank %d iter %d: %w", c.Rank(), it, err)
-					}
-				} else {
-					if err := f.WriteAt(0, buf); err != nil {
-						return fmt.Errorf("rank %d iter %d: %w", c.Rank(), it, err)
-					}
-					c.Barrier() // mpi-tile-io synchronizes between dumps
-				}
-			}
-			return nil
-		})
+		return dumpArray(sys, ranks, iters, opts.Collective, !opts.NonAtomic, spec.Subarray,
+			func(int) int64 { return spec.BytesPerRank() })
 	}
 	for i := 0; i < opts.Warmup; i++ {
 		if err := runAll(); err != nil {
@@ -76,24 +80,10 @@ func RunTile(kind SystemKind, env cluster.Env, spec workload.TileSpec, opts Tile
 	}
 	warmWait := sys.LockWait()
 	start := time.Now()
-	err = runAll()
-	elapsed := time.Since(start)
-	if err != nil {
+	if err := runAll(); err != nil {
 		return Result{}, err
 	}
-	res := Result{
-		System:   kind,
-		Clients:  ranks,
-		Calls:    ranks * iters,
-		Bytes:    int64(ranks) * int64(iters) * spec.BytesPerRank(),
-		Elapsed:  elapsed,
-		LockWait: sys.LockWait() - warmWait,
-	}
-	res.MBps = float64(res.Bytes) / (1 << 20) / elapsed.Seconds()
-	if sys.detector != nil {
-		res.Conflicts = sys.detector.Stats().Conflicts
-	}
-	return res, nil
+	return sys.result(ranks, ranks*iters, int64(ranks)*int64(iters)*spec.BytesPerRank(), time.Since(start), warmWait), nil
 }
 
 // RunHalo measures the ghost-cell dump workload (the motivating
@@ -103,53 +93,21 @@ func RunHalo(kind SystemKind, env cluster.Env, spec workload.HaloSpec, iteration
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-	if iterations <= 0 {
-		iterations = 1
-	}
+	iterations = max(iterations, 1)
 	dw, dh := spec.DomainDims()
-	span := int64(dw) * int64(dh) * spec.ElementSize
-	sys, err := Build(kind, env, span)
+	sys, err := Build(kind, env, int64(dw)*int64(dh)*spec.ElementSize)
 	if err != nil {
 		return Result{}, err
 	}
 	ranks := spec.Ranks()
-	var bytes int64
 	start := time.Now()
-	err = mpi.Run(ranks, func(c *mpi.Comm) error {
-		f := mpiio.Open(c, sys.Driver)
-		f.SetAtomicity(true)
-		sub := spec.Subarray(c.Rank())
-		if err := f.SetView(mpiio.View{Disp: 0, Etype: datatype.Byte, Filetype: sub}); err != nil {
-			return err
-		}
-		buf := make([]byte, spec.BytesPerRank(c.Rank()))
-		for i := range buf {
-			buf[i] = byte(c.Rank() + 1)
-		}
-		for it := 0; it < iterations; it++ {
-			if err := f.WriteAt(0, buf); err != nil {
-				return err
-			}
-			c.Barrier()
-		}
-		return nil
-	})
-	elapsed := time.Since(start)
-	if err != nil {
+	if err := dumpArray(sys, ranks, iterations, false, true, spec.Subarray, spec.BytesPerRank); err != nil {
 		return Result{}, err
 	}
+	elapsed := time.Since(start)
+	var bytes int64
 	for r := 0; r < ranks; r++ {
 		bytes += spec.BytesPerRank(r)
 	}
-	bytes *= int64(iterations)
-	res := Result{
-		System:   kind,
-		Clients:  ranks,
-		Calls:    ranks * iterations,
-		Bytes:    bytes,
-		Elapsed:  elapsed,
-		LockWait: sys.LockWait(),
-	}
-	res.MBps = float64(res.Bytes) / (1 << 20) / elapsed.Seconds()
-	return res, nil
+	return sys.result(ranks, ranks*iterations, bytes*int64(iterations), elapsed, 0), nil
 }

@@ -127,9 +127,6 @@ type WriteOptions struct {
 	// waiting for in-order publication. The returned version may then
 	// not be visible to readers yet (eventual read-your-writes).
 	NoWait bool
-	// Parallelism bounds concurrent chunk stores; 0 means one inflight
-	// request per data provider piece (fully parallel).
-	Parallelism int
 	// Pipelined overlaps chunk upload with segment-tree construction:
 	// inner metadata nodes are stored while the first chunks are still
 	// in flight, and each leaf is stored as soon as the chunks covering
@@ -254,7 +251,7 @@ func (b *Blob) WriteList(vec extent.Vec, opts WriteOptions) (uint64, error) {
 			return 0, err
 		}
 	} else {
-		placed, err := b.storeChunks(tk.Version, vec, opts.Parallelism)
+		placed, err := b.storeChunks(tk.Version, vec)
 		if err != nil {
 			b.retireTicket(tk, norm)
 			return 0, err
@@ -336,22 +333,17 @@ func (b *Blob) splitPieces(vec extent.Vec) []piece {
 }
 
 // storeChunks splits the write into page-aligned pieces, stores each as
-// one immutable chunk and returns the placement list sorted by offset.
-func (b *Blob) storeChunks(version uint64, vec extent.Vec, parallelism int) ([]segtree.Placed, error) {
+// one immutable chunk — all pieces in flight at once — and returns the
+// placement list sorted by offset.
+func (b *Blob) storeChunks(version uint64, vec extent.Vec) ([]segtree.Placed, error) {
 	pieces := b.splitPieces(vec)
 	placed := make([]segtree.Placed, len(pieces))
-	if parallelism <= 0 || parallelism > len(pieces) {
-		parallelism = len(pieces)
-	}
-	sem := make(chan struct{}, parallelism)
 	errs := make(chan error, len(pieces))
 	var wg sync.WaitGroup
 	for i, p := range pieces {
 		wg.Add(1)
 		go func(i int, p piece) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			key := chunk.Key{Blob: b.id, Version: version, Index: uint32(i)}
 			ids, err := b.svc.Data.Put(key, p.data)
 			if err != nil {

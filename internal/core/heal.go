@@ -188,9 +188,7 @@ type Healer struct {
 		passSec    *metrics.Histogram
 	}
 
-	runMu sync.Mutex
-	stop  chan struct{}
-	done  chan struct{}
+	loop tickLoop
 }
 
 // SetMetrics wires the healer's repair-queue depth gauge (sampled per
@@ -471,37 +469,7 @@ func (h *Healer) QueueLen() int { return h.queue.len() }
 // Run starts the background wall-clock loop, ticking every
 // cfg.Interval until Stop. Starting an already running healer is a
 // no-op.
-func (h *Healer) Run() {
-	h.runMu.Lock()
-	defer h.runMu.Unlock()
-	if h.stop != nil {
-		return
-	}
-	h.stop = make(chan struct{})
-	h.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		ticker := time.NewTicker(h.cfg.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				h.Tick()
-			}
-		}
-	}(h.stop, h.done)
-}
+func (h *Healer) Run() { h.loop.start(h.cfg.Interval, h.Tick) }
 
 // Stop halts the background loop and waits for it to exit.
-func (h *Healer) Stop() {
-	h.runMu.Lock()
-	defer h.runMu.Unlock()
-	if h.stop == nil {
-		return
-	}
-	close(h.stop)
-	<-h.done
-	h.stop, h.done = nil, nil
-}
+func (h *Healer) Stop() { h.loop.halt() }

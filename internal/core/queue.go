@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/chunk"
 )
@@ -71,4 +72,51 @@ func (q *keyQueue) counters() (enqueued, duplicates, dropped int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.enqueued, q.duplicates, q.dropped
+}
+
+// tickLoop is the background wall-clock loop the same two workers run
+// in a daemon: one goroutine calling the worker's Tick every interval
+// until halted. Tests and the harnesses never start it — they call
+// Tick themselves, on a virtual clock.
+type tickLoop struct {
+	mu   sync.Mutex
+	stop chan struct{}
+	done chan struct{}
+}
+
+// start launches the loop; starting a running loop is a no-op.
+func (l *tickLoop) start(interval time.Duration, tick func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stop != nil {
+		return
+	}
+	l.stop = make(chan struct{})
+	l.done = make(chan struct{})
+	go func(stop, done chan struct{}) {
+		defer close(done)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				tick()
+			}
+		}
+	}(l.stop, l.done)
+}
+
+// halt stops the loop and waits for its goroutine to exit; halting a
+// loop that is not running is a no-op.
+func (l *tickLoop) halt() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stop == nil {
+		return
+	}
+	close(l.stop)
+	<-l.done
+	l.stop, l.done = nil, nil
 }

@@ -173,9 +173,7 @@ type Reaper struct {
 		deletedBytes *metrics.Counter
 	}
 
-	runMu sync.Mutex
-	stop  chan struct{}
-	done  chan struct{}
+	loop tickLoop
 }
 
 // SetMetrics wires the reaper's delete-queue depth gauge (sampled per
@@ -583,37 +581,7 @@ func (r *Reaper) QueueLen() int { return r.queue.len() }
 // Run starts the background wall-clock loop, ticking every
 // cfg.Interval until Stop. Starting an already running reaper is a
 // no-op.
-func (r *Reaper) Run() {
-	r.runMu.Lock()
-	defer r.runMu.Unlock()
-	if r.stop != nil {
-		return
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		ticker := time.NewTicker(r.cfg.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				r.Tick()
-			}
-		}
-	}(r.stop, r.done)
-}
+func (r *Reaper) Run() { r.loop.start(r.cfg.Interval, r.Tick) }
 
 // Stop halts the background loop and waits for it to exit.
-func (r *Reaper) Stop() {
-	r.runMu.Lock()
-	defer r.runMu.Unlock()
-	if r.stop == nil {
-		return
-	}
-	close(r.stop)
-	<-r.done
-	r.stop, r.done = nil, nil
-}
+func (r *Reaper) Stop() { r.loop.halt() }

@@ -234,39 +234,6 @@ func TestAllocateNPartialTagStaysFlat(t *testing.T) {
 	}
 }
 
-// LeastLoaded on a domain pool must still use every domain: the ring
-// rotation follows the globally least-loaded provider, so idle domains
-// fill first instead of the first-seen domains absorbing everything.
-func TestAllocateNLeastLoadedDomainSpread(t *testing.T) {
-	m := domainPool("a", "a", "b", "b", "c", "c", "d", "d")
-	m.SetPolicy(LeastLoaded)
-	for i := 0; i < 32; i++ {
-		if _, err := m.AllocateN(2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	perDom := map[string]int64{}
-	lo, hi := int64(1<<62), int64(0)
-	for _, p := range m.Providers() {
-		c := p.Allocated()
-		perDom[p.Domain()] += c
-		if c < lo {
-			lo = c
-		}
-		if c > hi {
-			hi = c
-		}
-	}
-	for d, c := range perDom {
-		if c == 0 {
-			t.Fatalf("domain %s never allocated: %v", d, perDom)
-		}
-	}
-	if hi-lo > 2 {
-		t.Fatalf("per-provider imbalance %d..%d under LeastLoaded", lo, hi)
-	}
-}
-
 // Cross-call balance on a domain pool: per-provider allocation counts
 // stay close (within-domain least-loaded pick + rotating domain ring).
 func TestAllocateNDomainBalance(t *testing.T) {

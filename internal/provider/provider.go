@@ -227,34 +227,6 @@ func (e *InsufficientDomainsError) Is(target error) bool {
 	return target == ErrInsufficientDomains
 }
 
-// Policy selects the allocation strategy for new chunks.
-type Policy int
-
-// Allocation policies. RoundRobin is the paper's load-balancing
-// strategy; the others exist for the striping ablation.
-const (
-	// RoundRobin cycles through providers, giving a perfectly uniform
-	// distribution.
-	RoundRobin Policy = iota
-	// Random picks a provider uniformly at random per chunk.
-	Random
-	// LeastLoaded picks the provider with the fewest allocated chunks.
-	LeastLoaded
-)
-
-func (p Policy) String() string {
-	switch p {
-	case RoundRobin:
-		return "roundrobin"
-	case Random:
-		return "random"
-	case LeastLoaded:
-		return "leastloaded"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
 // Manager is the provider manager: it tracks live providers and hands
 // out allocation targets for new chunks. Providers marked down via
 // SetDown are excluded from every allocation decision.
@@ -262,8 +234,6 @@ type Manager struct {
 	mu        sync.RWMutex
 	providers []*Provider
 	next      atomic.Uint64
-	policy    Policy
-	rnd       func() uint64
 
 	// domMu guards the cached domainPromise result, recomputed only
 	// when Register/SetDomain change the topology — AllocateN sits on
@@ -276,35 +246,6 @@ type Manager struct {
 
 // NewManager builds an empty round-robin manager.
 func NewManager() *Manager { return &Manager{} }
-
-// SetPolicy switches the allocation policy. Random uses a fast
-// xorshift source seeded from the counter so allocation stays
-// deterministic per manager instance.
-func (m *Manager) SetPolicy(p Policy) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.policy = p
-	if p == Random && m.rnd == nil {
-		var state uint64 = 0x9E3779B97F4A7C15
-		var mu sync.Mutex
-		m.rnd = func() uint64 {
-			mu.Lock()
-			state ^= state << 13
-			state ^= state >> 7
-			state ^= state << 17
-			v := state
-			mu.Unlock()
-			return v
-		}
-	}
-}
-
-// Policy returns the current allocation policy.
-func (m *Manager) Policy() Policy {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.policy
-}
 
 // NewPool builds a manager with n in-memory providers, each metered by
 // its own exclusive meter using the given cost model. It returns the
@@ -585,39 +526,6 @@ func (m *Manager) liveSnapshot() []*Provider {
 	return out
 }
 
-// Allocate returns the provider that should store the next chunk,
-// according to the configured policy. Down providers are never
-// returned.
-func (m *Manager) Allocate() (*Provider, error) {
-	m.mu.RLock()
-	empty := len(m.providers) == 0
-	m.mu.RUnlock()
-	if empty {
-		return nil, ErrNoProviders
-	}
-	live := m.liveSnapshot()
-	if len(live) == 0 {
-		return nil, &InsufficientProvidersError{Want: 1, Live: 0}
-	}
-	var p *Provider
-	switch m.Policy() {
-	case Random:
-		p = live[m.rnd()%uint64(len(live))]
-	case LeastLoaded:
-		p = live[0]
-		for _, cand := range live[1:] {
-			if cand.Allocated() < p.Allocated() {
-				p = cand
-			}
-		}
-	default: // RoundRobin
-		i := m.next.Add(1) - 1
-		p = live[i%uint64(len(live))]
-	}
-	p.allocated.Add(1)
-	return p, nil
-}
-
 // AllocateN returns n allocation targets for the n replicas of one
 // chunk: always n distinct live providers. On a flat (single-domain)
 // pool they are a consecutive window of the live ring so that
@@ -632,9 +540,7 @@ func (m *Manager) Allocate() (*Provider, error) {
 // domains than n. A partially tagged pool allocates flat (see
 // Manager.domainPromise for why a transition topology must not spread).
 // When fewer than n providers are live it fails with a
-// typed *InsufficientProvidersError. The non-round-robin policies only
-// change where the ring rotation starts; distinctness, spread and
-// balance hold regardless.
+// typed *InsufficientProvidersError.
 func (m *Manager) AllocateN(n int) ([]*Provider, error) {
 	return m.allocateSpread(n, nil, nil)
 }
@@ -693,28 +599,7 @@ func (m *Manager) allocateSpread(n int, exclude map[ID]bool, have map[string]int
 		return nil, &InsufficientDomainsError{Want: n, Live: len(byDom), Configured: configured}
 	}
 
-	var base uint64
-	switch m.Policy() {
-	case Random:
-		base = m.rnd()
-	case LeastLoaded:
-		// Start the ring at the domain of the globally least-loaded
-		// candidate, so domains with idle providers fill first.
-		least := 0
-		for i, p := range live {
-			if p.Allocated() < live[least].Allocated() {
-				least = i
-			}
-		}
-		for i, d := range order {
-			if d == live[least].Domain() {
-				base = uint64(i)
-				break
-			}
-		}
-	default: // RoundRobin
-		base = m.next.Add(uint64(n)) - uint64(n)
-	}
+	base := m.next.Add(uint64(n)) - uint64(n)
 	// Rotate the domain ring so successive calls start their fill from
 	// different domains (cross-call balance).
 	if r := int(base % uint64(len(order))); r > 0 {
@@ -765,24 +650,10 @@ func (m *Manager) allocateSpread(n int, exclude map[ID]bool, have map[string]int
 // allocateWindow is the flat-pool allocation: a consecutive window of
 // the live ring, round-robin balanced across calls.
 func (m *Manager) allocateWindow(n int, live []*Provider) []*Provider {
-	var base uint64
-	switch m.Policy() {
-	case Random:
-		base = m.rnd()
-	case LeastLoaded:
-		least := 0
-		for i, p := range live {
-			if p.Allocated() < live[least].Allocated() {
-				least = i
-			}
-		}
-		base = uint64(least)
-	default: // RoundRobin
-		// Advance the cursor by n so consecutive calls tile the live
-		// ring: every slot in [base, base+n) is used exactly once,
-		// which keeps per-provider counts within one of each other.
-		base = m.next.Add(uint64(n)) - uint64(n)
-	}
+	// Advance the cursor by n so consecutive calls tile the live ring:
+	// every slot in [base, base+n) is used exactly once, which keeps
+	// per-provider counts within one of each other.
+	base := m.next.Add(uint64(n)) - uint64(n)
 	out := make([]*Provider, 0, n)
 	for i := 0; i < n; i++ {
 		p := live[(base+uint64(i))%uint64(len(live))]

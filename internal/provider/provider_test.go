@@ -19,11 +19,11 @@ func TestAllocateRoundRobin(t *testing.T) {
 	}
 	var seq []ID
 	for i := 0; i < 6; i++ {
-		p, err := m.Allocate()
+		ps, err := m.AllocateN(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq = append(seq, p.ID())
+		seq = append(seq, ps[0].ID())
 	}
 	want := []ID{0, 1, 2, 0, 1, 2}
 	for i := range want {
@@ -35,7 +35,7 @@ func TestAllocateRoundRobin(t *testing.T) {
 
 func TestAllocateEmpty(t *testing.T) {
 	m := NewManager()
-	if _, err := m.Allocate(); !errors.Is(err, ErrNoProviders) {
+	if _, err := m.AllocateN(1); !errors.Is(err, ErrNoProviders) {
 		t.Fatalf("err = %v, want ErrNoProviders", err)
 	}
 	if _, err := m.AllocateN(3); !errors.Is(err, ErrNoProviders) {
@@ -52,11 +52,11 @@ func TestAllocateSkipsDownProviders(t *testing.T) {
 		t.Fatalf("Live = %d, Count = %d", m.Live(), m.Count())
 	}
 	for i := 0; i < 12; i++ {
-		p, err := m.Allocate()
+		ps, err := m.AllocateN(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.ID() == 1 {
+		if ps[0].ID() == 1 {
 			t.Fatal("allocated to a down provider")
 		}
 	}
@@ -180,7 +180,7 @@ func TestConcurrentAllocationBalance(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := m.Allocate(); err != nil {
+				if _, err := m.AllocateN(1); err != nil {
 					t.Error(err)
 					return
 				}
@@ -460,71 +460,6 @@ func TestNewPoolMeters(t *testing.T) {
 	total := meters[0].Stats().Bytes + meters[1].Stats().Bytes
 	if total != 10 {
 		t.Fatalf("metered bytes = %d, want 10", total)
-	}
-}
-
-func TestPolicyStrings(t *testing.T) {
-	if RoundRobin.String() != "roundrobin" || Random.String() != "random" || LeastLoaded.String() != "leastloaded" {
-		t.Fatal("policy names wrong")
-	}
-}
-
-func TestRandomPolicyCoversAllProviders(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
-	m.SetPolicy(Random)
-	if m.Policy() != Random {
-		t.Fatal("policy not set")
-	}
-	for i := 0; i < 400; i++ {
-		if _, err := m.Allocate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range m.Providers() {
-		if p.Allocated() == 0 {
-			t.Fatalf("provider %d never allocated under random policy", p.ID())
-		}
-	}
-}
-
-func TestNonRoundRobinPoliciesStayDistinct(t *testing.T) {
-	for _, pol := range []Policy{Random, LeastLoaded} {
-		m, _ := NewPool(4, iosim.CostModel{})
-		m.SetPolicy(pol)
-		for i := 0; i < 50; i++ {
-			ps, err := m.AllocateN(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seen := map[ID]bool{}
-			for _, p := range ps {
-				if seen[p.ID()] {
-					t.Fatalf("%v: duplicate replica target", pol)
-				}
-				seen[p.ID()] = true
-			}
-		}
-	}
-}
-
-func TestLeastLoadedBalances(t *testing.T) {
-	m, _ := NewPool(3, iosim.CostModel{})
-	m.SetPolicy(LeastLoaded)
-	// Pre-load provider 0 heavily by hand.
-	m.Providers()[0].allocated.Store(100)
-	for i := 0; i < 60; i++ {
-		p, err := m.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.ID() == 0 {
-			t.Fatal("least-loaded must avoid the overloaded provider")
-		}
-	}
-	// Providers 1 and 2 should have ~30 each.
-	if m.Providers()[1].Allocated() < 20 || m.Providers()[2].Allocated() < 20 {
-		t.Fatalf("least-loaded imbalance: %d / %d",
-			m.Providers()[1].Allocated(), m.Providers()[2].Allocated())
 	}
 }
 

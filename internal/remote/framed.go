@@ -376,11 +376,13 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 		s.requests[h.op].Inc()
 		answered++
 		if br.Buffered() == 0 {
+			// Counted before the flush: once the replies are on the
+			// wire a client may already be reading the registry.
+			s.flushOps.Observe(float64(answered))
+			answered = 0
 			if err := bw.Flush(); err != nil {
 				return
 			}
-			s.flushOps.Observe(float64(answered))
-			answered = 0
 		}
 	}
 }

@@ -41,16 +41,14 @@ const (
 // --- Version manager service ---
 
 // VMBackend is what a version-manager node serves: the client-facing
-// VersionService plus the batch entry points the group-commit RPCs use,
-// the blob catalog the reaper walks, and the shard-status report.
+// VersionService plus the blob catalog the reaper walks and the
+// shard-status report.
 // Implemented by both *vmanager.Manager (single control server) and
 // *vmanager.Sharded (partitioned control plane) — the RPC surface is
 // identical either way, so clients never know how many shards serve
 // them.
 type VMBackend interface {
 	blob.VersionService
-	AssignTicketBatch(reqs []vmanager.TicketRequest) []vmanager.TicketResult
-	CompleteBatch(reqs []vmanager.PublishRequest) []error
 	Blobs() []uint64
 	ShardStatuses() []vmanager.ShardStatus
 }

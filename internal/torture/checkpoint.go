@@ -3,7 +3,6 @@ package torture
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,7 +100,7 @@ type CheckpointPlan struct {
 // Plan derives the schedule from the seed, on its own stream.
 func (c CheckpointConfig) Plan() CheckpointPlan {
 	c = c.withDefaults()
-	rng := rand.New(rand.NewSource(c.Seed ^ 0x636b70742d736368)) // "ckpt-sch"
+	rng := planRNG(c.Seed, 0x636b70742d736368) // "ckpt-sch"
 	return CheckpointPlan{
 		Victim:     provider.ID(rng.Intn(c.Providers)),
 		AfterEpoch: 1 + c.Epochs/3 + rng.Intn(c.Epochs/3+1),
@@ -131,20 +130,11 @@ type CheckpointReport struct {
 	Stats        string  // reaper stats (diagnostics)
 }
 
-// checkpointEnv pins the deployment: self-heal with a small queue,
-// continuous retention, fault injection for the store-level kill, and
-// the read cache on so restores exercise it.
+// checkpointEnv pins the deployment: self-heal with a small queue (see
+// selfHealEnv), continuous retention, fault injection for the
+// store-level kill, and the read cache on so restores exercise it.
 func checkpointEnv(cfg CheckpointConfig) cluster.Env {
-	env := cluster.Default()
-	env.Providers = cfg.Providers
-	env.Replicas = cfg.Replicas
-	env.SelfHeal = true
-	env.FaultInjection = true
-	env.FailThreshold = 2
-	env.Probation = 30 * time.Second
-	env.ScrubRate = 32
-	env.RepairRate = 8
-	env.RepairQueue = 64
+	env := selfHealEnv(cfg.Providers, cfg.Replicas)
 	env.GC = true
 	env.RetainLast = cfg.KeepLast
 	env.GCRate = 8
@@ -204,51 +194,19 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 		return CheckpointReport{}, err
 	}
 	cfg = cfg.withDefaults()
+	spec := workload.CheckpointSpec{Ranks: cfg.Ranks, Segments: cfg.Segments, SegmentSize: cfg.SegmentSize}
+	rg, err := boot(checkpointEnv(cfg), spec.FileSpan())
+	if err != nil {
+		return CheckpointReport{}, err
+	}
 	plan := cfg.Plan()
 	report := CheckpointReport{Plan: plan}
-	spec := workload.CheckpointSpec{Ranks: cfg.Ranks, Segments: cfg.Segments, SegmentSize: cfg.SegmentSize}
-
-	svc, err := cluster.NewVersioning(checkpointEnv(cfg))
-	if err != nil {
-		return report, err
-	}
-	be, err := svc.Backend(1, spec.FileSpan())
-	if err != nil {
-		return report, err
-	}
+	svc, be := rg.svc, rg.be
 	b := be.Blob()
 
-	// Virtual clock: one healer tick = one virtual second.
-	var vsec atomic.Int64
-	svc.Health.SetClock(func() time.Time { return time.Unix(vsec.Load(), 0) })
-	tick := func() {
-		vsec.Add(1)
-		svc.Healer.Tick()
-		svc.Reaper.Tick()
-	}
-	stopTicker := make(chan struct{})
-	var tickerWG sync.WaitGroup
-	tickerWG.Add(1)
-	go func() {
-		defer tickerWG.Done()
-		for {
-			select {
-			case <-stopTicker:
-				return
-			default:
-				tick()
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
-	defer func() {
-		select {
-		case <-stopTicker:
-		default:
-			close(stopTicker)
-		}
-		tickerWG.Wait()
-	}()
+	// Heal and reap run continuously beside the blaster.
+	stopTicker := rg.tickInBackground()
+	defer stopTicker()
 
 	// The metrics watcher: snapshot the registry mid-churn and hold it
 	// to the monotonicity and self-consistency contract.
@@ -285,6 +243,12 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 	// rank's segments must carry the SAME epoch (its writes are atomic)
 	// in [1, Epochs].
 	readErr := make(chan error, 1)
+	readFailed := func(err error) {
+		select {
+		case readErr <- err:
+		default: // a first failure is already recorded
+		}
+	}
 	stopReaders := make(chan struct{})
 	var readersWG sync.WaitGroup
 	var restoreCount atomic.Int64
@@ -292,7 +256,7 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 		readersWG.Add(1)
 		go func(i int) {
 			defer readersWG.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(0x72647273+i))) // "rdrs"+i
+			rng := planRNG(cfg.Seed, int64(0x72647273+i)) // "rdrs"+i
 			for {
 				select {
 				case <-stopReaders:
@@ -301,10 +265,7 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 				}
 				vs, err := b.Versions()
 				if err != nil {
-					select {
-					case readErr <- err:
-					default:
-					}
+					readFailed(err)
 					return
 				}
 				if len(vs) == 0 {
@@ -318,20 +279,14 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 					if errors.Is(err, vmanager.ErrVersionDropped) {
 						continue // retention raced the pick
 					}
-					select {
-					case readErr <- err:
-					default:
-					}
+					readFailed(err)
 					return
 				}
 				rank := rng.Intn(cfg.Ranks)
 				got, rerr := be.ReadListAt(core.Version(v), spec.ExtentsFor(rank))
 				b.Unpin(v)
 				if rerr != nil {
-					select {
-					case readErr <- fmt.Errorf("restore of pinned v%d rank %d failed: %w", v, rank, rerr):
-					default:
-					}
+					readFailed(fmt.Errorf("restore of pinned v%d rank %d failed: %w", v, rank, rerr))
 					return
 				}
 				verr := func() error {
@@ -374,10 +329,7 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 					return nil
 				}()
 				if verr != nil {
-					select {
-					case readErr <- verr:
-					default:
-					}
+					readFailed(verr)
 					return
 				}
 				restoreCount.Add(1)
@@ -395,7 +347,7 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 	var mu sync.Mutex
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		if epoch == plan.AfterEpoch {
-			svc.Faults[plan.Victim].SetDown(true)
+			rg.killStores(plan.Victim)
 		}
 		var wg sync.WaitGroup
 		for r := 0; r < cfg.Ranks; r++ {
@@ -428,55 +380,39 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 	report.FailedWrites = len(failures)
 	report.Restores = int(restoreCount.Load())
 	if len(failures) > 0 {
-		return report, fmt.Errorf("torture(seed=%d): checkpoint writes failed under kill+GC: %w",
-			cfg.Seed, errors.Join(failures...))
+		return report, failf(cfg.Seed, "checkpoint writes failed under kill+GC: %w", errors.Join(failures...))
 	}
 	select {
 	case err := <-readErr:
-		return report, fmt.Errorf("torture(seed=%d): restore reader: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "restore reader: %w", err)
 	default:
 	}
 	if report.Restores == 0 {
-		return report, fmt.Errorf("torture(seed=%d): no restore completed — schedule lost its teeth", cfg.Seed)
+		return report, failf(cfg.Seed, "no restore completed — schedule lost its teeth")
 	}
-	close(stopTicker)
-	tickerWG.Wait()
+	stopTicker()
 
 	// Converge: drain the retention backlog (dropped versions are not
 	// published, so the healer will not touch their chunks), then heal
 	// to full replication.
-	drained := false
-	for t := 0; t < cfg.MaxTicks && !drained; t++ {
-		tick()
-		info, err := b.GCInfo()
-		if err != nil {
-			return report, err
-		}
-		drained = len(info.Pending) == 0
+	drained, err := rg.tickUntilReclaimed(cfg.MaxTicks)
+	if err != nil {
+		return report, err
 	}
 	st := svc.Reaper.Stats()
 	report.Stats = fmt.Sprintf("%+v", st)
 	if !drained {
-		return report, fmt.Errorf("torture(seed=%d): pending versions not reclaimed in %d ticks: %+v",
-			cfg.Seed, cfg.MaxTicks, st)
+		return report, failf(cfg.Seed, "pending versions not reclaimed in %d ticks: %+v", cfg.MaxTicks, st)
 	}
-	healed := -1
-	for t := 1; t <= cfg.MaxTicks; t++ {
-		tick()
-		if svc.Healer.QueueLen() == 0 && svc.Router.UnderReplicated() == 0 {
-			healed = t
-			break
-		}
-	}
-	report.HealTicks = healed
-	if healed < 0 {
-		return report, fmt.Errorf("torture(seed=%d): %d under-replicated chunks after %d ticks (victim %d)",
-			cfg.Seed, svc.Router.UnderReplicated(), cfg.MaxTicks, plan.Victim)
+	report.HealTicks = rg.tickUntil(cfg.MaxTicks, rg.healed)
+	if report.HealTicks == notConverged {
+		return report, failf(cfg.Seed, "%d under-replicated chunks after %d ticks (victim %d)",
+			svc.Router.UnderReplicated(), cfg.MaxTicks, plan.Victim)
 	}
 	report.Detected = svc.Health.State(plan.Victim) == provider.Down
 	if !report.Detected {
-		return report, fmt.Errorf("torture(seed=%d): victim %d never detected (state %s)",
-			cfg.Seed, plan.Victim, svc.Health.State(plan.Victim))
+		return report, failf(cfg.Seed, "victim %d never detected (state %s)",
+			plan.Victim, svc.Health.State(plan.Victim))
 	}
 
 	// Stop the watcher and surface anything it caught.
@@ -485,11 +421,11 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 	report.MetricChecks = int(metricChecks.Load())
 	select {
 	case err := <-watchErr:
-		return report, fmt.Errorf("torture(seed=%d): metrics watcher: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "metrics watcher: %w", err)
 	default:
 	}
 	if report.MetricChecks == 0 {
-		return report, fmt.Errorf("torture(seed=%d): watcher never snapshotted — schedule lost its teeth", cfg.Seed)
+		return report, failf(cfg.Seed, "watcher never snapshotted — schedule lost its teeth")
 	}
 
 	// Final registry self-consistency: publish count matches the
@@ -497,23 +433,22 @@ func RunCheckpoint(cfg CheckpointConfig) (CheckpointReport, error) {
 	// internally consistent, and both background loops left tracks.
 	final := svc.Metrics.Snapshot()
 	if err := monotoneSnapshot(nil, final); err != nil {
-		return report, fmt.Errorf("torture(seed=%d): final snapshot: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "final snapshot: %w", err)
 	}
 	report.PublishTotal = final["bs_vm_publish_total"]
 	if want := float64(cfg.Ranks * cfg.Epochs); report.PublishTotal != want {
-		return report, fmt.Errorf("torture(seed=%d): bs_vm_publish_total = %g, want %g",
-			cfg.Seed, report.PublishTotal, want)
+		return report, failf(cfg.Seed, "bs_vm_publish_total = %g, want %g", report.PublishTotal, want)
 	}
 	report.Repaired = int64(final[`bs_repair_total{outcome="repaired"}`])
 	if report.Repaired == 0 {
-		return report, fmt.Errorf("torture(seed=%d): kill left no bs_repair_total{outcome=\"repaired\"} tracks", cfg.Seed)
+		return report, failf(cfg.Seed, "kill left no bs_repair_total{outcome=\"repaired\"} tracks")
 	}
 	report.ReapDeleted = int64(final["bs_reap_deleted_total"])
 	if report.ReapDeleted == 0 {
-		return report, fmt.Errorf("torture(seed=%d): retention left no bs_reap_deleted_total tracks", cfg.Seed)
+		return report, failf(cfg.Seed, "retention left no bs_reap_deleted_total tracks")
 	}
 	if final["bs_cache_hits_total"]+final["bs_cache_misses_total"] == 0 {
-		return report, fmt.Errorf("torture(seed=%d): restores never touched the read cache", cfg.Seed)
+		return report, failf(cfg.Seed, "restores never touched the read cache")
 	}
 	return report, nil
 }

@@ -83,6 +83,12 @@ func TestCheckpointRejectsUnreplicated(t *testing.T) {
 	if _, err := RunCheckpoint(ckptConfig(1, 1)); err == nil {
 		t.Fatal("RunCheckpoint accepted R=1")
 	}
+	rejectsBadPools(t, func(providers, replicas int) error {
+		cfg := ckptConfig(1, replicas)
+		cfg.Providers = providers
+		_, err := RunCheckpoint(cfg)
+		return err
+	})
 }
 
 // TestCheckpointStampRoundTrip: the payload byte encodes (rank, epoch)

@@ -3,13 +3,8 @@ package torture
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/mpiio"
 	"repro/internal/provider"
 	"repro/internal/verify"
 )
@@ -51,36 +46,35 @@ type CodedPlan struct {
 	SecondVictims []provider.ID
 }
 
+func (c CodedConfig) withDefaults() CodedConfig {
+	if c.Coding == "" {
+		c.Coding = "rs-4+2"
+	}
+	if c.Providers <= 0 {
+		c.Providers = 12
+	}
+	if c.Domains <= 0 {
+		c.Domains = 6
+	}
+	if c.MaxTicks <= 0 {
+		c.MaxTicks = 400
+	}
+	return c
+}
+
 // Plan derives the schedule from the seed, on its own stream so it is
 // independent of the call generator and the other schedule families.
 func (c CodedConfig) Plan() CodedPlan {
-	providers := c.Providers
-	if providers <= 0 {
-		providers = 12
+	c = c.withDefaults()
+	rng := planRNG(c.Seed, 0x636f6465642d7631) // "coded-v1"
+	perm := rng.Perm(c.Domains)
+	return CodedPlan{
+		FirstDomain:   perm[0],
+		SecondDomain:  perm[1],
+		AfterCalls:    midWorkload(rng, c.Writers*c.CallsPerWriter),
+		FirstVictims:  domainVictims(c.Providers, c.Domains, perm[0]),
+		SecondVictims: domainVictims(c.Providers, c.Domains, perm[1]),
 	}
-	domains := c.Domains
-	if domains <= 0 {
-		domains = 6
-	}
-	rng := rand.New(rand.NewSource(c.Seed ^ 0x636f6465642d7631)) // "coded-v1"
-	total := c.Writers * c.CallsPerWriter
-	perm := rng.Perm(domains)
-	plan := CodedPlan{
-		FirstDomain:  perm[0],
-		SecondDomain: perm[1],
-		AfterCalls:   total/4 + rng.Intn(total/2+1),
-	}
-	first := fmt.Sprintf("zone%d", plan.FirstDomain)
-	second := fmt.Sprintf("zone%d", plan.SecondDomain)
-	for i := 0; i < providers; i++ {
-		switch provider.DomainLabel(i, providers, domains) {
-		case first:
-			plan.FirstVictims = append(plan.FirstVictims, provider.ID(i))
-		case second:
-			plan.SecondVictims = append(plan.SecondVictims, provider.ID(i))
-		}
-	}
-	return plan
 }
 
 // CodedReport summarizes one coded correlated-loss run.
@@ -95,21 +89,12 @@ type CodedReport struct {
 	Dropped     int64 // enqueues shed by the bounded queue
 }
 
-// codedEnv pins the same self-heal knobs as the domain schedule (see
-// domainEnv) on an erasure-coded deployment.
+// codedEnv is the self-healing deployment (see selfHealEnv) on
+// erasure-coded, domain-spread placement.
 func codedEnv(cfg CodedConfig) cluster.Env {
-	env := cluster.Default()
-	env.Providers = cfg.Providers
-	env.Replicas = 0
+	env := selfHealEnv(cfg.Providers, 0)
 	env.Coding = cfg.Coding
 	env.Domains = cfg.Domains
-	env.SelfHeal = true
-	env.FaultInjection = true
-	env.FailThreshold = 2
-	env.Probation = 30 * time.Second
-	env.ScrubRate = 32
-	env.RepairRate = 8
-	env.RepairQueue = 64
 	return env
 }
 
@@ -135,21 +120,13 @@ func RunCodedDomain(cfg CodedConfig) (CodedReport, error) {
 	if cfg.Replicas != 0 {
 		return CodedReport{}, fmt.Errorf("torture: RunCodedDomain is the coded schedule; Replicas must be 0, got %d", cfg.Replicas)
 	}
-	if cfg.Coding == "" {
-		cfg.Coding = "rs-4+2"
-	}
+	cfg = cfg.withDefaults()
 	k, m, err := provider.ParseCoding(cfg.Coding)
 	if err != nil {
 		return CodedReport{}, fmt.Errorf("torture: %w", err)
 	}
 	if m < 2 {
 		return CodedReport{}, fmt.Errorf("torture: RunCodedDomain kills two domains; %s (m=%d) cannot survive it", cfg.Coding, m)
-	}
-	if cfg.Providers <= 0 {
-		cfg.Providers = 12
-	}
-	if cfg.Domains <= 0 {
-		cfg.Domains = 6
 	}
 	if cfg.Domains < k+m {
 		return CodedReport{}, fmt.Errorf("torture: RunCodedDomain needs Domains >= k+m (got %d < %d): a domain must never hold two fragments of one chunk",
@@ -160,89 +137,35 @@ func RunCodedDomain(cfg CodedConfig) (CodedReport, error) {
 		return CodedReport{}, fmt.Errorf("torture: %d providers minus two domains of %d leave fewer than %d for full-degree repair",
 			cfg.Providers, perDomain, k+m)
 	}
-	if cfg.MaxTicks <= 0 {
-		cfg.MaxTicks = 400
-	}
 	perWriter, err := cfg.Calls()
+	if err != nil {
+		return CodedReport{}, err
+	}
+	rg, err := boot(codedEnv(cfg), cfg.Span())
 	if err != nil {
 		return CodedReport{}, err
 	}
 	plan := cfg.Plan()
 	report := CodedReport{Plan: plan}
-
-	svc, err := cluster.NewVersioning(codedEnv(cfg))
-	if err != nil {
-		return report, err
-	}
-	be, err := svc.Backend(1, cfg.Span())
-	if err != nil {
-		return report, err
-	}
-	d := &mpiio.VersioningDriver{Backend: be}
-
-	// Virtual clock: one healer tick = one virtual second.
-	var vsec atomic.Int64
-	svc.Health.SetClock(func() time.Time { return time.Unix(vsec.Load(), 0) })
-	tick := func() {
-		vsec.Add(1)
-		svc.Healer.Tick()
-	}
+	svc, be, d := rg.svc, rg.be, rg.d
 
 	// The workload, racing the first whole-domain store-level kill. No
 	// SetDown, no Repair — ever.
-	var completed atomic.Int64
-	var killOnce sync.Once
-	kill := func() {
-		killOnce.Do(func() {
-			for _, id := range plan.FirstVictims {
-				svc.Faults[id].SetDown(true)
-			}
-		})
-	}
-	var mu sync.Mutex
-	okCalls := make([]verify.Call, 0, cfg.Writers*cfg.CallsPerWriter)
-	var failures []error
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, call := range perWriter[w] {
-				vec, err := verify.MakeVec(call)
-				if err == nil {
-					err = d.WriteList(vec, true)
-				}
-				mu.Lock()
-				if err != nil {
-					failures = append(failures, fmt.Errorf("call %d: %w", call.ID, err))
-				} else {
-					okCalls = append(okCalls, call)
-				}
-				mu.Unlock()
-				if int(completed.Add(1)) >= plan.AfterCalls {
-					kill()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	kill()
+	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() { rg.killStores(plan.FirstVictims...) })
 
 	report.FailedCalls = len(failures)
 	if len(failures) > 0 {
-		return report, fmt.Errorf("torture(seed=%d): %s writes failed despite one-fragment-per-domain spread + n-1 quorum: %w",
-			cfg.Seed, cfg.Coding, errors.Join(failures...))
+		return report, failf(cfg.Seed, "%s writes failed despite one-fragment-per-domain spread + n-1 quorum: %w",
+			cfg.Coding, errors.Join(failures...))
 	}
 
 	// Second domain dies before repair gets a tick: every chunk is now
 	// missing up to m fragments, and atomicity must survive on pure
 	// reconstruction — any k of the surviving fragments rebuild the
 	// exact original bytes.
-	for _, id := range plan.SecondVictims {
-		svc.Faults[id].SetDown(true)
-	}
+	rg.killStores(plan.SecondVictims...)
 	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
-		return report, fmt.Errorf("torture(seed=%d): degraded reconstruction at m=%d losses: %w", cfg.Seed, m, err)
+		return report, failf(cfg.Seed, "degraded reconstruction at m=%d losses: %w", m, err)
 	}
 
 	// Autonomous healing: converged means the repair queue is drained,
@@ -250,48 +173,28 @@ func RunCodedDomain(cfg CodedConfig) (CodedReport, error) {
 	// clean against the surviving domains (fragments double up where
 	// the domain count no longer covers the degree — that is the
 	// audit's achievable bound, not a violation).
-	report.Ticks = -1
-	for t := 1; t <= cfg.MaxTicks; t++ {
-		tick()
-		if svc.Healer.QueueLen() == 0 && svc.Router.UnderReplicated() == 0 && len(svc.Router.SpreadAudit()) == 0 {
-			report.Ticks = t
-			break
-		}
-	}
-	if report.Ticks < 0 {
-		return report, fmt.Errorf("torture(seed=%d): %d under-replicated / %d spread-violated chunks remain after %d ticks (domains %d+%d = %v+%v): %+v",
-			cfg.Seed, svc.Router.UnderReplicated(), len(svc.Router.SpreadAudit()), cfg.MaxTicks,
+	report.Ticks = rg.tickUntil(cfg.MaxTicks, rg.healedAndSpread)
+	if report.Ticks == notConverged {
+		return report, failf(cfg.Seed, "%d under-replicated / %d spread-violated chunks remain after %d ticks (domains %d+%d = %v+%v): %+v",
+			svc.Router.UnderReplicated(), len(svc.Router.SpreadAudit()), cfg.MaxTicks,
 			plan.FirstDomain, plan.SecondDomain, plan.FirstVictims, plan.SecondVictims, svc.Healer.Stats())
 	}
 	victims := append(append([]provider.ID(nil), plan.FirstVictims...), plan.SecondVictims...)
-	for _, id := range victims {
-		if svc.Health.State(id) == provider.Down {
-			report.Detected++
-		}
-	}
+	report.Detected = rg.detected(victims...)
 	if report.Detected != len(victims) {
-		return report, fmt.Errorf("torture(seed=%d): only %d of %d domain victims detected down: %v",
-			cfg.Seed, report.Detected, len(victims), victims)
+		return report, failf(cfg.Seed, "only %d of %d domain victims detected down: %v",
+			report.Detected, len(victims), victims)
 	}
 	// No fragment may remain referenced in either dead domain: its
 	// stores are gone, so a reference there is a latent degraded read.
-	dead := map[string]bool{
-		fmt.Sprintf("zone%d", plan.FirstDomain):  true,
-		fmt.Sprintf("zone%d", plan.SecondDomain): true,
-	}
-	for _, key := range svc.Router.Keys() {
-		ids, _ := svc.Router.Locate(key)
-		for _, id := range ids {
-			if dead[svc.Providers.DomainOf(id)] {
-				return report, fmt.Errorf("torture(seed=%d): chunk %s still placed in dead domain %s: %v",
-					cfg.Seed, key, svc.Providers.DomainOf(id), ids)
-			}
-		}
+	first, second := fmt.Sprintf("zone%d", plan.FirstDomain), fmt.Sprintf("zone%d", plan.SecondDomain)
+	if key, ids, found := rg.placedIn(first, second); found {
+		return report, failf(cfg.Seed, "chunk %s still placed in a dead domain (%s, %s): %v", key, first, second, ids)
 	}
 	n, err := be.Scrub()
 	report.Scrubbed = n
 	if err != nil {
-		return report, fmt.Errorf("torture(seed=%d): snapshot unreadable after coded domain loss healed: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "snapshot unreadable after coded domain loss healed: %w", err)
 	}
 
 	st := svc.Healer.Stats()

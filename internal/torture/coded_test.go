@@ -112,4 +112,13 @@ func TestCodedDomainRejectsBadShapes(t *testing.T) {
 	if _, err := RunCodedDomain(cfg); err == nil {
 		t.Fatal("RunCodedDomain accepted a pool too small to repair")
 	}
+	// The coded mode has no R; its two bad pools are one provider and
+	// fewer providers than fragments.
+	for _, providers := range []int{1, 5} {
+		cfg = codedConfig(1)
+		cfg.Providers = providers
+		if _, err := RunCodedDomain(cfg); err == nil {
+			t.Fatalf("RunCodedDomain accepted rs-4+2 on %d providers", providers)
+		}
+	}
 }

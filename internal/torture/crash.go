@@ -2,14 +2,9 @@ package torture
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/chunk"
 	"repro/internal/cluster"
-	"repro/internal/mpiio"
 	"repro/internal/provider"
 	"repro/internal/verify"
 )
@@ -34,20 +29,26 @@ type CrashPlan struct {
 	AfterCalls int
 }
 
+func (c CrashConfig) withDefaults() CrashConfig {
+	if c.Replicas < 1 {
+		c.Replicas = 1
+	}
+	if c.Providers <= 0 {
+		c.Providers = 8
+	}
+	return c
+}
+
 // Plan derives the crash schedule from the seed. The kill lands in the
 // middle half of the workload so writes race it from both sides.
 func (c CrashConfig) Plan() CrashPlan {
-	providers := c.Providers
-	if providers <= 0 {
-		providers = 8
-	}
+	c = c.withDefaults()
 	// A distinct stream from the call generator: same seed, different
 	// constant, so schedule and calls stay independently replayable.
-	rng := rand.New(rand.NewSource(c.Seed ^ 0x63726173682d7631)) // "crash-v1"
-	total := c.Writers * c.CallsPerWriter
+	rng := planRNG(c.Seed, 0x63726173682d7631) // "crash-v1"
 	return CrashPlan{
-		Victim:     provider.ID(rng.Intn(providers)),
-		AfterCalls: total/4 + rng.Intn(total/2+1),
+		Victim:     provider.ID(rng.Intn(c.Providers)),
+		AfterCalls: midWorkload(rng, c.Writers*c.CallsPerWriter),
 	}
 }
 
@@ -79,76 +80,38 @@ type CrashReport struct {
 //   - With R = 1 a detected data loss is reported, not failed: it is
 //     the motivating deficiency, asserted by its test.
 func RunCrash(cfg CrashConfig) (CrashReport, error) {
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 1
-	}
-	if cfg.Providers <= 0 {
-		cfg.Providers = 8
-	}
+	cfg = cfg.withDefaults()
 	perWriter, err := cfg.Calls()
+	if err != nil {
+		return CrashReport{}, err
+	}
+	env := cluster.Default()
+	env.Providers = cfg.Providers
+	env.Replicas = cfg.Replicas
+	rg, err := boot(env, cfg.Span())
 	if err != nil {
 		return CrashReport{}, err
 	}
 	plan := cfg.Plan()
 	report := CrashReport{Plan: plan}
+	svc, be, d := rg.svc, rg.be, rg.d
 
-	env := cluster.Default()
-	env.Providers = cfg.Providers
-	env.Replicas = cfg.Replicas
-	svc, err := cluster.NewVersioning(env)
-	if err != nil {
-		return report, err
-	}
-	be, err := svc.Backend(1, cfg.Span())
-	if err != nil {
-		return report, err
-	}
-	d := &mpiio.VersioningDriver{Backend: be}
-
-	var completed atomic.Int64
-	var killOnce sync.Once
-	kill := func() {
-		killOnce.Do(func() { _ = svc.Providers.SetDown(plan.Victim, true) })
-	}
-
-	var mu sync.Mutex
-	okCalls := make([]verify.Call, 0, cfg.Writers*cfg.CallsPerWriter)
-	var failures []error
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, call := range perWriter[w] {
-				vec, err := verify.MakeVec(call)
-				if err == nil {
-					err = d.WriteList(vec, true)
-				}
-				mu.Lock()
-				if err != nil {
-					failures = append(failures, fmt.Errorf("call %d: %w", call.ID, err))
-				} else {
-					okCalls = append(okCalls, call)
-				}
-				mu.Unlock()
-				if int(completed.Add(1)) >= plan.AfterCalls {
-					kill()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	kill() // schedules past the workload end still kill before checking
+	// The kill is administrative: the victim is flagged down, as an
+	// operator or a detector would (the heal schedule is the one where
+	// nobody tells the system).
+	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() {
+		_ = svc.Providers.SetDown(plan.Victim, true)
+	})
 
 	report.FailedCalls = len(failures)
 	if cfg.Replicas >= 2 && len(failures) > 0 {
-		return report, fmt.Errorf("torture(seed=%d): R=%d writes failed despite quorum: %w",
-			cfg.Seed, cfg.Replicas, errors.Join(failures...))
+		return report, failf(cfg.Seed, "R=%d writes failed despite quorum: %w",
+			cfg.Replicas, errors.Join(failures...))
 	}
 	for _, err := range failures {
 		// At R=1 only crash-induced failures are tolerated.
 		if !errors.Is(err, provider.ErrProviderDown) && !errors.Is(err, provider.ErrInsufficientProviders) {
-			return report, fmt.Errorf("torture(seed=%d): unexpected write failure: %w", cfg.Seed, err)
+			return report, failf(cfg.Seed, "unexpected write failure: %w", err)
 		}
 	}
 
@@ -158,7 +121,7 @@ func RunCrash(cfg CrashConfig) (CrashReport, error) {
 			report.DataLoss = true
 			return report, nil
 		}
-		return report, fmt.Errorf("torture(seed=%d): %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "%w", err)
 	}
 
 	if cfg.Replicas == 1 {
@@ -171,13 +134,13 @@ func RunCrash(cfg CrashConfig) (CrashReport, error) {
 	n, err := be.Scrub()
 	report.Scrubbed = n
 	if err != nil {
-		return report, fmt.Errorf("torture(seed=%d): snapshot lost after single provider crash: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "snapshot lost after single provider crash: %w", err)
 	}
 
 	// Repair restores full degree...
 	report.Repair = svc.Router.Repair()
 	if report.Repair.Lost > 0 || report.Repair.Failed > 0 || report.Repair.Repaired != report.Repair.Degraded {
-		return report, fmt.Errorf("torture(seed=%d): repair incomplete: %+v", cfg.Seed, report.Repair)
+		return report, failf(cfg.Seed, "repair incomplete: %+v", report.Repair)
 	}
 	// ...so a second, different provider loss is also survivable.
 	second := provider.ID((int(plan.Victim) + 1) % cfg.Providers)
@@ -187,7 +150,7 @@ func RunCrash(cfg CrashConfig) (CrashReport, error) {
 	n, err = be.Scrub()
 	report.PostRepair = n
 	if err != nil {
-		return report, fmt.Errorf("torture(seed=%d): snapshot lost after repair + second crash: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "snapshot lost after repair + second crash: %w", err)
 	}
 	return report, nil
 }

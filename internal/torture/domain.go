@@ -3,13 +3,8 @@ package torture
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/mpiio"
 	"repro/internal/provider"
 	"repro/internal/verify"
 )
@@ -42,32 +37,29 @@ type DomainPlan struct {
 	Victims      []provider.ID
 }
 
+func (c DomainConfig) withDefaults() DomainConfig {
+	c.CrashConfig = c.CrashConfig.withDefaults()
+	if c.Domains <= 0 {
+		c.Domains = 4
+	}
+	if c.MaxTicks <= 0 {
+		c.MaxTicks = 400
+	}
+	return c
+}
+
 // Plan derives the schedule from the seed, on its own stream so it is
 // independent of the call generator and of the other schedule
 // families.
 func (c DomainConfig) Plan() DomainPlan {
-	providers := c.Providers
-	if providers <= 0 {
-		providers = 8
-	}
-	domains := c.Domains
-	if domains <= 0 {
-		domains = 4
-	}
-	rng := rand.New(rand.NewSource(c.Seed ^ 0x646f6d61696e2d31)) // "domain-1"
-	total := c.Writers * c.CallsPerWriter
-	victim := rng.Intn(domains)
-	plan := DomainPlan{
+	c = c.withDefaults()
+	rng := planRNG(c.Seed, 0x646f6d61696e2d31) // "domain-1"
+	victim := rng.Intn(c.Domains)
+	return DomainPlan{
 		VictimDomain: victim,
-		AfterCalls:   total/4 + rng.Intn(total/2+1),
+		AfterCalls:   midWorkload(rng, c.Writers*c.CallsPerWriter),
+		Victims:      domainVictims(c.Providers, c.Domains, victim),
 	}
-	label := fmt.Sprintf("zone%d", victim)
-	for i := 0; i < providers; i++ {
-		if provider.DomainLabel(i, providers, domains) == label {
-			plan.Victims = append(plan.Victims, provider.ID(i))
-		}
-	}
-	return plan
 }
 
 // DomainReport summarizes one correlated-loss run.
@@ -82,20 +74,11 @@ type DomainReport struct {
 	Dropped     int64 // enqueues shed by the bounded queue
 }
 
-// domainEnv pins the same self-heal knobs as the heal schedule (see
-// healEnv) plus the failure-domain split under test.
+// domainEnv is the self-healing deployment (see selfHealEnv) with the
+// failure-domain split under test.
 func domainEnv(cfg DomainConfig) cluster.Env {
-	env := cluster.Default()
-	env.Providers = cfg.Providers
-	env.Replicas = cfg.Replicas
+	env := selfHealEnv(cfg.Providers, cfg.Replicas)
 	env.Domains = cfg.Domains
-	env.SelfHeal = true
-	env.FaultInjection = true
-	env.FailThreshold = 2
-	env.Probation = 30 * time.Second
-	env.ScrubRate = 32
-	env.RepairRate = 8
-	env.RepairQueue = 64
 	return env
 }
 
@@ -117,137 +100,63 @@ func RunDomain(cfg DomainConfig) (DomainReport, error) {
 	if cfg.Replicas < 2 {
 		return DomainReport{}, errors.New("torture: RunDomain needs R >= 2")
 	}
-	if cfg.Providers <= 0 {
-		cfg.Providers = 8
-	}
-	if cfg.Domains <= 0 {
-		cfg.Domains = 4
-	}
+	cfg = cfg.withDefaults()
 	if cfg.Domains <= cfg.Replicas {
 		return DomainReport{}, fmt.Errorf("torture: RunDomain needs Domains > Replicas (got %d <= %d): a domain loss must leave enough domains for the spread invariant",
 			cfg.Domains, cfg.Replicas)
-	}
-	if cfg.MaxTicks <= 0 {
-		cfg.MaxTicks = 400
 	}
 	perWriter, err := cfg.Calls()
 	if err != nil {
 		return DomainReport{}, err
 	}
+	rg, err := boot(domainEnv(cfg), cfg.Span())
+	if err != nil {
+		return DomainReport{}, err
+	}
 	plan := cfg.Plan()
 	report := DomainReport{Plan: plan}
-
-	svc, err := cluster.NewVersioning(domainEnv(cfg))
-	if err != nil {
-		return report, err
-	}
-	be, err := svc.Backend(1, cfg.Span())
-	if err != nil {
-		return report, err
-	}
-	d := &mpiio.VersioningDriver{Backend: be}
-
-	// Virtual clock: one healer tick = one virtual second.
-	var vsec atomic.Int64
-	svc.Health.SetClock(func() time.Time { return time.Unix(vsec.Load(), 0) })
-	tick := func() {
-		vsec.Add(1)
-		svc.Healer.Tick()
-	}
+	svc, be, d := rg.svc, rg.be, rg.d
 
 	// The workload, racing the whole-domain store-level kill. No
 	// SetDown, no Repair — ever.
-	var completed atomic.Int64
-	var killOnce sync.Once
-	kill := func() {
-		killOnce.Do(func() {
-			for _, id := range plan.Victims {
-				svc.Faults[id].SetDown(true)
-			}
-		})
-	}
-	var mu sync.Mutex
-	okCalls := make([]verify.Call, 0, cfg.Writers*cfg.CallsPerWriter)
-	var failures []error
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, call := range perWriter[w] {
-				vec, err := verify.MakeVec(call)
-				if err == nil {
-					err = d.WriteList(vec, true)
-				}
-				mu.Lock()
-				if err != nil {
-					failures = append(failures, fmt.Errorf("call %d: %w", call.ID, err))
-				} else {
-					okCalls = append(okCalls, call)
-				}
-				mu.Unlock()
-				if int(completed.Add(1)) >= plan.AfterCalls {
-					kill()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	kill()
+	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() { rg.killStores(plan.Victims...) })
 
 	report.FailedCalls = len(failures)
 	if len(failures) > 0 {
-		return report, fmt.Errorf("torture(seed=%d): R=%d writes failed despite domain spread + quorum: %w",
-			cfg.Seed, cfg.Replicas, errors.Join(failures...))
+		return report, failf(cfg.Seed, "R=%d writes failed despite domain spread + quorum: %w",
+			cfg.Replicas, errors.Join(failures...))
 	}
 
 	// Atomicity survives the correlated loss (degraded reads fail over
 	// to the replicas in surviving domains and feed read-repair).
 	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
-		return report, fmt.Errorf("torture(seed=%d): %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "%w", err)
 	}
 
 	// Autonomous healing: converged means the repair queue is drained,
 	// every chunk is back at full degree, AND no chunk's replicas
 	// share a failure domain — count and spread both restored.
-	report.Ticks = -1
-	for t := 1; t <= cfg.MaxTicks; t++ {
-		tick()
-		if svc.Healer.QueueLen() == 0 && svc.Router.UnderReplicated() == 0 && len(svc.Router.SpreadAudit()) == 0 {
-			report.Ticks = t
-			break
-		}
-	}
-	if report.Ticks < 0 {
-		return report, fmt.Errorf("torture(seed=%d): %d under-replicated / %d spread-violated chunks remain after %d ticks (domain %d = %v): %+v",
-			cfg.Seed, svc.Router.UnderReplicated(), len(svc.Router.SpreadAudit()), cfg.MaxTicks,
+	report.Ticks = rg.tickUntil(cfg.MaxTicks, rg.healedAndSpread)
+	if report.Ticks == notConverged {
+		return report, failf(cfg.Seed, "%d under-replicated / %d spread-violated chunks remain after %d ticks (domain %d = %v): %+v",
+			svc.Router.UnderReplicated(), len(svc.Router.SpreadAudit()), cfg.MaxTicks,
 			plan.VictimDomain, plan.Victims, svc.Healer.Stats())
 	}
-	for _, id := range plan.Victims {
-		if svc.Health.State(id) == provider.Down {
-			report.Detected++
-		}
-	}
+	report.Detected = rg.detected(plan.Victims...)
 	if report.Detected != len(plan.Victims) {
-		return report, fmt.Errorf("torture(seed=%d): only %d of %d domain victims detected down: %v",
-			cfg.Seed, report.Detected, len(plan.Victims), plan.Victims)
+		return report, failf(cfg.Seed, "only %d of %d domain victims detected down: %v",
+			report.Detected, len(plan.Victims), plan.Victims)
 	}
 	// No replica may remain placed in the dead domain: its stores are
 	// gone, so a reference there is a latent read failure.
 	deadLabel := fmt.Sprintf("zone%d", plan.VictimDomain)
-	for _, key := range svc.Router.Keys() {
-		ids, _ := svc.Router.Locate(key)
-		for _, id := range ids {
-			if svc.Providers.DomainOf(id) == deadLabel {
-				return report, fmt.Errorf("torture(seed=%d): chunk %s still placed in dead domain %s: %v",
-					cfg.Seed, key, deadLabel, ids)
-			}
-		}
+	if key, ids, found := rg.placedIn(deadLabel); found {
+		return report, failf(cfg.Seed, "chunk %s still placed in dead domain %s: %v", key, deadLabel, ids)
 	}
 	n, err := be.Scrub()
 	report.Scrubbed = n
 	if err != nil {
-		return report, fmt.Errorf("torture(seed=%d): snapshot unreadable after domain loss healed: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "snapshot unreadable after domain loss healed: %w", err)
 	}
 
 	st := svc.Healer.Stats()
@@ -274,64 +183,28 @@ func RunDomainFlat(cfg DomainConfig) (FlatReport, error) {
 	if cfg.Replicas < 2 {
 		return FlatReport{}, errors.New("torture: RunDomainFlat needs R >= 2 (R=1 loss is RunCrash's witness)")
 	}
-	if cfg.Providers <= 0 {
-		cfg.Providers = 8
-	}
-	if cfg.Domains <= 0 {
-		cfg.Domains = 4
-	}
+	cfg = cfg.withDefaults()
 	perWriter, err := cfg.Calls()
 	if err != nil {
 		return FlatReport{}, err
 	}
-	plan := cfg.Plan()
-	report := FlatReport{Plan: plan}
-
 	env := cluster.Default()
 	env.Providers = cfg.Providers
 	env.Replicas = cfg.Replicas
 	env.FaultInjection = true
 	// No Domains, no SelfHeal: the pre-spread deployment.
-	svc, err := cluster.NewVersioning(env)
+	rg, err := boot(env, cfg.Span())
 	if err != nil {
-		return report, err
+		return FlatReport{}, err
 	}
-	be, err := svc.Backend(1, cfg.Span())
-	if err != nil {
-		return report, err
-	}
-	d := &mpiio.VersioningDriver{Backend: be}
+	plan := cfg.Plan()
+	report := FlatReport{Plan: plan}
+	svc, be := rg.svc, rg.be
 
-	var completed atomic.Int64
-	var killOnce sync.Once
-	kill := func() {
-		killOnce.Do(func() {
-			for _, id := range plan.Victims {
-				svc.Faults[id].SetDown(true)
-			}
-		})
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, call := range perWriter[w] {
-				// Failures are expected here: with both copies of a
-				// chunk allocated inside the dying block, the quorum
-				// itself is unsatisfiable. The control run measures
-				// loss, not availability.
-				if vec, err := verify.MakeVec(call); err == nil {
-					_ = d.WriteList(vec, true)
-				}
-				if int(completed.Add(1)) >= plan.AfterCalls {
-					kill()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	kill()
+	// Write failures are expected here: with both copies of a chunk
+	// allocated inside the dying block, the quorum itself is
+	// unsatisfiable. The control run measures loss, not availability.
+	race(rg.d, perWriter, plan.AfterCalls, func() { rg.killStores(plan.Victims...) })
 
 	// Count chunks with no surviving copy: every recorded replica's
 	// store is dead.
@@ -357,8 +230,8 @@ func RunDomainFlat(cfg DomainConfig) (FlatReport, error) {
 		report.LossSeen = true
 	}
 	if report.LostChunks == 0 || !report.LossSeen {
-		return report, fmt.Errorf("torture(seed=%d): flat control lost nothing (lost=%d, scrubFailed=%v) — the exposure the domain schedule exists to witness did not occur",
-			cfg.Seed, report.LostChunks, report.LossSeen)
+		return report, failf(cfg.Seed, "flat control lost nothing (lost=%d, scrubFailed=%v) — the exposure the domain schedule exists to witness did not occur",
+			report.LostChunks, report.LossSeen)
 	}
 	return report, nil
 }

@@ -116,4 +116,16 @@ func TestDomainRejectsBadShapes(t *testing.T) {
 	if _, err := RunDomain(cfg); err == nil {
 		t.Fatal("RunDomain accepted Domains <= Replicas")
 	}
+	for name, run := range map[string]func(DomainConfig) error{
+		"RunDomain":     func(c DomainConfig) error { _, err := RunDomain(c); return err },
+		"RunDomainFlat": func(c DomainConfig) error { _, err := RunDomainFlat(c); return err },
+	} {
+		t.Run(name, func(t *testing.T) {
+			rejectsBadPools(t, func(providers, replicas int) error {
+				cfg := domainConfig(1, replicas)
+				cfg.Providers = providers
+				return run(cfg)
+			})
+		})
+	}
 }

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/cluster"
-	"repro/internal/mpiio"
 	"repro/internal/provider"
 	"repro/internal/verify"
 	"repro/internal/vmanager"
@@ -41,18 +38,25 @@ type GCPlan struct {
 	AfterCalls int
 }
 
+func (c GCConfig) withDefaults() GCConfig {
+	c.CrashConfig = c.CrashConfig.withDefaults()
+	if c.KeepLast <= 0 {
+		c.KeepLast = 3
+	}
+	if c.MaxTicks <= 0 {
+		c.MaxTicks = 600
+	}
+	return c
+}
+
 // Plan derives the schedule from the seed, on its own stream so it is
 // independent of the call generator and of the crash/heal streams.
 func (c GCConfig) Plan() GCPlan {
-	providers := c.Providers
-	if providers <= 0 {
-		providers = 8
-	}
-	rng := rand.New(rand.NewSource(c.Seed ^ 0x67632d736368656d)) // "gc-schem"
-	total := c.Writers * c.CallsPerWriter
+	c = c.withDefaults()
+	rng := planRNG(c.Seed, 0x67632d736368656d) // "gc-schem"
 	return GCPlan{
-		Victim:     provider.ID(rng.Intn(providers)),
-		AfterCalls: total/4 + rng.Intn(total/2+1),
+		Victim:     provider.ID(rng.Intn(c.Providers)),
+		AfterCalls: midWorkload(rng, c.Writers*c.CallsPerWriter),
 	}
 }
 
@@ -73,21 +77,13 @@ type GCReport struct {
 }
 
 // gcEnv pins the deployment knobs so the schedule is reproducible:
-// self-heal as in the heal schedule (threshold 2, small queue so
-// backpressure is exercised), newest-first scrub order (the smarter
-// scheduling option rides under fire here), and the reaper with the
-// configured retention applied continuously at a bounded delete rate.
+// self-heal as in the heal schedule (see selfHealEnv: threshold 2,
+// small queue so backpressure is exercised), newest-first scrub order
+// (the smarter scheduling option rides under fire here), and the
+// reaper with the configured retention applied continuously at a
+// bounded delete rate.
 func gcEnv(cfg GCConfig) cluster.Env {
-	env := cluster.Default()
-	env.Providers = cfg.Providers
-	env.Replicas = cfg.Replicas
-	env.SelfHeal = true
-	env.FaultInjection = true
-	env.FailThreshold = 2
-	env.Probation = 30 * time.Second
-	env.ScrubRate = 32
-	env.RepairRate = 8
-	env.RepairQueue = 64
+	env := selfHealEnv(cfg.Providers, cfg.Replicas)
 	env.ScrubNewestFirst = true
 	env.GC = true
 	env.RetainLast = cfg.KeepLast
@@ -115,58 +111,23 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	if cfg.Replicas < 2 {
 		return GCReport{}, errors.New("torture: RunGC needs R >= 2")
 	}
-	if cfg.Providers <= 0 {
-		cfg.Providers = 8
-	}
-	if cfg.KeepLast <= 0 {
-		cfg.KeepLast = 3
-	}
-	if cfg.MaxTicks <= 0 {
-		cfg.MaxTicks = 600
-	}
+	cfg = cfg.withDefaults()
 	perWriter, err := cfg.Calls()
+	if err != nil {
+		return GCReport{}, err
+	}
+	rg, err := boot(gcEnv(cfg), cfg.Span())
 	if err != nil {
 		return GCReport{}, err
 	}
 	plan := cfg.Plan()
 	report := GCReport{Plan: plan}
-
-	svc, err := cluster.NewVersioning(gcEnv(cfg))
-	if err != nil {
-		return report, err
-	}
-	be, err := svc.Backend(1, cfg.Span())
-	if err != nil {
-		return report, err
-	}
+	svc, be, d := rg.svc, rg.be, rg.d
 	b := be.Blob()
-	d := &mpiio.VersioningDriver{Backend: be}
-
-	// Virtual clock: one healer tick = one virtual second.
-	var vsec atomic.Int64
-	svc.Health.SetClock(func() time.Time { return time.Unix(vsec.Load(), 0) })
-	tick := func() {
-		vsec.Add(1)
-		svc.Healer.Tick()
-		svc.Reaper.Tick()
-	}
 
 	// Continuous GC: heal and reap concurrently with the workload.
-	stopTicker := make(chan struct{})
-	var tickerWG sync.WaitGroup
-	tickerWG.Add(1)
-	go func() {
-		defer tickerWG.Done()
-		for {
-			select {
-			case <-stopTicker:
-				return
-			default:
-				tick()
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
+	stopTicker := rg.tickInBackground()
+	defer stopTicker()
 
 	// The pinned reader: pin the earliest version still retained,
 	// remember its bytes, and re-read it under fire until the workload
@@ -233,84 +194,44 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	}()
 
 	// The workload, racing a store-level kill and the retain/reap loop.
-	var completed atomic.Int64
-	var killOnce sync.Once
-	kill := func() {
-		killOnce.Do(func() { svc.Faults[plan.Victim].SetDown(true) })
-	}
-	var mu sync.Mutex
-	okCalls := make([]verify.Call, 0, cfg.Writers*cfg.CallsPerWriter)
-	var failures []error
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, call := range perWriter[w] {
-				vec, err := verify.MakeVec(call)
-				if err == nil {
-					err = d.WriteList(vec, true)
-				}
-				mu.Lock()
-				if err != nil {
-					failures = append(failures, fmt.Errorf("call %d: %w", call.ID, err))
-				} else {
-					okCalls = append(okCalls, call)
-				}
-				mu.Unlock()
-				if int(completed.Add(1)) >= plan.AfterCalls {
-					kill()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	kill()
+	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() {
+		rg.killStores(plan.Victim)
+	})
 	awaitFirst(&pinnedReads, readerErr)
 	close(stopReader)
 	<-readerDone
-	close(stopTicker)
-	tickerWG.Wait()
+	stopTicker()
 
 	report.FailedCalls = len(failures)
 	report.PinnedVersion = pinnedV.Load()
 	report.PinnedReads = int(pinnedReads.Load())
 	if len(failures) > 0 {
-		return report, fmt.Errorf("torture(seed=%d): R=%d writes failed under GC: %w",
-			cfg.Seed, cfg.Replicas, errors.Join(failures...))
+		return report, failf(cfg.Seed, "R=%d writes failed under GC: %w", cfg.Replicas, errors.Join(failures...))
 	}
 	select {
 	case err := <-readerErr:
-		return report, fmt.Errorf("torture(seed=%d): pinned reader: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "pinned reader: %w", err)
 	default:
 	}
 	if report.PinnedReads == 0 {
-		return report, fmt.Errorf("torture(seed=%d): pinned reader never completed a read — schedule lost its teeth", cfg.Seed)
+		return report, failf(cfg.Seed, "pinned reader never completed a read — schedule lost its teeth")
 	}
 
 	// Serializability of the surviving latest state.
 	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
-		return report, fmt.Errorf("torture(seed=%d): %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "%w", err)
 	}
 
 	// Self-heal to quiescence under the same tick loop GC shares.
-	healed := -1
-	for t := 1; t <= cfg.MaxTicks; t++ {
-		tick()
-		if svc.Healer.QueueLen() == 0 && svc.Router.UnderReplicated() == 0 {
-			healed = t
-			break
-		}
-	}
-	report.HealTicks = healed
-	if healed < 0 {
-		return report, fmt.Errorf("torture(seed=%d): %d under-replicated chunks after %d ticks (victim %d)",
-			cfg.Seed, svc.Router.UnderReplicated(), cfg.MaxTicks, plan.Victim)
+	report.HealTicks = rg.tickUntil(cfg.MaxTicks, rg.healed)
+	if report.HealTicks == notConverged {
+		return report, failf(cfg.Seed, "%d under-replicated chunks after %d ticks (victim %d)",
+			svc.Router.UnderReplicated(), cfg.MaxTicks, plan.Victim)
 	}
 	report.Detected = svc.Health.State(plan.Victim) == provider.Down
 	if !report.Detected {
-		return report, fmt.Errorf("torture(seed=%d): victim %d never detected (state %s)",
-			cfg.Seed, plan.Victim, svc.Health.State(plan.Victim))
+		return report, failf(cfg.Seed, "victim %d never detected (state %s)",
+			plan.Victim, svc.Health.State(plan.Victim))
 	}
 
 	// The pinned version survived everything; release it, drop it, and
@@ -319,10 +240,10 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	pv := report.PinnedVersion
 	sizePinned, err := b.Size(pv)
 	if err != nil {
-		return report, fmt.Errorf("torture(seed=%d): pinned version lost before unpin: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "pinned version lost before unpin: %w", err)
 	}
 	if _, err := b.ReadAt(pv, 0, sizePinned); err != nil {
-		return report, fmt.Errorf("torture(seed=%d): pinned version unreadable before unpin: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "pinned version unreadable before unpin: %w", err)
 	}
 	if err := b.Unpin(pv); err != nil {
 		return report, err
@@ -338,8 +259,8 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 		}
 	}
 	if !droppedPinned {
-		return report, fmt.Errorf("torture(seed=%d): unpinned v%d not dropped by retention (dropped %v) — schedule lost its teeth",
-			cfg.Seed, pv, dropped)
+		return report, failf(cfg.Seed, "unpinned v%d not dropped by retention (dropped %v) — schedule lost its teeth",
+			pv, dropped)
 	}
 	exclusive, err := b.ExclusiveChunks(pv)
 	if err != nil {
@@ -350,14 +271,9 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	// Reap to a drained pending set, with usage watched across it.
 	usageBefore := liveBytes(svc)
 	statsBefore := svc.Reaper.Stats()
-	drained := false
-	for t := 0; t < cfg.MaxTicks && !drained; t++ {
-		tick()
-		info, err := b.GCInfo()
-		if err != nil {
-			return report, err
-		}
-		drained = len(info.Pending) == 0
+	drained, err := rg.tickUntilReclaimed(cfg.MaxTicks)
+	if err != nil {
+		return report, err
 	}
 	st := svc.Reaper.Stats()
 	report.DroppedTotal = st.AutoDropped + int64(len(dropped))
@@ -365,11 +281,10 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	report.DeletedBytes = st.DeletedBytes
 	report.Stats = fmt.Sprintf("%+v", st)
 	if !drained {
-		return report, fmt.Errorf("torture(seed=%d): pending versions not reclaimed in %d ticks: %+v",
-			cfg.Seed, cfg.MaxTicks, st)
+		return report, failf(cfg.Seed, "pending versions not reclaimed in %d ticks: %+v", cfg.MaxTicks, st)
 	}
 	if st.Deleted == 0 {
-		return report, fmt.Errorf("torture(seed=%d): continuous GC deleted nothing — schedule lost its teeth: %+v", cfg.Seed, st)
+		return report, failf(cfg.Seed, "continuous GC deleted nothing — schedule lost its teeth: %+v", st)
 	}
 
 	// The pinned version's exclusive chunks are gone from EVERY live
@@ -377,36 +292,35 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	for _, key := range exclusive {
 		if _, ok := svc.Router.Locate(key); ok {
 			report.Stats = fmt.Sprintf("%+v", svc.Reaper.Stats())
-			return report, fmt.Errorf("torture(seed=%d): reclaimed chunk %s still placed", cfg.Seed, key)
+			return report, failf(cfg.Seed, "reclaimed chunk %s still placed", key)
 		}
 		for _, p := range svc.Providers.Providers() {
 			if p.Down() {
 				continue // dead machine: unreachable copy, not a live replica
 			}
 			if _, err := p.Store().Len(key); !errors.Is(err, chunk.ErrNotFound) {
-				return report, fmt.Errorf("torture(seed=%d): live provider %d still holds reclaimed chunk %s (%v)",
-					cfg.Seed, p.ID(), key, err)
+				return report, failf(cfg.Seed, "live provider %d still holds reclaimed chunk %s (%v)",
+					p.ID(), key, err)
 			}
 		}
 	}
 	// Usage accounting agrees with the deletion stats.
 	if freed, claimed := usageBefore-liveBytes(svc), st.DeletedBytes-statsBefore.DeletedBytes; freed != claimed {
-		return report, fmt.Errorf("torture(seed=%d): usage shrank by %d bytes but the reaper claims %d",
-			cfg.Seed, freed, claimed)
+		return report, failf(cfg.Seed, "usage shrank by %d bytes but the reaper claims %d", freed, claimed)
 	}
 
 	// Shared chunks survive: every retained version scrubs clean.
 	n, err := be.Scrub()
 	report.Scrubbed = n
 	if err != nil {
-		return report, fmt.Errorf("torture(seed=%d): retained version failed scrub after GC: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "retained version failed scrub after GC: %w", err)
 	}
 	vs, err := b.Versions()
 	if err != nil {
 		return report, err
 	}
 	if n != len(vs) {
-		return report, fmt.Errorf("torture(seed=%d): scrubbed %d of %d retained versions", cfg.Seed, n, len(vs))
+		return report, failf(cfg.Seed, "scrubbed %d of %d retained versions", n, len(vs))
 	}
 	return report, nil
 }

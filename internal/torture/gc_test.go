@@ -86,4 +86,10 @@ func TestGCRejectsUnreplicated(t *testing.T) {
 	if _, err := RunGC(gcConfig(1, 1)); err == nil {
 		t.Fatal("RunGC accepted R=1")
 	}
+	rejectsBadPools(t, func(providers, replicas int) error {
+		cfg := gcConfig(1, replicas)
+		cfg.Providers = providers
+		_, err := RunGC(cfg)
+		return err
+	})
 }

@@ -2,14 +2,7 @@ package torture
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/mpiio"
 	"repro/internal/provider"
 	"repro/internal/verify"
 )
@@ -36,23 +29,27 @@ type HealPlan struct {
 	Second     provider.ID
 }
 
+func (c HealConfig) withDefaults() HealConfig {
+	c.CrashConfig = c.CrashConfig.withDefaults()
+	if c.MaxTicks <= 0 {
+		c.MaxTicks = 400
+	}
+	return c
+}
+
 // Plan derives the schedule from the seed, on its own stream so it is
 // independent of the call generator and of CrashConfig.Plan.
 func (c HealConfig) Plan() HealPlan {
-	providers := c.Providers
-	if providers <= 0 {
-		providers = 8
-	}
-	rng := rand.New(rand.NewSource(c.Seed ^ 0x6865616c2d763100)) // "heal-v1"
-	total := c.Writers * c.CallsPerWriter
-	victim := provider.ID(rng.Intn(providers))
-	second := provider.ID(rng.Intn(providers - 1))
+	c = c.withDefaults()
+	rng := planRNG(c.Seed, 0x6865616c2d763100) // "heal-v1"
+	victim := provider.ID(rng.Intn(c.Providers))
+	second := provider.ID(rng.Intn(c.Providers - 1))
 	if second >= victim {
 		second++
 	}
 	return HealPlan{
 		Victim:     victim,
-		AfterCalls: total/4 + rng.Intn(total/2+1),
+		AfterCalls: midWorkload(rng, c.Writers*c.CallsPerWriter),
 		Second:     second,
 	}
 }
@@ -71,26 +68,6 @@ type HealReport struct {
 	Revived     bool  // victim 1 returned to Live after its store recovered
 }
 
-// healKnobs are the self-heal parameters the torture run pins down so
-// the tick math is deterministic: threshold 2, probation 30 virtual
-// seconds (the virtual clock advances 1s per healer tick), a scrub
-// budget of 32 chunks and 8 repairs per tick, and a repair queue of 64
-// — smaller than the degraded set most seeds produce, so the
-// drop-and-refind backpressure path is exercised, not just tolerated.
-func healEnv(cfg HealConfig) cluster.Env {
-	env := cluster.Default()
-	env.Providers = cfg.Providers
-	env.Replicas = cfg.Replicas
-	env.SelfHeal = true
-	env.FaultInjection = true
-	env.FailThreshold = 2
-	env.Probation = 30 * time.Second
-	env.ScrubRate = 32
-	env.RepairRate = 8
-	env.RepairQueue = 64
-	return env
-}
-
 // RunHeal executes the self-healing schedule. The contract it checks:
 //
 //   - Writes keep committing through the store-level kill (write
@@ -107,138 +84,77 @@ func RunHeal(cfg HealConfig) (HealReport, error) {
 	if cfg.Replicas < 2 {
 		return HealReport{}, errors.New("torture: RunHeal needs R >= 2")
 	}
-	if cfg.Providers <= 0 {
-		cfg.Providers = 8
-	}
-	if cfg.MaxTicks <= 0 {
-		cfg.MaxTicks = 400
-	}
+	cfg = cfg.withDefaults()
 	perWriter, err := cfg.Calls()
+	if err != nil {
+		return HealReport{}, err
+	}
+	rg, err := boot(selfHealEnv(cfg.Providers, cfg.Replicas), cfg.Span())
 	if err != nil {
 		return HealReport{}, err
 	}
 	plan := cfg.Plan()
 	report := HealReport{Plan: plan}
-
-	svc, err := cluster.NewVersioning(healEnv(cfg))
-	if err != nil {
-		return report, err
-	}
-	be, err := svc.Backend(1, cfg.Span())
-	if err != nil {
-		return report, err
-	}
-	d := &mpiio.VersioningDriver{Backend: be}
-
-	// Virtual clock: one healer tick = one virtual second. The monitor
-	// never reads the wall clock, so probation timing is deterministic.
-	var vsec atomic.Int64
-	svc.Health.SetClock(func() time.Time { return time.Unix(vsec.Load(), 0) })
-	tick := func() {
-		vsec.Add(1)
-		svc.Healer.Tick()
-	}
-	// heal ticks until every known chunk is back at full degree and the
-	// repair queue is empty; reports the ticks spent, or -1 on timeout.
-	heal := func() int {
-		for t := 1; t <= cfg.MaxTicks; t++ {
-			tick()
-			if svc.Healer.QueueLen() == 0 && svc.Router.UnderReplicated() == 0 {
-				return t
-			}
-		}
-		return -1
-	}
+	svc, be, d := rg.svc, rg.be, rg.d
 
 	// The workload, racing a store-level kill. Note what is absent:
 	// no svc.Providers.SetDown, no svc.Router.Repair, ever.
-	var completed atomic.Int64
-	var killOnce sync.Once
-	kill := func() {
-		killOnce.Do(func() { svc.Faults[plan.Victim].SetDown(true) })
-	}
-	var mu sync.Mutex
-	okCalls := make([]verify.Call, 0, cfg.Writers*cfg.CallsPerWriter)
-	var failures []error
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, call := range perWriter[w] {
-				vec, err := verify.MakeVec(call)
-				if err == nil {
-					err = d.WriteList(vec, true)
-				}
-				mu.Lock()
-				if err != nil {
-					failures = append(failures, fmt.Errorf("call %d: %w", call.ID, err))
-				} else {
-					okCalls = append(okCalls, call)
-				}
-				mu.Unlock()
-				if int(completed.Add(1)) >= plan.AfterCalls {
-					kill()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	kill()
+	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() {
+		rg.killStores(plan.Victim)
+	})
 
 	report.FailedCalls = len(failures)
 	if len(failures) > 0 {
-		return report, fmt.Errorf("torture(seed=%d): R=%d writes failed despite quorum: %w",
-			cfg.Seed, cfg.Replicas, errors.Join(failures...))
+		return report, failf(cfg.Seed, "R=%d writes failed despite quorum: %w",
+			cfg.Replicas, errors.Join(failures...))
 	}
 
 	// Atomicity survives the kill; these degraded reads also feed the
 	// read-repair queue with exactly the chunks that needed failover.
 	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
-		return report, fmt.Errorf("torture(seed=%d): %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "%w", err)
 	}
 
 	// Self-healing round 1: no operator, bounded virtual time.
-	report.TicksFirst = heal()
-	if report.TicksFirst < 0 {
-		return report, fmt.Errorf("torture(seed=%d): %d under-replicated chunks remain after %d ticks (victim %d): %+v",
-			cfg.Seed, svc.Router.UnderReplicated(), cfg.MaxTicks, plan.Victim, svc.Healer.Stats())
+	report.TicksFirst = rg.tickUntil(cfg.MaxTicks, rg.healed)
+	if report.TicksFirst == notConverged {
+		return report, failf(cfg.Seed, "%d under-replicated chunks remain after %d ticks (victim %d): %+v",
+			svc.Router.UnderReplicated(), cfg.MaxTicks, plan.Victim, svc.Healer.Stats())
 	}
 	report.Detected = svc.Health.State(plan.Victim) == provider.Down
 	if !report.Detected {
-		return report, fmt.Errorf("torture(seed=%d): victim %d healed around but never marked down (state %s)",
-			cfg.Seed, plan.Victim, svc.Health.State(plan.Victim))
+		return report, failf(cfg.Seed, "victim %d healed around but never marked down (state %s)",
+			plan.Victim, svc.Health.State(plan.Victim))
 	}
 	n, err := be.Scrub()
 	report.Scrubbed = n
 	if err != nil {
-		return report, fmt.Errorf("torture(seed=%d): snapshot unreadable after self-heal: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "snapshot unreadable after self-heal: %w", err)
 	}
 
 	// Round 2: a different provider dies. Replication was restored, so
 	// this too must heal without losing any published byte.
-	svc.Faults[plan.Second].SetDown(true)
-	report.TicksSecond = heal()
-	if report.TicksSecond < 0 {
-		return report, fmt.Errorf("torture(seed=%d): second kill (provider %d) did not heal in %d ticks: %+v",
-			cfg.Seed, plan.Second, cfg.MaxTicks, svc.Healer.Stats())
+	rg.killStores(plan.Second)
+	report.TicksSecond = rg.tickUntil(cfg.MaxTicks, rg.healed)
+	if report.TicksSecond == notConverged {
+		return report, failf(cfg.Seed, "second kill (provider %d) did not heal in %d ticks: %+v",
+			plan.Second, cfg.MaxTicks, svc.Healer.Stats())
 	}
 	n, err = be.Scrub()
 	report.PostSecond = n
 	if err != nil {
-		return report, fmt.Errorf("torture(seed=%d): snapshot unreadable after second self-heal: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "snapshot unreadable after second self-heal: %w", err)
 	}
 
 	// Recovery: the first victim's store comes back; probation probes
 	// must return it to service without operator action.
 	svc.Faults[plan.Victim].SetDown(false)
-	for t := 0; t < cfg.MaxTicks && !report.Revived; t++ {
-		tick()
-		report.Revived = svc.Health.State(plan.Victim) == provider.Live
-	}
+	report.Revived = rg.tickUntil(cfg.MaxTicks, func() bool {
+		return svc.Health.State(plan.Victim) == provider.Live
+	}) != notConverged
 	if !report.Revived {
-		return report, fmt.Errorf("torture(seed=%d): victim %d never revived after its store recovered (state %s)",
-			cfg.Seed, plan.Victim, svc.Health.State(plan.Victim))
+		return report, failf(cfg.Seed, "victim %d never revived after its store recovered (state %s)",
+			plan.Victim, svc.Health.State(plan.Victim))
 	}
 
 	st := svc.Healer.Stats()

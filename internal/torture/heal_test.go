@@ -90,4 +90,10 @@ func TestHealRejectsUnreplicated(t *testing.T) {
 	if _, err := RunHeal(healConfig(1, 1)); err == nil {
 		t.Fatal("RunHeal accepted R=1")
 	}
+	rejectsBadPools(t, func(providers, replicas int) error {
+		cfg := healConfig(1, replicas)
+		cfg.Providers = providers
+		_, err := RunHeal(cfg)
+		return err
+	})
 }

@@ -5,12 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/extent"
-	"repro/internal/mpiio"
-	"repro/internal/provider"
 	"repro/internal/verify"
 	"repro/internal/workload"
 )
@@ -63,18 +59,10 @@ func RunReadTier(cfg ReadTierConfig) (ReadTierReport, error) {
 	if cfg.Replicas < 2 {
 		return ReadTierReport{}, errors.New("torture: RunReadTier needs R >= 2")
 	}
-	if cfg.Providers <= 0 {
-		cfg.Providers = 8
-	}
-	if cfg.Domains <= 0 {
-		cfg.Domains = 4
-	}
+	cfg.DomainConfig = cfg.DomainConfig.withDefaults()
 	if cfg.Domains <= cfg.Replicas {
 		return ReadTierReport{}, fmt.Errorf("torture: RunReadTier needs Domains > Replicas (got %d <= %d)",
 			cfg.Domains, cfg.Replicas)
-	}
-	if cfg.MaxTicks <= 0 {
-		cfg.MaxTicks = 400
 	}
 	if cfg.Readers <= 0 {
 		cfg.Readers = 4
@@ -86,25 +74,16 @@ func RunReadTier(cfg ReadTierConfig) (ReadTierReport, error) {
 	if err != nil {
 		return ReadTierReport{}, err
 	}
-	plan := cfg.DomainConfig.Plan()
-	report := ReadTierReport{Plan: plan}
-
 	env := domainEnv(cfg.DomainConfig)
 	env.ReadCache = true
 	env.LocalDomain = "zone0" // the victim domain may be zone0 itself: locality must degrade, not fail
-	svc, err := cluster.NewVersioning(env)
+	rg, err := boot(env, cfg.Span())
 	if err != nil {
-		return report, err
+		return ReadTierReport{}, err
 	}
-	be, err := svc.Backend(1, cfg.Span())
-	if err != nil {
-		return report, err
-	}
-	d := &mpiio.VersioningDriver{Backend: be}
-
-	// Virtual clock: one healer tick = one virtual second.
-	var vsec atomic.Int64
-	svc.Health.SetClock(func() time.Time { return time.Unix(vsec.Load(), 0) })
+	plan := cfg.DomainConfig.Plan()
+	report := ReadTierReport{Plan: plan}
+	svc, be, d := rg.svc, rg.be, rg.d
 
 	// Readers replay a seeded hot/cold pick sequence as whole-chunk
 	// reads clipped to the window — the skew that makes the cache
@@ -118,11 +97,11 @@ func RunReadTier(cfg ReadTierConfig) (ReadTierReport, error) {
 	readPhase := func(phase int) error {
 		errs := make([]error, cfg.Readers)
 		var wg sync.WaitGroup
-		for r := 0; r < cfg.Readers; r++ {
+		for rd := 0; rd < cfg.Readers; rd++ {
 			wg.Add(1)
-			go func(r int) {
+			go func(rd int) {
 				defer wg.Done()
-				pick := pattern.Picker(cfg.Seed ^ int64(phase*1000+r))
+				pick := pattern.Picker(cfg.Seed ^ int64(phase*1000+rd))
 				for i := 0; i < cfg.ReadsPerReader; i++ {
 					off := int64(pick()) * env.ChunkSize
 					length := env.ChunkSize
@@ -132,117 +111,71 @@ func RunReadTier(cfg ReadTierConfig) (ReadTierReport, error) {
 					_, err := d.ReadList(extent.List{{Offset: off, Length: length}}, true)
 					reads.Add(1)
 					if err != nil {
-						errs[r] = fmt.Errorf("reader %d read %d: %w", r, i, err)
+						errs[rd] = fmt.Errorf("reader %d read %d: %w", rd, i, err)
 						return
 					}
 				}
-			}(r)
+			}(rd)
 		}
 		wg.Wait()
 		return errors.Join(errs...)
 	}
 
 	// Phase 1: writers, the whole-domain kill, and readers all racing.
-	var completed atomic.Int64
-	var killOnce sync.Once
-	kill := func() {
-		killOnce.Do(func() {
-			for _, id := range plan.Victims {
-				svc.Faults[id].SetDown(true)
-			}
-		})
-	}
-	var mu sync.Mutex
-	okCalls := make([]verify.Call, 0, cfg.Writers*cfg.CallsPerWriter)
-	var failures []error
 	var readErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
+	var readers sync.WaitGroup
+	readers.Add(1)
 	go func() {
-		defer wg.Done()
+		defer readers.Done()
 		readErr = readPhase(1)
 	}()
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, call := range perWriter[w] {
-				vec, err := verify.MakeVec(call)
-				if err == nil {
-					err = d.WriteList(vec, true)
-				}
-				mu.Lock()
-				if err != nil {
-					failures = append(failures, fmt.Errorf("call %d: %w", call.ID, err))
-				} else {
-					okCalls = append(okCalls, call)
-				}
-				mu.Unlock()
-				if int(completed.Add(1)) >= plan.AfterCalls {
-					kill()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	kill()
+	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() { rg.killStores(plan.Victims...) })
+	readers.Wait()
 
 	report.FailedCalls = len(failures)
 	if len(failures) > 0 {
-		return report, fmt.Errorf("torture(seed=%d): writes failed under the read tier: %w",
-			cfg.Seed, errors.Join(failures...))
+		return report, failf(cfg.Seed, "writes failed under the read tier: %w", errors.Join(failures...))
 	}
 	if readErr != nil {
-		return report, fmt.Errorf("torture(seed=%d): reads failed racing the domain kill: %w", cfg.Seed, readErr)
+		return report, failf(cfg.Seed, "reads failed racing the domain kill: %w", readErr)
 	}
 
 	// Phase 2: the domain is dead, nothing is healed yet, and the cache
 	// is primed with pre-kill data and hints. Every read must still
 	// succeed — stale cache state may cost failovers, never failures.
 	if err := readPhase(2); err != nil {
-		return report, fmt.Errorf("torture(seed=%d): reads failed on the unhealed degraded cluster: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "reads failed on the unhealed degraded cluster: %w", err)
 	}
 
 	// Serializability read THROUGH the cache: the verifier's reads take
 	// the same cached path the torture readers warmed up.
 	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
-		return report, fmt.Errorf("torture(seed=%d): %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "%w", err)
 	}
 
 	// Autonomous healing converges with the cache bolted on; every
 	// re-replication is a placement change the cache must absorb.
-	report.Ticks = -1
-	for t := 1; t <= cfg.MaxTicks; t++ {
-		vsec.Add(1)
-		svc.Healer.Tick()
-		if svc.Healer.QueueLen() == 0 && svc.Router.UnderReplicated() == 0 && len(svc.Router.SpreadAudit()) == 0 {
-			report.Ticks = t
-			break
-		}
+	report.Ticks = rg.tickUntil(cfg.MaxTicks, rg.healedAndSpread)
+	if report.Ticks == notConverged {
+		return report, failf(cfg.Seed, "%d under-replicated / %d spread-violated chunks remain after %d ticks with the cache on: %+v",
+			svc.Router.UnderReplicated(), len(svc.Router.SpreadAudit()), cfg.MaxTicks, svc.Healer.Stats())
 	}
-	if report.Ticks < 0 {
-		return report, fmt.Errorf("torture(seed=%d): %d under-replicated / %d spread-violated chunks remain after %d ticks with the cache on: %+v",
-			cfg.Seed, svc.Router.UnderReplicated(), len(svc.Router.SpreadAudit()), cfg.MaxTicks, svc.Healer.Stats())
-	}
-	for _, id := range plan.Victims {
-		if svc.Health.State(id) == provider.Down {
-			report.Detected++
-		}
-	}
+	report.Detected = rg.detected(plan.Victims...)
 	if report.Detected != len(plan.Victims) {
-		return report, fmt.Errorf("torture(seed=%d): only %d of %d domain victims detected down", cfg.Seed, report.Detected, len(plan.Victims))
+		return report, failf(cfg.Seed, "only %d of %d domain victims detected down",
+			report.Detected, len(plan.Victims))
 	}
 
 	// Phase 3: post-heal reads — placements moved again under the
 	// healer; the cache must have followed.
 	if err := readPhase(3); err != nil {
-		return report, fmt.Errorf("torture(seed=%d): reads failed after healing: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "reads failed after healing: %w", err)
 	}
 
 	n, err := be.Scrub()
 	report.Scrubbed = n
 	if err != nil {
-		return report, fmt.Errorf("torture(seed=%d): snapshot unreadable with the read tier on: %w", cfg.Seed, err)
+		return report, failf(cfg.Seed, "snapshot unreadable with the read tier on: %w", err)
 	}
 
 	report.Reads = reads.Load()
@@ -250,11 +183,10 @@ func RunReadTier(cfg ReadTierConfig) (ReadTierReport, error) {
 	report.CacheHits = st.Hits
 	report.Invalidated = st.Invalidations
 	if report.CacheHits == 0 {
-		return report, fmt.Errorf("torture(seed=%d): the hot/cold readers never hit the cache: %+v", cfg.Seed, st)
+		return report, failf(cfg.Seed, "the hot/cold readers never hit the cache: %+v", st)
 	}
 	if report.Invalidated == 0 {
-		return report, fmt.Errorf("torture(seed=%d): healing re-replicated out of a dead domain yet invalidated nothing — placement changes are bypassing the cache: %+v",
-			cfg.Seed, st)
+		return report, failf(cfg.Seed, "healing re-replicated out of a dead domain yet invalidated nothing — placement changes are bypassing the cache: %+v", st)
 	}
 	return report, nil
 }

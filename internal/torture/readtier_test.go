@@ -55,4 +55,10 @@ func TestReadTierRejectsBadShapes(t *testing.T) {
 	if _, err := RunReadTier(cfg); err == nil {
 		t.Fatal("RunReadTier accepted Domains <= Replicas")
 	}
+	rejectsBadPools(t, func(providers, replicas int) error {
+		cfg := readTierConfig(1, replicas)
+		cfg.Providers = providers
+		_, err := RunReadTier(cfg)
+		return err
+	})
 }

@@ -3,7 +3,6 @@ package torture
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -108,7 +107,7 @@ func (c ShardConfig) Plan() ShardPlan {
 	c.applyDefaults()
 	// A distinct stream from the per-blob call generators: same seed,
 	// different constant, so schedule and calls replay independently.
-	rng := rand.New(rand.NewSource(c.Seed ^ 0x73686172642d7631)) // "shard-v1"
+	rng := planRNG(c.Seed, 0x73686172642d7631) // "shard-v1"
 	doomedBlob := uint64(1 + rng.Intn(c.Blobs))
 	doomed := vmanager.ShardIndex(doomedBlob, c.Shards)
 	owned := 0
@@ -117,8 +116,7 @@ func (c ShardConfig) Plan() ShardPlan {
 			owned++
 		}
 	}
-	total := c.CallsPerBlob * owned
-	after := total/4 + rng.Intn(total/2+1)
+	after := midWorkload(rng, c.CallsPerBlob*owned)
 	if after < 1 {
 		after = 1
 	}
@@ -197,8 +195,8 @@ func RunShard(cfg ShardConfig) (ShardReport, error) {
 	}
 	report.DoomedBlobs = doomedBlobs
 	if len(doomedBlobs) == 0 || len(survivorBlobs) == 0 {
-		return report, fmt.Errorf("torture(seed=%d): schedule lost its teeth: doomed shard %d owns %d of %d blobs (need both victims and survivors)",
-			cfg.Seed, plan.Doomed, len(doomedBlobs), cfg.Blobs)
+		return report, failf(cfg.Seed, "schedule lost its teeth: doomed shard %d owns %d of %d blobs (need both victims and survivors)",
+			plan.Doomed, len(doomedBlobs), cfg.Blobs)
 	}
 
 	calls := make(map[uint64][]verify.Call, cfg.Blobs)
@@ -288,59 +286,59 @@ func RunShard(cfg ShardConfig) (ShardReport, error) {
 	// Control assertions first: a schedule that never kills, or kills
 	// between batches, tests nothing.
 	if !killFired {
-		return report, fmt.Errorf("torture(seed=%d): schedule lost its teeth: crashpoint never fired (kill-after=%d, doomed shard applied %d publishes)",
-			cfg.Seed, plan.KillAfter, appliedTotal)
+		return report, failf(cfg.Seed, "schedule lost its teeth: crashpoint never fired (kill-after=%d, doomed shard applied %d publishes)",
+			plan.KillAfter, appliedTotal)
 	}
 	if report.AppliedAtKill < 1 {
-		return report, fmt.Errorf("torture(seed=%d): schedule lost its teeth: kill fired with no applied requests in flight", cfg.Seed)
+		return report, failf(cfg.Seed, "schedule lost its teeth: kill fired with no applied requests in flight")
 	}
 	if !svc.VM.Shard(plan.Doomed).Down() {
-		return report, fmt.Errorf("torture(seed=%d): crashpoint fired but shard %d is not down", cfg.Seed, plan.Doomed)
+		return report, failf(cfg.Seed, "crashpoint fired but shard %d is not down", plan.Doomed)
 	}
 
 	// Failure confinement: survivors commit everything; doomed blobs
 	// fail only with ErrShardDown.
 	for _, b := range survivorBlobs {
 		if n := len(failures[b]); n > 0 {
-			return report, fmt.Errorf("torture(seed=%d): blob %d on surviving shard %d had %d failed writes: %w",
-				cfg.Seed, b, owner(b), n, errors.Join(failures[b]...))
+			return report, failf(cfg.Seed, "blob %d on surviving shard %d had %d failed writes: %w",
+				b, owner(b), n, errors.Join(failures[b]...))
 		}
 	}
 	total := 0
 	for _, b := range doomedBlobs {
 		for _, err := range failures[b] {
 			if !errors.Is(err, vmanager.ErrShardDown) {
-				return report, fmt.Errorf("torture(seed=%d): doomed-shard write failed with a non-shard-down error: %w", cfg.Seed, err)
+				return report, failf(cfg.Seed, "doomed-shard write failed with a non-shard-down error: %w", err)
 			}
 		}
 		total += len(failures[b])
 	}
 	report.FailedCalls = total
 	if total < 1 {
-		return report, fmt.Errorf("torture(seed=%d): schedule lost its teeth: shard died but no write observed it", cfg.Seed)
+		return report, failf(cfg.Seed, "schedule lost its teeth: shard died but no write observed it")
 	}
 
 	// Restart: the interrupted batch must surface as recovery aborts.
 	aborted := svc.VM.RestartShard(plan.Doomed)
 	report.AbortsOnRestart = len(aborted)
 	if len(aborted) < 1 {
-		return report, fmt.Errorf("torture(seed=%d): schedule lost its teeth: restart witnessed no aborts (batch of %d with %d applied was in flight)",
-			cfg.Seed, report.DoomedBatch, report.AppliedAtKill)
+		return report, failf(cfg.Seed, "schedule lost its teeth: restart witnessed no aborts (batch of %d with %d applied was in flight)",
+			report.DoomedBatch, report.AppliedAtKill)
 	}
 	abortedSet := make(map[vmanager.VersionRef]bool, len(aborted))
 	abortsByBlob := make(map[uint64]int)
 	for _, ref := range aborted {
 		if owner(ref.Blob) != plan.Doomed {
-			return report, fmt.Errorf("torture(seed=%d): restart of shard %d aborted blob %d owned by shard %d",
-				cfg.Seed, plan.Doomed, ref.Blob, owner(ref.Blob))
+			return report, failf(cfg.Seed, "restart of shard %d aborted blob %d owned by shard %d",
+				plan.Doomed, ref.Blob, owner(ref.Blob))
 		}
 		abortedSet[ref] = true
 		abortsByBlob[ref.Blob]++
 	}
 	for _, r := range doomedBatch {
 		if !abortedSet[vmanager.VersionRef{Blob: r.Blob, Version: r.Version}] {
-			return report, fmt.Errorf("torture(seed=%d): torn batch: blob %d version %d was in the killed batch but not aborted on restart",
-				cfg.Seed, r.Blob, r.Version)
+			return report, failf(cfg.Seed, "torn batch: blob %d version %d was in the killed batch but not aborted on restart",
+				r.Blob, r.Version)
 		}
 	}
 
@@ -353,7 +351,7 @@ func RunShard(cfg ShardConfig) (ShardReport, error) {
 			err = drivers[b].WriteList(vec, true)
 		}
 		if err != nil {
-			return report, fmt.Errorf("torture(seed=%d): probe write to blob %d failed after restart: %w", cfg.Seed, b, err)
+			return report, failf(cfg.Seed, "probe write to blob %d failed after restart: %w", b, err)
 		}
 		okCalls[b] = append(okCalls[b], call)
 	}
@@ -364,7 +362,7 @@ func RunShard(cfg ShardConfig) (ShardReport, error) {
 	// check.
 	for b := uint64(1); b <= uint64(cfg.Blobs); b++ {
 		if err := verify.CheckCalls(reader{drivers[b]}, okCalls[b]); err != nil {
-			return report, fmt.Errorf("torture(seed=%d): blob %d: %w", cfg.Seed, b, err)
+			return report, failf(cfg.Seed, "blob %d: %w", b, err)
 		}
 		report.OKCalls += len(okCalls[b])
 	}
@@ -376,9 +374,9 @@ func RunShard(cfg ShardConfig) (ShardReport, error) {
 			_, err := svc.VM.Shard(i).Geometry(b)
 			switch {
 			case i == owner(b) && err != nil:
-				return report, fmt.Errorf("torture(seed=%d): blob %d missing from its owning shard %d: %w", cfg.Seed, b, i, err)
+				return report, failf(cfg.Seed, "blob %d missing from its owning shard %d: %w", b, i, err)
 			case i != owner(b) && !errors.Is(err, vmanager.ErrUnknownBlob):
-				return report, fmt.Errorf("torture(seed=%d): blob %d leaked onto shard %d (owner %d): err=%v", cfg.Seed, b, i, owner(b), err)
+				return report, failf(cfg.Seed, "blob %d leaked onto shard %d (owner %d): err=%v", b, i, owner(b), err)
 			}
 		}
 	}
@@ -388,11 +386,13 @@ func RunShard(cfg ShardConfig) (ShardReport, error) {
 	}
 	sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
 	if len(union) != cfg.Blobs {
-		return report, fmt.Errorf("torture(seed=%d): per-shard blob sets do not partition the run's %d blobs: %v", cfg.Seed, cfg.Blobs, union)
+		return report, failf(cfg.Seed, "per-shard blob sets do not partition the run's %d blobs: %v",
+			cfg.Blobs, union)
 	}
 	for i, b := range union {
 		if b != uint64(i+1) {
-			return report, fmt.Errorf("torture(seed=%d): per-shard blob sets do not partition the run's %d blobs: %v", cfg.Seed, cfg.Blobs, union)
+			return report, failf(cfg.Seed, "per-shard blob sets do not partition the run's %d blobs: %v",
+				cfg.Blobs, union)
 		}
 	}
 
@@ -405,8 +405,8 @@ func RunShard(cfg ShardConfig) (ShardReport, error) {
 		}
 		want := uint64(len(okCalls[b]) + abortsByBlob[b])
 		if info.Version != want {
-			return report, fmt.Errorf("torture(seed=%d): blob %d published counter %d != %d committed + %d aborted",
-				cfg.Seed, b, info.Version, len(okCalls[b]), abortsByBlob[b])
+			return report, failf(cfg.Seed, "blob %d published counter %d != %d committed + %d aborted",
+				b, info.Version, len(okCalls[b]), abortsByBlob[b])
 		}
 	}
 	return report, nil

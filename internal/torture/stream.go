@@ -3,7 +3,6 @@ package torture
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,7 +73,7 @@ func (c StreamConfig) Plan() StreamPlan {
 	c = c.withDefaults()
 	// A distinct stream from the payload generator: same seed,
 	// different constant, so the schedule replays independently.
-	rng := rand.New(rand.NewSource(c.Seed ^ 0x73747265616d2d31)) // "stream-1"
+	rng := planRNG(c.Seed, 0x73747265616d2d31) // "stream-1"
 	total := c.Writers * c.ObjectsPerWriter
 	p := StreamPlan{
 		Victim:       provider.ID(rng.Intn(c.Providers)),
@@ -154,6 +153,9 @@ func streamPayload(w, o int, size int64) []byte {
 //     victim is still down.
 func RunStream(cfg StreamConfig) (StreamReport, error) {
 	cfg = cfg.withDefaults()
+	if cfg.ChunkSize < 2 {
+		return StreamReport{}, fmt.Errorf("torture: RunStream needs ChunkSize >= 2, got %d: a tear must land strictly inside a chunk", cfg.ChunkSize)
+	}
 	plan := cfg.Plan()
 	report := StreamReport{Plan: plan}
 	objSize := cfg.ChunkSize * int64(cfg.ChunksPerObject)
@@ -256,25 +258,24 @@ func RunStream(cfg StreamConfig) (StreamReport, error) {
 
 	if cfg.Replicas >= 2 {
 		if len(failures) > 0 {
-			return report, fmt.Errorf("torture(seed=%d): R=%d writes failed despite the replica fan-out: %v",
-				cfg.Seed, cfg.Replicas, failures[0])
+			return report, failf(cfg.Seed, "R=%d writes failed despite the replica fan-out: %v",
+				cfg.Replicas, failures[0])
 		}
 		n, _ := svc.Faults[plan.Victim].Usage()
 		report.VictimChunks = n
 		if n == 0 {
-			return report, fmt.Errorf("torture(seed=%d): victim %d died holding no chunks — schedule lost its teeth",
-				cfg.Seed, plan.Victim)
+			return report, failf(cfg.Seed, "victim %d died holding no chunks — schedule lost its teeth", plan.Victim)
 		}
 	} else {
 		if report.Torn == 0 {
-			return report, fmt.Errorf("torture(seed=%d): no stream was torn after %d writes (victim %d) — schedule lost its teeth",
-				cfg.Seed, plan.AfterObjects, plan.Victim)
+			return report, failf(cfg.Seed, "no stream was torn after %d writes (victim %d) — schedule lost its teeth",
+				plan.AfterObjects, plan.Victim)
 		}
 		for _, err := range failures {
 			// Only the injected tears may fail writes at R=1. The error
 			// crosses the RPC boundary, so match its message, not its type.
 			if !strings.Contains(err.Error(), "injected fault") {
-				return report, fmt.Errorf("torture(seed=%d): unexpected write failure: %w", cfg.Seed, err)
+				return report, failf(cfg.Seed, "unexpected write failure: %w", err)
 			}
 		}
 	}
@@ -286,8 +287,8 @@ func RunStream(cfg StreamConfig) (StreamReport, error) {
 	for i, f := range svc.Faults {
 		count, bytesUsed := f.Usage()
 		if bytesUsed != int64(count)*cfg.ChunkSize {
-			return report, fmt.Errorf("torture(seed=%d): provider %d holds %d bytes over %d chunks — a torn upload persisted",
-				cfg.Seed, i, bytesUsed, count)
+			return report, failf(cfg.Seed, "provider %d holds %d bytes over %d chunks — a torn upload persisted",
+				i, bytesUsed, count)
 		}
 	}
 
@@ -311,12 +312,11 @@ func RunStream(cfg StreamConfig) (StreamReport, error) {
 		}
 		got, err := b.ReadAt(pub.version, 0, objSize)
 		if err != nil {
-			return report, fmt.Errorf("torture(seed=%d): published version %d of writer %d unreadable: %w",
-				cfg.Seed, pub.version, pub.writer, err)
+			return report, failf(cfg.Seed, "published version %d of writer %d unreadable: %w",
+				pub.version, pub.writer, err)
 		}
 		if !bytes.Equal(got, streamPayload(pub.writer, pub.object, objSize)) {
-			return report, fmt.Errorf("torture(seed=%d): version %d of writer %d corrupt after the kill",
-				cfg.Seed, pub.version, pub.writer)
+			return report, failf(cfg.Seed, "version %d of writer %d corrupt after the kill", pub.version, pub.writer)
 		}
 		report.Verified++
 	}

@@ -92,3 +92,15 @@ func TestStreamPlanDeterminism(t *testing.T) {
 		t.Fatal("schedules do not vary with the seed")
 	}
 }
+
+// TestStreamRejectsBadShapes: a chunk too small to tear inside and a
+// pool the deployment cannot be built on are refused, not panicked on.
+func TestStreamRejectsBadShapes(t *testing.T) {
+	if _, err := RunStream(StreamConfig{Seed: 1, ChunkSize: 1}); err == nil {
+		t.Fatal("RunStream accepted a one-byte chunk")
+	}
+	rejectsBadPools(t, func(providers, replicas int) error {
+		_, err := RunStream(StreamConfig{Seed: 1, Providers: providers, Replicas: replicas})
+		return err
+	})
+}

@@ -22,9 +22,9 @@
 package torture
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -111,37 +111,13 @@ func Run(d mpiio.Driver, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	errs := make([]error, cfg.Writers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, call := range perWriter[w] {
-				vec, err := verify.MakeVec(call)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if err := d.WriteList(vec, true); err != nil {
-					errs[w] = fmt.Errorf("call %d: %w", call.ID, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			return fmt.Errorf("torture(seed=%d): writer %d: %w", cfg.Seed, w, err)
-		}
-	}
-	var all []verify.Call
-	for _, calls := range perWriter {
-		all = append(all, calls...)
+	// The plain atomicity run is the race with no fault in it.
+	all, failures := race(d, perWriter, 0, func() {})
+	if len(failures) > 0 {
+		return failf(cfg.Seed, "%w", errors.Join(failures...))
 	}
 	if err := verify.CheckCalls(reader{d}, all); err != nil {
-		return fmt.Errorf("torture(seed=%d): %w", cfg.Seed, err)
+		return failf(cfg.Seed, "%w", err)
 	}
 	return nil
 }
