@@ -5,8 +5,7 @@
 // experiment is produced by one of the Run functions here; the
 // experiments themselves — which cells, in which order, under which
 // names — are the table in internal/experiments, driven by
-// cmd/benchall and the root bench_test.go (cmd/atomicbench and
-// cmd/mpitileio drive single scenarios by flag).
+// cmd/benchall and the root bench_test.go.
 package bench
 
 import (

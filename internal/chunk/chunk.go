@@ -82,10 +82,24 @@ func (r Ref) Marshal() []byte {
 }
 
 // UnmarshalRef decodes a ref written by Marshal, accepting both the
-// legacy 36-byte form and the replicated form.
+// legacy 36-byte form and the replicated form. b must hold the ref and
+// nothing else.
 func UnmarshalRef(b []byte) (Ref, error) {
+	r, n, err := DecodeRef(b)
+	if err == nil && n != len(b) {
+		return Ref{}, fmt.Errorf("chunk: %d trailing bytes after a %d-byte ref", len(b)-n, n)
+	}
+	return r, err
+}
+
+// DecodeRef decodes the ref at the head of b and reports the bytes it
+// occupies, for a ref embedded in a larger encoding: 36 when b is
+// exactly the legacy form, otherwise the base, the count byte and 4
+// bytes per replica. A ref that is followed by anything must therefore
+// carry its count byte, zero included.
+func DecodeRef(b []byte) (Ref, int, error) {
 	if len(b) < 36 {
-		return Ref{}, fmt.Errorf("chunk: ref too short (%d bytes)", len(b))
+		return Ref{}, 0, fmt.Errorf("chunk: ref too short (%d bytes)", len(b))
 	}
 	r := Ref{
 		Key: Key{
@@ -96,17 +110,20 @@ func UnmarshalRef(b []byte) (Ref, error) {
 		Offset: int64(binary.LittleEndian.Uint64(b[20:])),
 		Length: int64(binary.LittleEndian.Uint64(b[28:])),
 	}
-	if len(b) > 36 {
-		n := int(b[36])
-		if len(b) < 37+4*n {
-			return Ref{}, fmt.Errorf("chunk: ref replica set truncated (%d bytes for %d replicas)", len(b), n)
-		}
+	if len(b) == 36 {
+		return r, 36, nil
+	}
+	n := int(b[36])
+	if len(b) < 37+4*n {
+		return Ref{}, 0, fmt.Errorf("chunk: ref replica set truncated (%d bytes for %d replicas)", len(b), n)
+	}
+	if n > 0 {
 		r.Replicas = make([]uint32, n)
-		for i := 0; i < n; i++ {
+		for i := range r.Replicas {
 			r.Replicas[i] = binary.LittleEndian.Uint32(b[37+4*i:])
 		}
 	}
-	return r, nil
+	return r, 37 + 4*n, nil
 }
 
 // ErrNotFound is returned when a chunk key is unknown.
@@ -195,7 +212,7 @@ func (s *MemStore) Get(key Key, off, length int64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if off < 0 || length < 0 || off+length > int64(len(data)) {
+	if off < 0 || length < 0 || length > int64(len(data))-off {
 		return nil, fmt.Errorf("chunk: range [%d,%d) out of bounds for %s (len %d)", off, off+length, key, len(data))
 	}
 	out := make([]byte, length)
@@ -291,7 +308,7 @@ func (s *MemStore) OpenReader(key Key, off, length int64) (io.ReadCloser, error)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if off < 0 || length < 0 || off+length > int64(len(data)) {
+	if off < 0 || length < 0 || length > int64(len(data))-off {
 		return nil, fmt.Errorf("chunk: range [%d,%d) out of bounds for %s (len %d)", off, off+length, key, len(data))
 	}
 	if s.meter != nil {
@@ -458,7 +475,7 @@ func (s *DiskStore) OpenReader(key Key, off, length int64) (io.ReadCloser, error
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if off < 0 || length < 0 || off+length > size {
+	if off < 0 || length < 0 || length > size-off {
 		return nil, fmt.Errorf("chunk: range [%d,%d) out of bounds for %s (len %d)", off, off+length, key, size)
 	}
 	f, err := os.Open(s.path(key))
@@ -482,7 +499,7 @@ func (s *DiskStore) Get(key Key, off, length int64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if off < 0 || length < 0 || off+length > size {
+	if off < 0 || length < 0 || length > size-off {
 		return nil, fmt.Errorf("chunk: range [%d,%d) out of bounds for %s (len %d)", off, off+length, key, size)
 	}
 	f, err := os.Open(s.path(key))

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -263,16 +264,53 @@ func TestRefEqualDataIgnoresReplicas(t *testing.T) {
 }
 
 func TestUnmarshalRefShort(t *testing.T) {
-	if _, err := UnmarshalRef(make([]byte, 10)); err == nil {
-		t.Fatal("short buffer must fail")
-	}
-	// A replica count promising more entries than the buffer holds
-	// must fail rather than read out of bounds.
 	r := Ref{Key: Key{Blob: 1}, Length: 1, Replicas: []uint32{1, 2, 3}}
-	b := r.Marshal()
-	if _, err := UnmarshalRef(b[:len(b)-4]); err == nil {
-		t.Fatal("truncated replica set must fail")
+	full := r.Marshal()
+	overCount := bytes.Clone(full)
+	overCount[36] = 4 // promises a replica the buffer does not hold
+	for name, tc := range map[string]struct {
+		b    []byte
+		want string
+	}{
+		"short buffer":             {make([]byte, 10), "too short"},
+		"truncated replica set":    {full[:len(full)-4], "truncated"},
+		"truncated mid-replica":    {full[:len(full)-1], "truncated"},
+		"replica over-count":       {overCount, "truncated"},
+		"garbage after replicas":   {append(bytes.Clone(full), 0xEE), "1 trailing bytes"},
+		"garbage after no replica": {append(bytes.Clone(full[:36]), 0, 0xEE), "1 trailing bytes"},
+	} {
+		if got, err := UnmarshalRef(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %+v, %v, want an error with %q", name, got, err, tc.want)
+		}
 	}
+	// DecodeRef is the same decoder for a ref with something behind it:
+	// it says where the ref ends and leaves the rest to its caller.
+	tail := append(bytes.Clone(full), "next"...)
+	got, n, err := DecodeRef(tail)
+	if err != nil || n != len(full) || !reflect.DeepEqual(got, r) {
+		t.Fatalf("DecodeRef with a tail = %+v, %d, %v", got, n, err)
+	}
+	// A zero count byte is the replica-less ref, delimited.
+	got, n, err = DecodeRef(append(bytes.Clone(full[:36]), 0, 'x'))
+	if err != nil || n != 37 || got.Replicas != nil || !got.EqualData(r) {
+		t.Fatalf("DecodeRef of a zero-count ref = %+v, %d, %v", got, n, err)
+	}
+}
+
+// FuzzUnmarshalRef: arbitrary bytes never panic the decoder, and
+// whatever it accepts is exactly what Marshal writes for the ref it
+// returned — but for a zero count byte, which Marshal omits. The seed
+// corpus (testdata/fuzz) is one ref of each form.
+func FuzzUnmarshalRef(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := UnmarshalRef(b)
+		if err != nil {
+			return
+		}
+		if enc := r.Marshal(); !bytes.Equal(enc, b) && !(len(b) == 37 && b[36] == 0 && bytes.Equal(enc, b[:36])) {
+			t.Fatalf("accepted %x, which decodes to %+v, which marshals to %x", b, r, enc)
+		}
+	})
 }
 
 func TestKeyString(t *testing.T) {

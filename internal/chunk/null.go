@@ -92,7 +92,7 @@ func (s *NullStore) check(key Key, off, length int64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if off < 0 || length < 0 || off+length > size {
+	if off < 0 || length < 0 || length > size-off {
 		return fmt.Errorf("chunk: range [%d,%d) out of bounds for %s (len %d)", off, off+length, key, size)
 	}
 	return nil

@@ -6,6 +6,7 @@
 package metadata
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -103,10 +104,15 @@ func (s *Store) PutNode(blob uint64, key segtree.NodeKey, n *segtree.Node) error
 	id := nodeID{blob: blob, key: key}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	if _, dup := sh.nodes[id]; dup {
+	if old, dup := sh.nodes[id]; dup {
 		sh.mu.Unlock()
-		// Immutable nodes: duplicate puts of the same key are a
-		// protocol error (a version ticket is used exactly once).
+		// A transport that re-sends a put it saw no answer to stores the
+		// same node twice: nothing to do. Different content under a
+		// stored key is a protocol error (a version ticket is used
+		// exactly once). Same content is same encoding.
+		if bytes.Equal(segtree.AppendNode(nil, old), segtree.AppendNode(nil, n)) {
+			return nil
+		}
 		return fmt.Errorf("%w: blob %d %s", ErrExists, blob, key)
 	}
 	sh.nodes[id] = cloneNode(n)

@@ -3,6 +3,7 @@ package metadata
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -60,6 +61,45 @@ func TestDoublePutFails(t *testing.T) {
 	}
 	if err := s.PutNode(1, key, leafNode(2)); !errors.Is(err, ErrExists) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestIdenticalRePutIsNoOp: a transport that re-sends a put it saw no
+// answer to must find the store agreeing, whether the second copy is the
+// same value or its twin off the wire (where empty and nil slices are
+// one thing); anything else under the key is still ErrExists, and what
+// is stored never changes.
+func TestIdenticalRePutIsNoOp(t *testing.T) {
+	s := NewStore(2, iosim.CostModel{})
+	key := segtree.NodeKey{Version: 1, Size: 64}
+	for name, n := range map[string]*segtree.Node{
+		"leaf":       leafNode(1),
+		"empty leaf": {Leaf: true, Prev: segtree.NodeKey{Version: 1, Size: 64}},
+		"inner":      {Left: segtree.NodeKey{Version: 1, Size: 32}},
+	} {
+		key.Version++
+		if err := s.PutNode(1, key, n); err != nil {
+			t.Fatal(err)
+		}
+		twin, err := segtree.DecodeNode(segtree.AppendNode(nil, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin.Frags = append([]segtree.Fragment{}, twin.Frags...)
+		for _, again := range []*segtree.Node{n, twin} {
+			if err := s.PutNode(1, key, again); err != nil {
+				t.Errorf("%s: identical re-put: %v", name, err)
+			}
+		}
+		if err := s.PutNode(1, key, leafNode(9)); !errors.Is(err, ErrExists) {
+			t.Errorf("%s: different content under a stored key: %v", name, err)
+		}
+		if got, err := s.GetNode(1, key); err != nil || !reflect.DeepEqual(got, n) {
+			t.Errorf("%s: stored node after the re-puts: %+v, %v", name, got, err)
+		}
+	}
+	if s.Count() != 3 {
+		t.Fatalf("Count = %d, want 3", s.Count())
 	}
 }
 

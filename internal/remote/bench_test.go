@@ -3,7 +3,6 @@ package remote
 import (
 	"bytes"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,9 +30,9 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
-// gobConnsPerClient is what DialFramed opens before any chunk moves: one gob
-// connection each for the VM, Meta and Data endpoints.
-const gobConnsPerClient = 3
+// gobConnsPerClient is what DialFramed opens before any chunk or node
+// moves: one gob connection each for the VM and Data endpoints.
+const gobConnsPerClient = 2
 
 // startCountedNode boots an all-roles node (8 providers on storeURL
 // stores, R=1) behind a counting listener.
@@ -86,16 +85,10 @@ func putWave(c *Client, version uint64, n int, payload []byte) error {
 	return first
 }
 
-// metaWireRequests sums bs_rpc_requests_total over the Meta service's
-// methods: gob requests the metadata role received, whatever they carry.
-func metaWireRequests(reg *metrics.Registry) float64 {
-	var n float64
-	for series, v := range reg.Snapshot() {
-		if strings.HasPrefix(series, `bs_rpc_requests_total{method="Meta.`) {
-			n += v
-		}
-	}
-	return n
+// roundTrips is the trains a client with its metrics in reg has sent:
+// each one vectored write and one run of replies.
+func roundTrips(reg *metrics.Registry) float64 {
+	return reg.Snapshot()["bs_data_train_ops_count"]
 }
 
 // BenchmarkFramedPutFanout is the data half of one tile_atomic write:
@@ -260,16 +253,17 @@ func BenchmarkFramedPut1MiBWindow8(b *testing.B) {
 
 // BenchmarkNodePutParallel is the metadata half of one tile_atomic
 // write: 127 tree nodes stored from a window of 64 goroutines (segtree's
-// bound) through one client. wire-reqs/op is gob requests the metadata
-// role received per write.
+// bound) through one client. wire-reqs/op is round trips — trains — per
+// write.
 func BenchmarkNodePutParallel(b *testing.B) {
-	reg := metrics.NewRegistry()
-	_, ep := startCountedNode(b, "null://", reg)
+	_, ep := startCountedNode(b, "null://", nil)
 	c, err := DialFramed(ep)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	reg := metrics.NewRegistry()
+	c.SetMetrics(reg)
 	const nodes, window = 127, 64
 	node := &segtree.Node{Left: segtree.NodeKey{Version: 1, Size: 512}, Right: segtree.NodeKey{Version: 1, Offset: 512, Size: 512}}
 	b.ReportAllocs()
@@ -296,20 +290,20 @@ func BenchmarkNodePutParallel(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(metaWireRequests(reg)/float64(b.N), "wire-reqs/op")
+	b.ReportMetric(roundTrips(reg)/float64(b.N), "wire-reqs/op")
 }
 
 // BenchmarkNodeGetSerial is the idle path: one caller, one node get at
-// a time, as a tree walk issues them. It must cost one round trip, as a
-// single-node RPC did.
+// a time, as a tree walk issues them. It must cost one round trip.
 func BenchmarkNodeGetSerial(b *testing.B) {
-	reg := metrics.NewRegistry()
-	_, ep := startCountedNode(b, "null://", reg)
+	_, ep := startCountedNode(b, "null://", nil)
 	c, err := DialFramed(ep)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	reg := metrics.NewRegistry()
+	c.SetMetrics(reg)
 	key := segtree.NodeKey{Version: 1, Size: 1024}
 	if err := c.PutNode(1, key, &segtree.Node{Left: segtree.NodeKey{Version: 1, Size: 512}}); err != nil {
 		b.Fatal(err)
@@ -322,5 +316,5 @@ func BenchmarkNodeGetSerial(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric((metaWireRequests(reg)-1)/float64(b.N), "wire-reqs/op")
+	b.ReportMetric((roundTrips(reg)-1)/float64(b.N), "wire-reqs/op")
 }

@@ -1,33 +1,47 @@
-// Framed data plane: the binary wire protocol that carries chunk
-// payloads — every Put, Get and GetFrom of a Client — streaming them in
-// length-prefixed frames instead of encoding them as one gob []byte.
-// It is the only transport for chunk bytes. Control RPCs (tickets,
-// metadata, admin) stay on gob: the bulk-byte path is where
-// serialization cost and the lack of pipelining dominate large-object
-// throughput.
+// Framed plane: the binary wire protocol that carries the two immutable
+// put-once/get-many stores — chunk payloads (every Put, Get and GetFrom
+// of a Client) and segment-tree nodes (every PutNode, GetNode and
+// TryGetNode) — in length-prefixed frames instead of gob values. It is
+// the only transport for either. Control RPCs (tickets, versions,
+// admin) stay on gob: the byte- and call-heavy paths are where
+// serialization cost and the lack of pipelining dominate.
 //
-// Negotiation is per-connection: a client opens each data connection by
-// sending the 4-byte magic "BSD1"; the server peeks the first bytes of
-// every accepted connection and routes magic-led ones to the framed
+// Negotiation is per-connection: a client opens each framed connection
+// by sending the 4-byte magic "BSD1"; the server peeks the first bytes
+// of every accepted connection and routes magic-led ones to the framed
 // loop, everything else to the gob RPC server that answers the control
-// calls.
+// calls. A node answers an op whose role it does not host — chunk ops
+// need the data role, node ops the meta role — with an in-band error,
+// keeping the connection.
 //
 // Wire format (all integers little-endian, matching chunk.Ref):
 //
 //	request header (40 bytes + hints):
-//	  op u8 (1=put, 2=get), flags u8 (reserved), hintCount u8, pad u8,
+//	  op u8, flags u8 (reserved), hintCount u8, pad u8,
 //	  index u32, blob u64, version u64, off i64, length i64,
 //	  hintCount * u32 replica IDs
-//	put body:   frames of u32 size (1..maxFrame) + payload, then a u32 0
+//	ops:        1=put, 2=get (chunks, data role); 3=node put, 4=node
+//	            get, 5=node try-get (tree nodes, meta role). A node op
+//	            names its node in the same fields: blob, version, off =
+//	            the node's offset, length = the node's size; index and
+//	            hints go unused.
+//	body:       frames of u32 size (1..maxFrame) + payload, then a u32 0
 //	            terminator; the sentinel 0xFFFFFFFF aborts the stream.
-//	put reply:  status u8; ok → u8 count + count*u32 replica IDs,
-//	            err → u32 len + message
-//	get reply:  status u8; ok → u8 freshCount (+IDs) then data frames
-//	            ending in the 0 terminator; err → u32 len + message.
+//	put:        header + body, the chunk payload. Reply: status u8; 0 ok →
+//	            u8 count + count*u32 replica IDs, 1 err → u32 len + message
+//	get reply:  status u8; ok → u8 freshCount (+IDs) then a body of
+//	            exactly length bytes; err → u32 len + message.
 //	            A store failure mid-frame closes the connection — the
 //	            frame word already promised bytes that cannot arrive,
 //	            so there is no in-band way to abort without desyncing
 //	            the stream. Open-time errors keep the connection.
+//	node put:   header + body, the node in segtree's binary form
+//	            (segtree.AppendNode), at most maxNodeBody bytes; the
+//	            server drains a longer body and refuses the put.
+//	            Reply: status u8; ok, or err → u32 len + message
+//	node get reply:  status u8; ok → a body, the node; err → u32 len +
+//	            message; 2 miss → nothing more. A try-get answers a node
+//	            not (yet) stored with miss, a get with the store's error.
 //
 // Requests pipeline on a connection: a client may write any number of
 // whole requests back to back before it reads the first reply, and the
@@ -51,11 +65,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"repro/internal/chunk"
+	"repro/internal/metadata"
 	"repro/internal/metrics"
 	"repro/internal/provider"
+	"repro/internal/segtree"
 )
 
 // framedMagic is the 4-byte connection preamble that selects the
@@ -65,8 +82,16 @@ import (
 const framedMagic = "BSD1"
 
 const (
-	opPut = 1
-	opGet = 2
+	opPut        = 1
+	opGet        = 2
+	opNodePut    = 3
+	opNodeGet    = 4
+	opNodeTryGet = 5
+
+	// Reply statuses.
+	statusOK   = 0
+	statusErr  = 1
+	statusMiss = 2 // node try-get only: the node is not stored
 
 	// maxFrame bounds one frame's payload; large enough that disk
 	// reads amortize syscalls, small enough to bound per-frame buffers.
@@ -77,9 +102,18 @@ const (
 	frameAbort = 0xFFFFFFFF
 
 	frameHeaderLen = 40
+
+	// maxNodeBody bounds the encoded node either end accepts off the
+	// wire: some 79,000 fragments in one leaf, far past the point where
+	// rewriting such a leaf on every write to its page is the problem.
+	maxNodeBody = 4 << 20
 )
 
-var errAborted = errors.New("remote: stream aborted by peer")
+var (
+	errAborted    = errors.New("remote: stream aborted by peer")
+	errNoDataRole = errors.New("remote: chunk op on a node without the data role")
+	errNoMetaRole = errors.New("remote: node op on a node without the meta role")
+)
 
 // PutOverrunError refuses a put whose body carried payload beyond the
 // length its header declared. The store was handed exactly the declared
@@ -94,13 +128,18 @@ func (e *PutOverrunError) Error() string {
 	return fmt.Sprintf("remote: put body for chunk %v carries %d bytes beyond the %d declared", e.Key, e.Extra, e.Declared)
 }
 
-// frameHeader is the fixed request header of one data-plane operation.
+// frameHeader is the fixed request header of one framed operation.
 type frameHeader struct {
 	op       byte
-	key      chunk.Key
-	off      int64
-	length   int64 // put: total payload size; get: read length
+	key      chunk.Key // node ops: Blob and Version name the node, Index goes unused
+	off      int64     // node ops: the node's offset
+	length   int64     // put: total payload size; get: read length; node ops: the node's size
 	replicas []provider.ID
+}
+
+// nodeKey is the node a node op names.
+func (h *frameHeader) nodeKey() segtree.NodeKey {
+	return segtree.NodeKey{Version: h.key.Version, Offset: h.off, Size: h.length}
 }
 
 // maxWireIDs is what the one-byte ID counts of the format can carry.
@@ -172,10 +211,10 @@ func readU32(r *bufio.Reader) (uint32, error) {
 	return v, nil
 }
 
-// writeErrReply writes the error form of a put or get reply.
+// writeErrReply writes the error form of a reply.
 func writeErrReply(w *bufio.Writer, err error) error {
 	msg := err.Error()
-	if werr := w.WriteByte(1); werr != nil {
+	if werr := w.WriteByte(statusErr); werr != nil {
 		return werr
 	}
 	if werr := writeU32(w, uint32(len(msg))); werr != nil {
@@ -237,11 +276,11 @@ func readIDList(r *bufio.Reader, n int) ([]provider.ID, error) {
 	return ids, nil
 }
 
-// frameBodyReader adapts a framed put body to io.Reader, so the store's
+// frameBodyReader adapts a framed body to io.Reader, so the store's
 // PutFromReader consumes payload bytes straight off the connection —
 // the zero-copy path: socket buffer → store writer, nothing
 // materialized in between. It also feeds the per-frame metrics. A
-// connection has one, reset per put.
+// server connection has one, reset per body.
 type frameBodyReader struct {
 	r       *bufio.Reader
 	left    uint32 // bytes remaining in the current frame
@@ -319,24 +358,54 @@ func (fr *frameBodyReader) drain() error {
 	}
 }
 
-// framedServer serves the framed data plane of one node. Its series
-// are nil-tolerant: a node without a metrics role serves uncounted.
-type framedServer struct {
-	r        *provider.Router
-	frames   *metrics.Counter            // bs_data_frames_total
-	bytes    *metrics.Counter            // bs_data_stream_bytes_total
-	requests [opGet + 1]*metrics.Counter // bs_data_requests_total{op}
-	flushOps *metrics.Histogram          // bs_data_flush_ops
+// readNodeBody reads a whole body of at most maxNodeBody bytes, never
+// nil. It allocates frame by frame — for the usual single-frame body
+// once, exactly — so never more than one frame ahead of the bytes that
+// arrived. An error leaves the rest of the body unread.
+func readNodeBody(fr *frameBodyReader) ([]byte, error) {
+	data := []byte{}
+	for {
+		if err := fr.next(); fr.done {
+			return data, nil
+		} else if err != nil {
+			return data, err // io.EOF too: the stream ended before the terminator
+		}
+		n := len(data) + int(fr.left)
+		if n > maxNodeBody {
+			return data, fmt.Errorf("remote: node body exceeds the limit of %d bytes", maxNodeBody)
+		}
+		data = slices.Grow(data, int(fr.left))[:n]
+		if _, err := io.ReadFull(fr, data[n-int(fr.left):]); err != nil {
+			return data, err
+		}
+	}
 }
 
-func newFramedServer(r *provider.Router, reg *metrics.Registry) *framedServer {
-	s := &framedServer{r: r}
-	if reg != nil {
+// framedServer serves the framed plane of one node: chunk ops against
+// its router, node ops against its metadata store, either nil when the
+// node lacks the role. Its series are nil-tolerant: a node without a
+// metrics role serves uncounted.
+type framedServer struct {
+	r        *provider.Router
+	nodes    *metadata.Store
+	frames   *metrics.Counter   // bs_data_frames_total
+	bytes    *metrics.Counter   // bs_data_stream_bytes_total
+	flushOps *metrics.Histogram // bs_data_flush_ops
+	// Requests answered: bs_data_requests_total{op}, bs_meta_node_ops_total{op}.
+	requests [opNodeTryGet + 1]*metrics.Counter
+}
+
+func newFramedServer(roles Roles) *framedServer {
+	s := &framedServer{r: roles.Data, nodes: roles.Meta}
+	if reg := roles.Metrics; reg != nil {
 		s.frames = reg.Counter("bs_data_frames_total")
 		s.bytes = reg.Counter("bs_data_stream_bytes_total")
+		s.flushOps = reg.Histogram("bs_data_flush_ops", trainBuckets())
 		s.requests[opPut] = reg.Counter("bs_data_requests_total", metrics.Label{Key: "op", Value: "put"})
 		s.requests[opGet] = reg.Counter("bs_data_requests_total", metrics.Label{Key: "op", Value: "get"})
-		s.flushOps = reg.Histogram("bs_data_flush_ops", trainBuckets())
+		s.requests[opNodePut] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "put"})
+		s.requests[opNodeGet] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "get"})
+		s.requests[opNodeTryGet] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "tryget"})
 	}
 	return s
 }
@@ -367,6 +436,10 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 			err = s.servePut(body, bw, h)
 		case opGet:
 			err = s.serveGet(conn, bw, h)
+		case opNodePut:
+			err = s.serveNodePut(body, bw, h)
+		case opNodeGet, opNodeTryGet:
+			err = s.serveNodeGet(bw, h)
 		default:
 			return // protocol violation
 		}
@@ -393,7 +466,9 @@ func (s *framedServer) servePut(body *frameBodyReader, bw *bufio.Writer, h frame
 		ids []provider.ID
 		err error
 	)
-	if max := s.r.MaxChunkSize(); h.length < 0 || h.length > max {
+	if s.r == nil {
+		err = errNoDataRole
+	} else if max := s.r.MaxChunkSize(); h.length < 0 || h.length > max {
 		// The declared size comes straight off the wire; reject it here
 		// before the router can act on it (PutStream checks again, but
 		// the server must not trust the router to be its input filter).
@@ -420,19 +495,22 @@ func (s *framedServer) servePut(body *frameBodyReader, bw *bufio.Writer, h frame
 	if err != nil {
 		return writeErrReply(bw, err)
 	}
-	if werr := bw.WriteByte(0); werr != nil {
+	if werr := bw.WriteByte(statusOK); werr != nil {
 		return werr
 	}
 	return writeIDs(bw, ids)
 }
 
 func (s *framedServer) serveGet(conn net.Conn, bw *bufio.Writer, h frameHeader) error {
+	if s.r == nil {
+		return writeErrReply(bw, errNoDataRole)
+	}
 	rc, fresh, err := s.r.OpenFrom(h.replicas, h.key, h.off, h.length)
 	if err != nil {
 		return writeErrReply(bw, err)
 	}
 	defer rc.Close()
-	if werr := bw.WriteByte(0); werr != nil {
+	if werr := bw.WriteByte(statusOK); werr != nil {
 		return werr
 	}
 	if werr := writeIDs(bw, fresh); werr != nil {
@@ -486,10 +564,73 @@ func (s *framedServer) serveGet(conn net.Conn, bw *bufio.Writer, h frameHeader) 
 	return writeU32(bw, 0)
 }
 
+// serveNodePut stores the node the body encodes. As in servePut the
+// body is consumed whatever becomes of the put, and whatever is wrong
+// with it — too long, aborted, not a node, a different node already
+// stored — fails this op alone.
+func (s *framedServer) serveNodePut(body *frameBodyReader, bw *bufio.Writer, h frameHeader) error {
+	body.reset()
+	var enc []byte
+	err := errNoMetaRole
+	if s.nodes != nil {
+		enc, err = readNodeBody(body)
+	}
+	if derr := body.drain(); derr != nil {
+		return derr
+	}
+	var n *segtree.Node
+	if err == nil {
+		n, err = segtree.DecodeNode(enc)
+	}
+	if err == nil {
+		err = s.nodes.PutNode(h.key.Blob, h.nodeKey(), n)
+	}
+	if err != nil {
+		return writeErrReply(bw, err)
+	}
+	return bw.WriteByte(statusOK)
+}
+
+// serveNodeGet answers a node get or try-get.
+func (s *framedServer) serveNodeGet(bw *bufio.Writer, h frameHeader) error {
+	if s.nodes == nil {
+		return writeErrReply(bw, errNoMetaRole)
+	}
+	n, found, err := s.nodes.TryGetNode(h.key.Blob, h.nodeKey())
+	if !found && err == nil && h.op == opNodeGet {
+		_, err = s.nodes.GetNode(h.key.Blob, h.nodeKey()) // the store's own error for a miss
+	}
+	if err != nil {
+		return writeErrReply(bw, err)
+	}
+	if !found {
+		return bw.WriteByte(statusMiss)
+	}
+	if werr := bw.WriteByte(statusOK); werr != nil {
+		return werr
+	}
+	// (A node past maxNodeBody, which only an in-process writer can have
+	// stored, is refused by the client, at the cost of the connection.)
+	for enc := segtree.AppendNode(nil, n); len(enc) > 0; {
+		frame := enc[:min(len(enc), maxFrame)]
+		enc = enc[len(frame):]
+		if werr := writeU32(bw, uint32(len(frame))); werr != nil {
+			return werr
+		}
+		if _, werr := bw.Write(frame); werr != nil {
+			return werr
+		}
+		s.frames.Inc()
+		s.bytes.Add(int64(len(frame)))
+	}
+	return writeU32(bw, 0)
+}
+
 // --- client side ---
 
-// framedPoolCap bounds the connections a client keeps to one data
-// endpoint, in use plus idle. A connection carries a whole train per
+// framedPoolCap bounds the connections a client keeps to one endpoint
+// for one kind of traffic (chunks to the data endpoint, nodes to the
+// meta endpoint), in use plus idle. A connection carries a whole train per
 // round trip, so further connections buy parallelism at the server and
 // cost shorter trains: swept with trains in place (CHANGES.md, PR 17),
 // tile_atomic's 92-put writes and 122-get reads are fastest on 2 or 4
@@ -501,7 +642,8 @@ const framedPoolCap = 4
 
 // A train is the run of calls one connection carries in one round trip:
 // at most maxTrainCalls of them and, past the first, at most
-// maxTrainBytes of payload (put bodies, or the bytes gets asked for), so
+// maxTrainBytes of payload (put and node-put bodies, or the bytes gets
+// asked for; a node get counts nothing, the call bound is its bound), so
 // a megabyte chunk always travels alone and a train of small pieces
 // never holds a connection longer than one large transfer would.
 const (
@@ -513,10 +655,10 @@ const (
 // queued for a connection at, Client.Close.
 var ErrClientClosed = errors.New("remote: client closed")
 
-// framedCall is one chunk put or get on its way through the pool.
+// framedCall is one chunk or node op on its way through the pool.
 type framedCall struct {
 	h    frameHeader
-	data []byte        // put: the payload; get: the bytes read
+	data []byte        // put, node put: the body; get: the bytes read; node get: the encoded node, nil on a miss
 	ids  []provider.ID // put: the replica set; get: the fresh set, if any
 	err  error
 
@@ -533,14 +675,14 @@ type framedCall struct {
 
 // payload is what the call counts towards maxTrainBytes.
 func (c *framedCall) payload() int64 {
-	if c.h.op == opPut {
-		return int64(len(c.data))
+	if c.h.op == opGet {
+		return c.h.length
 	}
-	return c.h.length
+	return int64(len(c.data))
 }
 
-// framedConn is one client connection to a data node's framed plane,
-// owned by one train at a time.
+// framedConn is one client connection to a node's framed plane, owned
+// by one train at a time.
 type framedConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -551,8 +693,8 @@ type framedConn struct {
 	bufs    net.Buffers
 }
 
-// framedPool runs chunk calls over a bounded set of connections to one
-// data endpoint. A call that finds a connection free (or room to dial
+// framedPool runs framed calls over a bounded set of connections to one
+// endpoint. A call that finds a connection free (or room to dial
 // one) runs at once, as a train of one. Calls that find every
 // connection busy queue, and a connection that comes free takes the
 // head of the queue plus the calls of the same kind right behind it, up
@@ -581,6 +723,18 @@ func (p *framedPool) put(key chunk.Key, data []byte) ([]provider.ID, error) {
 	c := &framedCall{h: frameHeader{op: opPut, key: key, length: int64(len(data))}, data: data}
 	p.do(c)
 	return c.ids, c.err
+}
+
+// node performs one framed node op on the node key names. body is the
+// encoded node of a put; what comes back is the encoded node of a get
+// or a try-get, nil when a try-get missed (and the body of a put).
+func (p *framedPool) node(op byte, blob uint64, key segtree.NodeKey, body []byte) ([]byte, error) {
+	c := &framedCall{
+		h:    frameHeader{op: op, key: chunk.Key{Blob: blob, Version: key.Version}, off: key.Offset, length: key.Size},
+		data: body,
+	}
+	p.do(c)
+	return c.data, c.err
 }
 
 // get performs one framed chunk read with an optional replica hint,
@@ -636,8 +790,10 @@ func (p *framedPool) do(c *framedCall) {
 // dial — in the failed connection's slot, so the retry never waits
 // behind the bound — after flushing the rest of the idle list; on a
 // fresh dial it is a real peer problem and fails the call it hit.
-// Re-sent puts are safe: the chunk store is immutable, so the worst a
-// half-delivered first attempt yields is chunk.ErrExists on the retry.
+// Re-sent puts are safe: both stores are immutable, so the worst a
+// first attempt the server applied but could not answer yields is
+// chunk.ErrExists on the retry of a chunk, and nothing at all on the
+// retry of a node (metadata.Store accepts an identical re-put).
 func (p *framedPool) lead(fc *framedConn, train []*framedCall) {
 	me := train[0]
 	settle := func(c *framedCall) {
@@ -770,15 +926,15 @@ func (p *framedPool) close() {
 }
 
 // send writes every request of train in one vectored write: headers,
-// frame words and terminators from the connection's scratch, put
-// payloads from the callers' own slices — never copied into a staging
+// frame words and terminators from the connection's scratch, bodies
+// from the callers' own slices — never copied into a staging
 // buffer, the zero-copy half of the put path.
 func (fc *framedConn) send(train []*framedCall) error {
 	buf, bufs, sent := fc.scratch[:0], fc.bufs[:0], 0
 	for _, c := range train {
 		buf = appendHeader(buf, &c.h)
-		if c.h.op != opPut {
-			continue
+		if c.h.op != opPut && c.h.op != opNodePut {
+			continue // no body
 		}
 		for data := c.data; len(data) > 0; {
 			frame := data[:min(len(data), maxFrame)]
@@ -804,13 +960,25 @@ func (fc *framedConn) readReply(c *framedCall) error {
 	if err != nil {
 		return err
 	}
-	if status != 0 {
+	switch {
+	case status == statusErr:
 		msg, err := readErrString(fc.br)
 		if err != nil {
 			return err
 		}
 		c.err = errors.New(msg)
 		return nil
+	case status == statusMiss && c.h.op == opNodeTryGet:
+		return nil
+	case status != statusOK:
+		return fmt.Errorf("remote: reply status %d to op %d", status, c.h.op)
+	}
+	switch c.h.op {
+	case opNodePut:
+		return nil
+	case opNodeGet, opNodeTryGet:
+		c.data, err = readNodeBody(&frameBodyReader{r: fc.br}) // never nil: only a miss is
+		return err
 	}
 	ids, err := readIDs(fc.br)
 	if err != nil {

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"net/rpc"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -103,11 +105,11 @@ func TestFramedErrorsKeepConnection(t *testing.T) {
 }
 
 // TestFramedAndGobCoexist pins the negotiation: gob control calls and
-// framed chunk transfers share one node and one port, so a full blob
-// write/read cycle — tickets and nodes by gob, payloads framed — and an
+// framed transfers share one node and one port, so a full blob
+// write/read cycle — tickets by gob, payloads and nodes framed — and an
 // admin call work side by side, from two clients at once; and the gob
-// service no longer has a payload method for a client from before the
-// framed plane was the only one to find.
+// services have no payload or node method left for a client from before
+// the framed plane was the only one to find.
 func TestFramedAndGobCoexist(t *testing.T) {
 	_, ep := startNode(t)
 	c1, c2 := dialClient(t, ep), dialClient(t, ep)
@@ -156,6 +158,10 @@ func TestFramedAndGobCoexist(t *testing.T) {
 	}{Data: []byte("x")}, &ids)
 	if err == nil || !strings.Contains(err.Error(), "can't find method Data.PutChunk") {
 		t.Fatalf("gob payload put = %v, want rpc's can't-find-method error", err)
+	}
+	err = old.Call("Meta.Nodes", &struct{}{}, &struct{}{})
+	if err == nil || !strings.Contains(err.Error(), "can't find service Meta.Nodes") {
+		t.Fatalf("gob node call = %v, want rpc's can't-find-service error", err)
 	}
 }
 
@@ -238,60 +244,113 @@ func TestFramedMetrics(t *testing.T) {
 }
 
 // TestFramedPoolSurvivesNodeRestart is the regression test for the
-// never-validated connection pool: after a data-node restart every
-// pooled socket is dead, and the first op on each used to surface a
-// transport error to the caller. The pool must instead detect the
-// stale socket, flush its idle list, and transparently retry the op on
-// a fresh dial.
+// never-validated connection pool: after a node restart every pooled
+// socket to it is dead, and the first op on each used to surface a
+// transport error to the caller (and, for node calls on their gob
+// connection, every later op for the life of the client). The pool must
+// instead detect the stale socket, flush its idle list, and
+// transparently retry the op on a fresh dial. Roles are split, so each
+// row restarts only the node its calls go to.
 func TestFramedPoolSurvivesNodeRestart(t *testing.T) {
 	mgr, _ := provider.NewPool(1, iosim.CostModel{})
-	roles := Roles{
-		VM:   vmanager.New(iosim.CostModel{}),
-		Meta: metadata.NewStore(2, iosim.CostModel{}),
-		Data: provider.NewRouter(mgr),
-	}
-	node, err := Listen("127.0.0.1:0", roles)
+	vmNode, err := Listen("127.0.0.1:0", Roles{VM: vmanager.New(iosim.CostModel{})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := node.Addr()
-	ep := Endpoints{VM: addr, Meta: addr, Data: addr}
-	c := dialClient(t, ep)
-
-	key1 := chunk.Key{Blob: 1, Version: 1, Index: 0}
+	defer vmNode.Close()
 	data := bytes.Repeat([]byte("durable"), 1000)
-	if _, err := c.Put(key1, data); err != nil {
-		t.Fatal(err)
-	}
-	// The put's connection is now idle in the pool. Restart the node on
-	// the same address with the same stores — the pooled socket is dead.
-	node.Close()
-	node2, err := listenRetry(addr, roles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node2.Close()
+	for _, tc := range []struct {
+		name  string
+		roles Roles // of the node restarted, its stores kept across the restart
+		put   func(c *Client, i int) error
+		get   func(c *Client, i int) error
+	}{
+		{"data node", Roles{Data: provider.NewRouter(mgr)},
+			func(c *Client, i int) error {
+				_, err := c.Put(chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}, data)
+				return err
+			},
+			func(c *Client, i int) error {
+				got, err := c.Get(chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}, 0, int64(len(data)))
+				if err == nil && !bytes.Equal(got, data) {
+					err = errors.New("another chunk's bytes")
+				}
+				return err
+			}},
+		{"meta node", Roles{Meta: metadata.NewStore(2, iosim.CostModel{})},
+			func(c *Client, i int) error {
+				return c.PutNode(1, segtree.NodeKey{Version: 1, Offset: int64(i) * 512, Size: 512}, leafNode(uint64(i)))
+			},
+			func(c *Client, i int) error {
+				got, err := c.GetNode(1, segtree.NodeKey{Version: 1, Offset: int64(i) * 512, Size: 512})
+				if err == nil && !reflect.DeepEqual(got, leafNode(uint64(i))) {
+					err = errors.New("another node")
+				}
+				return err
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The other framed role lives on a node that is never touched.
+			other, err := Listen("127.0.0.1:0", Roles{Meta: metadata.NewStore(2, iosim.CostModel{}), Data: provider.NewRouter(mgr)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer other.Close()
+			node, err := Listen("127.0.0.1:0", tc.roles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := node.Addr()
+			ep := Endpoints{VM: vmNode.Addr(), Meta: other.Addr(), Data: addr}
+			if tc.roles.Meta != nil {
+				ep.Meta, ep.Data = addr, other.Addr()
+			}
+			c := dialClient(t, ep)
 
-	key2 := chunk.Key{Blob: 1, Version: 1, Index: 1}
-	if _, err := c.Put(key2, data); err != nil {
-		t.Fatalf("put after node restart: %v", err)
-	}
-	got, err := c.Get(key1, 0, int64(len(data)))
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("get after node restart: %v", err)
-	}
-	// Reads retry too, and repeated ops keep working (the flushed pool
-	// refilled with live connections).
-	for i := 0; i < 4; i++ {
-		if _, err := c.Get(key2, 0, int64(len(data))); err != nil {
-			t.Fatalf("get %d after restart: %v", i, err)
-		}
-	}
-	// A genuinely dead peer still fails: kill the node for good and the
-	// fresh-dial retry must surface the dial error, not loop.
-	node2.Close()
-	if _, err := c.Put(chunk.Key{Blob: 1, Version: 1, Index: 2}, data); err == nil {
-		t.Fatal("put against a dead node must fail")
+			if err := tc.put(c, 0); err != nil {
+				t.Fatal(err)
+			}
+			// The put's connection is now idle in the pool. Restart the node
+			// on the same address with the same stores — the pooled socket
+			// is dead.
+			node.Close()
+			node2, err := listenRetry(addr, tc.roles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node2.Close()
+
+			if err := tc.put(c, 1); err != nil {
+				t.Fatalf("put after node restart: %v", err)
+			}
+			if err := tc.get(c, 0); err != nil {
+				t.Fatalf("get after node restart: %v", err)
+			}
+			// Reads retry too, and repeated ops keep working (the flushed
+			// pool refilled with live connections).
+			for i := 0; i < 4; i++ {
+				if err := tc.get(c, 1); err != nil {
+					t.Fatalf("get %d after restart: %v", i, err)
+				}
+			}
+			// A genuinely dead peer still fails, op by op: kill the node
+			// and the fresh-dial retry must surface the dial error, not
+			// loop — and a third start serves the same client again.
+			node2.Close()
+			for i := 0; i < 2; i++ {
+				if err := tc.put(c, 2); err == nil {
+					t.Fatal("put against a dead node must fail")
+				}
+			}
+			node3, err := listenRetry(addr, tc.roles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node3.Close()
+			if err := tc.put(c, 2); err != nil {
+				t.Fatalf("put after the node came back: %v", err)
+			}
+		})
 	}
 }
 
@@ -352,7 +411,11 @@ func rawFramedConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 // rawPut is the wire form of a put whose header declares length and
 // whose body carries the given frames.
 func rawPut(key chunk.Key, length int64, frames ...[]byte) []byte {
-	req := appendHeader(nil, &frameHeader{op: opPut, key: key, length: length})
+	return appendRawBody(appendHeader(nil, &frameHeader{op: opPut, key: key, length: length}), frames)
+}
+
+// appendRawBody appends a body of the given frames and its terminator.
+func appendRawBody(req []byte, frames [][]byte) []byte {
 	for _, f := range frames {
 		req = binary.LittleEndian.AppendUint32(req, uint32(len(f)))
 		req = append(req, f...)
@@ -418,6 +481,169 @@ func TestFramedServerRejectsOverlongPut(t *testing.T) {
 		if wantErr != (msg != "") || wantErr == (len(ids) > 0) {
 			t.Fatalf("train put %d: ids %v, error %q", i, ids, msg)
 		}
+	}
+}
+
+// rawNodeOp is the wire form of a node op; frames are the body of a put.
+func rawNodeOp(op byte, blob uint64, key segtree.NodeKey, frames ...[]byte) []byte {
+	req := appendHeader(nil, &frameHeader{op: op, key: chunk.Key{Blob: blob, Version: key.Version}, off: key.Offset, length: key.Size})
+	if op != opNodePut {
+		return req
+	}
+	return appendRawBody(req, frames)
+}
+
+// readNodeReply reads the reply to one node op sent by hand: the node
+// (encoded), a miss, or the server's error message.
+func readNodeReply(t *testing.T, br *bufio.Reader, op byte) (enc []byte, miss bool, msg string) {
+	t.Helper()
+	c := &framedCall{h: frameHeader{op: op}}
+	if err := (&framedConn{br: br}).readReply(c); err != nil {
+		t.Fatalf("reply to node op %d: %v", op, err)
+	}
+	if c.err != nil {
+		return nil, false, c.err.Error()
+	}
+	return c.data, op == opNodeTryGet && c.data == nil, ""
+}
+
+// TestFramedServerBoundsNodeOps speaks the raw wire protocol: what a
+// node put carries comes straight off the wire, so a body over the
+// bound, a body that is no node, an aborted body and a different node
+// under a stored key are each refused in-band, alone — their train-mates
+// answered, the connection aligned, nothing stored — and the two kinds
+// of miss are told apart.
+func TestFramedServerBoundsNodeOps(t *testing.T) {
+	node, ep := startNode(t)
+	store := node.fr.nodes
+	conn, br := rawFramedConn(t, ep.Meta)
+	key := func(i int64) segtree.NodeKey { return segtree.NodeKey{Version: 1, Offset: i * 512, Size: 512} }
+	good := func(i int64) []byte { return segtree.AppendNode(nil, leafNode(uint64(i))) }
+	expect := func(what string, op byte, wantErr string) []byte {
+		t.Helper()
+		enc, _, msg := readNodeReply(t, br, op)
+		if (wantErr == "") != (msg == "") || !strings.Contains(msg, wantErr) {
+			t.Fatalf("%s answered %q, want %q", what, msg, wantErr)
+		}
+		return enc
+	}
+
+	// One frame more than the bound holds.
+	huge := make([][]byte, maxNodeBody/maxFrame+1)
+	for i := range huge {
+		huge[i] = make([]byte, maxFrame)
+	}
+	conn.Write(rawNodeOp(opNodePut, 1, key(0), huge...))
+	expect("an oversized node put", opNodePut, "node body exceeds the limit")
+	// Exactly the bound is read whole, and refused only for not being a node.
+	conn.Write(rawNodeOp(opNodePut, 1, key(0), huge[:len(huge)-1]...))
+	expect("a bound-sized body of zeros", opNodePut, "inner node of "+itoa(maxNodeBody)+" bytes")
+
+	aborted := appendHeader(nil, &frameHeader{op: opNodePut, key: chunk.Key{Blob: 1, Version: 1}, length: 512})
+	aborted = binary.LittleEndian.AppendUint32(aborted, 10)
+	aborted = append(aborted, good(0)[:10]...)
+	aborted = binary.LittleEndian.AppendUint32(aborted, frameAbort)
+
+	// One write, seven requests: the refusals fail alone.
+	var train []byte
+	train = append(train, rawNodeOp(opNodePut, 1, key(1), good(1))...)
+	train = append(train, rawNodeOp(opNodePut, 1, key(2), []byte("not a node"))...)
+	train = append(train, aborted...)
+	train = append(train, rawNodeOp(opNodePut, 1, key(1), good(9))...)                    // key(1) holds another node
+	train = append(train, rawNodeOp(opNodePut, 1, key(1), good(1)[:40], good(1)[40:])...) // the same node, in two frames
+	train = append(train, rawNodeOp(opNodePut, 1, key(3))...)                             // no body at all
+	train = append(train, rawNodeOp(opNodePut, 1, key(4), good(4))...)
+	conn.Write(train)
+	for i, wantErr := range []string{"", "unknown node kind 110", errAborted.Error(), metadata.ErrExists.Error(), "", "empty node encoding", ""} {
+		expect("train put "+itoa(int64(i+1)), opNodePut, wantErr)
+	}
+	if n := store.Count(); n != 2 {
+		t.Fatalf("the store holds %d nodes, want the 2 good ones", n)
+	}
+
+	// Gets in one write: a hit, the two kinds of miss, a try-get hit.
+	var gets []byte
+	for _, g := range []struct {
+		op  byte
+		key segtree.NodeKey
+	}{{opNodeGet, key(1)}, {opNodeGet, key(2)}, {opNodeTryGet, key(2)}, {opNodeTryGet, key(4)}} {
+		gets = append(gets, rawNodeOp(g.op, 1, g.key)...)
+	}
+	conn.Write(gets)
+	if enc := expect("a get", opNodeGet, ""); !bytes.Equal(enc, good(1)) {
+		t.Fatalf("get returned %x", enc)
+	}
+	_, wantErr := store.GetNode(1, key(2))
+	expect("a get of a node never stored", opNodeGet, wantErr.Error())
+	if enc, miss, msg := readNodeReply(t, br, opNodeTryGet); !miss || enc != nil || msg != "" {
+		t.Fatalf("a try-get of a node never stored: %x, miss %v, %q", enc, miss, msg)
+	}
+	if enc, miss, msg := readNodeReply(t, br, opNodeTryGet); miss || !bytes.Equal(enc, good(4)) {
+		t.Fatalf("a try-get of a stored node: %x, miss %v, %q", enc, miss, msg)
+	}
+
+	// An op code nobody defined is a protocol violation: the connection.
+	conn.Write(appendHeader(nil, &frameHeader{op: opNodeTryGet + 1}))
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("after an unknown op: %v, want the connection closed", err)
+	}
+}
+
+// TestFramedServerRefusesOpsOfAMissingRole: a node is told apart by what
+// it was started with. A meta-only node refuses a chunk op and a
+// data-only node a node op — in-band, a put's body drained — and the
+// connection goes on serving the ops of the role the node does host.
+func TestFramedServerRefusesOpsOfAMissingRole(t *testing.T) {
+	metaNode, err := Listen("127.0.0.1:0", Roles{Meta: metadata.NewStore(2, iosim.CostModel{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer metaNode.Close()
+	mgr, _ := provider.NewPool(2, iosim.CostModel{})
+	dataNode, err := Listen("127.0.0.1:0", Roles{Data: provider.NewRouter(mgr)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dataNode.Close()
+	ckey, nkey := chunk.Key{Blob: 1, Version: 1}, segtree.NodeKey{Version: 1, Size: 512}
+	enc := segtree.AppendNode(nil, leafNode(1))
+
+	conn, br := rawFramedConn(t, metaNode.Addr())
+	req := rawPut(ckey, 5, []byte("hello"))
+	req = append(req, appendHeader(nil, &frameHeader{op: opGet, key: ckey, length: 5})...)
+	req = append(req, rawNodeOp(opNodePut, 1, nkey, enc)...)
+	conn.Write(req)
+	if _, msg := readPutReply(t, br); msg != errNoDataRole.Error() {
+		t.Fatalf("chunk put on a meta-only node: %q", msg)
+	}
+	get := &framedCall{h: frameHeader{op: opGet, key: ckey, length: 5}}
+	if err := (&framedConn{br: br}).readReply(get); err != nil || get.err == nil || get.err.Error() != errNoDataRole.Error() {
+		t.Fatalf("chunk get on a meta-only node: %v, %v", err, get.err)
+	}
+	if _, _, msg := readNodeReply(t, br, opNodePut); msg != "" {
+		t.Fatalf("node put after the refusals, same connection: %q", msg)
+	}
+
+	conn, br = rawFramedConn(t, dataNode.Addr())
+	req = rawNodeOp(opNodePut, 1, nkey, enc)
+	req = append(req, rawNodeOp(opNodeGet, 1, nkey)...)
+	req = append(req, rawNodeOp(opNodeTryGet, 1, nkey)...)
+	req = append(req, rawPut(ckey, 5, []byte("hello"))...)
+	conn.Write(req)
+	for _, op := range []byte{opNodePut, opNodeGet, opNodeTryGet} {
+		if _, _, msg := readNodeReply(t, br, op); msg != errNoMetaRole.Error() {
+			t.Fatalf("node op %d on a data-only node: %q", op, msg)
+		}
+	}
+	if ids, msg := readPutReply(t, br); len(ids) == 0 {
+		t.Fatalf("chunk put after the refusals, same connection: %q", msg)
+	}
+
+	// A client wired the wrong way round gets the same answers, per call.
+	_, ep := startNode(t)
+	c := dialClient(t, Endpoints{VM: ep.VM, Meta: dataNode.Addr(), Data: metaNode.Addr()})
+	if err := c.PutNode(1, nkey, leafNode(1)); err == nil || err.Error() != errNoMetaRole.Error() {
+		t.Fatalf("PutNode to a data-only node: %v", err)
 	}
 }
 

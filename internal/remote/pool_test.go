@@ -12,8 +12,11 @@ import (
 	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/iosim"
+	"repro/internal/metadata"
 	"repro/internal/metrics"
 	"repro/internal/provider"
+	"repro/internal/segtree"
 )
 
 // TestFramedPoolIsBounded: a fan-out far wider than the pool rides at
@@ -30,9 +33,9 @@ func TestFramedPoolIsBounded(t *testing.T) {
 	c.SetMetrics(reg)
 	payload := bytes.Repeat([]byte{0x5A}, 32<<10)
 
-	// The pool dials on first use: control calls alone open no framed
-	// connection.
-	waitFor(t, "the three gob connections", func() bool { return lis.accepted.Load() == gobConnsPerClient })
+	// The pools dial on first use: control calls alone open no framed
+	// connection, to the data endpoint or to the meta endpoint.
+	waitFor(t, "the two gob connections", func() bool { return lis.accepted.Load() == gobConnsPerClient })
 	if _, err := c.Usage(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +72,12 @@ func TestFramedPoolIsBounded(t *testing.T) {
 }
 
 // holdingFramedServer accepts connections and, on framed ones, reads
-// each put whole and then withholds the reply until answer or letGo;
-// like the server before trains it flushes after every reply. got
-// receives one value per put fully read; ended counts connections the
-// peer closed. While dropArmed is set, a put for version dropVersion
-// costs its connection instead of being answered, once.
+// each put — of a chunk or of a node — whole and then withholds the
+// reply until answer or letGo; like the server before trains it flushes
+// after every reply. got receives one value per put fully read; ended
+// counts connections the peer closed. While dropArmed is set, a put for
+// version dropVersion costs its connection instead of being answered,
+// once.
 type holdingFramedServer struct {
 	ln        net.Listener
 	release   chan struct{} // one token per reply; closed by letGo
@@ -168,8 +172,10 @@ func (s *holdingFramedServer) serve(conn net.Conn) {
 		}
 		s.got <- struct{}{}
 		<-s.release
-		bw.WriteByte(0)
-		writeIDs(bw, []provider.ID{provider.ID(h.key.Index)})
+		bw.WriteByte(statusOK)
+		if h.op == opPut {
+			writeIDs(bw, []provider.ID{provider.ID(h.key.Index)})
+		}
 		if bw.Flush() != nil {
 			return
 		}
@@ -183,14 +189,36 @@ func poolCounts(p *framedPool) (open, idle, queued int) {
 	return p.open, len(p.idle), len(p.queue)
 }
 
+// poolPuts are the two kinds of put a pool carries: what holds for the
+// pool — the bound, the queue, trains, the retry, close — must hold for
+// both, so the tests below run once per row. Put i of a version carries
+// i where the fake server can find it: a chunk's index, which the fake
+// echoes as the replica set (a node put's reply carries nothing), a
+// node's offset.
+type poolPut struct {
+	name   string
+	echoes bool
+	put    func(p *framedPool, version uint64, i int, body []byte) ([]provider.ID, error)
+}
+
+var poolPuts = []poolPut{
+	{"chunk put", true, func(p *framedPool, version uint64, i int, body []byte) ([]provider.ID, error) {
+		return p.put(chunk.Key{Blob: 1, Version: version, Index: uint32(i)}, body)
+	}},
+	{"node put", false, func(p *framedPool, version uint64, i int, body []byte) ([]provider.ID, error) {
+		_, err := p.node(opNodePut, 1, segtree.NodeKey{Version: version, Offset: int64(i), Size: 1}, body)
+		return nil, err
+	}},
+}
+
 // occupy starts one put per pool connection against srv and returns
 // once the server holds them all: every later call queues.
-func occupy(t *testing.T, srv *holdingFramedServer, put func(chunk.Key, []byte) ([]provider.ID, error)) <-chan error {
+func occupy(t *testing.T, srv *holdingFramedServer, put func(version uint64, i int, body []byte) ([]provider.ID, error)) <-chan error {
 	t.Helper()
 	errs := make(chan error, framedPoolCap)
 	for i := 0; i < framedPoolCap; i++ {
 		go func(i int) {
-			_, err := put(chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}, []byte("in flight"))
+			_, err := put(1, i, []byte("in flight"))
 			errs <- err
 		}(i)
 	}
@@ -240,7 +268,9 @@ func TestClientCloseMidFlightClosesEveryConnection(t *testing.T) {
 		return func() bool { _, _, q := poolCounts(c.pool); return q == n }
 	}
 	const train, late = 6, 3
-	lone := occupy(t, srv, c.Put)
+	lone := occupy(t, srv, func(version uint64, i int, body []byte) ([]provider.ID, error) {
+		return c.Put(chunk.Key{Blob: 1, Version: version, Index: uint32(i)}, body)
+	})
 	inTrain := put(2, train)
 	waitFor(t, "the train's calls to queue", queued(train))
 	srv.answer(1) // one connection comes free and takes all six
@@ -287,47 +317,58 @@ func TestClientCloseMidFlightClosesEveryConnection(t *testing.T) {
 	if n := srv.accepted.Load(); n != conns {
 		t.Fatalf("a put after Close dialed: %d connections accepted", n)
 	}
+	// The node pool never dialed, and is closed all the same.
+	if err := c.PutNode(1, segtree.NodeKey{Version: 1, Size: 512}, leafNode(1)); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("node put after Close: %v, want ErrClientClosed", err)
+	}
 }
 
 // TestFramedPoolCloseWakesWaiters: calls queued behind a full pool
 // return ErrClientClosed at close instead of hanging, before any
 // connection comes back.
 func TestFramedPoolCloseWakesWaiters(t *testing.T) {
-	srv := startHoldingFramedServer(t)
-	pool := newFramedPool(srv.ln.Addr().String())
-	const waiters = 4
-	inFlight := occupy(t, srv, pool.put)
-	waiting := make(chan error, waiters)
-	for i := 0; i < waiters; i++ {
-		go func(i int) {
-			_, err := pool.put(chunk.Key{Blob: 1, Version: 2, Index: uint32(i)}, []byte("x"))
-			waiting <- err
-		}(i)
-	}
-	waitFor(t, "the waiters to queue", func() bool { _, _, q := poolCounts(pool); return q == waiters })
-	pool.close()
-	for i := 0; i < waiters; i++ {
-		select {
-		case err := <-waiting:
-			if !errors.Is(err, ErrClientClosed) {
-				t.Errorf("waiter %d: %v, want ErrClientClosed", i, err)
+	for _, kind := range poolPuts {
+		t.Run(kind.name, func(t *testing.T) {
+			srv := startHoldingFramedServer(t)
+			pool := newFramedPool(srv.ln.Addr().String())
+			put := func(version uint64, i int, body []byte) ([]provider.ID, error) {
+				return kind.put(pool, version, i, body)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("a call queued behind the full pool hung through close")
-		}
+			const waiters = 4
+			inFlight := occupy(t, srv, put)
+			waiting := make(chan error, waiters)
+			for i := 0; i < waiters; i++ {
+				go func(i int) {
+					_, err := put(2, i, []byte("x"))
+					waiting <- err
+				}(i)
+			}
+			waitFor(t, "the waiters to queue", func() bool { _, _, q := poolCounts(pool); return q == waiters })
+			pool.close()
+			for i := 0; i < waiters; i++ {
+				select {
+				case err := <-waiting:
+					if !errors.Is(err, ErrClientClosed) {
+						t.Errorf("waiter %d: %v, want ErrClientClosed", i, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a call queued behind the full pool hung through close")
+				}
+			}
+			if n := srv.accepted.Load(); n != framedPoolCap {
+				t.Fatalf("%d connections accepted, want the bound of %d", n, framedPoolCap)
+			}
+			srv.letGo()
+			for i := 0; i < framedPoolCap; i++ {
+				if err := <-inFlight; err != nil {
+					t.Errorf("in-flight put: %v", err)
+				}
+			}
+			waitFor(t, "the in-flight connections to close on release", func() bool {
+				return srv.ended.Load() == framedPoolCap
+			})
+		})
 	}
-	if n := srv.accepted.Load(); n != framedPoolCap {
-		t.Fatalf("%d connections accepted, want the bound of %d", n, framedPoolCap)
-	}
-	srv.letGo()
-	for i := 0; i < framedPoolCap; i++ {
-		if err := <-inFlight; err != nil {
-			t.Errorf("in-flight put: %v", err)
-		}
-	}
-	waitFor(t, "the in-flight connections to close on release", func() bool {
-		return srv.ended.Load() == framedPoolCap
-	})
 }
 
 // TestTrainSurvivesDroppedConnection: the server answers the first k
@@ -335,13 +376,22 @@ func TestFramedPoolCloseWakesWaiters(t *testing.T) {
 // answers, the rest are re-sent once on a fresh dial and succeed, and
 // the pool's books balance afterwards.
 func TestTrainSurvivesDroppedConnection(t *testing.T) {
+	for _, kind := range poolPuts {
+		t.Run(kind.name, func(t *testing.T) { testTrainSurvivesDroppedConnection(t, kind) })
+	}
+}
+
+func testTrainSurvivesDroppedConnection(t *testing.T, kind poolPut) {
 	srv := startHoldingFramedServer(t)
 	pool := newFramedPool(srv.ln.Addr().String())
 	defer pool.close()
 	reg := metrics.NewRegistry()
 	pool.trainOps = reg.Histogram("bs_data_train_ops", trainBuckets())
+	put := func(version uint64, i int, body []byte) ([]provider.ID, error) {
+		return kind.put(pool, version, i, body)
+	}
 	const n, k = 10, 4
-	lone := occupy(t, srv, pool.put)
+	lone := occupy(t, srv, put)
 
 	srv.dropArmed.Store(true)
 	type result struct {
@@ -359,7 +409,7 @@ func TestTrainSurvivesDroppedConnection(t *testing.T) {
 			version = dropVersion
 		}
 		go func(i int) {
-			ids, err := pool.put(chunk.Key{Blob: 1, Version: version, Index: uint32(100 + i)}, []byte("train"))
+			ids, err := put(version, 100+i, []byte("train"))
 			results <- result{i, ids, err}
 		}(i)
 	}
@@ -373,9 +423,9 @@ func TestTrainSurvivesDroppedConnection(t *testing.T) {
 	for j := 0; j < n; j++ {
 		select {
 		case r := <-results:
-			// The fake answers with the put's own index as its replica
-			// set: each caller must get its own reply, not a neighbour's.
-			if r.err != nil || len(r.ids) != 1 || r.ids[0] != provider.ID(100+r.i) {
+			// Where the fake echoes the put's own index as its replica
+			// set, each caller must get its own reply, not a neighbour's.
+			if r.err != nil || (kind.echoes && (len(r.ids) != 1 || r.ids[0] != provider.ID(100+r.i))) {
 				t.Errorf("call %d of the train: ids %v, %v", r.i, r.ids, r.err)
 			}
 		case <-time.After(5 * time.Second):
@@ -450,4 +500,111 @@ func TestTrainAgainstServerThatFlushesEveryReply(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// cuttingConn is the server's end of a connection on a listener that
+// loses one flush: every Write waits for hold to close, and the first
+// connection to flush a second time (while armed is set) is closed
+// instead — whatever the server applied before that flush, it could not
+// answer.
+type cuttingConn struct {
+	net.Conn
+	hold    <-chan struct{}
+	armed   *atomic.Bool
+	flushes int // this connection's; its server goroutine alone writes
+}
+
+func (c *cuttingConn) Write(p []byte) (int, error) {
+	<-c.hold
+	if c.flushes++; c.flushes == 2 && c.armed.CompareAndSwap(true, false) {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
+}
+
+// TestNodePutsAppliedButUnansweredSucceedOnRetry: the real framed server
+// applies a train of node puts to its store and loses the connection
+// before the answer leaves. The pool cannot tell that from a stale
+// socket and re-sends the train on a fresh dial, where every put finds
+// its node already stored: identical re-puts are no-ops, so every caller
+// returns nil and the store holds each node once.
+func TestNodePutsAppliedButUnansweredSucceedOnRetry(t *testing.T) {
+	store := metadata.NewStore(2, iosim.CostModel{})
+	fs := newFramedServer(Roles{Meta: store})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := make(chan struct{})
+	var accepted atomic.Int64
+	var armed atomic.Bool
+	armed.Store(true)
+	var served sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		served.Wait() // every connection ends with the pool's close
+	})
+	served.Add(1)
+	go func() {
+		defer served.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			served.Add(1)
+			go func() {
+				defer served.Done()
+				br := bufio.NewReaderSize(conn, 64<<10)
+				if _, err := br.Discard(len(framedMagic)); err != nil {
+					conn.Close()
+					return
+				}
+				// A connection's first flush answers its lone put, its second
+				// a train: the first of those anywhere is the one cut.
+				fs.serve(&cuttingConn{Conn: conn, hold: hold, armed: &armed}, br)
+			}()
+		}
+	}()
+	pool := newFramedPool(ln.Addr().String())
+	defer pool.close()
+
+	const train = 20
+	errs := make(chan error, framedPoolCap+train)
+	put := func(version uint64, i int) {
+		_, err := pool.node(opNodePut, 1, segtree.NodeKey{Version: version, Offset: int64(i) * 512, Size: 512}, segtree.AppendNode(nil, leafNode(uint64(i))))
+		errs <- err
+	}
+	// One put per connection, applied and held unanswered: from here on
+	// every connection of the pool is a used one.
+	for i := 0; i < framedPoolCap; i++ {
+		go put(1, i)
+	}
+	waitFor(t, "the lone puts to be applied", func() bool { return store.Count() == framedPoolCap })
+	for i := 0; i < train; i++ {
+		go put(2, i)
+	}
+	waitFor(t, "the train's calls to queue", func() bool { _, _, q := poolCounts(pool); return q == train })
+	close(hold)
+	for i := 0; i < framedPoolCap+train; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Errorf("a node put whose first answer was lost: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a node put hung")
+		}
+	}
+	if n := store.Count(); n != framedPoolCap+train {
+		t.Errorf("the store holds %d nodes, want %d", n, framedPoolCap+train)
+	}
+	if armed.Load() {
+		t.Error("no connection was cut")
+	}
+	if n := accepted.Load(); n != framedPoolCap+1 {
+		t.Errorf("%d connections accepted, want %d: the retry rides one fresh dial", n, framedPoolCap+1)
+	}
 }

@@ -1,11 +1,11 @@
 // Package remote exposes the storage services over TCP, so the
 // BlobSeer-equivalent service can run as real distributed processes
 // (cmd/blobseerd) while clients use the same blob.Services interfaces
-// as the in-process wiring. Control calls — versions, metadata nodes,
-// administration — are the standard library's net/rpc with gob
-// encoding; chunk payloads travel on the framed plane (framed.go), the
-// one transport for chunk bytes. One server process can host any subset
-// of the three roles: version manager, metadata provider, data provider.
+// as the in-process wiring. Control calls — versions, administration —
+// are the standard library's net/rpc with gob encoding; chunk payloads
+// and segment-tree nodes travel on the framed plane (framed.go), the one
+// transport for both. One server process can host any subset of the
+// three roles: version manager, metadata provider, data provider.
 package remote
 
 import (
@@ -33,7 +33,6 @@ import (
 // Service names registered with net/rpc.
 const (
 	vmService   = "VM"
-	metaService = "Meta"
 	dataService = "Data"
 	nodeService = "Node"
 )
@@ -231,17 +230,6 @@ type ShardStatusReply struct {
 func (s *VMServer) ShardStatus(_ *ShardStatusArgs, reply *ShardStatusReply) error {
 	reply.Shards = s.M.ShardStatuses()
 	return nil
-}
-
-// --- Metadata service ---
-
-// MetaServer exposes a metadata.Store over RPC. Its one method, the
-// combined node call Meta.Nodes, lives in nodes.go.
-type MetaServer struct {
-	S *metadata.Store
-
-	nodeOps  [nodeOpKinds]*metrics.Counter // bs_meta_node_ops_total{op}, nil-tolerant
-	batchOps *metrics.Histogram            // bs_meta_batch_ops, nil-tolerant
 }
 
 // --- Data service ---
@@ -477,7 +465,7 @@ type Node struct {
 	lis net.Listener
 	srv *rpc.Server
 	reg *metrics.Registry // nil when the node has no metrics role
-	fr  *framedServer     // nil unless the node hosts the data role
+	fr  *framedServer
 
 	// conns tracks accepted connections so Close terminates them along
 	// with the listener — a closed Node behaves like a dead process,
@@ -513,11 +501,6 @@ func serve(lis net.Listener, roles Roles) (*Node, error) {
 			return nil, err
 		}
 	}
-	if roles.Meta != nil {
-		if err := srv.RegisterName(metaService, newMetaServer(roles.Meta, roles.Metrics)); err != nil {
-			return nil, err
-		}
-	}
 	if roles.Data != nil {
 		if err := srv.RegisterName(dataService, &DataServer{R: roles.Data, H: roles.Health, E: roles.Healer, G: roles.Reaper}); err != nil {
 			return nil, err
@@ -528,10 +511,7 @@ func serve(lis net.Listener, roles Roles) (*Node, error) {
 			return nil, err
 		}
 	}
-	n := &Node{lis: lis, srv: srv, reg: roles.Metrics, conns: make(map[net.Conn]struct{})}
-	if roles.Data != nil {
-		n.fr = newFramedServer(roles.Data, roles.Metrics)
-	}
+	n := &Node{lis: lis, srv: srv, reg: roles.Metrics, fr: newFramedServer(roles), conns: make(map[net.Conn]struct{})}
 	go n.acceptLoop()
 	return n, nil
 }
@@ -547,7 +527,7 @@ func (n *Node) acceptLoop() {
 }
 
 // handleConn negotiates the connection's protocol by peeking its first
-// bytes: the framed data plane announces itself with a 4-byte magic,
+// bytes: the framed plane announces itself with a 4-byte magic,
 // everything else is a gob RPC client. The peek happens off the accept
 // loop because it blocks until the client's first write.
 func (n *Node) handleConn(conn net.Conn) {
@@ -571,10 +551,6 @@ func (n *Node) handleConn(conn net.Conn) {
 		return
 	}
 	if string(head) == framedMagic {
-		if n.fr == nil {
-			conn.Close() // framed client on a node with no data role
-			return
-		}
 		br.Discard(len(framedMagic))
 		n.fr.serve(conn, br)
 		return
@@ -687,17 +663,14 @@ func (n *Node) Close() error {
 // blob.DataService).
 type Client struct {
 	vm   *rpc.Client
-	meta *rpc.Client
 	data *rpc.Client
 
-	// nodes combines concurrent PutNode/GetNode/TryGetNode calls into
-	// Meta.Nodes requests on the meta connection (nodes.go).
-	nodes nodeCombiner
-
-	// pool carries Put/Get/GetFrom over the framed data plane on its
-	// own connections to the data endpoint; control RPCs stay on the gob
-	// connections above.
-	pool *framedPool
+	// The framed plane, each pool on its own connections: pool carries
+	// Put/Get/GetFrom to the data endpoint, nodes carries
+	// PutNode/GetNode/TryGetNode to the meta endpoint; control RPCs stay
+	// on the gob connections above.
+	pool  *framedPool
+	nodes *framedPool
 }
 
 // Endpoints names the service addresses a client needs. Any subset may
@@ -708,53 +681,53 @@ type Endpoints struct {
 	Data string
 }
 
-// DialFramed connects to all three endpoints for control RPCs, which
-// are gob, and carries the chunk data path — Put/Get/GetFrom — on the
-// framed wire protocol: payloads stream in frames over a small pool of
-// dedicated connections to the data endpoint, concurrent calls sharing a
-// connection's round trips as trains. The pool dials on first use, so a
-// client that makes only control calls opens no framed connection. The
-// server negotiates per connection; both kinds arrive on one port.
+// DialFramed connects to the VM and data endpoints for control RPCs,
+// which are gob, and carries the chunk data path — Put/Get/GetFrom — and
+// the tree-node path — PutNode/GetNode/TryGetNode — on the framed wire
+// protocol: bodies travel in frames over a small pool of dedicated
+// connections to the data endpoint, and another to the meta endpoint,
+// concurrent calls sharing a connection's round trips as trains. The
+// pools dial on first use, so a client that makes only control calls
+// opens no framed connection, and one whose meta endpoint is down learns
+// it from its first node call. The server negotiates per connection;
+// both kinds arrive on one port.
 func DialFramed(ep Endpoints) (*Client, error) {
-	c := &Client{pool: newFramedPool(ep.Data)}
+	c := &Client{pool: newFramedPool(ep.Data), nodes: newFramedPool(ep.Meta)}
 	var err error
 	if c.vm, err = rpc.Dial("tcp", ep.VM); err != nil {
 		return nil, fmt.Errorf("remote: dial vm %s: %w", ep.VM, err)
 	}
-	if c.meta, err = rpc.Dial("tcp", ep.Meta); err != nil {
-		c.vm.Close()
-		return nil, fmt.Errorf("remote: dial meta %s: %w", ep.Meta, err)
-	}
 	if c.data, err = rpc.Dial("tcp", ep.Data); err != nil {
 		c.vm.Close()
-		c.meta.Close()
 		return nil, fmt.Errorf("remote: dial data %s: %w", ep.Data, err)
 	}
-	c.nodes.rpc = c.meta
 	return c, nil
 }
 
-// SetMetrics registers the framed plane's client-side series in reg:
-// bs_data_dials_total, the connections it dials (flat in steady state —
-// the pool redials only after a peer restart), and the histogram
-// bs_data_train_ops, the requests each train carries in one round trip
-// (1 throughout means callers never outnumber connections). Call it
-// before the first chunk transfer.
+// SetMetrics registers the framed plane's client-side series in reg,
+// chunk and node traffic counted together: bs_data_dials_total, the
+// connections it dials (flat in steady state — a pool redials only
+// after a peer restart), and the histogram bs_data_train_ops, the
+// requests each train carries in one round trip (1 throughout means
+// callers never outnumber connections). Call it before the first framed
+// call.
 func (c *Client) SetMetrics(reg *metrics.Registry) {
-	c.pool.dials = reg.Counter("bs_data_dials_total")
-	c.pool.trainOps = reg.Histogram("bs_data_train_ops", trainBuckets())
+	for _, p := range []*framedPool{c.pool, c.nodes} {
+		p.dials = reg.Counter("bs_data_dials_total")
+		p.trainOps = reg.Histogram("bs_data_train_ops", trainBuckets())
+	}
 }
 
 // Close terminates all connections: the control connections and the
 // framed plane's idle ones at once, a framed connection with a train on
-// it when that train is answered. Chunk transfers started after Close,
-// or still queued for a connection at Close, fail with ErrClientClosed;
-// those already written to a connection finish. Control calls fail with
-// rpc.ErrShutdown, node calls queued behind an in-flight request
-// included.
+// it when that train is answered. Chunk and node calls started after
+// Close, or still queued for a connection at Close, fail with
+// ErrClientClosed; those already written to a connection finish.
+// Control calls fail with rpc.ErrShutdown.
 func (c *Client) Close() error {
 	c.pool.close()
-	return errors.Join(c.vm.Close(), c.meta.Close(), c.data.Close())
+	c.nodes.close()
+	return errors.Join(c.vm.Close(), c.data.Close())
 }
 
 // Services assembles the blob.Services facade over this client.
@@ -855,6 +828,33 @@ func (c *Client) GCInfo(blobID uint64) (vmanager.GCInfo, error) {
 // MarkReclaimed implements blob.VersionService.
 func (c *Client) MarkReclaimed(blobID, v uint64) error {
 	return c.vm.Call(vmService+".MarkReclaimed", &SnapshotArgs{Blob: blobID, Version: v}, &struct{}{})
+}
+
+// PutNode implements segtree.NodeStore over the framed plane.
+func (c *Client) PutNode(blobID uint64, key segtree.NodeKey, n *segtree.Node) error {
+	_, err := c.nodes.node(opNodePut, blobID, key, segtree.AppendNode(nil, n))
+	return err
+}
+
+// GetNode implements segtree.NodeStore over the framed plane.
+func (c *Client) GetNode(blobID uint64, key segtree.NodeKey) (*segtree.Node, error) {
+	enc, err := c.nodes.node(opNodeGet, blobID, key, nil)
+	if err != nil {
+		return nil, err
+	}
+	return segtree.DecodeNode(enc)
+}
+
+// TryGetNode implements segtree.NodeStore over the framed plane. It
+// queues behind this client's own calls like any other, never behind
+// another writer: the server answers from what is stored.
+func (c *Client) TryGetNode(blobID uint64, key segtree.NodeKey) (*segtree.Node, bool, error) {
+	enc, err := c.nodes.node(opNodeTryGet, blobID, key, nil)
+	if err != nil || enc == nil {
+		return nil, false, err
+	}
+	n, err := segtree.DecodeNode(enc)
+	return n, err == nil, err
 }
 
 // Put implements blob.DataService over the framed plane.
