@@ -12,23 +12,27 @@ import (
 )
 
 // The router's layer benchmarks: one chunk put and one whole-chunk read
-// through provider.Router per iteration, over the three placements the
-// wall-clock workloads run (R=1, R=3 across 3 domains, rs-4+2 across 6),
-// the two ways bytes enter and leave (a slice, a stream) and the two
-// chunk sizes of tile_atomic and checkpoint_restore. mem:// stores under
-// a zero cost model, so what is timed is the router: allocation, fan-out,
-// quorum, placement, the replica walk, encode. Exported API only.
+// through provider.Router per iteration, over the placements the
+// wall-clock workloads run (R=1, R=3 across 3 domains, rs-4+2 across 6,
+// and — reads only — rs-4+2 with one of the 6 domains flagged down once
+// the chunks are stored, as coded_degraded_restore reads), the two ways
+// bytes enter and leave (a slice, a stream) and the two chunk sizes of
+// tile_atomic and checkpoint_restore. mem:// stores under a zero cost
+// model, so what is timed is the router: allocation, fan-out, quorum,
+// placement, the replica walk, encode, rebuild. Exported API only.
 
 type routerCell struct {
 	name               string
 	providers, domains int
 	replicas, k, m     int
+	down               int // providers 0..down-1 are flagged down before reading
 }
 
 var routerCells = []routerCell{
 	{name: "R1", providers: 4, replicas: 1},
 	{name: "R3", providers: 6, domains: 3, replicas: 3},
 	{name: "rs4+2", providers: 12, domains: 6, k: 4, m: 2},
+	{name: "rs4+2-degraded", providers: 12, domains: 6, k: 4, m: 2, down: 2}, // all of zone0
 }
 
 var routerSizes = []int{16 << 10, 1 << 20}
@@ -48,7 +52,7 @@ func (c routerCell) router(tb testing.TB) *provider.Router {
 }
 
 // forRouterCells runs fn once per placement x transport x size.
-func forRouterCells(b *testing.B, fn func(b *testing.B, r *provider.Router, stream bool, payload []byte)) {
+func forRouterCells(b *testing.B, fn func(b *testing.B, c routerCell, r *provider.Router, stream bool, payload []byte)) {
 	for _, c := range routerCells {
 		for _, how := range []string{"bytes", "stream"} {
 			for _, size := range routerSizes {
@@ -56,7 +60,7 @@ func forRouterCells(b *testing.B, fn func(b *testing.B, r *provider.Router, stre
 					payload := bytes.Repeat([]byte{0xA5}, size)
 					b.SetBytes(int64(size))
 					b.ReportAllocs()
-					fn(b, c.router(b), how == "stream", payload)
+					fn(b, c, c.router(b), how == "stream", payload)
 				})
 			}
 		}
@@ -64,7 +68,10 @@ func forRouterCells(b *testing.B, fn func(b *testing.B, r *provider.Router, stre
 }
 
 func BenchmarkRouterPut(b *testing.B) {
-	forRouterCells(b, func(b *testing.B, r *provider.Router, stream bool, payload []byte) {
+	forRouterCells(b, func(b *testing.B, c routerCell, r *provider.Router, stream bool, payload []byte) {
+		if c.down > 0 {
+			b.Skip("a read cell")
+		}
 		// Chunks are deleted again every putBatch puts, off the clock, so
 		// the stores hold a few MiB however long the benchmark runs.
 		const putBatch = 16
@@ -97,7 +104,7 @@ func BenchmarkRouterPut(b *testing.B) {
 }
 
 func BenchmarkRouterRead(b *testing.B) {
-	forRouterCells(b, func(b *testing.B, r *provider.Router, stream bool, payload []byte) {
+	forRouterCells(b, func(b *testing.B, c routerCell, r *provider.Router, stream bool, payload []byte) {
 		const chunks = 16
 		size := int64(len(payload))
 		hints := make([][]provider.ID, chunks)
@@ -107,6 +114,11 @@ func BenchmarkRouterRead(b *testing.B) {
 				b.Fatal(err)
 			}
 			hints[i] = ids
+		}
+		for id := 0; id < c.down; id++ {
+			if err := r.SetDown(provider.ID(id), true); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

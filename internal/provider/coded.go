@@ -6,28 +6,31 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/chunk"
 )
 
-// ParseCoding parses an "rs-<k>+<m>" coding spec ("rs-4+2"). The empty
+// ParseCoding parses an "rs-<k>+<m>" coding spec ("rs-4+2"): two
+// unsigned decimal integers around one '+', nothing else. The empty
 // string means coding off (k=0, m=0, nil error).
 func ParseCoding(s string) (k, m int, err error) {
 	if s == "" {
 		return 0, 0, nil
 	}
 	rest, ok := strings.CutPrefix(s, "rs-")
-	if !ok {
+	ks, ms, _ := strings.Cut(rest, "+")
+	// 16 bits hold any legal count and keep the sum clear of overflow.
+	kk, kerr := strconv.ParseUint(ks, 10, 16)
+	mm, merr := strconv.ParseUint(ms, 10, 16)
+	if !ok || kerr != nil || merr != nil {
 		return 0, 0, fmt.Errorf("provider: coding spec %q: want rs-<k>+<m>", s)
 	}
-	if _, err := fmt.Sscanf(rest, "%d+%d", &k, &m); err != nil {
-		return 0, 0, fmt.Errorf("provider: coding spec %q: want rs-<k>+<m>", s)
-	}
-	if _, err := chunk.NewRSCode(k, m); err != nil {
+	if _, err := chunk.NewRSCode(int(kk), int(mm)); err != nil {
 		return 0, 0, err
 	}
-	return k, m, nil
+	return int(kk), int(mm), nil
 }
 
 // SetCoding switches the router to erasure-coded placement with k data
@@ -79,10 +82,14 @@ func (r *Router) Coding() (k, m int, on bool) { return r.placementMode().coding(
 //     there is some other position's orphan, and recording it would
 //     serve wrong bytes.
 //   - Reads serve the requested sub-range straight from the data
-//     fragments it touches (no decode); any fragment failure falls
-//     back to degraded reconstruction from any k fragments. They count
-//     as locality-flat: fragments are spread across domains by design,
-//     so a "local read" of one chunk does not exist.
+//     fragments it touches (no decode). When one of those is flagged
+//     away or fails, the read degrades: it fetches the surviving data
+//     fragments plus one parity fragment per missing one, and rebuilds
+//     only the missing data fragments the range covers, in place. They
+//     count as locality-flat: fragments are spread across domains by
+//     design, so a "local read" of one chunk does not exist.
+//   - A stripe starts at a key-derived position of its spread (see
+//     allocate): a lost domain holds a data fragment of k in k+m chunks.
 //   - Repair re-encodes: it reads any k surviving fragments, rebuilds
 //     the missing positions, and writes each one to a fresh provider
 //     in-position, preferring failure domains the survivors do not
@@ -113,8 +120,22 @@ func (c coded) sameHint(a, b []ID) bool  { return slices.Equal(a, b) } // ordere
 // domain returns. (Replicated fresh allocation keeps the strict promise:
 // R is normally far below the domain count, so a refusal there signals
 // misconfiguration, not an outage.)
-func (c coded) allocate(r *Router) ([]*Provider, error) {
-	return r.allocateSpread(c.width(), nil, map[string]int{})
+//
+// The spread comes back in domain-ring order, which does not turn between
+// calls for a stripe as wide as the ring (see allocateSpread), so the
+// stripe is rotated here by a hash of the key: fragment 0 starts anywhere
+// in it with equal odds. The allocation rotates; the record stays positional.
+func (c coded) allocate(r *Router, key chunk.Key) ([]*Provider, error) {
+	targets, err := r.allocateSpread(c.width(), nil, map[string]int{})
+	if err != nil {
+		return nil, err
+	}
+	// splitmix64's finalizer over the folded key: the same in every process.
+	x := (key.Blob*0x9e3779b97f4a7c15+key.Version)*0x9e3779b97f4a7c15 + uint64(key.Index)
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	rot := int((x ^ x>>31) % uint64(len(targets)))
+	return slices.Concat(targets[rot:], targets[:rot]), nil
 }
 
 // payloads is the stripe: fragment i goes to the i-th target.
@@ -147,13 +168,34 @@ func (c coded) read(r *Router, ids []ID, q chunkRead) (out served, skips, storeE
 	return served{data: data}, skips, storeErrs, nil
 }
 
+// readFragment reads len(buf) bytes at off of the fragment provider id
+// holds, straight from its store into buf, and reports the store's
+// answer to the health monitor. A flagged or unknown provider is
+// ErrProviderDown without a store call.
+func (r *Router) readFragment(id ID, key chunk.Key, off int64, buf []byte) error {
+	p := r.byID(id)
+	if p == nil || p.Down() {
+		return ErrProviderDown
+	}
+	rc, err := p.Store().OpenReader(key, off, int64(len(buf)))
+	if err == nil {
+		_, err = io.ReadFull(rc, buf)
+		rc.Close()
+	}
+	r.reportError(id, err)
+	return err
+}
+
 // readCoded serves one coded sub-range read from the positional set
-// ids. The direct path reads only the data fragments the range
-// touches; a fragment there that is flagged away (skips) or fails the
-// read (storeErrs) sends it to degraded reconstruction from any k full
-// fragments.
+// ids. The direct path reads only the data fragments the range touches,
+// each straight into its place in the reply. A fragment there that is
+// flagged away (skips, checked before anything is fetched) or fails the
+// read (storeErrs) makes it a degraded read: one chunk image, every
+// surviving data fragment read into its slot, a parity fragment per
+// missing one, and the missing fragments the range covers — no others —
+// rebuilt in their slots.
 func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, length int64) (data []byte, skips, storeErrs int, err error) {
-	n := code.K + code.M
+	k, n := code.K, code.K+code.M
 	if len(ids) != n {
 		return nil, 0, 0, fmt.Errorf("provider: coded placement of %s has %d positions, want %d", key, len(ids), n)
 	}
@@ -174,12 +216,11 @@ func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, len
 		}
 		sz, lerr := p.Store().Len(key)
 		r.reportError(id, lerr)
-		if lerr != nil {
-			lastErr = lerr
-			continue
+		if lerr == nil {
+			ss = sz
+			break
 		}
-		ss = sz
-		break
+		lastErr = lerr
 	}
 	if ss < 0 {
 		if lastErr == nil {
@@ -187,73 +228,57 @@ func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, len
 		}
 		return nil, 0, 0, fmt.Errorf("provider: no readable fragment of %s: %w", key, lastErr)
 	}
-	if off+length > int64(code.K)*ss {
-		return nil, 0, 0, fmt.Errorf("provider: coded read [%d, %d) of %s exceeds chunk bound %d", off, off+length, key, int64(code.K)*ss)
+	if off+length > int64(k)*ss {
+		return nil, 0, 0, fmt.Errorf("provider: coded read [%d, %d) of %s exceeds chunk bound %d", off, off+length, key, int64(k)*ss)
 	}
 	lo, hi := int(off/ss), int((off+length-1)/ss)
-	out := make([]byte, 0, length)
-	// within clips the read to fragment i: the range of it that is asked
-	// for.
-	within := func(i int) (flo, fhi int64) {
-		return max(off-int64(i)*ss, 0), min(off+length-int64(i)*ss, ss)
-	}
 	for i := lo; i <= hi; i++ {
-		flo, fhi := within(i)
-		p := r.byID(ids[i])
-		if p == nil || p.Down() {
+		if p := r.byID(ids[i]); p == nil || p.Down() {
 			skips++
-			break
 		}
-		frag, gerr := p.Store().Get(key, flo, fhi-flo)
-		r.reportError(ids[i], gerr)
-		if gerr != nil {
-			storeErrs++
-			break
+	}
+	if skips == 0 {
+		out := make([]byte, length)
+		for i, at := lo, int64(0); i <= hi && storeErrs == 0; i++ {
+			// The range of fragment i that is asked for.
+			flo, fhi := max(off-int64(i)*ss, 0), min(off+length-int64(i)*ss, ss)
+			if r.readFragment(ids[i], key, flo, out[at:at+fhi-flo]) != nil {
+				storeErrs++
+			}
+			at += fhi - flo
 		}
-		out = append(out, frag...)
+		if storeErrs == 0 {
+			return out, 0, 0, nil
+		}
 	}
-	if skips+storeErrs == 0 {
-		return out, 0, 0, nil
-	}
-	// Degraded: collect any k full fragments and reconstruct.
-	shards := make([][]byte, n)
+	image := make([]byte, int64(k)*ss)
+	shards, fill := make([][]byte, n), make([][]byte, k)
 	got := 0
-	for i, id := range ids {
-		if got >= code.K {
-			break
+	for i := 0; i < n && got < k; i++ {
+		var buf []byte
+		if i < k {
+			buf = image[int64(i)*ss : int64(i+1)*ss]
+		} else {
+			buf = make([]byte, ss)
 		}
-		p := r.byID(id)
-		if p == nil || p.Down() {
+		if ferr := r.readFragment(ids[i], key, 0, buf); ferr != nil {
+			lastErr = ferr
+			if lo <= i && i <= hi {
+				fill[i] = buf
+			}
 			continue
 		}
-		frag, gerr := p.Store().Get(key, 0, ss)
-		r.reportError(id, gerr)
-		if gerr != nil {
-			lastErr = gerr
-			continue
-		}
-		if int64(len(frag)) != ss {
-			continue
-		}
-		shards[i] = frag
+		shards[i] = buf
 		got++
 	}
-	if got < code.K {
-		if lastErr == nil {
-			lastErr = ErrProviderDown
-		}
+	if got < k {
 		return nil, skips, storeErrs, fmt.Errorf("provider: only %d of %d fragments of %s readable, need %d: %w",
-			got, n, key, code.K, lastErr)
+			got, n, key, k, lastErr)
 	}
-	if rerr := code.Reconstruct(shards); rerr != nil {
+	if rerr := code.ReconstructData(shards, fill); rerr != nil {
 		return nil, skips, storeErrs, rerr
 	}
-	out = out[:0]
-	for i := lo; i <= hi; i++ {
-		flo, fhi := within(i)
-		out = append(out, shards[i][flo:fhi]...)
-	}
-	return out, skips, storeErrs, nil
+	return image[off : off+length], skips, storeErrs, nil
 }
 
 // repair restores a coded chunk to k+m live fragments: probe every

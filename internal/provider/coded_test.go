@@ -43,6 +43,18 @@ func TestParseCoding(t *testing.T) {
 		{"xor-4+2", 0, 0, false},
 		{"4+2", 0, 0, false},
 		{"rs-200+60", 0, 0, false}, // k+m > 256
+		{"rs-04+2", 4, 2, true},
+		// Nothing may follow, precede or pad the two integers: each of
+		// these once booted a cluster as rs-4+2.
+		{"rs-4+2+9", 0, 0, false},
+		{"rs-4+2xyz", 0, 0, false},
+		{"rs-+4+2", 0, 0, false},
+		{"rs-4+ 2", 0, 0, false},
+		{"rs-4++2", 0, 0, false},
+		{"rs-4+-2", 0, 0, false},
+		{"rs-4+2 ", 0, 0, false},
+		{"rs-4+2\n", 0, 0, false},
+		{"rs-99999999999999999999+2", 0, 0, false},
 	} {
 		k, m, err := ParseCoding(tc.in)
 		if tc.ok != (err == nil) {
@@ -50,6 +62,169 @@ func TestParseCoding(t *testing.T) {
 		}
 		if err == nil && (k != tc.k || m != tc.m) {
 			t.Fatalf("ParseCoding(%q) = %d+%d, want %d+%d", tc.in, k, m, tc.k, tc.m)
+		}
+	}
+}
+
+// FuzzParseCoding: the spec parser never panics, and whatever it accepts
+// is a legal code whose canonical spelling parses to the same pair.
+func FuzzParseCoding(f *testing.F) {
+	for _, s := range []string{"", "rs-4+2", "rs-10+4", "rs-04+2", "rs-4+2+9", "rs-+4+2", "rs-4+ 2", "rs-200+60", "xor-4+2", "rs-"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		k, m, err := ParseCoding(s)
+		if err != nil || s == "" {
+			return
+		}
+		if _, err := chunk.NewRSCode(k, m); err != nil {
+			t.Fatalf("ParseCoding(%q) accepted %d+%d: %v", s, k, m, err)
+		}
+		k2, m2, err := ParseCoding(fmt.Sprintf("rs-%d+%d", k, m))
+		if err != nil || k2 != k || m2 != m {
+			t.Fatalf("ParseCoding(%q) = %d+%d, which re-renders to %d+%d (%v)", s, k, m, k2, m2, err)
+		}
+	})
+}
+
+// TestCodedReadCounts pins what a coded read costs in store reads, per
+// position: an intact read touches the data fragments it covers and
+// nothing else; a degraded one reads k fragments — the surviving data
+// fragments and one parity fragment per missing one — each once,
+// straight from the store's reader, whichever position is missing.
+func TestCodedReadCounts(t *testing.T) {
+	const k, m, ss = 4, 2, 1024
+	mgr := NewManager()
+	stores := make([]*countingStore, k+m)
+	faults := make([]*chunk.FaultStore, k+m)
+	for i := range stores {
+		faults[i] = chunk.NewFaultStore(chunk.NewMemStore(nil))
+		stores[i] = &countingStore{Store: faults[i]}
+		mgr.Register(New(ID(i), stores[i]))
+	}
+	r := NewRouter(mgr)
+	if err := r.SetCoding(k, m); err != nil {
+		t.Fatal(err)
+	}
+	degraded := 0
+	r.SetDegradedHandler(func(chunk.Key) { degraded++ })
+	key := chunk.Key{Blob: 3, Version: 1, Index: 4}
+	data := make([]byte, k*ss)
+	rand.New(rand.NewSource(23)).Read(data)
+	ids, err := r.Put(key, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// read runs one Get with the given positions flagged down and
+	// returns the OpenReader calls each POSITION saw.
+	read := func(name string, off, length int64, down ...int) (opens [k + m]int64) {
+		t.Helper()
+		for _, s := range stores {
+			s.gets.Store(0)
+			s.opens.Store(0)
+		}
+		for _, pos := range down {
+			mgr.SetDown(ids[pos], true)
+		}
+		got, err := r.Get(key, off, length)
+		for _, pos := range down {
+			mgr.SetDown(ids[pos], false)
+		}
+		if err != nil || !bytes.Equal(got, data[off:off+length]) {
+			t.Fatalf("%s: Get(%d,%d) wrong (%v)", name, off, length, err)
+		}
+		for pos, id := range ids {
+			if g := stores[id].gets.Load(); g != 0 {
+				t.Fatalf("%s: position %d served %d Get copies, want none", name, pos, g)
+			}
+			opens[pos] = stores[id].opens.Load()
+		}
+		return opens
+	}
+	for _, tc := range []struct {
+		name        string
+		off, length int64
+		down        []int
+		want        [k + m]int64
+	}{
+		{"intact whole chunk", 0, k * ss, nil, [6]int64{1, 1, 1, 1, 0, 0}},
+		{"intact sub-range of fragments 1-2", ss + 10, 1500, nil, [6]int64{0, 1, 1, 0, 0, 0}},
+		{"intact sub-range beside a downed fragment", ss + 10, 100, []int{0, 3}, [6]int64{0, 1, 0, 0, 0, 0}},
+		{"first data fragment down", 0, k * ss, []int{0}, [6]int64{0, 1, 1, 1, 1, 0}},
+		{"middle data fragment down", 0, k * ss, []int{2}, [6]int64{1, 1, 0, 1, 1, 0}},
+		{"last data fragment down", 0, k * ss, []int{3}, [6]int64{1, 1, 1, 0, 1, 0}},
+		{"two data fragments down", 0, k * ss, []int{0, 2}, [6]int64{0, 1, 0, 1, 1, 1}},
+		{"data and first parity down", 0, k * ss, []int{1, 4}, [6]int64{1, 0, 1, 1, 0, 1}},
+		{"sub-range inside the downed fragment", 2*ss + 5, 100, []int{2}, [6]int64{1, 1, 0, 1, 1, 0}},
+		{"sub-range, another fragment down too", 2*ss + 5, 100, []int{0, 2}, [6]int64{0, 1, 0, 1, 1, 1}},
+	} {
+		if got := read(tc.name, tc.off, tc.length, tc.down...); got != tc.want {
+			t.Errorf("%s: store reads by position = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// A store error rather than a flag degrades the read too — right
+	// bytes, the chunk handed to read-repair although its flags are all
+	// up — and this is the one case that reads a fragment twice: what the
+	// direct path had fetched before the error is fetched again. A dead
+	// store is decoded around; a one-shot fault (open refused, stream cut
+	// mid-fragment) has healed by the second pass.
+	for i, tc := range []struct {
+		name  string
+		fault func()
+		want  [k + m]int64
+	}{
+		{"store of fragment 2 dead", func() { faults[ids[2]].SetDown(true) }, [6]int64{2, 2, 2, 1, 1, 0}},
+		{"open refused once on fragment 2", func() { faults[ids[2]].SetDown(false); faults[ids[2]].FailNextGets(1) }, [6]int64{2, 2, 2, 1, 0, 0}},
+		{"fragment 1 cut mid-read", func() { faults[ids[1]].FailGetStreamAfter(ss / 2) }, [6]int64{2, 2, 1, 1, 0, 0}},
+	} {
+		degraded = 0
+		tc.fault()
+		if got := read(tc.name, 0, k*ss); got != tc.want || degraded != 1 {
+			t.Errorf("%d %s: store reads by position = %v, want %v; %d degraded reports, want 1", i, tc.name, got, tc.want, degraded)
+		}
+	}
+}
+
+// TestCodedStripeRotation: a stripe starts at a key-derived position of
+// its spread — over many keys fragment 0 lands in every domain about
+// equally often, so a lost domain holds a data fragment of some chunks,
+// not of all — while what is recorded stays positional: entry i of a
+// key's list is the provider that holds fragment i.
+func TestCodedStripeRotation(t *testing.T) {
+	const k, m = 4, 2
+	r, _ := codedRouter(t, 12, 6, k, m)
+	code, _ := chunk.NewRSCode(k, m)
+	firstIn := map[string]int{}
+	keys := 0
+	for blob := uint64(1); blob <= 3; blob++ {
+		for ver := uint64(1); ver <= 20; ver++ {
+			for idx := uint32(0); idx < 10; idx++ {
+				key := chunk.Key{Blob: blob, Version: ver, Index: idx}
+				data := []byte(fmt.Sprintf("%s: thirty-two bytes or more of it", key))
+				ids, err := r.Put(key, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys++
+				firstIn[r.DomainOf(ids[0])]++
+				doms := map[string]bool{}
+				for i, frag := range code.Encode(data) {
+					doms[r.DomainOf(ids[i])] = true
+					got, err := r.byID(ids[i]).Store().Get(key, 0, int64(len(frag)))
+					if err != nil || !bytes.Equal(got, frag) {
+						t.Fatalf("%s: provider %d at position %d does not hold fragment %d (%v)", key, ids[i], i, i, err)
+					}
+				}
+				if len(doms) != k+m {
+					t.Fatalf("%s: stripe %v covers %d domains, want %d", key, ids, len(doms), k+m)
+				}
+			}
+		}
+	}
+	for _, d := range []string{"zone0", "zone1", "zone2", "zone3", "zone4", "zone5"} {
+		if n := firstIn[d]; n < keys/12 || n > keys/4 {
+			t.Errorf("fragment 0 of %d stripes starts in %s %d times, want between %d and %d: %v", keys, d, n, keys/12, keys/4, firstIn)
 		}
 	}
 }

@@ -384,11 +384,22 @@ func TestStreamReadsBypassReadCache(t *testing.T) {
 	}
 }
 
-// countingStore counts which of a store's two put methods the router
-// reached.
+// countingStore counts which of a store's two put methods, and which of
+// its two read methods, the router reached.
 type countingStore struct {
 	chunk.Store
 	puts, streamPuts atomic.Int64
+	gets, opens      atomic.Int64
+}
+
+func (s *countingStore) Get(key chunk.Key, off, length int64) ([]byte, error) {
+	s.gets.Add(1)
+	return s.Store.Get(key, off, length)
+}
+
+func (s *countingStore) OpenReader(key chunk.Key, off, length int64) (io.ReadCloser, error) {
+	s.opens.Add(1)
+	return s.Store.OpenReader(key, off, length)
 }
 
 func (s *countingStore) Put(key chunk.Key, data []byte) error {

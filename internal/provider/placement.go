@@ -22,7 +22,7 @@ type placementMode interface {
 	coding() (k, m int, on bool)
 
 	// allocate picks the width() targets of a new chunk.
-	allocate(r *Router) ([]*Provider, error)
+	allocate(r *Router, key chunk.Key) ([]*Provider, error)
 	// payloads is what each of a chunk's targets stores, in target order.
 	payloads(data []byte) [][]byte
 	// recorded is the placement entry of a chunk whose store on
@@ -52,12 +52,12 @@ type placementMode interface {
 // may be read through — and placement records the copies that landed.
 type replicated struct{ n int }
 
-func (m replicated) width() int                              { return m.n }
-func (m replicated) floor() int                              { return 1 }
-func (m replicated) coding() (int, int, bool)                { return 0, 0, false }
-func (m replicated) readsHints() bool                        { return true }
-func (m replicated) sameHint(a, b []ID) bool                 { return sameIDSet(a, b) }
-func (m replicated) allocate(r *Router) ([]*Provider, error) { return r.AllocateN(m.n) }
+func (m replicated) width() int                                           { return m.n }
+func (m replicated) floor() int                                           { return 1 }
+func (m replicated) coding() (int, int, bool)                             { return 0, 0, false }
+func (m replicated) readsHints() bool                                     { return true }
+func (m replicated) sameHint(a, b []ID) bool                              { return sameIDSet(a, b) }
+func (m replicated) allocate(r *Router, _ chunk.Key) ([]*Provider, error) { return r.AllocateN(m.n) }
 
 func (m replicated) payloads(data []byte) [][]byte {
 	parts := make([][]byte, m.n)

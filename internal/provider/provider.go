@@ -601,7 +601,12 @@ func (m *Manager) allocateSpread(n int, exclude map[ID]bool, have map[string]int
 
 	base := m.next.Add(uint64(n)) - uint64(n)
 	// Rotate the domain ring so successive calls start their fill from
-	// different domains (cross-call balance).
+	// different domains (cross-call balance) — which this does only while
+	// n is not a multiple of the live domain count: base advances by n a
+	// call, so R=3 on 3 domains or a 6-wide stripe on 6 starts every fill
+	// at the same domain. Harmless for a replica set, whose order means
+	// nothing; coded placement, whose order is fragment position, rotates
+	// the stripe it is handed by a hash of the key (coded.allocate).
 	if r := int(base % uint64(len(order))); r > 0 {
 		order = append(order[r:], order[:r]...)
 	}
@@ -997,7 +1002,7 @@ func (r *Router) put(key chunk.Key, src payload) ([]ID, error) {
 	}
 	mode := r.placementMode()
 	quorum := r.WriteQuorum()
-	targets, err := mode.allocate(r)
+	targets, err := mode.allocate(r, key)
 	if err != nil {
 		return nil, err
 	}
