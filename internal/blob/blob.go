@@ -72,6 +72,14 @@ type DataService interface {
 
 var _ DataService = (*provider.Router)(nil)
 
+// intoGetter is what a DataService may implement beside its interface:
+// GetFrom into the caller's buffer — exactly len(dst) bytes at off of the
+// chunk, none written past them. The read path asks for it by assertion
+// and lets a fragment land in the returned buffer without a copy.
+type intoGetter interface {
+	GetInto(dst []byte, replicas []provider.ID, key chunk.Key, off int64) (fresh []provider.ID, err error)
+}
+
 // Services bundles the service endpoints a client talks to.
 type Services struct {
 	VM   VersionService
@@ -453,8 +461,8 @@ func (b *Blob) ReadList(version uint64, q extent.List) ([]byte, error) {
 }
 
 // readSnapshot serves a list-read from a snapshot the version manager
-// has vouched for: one tree walk, one fetch per fragment, one copy per
-// fragment into the returned buffer.
+// has vouched for: one tree walk and one fetch per fragment, into the
+// returned buffer.
 func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, error) {
 	// Resolve on the normalized query; the caller's (possibly
 	// overlapping / unsorted) layout is restored by the scatter plan.
@@ -471,9 +479,9 @@ func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, 
 	// fragments would hold — so worst-case memory beside out is that of a
 	// window of 8 however wide the read is, while a read of many small
 	// fragments puts enough of them in flight for the data wire to carry
-	// several per round trip. Each fetch copies its fragment straight
-	// into out (fragments are disjoint, so are their destinations) and
-	// drops it.
+	// several per round trip. Each fetch lands its fragment in out
+	// (fragments are disjoint, so are their destinations) and keeps
+	// nothing.
 	window := DefaultWindow * b.geo.Page
 	var (
 		mu       sync.Mutex
@@ -525,6 +533,12 @@ func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, 
 // copies). A cached fresh hint from an earlier stale read overrides the
 // metadata hint, and any newly learned fresh set is cached for next
 // time.
+//
+// A fragment that lands whole in one place — every fragment of a sorted,
+// disjoint query — is read straight into that place when the data
+// service can do so; its slice of out is clipped, so no implementation
+// can reach a neighbour's bytes. A fragment that lands in pieces or more
+// than once is fetched and copied.
 func (b *Blob) fetchInto(out []byte, f segtree.Fragment, copies []scatterCopy) error {
 	replicas, ok := b.FreshHint(f.Ref.Key)
 	if !ok {
@@ -533,18 +547,30 @@ func (b *Blob) fetchInto(out []byte, f segtree.Fragment, copies []scatterCopy) e
 			replicas[j] = provider.ID(id)
 		}
 	}
-	d, fresh, err := b.svc.Data.GetFrom(replicas, f.Ref.Key, f.Ref.Offset, f.Ref.Length)
+	var (
+		fresh []provider.ID
+		err   error
+	)
+	if into, ok := b.svc.Data.(intoGetter); ok && len(copies) == 1 && copies[0].src == 0 && copies[0].n == f.Ref.Length {
+		c := copies[0]
+		fresh, err = into.GetInto(out[c.dst:c.dst+c.n:c.dst+c.n], replicas, f.Ref.Key, f.Ref.Offset)
+	} else {
+		var d []byte
+		d, fresh, err = b.svc.Data.GetFrom(replicas, f.Ref.Key, f.Ref.Offset, f.Ref.Length)
+		if err == nil && int64(len(d)) != f.Ref.Length {
+			err = fmt.Errorf("chunk %v: got %d bytes at offset %d, want %d", f.Ref.Key, len(d), f.Ref.Offset, f.Ref.Length)
+		}
+		if err == nil {
+			for _, c := range copies {
+				copy(out[c.dst:c.dst+c.n], d[c.src:])
+			}
+		}
+	}
 	if err != nil {
 		return err
 	}
-	if int64(len(d)) != f.Ref.Length {
-		return fmt.Errorf("chunk %v: got %d bytes at offset %d, want %d", f.Ref.Key, len(d), f.Ref.Offset, f.Ref.Length)
-	}
 	if fresh != nil {
 		b.cacheHint(f.Ref.Key, fresh)
-	}
-	for _, c := range copies {
-		copy(out[c.dst:c.dst+c.n], d[c.src:])
 	}
 	return nil
 }

@@ -2,8 +2,10 @@ package blob
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -346,6 +348,136 @@ func TestReadListRejectsShortFragment(t *testing.T) {
 	if !strings.Contains(err.Error(), key.String()) {
 		t.Fatalf("error %q does not name chunk %v", err, key)
 	}
+}
+
+// intoData is a DataService that also reads into the caller's buffer,
+// as the framed client does. It records each call of either form, and
+// whether any destination came with capacity beyond its length.
+type intoData struct {
+	DataService
+	failInto error         // returned by every GetInto, if set
+	fresh    []provider.ID // returned by every GetInto that succeeds
+
+	mu         sync.Mutex
+	into, from int
+	unclipped  bool
+}
+
+func (d *intoData) GetInto(dst []byte, replicas []provider.ID, key chunk.Key, off int64) ([]provider.ID, error) {
+	d.mu.Lock()
+	d.into++
+	d.unclipped = d.unclipped || cap(dst) != len(dst)
+	d.mu.Unlock()
+	if d.failInto != nil {
+		return nil, d.failInto
+	}
+	data, _, err := d.DataService.GetFrom(replicas, key, off, int64(len(dst)))
+	copy(dst, data)
+	return d.fresh, err
+}
+
+func (d *intoData) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
+	d.mu.Lock()
+	d.from++
+	d.mu.Unlock()
+	return d.DataService.GetFrom(replicas, key, off, length)
+}
+
+// A data service that can read into the caller's buffer is asked to
+// exactly for the fragments that land whole in one place, always with a
+// destination clipped to the fragment; every other fragment, and every
+// fragment of a service without the method, is fetched and copied. Both
+// give the same bytes, for every shape of query.
+func TestReadListIntoAndCopyAgree(t *testing.T) {
+	const page = 1 << 10
+	svc := testServices()
+	w, err := Create(svc, 1, segtreeGeometry(64*page, page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pages 0-2 whole, 300 bytes inside page 5, holes everywhere else.
+	written := extent.List{{Offset: 0, Length: 3 * page}, {Offset: 5*page + 100, Length: 300}}
+	payload := make([]byte, written.TotalLength())
+	rand.New(rand.NewSource(7)).Read(payload)
+	v, err := w.WriteList(extent.Vec{Extents: written, Buf: payload}, WriteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := make([]byte, 64*page)
+	extent.Vec{Extents: written, Buf: payload}.ScatterInto(model, 0)
+
+	for name, tc := range map[string]struct {
+		q          extent.List
+		into, from int // fragment fetches of each form, with GetInto on offer
+	}{
+		"sorted, whole fragments":          {extent.List{{Offset: 0, Length: 3 * page}}, 3, 0},
+		"sorted, across holes":             {extent.List{{Offset: 0, Length: page}, {Offset: 3 * page, Length: page}, {Offset: 5 * page, Length: page}}, 2, 0},
+		"sub-fragment":                     {extent.List{{Offset: 100, Length: 200}}, 1, 0},
+		"unsorted, disjoint":               {extent.List{{Offset: 2 * page, Length: page}, {Offset: 0, Length: page}}, 2, 0},
+		"overlapping":                      {extent.List{{Offset: 0, Length: page}, {Offset: page / 2, Length: page}}, 1, 1},
+		"repeated":                         {extent.List{{Offset: 0, Length: page}, {Offset: 0, Length: page}}, 0, 1},
+		"one fragment under two extents":   {extent.List{{Offset: 0, Length: page / 2}, {Offset: page / 2, Length: page / 2}}, 0, 1},
+		"only a hole":                      {extent.List{{Offset: 10 * page, Length: 2 * page}}, 0, 0},
+		"empty extents":                    {extent.List{{Offset: 0, Length: 0}, {Offset: page, Length: 0}}, 0, 0},
+		"empty list":                       {extent.List{}, 0, 0},
+		"everything, sorted and then some": {extent.List{{Offset: 0, Length: 8 * page}, {Offset: 5 * page, Length: page}}, 3, 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var want []byte
+			for _, e := range tc.q {
+				want = append(want, model[e.Offset:e.End()]...)
+			}
+			plain := &intoData{DataService: svc.Data}
+			copied, err := openWith(t, svc, struct{ DataService }{plain}).ReadList(v, tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := &intoData{DataService: svc.Data}
+			direct, err := openWith(t, svc, data).ReadList(v, tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(copied, want) || !bytes.Equal(direct, want) {
+				t.Fatalf("copied matches the model: %v, direct matches the model: %v", bytes.Equal(copied, want), bytes.Equal(direct, want))
+			}
+			if data.into != tc.into || data.from != tc.from {
+				t.Errorf("%d GetInto and %d GetFrom calls, want %d and %d", data.into, data.from, tc.into, tc.from)
+			}
+			if plain.into != 0 || plain.from != tc.into+tc.from {
+				t.Errorf("without the method on offer: %d GetInto and %d GetFrom calls, want 0 and %d", plain.into, plain.from, tc.into+tc.from)
+			}
+			if data.unclipped {
+				t.Error("a destination reached past its fragment")
+			}
+		})
+	}
+
+	// What GetInto returns is handled as what GetFrom returns is: an
+	// error fails the read, a fresh replica set is cached for the chunk.
+	q := extent.List{{Offset: 0, Length: page}}
+	boom := errors.New("boom")
+	if _, err := openWith(t, svc, &intoData{DataService: svc.Data, failInto: boom}).ReadList(v, q); !errors.Is(err, boom) {
+		t.Fatalf("a failed GetInto: ReadList returned %v", err)
+	}
+	fresh := []provider.ID{3, 1}
+	r := openWith(t, svc, &intoData{DataService: svc.Data, fresh: fresh})
+	if _, err := r.ReadList(v, q); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := r.FreshHint(chunk.Key{Blob: 1, Version: v, Index: 0}); !ok || !slices.Equal(got, fresh) {
+		t.Fatalf("fresh set returned by GetInto: cached %v, %v", got, ok)
+	}
+}
+
+// openWith opens blob 1 of svc on another data service.
+func openWith(t *testing.T, svc Services, data DataService) *Blob {
+	t.Helper()
+	svc.Data = data
+	b, err := Open(svc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // A reader handle follows a writer across 100 versions, re-reading

@@ -266,6 +266,13 @@ func (s *MemStore) Usage() (int, int64) {
 	return len(s.chunks), s.bytes
 }
 
+// memPutPrealloc is the most a streamed put allocates on the word of its
+// declared size alone. It covers every page size in use (the largest is
+// 1 MiB), so a real chunk is allocated once, exactly; a larger
+// declaration — the size arrives off the wire — gets its buffer only
+// behind bytes that have arrived.
+const memPutPrealloc = 4 << 20
+
 // PutFromReader implements Store. The payload is buffered fully before
 // the key becomes visible, so a short read never leaves a torn chunk.
 func (s *MemStore) PutFromReader(key Key, size int64, r io.Reader) error {
@@ -278,9 +285,24 @@ func (s *MemStore) PutFromReader(key Key, size int64, r io.Reader) error {
 	if dup {
 		return fmt.Errorf("%w: %s", ErrExists, key)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("chunk: stream %s: %w", key, err)
+	buf := make([]byte, min(size, memPutPrealloc))
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
+			if err == io.EOF && filled > 0 {
+				// The stream stopped exactly where the buffer was grown:
+				// as short as stopping anywhere else.
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("chunk: stream %s: %w", key, err)
+		}
+		if filled = len(buf); int64(filled) == size {
+			break
+		}
+		// Past the preallocation the buffer doubles, up to size: never
+		// more than twice what the stream has delivered.
+		grown := make([]byte, min(size, 2*int64(filled)))
+		copy(grown, buf)
+		buf = grown
 	}
 	s.mu.Lock()
 	_, dup = s.chunks[key]

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -127,6 +129,53 @@ func TestMemStoreCopiesData(t *testing.T) {
 	got2, _ := s.Get(key, 0, 3)
 	if got2[1] != 2 {
 		t.Fatal("store must not alias reader buffer")
+	}
+}
+
+// A streamed put's declared size arrives off the wire. One that
+// declares a gigabyte and then delivers nothing must cost the store its
+// preallocation at the most, not the gigabyte, and leave the key absent;
+// one that declares more than the preallocation and delivers it is
+// stored whole, in a buffer no larger than it.
+func TestMemStorePutFromReaderAllocatesBehindArrivals(t *testing.T) {
+	s := NewMemStore(nil)
+	key := Key{Blob: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.PutFromReader(key, 1<<30, bytes.NewReader(nil))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a put of 1 GiB declared, 0 bytes delivered, succeeded")
+	}
+	if _, lerr := s.Len(key); !errors.Is(lerr, ErrNotFound) {
+		t.Fatalf("the failed put left the key behind: %v", lerr)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > memPutPrealloc+64<<10 {
+		t.Fatalf("a forged size made the store allocate %d bytes; the bound is %d", got, memPutPrealloc)
+	}
+
+	// Past the preallocation: delivered whole, and delivered short.
+	payload := make([]byte, 2*memPutPrealloc+1000)
+	rand.New(rand.NewSource(1)).Read(payload)
+	if err := s.PutFromReader(key, int64(len(payload)), bytes.NewReader(payload)); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.RLock()
+	stored := s.chunks[key]
+	s.mu.RUnlock()
+	if !bytes.Equal(stored, payload) || cap(stored) != len(payload) {
+		t.Fatalf("stored %d bytes (cap %d) of %d, or other bytes", len(stored), cap(stored), len(payload))
+	}
+	// Short is short wherever the stream stops: a byte from the end, or
+	// exactly where the buffer is grown.
+	short := Key{Blob: 2}
+	for _, delivered := range []int{len(payload) - 1, memPutPrealloc, 2 * memPutPrealloc} {
+		if err := s.PutFromReader(short, int64(len(payload)), bytes.NewReader(payload[:delivered])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("a put of %d bytes declared, %d delivered: %v", len(payload), delivered, err)
+		}
+		if _, lerr := s.Len(short); !errors.Is(lerr, ErrNotFound) {
+			t.Fatalf("the short put (%d delivered) left the key behind: %v", delivered, lerr)
+		}
 	}
 }
 

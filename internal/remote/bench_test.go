@@ -2,12 +2,15 @@ package remote
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/blob"
 	"repro/internal/chunk"
+	"repro/internal/extent"
 	"repro/internal/iosim"
 	"repro/internal/metadata"
 	"repro/internal/metrics"
@@ -85,6 +88,27 @@ func putWave(c *Client, version uint64, n int, payload []byte) error {
 	return first
 }
 
+// windowed makes calls 0..n-1 from window goroutines, each taking the
+// next index as it comes free, and reports whether every call succeeded.
+func windowed(window, n int, call func(j int64) error) bool {
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < window; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := next.Add(1) - 1; j < int64(n); j = next.Add(1) - 1 {
+				if call(j) != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return !failed.Load()
+}
+
 // roundTrips is the trains a client with its metrics in reg has sent:
 // each one vectored write and one run of replies.
 func roundTrips(reg *metrics.Registry) float64 {
@@ -137,23 +161,14 @@ func BenchmarkFramedGetFanout(b *testing.B) {
 		b.Fatal(err)
 	}
 	wave := func() {
-		var next atomic.Int64
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for g := 0; g < window; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := next.Add(1) - 1; j < fragments; j = next.Add(1) - 1 {
-					data, err := c.Get(chunk.Key{Blob: 1, Index: uint32(j)}, 0, size)
-					if err != nil || len(data) != size {
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if failed.Load() {
+		ok := windowed(window, fragments, func(j int64) error {
+			data, err := c.Get(chunk.Key{Blob: 1, Index: uint32(j)}, 0, size)
+			if err == nil && len(data) != size {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		})
+		if !ok {
 			b.Fatal("a get failed")
 		}
 	}
@@ -230,23 +245,132 @@ func BenchmarkFramedPut1MiBWindow8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var next atomic.Int64
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for g := 0; g < window; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := next.Add(1) - 1; j < chunks; j = next.Add(1) - 1 {
-					if _, err := c.Put(chunk.Key{Blob: 1, Version: uint64(i), Index: uint32(j)}, payload); err != nil {
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if failed.Load() {
+		ok := windowed(window, chunks, func(j int64) error {
+			_, err := c.Put(chunk.Key{Blob: 1, Version: uint64(i), Index: uint32(j)}, payload)
+			return err
+		})
+		if !ok {
 			b.Fatal("a put failed")
+		}
+	}
+}
+
+// BenchmarkFramedGet1MiBWindow8 is checkpoint_restore's read shape, the
+// mirror of the put benchmark above: 32 gets of 1 MiB from mem:// stores
+// under the reader's window of 8. GetFrom allocates what it returns, a
+// megabyte a get; GetInto reads into the caller's buffer, and what is
+// left in its B/op (client and server share the process) is per-call
+// bookkeeping — well under 1 KiB a get, nothing sized by the payload.
+// Server drives one connection by hand, reading replies into a fixed
+// buffer, so every allocation counted there is the server's: the router
+// opening the chunk (its replica order, the store's reader), none by the
+// framed loop that sends it.
+func BenchmarkFramedGet1MiBWindow8(b *testing.B) {
+	const chunks, window, size = 32, 8, 1 << 20
+	boot := func(b *testing.B) *Client {
+		_, ep := startCountedNode(b, "mem://", nil)
+		c, err := DialFramed(ep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close() })
+		payload := bytes.Repeat([]byte{0x5A}, size)
+		for j := 0; j < chunks; j++ {
+			if _, err := c.Put(chunk.Key{Blob: 1, Index: uint32(j)}, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return c
+	}
+	run := func(b *testing.B, get func(c *Client, j int64) error) {
+		c := boot(b)
+		b.SetBytes(chunks * size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !windowed(window, chunks, func(j int64) error { return get(c, j) }) {
+				b.Fatal("a get failed")
+			}
+		}
+	}
+	b.Run("GetFrom", func(b *testing.B) {
+		run(b, func(c *Client, j int64) error {
+			data, _, err := c.GetFrom(nil, chunk.Key{Blob: 1, Index: uint32(j)}, 0, size)
+			if err == nil && len(data) != size {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		})
+	})
+	b.Run("GetInto", func(b *testing.B) {
+		out := make([]byte, chunks*size)
+		run(b, func(c *Client, j int64) error {
+			_, err := c.GetInto(out[j*size:(j+1)*size:(j+1)*size], nil, chunk.Key{Blob: 1, Index: uint32(j)}, 0)
+			return err
+		})
+	})
+	b.Run("Server", func(b *testing.B) {
+		c := boot(b)
+		conn, err := net.Dial("tcp", c.pool.addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conn.Close()
+		conn.Write([]byte(framedMagic))
+		var reqs [chunks][]byte
+		for j := range reqs {
+			reqs[j] = appendHeader(nil, &frameHeader{op: opGet, key: chunk.Key{Blob: 1, Index: uint32(j)}, length: size})
+		}
+		// status, the fresh set an unhinted get is answered with (R=1: one
+		// ID), four frames each behind its word, terminator.
+		reply := make([]byte, 2+4+size/maxFrame*4+size+4)
+		b.SetBytes(chunks * size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, req := range reqs {
+				if _, err := conn.Write(req); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, reply); err != nil || reply[0] != statusOK || !bytes.Equal(reply[len(reply)-5:], []byte{0x5A, 0, 0, 0, 0}) {
+					b.Fatalf("reply: status %d, %v", reply[0], err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkReadList is one rank's checkpoint restore through the whole
+// client: blob.ReadList of 32 x 1 MiB at a 2 MiB pitch, page 1 MiB, over
+// a loopback Client onto mem:// stores. B/op is the number to watch: the
+// 32 MiB it returns and little else, every fragment read from its socket
+// into its place in that buffer.
+func BenchmarkReadList(b *testing.B) {
+	_, ep := startCountedNode(b, "mem://", nil)
+	c, err := DialFramed(ep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const segments, size = 32, 1 << 20
+	bl, err := blob.Create(c.Services(), 1, segtree.Geometry{Capacity: 2 * segments * size, Page: size})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := make(extent.List, segments)
+	for i := range q {
+		q[i] = extent.Extent{Offset: int64(i) * 2 * size, Length: size}
+	}
+	v, err := bl.WriteList(extent.Vec{Extents: q, Buf: bytes.Repeat([]byte{0x5A}, segments*size)}, blob.WriteOptions{Pipelined: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(segments * size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if data, err := bl.ReadList(v, q); err != nil || len(data) != segments*size {
+			b.Fatal(err)
 		}
 	}
 }
@@ -269,23 +393,10 @@ func BenchmarkNodePutParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var next atomic.Int64
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for g := 0; g < window; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := next.Add(1) - 1; j < nodes; j = next.Add(1) - 1 {
-					key := segtree.NodeKey{Version: uint64(i + 1), Offset: j * 1024, Size: 1024}
-					if c.PutNode(1, key, node) != nil {
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if failed.Load() {
+		ok := windowed(window, nodes, func(j int64) error {
+			return c.PutNode(1, segtree.NodeKey{Version: uint64(i + 1), Offset: j * 1024, Size: 1024}, node)
+		})
+		if !ok {
 			b.Fatal("a node put failed")
 		}
 	}

@@ -65,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"slices"
 	"sync"
 
@@ -425,6 +426,7 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 	defer conn.Close()
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	body := &frameBodyReader{r: br, frames: s.frames, bytes: s.bytes}
+	out := &frameWriter{conn: conn, frames: s.frames, bytes: s.bytes}
 	answered := 0 // requests served since the input last ran dry
 	for {
 		h, err := readHeader(br)
@@ -435,7 +437,7 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 		case opPut:
 			err = s.servePut(body, bw, h)
 		case opGet:
-			err = s.serveGet(conn, bw, h)
+			err = s.serveGet(out, bw, h)
 		case opNodePut:
 			err = s.serveNodePut(body, bw, h)
 		case opNodeGet, opNodeTryGet:
@@ -501,7 +503,7 @@ func (s *framedServer) servePut(body *frameBodyReader, bw *bufio.Writer, h frame
 	return writeIDs(bw, ids)
 }
 
-func (s *framedServer) serveGet(conn net.Conn, bw *bufio.Writer, h frameHeader) error {
+func (s *framedServer) serveGet(out *frameWriter, bw *bufio.Writer, h frameHeader) error {
 	if s.r == nil {
 		return writeErrReply(bw, errNoDataRole)
 	}
@@ -519,6 +521,26 @@ func (s *framedServer) serveGet(conn net.Conn, bw *bufio.Writer, h frameHeader) 
 	// A payload error below is fatal by construction — the frame word
 	// already promised n bytes — so it propagates up and closes the
 	// connection.
+	if wt, ok := inMemory(rc); ok && 4+min(h.length, maxFrame) >= int64(bw.Size()) {
+		// Frames too large for the write buffer, from a reader that holds
+		// its bytes in memory (a mem:// store's slice, a coded read's
+		// assembled image): it writes itself to the socket, words and
+		// payload in one vectored write per slice it hands over, with no
+		// copy through a buffer of ours. The terminator waits in bw for
+		// the serve loop's flush, as every reply's last byte does: the
+		// counters are up to date before a client can see the get done.
+		if werr := bw.Flush(); werr != nil {
+			return werr
+		}
+		out.left = h.length
+		if _, werr := wt.WriteTo(out); werr != nil {
+			return werr
+		}
+		if out.left != 0 {
+			return fmt.Errorf("remote: store reader for chunk %v ended %d bytes short of %d", h.key, out.left, h.length)
+		}
+		return writeU32(bw, 0)
+	}
 	left := h.length
 	for left > 0 {
 		n := min(left, maxFrame)
@@ -553,7 +575,7 @@ func (s *framedServer) serveGet(conn net.Conn, bw *bufio.Writer, h frameHeader) 
 			if werr := bw.Flush(); werr != nil {
 				return werr
 			}
-			if _, cerr := io.CopyN(conn, rc, n); cerr != nil {
+			if _, cerr := io.CopyN(out.conn, rc, n); cerr != nil {
 				return cerr
 			}
 		}
@@ -562,6 +584,60 @@ func (s *framedServer) serveGet(conn net.Conn, bw *bufio.Writer, h frameHeader) 
 		left -= n
 	}
 	return writeU32(bw, 0)
+}
+
+// inMemory reports whether a store's reader can write its bytes out
+// itself from memory, and returns it as the io.WriterTo it then is. The
+// chunk file a disk:// store opens is an io.WriterTo as well, but only
+// towards a socket does that mean sendfile: towards a frameWriter it
+// would read itself into a buffer, so it keeps serveGet's loop, which
+// hands it to the connection frame by frame.
+func inMemory(rc io.ReadCloser) (io.WriterTo, bool) {
+	if _, file := rc.(*os.File); file {
+		return nil, false
+	}
+	wt, ok := rc.(io.WriterTo)
+	return wt, ok
+}
+
+// frameWriter frames what is written to it as (part of) the body of a
+// get reply of exactly left bytes: each Write leaves as one vectored
+// write of `u32 size + payload` per slice of at most maxFrame bytes —
+// the caller's bytes are never copied. A Write past the promised length
+// is refused before a byte of it is sent. A server connection has one,
+// left set per body.
+type frameWriter struct {
+	conn   net.Conn
+	left   int64 // bytes of the body still to come
+	frames *metrics.Counter
+	bytes  *metrics.Counter
+
+	// Reused from body to body: the frame words and the write vector
+	// (vec, which WriteTo consumes, over bufs' array).
+	words     []byte
+	bufs, vec net.Buffers
+}
+
+func (fw *frameWriter) Write(p []byte) (int, error) {
+	if int64(len(p)) > fw.left {
+		return 0, fmt.Errorf("remote: store reader overran its length by %d bytes", int64(len(p))-fw.left)
+	}
+	frames := (len(p) + maxFrame - 1) / maxFrame
+	words, bufs := slices.Grow(fw.words[:0], 4*frames), fw.bufs[:0] // words must not move once sliced
+	for rest := p; len(rest) > 0; {
+		frame := rest[:min(len(rest), maxFrame)]
+		rest = rest[len(frame):]
+		words = binary.LittleEndian.AppendUint32(words, uint32(len(frame)))
+		bufs = append(bufs, words[len(words)-4:], frame)
+	}
+	fw.words, fw.bufs, fw.vec = words, bufs, bufs
+	if _, err := fw.vec.WriteTo(fw.conn); err != nil {
+		return 0, err
+	}
+	fw.left -= int64(len(p))
+	fw.frames.Add(int64(frames))
+	fw.bytes.Add(int64(len(p)))
+	return len(p), nil
 }
 
 // serveNodePut stores the node the body encodes. As in servePut the
@@ -658,7 +734,7 @@ var ErrClientClosed = errors.New("remote: client closed")
 // framedCall is one chunk or node op on its way through the pool.
 type framedCall struct {
 	h    frameHeader
-	data []byte        // put, node put: the body; get: the bytes read; node get: the encoded node, nil on a miss
+	data []byte        // put, node put: the body; get: the caller's destination, h.length bytes to fill; node get: the encoded node, nil on a miss
 	ids  []provider.ID // put: the replica set; get: the fresh set, if any
 	err  error
 
@@ -737,15 +813,14 @@ func (p *framedPool) node(op byte, blob uint64, key segtree.NodeKey, body []byte
 	return c.data, c.err
 }
 
-// get performs one framed chunk read with an optional replica hint,
-// returning the data and — when the hint was stale — the fresh set.
-func (p *framedPool) get(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
-	if length < 0 {
-		return nil, nil, fmt.Errorf("remote: negative read length %d for chunk %v", length, key)
-	}
-	c := &framedCall{h: frameHeader{op: opGet, key: key, off: off, length: length, replicas: replicas}}
+// get performs one framed chunk read with an optional replica hint: it
+// fills dst with the len(dst) bytes at off, read off the socket straight
+// into it, and returns — when the hint was stale — the fresh set. After
+// an error dst holds nothing the caller may use.
+func (p *framedPool) get(dst []byte, replicas []provider.ID, key chunk.Key, off int64) ([]provider.ID, error) {
+	c := &framedCall{h: frameHeader{op: opGet, key: key, off: off, length: int64(len(dst)), replicas: replicas}, data: dst}
 	p.do(c)
-	return c.data, c.ids, c.err
+	return c.ids, c.err
 }
 
 // do runs c to its outcome: at once on a free connection or slot,
@@ -988,33 +1063,33 @@ func (fc *framedConn) readReply(c *framedCall) error {
 		c.ids = ids
 		return nil
 	}
-	// The reply must be exactly the bytes asked for: a frame that would
-	// overrun length is refused before it is read, a terminator that
-	// comes early fails the op.
-	key, length := c.h.key, c.h.length
-	data := make([]byte, length)
-	var got int64
+	// The reply must be exactly the bytes asked for, and they land in the
+	// caller's destination, from byte 0 (a re-sent get refills it): a
+	// frame that would overrun it is refused before it is read, a
+	// terminator that comes early fails the op.
+	key, dst := c.h.key, c.data
+	got := 0
 	for {
 		n, err := readU32(fc.br)
 		if err != nil {
 			return err
 		}
 		if n == 0 {
-			if got != length {
-				return fmt.Errorf("remote: short reply for chunk %v: %d of %d bytes", key, got, length)
+			if got != len(dst) {
+				return fmt.Errorf("remote: short reply for chunk %v: %d of %d bytes", key, got, len(dst))
 			}
-			c.data, c.ids = data, ids
+			c.ids = ids
 			return nil
 		}
 		if n > maxFrame {
 			return fmt.Errorf("remote: oversized frame (%d bytes)", n)
 		}
-		if int64(n) > length-got {
-			return fmt.Errorf("remote: reply for chunk %v exceeds the %d bytes requested", key, length)
+		if int(n) > len(dst)-got {
+			return fmt.Errorf("remote: reply for chunk %v exceeds the %d bytes requested", key, len(dst))
 		}
-		if _, err := io.ReadFull(fc.br, data[got:got+int64(n)]); err != nil {
+		if _, err := io.ReadFull(fc.br, dst[got:got+int(n)]); err != nil {
 			return err
 		}
-		got += int64(n)
+		got += int(n)
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"net/rpc"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -663,7 +665,7 @@ func TestFramedServerAnswersLoneAndPipelinedRequests(t *testing.T) {
 	readGet := func(i uint32) {
 		t.Helper()
 		want := payload(i)
-		c := &framedCall{h: frameHeader{op: opGet, key: key(i), length: int64(len(want))}}
+		c := &framedCall{h: frameHeader{op: opGet, key: key(i), length: int64(len(want))}, data: make([]byte, len(want))}
 		if err := (&framedConn{c: conn, br: br}).readReply(c); err != nil || c.err != nil {
 			t.Fatalf("get %d: %v, %v", i, err, c.err)
 		}
@@ -700,7 +702,7 @@ func TestFramedServerAnswersLoneAndPipelinedRequests(t *testing.T) {
 	for i := uint32(1); i <= 4; i++ {
 		readGet(i)
 	}
-	miss := &framedCall{h: frameHeader{op: opGet, key: key(99), length: 1}}
+	miss := &framedCall{h: frameHeader{op: opGet, key: key(99), length: 1}, data: make([]byte, 1)}
 	if err := (&framedConn{c: conn, br: br}).readReply(miss); err != nil || miss.err == nil || !strings.Contains(miss.err.Error(), "not found") {
 		t.Fatalf("pipelined miss: %v, %v", err, miss.err)
 	}
@@ -911,12 +913,38 @@ func fakeFramedGets(t *testing.T, frames []int) (addr string, closed <-chan stru
 	return ln.Addr().String(), ch
 }
 
+// guarded is a get destination of n bytes cut from the middle of a
+// larger array, capacity clipped, with guard bytes either side that no
+// reply, well-formed or not, may touch.
+func guarded(n int) (dst []byte, intact func() bool) {
+	const guard = 64
+	arena := bytes.Repeat([]byte{0xEE}, guard+n+guard)
+	return arena[guard : guard+n : guard+n], func() bool {
+		return bytes.Count(arena[:guard], []byte{0xEE}) == guard && bytes.Count(arena[guard+n:], []byte{0xEE}) == guard
+	}
+}
+
 // TestFramedGetRejectsWrongLengthReply: a reply whose frames do not sum
 // to the requested length — one frame too few, one too many — must fail
 // the op and cost the connection: handed on as-is, a short fragment
-// reads as silent zeros and a long one grows without bound.
+// reads as silent zeros and a long one grows without bound — or, read
+// into the caller's buffer, runs over whatever lies behind it. Both
+// forms of get go through one reply reader; both are held to it.
 func TestFramedGetRejectsWrongLengthReply(t *testing.T) {
 	key := chunk.Key{Blob: 1, Version: 2, Index: 3}
+	// dial gives a client whose framed chunk pool talks to addr.
+	dial := func(addr string) *Client { return &Client{pool: newFramedPool(addr)} }
+	forms := map[string]func(c *Client) (n int, intact bool, err error){
+		"GetFrom": func(c *Client) (int, bool, error) {
+			data, _, err := c.GetFrom(nil, key, 0, 3000)
+			return len(data), true, err
+		},
+		"GetInto": func(c *Client) (int, bool, error) {
+			dst, intact := guarded(3000)
+			_, err := c.GetInto(dst, nil, key, 0)
+			return len(dst), intact(), err
+		},
+	}
 	for name, tc := range map[string]struct {
 		frames []int
 		want   string
@@ -926,35 +954,197 @@ func TestFramedGetRejectsWrongLengthReply(t *testing.T) {
 		"last frame too big": {[]int{1000, 1000, 1001}, "exceeds"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			addr, closed := fakeFramedGets(t, tc.frames)
-			pool := newFramedPool(addr)
-			defer pool.close()
-			data, _, err := pool.get(nil, key, 0, 3000)
-			if err == nil {
-				t.Fatalf("got %d bytes and no error for a 3000-byte read", len(data))
-			}
-			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), key.String()) {
-				t.Fatalf("error %q: want %q and the chunk key", err, tc.want)
-			}
-			if n := len(pool.idle); n != 0 {
-				t.Fatalf("%d connections pooled after a desynchronised reply", n)
-			}
-			select {
-			case <-closed:
-			case <-time.After(5 * time.Second):
-				t.Fatal("the client kept the connection open")
+			for form, get := range forms {
+				t.Run(form, func(t *testing.T) {
+					addr, closed := fakeFramedGets(t, tc.frames)
+					c := dial(addr)
+					defer c.pool.close()
+					n, intact, err := get(c)
+					if !intact {
+						t.Fatal("the refused reply wrote outside the destination")
+					}
+					if err == nil {
+						t.Fatalf("got %d bytes and no error for a 3000-byte read", n)
+					}
+					if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), key.String()) {
+						t.Fatalf("error %q: want %q and the chunk key", err, tc.want)
+					}
+					if n := len(c.pool.idle); n != 0 {
+						t.Fatalf("%d connections pooled after a desynchronised reply", n)
+					}
+					select {
+					case <-closed:
+					case <-time.After(5 * time.Second):
+						t.Fatal("the client kept the connection open")
+					}
+				})
 			}
 		})
 	}
 	// The control: an exact reply is returned and keeps its connection.
 	addr, _ := fakeFramedGets(t, []int{1000, 1000, 1000})
-	pool := newFramedPool(addr)
-	defer pool.close()
-	data, _, err := pool.get(nil, key, 0, 3000)
+	c := dial(addr)
+	defer c.pool.close()
+	data, _, err := c.GetFrom(nil, key, 0, 3000)
 	if err != nil || len(data) != 3000 || data[2999] != 0xAB {
 		t.Fatalf("exact reply: %d bytes, %v", len(data), err)
 	}
-	if len(pool.idle) != 1 {
-		t.Fatalf("%d connections pooled after a good reply, want 1", len(pool.idle))
+	dst, intact := guarded(3000)
+	if _, err := c.GetInto(dst, nil, key, 0); err != nil || !intact() || bytes.Count(dst, []byte{0xAB}) != 3000 {
+		t.Fatalf("exact reply into a buffer: %v, guards intact %v", err, intact())
+	}
+	if len(c.pool.idle) != 1 {
+		t.Fatalf("%d connections pooled after two good replies, want 1", len(c.pool.idle))
+	}
+}
+
+// writeCountingListener hands the node connections that count the Write
+// calls made on them with the bytes those carried, and the ReadFrom calls
+// with what they were handed. They embed the *net.TCPConn, so a
+// net.Buffers write still leaves as a writev — through the promoted
+// method, past Write — and a ReadFrom of a file still as a sendfile: what
+// Write counts is everything that leaves neither way.
+type writeCountingListener struct {
+	net.Listener
+	writes, bytes atomic.Int64
+	readFroms     atomic.Int64 // ReadFrom calls
+	sendfiles     atomic.Int64 // those handed a limited *os.File: the shape net sendfiles
+}
+
+type writeCountingConn struct {
+	*net.TCPConn
+	l *writeCountingListener
+}
+
+func (l *writeCountingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &writeCountingConn{c.(*net.TCPConn), l}, nil
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.l.writes.Add(1)
+	c.l.bytes.Add(int64(len(p)))
+	return c.TCPConn.Write(p)
+}
+
+func (c *writeCountingConn) ReadFrom(r io.Reader) (int64, error) {
+	c.l.readFroms.Add(1)
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if _, file := lr.R.(*os.File); file {
+			c.l.sendfiles.Add(1)
+		}
+	}
+	return c.TCPConn.ReadFrom(r)
+}
+
+// Which way a get whose frames do not fit the write buffer leaves the
+// server is chosen by what the store's reader is. One that holds its
+// bytes in memory writes itself: the status and fresh set flushed, every
+// frame word and every frame in one vectored write of the stored slice,
+// the terminator with the serve loop's flush — where each frame used to
+// cost a flush of its word and a copy of its payload through a 32 KiB
+// buffer. A disk:// store's chunk file is its own writer too, but keeps
+// the loop, a frame word and a sendfile per frame: written to anything
+// but the socket itself it would be read into a buffer first. So does a
+// reader that is not its own writer: a FaultStore's stream still fails
+// where it was armed to, mid-frame, and takes the connection with it.
+func TestFramedGetLeavesMemoryInOneVectoredWrite(t *testing.T) {
+	const size = 1 << 20 // four frames
+	const frames = size / maxFrame
+	key := chunk.Key{Blob: 1, Version: 1}
+	payload := make([]byte, size)
+	rand.New(rand.NewSource(3)).Read(payload)
+	// boot serves one provider on store behind a counting listener, with
+	// the chunk stored.
+	boot := func(store chunk.Store) (*writeCountingListener, string) {
+		t.Helper()
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted := &writeCountingListener{Listener: lis}
+		mgr := provider.NewManager()
+		mgr.Register(provider.New(0, store))
+		router := provider.NewRouter(mgr)
+		node, err := serve(counted, Roles{Data: router})
+		if err != nil {
+			lis.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		if _, err := router.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		return counted, node.Addr()
+	}
+	disk := func() chunk.Store {
+		s, err := chunk.NewDiskStore(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	for _, c := range []struct {
+		name     string
+		store    chunk.Store
+		off, n   int
+		vectored bool // else the loop: a Write and a ReadFrom per frame
+		sendfile bool // the loop's ReadFroms are handed the chunk file
+	}{
+		{name: "mem", store: chunk.NewMemStore(nil), n: size, vectored: true},
+		{name: "mem, a range", store: chunk.NewMemStore(nil), off: 4096, n: size - 8192, vectored: true},
+		{name: "unarmed faults over mem", store: chunk.NewFaultStore(chunk.NewMemStore(nil)), n: size},
+		{name: "disk, the whole chunk", store: disk(), n: size, sendfile: true},
+		{name: "disk, a range", store: disk(), off: 4096, n: size - 8192},
+	} {
+		counted, addr := boot(c.store)
+		pool := newFramedPool(addr)
+		dst, intact := guarded(c.n)
+		_, err := pool.get(dst, nil, key, int64(c.off))
+		pool.close()
+		if err != nil || !bytes.Equal(dst, payload[c.off:c.off+c.n]) || !intact() {
+			t.Fatalf("%s: get: %v, guards intact %v", c.name, err, intact())
+		}
+		writes, carried := counted.writes.Load(), counted.bytes.Load()
+		readFroms, sendfiles := counted.readFroms.Load(), counted.sendfiles.Load()
+		if c.vectored {
+			// Status, count and one fresh ID; then, uncounted, the writev;
+			// then the terminator.
+			if writes > 2 || carried > 16 || readFroms != 0 {
+				t.Errorf("%s: the reply took %d Write calls carrying %d bytes and %d ReadFrom calls beside its vectored write, want 2 of a few bytes and none",
+					c.name, writes, carried, readFroms)
+			}
+			continue
+		}
+		// A frame word a frame (the first behind the status), each followed
+		// by its payload handed to the connection, and the terminator.
+		if writes != frames+1 || carried > 16+4*frames || readFroms != frames {
+			t.Errorf("%s: the reply took %d Write calls carrying %d bytes and %d ReadFrom calls, want the loop's %d of a few bytes and %d",
+				c.name, writes, carried, readFroms, frames+1, frames)
+		}
+		if want := map[bool]int64{true: frames}[c.sendfile]; sendfiles != want {
+			t.Errorf("%s: %d of the payload ReadFroms were handed the chunk file itself, want %d", c.name, sendfiles, want)
+		}
+	}
+
+	faults := chunk.NewFaultStore(chunk.NewMemStore(nil))
+	_, addr := boot(faults)
+	conn, br := rawFramedConn(t, addr)
+	faults.FailGetStreamAfter(300 << 10) // inside the second frame
+	conn.Write(appendHeader(nil, &frameHeader{op: opGet, key: key, length: size}))
+	got, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatalf("reading up to the server's hang-up: %v", err)
+	}
+	const head = 2 + 4 // status, count, one fresh ID
+	if len(got) <= head+4+maxFrame+4 || len(got) >= head+size {
+		t.Fatalf("%d bytes of reply before the hang-up: want the first frame and part of the second", len(got))
+	}
+	if !bytes.Equal(got[head+4:head+4+maxFrame], payload[:maxFrame]) {
+		t.Fatal("the frame that did arrive carries other bytes")
 	}
 }

@@ -493,9 +493,10 @@ func TestTrainAgainstServerThatFlushesEveryReply(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			data, _, err := gets.get(nil, chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}, 0, 3000)
-			if err != nil || len(data) != 3000 || data[2999] != 0xAB {
-				t.Errorf("get %d: %d bytes, %v", i, len(data), err)
+			data := make([]byte, 3000)
+			_, err := gets.get(data, nil, chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}, 0)
+			if err != nil || data[2999] != 0xAB {
+				t.Errorf("get %d: last byte %#x, %v", i, data[2999], err)
 			}
 		}(i)
 	}

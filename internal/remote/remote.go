@@ -864,7 +864,7 @@ func (c *Client) Put(key chunk.Key, data []byte) ([]provider.ID, error) {
 
 // Get implements blob.DataService over the framed plane.
 func (c *Client) Get(key chunk.Key, off, length int64) ([]byte, error) {
-	data, _, err := c.pool.get(nil, key, off, length)
+	data, _, err := c.GetFrom(nil, key, off, length)
 	return data, err
 }
 
@@ -873,7 +873,24 @@ func (c *Client) Get(key chunk.Key, off, length int64) ([]byte, error) {
 // server-side failover. A non-nil fresh replica set means the hint was
 // stale and the caller should cache the returned set.
 func (c *Client) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
-	return c.pool.get(replicas, key, off, length)
+	if length < 0 {
+		return nil, nil, fmt.Errorf("remote: negative read length %d for chunk %v", length, key)
+	}
+	data := make([]byte, length)
+	fresh, err := c.GetInto(data, replicas, key, off)
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, fresh, nil
+}
+
+// GetInto is GetFrom into the caller's buffer: it reads exactly len(dst)
+// bytes at off of the chunk, off the socket straight into dst, and never
+// touches dst's capacity beyond them. After an error dst holds nothing
+// the caller may use. (blob's read path finds this method by assertion;
+// it is not part of blob.DataService.)
+func (c *Client) GetInto(dst []byte, replicas []provider.ID, key chunk.Key, off int64) (fresh []provider.ID, err error) {
+	return c.pool.get(dst, replicas, key, off)
 }
 
 // Repair runs a re-replication pass on the data node and returns its
