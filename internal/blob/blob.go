@@ -74,10 +74,36 @@ var _ DataService = (*provider.Router)(nil)
 
 // intoGetter is what a DataService may implement beside its interface:
 // GetFrom into the caller's buffer — exactly len(dst) bytes at off of the
-// chunk, none written past them. The read path asks for it by assertion
-// and lets a fragment land in the returned buffer without a copy.
+// chunk, none written past them.
 type intoGetter interface {
 	GetInto(dst []byte, replicas []provider.ID, key chunk.Key, off int64) (fresh []provider.ID, err error)
+}
+
+// ChunkRead is one read of a list handed to a data service's GetManyInto:
+// fill Dst with the len(Dst) bytes at Off of chunk Key, trying Replicas
+// first. The service sets Fresh where GetFrom would return a fresh set.
+type ChunkRead struct {
+	Dst      []byte
+	Replicas []provider.ID
+	Key      chunk.Key
+	Off      int64
+
+	Fresh []provider.ID
+}
+
+// chunkBatcher is what a DataService may implement beside its interface:
+// a write's chunks, and the fragments of a read that land whole in one
+// place, as one list operation each, for a service that can carry the
+// list as a unit (the framed client sends it as a few trains). A handle
+// drives its data service through these two methods alone — the
+// service's own, or eachChunk's, chosen once in newBlob.
+type chunkBatcher interface {
+	// PutMany stores data[i] as chunk keys[i] and returns the replica
+	// sets. Every put is attempted; the error is the first in key order.
+	PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, error)
+	// GetManyInto performs every read of the list; the error is the first
+	// in list order, after which no Dst holds anything of use.
+	GetManyInto(reads []ChunkRead) error
 }
 
 // Services bundles the service endpoints a client talks to.
@@ -112,6 +138,7 @@ type Blob struct {
 	id   uint64
 	geo  segtree.Geometry
 	tree *segtree.Tree // reads and writes svc.Meta through nodes
+	data chunkBatcher  // svc.Data's list operations
 
 	// nodes caches the immutable tree nodes this handle has fetched or
 	// stored, so a read goes to the metadata service only for nodes it
@@ -187,11 +214,18 @@ func newBlob(svc Services, id uint64, geo segtree.Geometry) *Blob {
 		})
 	}
 	nodes := segtree.NewNodeCache(svc.Meta, nodeCacheEntries)
+	data, ok := svc.Data.(chunkBatcher)
+	if !ok {
+		each := eachChunk{svc: svc.Data, window: DefaultWindow * geo.Page}
+		each.into, _ = svc.Data.(intoGetter)
+		data = each
+	}
 	return &Blob{
 		svc:   svc,
 		id:    id,
 		geo:   geo,
 		tree:  &segtree.Tree{Blob: id, Geo: geo, Store: nodes},
+		data:  data,
 		nodes: nodes,
 		hints: hints,
 	}
@@ -341,39 +375,35 @@ func (b *Blob) splitPieces(vec extent.Vec) []piece {
 }
 
 // storeChunks splits the write into page-aligned pieces, stores each as
-// one immutable chunk — all pieces in flight at once — and returns the
-// placement list sorted by offset.
+// one immutable chunk — all pieces as one list operation — and returns
+// the placement list sorted by offset.
 func (b *Blob) storeChunks(version uint64, vec extent.Vec) ([]segtree.Placed, error) {
 	pieces := b.splitPieces(vec)
-	placed := make([]segtree.Placed, len(pieces))
-	errs := make(chan error, len(pieces))
-	var wg sync.WaitGroup
+	keys := make([]chunk.Key, len(pieces))
+	data := make([][]byte, len(pieces))
 	for i, p := range pieces {
-		wg.Add(1)
-		go func(i int, p piece) {
-			defer wg.Done()
-			key := chunk.Key{Blob: b.id, Version: version, Index: uint32(i)}
-			ids, err := b.svc.Data.Put(key, p.data)
-			if err != nil {
-				errs <- err
-				return
-			}
-			replicas := make([]uint32, len(ids))
-			for j, id := range ids {
-				replicas[j] = uint32(id)
-			}
-			placed[i] = segtree.Placed{
-				Ext: p.ext,
-				Ref: chunk.Ref{Key: key, Offset: 0, Length: p.ext.Length, Replicas: replicas},
-			}
-		}(i, p)
+		keys[i] = chunk.Key{Blob: b.id, Version: version, Index: uint32(i)}
+		data[i] = p.data
 	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+	ids, err := b.data.PutMany(keys, data)
+	if err != nil {
 		return nil, fmt.Errorf("blob: store chunks: %w", err)
 	}
+	placed := make([]segtree.Placed, len(pieces))
+	for i, p := range pieces {
+		placed[i] = segtree.Placed{Ext: p.ext, Ref: placedRef(keys[i], p.ext.Length, ids[i])}
+	}
 	return placed, nil
+}
+
+// placedRef is the reference a tree leaf records for a whole chunk just
+// stored on ids.
+func placedRef(key chunk.Key, length int64, ids []provider.ID) chunk.Ref {
+	replicas := make([]uint32, len(ids))
+	for j, id := range ids {
+		replicas[j] = uint32(id)
+	}
+	return chunk.Ref{Key: key, Offset: 0, Length: length, Replicas: replicas}
 }
 
 // writePipelined is the overlapped form of storeChunks + tree.Build:
@@ -414,11 +444,7 @@ func (b *Blob) writePipelined(tk vmanager.Ticket, vec extent.Vec, window int) (r
 				errs <- perr
 				return
 			}
-			replicas := make([]uint32, len(ids))
-			for j, id := range ids {
-				replicas[j] = uint32(id)
-			}
-			builder.SetPiece(i, chunk.Ref{Key: key, Offset: 0, Length: p.ext.Length, Replicas: replicas})
+			builder.SetPiece(i, placedRef(key, p.ext.Length, ids))
 		}(i, p)
 	}
 	wg.Wait()
@@ -461,12 +487,18 @@ func (b *Blob) ReadList(version uint64, q extent.List) ([]byte, error) {
 }
 
 // readSnapshot serves a list-read from a snapshot the version manager
-// has vouched for: one tree walk and one fetch per fragment, into the
+// has vouched for: one tree walk, then every fragment fetched into the
 // returned buffer.
+//
+// A fragment that lands whole in one place — every fragment of a sorted,
+// disjoint query — is read straight into that place, all such fragments
+// as one list operation; each one's slice of out is clipped, so no
+// implementation can reach a neighbour's bytes. A fragment that lands in
+// pieces or more than once is fetched and copied.
 func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, error) {
-	// Resolve on the normalized query; the caller's (possibly
-	// overlapping / unsorted) layout is restored by the scatter plan.
-	frags, _, err := b.tree.Resolve(info.Root, q.Normalize())
+	// Resolve normalizes the query; the caller's (possibly overlapping /
+	// unsorted) layout is restored by the scatter plan.
+	frags, _, err := b.tree.Resolve(info.Root, q)
 	if err != nil {
 		return nil, err
 	}
@@ -474,15 +506,86 @@ func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, 
 	out := make([]byte, q.TotalLength())
 	plan := scatterPlan(q, frags)
 
-	// Fetch under a window of bytes: fragments are admitted in order
-	// while the bytes in flight stay within what DefaultWindow full-page
-	// fragments would hold — so worst-case memory beside out is that of a
-	// window of 8 however wide the read is, while a read of many small
-	// fragments puts enough of them in flight for the data wire to carry
-	// several per round trip. Each fetch lands its fragment in out
-	// (fragments are disjoint, so are their destinations) and keeps
-	// nothing.
-	window := DefaultWindow * b.geo.Page
+	whole := make([]ChunkRead, 0, len(frags))
+	var scattered []int // indexes into frags
+	for i, f := range frags {
+		if c := plan[i]; len(c) == 1 && c[0].src == 0 && c[0].n == f.Ref.Length {
+			dst := out[c[0].dst : c[0].dst+c[0].n : c[0].dst+c[0].n]
+			whole = append(whole, ChunkRead{Dst: dst, Replicas: b.replicasOf(f.Ref), Key: f.Ref.Key, Off: f.Ref.Offset})
+		} else {
+			scattered = append(scattered, i)
+		}
+	}
+	err = b.data.GetManyInto(whole)
+	if err == nil {
+		for _, r := range whole {
+			if r.Fresh != nil {
+				b.cacheHint(r.Key, r.Fresh)
+			}
+		}
+		// Each copied fragment lives in a buffer of its own until it is laid
+		// out: those are fetched under the window.
+		err = windowed(DefaultWindow*b.geo.Page, len(scattered),
+			func(j int) int64 { return frags[scattered[j]].Ref.Length },
+			func(j int) error { return b.fetchAndCopy(out, frags[scattered[j]], plan[scattered[j]]) })
+	}
+	if err != nil {
+		return nil, fmt.Errorf("blob: fetch chunks: %w", err)
+	}
+	return out, nil
+}
+
+// fetchAndCopy fetches one fragment and lays it out in out, once per
+// copy.
+func (b *Blob) fetchAndCopy(out []byte, f segtree.Fragment, copies []scatterCopy) error {
+	d, fresh, err := getExact(b.svc.Data, b.replicasOf(f.Ref), f.Ref)
+	if err != nil {
+		return err
+	}
+	for _, c := range copies {
+		copy(out[c.dst:c.dst+c.n], d[c.src:])
+	}
+	if fresh != nil {
+		b.cacheHint(f.Ref.Key, fresh)
+	}
+	return nil
+}
+
+// replicasOf is the replica set to try first for a fragment. Refs carry
+// the set recorded at write time: the data service fails over across
+// those copies when a provider is down, falling back to the router's
+// placement map when the hint has gone stale (a repair moved the
+// copies). A cached fresh hint from an earlier stale read overrides the
+// metadata hint, and any newly learned fresh set is cached for next
+// time.
+func (b *Blob) replicasOf(ref chunk.Ref) []provider.ID {
+	if fresh, ok := b.FreshHint(ref.Key); ok {
+		return fresh
+	}
+	replicas := make([]provider.ID, len(ref.Replicas))
+	for j, id := range ref.Replicas {
+		replicas[j] = provider.ID(id)
+	}
+	return replicas
+}
+
+// getExact is GetFrom held to its length: a fragment that comes back
+// shorter or longer than its ref fails the read and names the chunk.
+func getExact(svc DataService, replicas []provider.ID, ref chunk.Ref) ([]byte, []provider.ID, error) {
+	d, fresh, err := svc.GetFrom(replicas, ref.Key, ref.Offset, ref.Length)
+	if err == nil && int64(len(d)) != ref.Length {
+		err = fmt.Errorf("chunk %v: got %d bytes at offset %d, want %d", ref.Key, len(d), ref.Offset, ref.Length)
+	}
+	return d, fresh, err
+}
+
+// windowed makes calls 0..n-1, each from a goroutine of its own, under a
+// window of bytes: calls are admitted in order while the cost of those in
+// flight stays within window — so what n fetches hold in memory at once is
+// bounded however many there are, while small ones go many at a time —
+// and never more than maxReadFragments together. It returns the first
+// error to occur, after which it admits nothing more.
+func windowed(window int64, n int, costOf func(i int) int64, call func(i int) error) error {
 	var (
 		mu       sync.Mutex
 		freed    = sync.Cond{L: &mu}
@@ -491,9 +594,9 @@ func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, 
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	for i := range frags {
+	for i := 0; i < n; i++ {
 		// A fragment never exceeds a page; should one, it goes alone.
-		cost := min(frags[i].Ref.Length, window)
+		cost := min(costOf(i), window)
 		mu.Lock()
 		for firstErr == nil && (inFlight == maxReadFragments || cost > room) {
 			freed.Wait()
@@ -508,7 +611,7 @@ func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := b.fetchInto(out, frags[i], plan[i])
+			err := call(i)
 			mu.Lock()
 			inFlight--
 			room += cost
@@ -520,59 +623,59 @@ func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, 
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, fmt.Errorf("blob: fetch chunks: %w", firstErr)
-	}
-	return out, nil
+	return firstErr
 }
 
-// fetchInto fetches one fragment and lays it out in out. Refs carry the
-// replica set recorded at write time: GetFrom fails over across those
-// copies when a provider is down, falling back to the router's
-// placement map when the hint has gone stale (a repair moved the
-// copies). A cached fresh hint from an earlier stale read overrides the
-// metadata hint, and any newly learned fresh set is cached for next
-// time.
-//
-// A fragment that lands whole in one place — every fragment of a sorted,
-// disjoint query — is read straight into that place when the data
-// service can do so; its slice of out is clipped, so no implementation
-// can reach a neighbour's bytes. A fragment that lands in pieces or more
-// than once is fetched and copied.
-func (b *Blob) fetchInto(out []byte, f segtree.Fragment, copies []scatterCopy) error {
-	replicas, ok := b.FreshHint(f.Ref.Key)
-	if !ok {
-		replicas = make([]provider.ID, len(f.Ref.Replicas))
-		for j, id := range f.Ref.Replicas {
-			replicas[j] = provider.ID(id)
+// eachChunk is the one per-call fallback of the data seam: it runs a list
+// operation against a plain DataService as independent calls. The
+// in-process provider.Router is driven this way, so every chunk still
+// meets its provider's meter as one call.
+type eachChunk struct {
+	svc    DataService
+	into   intoGetter // svc's GetInto, if it has one
+	window int64      // bytes a list of reads keeps in flight
+}
+
+// PutMany stores every chunk at once, a goroutine each.
+func (e eachChunk) PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, error) {
+	ids := make([][]provider.ID, len(keys))
+	errs := make([]error, len(keys))
+	var wg sync.WaitGroup
+	for i := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids[i], errs[i] = e.svc.Put(keys[i], data[i])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	var (
-		fresh []provider.ID
-		err   error
-	)
-	if into, ok := b.svc.Data.(intoGetter); ok && len(copies) == 1 && copies[0].src == 0 && copies[0].n == f.Ref.Length {
-		c := copies[0]
-		fresh, err = into.GetInto(out[c.dst:c.dst+c.n:c.dst+c.n], replicas, f.Ref.Key, f.Ref.Offset)
-	} else {
-		var d []byte
-		d, fresh, err = b.svc.Data.GetFrom(replicas, f.Ref.Key, f.Ref.Offset, f.Ref.Length)
-		if err == nil && int64(len(d)) != f.Ref.Length {
-			err = fmt.Errorf("chunk %v: got %d bytes at offset %d, want %d", f.Ref.Key, len(d), f.Ref.Offset, f.Ref.Length)
-		}
-		if err == nil {
-			for _, c := range copies {
-				copy(out[c.dst:c.dst+c.n], d[c.src:])
+	return ids, nil
+}
+
+// GetManyInto fetches under the window: worst-case memory beside the
+// destinations — a service without GetInto returns each fragment in a
+// buffer of its own — is that of DefaultWindow pages however long the
+// list, while a list of many small reads puts enough of them in flight
+// for a data wire to carry several per round trip.
+func (e eachChunk) GetManyInto(reads []ChunkRead) error {
+	return windowed(e.window, len(reads),
+		func(i int) int64 { return int64(len(reads[i].Dst)) },
+		func(i int) (err error) {
+			r := &reads[i]
+			if e.into != nil {
+				r.Fresh, err = e.into.GetInto(r.Dst, r.Replicas, r.Key, r.Off)
+				return err
 			}
-		}
-	}
-	if err != nil {
-		return err
-	}
-	if fresh != nil {
-		b.cacheHint(f.Ref.Key, fresh)
-	}
-	return nil
+			var d []byte
+			d, r.Fresh, err = getExact(e.svc, r.Replicas, chunk.Ref{Key: r.Key, Offset: r.Off, Length: int64(len(r.Dst))})
+			copy(r.Dst, d)
+			return err
+		})
 }
 
 // scatterCopy moves n bytes from offset src of a fetched fragment to

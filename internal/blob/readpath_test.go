@@ -19,7 +19,9 @@ import (
 
 // lateMeta answers a seeded half of the write path's TryGetNode probes
 // with "not stored yet" — always a legal answer — so builders chain
-// leaves instead of flattening them, as they do when writers race.
+// leaves instead of flattening them, as they do when writers race. (Only
+// probes for another handle's leaves come this far: a handle's node cache
+// answers for the leaves it stored itself.)
 type lateMeta struct {
 	segtree.NodeStore
 	mu      sync.Mutex
@@ -100,9 +102,10 @@ func randomQuery(rng *rand.Rand, capacity int64) extent.List {
 
 // TestPropReadListMatchesFlatModel replays seeded random histories —
 // multi-version overlays, partial-page writes, holes, chained leaves,
-// buffered and pipelined — and compares random non-normalized
-// list-reads of every version, through the writing handle and through a
-// second one, byte for byte with a flat image per version.
+// buffered and pipelined, from two writing handles in turn — and compares
+// random non-normalized list-reads of every version, through a writing
+// handle and through one that only reads, byte for byte with a flat image
+// per version.
 func TestPropReadListMatchesFlatModel(t *testing.T) {
 	geo := segtree.Geometry{Capacity: 64 << 10, Page: 1 << 10}
 	chained := 0
@@ -115,14 +118,12 @@ func TestPropReadListMatchesFlatModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Open(svc, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		writers := []*Blob{w, openWith(t, svc, svc.Data)}
+		r := openWith(t, svc, svc.Data)
 		models := [][]byte{make([]byte, geo.Capacity)} // version 0 is all holes
 		for i := 0; i < 16; i++ {
 			vec := randomWrite(t, rng, geo)
-			v, err := w.WriteList(vec, WriteOptions{Pipelined: rng.Intn(2) == 0})
+			v, err := writers[i%2].WriteList(vec, WriteOptions{Pipelined: rng.Intn(2) == 0})
 			if err != nil {
 				t.Fatalf("seed %d write %d: %v", seed, i, err)
 			}
@@ -383,11 +384,46 @@ func (d *intoData) GetFrom(replicas []provider.ID, key chunk.Key, off, length in
 	return d.DataService.GetFrom(replicas, key, off, length)
 }
 
+// manyData is an intoData that also takes the reads as a list, as the
+// framed client does. It records the lists and the reads they carried.
+type manyData struct {
+	intoData
+	lists, reads int
+}
+
+func (d *manyData) PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, error) {
+	return nil, errors.New("manyData: read-only")
+}
+
+func (d *manyData) GetManyInto(reads []ChunkRead) error {
+	d.mu.Lock()
+	d.lists++
+	d.reads += len(reads)
+	d.mu.Unlock()
+	for i := range reads {
+		r := &reads[i]
+		d.mu.Lock()
+		d.unclipped = d.unclipped || cap(r.Dst) != len(r.Dst)
+		d.mu.Unlock()
+		if d.failInto != nil {
+			return d.failInto
+		}
+		data, _, err := d.DataService.GetFrom(r.Replicas, r.Key, r.Off, int64(len(r.Dst)))
+		if err != nil {
+			return err
+		}
+		copy(r.Dst, data)
+		r.Fresh = d.fresh
+	}
+	return nil
+}
+
 // A data service that can read into the caller's buffer is asked to
 // exactly for the fragments that land whole in one place, always with a
-// destination clipped to the fragment; every other fragment, and every
-// fragment of a service without the method, is fetched and copied. Both
-// give the same bytes, for every shape of query.
+// destination clipped to the fragment — one by one, or, where it takes a
+// list, all in one list; every other fragment, and every fragment of a
+// service with neither method, is fetched and copied. All three give the
+// same bytes, for every shape of query.
 func TestReadListIntoAndCopyAgree(t *testing.T) {
 	const page = 1 << 10
 	svc := testServices()
@@ -437,8 +473,17 @@ func TestReadListIntoAndCopyAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(copied, want) || !bytes.Equal(direct, want) {
-				t.Fatalf("copied matches the model: %v, direct matches the model: %v", bytes.Equal(copied, want), bytes.Equal(direct, want))
+			many := &manyData{intoData: intoData{DataService: svc.Data}}
+			listed, err := openWith(t, svc, many).ReadList(v, tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(copied, want) || !bytes.Equal(direct, want) || !bytes.Equal(listed, want) {
+				t.Fatalf("copied matches the model: %v, direct: %v, listed: %v", bytes.Equal(copied, want), bytes.Equal(direct, want), bytes.Equal(listed, want))
+			}
+			if many.lists > 1 || many.reads != tc.into || many.into != 0 || many.from != tc.from {
+				t.Errorf("with the list on offer: %d lists of %d reads, %d GetInto and %d GetFrom calls, want one list of %d, 0 and %d",
+					many.lists, many.reads, many.into, many.from, tc.into, tc.from)
 			}
 			if data.into != tc.into || data.from != tc.from {
 				t.Errorf("%d GetInto and %d GetFrom calls, want %d and %d", data.into, data.from, tc.into, tc.from)
@@ -446,26 +491,36 @@ func TestReadListIntoAndCopyAgree(t *testing.T) {
 			if plain.into != 0 || plain.from != tc.into+tc.from {
 				t.Errorf("without the method on offer: %d GetInto and %d GetFrom calls, want 0 and %d", plain.into, plain.from, tc.into+tc.from)
 			}
-			if data.unclipped {
+			if data.unclipped || many.unclipped {
 				t.Error("a destination reached past its fragment")
 			}
 		})
 	}
 
-	// What GetInto returns is handled as what GetFrom returns is: an
-	// error fails the read, a fresh replica set is cached for the chunk.
+	// What GetInto or GetManyInto returns is handled as what GetFrom
+	// returns is: an error fails the read, a fresh replica set is cached
+	// for the chunk.
 	q := extent.List{{Offset: 0, Length: page}}
 	boom := errors.New("boom")
-	if _, err := openWith(t, svc, &intoData{DataService: svc.Data, failInto: boom}).ReadList(v, q); !errors.Is(err, boom) {
-		t.Fatalf("a failed GetInto: ReadList returned %v", err)
-	}
 	fresh := []provider.ID{3, 1}
-	r := openWith(t, svc, &intoData{DataService: svc.Data, fresh: fresh})
-	if _, err := r.ReadList(v, q); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := r.FreshHint(chunk.Key{Blob: 1, Version: v, Index: 0}); !ok || !slices.Equal(got, fresh) {
-		t.Fatalf("fresh set returned by GetInto: cached %v, %v", got, ok)
+	for name, with := range map[string]func(failInto error, fresh []provider.ID) DataService{
+		"GetInto": func(failInto error, fresh []provider.ID) DataService {
+			return &intoData{DataService: svc.Data, failInto: failInto, fresh: fresh}
+		},
+		"GetManyInto": func(failInto error, fresh []provider.ID) DataService {
+			return &manyData{intoData: intoData{DataService: svc.Data, failInto: failInto, fresh: fresh}}
+		},
+	} {
+		if _, err := openWith(t, svc, with(boom, nil)).ReadList(v, q); !errors.Is(err, boom) {
+			t.Fatalf("a failed %s: ReadList returned %v", name, err)
+		}
+		r := openWith(t, svc, with(nil, fresh))
+		if _, err := r.ReadList(v, q); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := r.FreshHint(chunk.Key{Blob: 1, Version: v, Index: 0}); !ok || !slices.Equal(got, fresh) {
+			t.Fatalf("fresh set returned by %s: cached %v, %v", name, got, ok)
+		}
 	}
 }
 

@@ -57,19 +57,22 @@ func OpenStore(rawURL string, meter *iosim.Meter) (Store, error) {
 // schemes are returned unchanged (each OpenStore call builds a fresh
 // independent store anyway). Query options are preserved.
 func ForProvider(rawURL string, id uint32) string {
-	scheme, rest, query, fault := splitScheme(rawURL)
+	scheme, rest, _, fault := splitScheme(rawURL)
 	if scheme != "disk" || rest == "" {
 		return rawURL
 	}
-	prefix := scheme
+	// The subdirectory joins the parsed path, not the text: printed back
+	// unescaped, a path holding an escaped '?' or '#' would hand the rest
+	// of itself to the query.
+	u, err := url.Parse(strings.TrimPrefix(rawURL, "fault+"))
+	if err != nil {
+		return rawURL // splitScheme parsed the same text
+	}
+	out := u.JoinPath(fmt.Sprintf("p%d", id)).String()
 	if fault {
-		prefix = "fault+" + scheme
+		out = "fault+" + out
 	}
-	suffix := ""
-	if len(query) > 0 {
-		suffix = "?" + query.Encode()
-	}
-	return fmt.Sprintf("%s://%s/p%d%s", prefix, rest, id, suffix)
+	return out
 }
 
 // ValidStoreURL reports whether OpenStore would accept the URL,

@@ -9,8 +9,10 @@
 package extent
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -136,31 +138,39 @@ func (l List) IsNormalized() bool {
 }
 
 // Normalize returns a sorted copy with empty extents dropped and
-// overlapping or adjacent extents merged.
+// overlapping or adjacent extents merged. The copy is the one allocation;
+// input that is already in order — the usual case, callers normalize
+// defensively — is not sorted again.
 func (l List) Normalize() List {
-	tmp := make(List, 0, len(l))
+	out := make(List, 0, len(l))
+	sorted := true
 	for _, e := range l {
-		if !e.Empty() {
-			tmp = append(tmp, e)
+		if e.Empty() {
+			continue
 		}
+		if n := len(out); n > 0 && out[n-1].Offset > e.Offset {
+			sorted = false
+		}
+		out = append(out, e)
 	}
-	sort.Slice(tmp, func(i, j int) bool {
-		if tmp[i].Offset != tmp[j].Offset {
-			return tmp[i].Offset < tmp[j].Offset
-		}
-		return tmp[i].Length < tmp[j].Length
-	})
-	out := make(List, 0, len(tmp))
-	for _, e := range tmp {
-		if n := len(out); n > 0 && out[n-1].End() >= e.Offset {
+	if !sorted {
+		// By offset alone: the merge below takes the furthest end of
+		// extents that start together, whatever order they come in.
+		slices.SortFunc(out, func(a, b Extent) int { return cmp.Compare(a.Offset, b.Offset) })
+	}
+	// Merge in place: the write index never passes the read index.
+	n := 0
+	for _, e := range out {
+		if n > 0 && out[n-1].End() >= e.Offset {
 			if e.End() > out[n-1].End() {
 				out[n-1].Length = e.End() - out[n-1].Offset
 			}
 			continue
 		}
-		out = append(out, e)
+		out[n] = e
+		n++
 	}
-	return out
+	return out[:n]
 }
 
 // Bounding returns the smallest single extent covering every extent in
@@ -274,6 +284,20 @@ func (l List) Subtract(o List) List {
 		}
 	}
 	return out
+}
+
+// Cut splits the normalized list at offset at: below holds every byte
+// before it, above every byte from it on. The parts alias l — neither
+// may be modified — and only an extent that straddles at costs a copy.
+func (l List) Cut(at int64) (below, above List) {
+	i := sort.Search(len(l), func(i int) bool { return l[i].End() > at })
+	if i == len(l) || l[i].Offset >= at {
+		return l[:i], l[i:]
+	}
+	e := l[i]
+	below = append(l[:i:i], Extent{Offset: e.Offset, Length: at - e.Offset})
+	above = append(List{{Offset: at, Length: e.End() - at}}, l[i+1:]...)
+	return below, above
 }
 
 // Union returns the normalized set union of two lists.

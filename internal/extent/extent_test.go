@@ -378,3 +378,97 @@ func TestPropIntersectsExtentMatchesOverlaps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// normalizeInputs are the two shapes BenchmarkNormalize times: 64 disjoint
+// extents in order — what callers that normalize defensively pass — and
+// the same 64 shuffled.
+func normalizeInputs() (sorted, shuffled List) {
+	sorted = make(List, 64)
+	for i := range sorted {
+		sorted[i] = Extent{Offset: int64(i) * 4096, Length: 1024}
+	}
+	shuffled = sorted.Clone()
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	return sorted, shuffled
+}
+
+// Normalize allocates its result and nothing else, sorted input or not,
+// and never hands the input back.
+func TestNormalizeAllocatesOnce(t *testing.T) {
+	sorted, shuffled := normalizeInputs()
+	for name, l := range map[string]List{"sorted": sorted, "shuffled": shuffled} {
+		var out List
+		if allocs := testing.AllocsPerRun(100, func() { out = l.Normalize() }); allocs != 1 {
+			t.Errorf("%s: %v allocations per Normalize, want 1", name, allocs)
+		}
+		if !out.Equal(sorted) || !out.IsNormalized() {
+			t.Errorf("%s: Normalize = %v", name, out)
+		}
+		if &out[0] == &l[0] {
+			t.Errorf("%s: Normalize returned its input", name)
+		}
+	}
+}
+
+func BenchmarkNormalize(b *testing.B) {
+	sorted, shuffled := normalizeInputs()
+	for _, in := range []struct {
+		name string
+		l    List
+	}{{"sorted", sorted}, {"shuffled", shuffled}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if len(in.l.Normalize()) != len(sorted) {
+					b.Fatal("wrong result")
+				}
+			}
+		})
+	}
+}
+
+func TestCut(t *testing.T) {
+	l := List{{Offset: 10, Length: 10}, {Offset: 30, Length: 10}, {Offset: 50, Length: 10}}
+	for _, tc := range []struct {
+		at           int64
+		below, above List
+	}{
+		{0, List{}, l},
+		{10, List{}, l},
+		{15, List{{Offset: 10, Length: 5}}, List{{Offset: 15, Length: 5}, {Offset: 30, Length: 10}, {Offset: 50, Length: 10}}},
+		{20, l[:1], l[1:]},
+		{25, l[:1], l[1:]},
+		{39, List{{Offset: 10, Length: 10}, {Offset: 30, Length: 9}}, List{{Offset: 39, Length: 1}, {Offset: 50, Length: 10}}},
+		{60, l, List{}},
+		{99, l, List{}},
+	} {
+		below, above := l.Cut(tc.at)
+		if !below.Equal(tc.below) || !above.Equal(tc.above) {
+			t.Errorf("Cut(%d) = %v, %v; want %v, %v", tc.at, below, above, tc.below, tc.above)
+		}
+	}
+	if want := (List{{Offset: 10, Length: 10}, {Offset: 30, Length: 10}, {Offset: 50, Length: 10}}); !l.Equal(want) {
+		t.Fatalf("Cut modified its receiver: %v", l)
+	}
+}
+
+// Cutting anywhere loses and invents nothing: the parts tile the list
+// either side of the cut.
+func TestPropCutTilesTheList(t *testing.T) {
+	f := func(seed int64, at uint16) bool {
+		l := genList(rand.New(rand.NewSource(seed))).Normalize()
+		before := l.Clone()
+		below, above := l.Cut(int64(at))
+		ok := below.Union(above).Equal(l) && !below.Overlaps(above) && l.Equal(before)
+		if n := len(below); n > 0 {
+			ok = ok && below[n-1].End() <= int64(at)
+		}
+		if len(above) > 0 {
+			ok = ok && above[0].Offset >= int64(at)
+		}
+		return ok && below.IsNormalized() && above.IsNormalized()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -115,73 +116,104 @@ func roundTrips(reg *metrics.Registry) float64 {
 	return reg.Snapshot()["bs_data_train_ops_count"]
 }
 
-// BenchmarkFramedPutFanout is the data half of one tile_atomic write:
-// 92 concurrent 32 KiB puts through one framed client over TCP
-// loopback, onto null:// stores so the wire is what is timed. dials/op
-// is connections accepted per wave after a warm-up wave.
-func BenchmarkFramedPutFanout(b *testing.B) {
-	lis, ep := startCountedNode(b, "null://", nil)
-	c, err := DialFramed(ep)
-	if err != nil {
-		b.Fatal(err)
+// fanout runs one benchmark two ways: each, a goroutine per call — what
+// every caller did before the pool took batches, and what concurrent lone
+// callers still do — and batch, the same calls handed over as one list.
+// It reports dials/op (connections accepted per op after a warm-up op; 0
+// in steady state) and wire-reqs/op (trains per op).
+func fanout(b *testing.B, storeURL string, bytesPerOp int64, setup func(c *Client), each, batch func(c *Client, i int) error) {
+	for _, form := range []struct {
+		name string
+		op   func(c *Client, i int) error
+	}{{"each", each}, {"batch", batch}} {
+		b.Run(form.name, func(b *testing.B) {
+			lis, ep := startCountedNode(b, storeURL, nil)
+			c, err := DialFramed(ep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			reg := metrics.NewRegistry()
+			c.SetMetrics(reg)
+			if setup != nil {
+				setup(c)
+			}
+			if err := form.op(c, 0); err != nil {
+				b.Fatal(err)
+			}
+			warm, trains := lis.accepted.Load(), roundTrips(reg)
+			b.SetBytes(bytesPerOp)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := form.op(c, i+1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(lis.accepted.Load()-warm)/float64(b.N), "dials/op")
+			b.ReportMetric((roundTrips(reg)-trains)/float64(b.N), "wire-reqs/op")
+		})
 	}
-	defer c.Close()
-	const pieces = 92
-	payload := bytes.Repeat([]byte{0x5A}, 32<<10)
-	if err := putWave(c, 0, pieces, payload); err != nil {
-		b.Fatal(err)
-	}
-	warm := lis.accepted.Load()
-	b.SetBytes(pieces * int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := putWave(c, uint64(i+1), pieces, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(lis.accepted.Load()-warm)/float64(b.N), "dials/op")
 }
 
-// BenchmarkFramedGetFanout is the data half of one tile_atomic read:
-// 122 gets of 16 KiB from a window of 32 goroutines through one framed
-// client, served from mem:// stores (stored slices, no copy), so the
-// wire is what is timed — and, client and server sharing the process,
-// what B/op counts beyond the 16 KiB each get returns.
-func BenchmarkFramedGetFanout(b *testing.B) {
-	lis, ep := startCountedNode(b, "mem://", nil)
-	c, err := DialFramed(ep)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkFramedPutFanout is the data half of one tile_atomic write: 92
+// puts of 32 KiB through one framed client over TCP loopback, onto
+// null:// stores so the wire is what is timed.
+func BenchmarkFramedPutFanout(b *testing.B) {
+	const pieces = 92
+	payload := bytes.Repeat([]byte{0x5A}, 32<<10)
+	data := make([][]byte, pieces)
+	for j := range data {
+		data[j] = payload
 	}
-	defer c.Close()
-	const fragments, window, size = 122, 32, 16 << 10
-	if err := putWave(c, 0, fragments, bytes.Repeat([]byte{0x5A}, size)); err != nil {
-		b.Fatal(err)
-	}
-	wave := func() {
-		ok := windowed(window, fragments, func(j int64) error {
-			data, err := c.Get(chunk.Key{Blob: 1, Index: uint32(j)}, 0, size)
-			if err == nil && len(data) != size {
-				err = io.ErrUnexpectedEOF
+	fanout(b, "null://", pieces*int64(len(payload)), nil,
+		func(c *Client, i int) error { return putWave(c, uint64(i), pieces, payload) },
+		func(c *Client, i int) error {
+			keys := make([]chunk.Key, pieces)
+			for j := range keys {
+				keys[j] = chunk.Key{Blob: 1, Version: uint64(i), Index: uint32(j)}
 			}
+			_, err := c.PutMany(keys, data)
 			return err
 		})
-		if !ok {
-			b.Fatal("a get failed")
-		}
-	}
-	wave()
-	warm := lis.accepted.Load()
-	b.SetBytes(fragments * size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wave()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(lis.accepted.Load()-warm)/float64(b.N), "dials/op")
+}
+
+// BenchmarkFramedGetFanout is the data half of one tile_atomic read: 122
+// gets of 16 KiB through one framed client — each: from a window of 32
+// goroutines, every get allocating what it returns; batch: one
+// GetManyInto into one buffer — served from mem:// stores (stored slices,
+// no copy), so the wire is what is timed — and, client and server sharing
+// the process, what B/op counts beyond the bytes returned.
+func BenchmarkFramedGetFanout(b *testing.B) {
+	const fragments, window, size = 122, 32, 16 << 10
+	out := make([]byte, fragments*size)
+	fanout(b, "mem://", fragments*size,
+		func(c *Client) {
+			if err := putWave(c, 0, fragments, bytes.Repeat([]byte{0x5A}, size)); err != nil {
+				b.Fatal(err)
+			}
+		},
+		func(c *Client, _ int) error {
+			ok := windowed(window, fragments, func(j int64) error {
+				data, err := c.Get(chunk.Key{Blob: 1, Index: uint32(j)}, 0, size)
+				if err == nil && len(data) != size {
+					err = io.ErrUnexpectedEOF
+				}
+				return err
+			})
+			if !ok {
+				return errors.New("a get failed")
+			}
+			return nil
+		},
+		func(c *Client, _ int) error {
+			reads := make([]blob.ChunkRead, fragments)
+			for j := range reads {
+				reads[j] = blob.ChunkRead{Dst: out[j*size : (j+1)*size : (j+1)*size], Key: chunk.Key{Blob: 1, Index: uint32(j)}}
+			}
+			return c.GetManyInto(reads)
+		})
 }
 
 // BenchmarkFramedPutSerial and BenchmarkFramedGetSerial are the idle
@@ -376,32 +408,33 @@ func BenchmarkReadList(b *testing.B) {
 }
 
 // BenchmarkNodePutParallel is the metadata half of one tile_atomic
-// write: 127 tree nodes stored from a window of 64 goroutines (segtree's
-// bound) through one client. wire-reqs/op is round trips — trains — per
-// write.
+// write: 127 tree nodes stored through one client — each: from a window
+// of 64 goroutines, a node a call; batch: one PutNodes, which must leave
+// in exactly framedPoolCap trains.
 func BenchmarkNodePutParallel(b *testing.B) {
-	_, ep := startCountedNode(b, "null://", nil)
-	c, err := DialFramed(ep)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	reg := metrics.NewRegistry()
-	c.SetMetrics(reg)
 	const nodes, window = 127, 64
 	node := &segtree.Node{Left: segtree.NodeKey{Version: 1, Size: 512}, Right: segtree.NodeKey{Version: 1, Offset: 512, Size: 512}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok := windowed(window, nodes, func(j int64) error {
-			return c.PutNode(1, segtree.NodeKey{Version: uint64(i + 1), Offset: j * 1024, Size: 1024}, node)
-		})
-		if !ok {
-			b.Fatal("a node put failed")
-		}
+	key := func(i int, j int64) segtree.NodeKey {
+		return segtree.NodeKey{Version: uint64(i + 1), Offset: j * 1024, Size: 1024}
 	}
-	b.StopTimer()
-	b.ReportMetric(roundTrips(reg)/float64(b.N), "wire-reqs/op")
+	all := make([]*segtree.Node, nodes)
+	for j := range all {
+		all[j] = node
+	}
+	fanout(b, "null://", 0, nil,
+		func(c *Client, i int) error {
+			if !windowed(window, nodes, func(j int64) error { return c.PutNode(1, key(i, j), node) }) {
+				return errors.New("a node put failed")
+			}
+			return nil
+		},
+		func(c *Client, i int) error {
+			keys := make([]segtree.NodeKey, nodes)
+			for j := range keys {
+				keys[j] = key(i, int64(j))
+			}
+			return c.PutNodes(1, keys, all)
+		})
 }
 
 // BenchmarkNodeGetSerial is the idle path: one caller, one node get at

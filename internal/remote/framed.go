@@ -56,6 +56,16 @@
 // back could fill both socket buffers and stop both ends. Nothing in
 // the format tells a pipelined request from a lone one, so clients and
 // servers from before trains interoperate with these.
+//
+// Who forms a train: the client's pool, from a batch. A caller hands the
+// pool all its calls of one kind at once (Client.PutMany, GetManyInto,
+// PutNodes, GetNodes; a lone Put or GetNode is the batch of one) and the
+// pool cuts the batch into trains — within maxTrainCalls and
+// maxTrainBytes, over as many connections as the batch can use — so a
+// list operation reaches the wire as a list: no goroutine, queue entry
+// or wake-up per call. Only when every connection is busy does the queue
+// form trains too, by merging the queued ones behind its head. See
+// framedPool.
 package remote
 
 import (
@@ -68,6 +78,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chunk"
 	"repro/internal/metadata"
@@ -741,12 +752,8 @@ type framedCall struct {
 	// retried marks a call already re-sent after a transport failure.
 	retried bool
 
-	// wake is signalled exactly once to a queued call: with train set it
-	// now leads that train on fc (nil: a free slot to dial into),
-	// otherwise its outcome is final.
-	wake  chan struct{}
-	train []*framedCall
-	fc    *framedConn
+	// of is the train the call was handed to the pool in.
+	of *framedTrain
 }
 
 // payload is what the call counts towards maxTrainBytes.
@@ -755,6 +762,24 @@ func (c *framedCall) payload() int64 {
 		return c.h.length
 	}
 	return int64(len(c.data))
+}
+
+// framedTrain is a run of calls of one kind within the train bounds, cut
+// from a batch — a lone call is the batch of one — and the unit the pool
+// queues. Its owner, the goroutine that brought it, blocks until every
+// call has its outcome: leading the train itself, or — queued, and merged
+// into the train of the one queued ahead of it — woken by that leader.
+type framedTrain struct {
+	calls []*framedCall
+	bytes int64 // the calls' payload
+	left  int   // calls without an outcome yet; whoever leads counts down
+
+	// wake is signalled exactly once to a queued train: with lead set its
+	// owner now leads those calls, its own first, on fc (nil: a free slot
+	// to dial into); otherwise every call of the train has its outcome.
+	wake chan struct{}
+	lead []*framedCall
+	fc   *framedConn
 }
 
 // framedConn is one client connection to a node's framed plane, owned
@@ -769,15 +794,21 @@ type framedConn struct {
 	bufs    net.Buffers
 }
 
-// framedPool runs framed calls over a bounded set of connections to one
-// endpoint. A call that finds a connection free (or room to dial
-// one) runs at once, as a train of one. Calls that find every
-// connection busy queue, and a connection that comes free takes the
-// head of the queue plus the calls of the same kind right behind it, up
-// to the train bounds, and carries them in one round trip: all requests
-// in one write, replies read in order. The head's caller leads its
-// train — there is no pool goroutine and no timer — and hands the
-// connection on when the train is answered. Steady state dials nothing.
+// framedPool runs batches of framed calls over a bounded set of
+// connections to one endpoint. The batch is what a caller hands over — all
+// its calls of one kind at once, a list operation arriving as a list — and
+// the pool cuts it into trains itself: each within the train bounds, and
+// no fewer than the connections the batch could use, so a write of two
+// pieces still moves on two sockets. A train is carried in one round trip:
+// all requests in one write, replies read in order. One that finds a
+// connection free (or room to dial one) leaves at once; one that finds
+// every connection busy queues, and a connection that comes free takes the
+// head of the queue plus the trains of the same kind right behind it, up
+// to the train bounds — which is how concurrent lone callers still share
+// round trips. Whoever brought the head train leads: there is no pool
+// goroutine and no timer, and of one batch only the caller and at most
+// framedPoolCap-1 helpers ever block — never a goroutine per call. Steady
+// state dials nothing.
 type framedPool struct {
 	addr     string
 	dials    *metrics.Counter   // bs_data_dials_total, nil-tolerant
@@ -785,8 +816,8 @@ type framedPool struct {
 
 	mu     sync.Mutex
 	idle   []*framedConn
-	open   int           // connections in use plus idle, never above framedPoolCap
-	queue  []*framedCall // non-empty only while idle is empty and open is at the cap
+	open   int            // connections in use plus idle, never above framedPoolCap
+	queue  []*framedTrain // non-empty only while idle is empty and open is at the cap
 	closed bool
 }
 
@@ -794,22 +825,33 @@ func newFramedPool(addr string) *framedPool {
 	return &framedPool{addr: addr}
 }
 
-// put performs one framed chunk store.
-func (p *framedPool) put(key chunk.Key, data []byte) ([]provider.ID, error) {
-	c := &framedCall{h: frameHeader{op: opPut, key: key, length: int64(len(data))}, data: data}
-	p.do(c)
-	return c.ids, c.err
+// putCall and getCall are the chunk calls, nodeCall the node calls: body
+// is the encoded node of a put; what comes back in data is the encoded
+// node of a get or a try-get, nil when a try-get missed.
+func putCall(key chunk.Key, data []byte) framedCall {
+	return framedCall{h: frameHeader{op: opPut, key: key, length: int64(len(data))}, data: data}
 }
 
-// node performs one framed node op on the node key names. body is the
-// encoded node of a put; what comes back is the encoded node of a get
-// or a try-get, nil when a try-get missed (and the body of a put).
-func (p *framedPool) node(op byte, blob uint64, key segtree.NodeKey, body []byte) ([]byte, error) {
-	c := &framedCall{
+func getCall(dst []byte, replicas []provider.ID, key chunk.Key, off int64) framedCall {
+	return framedCall{h: frameHeader{op: opGet, key: key, off: off, length: int64(len(dst)), replicas: replicas}, data: dst}
+}
+
+func nodeCall(op byte, blob uint64, key segtree.NodeKey, body []byte) framedCall {
+	return framedCall{
 		h:    frameHeader{op: op, key: chunk.Key{Blob: blob, Version: key.Version}, off: key.Offset, length: key.Size},
 		data: body,
 	}
-	p.do(c)
+}
+
+// put performs one framed chunk store.
+func (p *framedPool) put(key chunk.Key, data []byte) ([]provider.ID, error) {
+	c := p.one(putCall(key, data))
+	return c.ids, c.err
+}
+
+// node performs one framed node op on the node key names.
+func (p *framedPool) node(op byte, blob uint64, key segtree.NodeKey, body []byte) ([]byte, error) {
+	c := p.one(nodeCall(op, blob, key, body))
 	return c.data, c.err
 }
 
@@ -818,44 +860,111 @@ func (p *framedPool) node(op byte, blob uint64, key segtree.NodeKey, body []byte
 // into it, and returns — when the hint was stale — the fresh set. After
 // an error dst holds nothing the caller may use.
 func (p *framedPool) get(dst []byte, replicas []provider.ID, key chunk.Key, off int64) ([]provider.ID, error) {
-	c := &framedCall{h: frameHeader{op: opGet, key: key, off: off, length: int64(len(dst)), replicas: replicas}, data: dst}
-	p.do(c)
+	c := p.one(getCall(dst, replicas, key, off))
 	return c.ids, c.err
 }
 
-// do runs c to its outcome: at once on a free connection or slot,
-// otherwise from the queue — as the leader of a train or inside
-// another's.
-func (p *framedPool) do(c *framedCall) {
+// one runs the batch of one — call, train and the train's list of calls
+// in one allocation — and returns the call with its outcome.
+func (p *framedPool) one(call framedCall) *framedCall {
+	l := &struct {
+		c     framedCall
+		t     framedTrain
+		calls [1]*framedCall
+	}{c: call}
+	l.calls[0], l.c.of = &l.c, &l.t
+	l.t = framedTrain{calls: l.calls[:], bytes: l.c.payload(), left: 1}
+	p.do(&l.t)
+	return &l.c
+}
+
+// run carries a batch — calls of one kind — to their outcomes, each
+// call's in the call: its trains run from the caller's goroutine and at
+// most framedPoolCap-1 helpers, which are gone when it returns.
+func (p *framedPool) run(batch []framedCall) {
+	trains := cutTrains(batch)
+	if len(trains) == 0 {
+		return
+	}
+	var (
+		next    atomic.Int64
+		helpers sync.WaitGroup
+	)
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(trains)); i = next.Add(1) - 1 {
+			p.do(trains[i])
+		}
+	}
+	for h := min(len(trains), framedPoolCap) - 1; h > 0; h-- {
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			work()
+		}()
+	}
+	work()
+	helpers.Wait()
+}
+
+// cutTrains cuts a batch into trains of equal length, as many as the
+// batch could use connections, shorter where the train bounds say so.
+func cutTrains(batch []framedCall) []*framedTrain {
+	calls := make([]*framedCall, len(batch))
+	for i := range batch {
+		calls[i] = &batch[i]
+	}
+	per := min((len(batch)+framedPoolCap-1)/framedPoolCap, maxTrainCalls)
+	var trains []*framedTrain
+	for len(calls) > 0 {
+		n, bytes := 1, calls[0].payload()
+		for n < len(calls) && n < per && bytes+calls[n].payload() <= maxTrainBytes {
+			bytes += calls[n].payload()
+			n++
+		}
+		t := &framedTrain{calls: calls[:n:n], bytes: bytes, left: n}
+		for _, c := range t.calls {
+			c.of = t
+		}
+		trains, calls = append(trains, t), calls[n:]
+	}
+	return trains
+}
+
+// do runs t to its outcome: at once on a free connection or slot,
+// otherwise from the queue — as the leader of what the queue merged
+// behind it, or inside the train of the one ahead.
+func (p *framedPool) do(t *framedTrain) {
 	p.mu.Lock()
 	switch {
 	case p.closed:
 		p.mu.Unlock()
-		c.err = ErrClientClosed
+		for _, c := range t.calls {
+			c.err = ErrClientClosed
+		}
 	case len(p.idle) > 0:
 		fc := p.idle[len(p.idle)-1]
 		p.idle = p.idle[:len(p.idle)-1]
 		p.mu.Unlock()
-		p.lead(fc, []*framedCall{c})
+		p.lead(fc, t, t.calls)
 	case p.open < framedPoolCap:
 		p.open++
 		p.mu.Unlock()
-		p.lead(nil, []*framedCall{c})
+		p.lead(nil, t, t.calls)
 	default:
-		c.wake = make(chan struct{}, 1)
-		p.queue = append(p.queue, c)
+		t.wake = make(chan struct{}, 1)
+		p.queue = append(p.queue, t)
 		p.mu.Unlock()
-		<-c.wake
-		if c.train != nil {
-			p.lead(c.fc, c.train)
+		<-t.wake
+		if t.lead != nil {
+			p.lead(t.fc, t, t.lead)
 		}
 	}
 }
 
-// lead carries train, whose first call is the caller's own, over fc —
-// or over a connection dialed into the slot the caller holds when fc is
-// nil — wakes the other callers as their replies arrive, and hands the
-// connection on.
+// lead carries calls — the train me, the caller's own, and whatever the
+// queue merged behind it — over fc, or over a connection dialed into the
+// slot the caller holds when fc is nil, wakes the owner of each other
+// train as the last of its replies arrives, and hands the connection on.
 //
 // Server-reported errors are outcomes like any other: one chunk's
 // ErrExists fails that call alone. A transport failure leaves answered
@@ -869,31 +978,31 @@ func (p *framedPool) do(c *framedCall) {
 // first attempt the server applied but could not answer yields is
 // chunk.ErrExists on the retry of a chunk, and nothing at all on the
 // retry of a node (metadata.Store accepts an identical re-put).
-func (p *framedPool) lead(fc *framedConn, train []*framedCall) {
-	me := train[0]
+func (p *framedPool) lead(fc *framedConn, me *framedTrain, calls []*framedCall) {
 	settle := func(c *framedCall) {
-		if c != me {
-			c.wake <- struct{}{}
+		t := c.of
+		if t.left--; t.left == 0 && t != me {
+			t.wake <- struct{}{}
 		}
 	}
-	for len(train) > 0 {
+	for len(calls) > 0 {
 		var err error
 		dialed := fc == nil
 		if dialed {
 			if fc, err = p.dial(); err != nil {
-				for _, c := range train {
+				for _, c := range calls {
 					c.err = err
 					settle(c)
 				}
 				break
 			}
 		}
-		p.trainOps.Observe(float64(len(train)))
-		err = fc.send(train)
-		for err == nil && len(train) > 0 {
-			if err = fc.readReply(train[0]); err == nil {
-				settle(train[0])
-				train = train[1:]
+		p.trainOps.Observe(float64(len(calls)))
+		err = fc.send(calls)
+		for err == nil && len(calls) > 0 {
+			if err = fc.readReply(calls[0]); err == nil {
+				settle(calls[0])
+				calls = calls[1:]
 			}
 		}
 		if err == nil {
@@ -904,8 +1013,8 @@ func (p *framedPool) lead(fc *framedConn, train []*framedCall) {
 		if !dialed {
 			p.flushIdle()
 		}
-		again := train[:0]
-		for i, c := range train {
+		again := calls[:0]
+		for i, c := range calls {
 			if c.retried || (i == 0 && dialed) {
 				c.err = err
 				settle(c)
@@ -914,7 +1023,7 @@ func (p *framedPool) lead(fc *framedConn, train []*framedCall) {
 				again = append(again, c)
 			}
 		}
-		train = again
+		calls = again
 	}
 	p.handOn(fc)
 }
@@ -936,17 +1045,25 @@ func (p *framedPool) handOn(fc *framedConn) {
 		p.mu.Unlock()
 	default:
 		q := p.queue
-		n, bytes := 1, q[0].payload()
-		for n < len(q) && n < maxTrainCalls && q[n].h.op == q[0].h.op && bytes+q[n].payload() <= maxTrainBytes {
-			bytes += q[n].payload()
+		head := q[0]
+		n, calls, bytes := 1, len(head.calls), head.bytes
+		for n < len(q) && q[n].calls[0].h.op == head.calls[0].h.op &&
+			calls+len(q[n].calls) <= maxTrainCalls && bytes+q[n].bytes <= maxTrainBytes {
+			calls += len(q[n].calls)
+			bytes += q[n].bytes
 			n++
 		}
 		if p.queue = q[n:]; len(p.queue) == 0 {
 			p.queue = nil
 		}
 		p.mu.Unlock()
-		head := q[0]
-		head.train, head.fc = q[:n:n], fc
+		head.lead, head.fc = head.calls, fc
+		if n > 1 {
+			head.lead = make([]*framedCall, 0, calls)
+			for _, t := range q[:n] {
+				head.lead = append(head.lead, t.calls...)
+			}
+		}
 		head.wake <- struct{}{}
 	}
 }
@@ -994,9 +1111,11 @@ func (p *framedPool) close() {
 	for _, fc := range idle {
 		fc.c.Close()
 	}
-	for _, c := range queue {
-		c.err = ErrClientClosed
-		c.wake <- struct{}{}
+	for _, t := range queue {
+		for _, c := range t.calls {
+			c.err = ErrClientClosed
+		}
+		t.wake <- struct{}{}
 	}
 }
 

@@ -857,9 +857,96 @@ func (c *Client) TryGetNode(blobID uint64, key segtree.NodeKey) (*segtree.Node, 
 	return n, err == nil, err
 }
 
+// The four list forms below hand the framed pool a whole batch, which it
+// cuts into trains: the calls of one tree build, tree level or list-read
+// cost a few round trips and block no goroutine per call. Each is what
+// its per-call form would be, call by call — the same requests on the
+// same wire — and none is part of segtree.NodeStore or blob.DataService:
+// segtree's node cache and blob's handles find them by assertion.
+
+// PutNodes stores nodes[i] under keys[i] as one batch. Every put is
+// attempted; the error is that of the first in key order to fail.
+func (c *Client) PutNodes(blobID uint64, keys []segtree.NodeKey, nodes []*segtree.Node) error {
+	// One buffer holds every body; it may move while it grows, so the
+	// bodies are sliced out of it afterwards.
+	var enc []byte
+	ends := make([]int, len(nodes))
+	for i, n := range nodes {
+		enc = segtree.AppendNode(enc, n)
+		ends[i] = len(enc)
+	}
+	batch := make([]framedCall, len(keys))
+	start := 0
+	for i, key := range keys {
+		batch[i] = nodeCall(opNodePut, blobID, key, enc[start:ends[i]:ends[i]])
+		start = ends[i]
+	}
+	c.nodes.run(batch)
+	return firstErr(batch)
+}
+
+// GetNodes returns the node of every key, in key order, fetched as one
+// batch. A node that is not stored is an error unless try is set, when
+// its entry is nil (the batch form of TryGetNode).
+func (c *Client) GetNodes(blobID uint64, keys []segtree.NodeKey, try bool) ([]*segtree.Node, error) {
+	op := byte(opNodeGet)
+	if try {
+		op = opNodeTryGet
+	}
+	batch := make([]framedCall, len(keys))
+	for i, key := range keys {
+		batch[i] = nodeCall(op, blobID, key, nil)
+	}
+	c.nodes.run(batch)
+	if err := firstErr(batch); err != nil {
+		return nil, err
+	}
+	nodes := make([]*segtree.Node, len(keys))
+	for i := range batch {
+		if batch[i].data == nil {
+			continue // a try-get that missed
+		}
+		var err error
+		if nodes[i], err = segtree.DecodeNode(batch[i].data); err != nil {
+			return nil, err
+		}
+	}
+	return nodes, nil
+}
+
+// firstErr is the outcome of a batch as one error: that of its first call
+// to fail.
+func firstErr(batch []framedCall) error {
+	for i := range batch {
+		if batch[i].err != nil {
+			return batch[i].err
+		}
+	}
+	return nil
+}
+
 // Put implements blob.DataService over the framed plane.
 func (c *Client) Put(key chunk.Key, data []byte) ([]provider.ID, error) {
 	return c.pool.put(key, data)
+}
+
+// PutMany stores data[i] as chunk keys[i], as one batch, and returns each
+// chunk's replica set. Every put is attempted; the error is that of the
+// first in key order to fail.
+func (c *Client) PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, error) {
+	batch := make([]framedCall, len(keys))
+	for i, key := range keys {
+		batch[i] = putCall(key, data[i])
+	}
+	c.pool.run(batch)
+	if err := firstErr(batch); err != nil {
+		return nil, err
+	}
+	ids := make([][]provider.ID, len(keys))
+	for i := range batch {
+		ids[i] = batch[i].ids
+	}
+	return ids, nil
 }
 
 // Get implements blob.DataService over the framed plane.
@@ -891,6 +978,22 @@ func (c *Client) GetFrom(replicas []provider.ID, key chunk.Key, off, length int6
 // it is not part of blob.DataService.)
 func (c *Client) GetInto(dst []byte, replicas []provider.ID, key chunk.Key, off int64) (fresh []provider.ID, err error) {
 	return c.pool.get(dst, replicas, key, off)
+}
+
+// GetManyInto is GetInto for every read of the list, as one batch: each
+// Dst filled off the socket, each Fresh set where the hint was stale.
+// Every read is attempted; the error is that of the first in list order
+// to fail, and after it no Dst holds anything the caller may use.
+func (c *Client) GetManyInto(reads []blob.ChunkRead) error {
+	batch := make([]framedCall, len(reads))
+	for i, r := range reads {
+		batch[i] = getCall(r.Dst, r.Replicas, r.Key, r.Off)
+	}
+	c.pool.run(batch)
+	for i := range batch {
+		reads[i].Fresh = batch[i].ids
+	}
+	return firstErr(batch)
 }
 
 // Repair runs a re-replication pass on the data node and returns its

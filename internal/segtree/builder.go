@@ -89,20 +89,15 @@ func (t *Tree) NewBuilder(v uint64, exts []extent.Extent, borrows map[extent.Ext
 
 	// The plan mirrors Build's: recursion over piece index ranges
 	// instead of Placed slices, since only extents are known.
-	type pending struct {
-		key  NodeKey
-		node *Node
-	}
-	var inners []pending
+	var (
+		keys  []NodeKey
+		nodes []*Node
+	)
 	var plan func(off, size int64, lo, hi int) NodeKey
 	plan = func(off, size int64, lo, hi int) NodeKey {
 		r := extent.Extent{Offset: off, Length: size}
 		if lo == hi {
-			w := borrows[r]
-			if w == 0 {
-				return NodeKey{}
-			}
-			return NodeKey{Version: w, Offset: off, Size: size}
+			return borrowed(borrows, r)
 		}
 		key := NodeKey{Version: v, Offset: off, Size: size}
 		if size == t.Geo.Page {
@@ -122,25 +117,23 @@ func (t *Tree) NewBuilder(v uint64, exts []extent.Extent, borrows map[extent.Ext
 		}
 		lk := plan(off, half, lo, split)
 		rk := plan(mid, half, split, hi)
-		inners = append(inners, pending{key: key, node: &Node{Left: lk, Right: rk}})
+		keys, nodes = append(keys, key), append(nodes, &Node{Left: lk, Right: rk})
 		return key
 	}
 	b.root = plan(0, t.Geo.Capacity, 0, len(exts))
 
-	// Inner nodes go out now — the pipelining head start. Every store
-	// marks the builder dirty first, so a failure observer never sees
+	// Inner nodes go out now, as one put — the pipelining head start. The
+	// builder is marked dirty first, so a failure observer never sees
 	// dirty=false while a node write is in flight.
-	for _, p := range inners {
+	if len(keys) > 0 {
 		b.dirty.Store(true)
 		b.wg.Add(1)
-		go func(p pending) {
+		go func() {
 			defer b.wg.Done()
-			b.sem <- struct{}{}
-			defer func() { <-b.sem }()
-			if err := t.Store.PutNode(t.Blob, p.key, p.node); err != nil {
+			if err := batchOf(t.Store).PutNodes(t.Blob, keys, nodes); err != nil {
 				b.fail(err)
 			}
-		}(p)
+		}()
 	}
 	return b, nil
 }
@@ -172,7 +165,7 @@ func (b *Builder) SetPiece(i int, ref chunk.Ref) {
 		defer b.wg.Done()
 		b.sem <- struct{}{}
 		defer func() { <-b.sem }()
-		n, err := b.t.buildLeaf(b.v, leaf.r, placed, leaf.prev)
+		n, err := b.t.buildLeaf(leaf.r, placed, leaf.prev)
 		if err == nil {
 			err = b.t.Store.PutNode(b.t.Blob, leaf.key, n)
 		}

@@ -2,8 +2,10 @@ package segtree_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chunk"
@@ -98,6 +100,29 @@ func TestBuilderMatchesBuild(t *testing.T) {
 	}
 }
 
+// gatedPuts is a store with the list put, which it holds at a gate.
+type gatedPuts struct {
+	segtree.NodeStore
+	open          chan struct{}
+	lists, stored atomic.Int64
+}
+
+func (g *gatedPuts) PutNodes(blob uint64, keys []segtree.NodeKey, nodes []*segtree.Node) error {
+	g.lists.Add(1)
+	<-g.open
+	for i, key := range keys {
+		if err := g.NodeStore.PutNode(blob, key, nodes[i]); err != nil {
+			return err
+		}
+		g.stored.Add(1)
+	}
+	return nil
+}
+
+func (g *gatedPuts) GetNodes(blob uint64, keys []segtree.NodeKey, try bool) ([]*segtree.Node, error) {
+	return nil, errors.New("gatedPuts: no list get")
+}
+
 // TestBuilderDirty pins the retirement contract: a builder that stored
 // any node reports dirty (inner nodes make it dirty before any piece
 // lands on multi-page writes), and a fresh builder over a single page
@@ -106,7 +131,10 @@ func TestBuilderDirty(t *testing.T) {
 	geo := segtree.Geometry{Capacity: 1 << 14, Page: 1 << 10}
 	h := newHarness(t, geo)
 
-	// Multi-page write: inner nodes store immediately → dirty at birth.
+	// Multi-page write: the inner nodes go out at once, as one list put —
+	// dirty at birth, before the first of them has left.
+	gate := &gatedPuts{NodeStore: h.tree.Store, open: make(chan struct{})}
+	h.tree.Store = gate
 	tk, err := h.mgr.AssignTicket(h.blob, extent.List{{Offset: 0, Length: 3000}})
 	if err != nil {
 		t.Fatal(err)
@@ -116,8 +144,15 @@ func TestBuilderDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Dirty() {
-		t.Fatal("multi-page builder must be dirty at birth (inner nodes in flight)")
+	if !b.Dirty() || gate.stored.Load() != 0 {
+		t.Fatalf("multi-page builder with %d nodes stored: dirty = %v, want dirty at birth (inner nodes in flight)", gate.stored.Load(), b.Dirty())
+	}
+	close(gate.open)
+	if _, err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if lists, stored := gate.lists.Load(), gate.stored.Load(); lists != 1 || stored != 5 {
+		t.Fatalf("the inner nodes went out as %d list puts of %d nodes, want 1 of 5", lists, stored)
 	}
 	if err := h.mgr.Abort(h.blob, tk.Version); err != nil {
 		t.Fatal(err)

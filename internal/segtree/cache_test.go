@@ -137,8 +137,10 @@ func TestNodeCacheNeverCachesErrorsOrProbes(t *testing.T) {
 		t.Fatalf("%d gets reached the store, want 4: a miss was cached", got)
 	}
 
-	// TryGetNode always asks the store, hit or miss, cached or not,
-	// and fills nothing.
+	// TryGetNode answers what the cache can answer — a found node never
+	// becomes not-found — and caches a node the store finds; "not stored
+	// yet" is asked again every time.
+	before := cache.Stats()
 	for i := 0; i < 3; i++ {
 		if _, ok, err := cache.TryGetNode(1, leafKey(0)); err != nil || !ok {
 			t.Fatalf("TryGetNode(cached) = %v, %v", ok, err)
@@ -150,19 +152,31 @@ func TestNodeCacheNeverCachesErrorsOrProbes(t *testing.T) {
 			t.Fatalf("TryGetNode(absent) = %v, %v", ok, err)
 		}
 	}
-	if got := probe.tries.Load(); got != 9 {
-		t.Fatalf("%d probes reached the store, want 9", got)
+	if got := probe.tries.Load(); got != 4 {
+		t.Fatalf("%d probes reached the store, want 4: one for the stored node, three for the absent one", got)
 	}
-	if st := cache.Stats(); st.Entries != 1 {
-		t.Fatalf("%d entries after probes, want the 1 from GetNode", st.Entries)
+	if st := cache.Stats(); st.Entries != 2 || st.Hits-before.Hits != 5 || st.Misses-before.Misses != 4 {
+		t.Fatalf("stats %+v after the probes (from %+v): want 2 entries, 5 more hits, 4 more misses", st, before)
 	}
+	// A leaf this handle stored is the predecessor its next write flattens
+	// over: the probe for it never leaves the handle.
+	if err := cache.PutNode(1, leafKey(3), &segtree.Node{Leaf: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := cache.TryGetNode(1, leafKey(3)); err != nil || !ok {
+		t.Fatalf("TryGetNode(just stored) = %v, %v", ok, err)
+	}
+	if got := probe.tries.Load(); got != 4 {
+		t.Fatalf("a probe for a node this cache stored reached the store (%d probes)", got)
+	}
+	entries := cache.Stats().Entries
 
 	// A refused PutNode is not cached either.
 	probe.failPuts.Store(1)
 	if err := cache.PutNode(1, leafKey(7), &segtree.Node{Leaf: true}); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want the injected failure", err)
 	}
-	if st := cache.Stats(); st.Entries != 1 {
+	if st := cache.Stats(); st.Entries != entries {
 		t.Fatalf("a refused put was cached: %+v", st)
 	}
 	if _, err := cache.GetNode(1, leafKey(7)); err == nil {

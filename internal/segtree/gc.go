@@ -119,13 +119,10 @@ func (t *Tree) exclusiveLeaf(off, size int64, drop NodeKey, keep []NodeKey, seen
 // one leaf over its full page (any sub-range read resolves a subset of
 // these, so this is the complete reference set of the leaf).
 func (t *Tree) reachableKeys(leaf NodeKey, off, size int64) ([]chunk.Key, error) {
-	n, err := t.Store.GetNode(t.Blob, leaf)
+	// A leaf is the root of its own one-level tree: the walk is the
+	// chain's.
+	frags, _, err := t.Resolve(leaf, extent.List{{Offset: off, Length: size}})
 	if err != nil {
-		return nil, err
-	}
-	var frags []Fragment
-	var holes extent.List
-	if err := t.resolveLeaf(n, extent.List{{Offset: off, Length: size}}, &frags, &holes); err != nil {
 		return nil, err
 	}
 	var keys []chunk.Key

@@ -24,10 +24,10 @@
 package segtree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/chunk"
 	"repro/internal/extent"
@@ -160,11 +160,15 @@ var ErrOutOfRange = errors.New("segtree: access beyond blob capacity")
 // (geometry range → latest prior version, 0 meaning never written).
 // It returns the new root key. Pieces must be sorted by offset,
 // non-overlapping, and must not cross page boundaries (use SplitPlaced).
+//
+// The store sees two list operations: one try-get of the predecessor
+// leaves that flattening needs, then one put of every node of the update
+// (readers only see the tree after publication, so the nodes need no
+// order among themselves).
 func (t *Tree) Build(v uint64, placed []Placed, borrows map[extent.Extent]uint64) (NodeKey, error) {
 	if len(placed) == 0 {
 		return NodeKey{}, errors.New("segtree: empty update")
 	}
-	el := make(extent.List, 0, len(placed))
 	for i, p := range placed {
 		if p.Ext.Offset < 0 || p.Ext.End() > t.Geo.Capacity {
 			return NodeKey{}, fmt.Errorf("%w: piece %v", ErrOutOfRange, p.Ext)
@@ -175,39 +179,35 @@ func (t *Tree) Build(v uint64, placed []Placed, borrows map[extent.Extent]uint64
 		if i > 0 && placed[i-1].Ext.End() > p.Ext.Offset {
 			return NodeKey{}, fmt.Errorf("segtree: pieces unsorted or overlapping at %d", i)
 		}
-		el = append(el, p.Ext)
 	}
-	el = el.Normalize()
 
 	// Phase 1: plan the new tree in memory. Inner-node child keys are
 	// known immediately (new key if the child is touched, borrow key
-	// otherwise), so only leaves need store access.
-	type leafTask struct {
-		r      extent.Extent
-		pieces []Placed
-		prev   uint64
+	// otherwise), so only leaves need store access: a leaf's entry in
+	// nodes starts as this write's fragments alone.
+	type partial struct {
+		at      int         // index in nodes
+		covered extent.List // what the write covers of the page
 	}
-	type pending struct {
-		key  NodeKey
-		node *Node
-	}
-	var leaves []leafTask
-	var leafKeys []NodeKey
-	var inners []pending
+	var (
+		keys     []NodeKey
+		nodes    []*Node
+		partials []partial // leaves that go over a predecessor
+		prevKeys []NodeKey // partials[i]'s predecessor
+	)
 	var plan func(off, size int64, pieces []Placed) NodeKey
 	plan = func(off, size int64, pieces []Placed) NodeKey {
 		r := extent.Extent{Offset: off, Length: size}
 		if len(pieces) == 0 {
-			w := borrows[r]
-			if w == 0 {
-				return NodeKey{}
-			}
-			return NodeKey{Version: w, Offset: off, Size: size}
+			return borrowed(borrows, r)
 		}
 		key := NodeKey{Version: v, Offset: off, Size: size}
 		if size == t.Geo.Page {
-			leaves = append(leaves, leafTask{r: r, pieces: pieces, prev: borrows[r]})
-			leafKeys = append(leafKeys, key)
+			n, covered, under := startLeaf(r, pieces, borrows[r])
+			if !under.IsZero() {
+				partials, prevKeys = append(partials, partial{len(nodes), covered}), append(prevKeys, under)
+			}
+			keys, nodes = append(keys, key), append(nodes, n)
 			return key
 		}
 		half := size / 2
@@ -218,54 +218,38 @@ func (t *Tree) Build(v uint64, placed []Placed, borrows map[extent.Extent]uint64
 		}
 		lk := plan(off, half, pieces[:split])
 		rk := plan(mid, half, pieces[split:])
-		inners = append(inners, pending{key: key, node: &Node{Left: lk, Right: rk}})
+		keys, nodes = append(keys, key), append(nodes, &Node{Left: lk, Right: rk})
 		return key
 	}
 	root := plan(0, t.Geo.Capacity, placed)
 
-	// Phase 2: build and store every node in parallel (BlobSeer's
-	// metadata is a DHT; node writes are independent and readers only
-	// see the tree after publication, so no ordering is required).
-	sem := make(chan struct{}, maxMetaParallel)
-	errs := make(chan error, len(leaves)+len(inners))
-	var wg sync.WaitGroup
-	for i := range leaves {
-		wg.Add(1)
-		go func(task leafTask, key NodeKey) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			n, err := t.buildLeaf(v, task.r, task.pieces, task.prev)
-			if err == nil {
-				err = t.Store.PutNode(t.Blob, key, n)
-			}
-			if err != nil {
-				errs <- err
-			}
-		}(leaves[i], leafKeys[i])
+	// Phase 2: put each partial leaf over its predecessor.
+	store := batchOf(t.Store)
+	if len(prevKeys) > 0 {
+		prevs, err := store.GetNodes(t.Blob, prevKeys, true)
+		if err != nil {
+			return NodeKey{}, err
+		}
+		for i, p := range partials {
+			nodes[p.at].underlay(prevKeys[i], prevs[i], p.covered)
+		}
 	}
-	for _, p := range inners {
-		wg.Add(1)
-		go func(p pending) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := t.Store.PutNode(t.Blob, p.key, p.node); err != nil {
-				errs <- err
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+	// Phase 3: store the update.
+	if err := store.PutNodes(t.Blob, keys, nodes); err != nil {
 		return NodeKey{}, err
 	}
 	return root, nil
 }
 
-// maxMetaParallel bounds a single write's in-flight metadata requests,
-// mimicking a client with a bounded request window.
-const maxMetaParallel = 64
+// borrowed is the key an update uses for a range it does not touch: the
+// latest prior version's node, or the hole sentinel.
+func borrowed(borrows map[extent.Extent]uint64, r extent.Extent) NodeKey {
+	w := borrows[r]
+	if w == 0 {
+		return NodeKey{}
+	}
+	return NodeKey{Version: w, Offset: r.Offset, Size: r.Length}
+}
 
 // BuildEmpty writes tombstone metadata for ticket v over the given
 // (normalized) extent list: every touched leaf gets an empty overlay
@@ -273,7 +257,8 @@ const maxMetaParallel = 64
 // predecessor while still materializing every node that later writers
 // may have borrowed by version. This is how a failed write (chunk
 // store error after ticket assignment) retires its ticket without
-// stalling publication or leaving dangling references.
+// stalling publication or leaving dangling references. The store sees
+// one put of every node.
 func (t *Tree) BuildEmpty(v uint64, touched extent.List, borrows map[extent.Extent]uint64) (NodeKey, error) {
 	touched = touched.Normalize()
 	if len(touched) == 0 {
@@ -282,80 +267,79 @@ func (t *Tree) BuildEmpty(v uint64, touched extent.List, borrows map[extent.Exte
 	if b := touched.Bounding(); b.Offset < 0 || b.End() > t.Geo.Capacity {
 		return NodeKey{}, fmt.Errorf("%w: tombstone %v", ErrOutOfRange, b)
 	}
-	type pending struct {
-		key  NodeKey
-		node *Node
-	}
-	var nodes []pending
+	var (
+		keys  []NodeKey
+		nodes []*Node
+	)
 	var plan func(off, size int64) NodeKey
 	plan = func(off, size int64) NodeKey {
 		r := extent.Extent{Offset: off, Length: size}
 		if !touched.IntersectsExtent(r) {
-			w := borrows[r]
-			if w == 0 {
-				return NodeKey{}
-			}
-			return NodeKey{Version: w, Offset: off, Size: size}
+			return borrowed(borrows, r)
 		}
 		key := NodeKey{Version: v, Offset: off, Size: size}
-		if size == t.Geo.Page {
-			n := &Node{Leaf: true}
-			if prev := borrows[r]; prev != 0 {
-				n.Prev = NodeKey{Version: prev, Offset: off, Size: size}
-			}
-			nodes = append(nodes, pending{key: key, node: n})
-			return key
+		n := &Node{Leaf: true, Prev: borrowed(borrows, r)}
+		if size != t.Geo.Page {
+			half := size / 2
+			n = &Node{Left: plan(off, half), Right: plan(off+half, half)}
 		}
-		half := size / 2
-		lk := plan(off, half)
-		rk := plan(off+half, half)
-		nodes = append(nodes, pending{key: key, node: &Node{Left: lk, Right: rk}})
+		keys, nodes = append(keys, key), append(nodes, n)
 		return key
 	}
 	root := plan(0, t.Geo.Capacity)
-	for _, p := range nodes {
-		if err := t.Store.PutNode(t.Blob, p.key, p.node); err != nil {
-			return NodeKey{}, err
-		}
+	if err := batchOf(t.Store).PutNodes(t.Blob, keys, nodes); err != nil {
+		return NodeKey{}, err
 	}
 	return root, nil
 }
 
-// buildLeaf assembles the new leaf for page r: this write's fragments,
-// merged with the predecessor's surviving fragments when the
-// predecessor leaf is flat and already stored (the flattening
-// optimization); otherwise chained via Prev.
-func (t *Tree) buildLeaf(v uint64, r extent.Extent, pieces []Placed, prevVersion uint64) (*Node, error) {
+// startLeaf begins the new leaf for page r: this write's fragments. When
+// they leave part of a page written before (by prevVersion) uncovered the
+// leaf is not finished: under names the predecessor leaf it goes over and
+// covered what the write covers of the page, for underlay.
+func startLeaf(r extent.Extent, pieces []Placed, prevVersion uint64) (n *Node, covered extent.List, under NodeKey) {
 	frags := make([]Fragment, 0, len(pieces))
-	covered := make(extent.List, 0, len(pieces))
+	covered = make(extent.List, 0, len(pieces))
 	for _, p := range pieces {
 		frags = append(frags, Fragment{Ext: p.Ext, Ref: p.Ref})
 		covered = append(covered, p.Ext)
 	}
 	covered = covered.Normalize()
-
-	n := &Node{Leaf: true, Frags: frags}
+	n = &Node{Leaf: true, Frags: frags}
 	if prevVersion == 0 {
-		return n, nil // first write to this page
+		return n, nil, NodeKey{} // first write to this page
 	}
-	if covered.Equal(extent.List{r}) {
-		return n, nil // page fully overwritten; predecessor invisible
+	if len(covered) == 1 && covered[0] == r {
+		return n, nil, NodeKey{} // page fully overwritten; predecessor invisible
 	}
-	prevKey := NodeKey{Version: prevVersion, Offset: r.Offset, Size: r.Length}
-	prev, ok, err := t.Store.TryGetNode(t.Blob, prevKey)
+	return n, covered, NodeKey{Version: prevVersion, Offset: r.Offset, Size: r.Length}
+}
+
+// underlay finishes a leaf from startLeaf over its predecessor: merged
+// with the predecessor's surviving fragments when that leaf is flat and
+// already stored (the flattening optimization); chained via Prev when it
+// is missing — prev nil, still in flight — or itself chained, for readers
+// to resolve newest-first.
+func (n *Node) underlay(prevKey NodeKey, prev *Node, covered extent.List) {
+	if prev == nil || !prev.Prev.IsZero() {
+		n.Prev = prevKey
+		return
+	}
+	n.Frags = overlayFragments(prev.Frags, n.Frags, covered)
+}
+
+// buildLeaf is the single-leaf form of Build's second phase, for the
+// pipelined Builder, whose leaves complete one at a time.
+func (t *Tree) buildLeaf(r extent.Extent, pieces []Placed, prevVersion uint64) (*Node, error) {
+	n, covered, under := startLeaf(r, pieces, prevVersion)
+	if under.IsZero() {
+		return n, nil
+	}
+	prev, _, err := t.Store.TryGetNode(t.Blob, under)
 	if err != nil {
 		return nil, err
 	}
-	if !ok || !prev.Prev.IsZero() {
-		// Predecessor missing (still in flight) or itself chained:
-		// keep the chain; readers resolve it newest-first.
-		n.Prev = prevKey
-		return n, nil
-	}
-	// Flatten: survivors are the predecessor fragments minus our
-	// coverage.
-	merged := overlayFragments(prev.Frags, frags, covered)
-	n.Frags = merged
+	n.underlay(under, prev, covered)
 	return n, nil
 }
 
@@ -367,15 +351,7 @@ func overlayFragments(old, newFrags []Fragment, newCovered extent.List) []Fragme
 	for _, f := range old {
 		surviving := extent.List{f.Ext}.Subtract(newCovered)
 		for _, s := range surviving {
-			out = append(out, Fragment{
-				Ext: s,
-				Ref: chunk.Ref{
-					Key:      f.Ref.Key,
-					Offset:   f.Ref.Offset + (s.Offset - f.Ext.Offset),
-					Length:   s.Length,
-					Replicas: f.Ref.Replicas,
-				},
-			})
+			out = append(out, f.clip(s))
 		}
 	}
 	out = append(out, newFrags...)
@@ -383,16 +359,34 @@ func overlayFragments(old, newFrags []Fragment, newCovered extent.List) []Fragme
 	return out
 }
 
+// clip returns the part of f that holds want, a sub-range of f.Ext.
+func (f Fragment) clip(want extent.Extent) Fragment {
+	return Fragment{
+		Ext: want,
+		Ref: chunk.Ref{
+			Key:      f.Ref.Key,
+			Offset:   f.Ref.Offset + (want.Offset - f.Ext.Offset),
+			Length:   want.Length,
+			Replicas: f.Ref.Replicas,
+		},
+	}
+}
+
+// sortFragments orders disjoint fragments by offset; fragments that
+// arrive in order, as most do, are left alone.
 func sortFragments(fs []Fragment) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Ext.Offset < fs[j].Ext.Offset })
+	byOffset := func(a, b Fragment) int { return cmp.Compare(a.Ext.Offset, b.Ext.Offset) }
+	if !slices.IsSortedFunc(fs, byOffset) {
+		slices.SortFunc(fs, byOffset)
+	}
 }
 
 // Resolve walks the tree from root and maps every requested byte to the
 // chunk fragment holding it at that snapshot. Bytes never written are
-// returned in holes (and read as zero). The query list must be
-// normalized. Sub-tree walks run in parallel (bounded by
-// maxMetaParallel) so a wide read pays tree-depth round trips, not
-// node-count.
+// returned in holes (and read as zero). The walk is level-synchronous:
+// the store sees one list get per level of the tree — every node of the
+// level the query reaches — and then one per link of the leaves' chains,
+// so a wide read pays tree-depth round trips, not node-count.
 func (t *Tree) Resolve(root NodeKey, query extent.List) (frags []Fragment, holes extent.List, err error) {
 	query = query.Normalize()
 	for _, q := range query {
@@ -404,122 +398,92 @@ func (t *Tree) Resolve(root NodeKey, query extent.List) (frags []Fragment, holes
 		return nil, nil, nil
 	}
 	if root.IsZero() {
-		return nil, query.Clone(), nil
+		return nil, query, nil
 	}
 
-	var mu sync.Mutex // guards frags, holes, firstErr
-	var firstErr error
-	sem := make(chan struct{}, maxMetaParallel)
-	var wg sync.WaitGroup
-
-	addHoles := func(q extent.List) {
-		mu.Lock()
-		holes = append(holes, q...)
-		mu.Unlock()
+	// part is the piece of the query that falls under one node.
+	type part struct {
+		node *Node // leaves only: the link of the chain reached so far
+		q    extent.List
 	}
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	var walk func(key NodeKey, q extent.List)
-	walk = func(key NodeKey, q extent.List) {
-		if len(q) == 0 {
-			return
-		}
-		if key.IsZero() {
-			addHoles(q)
-			return
-		}
-		sem <- struct{}{}
-		n, err := t.Store.GetNode(t.Blob, key)
-		<-sem
+	store := batchOf(t.Store)
+	level, keys := []part{{q: query}}, []NodeKey{root}
+	var leaves []part
+	for len(level) > 0 {
+		nodes, err := store.GetNodes(t.Blob, keys, false)
 		if err != nil {
-			fail(fmt.Errorf("segtree: fetch %s: %w", key, err))
-			return
+			return nil, nil, fmt.Errorf("segtree: fetch %d nodes from %s on: %w", len(keys), keys[0], err)
 		}
-		if n.Leaf {
-			var localFrags []Fragment
-			var localHoles extent.List
-			if err := t.resolveLeaf(n, q, &localFrags, &localHoles); err != nil {
-				fail(err)
-				return
+		var (
+			below     []part
+			belowKeys []NodeKey
+		)
+		descend := func(child NodeKey, q extent.List) {
+			switch {
+			case len(q) == 0:
+			case child.IsZero():
+				holes = append(holes, q...)
+			default:
+				below, belowKeys = append(below, part{q: q}), append(belowKeys, child)
 			}
-			mu.Lock()
-			frags = append(frags, localFrags...)
-			holes = append(holes, localHoles...)
-			mu.Unlock()
-			return
 		}
-		half := key.Size / 2
-		lr := extent.Extent{Offset: key.Offset, Length: half}
-		rr := extent.Extent{Offset: key.Offset + half, Length: half}
-		lq := q.Intersect(extent.List{lr})
-		rq := q.Intersect(extent.List{rr})
-		if len(lq) > 0 && len(rq) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				walk(n.Left, lq)
-			}()
-			walk(n.Right, rq)
-			return
+		for i, n := range nodes {
+			if n.Leaf {
+				leaves = append(leaves, part{n, level[i].q})
+				continue
+			}
+			lq, rq := level[i].q.Cut(keys[i].Offset + keys[i].Size/2)
+			descend(n.Left, lq)
+			descend(n.Right, rq)
 		}
-		if len(lq) > 0 {
-			walk(n.Left, lq)
-		}
-		if len(rq) > 0 {
-			walk(n.Right, rq)
-		}
+		level, keys = below, belowKeys
 	}
-	walk(root, query)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	holes = holes.Normalize()
-	sortFragments(frags)
-	return frags, holes, nil
-}
 
-// resolveLeaf satisfies q from the leaf's fragment chain, newest first.
-func (t *Tree) resolveLeaf(n *Node, q extent.List, frags *[]Fragment, holes *extent.List) error {
-	remaining := q.Normalize()
-	cur := n
-	for {
-		covered := make(extent.List, 0, len(cur.Frags))
-		for _, f := range cur.Frags {
-			covered = append(covered, f.Ext)
-		}
-		covered = covered.Normalize()
-		for _, f := range cur.Frags {
-			for _, want := range remaining.Intersect(extent.List{f.Ext}) {
-				*frags = append(*frags, Fragment{
-					Ext: want,
-					Ref: chunk.Ref{
-						Key:      f.Ref.Key,
-						Offset:   f.Ref.Offset + (want.Offset - f.Ext.Offset),
-						Length:   want.Length,
-						Replicas: f.Ref.Replicas,
-					},
-				})
+	// Each leaf satisfies what it can of its part, newest link first; what
+	// remains goes to the link behind it, all leaves' next links fetched
+	// together.
+	for len(leaves) > 0 {
+		var behind []part
+		keys = keys[:0]
+		for _, l := range leaves {
+			rest := l.node.resolve(l.q, &frags)
+			switch {
+			case len(rest) == 0:
+			case l.node.Prev.IsZero():
+				holes = append(holes, rest...)
+			default:
+				behind, keys = append(behind, part{q: rest}), append(keys, l.node.Prev)
 			}
 		}
-		remaining = remaining.Subtract(covered)
-		if len(remaining) == 0 || cur.Prev.IsZero() {
+		if len(behind) == 0 {
 			break
 		}
-		next, err := t.Store.GetNode(t.Blob, cur.Prev)
+		nodes, err := store.GetNodes(t.Blob, keys, false)
 		if err != nil {
-			return fmt.Errorf("segtree: fetch chained leaf %s: %w", cur.Prev, err)
+			return nil, nil, fmt.Errorf("segtree: fetch %d chained leaves from %s on: %w", len(keys), keys[0], err)
 		}
-		cur = next
+		for i := range behind {
+			behind[i].node = nodes[i]
+		}
+		leaves = behind
 	}
-	*holes = append(*holes, remaining...)
-	return nil
+	sortFragments(frags)
+	return frags, holes.Normalize(), nil
+}
+
+// resolve appends to frags what leaf n holds of the normalized list q,
+// and returns the rest of q.
+func (n *Node) resolve(q extent.List, frags *[]Fragment) extent.List {
+	covered := make(extent.List, 0, len(n.Frags))
+	for _, f := range n.Frags {
+		covered = append(covered, f.Ext)
+		for _, e := range q {
+			if want := e.Intersect(f.Ext); !want.Empty() {
+				*frags = append(*frags, f.clip(want))
+			}
+		}
+	}
+	return q.Subtract(covered)
 }
 
 // SplitPlaced splits placed pieces at page boundaries, adjusting chunk
