@@ -86,9 +86,9 @@ func main() {
 		ctrlModel = iosim.DefaultMetadata()
 	}
 
-	// One registry spans every role this process hosts; the Node RPC
-	// service exposes it (bsctl metrics) and the server codec counts
-	// inbound RPCs into it.
+	// One registry spans every role this process hosts; the node serves
+	// it at GET /metrics (bsctl metrics) and counts every version-manager
+	// and operator call into it.
 	reg := metrics.NewRegistry()
 
 	var roles remote.Roles
@@ -209,7 +209,7 @@ func main() {
 			QueueDepth:     *gcQueue,
 			Interval:       *gcInterval,
 		})
-		// Blobs are created by clients over RPC; the reaper discovers
+		// Blobs are created by remote clients; the reaper discovers
 		// them from the version manager at each pass start.
 		roles.Reaper.SetMetrics(reg)
 		roles.Reaper.SetCatalog(blob.Services{VM: roles.VM, Meta: roles.Meta, Data: roles.Data}, roles.VM)

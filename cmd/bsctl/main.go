@@ -21,21 +21,31 @@
 //	bsctl usage                   # per-provider chunk count / bytes stored
 //	bsctl readtier                # zone-local read locality and read-cache counters
 //	bsctl metrics                 # full metrics registry, Prometheus text exposition
+//
+// Blob commands speak the framed wire (remote.DialFramed); the operator
+// commands are plain HTTP requests to the node's operator surface on the
+// same ports — status to -vm, the rest to -data — so curl can make them
+// too (see internal/remote/admin.go).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/blob"
+	"repro/internal/chunk"
+	"repro/internal/core"
 	"repro/internal/extent"
 	"repro/internal/provider"
 	"repro/internal/remote"
 	"repro/internal/segtree"
+	"repro/internal/vmanager"
 )
 
 func main() {
@@ -70,6 +80,12 @@ func main() {
 	}
 	defer cli.Close()
 	svc := cli.Services()
+	// admin makes an operator call on the data node.
+	admin := func(method, path string, out any) {
+		if err := remote.Admin(*dataAddr, method, path, out); err != nil {
+			fail(err)
+		}
+	}
 
 	switch cmd {
 	case "create":
@@ -140,21 +156,18 @@ func main() {
 		}
 
 	case "repair":
-		st, err := cli.Repair()
-		if err != nil {
-			fail(err)
-		}
+		var st provider.RepairStats
+		admin(http.MethodPost, "/repair", &st)
 		fmt.Printf("repair: scanned %d, degraded %d, copied %d, repaired %d, lost %d, failed %d\n",
 			st.Scanned, st.Degraded, st.Copied, st.Repaired, st.Lost, st.Failed)
 
 	case "health":
-		sts, err := cli.Health()
-		if err != nil {
-			fail(err)
-		}
+		var sts []provider.HealthStatus
+		admin(http.MethodGet, "/health", &sts)
 		// Placement mode first: it sets the durability promise the rest
 		// of the report is judged against.
-		if mode, err := cli.Coding(); err == nil {
+		var mode remote.CodingReply
+		if err := remote.Admin(*dataAddr, http.MethodGet, "/coding", &mode); err == nil {
 			if mode.Coded {
 				fmt.Printf("placement: erasure coded rs-%d+%d (any %d fragment losses survivable, %.2fx storage), write quorum %d/%d\n",
 					mode.K, mode.M, mode.M, float64(mode.K+mode.M)/float64(mode.K), mode.Quorum, mode.K+mode.M)
@@ -210,10 +223,8 @@ func main() {
 			fmt.Println("spread audit: n/a (flat or partially tagged pool — domain spread inactive)")
 			break
 		}
-		violations, err := cli.SpreadAudit()
-		if err != nil {
-			fail(err)
-		}
+		var violations []chunk.Key
+		admin(http.MethodGet, "/spread-audit", &violations)
 		if len(violations) == 0 {
 			fmt.Println("spread audit: clean (no chunk's live replicas share a failure domain)")
 		} else {
@@ -228,8 +239,8 @@ func main() {
 		}
 
 	case "status":
-		shards, err := cli.ShardStatus()
-		if err != nil {
+		var shards []vmanager.ShardStatus
+		if err := remote.Admin(*vmAddr, http.MethodGet, "/shards", &shards); err != nil {
 			fail(err)
 		}
 		fmt.Printf("control plane: %d shard(s)\n", len(shards))
@@ -251,10 +262,8 @@ func main() {
 		}
 
 	case "scrub":
-		st, err := cli.Scrub(*syncScrub)
-		if err != nil {
-			fail(err)
-		}
+		var st core.HealerStats
+		admin(http.MethodPost, fmt.Sprintf("/scrub?sync=%t", *syncScrub), &st)
 		fmt.Printf("scrub: ticks %d, passes %d, verified %d chunks (%d errors)\n",
 			st.Ticks, st.ScrubPasses, st.ScrubbedChunks, st.ScrubErrors)
 		fmt.Printf("queue: enqueued %d, dup %d, dropped %d, depth %d\n",
@@ -297,10 +306,8 @@ func main() {
 		fmt.Printf("blob %d v%d %sned\n", *blobID, *version, cmd)
 
 	case "gc":
-		st, err := cli.GC(*syncScrub)
-		if err != nil {
-			fail(err)
-		}
+		var st core.ReaperStats
+		admin(http.MethodPost, fmt.Sprintf("/gc?sync=%t", *syncScrub), &st)
 		fmt.Printf("gc: ticks %d, passes %d, auto-dropped %d versions, reclaimed %d versions\n",
 			st.Ticks, st.Passes, st.AutoDropped, st.Reclaimed)
 		fmt.Printf("walk: %d refs (%d stale hints, %d errors), %d pending versions diffed\n",
@@ -311,10 +318,8 @@ func main() {
 			st.Enqueued, st.Duplicates, st.Dropped, st.QueueLen)
 
 	case "usage":
-		us, err := cli.Usage()
-		if err != nil {
-			fail(err)
-		}
+		var us []provider.ProviderUsage
+		admin(http.MethodGet, "/usage", &us)
 		var domains []string
 		byDomain := map[string][]provider.ProviderUsage{}
 		for _, u := range us {
@@ -357,10 +362,8 @@ func main() {
 		fmt.Printf("total (live)            %6d chunks %12d bytes\n", chunks, bytes)
 
 	case "readtier":
-		rt, err := cli.ReadTier()
-		if err != nil {
-			fail(err)
-		}
+		var rt remote.ReadTierReply
+		admin(http.MethodGet, "/read-tier", &rt)
 		domain := rt.LocalDomain
 		if domain == "" {
 			domain = "(none — flat replica rotation)"
@@ -380,28 +383,22 @@ func main() {
 		fmt.Printf("churn: %d fills, %d evictions, %d invalidations\n", cs.Fills, cs.Evictions, cs.Invalidations)
 
 	case "metrics":
-		text, err := cli.Metrics()
-		if err != nil {
-			fail(err)
-		}
+		var text string
+		admin(http.MethodGet, "/metrics", &text)
 		fmt.Print(text)
 
 	case "down", "up":
 		if *providerID < 0 {
 			fail(fmt.Errorf("bsctl: %s requires -provider", cmd))
 		}
-		if err := cli.SetProviderDown(provider.ID(*providerID), cmd == "down"); err != nil {
-			fail(err)
-		}
+		admin(http.MethodPost, fmt.Sprintf("/providers/%d/down?down=%t", *providerID, cmd == "down"), nil)
 		fmt.Printf("provider %d marked %s\n", *providerID, cmd)
 
 	case "domain":
 		if *providerID < 0 || *domainName == "" {
 			fail(fmt.Errorf("bsctl: domain requires -provider and -name"))
 		}
-		if err := cli.SetProviderDomain(provider.ID(*providerID), *domainName); err != nil {
-			fail(err)
-		}
+		admin(http.MethodPost, fmt.Sprintf("/providers/%d/domain?name=%s", *providerID, url.QueryEscape(*domainName)), nil)
 		fmt.Printf("provider %d registered in failure domain %s\n", *providerID, *domainName)
 
 	default:

@@ -293,8 +293,8 @@ func TestBatchQueuedAtCloseFailsEveryMember(t *testing.T) {
 	}
 	// (run waits for its helpers: that both batches returned is what
 	// shows no goroutine of theirs is left in the queue.)
-	if n := srv.accepted.Load(); n != framedPoolCap+1 { // the gob data connection beside the pool's
-		t.Errorf("%d connections accepted, want %d: a queued batch dialed", n, framedPoolCap+1)
+	if n := srv.accepted.Load(); n != framedPoolCap {
+		t.Errorf("%d connections accepted, want %d: a queued batch dialed", n, framedPoolCap)
 	}
 	srv.letGo()
 	for i := 0; i < framedPoolCap; i++ {

@@ -34,9 +34,9 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
-// gobConnsPerClient is what DialFramed opens before any chunk or node
-// moves: one gob connection each for the VM and Data endpoints.
-const gobConnsPerClient = 2
+// vmConnsPerClient is what DialFramed opens before any call is made: one
+// framed connection to the VM endpoint.
+const vmConnsPerClient = 1
 
 // startCountedNode boots an all-roles node (8 providers on storeURL
 // stores, R=1) behind a counting listener.

@@ -44,7 +44,7 @@ func TestDomainRPCs(t *testing.T) {
 	if len(ids) != 2 {
 		t.Fatalf("stored %d copies, want 2", len(ids))
 	}
-	if audit, err := cli.SpreadAudit(); err != nil || len(audit) != 0 {
+	if audit, err := opsOf(cli).SpreadAudit(); err != nil || len(audit) != 0 {
 		t.Fatalf("flat pool audit = %v, %v, want clean", audit, err)
 	}
 
@@ -55,11 +55,11 @@ func TestDomainRPCs(t *testing.T) {
 		if p.ID() == ids[0] || p.ID() == ids[1] {
 			name = "rackA"
 		}
-		if err := cli.SetProviderDomain(p.ID(), name); err != nil {
+		if err := opsOf(cli).SetProviderDomain(p.ID(), name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sts, err := cli.Health()
+	sts, err := opsOf(cli).Health()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDomainRPCs(t *testing.T) {
 			t.Fatalf("health reply lost the domain label: %+v", st)
 		}
 	}
-	us, err := cli.Usage()
+	us, err := opsOf(cli).Usage()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +80,17 @@ func TestDomainRPCs(t *testing.T) {
 
 	// The audit sees the exposure the retag created, and a repair pass
 	// clears it by re-spreading.
-	audit, err := cli.SpreadAudit()
+	audit, err := opsOf(cli).SpreadAudit()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(audit) != 1 || audit[0] != key {
 		t.Fatalf("audit = %v, want [%s]", audit, key)
 	}
-	if _, err := cli.Repair(); err != nil {
+	if _, err := opsOf(cli).Repair(); err != nil {
 		t.Fatal(err)
 	}
-	if audit, err := cli.SpreadAudit(); err != nil || len(audit) != 0 {
+	if audit, err := opsOf(cli).SpreadAudit(); err != nil || len(audit) != 0 {
 		t.Fatalf("audit after repair = %v, %v, want clean", audit, err)
 	}
 	if got, err := cli.Get(key, 0, 15); err != nil || string(got) != "racked together" {

@@ -1,18 +1,13 @@
-// Framed plane: the binary wire protocol that carries the two immutable
-// put-once/get-many stores — chunk payloads (every Put, Get and GetFrom
-// of a Client) and segment-tree nodes (every PutNode, GetNode and
-// TryGetNode) — in length-prefixed frames instead of gob values. It is
-// the only transport for either. Control RPCs (tickets, versions,
-// admin) stay on gob: the byte- and call-heavy paths are where
-// serialization cost and the lack of pipelining dominate.
+// Framed plane: the binary wire protocol that carries every call a
+// Client makes — the version manager's calls, chunk payloads and
+// segment-tree nodes — in length-prefixed frames.
 //
-// Negotiation is per-connection: a client opens each framed connection
-// by sending the 4-byte magic "BSD1"; the server peeks the first bytes
-// of every accepted connection and routes magic-led ones to the framed
-// loop, everything else to the gob RPC server that answers the control
-// calls. A node answers an op whose role it does not host — chunk ops
-// need the data role, node ops the meta role — with an in-band error,
-// keeping the connection.
+// A client opens each framed connection by sending the 4-byte magic
+// "BSD1"; the server peeks the first bytes of every accepted connection
+// and routes magic-led ones to the framed loop, everything else to the
+// HTTP server of the operator calls (admin.go). A node answers an op
+// whose role it does not host — VM, data or meta — with an in-band
+// error, keeping the connection.
 //
 // Wire format (all integers little-endian, matching chunk.Ref):
 //
@@ -21,51 +16,50 @@
 //	  index u32, blob u64, version u64, off i64, length i64,
 //	  hintCount * u32 replica IDs
 //	ops:        1=put, 2=get (chunks, data role); 3=node put, 4=node
-//	            get, 5=node try-get (tree nodes, meta role). A node op
-//	            names its node in the same fields: blob, version, off =
-//	            the node's offset, length = the node's size; index and
-//	            hints go unused.
+//	            get, 5=node try-get (tree nodes, meta role: blob,
+//	            version, off and length name the node); 6..20 (VM role)
+//	            the blob.VersionService calls in its order: CreateBlob
+//	            (off, length = capacity, page), Geometry, AssignTicket,
+//	            Complete, Abort, WaitPublished, LatestPublished,
+//	            Snapshot, Versions, Retain (off = keepLast), DropVersion,
+//	            Pin, Unpin, GCInfo, MarkReclaimed.
 //	body:       frames of u32 size (1..maxFrame) + payload, then a u32 0
 //	            terminator; the sentinel 0xFFFFFFFF aborts the stream.
+//	err reply:  status u8 1, u32 len + message, to any op.
 //	put:        header + body, the chunk payload. Reply: status u8; 0 ok →
-//	            u8 count + count*u32 replica IDs, 1 err → u32 len + message
-//	get reply:  status u8; ok → u8 freshCount (+IDs) then a body of
-//	            exactly length bytes; err → u32 len + message.
-//	            A store failure mid-frame closes the connection — the
-//	            frame word already promised bytes that cannot arrive,
-//	            so there is no in-band way to abort without desyncing
-//	            the stream. Open-time errors keep the connection.
-//	node put:   header + body, the node in segtree's binary form
-//	            (segtree.AppendNode), at most maxNodeBody bytes; the
-//	            server drains a longer body and refuses the put.
-//	            Reply: status u8; ok, or err → u32 len + message
-//	node get reply:  status u8; ok → a body, the node; err → u32 len +
-//	            message; 2 miss → nothing more. A try-get answers a node
-//	            not (yet) stored with miss, a get with the store's error.
+//	            u8 count + count*u32 replica IDs.
+//	get reply:  ok → u8 freshCount (+IDs) then a body of exactly length
+//	            bytes. A store failure mid-frame closes the connection —
+//	            the frame word already promised the bytes; open-time
+//	            errors keep it.
+//	node put:   header + body, the node in segtree's binary form, at most
+//	            maxNodeBody bytes (a longer body is drained and refused).
+//	            Reply: ok.
+//	node get reply:  ok → a body, the node; 2 miss → nothing more. A
+//	            try-get answers a node not (yet) stored with miss, a get
+//	            with the store's error.
+//	VM ops:     AssignTicket sends a body, the extent list, Complete one,
+//	            the root key. Reply: ok → a body, the result (empty for
+//	            calls that return none). Bodies are vmanager's binary
+//	            forms (vmanager/wire.go), at most maxVMBody bytes.
 //
 // Requests pipeline on a connection: a client may write any number of
 // whole requests back to back before it reads the first reply, and the
-// server answers them in order. The server flushes its reply buffer
-// only when it holds no further request bytes, so a lone request is
-// answered at once and the replies to a run of requests leave in as few
-// writes as they fit. That is safe because of one client-side rule: a
-// request, once begun, is written to its end without waiting for any
-// reply. The client here goes further and writes a whole train of
-// requests before it reads the train's first reply, and keeps a train
-// to one kind — put bodies still being written while get replies stream
-// back could fill both socket buffers and stop both ends. Nothing in
-// the format tells a pipelined request from a lone one, so clients and
-// servers from before trains interoperate with these.
+// server answers them in order, flushing its reply buffer only when it
+// holds no further request bytes. That is safe because of one
+// client-side rule: a request, once begun, is written to its end without
+// waiting for any reply. The client here writes a whole train of
+// requests of one kind before it reads the train's first reply — put
+// bodies still being written while get replies stream back could fill
+// both socket buffers and stop both ends. A pool forms trains from the
+// batch a caller hands it (Client.PutMany, GetManyInto, PutNodes,
+// GetNodes; a lone call is the batch of one), and from its queue when
+// every connection is busy; see framedPool.
 //
-// Who forms a train: the client's pool, from a batch. A caller hands the
-// pool all its calls of one kind at once (Client.PutMany, GetManyInto,
-// PutNodes, GetNodes; a lone Put or GetNode is the batch of one) and the
-// pool cuts the batch into trains — within maxTrainCalls and
-// maxTrainBytes, over as many connections as the batch can use — so a
-// list operation reaches the wire as a list: no goroutine, queue entry
-// or wake-up per call. Only when every connection is busy does the queue
-// form trains too, by merging the queued ones behind its head. See
-// framedPool.
+// In-order replies are also why a WaitPublished, which parks until
+// earlier versions publish, travels on a connection of its own (a wait
+// pool's), outside the bounded pools: however many waits are parked, the
+// Complete that releases them still finds a connection.
 package remote
 
 import (
@@ -74,9 +68,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -85,52 +81,79 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/provider"
 	"repro/internal/segtree"
+	"repro/internal/vmanager"
 )
 
 // framedMagic is the 4-byte connection preamble that selects the
-// framed data plane. Gob's own stream never starts with these bytes
-// (a gob type definition begins with a small length byte), so the peek
-// is unambiguous.
+// framed plane. No HTTP request starts with these bytes (a method name
+// comes first), so the peek is unambiguous.
 const framedMagic = "BSD1"
 
 const (
-	opPut        = 1
-	opGet        = 2
-	opNodePut    = 3
-	opNodeGet    = 4
-	opNodeTryGet = 5
+	// Chunk ops (data role), node ops (meta role).
+	opPut, opGet, opNodePut, opNodeGet, opNodeTryGet = 1, 2, 3, 4, 5
+	// Version-manager ops (VM role), in blob.VersionService's order.
+	opCreateBlob, opGeometry, opAssignTicket, opComplete, opAbort        = 6, 7, 8, 9, 10
+	opWaitPublished, opLatestPublished, opSnapshot, opVersions, opRetain = 11, 12, 13, 14, 15
+	opDropVersion, opPin, opUnpin, opGCInfo, opMarkReclaimed             = 16, 17, 18, 19, 20
 
-	// Reply statuses.
-	statusOK   = 0
-	statusErr  = 1
-	statusMiss = 2 // node try-get only: the node is not stored
+	// Reply statuses; a miss answers a node try-get only.
+	statusOK, statusErr, statusMiss = 0, 1, 2
 
-	// maxFrame bounds one frame's payload; large enough that disk
-	// reads amortize syscalls, small enough to bound per-frame buffers.
+	// maxFrame bounds one frame's payload: disk reads amortize syscalls,
+	// per-frame buffers stay bounded.
 	maxFrame = 256 << 10
 
-	// frameAbort is the sentinel frame size that aborts an in-flight
-	// body: the sender died or hit an error mid-stream.
+	// frameAbort is the frame size that aborts a body mid-stream.
 	frameAbort = 0xFFFFFFFF
 
 	frameHeaderLen = 40
 
-	// maxNodeBody bounds the encoded node either end accepts off the
-	// wire: some 79,000 fragments in one leaf, far past the point where
-	// rewriting such a leaf on every write to its page is the problem.
+	// maxNodeBody bounds the encoded node either end accepts: some 79,000
+	// fragments in one leaf.
 	maxNodeBody = 4 << 20
+
+	// maxVMBody bounds a version-manager op's request or reply body: the
+	// version list of a blob with some eight million versions.
+	maxVMBody = 64 << 20
 )
+
+// sendsBody reports whether a request of op carries a body.
+func sendsBody(op byte) bool {
+	return op == opPut || op == opNodePut || op == opAssignTicket || op == opComplete
+}
 
 var (
 	errAborted    = errors.New("remote: stream aborted by peer")
 	errNoDataRole = errors.New("remote: chunk op on a node without the data role")
 	errNoMetaRole = errors.New("remote: node op on a node without the meta role")
+	errNoVMRole   = errors.New("remote: version-manager op on a node without the VM role")
 )
 
+// wireSentinels are the errors a caller tests for with errors.Is, which a
+// server's error reply — a message only — would otherwise lose.
+var wireSentinels = []error{
+	vmanager.ErrUnknownBlob, vmanager.ErrBlobExists, vmanager.ErrEmptyWrite,
+	vmanager.ErrUnknownVersion, vmanager.ErrDoubleComplete, vmanager.ErrShardDown,
+	vmanager.ErrVersionDropped, vmanager.ErrVersionPinned, vmanager.ErrUndroppable,
+	vmanager.ErrNotPinned, vmanager.ErrNotPending,
+	chunk.ErrNotFound, chunk.ErrExists,
+}
+
+// wireError is the error a server reported as msg, with the sentinel its
+// text names restored: the same message, wrapping the sentinel.
+func wireError(msg string) error {
+	for _, s := range wireSentinels {
+		if i := strings.Index(msg, s.Error()); i >= 0 {
+			return fmt.Errorf("%s%w%s", msg[:i], s, msg[i+len(s.Error()):])
+		}
+	}
+	return errors.New(msg)
+}
+
 // PutOverrunError refuses a put whose body carried payload beyond the
-// length its header declared. The store was handed exactly the declared
-// bytes; the error tells the sender that its header and body disagree
-// instead of acknowledging a body it did not store.
+// length its header declared, instead of acknowledging bytes the store
+// was never handed.
 type PutOverrunError struct {
 	Key             chunk.Key
 	Declared, Extra int64
@@ -175,10 +198,9 @@ func appendHeader(buf []byte, h *frameHeader) []byte {
 	return buf
 }
 
-// peek returns the next n bytes of r without consuming them; the caller
-// discards them once parsed. n must not exceed r's buffer (every caller
-// asks for at most 4*maxWireIDs bytes). A stream that ends inside the n
-// bytes is an unexpected EOF, one that ends before them a clean one.
+// peek returns the next n bytes of r, at most its buffer, unconsumed. A
+// stream that ends inside them is an unexpected EOF, before them a clean
+// one.
 func peek(r *bufio.Reader, n int) ([]byte, error) {
 	b, err := r.Peek(n)
 	if err == io.EOF && len(b) > 0 {
@@ -288,11 +310,9 @@ func readIDList(r *bufio.Reader, n int) ([]provider.ID, error) {
 	return ids, nil
 }
 
-// frameBodyReader adapts a framed body to io.Reader, so the store's
-// PutFromReader consumes payload bytes straight off the connection —
-// the zero-copy path: socket buffer → store writer, nothing
-// materialized in between. It also feeds the per-frame metrics. A
-// server connection has one, reset per body.
+// frameBodyReader adapts a framed body to io.Reader, so a store consumes
+// payload bytes straight off the connection, and feeds the per-frame
+// metrics. A server connection has one, reset per body.
 type frameBodyReader struct {
 	r       *bufio.Reader
 	left    uint32 // bytes remaining in the current frame
@@ -370,11 +390,11 @@ func (fr *frameBodyReader) drain() error {
 	}
 }
 
-// readNodeBody reads a whole body of at most maxNodeBody bytes, never
-// nil. It allocates frame by frame — for the usual single-frame body
-// once, exactly — so never more than one frame ahead of the bytes that
+// readBody reads a whole body of at most limit bytes, never nil. It
+// allocates frame by frame — for the usual single-frame body once,
+// exactly — so never more than one frame ahead of the bytes that
 // arrived. An error leaves the rest of the body unread.
-func readNodeBody(fr *frameBodyReader) ([]byte, error) {
+func readBody(fr *frameBodyReader, limit int) ([]byte, error) {
 	data := []byte{}
 	for {
 		if err := fr.next(); fr.done {
@@ -383,8 +403,8 @@ func readNodeBody(fr *frameBodyReader) ([]byte, error) {
 			return data, err // io.EOF too: the stream ended before the terminator
 		}
 		n := len(data) + int(fr.left)
-		if n > maxNodeBody {
-			return data, fmt.Errorf("remote: node body exceeds the limit of %d bytes", maxNodeBody)
+		if n > limit {
+			return data, fmt.Errorf("remote: body exceeds the limit of %d bytes", limit)
 		}
 		data = slices.Grow(data, int(fr.left))[:n]
 		if _, err := io.ReadFull(fr, data[n-int(fr.left):]); err != nil {
@@ -393,22 +413,23 @@ func readNodeBody(fr *frameBodyReader) ([]byte, error) {
 	}
 }
 
-// framedServer serves the framed plane of one node: chunk ops against
-// its router, node ops against its metadata store, either nil when the
-// node lacks the role. Its series are nil-tolerant: a node without a
-// metrics role serves uncounted.
+// framedServer serves the framed plane of one node against its roles,
+// any of them nil when the node lacks it. Its series are nil-tolerant: a
+// node without a metrics role serves uncounted.
 type framedServer struct {
+	vm       VMBackend
 	r        *provider.Router
 	nodes    *metadata.Store
 	frames   *metrics.Counter   // bs_data_frames_total
 	bytes    *metrics.Counter   // bs_data_stream_bytes_total
 	flushOps *metrics.Histogram // bs_data_flush_ops
-	// Requests answered: bs_data_requests_total{op}, bs_meta_node_ops_total{op}.
-	requests [opNodeTryGet + 1]*metrics.Counter
+	// Requests answered: bs_data_requests_total{op},
+	// bs_meta_node_ops_total{op}, bs_rpc_requests_total{method}.
+	requests [opMarkReclaimed + 1]*metrics.Counter
 }
 
 func newFramedServer(roles Roles) *framedServer {
-	s := &framedServer{r: roles.Data, nodes: roles.Meta}
+	s := &framedServer{vm: roles.VM, r: roles.Data, nodes: roles.Meta}
 	if reg := roles.Metrics; reg != nil {
 		s.frames = reg.Counter("bs_data_frames_total")
 		s.bytes = reg.Counter("bs_data_stream_bytes_total")
@@ -418,6 +439,10 @@ func newFramedServer(roles Roles) *framedServer {
 		s.requests[opNodePut] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "put"})
 		s.requests[opNodeGet] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "get"})
 		s.requests[opNodeTryGet] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "tryget"})
+		for i, name := range strings.Fields("CreateBlob Geometry AssignTicket Complete Abort WaitPublished " +
+			"LatestPublished Snapshot Versions Retain DropVersion Pin Unpin GCInfo MarkReclaimed") {
+			s.requests[opCreateBlob+i] = rpcCounter(reg, "VM."+name) // as net/rpc named them
+		}
 	}
 	return s
 }
@@ -426,13 +451,10 @@ func newFramedServer(roles Roles) *framedServer {
 // histograms: 1, 2, 4 … up to the longest train a client forms.
 func trainBuckets() []float64 { return metrics.ExponentialBuckets(1, 2, 6) }
 
-// serve handles one framed connection until EOF or a protocol error.
-// Requests are answered in order, and the reply buffer is flushed only
-// when no further request bytes are buffered: a lone request gets its
-// reply at once, while the replies to a train a client pipelined leave
-// together (bs_data_flush_ops counts requests answered per such flush).
-// A client must therefore never wait for a reply in the middle of
-// writing a request; see the file header.
+// serve handles one framed connection until EOF or a protocol error,
+// answering requests in order and flushing only when no further request
+// bytes are buffered (bs_data_flush_ops counts requests per flush); see
+// the file header.
 func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 	defer conn.Close()
 	bw := bufio.NewWriterSize(conn, 64<<10)
@@ -454,7 +476,10 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 		case opNodeGet, opNodeTryGet:
 			err = s.serveNodeGet(bw, h)
 		default:
-			return // protocol violation
+			if h.op < opCreateBlob || h.op > opMarkReclaimed {
+				return // protocol violation
+			}
+			err = s.serveVM(body, bw, h)
 		}
 		if err != nil {
 			return
@@ -529,17 +554,15 @@ func (s *framedServer) serveGet(out *frameWriter, bw *bufio.Writer, h frameHeade
 	if werr := writeIDs(bw, fresh); werr != nil {
 		return werr
 	}
-	// A payload error below is fatal by construction — the frame word
-	// already promised n bytes — so it propagates up and closes the
-	// connection.
+	// A payload error below is fatal — the frame word already promised
+	// the bytes — so it propagates up and closes the connection.
 	if wt, ok := inMemory(rc); ok && 4+min(h.length, maxFrame) >= int64(bw.Size()) {
 		// Frames too large for the write buffer, from a reader that holds
 		// its bytes in memory (a mem:// store's slice, a coded read's
-		// assembled image): it writes itself to the socket, words and
-		// payload in one vectored write per slice it hands over, with no
-		// copy through a buffer of ours. The terminator waits in bw for
-		// the serve loop's flush, as every reply's last byte does: the
-		// counters are up to date before a client can see the get done.
+		// image): it writes itself to the socket through out, one vectored
+		// write per slice, uncopied. The terminator waits in bw for the
+		// serve loop's flush, so the counters are current before a client
+		// can see the get done.
 		if werr := bw.Flush(); werr != nil {
 			return werr
 		}
@@ -556,12 +579,9 @@ func (s *framedServer) serveGet(out *frameWriter, bw *bufio.Writer, h frameHeade
 	for left > 0 {
 		n := min(left, maxFrame)
 		if need := 4 + int(n); need < bw.Size() {
-			// The frame fits the write buffer: copy it in beside its
-			// frame word, so small replies share writes with their
-			// neighbours and nothing is allocated to move them. (bufio
-			// reads straight into its buffer while it has room and hands
-			// the reader to the socket once it is empty, which would
-			// allocate a copy buffer: hence room is made first.)
+			// The frame fits the write buffer: copied in beside its word,
+			// small replies share writes. Room is made first, or bufio
+			// would hand the reader to the socket with a copy buffer.
 			if bw.Available() <= need {
 				if werr := bw.Flush(); werr != nil {
 					return werr
@@ -575,11 +595,8 @@ func (s *framedServer) serveGet(out *frameWriter, bw *bufio.Writer, h frameHeade
 			}
 		} else {
 			// Flush the frame word, then move the payload straight from
-			// the store reader to the socket: for disk stores rc is the
-			// chunk file itself, so the kernel sendfiles page cache →
-			// socket with no user-space copy at all. Sending frames this
-			// large through the buffer instead costs a copy per byte
-			// (CHANGES.md, PR 15: 12 % of checkpoint_restore's read rate).
+			// the store reader to the socket: a disk store's rc is the
+			// chunk file, which the kernel sendfiles (CHANGES.md, PR 15).
 			if werr := writeU32(bw, uint32(n)); werr != nil {
 				return werr
 			}
@@ -597,12 +614,9 @@ func (s *framedServer) serveGet(out *frameWriter, bw *bufio.Writer, h frameHeade
 	return writeU32(bw, 0)
 }
 
-// inMemory reports whether a store's reader can write its bytes out
-// itself from memory, and returns it as the io.WriterTo it then is. The
-// chunk file a disk:// store opens is an io.WriterTo as well, but only
-// towards a socket does that mean sendfile: towards a frameWriter it
-// would read itself into a buffer, so it keeps serveGet's loop, which
-// hands it to the connection frame by frame.
+// inMemory returns a store's reader as an io.WriterTo when it writes its
+// bytes out from memory. A disk:// store's chunk file is a WriterTo too,
+// but sendfiles only towards a socket, so it keeps serveGet's loop.
 func inMemory(rc io.ReadCloser) (io.WriterTo, bool) {
 	if _, file := rc.(*os.File); file {
 		return nil, false
@@ -611,22 +625,18 @@ func inMemory(rc io.ReadCloser) (io.WriterTo, bool) {
 	return wt, ok
 }
 
-// frameWriter frames what is written to it as (part of) the body of a
-// get reply of exactly left bytes: each Write leaves as one vectored
-// write of `u32 size + payload` per slice of at most maxFrame bytes —
-// the caller's bytes are never copied. A Write past the promised length
-// is refused before a byte of it is sent. A server connection has one,
-// left set per body.
+// frameWriter frames what is written to it as the body of a get reply of
+// exactly left bytes: each Write is one vectored write of `u32 size +
+// payload` per maxFrame slice, uncopied; a Write past left is refused
+// before a byte is sent. A server connection has one, left set per body.
 type frameWriter struct {
 	conn   net.Conn
 	left   int64 // bytes of the body still to come
 	frames *metrics.Counter
 	bytes  *metrics.Counter
 
-	// Reused from body to body: the frame words and the write vector
-	// (vec, which WriteTo consumes, over bufs' array).
-	words     []byte
-	bufs, vec net.Buffers
+	words     []byte      // reused from body to body, as are
+	bufs, vec net.Buffers // the write vector (vec, which WriteTo consumes)
 }
 
 func (fw *frameWriter) Write(p []byte) (int, error) {
@@ -651,16 +661,15 @@ func (fw *frameWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// serveNodePut stores the node the body encodes. As in servePut the
-// body is consumed whatever becomes of the put, and whatever is wrong
-// with it — too long, aborted, not a node, a different node already
-// stored — fails this op alone.
+// serveNodePut stores the node the body encodes. As in servePut the body
+// is consumed whatever becomes of the put, and what is wrong with it
+// fails this op alone.
 func (s *framedServer) serveNodePut(body *frameBodyReader, bw *bufio.Writer, h frameHeader) error {
 	body.reset()
 	var enc []byte
 	err := errNoMetaRole
 	if s.nodes != nil {
-		enc, err = readNodeBody(body)
+		enc, err = readBody(body, maxNodeBody)
 	}
 	if derr := body.drain(); derr != nil {
 		return derr
@@ -693,12 +702,17 @@ func (s *framedServer) serveNodeGet(bw *bufio.Writer, h frameHeader) error {
 	if !found {
 		return bw.WriteByte(statusMiss)
 	}
+	// (A node past maxNodeBody, which only an in-process writer can have
+	// stored, is refused by the client, at the cost of the connection.)
+	return s.writeOK(bw, segtree.AppendNode(nil, n))
+}
+
+// writeOK writes an ok reply whose body is enc.
+func (s *framedServer) writeOK(bw *bufio.Writer, enc []byte) error {
 	if werr := bw.WriteByte(statusOK); werr != nil {
 		return werr
 	}
-	// (A node past maxNodeBody, which only an in-process writer can have
-	// stored, is refused by the client, at the cost of the connection.)
-	for enc := segtree.AppendNode(nil, n); len(enc) > 0; {
+	for len(enc) > 0 {
 		frame := enc[:min(len(enc), maxFrame)]
 		enc = enc[len(frame):]
 		if werr := writeU32(bw, uint32(len(frame))); werr != nil {
@@ -713,47 +727,118 @@ func (s *framedServer) serveNodeGet(bw *bufio.Writer, h frameHeader) error {
 	return writeU32(bw, 0)
 }
 
+// serveVM answers a version-manager op; a request body is consumed as in
+// serveNodePut.
+func (s *framedServer) serveVM(body *frameBodyReader, bw *bufio.Writer, h frameHeader) error {
+	var req []byte
+	var err error
+	if sendsBody(h.op) {
+		body.reset()
+		req, err = readBody(body, maxVMBody)
+		if derr := body.drain(); derr != nil {
+			return derr
+		}
+	}
+	var out []byte
+	switch {
+	case s.vm == nil:
+		err = errNoVMRole
+	case err == nil:
+		out, err = s.callVM(h, req)
+	}
+	if err != nil {
+		return writeErrReply(bw, err)
+	}
+	return s.writeOK(bw, out)
+}
+
+// encoded turns a result encoder into the reply of a call that returns
+// the result and an error.
+func encoded[T any](enc func([]byte, T) []byte) func(T, error) ([]byte, error) {
+	return func(v T, err error) ([]byte, error) { return enc(nil, v), err }
+}
+
+// callVM makes the call a version-manager op names, with its request
+// body req, and returns the reply body.
+func (s *framedServer) callVM(h frameHeader, req []byte) ([]byte, error) {
+	m, blob, v := s.vm, h.key.Blob, h.key.Version
+	switch h.op {
+	case opCreateBlob:
+		return nil, m.CreateBlob(blob, segtree.Geometry{Capacity: h.off, Page: h.length})
+	case opGeometry:
+		return encoded(vmanager.AppendGeometry)(m.Geometry(blob))
+	case opAssignTicket:
+		l, err := vmanager.DecodeExtents(req)
+		if err != nil {
+			return nil, err
+		}
+		return encoded(vmanager.AppendTicket)(m.AssignTicket(blob, l))
+	case opComplete:
+		root, err := vmanager.DecodeNodeKey(req)
+		if err != nil {
+			return nil, err
+		}
+		return nil, m.Complete(blob, v, root)
+	case opAbort:
+		return nil, m.Abort(blob, v)
+	case opWaitPublished:
+		return nil, m.WaitPublished(blob, v)
+	case opLatestPublished:
+		return encoded(vmanager.AppendSnapshotInfo)(m.LatestPublished(blob))
+	case opSnapshot:
+		return encoded(vmanager.AppendSnapshotInfo)(m.Snapshot(blob, v))
+	case opVersions:
+		return encoded(vmanager.AppendVersions)(m.Versions(blob))
+	case opRetain:
+		return encoded(vmanager.AppendVersions)(m.Retain(blob, int(h.off)))
+	case opDropVersion:
+		return nil, m.DropVersion(blob, v)
+	case opPin:
+		return nil, m.Pin(blob, v)
+	case opUnpin:
+		return nil, m.Unpin(blob, v)
+	case opGCInfo:
+		return encoded(vmanager.AppendGCInfo)(m.GCInfo(blob))
+	default: // opMarkReclaimed
+		return nil, m.MarkReclaimed(blob, v)
+	}
+}
+
 // --- client side ---
 
-// framedPoolCap bounds the connections a client keeps to one endpoint
-// for one kind of traffic (chunks to the data endpoint, nodes to the
-// meta endpoint), in use plus idle. A connection carries a whole train per
-// round trip, so further connections buy parallelism at the server and
-// cost shorter trains: swept with trains in place (CHANGES.md, PR 17),
-// tile_atomic's 92-put writes and 122-get reads are fastest on 2 or 4
-// connections and slower on 8 and 16, while checkpoint_restore — 1 MiB
-// transfers under a window of 8, each a train of one — is flat from 2
-// to 16. 4 rather than 2 keeps four of those large transfers moving at
-// once.
+// framedPoolCap bounds the connections, in use plus idle, a pool keeps
+// to its endpoint. More connections buy parallelism at the server and
+// cost shorter trains: tile_atomic's many-piece writes and reads are
+// fastest on 2 or 4, checkpoint_restore's 1 MiB transfers flat from 2 to
+// 16 (CHANGES.md, PR 17); 4 keeps four large transfers moving at once.
 const framedPoolCap = 4
 
 // A train is the run of calls one connection carries in one round trip:
 // at most maxTrainCalls of them and, past the first, at most
-// maxTrainBytes of payload (put and node-put bodies, or the bytes gets
-// asked for; a node get counts nothing, the call bound is its bound), so
-// a megabyte chunk always travels alone and a train of small pieces
-// never holds a connection longer than one large transfer would.
+// maxTrainBytes of payload (request bodies, or the bytes gets ask for),
+// so a megabyte chunk travels alone and a train of small pieces never
+// holds a connection longer than one large transfer would.
 const (
 	maxTrainCalls = 32
 	maxTrainBytes = 1 << 20
 )
 
-// ErrClientClosed is returned by a framed op started after, or still
-// queued for a connection at, Client.Close.
+// ErrClientClosed is returned by a call started after, queued at, or
+// parked in a wait at Client.Close.
 var ErrClientClosed = errors.New("remote: client closed")
 
-// framedCall is one chunk or node op on its way through the pool.
+// framedCall is one op on its way through the pool.
 type framedCall struct {
-	h    frameHeader
-	data []byte        // put, node put: the body; get: the caller's destination, h.length bytes to fill; node get: the encoded node, nil on a miss
+	h frameHeader
+	// put, node put: the body; get: the caller's destination, h.length
+	// bytes to fill; node get: the encoded node, nil on a miss; VM op: the
+	// request body, once answered the reply body.
+	data []byte
 	ids  []provider.ID // put: the replica set; get: the fresh set, if any
 	err  error
 
-	// retried marks a call already re-sent after a transport failure.
-	retried bool
-
-	// of is the train the call was handed to the pool in.
-	of *framedTrain
+	retried bool         // re-sent after a transport failure, or never to be
+	of      *framedTrain // the train the call was handed to the pool in
 }
 
 // payload is what the call counts towards maxTrainBytes.
@@ -765,10 +850,9 @@ func (c *framedCall) payload() int64 {
 }
 
 // framedTrain is a run of calls of one kind within the train bounds, cut
-// from a batch — a lone call is the batch of one — and the unit the pool
-// queues. Its owner, the goroutine that brought it, blocks until every
-// call has its outcome: leading the train itself, or — queued, and merged
-// into the train of the one queued ahead of it — woken by that leader.
+// from a batch, and the unit the pool queues. Its owner blocks until
+// every call has its outcome: leading the train itself, or woken by the
+// leader of the train it was merged into.
 type framedTrain struct {
 	calls []*framedCall
 	bytes int64 // the calls' payload
@@ -783,57 +867,61 @@ type framedTrain struct {
 }
 
 // framedConn is one client connection to a node's framed plane, owned
-// by one train at a time.
+// by one train at a time. scratch (headers, frame words, terminators)
+// and bufs (the write vector) are reused from train to train.
 type framedConn struct {
-	c  net.Conn
-	br *bufio.Reader
-
-	// Reused from train to train: the bytes around the payloads
-	// (headers, frame words, terminators) and the write vector.
+	c       net.Conn
+	br      *bufio.Reader
 	scratch []byte
 	bufs    net.Buffers
 }
 
-// framedPool runs batches of framed calls over a bounded set of
-// connections to one endpoint. The batch is what a caller hands over — all
-// its calls of one kind at once, a list operation arriving as a list — and
-// the pool cuts it into trains itself: each within the train bounds, and
-// no fewer than the connections the batch could use, so a write of two
-// pieces still moves on two sockets. A train is carried in one round trip:
-// all requests in one write, replies read in order. One that finds a
-// connection free (or room to dial one) leaves at once; one that finds
-// every connection busy queues, and a connection that comes free takes the
-// head of the queue plus the trains of the same kind right behind it, up
-// to the train bounds — which is how concurrent lone callers still share
-// round trips. Whoever brought the head train leads: there is no pool
-// goroutine and no timer, and of one batch only the caller and at most
-// framedPoolCap-1 helpers ever block — never a goroutine per call. Steady
-// state dials nothing.
+// framedPool runs batches of framed calls — all of a caller's calls of
+// one kind at once — over a bounded set of connections to one endpoint.
+// It cuts a batch into trains within the train bounds, no fewer than the
+// connections the batch could use (a write of two pieces moves on two
+// sockets), each carried in one round trip. A train that finds a
+// connection free, or room to dial one, leaves at once; otherwise it
+// queues, and a connection that comes free takes the head of the queue
+// plus the trains of the same kind behind it, up to the bounds — so
+// concurrent lone callers share round trips too. Whoever brought the head
+// train leads: no pool goroutine, no timer, and of one batch only the
+// caller and at most framedPoolCap-1 helpers block. Steady state dials
+// nothing.
 type framedPool struct {
 	addr     string
+	max      int                // connections in use plus idle: framedPoolCap, or no bound
 	dials    *metrics.Counter   // bs_data_dials_total, nil-tolerant
 	trainOps *metrics.Histogram // bs_data_train_ops, nil-tolerant
 
 	mu     sync.Mutex
 	idle   []*framedConn
-	open   int            // connections in use plus idle, never above framedPoolCap
-	queue  []*framedTrain // non-empty only while idle is empty and open is at the cap
+	open   int            // connections in use plus idle, never above max
+	queue  []*framedTrain // non-empty only while idle is empty and open is at max
 	closed bool
+	busy   map[*framedConn]bool // a wait pool's connections in use, which close ends too
 }
 
 func newFramedPool(addr string) *framedPool {
-	return &framedPool{addr: addr}
+	return &framedPool{addr: addr, max: framedPoolCap}
 }
 
-// putCall and getCall are the chunk calls, nodeCall the node calls: body
-// is the encoded node of a put; what comes back in data is the encoded
-// node of a get or a try-get, nil when a try-get missed.
+// newWaitPool is the pool of the calls that park at the server
+// (WaitPublished): each on a connection of its own, idle or dialed for
+// it, without bound; close ends the parked calls too.
+func newWaitPool(addr string) *framedPool {
+	return &framedPool{addr: addr, max: math.MaxInt, busy: make(map[*framedConn]bool)}
+}
+
+// putCall, getCall and nodeCall are the chunk and node calls.
 func putCall(key chunk.Key, data []byte) framedCall {
 	return framedCall{h: frameHeader{op: opPut, key: key, length: int64(len(data))}, data: data}
 }
 
-func getCall(dst []byte, replicas []provider.ID, key chunk.Key, off int64) framedCall {
-	return framedCall{h: frameHeader{op: opGet, key: key, off: off, length: int64(len(dst)), replicas: replicas}, data: dst}
+// getCall reads length bytes into dst, or — dst nil — into a buffer of
+// its own once the reply is ok.
+func getCall(dst []byte, length int64, replicas []provider.ID, key chunk.Key, off int64) framedCall {
+	return framedCall{h: frameHeader{op: opGet, key: key, off: off, length: length, replicas: replicas}, data: dst}
 }
 
 func nodeCall(op byte, blob uint64, key segtree.NodeKey, body []byte) framedCall {
@@ -843,25 +931,18 @@ func nodeCall(op byte, blob uint64, key segtree.NodeKey, body []byte) framedCall
 	}
 }
 
-// put performs one framed chunk store.
-func (p *framedPool) put(key chunk.Key, data []byte) ([]provider.ID, error) {
-	c := p.one(putCall(key, data))
-	return c.ids, c.err
-}
-
-// node performs one framed node op on the node key names.
-func (p *framedPool) node(op byte, blob uint64, key segtree.NodeKey, body []byte) ([]byte, error) {
-	c := p.one(nodeCall(op, blob, key, body))
-	return c.data, c.err
-}
-
-// get performs one framed chunk read with an optional replica hint: it
-// fills dst with the len(dst) bytes at off, read off the socket straight
-// into it, and returns — when the hint was stale — the fresh set. After
-// an error dst holds nothing the caller may use.
-func (p *framedPool) get(dst []byte, replicas []provider.ID, key chunk.Key, off int64) ([]provider.ID, error) {
-	c := p.one(getCall(dst, replicas, key, off))
-	return c.ids, c.err
+// vmCall is a version-manager call. One that changes the manager's state
+// is never re-sent after a transport failure: the server may have applied
+// it, and a second AssignTicket would leave a ticket nobody completes,
+// stalling every later version's publication.
+func vmCall(op byte, blob, v uint64, off, length int64, body []byte) framedCall {
+	c := framedCall{h: frameHeader{op: op, key: chunk.Key{Blob: blob, Version: v}, off: off, length: length}, data: body}
+	switch op {
+	case opGeometry, opWaitPublished, opLatestPublished, opSnapshot, opVersions, opGCInfo:
+	default:
+		c.retried = true
+	}
+	return c
 }
 
 // one runs the batch of one — call, train and the train's list of calls
@@ -946,7 +1027,7 @@ func (p *framedPool) do(t *framedTrain) {
 		p.idle = p.idle[:len(p.idle)-1]
 		p.mu.Unlock()
 		p.lead(fc, t, t.calls)
-	case p.open < framedPoolCap:
+	case p.open < p.max:
 		p.open++
 		p.mu.Unlock()
 		p.lead(nil, t, t.calls)
@@ -961,23 +1042,18 @@ func (p *framedPool) do(t *framedTrain) {
 	}
 }
 
-// lead carries calls — the train me, the caller's own, and whatever the
-// queue merged behind it — over fc, or over a connection dialed into the
-// slot the caller holds when fc is nil, wakes the owner of each other
-// train as the last of its replies arrives, and hands the connection on.
+// lead carries calls — the train me and whatever the queue merged behind
+// it — over fc, or over a connection dialed into the caller's slot when
+// fc is nil, wakes the owner of each other train as the last of its
+// replies arrives, and hands the connection on.
 //
-// Server-reported errors are outcomes like any other: one chunk's
-// ErrExists fails that call alone. A transport failure leaves answered
-// calls answered. On a connection that had been used before it is
-// indistinguishable from a stale socket left by a peer restart, so the
-// call it hit and those behind it are re-sent, once each, on a fresh
-// dial — in the failed connection's slot, so the retry never waits
-// behind the bound — after flushing the rest of the idle list; on a
-// fresh dial it is a real peer problem and fails the call it hit.
-// Re-sent puts are safe: both stores are immutable, so the worst a
-// first attempt the server applied but could not answer yields is
-// chunk.ErrExists on the retry of a chunk, and nothing at all on the
-// retry of a node (metadata.Store accepts an identical re-put).
+// A server-reported error fails its call alone. A transport failure
+// leaves answered calls answered; on a used connection it looks like a
+// stale socket left by a peer restart, so the idle list is flushed and
+// the unanswered calls are re-sent, once each, on a fresh dial in the
+// same slot; on a fresh dial it fails the call it hit. Re-sent puts are
+// safe, both stores being immutable: a put applied but unanswered yields
+// chunk.ErrExists on a chunk's retry, nothing on a node's.
 func (p *framedPool) lead(fc *framedConn, me *framedTrain, calls []*framedCall) {
 	settle := func(c *framedCall) {
 		t := c.of
@@ -989,13 +1065,21 @@ func (p *framedPool) lead(fc *framedConn, me *framedTrain, calls []*framedCall) 
 		var err error
 		dialed := fc == nil
 		if dialed {
-			if fc, err = p.dial(); err != nil {
-				for _, c := range calls {
-					c.err = err
-					settle(c)
-				}
-				break
+			fc, err = p.dial()
+		}
+		if err == nil && p.busy != nil { // a wait pool: close must find fc
+			p.mu.Lock()
+			if err = ErrClientClosed; !p.closed {
+				p.busy[fc], err = true, nil
 			}
+			p.mu.Unlock()
+		}
+		if err != nil {
+			for _, c := range calls {
+				c.err = err
+				settle(c)
+			}
+			break
 		}
 		p.trainOps.Observe(float64(len(calls)))
 		err = fc.send(calls)
@@ -1009,13 +1093,19 @@ func (p *framedPool) lead(fc *framedConn, me *framedTrain, calls []*framedCall) 
 			break
 		}
 		fc.c.Close()
+		p.mu.Lock()
+		delete(p.busy, fc)
+		if p.closed {
+			err = ErrClientClosed // a parked call that close ended, say
+		}
+		p.mu.Unlock()
 		fc = nil
 		if !dialed {
 			p.flushIdle()
 		}
 		again := calls[:0]
 		for i, c := range calls {
-			if c.retried || (i == 0 && dialed) {
+			if c.retried || (i == 0 && dialed) || err == ErrClientClosed {
 				c.err = err
 				settle(c)
 			} else {
@@ -1033,6 +1123,7 @@ func (p *framedPool) lead(fc *framedConn, me *framedTrain, calls []*framedCall) 
 // pool, or nothing to reuse — away.
 func (p *framedPool) handOn(fc *framedConn) {
 	p.mu.Lock()
+	delete(p.busy, fc)
 	switch {
 	case p.closed || (fc == nil && len(p.queue) == 0):
 		p.open--
@@ -1070,11 +1161,19 @@ func (p *framedPool) handOn(fc *framedConn) {
 
 // dial opens one connection; the caller already holds its slot in open.
 func (p *framedPool) dial() (*framedConn, error) {
-	c, err := net.Dial("tcp", p.addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: dial framed %s: %w", p.addr, err)
+	fc, err := dialFramed(p.addr)
+	if err == nil {
+		p.dials.Inc()
 	}
-	p.dials.Inc()
+	return fc, err
+}
+
+// dialFramed opens a framed connection to addr.
+func dialFramed(addr string) (*framedConn, error) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("remote: dial framed %s: %w", addr, err)
+	}
 	if _, err := c.Write([]byte(framedMagic)); err != nil {
 		c.Close()
 		return nil, err
@@ -1082,11 +1181,9 @@ func (p *framedPool) dial() (*framedConn, error) {
 	return &framedConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}, nil
 }
 
-// flushIdle closes every idle connection. Called after a used
-// connection turned out dead: the usual cause is a data-node restart,
-// which killed every socket the pool is holding — keeping them would
-// make the next ops each pay the same discover-retry cycle. (The queue
-// is empty whenever idle is not, so nobody waits for the freed slots.)
+// flushIdle closes every idle connection, after a used one turned out
+// dead: a peer restart killed them all. (The queue is empty whenever idle
+// is not, so nobody waits for the freed slots.)
 func (p *framedPool) flushIdle() {
 	p.mu.Lock()
 	idle := p.idle
@@ -1098,19 +1195,19 @@ func (p *framedPool) flushIdle() {
 	}
 }
 
-// close closes every idle connection and marks the pool closed: queued
-// and later calls fail with ErrClientClosed, a train on the wire
-// finishes and its leader closes the connection in handOn.
+// close closes every idle connection and the pool: queued and later
+// calls fail with ErrClientClosed, a train on the wire finishes — a wait
+// pool's calls are ended — and its leader closes the connection.
 func (p *framedPool) close() {
 	p.mu.Lock()
 	p.closed = true
-	idle, queue := p.idle, p.queue
-	p.idle, p.queue = nil, nil
-	p.open -= len(idle)
-	p.mu.Unlock()
-	for _, fc := range idle {
-		fc.c.Close()
+	queue := p.queue
+	p.queue = nil
+	for fc := range p.busy {
+		fc.c.Close() // a wait pool's parked calls end with them
 	}
+	p.mu.Unlock()
+	p.flushIdle()
 	for _, t := range queue {
 		for _, c := range t.calls {
 			c.err = ErrClientClosed
@@ -1120,15 +1217,14 @@ func (p *framedPool) close() {
 }
 
 // send writes every request of train in one vectored write: headers,
-// frame words and terminators from the connection's scratch, bodies
-// from the callers' own slices — never copied into a staging
-// buffer, the zero-copy half of the put path.
+// frame words and terminators from scratch, bodies from the callers' own
+// slices, never copied.
 func (fc *framedConn) send(train []*framedCall) error {
 	buf, bufs, sent := fc.scratch[:0], fc.bufs[:0], 0
 	for _, c := range train {
 		buf = appendHeader(buf, &c.h)
-		if c.h.op != opPut && c.h.op != opNodePut {
-			continue // no body
+		if !sendsBody(c.h.op) {
+			continue
 		}
 		for data := c.data; len(data) > 0; {
 			frame := data[:min(len(data), maxFrame)]
@@ -1160,7 +1256,7 @@ func (fc *framedConn) readReply(c *framedCall) error {
 		if err != nil {
 			return err
 		}
-		c.err = errors.New(msg)
+		c.err = wireError(msg)
 		return nil
 	case status == statusMiss && c.h.op == opNodeTryGet:
 		return nil
@@ -1171,7 +1267,15 @@ func (fc *framedConn) readReply(c *framedCall) error {
 	case opNodePut:
 		return nil
 	case opNodeGet, opNodeTryGet:
-		c.data, err = readNodeBody(&frameBodyReader{r: fc.br}) // never nil: only a miss is
+		c.data, err = readBody(&frameBodyReader{r: fc.br}, maxNodeBody) // never nil: only a miss is
+		return err
+	}
+	if c.h.op >= opCreateBlob {
+		// Kept only whole: the request body stays for a re-send.
+		body, err := readBody(&frameBodyReader{r: fc.br}, maxVMBody)
+		if err == nil {
+			c.data = body
+		}
 		return err
 	}
 	ids, err := readIDs(fc.br)
@@ -1182,10 +1286,13 @@ func (fc *framedConn) readReply(c *framedCall) error {
 		c.ids = ids
 		return nil
 	}
-	// The reply must be exactly the bytes asked for, and they land in the
-	// caller's destination, from byte 0 (a re-sent get refills it): a
-	// frame that would overrun it is refused before it is read, a
-	// terminator that comes early fails the op.
+	// Exactly the bytes asked for land in the destination, from byte 0 (a
+	// re-sent get refills it): an overrunning frame is refused before it
+	// is read, an early terminator fails the op. GetFrom's get gets its
+	// destination only now, the reply being ok.
+	if c.data == nil {
+		c.data = make([]byte, c.h.length)
+	}
 	key, dst := c.h.key, c.data
 	got := 0
 	for {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"net/rpc"
 	"os"
 	"reflect"
 	"slices"
@@ -106,13 +105,13 @@ func TestFramedErrorsKeepConnection(t *testing.T) {
 	}
 }
 
-// TestFramedAndGobCoexist pins the negotiation: gob control calls and
-// framed transfers share one node and one port, so a full blob
-// write/read cycle — tickets by gob, payloads and nodes framed — and an
-// admin call work side by side, from two clients at once; and the gob
-// services have no payload or node method left for a client from before
-// the framed plane was the only one to find.
-func TestFramedAndGobCoexist(t *testing.T) {
+// TestFramedAndHTTPCoexist pins the negotiation: framed calls and
+// operator calls over HTTP share one node and one port, so a full blob
+// write/read cycle — tickets, payloads and nodes, all framed — and an
+// operator call work side by side, from two clients at once; and a
+// client that speaks neither is refused by the HTTP server, without
+// disturbing the framed clients.
+func TestFramedAndHTTPCoexist(t *testing.T) {
 	_, ep := startNode(t)
 	c1, c2 := dialClient(t, ep), dialClient(t, ep)
 
@@ -130,10 +129,25 @@ func TestFramedAndGobCoexist(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("client %d read: %v", i, err)
 		}
-		if us, err := c.Usage(); err != nil || len(us) != 3 {
-			t.Fatalf("client %d usage over gob beside framed transfers: %v, %v", i, us, err)
+		if us, err := opsOf(c).Usage(); err != nil || len(us) != 3 {
+			t.Fatalf("client %d usage over HTTP beside framed transfers: %v, %v", i, us, err)
 		}
 	}
+
+	old, err := net.Dial("tcp", ep.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	old.SetDeadline(time.Now().Add(10 * time.Second))
+	// Neither the framed magic nor a request line.
+	if _, err := old.Write([]byte("BSD0 hello\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if reply, _ := io.ReadAll(old); !strings.HasPrefix(string(reply), "HTTP/1.1 400 Bad Request") {
+		t.Fatalf("a client speaking neither protocol got %q, want HTTP's refusal", reply)
+	}
+
 	// Cross-visibility: the second client reads the blob the first wrote.
 	b, err := blob.Open(c2.Services(), 1)
 	if err != nil {
@@ -146,24 +160,6 @@ func TestFramedAndGobCoexist(t *testing.T) {
 	got, err := b.ReadAt(info.Version, 0, 64<<10)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{1}, 64<<10)) {
 		t.Fatalf("cross-client read: %v", err)
-	}
-
-	old, err := rpc.Dial("tcp", ep.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	var ids []provider.ID
-	err = old.Call("Data.PutChunk", &struct {
-		Key  chunk.Key
-		Data []byte
-	}{Data: []byte("x")}, &ids)
-	if err == nil || !strings.Contains(err.Error(), "can't find method Data.PutChunk") {
-		t.Fatalf("gob payload put = %v, want rpc's can't-find-method error", err)
-	}
-	err = old.Call("Meta.Nodes", &struct{}{}, &struct{}{})
-	if err == nil || !strings.Contains(err.Error(), "can't find service Meta.Nodes") {
-		t.Fatalf("gob node call = %v, want rpc's can't-find-service error", err)
 	}
 }
 
@@ -536,7 +532,7 @@ func TestFramedServerBoundsNodeOps(t *testing.T) {
 		huge[i] = make([]byte, maxFrame)
 	}
 	conn.Write(rawNodeOp(opNodePut, 1, key(0), huge...))
-	expect("an oversized node put", opNodePut, "node body exceeds the limit")
+	expect("an oversized node put", opNodePut, "body exceeds the limit of 4194304 bytes")
 	// Exactly the bound is read whole, and refused only for not being a node.
 	conn.Write(rawNodeOp(opNodePut, 1, key(0), huge[:len(huge)-1]...))
 	expect("a bound-sized body of zeros", opNodePut, "inner node of "+itoa(maxNodeBody)+" bytes")
@@ -585,9 +581,12 @@ func TestFramedServerBoundsNodeOps(t *testing.T) {
 	}
 
 	// An op code nobody defined is a protocol violation: the connection.
-	conn.Write(appendHeader(nil, &frameHeader{op: opNodeTryGet + 1}))
-	if _, err := br.ReadByte(); err != io.EOF {
-		t.Fatalf("after an unknown op: %v, want the connection closed", err)
+	for _, op := range []byte{0, opMarkReclaimed + 1} {
+		conn, br := rawFramedConn(t, ep.Meta)
+		conn.Write(appendHeader(nil, &frameHeader{op: op}))
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Fatalf("after op %d: %v, want the connection closed", op, err)
+		}
 	}
 }
 
@@ -837,7 +836,7 @@ func TestFramedCodedRoundTrip(t *testing.T) {
 	if fresh != nil {
 		t.Fatalf("fresh set on an up-to-date coded hint: %v", fresh)
 	}
-	rep, err := c.Coding()
+	rep, err := opsOf(c).Coding()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/provider"
 	"repro/internal/segtree"
+	"repro/internal/vmanager"
 )
 
 // fuzzMaxChunk is the chunk bound of the fuzzed server: small, so the
@@ -24,13 +25,14 @@ const fuzzMaxChunk = 4 << 10
 
 // FuzzFramedServer feeds arbitrary bytes, as what a client sends after
 // the magic, to the real server loop over an in-memory connection,
-// against mem:// chunk stores and a metadata store. The loop must return
-// once the input ends — never panic, never hang on a malformed request
-// — and must not have stored a chunk over its bound or more bytes than
-// the input carried. The seed corpus (testdata/fuzz) holds a legal train
-// of each op kind and the two framing bugs once fixed by hand: a put
-// body longer than its header declared, and one shorter, followed by a
-// get of the declared length.
+// against mem:// chunk stores, a metadata store and a version manager.
+// The loop must return once the input ends — never panic, never hang on
+// a malformed request — and must not have stored a chunk over its bound
+// or more bytes than the input carried. The seed corpus (testdata/fuzz)
+// holds a legal train of each op kind, each version-manager op, hostile
+// version-manager bodies, and the two framing bugs once fixed by hand: a
+// put body longer than its header declared, and one shorter, followed
+// by a get of the declared length.
 func FuzzFramedServer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input []byte) {
 		mgr := provider.NewManager()
@@ -44,7 +46,7 @@ func FuzzFramedServer(f *testing.F) {
 		router := provider.NewRouter(mgr)
 		router.SetMaxChunkSize(fuzzMaxChunk)
 		nodes := metadata.NewStore(2, iosim.CostModel{})
-		fs := newFramedServer(Roles{Meta: nodes, Data: router})
+		fs := newFramedServer(Roles{VM: unparkedVM{vmanager.New(iosim.CostModel{})}, Meta: nodes, Data: router})
 
 		client, server := net.Pipe()
 		var wg sync.WaitGroup
@@ -83,32 +85,66 @@ func FuzzFramedServer(f *testing.F) {
 	})
 }
 
-// pipedClient is a Client whose two framed pools each hold one idle
+// unparkedVM is a version manager whose WaitPublished answers at once: a
+// fuzzed wait for a version nobody completes would park the loop for good,
+// as it parks a real server's — on a connection of its own.
+type unparkedVM struct{ *vmanager.Manager }
+
+func (u unparkedVM) WaitPublished(blob, v uint64) error {
+	info, err := u.LatestPublished(blob)
+	if err == nil && info.Version < v {
+		err = vmanager.ErrUnknownVersion
+	}
+	return err
+}
+
+// pipedClient is a Client whose framed pools each hold one idle
 // connection to a peer that reads one whole request, answers it with
 // reply — arbitrary bytes — and hangs up. A call that loses that
 // connection re-sends on a dial of no address, which fails at once.
 func pipedClient(t *testing.T, reply []byte) *Client {
-	c := &Client{pool: newFramedPool(""), nodes: newFramedPool("")}
-	for _, p := range []*framedPool{c.pool, c.nodes} {
-		near, far := net.Pipe()
-		t.Cleanup(func() { near.Close() })
-		p.idle, p.open = []*framedConn{{c: near, br: bufio.NewReaderSize(near, 64<<10)}}, 1
-		go func() {
-			defer far.Close()
-			br := bufio.NewReader(far)
-			h, err := readHeader(br)
-			if err != nil {
-				return // the test made no call on this pool
-			}
-			if h.op == opPut || h.op == opNodePut {
-				if (&frameBodyReader{r: br}).drain() != nil {
-					return
-				}
-			}
-			far.Write(reply)
-		}()
+	c := &Client{vm: newFramedPool(""), waits: newWaitPool(""), pool: newFramedPool(""), nodes: newFramedPool("")}
+	for _, p := range []*framedPool{c.vm, c.waits, c.pool, c.nodes} {
+		pipedPeer(t, p, reply)
 	}
 	return c
+}
+
+// pipedVM is a Client for the version-manager call named op only: the
+// pool that call rides holds one piped connection answering reply.
+func pipedVM(t *testing.T, op string, reply []byte) *Client {
+	c := &Client{vm: newFramedPool(""), waits: newWaitPool("")}
+	p := c.vm
+	if op == "WaitPublished" {
+		p = c.waits
+	}
+	pipedPeer(t, p, reply)
+	return c
+}
+
+// pipedPeer gives p one idle connection to a peer that reads one whole
+// request, answers it with reply and hangs up. The channel yields the
+// request's bytes, once read.
+func pipedPeer(t *testing.T, p *framedPool, reply []byte) <-chan []byte {
+	near, far := net.Pipe()
+	t.Cleanup(func() { near.Close() })
+	p.idle, p.open = []*framedConn{{c: near, br: bufio.NewReaderSize(near, 64<<10)}}, 1
+	req := make(chan []byte, 1)
+	go func() {
+		defer far.Close()
+		var got bytes.Buffer
+		br := bufio.NewReader(io.TeeReader(far, &got))
+		h, err := readHeader(br)
+		if err != nil {
+			return // the test made no call on this pool
+		}
+		if sendsBody(h.op) && (&frameBodyReader{r: br}).drain() != nil {
+			return
+		}
+		req <- got.Bytes()
+		far.Write(reply)
+	}()
+	return req
 }
 
 // okWithIDs reports whether reply opens as a put's and a get's do —
@@ -146,12 +182,14 @@ func getReplyModel(reply []byte, length int) (data []byte, ok bool) {
 
 // FuzzFramedReply feeds arbitrary bytes to the client as a server's
 // answer to each kind of call — a get, a get into the caller's buffer, a
-// put and the three node ops — over an in-memory connection. No call may
-// panic or hang. A get succeeds exactly when the reply is a well-formed
-// body of the length asked for, with those bytes; an into-get, besides,
-// never writes outside its destination, whatever the frames claim. The
-// seed corpus (testdata/fuzz) holds a legal reply of each kind and the
-// wrong-length replies of TestFramedGetRejectsWrongLengthReply.
+// put, the three node ops and every version-manager call — over an
+// in-memory connection. No call may panic or hang. A get succeeds exactly
+// when the reply is a well-formed body of the length asked for, with
+// those bytes; an into-get, besides, never writes outside its
+// destination, whatever the frames claim; a version-manager call
+// succeeds only on an ok reply. The seed corpus (testdata/fuzz) holds a
+// legal reply of each kind and the wrong-length replies of
+// TestFramedGetRejectsWrongLengthReply.
 func FuzzFramedReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, reply []byte, length uint16) {
 		key := chunk.Key{Blob: 1, Version: 2, Index: 3}
@@ -190,6 +228,12 @@ func FuzzFramedReply(f *testing.F) {
 		}
 		if miss := len(reply) >= 1 && reply[0] == statusMiss; miss && (found || err != nil) {
 			t.Fatalf("TryGetNode of a miss: %v, %v", found, err)
+		}
+
+		for _, tc := range vmGolden {
+			if _, err := tc.call(pipedVM(t, tc.name, reply)); err == nil && (len(reply) == 0 || reply[0] != statusOK) {
+				t.Fatalf("%s succeeded on a reply that is not ok", tc.name)
+			}
 		}
 	})
 }

@@ -76,7 +76,7 @@ func TestLifecycleAndGCOverRPC(t *testing.T) {
 	}
 
 	// Usage before and after a synchronous GC pass.
-	before, err := c.Usage()
+	before, err := opsOf(c).Usage()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,14 @@ func TestLifecycleAndGCOverRPC(t *testing.T) {
 	for _, u := range before {
 		bytesBefore += u.Bytes
 	}
-	st, err := c.GC(true)
+	st, err := opsOf(c).GC(true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Passes == 0 || st.Reclaimed != 2 || st.Deleted == 0 {
 		t.Fatalf("gc pass over RPC = %+v", st)
 	}
-	after, err := c.Usage()
+	after, err := opsOf(c).Usage()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestLifecycleAndGCOverRPC(t *testing.T) {
 func TestGCRPCRequiresReaper(t *testing.T) {
 	_, ep := startNode(t)
 	c := dialClient(t, ep)
-	if _, err := c.GC(false); err == nil || !strings.Contains(err.Error(), "-gc") {
+	if _, err := opsOf(c).GC(false); err == nil || !strings.Contains(err.Error(), "-gc") {
 		t.Fatalf("GC on non-gc node = %v", err)
 	}
 	// Usage works on any data node.
-	if _, err := c.Usage(); err != nil {
+	if _, err := opsOf(c).Usage(); err != nil {
 		t.Fatal(err)
 	}
 }

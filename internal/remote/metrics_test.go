@@ -45,7 +45,7 @@ func TestMetricsOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	text, err := c.Metrics()
+	text, err := opsOf(c).Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMetricsOverRPC(t *testing.T) {
 func TestMetricsRPCRequiresRole(t *testing.T) {
 	_, ep := startNode(t)
 	c := dialClient(t, ep)
-	if _, err := c.Metrics(); err == nil {
+	if _, err := opsOf(c).Metrics(); err == nil {
 		t.Fatal("Metrics RPC on a node without the metrics role must fail")
 	}
 }

@@ -33,20 +33,26 @@ func TestFramedPoolIsBounded(t *testing.T) {
 	c.SetMetrics(reg)
 	payload := bytes.Repeat([]byte{0x5A}, 32<<10)
 
-	// The pools dial on first use: control calls alone open no framed
-	// connection, to the data endpoint or to the meta endpoint.
-	waitFor(t, "the two gob connections", func() bool { return lis.accepted.Load() == gobConnsPerClient })
-	if _, err := c.Usage(); err != nil {
+	// The pools dial on first use: version-manager and operator calls
+	// alone open no connection to the data endpoint or to the meta
+	// endpoint. (An operator call is one HTTP connection, closed behind
+	// it.)
+	waitFor(t, "the version manager's connection", func() bool { return lis.accepted.Load() == vmConnsPerClient })
+	if _, err := c.Geometry(7); err == nil {
+		t.Fatal("geometry of a blob never created")
+	}
+	if _, err := opsOf(c).Usage(); err != nil {
 		t.Fatal(err)
 	}
-	if n := lis.accepted.Load(); n != gobConnsPerClient || reg.Snapshot()["bs_data_dials_total"] != 0 {
-		t.Fatalf("a client that moved no chunk has %d connections, want the %d gob ones", n, gobConnsPerClient)
+	const ctrl = vmConnsPerClient + 1
+	if n := lis.accepted.Load(); n != ctrl || reg.Snapshot()["bs_data_dials_total"] != 0 {
+		t.Fatalf("a client that moved no chunk has %d connections, want %d", n, ctrl)
 	}
 
 	if err := putWave(c, 1, 200, payload); err != nil {
 		t.Fatalf("first wave: %v", err)
 	}
-	framed := lis.accepted.Load() - gobConnsPerClient
+	framed := lis.accepted.Load() - ctrl
 	if framed < 1 || framed > framedPoolCap {
 		t.Fatalf("200 concurrent puts opened %d framed connections, want 1..%d", framed, framedPoolCap)
 	}
@@ -56,7 +62,7 @@ func TestFramedPoolIsBounded(t *testing.T) {
 	if err := putWave(c, 2, 200, payload); err != nil {
 		t.Fatalf("second wave: %v", err)
 	}
-	if again := lis.accepted.Load() - gobConnsPerClient; again != framed {
+	if again := lis.accepted.Load() - ctrl; again != framed {
 		t.Fatalf("the second wave dialed %d new connections", again-framed)
 	}
 	got, err := c.Get(chunk.Key{Blob: 1, Version: 2, Index: 199}, 0, int64(len(payload)))
@@ -151,7 +157,7 @@ func (s *holdingFramedServer) serve(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	magic := make([]byte, len(framedMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		s.ended.Add(1) // a gob connection that closed before its first call
+		s.ended.Add(1) // a connection that closed before its first call
 		return
 	}
 	bw := bufio.NewWriter(conn)
@@ -180,6 +186,22 @@ func (s *holdingFramedServer) serve(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// put, node and get run one call of each kind through a pool.
+func (p *framedPool) put(key chunk.Key, data []byte) ([]provider.ID, error) {
+	c := p.one(putCall(key, data))
+	return c.ids, c.err
+}
+
+func (p *framedPool) node(op byte, blob uint64, key segtree.NodeKey, body []byte) ([]byte, error) {
+	c := p.one(nodeCall(op, blob, key, body))
+	return c.data, c.err
+}
+
+func (p *framedPool) get(dst []byte, replicas []provider.ID, key chunk.Key, off int64) ([]provider.ID, error) {
+	c := p.one(getCall(dst, int64(len(dst)), replicas, key, off))
+	return c.ids, c.err
 }
 
 // poolCounts reads the pool's bookkeeping.
@@ -303,8 +325,8 @@ func TestClientCloseMidFlightClosesEveryConnection(t *testing.T) {
 			t.Errorf("a put in a train on the wire at Close: %v", err)
 		}
 	}
-	// The gob data connection plus the pool's framed connections.
-	const conns = framedPoolCap + 1
+	// The pool's framed connections, and nothing else to the data node.
+	const conns = framedPoolCap
 	waitFor(t, "every accepted connection to be closed by the client", func() bool {
 		return srv.accepted.Load() == conns && srv.ended.Load() == conns
 	})

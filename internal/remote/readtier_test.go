@@ -55,7 +55,7 @@ func TestReadTierOverRPC(t *testing.T) {
 		}
 	}
 
-	rt, err := c.ReadTier()
+	rt, err := opsOf(c).ReadTier()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestReadTierOverRPC(t *testing.T) {
 	// A node without the tier answers too, reporting it off.
 	_, ep := startNode(t)
 	plain := dialClient(t, ep)
-	rt2, err := plain.ReadTier()
+	rt2, err := opsOf(plain).ReadTier()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,20 @@
 // Package remote exposes the storage services over TCP, so the
 // BlobSeer-equivalent service can run as real distributed processes
 // (cmd/blobseerd) while clients use the same blob.Services interfaces
-// as the in-process wiring. Control calls — versions, administration —
-// are the standard library's net/rpc with gob encoding; chunk payloads
-// and segment-tree nodes travel on the framed plane (framed.go), the one
-// transport for both. One server process can host any subset of the
-// three roles: version manager, metadata provider, data provider.
+// as the in-process wiring. One port carries two protocols, told apart
+// per connection by its first bytes: the framed plane (framed.go) — the
+// version manager's calls, chunk payloads and segment-tree nodes — and
+// the operator surface, HTTP with JSON replies (admin.go). One server
+// process can host any subset of the three roles: version manager,
+// metadata provider, data provider.
 package remote
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"net/rpc"
-	"strings"
+	"net/http"
 	"sync"
 
 	"repro/internal/blob"
@@ -30,22 +28,10 @@ import (
 	"repro/internal/vmanager"
 )
 
-// Service names registered with net/rpc.
-const (
-	vmService   = "VM"
-	dataService = "Data"
-	nodeService = "Node"
-)
-
-// --- Version manager service ---
-
 // VMBackend is what a version-manager node serves: the client-facing
 // VersionService plus the blob catalog the reaper walks and the
-// shard-status report.
-// Implemented by both *vmanager.Manager (single control server) and
-// *vmanager.Sharded (partitioned control plane) — the RPC surface is
-// identical either way, so clients never know how many shards serve
-// them.
+// shard-status report — a *vmanager.Manager or, its clients none the
+// wiser, a *vmanager.Sharded.
 type VMBackend interface {
 	blob.VersionService
 	Blobs() []uint64
@@ -57,395 +43,11 @@ var (
 	_ VMBackend = (*vmanager.Sharded)(nil)
 )
 
-// VMServer exposes a version-manager backend over RPC.
-type VMServer struct {
-	M VMBackend
-}
-
-// CreateBlobArgs carries blob creation parameters.
-type CreateBlobArgs struct {
-	Blob uint64
-	Geo  segtree.Geometry
-}
-
-// CreateBlob RPC.
-func (s *VMServer) CreateBlob(a *CreateBlobArgs, _ *struct{}) error {
-	return s.M.CreateBlob(a.Blob, a.Geo)
-}
-
-// GeometryArgs selects a blob.
-type GeometryArgs struct{ Blob uint64 }
-
-// Geometry RPC.
-func (s *VMServer) Geometry(a *GeometryArgs, reply *segtree.Geometry) error {
-	g, err := s.M.Geometry(a.Blob)
-	if err != nil {
-		return err
-	}
-	*reply = g
-	return nil
-}
-
-// TicketArgs requests a write ticket.
-type TicketArgs struct {
-	Blob    uint64
-	Extents extent.List
-}
-
-// AssignTicket RPC.
-func (s *VMServer) AssignTicket(a *TicketArgs, reply *vmanager.Ticket) error {
-	tk, err := s.M.AssignTicket(a.Blob, a.Extents)
-	if err != nil {
-		return err
-	}
-	*reply = tk
-	return nil
-}
-
-// CompleteArgs reports a finished snapshot.
-type CompleteArgs struct {
-	Blob    uint64
-	Version uint64
-	Root    segtree.NodeKey
-}
-
-// Complete RPC.
-func (s *VMServer) Complete(a *CompleteArgs, _ *struct{}) error {
-	return s.M.Complete(a.Blob, a.Version, a.Root)
-}
-
-// Abort RPC.
-func (s *VMServer) Abort(a *CompleteArgs, _ *struct{}) error {
-	return s.M.Abort(a.Blob, a.Version)
-}
-
-// WaitArgs blocks for publication.
-type WaitArgs struct {
-	Blob    uint64
-	Version uint64
-}
-
-// WaitPublished RPC.
-func (s *VMServer) WaitPublished(a *WaitArgs, _ *struct{}) error {
-	return s.M.WaitPublished(a.Blob, a.Version)
-}
-
-// LatestPublished RPC.
-func (s *VMServer) LatestPublished(a *GeometryArgs, reply *vmanager.SnapshotInfo) error {
-	info, err := s.M.LatestPublished(a.Blob)
-	if err != nil {
-		return err
-	}
-	*reply = info
-	return nil
-}
-
-// SnapshotArgs selects a published version.
-type SnapshotArgs struct {
-	Blob    uint64
-	Version uint64
-}
-
-// Snapshot RPC.
-func (s *VMServer) Snapshot(a *SnapshotArgs, reply *vmanager.SnapshotInfo) error {
-	info, err := s.M.Snapshot(a.Blob, a.Version)
-	if err != nil {
-		return err
-	}
-	*reply = info
-	return nil
-}
-
-// Versions RPC.
-func (s *VMServer) Versions(a *GeometryArgs, reply *[]uint64) error {
-	vs, err := s.M.Versions(a.Blob)
-	if err != nil {
-		return err
-	}
-	*reply = vs
-	return nil
-}
-
-// RetainArgs applies the retention policy to one blob.
-type RetainArgs struct {
-	Blob     uint64
-	KeepLast int
-}
-
-// Retain RPC: drop every version older than the newest KeepLast
-// (pinned versions skipped); the reply lists the versions newly
-// dropped.
-func (s *VMServer) Retain(a *RetainArgs, reply *[]uint64) error {
-	dropped, err := s.M.Retain(a.Blob, a.KeepLast)
-	if err != nil {
-		return err
-	}
-	*reply = dropped
-	return nil
-}
-
-// DropVersion RPC: remove one published version from the readable set
-// and queue it for chunk reclamation.
-func (s *VMServer) DropVersion(a *SnapshotArgs, _ *struct{}) error {
-	return s.M.DropVersion(a.Blob, a.Version)
-}
-
-// Pin RPC: protect a version from retention (reader holding it open).
-func (s *VMServer) Pin(a *SnapshotArgs, _ *struct{}) error {
-	return s.M.Pin(a.Blob, a.Version)
-}
-
-// Unpin RPC: release one Pin.
-func (s *VMServer) Unpin(a *SnapshotArgs, _ *struct{}) error {
-	return s.M.Unpin(a.Blob, a.Version)
-}
-
-// GCInfo RPC: the version-lifecycle snapshot a collector pass plans
-// from.
-func (s *VMServer) GCInfo(a *GeometryArgs, reply *vmanager.GCInfo) error {
-	info, err := s.M.GCInfo(a.Blob)
-	if err != nil {
-		return err
-	}
-	*reply = info
-	return nil
-}
-
-// MarkReclaimed RPC: record that a pending version's exclusive chunks
-// were deleted.
-func (s *VMServer) MarkReclaimed(a *SnapshotArgs, _ *struct{}) error {
-	return s.M.MarkReclaimed(a.Blob, a.Version)
-}
-
-// ShardStatusArgs selects the control-plane shard report.
-type ShardStatusArgs struct{}
-
-// ShardStatusReply lists every control-plane shard's status, in shard
-// order (a single unsharded manager reports one shard).
-type ShardStatusReply struct {
-	Shards []vmanager.ShardStatus
-}
-
-// ShardStatus RPC: the per-shard control-plane report (bsctl status).
-func (s *VMServer) ShardStatus(_ *ShardStatusArgs, reply *ShardStatusReply) error {
-	reply.Shards = s.M.ShardStatuses()
-	return nil
-}
-
-// --- Data service ---
-
-// DataServer exposes a provider.Router's control surface over RPC —
-// repair, provider flags, audits, statistics; chunk bytes travel on the
-// framed plane — plus, when the node runs the self-healing loop, its
-// health monitor and healer, and, when it runs the garbage collector,
-// its reaper.
-type DataServer struct {
-	R *provider.Router
-	H *provider.HealthMonitor // nil unless self-heal enabled
-	E *core.Healer            // nil unless self-heal enabled
-	G *core.Reaper            // nil unless GC enabled
-}
-
-// RepairArgs triggers a re-replication pass.
-type RepairArgs struct{}
-
-// Repair RPC: scan placement for chunks below the replication degree
-// and re-replicate them from surviving copies (bsctl repair).
-func (s *DataServer) Repair(_ *RepairArgs, reply *provider.RepairStats) error {
-	*reply = s.R.Repair()
-	return nil
-}
-
-// SetDownArgs marks one provider dead or revived.
-type SetDownArgs struct {
-	Provider provider.ID
-	Down     bool
-}
-
-// SetProviderDown RPC: administrative kill switch used to drain a
-// machine or to model its loss (bsctl down/up).
-func (s *DataServer) SetProviderDown(a *SetDownArgs, _ *struct{}) error {
-	return s.R.SetDown(a.Provider, a.Down)
-}
-
-// SetDomainArgs registers one provider's failure-domain label.
-type SetDomainArgs struct {
-	Provider provider.ID
-	Domain   string
-}
-
-// SetProviderDomain RPC: register a provider with a failure domain
-// (rack/zone) after the fact — retagging the topology (bsctl domain).
-// Placement spreads subsequent replicas across the registered domains;
-// the scrubber's spread audit re-finds chunks the new topology leaves
-// co-located and repair re-spreads them.
-func (s *DataServer) SetProviderDomain(a *SetDomainArgs, _ *struct{}) error {
-	return s.R.SetDomain(a.Provider, a.Domain)
-}
-
-// SpreadAuditArgs selects the correlated-loss exposure report.
-type SpreadAuditArgs struct{}
-
-// SpreadAuditReply lists the chunks whose live replicas violate the
-// domain-spread invariant (co-located in fewer domains than the pool
-// could spread them over).
-type SpreadAuditReply struct {
-	Violations []chunk.Key
-}
-
-// SpreadAudit RPC: scan placement for chunks exposed to a correlated
-// single-domain loss (bsctl health). Empty on a flat pool.
-func (s *DataServer) SpreadAudit(_ *SpreadAuditArgs, reply *SpreadAuditReply) error {
-	reply.Violations = s.R.SpreadAudit()
-	return nil
-}
-
-// HealthArgs selects the health snapshot.
-type HealthArgs struct{}
-
-// Health RPC: the per-provider health states of the error-driven
-// failure detector (bsctl health). Fails when the node does not run
-// the self-healing loop.
-func (s *DataServer) Health(_ *HealthArgs, reply *[]provider.HealthStatus) error {
-	if s.H == nil {
-		return errors.New("remote: self-heal not enabled on this node (blobseerd -self-heal)")
-	}
-	*reply = s.H.Snapshot()
-	return nil
-}
-
-// ScrubArgs selects the scrub operation.
-type ScrubArgs struct {
-	// Sync, when set, runs a full scrub pass (and drains the repair
-	// queue) before replying; otherwise the current counters return.
-	Sync bool
-}
-
-// Scrub RPC: background-healer statistics, optionally after forcing a
-// full synchronous scrub+repair pass (bsctl scrub [-sync]). Fails when
-// the node does not run the self-healing loop.
-func (s *DataServer) Scrub(a *ScrubArgs, reply *core.HealerStats) error {
-	if s.E == nil {
-		return errors.New("remote: self-heal not enabled on this node (blobseerd -self-heal)")
-	}
-	if a.Sync {
-		*reply = s.E.Pass()
-	} else {
-		*reply = s.E.Stats()
-	}
-	return nil
-}
-
-// CodingArgs selects the placement-mode report.
-type CodingArgs struct{}
-
-// CodingReply reports the node's chunk placement mode: erasure coding
-// (K data + M parity fragments) when Coded, R-way replication
-// otherwise.
-type CodingReply struct {
-	Coded    bool
-	K, M     int
-	Replicas int
-	Quorum   int
-}
-
-// Coding RPC: the data node's placement mode (bsctl health shows it so
-// operators know what durability the pool promises).
-func (s *DataServer) Coding(_ *CodingArgs, reply *CodingReply) error {
-	k, m, on := s.R.Coding()
-	reply.Coded, reply.K, reply.M = on, k, m
-	reply.Replicas = s.R.Replicas()
-	reply.Quorum = s.R.WriteQuorum()
-	return nil
-}
-
-// UsageArgs selects the space-accounting snapshot.
-type UsageArgs struct{}
-
-// Usage RPC: per-provider chunk counts and stored bytes (bsctl usage)
-// — the operator's space view and the reclamation verification feed.
-func (s *DataServer) Usage(_ *UsageArgs, reply *[]provider.ProviderUsage) error {
-	*reply = s.R.Usage()
-	return nil
-}
-
-// ReadTierArgs selects the read-tier snapshot.
-type ReadTierArgs struct{}
-
-// ReadTierReply reports the node's hot-path read-tier state: the
-// configured reader domain with its locality counters, and — when the
-// bounded read-through cache is enabled — the cache counters.
-type ReadTierReply struct {
-	LocalDomain  string
-	Locality     provider.ReadLocalityStats
-	CacheEnabled bool
-	Cache        provider.ReadCacheStats
-}
-
-// ReadTier RPC: zone-local read statistics and cache counters
-// (bsctl readtier). Always answers; the reply's fields report which
-// parts of the tier (locality, cache) this node has enabled.
-func (s *DataServer) ReadTier(_ *ReadTierArgs, reply *ReadTierReply) error {
-	reply.LocalDomain = s.R.LocalDomain()
-	reply.Locality = s.R.ReadLocality()
-	if c := s.R.ReadCache(); c != nil {
-		reply.CacheEnabled = true
-		reply.Cache = c.Stats()
-	}
-	return nil
-}
-
-// GCArgs selects the garbage-collection operation.
-type GCArgs struct {
-	// Sync, when set, runs a full collection pass (retention, diff
-	// walk, deletions) before replying; otherwise the current counters
-	// return.
-	Sync bool
-}
-
-// GC RPC: reaper statistics, optionally after forcing a synchronous
-// collection pass (bsctl gc [-sync]). Fails when the node does not run
-// the garbage collector.
-func (s *DataServer) GC(a *GCArgs, reply *core.ReaperStats) error {
-	if s.G == nil {
-		return errors.New("remote: GC not enabled on this node (blobseerd -gc)")
-	}
-	if a.Sync {
-		*reply = s.G.Pass()
-	} else {
-		*reply = s.G.Stats()
-	}
-	return nil
-}
-
-// --- Node introspection service ---
-
-// NodeServer exposes process-level introspection: the node's metrics
-// registry in Prometheus text exposition (bsctl metrics).
-type NodeServer struct {
-	Reg *metrics.Registry
-}
-
-// MetricsArgs selects the metrics exposition.
-type MetricsArgs struct{}
-
-// Metrics RPC: the node's full metrics registry rendered in Prometheus
-// text exposition format.
-func (s *NodeServer) Metrics(_ *MetricsArgs, reply *string) error {
-	var buf strings.Builder
-	if err := s.Reg.WritePrometheus(&buf); err != nil {
-		return err
-	}
-	*reply = buf.String()
-	return nil
-}
-
 // --- Node (server process) ---
 
 // Roles selects which services a node hosts. Health and Healer ride
-// along with the data role when the node runs the self-healing loop;
-// Reaper rides along when it runs the version-lifecycle garbage
-// collector.
+// along with the data role when the node self-heals, Reaper when it
+// collects garbage.
 type Roles struct {
 	VM     VMBackend
 	Meta   *metadata.Store
@@ -454,22 +56,21 @@ type Roles struct {
 	Healer *core.Healer
 	Reaper *core.Reaper
 
-	// Metrics, when non-nil, registers the Node introspection service
-	// (Prometheus exposition via bsctl metrics) and counts every inbound
-	// RPC into bs_rpc_requests_total{method="..."}.
+	// Metrics, when non-nil, is served at GET /metrics (Prometheus
+	// exposition, bsctl metrics), and every version-manager and operator
+	// call is counted into bs_rpc_requests_total{method="..."}.
 	Metrics *metrics.Registry
 }
 
 // Node is one running storage-service process.
 type Node struct {
-	lis net.Listener
-	srv *rpc.Server
-	reg *metrics.Registry // nil when the node has no metrics role
-	fr  *framedServer
+	lis   net.Listener
+	fr    *framedServer
+	admin *http.Server
+	plain *connListener // where the accept loop hands the connections that are not framed
 
-	// conns tracks accepted connections so Close terminates them along
-	// with the listener — a closed Node behaves like a dead process,
-	// which is what clients (and their connection pools) must handle.
+	// conns tracks framed connections so Close ends them (the HTTP server
+	// ends its own): a closed Node behaves like a dead process.
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -495,23 +96,9 @@ func serve(lis net.Listener, roles Roles) (*Node, error) {
 	if roles.VM == nil && roles.Meta == nil && roles.Data == nil {
 		return nil, errors.New("remote: node must host at least one role")
 	}
-	srv := rpc.NewServer()
-	if roles.VM != nil {
-		if err := srv.RegisterName(vmService, &VMServer{M: roles.VM}); err != nil {
-			return nil, err
-		}
-	}
-	if roles.Data != nil {
-		if err := srv.RegisterName(dataService, &DataServer{R: roles.Data, H: roles.Health, E: roles.Healer, G: roles.Reaper}); err != nil {
-			return nil, err
-		}
-	}
-	if roles.Metrics != nil {
-		if err := srv.RegisterName(nodeService, &NodeServer{Reg: roles.Metrics}); err != nil {
-			return nil, err
-		}
-	}
-	n := &Node{lis: lis, srv: srv, reg: roles.Metrics, fr: newFramedServer(roles), conns: make(map[net.Conn]struct{})}
+	n := &Node{lis: lis, fr: newFramedServer(roles), admin: &http.Server{Handler: newAdminMux(roles)}, conns: make(map[net.Conn]struct{})}
+	n.plain = &connListener{Listener: lis, conns: make(chan net.Conn), done: make(chan struct{})}
+	go n.admin.Serve(n.plain)
 	go n.acceptLoop()
 	return n, nil
 }
@@ -528,9 +115,20 @@ func (n *Node) acceptLoop() {
 
 // handleConn negotiates the connection's protocol by peeking its first
 // bytes: the framed plane announces itself with a 4-byte magic,
-// everything else is a gob RPC client. The peek happens off the accept
-// loop because it blocks until the client's first write.
+// everything else goes to the HTTP server. The peek happens off the
+// accept loop because it blocks until the client's first write.
 func (n *Node) handleConn(conn net.Conn) {
+	br := bufio.NewReaderSize(conn, 64<<10)
+	head, err := br.Peek(len(framedMagic))
+	if err != nil {
+		conn.Close()
+		return
+	}
+	if string(head) != framedMagic {
+		// The peeked bytes stay in br, so the HTTP server reads through it.
+		n.plain.hand(&bufferedConn{Conn: conn, r: br})
+		return
+	}
 	n.connMu.Lock()
 	if n.closed {
 		n.connMu.Unlock()
@@ -544,25 +142,8 @@ func (n *Node) handleConn(conn net.Conn) {
 		delete(n.conns, conn)
 		n.connMu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	head, err := br.Peek(len(framedMagic))
-	if err != nil {
-		conn.Close()
-		return
-	}
-	if string(head) == framedMagic {
-		br.Discard(len(framedMagic))
-		n.fr.serve(conn, br)
-		return
-	}
-	// Gob fallthrough: the peeked bytes stay in br, so the RPC codec
-	// must read through it.
-	bc := &bufferedConn{Conn: conn, r: br}
-	if n.reg != nil {
-		n.srv.ServeCodec(newCountingServerCodec(bc, n.reg))
-	} else {
-		n.srv.ServeConn(bc)
-	}
+	br.Discard(len(framedMagic))
+	n.fr.serve(conn, br)
 }
 
 // bufferedConn splices a peeked bufio.Reader back onto its connection.
@@ -573,68 +154,6 @@ type bufferedConn struct {
 
 func (b *bufferedConn) Read(p []byte) (int, error) { return b.r.Read(p) }
 
-// countingServerCodec is the stdlib gob server codec with one addition:
-// every decoded request header counts into
-// bs_rpc_requests_total{method="Service.Method"}, giving the per-node
-// RPC traffic breakdown without touching any service implementation.
-type countingServerCodec struct {
-	rwc    io.ReadWriteCloser
-	dec    *gob.Decoder
-	enc    *gob.Encoder
-	encBuf *bufio.Writer
-	reg    *metrics.Registry
-	closed bool
-}
-
-func newCountingServerCodec(conn io.ReadWriteCloser, reg *metrics.Registry) rpc.ServerCodec {
-	buf := bufio.NewWriter(conn)
-	return &countingServerCodec{
-		rwc:    conn,
-		dec:    gob.NewDecoder(conn),
-		enc:    gob.NewEncoder(buf),
-		encBuf: buf,
-		reg:    reg,
-	}
-}
-
-func (c *countingServerCodec) ReadRequestHeader(r *rpc.Request) error {
-	if err := c.dec.Decode(r); err != nil {
-		return err
-	}
-	c.reg.Counter("bs_rpc_requests_total", metrics.Label{Key: "method", Value: r.ServiceMethod}).Inc()
-	return nil
-}
-
-func (c *countingServerCodec) ReadRequestBody(body any) error {
-	return c.dec.Decode(body)
-}
-
-func (c *countingServerCodec) WriteResponse(r *rpc.Response, body any) (err error) {
-	if err = c.enc.Encode(r); err != nil {
-		if c.encBuf.Flush() == nil {
-			// Gob couldn't encode the header; the connection is beyond
-			// recovery.
-			c.Close()
-		}
-		return
-	}
-	if err = c.enc.Encode(body); err != nil {
-		if c.encBuf.Flush() == nil {
-			c.Close()
-		}
-		return
-	}
-	return c.encBuf.Flush()
-}
-
-func (c *countingServerCodec) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.rwc.Close()
-}
-
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.lis.Addr().String() }
 
@@ -643,14 +162,11 @@ func (n *Node) Addr() string { return n.lis.Addr().String() }
 // a killed process to its clients.
 func (n *Node) Close() error {
 	err := n.lis.Close()
+	n.admin.Close()
 	n.connMu.Lock()
+	defer n.connMu.Unlock()
 	n.closed = true
-	conns := make([]net.Conn, 0, len(n.conns))
 	for c := range n.conns {
-		conns = append(conns, c)
-	}
-	n.connMu.Unlock()
-	for _, c := range conns {
 		c.Close()
 	}
 	return err
@@ -660,17 +176,11 @@ func (n *Node) Close() error {
 
 // Client talks to remote service nodes and implements the client-side
 // service interfaces (blob.VersionService, segtree.NodeStore,
-// blob.DataService).
+// blob.DataService) on the framed plane, a pool per endpoint: vm, pool
+// (chunks, data) and nodes (meta); WaitPublished rides waits.
 type Client struct {
-	vm   *rpc.Client
-	data *rpc.Client
-
-	// The framed plane, each pool on its own connections: pool carries
-	// Put/Get/GetFrom to the data endpoint, nodes carries
-	// PutNode/GetNode/TryGetNode to the meta endpoint; control RPCs stay
-	// on the gob connections above.
-	pool  *framedPool
-	nodes *framedPool
+	vm, waits, pool, nodes *framedPool
+	data                   string // the data endpoint, for SetProviderDown
 }
 
 // Endpoints names the service addresses a client needs. Any subset may
@@ -681,36 +191,22 @@ type Endpoints struct {
 	Data string
 }
 
-// DialFramed connects to the VM and data endpoints for control RPCs,
-// which are gob, and carries the chunk data path — Put/Get/GetFrom — and
-// the tree-node path — PutNode/GetNode/TryGetNode — on the framed wire
-// protocol: bodies travel in frames over a small pool of dedicated
-// connections to the data endpoint, and another to the meta endpoint,
-// concurrent calls sharing a connection's round trips as trains. The
-// pools dial on first use, so a client that makes only control calls
-// opens no framed connection, and one whose meta endpoint is down learns
-// it from its first node call. The server negotiates per connection;
-// both kinds arrive on one port.
+// DialFramed connects to the service nodes. Only the version manager is
+// dialed here, so a wrong address fails now; every other connection is
+// dialed on first use.
 func DialFramed(ep Endpoints) (*Client, error) {
-	c := &Client{pool: newFramedPool(ep.Data), nodes: newFramedPool(ep.Meta)}
-	var err error
-	if c.vm, err = rpc.Dial("tcp", ep.VM); err != nil {
-		return nil, fmt.Errorf("remote: dial vm %s: %w", ep.VM, err)
+	c := &Client{vm: newFramedPool(ep.VM), waits: newWaitPool(ep.VM), pool: newFramedPool(ep.Data), nodes: newFramedPool(ep.Meta), data: ep.Data}
+	fc, err := c.vm.dial()
+	if err != nil {
+		return nil, err
 	}
-	if c.data, err = rpc.Dial("tcp", ep.Data); err != nil {
-		c.vm.Close()
-		return nil, fmt.Errorf("remote: dial data %s: %w", ep.Data, err)
-	}
+	c.vm.idle, c.vm.open = []*framedConn{fc}, 1
 	return c, nil
 }
 
-// SetMetrics registers the framed plane's client-side series in reg,
-// chunk and node traffic counted together: bs_data_dials_total, the
-// connections it dials (flat in steady state — a pool redials only
-// after a peer restart), and the histogram bs_data_train_ops, the
-// requests each train carries in one round trip (1 throughout means
-// callers never outnumber connections). Call it before the first framed
-// call.
+// SetMetrics registers the chunk and node pools' series in reg, before
+// their first call: bs_data_dials_total, the connections dialed (flat in
+// steady state), and bs_data_train_ops, the requests per round trip.
 func (c *Client) SetMetrics(reg *metrics.Registry) {
 	for _, p := range []*framedPool{c.pool, c.nodes} {
 		p.dials = reg.Counter("bs_data_dials_total")
@@ -718,16 +214,14 @@ func (c *Client) SetMetrics(reg *metrics.Registry) {
 	}
 }
 
-// Close terminates all connections: the control connections and the
-// framed plane's idle ones at once, a framed connection with a train on
-// it when that train is answered. Chunk and node calls started after
-// Close, or still queued for a connection at Close, fail with
-// ErrClientClosed; those already written to a connection finish.
-// Control calls fail with rpc.ErrShutdown.
+// Close ends every connection: idle and parked-wait ones at once, one
+// with a train on it once the train is answered. Calls started after
+// Close, queued, or parked in a wait fail with ErrClientClosed.
 func (c *Client) Close() error {
-	c.pool.close()
-	c.nodes.close()
-	return errors.Join(c.vm.Close(), c.data.Close())
+	for _, p := range []*framedPool{c.vm, c.waits, c.pool, c.nodes} {
+		p.close()
+	}
+	return nil
 }
 
 // Services assembles the blob.Services facade over this client.
@@ -741,135 +235,112 @@ var (
 	_ blob.DataService    = (*Client)(nil)
 )
 
-// CreateBlob implements blob.VersionService.
+// vmOp makes one version-manager call and returns its reply body.
+func (c *Client) vmOp(op byte, blobID, v uint64, off, length int64, body []byte) ([]byte, error) {
+	p := c.vm
+	if op == opWaitPublished {
+		p = c.waits
+	}
+	r := p.one(vmCall(op, blobID, v, off, length, body))
+	return r.data, r.err
+}
+
+// vmDone makes a version-manager call that returns nothing but its error.
+func (c *Client) vmDone(op byte, blobID, v uint64) error {
+	_, err := c.vmOp(op, blobID, v, 0, 0, nil)
+	return err
+}
+
+// vmResult makes a version-manager call whose reply body decode reads.
+func vmResult[T any](c *Client, op byte, blobID, v uint64, off int64, body []byte, decode func([]byte) (T, error)) (T, error) {
+	reply, err := c.vmOp(op, blobID, v, off, 0, body)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(reply)
+}
+
+// The blob.VersionService methods, one framed op each.
+
 func (c *Client) CreateBlob(blobID uint64, geo segtree.Geometry) error {
-	return c.vm.Call(vmService+".CreateBlob", &CreateBlobArgs{Blob: blobID, Geo: geo}, &struct{}{})
+	_, err := c.vmOp(opCreateBlob, blobID, 0, geo.Capacity, geo.Page, nil)
+	return err
 }
 
-// Geometry implements blob.VersionService.
-func (c *Client) Geometry(blobID uint64) (segtree.Geometry, error) {
-	var g segtree.Geometry
-	err := c.vm.Call(vmService+".Geometry", &GeometryArgs{Blob: blobID}, &g)
-	return g, err
-}
-
-// AssignTicket implements blob.VersionService.
-func (c *Client) AssignTicket(blobID uint64, e extent.List) (vmanager.Ticket, error) {
-	var tk vmanager.Ticket
-	err := c.vm.Call(vmService+".AssignTicket", &TicketArgs{Blob: blobID, Extents: e}, &tk)
-	return tk, err
-}
-
-// Complete implements blob.VersionService.
 func (c *Client) Complete(blobID, v uint64, root segtree.NodeKey) error {
-	return c.vm.Call(vmService+".Complete", &CompleteArgs{Blob: blobID, Version: v, Root: root}, &struct{}{})
+	_, err := c.vmOp(opComplete, blobID, v, 0, 0, vmanager.AppendNodeKey(nil, root))
+	return err
 }
 
-// Abort implements blob.VersionService.
-func (c *Client) Abort(blobID, v uint64) error {
-	return c.vm.Call(vmService+".Abort", &CompleteArgs{Blob: blobID, Version: v}, &struct{}{})
+func (c *Client) Abort(blobID, v uint64) error         { return c.vmDone(opAbort, blobID, v) }
+func (c *Client) WaitPublished(blobID, v uint64) error { return c.vmDone(opWaitPublished, blobID, v) }
+func (c *Client) DropVersion(blobID, v uint64) error   { return c.vmDone(opDropVersion, blobID, v) }
+func (c *Client) Pin(blobID, v uint64) error           { return c.vmDone(opPin, blobID, v) }
+func (c *Client) Unpin(blobID, v uint64) error         { return c.vmDone(opUnpin, blobID, v) }
+func (c *Client) MarkReclaimed(blobID, v uint64) error { return c.vmDone(opMarkReclaimed, blobID, v) }
+
+func (c *Client) Geometry(blobID uint64) (segtree.Geometry, error) {
+	return vmResult(c, opGeometry, blobID, 0, 0, nil, vmanager.DecodeGeometry)
 }
 
-// WaitPublished implements blob.VersionService.
-func (c *Client) WaitPublished(blobID, v uint64) error {
-	return c.vm.Call(vmService+".WaitPublished", &WaitArgs{Blob: blobID, Version: v}, &struct{}{})
+func (c *Client) AssignTicket(blobID uint64, e extent.List) (vmanager.Ticket, error) {
+	return vmResult(c, opAssignTicket, blobID, 0, 0, vmanager.AppendExtents(nil, e), vmanager.DecodeTicket)
 }
 
-// LatestPublished implements blob.VersionService.
 func (c *Client) LatestPublished(blobID uint64) (vmanager.SnapshotInfo, error) {
-	var info vmanager.SnapshotInfo
-	err := c.vm.Call(vmService+".LatestPublished", &GeometryArgs{Blob: blobID}, &info)
-	return info, err
+	return vmResult(c, opLatestPublished, blobID, 0, 0, nil, vmanager.DecodeSnapshotInfo)
 }
 
-// Snapshot implements blob.VersionService.
 func (c *Client) Snapshot(blobID, v uint64) (vmanager.SnapshotInfo, error) {
-	var info vmanager.SnapshotInfo
-	err := c.vm.Call(vmService+".Snapshot", &SnapshotArgs{Blob: blobID, Version: v}, &info)
-	return info, err
+	return vmResult(c, opSnapshot, blobID, v, 0, nil, vmanager.DecodeSnapshotInfo)
 }
 
-// Versions implements blob.VersionService.
 func (c *Client) Versions(blobID uint64) ([]uint64, error) {
-	var vs []uint64
-	err := c.vm.Call(vmService+".Versions", &GeometryArgs{Blob: blobID}, &vs)
-	return vs, err
+	return vmResult(c, opVersions, blobID, 0, 0, nil, vmanager.DecodeVersions)
 }
 
-// Retain implements blob.VersionService.
 func (c *Client) Retain(blobID uint64, keepLast int) ([]uint64, error) {
-	var dropped []uint64
-	err := c.vm.Call(vmService+".Retain", &RetainArgs{Blob: blobID, KeepLast: keepLast}, &dropped)
-	return dropped, err
+	return vmResult(c, opRetain, blobID, 0, int64(keepLast), nil, vmanager.DecodeVersions)
 }
 
-// DropVersion implements blob.VersionService.
-func (c *Client) DropVersion(blobID, v uint64) error {
-	return c.vm.Call(vmService+".DropVersion", &SnapshotArgs{Blob: blobID, Version: v}, &struct{}{})
-}
-
-// Pin implements blob.VersionService.
-func (c *Client) Pin(blobID, v uint64) error {
-	return c.vm.Call(vmService+".Pin", &SnapshotArgs{Blob: blobID, Version: v}, &struct{}{})
-}
-
-// Unpin implements blob.VersionService.
-func (c *Client) Unpin(blobID, v uint64) error {
-	return c.vm.Call(vmService+".Unpin", &SnapshotArgs{Blob: blobID, Version: v}, &struct{}{})
-}
-
-// GCInfo implements blob.VersionService.
 func (c *Client) GCInfo(blobID uint64) (vmanager.GCInfo, error) {
-	var info vmanager.GCInfo
-	err := c.vm.Call(vmService+".GCInfo", &GeometryArgs{Blob: blobID}, &info)
-	return info, err
-}
-
-// MarkReclaimed implements blob.VersionService.
-func (c *Client) MarkReclaimed(blobID, v uint64) error {
-	return c.vm.Call(vmService+".MarkReclaimed", &SnapshotArgs{Blob: blobID, Version: v}, &struct{}{})
+	return vmResult(c, opGCInfo, blobID, 0, 0, nil, vmanager.DecodeGCInfo)
 }
 
 // PutNode implements segtree.NodeStore over the framed plane.
 func (c *Client) PutNode(blobID uint64, key segtree.NodeKey, n *segtree.Node) error {
-	_, err := c.nodes.node(opNodePut, blobID, key, segtree.AppendNode(nil, n))
-	return err
+	return c.nodes.one(nodeCall(opNodePut, blobID, key, segtree.AppendNode(nil, n))).err
 }
 
 // GetNode implements segtree.NodeStore over the framed plane.
 func (c *Client) GetNode(blobID uint64, key segtree.NodeKey) (*segtree.Node, error) {
-	enc, err := c.nodes.node(opNodeGet, blobID, key, nil)
-	if err != nil {
-		return nil, err
+	r := c.nodes.one(nodeCall(opNodeGet, blobID, key, nil))
+	if r.err != nil {
+		return nil, r.err
 	}
-	return segtree.DecodeNode(enc)
+	return segtree.DecodeNode(r.data)
 }
 
-// TryGetNode implements segtree.NodeStore over the framed plane. It
-// queues behind this client's own calls like any other, never behind
-// another writer: the server answers from what is stored.
+// TryGetNode implements segtree.NodeStore over the framed plane: the
+// server answers from what is stored, never waiting for another writer.
 func (c *Client) TryGetNode(blobID uint64, key segtree.NodeKey) (*segtree.Node, bool, error) {
-	enc, err := c.nodes.node(opNodeTryGet, blobID, key, nil)
-	if err != nil || enc == nil {
-		return nil, false, err
+	r := c.nodes.one(nodeCall(opNodeTryGet, blobID, key, nil))
+	if r.err != nil || r.data == nil {
+		return nil, false, r.err
 	}
-	n, err := segtree.DecodeNode(enc)
+	n, err := segtree.DecodeNode(r.data)
 	return n, err == nil, err
 }
 
-// The four list forms below hand the framed pool a whole batch, which it
-// cuts into trains: the calls of one tree build, tree level or list-read
-// cost a few round trips and block no goroutine per call. Each is what
-// its per-call form would be, call by call — the same requests on the
-// same wire — and none is part of segtree.NodeStore or blob.DataService:
-// segtree's node cache and blob's handles find them by assertion.
+// The four list forms below hand the framed pool a whole batch: the same
+// requests as their per-call forms, in a few round trips. segtree's node
+// cache and blob's handles find them by assertion.
 
 // PutNodes stores nodes[i] under keys[i] as one batch. Every put is
 // attempted; the error is that of the first in key order to fail.
 func (c *Client) PutNodes(blobID uint64, keys []segtree.NodeKey, nodes []*segtree.Node) error {
-	// One buffer holds every body; it may move while it grows, so the
-	// bodies are sliced out of it afterwards.
-	var enc []byte
+	var enc []byte // every body; it moves while it grows, so they are sliced out after
 	ends := make([]int, len(nodes))
 	for i, n := range nodes {
 		enc = segtree.AppendNode(enc, n)
@@ -927,7 +398,8 @@ func firstErr(batch []framedCall) error {
 
 // Put implements blob.DataService over the framed plane.
 func (c *Client) Put(key chunk.Key, data []byte) ([]provider.ID, error) {
-	return c.pool.put(key, data)
+	r := c.pool.one(putCall(key, data))
+	return r.ids, r.err
 }
 
 // PutMany stores data[i] as chunk keys[i], as one batch, and returns each
@@ -955,135 +427,40 @@ func (c *Client) Get(key chunk.Key, off, length int64) ([]byte, error) {
 	return data, err
 }
 
-// GetFrom implements blob.DataService over the framed plane: a read
-// carrying the replica hint recorded in metadata, served with
-// server-side failover. A non-nil fresh replica set means the hint was
-// stale and the caller should cache the returned set.
+// GetFrom implements blob.DataService over the framed plane: a read with
+// the replica hint recorded in metadata, failed over server-side; a
+// non-nil fresh set means the hint was stale. The result's buffer is
+// allocated once the server answers ok, so a miss costs none.
 func (c *Client) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
 	if length < 0 {
 		return nil, nil, fmt.Errorf("remote: negative read length %d for chunk %v", length, key)
 	}
-	data := make([]byte, length)
-	fresh, err := c.GetInto(data, replicas, key, off)
-	if err != nil {
-		return nil, nil, err
+	r := c.pool.one(getCall(nil, length, replicas, key, off))
+	if r.err != nil {
+		return nil, nil, r.err
 	}
-	return data, fresh, nil
+	return r.data, r.ids, nil
 }
 
-// GetInto is GetFrom into the caller's buffer: it reads exactly len(dst)
-// bytes at off of the chunk, off the socket straight into dst, and never
-// touches dst's capacity beyond them. After an error dst holds nothing
-// the caller may use. (blob's read path finds this method by assertion;
-// it is not part of blob.DataService.)
+// GetInto is GetFrom into the caller's buffer: exactly len(dst) bytes at
+// off, off the socket into dst, never past them; after an error dst holds
+// nothing the caller may use. (blob finds it by assertion.)
 func (c *Client) GetInto(dst []byte, replicas []provider.ID, key chunk.Key, off int64) (fresh []provider.ID, err error) {
-	return c.pool.get(dst, replicas, key, off)
+	r := c.pool.one(getCall(dst, int64(len(dst)), replicas, key, off))
+	return r.ids, r.err
 }
 
-// GetManyInto is GetInto for every read of the list, as one batch: each
-// Dst filled off the socket, each Fresh set where the hint was stale.
-// Every read is attempted; the error is that of the first in list order
-// to fail, and after it no Dst holds anything the caller may use.
+// GetManyInto is GetInto for every read of the list, as one batch, each
+// Fresh set where the hint was stale. Every read is attempted; the error
+// is the first in list order, after which no Dst is to be used.
 func (c *Client) GetManyInto(reads []blob.ChunkRead) error {
 	batch := make([]framedCall, len(reads))
 	for i, r := range reads {
-		batch[i] = getCall(r.Dst, r.Replicas, r.Key, r.Off)
+		batch[i] = getCall(r.Dst, int64(len(r.Dst)), r.Replicas, r.Key, r.Off)
 	}
 	c.pool.run(batch)
 	for i := range batch {
 		reads[i].Fresh = batch[i].ids
 	}
 	return firstErr(batch)
-}
-
-// Repair runs a re-replication pass on the data node and returns its
-// statistics.
-func (c *Client) Repair() (provider.RepairStats, error) {
-	var st provider.RepairStats
-	err := c.data.Call(dataService+".Repair", &RepairArgs{}, &st)
-	return st, err
-}
-
-// SetProviderDown marks one provider on the data node dead (or revives
-// it).
-func (c *Client) SetProviderDown(id provider.ID, down bool) error {
-	return c.data.Call(dataService+".SetProviderDown", &SetDownArgs{Provider: id, Down: down}, &struct{}{})
-}
-
-// SetProviderDomain registers one provider's failure-domain label on
-// the data node.
-func (c *Client) SetProviderDomain(id provider.ID, domain string) error {
-	return c.data.Call(dataService+".SetProviderDomain", &SetDomainArgs{Provider: id, Domain: domain}, &struct{}{})
-}
-
-// SpreadAudit returns the chunks on the data node whose live replicas
-// violate the domain-spread invariant.
-func (c *Client) SpreadAudit() ([]chunk.Key, error) {
-	var reply SpreadAuditReply
-	err := c.data.Call(dataService+".SpreadAudit", &SpreadAuditArgs{}, &reply)
-	return reply.Violations, err
-}
-
-// Health returns the data node's per-provider health snapshot (errors
-// when the node does not run the self-healing loop).
-func (c *Client) Health() ([]provider.HealthStatus, error) {
-	var st []provider.HealthStatus
-	err := c.data.Call(dataService+".Health", &HealthArgs{}, &st)
-	return st, err
-}
-
-// Scrub returns the data node's healer statistics; with sync it first
-// forces a full scrub pass and drains the repair queue.
-func (c *Client) Scrub(sync bool) (core.HealerStats, error) {
-	var st core.HealerStats
-	err := c.data.Call(dataService+".Scrub", &ScrubArgs{Sync: sync}, &st)
-	return st, err
-}
-
-// Coding reports the data node's chunk placement mode (erasure coding
-// vs replication) and effective write quorum.
-func (c *Client) Coding() (CodingReply, error) {
-	var rep CodingReply
-	err := c.data.Call(dataService+".Coding", &CodingArgs{}, &rep)
-	return rep, err
-}
-
-// Usage returns the data node's per-provider space accounting.
-func (c *Client) Usage() ([]provider.ProviderUsage, error) {
-	var us []provider.ProviderUsage
-	err := c.data.Call(dataService+".Usage", &UsageArgs{}, &us)
-	return us, err
-}
-
-// GC returns the node's garbage-collector statistics; with sync it
-// first forces a full collection pass (errors when the node does not
-// run the reaper).
-func (c *Client) GC(sync bool) (core.ReaperStats, error) {
-	var st core.ReaperStats
-	err := c.data.Call(dataService+".GC", &GCArgs{Sync: sync}, &st)
-	return st, err
-}
-
-// ReadTier returns the data node's read-tier snapshot: reader domain,
-// locality counters, and cache statistics when the cache is enabled.
-func (c *Client) ReadTier() (ReadTierReply, error) {
-	var reply ReadTierReply
-	err := c.data.Call(dataService+".ReadTier", &ReadTierArgs{}, &reply)
-	return reply, err
-}
-
-// Metrics returns the data node's metrics registry in Prometheus text
-// exposition format (errors when the node has no metrics role).
-func (c *Client) Metrics() (string, error) {
-	var text string
-	err := c.data.Call(nodeService+".Metrics", &MetricsArgs{}, &text)
-	return text, err
-}
-
-// ShardStatus returns the version-manager node's per-shard
-// control-plane report.
-func (c *Client) ShardStatus() ([]vmanager.ShardStatus, error) {
-	var reply ShardStatusReply
-	err := c.vm.Call(vmService+".ShardStatus", &ShardStatusArgs{}, &reply)
-	return reply.Shards, err
 }

@@ -276,7 +276,7 @@ func TestReplicatedDataNodeOverRPC(t *testing.T) {
 		}
 	}
 
-	st, err := c.Repair()
+	st, err := opsOf(c).Repair()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestSelfHealNodeOverRPC(t *testing.T) {
 		versions = append(versions, v)
 	}
 
-	sts, err := c.Health()
+	sts, err := opsOf(c).Health()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestSelfHealNodeOverRPC(t *testing.T) {
 	// scrub pass over RPC: detection and re-replication both happen
 	// server-side.
 	faults[2].SetDown(true)
-	scrub, err := c.Scrub(true)
+	scrub, err := opsOf(c).Scrub(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestSelfHealNodeOverRPC(t *testing.T) {
 	if router.UnderReplicated() != 0 {
 		t.Fatalf("%d chunks still degraded after RPC scrub", router.UnderReplicated())
 	}
-	sts, err = c.Health()
+	sts, err = opsOf(c).Health()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestSelfHealNodeOverRPC(t *testing.T) {
 		t.Fatalf("store-level kill not detected over RPC: %+v", sts[2])
 	}
 	// Async form just reports counters.
-	again, err := c.Scrub(false)
+	again, err := opsOf(c).Scrub(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,10 +420,10 @@ func TestSelfHealRPCsRequireHealer(t *testing.T) {
 	defer node.Close()
 	addr := node.Addr()
 	c := dialClient(t, Endpoints{VM: addr, Meta: addr, Data: addr})
-	if _, err := c.Health(); err == nil {
+	if _, err := opsOf(c).Health(); err == nil {
 		t.Fatal("Health RPC on a non-self-heal node must fail")
 	}
-	if _, err := c.Scrub(false); err == nil {
+	if _, err := opsOf(c).Scrub(false); err == nil {
 		t.Fatal("Scrub RPC on a non-self-heal node must fail")
 	}
 }
