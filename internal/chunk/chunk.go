@@ -138,8 +138,10 @@ var ErrExists = errors.New("chunk: already exists")
 // the version-lifecycle garbage collector drives once no retained
 // snapshot references a chunk (see provider.Router.DeleteReplicas).
 type Store interface {
-	// Put stores an immutable chunk. Storing the same key twice fails
-	// with ErrExists.
+	// Put stores an immutable chunk. The store may keep data as the
+	// chunk's bytes, so the caller hands it over: it must not modify
+	// data afterwards. The store never writes into it. Storing the same
+	// key twice fails with ErrExists.
 	Put(key Key, data []byte) error
 	// Get returns length bytes starting at off within the chunk.
 	Get(key Key, off, length int64) ([]byte, error)
@@ -170,7 +172,12 @@ type Store interface {
 	OpenReader(key Key, off, length int64) (io.ReadCloser, error)
 }
 
-// MemStore is an in-memory chunk store metered by an iosim.Meter.
+// MemStore is an in-memory chunk store metered by an iosim.Meter. Put
+// keeps the slice it is handed as the chunk's bytes, uncopied (see
+// Store.Put), so chunks put from one buffer — a chunk's replicas, the
+// data fragments of a coded chunk — share one array on the heap: a chunk
+// deleted alone keeps that array alive until the chunks sharing it go
+// too. Usage counts each chunk's own length all the same.
 type MemStore struct {
 	mu     sync.RWMutex
 	chunks map[Key][]byte
@@ -184,15 +191,13 @@ func NewMemStore(meter *iosim.Meter) *MemStore {
 	return &MemStore{chunks: make(map[Key][]byte), meter: meter}
 }
 
-// Put implements Store.
+// Put implements Store, keeping data itself.
 func (s *MemStore) Put(key Key, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.mu.Lock()
 	_, dup := s.chunks[key]
 	if !dup {
-		s.chunks[key] = cp
-		s.bytes += int64(len(cp))
+		s.chunks[key] = data
+		s.bytes += int64(len(data))
 	}
 	s.mu.Unlock()
 	if dup {
@@ -337,6 +342,19 @@ func (s *MemStore) OpenReader(key Key, off, length int64) (io.ReadCloser, error)
 		s.meter.Charge(length)
 	}
 	return io.NopCloser(bytes.NewReader(data[off : off+length])), nil
+}
+
+// InMemory returns a store's reader as an io.WriterTo when it writes out
+// bytes held in memory (a MemStore's slice), uncopied, a write per slice
+// it holds. A DiskStore's chunk file is an io.WriterTo too, but it
+// sendfiles only towards a socket and copies through a small buffer
+// towards anything else, so it is not one.
+func InMemory(r io.Reader) (io.WriterTo, bool) {
+	if _, file := r.(*os.File); file {
+		return nil, false
+	}
+	wt, ok := r.(io.WriterTo)
+	return wt, ok
 }
 
 // DiskStore persists each chunk as one file under a directory. It is the

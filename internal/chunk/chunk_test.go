@@ -113,18 +113,15 @@ func TestStoreRangeChecks(t *testing.T) {
 	}
 }
 
+// TestMemStoreCopiesData: Get hands out a copy. (Put keeps what it is
+// handed; TestStoreOwnership holds every backend to that contract.)
 func TestMemStoreCopiesData(t *testing.T) {
 	s := NewMemStore(nil)
-	data := []byte{1, 2, 3}
 	key := Key{Blob: 1}
-	if err := s.Put(key, data); err != nil {
+	if err := s.Put(key, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	data[0] = 99 // caller mutates its buffer after Put
 	got, _ := s.Get(key, 0, 3)
-	if got[0] != 1 {
-		t.Fatal("store must not alias caller buffer")
-	}
 	got[1] = 88 // reader mutates the returned buffer
 	got2, _ := s.Get(key, 0, 3)
 	if got2[1] != 2 {

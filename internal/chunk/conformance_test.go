@@ -186,6 +186,59 @@ func runConformance(t *testing.T, s Store, fidelity bool) {
 	}
 }
 
+// TestStoreOwnership is Store.Put's contract from the store's side, for
+// every backend: the store may keep what a Put hands it (a MemStore does,
+// uncopied) but never writes into it; Get hands out a copy its caller may
+// scribble on, and what OpenReader serves does not depend on that copy.
+func TestStoreOwnership(t *testing.T) {
+	for _, bc := range backends() {
+		t.Run(bc.name, func(t *testing.T) {
+			s, err := OpenStore(bc.url(t), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := Key{Blob: 4, Version: 1}
+			data := make([]byte, 8192)
+			for i := range data {
+				data[i] = byte(i * 13)
+			}
+			want := bytes.Clone(data)
+			if err := s.Put(key, data); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, want) {
+				t.Fatal("Put wrote into the buffer it was handed")
+			}
+			if ms, ok := s.(*MemStore); ok && &ms.chunks[key][0] != &data[0] {
+				t.Fatal("MemStore.Put copied the buffer it may keep")
+			}
+			got, err := s.Get(key, 0, int64(len(data)))
+			if err != nil || len(got) != len(data) {
+				t.Fatalf("Get: %d bytes, %v", len(got), err)
+			}
+			for i := range got {
+				got[i] = 0xEE
+			}
+			again, err := s.Get(key, 100, 1000)
+			if err != nil || (bc.fidelity && !bytes.Equal(again, want[100:1100])) {
+				t.Fatalf("Get after scribbling on an earlier Get's bytes: %v", err)
+			}
+			rc, err := s.OpenReader(key, 0, int64(len(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := io.ReadAll(rc)
+			rc.Close()
+			if err != nil || len(streamed) != len(data) || (bc.fidelity && !bytes.Equal(streamed, want)) {
+				t.Fatalf("OpenReader after scribbling on a Get's bytes: %d bytes, %v", len(streamed), err)
+			}
+			if !bytes.Equal(data, want) {
+				t.Fatal("reads wrote into the buffer Put was handed")
+			}
+		})
+	}
+}
+
 // TestFactoryRejectsBadURLs pins the factory's validation behavior.
 func TestFactoryRejectsBadURLs(t *testing.T) {
 	for _, bad := range []string{"s3://bucket", "disk://", "", "fault+s3://x"} {

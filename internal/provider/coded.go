@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/chunk"
 )
@@ -82,12 +83,13 @@ func (r *Router) Coding() (k, m int, on bool) { return r.placementMode().coding(
 //     there is some other position's orphan, and recording it would
 //     serve wrong bytes.
 //   - Reads serve the requested sub-range straight from the data
-//     fragments it touches (no decode). When one of those is flagged
-//     away or fails, the read degrades: it fetches the surviving data
-//     fragments plus one parity fragment per missing one, and rebuilds
-//     only the missing data fragments the range covers, in place. They
-//     count as locality-flat: fragments are spread across domains by
-//     design, so a "local read" of one chunk does not exist.
+//     fragments it touches (no decode); a stream read hands out the
+//     stores' own readers. When one of those is flagged away or fails,
+//     the read degrades: it fetches the surviving data fragments plus
+//     one parity fragment per missing one into a pooled slab, and
+//     rebuilds only the missing data fragments the range covers, in
+//     place. They count as locality-flat: fragments are spread across
+//     domains by design, so a "local read" of one chunk does not exist.
 //   - A stripe starts at a key-derived position of its spread (see
 //     allocate): a lost domain holds a data fragment of k in k+m chunks.
 //   - Repair re-encodes: it reads any k surviving fragments, rebuilds
@@ -152,20 +154,22 @@ func (c coded) recorded(targets []*Provider, errs []error) []ID {
 	return stored
 }
 
-// read serves a coded read from placement. The bytes are assembled from
-// fragments either way, so a stream read shares the byte read's path
-// and hands the result out behind a reader: there is no single store
-// file to splice to a socket.
+// read serves a coded read from placement (readCoded).
 func (c coded) read(r *Router, ids []ID, q chunkRead) (out served, skips, storeErrs int, err error) {
-	data, skips, storeErrs, err := r.readCoded(c.code, ids, q.key, q.off, q.length)
-	if err != nil {
-		return served{}, skips, storeErrs, err
+	out, skips, storeErrs, err = r.readCoded(c.code, ids, q)
+	if err == nil {
+		r.met.getFlat.Inc()
 	}
-	r.met.getFlat.Inc()
-	if q.stream {
-		return served{rc: io.NopCloser(bytes.NewReader(data))}, skips, storeErrs, nil
+	return out, skips, storeErrs, err
+}
+
+// liveStore is the store of provider id, or nil when the provider is
+// flagged down or unknown: a fragment read skips it without a store call.
+func (r *Router) liveStore(id ID) chunk.Store {
+	if p := r.byID(id); p != nil && !p.Down() {
+		return p.Store()
 	}
-	return served{data: data}, skips, storeErrs, nil
+	return nil
 }
 
 // readFragment reads len(buf) bytes at off of the fragment provider id
@@ -173,11 +177,11 @@ func (c coded) read(r *Router, ids []ID, q chunkRead) (out served, skips, storeE
 // answer to the health monitor. A flagged or unknown provider is
 // ErrProviderDown without a store call.
 func (r *Router) readFragment(id ID, key chunk.Key, off int64, buf []byte) error {
-	p := r.byID(id)
-	if p == nil || p.Down() {
+	s := r.liveStore(id)
+	if s == nil {
 		return ErrProviderDown
 	}
-	rc, err := p.Store().OpenReader(key, off, int64(len(buf)))
+	rc, err := s.OpenReader(key, off, int64(len(buf)))
 	if err == nil {
 		_, err = io.ReadFull(rc, buf)
 		rc.Close()
@@ -186,35 +190,55 @@ func (r *Router) readFragment(id ID, key chunk.Key, off int64, buf []byte) error
 	return err
 }
 
+// span is the part [flo, fhi) of data fragment i, ss bytes long, that
+// the chunk range [off, off+length) covers.
+func span(i int, ss, off, length int64) (flo, fhi int64) {
+	return max(off-int64(i)*ss, 0), min(off+length-int64(i)*ss, ss)
+}
+
 // readCoded serves one coded sub-range read from the positional set
-// ids. The direct path reads only the data fragments the range touches,
-// each straight into its place in the reply. A fragment there that is
-// flagged away (skips, checked before anything is fetched) or fails the
-// read (storeErrs) makes it a degraded read: one chunk image, every
-// surviving data fragment read into its slot, a parity fragment per
-// missing one, and the missing fragments the range covers — no others —
-// rebuilt in their slots.
-func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, length int64) (data []byte, skips, storeErrs int, err error) {
+// ids. The direct path reads only the data fragments the range touches:
+// a byte read each straight into its place in the reply, a stream read
+// each as its store's own reader (openCoded). A fragment there that is
+// flagged away (skips, checked before anything is fetched) or fails
+// (storeErrs) makes it a degraded read, assembled in a slab from the
+// pool: every surviving data fragment read into its slot of the chunk
+// image, a parity fragment per missing one into the tail, and the
+// missing fragments the range covers — no others — rebuilt in their
+// slots. A byte read copies its range out and returns the slab at once;
+// a stream read hands out a reader over the range that returns the slab
+// on Close.
+//
+// Slabs are not zeroed. That is sound because every byte served from one
+// was either read whole from a store or rebuilt by ReconstructData, which
+// clears what it fills first; a slot that neither happened to — a missing
+// fragment the range does not cover, a parity slot never read — lies
+// outside the range.
+func (r *Router) readCoded(code *chunk.RSCode, ids []ID, q chunkRead) (out served, skips, storeErrs int, err error) {
 	k, n := code.K, code.K+code.M
+	key, off, length := q.key, q.off, q.length
 	if len(ids) != n {
-		return nil, 0, 0, fmt.Errorf("provider: coded placement of %s has %d positions, want %d", key, len(ids), n)
+		return served{}, 0, 0, fmt.Errorf("provider: coded placement of %s has %d positions, want %d", key, len(ids), n)
 	}
 	if off < 0 || length < 0 {
-		return nil, 0, 0, fmt.Errorf("provider: invalid coded read [%d, %d) of %s", off, off+length, key)
+		return served{}, 0, 0, fmt.Errorf("provider: invalid coded read [%d, %d) of %s", off, off+length, key)
 	}
 	if length == 0 {
-		return []byte{}, 0, 0, nil
+		if q.stream {
+			return served{rc: io.NopCloser(bytes.NewReader(nil))}, 0, 0, nil
+		}
+		return served{data: []byte{}}, 0, 0, nil
 	}
 	// Fragment size: all k+m fragments of a chunk are equal by
 	// construction, so the first live fragment's Len is authoritative.
 	ss := int64(-1)
 	var lastErr error
 	for _, id := range ids {
-		p := r.byID(id)
-		if p == nil || p.Down() {
+		s := r.liveStore(id)
+		if s == nil {
 			continue
 		}
-		sz, lerr := p.Store().Len(key)
+		sz, lerr := s.Len(key)
 		r.reportError(id, lerr)
 		if lerr == nil {
 			ss = sz
@@ -226,41 +250,40 @@ func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, len
 		if lastErr == nil {
 			lastErr = ErrProviderDown
 		}
-		return nil, 0, 0, fmt.Errorf("provider: no readable fragment of %s: %w", key, lastErr)
+		return served{}, 0, 0, fmt.Errorf("provider: no readable fragment of %s: %w", key, lastErr)
 	}
 	if off+length > int64(k)*ss {
-		return nil, 0, 0, fmt.Errorf("provider: coded read [%d, %d) of %s exceeds chunk bound %d", off, off+length, key, int64(k)*ss)
+		return served{}, 0, 0, fmt.Errorf("provider: coded read [%d, %d) of %s exceeds chunk bound %d", off, off+length, key, int64(k)*ss)
 	}
 	lo, hi := int(off/ss), int((off+length-1)/ss)
 	for i := lo; i <= hi; i++ {
-		if p := r.byID(ids[i]); p == nil || p.Down() {
+		if r.liveStore(ids[i]) == nil {
 			skips++
 		}
 	}
-	if skips == 0 {
-		out := make([]byte, length)
+	if skips == 0 && q.stream {
+		if rc, ok := r.openCoded(ids, q, ss, lo, hi); ok {
+			return served{rc: rc}, 0, 0, nil
+		}
+		storeErrs++
+	} else if skips == 0 {
+		data := make([]byte, length)
 		for i, at := lo, int64(0); i <= hi && storeErrs == 0; i++ {
-			// The range of fragment i that is asked for.
-			flo, fhi := max(off-int64(i)*ss, 0), min(off+length-int64(i)*ss, ss)
-			if r.readFragment(ids[i], key, flo, out[at:at+fhi-flo]) != nil {
+			flo, fhi := span(i, ss, off, length)
+			if r.readFragment(ids[i], key, flo, data[at:at+fhi-flo]) != nil {
 				storeErrs++
 			}
 			at += fhi - flo
 		}
 		if storeErrs == 0 {
-			return out, 0, 0, nil
+			return served{data: data}, 0, 0, nil
 		}
 	}
-	image := make([]byte, int64(k)*ss)
+	slab := getSlab(int64(n) * ss)
 	shards, fill := make([][]byte, n), make([][]byte, k)
 	got := 0
 	for i := 0; i < n && got < k; i++ {
-		var buf []byte
-		if i < k {
-			buf = image[int64(i)*ss : int64(i+1)*ss]
-		} else {
-			buf = make([]byte, ss)
-		}
+		buf := slab[int64(i)*ss : int64(i+1)*ss]
 		if ferr := r.readFragment(ids[i], key, 0, buf); ferr != nil {
 			lastErr = ferr
 			if lo <= i && i <= hi {
@@ -272,13 +295,163 @@ func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, len
 		got++
 	}
 	if got < k {
-		return nil, skips, storeErrs, fmt.Errorf("provider: only %d of %d fragments of %s readable, need %d: %w",
+		putSlab(slab)
+		return served{}, skips, storeErrs, fmt.Errorf("provider: only %d of %d fragments of %s readable, need %d: %w",
 			got, n, key, k, lastErr)
 	}
 	if rerr := code.ReconstructData(shards, fill); rerr != nil {
-		return nil, skips, storeErrs, rerr
+		putSlab(slab)
+		return served{}, skips, storeErrs, rerr
 	}
-	return image[off : off+length], skips, storeErrs, nil
+	if q.stream {
+		return served{rc: newSlabReader(slab, slab[off:off+length])}, skips, storeErrs, nil
+	}
+	data := bytes.Clone(slab[off : off+length])
+	putSlab(slab)
+	return served{data: data}, skips, storeErrs, nil
+}
+
+// openCoded opens an intact stream read: the data fragments lo..hi the
+// range covers, each as its store's own reader, handed out as one
+// (fragmentReader) — a fragment its store keeps in memory leaves as the
+// stored slice. A fragment whose store keeps it elsewhere (a disk://
+// file) is read into a slab there and then, and the reply is then that
+// slab whole, leaving in one write. Each fragment's answer, open and
+// read together, is reported once. ok is false when one failed: what was
+// opened is closed, and the read degrades.
+func (r *Router) openCoded(ids []ID, q chunkRead, ss int64, lo, hi int) (rc io.ReadCloser, ok bool) {
+	parts := make([]io.ReadCloser, 0, hi-lo+1) // nil where a fragment was read into slab
+	var slab []byte
+	fail := func() (io.ReadCloser, bool) {
+		for _, part := range parts {
+			if part != nil {
+				part.Close()
+			}
+		}
+		if slab != nil {
+			putSlab(slab)
+		}
+		return nil, false
+	}
+	for i, at := lo, int64(0); i <= hi; i++ {
+		flo, fhi := span(i, ss, q.off, q.length)
+		s := r.liveStore(ids[i])
+		if s == nil {
+			return fail()
+		}
+		part, err := s.OpenReader(q.key, flo, fhi-flo)
+		if _, mem := chunk.InMemory(part); err == nil && !mem {
+			if slab == nil {
+				slab = getSlab(q.length)
+			}
+			_, err = io.ReadFull(part, slab[at:at+fhi-flo])
+			part.Close()
+			part = nil
+		}
+		r.reportError(ids[i], err)
+		if err != nil {
+			return fail()
+		}
+		parts = append(parts, part)
+		at += fhi - flo
+	}
+	if slab == nil {
+		return &fragmentReader{parts: parts}, true
+	}
+	// The fragments whose stores do keep them in memory join the rest.
+	for j, at := 0, int64(0); j < len(parts); j++ {
+		flo, fhi := span(lo+j, ss, q.off, q.length)
+		if parts[j] != nil {
+			if _, err := io.ReadFull(parts[j], slab[at:at+fhi-flo]); err != nil {
+				return fail()
+			}
+			parts[j].Close()
+			parts[j] = nil
+		}
+		at += fhi - flo
+	}
+	return newSlabReader(slab, slab[:q.length]), true
+}
+
+// fragmentReader is an intact coded stream read: the readers of the data
+// fragments it covers, in order, each one a store's reader over the
+// stored bytes. WriteTo hands each its writer in turn, so a fragment
+// leaves in one write, uncopied.
+type fragmentReader struct {
+	parts []io.ReadCloser // each an io.WriterTo (chunk.InMemory)
+	next  int             // the part Read and WriteTo continue from
+}
+
+func (f *fragmentReader) Read(p []byte) (int, error) {
+	for f.next < len(f.parts) {
+		n, err := f.parts[f.next].Read(p)
+		if err == io.EOF {
+			f.next++
+			err = nil
+		}
+		if n > 0 || err != nil || len(p) == 0 {
+			return n, err
+		}
+	}
+	return 0, io.EOF
+}
+
+func (f *fragmentReader) WriteTo(w io.Writer) (written int64, err error) {
+	for ; f.next < len(f.parts); f.next++ {
+		n, err := f.parts[f.next].(io.WriterTo).WriteTo(w)
+		written += n
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
+}
+
+// Close closes every part, once.
+func (f *fragmentReader) Close() error {
+	var errs []error
+	for _, part := range f.parts {
+		errs = append(errs, part.Close())
+	}
+	f.parts = nil
+	return errors.Join(errs...)
+}
+
+// slabs pools the buffers coded reads assemble replies in (readCoded,
+// openCoded). A slab comes out as it went in, unzeroed.
+var slabs sync.Pool
+
+// getSlab returns n bytes of a pooled slab, or of a new one when the
+// pool's is too small.
+func getSlab(n int64) []byte {
+	if b, ok := slabs.Get().(*[]byte); ok && int64(cap(*b)) >= n {
+		return (*b)[:n]
+	}
+	return make([]byte, n)
+}
+
+func putSlab(b []byte) { slabs.Put(&b) }
+
+// slabReader serves a reply assembled in a slab and returns the slab to
+// the pool on its first Close; it reads nothing after.
+type slabReader struct {
+	bytes.Reader
+	slab []byte
+}
+
+func newSlabReader(slab, reply []byte) *slabReader {
+	s := &slabReader{slab: slab}
+	s.Reset(reply)
+	return s
+}
+
+func (s *slabReader) Close() error {
+	if s.slab != nil {
+		s.Reset(nil)
+		putSlab(s.slab)
+		s.slab = nil
+	}
+	return nil
 }
 
 // repair restores a coded chunk to k+m live fragments: probe every

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -582,6 +585,144 @@ func TestCodedOpenReader(t *testing.T) {
 	faults[ids[5]].SetDown(true)
 	check(0, 5000)
 	check(1234, 2000)
+}
+
+// TestCodedSlabHygiene: the slabs coded reads assemble replies in come
+// out of the pool as the last read left them, never zeroed. Fed one full
+// of 0xEE before every read, a read still returns exactly the chunk's
+// bytes, whichever position is lost — data or parity, flagged down (mem
+// stores, whose intact fragments leave as their own readers), dead at
+// the store (fault stores, whose fragments are read into a slab), or
+// flagged down among stores of both kinds — whichever range, by bytes
+// and by stream. And a second Close of a stream returns nothing twice.
+func TestCodedSlabHygiene(t *testing.T) {
+	const k, m = 4, 2
+	code, _ := chunk.NewRSCode(k, m)
+	data := make([]byte, 4*4096-44) // fragments of 4,080 bytes, the last one padded
+	rand.New(rand.NewSource(31)).Read(data)
+	size, ss := int64(len(data)), code.ShardSize(int64(len(data)))
+	key := chunk.Key{Blob: 1, Version: 1}
+	ranges := []struct {
+		name        string
+		off, length int64
+	}{
+		{"whole chunk", 0, size},
+		{"one fragment", ss + 5, 100},
+		{"straddling two", 2*ss - 50, 100},
+		{"tail", size - 30, 30},
+	}
+	poison := func() { putSlab(bytes.Repeat([]byte{0xEE}, int((k+m)*ss))) }
+	for _, lose := range []string{"mem, flagged", "fault stores, store down", "mixed, flagged"} {
+		mgr := NewManager()
+		faults := make([]*chunk.FaultStore, k+m)
+		for i := range k + m {
+			var s chunk.Store = chunk.NewMemStore(nil)
+			if lose == "fault stores, store down" || (lose == "mixed, flagged" && i%2 == 1) {
+				faults[i] = chunk.NewFaultStore(s)
+				s = faults[i]
+			}
+			mgr.Register(New(ID(i), s))
+		}
+		r := NewRouter(mgr)
+		if err := r.SetCoding(k, m); err != nil {
+			t.Fatal(err)
+		}
+		ids, err := r.Put(key, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos := range k + m {
+			setDown := func(down bool) {
+				if lose == "fault stores, store down" {
+					faults[ids[pos]].SetDown(down)
+				} else {
+					mgr.SetDown(ids[pos], down)
+				}
+			}
+			setDown(true)
+			for _, rg := range ranges {
+				want := data[rg.off : rg.off+rg.length]
+				poison()
+				got, err := r.Get(key, rg.off, rg.length)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s position %d, %s, bytes: wrong (%v)", lose, pos, rg.name, err)
+				}
+				poison()
+				rc, _, err := r.OpenFrom(nil, key, rg.off, rg.length)
+				if err != nil {
+					t.Fatalf("%s position %d, %s, stream: %v", lose, pos, rg.name, err)
+				}
+				got, err = io.ReadAll(rc)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s position %d, %s, stream: wrong (%v)", lose, pos, rg.name, err)
+				}
+				rc.Close()
+				if err := rc.Close(); err != nil {
+					t.Errorf("%s position %d, %s: second Close: %v", lose, pos, rg.name, err)
+				}
+				// Had the second Close returned the slab again, the pool
+				// would now hand one array out twice.
+				a, b := getSlab(ss), getSlab(ss)
+				if &a[0] == &b[0] {
+					t.Fatalf("%s position %d, %s: the pool handed one slab out twice", lose, pos, rg.name)
+				}
+			}
+			setDown(false)
+		}
+	}
+}
+
+// TestCodedStreamReadAllocations: a stream read of a 1 MiB coded chunk,
+// intact or with a data fragment's domain down, allocates nothing sized
+// by the chunk — not the reply, not an image or parity buffer — once the
+// pool holds slabs. The best of five reads is measured, GC off, so a
+// read that finds its processor's pool slot empty does not count.
+func TestCodedStreamReadAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const size = 1 << 20
+	key := chunk.Key{Blob: 1, Version: 1}
+	data := bytes.Repeat([]byte("allocation"), size/10+1)[:size]
+	for _, degraded := range []bool{false, true} {
+		mgr, _ := NewPoolInDomains(12, 6, iosim.CostModel{})
+		r := NewRouter(mgr)
+		if err := r.SetCoding(4, 2); err != nil {
+			t.Fatal(err)
+		}
+		ids, err := r.Put(key, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if degraded {
+			if err := r.SetDown(ids[0], true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read := func() {
+			rc, _, err := r.OpenFrom(nil, key, 0, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := io.Copy(io.Discard, rc)
+			rc.Close()
+			if err != nil || n != size {
+				t.Fatalf("read %d bytes: %v", n, err)
+			}
+		}
+		for range 4 {
+			putSlab(make([]byte, 6*size/4))
+		}
+		best := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			read()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		if best >= 64<<10 {
+			t.Errorf("degraded=%v: a 1 MiB stream read allocated %d bytes, want < 64 KiB", degraded, best)
+		}
+	}
 }
 
 // TestCodedModeExclusions: coding config is validated and the mode is

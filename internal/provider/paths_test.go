@@ -487,6 +487,94 @@ func TestPutPathsAgree(t *testing.T) {
 	}
 }
 
+// TestPutCallerKeepsOwnership is Store.Put's contract from the router's
+// side: a store may keep the buffer it is handed, so the router hands it
+// only buffers of its own. The caller of Router.Put keeps its buffer and
+// may overwrite it at once; every replica and every fragment still reads
+// back what was put.
+func TestPutCallerKeepsOwnership(t *testing.T) {
+	for _, placement := range []string{"R1", "R3", "rs4+2"} {
+		t.Run(placement, func(t *testing.T) {
+			rig := newPathRig(t, placement)
+			buf := bytes.Clone(pathData)
+			ids, err := rig.r.Put(pathKey, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range buf {
+				buf[i] = 0xEE
+			}
+			want := make([][]byte, len(ids)) // what position i holds
+			for i := range want {
+				want[i] = pathData
+			}
+			if k, m, on := rig.r.Coding(); on {
+				code, _ := chunk.NewRSCode(k, m)
+				want = code.Encode(pathData)
+			}
+			for i, id := range ids {
+				got, err := rig.r.byID(id).Store().Get(pathKey, 0, int64(len(want[i])))
+				if err != nil || !bytes.Equal(got, want[i]) {
+					t.Fatalf("position %d (provider %d) no longer holds what was put (%v)", i, id, err)
+				}
+			}
+		})
+	}
+}
+
+// TestTornPutStreamLeavesNoTrace: a stream that ends short fails a
+// fanned-out put before it touches anything — no fragment or replica in
+// any store, no placement, and the allocation cursor and per-provider
+// counts where they were: the next put lands exactly where it lands on a
+// twin router that never saw the torn one.
+func TestTornPutStreamLeavesNoTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		providers, domains int
+		replicas, k, m     int
+	}{
+		{"R3", 6, 3, 3, 0, 0},
+		{"rs4+2", 12, 6, 0, 4, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			router := func() *Router {
+				mgr, _ := NewPoolInDomains(tc.providers, tc.domains, iosim.CostModel{})
+				r := NewRouter(mgr)
+				r.SetReplicas(tc.replicas)
+				if err := r.SetCoding(tc.k, tc.m); err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			r, twin := router(), router()
+			short := bytes.NewReader(pathData[:len(pathData)/2])
+			if _, err := r.PutStream(pathKey, int64(len(pathData)), short); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("torn PutStream = %v, want io.ErrUnexpectedEOF", err)
+			}
+			if ids, ok := r.Locate(pathKey); ok {
+				t.Fatalf("the torn put was placed on %v", ids)
+			}
+			for _, u := range r.Usage() {
+				if u.Chunks != 0 {
+					t.Fatalf("the torn put left %d chunks on provider %d", u.Chunks, u.Provider)
+				}
+			}
+			next := chunk.Key{Blob: 2}
+			got, err := r.Put(next, pathData)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.Put(next, pathData)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("after the torn put the next one lands on %v, on a router that never saw it %v", got, want)
+			}
+		})
+	}
+}
+
 // TestPutStreamReachesTheStoreUnbuffered: with one target the stream
 // itself is handed to the store's PutFromReader — the zero-copy path —
 // while a wider placement buffers once and fans the bytes out.

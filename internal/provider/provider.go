@@ -20,10 +20,12 @@
 // Chunk bytes move through the Router one way in each direction,
 // whatever the entry point and whatever the placement:
 //
-//   - Router.put is the one put core: allocate targets, store on each
-//     (putOne), apply the write quorum, record placement, note a chunk
-//     born degraded. Put and PutStream are its entry points and differ
-//     only in the payload they hand it, bytes or a reader.
+//   - Router.put is the one put core: read a fan-out's bytes into a
+//     buffer of its own, allocate targets, store on each (putOne), apply
+//     the write quorum, record placement, note a chunk born degraded.
+//     Put and PutStream are its entry points and hand it the same thing,
+//     a reader — Put's over the caller's bytes, which the caller keeps —
+//     so a store is only ever handed a buffer the router owns.
 //   - Router.read is the one read core: the caller's hint, then recorded
 //     placement, the fresh decision, read-repair, the ReadCache rule.
 //     Get, GetFrom and OpenFrom are its entry points and differ only in
@@ -99,6 +101,7 @@
 package provider
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -972,9 +975,9 @@ func (r *Router) WriteQuorum() int {
 	return min(max(q, mode.floor()), n)
 }
 
-// payload is what one put target is to store: data, or — a streamed put
-// — exactly size bytes still to come from rd. size is read only of a
-// payload with rd set and of the one the put core is handed.
+// payload is what one put target is to store: data — a buffer the
+// router owns, which the store may keep (chunk.Store.Put) — or exactly
+// size bytes still to come from rd.
 type payload struct {
 	data []byte
 	size int64
@@ -987,21 +990,36 @@ type payload struct {
 // soon as at least the write quorum of stores landed; with fewer it
 // fails and reports the store errors. Copies that landed on a failed
 // Put are orphans: the write's ticket is retired by the caller, so no
-// metadata ever references them.
+// metadata ever references them. The caller keeps data: it enters the
+// put core as a stream does, so every store is handed a buffer the
+// router owns.
 func (r *Router) Put(key chunk.Key, data []byte) ([]ID, error) {
-	return r.put(key, payload{data: data, size: int64(len(data))})
+	return r.put(key, int64(len(data)), bytes.NewReader(data))
 }
 
-// put is the one put core: allocate targets, store on each (alone when
-// there is one target, in parallel otherwise), apply the write quorum,
-// record placement, note a chunk born degraded, feed bs_chunk_put_*.
-func (r *Router) put(key chunk.Key, src payload) ([]ID, error) {
+// put is the one put core: read a fan-out's bytes, allocate targets,
+// store on each (alone when there is one target, in parallel otherwise),
+// apply the write quorum, record placement, note a chunk born degraded,
+// feed bs_chunk_put_*. The caller bounded size.
+func (r *Router) put(key chunk.Key, size int64, rd io.Reader) ([]ID, error) {
 	var start time.Time
 	if r.met.putSec != nil {
 		start = time.Now()
 	}
 	mode := r.placementMode()
 	quorum := r.WriteQuorum()
+	var data []byte
+	if mode.width() > 1 {
+		// Fanning out needs the bytes in hand: one buffer, which the
+		// stores keep — shared by the replicas, sliced by the data
+		// fragments. It is filled before any target is allocated, so a
+		// short stream leaves no store touched and the allocation cursor
+		// where it was.
+		data = make([]byte, size)
+		if _, err := io.ReadFull(rd, data); err != nil {
+			return nil, fmt.Errorf("provider: stream %s: %w", key, err)
+		}
+	}
 	targets, err := mode.allocate(r, key)
 	if err != nil {
 		return nil, err
@@ -1009,19 +1027,12 @@ func (r *Router) put(key chunk.Key, src payload) ([]ID, error) {
 	errs := make([]error, len(targets))
 	if len(targets) == 1 {
 		// A lone target stores the chunk whole (only replication at R=1
-		// is this narrow), so it is handed the source itself: a stream
-		// goes from the socket into the store unbuffered, and the default
-		// write path runs no fan-out machinery.
-		errs[0] = r.putOne(targets[0], key, src)
+		// is this narrow), so it is handed the stream itself: from the
+		// socket into the store unbuffered, and the default write path
+		// runs no fan-out machinery.
+		errs[0] = r.putOne(targets[0], key, payload{size: size, rd: rd})
 	} else {
-		if src.rd != nil {
-			// Fanning out needs the bytes in hand; the caller bounded size.
-			src.data = make([]byte, src.size)
-			if _, err := io.ReadFull(src.rd, src.data); err != nil {
-				return nil, fmt.Errorf("provider: stream %s: %w", key, err)
-			}
-		}
-		parts := mode.payloads(src.data)
+		parts := mode.payloads(data)
 		var wg sync.WaitGroup
 		for i, p := range targets {
 			wg.Add(1)
@@ -1056,7 +1067,7 @@ func (r *Router) put(key chunk.Key, src payload) ([]ID, error) {
 		r.noteDegraded(key)
 	}
 	r.met.putTotal.Inc()
-	r.met.putBytes.Add(src.size)
+	r.met.putBytes.Add(size)
 	if r.met.putSec != nil {
 		r.met.putSec.ObserveSince(start)
 	}

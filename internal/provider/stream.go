@@ -66,16 +66,16 @@ func (r *Router) MaxChunkSize() int64 {
 // exactly size bytes. With one target (R == 1, the default) the stream
 // is handed straight to the provider's store — the zero-copy path the
 // framed transport exists for; a wider placement needs the bytes in
-// hand to fan them out, so the put core buffers them once. The declared
-// size is bounded by MaxChunkSize before anything is allocated; an
-// oversize or negative size fails with a typed *ChunkTooLargeError.
-// Callers must not retry a failed PutStream with the same reader: the
-// stream may be partially consumed.
+// hand to fan them out, so the put core buffers them once, before it
+// allocates a target. The declared size is bounded by MaxChunkSize
+// before anything is allocated; an oversize or negative size fails with
+// a typed *ChunkTooLargeError. Callers must not retry a failed
+// PutStream with the same reader: the stream may be partially consumed.
 func (r *Router) PutStream(key chunk.Key, size int64, rd io.Reader) ([]ID, error) {
 	if max := r.MaxChunkSize(); size < 0 || size > max {
 		return nil, &ChunkTooLargeError{Size: size, Max: max}
 	}
-	return r.put(key, payload{size: size, rd: rd})
+	return r.put(key, size, rd)
 }
 
 // OpenFrom is GetFrom with the bytes leaving as a stream the caller

@@ -70,7 +70,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -556,11 +555,12 @@ func (s *framedServer) serveGet(out *frameWriter, bw *bufio.Writer, h frameHeade
 	}
 	// A payload error below is fatal — the frame word already promised
 	// the bytes — so it propagates up and closes the connection.
-	if wt, ok := inMemory(rc); ok && 4+min(h.length, maxFrame) >= int64(bw.Size()) {
+	if wt, ok := chunk.InMemory(rc); ok && 4+min(h.length, maxFrame) >= int64(bw.Size()) {
 		// Frames too large for the write buffer, from a reader that holds
 		// its bytes in memory (a mem:// store's slice, a coded read's
-		// image): it writes itself to the socket through out, one vectored
-		// write per slice, uncopied. The terminator waits in bw for the
+		// fragments or slab): it writes itself to the socket through out,
+		// one vectored write per slice, uncopied. A disk:// store's chunk
+		// file keeps the loop below. The terminator waits in bw for the
 		// serve loop's flush, so the counters are current before a client
 		// can see the get done.
 		if werr := bw.Flush(); werr != nil {
@@ -612,17 +612,6 @@ func (s *framedServer) serveGet(out *frameWriter, bw *bufio.Writer, h frameHeade
 		left -= n
 	}
 	return writeU32(bw, 0)
-}
-
-// inMemory returns a store's reader as an io.WriterTo when it writes its
-// bytes out from memory. A disk:// store's chunk file is a WriterTo too,
-// but sendfiles only towards a socket, so it keeps serveGet's loop.
-func inMemory(rc io.ReadCloser) (io.WriterTo, bool) {
-	if _, file := rc.(*os.File); file {
-		return nil, false
-	}
-	wt, ok := rc.(io.WriterTo)
-	return wt, ok
 }
 
 // frameWriter frames what is written to it as the body of a get reply of

@@ -854,6 +854,62 @@ func TestFramedCodedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFramedCodedGetsWithAZoneDown: concurrent gets of distinct coded
+// chunks with one failure domain down, over a loopback server. Intact
+// ones leave from the stores' slices, degraded ones from slabs the pool
+// hands from read to read; a slab back in the pool before its reply had
+// left, or one handed to two reads, would show here as a wrong byte.
+func TestFramedCodedGetsWithAZoneDown(t *testing.T) {
+	mgr, _ := provider.NewPoolInDomains(12, 6, iosim.CostModel{})
+	r := provider.NewRouter(mgr)
+	if err := r.SetCoding(4, 2); err != nil {
+		t.Fatal(err)
+	}
+	node, err := Listen("127.0.0.1:0", Roles{Data: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	const chunks, size = 12, 300 << 10
+	payloads := make([][]byte, chunks)
+	rng := rand.New(rand.NewSource(8))
+	for i := range payloads {
+		payloads[i] = make([]byte, size)
+		rng.Read(payloads[i])
+		if _, err := r.Put(chunk.Key{Blob: 1, Index: uint32(i)}, payloads[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range mgr.DomainMap()["zone0"] {
+		if err := mgr.SetDown(id, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool := newFramedPool(node.Addr())
+	defer pool.close()
+	var wg sync.WaitGroup
+	for i := range payloads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := chunk.Key{Blob: 1, Index: uint32(i)}
+			for round := range 8 {
+				off := int64(round * 4099 % (size / 2))
+				dst := make([]byte, size-2*off)
+				if _, err := pool.get(dst, nil, key, off); err != nil {
+					t.Errorf("chunk %d, round %d: %v", i, round, err)
+					return
+				}
+				if !bytes.Equal(dst, payloads[i][off:size-off]) {
+					t.Errorf("chunk %d, round %d: the reply carries other bytes", i, round)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func itoa(v int64) string {
 	var b [20]byte
 	i := len(b)
@@ -1050,15 +1106,20 @@ func (c *writeCountingConn) ReadFrom(r io.Reader) (int64, error) {
 // but the socket itself it would be read into a buffer first. So does a
 // reader that is not its own writer: a FaultStore's stream still fails
 // where it was armed to, mid-frame, and takes the connection with it.
+// A coded chunk (rs-4+2 over six stores of the kind) leaves in memory
+// whatever its stores: intact on mem://, each data fragment is its
+// store's slice, one vectored write apiece; degraded, the reply is the
+// slab it was rebuilt in; on disk://, the fragments read into a slab.
 func TestFramedGetLeavesMemoryInOneVectoredWrite(t *testing.T) {
 	const size = 1 << 20 // four frames
 	const frames = size / maxFrame
 	key := chunk.Key{Blob: 1, Version: 1}
 	payload := make([]byte, size)
 	rand.New(rand.NewSource(3)).Read(payload)
-	// boot serves one provider on store behind a counting listener, with
-	// the chunk stored.
-	boot := func(store chunk.Store) (*writeCountingListener, string) {
+	// boot serves one provider — six, coded — on stores behind a counting
+	// listener, with the chunk stored; degraded flags the provider of
+	// data fragment 0 down. It returns the chunk's placement.
+	boot := func(store func() chunk.Store, coded, degraded bool) (*writeCountingListener, string, []provider.ID) {
 		t.Helper()
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -1066,19 +1127,35 @@ func TestFramedGetLeavesMemoryInOneVectoredWrite(t *testing.T) {
 		}
 		counted := &writeCountingListener{Listener: lis}
 		mgr := provider.NewManager()
-		mgr.Register(provider.New(0, store))
 		router := provider.NewRouter(mgr)
+		providers := 1
+		if coded {
+			providers = 6
+			if err := router.SetCoding(4, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range providers {
+			mgr.Register(provider.New(provider.ID(i), store()))
+		}
 		node, err := serve(counted, Roles{Data: router})
 		if err != nil {
 			lis.Close()
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { node.Close() })
-		if _, err := router.Put(key, payload); err != nil {
+		ids, err := router.Put(key, payload)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return counted, node.Addr()
+		if degraded {
+			if err := mgr.SetDown(ids[0], true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return counted, node.Addr(), ids
 	}
+	mem := func() chunk.Store { return chunk.NewMemStore(nil) }
 	disk := func() chunk.Store {
 		s, err := chunk.NewDiskStore(t.TempDir(), nil)
 		if err != nil {
@@ -1088,22 +1165,27 @@ func TestFramedGetLeavesMemoryInOneVectoredWrite(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		name     string
-		store    chunk.Store
-		off, n   int
-		vectored bool // else the loop: a Write and a ReadFrom per frame
-		sendfile bool // the loop's ReadFroms are handed the chunk file
+		name            string
+		store           func() chunk.Store
+		coded, degraded bool
+		off, n          int
+		vectored        bool // else the loop: a Write and a ReadFrom per frame
+		sendfile        bool // the loop's ReadFroms are handed the chunk file
 	}{
-		{name: "mem", store: chunk.NewMemStore(nil), n: size, vectored: true},
-		{name: "mem, a range", store: chunk.NewMemStore(nil), off: 4096, n: size - 8192, vectored: true},
-		{name: "unarmed faults over mem", store: chunk.NewFaultStore(chunk.NewMemStore(nil)), n: size},
-		{name: "disk, the whole chunk", store: disk(), n: size, sendfile: true},
-		{name: "disk, a range", store: disk(), off: 4096, n: size - 8192},
+		{name: "mem", store: mem, n: size, vectored: true},
+		{name: "mem, a range", store: mem, off: 4096, n: size - 8192, vectored: true},
+		{name: "unarmed faults over mem", store: func() chunk.Store { return chunk.NewFaultStore(chunk.NewMemStore(nil)) }, n: size},
+		{name: "disk, the whole chunk", store: disk, n: size, sendfile: true},
+		{name: "disk, a range", store: disk, off: 4096, n: size - 8192},
+		{name: "coded mem", store: mem, coded: true, n: size, vectored: true},
+		{name: "coded mem, a range", store: mem, coded: true, off: 4096, n: size - 8192, vectored: true},
+		{name: "coded mem, degraded", store: mem, coded: true, degraded: true, n: size, vectored: true},
+		{name: "coded disk", store: disk, coded: true, n: size, vectored: true},
 	} {
-		counted, addr := boot(c.store)
+		counted, addr, ids := boot(c.store, c.coded, c.degraded)
 		pool := newFramedPool(addr)
 		dst, intact := guarded(c.n)
-		_, err := pool.get(dst, nil, key, int64(c.off))
+		_, err := pool.get(dst, ids, key, int64(c.off))
 		pool.close()
 		if err != nil || !bytes.Equal(dst, payload[c.off:c.off+c.n]) || !intact() {
 			t.Fatalf("%s: get: %v, guards intact %v", c.name, err, intact())
@@ -1111,8 +1193,8 @@ func TestFramedGetLeavesMemoryInOneVectoredWrite(t *testing.T) {
 		writes, carried := counted.writes.Load(), counted.bytes.Load()
 		readFroms, sendfiles := counted.readFroms.Load(), counted.sendfiles.Load()
 		if c.vectored {
-			// Status, count and one fresh ID; then, uncounted, the writev;
-			// then the terminator.
+			// Status and an empty fresh set; then, uncounted, the writev or
+			// writevs; then the terminator.
 			if writes > 2 || carried > 16 || readFroms != 0 {
 				t.Errorf("%s: the reply took %d Write calls carrying %d bytes and %d ReadFrom calls beside its vectored write, want 2 of a few bytes and none",
 					c.name, writes, carried, readFroms)
@@ -1131,7 +1213,7 @@ func TestFramedGetLeavesMemoryInOneVectoredWrite(t *testing.T) {
 	}
 
 	faults := chunk.NewFaultStore(chunk.NewMemStore(nil))
-	_, addr := boot(faults)
+	_, addr, _ := boot(func() chunk.Store { return faults }, false, false)
 	conn, br := rawFramedConn(t, addr)
 	faults.FailGetStreamAfter(300 << 10) // inside the second frame
 	conn.Write(appendHeader(nil, &frameHeader{op: opGet, key: key, length: size}))
