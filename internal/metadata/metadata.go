@@ -123,6 +123,18 @@ func (s *Store) PutNode(blob uint64, key segtree.NodeKey, n *segtree.Node) error
 
 // GetNode implements segtree.NodeStore.
 func (s *Store) GetNode(blob uint64, key segtree.NodeKey) (*segtree.Node, error) {
+	n, err := s.Peek(blob, key)
+	if err != nil {
+		return nil, err
+	}
+	return cloneNode(n), nil
+}
+
+// Peek is GetNode without the copy: the stored node itself, shared with
+// the store and every other caller, which must not be modified — for a
+// caller that only encodes what it reads, as the framed server's walk
+// does.
+func (s *Store) Peek(blob uint64, key segtree.NodeKey) (*segtree.Node, error) {
 	id := nodeID{blob: blob, key: key}
 	sh := s.shardFor(id)
 	sh.mu.RLock()
@@ -132,7 +144,7 @@ func (s *Store) GetNode(blob uint64, key segtree.NodeKey) (*segtree.Node, error)
 		return nil, fmt.Errorf("%w: blob %d %s", ErrNotFound, blob, key)
 	}
 	sh.meter.Charge(nodeSize(n))
-	return cloneNode(n), nil
+	return n, nil
 }
 
 // TryGetNode implements segtree.NodeStore.

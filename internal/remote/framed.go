@@ -22,7 +22,8 @@
 //	            (off, length = capacity, page), Geometry, AssignTicket,
 //	            Complete, Abort, WaitPublished, LatestPublished,
 //	            Snapshot, Versions, Retain (off = keepLast), DropVersion,
-//	            Pin, Unpin, GCInfo, MarkReclaimed.
+//	            Pin, Unpin, GCInfo, MarkReclaimed; 21=walk (meta role: a
+//	            resolve's tree walk, blob in the header).
 //	body:       frames of u32 size (1..maxFrame) + payload, then a u32 0
 //	            terminator; the sentinel 0xFFFFFFFF aborts the stream.
 //	err reply:  status u8 1, u32 len + message, to any op.
@@ -38,6 +39,17 @@
 //	node get reply:  ok → a body, the node; 2 miss → nothing more. A
 //	            try-get answers a node not (yet) stored with miss, a get
 //	            with the store's error.
+//	walk:       header + body: part count u32, then per part a node key
+//	            (version u64, offset i64, size i64) and an extent list
+//	            (count u32, count × (offset i64, length i64)): the part of
+//	            a resolve's query under that node, normalized and within
+//	            its range. Reply: ok → a body: node count u32, then per
+//	            node its key, length u32 and the node in segtree's binary
+//	            form — the nodes segtree.Walk visits from the parts, in its
+//	            order, as many as fit in maxWalkBody bytes. A reply ends at
+//	            a whole node and holds at least the first part's (a
+//	            request too long for the bound is sent shorter; see
+//	            Client.WalkNodes).
 //	VM ops:     AssignTicket sends a body, the extent list, Complete one,
 //	            the root key. Reply: ok → a body, the result (empty for
 //	            calls that return none). Bodies are vmanager's binary
@@ -95,6 +107,8 @@ const (
 	opCreateBlob, opGeometry, opAssignTicket, opComplete, opAbort        = 6, 7, 8, 9, 10
 	opWaitPublished, opLatestPublished, opSnapshot, opVersions, opRetain = 11, 12, 13, 14, 15
 	opDropVersion, opPin, opUnpin, opGCInfo, opMarkReclaimed             = 16, 17, 18, 19, 20
+	// A resolve's tree walk (meta role).
+	opWalkNodes = 21
 
 	// Reply statuses; a miss answers a node try-get only.
 	statusOK, statusErr, statusMiss = 0, 1, 2
@@ -115,11 +129,16 @@ const (
 	// maxVMBody bounds a version-manager op's request or reply body: the
 	// version list of a blob with some eight million versions.
 	maxVMBody = 64 << 20
+
+	// maxWalkBody bounds a walk's request and reply body: room for one
+	// node of the largest a node put accepts, behind its count, key and
+	// length.
+	maxWalkBody = 4 + walkHead + maxNodeBody
 )
 
 // sendsBody reports whether a request of op carries a body.
 func sendsBody(op byte) bool {
-	return op == opPut || op == opNodePut || op == opAssignTicket || op == opComplete
+	return op == opPut || op == opNodePut || op == opAssignTicket || op == opComplete || op == opWalkNodes
 }
 
 var (
@@ -136,7 +155,7 @@ var wireSentinels = []error{
 	vmanager.ErrUnknownVersion, vmanager.ErrDoubleComplete, vmanager.ErrShardDown,
 	vmanager.ErrVersionDropped, vmanager.ErrVersionPinned, vmanager.ErrUndroppable,
 	vmanager.ErrNotPinned, vmanager.ErrNotPending,
-	chunk.ErrNotFound, chunk.ErrExists,
+	chunk.ErrNotFound, chunk.ErrExists, segtree.ErrBadLink,
 }
 
 // wireError is the error a server reported as msg, with the sentinel its
@@ -424,11 +443,13 @@ type framedServer struct {
 	flushOps *metrics.Histogram // bs_data_flush_ops
 	// Requests answered: bs_data_requests_total{op},
 	// bs_meta_node_ops_total{op}, bs_rpc_requests_total{method}.
-	requests [opMarkReclaimed + 1]*metrics.Counter
+	requests  [opWalkNodes + 1]*metrics.Counter
+	walkNodes *metrics.Histogram // bs_meta_walk_nodes: nodes per walk reply
+	walkBound int                // a walk reply's bytes: maxWalkBody (tests lower it)
 }
 
 func newFramedServer(roles Roles) *framedServer {
-	s := &framedServer{vm: roles.VM, r: roles.Data, nodes: roles.Meta}
+	s := &framedServer{vm: roles.VM, r: roles.Data, nodes: roles.Meta, walkBound: maxWalkBody}
 	if reg := roles.Metrics; reg != nil {
 		s.frames = reg.Counter("bs_data_frames_total")
 		s.bytes = reg.Counter("bs_data_stream_bytes_total")
@@ -438,6 +459,8 @@ func newFramedServer(roles Roles) *framedServer {
 		s.requests[opNodePut] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "put"})
 		s.requests[opNodeGet] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "get"})
 		s.requests[opNodeTryGet] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "tryget"})
+		s.requests[opWalkNodes] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "walk"})
+		s.walkNodes = reg.Histogram("bs_meta_walk_nodes", metrics.ExponentialBuckets(1, 2, 14))
 		for i, name := range strings.Fields("CreateBlob Geometry AssignTicket Complete Abort WaitPublished " +
 			"LatestPublished Snapshot Versions Retain DropVersion Pin Unpin GCInfo MarkReclaimed") {
 			s.requests[opCreateBlob+i] = rpcCounter(reg, "VM."+name) // as net/rpc named them
@@ -459,7 +482,8 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	body := &frameBodyReader{r: br, frames: s.frames, bytes: s.bytes}
 	out := &frameWriter{conn: conn, frames: s.frames, bytes: s.bytes}
-	answered := 0 // requests served since the input last ran dry
+	var walkReply []byte // reused from walk to walk
+	answered := 0        // requests served since the input last ran dry
 	for {
 		h, err := readHeader(br)
 		if err != nil {
@@ -474,6 +498,8 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 			err = s.serveNodePut(body, bw, h)
 		case opNodeGet, opNodeTryGet:
 			err = s.serveNodeGet(bw, h)
+		case opWalkNodes:
+			err = s.serveWalk(body, bw, h, &walkReply)
 		default:
 			if h.op < opCreateBlob || h.op > opMarkReclaimed {
 				return // protocol violation
@@ -1261,7 +1287,11 @@ func (fc *framedConn) readReply(c *framedCall) error {
 	}
 	if c.h.op >= opCreateBlob {
 		// Kept only whole: the request body stays for a re-send.
-		body, err := readBody(&frameBodyReader{r: fc.br}, maxVMBody)
+		limit := maxVMBody
+		if c.h.op == opWalkNodes {
+			limit = maxWalkBody
+		}
+		body, err := readBody(&frameBodyReader{r: fc.br}, limit)
 		if err == nil {
 			c.data = body
 		}

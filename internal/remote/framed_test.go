@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/chunk"
+	"repro/internal/extent"
 	"repro/internal/iosim"
 	"repro/internal/metadata"
 	"repro/internal/metrics"
@@ -581,7 +582,7 @@ func TestFramedServerBoundsNodeOps(t *testing.T) {
 	}
 
 	// An op code nobody defined is a protocol violation: the connection.
-	for _, op := range []byte{0, opMarkReclaimed + 1} {
+	for _, op := range []byte{0, opWalkNodes + 1} {
 		conn, br := rawFramedConn(t, ep.Meta)
 		conn.Write(appendHeader(nil, &frameHeader{op: op}))
 		if _, err := br.ReadByte(); err != io.EOF {
@@ -592,7 +593,7 @@ func TestFramedServerBoundsNodeOps(t *testing.T) {
 
 // TestFramedServerRefusesOpsOfAMissingRole: a node is told apart by what
 // it was started with. A meta-only node refuses a chunk op and a
-// data-only node a node op — in-band, a put's body drained — and the
+// data-only node a node op or a walk — in-band, a body drained — and the
 // connection goes on serving the ops of the role the node does host.
 func TestFramedServerRefusesOpsOfAMissingRole(t *testing.T) {
 	metaNode, err := Listen("127.0.0.1:0", Roles{Meta: metadata.NewStore(2, iosim.CostModel{})})
@@ -629,9 +630,10 @@ func TestFramedServerRefusesOpsOfAMissingRole(t *testing.T) {
 	req = rawNodeOp(opNodePut, 1, nkey, enc)
 	req = append(req, rawNodeOp(opNodeGet, 1, nkey)...)
 	req = append(req, rawNodeOp(opNodeTryGet, 1, nkey)...)
+	req = append(req, rawWalk(1, walkBody(walkPart{nkey, extent.List{nkey.Range()}}))...)
 	req = append(req, rawPut(ckey, 5, []byte("hello"))...)
 	conn.Write(req)
-	for _, op := range []byte{opNodePut, opNodeGet, opNodeTryGet} {
+	for _, op := range []byte{opNodePut, opNodeGet, opNodeTryGet, opWalkNodes} {
 		if _, _, msg := readNodeReply(t, br, op); msg != errNoMetaRole.Error() {
 			t.Fatalf("node op %d on a data-only node: %q", op, msg)
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/extent"
 	"repro/internal/iosim"
 	"repro/internal/metadata"
 	"repro/internal/provider"
@@ -30,9 +31,11 @@ const fuzzMaxChunk = 4 << 10
 // a malformed request — and must not have stored a chunk over its bound
 // or more bytes than the input carried. The seed corpus (testdata/fuzz)
 // holds a legal train of each op kind, each version-manager op, hostile
-// version-manager bodies, and the two framing bugs once fixed by hand: a
-// put body longer than its header declared, and one shorter, followed
-// by a get of the declared length.
+// version-manager and walk bodies, walks over stored nodes — one of them
+// a leaf chained to itself, which once spun a reader for good — a put of
+// a leaf without fragments, the shortest node there is, and the two
+// framing bugs once fixed by hand: a put body longer than its header
+// declared, and one shorter, followed by a get of the declared length.
 func FuzzFramedServer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input []byte) {
 		mgr := provider.NewManager()
@@ -77,9 +80,9 @@ func FuzzFramedServer(f *testing.F) {
 			}
 			stored += u.Bytes
 		}
-		// A stored node took a header, a frame word, an inner node's 49
-		// bytes at the least, and a terminator.
-		if sent := int64(len(input)); stored > sent || int64(nodes.Count())*(frameHeaderLen+4+49+4) > sent {
+		// A stored node took a header, a frame word, the 29 bytes of a
+		// leaf without fragments at the least, and a terminator.
+		if sent := int64(len(input)); stored > sent || int64(nodes.Count())*(frameHeaderLen+4+29+4) > sent {
 			t.Fatalf("%d chunk bytes and %d nodes stored out of %d bytes of input", stored, nodes.Count(), sent)
 		}
 	})
@@ -182,12 +185,12 @@ func getReplyModel(reply []byte, length int) (data []byte, ok bool) {
 
 // FuzzFramedReply feeds arbitrary bytes to the client as a server's
 // answer to each kind of call — a get, a get into the caller's buffer, a
-// put, the three node ops and every version-manager call — over an
+// put, the three node ops, a walk and every version-manager call — over an
 // in-memory connection. No call may panic or hang. A get succeeds exactly
 // when the reply is a well-formed body of the length asked for, with
 // those bytes; an into-get, besides, never writes outside its
-// destination, whatever the frames claim; a version-manager call
-// succeeds only on an ok reply. The seed corpus (testdata/fuzz) holds a
+// destination, whatever the frames claim; a walk or a version-manager
+// call succeeds only on an ok reply. The seed corpus (testdata/fuzz) holds a
 // legal reply of each kind and the wrong-length replies of
 // TestFramedGetRejectsWrongLengthReply.
 func FuzzFramedReply(f *testing.F) {
@@ -228,6 +231,10 @@ func FuzzFramedReply(f *testing.F) {
 		}
 		if miss := len(reply) >= 1 && reply[0] == statusMiss; miss && (found || err != nil) {
 			t.Fatalf("TryGetNode of a miss: %v, %v", found, err)
+		}
+		keys, encs, err := pipedClient(t, reply).WalkNodes(1, []segtree.NodeKey{node}, []extent.List{{node.Range()}})
+		if err == nil && (reply[0] != statusOK || len(keys) != len(encs)) {
+			t.Fatalf("WalkNodes: %d keys and %d nodes from a reply of status %d", len(keys), len(encs), reply[0])
 		}
 
 		for _, tc := range vmGolden {

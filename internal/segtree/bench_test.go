@@ -6,31 +6,26 @@ import (
 
 	"repro/internal/extent"
 	"repro/internal/metadata"
-	"repro/internal/remote"
+	"repro/internal/metrics"
 	"repro/internal/segtree"
 )
 
 // stores are the two seams the tree benchmarks run over: the in-process
 // metadata store, driven call by call (unmetered: pure CPU + allocation),
 // and the same store behind a framed client over TCP loopback, which
-// takes each list operation as a batch.
+// takes each list operation as a batch and a resolve's walk as one
+// request. The loopback form also returns the round trips its client has
+// made so far (trains, from the client's bs_data_train_ops).
 var stores = []struct {
 	name string
-	wrap func(b *testing.B, store *metadata.Store) segtree.NodeStore
+	wrap func(b *testing.B, store *metadata.Store) (segtree.NodeStore, func() float64)
 }{
-	{"inprocess", func(_ *testing.B, store *metadata.Store) segtree.NodeStore { return store }},
-	{"loopback", func(b *testing.B, store *metadata.Store) segtree.NodeStore {
-		node, err := remote.Listen("127.0.0.1:0", remote.Roles{Meta: store})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { node.Close() })
-		c, err := remote.DialFramed(remote.Endpoints{VM: node.Addr(), Meta: node.Addr(), Data: node.Addr()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { c.Close() })
-		return c
+	{"inprocess", func(_ *testing.B, store *metadata.Store) (segtree.NodeStore, func() float64) { return store, nil }},
+	{"loopback", func(b *testing.B, store *metadata.Store) (segtree.NodeStore, func() float64) {
+		c := loopback(b, store)
+		reg := metrics.NewRegistry()
+		c.SetMetrics(reg)
+		return c, func() float64 { return reg.Snapshot()["bs_data_train_ops_count"] }
 	}},
 }
 
@@ -41,7 +36,7 @@ func BenchmarkBuild(b *testing.B) {
 		for _, regions := range []int{8, 64} {
 			b.Run(fmt.Sprintf("%s/regions=%d", st.name, regions), func(b *testing.B) {
 				h := newHarness(b, segtree.Geometry{Capacity: 1 << 24, Page: 64 << 10})
-				h.tree.Store = st.wrap(b, h.tree.Store.(*metadata.Store))
+				h.tree.Store, _ = st.wrap(b, h.tree.Store.(*metadata.Store))
 				var l extent.List
 				for i := 0; i < regions; i++ {
 					l = append(l, extent.Extent{Offset: int64(i) * 128 << 10, Length: 64 << 10})
@@ -67,7 +62,9 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkResolve measures read-path metadata resolution over a
-// deeply versioned blob.
+// deeply versioned blob. Over loopback it reports wire-reqs/op: the
+// round trips of one resolve — one, the walk; tree depth plus chain links
+// when the tree was fetched level by level.
 func BenchmarkResolve(b *testing.B) {
 	for _, st := range stores {
 		b.Run(st.name, func(b *testing.B) {
@@ -79,17 +76,26 @@ func BenchmarkResolve(b *testing.B) {
 				vec, _ := extent.NewVec(l, buf)
 				h.write(vec)
 			}
-			h.tree.Store = st.wrap(b, h.tree.Store.(*metadata.Store))
+			var trips func() float64
+			h.tree.Store, trips = st.wrap(b, h.tree.Store.(*metadata.Store))
 			info, err := h.mgr.LatestPublished(h.blob)
 			if err != nil {
 				b.Fatal(err)
 			}
 			query := extent.List{{Offset: 0, Length: 1 << 22}}
+			var before float64
+			if trips != nil {
+				before = trips()
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := h.tree.Resolve(info.Root, query); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			if trips != nil {
+				b.ReportMetric((trips()-before)/float64(b.N), "wire-reqs/op")
 			}
 		})
 	}

@@ -23,9 +23,13 @@ import (
 //
 // NodeCache has the list methods whatever its inner store has: the inner
 // store's own, or the per-call adapter's, chosen once in NewNodeCache.
+// When the inner store walks (the framed client), Tree.Resolve answers
+// each level of its walk from the cache and sends only the level's misses,
+// as one walk, whose nodes fill the cache like a get's.
 type NodeCache struct {
 	inner    NodeStore
 	batch    nodeBatcher // inner's list methods
+	walker   nodeWalker  // inner's walk, nil when it has none
 	capacity int
 
 	mu      sync.Mutex
@@ -47,8 +51,8 @@ type cacheEntry struct {
 
 // NodeCacheStats is a snapshot of a NodeCache's counters.
 type NodeCacheStats struct {
-	Hits    int64 // gets of any form served from the cache
-	Misses  int64 // gets of any form that went to the inner store
+	Hits    int64 // gets of any form, and nodes a walk looked up, served from the cache
+	Misses  int64 // the same that went to the inner store
 	Entries int   // current entry count
 }
 
@@ -61,9 +65,11 @@ var (
 // one) nodes.
 func NewNodeCache(inner NodeStore, capacity int) *NodeCache {
 	capacity = max(capacity, 1)
+	walker, _ := inner.(nodeWalker)
 	return &NodeCache{
 		inner:    inner,
 		batch:    batchOf(inner),
+		walker:   walker,
 		capacity: capacity,
 		entries:  make(map[cacheKey]*list.Element),
 		lru:      list.New(),

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/extent"
+	"repro/internal/metadata"
 	"repro/internal/segtree"
 )
 
@@ -221,13 +222,27 @@ func TestNodeCacheEvictionIsDeterministicLRU(t *testing.T) {
 	}
 }
 
-// Concurrent walks and node stores through one small cache: run under
-// -race. Every read must match the oracle and the bound must hold
-// while entries are being evicted under the readers.
+// Concurrent walks and node stores through one small cache, over the
+// in-process store and over a loopback client, whose walks fill the
+// cache from their replies: run under -race. Every read must match the
+// oracle and the bound must hold while entries are being evicted under
+// the readers.
 func TestNodeCacheConcurrentResolveAndPut(t *testing.T) {
+	for _, inner := range []string{"inprocess", "loopback"} {
+		t.Run(inner, func(t *testing.T) { concurrentResolveAndPut(t, inner == "loopback") })
+	}
+}
+
+func concurrentResolveAndPut(t *testing.T, wire bool) {
 	geo := segtree.Geometry{Capacity: 64 << 10, Page: 1 << 10}
 	const capacity = 48 // smaller than one full tree: walks evict each other
-	h, _, cache := cachedHarness(t, geo, capacity)
+	h := newHarness(t, geo)
+	var inner segtree.NodeStore = h.tree.Store
+	if wire {
+		inner = loopback(t, h.tree.Store.(*metadata.Store))
+	}
+	cache := segtree.NewNodeCache(inner, capacity)
+	h.tree.Store = cache
 	oracle := make([]byte, geo.Capacity)
 	rng := rand.New(rand.NewSource(9))
 	randomWrite := func(fill byte) {

@@ -383,10 +383,12 @@ func sortFragments(fs []Fragment) {
 
 // Resolve walks the tree from root and maps every requested byte to the
 // chunk fragment holding it at that snapshot. Bytes never written are
-// returned in holes (and read as zero). The walk is level-synchronous:
-// the store sees one list get per level of the tree — every node of the
-// level the query reaches — and then one per link of the leaves' chains,
-// so a wide read pays tree-depth round trips, not node-count.
+// returned in holes (and read as zero). The walk is level-synchronous
+// (Walk): a store sees one list get per level of the tree — every node of
+// the level the query reaches — and then one per link of the leaves'
+// chains, so a wide read pays tree-depth round trips, not node-count. A
+// store that walks itself (the framed client) is instead asked once for
+// the whole walk, and again only for what its reply did not reach.
 func (t *Tree) Resolve(root NodeKey, query extent.List) (frags []Fragment, holes extent.List, err error) {
 	query = query.Normalize()
 	for _, q := range query {
@@ -400,83 +402,23 @@ func (t *Tree) Resolve(root NodeKey, query extent.List) (frags []Fragment, holes
 	if root.IsZero() {
 		return nil, query, nil
 	}
-
-	// part is the piece of the query that falls under one node.
-	type part struct {
-		node *Node // leaves only: the link of the chain reached so far
-		q    extent.List
-	}
-	store := batchOf(t.Store)
-	level, keys := []part{{q: query}}, []NodeKey{root}
-	var leaves []part
-	for len(level) > 0 {
-		nodes, err := store.GetNodes(t.Blob, keys, false)
-		if err != nil {
-			return nil, nil, fmt.Errorf("segtree: fetch %d nodes from %s on: %w", len(keys), keys[0], err)
-		}
-		var (
-			below     []part
-			belowKeys []NodeKey
-		)
-		descend := func(child NodeKey, q extent.List) {
-			switch {
-			case len(q) == 0:
-			case child.IsZero():
-				holes = append(holes, q...)
-			default:
-				below, belowKeys = append(below, part{q: q}), append(belowKeys, child)
-			}
-		}
-		for i, n := range nodes {
-			if n.Leaf {
-				leaves = append(leaves, part{n, level[i].q})
-				continue
-			}
-			lq, rq := level[i].q.Cut(keys[i].Offset + keys[i].Size/2)
-			descend(n.Left, lq)
-			descend(n.Right, rq)
-		}
-		level, keys = below, belowKeys
-	}
-
-	// Each leaf satisfies what it can of its part, newest link first; what
-	// remains goes to the link behind it, all leaves' next links fetched
-	// together.
-	for len(leaves) > 0 {
-		var behind []part
-		keys = keys[:0]
-		for _, l := range leaves {
-			rest := l.node.resolve(l.q, &frags)
-			switch {
-			case len(rest) == 0:
-			case l.node.Prev.IsZero():
-				holes = append(holes, rest...)
-			default:
-				behind, keys = append(behind, part{q: rest}), append(keys, l.node.Prev)
-			}
-		}
-		if len(behind) == 0 {
-			break
-		}
-		nodes, err := store.GetNodes(t.Blob, keys, false)
-		if err != nil {
-			return nil, nil, fmt.Errorf("segtree: fetch %d chained leaves from %s on: %w", len(keys), keys[0], err)
-		}
-		for i := range behind {
-			behind[i].node = nodes[i]
-		}
-		leaves = behind
+	holes, err = Walk([]NodeKey{root}, []extent.List{query}, t.levels(), &frags)
+	if err != nil {
+		return nil, nil, err
 	}
 	sortFragments(frags)
 	return frags, holes.Normalize(), nil
 }
 
-// resolve appends to frags what leaf n holds of the normalized list q,
-// and returns the rest of q.
+// resolve appends to frags, when it is non-nil, what leaf n holds of the
+// normalized list q, and returns the rest of q.
 func (n *Node) resolve(q extent.List, frags *[]Fragment) extent.List {
 	covered := make(extent.List, 0, len(n.Frags))
 	for _, f := range n.Frags {
 		covered = append(covered, f.Ext)
+		if frags == nil {
+			continue
+		}
 		for _, e := range q {
 			if want := e.Intersect(f.Ext); !want.Empty() {
 				*frags = append(*frags, f.clip(want))
