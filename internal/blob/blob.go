@@ -162,24 +162,13 @@ type WriteOptions struct {
 	// waiting for in-order publication. The returned version may then
 	// not be visible to readers yet (eventual read-your-writes).
 	NoWait bool
-	// Pipelined overlaps chunk upload with segment-tree construction:
-	// inner metadata nodes are stored while the first chunks are still
-	// in flight, and each leaf is stored as soon as the chunks covering
-	// it land (segtree.Builder), instead of store-all-then-build. Same
-	// atomicity and publication semantics — the version is invisible
-	// until Complete — but large writes hide most of the metadata
-	// latency behind the uploads.
+	// Deprecated: ignored — every write stores its chunks as one list,
+	// then its tree as one list.
 	Pipelined bool
-	// Window bounds in-flight chunk stores in pipelined mode (<= 0
-	// means DefaultWindow). The window is what keeps memory and
-	// provider queueing bounded while still keeping the upload pipe
-	// full.
-	Window int
 }
 
-// DefaultWindow is the pipelined write path's default in-flight chunk
-// bound, and — times the page size — the read path's bound on fragment
-// bytes in flight.
+// DefaultWindow, times the page size, bounds the fragment bytes a read
+// keeps in flight.
 const DefaultWindow = 8
 
 // maxReadFragments caps the fragments one read keeps in flight however
@@ -274,35 +263,19 @@ func (b *Blob) WriteList(vec extent.Vec, opts WriteOptions) (uint64, error) {
 		return 0, err
 	}
 
-	// Steps 2+3: store page-aligned chunks across the data providers
-	// and build the shadowed metadata — sequentially by default,
-	// overlapped when the write is pipelined.
-	var root segtree.NodeKey
-	if opts.Pipelined {
-		var dirty bool
-		root, dirty, err = b.writePipelined(tk, vec, opts.Window)
-		if err != nil {
-			if dirty {
-				// The builder already stored nodes under this ticket; a
-				// tombstone build would collide with them, so retire via
-				// Abort directly.
-				_ = b.svc.VM.Abort(b.id, tk.Version)
-			} else {
-				b.retireTicket(tk, norm)
-			}
-			return 0, err
-		}
-	} else {
-		placed, err := b.storeChunks(tk.Version, vec)
-		if err != nil {
-			b.retireTicket(tk, norm)
-			return 0, err
-		}
-		root, err = b.tree.Build(tk.Version, placed, tk.Borrows)
-		if err != nil {
-			b.retireTicket(tk, norm)
-			return 0, err
-		}
+	// Steps 2+3: store page-aligned chunks across the data providers,
+	// then build the shadowed metadata. No node is put before every chunk
+	// and predecessor look-up has succeeded, so a failure here leaves the
+	// ticket free for its tombstone.
+	placed, err := b.storeChunks(tk.Version, vec)
+	if err != nil {
+		b.retireTicket(tk, norm)
+		return 0, err
+	}
+	root, err := b.tree.Build(tk.Version, placed, tk.Borrows)
+	if err != nil {
+		b.retireTicket(tk, norm)
+		return 0, err
 	}
 
 	// Step 4: hand the snapshot to the version manager for in-order
@@ -330,16 +303,15 @@ func (b *Blob) Write(off int64, data []byte, opts WriteOptions) (uint64, error) 
 // retireTicket cleans up after a failed write: it publishes tombstone
 // metadata (an empty overlay) under the ticket so that later writers'
 // borrow references to this version resolve and publication is not
-// stalled. If even the tombstone cannot be written (metadata service
-// unreachable), the ticket is aborted at the version manager, which at
-// least unblocks publication.
+// stalled. Only when the metadata service refuses the tombstone too is
+// the ticket aborted at the version manager (see vmanager.Abort for
+// what that leaves a concurrent borrower).
 func (b *Blob) retireTicket(tk vmanager.Ticket, touched extent.List) {
 	root, err := b.tree.BuildEmpty(tk.Version, touched, tk.Borrows)
 	if err == nil {
 		err = b.svc.VM.Complete(b.id, tk.Version, root)
 	}
 	if err != nil {
-		// Last resort; see vmanager.Abort for the residual caveats.
 		_ = b.svc.VM.Abort(b.id, tk.Version)
 	}
 }
@@ -406,66 +378,8 @@ func placedRef(key chunk.Key, length int64, ids []provider.ID) chunk.Ref {
 	return chunk.Ref{Key: key, Offset: 0, Length: length, Replicas: replicas}
 }
 
-// writePipelined is the overlapped form of storeChunks + tree.Build:
-// a segtree.Builder plans the whole tree up front and stores inner
-// nodes immediately, while chunk uploads proceed under a bounded
-// in-flight window, each completed upload releasing its tree leaf. The
-// returned dirty flag reports whether any metadata node was stored
-// under the ticket — it decides between tombstone retirement and Abort
-// on failure (see WriteList).
-func (b *Blob) writePipelined(tk vmanager.Ticket, vec extent.Vec, window int) (root segtree.NodeKey, dirty bool, err error) {
-	pieces := b.splitPieces(vec)
-	exts := make([]extent.Extent, len(pieces))
-	for i, p := range pieces {
-		exts[i] = p.ext
-	}
-	builder, err := b.tree.NewBuilder(tk.Version, exts, tk.Borrows)
-	if err != nil {
-		return segtree.NodeKey{}, false, err
-	}
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	if window > len(pieces) {
-		window = len(pieces)
-	}
-	sem := make(chan struct{}, window)
-	errs := make(chan error, len(pieces))
-	var wg sync.WaitGroup
-	for i, p := range pieces {
-		wg.Add(1)
-		go func(i int, p piece) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			key := chunk.Key{Blob: b.id, Version: tk.Version, Index: uint32(i)}
-			ids, perr := b.svc.Data.Put(key, p.data)
-			if perr != nil {
-				errs <- perr
-				return
-			}
-			builder.SetPiece(i, placedRef(key, p.ext.Length, ids))
-		}(i, p)
-	}
-	wg.Wait()
-	close(errs)
-	storeErr := <-errs
-	// Finish drains the builder's in-flight node stores either way; on
-	// the failure path some leaves never completed and were never
-	// attempted — only what WAS attempted matters for Dirty.
-	root, buildErr := builder.Finish()
-	dirty = builder.Dirty()
-	if storeErr != nil {
-		return segtree.NodeKey{}, dirty, fmt.Errorf("blob: store chunks: %w", storeErr)
-	}
-	if buildErr != nil {
-		return segtree.NodeKey{}, dirty, buildErr
-	}
-	return root, dirty, nil
-}
-
 // WaitPublished blocks until version v is published, making it visible
-// to ReadLatest. Pipelined writers use this to flush a train of NoWait
+// to ReadLatest. A writer uses this to flush a train of NoWait
 // writes with one wait on the train's last version (publication is in
 // ticket order, so waiting on the last covers them all).
 func (b *Blob) WaitPublished(v uint64) error {

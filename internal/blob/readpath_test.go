@@ -102,7 +102,7 @@ func randomQuery(rng *rand.Rand, capacity int64) extent.List {
 
 // TestPropReadListMatchesFlatModel replays seeded random histories —
 // multi-version overlays, partial-page writes, holes, chained leaves,
-// buffered and pipelined, from two writing handles in turn — and compares
+// from two writing handles in turn — and compares
 // random non-normalized list-reads of every version, through a writing
 // handle and through one that only reads, byte for byte with a flat image
 // per version.
@@ -123,7 +123,7 @@ func TestPropReadListMatchesFlatModel(t *testing.T) {
 		models := [][]byte{make([]byte, geo.Capacity)} // version 0 is all holes
 		for i := 0; i < 16; i++ {
 			vec := randomWrite(t, rng, geo)
-			v, err := writers[i%2].WriteList(vec, WriteOptions{Pipelined: rng.Intn(2) == 0})
+			v, err := writers[i%2].WriteList(vec, WriteOptions{})
 			if err != nil {
 				t.Fatalf("seed %d write %d: %v", seed, i, err)
 			}

@@ -16,11 +16,13 @@ var ErrDown = errors.New("chunk: provider down")
 
 // FaultStore wraps a Store and fails a configurable subset of
 // operations; used by failure-injection tests to exercise the write
-// path's ticket-retirement logic. Two fault modes compose: transient
-// fail-next-N counters per operation, and a permanent down mode
-// (SetDown) under which every operation fails with ErrDown until the
-// store is revived — the model of a dead machine that failover and
-// repair tests need.
+// path's ticket-retirement logic. Three fault modes compose: transient
+// fail-next-N counters per operation, a permanent down mode (SetDown)
+// under which every operation fails with ErrDown until the store is
+// revived — the model of a dead machine that failover and repair tests
+// need — and a hold (HoldPut) that stalls one put until the test lets
+// it go, so a schedule can order a fault against another client's call
+// without sleeping.
 type FaultStore struct {
 	Inner Store
 
@@ -33,6 +35,15 @@ type FaultStore struct {
 	// claimed by the next stream that starts (one-shot).
 	failPutStream atomic.Int64
 	failGetStream atomic.Int64
+
+	hold atomic.Pointer[putHold]
+}
+
+// putHold is an armed HoldPut: the put that takes left to zero stops.
+type putHold struct {
+	left    atomic.Int64
+	held    chan struct{}
+	release chan bool
 }
 
 var _ Store = (*FaultStore)(nil)
@@ -54,10 +65,38 @@ func (f *FaultStore) SetDown(down bool) { f.down.Store(down) }
 // IsDown reports whether the store is in permanent down mode.
 func (f *FaultStore) IsDown() bool { return f.down.Load() }
 
+// HoldPut arms the nth put from now (Put or PutFromReader; n >= 1) to
+// stop at call time, before it reaches the inner store. held is closed
+// once that put has stopped; release, called once, lets it go on — and
+// fail makes it return ErrInjected, storing nothing. One-shot.
+func (f *FaultStore) HoldPut(n int64) (held <-chan struct{}, release func(fail bool)) {
+	h := &putHold{held: make(chan struct{}), release: make(chan bool, 1)}
+	h.left.Store(n)
+	f.hold.Store(h)
+	return h.held, func(fail bool) { h.release <- fail }
+}
+
+// waitHold stops the put that claims an armed hold until it is released.
+func (f *FaultStore) waitHold() error {
+	h := f.hold.Load()
+	if h == nil || h.left.Add(-1) != 0 {
+		return nil
+	}
+	f.hold.CompareAndSwap(h, nil)
+	close(h.held)
+	if <-h.release {
+		return ErrInjected
+	}
+	return nil
+}
+
 // Put implements Store.
 func (f *FaultStore) Put(key Key, data []byte) error {
 	if f.down.Load() {
 		return ErrDown
+	}
+	if err := f.waitHold(); err != nil {
+		return err
 	}
 	if take(&f.failPuts) {
 		return ErrInjected
@@ -150,14 +189,17 @@ type faultReadCloser struct {
 func (frc *faultReadCloser) Close() error { return frc.c.Close() }
 
 // PutFromReader implements Store. Injection points: call time (the
-// fail-next-Puts counter and down mode, as for Put) and mid-stream
-// (FailPutStreamAfter, or the store going down while the payload is in
-// flight). Mid-stream failures surface through the inner store's
+// fail-next-Puts counter, the hold and down mode, as for Put) and
+// mid-stream (FailPutStreamAfter, or the store going down while the
+// payload is in flight). Mid-stream failures surface through the inner store's
 // reader, whose write protocol guarantees the torn chunk is never
 // visible.
 func (f *FaultStore) PutFromReader(key Key, size int64, r io.Reader) error {
 	if f.down.Load() {
 		return ErrDown
+	}
+	if err := f.waitHold(); err != nil {
+		return err
 	}
 	if take(&f.failPuts) {
 		return ErrInjected

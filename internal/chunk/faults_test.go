@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -123,5 +124,33 @@ func TestFaultStoreConcurrentArming(t *testing.T) {
 	wg.Wait()
 	if failed != n/2 || ok != n/2 {
 		t.Fatalf("failed=%d ok=%d, want exactly %d each", failed, ok, n/2)
+	}
+}
+
+// TestFaultStoreHoldsAPut: the nth put from arming stops before the inner
+// store until released, the puts before it pass, and release decides
+// whether it fails (storing nothing) or lands — for Put and for
+// PutFromReader alike.
+func TestFaultStoreHoldsAPut(t *testing.T) {
+	for _, fail := range []bool{true, false} {
+		f := NewFaultStore(NewMemStore(nil))
+		held, release := f.HoldPut(2)
+		if err := f.Put(Key{Blob: 1}, []byte("a")); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- f.PutFromReader(Key{Blob: 2}, 1, strings.NewReader("b")) }()
+		<-held
+		if f.Count() != 1 {
+			t.Fatalf("a held put reached the store: %d chunks", f.Count())
+		}
+		release(fail)
+		err := <-done
+		if _, lenErr := f.Len(Key{Blob: 2}); fail != errors.Is(err, ErrInjected) || fail == (lenErr == nil) {
+			t.Fatalf("released with fail=%v: put err %v, chunk present %v", fail, err, lenErr == nil)
+		}
+		if err := f.Put(Key{Blob: 3}, []byte("c")); err != nil {
+			t.Fatalf("the hold is one-shot, yet the next put failed: %v", err)
+		}
 	}
 }

@@ -261,7 +261,7 @@ func BenchmarkFramedGetSerial(b *testing.B) {
 }
 
 // BenchmarkFramedPut1MiBWindow8 is checkpoint_restore's shape: 32 puts
-// of 1 MiB under the pipelined writer's window of 8. A megabyte chunk
+// of 1 MiB, 8 in flight. A megabyte chunk
 // is a train of one and its frames never fit a write buffer, so trains
 // must leave this where it was.
 func BenchmarkFramedPut1MiBWindow8(b *testing.B) {
@@ -393,7 +393,7 @@ func BenchmarkReadList(b *testing.B) {
 	for i := range q {
 		q[i] = extent.Extent{Offset: int64(i) * 2 * size, Length: size}
 	}
-	v, err := bl.WriteList(extent.Vec{Extents: q, Buf: bytes.Repeat([]byte{0x5A}, segments*size)}, blob.WriteOptions{Pipelined: true})
+	v, err := bl.WriteList(extent.Vec{Extents: q, Buf: bytes.Repeat([]byte{0x5A}, segments*size)}, blob.WriteOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

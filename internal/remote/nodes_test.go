@@ -159,11 +159,10 @@ func TestNodeCallsCombineOnTheWire(t *testing.T) {
 }
 
 // TestPropReadListOverFramedClients replays seeded random histories —
-// overlapping multi-extent writes, buffered and pipelined, from two
-// framed clients — and compares random list-reads of every version,
-// through both, byte for byte with a flat image per version: blob's
-// read/write property, with the bounded pools and their trains under
-// it.
+// overlapping multi-extent writes from two framed clients — and
+// compares random list-reads of every version, through both, byte for
+// byte with a flat image per version: blob's read/write property, with
+// the bounded pools and their trains under it.
 func TestPropReadListOverFramedClients(t *testing.T) {
 	geo := segtree.Geometry{Capacity: 64 << 10, Page: 1 << 10}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -194,7 +193,7 @@ func TestPropReadListOverFramedClients(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := []*blob.Blob{w, r}[rng.Intn(2)]
-			v, err := h.WriteList(vec, blob.WriteOptions{Pipelined: rng.Intn(2) == 0})
+			v, err := h.WriteList(vec, blob.WriteOptions{})
 			if err != nil || v != uint64(len(models)) {
 				t.Fatalf("seed %d write %d: v%d, %v", seed, i, v, err)
 			}

@@ -112,9 +112,9 @@ type batchPair struct {
 	versions, depth int
 }
 
-// newBatchPair replays a seeded history on both: buffered writes of 1-4
-// extents (partial pages, page-crossing, whole pages), a pipelined write
-// every fourth version and a tombstone every seventh.
+// newBatchPair replays a seeded history on both: writes of 1-4 extents
+// (partial pages, page-crossing, whole pages) and a tombstone every
+// seventh version.
 func newBatchPair(t *testing.T, seed int64) *batchPair {
 	t.Helper()
 	geo := segtree.Geometry{Capacity: 32 << 10, Page: 1 << 10}
@@ -137,12 +137,9 @@ func newBatchPair(t *testing.T, seed int64) *batchPair {
 		}
 		for _, h := range []*harness{p.batch, p.each} {
 			var v uint64
-			switch {
-			case i%7 == 0:
+			if i%7 == 0 {
 				v = h.tombstone(l)
-			case i%4 == 0:
-				v = h.writePipelined(vec(t, l, byte(i)))
-			default:
+			} else {
 				v = h.write(vec(t, l, byte(i)))
 			}
 			if v != uint64(i) {
@@ -172,10 +169,10 @@ func (h *harness) tombstone(l extent.List) uint64 {
 	return tk.Version
 }
 
-// TestBuildBatchAndEachAgree: Build, BuildEmpty and the pipelined Builder
-// store byte-identical node sets whether the store has the list methods
-// or is driven call by call — and over the list methods a buffered write
-// is at most two list operations and no per-call one.
+// TestBuildBatchAndEachAgree: Build and BuildEmpty store byte-identical
+// node sets whether the store has the list methods or is driven call by
+// call — and over the list methods a write is at most two list
+// operations and no per-call one.
 func TestBuildBatchAndEachAgree(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		p := newBatchPair(t, seed)
@@ -201,7 +198,7 @@ func TestBuildBatchAndEachAgree(t *testing.T) {
 		}
 	}
 
-	// One buffered write over pages written before: one try-get list, one
+	// One write over pages written before: one try-get list, one
 	// put list, nothing else.
 	geo := segtree.Geometry{Capacity: 16 << 10, Page: 1 << 10}
 	h := newHarness(t, geo)

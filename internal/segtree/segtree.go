@@ -164,7 +164,8 @@ var ErrOutOfRange = errors.New("segtree: access beyond blob capacity")
 // The store sees two list operations: one try-get of the predecessor
 // leaves that flattening needs, then one put of every node of the update
 // (readers only see the tree after publication, so the nodes need no
-// order among themselves).
+// order among themselves). Nothing is put before the try-get succeeds, so
+// a build that fails there leaves the ticket to BuildEmpty.
 func (t *Tree) Build(v uint64, placed []Placed, borrows map[extent.Extent]uint64) (NodeKey, error) {
 	if len(placed) == 0 {
 		return NodeKey{}, errors.New("segtree: empty update")
@@ -326,21 +327,6 @@ func (n *Node) underlay(prevKey NodeKey, prev *Node, covered extent.List) {
 		return
 	}
 	n.Frags = overlayFragments(prev.Frags, n.Frags, covered)
-}
-
-// buildLeaf is the single-leaf form of Build's second phase, for the
-// pipelined Builder, whose leaves complete one at a time.
-func (t *Tree) buildLeaf(r extent.Extent, pieces []Placed, prevVersion uint64) (*Node, error) {
-	n, covered, under := startLeaf(r, pieces, prevVersion)
-	if under.IsZero() {
-		return n, nil
-	}
-	prev, _, err := t.Store.TryGetNode(t.Blob, under)
-	if err != nil {
-		return nil, err
-	}
-	n.underlay(under, prev, covered)
-	return n, nil
 }
 
 // overlayFragments merges old fragments under new ones: every byte of

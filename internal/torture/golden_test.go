@@ -25,6 +25,7 @@ func goldenSchedules(t *testing.T, seed int64) []string {
 		fmt.Sprintf("checkpoint %+v", ckptConfig(seed, 2).Plan()),
 		fmt.Sprintf("shard %+v", ShardConfig{Seed: seed}.Plan()),
 		fmt.Sprintf("stream %+v", StreamConfig{Seed: seed}.Plan()),
+		fmt.Sprintf("borrow %+v", BorrowConfig{Seed: seed}.Plan()),
 	}
 }
 
@@ -44,6 +45,7 @@ var goldenPlans = map[int64][]string{
 		"checkpoint {Victim:1 AfterEpoch:3}",
 		"shard {Doomed:2 KillAfter:20}",
 		"stream {Victim:7 AfterObjects:12 Torn:[10246 18550 5997]}",
+		"borrow {Pairs:[{Victim:[[11784,13546)] Peer:[[13019,13275) [15975,15992)] FailPut:3} {Victim:[[1205,3066)] Peer:[[1374,1752) [9561,9980)] FailPut:2} {Victim:[[6743,7240)] Peer:[[6942,6989) [13154,13226)] FailPut:1} {Victim:[[5248,6403)] Peer:[[5626,5933) [11201,11879)] FailPut:2}]}",
 	},
 	2: {
 		"calls crc=41eb834f",
@@ -55,6 +57,7 @@ var goldenPlans = map[int64][]string{
 		"checkpoint {Victim:7 AfterEpoch:5}",
 		"shard {Doomed:1 KillAfter:8}",
 		"stream {Victim:1 AfterObjects:6 Torn:[35558 7060 19182]}",
+		"borrow {Pairs:[{Victim:[[10173,10962)] Peer:[[10552,10867) [12221,12594)] FailPut:1} {Victim:[[11593,13859)] Peer:[[5008,5117) [13639,13851)] FailPut:1} {Victim:[[7058,7736)] Peer:[[7407,7526) [9714,10245)] FailPut:1} {Victim:[[11347,14358)] Peer:[[14268,14336)] FailPut:2}]}",
 	},
 	3: {
 		"calls crc=6566ca08",
@@ -66,6 +69,7 @@ var goldenPlans = map[int64][]string{
 		"checkpoint {Victim:4 AfterEpoch:4}",
 		"shard {Doomed:2 KillAfter:28}",
 		"stream {Victim:6 AfterObjects:10 Torn:[13280 39339 13985]}",
+		"borrow {Pairs:[{Victim:[[11653,12516)] Peer:[[5441,5816) [12461,12508)] FailPut:2} {Victim:[[5921,7956)] Peer:[[6749,6767)] FailPut:1} {Victim:[[10166,10970)] Peer:[[10891,10906)] FailPut:1} {Victim:[[3093,4503)] Peer:[[342,1243) [4017,4039)] FailPut:2}]}",
 	},
 	4: {
 		"calls crc=99d4a2be",
@@ -77,6 +81,7 @@ var goldenPlans = map[int64][]string{
 		"checkpoint {Victim:6 AfterEpoch:3}",
 		"shard {Doomed:0 KillAfter:12}",
 		"stream {Victim:0 AfterObjects:9 Torn:[48722 56064 50247]}",
+		"borrow {Pairs:[{Victim:[[3757,6189)] Peer:[[5497,5699) [9897,10682)] FailPut:2} {Victim:[[10662,14004)] Peer:[[13067,13146)] FailPut:3} {Victim:[[4684,7745)] Peer:[[4985,5041)] FailPut:4} {Victim:[[4623,6038)] Peer:[[6031,6032)] FailPut:2}]}",
 	},
 }
 

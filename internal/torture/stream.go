@@ -15,7 +15,7 @@ import (
 )
 
 // StreamConfig parameterizes one streaming-data-plane torture run:
-// concurrent writers push pipelined multi-chunk objects through the
+// concurrent writers push multi-chunk objects through the
 // framed wire transport (remote.DialFramed, so chunk payloads really
 // stream socket→store) while a seed-scheduled fault kills transfers
 // mid-payload. This is the schedule under which the zero-copy data
@@ -28,7 +28,7 @@ type StreamConfig struct {
 	// Writers is the number of concurrent writer goroutines, each
 	// owning one blob and one framed client connection (default 4).
 	Writers int
-	// ObjectsPerWriter is the pipelined whole-object writes each
+	// ObjectsPerWriter is the whole-object writes each
 	// writer issues, one version per object (default 6).
 	ObjectsPerWriter int
 	// ChunkSize is the stripe unit; every stored chunk is exactly this
@@ -37,8 +37,6 @@ type StreamConfig struct {
 	ChunkSize int64
 	// ChunksPerObject sizes each object (default 8).
 	ChunksPerObject int
-	// Window bounds the pipelined writer's in-flight chunks (default 4).
-	Window int
 	// Replicas selects the run's failure mode. At R=1 the schedule
 	// tears streams mid-payload (FailPutStreamAfter) and the killed
 	// writes must fail cleanly without publishing. At R>=2 the victim
@@ -97,9 +95,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	}
 	if c.ChunksPerObject <= 0 {
 		c.ChunksPerObject = 8
-	}
-	if c.Window <= 0 {
-		c.Window = 4
 	}
 	if c.Replicas < 1 {
 		c.Replicas = 1
@@ -232,8 +227,7 @@ func RunStream(cfg StreamConfig) (StreamReport, error) {
 				return
 			}
 			for o := 0; o < cfg.ObjectsPerWriter; o++ {
-				v, err := b.Write(0, streamPayload(w, o, objSize),
-					blob.WriteOptions{Pipelined: true, Window: cfg.Window})
+				v, err := b.Write(0, streamPayload(w, o, objSize), blob.WriteOptions{})
 				mu.Lock()
 				if err != nil {
 					failures = append(failures, fmt.Errorf("writer %d object %d: %w", w, o, err))

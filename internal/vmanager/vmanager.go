@@ -429,6 +429,13 @@ func (m *Manager) finishLocked(st *blobState, v uint64, abort bool) {
 // the aborted version itself but later snapshots keep the monotone
 // watermark — unwritten bytes read as zero holes, as with sparse
 // POSIX files.
+//
+// A failed write retires its ticket with a tombstone instead, and the
+// client aborts only when the metadata service refuses the tombstone
+// too (blob.retireTicket). That is the residual: tickets assigned after
+// the abort borrow past the aborted version, but one assigned before it
+// may hold borrow answers naming nodes of the aborted version that were
+// never stored, and its reads of those ranges fail.
 func (m *Manager) Abort(blob, v uint64) error {
 	if cfg := m.Batching(); cfg.MaxBatch > 1 {
 		_, err := m.commits.do(PublishRequest{Blob: blob, Version: v, Abort: true}, cfg)
