@@ -303,9 +303,12 @@ func (b *Blob) Write(off int64, data []byte, opts WriteOptions) (uint64, error) 
 // retireTicket cleans up after a failed write: it publishes tombstone
 // metadata (an empty overlay) under the ticket so that later writers'
 // borrow references to this version resolve and publication is not
-// stalled. Only when the metadata service refuses the tombstone too is
-// the ticket aborted at the version manager (see vmanager.Abort for
-// what that leaves a concurrent borrower).
+// stalled. When the metadata service refuses the tombstone the ticket is
+// aborted at the version manager instead (see vmanager.Abort for what
+// that leaves a concurrent borrower). That happens when it refuses the
+// write's whole node list and the tombstone, and also when the node list
+// failed partway: the leaves already stored under the ticket differ from
+// the tombstone's, and a stored node is never overwritten.
 func (b *Blob) retireTicket(tk vmanager.Ticket, touched extent.List) {
 	root, err := b.tree.BuildEmpty(tk.Version, touched, tk.Borrows)
 	if err == nil {

@@ -24,14 +24,16 @@ import (
 type BorrowConfig struct {
 	// Seed drives the plan; equal seeds replay equal runs.
 	Seed int64
-	// Pairs is the number of victim/peer pairs (default 4).
-	Pairs int
-	// Page is the blob's page: its stripe unit and leaf size (default
-	// 1 KiB).
-	Page int64
-	// Pages is the blob's capacity in pages, a power of two (default 16).
-	Pages int
 }
+
+// Every borrow-hazard run plans borrowPairs pairs on a blob of
+// borrowPages pages (a power of two) of borrowPage bytes, its stripe unit
+// and leaf size.
+const (
+	borrowPairs = 4
+	borrowPage  = 1 << 10
+	borrowPages = 16
+)
 
 // BorrowPair is one victim/peer pair. The victim writes one extent over
 // 2-4 pages and its put number FailPut, counted from 1 in the order the
@@ -49,39 +51,25 @@ type BorrowPlan struct {
 	Pairs []BorrowPair
 }
 
-func (c BorrowConfig) withDefaults() BorrowConfig {
-	if c.Pairs <= 0 {
-		c.Pairs = 4
-	}
-	if c.Page <= 0 {
-		c.Page = 1 << 10
-	}
-	if c.Pages <= 0 {
-		c.Pages = 16
-	}
-	return c
-}
-
 // Plan derives the pairs from the seed.
 func (c BorrowConfig) Plan() BorrowPlan {
-	c = c.withDefaults()
 	rng := planRNG(c.Seed, 0x626f72726f772d31) // "borrow-1"
-	capacity := c.Page * int64(c.Pages)
+	capacity := int64(borrowPage * borrowPages)
 	var p BorrowPlan
-	for i := 0; i < c.Pairs; i++ {
+	for i := 0; i < borrowPairs; i++ {
 		pages := 2 + rng.Intn(3)
-		first := rng.Int63n(int64(c.Pages-pages+1)) * c.Page
-		last := first + int64(pages-1)*c.Page
-		off := first + rng.Int63n(c.Page)
-		end := last + 1 + rng.Int63n(c.Page)
+		first := rng.Int63n(int64(borrowPages-pages+1)) * borrowPage
+		last := first + int64(pages-1)*borrowPage
+		off := first + rng.Int63n(borrowPage)
+		end := last + 1 + rng.Int63n(borrowPage)
 
 		at := off + rng.Int63n(end-off) // a byte the victim writes
-		length := 1 + rng.Int63n(min(end, at-at%c.Page+c.Page)-at)
+		length := 1 + rng.Int63n(min(end, at-at%borrowPage+borrowPage)-at)
 		peer := extent.List{{Offset: at, Length: length}}
 		if rng.Intn(2) == 0 {
 			o := rng.Int63n(capacity)
-			e := extent.Extent{Offset: o, Length: 1 + rng.Int63n(min(c.Page, capacity-o))}
-			if !e.Overlaps(extent.Extent{Offset: first, Length: last + c.Page - first}) {
+			e := extent.Extent{Offset: o, Length: 1 + rng.Int63n(min(borrowPage, capacity-o))}
+			if !e.Overlaps(extent.Extent{Offset: first, Length: last + borrowPage - first}) {
 				peer = append(peer, e).Normalize()
 			}
 		}
@@ -131,12 +119,11 @@ func (h *ticketHook) AssignTicket(b uint64, e extent.List) (vmanager.Ticket, err
 // blocks it; the order of events is fixed by the hold and the hook, not
 // by the scheduler.
 func RunBorrow(cfg BorrowConfig) (BorrowReport, error) {
-	cfg = cfg.withDefaults()
 	env := cluster.Default()
 	env.Providers = 1 // every chunk put reaches the one store the hold is armed on
-	env.ChunkSize = cfg.Page
+	env.ChunkSize = borrowPage
 	env.FaultInjection = true
-	span := cfg.Page * int64(cfg.Pages)
+	span := int64(borrowPage * borrowPages)
 	r, err := boot(env, span)
 	if err != nil {
 		return BorrowReport{}, err

@@ -28,24 +28,23 @@ func TestBorrowRetiresFailedTickets(t *testing.T) {
 // overlaps its victim yet leaves one of the victim's pages untouched, so
 // its tree borrows from the victim; and plans vary with the seed.
 func TestBorrowPlanDeterminism(t *testing.T) {
-	cfg := BorrowConfig{Seed: 5}.withDefaults()
-	a, b := cfg.Plan(), cfg.Plan()
+	a, b := BorrowConfig{Seed: 5}.Plan(), BorrowConfig{Seed: 5}.Plan()
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("same seed planned %+v vs %+v", a, b)
 	}
 	for seed := int64(1); seed <= 64; seed++ {
 		for i, p := range (BorrowConfig{Seed: seed}).Plan().Pairs {
 			v := p.Victim.Bounding()
-			first, last := v.Offset/cfg.Page, (v.End()-1)/cfg.Page
+			first, last := v.Offset/borrowPage, (v.End()-1)/borrowPage
 			if len(p.Victim) != 1 || last == first || p.FailPut < 1 || int64(p.FailPut) > last-first+1 {
 				t.Fatalf("seed %d pair %d: victim %v fails put %d", seed, i, p.Victim, p.FailPut)
 			}
-			if v.End() > cfg.Page*int64(cfg.Pages) || !p.Peer.IntersectsExtent(v) {
+			if v.End() > borrowPage*borrowPages || !p.Peer.IntersectsExtent(v) {
 				t.Fatalf("seed %d pair %d: peer %v does not overlap victim %v inside the blob", seed, i, p.Peer, p.Victim)
 			}
 			untouched := 0
 			for pg := first; pg <= last; pg++ {
-				if !p.Peer.IntersectsExtent(extent.Extent{Offset: pg * cfg.Page, Length: cfg.Page}) {
+				if !p.Peer.IntersectsExtent(extent.Extent{Offset: pg * borrowPage, Length: borrowPage}) {
 					untouched++
 				}
 			}

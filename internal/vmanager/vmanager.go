@@ -432,10 +432,13 @@ func (m *Manager) finishLocked(st *blobState, v uint64, abort bool) {
 //
 // A failed write retires its ticket with a tombstone instead, and the
 // client aborts only when the metadata service refuses the tombstone
-// too (blob.retireTicket). That is the residual: tickets assigned after
-// the abort borrow past the aborted version, but one assigned before it
-// may hold borrow answers naming nodes of the aborted version that were
-// never stored, and its reads of those ranges fail.
+// too (blob.retireTicket): when it refused the write's whole node list,
+// or when that list failed partway and left some of its nodes stored.
+// That is the residual: tickets assigned after the abort borrow past the
+// aborted version, but one assigned before it may hold borrow answers
+// naming nodes of the aborted version that were never stored — its reads
+// of those ranges fail — or that the partial list did store, and then it
+// reads part of the failed write.
 func (m *Manager) Abort(blob, v uint64) error {
 	if cfg := m.Batching(); cfg.MaxBatch > 1 {
 		_, err := m.commits.do(PublishRequest{Blob: blob, Version: v, Abort: true}, cfg)
