@@ -42,9 +42,10 @@ type ShardConfig struct {
 	MaxExtents int
 	// MaxExtentLen bounds each extent's length (default 8 KiB).
 	MaxExtentLen int64
-	// Batch is each shard's group-commit configuration. MaxBatch must
-	// be >= 2 (the crashpoint lives on the batched publish path);
-	// the zero value defaults to {MaxBatch: 8, MaxDelay: 200µs}.
+	// Batch is each shard's group-commit configuration; the zero value
+	// defaults to {MaxBatch: 8, MaxDelay: 200µs}. Every completion
+	// reaches the crashpoint at any batch size — at MaxBatch 1 the
+	// killed group is one lone Complete or Abort.
 	Batch vmanager.BatchConfig
 }
 
@@ -82,9 +83,6 @@ func (c ShardConfig) Validate() error {
 	}
 	if c.CallsPerBlob < 1 || c.CallsPerBlob > 254 {
 		return fmt.Errorf("torture: calls per blob must be in [1, 254], got %d", c.CallsPerBlob)
-	}
-	if c.Batch.MaxBatch < 2 {
-		return fmt.Errorf("torture: shard kill needs group commit (MaxBatch >= 2), got %d", c.Batch.MaxBatch)
 	}
 	return nil
 }

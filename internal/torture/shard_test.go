@@ -16,26 +16,48 @@ import (
 // cannot pass silently.
 func TestShardKillSchedule(t *testing.T) {
 	for _, seed := range seeds(t) {
-		rep, err := RunShard(ShardConfig{Seed: seed})
-		if err != nil {
-			t.Fatalf("replay with REPRO_TORTURE_SEED=%d: %v", seed, err)
-		}
-		if rep.AppliedAtKill < 1 {
-			t.Fatalf("seed %d: kill fired with no batch in flight: %+v", seed, rep)
-		}
-		if rep.DoomedBatch < rep.AppliedAtKill {
-			t.Fatalf("seed %d: report inconsistent, %d applied of a %d-request batch", seed, rep.AppliedAtKill, rep.DoomedBatch)
-		}
-		if rep.AbortsOnRestart < 1 {
-			t.Fatalf("seed %d: restart witnessed no aborts: %+v", seed, rep)
-		}
-		if rep.FailedCalls < 1 {
-			t.Fatalf("seed %d: shard death cost no writes — schedule lost its teeth: %+v", seed, rep)
-		}
-		if rep.OKCalls < 1 {
-			t.Fatalf("seed %d: nothing committed: %+v", seed, rep)
+		checkShardKill(t, ShardConfig{Seed: seed})
+	}
+}
+
+// TestShardKillScheduleUnbatched runs the same schedule at MaxBatch 1,
+// the default configuration: every Complete and Abort is a group of one
+// through the commit core, so the kill lands on a lone completion, and
+// the contract must hold there too.
+func TestShardKillScheduleUnbatched(t *testing.T) {
+	for _, seed := range seeds(t) {
+		rep := checkShardKill(t, ShardConfig{Seed: seed, Batch: vmanager.BatchConfig{MaxBatch: 1}})
+		if rep.DoomedBatch != 1 || rep.AppliedAtKill != 1 {
+			t.Fatalf("seed %d: unbatched kill interrupted %d of a %d-request group, want 1 of 1: %+v",
+				seed, rep.AppliedAtKill, rep.DoomedBatch, rep)
 		}
 	}
+}
+
+// checkShardKill runs one shard-kill schedule and pins its teeth.
+func checkShardKill(t *testing.T, cfg ShardConfig) ShardReport {
+	t.Helper()
+	seed := cfg.Seed
+	rep, err := RunShard(cfg)
+	if err != nil {
+		t.Fatalf("replay with REPRO_TORTURE_SEED=%d: %v", seed, err)
+	}
+	if rep.AppliedAtKill < 1 {
+		t.Fatalf("seed %d: kill fired with no batch in flight: %+v", seed, rep)
+	}
+	if rep.DoomedBatch < rep.AppliedAtKill {
+		t.Fatalf("seed %d: report inconsistent, %d applied of a %d-request batch", seed, rep.AppliedAtKill, rep.DoomedBatch)
+	}
+	if rep.AbortsOnRestart < 1 {
+		t.Fatalf("seed %d: restart witnessed no aborts: %+v", seed, rep)
+	}
+	if rep.FailedCalls < 1 {
+		t.Fatalf("seed %d: shard death cost no writes — schedule lost its teeth: %+v", seed, rep)
+	}
+	if rep.OKCalls < 1 {
+		t.Fatalf("seed %d: nothing committed: %+v", seed, rep)
+	}
+	return rep
 }
 
 // TestShardPlanDeterminism: equal seeds must derive equal kill

@@ -11,8 +11,9 @@ import (
 // BatchConfig tunes the manager's group-commit pipeline.
 type BatchConfig struct {
 	// MaxBatch bounds how many requests one group commit may carry.
-	// Values <= 1 disable batching: every request pays its own lock
-	// acquisition and control round trip (the pre-batching behavior).
+	// Values <= 1 disable batching: every request is applied alone, as a
+	// group of one on the caller's goroutine, and pays its own lock
+	// acquisition and control round trip (the pre-batching cost).
 	MaxBatch int
 	// MaxDelay bounds how long a group leader lingers waiting for the
 	// group to fill before committing what it has. Zero commits
@@ -37,19 +38,17 @@ func (m *Manager) Batching() BatchConfig {
 	return m.batch
 }
 
-// TicketRequest is one AssignTicket call inside a batch.
-type TicketRequest struct {
-	Blob    uint64
-	Extents extent.List
+// --- The commit core: every ticket and every completion is applied as
+// part of a group, a group of one at MaxBatch <= 1 ---
+
+// ticketReq is one AssignTicket request (extents already normalized).
+type ticketReq struct {
+	blob uint64
+	ext  extent.List
 }
 
-// TicketResult is the per-request outcome of a batched ticket assign.
-type TicketResult struct {
-	Ticket Ticket
-	Err    error
-}
-
-// PublishRequest is one Complete (or Abort) call inside a batch.
+// PublishRequest is one Complete, or with Abort set one Abort, as the
+// commit core (and so the Crashpoint) sees it.
 type PublishRequest struct {
 	Blob    uint64
 	Version uint64
@@ -57,148 +56,97 @@ type PublishRequest struct {
 	Abort   bool
 }
 
-// AssignTicketBatch assigns tickets for a whole batch of requests under
-// one lock acquisition and one metered control round trip. Requests are
-// applied in slice order, so same-blob requests receive contiguous
-// versions and each request's borrow answers reflect every earlier
-// request in the batch. Failures are per-request: one bad request never
-// poisons its batch peers.
-func (m *Manager) AssignTicketBatch(reqs []TicketRequest) []TicketResult {
-	out := make([]TicketResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
+// applyTickets assigns tickets for a whole group under one lock
+// acquisition and one metered control round trip. Requests are applied
+// in group order, so same-blob requests receive contiguous versions and
+// each request's borrow answers reflect every earlier request in the
+// group. Failures are per-request: one bad request never poisons its
+// group peers.
+func (m *Manager) applyTickets(group []*pending[ticketReq, Ticket]) {
+	if err := m.admit(true); err != nil {
+		for _, p := range group {
+			p.err = err
+		}
+		return
 	}
-	m.meter.Charge(0)
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.down {
-		for i := range out {
-			out[i].Err = ErrShardDown
-		}
-		return out
+	for _, p := range group {
+		p.resp, p.err = m.assignTicketLocked(p.req.blob, p.req.ext)
 	}
-	for i, r := range reqs {
-		e := r.Extents.Normalize()
-		if len(e) == 0 {
-			out[i].Err = ErrEmptyWrite
-			continue
-		}
-		out[i].Ticket, out[i].Err = m.assignTicketLocked(r.Blob, e)
-	}
-	return out
 }
 
-// CompleteBatch applies a whole batch of Complete/Abort requests under
-// one lock acquisition and one metered control round trip, then
-// publishes everything that became ready with a single broadcast per
-// blob. Failures are per-request.
+// applyPublish applies a group of Complete/Abort requests under one
+// lock acquisition and one metered control round trip, then publishes
+// everything that became ready with one broadcast per advanced blob.
+// Failures are per-request.
 //
-// The batch is atomic against a mid-batch kill (the Crashpoint seam):
+// The group is atomic against a mid-group kill (the Crashpoint seam):
 // if the manager dies partway through, the applied prefix is rolled
-// back before anything publishes and every request in the batch fails
-// with ErrShardDown — a batch is never torn.
-func (m *Manager) CompleteBatch(reqs []PublishRequest) []error {
-	out := make([]error, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	m.meter.Charge(0)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.down {
-		for i := range out {
-			out[i] = ErrShardDown
+// back before anything publishes and every request in the group fails
+// with ErrShardDown — a group is never torn.
+func (m *Manager) applyPublish(group []*pending[PublishRequest, struct{}]) {
+	fail := func(err error) {
+		for _, p := range group {
+			p.err = err
 		}
-		return out
 	}
-	crash := m.crash
-	type appliedReq struct {
-		st *blobState
-		r  PublishRequest
+	if err := m.admit(true); err != nil {
+		fail(err)
+		return
 	}
-	var applied []appliedReq
+	defer m.mu.Unlock()
+	var reqs []PublishRequest // the group as the crashpoint sees it
+	if m.crash != nil {
+		reqs = make([]PublishRequest, len(group))
+		for i, p := range group {
+			reqs[i] = p.req
+		}
+	}
+	applied := 0
 	// One extra iteration so the crashpoint also observes the state
-	// after the last request was applied (a size-1 batch would otherwise
+	// after the last request was applied (a group of one would otherwise
 	// never be seen in flight).
-	for i := 0; i <= len(reqs); i++ {
-		if crash != nil && crash(reqs, len(applied)) {
-			// Kill mid-batch: undo the applied prefix. Nothing published
-			// yet (publishReady runs only after the loop) and no
-			// counters/undo-runs were touched (finishLocked runs only on
-			// success), so deleting the completion records suffices.
-			for _, a := range applied {
-				delete(a.st.completed, a.r.Version)
-				if a.r.Abort {
-					delete(a.st.aborted, a.r.Version)
-				} else {
-					delete(a.st.roots, a.r.Version)
+	for i := 0; i <= len(group); i++ {
+		if m.crash != nil && m.crash(reqs, applied) {
+			// Kill mid-group: undo the applied prefix. Nothing published
+			// yet and no counters or undo runs were touched (finishLocked
+			// runs only after the loop), so deleting the completion
+			// records suffices.
+			for _, p := range group[:i] {
+				if st := m.blobs[p.req.Blob]; p.err == nil {
+					delete(st.completed, p.req.Version)
+					delete(st.aborted, p.req.Version)
+					delete(st.roots, p.req.Version)
 				}
 			}
 			m.killLocked()
-			for i := range out {
-				out[i] = ErrShardDown
-			}
-			return out
+			fail(ErrShardDown)
+			return
 		}
-		if i == len(reqs) {
+		if i == len(group) {
 			break
 		}
-		r := reqs[i]
-		st, err := m.completeLocked(r.Blob, r.Version, r.Root, r.Abort)
-		if err != nil {
-			out[i] = err
-			continue
+		p := group[i]
+		if p.err = m.completeLocked(p.req); p.err == nil {
+			applied++
 		}
-		applied = append(applied, appliedReq{st: st, r: r})
 	}
-	touched := make(map[*blobState]bool)
-	for _, a := range applied {
-		m.finishLocked(a.st, a.r.Version, a.r.Abort)
-		touched[a.st] = true
+	for _, p := range group {
+		if p.err == nil {
+			m.finishLocked(m.blobs[p.req.Blob], p.req.Version, p.req.Abort)
+		}
 	}
-	for st := range touched {
-		if st.publishReady(m) {
+	for _, p := range group {
+		if st := m.blobs[p.req.Blob]; p.err == nil && st.publishReady(m) {
 			st.cond.Broadcast()
 		}
 	}
-	return out
 }
 
 // --- Group-commit combiner ---
 
-// ticketReq is the combiner's internal AssignTicket request (extents
-// already normalized and non-empty).
-type ticketReq struct {
-	blob uint64
-	ext  extent.List
-}
-
-// applyTicketBatch is the tickets combiner's apply function; it shares
-// AssignTicketBatch's one-charge one-lock core.
-func (m *Manager) applyTicketBatch(batch []*pending[ticketReq, Ticket]) {
-	reqs := make([]TicketRequest, len(batch))
-	for i, p := range batch {
-		reqs[i] = TicketRequest{Blob: p.req.blob, Extents: p.req.ext}
-	}
-	for i, r := range m.AssignTicketBatch(reqs) {
-		batch[i].resp, batch[i].err = r.Ticket, r.Err
-	}
-}
-
-// applyPublishBatch is the commits combiner's apply function; it shares
-// CompleteBatch's one-charge one-lock one-broadcast core.
-func (m *Manager) applyPublishBatch(batch []*pending[PublishRequest, struct{}]) {
-	reqs := make([]PublishRequest, len(batch))
-	for i, p := range batch {
-		reqs[i] = p.req
-	}
-	for i, err := range m.CompleteBatch(reqs) {
-		batch[i].err = err
-	}
-}
-
-// pending is one caller waiting inside a combiner queue. The leader
-// fills resp/err before closing done.
+// pending is one request inside a group. The group's apply function
+// fills resp/err; a combiner leader then closes done.
 type pending[Req, Resp any] struct {
 	req  Req
 	resp Resp
@@ -211,9 +159,8 @@ type pending[Req, Resp any] struct {
 // lingers for the group to fill, then applies the whole group in one
 // shot and keeps draining until the queue is empty, so no follower is
 // ever stranded. Followers just wait for their slot's result. There is
-// no background goroutine: the pipeline costs nothing when idle and
-// degenerates to the direct path at MaxBatch 1 (the caller skips the
-// combiner entirely then, see AssignTicket/Complete).
+// no background goroutine: the pipeline costs nothing when idle, and at
+// MaxBatch <= 1 a request skips the queue and is applied alone.
 type combiner[Req, Resp any] struct {
 	apply func([]*pending[Req, Resp])
 
@@ -230,7 +177,14 @@ func newCombiner[Req, Resp any](apply func([]*pending[Req, Resp])) *combiner[Req
 // do submits one request and blocks until a group commit containing it
 // has been applied.
 func (c *combiner[Req, Resp]) do(req Req, cfg BatchConfig) (Resp, error) {
-	p := &pending[Req, Resp]{req: req, done: make(chan struct{})}
+	p := &pending[Req, Resp]{req: req}
+	if cfg.MaxBatch <= 1 {
+		// A group of one on the caller's goroutine: no queue, channel or
+		// leader.
+		c.apply([]*pending[Req, Resp]{p})
+		return p.resp, p.err
+	}
+	p.done = make(chan struct{})
 	c.mu.Lock()
 	c.queue = append(c.queue, p)
 	if c.busy {

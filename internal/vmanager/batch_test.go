@@ -26,6 +26,17 @@ func ext(off, length int64) extent.List {
 	return extent.List{{Offset: off, Length: length}}
 }
 
+// applyGroup hands reqs to a commit-core apply function as one group
+// and returns the group with each request's outcome filled in.
+func applyGroup[Req, Resp any](apply func([]*pending[Req, Resp]), reqs ...Req) []*pending[Req, Resp] {
+	group := make([]*pending[Req, Resp], len(reqs))
+	for i, r := range reqs {
+		group[i] = &pending[Req, Resp]{req: r}
+	}
+	apply(group)
+	return group
+}
+
 // Concurrent batched writers must receive dense, unique tickets and
 // publish cleanly, for every batch size.
 func TestBatchedAssignCompleteConcurrent(t *testing.T) {
@@ -78,20 +89,20 @@ func TestBatchedAssignCompleteConcurrent(t *testing.T) {
 // sequential unbatched assigns.
 func TestBatchedBorrowsSeeEarlierGroupMembers(t *testing.T) {
 	m := newTestManager(t, BatchConfig{})
-	reqs := make([]TicketRequest, 4)
+	reqs := make([]ticketReq, 4)
 	for i := range reqs {
-		reqs[i] = TicketRequest{Blob: 1, Extents: ext(0, 1<<12)}
+		reqs[i] = ticketReq{blob: 1, ext: ext(0, 1<<12)}
 	}
-	res := m.AssignTicketBatch(reqs)
+	res := applyGroup(m.applyTickets, reqs...)
 	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("req %d: %v", i, r.Err)
+		if r.err != nil {
+			t.Fatalf("req %d: %v", i, r.err)
 		}
-		if r.Ticket.Version != uint64(i+1) {
-			t.Fatalf("req %d: version %d, want %d", i, r.Ticket.Version, i+1)
+		if r.resp.Version != uint64(i+1) {
+			t.Fatalf("req %d: version %d, want %d", i, r.resp.Version, i+1)
 		}
 		var max uint64
-		for _, b := range r.Ticket.Borrows {
+		for _, b := range r.resp.Borrows {
 			if b > max {
 				max = b
 			}
@@ -106,47 +117,47 @@ func TestBatchedBorrowsSeeEarlierGroupMembers(t *testing.T) {
 // peers or consuming a ticket.
 func TestBatchPartialFailure(t *testing.T) {
 	m := newTestManager(t, BatchConfig{})
-	res := m.AssignTicketBatch([]TicketRequest{
-		{Blob: 1, Extents: ext(0, 100)},
-		{Blob: 99, Extents: ext(0, 100)},    // unknown blob
-		{Blob: 1, Extents: nil},             // empty write
-		{Blob: 1, Extents: ext(1<<20, 100)}, // beyond capacity
-		{Blob: 1, Extents: ext(50, 100)},    // fine again
-	})
-	if res[0].Err != nil || res[4].Err != nil {
-		t.Fatalf("good requests failed: %v, %v", res[0].Err, res[4].Err)
+	res := applyGroup(m.applyTickets,
+		ticketReq{blob: 1, ext: ext(0, 100)},
+		ticketReq{blob: 99, ext: ext(0, 100)},    // unknown blob
+		ticketReq{blob: 1, ext: nil},             // empty write
+		ticketReq{blob: 1, ext: ext(1<<20, 100)}, // beyond capacity
+		ticketReq{blob: 1, ext: ext(50, 100)},    // fine again
+	)
+	if res[0].err != nil || res[4].err != nil {
+		t.Fatalf("good requests failed: %v, %v", res[0].err, res[4].err)
 	}
-	if !errors.Is(res[1].Err, ErrUnknownBlob) {
-		t.Fatalf("req 1: %v, want ErrUnknownBlob", res[1].Err)
+	if !errors.Is(res[1].err, ErrUnknownBlob) {
+		t.Fatalf("req 1: %v, want ErrUnknownBlob", res[1].err)
 	}
-	if !errors.Is(res[2].Err, ErrEmptyWrite) {
-		t.Fatalf("req 2: %v, want ErrEmptyWrite", res[2].Err)
+	if !errors.Is(res[2].err, ErrEmptyWrite) {
+		t.Fatalf("req 2: %v, want ErrEmptyWrite", res[2].err)
 	}
-	if !errors.Is(res[3].Err, segtree.ErrOutOfRange) {
-		t.Fatalf("req 3: %v, want ErrOutOfRange", res[3].Err)
+	if !errors.Is(res[3].err, segtree.ErrOutOfRange) {
+		t.Fatalf("req 3: %v, want ErrOutOfRange", res[3].err)
 	}
-	if res[0].Ticket.Version != 1 || res[4].Ticket.Version != 2 {
+	if res[0].resp.Version != 1 || res[4].resp.Version != 2 {
 		t.Fatalf("good requests got versions %d, %d; want contiguous 1, 2",
-			res[0].Ticket.Version, res[4].Ticket.Version)
+			res[0].resp.Version, res[4].resp.Version)
 	}
 
-	errs := m.CompleteBatch([]PublishRequest{
-		{Blob: 1, Version: 1, Root: segtree.NodeKey{Version: 1}},
-		{Blob: 1, Version: 7},              // unassigned
-		{Blob: 1, Version: 2, Abort: true}, // abort mid-batch
-		{Blob: 1, Version: 1},              // double complete
-	})
-	if errs[0] != nil {
-		t.Fatalf("complete 1: %v", errs[0])
+	pubs := applyGroup(m.applyPublish,
+		PublishRequest{Blob: 1, Version: 1, Root: segtree.NodeKey{Version: 1}},
+		PublishRequest{Blob: 1, Version: 7},              // unassigned
+		PublishRequest{Blob: 1, Version: 2, Abort: true}, // abort mid-batch
+		PublishRequest{Blob: 1, Version: 1},              // double complete
+	)
+	if pubs[0].err != nil {
+		t.Fatalf("complete 1: %v", pubs[0].err)
 	}
-	if errs[1] == nil {
+	if pubs[1].err == nil {
 		t.Fatal("complete of unassigned version succeeded")
 	}
-	if errs[2] != nil {
-		t.Fatalf("abort 2: %v", errs[2])
+	if pubs[2].err != nil {
+		t.Fatalf("abort 2: %v", pubs[2].err)
 	}
-	if !errors.Is(errs[3], ErrDoubleComplete) {
-		t.Fatalf("double complete: %v, want ErrDoubleComplete", errs[3])
+	if !errors.Is(pubs[3].err, ErrDoubleComplete) {
+		t.Fatalf("double complete: %v, want ErrDoubleComplete", pubs[3].err)
 	}
 	info, err := m.LatestPublished(1)
 	if err != nil {

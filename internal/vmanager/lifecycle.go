@@ -68,16 +68,11 @@ type GCInfo struct {
 // retention passes. Pins are counted: concurrent readers of the same
 // version each pin it.
 func (m *Manager) Pin(blob, v uint64) error {
-	m.meter.Charge(0)
-	m.mu.Lock()
+	st, err := m.admitBlob(blob, true)
+	if err != nil {
+		return err
+	}
 	defer m.mu.Unlock()
-	if m.down {
-		return ErrShardDown
-	}
-	st, ok := m.blobs[blob]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
 	if v > st.published {
 		return fmt.Errorf("%w: %d (published %d)", ErrUnknownVersion, v, st.published)
 	}
@@ -90,16 +85,11 @@ func (m *Manager) Pin(blob, v uint64) error {
 
 // Unpin releases one Pin of the version.
 func (m *Manager) Unpin(blob, v uint64) error {
-	m.meter.Charge(0)
-	m.mu.Lock()
+	st, err := m.admitBlob(blob, true)
+	if err != nil {
+		return err
+	}
 	defer m.mu.Unlock()
-	if m.down {
-		return ErrShardDown
-	}
-	st, ok := m.blobs[blob]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
 	if st.pins[v] == 0 {
 		return fmt.Errorf("%w: %d", ErrNotPinned, v)
 	}
@@ -115,16 +105,11 @@ func (m *Manager) Unpin(blob, v uint64) error {
 // version, and pinned versions are refused; dropping twice fails with
 // ErrVersionDropped.
 func (m *Manager) DropVersion(blob, v uint64) error {
-	m.meter.Charge(0)
-	m.mu.Lock()
+	st, err := m.admitBlob(blob, true)
+	if err != nil {
+		return err
+	}
 	defer m.mu.Unlock()
-	if m.down {
-		return ErrShardDown
-	}
-	st, ok := m.blobs[blob]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
 	return st.dropLocked(v)
 }
 
@@ -156,16 +141,11 @@ func (m *Manager) Retain(blob uint64, keepLast int) ([]uint64, error) {
 	if keepLast < 1 {
 		return nil, fmt.Errorf("vmanager: Retain needs keepLast >= 1, got %d", keepLast)
 	}
-	m.meter.Charge(0)
-	m.mu.Lock()
+	st, err := m.admitBlob(blob, true)
+	if err != nil {
+		return nil, err
+	}
 	defer m.mu.Unlock()
-	if m.down {
-		return nil, ErrShardDown
-	}
-	st, ok := m.blobs[blob]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
 	if st.published <= uint64(keepLast) {
 		return nil, nil
 	}
@@ -184,16 +164,11 @@ func (m *Manager) Retain(blob uint64, keepLast int) ([]uint64, error) {
 
 // GCInfo returns the blob's lifecycle snapshot for a collector pass.
 func (m *Manager) GCInfo(blob uint64) (GCInfo, error) {
-	m.meter.Charge(0)
-	m.mu.Lock()
+	st, err := m.admitBlob(blob, true)
+	if err != nil {
+		return GCInfo{}, err
+	}
 	defer m.mu.Unlock()
-	if m.down {
-		return GCInfo{}, ErrShardDown
-	}
-	st, ok := m.blobs[blob]
-	if !ok {
-		return GCInfo{}, fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
 	info := GCInfo{Published: st.published, Reclaimed: st.reclaimed}
 	for v := uint64(0); v <= st.published; v++ {
 		if !st.dropped[v] {
@@ -216,16 +191,11 @@ func (m *Manager) GCInfo(blob uint64) (GCInfo, error) {
 // forgets the version's root and size. Only versions reported in
 // GCInfo.Pending may be marked.
 func (m *Manager) MarkReclaimed(blob, v uint64) error {
-	m.meter.Charge(0)
-	m.mu.Lock()
+	st, err := m.admitBlob(blob, true)
+	if err != nil {
+		return err
+	}
 	defer m.mu.Unlock()
-	if m.down {
-		return ErrShardDown
-	}
-	st, ok := m.blobs[blob]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
 	if !st.pending[v] {
 		return fmt.Errorf("%w: %d", ErrNotPending, v)
 	}

@@ -1,9 +1,7 @@
 package vmanager
 
 import (
-	"fmt"
 	"strconv"
-	"sync"
 
 	"repro/internal/extent"
 	"repro/internal/iosim"
@@ -16,10 +14,8 @@ import (
 // shard keeps its own lock, its own exclusive control meter, and its own
 // group-commit combiners, so control traffic for different blobs
 // proceeds in parallel. The API is the same VersionService the client
-// already speaks — every method routes to the owning shard — and the
-// batch entry points split a batch per shard, dispatch the sub-batches
-// concurrently, and re-stitch the results in request order, preserving
-// per-request error identity.
+// already speaks — every method routes to the owning shard, and group
+// commit happens inside that shard's Manager.
 //
 // The blob→shard mapping is a pure function of (blob ID, shard count):
 // stable across restarts and across router instances, so ownership can
@@ -74,9 +70,6 @@ func (s *Sharded) ShardOf(blob uint64) int { return ShardIndex(blob, len(s.shard
 // torture suite kills and restarts.
 func (s *Sharded) Shard(i int) *Manager { return s.shards[i] }
 
-// KillShard kills one shard; the others keep serving.
-func (s *Sharded) KillShard(i int) { s.shards[i].Kill() }
-
 // RestartShard restarts one shard, returning the versions it
 // recovery-aborted (see Manager.Restart).
 func (s *Sharded) RestartShard(i int) []VersionRef { return s.shards[i].Restart() }
@@ -95,22 +88,6 @@ func (s *Sharded) SetBatching(cfg BatchConfig) {
 	for _, m := range s.shards {
 		m.SetBatching(cfg)
 	}
-}
-
-// Batching returns the group-commit configuration shared by every
-// shard. SetBatching applies one config pool-wide, so divergence is
-// only reachable by configuring a shard behind Shard(i) directly —
-// that breaks the uniformity the batch router's splitting assumes, so
-// Batching panics rather than silently reporting shard 0's view as the
-// pool's.
-func (s *Sharded) Batching() BatchConfig {
-	cfg := s.shards[0].Batching()
-	for i, m := range s.shards[1:] {
-		if got := m.Batching(); got != cfg {
-			panic(fmt.Sprintf("vmanager: shard %d batching %+v diverges from shard 0 %+v (configure via Sharded.SetBatching, not Shard(i))", i+1, got, cfg))
-		}
-	}
-	return cfg
 }
 
 // SetMetrics wires every shard into the registry. A single shard keeps
@@ -184,89 +161,3 @@ func (s *Sharded) Unpin(blob, v uint64) error { return s.route(blob).Unpin(blob,
 func (s *Sharded) GCInfo(blob uint64) (GCInfo, error) { return s.route(blob).GCInfo(blob) }
 
 func (s *Sharded) MarkReclaimed(blob, v uint64) error { return s.route(blob).MarkReclaimed(blob, v) }
-
-// --- Batch entry points: split per shard, dispatch concurrently,
-// re-stitch in request order ---
-
-// AssignTicketBatch splits the batch by owning shard, runs each
-// sub-batch on its shard concurrently, and returns the results in the
-// original request order. Requests for the same shard keep their
-// relative order, so same-blob requests still receive contiguous
-// versions and borrow answers reflecting their batch predecessors —
-// the per-shard contract is exactly AssignTicketBatch on a lone
-// Manager.
-func (s *Sharded) AssignTicketBatch(reqs []TicketRequest) []TicketResult {
-	out := make([]TicketResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if len(s.shards) == 1 {
-		return s.shards[0].AssignTicketBatch(reqs)
-	}
-	byShard := s.splitIndices(len(reqs), func(i int) uint64 { return reqs[i].Blob })
-	var wg sync.WaitGroup
-	for shard, idxs := range byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(m *Manager, idxs []int) {
-			defer wg.Done()
-			sub := make([]TicketRequest, len(idxs))
-			for j, i := range idxs {
-				sub[j] = reqs[i]
-			}
-			for j, r := range m.AssignTicketBatch(sub) {
-				out[idxs[j]] = r
-			}
-		}(s.shards[shard], idxs)
-	}
-	wg.Wait()
-	return out
-}
-
-// CompleteBatch is the publish-side twin of AssignTicketBatch: split,
-// dispatch concurrently, re-stitch. A shard dying mid-sub-batch fails
-// only that shard's requests (all of them, atomically — see
-// Manager.CompleteBatch); requests routed to healthy shards are
-// unaffected.
-func (s *Sharded) CompleteBatch(reqs []PublishRequest) []error {
-	out := make([]error, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if len(s.shards) == 1 {
-		return s.shards[0].CompleteBatch(reqs)
-	}
-	byShard := s.splitIndices(len(reqs), func(i int) uint64 { return reqs[i].Blob })
-	var wg sync.WaitGroup
-	for shard, idxs := range byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(m *Manager, idxs []int) {
-			defer wg.Done()
-			sub := make([]PublishRequest, len(idxs))
-			for j, i := range idxs {
-				sub[j] = reqs[i]
-			}
-			for j, err := range m.CompleteBatch(sub) {
-				out[idxs[j]] = err
-			}
-		}(s.shards[shard], idxs)
-	}
-	wg.Wait()
-	return out
-}
-
-// splitIndices groups request indices [0, n) by owning shard, keeping
-// each group in ascending (request) order.
-func (s *Sharded) splitIndices(n int, blobOf func(int) uint64) [][]int {
-	byShard := make([][]int, len(s.shards))
-	for i := 0; i < n; i++ {
-		sh := s.ShardOf(blobOf(i))
-		byShard[sh] = append(byShard[sh], i)
-	}
-	return byShard
-}

@@ -1,13 +1,10 @@
 package vmanager
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
-	"repro/internal/extent"
 	"repro/internal/iosim"
 	"repro/internal/segtree"
 )
@@ -70,98 +67,6 @@ func TestShardIndexAllReachable(t *testing.T) {
 	}
 }
 
-// TestShardedBatchStitch: splitting a batch across shards and
-// re-stitching must preserve request order and per-request error
-// identity — result i belongs to request i with exactly the error a
-// single manager would have produced, and per-blob version sequences
-// are untouched by the fan-out.
-func TestShardedBatchStitch(t *testing.T) {
-	const blobs = 6
-	geo := segtree.Geometry{Capacity: 1024, Page: 64}
-	sharded := NewSharded(iosim.CostModel{}, 4)
-	ref := NewSharded(iosim.CostModel{}, 1)
-	for b := uint64(1); b <= blobs; b++ {
-		for _, s := range []*Sharded{sharded, ref} {
-			if err := s.CreateBlob(b, geo); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// An adversarial batch: interleaved blobs (so the split touches
-	// every shard), repeats (per-blob version sequences), an unknown
-	// blob and an empty extent list (error identity at a fixed index).
-	rng := rand.New(rand.NewSource(2))
-	var reqs []TicketRequest
-	for i := 0; i < 40; i++ {
-		switch i {
-		case 7:
-			reqs = append(reqs, TicketRequest{Blob: 99, Extents: extent.List{{Offset: 0, Length: 64}}})
-		case 23:
-			reqs = append(reqs, TicketRequest{Blob: 1 + uint64(i)%blobs, Extents: nil})
-		default:
-			off := int64(rng.Intn(15)) * 64
-			reqs = append(reqs, TicketRequest{
-				Blob:    1 + uint64(rng.Intn(blobs)),
-				Extents: extent.List{{Offset: off, Length: 64}},
-			})
-		}
-	}
-
-	got := sharded.AssignTicketBatch(reqs)
-	want := ref.AssignTicketBatch(reqs)
-	if len(got) != len(reqs) {
-		t.Fatalf("stitched %d results for %d requests", len(got), len(reqs))
-	}
-	for i := range reqs {
-		if (got[i].Err == nil) != (want[i].Err == nil) || !errors.Is(got[i].Err, errKind(want[i].Err)) {
-			t.Fatalf("request %d: err = %v, single-manager reference = %v", i, got[i].Err, want[i].Err)
-		}
-		if got[i].Err != nil {
-			continue
-		}
-		if got[i].Ticket.Version != want[i].Ticket.Version {
-			t.Fatalf("request %d (blob %d): version %d, single-manager reference %d",
-				i, reqs[i].Blob, got[i].Ticket.Version, want[i].Ticket.Version)
-		}
-	}
-
-	// Publish half the tickets on both deployments, with one
-	// double-complete and one unknown-blob request mixed in; the
-	// stitched error slice must match the reference index by index.
-	var pubs []PublishRequest
-	for i := range reqs {
-		if got[i].Err != nil || i%2 == 0 {
-			continue
-		}
-		pubs = append(pubs, PublishRequest{
-			Blob:    reqs[i].Blob,
-			Version: got[i].Ticket.Version,
-			Root:    segtree.NodeKey{Version: got[i].Ticket.Version, Offset: 0, Size: 1024},
-		})
-	}
-	pubs = append(pubs, pubs[0])                              // double complete
-	pubs = append(pubs, PublishRequest{Blob: 99, Version: 1}) // unknown blob
-	gotErrs := sharded.CompleteBatch(pubs)
-	wantErrs := ref.CompleteBatch(pubs)
-	for i := range pubs {
-		if !errors.Is(gotErrs[i], errKind(wantErrs[i])) {
-			t.Fatalf("publish %d: err = %v, single-manager reference = %v", i, gotErrs[i], wantErrs[i])
-		}
-	}
-}
-
-// errKind maps a reference error to the sentinel identity the stitched
-// result must carry (nil stays nil, so errors.Is(x, nil) checks x==nil).
-func errKind(err error) error {
-	for _, sentinel := range []error{ErrUnknownBlob, ErrEmptyWrite, ErrDoubleComplete, ErrUnknownVersion, ErrShardDown} {
-		if errors.Is(err, sentinel) {
-			return sentinel
-		}
-	}
-	return err
-}
-
 // TestShardedBlobsPartition: every created blob lands on exactly the
 // shard ShardIndex names, and on no other.
 func TestShardedBlobsPartition(t *testing.T) {
@@ -187,28 +92,4 @@ func TestShardedBlobsPartition(t *testing.T) {
 	if len(seen) != 32 {
 		t.Fatalf("%d blobs across shards, want 32", len(seen))
 	}
-}
-
-// TestShardedBatchingUniform pins the Batching accessor: the shared
-// config must come back regardless of which shard a pre-fix reader
-// would have consulted, and a divergent per-shard config (reachable
-// only via Shard(i).SetBatching) panics instead of being silently
-// misreported as shard 0's view.
-func TestShardedBatchingUniform(t *testing.T) {
-	s := NewSharded(iosim.CostModel{}, 4)
-	cfg := BatchConfig{MaxBatch: 16, MaxDelay: 5 * time.Millisecond}
-	s.SetBatching(cfg)
-	if got := s.Batching(); got != cfg {
-		t.Fatalf("Batching() = %+v, want %+v", got, cfg)
-	}
-
-	// Diverge a non-zero shard behind the router's back. The old
-	// accessor returned shard 0's config and hid this.
-	s.Shard(2).SetBatching(BatchConfig{MaxBatch: 99})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Batching() must panic on divergent per-shard configs")
-		}
-	}()
-	s.Batching()
 }

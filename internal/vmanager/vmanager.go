@@ -15,16 +15,17 @@
 // At very high request rates the per-request control round trip itself
 // becomes the limit, so the manager supports group commit (see
 // batch.go): concurrent AssignTicket and Complete/Abort callers are
-// combined into batches that are applied under one lock acquisition,
+// combined into groups that are applied under one lock acquisition,
 // one metered control round trip, and — for publication — one
 // condition-variable broadcast. SetBatching configures the knobs
 // (MaxBatch bounds the group size, MaxDelay bounds how long the group
-// leader lingers for the group to fill); the default MaxBatch of 1
-// degenerates to the unbatched per-request path. Batching never
-// weakens the contract: requests in a batch are applied in queue
-// order, so borrow answers still reflect exactly the tickets assigned
-// before each request, and snapshots still publish strictly in ticket
-// order.
+// leader lingers for the group to fill). Every ticket and every
+// completion goes through the same commit core; at the default
+// MaxBatch of 1 each request is a group of one, applied on the
+// caller's goroutine. Batching never weakens the contract: requests in
+// a group are applied in queue order, so borrow answers still reflect
+// exactly the tickets assigned before each request, and snapshots still
+// publish strictly in ticket order.
 //
 // # Version lifecycle
 //
@@ -60,7 +61,7 @@ var (
 	// ErrShardDown is returned by every operation while the manager is
 	// killed (see Kill/Restart and the Sharded router): the in-process
 	// equivalent of the server being unreachable. Because a killed
-	// manager fails requests before applying them — and a batch
+	// manager fails requests before applying them — and a group
 	// interrupted mid-application is rolled back — ErrShardDown always
 	// means "definitely not committed".
 	ErrShardDown = errors.New("vmanager: shard down")
@@ -139,13 +140,13 @@ func (st *blobState) publishReady(m *Manager) bool {
 	return advanced
 }
 
-// Crashpoint is a test seam for killing a manager mid-batch: it is
+// Crashpoint is a test seam for killing a manager mid-group: it is
 // invoked under the manager lock before each request application of a
-// CompleteBatch and once more after the last, with the whole batch and
-// the count of requests applied so far. Returning true rolls back the
-// batch's applied prefix, marks the manager down, and fails every
-// request in the batch with ErrShardDown — the batch is atomically
-// absent, never torn.
+// Complete/Abort group — a group of one at MaxBatch <= 1 — and once
+// more after the last, with the whole group and the count of requests
+// applied so far. Returning true rolls back the group's applied prefix,
+// marks the manager down, and fails every request in the group with
+// ErrShardDown — the group is atomically absent, never torn.
 type Crashpoint func(batch []PublishRequest, applied int) bool
 
 // Manager is the version manager service. Safe for concurrent use.
@@ -156,7 +157,7 @@ type Manager struct {
 
 	// down marks the manager administratively dead (Kill): every
 	// operation fails with ErrShardDown until Restart. crash is the
-	// optional mid-batch kill seam; both are guarded by mu.
+	// optional mid-group kill seam; both are guarded by mu.
 	down  bool
 	crash Crashpoint
 
@@ -208,13 +209,53 @@ func New(model iosim.CostModel) *Manager {
 		blobs: make(map[uint64]*blobState),
 		meter: iosim.NewMeter(model, true),
 	}
-	m.tickets = newCombiner(m.applyTicketBatch)
-	m.commits = newCombiner(m.applyPublishBatch)
+	m.tickets = newCombiner(m.applyTickets)
+	m.commits = newCombiner(m.applyPublish)
 	return m
 }
 
 // Meter exposes the request meter.
 func (m *Manager) Meter() *iosim.Meter { return m.meter }
+
+// admit is the manager's one admission rule: a request is charged one
+// metered control round trip (unless charge is false — Geometry and
+// Versions are free), takes the lock, and is refused with ErrShardDown
+// while the manager is killed. It returns holding m.mu, or with the
+// lock released on error.
+func (m *Manager) admit(charge bool) error {
+	if charge {
+		m.meter.Charge(0)
+	}
+	m.mu.Lock()
+	if m.down {
+		m.mu.Unlock()
+		return ErrShardDown
+	}
+	return nil
+}
+
+// admitBlob is admit for a request naming one blob, which must be
+// registered. It returns the blob's state holding m.mu, or with the
+// lock released on error.
+func (m *Manager) admitBlob(blob uint64, charge bool) (*blobState, error) {
+	if err := m.admit(charge); err != nil {
+		return nil, err
+	}
+	st, err := m.blobLocked(blob)
+	if err != nil {
+		m.mu.Unlock()
+	}
+	return st, err
+}
+
+// blobLocked looks a registered blob up; callers hold m.mu.
+func (m *Manager) blobLocked(blob uint64) (*blobState, error) {
+	st, ok := m.blobs[blob]
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
+	}
+	return st, nil
+}
 
 // CreateBlob registers a blob with the given tree geometry. Version 0
 // is the implicit empty snapshot.
@@ -222,12 +263,10 @@ func (m *Manager) CreateBlob(blob uint64, geo segtree.Geometry) error {
 	if err := geo.Validate(); err != nil {
 		return err
 	}
-	m.meter.Charge(0)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.down {
-		return ErrShardDown
+	if err := m.admit(true); err != nil {
+		return err
 	}
+	defer m.mu.Unlock()
 	if _, dup := m.blobs[blob]; dup {
 		return fmt.Errorf("%w: %d", ErrBlobExists, blob)
 	}
@@ -252,15 +291,11 @@ func (m *Manager) CreateBlob(blob uint64, geo segtree.Geometry) error {
 
 // Geometry returns the blob's tree geometry.
 func (m *Manager) Geometry(blob uint64) (segtree.Geometry, error) {
-	m.mu.Lock()
+	st, err := m.admitBlob(blob, false)
+	if err != nil {
+		return segtree.Geometry{}, err
+	}
 	defer m.mu.Unlock()
-	if m.down {
-		return segtree.Geometry{}, ErrShardDown
-	}
-	st, ok := m.blobs[blob]
-	if !ok {
-		return segtree.Geometry{}, fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
 	return st.geo, nil
 }
 
@@ -279,24 +314,18 @@ func (m *Manager) AssignTicket(blob uint64, e extent.List) (Ticket, error) {
 	if h := m.met.ticketSec; h != nil {
 		defer h.ObserveSince(time.Now())
 	}
-	if cfg := m.Batching(); cfg.MaxBatch > 1 {
-		return m.tickets.do(ticketReq{blob: blob, ext: e}, cfg)
-	}
-	m.meter.Charge(0)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.down {
-		return Ticket{}, ErrShardDown
-	}
-	return m.assignTicketLocked(blob, e)
+	return m.tickets.do(ticketReq{blob: blob, ext: e}, m.Batching())
 }
 
 // assignTicketLocked is the lock-held core of AssignTicket; extents
-// must already be normalized and non-empty.
+// must already be normalized.
 func (m *Manager) assignTicketLocked(blob uint64, e extent.List) (Ticket, error) {
-	st, ok := m.blobs[blob]
-	if !ok {
-		return Ticket{}, fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
+	if len(e) == 0 {
+		return Ticket{}, ErrEmptyWrite
+	}
+	st, err := m.blobLocked(blob)
+	if err != nil {
+		return Ticket{}, err
 	}
 	if b := e.Bounding(); b.End() > st.geo.Capacity {
 		return Ticket{}, fmt.Errorf("%w: write %v beyond capacity %d", segtree.ErrOutOfRange, b, st.geo.Capacity)
@@ -357,56 +386,39 @@ func (m *Manager) Complete(blob, v uint64, root segtree.NodeKey) error {
 	if h := m.met.commitSec; h != nil {
 		defer h.ObserveSince(time.Now())
 	}
-	if cfg := m.Batching(); cfg.MaxBatch > 1 {
-		_, err := m.commits.do(PublishRequest{Blob: blob, Version: v, Root: root}, cfg)
-		return err
-	}
-	m.meter.Charge(0)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.down {
-		return ErrShardDown
-	}
-	st, err := m.completeLocked(blob, v, root, false)
+	_, err := m.commits.do(PublishRequest{Blob: blob, Version: v, Root: root}, m.Batching())
+	return err
+}
+
+// completeLocked marks a request's version completed (or aborted)
+// without publishing; the caller decides when to run publishReady so a
+// group of completions publishes with a single broadcast.
+func (m *Manager) completeLocked(r PublishRequest) error {
+	st, err := m.blobLocked(r.Blob)
 	if err != nil {
 		return err
 	}
-	m.finishLocked(st, v, false)
-	if st.publishReady(m) {
-		st.cond.Broadcast()
+	if r.Version == 0 || r.Version >= st.next {
+		verb := "complete"
+		if r.Abort {
+			verb = "abort"
+		}
+		return fmt.Errorf("vmanager: %s of unassigned version %d", verb, r.Version)
+	}
+	if st.completed[r.Version] {
+		return fmt.Errorf("%w: %d", ErrDoubleComplete, r.Version)
+	}
+	st.completed[r.Version] = true
+	if r.Abort {
+		st.aborted[r.Version] = true
+	} else {
+		st.roots[r.Version] = r.Root
 	}
 	return nil
 }
 
-// completeLocked marks version v completed (or aborted) without
-// publishing; the caller decides when to run publishReady so a batch
-// of completions publishes with a single broadcast.
-func (m *Manager) completeLocked(blob, v uint64, root segtree.NodeKey, abort bool) (*blobState, error) {
-	st, ok := m.blobs[blob]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
-	if v == 0 || v >= st.next {
-		verb := "complete"
-		if abort {
-			verb = "abort"
-		}
-		return nil, fmt.Errorf("vmanager: %s of unassigned version %d", verb, v)
-	}
-	if st.completed[v] {
-		return nil, fmt.Errorf("%w: %d", ErrDoubleComplete, v)
-	}
-	st.completed[v] = true
-	if abort {
-		st.aborted[v] = true
-	} else {
-		st.roots[v] = root
-	}
-	return st, nil
-}
-
 // finishLocked runs the post-completion bookkeeping completeLocked
-// leaves out so CompleteBatch can roll back an applied prefix before
+// leaves out so applyPublish can roll back an applied prefix before
 // any of it happens: the commit/abort counter bump, and the undo-run
 // handling — an abort restores the vmap stamps the aborted ticket
 // over-wrote (so later borrows skip it), a commit discards them.
@@ -428,7 +440,8 @@ func (m *Manager) finishLocked(st *blobState, v uint64, abort bool) {
 // Note the size watermark fixed at assignment time is rolled back for
 // the aborted version itself but later snapshots keep the monotone
 // watermark — unwritten bytes read as zero holes, as with sparse
-// POSIX files.
+// POSIX files. An abort is a Complete with Abort set: it takes the same
+// path through the commit core.
 //
 // A failed write retires its ticket with a tombstone instead, and the
 // client aborts only when the metadata service refuses the tombstone
@@ -440,25 +453,8 @@ func (m *Manager) finishLocked(st *blobState, v uint64, abort bool) {
 // of those ranges fail — or that the partial list did store, and then it
 // reads part of the failed write.
 func (m *Manager) Abort(blob, v uint64) error {
-	if cfg := m.Batching(); cfg.MaxBatch > 1 {
-		_, err := m.commits.do(PublishRequest{Blob: blob, Version: v, Abort: true}, cfg)
-		return err
-	}
-	m.meter.Charge(0)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.down {
-		return ErrShardDown
-	}
-	st, err := m.completeLocked(blob, v, segtree.NodeKey{}, true)
-	if err != nil {
-		return err
-	}
-	m.finishLocked(st, v, true)
-	if st.publishReady(m) {
-		st.cond.Broadcast()
-	}
-	return nil
+	_, err := m.commits.do(PublishRequest{Blob: blob, Version: v, Abort: true}, m.Batching())
+	return err
 }
 
 // WaitPublished blocks until version v of the blob is published. If the
@@ -469,9 +465,9 @@ func (m *Manager) WaitPublished(blob, v uint64) error {
 	m.meter.Charge(0)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, ok := m.blobs[blob]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
+	st, err := m.blobLocked(blob)
+	if err != nil {
+		return err
 	}
 	if v >= st.next {
 		return fmt.Errorf("vmanager: waiting for unassigned version %d", v)
@@ -487,31 +483,21 @@ func (m *Manager) WaitPublished(blob, v uint64) error {
 
 // LatestPublished returns the newest published snapshot.
 func (m *Manager) LatestPublished(blob uint64) (SnapshotInfo, error) {
-	m.meter.Charge(0)
-	m.mu.Lock()
+	st, err := m.admitBlob(blob, true)
+	if err != nil {
+		return SnapshotInfo{}, err
+	}
 	defer m.mu.Unlock()
-	if m.down {
-		return SnapshotInfo{}, ErrShardDown
-	}
-	st, ok := m.blobs[blob]
-	if !ok {
-		return SnapshotInfo{}, fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
 	return SnapshotInfo{Version: st.published, Root: st.roots[st.published], Size: st.sizes[st.published]}, nil
 }
 
 // Snapshot returns a published snapshot by version.
 func (m *Manager) Snapshot(blob, v uint64) (SnapshotInfo, error) {
-	m.meter.Charge(0)
-	m.mu.Lock()
+	st, err := m.admitBlob(blob, true)
+	if err != nil {
+		return SnapshotInfo{}, err
+	}
 	defer m.mu.Unlock()
-	if m.down {
-		return SnapshotInfo{}, ErrShardDown
-	}
-	st, ok := m.blobs[blob]
-	if !ok {
-		return SnapshotInfo{}, fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
 	if v > st.published {
 		return SnapshotInfo{}, fmt.Errorf("%w: %d (published %d)", ErrUnknownVersion, v, st.published)
 	}
@@ -526,15 +512,11 @@ func (m *Manager) Snapshot(blob, v uint64) (SnapshotInfo, error) {
 // excluded — readers, the scrubber and repair all iterate this, so a
 // drop removes a version from every consumer at once.
 func (m *Manager) Versions(blob uint64) ([]uint64, error) {
-	m.mu.Lock()
+	st, err := m.admitBlob(blob, false)
+	if err != nil {
+		return nil, err
+	}
 	defer m.mu.Unlock()
-	if m.down {
-		return nil, ErrShardDown
-	}
-	st, ok := m.blobs[blob]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownBlob, blob)
-	}
 	out := make([]uint64, 0, st.published+1)
 	for v := uint64(0); v <= st.published; v++ {
 		if !st.dropped[v] {
@@ -573,7 +555,7 @@ type ShardStatus struct {
 	Published uint64 // versions published across those blobs
 }
 
-// SetCrashpoint installs (or, with nil, removes) the mid-batch kill
+// SetCrashpoint installs (or, with nil, removes) the mid-group kill
 // seam. Test-only; see Crashpoint.
 func (m *Manager) SetCrashpoint(cp Crashpoint) {
 	m.mu.Lock()

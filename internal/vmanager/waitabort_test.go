@@ -2,6 +2,7 @@ package vmanager
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -71,8 +72,8 @@ func TestWaitPublishedAbortUnblocksSuccessor(t *testing.T) {
 }
 
 // TestWaitPublishedWakesOnBatchedAbort: same contract through the
-// group-commit path — an abort applied by CompleteBatch must broadcast
-// to waiters exactly like the unbatched path.
+// group-commit core — an abort applied as part of a group must
+// broadcast to waiters exactly like a lone Abort.
 func TestWaitPublishedWakesOnBatchedAbort(t *testing.T) {
 	m := newMgr(t)
 	tk, err := m.AssignTicket(1, extent.List{{Offset: 0, Length: 64}})
@@ -81,12 +82,71 @@ func TestWaitPublishedWakesOnBatchedAbort(t *testing.T) {
 	}
 	done := waitResult(m, tk.Version)
 	time.Sleep(10 * time.Millisecond)
-	errs := m.CompleteBatch([]PublishRequest{{Blob: 1, Version: tk.Version, Abort: true}})
-	if errs[0] != nil {
-		t.Fatal(errs[0])
+	res := applyGroup(m.applyPublish, PublishRequest{Blob: 1, Version: tk.Version, Abort: true})
+	if res[0].err != nil {
+		t.Fatal(res[0].err)
 	}
 	if err := mustWake(t, done); err != nil {
 		t.Fatalf("waiter woke with %v after batched abort, want nil", err)
+	}
+}
+
+// TestCrashpointSeesLoneCompleteAndAbort: at the default MaxBatch a
+// Complete or an Abort is a group of one through the commit core, so
+// the crashpoint sees it in flight. Firing once it is applied fails it
+// with ErrShardDown and publishes nothing; the kill wakes a parked
+// waiter, and Restart recovery-aborts the version, which then reads as
+// published.
+func TestCrashpointSeesLoneCompleteAndAbort(t *testing.T) {
+	for _, abort := range []bool{false, true} {
+		t.Run(fmt.Sprintf("abort=%v", abort), func(t *testing.T) {
+			m := newMgr(t)
+			tk, err := m.AssignTicket(1, extent.List{{Offset: 0, Length: 64}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seen []int // applied counts, in call order; written under the manager lock
+			m.SetCrashpoint(func(group []PublishRequest, applied int) bool {
+				if len(group) != 1 || group[0].Version != tk.Version || group[0].Abort != abort {
+					t.Errorf("crashpoint saw %+v, want the lone request for v%d (abort=%v)", group, tk.Version, abort)
+				}
+				seen = append(seen, applied)
+				return applied == 1
+			})
+			done := waitResult(m, tk.Version)
+			time.Sleep(10 * time.Millisecond) // let the waiter park; the kill wakes it either way
+			if abort {
+				err = m.Abort(1, tk.Version)
+			} else {
+				err = m.Complete(1, tk.Version, segtree.NodeKey{Version: tk.Version, Offset: 0, Size: 1024})
+			}
+			if !errors.Is(err, ErrShardDown) {
+				t.Fatalf("crashed request returned %v, want ErrShardDown", err)
+			}
+			if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
+				t.Fatalf("crashpoint saw applied counts %v, want [0 1]", seen)
+			}
+			if err := mustWake(t, done); !errors.Is(err, ErrShardDown) {
+				t.Fatalf("parked waiter woke with %v, want ErrShardDown", err)
+			}
+			if st := m.Status(0); !st.Down || st.Published != 0 {
+				t.Fatalf("after the crash: %+v, want down with nothing published", st)
+			}
+			aborted := m.Restart()
+			if len(aborted) != 1 || aborted[0] != (VersionRef{Blob: 1, Version: tk.Version}) {
+				t.Fatalf("restart aborted %v, want [{1 %d}]", aborted, tk.Version)
+			}
+			if err := mustWake(t, waitResult(m, tk.Version)); err != nil {
+				t.Fatalf("recovery-aborted version waits with %v, want nil", err)
+			}
+			info, err := m.LatestPublished(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Version != tk.Version || info.Root != (segtree.NodeKey{}) {
+				t.Fatalf("latest %+v, want v%d as the empty snapshot", info, tk.Version)
+			}
+		})
 	}
 }
 
