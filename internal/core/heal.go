@@ -59,33 +59,21 @@ import (
 )
 
 // HealRouter is the slice of the provider router the healer drives:
-// replica verification and single-chunk re-replication. Implemented by
-// *provider.Router.
+// one verification per scrubbed chunk and single-chunk repair.
+// Implemented by *provider.Router, whose VerifyReplicas answers for the
+// live count and the placement together: a chunk at full live degree is
+// still misplaced when its copies co-locate in fewer failure domains
+// than the pool could spread them over, or when its RECORDED set names
+// a dead provider beside them (invisible to the probe-based count). An
+// unknown chunk verifies 0 of 0.
 type HealRouter interface {
-	VerifyReplicas(key chunk.Key) (live, want int, known bool)
+	VerifyReplicas(key chunk.Key) (live, want int, misplaced bool)
 	RepairChunk(key chunk.Key) (provider.RepairOutcome, int, error)
 	Keys() []chunk.Key
 	UnderReplicated() int
 }
 
 var _ HealRouter = (*provider.Router)(nil)
-
-// spreadChecker is the optional slice of the router the scrubber uses
-// to police placement quality beyond the live count: a chunk at full
-// live degree is still enqueued when its copies co-locate in fewer
-// failure domains than the pool could spread them over, or when its
-// RECORDED set diverges from the degree (stale dead entries,
-// above-degree leftovers of a failed spread-move eviction — both
-// invisible to the probe-based live count). *provider.Router
-// implements it; the check is flag-based and cheap (no store probes),
-// with the live-domain count computed once per scrub step rather than
-// per chunk.
-type spreadChecker interface {
-	LiveDomains() int
-	PlacementSuspect(key chunk.Key, liveDomains int) bool
-}
-
-var _ spreadChecker = (*provider.Router)(nil)
 
 // ScrubOrder selects which end of the version history a scrub pass
 // starts from.
@@ -283,11 +271,6 @@ func (h *Healer) drainRepairs() {
 // is enqueued too — repair restores the spread invariant, not just the
 // degree.
 func (h *Healer) scrubStep() {
-	liveDoms := 0
-	spread, _ := h.router.(spreadChecker)
-	if spread != nil {
-		liveDoms = spread.LiveDomains()
-	}
 	budget := h.cfg.ScrubChunksPerTick
 	for budget > 0 {
 		key, ok := h.nextRef()
@@ -295,21 +278,16 @@ func (h *Healer) scrubStep() {
 			return // pass exhausted this tick; next tick starts a new one
 		}
 		budget--
-		live, want, known := h.router.VerifyReplicas(key)
+		live, want, misplaced := h.router.VerifyReplicas(key)
 		h.mu.Lock()
 		h.stats.ScrubbedChunks++
 		h.mu.Unlock()
-		if !known {
-			continue
-		}
 		if live != want {
 			// Below degree: lost copies to restore. Above degree: an
 			// extra copy left by a spread move whose eviction failed,
 			// for RepairChunk to trim.
 			h.queue.push(key)
-			continue
-		}
-		if liveDoms > 1 && spread.PlacementSuspect(key, liveDoms) && h.queue.push(key) {
+		} else if misplaced && h.queue.push(key) {
 			h.mu.Lock()
 			h.stats.SpreadFound++
 			h.mu.Unlock()

@@ -29,9 +29,9 @@ func (f *fakeHealRouter) VerifyReplicas(key chunk.Key) (int, int, bool) {
 	defer f.mu.Unlock()
 	f.verifyCalls++
 	if f.degraded[key] {
-		return 1, 2, true
+		return 1, 2, false
 	}
-	return 2, 2, true
+	return 2, 2, false
 }
 
 func (f *fakeHealRouter) RepairChunk(key chunk.Key) (provider.RepairOutcome, int, error) {

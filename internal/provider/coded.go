@@ -96,6 +96,11 @@ func (r *Router) Coding() (k, m int, on bool) { return r.placementMode().coding(
 //     the missing positions, and writes each one to a fresh provider
 //     in-position, preferring failure domains the survivors do not
 //     cover. Fewer than k survivors is data loss (RepairLost).
+//   - A spread move copies one fragment into an uncovered domain and
+//     then evicts the old holder. A failed eviction undoes the move:
+//     the new copy is deleted again and the repair returns the error,
+//     so no fragment is left outside placement without an error naming
+//     it (DeleteReplicas reclaims only what placement names).
 //   - Replica-set hints are refreshed but never read through:
 //     positions may have moved since the hint was recorded, and a
 //     positional misread cannot always be detected. Placement is the
@@ -112,6 +117,7 @@ func (c coded) width() int               { return c.code.K + c.code.M }
 func (c coded) floor() int               { return c.code.K }
 func (c coded) coding() (int, int, bool) { return c.code.K, c.code.M, true }
 func (c coded) readsHints() bool         { return false }
+func (c coded) copies() bool             { return false }
 func (c coded) sameHint(a, b []ID) bool  { return slices.Equal(a, b) } // ordered: position matters
 
 // allocate spreads the stripe in allocateSpread's water-fill mode, which
@@ -152,6 +158,22 @@ func (c coded) recorded(targets []*Provider, errs []error) []ID {
 		stored[i] = p.ID()
 	}
 	return stored
+}
+
+// decode re-encodes: the k fragments repair read rebuild the others.
+func (c coded) decode(read [][]byte) ([][]byte, error) {
+	return read, c.code.Reconstruct(read)
+}
+
+// holes keeps every position where it is: a dead one is refilled in
+// place, and stays recorded while it cannot be.
+func (c coded) holes(ids []ID, live []bool) (rec []ID, fill []int) {
+	for i := range ids {
+		if !live[i] {
+			fill = append(fill, i)
+		}
+	}
+	return slices.Clone(ids), fill
 }
 
 // read serves a coded read from placement (readCoded).
@@ -452,187 +474,4 @@ func (s *slabReader) Close() error {
 		s.slab = nil
 	}
 	return nil
-}
-
-// repair restores a coded chunk to k+m live fragments: probe every
-// position, read any k surviving fragments, re-encode, and write each
-// missing position onto a fresh provider (excluding every recorded
-// member, preferring uncovered failure domains). A chunk at full degree
-// whose fragments co-locate while a spare live domain exists gets one
-// fragment relocated instead.
-func (c coded) repair(r *Router, key chunk.Key) (outcome RepairOutcome, copied int, err error) {
-	code := c.code
-	n := code.K + code.M
-	ids, ok := r.Locate(key)
-	if !ok {
-		return RepairHealthy, 0, nil
-	}
-	if len(ids) != n {
-		return RepairPartial, 0, fmt.Errorf("provider: coded repair of %s: placement has %d positions, want %d (stored under a different mode?)", key, len(ids), n)
-	}
-	liveAt := make([]bool, n)
-	live := 0
-	for i, id := range ids {
-		p := r.byID(id)
-		if p == nil || p.Down() {
-			continue
-		}
-		_, lerr := p.Store().Len(key)
-		r.reportError(id, lerr)
-		if lerr == nil {
-			liveAt[i] = true
-			live++
-		}
-	}
-	if live == n {
-		if r.spreadViolatedSet(ids) {
-			if moved, merr := r.improveSpreadCoded(key, ids); merr != nil {
-				return RepairPartial, 0, merr
-			} else if moved {
-				return RepairRepaired, 1, nil
-			}
-		}
-		return RepairHealthy, 0, nil
-	}
-	if live < code.K {
-		return RepairLost, 0, fmt.Errorf("provider: chunk %s has %d of %d fragments, need %d to reconstruct", key, live, n, code.K)
-	}
-	// Read any k surviving fragments; a fragment that fails the read
-	// despite the probe is demoted to missing.
-	shards := make([][]byte, n)
-	got := 0
-	var lastErr error
-	for i, id := range ids {
-		if !liveAt[i] || got >= code.K {
-			continue
-		}
-		p := r.byID(id)
-		sz, lerr := p.Store().Len(key)
-		if lerr == nil {
-			var frag []byte
-			frag, lerr = p.Store().Get(key, 0, sz)
-			r.reportError(id, lerr)
-			if lerr == nil {
-				shards[i] = frag
-				got++
-				continue
-			}
-		}
-		lastErr = lerr
-		liveAt[i] = false
-		live--
-	}
-	if got < code.K {
-		if live < code.K {
-			return RepairLost, 0, fmt.Errorf("provider: chunk %s has %d of %d readable fragments, need %d: %w", key, got, n, code.K, lastErr)
-		}
-		return RepairPartial, 0, lastErr
-	}
-	if rerr := code.Reconstruct(shards); rerr != nil {
-		return RepairPartial, 0, rerr
-	}
-	exclude := make(map[ID]bool, n)
-	have := make(map[string]int)
-	for i, id := range ids {
-		exclude[id] = true
-		if liveAt[i] {
-			have[r.DomainOf(id)]++
-		}
-	}
-	newIDs := append([]ID(nil), ids...)
-	var failures []error
-	allocFailed := false
-	for i := 0; i < n && !allocFailed; i++ {
-		if liveAt[i] {
-			continue
-		}
-		// A target whose store rejects the fragment (including
-		// ErrExists — an orphan of some other position, see the
-		// contract) is excluded and allocation retried, so one repair
-		// call converges past flag-lagging losses. Rejections along the
-		// way only count as failures if the fragment never lands.
-		var fragErrs []error
-		for {
-			targets, aerr := r.allocateSpread(1, exclude, have)
-			if aerr != nil {
-				failures = append(failures, append(fragErrs, aerr)...)
-				allocFailed = true
-				break
-			}
-			p := targets[0]
-			exclude[p.ID()] = true
-			if werr := r.putOne(p, key, payload{data: shards[i]}); werr != nil {
-				fragErrs = append(fragErrs, fmt.Errorf("provider %d (fragment %d): %w", p.ID(), i, werr))
-				continue
-			}
-			newIDs[i] = p.ID()
-			have[p.Domain()]++
-			copied++
-			break
-		}
-	}
-	if copied > 0 {
-		r.setPlacement(key, newIDs)
-	}
-	if ferr := errors.Join(failures...); ferr != nil {
-		return RepairPartial, copied, ferr
-	}
-	return RepairRepaired, copied, nil
-}
-
-// improveSpreadCoded relocates one fragment of a full-degree coded
-// chunk from its most crowded failure domain into an uncovered one:
-// copy the fragment to a fresh provider there, delete the old copy
-// (best effort — a failed delete leaves an orphan fragment outside
-// placement, which blocks nothing: repair never reuses a provider
-// already holding the key), and swap the position's entry. moved is
-// false when no uncovered live domain has a spare provider. Caller
-// holds the chunk's in-flight claim.
-func (r *Router) improveSpreadCoded(key chunk.Key, ids []ID) (moved bool, err error) {
-	exclude := make(map[ID]bool, len(ids))
-	have := make(map[string]int, len(ids))
-	for _, id := range ids {
-		exclude[id] = true
-		have[r.DomainOf(id)]++
-	}
-	targets, aerr := r.allocateSpread(1, exclude, have)
-	if aerr != nil {
-		return false, nil // no spare provider at all; degree is intact
-	}
-	target := targets[0]
-	if have[target.Domain()] > 0 {
-		return false, nil // every uncovered domain is down or exhausted
-	}
-	idx := -1
-	for i := len(ids) - 1; i >= 0; i-- {
-		if have[r.DomainOf(ids[i])] >= 2 {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return false, nil
-	}
-	p := r.byID(ids[idx])
-	if p == nil || p.Down() {
-		return false, nil
-	}
-	sz, err := p.Store().Len(key)
-	if err != nil {
-		return false, err
-	}
-	frag, err := p.Store().Get(key, 0, sz)
-	r.reportError(ids[idx], err)
-	if err != nil {
-		return false, err
-	}
-	if werr := r.putOne(target, key, payload{data: frag}); werr != nil {
-		return false, werr
-	}
-	derr := p.Store().Delete(key)
-	r.reportError(ids[idx], derr)
-	newIDs := append([]ID(nil), ids...)
-	newIDs[idx] = target.ID()
-	r.setPlacement(key, newIDs)
-	return true, nil
 }

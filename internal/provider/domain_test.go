@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chunk"
@@ -229,8 +231,8 @@ func TestAllocateNPartialTagStaysFlat(t *testing.T) {
 	// And the audit is inert during the transition.
 	r := NewRouter(m)
 	r.SetReplicas(2)
-	if r.LiveDomains() != 1 {
-		t.Fatalf("LiveDomains = %d on a partially tagged pool, want 1 (flat)", r.LiveDomains())
+	if n := r.liveDomainCount(); n != 1 {
+		t.Fatalf("live domain count = %d on a partially tagged pool, want 1 (flat)", n)
 	}
 }
 
@@ -300,30 +302,42 @@ func TestRepairRestoresDomainSpread(t *testing.T) {
 			t.Fatalf("repair placed a copy back into the lost domain %s", lostDom)
 		}
 	}
-	if r.SpreadViolated(key) {
-		t.Fatalf("spread still violated after repair: %v", now)
+	if audit := r.SpreadAudit(); len(audit) != 0 {
+		t.Fatalf("spread still violated after repair: %v (audit %v)", now, audit)
 	}
 }
 
-// Regression: a chunk at FULL count whose replicas co-locate (the
-// topology changed under it — retagged domains) is re-spread by
-// RepairChunk: one copy moves to an uncovered domain, the co-located
-// extra is deleted, and the data stays readable.
-func TestRepairRespreadsCoLocatedChunk(t *testing.T) {
-	// Flat pool: placement ignores domains entirely.
-	r, _ := replicatedRouter(t, 6, 2)
-	key := chunk.Key{Blob: 2, Version: 1}
-	data := []byte("spread me")
-	ids, err := r.Put(key, data)
-	if err != nil {
+// repairModes are the two placements the repair tests run under, each
+// tolerating one lost position: R=2 replication and rs-2+1 coding.
+var repairModes = []struct {
+	name string
+	set  func(*Router) error
+}{
+	{"R=2", func(r *Router) error { r.SetReplicas(2); return nil }},
+	{"rs-2+1", func(r *Router) error { return r.SetCoding(2, 1) }},
+}
+
+// modeRouter builds a fault-injectable router over n providers split
+// into the given number of contiguous domains (0: flat) in one of the
+// repairModes.
+func modeRouter(t *testing.T, n, domains int, set func(*Router) error) (*Router, []*chunk.FaultStore) {
+	t.Helper()
+	mgr, faults := NewFaultPoolInDomains(n, domains, iosim.CostModel{})
+	r := NewRouter(mgr)
+	if err := set(r); err != nil {
 		t.Fatal(err)
 	}
-	// Retag so both existing replicas share one domain; the rest of
-	// the pool forms two more domains.
+	return r, faults
+}
+
+// coLocate retags a flat pool so providers a and b share one domain
+// and the rest of the pool forms two more.
+func coLocate(t *testing.T, r *Router, a, b ID) {
+	t.Helper()
 	var others []ID
 	for _, p := range r.Providers() {
 		tagged := "zoneA"
-		if p.ID() != ids[0] && p.ID() != ids[1] {
+		if p.ID() != a && p.ID() != b {
 			others = append(others, p.ID())
 			tagged = fmt.Sprintf("zone%d", len(others)%2)
 		}
@@ -331,40 +345,251 @@ func TestRepairRespreadsCoLocatedChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !r.SpreadViolated(key) {
-		t.Fatal("co-located chunk not flagged by the audit")
-	}
-	if audit := r.SpreadAudit(); len(audit) != 1 || audit[0] != key {
-		t.Fatalf("SpreadAudit = %v, want [%s]", audit, key)
-	}
-	outcome, copied, err := r.RepairChunk(key)
-	if err != nil || outcome != RepairRepaired || copied != 1 {
-		t.Fatalf("re-spread = %v, %d, %v", outcome, copied, err)
-	}
-	if r.SpreadViolated(key) {
-		t.Fatal("still violated after re-spread")
-	}
-	now, _ := r.Locate(key)
-	if len(now) != 2 {
-		t.Fatalf("replica count drifted to %d", len(now))
-	}
-	// The evicted copy is gone from its store; the survivors serve.
-	total := 0
+}
+
+// holders lists the providers whose stores hold key.
+func holders(r *Router, key chunk.Key) []ID {
+	var out []ID
 	for _, p := range r.Providers() {
 		if _, err := p.Store().Len(key); err == nil {
-			total++
+			out = append(out, p.ID())
 		}
 	}
-	if total != 2 {
-		t.Fatalf("%d stores hold a copy, want exactly 2", total)
+	return out
+}
+
+// Regression: a chunk at FULL count whose replicas or fragments
+// co-locate (the topology changed under it — retagged domains) is
+// re-spread by RepairChunk: one position moves to an uncovered domain,
+// its old holder's copy is deleted, and the data stays readable.
+func TestRepairRespreadsCoLocatedChunk(t *testing.T) {
+	for _, mode := range repairModes {
+		t.Run(mode.name, func(t *testing.T) {
+			// Flat pool: placement ignores domains entirely.
+			r, _ := modeRouter(t, 6, 0, mode.set)
+			key := chunk.Key{Blob: 2, Version: 1}
+			data := []byte("spread me")
+			ids, err := r.Put(key, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Retag so two holders share one domain; the rest of the
+			// pool forms two more domains.
+			coLocate(t, r, ids[0], ids[1])
+			if live, want, misplaced := r.VerifyReplicas(key); live != want || !misplaced {
+				t.Fatalf("co-located chunk verified %d/%d, misplaced %v; want full and misplaced", live, want, misplaced)
+			}
+			if audit := r.SpreadAudit(); len(audit) != 1 || audit[0] != key {
+				t.Fatalf("SpreadAudit = %v, want [%s]", audit, key)
+			}
+			outcome, copied, err := r.RepairChunk(key)
+			if err != nil || outcome != RepairRepaired || copied != 1 {
+				t.Fatalf("re-spread = %v, %d, %v", outcome, copied, err)
+			}
+			if audit := r.SpreadAudit(); len(audit) != 0 {
+				t.Fatalf("still violated after re-spread: %v", audit)
+			}
+			now, _ := r.Locate(key)
+			if len(now) != len(ids) {
+				t.Fatalf("placement width drifted to %d, want %d", len(now), len(ids))
+			}
+			// The evicted copy is gone from its store; the survivors serve.
+			if h := holders(r, key); len(h) != len(ids) {
+				t.Fatalf("stores %v hold a copy, want exactly %d", h, len(ids))
+			}
+			got, err := r.Get(key, 0, int64(len(data)))
+			if err != nil || string(got) != string(data) {
+				t.Fatalf("read after re-spread = %q, %v", got, err)
+			}
+			// Converged: another repair is a no-op.
+			if outcome, copied, err := r.RepairChunk(key); outcome != RepairHealthy || copied != 0 || err != nil {
+				t.Fatalf("second repair = %v, %d, %v", outcome, copied, err)
+			}
+		})
 	}
-	got, err := r.Get(key, 0, int64(len(data)))
-	if err != nil || string(got) != string(data) {
-		t.Fatalf("read after re-spread = %q, %v", got, err)
+}
+
+// refusingStore is a store whose Delete can be refused: a machine that
+// still serves its chunks but cannot free them.
+type refusingStore struct {
+	chunk.Store
+	refuse atomic.Bool
+}
+
+func (s *refusingStore) Delete(key chunk.Key) error {
+	if s.refuse.Load() {
+		return errors.New("delete refused")
 	}
-	// Converged: another repair is a no-op.
-	if outcome, copied, err := r.RepairChunk(key); outcome != RepairHealthy || copied != 0 || err != nil {
-		t.Fatalf("second repair = %v, %d, %v", outcome, copied, err)
+	return s.Store.Delete(key)
+}
+
+// refusingRouter builds a flat router over n refusingStores.
+func refusingRouter(n int) (*Router, []*refusingStore) {
+	m := NewManager()
+	stores := make([]*refusingStore, n)
+	for i := range stores {
+		stores[i] = &refusingStore{Store: chunk.NewMemStore(nil)}
+		m.Register(New(ID(i), stores[i]))
+	}
+	return NewRouter(m), stores
+}
+
+// Regression: a coded spread move whose eviction fails must not leave
+// a fragment behind on a store placement does not name — DeleteReplicas
+// only reaches what placement names, so such a fragment would never be
+// reclaimed. The move is undone and the error returned; once deletes
+// work again the next repair makes the move.
+func TestCodedRespreadFailedEvictionLeavesNoOrphan(t *testing.T) {
+	r, stores := refusingRouter(6)
+	if err := r.SetCoding(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	key := chunk.Key{Blob: 8, Version: 1}
+	data := []byte("every fragment in placement")
+	ids, err := r.Put(key, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coLocate(t, r, ids[0], ids[1])
+	// The fragment holders refuse to delete; a move's target does not.
+	for _, id := range ids {
+		stores[id].refuse.Store(true)
+	}
+	if outcome, _, err := r.RepairChunk(key); outcome != RepairPartial || err == nil {
+		t.Fatalf("re-spread with the eviction refused = %v, %v; want partial and an error", outcome, err)
+	}
+	now, _ := r.Locate(key)
+	for _, id := range holders(r, key) {
+		if !slices.Contains(now, id) {
+			t.Fatalf("provider %d holds a fragment of %s that placement %v does not name", id, key, now)
+		}
+	}
+	if got, err := r.Get(key, 0, int64(len(data))); err != nil || string(got) != string(data) {
+		t.Fatalf("read after the refused move = %q, %v", got, err)
+	}
+
+	for _, id := range ids {
+		stores[id].refuse.Store(false)
+	}
+	if outcome, copied, err := r.RepairChunk(key); outcome != RepairRepaired || copied != 1 || err != nil {
+		t.Fatalf("re-spread with deletes working = %v, %d, %v; want repaired, 1, nil", outcome, copied, err)
+	}
+	if audit := r.SpreadAudit(); len(audit) != 0 {
+		t.Fatalf("SpreadAudit after the move = %v", audit)
+	}
+	if _, _, err := r.DeleteReplicas(key); err != nil {
+		t.Fatal(err)
+	}
+	if h := holders(r, key); len(h) != 0 {
+		t.Fatalf("providers %v still hold %s after DeleteReplicas", h, key)
+	}
+}
+
+// Regression: a replica set above the degree that still violates the
+// spread is re-spread, then trimmed, without the move overrunning the
+// set. Two ways to reach it at R=3 with all three replicas in one of
+// three domains: a move whose eviction was refused recorded a fourth
+// copy (the set then covers two domains, still short of three), or
+// the degree was lowered under the co-located set.
+func TestRespreadAboveDegreeConverges(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		refuseFirst   bool
+		lowerReplicas int
+	}{
+		{name: "eviction refused once", refuseFirst: true},
+		{name: "degree lowered", lowerReplicas: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, stores := refusingRouter(9)
+			r.SetReplicas(3)
+			key := chunk.Key{Blob: 9, Version: 1}
+			data := []byte("three in one domain")
+			ids, err := r.Put(key, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range r.Providers() {
+				d := fmt.Sprintf("z%d", 1+int(p.ID())%2)
+				if slices.Contains(ids, p.ID()) {
+					d = "z0"
+				}
+				if err := r.SetDomain(p.ID(), d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := 3
+			if tc.refuseFirst {
+				for _, id := range ids {
+					stores[id].refuse.Store(true)
+				}
+				if outcome, copied, err := r.RepairChunk(key); outcome != RepairRepaired || copied != 1 || err != nil {
+					t.Fatalf("move with the eviction refused = %v, %d, %v", outcome, copied, err)
+				}
+				if now, _ := r.Locate(key); len(now) != 4 {
+					t.Fatalf("placement after the refused eviction = %v, want both copies recorded", now)
+				}
+				for _, id := range ids {
+					stores[id].refuse.Store(false)
+				}
+			}
+			if tc.lowerReplicas > 0 {
+				want = tc.lowerReplicas
+				r.SetReplicas(want)
+			}
+			for pass := 0; ; pass++ {
+				outcome, _, err := r.RepairChunk(key)
+				if err != nil {
+					t.Fatalf("pass %d: %v", pass, err)
+				}
+				if outcome == RepairHealthy {
+					break
+				}
+				if pass == 5 {
+					t.Fatalf("no convergence after %d passes", pass)
+				}
+			}
+			now, _ := r.Locate(key)
+			if len(now) != want {
+				t.Fatalf("placement %v, want %d replicas", now, want)
+			}
+			if h := holders(r, key); !sameIDSet(h, now) {
+				t.Fatalf("stores %v hold a copy, placement names %v", h, now)
+			}
+			if audit := r.SpreadAudit(); len(audit) != 0 {
+				t.Fatalf("SpreadAudit after convergence = %v", audit)
+			}
+			if got, err := r.Get(key, 0, int64(len(data))); err != nil || string(got) != string(data) {
+				t.Fatalf("read after convergence = %q, %v", got, err)
+			}
+		})
+	}
+}
+
+// A coded record whose width differs from the current mode's (written
+// under another mode, which is unsupported) is refused, not repaired:
+// repair deletes nothing and names the mismatch.
+func TestCodedRepairRefusesOtherWidth(t *testing.T) {
+	r, _ := refusingRouter(8)
+	if err := r.SetCoding(4, 2); err != nil {
+		t.Fatal(err)
+	}
+	key := chunk.Key{Blob: 10, Version: 1}
+	ids, err := r.Put(key, []byte("six fragments"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetCoding(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if outcome, copied, err := r.RepairChunk(key); outcome != RepairPartial || copied != 0 || err == nil {
+		t.Fatalf("repair of a 6-wide record under rs-2+1 = %v, %d, %v; want partial, 0, an error", outcome, copied, err)
+	}
+	if now, _ := r.Locate(key); !slices.Equal(now, ids) {
+		t.Fatalf("placement changed to %v, was %v", now, ids)
+	}
+	if h := holders(r, key); len(h) != len(ids) {
+		t.Fatalf("stores %v hold a fragment, want all %d", h, len(ids))
 	}
 }
 
@@ -416,8 +641,8 @@ func TestRepairTrimsExcessCopies(t *testing.T) {
 	if holders != 2 {
 		t.Fatalf("%d stores hold a copy after trim, want 2", holders)
 	}
-	if r.SpreadViolated(key) {
-		t.Fatalf("trim broke the spread: %v", now)
+	if audit := r.SpreadAudit(); len(audit) != 0 {
+		t.Fatalf("trim broke the spread: %v (audit %v)", now, audit)
 	}
 	if got, err := r.Get(key, 0, int64(len(data))); err != nil || string(got) != string(data) {
 		t.Fatalf("read after trim = %q, %v", got, err)
@@ -427,7 +652,7 @@ func TestRepairTrimsExcessCopies(t *testing.T) {
 // Regression: a stale placement entry naming a dead provider next to
 // a full live set (what a spread move leaves when its eviction races a
 // store death) is invisible to the probe-based live count — the
-// PlacementSuspect audit flags it and RepairChunk prunes it.
+// scrubber's verification calls it misplaced and RepairChunk prunes it.
 func TestRepairPrunesStaleDeadEntry(t *testing.T) {
 	r, faults := domainRouter(t, 6, 3, 2)
 	key := chunk.Key{Blob: 6, Version: 1}
@@ -449,8 +674,8 @@ func TestRepairPrunesStaleDeadEntry(t *testing.T) {
 	r.place.m[key] = append(append([]ID(nil), ids...), extra)
 	r.place.mu.Unlock()
 
-	if !r.PlacementSuspect(key, r.LiveDomains()) {
-		t.Fatal("stale dead entry not flagged by PlacementSuspect")
+	if live, want, misplaced := r.VerifyReplicas(key); live != 2 || want != 2 || !misplaced {
+		t.Fatalf("stale dead entry verified %d/%d, misplaced %v; want 2/2, misplaced", live, want, misplaced)
 	}
 	if outcome, _, err := r.RepairChunk(key); outcome != RepairRepaired || err != nil {
 		t.Fatalf("repair of stale placement = %v, %v", outcome, err)
@@ -464,8 +689,8 @@ func TestRepairPrunesStaleDeadEntry(t *testing.T) {
 			t.Fatalf("stale dead entry %d survived repair: %v", extra, now)
 		}
 	}
-	if r.PlacementSuspect(key, r.LiveDomains()) {
-		t.Fatalf("placement still suspect after prune: %v", now)
+	if _, _, misplaced := r.VerifyReplicas(key); misplaced {
+		t.Fatalf("placement still misplaced after prune: %v", now)
 	}
 }
 
@@ -501,34 +726,64 @@ func TestDomainRepairDeleteMutualExclusion(t *testing.T) {
 }
 
 // Domain-kill at the store level (flags still live): RepairChunk's
-// probes catch the dead copies and re-spread into surviving domains.
+// probes catch the dead copies and fragments and re-spread into
+// surviving domains.
 func TestRepairDomainKillStoreLevel(t *testing.T) {
-	r, faults := domainRouter(t, 8, 4, 2)
-	var keys []chunk.Key
-	for i := 0; i < 16; i++ {
-		key := chunk.Key{Blob: 4, Version: uint64(i + 1)}
-		if _, err := r.Put(key, make([]byte, 32)); err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, key)
-	}
-	// Kill every store in zone1 ({2,3}); nobody flips a flag.
-	for _, p := range r.Providers() {
-		if p.Domain() == "zone1" {
-			faults[p.ID()].SetDown(true)
-		}
-	}
-	for _, key := range keys {
-		if outcome, _, err := r.RepairChunk(key); outcome == RepairLost || outcome == RepairPartial {
-			t.Fatalf("chunk %s: %v, %v — a domain kill at R=2 spread must never lose data", key, outcome, err)
-		}
-	}
-	for _, key := range keys {
-		ids, _ := r.Locate(key)
-		for _, id := range ids {
-			if r.DomainOf(id) == "zone1" {
-				t.Fatalf("chunk %s still placed in the dead domain: %v", key, ids)
+	for _, mode := range repairModes {
+		t.Run(mode.name, func(t *testing.T) {
+			r, faults := modeRouter(t, 8, 4, mode.set)
+			var keys []chunk.Key
+			for i := 0; i < 16; i++ {
+				key := chunk.Key{Blob: 4, Version: uint64(i + 1)}
+				if _, err := r.Put(key, make([]byte, 32)); err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, key)
 			}
+			// Kill every store in zone1 ({2,3}); nobody flips a flag.
+			for _, p := range r.Providers() {
+				if p.Domain() == "zone1" {
+					faults[p.ID()].SetDown(true)
+				}
+			}
+			for _, key := range keys {
+				if outcome, _, err := r.RepairChunk(key); outcome == RepairLost || outcome == RepairPartial {
+					t.Fatalf("chunk %s: %v, %v — a domain kill under one-loss spread must never lose data", key, outcome, err)
+				}
+			}
+			for _, key := range keys {
+				ids, _ := r.Locate(key)
+				for _, id := range ids {
+					if r.DomainOf(id) == "zone1" {
+						t.Fatalf("chunk %s still placed in the dead domain: %v", key, ids)
+					}
+				}
+			}
+			if n := r.UnderReplicated(); n != 0 {
+				t.Fatalf("UnderReplicated after repair = %d", n)
+			}
+		})
+	}
+}
+
+// BenchmarkVerifyReplicas is one scrub pass over 2000 well-spread
+// chunks at R=3 on 64 providers in 8 domains: the healer's per-chunk
+// router cost.
+func BenchmarkVerifyReplicas(b *testing.B) {
+	mgr, _ := NewFaultPoolInDomains(64, 8, iosim.CostModel{})
+	r := NewRouter(mgr)
+	r.SetReplicas(3)
+	keys := make([]chunk.Key, 2000)
+	for i := range keys {
+		keys[i] = chunk.Key{Blob: 1, Version: uint64(i + 1)}
+		if _, err := r.Put(keys[i], []byte("x")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range keys {
+			r.VerifyReplicas(k)
 		}
 	}
 }

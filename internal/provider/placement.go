@@ -1,15 +1,15 @@
 package provider
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/chunk"
 )
 
 // placementMode is the placement seam: the one thing that knows how a
 // chunk is laid out across providers. The router's put core, read core
-// and repair entry point are written once against it; replicated (this
+// and repair core are written once against it; replicated (this
 // file) and coded (coded.go) are the two layouts, chosen under cfg by
 // SetReplicas/SetCoding. It hides two algorithms — it does not merge
 // them — and nothing outside the implementations asks which one is on.
@@ -40,10 +40,24 @@ type placementMode interface {
 	// health monitor.
 	read(r *Router, ids []ID, q chunkRead) (out served, skips, storeErrs int, err error)
 
-	// repair restores one chunk to width() live positions and to its
-	// domain spread, as RepairChunk documents. The caller holds the
-	// chunk's in-flight claim.
-	repair(r *Router, key chunk.Key) (outcome RepairOutcome, copied int, err error)
+	// RepairChunk's one core (repair.go) restores, re-spreads and trims
+	// both layouts and asks the mode only what differs between them.
+	//
+	// decode turns what repair read whole from floor() live positions
+	// (nil at every other position) into what each of the width()
+	// positions stores, as payloads does.
+	decode(read [][]byte) ([][]byte, error)
+	// holes is the placement a repair records, given which recorded
+	// positions are live, and the positions in it to fill; a slot
+	// holding noID when repair ends is dropped.
+	holes(ids []ID, live []bool) (rec []ID, fill []int)
+	// copies says whether positions are interchangeable whole copies.
+	// If so, a repair target already holding the key holds a valid copy,
+	// and a spread move whose eviction fails records both copies, one
+	// above degree for the next pass to trim. If not (coded), the key on
+	// a target is another position's orphan and refuses the target, and
+	// a failed eviction undoes the move.
+	copies() bool
 }
 
 // replicated is R-way replication: n whole copies on n distinct
@@ -56,6 +70,7 @@ func (m replicated) width() int                                           { retu
 func (m replicated) floor() int                                           { return 1 }
 func (m replicated) coding() (int, int, bool)                             { return 0, 0, false }
 func (m replicated) readsHints() bool                                     { return true }
+func (m replicated) copies() bool                                         { return true }
 func (m replicated) sameHint(a, b []ID) bool                              { return sameIDSet(a, b) }
 func (m replicated) allocate(r *Router, _ chunk.Key) ([]*Provider, error) { return r.AllocateN(m.n) }
 
@@ -79,6 +94,26 @@ func (m replicated) recorded(targets []*Provider, errs []error) []ID {
 
 func (m replicated) read(r *Router, ids []ID, q chunkRead) (served, int, int, error) {
 	return r.getFromSet(ids, q)
+}
+
+// decode hands every position the one copy repair read.
+func (m replicated) decode(read [][]byte) ([][]byte, error) {
+	return m.payloads(read[slices.IndexFunc(read, func(b []byte) bool { return b != nil })]), nil
+}
+
+// holes keeps the live members in order and appends a slot per missing
+// copy: a dead member is pruned, not replaced, since any member serves.
+func (m replicated) holes(ids []ID, live []bool) (rec []ID, fill []int) {
+	for i, id := range ids {
+		if live[i] {
+			rec = append(rec, id)
+		}
+	}
+	for len(rec) < m.n {
+		fill = append(fill, len(rec))
+		rec = append(rec, noID)
+	}
+	return rec, fill
 }
 
 // getFromSet tries each replica in preference order (see replicaOrder)
@@ -183,227 +218,4 @@ func sameIDSet(a, b []ID) bool {
 		seen[id]--
 	}
 	return true
-}
-
-// repair re-replicates: it verifies which recorded replicas still hold
-// the data (probing stores, so flag-lagging dead machines are caught),
-// copies from a survivor onto enough new distinct providers to restore
-// the degree, and records the new set.
-func (m replicated) repair(r *Router, key chunk.Key) (outcome RepairOutcome, copied int, err error) {
-	want := m.n
-	ids, ok := r.Locate(key)
-	if !ok {
-		return RepairHealthy, 0, nil
-	}
-	live := r.liveReplicas(key, ids, true, true)
-	if len(live) == len(ids) && len(live) >= want {
-		// Full degree. Restore the domain spread if the set co-locates
-		// while a spare live domain exists, then retire any copies
-		// ABOVE degree (left behind by a spread move whose eviction
-		// failed); otherwise nothing to do.
-		if r.spreadViolatedSet(live) {
-			if moved, merr := r.improveSpread(key, live); merr != nil {
-				return RepairPartial, 0, merr
-			} else if moved {
-				return RepairRepaired, 1, nil
-			}
-		}
-		if len(live) > want {
-			r.trimExcess(key, live, want)
-		}
-		return RepairHealthy, 0, nil
-	}
-	if len(live) == 0 {
-		return RepairLost, 0, fmt.Errorf("provider: chunk %s has no surviving replica", key)
-	}
-	newIDs, rerr := r.rereplicate(key, live, want)
-	if rerr != nil {
-		// Record any copies that DID land before the failure: invisible
-		// copies would be orphans — unreadable, re-copied by the next
-		// repair, and never reclaimed by DeleteReplicas.
-		if len(newIDs) > len(live) {
-			copied = len(newIDs) - len(live)
-			r.setPlacement(key, newIDs)
-		}
-		return RepairPartial, copied, rerr
-	}
-	copied = len(newIDs) - len(live)
-	r.setPlacement(key, newIDs)
-	if len(newIDs) >= want {
-		return RepairRepaired, copied, nil
-	}
-	return RepairPartial, copied, nil
-}
-
-// rereplicate copies one chunk from a surviving replica onto enough new
-// providers to restore the replication degree, returning the new
-// replica set (live survivors plus new copies). The survivors' failure
-// domains are handed to the allocator as already-covered, so new
-// copies land in uncovered domains first — a repair after a domain
-// loss restores the spread invariant along with the count.
-func (r *Router) rereplicate(key chunk.Key, live []ID, want int) ([]ID, error) {
-	missing := want - len(live)
-	if missing <= 0 {
-		return live, nil
-	}
-	data, err := r.readFull(key, live)
-	if err != nil {
-		return nil, err
-	}
-	exclude := make(map[ID]bool, len(live))
-	have := make(map[string]int, len(live))
-	for _, id := range live {
-		exclude[id] = true
-		have[r.DomainOf(id)]++
-	}
-	out := append([]ID(nil), live...)
-	var lastErr error
-	// A target whose store fails the copy (a dead machine the health
-	// monitor has not flagged yet) is excluded and allocation retried,
-	// so one repair call converges past flag-lagging losses instead of
-	// waiting for detection. The loop terminates: every round either
-	// places a copy or grows the exclusion set.
-	for missing > 0 {
-		targets, aerr := r.allocateSpread(missing, exclude, have)
-		if aerr != nil {
-			if lastErr == nil {
-				lastErr = aerr
-			}
-			return out, lastErr
-		}
-		for _, p := range targets {
-			exclude[p.ID()] = true
-			err := r.putOne(p, key, payload{data: data})
-			// Tolerate ErrExists: an earlier partial repair or a
-			// quorum-failed Put may have left a valid copy here.
-			if err != nil && !errors.Is(err, chunk.ErrExists) {
-				lastErr = fmt.Errorf("provider %d: %w", p.ID(), err)
-				continue
-			}
-			out = append(out, p.ID())
-			have[p.Domain()]++
-			missing--
-		}
-	}
-	return out, nil
-}
-
-// improveSpread moves one replica of a full-degree chunk into a
-// failure domain the set does not cover: copy onto a provider in an
-// uncovered domain, then delete one copy from the most crowded domain.
-// moved is false when no uncovered live domain has a spare provider.
-// A failed delete leaves the extra copy in placement (harmless: one
-// copy above degree); the scrubber re-finds above-degree sets and
-// RepairChunk retires them via trimExcess. Caller holds the chunk's
-// in-flight claim.
-func (r *Router) improveSpread(key chunk.Key, live []ID) (moved bool, err error) {
-	exclude := make(map[ID]bool, len(live))
-	have := make(map[string]int, len(live))
-	for _, id := range live {
-		exclude[id] = true
-		have[r.DomainOf(id)]++
-	}
-	targets, err := r.allocateSpread(1, exclude, have)
-	if err != nil {
-		return false, nil // no spare provider at all; count is intact
-	}
-	target := targets[0]
-	if have[target.Domain()] > 0 {
-		return false, nil // every uncovered domain is down or exhausted
-	}
-	data, err := r.readFull(key, live)
-	if err != nil {
-		return false, err
-	}
-	if err := r.putOne(target, key, payload{data: data}); err != nil && !errors.Is(err, chunk.ErrExists) {
-		return false, err
-	}
-	// Evict one copy from a crowded domain (>= 2 live copies): the new
-	// copy covers a fresh domain, so coverage strictly improves. The
-	// LAST such replica goes, keeping the earliest-written copy in
-	// place.
-	newSet := append([]ID(nil), live...)
-	for i := len(newSet) - 1; i >= 0; i-- {
-		id := newSet[i]
-		if have[r.DomainOf(id)] < 2 {
-			continue
-		}
-		p := r.byID(id)
-		if p == nil || p.Down() {
-			continue
-		}
-		derr := p.Store().Delete(key)
-		r.reportError(id, derr)
-		if derr == nil || errors.Is(derr, chunk.ErrNotFound) {
-			newSet = append(newSet[:i], newSet[i+1:]...)
-		}
-		break
-	}
-	newSet = append(newSet, target.ID())
-	r.setPlacement(key, newSet)
-	return true, nil
-}
-
-// trimExcess deletes copies above the replication degree — left behind
-// when a spread move's eviction failed — keeping coverage by trimming
-// the most crowded domains first (the last replica there goes, as in
-// improveSpread). A failed delete stops the trim; the copy stays
-// recorded and the next scrub pass retries. Caller holds the chunk's
-// in-flight claim.
-func (r *Router) trimExcess(key chunk.Key, live []ID, want int) {
-	out := append([]ID(nil), live...)
-	trimmed := false
-	for len(out) > want {
-		counts := make(map[string]int, len(out))
-		for _, id := range out {
-			counts[r.DomainOf(id)]++
-		}
-		idx, best := -1, -1
-		for i, id := range out {
-			if c := counts[r.DomainOf(id)]; c >= best {
-				idx, best = i, c
-			}
-		}
-		p := r.byID(out[idx])
-		if p == nil || p.Down() {
-			break // unreachable copy; a later pass retries
-		}
-		derr := p.Store().Delete(key)
-		r.reportError(out[idx], derr)
-		if derr != nil && !errors.Is(derr, chunk.ErrNotFound) {
-			break
-		}
-		out = append(out[:idx], out[idx+1:]...)
-		trimmed = true
-	}
-	if trimmed {
-		r.setPlacement(key, out)
-	}
-}
-
-// readFull reads a whole chunk from the first surviving replica able to
-// serve it.
-func (r *Router) readFull(key chunk.Key, live []ID) ([]byte, error) {
-	var lastErr error
-	for _, id := range live {
-		p := r.byID(id)
-		if p == nil || p.Down() {
-			continue
-		}
-		size, err := p.Store().Len(key)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, err := p.Store().Get(key, 0, size)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return data, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	return nil, lastErr
 }

@@ -31,11 +31,18 @@
 //     Get, GetFrom and OpenFrom are its entry points and differ only in
 //     how the bytes leave a store (chunkRead): into a slice or as a
 //     stream.
-//   - placementMode (placement.go) is the seam both cores and RepairChunk
-//     are written against, and the only code that knows whether chunks
-//     are replicated (placement.go) or erasure coded (coded.go): width
-//     and quorum floor, what each target stores and what is recorded,
-//     whether a hint may be read through, the read algorithm, repair.
+//   - Router.repair (repair.go) is the one repair core, behind
+//     RepairChunk: probe every position, restore the missing ones onto
+//     fresh providers in uncovered domains, re-spread a co-located chunk,
+//     trim copies above degree.
+//   - placementMode (placement.go) is the seam the three cores are
+//     written against, and the only code that knows whether chunks are
+//     replicated (placement.go) or erasure coded (coded.go): width and
+//     quorum floor, what each target stores and what is recorded,
+//     whether a hint may be read through, the read algorithm, and for
+//     repair how a missing position's bytes are decoded, how a repaired
+//     placement is recorded, and whether positions are interchangeable
+//     copies.
 //
 // # Contracts
 //
@@ -65,10 +72,16 @@
 //     transition) stays FLAT — placement, audit and spread repair all
 //     ignore domains until the last provider is tagged, so one retag
 //     cannot funnel data onto the tagged minority. Repair restores
-//     this spread, not just the replica count: re-replication places
-//     new copies in domains the survivors do not cover, and a chunk at
-//     full degree whose live replicas co-locate while a spare live
-//     domain exists is re-spread by moving one copy (RepairChunk).
+//     this spread, not just the replica count, with one core for both
+//     placements: missing copies or fragments land in domains the
+//     survivors do not cover, and a chunk at full degree whose
+//     positions co-locate while a spare live domain exists is
+//     re-spread by moving one position — copy it into an uncovered
+//     domain, then evict the old holder (RepairChunk). When the
+//     eviction fails a replica set records both copies, for the next
+//     pass to trim; a coded position holds one provider, so the copy is
+//     deleted again and the error returned — no fragment is left
+//     outside placement without an error naming it.
 //   - Router.GetFrom and OpenFrom (and every other blob.DataService
 //     implementation) return fresh == nil when the set the caller's
 //     replica hint names served the read. A non-nil fresh set means the
@@ -81,8 +94,8 @@
 //     wired (SetReadCache) BYTE reads are served read-through: chunk
 //     data and fresh replica-set hints are cached on success, and
 //     because chunks are immutable the ONLY invalidation signal is a
-//     placement change — every post-Put placement mutation (RepairChunk,
-//     improveSpread, trimExcess, DeleteReplicas) drops the chunk's
+//     placement change — every post-Put placement mutation (RepairChunk's
+//     restore, re-spread and trim; DeleteReplicas) drops the chunk's
 //     cache entry. A stale cached hint can never fail a read: at worst
 //     it costs one extra failover, which refreshes the entry. STREAM
 //     reads (OpenFrom) bypass the cache in both placement modes — and
@@ -105,6 +118,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1234,7 +1248,8 @@ func (r *Router) maybeNoteDegraded(key chunk.Key, storeErrs int) {
 		r.noteDegraded(key)
 		return
 	}
-	if live, want, known := r.ReplicaHealth(key); known && live < want {
+	ids, ok := r.Locate(key)
+	if ok && len(slices.DeleteFunc(ids, func(id ID) bool { return r.liveStore(id) == nil })) < r.degree() {
 		r.noteDegraded(key)
 	}
 }
@@ -1276,16 +1291,6 @@ func (r *Router) Locate(key chunk.Key) ([]ID, bool) {
 	return out, true
 }
 
-// RepairStats summarizes one re-replication pass.
-type RepairStats struct {
-	Scanned  int // chunks examined
-	Degraded int // chunks found below the replication degree
-	Copied   int // new copies written
-	Repaired int // chunks restored to full degree
-	Lost     int // chunks with no surviving replica (data loss)
-	Failed   int // chunks whose repair attempt failed
-}
-
 // Keys returns a snapshot of every chunk key the placement map knows.
 // The daemon-side scrubber walks this when it has no blob handles to
 // enumerate published versions with.
@@ -1297,301 +1302,6 @@ func (r *Router) Keys() []chunk.Key {
 		keys = append(keys, k)
 	}
 	return keys
-}
-
-// liveReplicas splits a chunk's recorded replica set into verified-live
-// and dead members. A replica is live when its provider is known, not
-// flagged down, and — when verify is set — its store answers a Len
-// probe for the chunk. Verification is what lets the scrubber and the
-// repair path detect a dead machine BEFORE the health monitor has
-// flagged it. With report set, probe outcomes feed the monitor (so
-// scrub traffic itself trips detection); passive observers like
-// UnderReplicated probe silently to avoid acting as detectors.
-func (r *Router) liveReplicas(key chunk.Key, ids []ID, verify, report bool) (live []ID) {
-	for _, id := range ids {
-		p := r.byID(id)
-		if p == nil || p.Down() {
-			continue
-		}
-		if verify {
-			_, err := p.Store().Len(key)
-			if report {
-				r.reportError(id, err)
-			}
-			if err != nil {
-				continue
-			}
-		}
-		live = append(live, id)
-	}
-	return live
-}
-
-// ReplicaHealth reports how many of a chunk's recorded replicas (or
-// coded fragments) are live (by down flags alone) against the
-// configured placement degree.
-func (r *Router) ReplicaHealth(key chunk.Key) (live, want int, known bool) {
-	ids, ok := r.Locate(key)
-	if !ok {
-		return 0, r.degree(), false
-	}
-	return len(r.liveReplicas(key, ids, false, false)), r.degree(), true
-}
-
-// VerifyReplicas is the scrubber's per-chunk check: it probes every
-// recorded replica's (or fragment's) store — reporting outcomes to the
-// health monitor — and returns the verified-live count against the
-// placement degree.
-func (r *Router) VerifyReplicas(key chunk.Key) (live, want int, known bool) {
-	ids, ok := r.Locate(key)
-	if !ok {
-		return 0, r.degree(), false
-	}
-	return len(r.liveReplicas(key, ids, true, true)), r.degree(), true
-}
-
-// UnderReplicated counts placement entries whose verified-live replica
-// (or fragment) count is below the placement degree — the healer's
-// convergence metric: zero means every known chunk is back at full
-// degree. It is a passive observer: its probes do NOT feed the health
-// monitor, so asserting convergence never doubles as failure detection.
-func (r *Router) UnderReplicated() int {
-	want := r.degree()
-	n := 0
-	for _, key := range r.Keys() {
-		ids, ok := r.Locate(key)
-		if !ok {
-			continue
-		}
-		if len(r.liveReplicas(key, ids, true, false)) < want {
-			n++
-		}
-	}
-	return n
-}
-
-// RepairOutcome classifies one RepairChunk attempt.
-type RepairOutcome int
-
-// Repair outcomes.
-const (
-	// RepairHealthy: the chunk already had R verified-live copies.
-	RepairHealthy RepairOutcome = iota
-	// RepairRepaired: new copies restored the chunk to full degree.
-	RepairRepaired
-	// RepairPartial: some copies were written but the chunk is still
-	// below degree (allocation or store failures); the scrubber will
-	// re-find it next pass.
-	RepairPartial
-	// RepairLost: no verified-live replica survives — the data is gone.
-	RepairLost
-)
-
-func (o RepairOutcome) String() string {
-	switch o {
-	case RepairHealthy:
-		return "healthy"
-	case RepairRepaired:
-		return "repaired"
-	case RepairPartial:
-		return "partial"
-	case RepairLost:
-		return "lost"
-	default:
-		return fmt.Sprintf("outcome(%d)", int(o))
-	}
-}
-
-// RepairChunk re-replicates one chunk: it verifies which recorded
-// replicas still hold the data (probing stores, so flag-lagging dead
-// machines are caught), copies from a survivor onto enough new distinct
-// providers to restore the replication degree — placing the new copies
-// in failure domains the survivors do not cover — and updates
-// placement. A chunk already at full degree whose live replicas
-// co-locate in fewer domains than the pool could spread them over is
-// re-spread: one copy moves to an uncovered domain (restoring the
-// spread invariant, not just the count). copied reports how many new
-// copies were written, moves included. Unknown keys return
-// RepairHealthy (nothing recorded to restore), as does a chunk whose
-// in-flight claim is held by another worker — a concurrent deletion
-// (the chunk is going away; repairing it would resurrect garbage) or
-// a concurrent repair (which will restore it itself).
-func (r *Router) RepairChunk(key chunk.Key) (outcome RepairOutcome, copied int, err error) {
-	var start time.Time
-	if r.met.repairSec != nil {
-		start = time.Now()
-	}
-	defer func() {
-		if outcome >= RepairHealthy && outcome <= RepairLost {
-			r.met.repairOut[outcome].Inc()
-		}
-		if r.met.repairSec != nil {
-			r.met.repairSec.ObserveSince(start)
-		}
-	}()
-	if !r.claimKey(key) {
-		return RepairHealthy, 0, nil
-	}
-	defer r.releaseKey(key)
-	return r.placementMode().repair(r, key)
-}
-
-// Repair is the full re-replication pass: it scans the placement map
-// for chunks whose live replica count dropped below the replication
-// degree (a provider died), copies them from a surviving replica onto
-// new distinct providers, and updates placement. Chunks with no
-// surviving replica are counted as Lost — with R >= 2 that requires
-// losing multiple machines between repairs. Safe to run while writes
-// proceed; each chunk is repaired independently. The background healer
-// (core.Healer) runs the same repair chunk-by-chunk, rate limited.
-func (r *Router) Repair() RepairStats {
-	var st RepairStats
-	for _, key := range r.Keys() {
-		st.Scanned++
-		// RepairChunk verifies replicas itself (store probes, so a
-		// store-dead but flag-live replica — machine died, detector
-		// not yet tripped — still counts as degraded and a manual
-		// `bsctl repair` heals it without waiting on the monitor), so
-		// the outcome doubles as the degradation classification.
-		outcome, copied, _ := r.RepairChunk(key)
-		st.Copied += copied
-		switch outcome {
-		case RepairHealthy:
-			// At full degree; not degraded.
-		case RepairRepaired:
-			st.Degraded++
-			st.Repaired++
-		case RepairLost:
-			st.Degraded++
-			st.Lost++
-		default:
-			st.Degraded++
-			st.Failed++
-		}
-	}
-	return st
-}
-
-// liveDomainCount counts failure domains with at least one flag-live
-// provider — the spread width currently achievable. A pool that is
-// not fully tagged counts as ONE domain: during a topology transition
-// the spread machinery (audit, spread repair, violation checks) stays
-// inert, for the same reason allocateSpread stays flat (see
-// domainPromise).
-func (m *Manager) liveDomainCount() int {
-	if _, full := m.domainPromise(); !full {
-		return 1
-	}
-	seen := make(map[string]bool)
-	for _, p := range m.Providers() {
-		if !p.Down() {
-			seen[p.Domain()] = true
-		}
-	}
-	return len(seen)
-}
-
-// spreadViolatedSet reports whether a replica set (its flag-live
-// members) spans fewer distinct failure domains than it could: the
-// invariant is min(R, set size, live domains) distinct domains. A flat
-// pool (one domain) never violates.
-func (r *Router) spreadViolatedSet(ids []ID) bool {
-	return r.spreadViolatedIn(ids, r.liveDomainCount())
-}
-
-// spreadViolatedIn is spreadViolatedSet with the live-domain count
-// precomputed, so a whole-placement scan walks the provider list once
-// instead of once per chunk.
-func (r *Router) spreadViolatedIn(ids []ID, liveDoms int) bool {
-	if liveDoms <= 1 {
-		return false
-	}
-	covered := make(map[string]bool)
-	n := 0
-	for _, id := range ids {
-		p := r.byID(id)
-		if p == nil || p.Down() {
-			continue
-		}
-		n++
-		covered[p.Domain()] = true
-	}
-	achievable := r.degree()
-	if n < achievable {
-		achievable = n
-	}
-	if liveDoms < achievable {
-		achievable = liveDoms
-	}
-	return len(covered) < achievable
-}
-
-// SpreadViolated reports whether the chunk's recorded replica set
-// co-locates in fewer failure domains than the pool could spread it
-// over (down flags only, no store probes — the count path catches dead
-// copies). The scrubber feeds violations into the repair queue, where
-// RepairChunk re-spreads them.
-func (r *Router) SpreadViolated(key chunk.Key) bool {
-	return r.SpreadViolatedWith(key, r.liveDomainCount())
-}
-
-// LiveDomains returns the number of failure domains with at least one
-// flag-live provider. Callers checking many chunks (the scrubber)
-// compute it once per pass and hand it to SpreadViolatedWith, instead
-// of re-walking the provider list per chunk.
-func (r *Router) LiveDomains() int { return r.liveDomainCount() }
-
-// SpreadViolatedWith is SpreadViolated with the live-domain count
-// precomputed (see LiveDomains).
-func (r *Router) SpreadViolatedWith(key chunk.Key, liveDomains int) bool {
-	if liveDomains <= 1 {
-		return false
-	}
-	ids, ok := r.Locate(key)
-	if !ok {
-		return false
-	}
-	return r.spreadViolatedIn(ids, liveDomains)
-}
-
-// PlacementSuspect is the scrubber's placement-quality check for a
-// chunk whose LIVE count already matches the degree: true when the
-// live replicas violate the domain spread, or when the RECORDED set
-// size differs from the degree — an above-degree set left by a failed
-// spread-move eviction, or a stale entry naming a dead provider
-// alongside a full live set (the probe-based live count cannot see
-// either). RepairChunk resolves both: it prunes stale members and
-// trims above-degree copies.
-func (r *Router) PlacementSuspect(key chunk.Key, liveDomains int) bool {
-	if liveDomains <= 1 {
-		return false
-	}
-	ids, ok := r.Locate(key)
-	if !ok {
-		return false
-	}
-	if len(ids) != r.degree() {
-		return true
-	}
-	return r.spreadViolatedIn(ids, liveDomains)
-}
-
-// SpreadAudit scans the placement map for chunks whose live replicas
-// violate the domain-spread invariant — the operator's correlated-loss
-// exposure report (bsctl health). Like UnderReplicated it is a passive
-// observer: no store probes, no health reports.
-func (r *Router) SpreadAudit() []chunk.Key {
-	liveDoms := r.liveDomainCount()
-	if liveDoms <= 1 {
-		return nil
-	}
-	var out []chunk.Key
-	for _, key := range r.Keys() {
-		if ids, ok := r.Locate(key); ok && r.spreadViolatedIn(ids, liveDoms) {
-			out = append(out, key)
-		}
-	}
-	return out
 }
 
 // ErrChunkBusy is returned by DeleteReplicas when the chunk has an
@@ -1625,26 +1335,18 @@ func (r *Router) DeleteReplicas(key chunk.Key) (removed int, bytes int64, err er
 	var remaining []ID
 	var failures []error
 	for _, id := range ids {
-		p := r.byID(id)
-		if p == nil || p.Down() {
+		s := r.liveStore(id)
+		if s == nil {
 			continue // unreachable replica: orphaned, not retried
 		}
-		size, lerr := p.Store().Len(key)
-		if lerr != nil {
-			size = 0
-		}
-		derr := p.Store().Delete(key)
-		r.reportError(id, derr)
-		if derr == nil {
-			removed++
+		size, lerr := s.Len(key)
+		if derr := r.evict(id, key); derr != nil {
+			remaining = append(remaining, id)
+			failures = append(failures, fmt.Errorf("provider %d: %w", id, derr))
+		} else if lerr == nil {
+			removed++ // a copy already gone is not counted
 			bytes += size
-			continue
 		}
-		if errors.Is(derr, chunk.ErrNotFound) {
-			continue // copy already gone
-		}
-		remaining = append(remaining, id)
-		failures = append(failures, fmt.Errorf("provider %d: %w", id, derr))
 	}
 	r.place.mu.Lock()
 	if len(remaining) == 0 {

@@ -540,16 +540,16 @@ func TestVerifyReplicasProbesStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live, want, known := r.VerifyReplicas(key); !known || live != 2 || want != 2 {
-		t.Fatalf("healthy VerifyReplicas = %d/%d/%v", live, want, known)
+	if live, want, misplaced := r.VerifyReplicas(key); misplaced || live != 2 || want != 2 {
+		t.Fatalf("healthy VerifyReplicas = %d/%d/%v", live, want, misplaced)
 	}
 	faults[ids[1]].SetDown(true)
 	if live, _, _ := r.VerifyReplicas(key); live != 1 {
 		t.Fatalf("VerifyReplicas after store kill = %d live, want 1", live)
 	}
-	// Flag-based health still believes the replica is fine.
-	if live, _, _ := r.ReplicaHealth(key); live != 2 {
-		t.Fatalf("ReplicaHealth (flags only) = %d live, want 2", live)
+	// The flags still believe the replica is fine: only the probe saw it.
+	if r.byID(ids[1]).Down() {
+		t.Fatal("a store kill flipped the provider's down flag")
 	}
 	if n := r.UnderReplicated(); n != 1 {
 		t.Fatalf("UnderReplicated = %d, want 1", n)
