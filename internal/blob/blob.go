@@ -80,13 +80,15 @@ type intoGetter interface {
 }
 
 // ChunkRead is one read of a list handed to a data service's GetManyInto:
-// fill Dst with the len(Dst) bytes at Off of chunk Key, trying Replicas
-// first. The service sets Fresh where GetFrom would return a fresh set.
+// fill the Length bytes of the list's destination at At with the bytes at
+// Off of chunk Key, trying Replicas first. The service sets Fresh where
+// GetFrom would return a fresh set.
 type ChunkRead struct {
-	Dst      []byte
 	Replicas []provider.ID
 	Key      chunk.Key
 	Off      int64
+	At       int64
+	Length   int64
 
 	Fresh []provider.ID
 }
@@ -101,9 +103,10 @@ type chunkBatcher interface {
 	// PutMany stores data[i] as chunk keys[i] and returns the replica
 	// sets. Every put is attempted; the error is the first in key order.
 	PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, error)
-	// GetManyInto performs every read of the list; the error is the first
-	// in list order, after which no Dst holds anything of use.
-	GetManyInto(reads []ChunkRead) error
+	// GetManyInto performs every read of the list into dst; the error is
+	// the first in list order, after which no read's bytes are of use.
+	// Reads that fill consecutive bytes of dst may travel as one.
+	GetManyInto(dst []byte, reads []ChunkRead) error
 }
 
 // Services bundles the service endpoints a client talks to.
@@ -409,9 +412,10 @@ func (b *Blob) ReadList(version uint64, q extent.List) ([]byte, error) {
 //
 // A fragment that lands whole in one place — every fragment of a sorted,
 // disjoint query — is read straight into that place, all such fragments
-// as one list operation; each one's slice of out is clipped, so no
-// implementation can reach a neighbour's bytes. A fragment that lands in
-// pieces or more than once is fetched and copied.
+// as one list operation naming out and each one's offset in it, so a
+// run of fragments that fill consecutive bytes of out can be read as
+// one. A fragment that lands in pieces or more than once is fetched and
+// copied.
 func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, error) {
 	// Resolve normalizes the query; the caller's (possibly overlapping /
 	// unsorted) layout is restored by the scatter plan.
@@ -427,13 +431,12 @@ func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, 
 	var scattered []int // indexes into frags
 	for i, f := range frags {
 		if c := plan[i]; len(c) == 1 && c[0].src == 0 && c[0].n == f.Ref.Length {
-			dst := out[c[0].dst : c[0].dst+c[0].n : c[0].dst+c[0].n]
-			whole = append(whole, ChunkRead{Dst: dst, Replicas: b.replicasOf(f.Ref), Key: f.Ref.Key, Off: f.Ref.Offset})
+			whole = append(whole, ChunkRead{Replicas: b.replicasOf(f.Ref), Key: f.Ref.Key, Off: f.Ref.Offset, At: c[0].dst, Length: c[0].n})
 		} else {
 			scattered = append(scattered, i)
 		}
 	}
-	err = b.data.GetManyInto(whole)
+	err = b.data.GetManyInto(out, whole)
 	if err == nil {
 		for _, r := range whole {
 			if r.Fresh != nil {
@@ -578,19 +581,21 @@ func (e eachChunk) PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, er
 // destinations — a service without GetInto returns each fragment in a
 // buffer of its own — is that of DefaultWindow pages however long the
 // list, while a list of many small reads puts enough of them in flight
-// for a data wire to carry several per round trip.
-func (e eachChunk) GetManyInto(reads []ChunkRead) error {
+// for a data wire to carry several per round trip. Each read's slice of
+// dst is clipped, so no implementation can reach a neighbour's bytes.
+func (e eachChunk) GetManyInto(dst []byte, reads []ChunkRead) error {
 	return windowed(e.window, len(reads),
-		func(i int) int64 { return int64(len(reads[i].Dst)) },
+		func(i int) int64 { return reads[i].Length },
 		func(i int) (err error) {
 			r := &reads[i]
+			into := dst[r.At : r.At+r.Length : r.At+r.Length]
 			if e.into != nil {
-				r.Fresh, err = e.into.GetInto(r.Dst, r.Replicas, r.Key, r.Off)
+				r.Fresh, err = e.into.GetInto(into, r.Replicas, r.Key, r.Off)
 				return err
 			}
 			var d []byte
-			d, r.Fresh, err = getExact(e.svc, r.Replicas, chunk.Ref{Key: r.Key, Offset: r.Off, Length: int64(len(r.Dst))})
-			copy(r.Dst, d)
+			d, r.Fresh, err = getExact(e.svc, r.Replicas, chunk.Ref{Key: r.Key, Offset: r.Off, Length: r.Length})
+			copy(into, d)
 			return err
 		})
 }

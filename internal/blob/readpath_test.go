@@ -395,24 +395,29 @@ func (d *manyData) PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, er
 	return nil, errors.New("manyData: read-only")
 }
 
-func (d *manyData) GetManyInto(reads []ChunkRead) error {
+// A list's reads must lie within its destination, each apart from every
+// other: one that does not counts as unclipped.
+func (d *manyData) GetManyInto(dst []byte, reads []ChunkRead) error {
 	d.mu.Lock()
 	d.lists++
 	d.reads += len(reads)
+	for i, r := range reads {
+		d.unclipped = d.unclipped || r.At < 0 || r.Length < 0 || r.At+r.Length > int64(len(dst))
+		for _, o := range reads[:i] {
+			d.unclipped = d.unclipped || (r.At < o.At+o.Length && o.At < r.At+r.Length)
+		}
+	}
 	d.mu.Unlock()
 	for i := range reads {
 		r := &reads[i]
-		d.mu.Lock()
-		d.unclipped = d.unclipped || cap(r.Dst) != len(r.Dst)
-		d.mu.Unlock()
 		if d.failInto != nil {
 			return d.failInto
 		}
-		data, _, err := d.DataService.GetFrom(r.Replicas, r.Key, r.Off, int64(len(r.Dst)))
+		data, _, err := d.DataService.GetFrom(r.Replicas, r.Key, r.Off, r.Length)
 		if err != nil {
 			return err
 		}
-		copy(r.Dst, data)
+		copy(dst[r.At:r.At+r.Length], data)
 		r.Fresh = d.fresh
 	}
 	return nil

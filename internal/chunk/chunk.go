@@ -341,21 +341,49 @@ func (s *MemStore) OpenReader(key Key, off, length int64) (io.ReadCloser, error)
 	if s.meter != nil {
 		s.meter.Charge(length)
 	}
-	return io.NopCloser(bytes.NewReader(data[off : off+length])), nil
+	return &memReader{data: data[off : off+length]}, nil
 }
 
-// InMemory returns a store's reader as an io.WriterTo when it writes out
-// bytes held in memory (a MemStore's slice), uncopied, a write per slice
-// it holds. A DiskStore's chunk file is an io.WriterTo too, but it
-// sendfiles only towards a socket and copies through a small buffer
-// towards anything else, so it is not one.
-func InMemory(r io.Reader) (io.WriterTo, bool) {
-	if _, file := r.(*os.File); file {
-		return nil, false
-	}
-	wt, ok := r.(io.WriterTo)
-	return wt, ok
+// Held is what a store's reader implements when the bytes it serves are
+// held in memory: a MemStore's stored slice, a coded read's fragments or
+// the slab a degraded read was rebuilt in.
+type Held interface {
+	// AppendHeld appends the reader's unread bytes to dst, uncopied, as
+	// the slices it holds them in, and leaves the reader at its end. The
+	// slices stay valid and unchanged until the reader is closed.
+	AppendHeld(dst [][]byte) [][]byte
 }
+
+// InMemory returns a store's reader as a Held when it holds its bytes in
+// memory. A DiskStore's chunk file does not: it is read, or sendfiled to
+// a socket.
+func InMemory(r io.Reader) (Held, bool) {
+	h, ok := r.(Held)
+	return h, ok
+}
+
+// memReader serves a MemStore chunk's stored slice; the store never
+// changes it, so closing frees nothing.
+type memReader struct{ data []byte }
+
+func (m *memReader) Read(p []byte) (int, error) {
+	if len(m.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, m.data)
+	m.data = m.data[n:]
+	return n, nil
+}
+
+func (m *memReader) AppendHeld(dst [][]byte) [][]byte {
+	if len(m.data) > 0 {
+		dst = append(dst, m.data)
+	}
+	m.data = nil
+	return dst
+}
+
+func (m *memReader) Close() error { return nil }
 
 // DiskStore persists each chunk as one file under a directory. It is the
 // durable counterpart of MemStore and shares its metering semantics.

@@ -397,11 +397,11 @@ func (r *Router) openCoded(ids []ID, q chunkRead, ss int64, lo, hi int) (rc io.R
 
 // fragmentReader is an intact coded stream read: the readers of the data
 // fragments it covers, in order, each one a store's reader over the
-// stored bytes. WriteTo hands each its writer in turn, so a fragment
-// leaves in one write, uncopied.
+// stored bytes. AppendHeld hands over every fragment's stored slice, so
+// a fragment leaves uncopied.
 type fragmentReader struct {
-	parts []io.ReadCloser // each an io.WriterTo (chunk.InMemory)
-	next  int             // the part Read and WriteTo continue from
+	parts []io.ReadCloser // each a chunk.Held (chunk.InMemory)
+	next  int             // the part Read and AppendHeld continue from
 }
 
 func (f *fragmentReader) Read(p []byte) (int, error) {
@@ -418,15 +418,11 @@ func (f *fragmentReader) Read(p []byte) (int, error) {
 	return 0, io.EOF
 }
 
-func (f *fragmentReader) WriteTo(w io.Writer) (written int64, err error) {
+func (f *fragmentReader) AppendHeld(dst [][]byte) [][]byte {
 	for ; f.next < len(f.parts); f.next++ {
-		n, err := f.parts[f.next].(io.WriterTo).WriteTo(w)
-		written += n
-		if err != nil {
-			return written, err
-		}
+		dst = f.parts[f.next].(chunk.Held).AppendHeld(dst)
 	}
-	return written, nil
+	return dst
 }
 
 // Close closes every part, once.
@@ -458,13 +454,23 @@ func putSlab(b []byte) { slabs.Put(&b) }
 // the pool on its first Close; it reads nothing after.
 type slabReader struct {
 	bytes.Reader
-	slab []byte
+	slab, reply []byte
 }
 
 func newSlabReader(slab, reply []byte) *slabReader {
-	s := &slabReader{slab: slab}
+	s := &slabReader{slab: slab, reply: reply}
 	s.Reset(reply)
 	return s
+}
+
+// AppendHeld hands over the unread part of the reply, which stays in the
+// slab until Close.
+func (s *slabReader) AppendHeld(dst [][]byte) [][]byte {
+	if n := s.Len(); n > 0 {
+		dst = append(dst, s.reply[len(s.reply)-n:])
+		s.Seek(0, io.SeekEnd)
+	}
+	return dst
 }
 
 func (s *slabReader) Close() error {

@@ -336,16 +336,18 @@ func TestBatchesAndLoneCallsInterleaved(t *testing.T) {
 					t.Errorf("goroutine %d round %d: Put: %v", g, r, err)
 					return
 				}
-				reads := make([]blob.ChunkRead, n)
+				reads, at := make([]blob.ChunkRead, n), int64(0)
 				for i := range reads {
-					reads[i] = blob.ChunkRead{Dst: make([]byte, len(data[i])), Key: keys[i]}
+					reads[i] = blob.ChunkRead{Key: keys[i], At: at, Length: int64(len(data[i]))}
+					at += int64(len(data[i]))
 				}
-				if err := c.GetManyInto(reads); err != nil {
+				dst := make([]byte, at)
+				if err := c.GetManyInto(dst, reads); err != nil {
 					t.Errorf("goroutine %d round %d: GetManyInto: %v", g, r, err)
 					return
 				}
-				for i := range reads {
-					if !bytes.Equal(reads[i].Dst, data[i]) {
+				for i, rd := range reads {
+					if !bytes.Equal(dst[rd.At:rd.At+rd.Length], data[i]) {
 						t.Errorf("goroutine %d round %d: chunk %d read back differs", g, r, i)
 					}
 				}

@@ -1,6 +1,7 @@
 // Framed plane: the binary wire protocol that carries every call a
 // Client makes — the version manager's calls, chunk payloads and
-// segment-tree nodes — in length-prefixed frames.
+// segment-tree nodes — in length-prefixed frames (a list get's reply
+// payload excepted).
 //
 // A client opens each framed connection by sending the 4-byte magic
 // "BSD1"; the server peeks the first bytes of every accepted connection
@@ -15,7 +16,7 @@
 //	  op u8, flags u8 (reserved), hintCount u8, pad u8,
 //	  index u32, blob u64, version u64, off i64, length i64,
 //	  hintCount * u32 replica IDs
-//	ops:        1=put, 2=get (chunks, data role); 3=node put, 4=node
+//	ops:        1=put, 2=list get (chunks, data role); 3=node put, 4=node
 //	            get, 5=node try-get (tree nodes, meta role: blob,
 //	            version, off and length name the node); 6..20 (VM role)
 //	            the blob.VersionService calls in its order: CreateBlob
@@ -29,10 +30,17 @@
 //	err reply:  status u8 1, u32 len + message, to any op.
 //	put:        header + body, the chunk payload. Reply: status u8; 0 ok →
 //	            u8 count + count*u32 replica IDs.
-//	get reply:  ok → u8 freshCount (+IDs) then a body of exactly length
-//	            bytes. A store failure mid-frame closes the connection —
-//	            the frame word already promised the bytes; open-time
-//	            errors keep it.
+//	list get:   header (op alone) + body: count u32 (1..maxTrainCalls),
+//	            then per entry a get header — op 2, the chunk key, off,
+//	            length, the replica hint — asking for at most
+//	            maxTrainBytes in all (one entry may ask for more alone).
+//	            A malformed list is refused whole, in-band. Reply: ok →
+//	            per entry a status, ok → u8 freshCount (+IDs), err → u32
+//	            len + message; then the ok entries' bytes back to back,
+//	            unframed, exactly the sum of their lengths. A store
+//	            failure mid-payload closes the connection — the statuses
+//	            already promised the bytes; open-time errors fail their
+//	            entry alone.
 //	node put:   header + body, the node in segtree's binary form, at most
 //	            maxNodeBody bytes (a longer body is drained and refused).
 //	            Reply: ok.
@@ -57,8 +65,11 @@
 //
 // Requests pipeline on a connection: a client may write any number of
 // whole requests back to back before it reads the first reply, and the
-// server answers them in order, flushing its reply buffer only when it
-// holds no further request bytes. That is safe because of one
+// server answers them in order, writing its replies out only when it
+// holds no further request bytes or replyBufSize bytes are queued — so
+// at most one reply, a train's, past that bound: the bytes it copied and
+// the slices in-memory stores handed it uncopied, in one vectored write.
+// That is safe because of one
 // client-side rule: a request, once begun, is written to its end without
 // waiting for any reply. The client here writes a whole train of
 // requests of one kind before it reads the train's first reply — put
@@ -66,7 +77,8 @@
 // both socket buffers and stop both ends. A pool forms trains from the
 // batch a caller hands it (Client.PutMany, GetManyInto, PutNodes,
 // GetNodes; a lone call is the batch of one), and from its queue when
-// every connection is busy; see framedPool.
+// every connection is busy; see framedPool. A train of gets travels as
+// one list get.
 //
 // In-order replies are also why a WaitPublished, which parks until
 // earlier versions publish, travels on a connection of its own (a wait
@@ -134,11 +146,20 @@ const (
 	// node of the largest a node put accepts, behind its count, key and
 	// length.
 	maxWalkBody = 4 + walkHead + maxNodeBody
+
+	// maxGetBody bounds a list get's request body: a train of gets, each
+	// with the longest hint the header can carry.
+	maxGetBody = 4 + maxTrainCalls*(frameHeaderLen+4*maxWireIDs)
+
+	// replyBufSize is how many bytes a server copies into its replies
+	// before it writes them out, and how many it queues at most between
+	// requests.
+	replyBufSize = 64 << 10
 )
 
 // sendsBody reports whether a request of op carries a body.
 func sendsBody(op byte) bool {
-	return op == opPut || op == opNodePut || op == opAssignTicket || op == opComplete || op == opWalkNodes
+	return op == opPut || op == opGet || op == opNodePut || op == opAssignTicket || op == opComplete || op == opWalkNodes
 }
 
 var (
@@ -186,7 +207,7 @@ type frameHeader struct {
 	op       byte
 	key      chunk.Key // node ops: Blob and Version name the node, Index goes unused
 	off      int64     // node ops: the node's offset
-	length   int64     // put: total payload size; get: read length; node ops: the node's size
+	length   int64     // put: total payload size; get entry: read length; node ops: the node's size
 	replicas []provider.ID
 }
 
@@ -232,7 +253,16 @@ func readHeader(r *bufio.Reader) (frameHeader, error) {
 	if err != nil {
 		return frameHeader{}, err
 	}
-	h := frameHeader{
+	h, hints := parseHeader(buf)
+	r.Discard(frameHeaderLen)
+	h.replicas, err = readIDList(r, hints)
+	return h, err
+}
+
+// parseHeader decodes the fixed part of a header, frameHeaderLen bytes of
+// buf, and returns how many replica IDs follow it.
+func parseHeader(buf []byte) (h frameHeader, hints int) {
+	return frameHeader{
 		op: buf[0],
 		key: chunk.Key{
 			Index:   binary.LittleEndian.Uint32(buf[4:]),
@@ -241,16 +271,7 @@ func readHeader(r *bufio.Reader) (frameHeader, error) {
 		},
 		off:    int64(binary.LittleEndian.Uint64(buf[24:])),
 		length: int64(binary.LittleEndian.Uint64(buf[32:])),
-	}
-	hints := int(buf[2])
-	r.Discard(frameHeaderLen)
-	h.replicas, err = readIDList(r, hints)
-	return h, err
-}
-
-func writeU32(w *bufio.Writer, v uint32) error {
-	_, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), v))
-	return err
+	}, int(buf[2])
 }
 
 func readU32(r *bufio.Reader) (uint32, error) {
@@ -263,17 +284,11 @@ func readU32(r *bufio.Reader) (uint32, error) {
 	return v, nil
 }
 
-// writeErrReply writes the error form of a reply.
-func writeErrReply(w *bufio.Writer, err error) error {
+// appendErrReply appends the error form of a reply.
+func appendErrReply(buf []byte, err error) []byte {
 	msg := err.Error()
-	if werr := w.WriteByte(statusErr); werr != nil {
-		return werr
-	}
-	if werr := writeU32(w, uint32(len(msg))); werr != nil {
-		return werr
-	}
-	_, werr := w.WriteString(msg)
-	return werr
+	buf = binary.LittleEndian.AppendUint32(append(buf, statusErr), uint32(len(msg)))
+	return append(buf, msg...)
 }
 
 func readErrString(r *bufio.Reader) (string, error) {
@@ -291,16 +306,15 @@ func readErrString(r *bufio.Reader) (string, error) {
 	return string(msg), nil
 }
 
-func writeIDs(w *bufio.Writer, ids []provider.ID) error {
+func appendIDs(buf []byte, ids []provider.ID) []byte {
 	if len(ids) > maxWireIDs {
 		ids = ids[:maxWireIDs]
 	}
-	buf := append(w.AvailableBuffer(), byte(len(ids)))
+	buf = append(buf, byte(len(ids)))
 	for _, id := range ids {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 	}
-	_, err := w.Write(buf)
-	return err
+	return buf
 }
 
 func readIDs(r *bufio.Reader) ([]provider.ID, error) {
@@ -413,7 +427,11 @@ func (fr *frameBodyReader) drain() error {
 // exactly — so never more than one frame ahead of the bytes that
 // arrived. An error leaves the rest of the body unread.
 func readBody(fr *frameBodyReader, limit int) ([]byte, error) {
-	data := []byte{}
+	return appendBody(fr, []byte{}, limit)
+}
+
+// appendBody is readBody into data, reused: the body is appended to it.
+func appendBody(fr *frameBodyReader, data []byte, limit int) ([]byte, error) {
 	for {
 		if err := fr.next(); fr.done {
 			return data, nil
@@ -438,11 +456,12 @@ type framedServer struct {
 	vm       VMBackend
 	r        *provider.Router
 	nodes    *metadata.Store
-	frames   *metrics.Counter   // bs_data_frames_total
-	bytes    *metrics.Counter   // bs_data_stream_bytes_total
+	frames   *metrics.Counter   // bs_data_frames_total: body frames, either way
+	bytes    *metrics.Counter   // bs_data_stream_bytes_total: chunk and node bytes, either way
 	flushOps *metrics.Histogram // bs_data_flush_ops
-	// Requests answered: bs_data_requests_total{op},
-	// bs_meta_node_ops_total{op}, bs_rpc_requests_total{method}.
+	// Requests answered: bs_data_requests_total{op} (a list get counts
+	// its entries), bs_meta_node_ops_total{op},
+	// bs_rpc_requests_total{method}.
 	requests  [opWalkNodes + 1]*metrics.Counter
 	walkNodes *metrics.Histogram // bs_meta_walk_nodes: nodes per walk reply
 	walkBound int                // a walk reply's bytes: maxWalkBody (tests lower it)
@@ -474,56 +493,155 @@ func newFramedServer(roles Roles) *framedServer {
 func trainBuckets() []float64 { return metrics.ExponentialBuckets(1, 2, 6) }
 
 // serve handles one framed connection until EOF or a protocol error,
-// answering requests in order and flushing only when no further request
-// bytes are buffered (bs_data_flush_ops counts requests per flush); see
-// the file header.
+// answering requests in order and writing the replies out when no
+// further request bytes are buffered (bs_data_flush_ops counts requests
+// per such flush) or replyBufSize bytes are queued; see the file header.
 func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 	defer conn.Close()
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	w := &replyWriter{conn: conn}
+	defer w.release() // closes the readers of replies that never left
 	body := &frameBodyReader{r: br, frames: s.frames, bytes: s.bytes}
-	out := &frameWriter{conn: conn, frames: s.frames, bytes: s.bytes}
-	var walkReply []byte // reused from walk to walk
-	answered := 0        // requests served since the input last ran dry
+	gets := &getScratch{body: frameBodyReader{r: br}} // reused from list get to list get
+	var walkReply []byte                              // reused from walk to walk
+	answered := 0                                     // requests served since the input last ran dry
 	for {
 		h, err := readHeader(br)
 		if err != nil {
 			return // EOF or dead peer
 		}
+		n := 1 // requests answered: a list get's entries
 		switch h.op {
 		case opPut:
-			err = s.servePut(body, bw, h)
+			err = s.servePut(body, w, h)
 		case opGet:
-			err = s.serveGet(out, bw, h)
+			n, err = s.serveGets(w, gets)
 		case opNodePut:
-			err = s.serveNodePut(body, bw, h)
+			err = s.serveNodePut(body, w, h)
 		case opNodeGet, opNodeTryGet:
-			err = s.serveNodeGet(bw, h)
+			err = s.serveNodeGet(w, h)
 		case opWalkNodes:
-			err = s.serveWalk(body, bw, h, &walkReply)
+			err = s.serveWalk(body, w, h, &walkReply)
 		default:
 			if h.op < opCreateBlob || h.op > opMarkReclaimed {
 				return // protocol violation
 			}
-			err = s.serveVM(body, bw, h)
+			err = s.serveVM(body, w, h)
 		}
 		if err != nil {
 			return
 		}
-		s.requests[h.op].Inc()
-		answered++
+		s.requests[h.op].Add(int64(n))
+		answered += n
 		if br.Buffered() == 0 {
 			// Counted before the flush: once the replies are on the
 			// wire a client may already be reading the registry.
 			s.flushOps.Observe(float64(answered))
 			answered = 0
-			if err := bw.Flush(); err != nil {
-				return
-			}
+		} else if w.queued() < replyBufSize {
+			continue
+		}
+		if err := w.flush(); err != nil {
+			return
 		}
 	}
 }
 
-func (s *framedServer) servePut(body *frameBodyReader, bw *bufio.Writer, h frameHeader) error {
+// replyWriter queues a connection's replies until the serve loop writes
+// them out, in one vectored write: the bytes copied into buf, and the
+// slices in-memory store readers hand over (chunk.Held), uncopied. Each
+// reader is closed once the write that carried its slices returns.
+type replyWriter struct {
+	conn net.Conn
+	buf  []byte // copied bytes, those from cut on not yet in vec
+	cut  int
+	vec  net.Buffers // what is queued before buf[cut:]
+	n    int         // vec's bytes
+	held []io.Closer // the readers whose slices are in vec
+}
+
+// queued is how many bytes wait for the next flush.
+func (w *replyWriter) queued() int { return w.n + len(w.buf) - w.cut }
+
+// write copies p into the reply. Past replyBufSize what is queued is
+// written out first, and a p that large goes to the socket at once.
+func (w *replyWriter) write(p []byte) (err error) {
+	if w.queued()+len(p) > replyBufSize {
+		if err = w.flush(); err == nil && len(p) >= replyBufSize {
+			_, err = w.conn.Write(p)
+			return err
+		}
+	}
+	w.buf = append(w.buf, p...)
+	return err
+}
+
+// send queues the length bytes of a chunk read rc serves, and takes rc
+// over. A reader holding them in memory hands its slices over, to leave
+// with the next flush and be closed after it. Any other — a disk://
+// chunk file, which the kernel sendfiles — is copied to the socket
+// behind what is queued, then closed. A reader that serves other than
+// length bytes costs the connection: the statuses promised them.
+func (w *replyWriter) send(rc io.ReadCloser, key chunk.Key, length int64) error {
+	var n int64
+	if h, ok := chunk.InMemory(rc); ok {
+		// buf's bytes so far go first; later appends never touch them,
+		// even where buf moves.
+		w.vec, w.n, w.cut = append(w.vec, w.buf[w.cut:]), w.queued(), len(w.buf)
+		from := len(w.vec)
+		w.vec, w.held = h.AppendHeld(w.vec), append(w.held, rc)
+		for _, p := range w.vec[from:] {
+			n += int64(len(p))
+		}
+		w.n += int(n)
+	} else {
+		defer rc.Close()
+		err := w.flush()
+		if err == nil {
+			n, err = io.CopyN(w.conn, rc, length)
+		}
+		if err != nil && err != io.EOF {
+			return err
+		}
+	}
+	if n != length {
+		return fmt.Errorf("remote: store reader for chunk %v served %d of %d bytes", key, n, length)
+	}
+	return nil
+}
+
+// flush writes out what is queued — copied bytes alone in a plain write
+// — then closes the readers whose slices it carried.
+func (w *replyWriter) flush() (err error) {
+	if len(w.vec) == 0 {
+		if len(w.buf) > 0 {
+			_, err = w.conn.Write(w.buf)
+		}
+	} else {
+		vec := append(w.vec, w.buf[w.cut:])
+		w.vec = vec[:0] // WriteTo consumes its copy, clearing what it wrote
+		_, err = vec.WriteTo(w.conn)
+	}
+	w.release()
+	return err
+}
+
+// release drops what is queued and closes the readers that handed it
+// over.
+func (w *replyWriter) release() {
+	for _, c := range w.held {
+		c.Close()
+	}
+	clear(w.held)
+	w.buf, w.cut, w.n, w.held = w.buf[:0], 0, 0, w.held[:0]
+}
+
+// writeErrReply queues the error form of a reply.
+func writeErrReply(w *replyWriter, err error) error {
+	w.buf = appendErrReply(w.buf, err)
+	return nil
+}
+
+func (s *framedServer) servePut(body *frameBodyReader, w *replyWriter, h frameHeader) error {
 	body.reset()
 	var (
 		ids []provider.ID
@@ -556,130 +674,124 @@ func (s *framedServer) servePut(body *frameBodyReader, bw *bufio.Writer, h frame
 		err = &PutOverrunError{Key: h.key, Declared: h.length, Extra: body.seen - h.length}
 	}
 	if err != nil {
-		return writeErrReply(bw, err)
+		return writeErrReply(w, err)
 	}
-	if werr := bw.WriteByte(statusOK); werr != nil {
-		return werr
-	}
-	return writeIDs(bw, ids)
+	w.buf = appendIDs(append(w.buf, statusOK), ids)
+	return nil
 }
 
-func (s *framedServer) serveGet(out *frameWriter, bw *bufio.Writer, h frameHeader) error {
-	if s.r == nil {
-		return writeErrReply(bw, errNoDataRole)
+// getScratch is what a connection reuses from list get to list get.
+type getScratch struct {
+	body    frameBodyReader // uncounted: a list names chunk bytes, it carries none
+	req     []byte
+	entries []frameHeader
+	readers []io.ReadCloser
+}
+
+// serveGets answers a list get: every entry opened, each answered with
+// its status, then the ok entries' bytes in order (replyWriter.send). As
+// in serveNodePut the body is consumed whatever becomes of the request,
+// and what is wrong with the list fails it alone. It returns the
+// requests answered: the entries, or the one list it refused.
+func (s *framedServer) serveGets(w *replyWriter, g *getScratch) (int, error) {
+	g.body.reset()
+	var err error
+	g.req, err = appendBody(&g.body, g.req[:0], maxGetBody)
+	if derr := g.body.drain(); derr != nil {
+		return 0, derr
 	}
-	rc, fresh, err := s.r.OpenFrom(h.replicas, h.key, h.off, h.length)
+	if err == nil && s.r == nil {
+		err = errNoDataRole
+	}
+	if err == nil {
+		g.entries, err = decodeGets(g.req, g.entries[:0])
+	}
 	if err != nil {
-		return writeErrReply(bw, err)
+		return 1, writeErrReply(w, err)
 	}
-	defer rc.Close()
-	if werr := bw.WriteByte(statusOK); werr != nil {
-		return werr
-	}
-	if werr := writeIDs(bw, fresh); werr != nil {
-		return werr
-	}
-	// A payload error below is fatal — the frame word already promised
-	// the bytes — so it propagates up and closes the connection.
-	if wt, ok := chunk.InMemory(rc); ok && 4+min(h.length, maxFrame) >= int64(bw.Size()) {
-		// Frames too large for the write buffer, from a reader that holds
-		// its bytes in memory (a mem:// store's slice, a coded read's
-		// fragments or slab): it writes itself to the socket through out,
-		// one vectored write per slice, uncopied. A disk:// store's chunk
-		// file keeps the loop below. The terminator waits in bw for the
-		// serve loop's flush, so the counters are current before a client
-		// can see the get done.
-		if werr := bw.Flush(); werr != nil {
-			return werr
-		}
-		out.left = h.length
-		if _, werr := wt.WriteTo(out); werr != nil {
-			return werr
-		}
-		if out.left != 0 {
-			return fmt.Errorf("remote: store reader for chunk %v ended %d bytes short of %d", h.key, out.left, h.length)
-		}
-		return writeU32(bw, 0)
-	}
-	left := h.length
-	for left > 0 {
-		n := min(left, maxFrame)
-		if need := 4 + int(n); need < bw.Size() {
-			// The frame fits the write buffer: copied in beside its word,
-			// small replies share writes. Room is made first, or bufio
-			// would hand the reader to the socket with a copy buffer.
-			if bw.Available() <= need {
-				if werr := bw.Flush(); werr != nil {
-					return werr
-				}
-			}
-			if werr := writeU32(bw, uint32(n)); werr != nil {
-				return werr
-			}
-			if _, cerr := io.CopyN(bw, rc, n); cerr != nil {
-				return cerr
-			}
+	w.buf = append(w.buf, statusOK)
+	readers := g.readers[:0]
+	for _, h := range g.entries {
+		rc, fresh, err := s.r.OpenFrom(h.replicas, h.key, h.off, h.length)
+		if err != nil {
+			w.buf, rc = appendErrReply(w.buf, err), nil
 		} else {
-			// Flush the frame word, then move the payload straight from
-			// the store reader to the socket: a disk store's rc is the
-			// chunk file, which the kernel sendfiles (CHANGES.md, PR 15).
-			if werr := writeU32(bw, uint32(n)); werr != nil {
-				return werr
-			}
-			if werr := bw.Flush(); werr != nil {
-				return werr
-			}
-			if _, cerr := io.CopyN(out.conn, rc, n); cerr != nil {
-				return cerr
+			w.buf = appendIDs(append(w.buf, statusOK), fresh)
+		}
+		readers = append(readers, rc)
+	}
+	defer func() {
+		for _, rc := range readers {
+			if rc != nil {
+				rc.Close() // never sent: an earlier entry failed
 			}
 		}
-		s.frames.Inc()
-		s.bytes.Add(n)
-		left -= n
+		clear(readers)
+		g.readers = readers[:0]
+	}()
+	for i, h := range g.entries {
+		if rc := readers[i]; rc != nil {
+			readers[i] = nil // send takes it over
+			if err := w.send(rc, h.key, h.length); err != nil {
+				return 0, err
+			}
+			s.bytes.Add(h.length)
+		}
 	}
-	return writeU32(bw, 0)
+	return len(g.entries), nil
 }
 
-// frameWriter frames what is written to it as the body of a get reply of
-// exactly left bytes: each Write is one vectored write of `u32 size +
-// payload` per maxFrame slice, uncopied; a Write past left is refused
-// before a byte is sent. A server connection has one, left set per body.
-type frameWriter struct {
-	conn   net.Conn
-	left   int64 // bytes of the body still to come
-	frames *metrics.Counter
-	bytes  *metrics.Counter
-
-	words     []byte      // reused from body to body, as are
-	bufs, vec net.Buffers // the write vector (vec, which WriteTo consumes)
-}
-
-func (fw *frameWriter) Write(p []byte) (int, error) {
-	if int64(len(p)) > fw.left {
-		return 0, fmt.Errorf("remote: store reader overran its length by %d bytes", int64(len(p))-fw.left)
+// decodeGets decodes a list get's body into entries, refusing what no
+// client sends: no entries, more than maxTrainCalls, or more than the
+// body holds; an entry of another op, with a negative offset or length,
+// or a range past the largest int64; entries asking for more than
+// maxTrainBytes together (an entry alone may ask for more).
+func decodeGets(b []byte, entries []frameHeader) ([]frameHeader, error) {
+	if len(b) < 4 {
+		return entries, errors.New("remote: list get truncated")
 	}
-	frames := (len(p) + maxFrame - 1) / maxFrame
-	words, bufs := slices.Grow(fw.words[:0], 4*frames), fw.bufs[:0] // words must not move once sliced
-	for rest := p; len(rest) > 0; {
-		frame := rest[:min(len(rest), maxFrame)]
-		rest = rest[len(frame):]
-		words = binary.LittleEndian.AppendUint32(words, uint32(len(frame)))
-		bufs = append(bufs, words[len(words)-4:], frame)
+	n := int(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	if n < 1 || n > maxTrainCalls {
+		return entries, fmt.Errorf("remote: list get of %d entries, want 1 to %d", n, maxTrainCalls)
 	}
-	fw.words, fw.bufs, fw.vec = words, bufs, bufs
-	if _, err := fw.vec.WriteTo(fw.conn); err != nil {
-		return 0, err
+	var total int64
+	for i := range n {
+		if len(b) < frameHeaderLen {
+			return entries, fmt.Errorf("remote: list get entry %d of %d runs past the body", i, n)
+		}
+		h, hints := parseHeader(b)
+		if b = b[frameHeaderLen:]; len(b) < 4*hints {
+			return entries, fmt.Errorf("remote: list get entry %d of %d runs past the body", i, n)
+		}
+		if hints > 0 {
+			h.replicas = make([]provider.ID, hints)
+			for j := range h.replicas {
+				h.replicas[j] = provider.ID(binary.LittleEndian.Uint32(b[4*j:]))
+			}
+			b = b[4*hints:]
+		}
+		switch {
+		case h.op != opGet:
+			return entries, fmt.Errorf("remote: list get entry %d is op %d", i, h.op)
+		case h.off < 0 || h.length < 0 || h.length > math.MaxInt64-h.off:
+			return entries, fmt.Errorf("remote: list get entry %d asks for %d bytes at %d", i, h.length, h.off)
+		case n > 1 && h.length > maxTrainBytes-total:
+			return entries, fmt.Errorf("remote: list get of %d entries asks for more than %d bytes", n, maxTrainBytes)
+		}
+		total += h.length
+		entries = append(entries, h)
 	}
-	fw.left -= int64(len(p))
-	fw.frames.Add(int64(frames))
-	fw.bytes.Add(int64(len(p)))
-	return len(p), nil
+	if len(b) != 0 {
+		return entries, fmt.Errorf("remote: %d bytes after a list get", len(b))
+	}
+	return entries, nil
 }
 
 // serveNodePut stores the node the body encodes. As in servePut the body
 // is consumed whatever becomes of the put, and what is wrong with it
 // fails this op alone.
-func (s *framedServer) serveNodePut(body *frameBodyReader, bw *bufio.Writer, h frameHeader) error {
+func (s *framedServer) serveNodePut(body *frameBodyReader, w *replyWriter, h frameHeader) error {
 	body.reset()
 	var enc []byte
 	err := errNoMetaRole
@@ -697,54 +809,53 @@ func (s *framedServer) serveNodePut(body *frameBodyReader, bw *bufio.Writer, h f
 		err = s.nodes.PutNode(h.key.Blob, h.nodeKey(), n)
 	}
 	if err != nil {
-		return writeErrReply(bw, err)
+		return writeErrReply(w, err)
 	}
-	return bw.WriteByte(statusOK)
+	w.buf = append(w.buf, statusOK)
+	return nil
 }
 
 // serveNodeGet answers a node get or try-get.
-func (s *framedServer) serveNodeGet(bw *bufio.Writer, h frameHeader) error {
+func (s *framedServer) serveNodeGet(w *replyWriter, h frameHeader) error {
 	if s.nodes == nil {
-		return writeErrReply(bw, errNoMetaRole)
+		return writeErrReply(w, errNoMetaRole)
 	}
 	n, found, err := s.nodes.TryGetNode(h.key.Blob, h.nodeKey())
 	if !found && err == nil && h.op == opNodeGet {
 		_, err = s.nodes.GetNode(h.key.Blob, h.nodeKey()) // the store's own error for a miss
 	}
 	if err != nil {
-		return writeErrReply(bw, err)
+		return writeErrReply(w, err)
 	}
 	if !found {
-		return bw.WriteByte(statusMiss)
+		w.buf = append(w.buf, statusMiss)
+		return nil
 	}
 	// (A node past maxNodeBody, which only an in-process writer can have
 	// stored, is refused by the client, at the cost of the connection.)
-	return s.writeOK(bw, segtree.AppendNode(nil, n))
+	return s.writeOK(w, segtree.AppendNode(nil, n))
 }
 
 // writeOK writes an ok reply whose body is enc.
-func (s *framedServer) writeOK(bw *bufio.Writer, enc []byte) error {
-	if werr := bw.WriteByte(statusOK); werr != nil {
-		return werr
-	}
+func (s *framedServer) writeOK(w *replyWriter, enc []byte) error {
+	w.buf = append(w.buf, statusOK)
 	for len(enc) > 0 {
 		frame := enc[:min(len(enc), maxFrame)]
 		enc = enc[len(frame):]
-		if werr := writeU32(bw, uint32(len(frame))); werr != nil {
-			return werr
-		}
-		if _, werr := bw.Write(frame); werr != nil {
-			return werr
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(frame)))
+		if err := w.write(frame); err != nil {
+			return err
 		}
 		s.frames.Inc()
 		s.bytes.Add(int64(len(frame)))
 	}
-	return writeU32(bw, 0)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, 0)
+	return nil
 }
 
 // serveVM answers a version-manager op; a request body is consumed as in
 // serveNodePut.
-func (s *framedServer) serveVM(body *frameBodyReader, bw *bufio.Writer, h frameHeader) error {
+func (s *framedServer) serveVM(body *frameBodyReader, w *replyWriter, h frameHeader) error {
 	var req []byte
 	var err error
 	if sendsBody(h.op) {
@@ -762,9 +873,9 @@ func (s *framedServer) serveVM(body *frameBodyReader, bw *bufio.Writer, h frameH
 		out, err = s.callVM(h, req)
 	}
 	if err != nil {
-		return writeErrReply(bw, err)
+		return writeErrReply(w, err)
 	}
-	return s.writeOK(bw, out)
+	return s.writeOK(w, out)
 }
 
 // encoded turns a result encoder into the reply of a call that returns
@@ -849,6 +960,11 @@ type framedCall struct {
 	// bytes to fill; node get: the encoded node, nil on a miss; VM op: the
 	// request body, once answered the reply body.
 	data []byte
+	// get: the buffer data is cut from, at offset at; nil for a
+	// destination allocated once the reply is ok. Gets that fill
+	// consecutive bytes of one buffer are read off the socket as one.
+	into []byte
+	at   int
 	ids  []provider.ID // put: the replica set; get: the fresh set, if any
 	err  error
 
@@ -933,10 +1049,14 @@ func putCall(key chunk.Key, data []byte) framedCall {
 	return framedCall{h: frameHeader{op: opPut, key: key, length: int64(len(data))}, data: data}
 }
 
-// getCall reads length bytes into dst, or — dst nil — into a buffer of
-// its own once the reply is ok.
-func getCall(dst []byte, length int64, replicas []provider.ID, key chunk.Key, off int64) framedCall {
-	return framedCall{h: frameHeader{op: opGet, key: key, off: off, length: length, replicas: replicas}, data: dst}
+// getCall reads length bytes into into[at:], or — into nil — into a
+// buffer of its own once the reply is ok.
+func getCall(into []byte, at int, length int64, replicas []provider.ID, key chunk.Key, off int64) framedCall {
+	c := framedCall{h: frameHeader{op: opGet, key: key, off: off, length: length, replicas: replicas}, into: into, at: at}
+	if into != nil {
+		c.data = into[at : at+int(length) : at+int(length)]
+	}
+	return c
 }
 
 func nodeCall(op byte, blob uint64, key segtree.NodeKey, body []byte) framedCall {
@@ -1099,9 +1219,22 @@ func (p *framedPool) lead(fc *framedConn, me *framedTrain, calls []*framedCall) 
 		p.trainOps.Observe(float64(len(calls)))
 		err = fc.send(calls)
 		for err == nil && len(calls) > 0 {
-			if err = fc.readReply(calls[0]); err == nil {
-				settle(calls[0])
-				calls = calls[1:]
+			n := 1
+			if calls[0].h.op == opGet {
+				n, err = len(calls), fc.readGets(calls)
+				if extra := fc.br.Buffered(); err == nil && extra > 0 {
+					// Nothing follows a list get's reply: these bytes are
+					// more than the train asked for.
+					err = fmt.Errorf("remote: reply for chunk %v exceeds the bytes requested by at least %d", calls[n-1].h.key, extra)
+				}
+			} else {
+				err = fc.readReply(calls[0])
+			}
+			if err == nil {
+				for _, c := range calls[:n] {
+					settle(c)
+				}
+				calls = calls[n:]
 			}
 		}
 		if err == nil {
@@ -1233,9 +1366,13 @@ func (p *framedPool) close() {
 
 // send writes every request of train in one vectored write: headers,
 // frame words and terminators from scratch, bodies from the callers' own
-// slices, never copied.
+// slices, never copied. A train of gets is one list get.
 func (fc *framedConn) send(train []*framedCall) error {
 	buf, bufs, sent := fc.scratch[:0], fc.bufs[:0], 0
+	if train[0].h.op == opGet {
+		buf = appendGets(buf, train)
+		train = nil
+	}
 	for _, c := range train {
 		buf = appendHeader(buf, &c.h)
 		if !sendsBody(c.h.op) {
@@ -1257,26 +1394,106 @@ func (fc *framedConn) send(train []*framedCall) error {
 	return err
 }
 
-// readReply reads the reply to c into it. A non-nil return means the
-// stream failed or can no longer be trusted, and costs the connection;
-// an error the server reported is c's outcome and returns nil.
-func (fc *framedConn) readReply(c *framedCall) error {
-	status, err := fc.br.ReadByte()
+// appendGets appends a list get of the calls: the header, then a body of
+// one frame — the count and each call's get header — and its terminator.
+func appendGets(buf []byte, calls []*framedCall) []byte {
+	buf = appendHeader(buf, &frameHeader{op: opGet})
+	word := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // the frame word, set below
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(calls)))
+	for _, c := range calls {
+		buf = appendHeader(buf, &c.h)
+	}
+	binary.LittleEndian.PutUint32(buf[word:], uint32(len(buf)-word-4))
+	return binary.LittleEndian.AppendUint32(buf, 0)
+}
+
+// readGets reads the reply to a list get of calls into them: each call's
+// status and fresh set, then the ok calls' bytes, exactly their lengths,
+// into their destinations from byte 0 (a re-sent get refills them).
+// GetFrom's destination is allocated only now, its entry being ok. Calls
+// that fill consecutive bytes of one buffer are read as one run. Errors
+// are as for readReply.
+func (fc *framedConn) readGets(calls []*framedCall) error {
+	listErr, err := readStatus(fc.br)
 	if err != nil {
 		return err
 	}
-	switch {
-	case status == statusErr:
-		msg, err := readErrString(fc.br)
-		if err != nil {
-			return err
+	for _, c := range calls {
+		c.ids, c.err = nil, listErr
+		if listErr == nil {
+			if c.err, err = readStatus(fc.br); err == nil && c.err == nil {
+				c.ids, err = readIDs(fc.br)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		c.err = wireError(msg)
+	}
+	for i := 0; i < len(calls); i++ {
+		c := calls[i]
+		if c.err != nil {
+			continue
+		}
+		if c.data == nil {
+			c.data = make([]byte, c.h.length)
+		}
+		run := c.data
+		for i+1 < len(calls) && calls[i+1].err == nil && sameBuffer(calls[i+1].into, c.into) && calls[i+1].at == c.at+len(run) {
+			i++
+			run = c.into[c.at : c.at+len(run)+len(calls[i].data)]
+		}
+		if err := fc.readPayload(run); err != nil {
+			return fmt.Errorf("remote: short reply for chunk %v: %w", c.h.key, err)
+		}
+	}
+	return nil
+}
+
+// readStatus reads a reply's status: ok, or the error the server
+// reported (reported), or none the stream can be trusted for (err).
+func readStatus(r *bufio.Reader) (reported, err error) {
+	switch status, err := r.ReadByte(); {
+	case err != nil:
+		return nil, err
+	case status == statusOK:
+		return nil, nil
+	case status != statusErr:
+		return nil, fmt.Errorf("remote: reply status %d", status)
+	}
+	msg, err := readErrString(r)
+	return wireError(msg), err
+}
+
+// sameBuffer reports whether a and b are one buffer: the same bytes from
+// the same first one.
+func sameBuffer(a, b []byte) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
+// readPayload fills p with what the reader holds buffered, then the rest
+// straight off the socket.
+func (fc *framedConn) readPayload(p []byte) error {
+	if n := min(fc.br.Buffered(), len(p)); n > 0 {
+		fc.br.Read(p[:n])
+		p = p[n:]
+	}
+	_, err := io.ReadFull(fc.c, p)
+	return err
+}
+
+// readReply reads the reply to c, a call other than a get, into it. A
+// non-nil return means the stream failed or can no longer be trusted, and
+// costs the connection; an error the server reported is c's outcome and
+// returns nil.
+func (fc *framedConn) readReply(c *framedCall) error {
+	if b, err := fc.br.Peek(1); err == nil && b[0] == statusMiss && c.h.op == opNodeTryGet {
+		fc.br.Discard(1)
 		return nil
-	case status == statusMiss && c.h.op == opNodeTryGet:
-		return nil
-	case status != statusOK:
-		return fmt.Errorf("remote: reply status %d to op %d", status, c.h.op)
+	}
+	var err error
+	if c.err, err = readStatus(fc.br); c.err != nil || err != nil {
+		return err
 	}
 	switch c.h.op {
 	case opNodePut:
@@ -1297,44 +1514,6 @@ func (fc *framedConn) readReply(c *framedCall) error {
 		}
 		return err
 	}
-	ids, err := readIDs(fc.br)
-	if err != nil {
-		return err
-	}
-	if c.h.op == opPut {
-		c.ids = ids
-		return nil
-	}
-	// Exactly the bytes asked for land in the destination, from byte 0 (a
-	// re-sent get refills it): an overrunning frame is refused before it
-	// is read, an early terminator fails the op. GetFrom's get gets its
-	// destination only now, the reply being ok.
-	if c.data == nil {
-		c.data = make([]byte, c.h.length)
-	}
-	key, dst := c.h.key, c.data
-	got := 0
-	for {
-		n, err := readU32(fc.br)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			if got != len(dst) {
-				return fmt.Errorf("remote: short reply for chunk %v: %d of %d bytes", key, got, len(dst))
-			}
-			c.ids = ids
-			return nil
-		}
-		if n > maxFrame {
-			return fmt.Errorf("remote: oversized frame (%d bytes)", n)
-		}
-		if int(n) > len(dst)-got {
-			return fmt.Errorf("remote: reply for chunk %v exceeds the %d bytes requested", key, len(dst))
-		}
-		if _, err := io.ReadFull(fc.br, dst[got:got+int(n)]); err != nil {
-			return err
-		}
-		got += int(n)
-	}
+	c.ids, err = readIDs(fc.br) // a put's
+	return err
 }

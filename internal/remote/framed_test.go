@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -183,7 +184,7 @@ func TestFramedMetrics(t *testing.T) {
 	c := dialClient(t, ep)
 
 	key := chunk.Key{Blob: 3, Version: 1, Index: 0}
-	data := make([]byte, maxFrame+1000) // two frames up, two frames back
+	data := make([]byte, maxFrame+1000) // two frames up, unframed bytes back
 	if _, err := c.Put(key, data); err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +196,8 @@ func TestFramedMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	if !strings.Contains(text, "bs_data_frames_total 4") {
-		t.Fatalf("want 4 data frames, got:\n%s", text)
+	if !strings.Contains(text, "bs_data_frames_total 2") {
+		t.Fatalf("want the put's 2 data frames, got:\n%s", text)
 	}
 	want := int64(2 * (maxFrame + 1000))
 	if !strings.Contains(text, "bs_data_stream_bytes_total "+itoa(want)) {
@@ -483,6 +484,15 @@ func TestFramedServerRejectsOverlongPut(t *testing.T) {
 	}
 }
 
+// rawGets is the wire form of a list get of the calls.
+func rawGets(calls ...framedCall) []byte {
+	ptrs := make([]*framedCall, len(calls))
+	for i := range calls {
+		ptrs[i] = &calls[i]
+	}
+	return appendGets(nil, ptrs)
+}
+
 // rawNodeOp is the wire form of a node op; frames are the body of a put.
 func rawNodeOp(op byte, blob uint64, key segtree.NodeKey, frames ...[]byte) []byte {
 	req := appendHeader(nil, &frameHeader{op: op, key: chunk.Key{Blob: blob, Version: key.Version}, off: key.Offset, length: key.Size})
@@ -612,14 +622,14 @@ func TestFramedServerRefusesOpsOfAMissingRole(t *testing.T) {
 
 	conn, br := rawFramedConn(t, metaNode.Addr())
 	req := rawPut(ckey, 5, []byte("hello"))
-	req = append(req, appendHeader(nil, &frameHeader{op: opGet, key: ckey, length: 5})...)
+	req = append(req, rawGets(getCall(nil, 0, 5, nil, ckey, 0))...)
 	req = append(req, rawNodeOp(opNodePut, 1, nkey, enc)...)
 	conn.Write(req)
 	if _, msg := readPutReply(t, br); msg != errNoDataRole.Error() {
 		t.Fatalf("chunk put on a meta-only node: %q", msg)
 	}
-	get := &framedCall{h: frameHeader{op: opGet, key: ckey, length: 5}}
-	if err := (&framedConn{br: br}).readReply(get); err != nil || get.err == nil || get.err.Error() != errNoDataRole.Error() {
+	get := getCall(nil, 0, 5, nil, ckey, 0)
+	if err := (&framedConn{c: conn, br: br}).readGets([]*framedCall{&get}); err != nil || get.err == nil || get.err.Error() != errNoDataRole.Error() {
 		t.Fatalf("chunk get on a meta-only node: %v, %v", err, get.err)
 	}
 	if _, _, msg := readNodeReply(t, br, opNodePut); msg != "" {
@@ -653,21 +663,20 @@ func TestFramedServerRefusesOpsOfAMissingRole(t *testing.T) {
 // TestFramedServerAnswersLoneAndPipelinedRequests is the interop check
 // in the other direction, with a raw client standing in for one built
 // before trains: a request sent alone is answered without a second one
-// arriving (the flush rule), and requests written back to back are
-// answered in order.
+// arriving (the flush rule), and requests written back to back — list
+// gets of one among them — are answered in order.
 func TestFramedServerAnswersLoneAndPipelinedRequests(t *testing.T) {
 	_, ep := startNode(t)
 	conn, br := rawFramedConn(t, ep.Data)
 	payload := func(i uint32) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 3000+int(i)) }
 	key := func(i uint32) chunk.Key { return chunk.Key{Blob: 7, Version: 1, Index: i} }
-	rawGet := func(i uint32) []byte {
-		return appendHeader(nil, &frameHeader{op: opGet, key: key(i), length: int64(len(payload(i)))})
-	}
+	get := func(i uint32, length int) framedCall { return getCall(nil, 0, int64(length), nil, key(i), 0) }
+	rawGet := func(i uint32) []byte { return rawGets(get(i, len(payload(i)))) }
 	readGet := func(i uint32) {
 		t.Helper()
 		want := payload(i)
-		c := &framedCall{h: frameHeader{op: opGet, key: key(i), length: int64(len(want))}, data: make([]byte, len(want))}
-		if err := (&framedConn{c: conn, br: br}).readReply(c); err != nil || c.err != nil {
+		c := get(i, len(want))
+		if err := (&framedConn{c: conn, br: br}).readGets([]*framedCall{&c}); err != nil || c.err != nil {
 			t.Fatalf("get %d: %v, %v", i, err, c.err)
 		}
 		if !bytes.Equal(c.data, want) {
@@ -703,8 +712,8 @@ func TestFramedServerAnswersLoneAndPipelinedRequests(t *testing.T) {
 	for i := uint32(1); i <= 4; i++ {
 		readGet(i)
 	}
-	miss := &framedCall{h: frameHeader{op: opGet, key: key(99), length: 1}, data: make([]byte, 1)}
-	if err := (&framedConn{c: conn, br: br}).readReply(miss); err != nil || miss.err == nil || !strings.Contains(miss.err.Error(), "not found") {
+	miss := get(99, 1)
+	if err := (&framedConn{c: conn, br: br}).readGets([]*framedCall{&miss}); err != nil || miss.err == nil || !strings.Contains(miss.err.Error(), "not found") {
 		t.Fatalf("pipelined miss: %v, %v", err, miss.err)
 	}
 }
@@ -923,10 +932,33 @@ func itoa(v int64) string {
 	return string(b[i:])
 }
 
-// fakeFramedGets serves framed gets on a loopback listener, answering
-// each with the given frame sizes instead of the bytes requested. The
-// returned channel gets one value per connection the client ended.
-func fakeFramedGets(t *testing.T, frames []int) (addr string, closed <-chan struct{}) {
+// fakeFramedGets serves list gets on a loopback listener, answering
+// every entry ok with sum(sizes) bytes of 0xAB instead of the bytes it
+// asked for, each reply in one write; a reply shorter than its list
+// asked for is followed by a hang-up. The returned channel gets one
+// value per connection that ended.
+func fakeFramedGets(t *testing.T, sizes []int) (addr string, closed <-chan struct{}) {
+	t.Helper()
+	per := 0
+	for _, n := range sizes {
+		per += n
+	}
+	return fakeListServer(t, func(_, _ int, entries []frameHeader) ([]byte, bool) {
+		reply, want := []byte{statusOK}, int64(0)
+		for _, e := range entries {
+			reply = appendIDs(append(reply, statusOK), nil)
+			want += e.length
+		}
+		reply = append(reply, bytes.Repeat([]byte{0xAB}, per*len(entries))...)
+		return reply, int64(per*len(entries)) < want
+	})
+}
+
+// fakeListServer serves list gets on a loopback listener: answer makes
+// the reply to the req-th list of the conn-th connection (both from 0),
+// written in one write, and says whether to hang up after it. The
+// returned channel gets one value per connection that ended.
+func fakeListServer(t *testing.T, answer func(conn, req int, entries []frameHeader) (reply []byte, hangUp bool)) (addr string, closed <-chan struct{}) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -935,32 +967,39 @@ func fakeFramedGets(t *testing.T, frames []int) (addr string, closed <-chan stru
 	t.Cleanup(func() { ln.Close() })
 	ch := make(chan struct{}, 8)
 	go func() {
-		for {
+		for n := 0; ; n++ {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
 			go func() {
-				defer conn.Close()
+				defer func() {
+					conn.Close()
+					select {
+					case ch <- struct{}{}:
+					default: // nobody counts this many
+					}
+				}()
 				br := bufio.NewReader(conn)
 				magic := make([]byte, len(framedMagic))
 				if _, err := io.ReadFull(br, magic); err != nil || string(magic) != framedMagic {
 					return
 				}
-				for {
+				for req := 0; ; req++ {
 					if _, err := readHeader(br); err != nil {
-						ch <- struct{}{} // EOF, or a reset if replies went unread
+						return // EOF, or a reset if replies went unread
+					}
+					body, err := readBody(&frameBodyReader{r: br}, maxGetBody)
+					if err != nil {
 						return
 					}
-					bw := bufio.NewWriter(conn)
-					bw.WriteByte(0)   // status ok
-					writeIDs(bw, nil) // no fresh replica set
-					for _, n := range frames {
-						writeU32(bw, uint32(n))
-						bw.Write(bytes.Repeat([]byte{0xAB}, n))
+					entries, err := decodeGets(body, nil)
+					if err != nil {
+						t.Errorf("fake server: %v", err)
+						return
 					}
-					writeU32(bw, 0)
-					if bw.Flush() != nil {
+					reply, hangUp := answer(n, req, entries)
+					if _, err := conn.Write(reply); err != nil || hangUp {
 						return
 					}
 				}
@@ -981,12 +1020,14 @@ func guarded(n int) (dst []byte, intact func() bool) {
 	}
 }
 
-// TestFramedGetRejectsWrongLengthReply: a reply whose frames do not sum
-// to the requested length — one frame too few, one too many — must fail
-// the op and cost the connection: handed on as-is, a short fragment
-// reads as silent zeros and a long one grows without bound — or, read
-// into the caller's buffer, runs over whatever lies behind it. Both
-// forms of get go through one reply reader; both are held to it.
+// TestFramedGetRejectsWrongLengthReply: a reply whose payload does not
+// come to the requested length — written as too few pieces, one piece
+// too many, or a last piece too big — must fail the op and cost the
+// connection: handed on as-is, a short fragment reads as silent zeros,
+// and bytes past the reply would be read as the next one. A get reads
+// exactly the bytes it asked for, so a destination is never overrun; the
+// surplus is what nothing else on the connection asked for. Both forms
+// of get go through one reply reader; both are held to it.
 func TestFramedGetRejectsWrongLengthReply(t *testing.T) {
 	key := chunk.Key{Blob: 1, Version: 2, Index: 3}
 	// dial gives a client whose framed chunk pool talks to addr.
@@ -1055,6 +1096,174 @@ func TestFramedGetRejectsWrongLengthReply(t *testing.T) {
 	}
 }
 
+// TestFramedListGetRetriesAndErrors: a list get whose connection dies
+// mid-payload, on a connection that had served before, is re-sent once
+// on a fresh one and refills every destination from its first byte —
+// an entry the dead reply failed included, the outcome being the re-sent
+// list's; on a
+// real node, a store error fails its read alone, the other reads of the
+// list filled, and GetManyInto returns the first error in list order,
+// whichever train carried it.
+func TestFramedListGetRetriesAndErrors(t *testing.T) {
+	const reads, size = 6, 5000
+	key := func(i int) chunk.Key { return chunk.Key{Blob: 1, Version: 1, Index: uint32(i)} }
+	// The first connection answers its first list, then sends the second
+	// one's statuses — entry 1 failed — and half its payload, of the
+	// wrong bytes, and hangs up; every other answer is whole, entry i's
+	// bytes all i+1.
+	var lists atomic.Int64
+	addr, _ := fakeListServer(t, func(conn, req int, entries []frameHeader) ([]byte, bool) {
+		lists.Add(1)
+		dying := conn == 0 && req == 1
+		reply, payload := []byte{statusOK}, []byte(nil)
+		for i, e := range entries {
+			if dying && i == 1 {
+				reply = appendErrReply(reply, chunk.ErrNotFound)
+				continue
+			}
+			reply = appendIDs(append(reply, statusOK), nil)
+			payload = append(payload, bytes.Repeat([]byte{byte(e.key.Index + 1)}, int(e.length))...)
+		}
+		if dying {
+			return append(reply, bytes.Repeat([]byte{0xEE}, len(payload)/2)...), true
+		}
+		return append(reply, payload...), false
+	})
+	pool := newFramedPool(addr)
+	defer pool.close()
+	if _, err := pool.get(make([]byte, 10), nil, key(0), 0); err != nil {
+		t.Fatal(err)
+	}
+	dst := bytes.Repeat([]byte{0xCC}, reads*size)
+	train := make([]framedCall, reads)
+	for i := range train {
+		train[i] = getCall(dst, i*size, size, nil, key(i), 0)
+	}
+	pool.train(train)
+	for i := range train {
+		if err := train[i].err; err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if got := dst[i*size : (i+1)*size]; bytes.Count(got, []byte{byte(i + 1)}) != size {
+			t.Fatalf("read %d: %d bytes other than its own", i, size-bytes.Count(got, []byte{byte(i + 1)}))
+		}
+	}
+	if n := lists.Load(); n != 3 {
+		t.Fatalf("%d lists answered, want the first read's, the train's and its one re-send", n)
+	}
+
+	_, ep := startNode(t)
+	rc := dialClient(t, ep)
+	const n = 8 // cut into framedPoolCap trains of two
+	keys, data := make([]chunk.Key, 0, n), make([][]byte, 0, n)
+	for i := range n {
+		if i == 2 || i == 5 {
+			continue // never stored
+		}
+		keys, data = append(keys, key(i)), append(data, bytes.Repeat([]byte{byte(i + 1)}, size))
+	}
+	if _, err := rc.PutMany(keys, data); err != nil {
+		t.Fatal(err)
+	}
+	dst = make([]byte, n*size)
+	batch := make([]blob.ChunkRead, n)
+	for i := range batch {
+		batch[i] = blob.ChunkRead{Key: key(i), At: int64(i * size), Length: size}
+	}
+	err := rc.GetManyInto(dst, batch)
+	if err == nil || !errors.Is(err, chunk.ErrNotFound) || !strings.Contains(err.Error(), key(2).String()) {
+		t.Fatalf("GetManyInto with reads 2 and 5 missing: %v, want read 2's not-found", err)
+	}
+	for i := range n {
+		got, want := dst[i*size:(i+1)*size], byte(i+1)
+		if i == 2 || i == 5 {
+			want = 0
+		}
+		if bytes.Count(got, []byte{want}) != size {
+			t.Fatalf("read %d: not filled as its own alone", i)
+		}
+	}
+}
+
+// TestFramedServerBoundsListGet speaks the raw wire protocol: what a list
+// get names comes straight off the wire, so a count past the body, none
+// or more than maxTrainCalls entries, an entry of another op, a negative
+// offset or length, a range past the largest int64 and a list asking for
+// more than maxTrainBytes are each refused in-band, the list alone — the
+// connection aligned, a good list behind them answered.
+func TestFramedServerBoundsListGet(t *testing.T) {
+	_, ep := startNode(t)
+	key := chunk.Key{Blob: 9, Version: 1}
+	c := dialClient(t, ep)
+	if _, err := c.Put(key, []byte("hello, list")); err != nil {
+		t.Fatal(err)
+	}
+	// body is a list get's body of count entries, each header as given;
+	// list is the request that carries it.
+	body := func(count uint32, entries ...frameHeader) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, count)
+		for _, e := range entries {
+			b = appendHeader(b, &e)
+		}
+		return b
+	}
+	list := func(body []byte) []byte {
+		return appendRawBody(appendHeader(nil, &frameHeader{op: opGet}), [][]byte{body})
+	}
+	get := func(off, length int64) frameHeader { return frameHeader{op: opGet, key: key, off: off, length: length} }
+	many := func(n int, length int64) []frameHeader {
+		entries := make([]frameHeader, n)
+		for i := range entries {
+			entries[i] = get(0, length)
+		}
+		return entries
+	}
+	conn, br := rawFramedConn(t, ep.Data)
+	for _, tc := range []struct {
+		name, want string
+		req        []byte
+	}{
+		{"a count past the body", "runs past the body", list(body(3, get(0, 5)))},
+		{"no entries", "list get of 0 entries", list(body(0))},
+		{"more than 32 entries", "list get of 33 entries", list(body(33, many(33, 1)...))},
+		{"more than 1 MiB", "asks for more than 1048576 bytes", list(body(2, get(0, 600<<10), get(0, 600<<10)))},
+		{"a negative length", "asks for -1 bytes", list(body(1, get(0, -1)))},
+		{"a negative offset", "asks for 5 bytes at -1", list(body(1, get(-1, 5)))},
+		{"a range past the largest int64", "asks for 20 bytes", list(body(1, get(math.MaxInt64-10, 20)))},
+		{"another op", "is op 1", list(body(1, frameHeader{op: opPut, key: key, length: 5}))},
+		{"bytes after the list", "1 bytes after a list get", list(append(body(1, get(0, 5)), 0))},
+		{"a body past its bound", "body exceeds the limit", appendRawBody(appendHeader(nil, &frameHeader{op: opGet}), [][]byte{make([]byte, maxGetBody), {0}})},
+	} {
+		conn.Write(tc.req)
+		call := getCall(nil, 0, 5, nil, key, 0)
+		if err := (&framedConn{c: conn, br: br}).readGets([]*framedCall{&call}); err != nil {
+			t.Fatalf("%s: %v, want an in-band refusal", tc.name, err)
+		}
+		if call.err == nil || !strings.Contains(call.err.Error(), tc.want) {
+			t.Fatalf("%s: refused with %v, want %q", tc.name, call.err, tc.want)
+		}
+	}
+	// 32 entries of a megabyte's worth, and one past a megabyte alone, are
+	// within the bounds.
+	calls := make([]framedCall, maxTrainCalls)
+	for i := range calls {
+		calls[i] = getCall(nil, 0, 5, nil, key, int64(i%6))
+	}
+	conn.Write(rawGets(calls...))
+	ptrs := make([]*framedCall, len(calls))
+	for i := range calls {
+		ptrs[i] = &calls[i]
+	}
+	if err := (&framedConn{c: conn, br: br}).readGets(ptrs); err != nil {
+		t.Fatal(err)
+	}
+	for i, call := range calls {
+		if call.err != nil || string(call.data) != "hello, list"[i%6:i%6+5] {
+			t.Fatalf("entry %d of a full list after the refusals: %q, %v", i, call.data, call.err)
+		}
+	}
+}
+
 // writeCountingListener hands the node connections that count the Write
 // calls made on them with the bytes those carried, and the ReadFrom calls
 // with what they were handed. They embed the *net.TCPConn, so a
@@ -1097,31 +1306,29 @@ func (c *writeCountingConn) ReadFrom(r io.Reader) (int64, error) {
 	return c.TCPConn.ReadFrom(r)
 }
 
-// Which way a get whose frames do not fit the write buffer leaves the
-// server is chosen by what the store's reader is. One that holds its
-// bytes in memory writes itself: the status and fresh set flushed, every
-// frame word and every frame in one vectored write of the stored slice,
-// the terminator with the serve loop's flush — where each frame used to
-// cost a flush of its word and a copy of its payload through a 32 KiB
-// buffer. A disk:// store's chunk file is its own writer too, but keeps
-// the loop, a frame word and a sendfile per frame: written to anything
-// but the socket itself it would be read into a buffer first. So does a
-// reader that is not its own writer: a FaultStore's stream still fails
-// where it was armed to, mid-frame, and takes the connection with it.
-// A coded chunk (rs-4+2 over six stores of the kind) leaves in memory
+// A train of gets is one list get, and which way its payload leaves the
+// server is chosen entry by entry by what the store's reader is. One
+// that holds its bytes in memory hands its slices over, uncopied, and
+// they leave with the statuses at the serve loop's one flush: no Write,
+// no ReadFrom, one flush — a vectored write — for the whole train. A
+// disk:// store's chunk file goes to the socket itself, one ReadFrom per
+// entry, which the kernel sendfiles for a whole chunk. So does a reader
+// that holds nothing in memory: a FaultStore's stream still fails where
+// it was armed to, mid-payload, and takes the connection with it. A
+// coded chunk (rs-4+2 over six stores of the kind) leaves in memory
 // whatever its stores: intact on mem://, each data fragment is its
-// store's slice, one vectored write apiece; degraded, the reply is the
-// slab it was rebuilt in; on disk://, the fragments read into a slab.
-func TestFramedGetLeavesMemoryInOneVectoredWrite(t *testing.T) {
-	const size = 1 << 20 // four frames
-	const frames = size / maxFrame
-	key := chunk.Key{Blob: 1, Version: 1}
-	payload := make([]byte, size)
+// store's slice; degraded, the reply is the slab it was rebuilt in; on
+// disk://, the fragments read into a slab.
+func TestFramedGetTrainLeavesInOneVectoredWrite(t *testing.T) {
+	const size, entries = 256 << 10, 4 // a megabyte's train
+	payload := make([]byte, entries*size)
 	rand.New(rand.NewSource(3)).Read(payload)
+	key := func(i int) chunk.Key { return chunk.Key{Blob: 1, Version: 1, Index: uint32(i)} }
 	// boot serves one provider — six, coded — on stores behind a counting
-	// listener, with the chunk stored; degraded flags the provider of
-	// data fragment 0 down. It returns the chunk's placement.
-	boot := func(store func() chunk.Store, coded, degraded bool) (*writeCountingListener, string, []provider.ID) {
+	// listener, with the chunks stored; degraded flags the provider of
+	// data fragment 0 down. It returns the chunks' placements and the
+	// node's registry.
+	boot := func(store func() chunk.Store, coded, degraded bool) (*writeCountingListener, string, [][]provider.ID, *metrics.Registry) {
 		t.Helper()
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -1140,22 +1347,25 @@ func TestFramedGetLeavesMemoryInOneVectoredWrite(t *testing.T) {
 		for i := range providers {
 			mgr.Register(provider.New(provider.ID(i), store()))
 		}
-		node, err := serve(counted, Roles{Data: router})
+		reg := metrics.NewRegistry()
+		node, err := serve(counted, Roles{Data: router, Metrics: reg})
 		if err != nil {
 			lis.Close()
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { node.Close() })
-		ids, err := router.Put(key, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if degraded {
-			if err := mgr.SetDown(ids[0], true); err != nil {
+		ids := make([][]provider.ID, entries)
+		for i := range ids {
+			if ids[i], err = router.Put(key(i), payload[i*size:(i+1)*size]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return counted, node.Addr(), ids
+		if degraded {
+			if err := mgr.SetDown(ids[0][0], true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return counted, node.Addr(), ids, reg
 	}
 	mem := func() chunk.Store { return chunk.NewMemStore(nil) }
 	disk := func() chunk.Store {
@@ -1170,64 +1380,75 @@ func TestFramedGetLeavesMemoryInOneVectoredWrite(t *testing.T) {
 		name            string
 		store           func() chunk.Store
 		coded, degraded bool
-		off, n          int
-		vectored        bool // else the loop: a Write and a ReadFrom per frame
-		sendfile        bool // the loop's ReadFroms are handed the chunk file
+		off             int  // each entry reads its chunk from off to size-off
+		vectored        bool // else a ReadFrom per entry
+		sendfile        bool // the ReadFroms are handed the chunk file
 	}{
-		{name: "mem", store: mem, n: size, vectored: true},
-		{name: "mem, a range", store: mem, off: 4096, n: size - 8192, vectored: true},
-		{name: "unarmed faults over mem", store: func() chunk.Store { return chunk.NewFaultStore(chunk.NewMemStore(nil)) }, n: size},
-		{name: "disk, the whole chunk", store: disk, n: size, sendfile: true},
-		{name: "disk, a range", store: disk, off: 4096, n: size - 8192},
-		{name: "coded mem", store: mem, coded: true, n: size, vectored: true},
-		{name: "coded mem, a range", store: mem, coded: true, off: 4096, n: size - 8192, vectored: true},
-		{name: "coded mem, degraded", store: mem, coded: true, degraded: true, n: size, vectored: true},
-		{name: "coded disk", store: disk, coded: true, n: size, vectored: true},
+		{name: "mem", store: mem, vectored: true},
+		{name: "mem, ranges", store: mem, off: 4096, vectored: true},
+		{name: "unarmed faults over mem", store: func() chunk.Store { return chunk.NewFaultStore(chunk.NewMemStore(nil)) }},
+		{name: "disk, whole chunks", store: disk, sendfile: true},
+		{name: "disk, ranges", store: disk, off: 4096},
+		{name: "coded mem", store: mem, coded: true, vectored: true},
+		{name: "coded mem, ranges", store: mem, coded: true, off: 4096, vectored: true},
+		{name: "coded mem, degraded", store: mem, coded: true, degraded: true, vectored: true},
+		{name: "coded disk", store: disk, coded: true, vectored: true},
 	} {
-		counted, addr, ids := boot(c.store, c.coded, c.degraded)
+		counted, addr, ids, reg := boot(c.store, c.coded, c.degraded)
 		pool := newFramedPool(addr)
-		dst, intact := guarded(c.n)
-		_, err := pool.get(dst, ids, key, int64(c.off))
+		n := size - 2*c.off
+		dst, intact := guarded(entries * n)
+		batch := make([]framedCall, entries)
+		for i := range batch {
+			batch[i] = getCall(dst, i*n, int64(n), ids[i], key(i), int64(c.off))
+		}
+		pool.train(batch)
 		pool.close()
-		if err != nil || !bytes.Equal(dst, payload[c.off:c.off+c.n]) || !intact() {
-			t.Fatalf("%s: get: %v, guards intact %v", c.name, err, intact())
-		}
-		writes, carried := counted.writes.Load(), counted.bytes.Load()
-		readFroms, sendfiles := counted.readFroms.Load(), counted.sendfiles.Load()
-		if c.vectored {
-			// Status and an empty fresh set; then, uncounted, the writev or
-			// writevs; then the terminator.
-			if writes > 2 || carried > 16 || readFroms != 0 {
-				t.Errorf("%s: the reply took %d Write calls carrying %d bytes and %d ReadFrom calls beside its vectored write, want 2 of a few bytes and none",
-					c.name, writes, carried, readFroms)
+		for i := range batch {
+			if err := batch[i].err; err != nil || !bytes.Equal(batch[i].data, payload[i*size+c.off:(i+1)*size-c.off]) {
+				t.Fatalf("%s: get %d: %v", c.name, i, err)
 			}
-			continue
 		}
-		// A frame word a frame (the first behind the status), each followed
-		// by its payload handed to the connection, and the terminator.
-		if writes != frames+1 || carried > 16+4*frames || readFroms != frames {
-			t.Errorf("%s: the reply took %d Write calls carrying %d bytes and %d ReadFrom calls, want the loop's %d of a few bytes and %d",
-				c.name, writes, carried, readFroms, frames+1, frames)
+		if !intact() {
+			t.Fatalf("%s: the train wrote outside its buffer", c.name)
 		}
-		if want := map[bool]int64{true: frames}[c.sendfile]; sendfiles != want {
-			t.Errorf("%s: %d of the payload ReadFroms were handed the chunk file itself, want %d", c.name, sendfiles, want)
+		writes, readFroms, sendfiles := counted.writes.Load(), counted.readFroms.Load(), counted.sendfiles.Load()
+		// (Counted before the flush, so once the slices arrived; an entry
+		// copied to the socket arrives before it is counted.)
+		if flushes := reg.Snapshot()["bs_data_flush_ops_count"]; c.vectored && flushes != 1 {
+			t.Errorf("%s: the train took %v flushes, want 1", c.name, flushes)
+		}
+		// The statuses leave with the slices, or in a plain write ahead of
+		// the first entry copied to the socket.
+		wantWrites, want, wantSendfiles := int64(1), int64(entries), int64(0)
+		if c.vectored {
+			wantWrites, want = 0, 0
+		}
+		if writes != wantWrites || counted.bytes.Load() > 64 {
+			t.Errorf("%s: the reply took %d Write calls carrying %d bytes beside its vectored write, want %d of a few bytes", c.name, writes, counted.bytes.Load(), wantWrites)
+		}
+		if c.sendfile {
+			wantSendfiles = entries
+		}
+		if readFroms != want || sendfiles != wantSendfiles {
+			t.Errorf("%s: %d ReadFrom calls, %d handed the chunk file itself, want %d and %d", c.name, readFroms, sendfiles, want, wantSendfiles)
 		}
 	}
 
 	faults := chunk.NewFaultStore(chunk.NewMemStore(nil))
-	_, addr, _ := boot(func() chunk.Store { return faults }, false, false)
+	_, addr, _, _ := boot(func() chunk.Store { return faults }, false, false)
 	conn, br := rawFramedConn(t, addr)
-	faults.FailGetStreamAfter(300 << 10) // inside the second frame
-	conn.Write(appendHeader(nil, &frameHeader{op: opGet, key: key, length: size}))
+	faults.FailGetStreamAfter(100 << 10) // inside the first entry
+	conn.Write(rawGets(getCall(nil, 0, size, nil, key(0), 0), getCall(nil, 0, size, nil, key(1), 0)))
 	got, err := io.ReadAll(br)
 	if err != nil {
 		t.Fatalf("reading up to the server's hang-up: %v", err)
 	}
-	const head = 2 + 4 // status, count, one fresh ID
-	if len(got) <= head+4+maxFrame+4 || len(got) >= head+size {
-		t.Fatalf("%d bytes of reply before the hang-up: want the first frame and part of the second", len(got))
+	const head = 1 + 2*(2+4) // the list's status; each entry's, its count and one fresh ID
+	if len(got) <= head || len(got) >= head+size {
+		t.Fatalf("%d bytes of reply before the hang-up: want the statuses and part of the first entry", len(got))
 	}
-	if !bytes.Equal(got[head+4:head+4+maxFrame], payload[:maxFrame]) {
-		t.Fatal("the frame that did arrive carries other bytes")
+	if !bytes.Equal(got[head:], payload[:len(got)-head]) {
+		t.Fatal("the payload that did arrive carries other bytes")
 	}
 }

@@ -31,7 +31,7 @@ const fuzzMaxChunk = 4 << 10
 // a malformed request — and must not have stored a chunk over its bound
 // or more bytes than the input carried. The seed corpus (testdata/fuzz)
 // holds a legal train of each op kind, each version-manager op, hostile
-// version-manager and walk bodies, walks over stored nodes — one of them
+// version-manager, walk and list get bodies, walks over stored nodes — one of them
 // a leaf chained to itself, which once spun a reader for good — a put of
 // a leaf without fragments, the shortest node there is, and the two
 // framing bugs once fixed by hand: a put body longer than its header
@@ -150,57 +150,79 @@ func pipedPeer(t *testing.T, p *framedPool, reply []byte) <-chan []byte {
 	return req
 }
 
-// okWithIDs reports whether reply opens as a put's and a get's do —
-// status ok, a count, that many replica IDs — and returns the count and
-// what follows the IDs.
-func okWithIDs(reply []byte) (ids int, rest []byte, ok bool) {
+// okWithIDs reports whether reply opens as a put's does — status ok, a
+// count, that many replica IDs — and returns the count.
+func okWithIDs(reply []byte) (ids int, ok bool) {
 	if len(reply) < 2 || reply[0] != statusOK || len(reply) < 2+4*int(reply[1]) {
-		return 0, nil, false
+		return 0, false
 	}
-	return int(reply[1]), reply[2+4*int(reply[1]):], true
+	return int(reply[1]), true
 }
 
-// getReplyModel is what a get of length bytes must make of reply: the
-// bytes its frames carry, when it is a well-formed answer of exactly
-// that many, and refusal of anything else.
-func getReplyModel(reply []byte, length int) (data []byte, ok bool) {
-	_, rest, ok := okWithIDs(reply)
-	if !ok {
-		return nil, false
+// listReplyModel is what a list get of n entries of length bytes each
+// must make of reply. Well-formed — status ok, a well-formed status per
+// entry, then exactly the ok entries' bytes — it hands each ok entry its
+// bytes, and the get succeeds when every entry is ok; any other reply
+// fails it. sure is false where the client cannot tell: bytes past a
+// reply longer than its read buffer are left on a socket the peer hangs
+// up.
+func listReplyModel(reply []byte, n, length int) (data [][]byte, succeeds, sure bool) {
+	if len(reply) == 0 || reply[0] != statusOK {
+		return nil, false, true
 	}
-	data = []byte{}
-	for len(rest) >= 4 {
-		n := int64(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		if n == 0 {
-			return data, len(data) == length
+	rest, all := reply[1:], true
+	ok := make([]bool, n)
+	for i := range ok {
+		switch {
+		case len(rest) >= 2 && rest[0] == statusOK && len(rest) >= 2+4*int(rest[1]):
+			rest, ok[i] = rest[2+4*int(rest[1]):], true
+		case len(rest) >= 5 && rest[0] == statusErr:
+			m := int64(binary.LittleEndian.Uint32(rest[1:]))
+			if m > 1<<20 || m > int64(len(rest)-5) {
+				return nil, false, true
+			}
+			rest, all = rest[5+m:], false
+		default:
+			return nil, false, true
 		}
-		if n > maxFrame || n > int64(length-len(data)) || n > int64(len(rest)) {
-			return nil, false
-		}
-		data, rest = append(data, rest[:n]...), rest[n:]
 	}
-	return nil, false
+	data = make([][]byte, n)
+	for i := range ok {
+		if ok[i] {
+			if len(rest) < length {
+				return nil, false, true
+			}
+			data[i], rest = rest[:length], rest[length:]
+		}
+	}
+	if len(rest) > 0 {
+		return data, false, len(reply) <= 64<<10
+	}
+	return data, all, true
 }
 
 // FuzzFramedReply feeds arbitrary bytes to the client as a server's
 // answer to each kind of call — a get, a get into the caller's buffer, a
-// put, the three node ops, a walk and every version-manager call — over an
-// in-memory connection. No call may panic or hang. A get succeeds exactly
-// when the reply is a well-formed body of the length asked for, with
-// those bytes; an into-get, besides, never writes outside its
-// destination, whatever the frames claim; a walk or a version-manager
-// call succeeds only on an ok reply. The seed corpus (testdata/fuzz) holds a
-// legal reply of each kind and the wrong-length replies of
-// TestFramedGetRejectsWrongLengthReply.
+// list of three gets into one buffer, a put, the three node ops, a walk
+// and every version-manager call — over an in-memory connection. No call
+// may panic or hang. A get succeeds exactly when the reply is a
+// well-formed list reply whose every entry is ok with the length asked
+// for, and returns those bytes; an into-get, besides, never writes
+// outside its destination, whatever the reply claims; a walk or a
+// version-manager call succeeds only on an ok reply. The seed corpus
+// (testdata/fuzz) holds a legal reply of each kind, the wrong-length
+// replies of TestFramedGetRejectsWrongLengthReply, a status block cut
+// short, a list whose middle entry failed, and the replies of the framed
+// single get the list get replaced (get-abort-sentinel, get-*-frame*),
+// which a list reader refuses.
 func FuzzFramedReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, reply []byte, length uint16) {
 		key := chunk.Key{Blob: 1, Version: 2, Index: 3}
-		want, ok := getReplyModel(reply, int(length))
+		want, ok, sure := listReplyModel(reply, 1, int(length))
 
 		data, _, err := pipedClient(t, reply).GetFrom(nil, key, 0, int64(length))
-		if (err == nil) != ok || (ok && !bytes.Equal(data, want)) {
-			t.Fatalf("GetFrom of %d bytes: %d bytes, %v; the reply holds %d, well-formed %v", length, len(data), err, len(want), ok)
+		if (sure && (err == nil) != ok) || (err == nil && !bytes.Equal(data, want[0])) {
+			t.Fatalf("GetFrom of %d bytes: %d bytes, %v; the model: %v", length, len(data), err, ok)
 		}
 
 		dst, intact := guarded(int(length))
@@ -208,12 +230,28 @@ func FuzzFramedReply(f *testing.F) {
 		if !intact() {
 			t.Fatalf("GetInto of %d bytes wrote outside its destination (%v)", length, err)
 		}
-		if (err == nil) != ok || (ok && !bytes.Equal(dst, want)) {
-			t.Fatalf("GetInto of %d bytes: %v; the reply holds %d, well-formed %v", length, err, len(want), ok)
+		if (sure && (err == nil) != ok) || (err == nil && !bytes.Equal(dst, want[0])) {
+			t.Fatalf("GetInto of %d bytes: %v; the model: %v", length, err, ok)
+		}
+
+		// A train of three gets into one buffer, end to end: one list get.
+		want, ok, sure = listReplyModel(reply, 3, int(length))
+		dst, intact = guarded(3 * int(length))
+		train := make([]framedCall, 3)
+		for i := range train {
+			train[i] = getCall(dst, i*int(length), int64(length), nil, chunk.Key{Blob: 1, Version: 2, Index: uint32(i)}, 0)
+		}
+		pipedClient(t, reply).pool.train(train)
+		err = firstErr(train)
+		if !intact() {
+			t.Fatalf("a list of 3 x %d bytes wrote outside its destination (%v)", length, err)
+		}
+		if (sure && (err == nil) != ok) || (err == nil && !bytes.Equal(dst, bytes.Join(want, nil))) {
+			t.Fatalf("a list of 3 x %d bytes: %v; the model: %v", length, err, ok)
 		}
 
 		ids, err := pipedClient(t, reply).Put(key, []byte("payload"))
-		if n, _, ok := okWithIDs(reply); (err == nil) != ok || len(ids) != n {
+		if n, ok := okWithIDs(reply); (err == nil) != ok || len(ids) != n {
 			t.Fatalf("Put: %d replicas, %v", len(ids), err)
 		}
 

@@ -180,7 +180,7 @@ func (s *holdingFramedServer) serve(conn net.Conn) {
 		<-s.release
 		bw.WriteByte(statusOK)
 		if h.op == opPut {
-			writeIDs(bw, []provider.ID{provider.ID(h.key.Index)})
+			bw.Write(appendIDs(nil, []provider.ID{provider.ID(h.key.Index)}))
 		}
 		if bw.Flush() != nil {
 			return
@@ -200,8 +200,20 @@ func (p *framedPool) node(op byte, blob uint64, key segtree.NodeKey, body []byte
 }
 
 func (p *framedPool) get(dst []byte, replicas []provider.ID, key chunk.Key, off int64) ([]provider.ID, error) {
-	c := p.one(getCall(dst, int64(len(dst)), replicas, key, off))
+	c := p.one(getCall(dst, 0, int64(len(dst)), replicas, key, off))
 	return c.ids, c.err
+}
+
+// train runs calls as one train, whatever the bounds: one round trip, a
+// list get for gets.
+func (p *framedPool) train(calls []framedCall) {
+	t := &framedTrain{left: len(calls)}
+	for i := range calls {
+		calls[i].of = t
+		t.calls = append(t.calls, &calls[i])
+		t.bytes += calls[i].payload()
+	}
+	p.do(t)
 }
 
 // poolCounts reads the pool's bookkeeping.

@@ -435,7 +435,7 @@ func (c *Client) GetFrom(replicas []provider.ID, key chunk.Key, off, length int6
 	if length < 0 {
 		return nil, nil, fmt.Errorf("remote: negative read length %d for chunk %v", length, key)
 	}
-	r := c.pool.one(getCall(nil, length, replicas, key, off))
+	r := c.pool.one(getCall(nil, 0, length, replicas, key, off))
 	if r.err != nil {
 		return nil, nil, r.err
 	}
@@ -446,17 +446,22 @@ func (c *Client) GetFrom(replicas []provider.ID, key chunk.Key, off, length int6
 // off, off the socket into dst, never past them; after an error dst holds
 // nothing the caller may use. (blob finds it by assertion.)
 func (c *Client) GetInto(dst []byte, replicas []provider.ID, key chunk.Key, off int64) (fresh []provider.ID, err error) {
-	r := c.pool.one(getCall(dst, int64(len(dst)), replicas, key, off))
+	r := c.pool.one(getCall(dst, 0, int64(len(dst)), replicas, key, off))
 	return r.ids, r.err
 }
 
-// GetManyInto is GetInto for every read of the list, as one batch, each
-// Fresh set where the hint was stale. Every read is attempted; the error
-// is the first in list order, after which no Dst is to be used.
-func (c *Client) GetManyInto(reads []blob.ChunkRead) error {
+// GetManyInto is GetInto for every read of the list, each into dst at
+// its At, as one batch, each Fresh set where the hint was stale; reads
+// that fill consecutive bytes of dst leave the socket as one. Every read
+// is attempted; the error is the first in list order, after which no
+// read's bytes are to be used.
+func (c *Client) GetManyInto(dst []byte, reads []blob.ChunkRead) error {
 	batch := make([]framedCall, len(reads))
 	for i, r := range reads {
-		batch[i] = getCall(r.Dst, int64(len(r.Dst)), r.Replicas, r.Key, r.Off)
+		if r.At < 0 || r.Length < 0 || r.Length > int64(len(dst))-r.At {
+			return fmt.Errorf("remote: read %d of chunk %v: %d bytes at %d of a %d-byte destination", i, r.Key, r.Length, r.At, len(dst))
+		}
+		batch[i] = getCall(dst, int(r.At), r.Length, r.Replicas, r.Key, r.Off)
 	}
 	c.pool.run(batch)
 	for i := range batch {

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -138,7 +137,7 @@ func decodeWalkRequest(b []byte) ([]segtree.NodeKey, []extent.List, error) {
 // which the connection keeps for its next walk unless it grew past one
 // frame. As in serveNodePut the body is consumed whatever becomes of the
 // request, and what is wrong with it fails this op alone.
-func (s *framedServer) serveWalk(body *frameBodyReader, bw *bufio.Writer, h frameHeader, scratch *[]byte) error {
+func (s *framedServer) serveWalk(body *frameBodyReader, w *replyWriter, h frameHeader, scratch *[]byte) error {
 	body.reset()
 	var req []byte
 	err := errNoMetaRole
@@ -153,12 +152,12 @@ func (s *framedServer) serveWalk(body *frameBodyReader, bw *bufio.Writer, h fram
 		reply, err = s.walk((*scratch)[:0], h.key.Blob, req)
 	}
 	if err != nil {
-		return writeErrReply(bw, err)
+		return writeErrReply(w, err)
 	}
 	if cap(reply) <= maxFrame {
 		*scratch = reply
 	}
-	return s.writeOK(bw, reply)
+	return s.writeOK(w, reply)
 }
 
 // walk runs the walk a request asks for and appends the reply body to
