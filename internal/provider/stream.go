@@ -29,7 +29,7 @@ var ErrChunkTooLarge = errors.New("provider: chunk exceeds max chunk size")
 // negative or exceeds the configured bound. The check runs before ANY
 // buffer allocation: a put with more than one target materializes the
 // payload into a size-sized buffer, and the size comes straight from the
-// wire header — an unchecked value would let one corrupt frame force an
+// wire header — an unchecked value would let one corrupt header force an
 // arbitrary allocation.
 type ChunkTooLargeError struct {
 	Size int64 // declared payload size

@@ -265,7 +265,7 @@ func BenchmarkFramedGetSerial(b *testing.B) {
 
 // BenchmarkFramedPut1MiBWindow8 is checkpoint_restore's shape: 32 puts
 // of 1 MiB, 8 in flight. A megabyte chunk
-// is a train of one and its frames never fit a write buffer, so trains
+// is a train of one and its payload never fits a write buffer, so trains
 // must leave this where it was.
 func BenchmarkFramedPut1MiBWindow8(b *testing.B) {
 	_, ep := startCountedNode(b, "null://", nil)

@@ -1,14 +1,14 @@
 // Framed plane: the binary wire protocol that carries every call a
 // Client makes — the version manager's calls, chunk payloads and
-// segment-tree nodes — in length-prefixed frames (a list get's reply
-// payload excepted).
+// segment-tree nodes — each body behind its length.
 //
 // A client opens each framed connection by sending the 4-byte magic
-// "BSD1"; the server peeks the first bytes of every accepted connection
-// and routes magic-led ones to the framed loop, everything else to the
-// HTTP server of the operator calls (admin.go). A node answers an op
-// whose role it does not host — VM, data or meta — with an in-band
-// error, keeping the connection.
+// "BSD2", the wire's version; the server peeks the first bytes of every
+// accepted connection and routes magic-led ones to the framed loop,
+// everything else — a peer of another wire version too — to the HTTP
+// server of the operator calls (admin.go). A node answers an op whose
+// role it does not host — VM, data or meta — with an in-band error,
+// keeping the connection.
 //
 // Wire format (all integers little-endian, matching chunk.Ref):
 //
@@ -25,11 +25,16 @@
 //	            Snapshot, Versions, Retain (off = keepLast), DropVersion,
 //	            Pin, Unpin, GCInfo, MarkReclaimed; 21=walk (meta role: a
 //	            resolve's tree walk, blob in the header).
-//	body:       frames of u32 size (1..maxFrame) + payload, then a u32 0
-//	            terminator; the sentinel 0xFFFFFFFF aborts the stream.
+//	body:       a u32 length, then exactly that many bytes, at most the
+//	            bound of its op (bodyLimit); a request body over it is
+//	            refused in-band, its bytes skipped as they arrive.
 //	err reply:  status u8 1, u32 len + message, to any op.
-//	put:        header + body, the chunk payload. Reply: status u8; 0 ok →
-//	            u8 count + count*u32 replica IDs.
+//	put:        header + the chunk payload: exactly the length the header
+//	            declares, no length word. A length over the chunk bound is
+//	            refused in-band, its bytes skipped; a negative one is
+//	            refused and closes the connection, nothing saying where
+//	            its payload ends. Reply: status u8; 0 ok → u8 count +
+//	            count*u32 replica IDs.
 //	list get:   header (op alone) + body: count u32 (1..maxTrainCalls),
 //	            then per entry a get header — op 2, the chunk key, off,
 //	            length, the replica hint — asking for at most
@@ -37,13 +42,12 @@
 //	            A malformed list is refused whole, in-band. Reply: ok →
 //	            per entry a status, ok → u8 freshCount (+IDs), err → u32
 //	            len + message; then the ok entries' bytes back to back,
-//	            unframed, exactly the sum of their lengths. A store
+//	            no length word, exactly the sum of their lengths. A store
 //	            failure mid-payload closes the connection — the statuses
 //	            already promised the bytes; open-time errors fail their
 //	            entry alone.
 //	node put:   header + body, the node in segtree's binary form, at most
-//	            maxNodeBody bytes (a longer body is drained and refused).
-//	            Reply: ok.
+//	            maxNodeBody bytes. Reply: ok.
 //	node get reply:  ok → a body, the node; 2 miss → nothing more. A
 //	            try-get answers a node not (yet) stored with miss, a get
 //	            with the store's error.
@@ -108,9 +112,11 @@ import (
 )
 
 // framedMagic is the 4-byte connection preamble that selects the
-// framed plane. No HTTP request starts with these bytes (a method name
-// comes first), so the peek is unambiguous.
-const framedMagic = "BSD1"
+// framed plane, and names its version: a change to the wire format
+// bumps it, so peers of different versions refuse each other at
+// connect. No HTTP request starts with these bytes (a method name comes
+// first), so the peek is unambiguous.
+const framedMagic = "BSD2"
 
 const (
 	// Chunk ops (data role), node ops (meta role).
@@ -125,12 +131,11 @@ const (
 	// Reply statuses; a miss answers a node try-get only.
 	statusOK, statusErr, statusMiss = 0, 1, 2
 
-	// maxFrame bounds one frame's payload: disk reads amortize syscalls,
-	// per-frame buffers stay bounded.
-	maxFrame = 256 << 10
-
-	// frameAbort is the frame size that aborts a body mid-stream.
-	frameAbort = 0xFFFFFFFF
+	// bodyStep is how far a body's buffer grows ahead of the bytes that
+	// arrived: a body up to this long is read into one buffer of its
+	// length, a longer one a step at a time, so a length word that lies
+	// costs at most one step.
+	bodyStep = 256 << 10
 
 	frameHeaderLen = 40
 
@@ -157,13 +162,24 @@ const (
 	replyBufSize = 64 << 10
 )
 
-// sendsBody reports whether a request of op carries a body.
-func sendsBody(op byte) bool {
-	return op == opPut || op == opGet || op == opNodePut || op == opAssignTicket || op == opComplete || op == opWalkNodes
+// bodyLimit is the bound of the body a request of op carries, 0 for an
+// op that sends none. (A put's payload is no body: its header declares
+// its length.)
+func bodyLimit(op byte) int {
+	switch op {
+	case opGet:
+		return maxGetBody
+	case opNodePut:
+		return maxNodeBody
+	case opAssignTicket, opComplete:
+		return maxVMBody
+	case opWalkNodes:
+		return maxWalkBody
+	}
+	return 0
 }
 
 var (
-	errAborted    = errors.New("remote: stream aborted by peer")
 	errNoDataRole = errors.New("remote: chunk op on a node without the data role")
 	errNoMetaRole = errors.New("remote: node op on a node without the meta role")
 	errNoVMRole   = errors.New("remote: version-manager op on a node without the VM role")
@@ -188,18 +204,6 @@ func wireError(msg string) error {
 		}
 	}
 	return errors.New(msg)
-}
-
-// PutOverrunError refuses a put whose body carried payload beyond the
-// length its header declared, instead of acknowledging bytes the store
-// was never handed.
-type PutOverrunError struct {
-	Key             chunk.Key
-	Declared, Extra int64
-}
-
-func (e *PutOverrunError) Error() string {
-	return fmt.Sprintf("remote: put body for chunk %v carries %d bytes beyond the %d declared", e.Key, e.Extra, e.Declared)
 }
 
 // frameHeader is the fixed request header of one framed operation.
@@ -342,111 +346,33 @@ func readIDList(r *bufio.Reader, n int) ([]provider.ID, error) {
 	return ids, nil
 }
 
-// frameBodyReader adapts a framed body to io.Reader, so a store consumes
-// payload bytes straight off the connection, and feeds the per-frame
-// metrics. A server connection has one, reset per body.
-type frameBodyReader struct {
-	r       *bufio.Reader
-	left    uint32 // bytes remaining in the current frame
-	seen    int64  // payload bytes the body has carried so far
-	done    bool
-	aborted bool
-	frames  *metrics.Counter
-	bytes   *metrics.Counter
-}
-
-func (fr *frameBodyReader) reset() {
-	fr.left, fr.seen, fr.done, fr.aborted = 0, 0, false, false
-}
-
-// next reads the next frame word into left: io.EOF at the terminator,
-// errAborted at the abort sentinel.
-func (fr *frameBodyReader) next() error {
-	if fr.done || fr.aborted {
-		return io.EOF
-	}
-	n, err := readU32(fr.r)
+// readBody reads a body — a u32 length, then that many bytes — into
+// buf[:0] and returns it, never nil. It grows the buffer as the bytes
+// arrive, at most bodyStep ahead of them. A body over limit is refused
+// (refused), its bytes skipped, and the stream stays aligned; err is a
+// stream that failed, which costs the connection.
+func readBody(r *bufio.Reader, buf []byte, limit int) (body []byte, refused, err error) {
+	n, err := readU32(r)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	switch {
-	case n == 0:
-		fr.done = true
-		return io.EOF
-	case n == frameAbort:
-		fr.aborted = true
-		return errAborted
-	case n > maxFrame:
-		return fmt.Errorf("remote: oversized frame (%d bytes)", n)
+	if int64(n) > int64(limit) {
+		if _, err := r.Discard(int(n)); err != nil {
+			return nil, nil, err
+		}
+		return nil, fmt.Errorf("remote: body of %d bytes exceeds the limit of %d", n, limit), nil
 	}
-	fr.left = n
-	fr.frames.Inc()
-	return nil
-}
-
-// consumed accounts for n payload bytes taken off the current frame.
-func (fr *frameBodyReader) consumed(n int) {
-	fr.left -= uint32(n)
-	fr.seen += int64(n)
-	fr.bytes.Add(int64(n))
-}
-
-func (fr *frameBodyReader) Read(p []byte) (int, error) {
-	for fr.left == 0 {
-		if err := fr.next(); err != nil {
-			return 0, err
+	if body = buf[:0]; body == nil {
+		body = []byte{}
+	}
+	for len(body) < int(n) {
+		step := min(int(n)-len(body), bodyStep)
+		body = slices.Grow(body, step)[:len(body)+step]
+		if _, err := io.ReadFull(r, body[len(body)-step:]); err != nil {
+			return nil, nil, err
 		}
 	}
-	if uint32(len(p)) > fr.left {
-		p = p[:fr.left]
-	}
-	n, err := fr.r.Read(p)
-	fr.consumed(n)
-	return n, err
-}
-
-// drain skips the rest of the body, keeping the connection aligned on
-// the next request whatever became of this one.
-func (fr *frameBodyReader) drain() error {
-	for {
-		n, err := fr.r.Discard(int(fr.left))
-		fr.consumed(n)
-		if err != nil {
-			return err
-		}
-		if err := fr.next(); err == io.EOF || err == errAborted {
-			return nil
-		} else if err != nil {
-			return err
-		}
-	}
-}
-
-// readBody reads a whole body of at most limit bytes, never nil. It
-// allocates frame by frame — for the usual single-frame body once,
-// exactly — so never more than one frame ahead of the bytes that
-// arrived. An error leaves the rest of the body unread.
-func readBody(fr *frameBodyReader, limit int) ([]byte, error) {
-	return appendBody(fr, []byte{}, limit)
-}
-
-// appendBody is readBody into data, reused: the body is appended to it.
-func appendBody(fr *frameBodyReader, data []byte, limit int) ([]byte, error) {
-	for {
-		if err := fr.next(); fr.done {
-			return data, nil
-		} else if err != nil {
-			return data, err // io.EOF too: the stream ended before the terminator
-		}
-		n := len(data) + int(fr.left)
-		if n > limit {
-			return data, fmt.Errorf("remote: body exceeds the limit of %d bytes", limit)
-		}
-		data = slices.Grow(data, int(fr.left))[:n]
-		if _, err := io.ReadFull(fr, data[n-int(fr.left):]); err != nil {
-			return data, err
-		}
-	}
+	return body, nil, nil
 }
 
 // framedServer serves the framed plane of one node against its roles,
@@ -456,8 +382,7 @@ type framedServer struct {
 	vm       VMBackend
 	r        *provider.Router
 	nodes    *metadata.Store
-	frames   *metrics.Counter   // bs_data_frames_total: body frames, either way
-	bytes    *metrics.Counter   // bs_data_stream_bytes_total: chunk and node bytes, either way
+	bytes    *metrics.Counter   // bs_data_stream_bytes_total: payload and body bytes, either way
 	flushOps *metrics.Histogram // bs_data_flush_ops
 	// Requests answered: bs_data_requests_total{op} (a list get counts
 	// its entries), bs_meta_node_ops_total{op},
@@ -470,7 +395,6 @@ type framedServer struct {
 func newFramedServer(roles Roles) *framedServer {
 	s := &framedServer{vm: roles.VM, r: roles.Data, nodes: roles.Meta, walkBound: maxWalkBody}
 	if reg := roles.Metrics; reg != nil {
-		s.frames = reg.Counter("bs_data_frames_total")
 		s.bytes = reg.Counter("bs_data_stream_bytes_total")
 		s.flushOps = reg.Histogram("bs_data_flush_ops", trainBuckets())
 		s.requests[opPut] = reg.Counter("bs_data_requests_total", metrics.Label{Key: "op", Value: "put"})
@@ -499,33 +423,49 @@ func trainBuckets() []float64 { return metrics.ExponentialBuckets(1, 2, 6) }
 func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 	defer conn.Close()
 	w := &replyWriter{conn: conn}
-	defer w.release() // closes the readers of replies that never left
-	body := &frameBodyReader{r: br, frames: s.frames, bytes: s.bytes}
-	gets := &getScratch{body: frameBodyReader{r: br}} // reused from list get to list get
-	var walkReply []byte                              // reused from walk to walk
-	answered := 0                                     // requests served since the input last ran dry
+	defer w.release()               // closes the readers of replies that never left
+	put := &io.LimitedReader{R: br} // a put's payload, straight off the connection
+	gets := &getScratch{}           // reused from list get to list get
+	var scratch, walkReply []byte   // reused from body to body, from walk to walk
+	answered := 0                   // requests served since the input last ran dry
 	for {
 		h, err := readHeader(br)
 		if err != nil {
 			return // EOF or dead peer
 		}
-		n := 1 // requests answered: a list get's entries
-		switch h.op {
-		case opPut:
-			err = s.servePut(body, w, h)
-		case opGet:
-			n, err = s.serveGets(w, gets)
-		case opNodePut:
-			err = s.serveNodePut(body, w, h)
-		case opNodeGet, opNodeTryGet:
-			err = s.serveNodeGet(w, h)
-		case opWalkNodes:
-			err = s.serveWalk(body, w, h, &walkReply)
-		default:
-			if h.op < opCreateBlob || h.op > opMarkReclaimed {
-				return // protocol violation
+		// A body is read whole before its op is served; one over its
+		// op's bound fails the op alone.
+		var body []byte
+		var refused error
+		if limit := bodyLimit(h.op); limit > 0 {
+			if body, refused, err = readBody(br, scratch, limit); err != nil {
+				return
 			}
-			err = s.serveVM(body, w, h)
+			if cap(body) <= bodyStep {
+				scratch = body // nothing served keeps a body
+			}
+			if h.op != opGet { // a list names chunk bytes, it carries none
+				s.bytes.Add(int64(len(body)))
+			}
+		}
+		n := 1 // requests answered: a list get's entries
+		switch {
+		case refused != nil:
+			writeErrReply(w, refused)
+		case h.op == opPut:
+			err = s.servePut(br, put, w, h)
+		case h.op == opGet:
+			n, err = s.serveGets(w, gets, body)
+		case h.op == opNodePut:
+			s.serveNodePut(w, h, body)
+		case h.op == opNodeGet || h.op == opNodeTryGet:
+			err = s.serveNodeGet(w, h)
+		case h.op == opWalkNodes:
+			err = s.serveWalk(w, h, body, &walkReply)
+		case h.op < opCreateBlob || h.op > opMarkReclaimed:
+			return // protocol violation
+		default:
+			err = s.serveVM(w, h, body)
 		}
 		if err != nil {
 			return
@@ -641,37 +581,34 @@ func writeErrReply(w *replyWriter, err error) error {
 	return nil
 }
 
-func (s *framedServer) servePut(body *frameBodyReader, w *replyWriter, h frameHeader) error {
-	body.reset()
-	var (
-		ids []provider.ID
-		err error
-	)
-	if s.r == nil {
-		err = errNoDataRole
-	} else if max := s.r.MaxChunkSize(); h.length < 0 || h.length > max {
-		// The declared size comes straight off the wire; reject it here
-		// before the router can act on it (PutStream checks again, but
-		// the server must not trust the router to be its input filter).
-		err = &provider.ChunkTooLargeError{Size: h.length, Max: max}
-	} else {
-		ids, err = s.r.PutStream(h.key, h.length, body)
+// servePut hands the store the put's payload off br through put,
+// limited to the length its header declares, then skips what the store
+// left unread: all of a payload it refused, say. A negative length is
+// answered, then costs the connection: nothing says where its payload
+// ends.
+func (s *framedServer) servePut(br *bufio.Reader, put *io.LimitedReader, w *replyWriter, h frameHeader) error {
+	var ids []provider.ID
+	err, unread := errNoDataRole, h.length
+	if s.r != nil {
+		if max := s.r.MaxChunkSize(); h.length < 0 || h.length > max {
+			// The declared size comes straight off the wire; reject it here
+			// before the router can act on it (PutStream checks again, but
+			// the server must not trust the router to be its input filter).
+			err = &provider.ChunkTooLargeError{Size: h.length, Max: max}
+		} else {
+			put.N = h.length
+			ids, err = s.r.PutStream(h.key, h.length, put)
+			s.bytes.Add(h.length - put.N)
+			unread = put.N
+		}
 	}
-	// Whatever happened, the body must be consumed to keep the
-	// connection aligned on the next header. A short store error (say
-	// ErrExists) leaves unread frames behind.
-	if derr := body.drain(); derr != nil {
+	if unread < 0 {
+		writeErrReply(w, err)
+		w.flush()
+		return err
+	}
+	if _, derr := br.Discard(int(unread)); derr != nil {
 		return derr
-	}
-	switch {
-	case err != nil:
-	case body.aborted:
-		// The client aborted after the store already consumed exactly
-		// length bytes — cannot happen with a well-formed abort, but
-		// never report success for an aborted upload.
-		err = errAborted
-	case body.seen > h.length:
-		err = &PutOverrunError{Key: h.key, Declared: h.length, Extra: body.seen - h.length}
 	}
 	if err != nil {
 		return writeErrReply(w, err)
@@ -682,29 +619,18 @@ func (s *framedServer) servePut(body *frameBodyReader, w *replyWriter, h frameHe
 
 // getScratch is what a connection reuses from list get to list get.
 type getScratch struct {
-	body    frameBodyReader // uncounted: a list names chunk bytes, it carries none
-	req     []byte
 	entries []frameHeader
 	readers []io.ReadCloser
 }
 
 // serveGets answers a list get: every entry opened, each answered with
-// its status, then the ok entries' bytes in order (replyWriter.send). As
-// in serveNodePut the body is consumed whatever becomes of the request,
-// and what is wrong with the list fails it alone. It returns the
+// its status, then the ok entries' bytes in order (replyWriter.send).
+// What is wrong with the list, req, fails it alone. It returns the
 // requests answered: the entries, or the one list it refused.
-func (s *framedServer) serveGets(w *replyWriter, g *getScratch) (int, error) {
-	g.body.reset()
-	var err error
-	g.req, err = appendBody(&g.body, g.req[:0], maxGetBody)
-	if derr := g.body.drain(); derr != nil {
-		return 0, derr
-	}
-	if err == nil && s.r == nil {
-		err = errNoDataRole
-	}
-	if err == nil {
-		g.entries, err = decodeGets(g.req, g.entries[:0])
+func (s *framedServer) serveGets(w *replyWriter, g *getScratch, req []byte) (int, error) {
+	err := errNoDataRole
+	if s.r != nil {
+		g.entries, err = decodeGets(req, g.entries[:0])
 	}
 	if err != nil {
 		return 1, writeErrReply(w, err)
@@ -788,31 +714,21 @@ func decodeGets(b []byte, entries []frameHeader) ([]frameHeader, error) {
 	return entries, nil
 }
 
-// serveNodePut stores the node the body encodes. As in servePut the body
-// is consumed whatever becomes of the put, and what is wrong with it
-// fails this op alone.
-func (s *framedServer) serveNodePut(body *frameBodyReader, w *replyWriter, h frameHeader) error {
-	body.reset()
-	var enc []byte
+// serveNodePut stores the node enc encodes; what is wrong with it fails
+// this op alone.
+func (s *framedServer) serveNodePut(w *replyWriter, h frameHeader, enc []byte) {
 	err := errNoMetaRole
 	if s.nodes != nil {
-		enc, err = readBody(body, maxNodeBody)
-	}
-	if derr := body.drain(); derr != nil {
-		return derr
-	}
-	var n *segtree.Node
-	if err == nil {
-		n, err = segtree.DecodeNode(enc)
-	}
-	if err == nil {
-		err = s.nodes.PutNode(h.key.Blob, h.nodeKey(), n)
+		var n *segtree.Node
+		if n, err = segtree.DecodeNode(enc); err == nil {
+			err = s.nodes.PutNode(h.key.Blob, h.nodeKey(), n)
+		}
 	}
 	if err != nil {
-		return writeErrReply(w, err)
+		writeErrReply(w, err)
+		return
 	}
 	w.buf = append(w.buf, statusOK)
-	return nil
 }
 
 // serveNodeGet answers a node get or try-get.
@@ -838,40 +754,17 @@ func (s *framedServer) serveNodeGet(w *replyWriter, h frameHeader) error {
 
 // writeOK writes an ok reply whose body is enc.
 func (s *framedServer) writeOK(w *replyWriter, enc []byte) error {
-	w.buf = append(w.buf, statusOK)
-	for len(enc) > 0 {
-		frame := enc[:min(len(enc), maxFrame)]
-		enc = enc[len(frame):]
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(frame)))
-		if err := w.write(frame); err != nil {
-			return err
-		}
-		s.frames.Inc()
-		s.bytes.Add(int64(len(frame)))
-	}
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, 0)
-	return nil
+	w.buf = binary.LittleEndian.AppendUint32(append(w.buf, statusOK), uint32(len(enc)))
+	s.bytes.Add(int64(len(enc)))
+	return w.write(enc)
 }
 
-// serveVM answers a version-manager op; a request body is consumed as in
-// serveNodePut.
-func (s *framedServer) serveVM(body *frameBodyReader, w *replyWriter, h frameHeader) error {
-	var req []byte
-	var err error
-	if sendsBody(h.op) {
-		body.reset()
-		req, err = readBody(body, maxVMBody)
-		if derr := body.drain(); derr != nil {
-			return derr
-		}
+// serveVM answers a version-manager op whose request body is req.
+func (s *framedServer) serveVM(w *replyWriter, h frameHeader, req []byte) error {
+	if s.vm == nil {
+		return writeErrReply(w, errNoVMRole)
 	}
-	var out []byte
-	switch {
-	case s.vm == nil:
-		err = errNoVMRole
-	case err == nil:
-		out, err = s.callVM(h, req)
-	}
+	out, err := s.callVM(h, req)
 	if err != nil {
 		return writeErrReply(w, err)
 	}
@@ -998,8 +891,8 @@ type framedTrain struct {
 }
 
 // framedConn is one client connection to a node's framed plane, owned
-// by one train at a time. scratch (headers, frame words, terminators)
-// and bufs (the write vector) are reused from train to train.
+// by one train at a time. scratch (headers and length words) and bufs
+// (the write vector) are reused from train to train.
 type framedConn struct {
 	c       net.Conn
 	br      *bufio.Reader
@@ -1364,9 +1257,9 @@ func (p *framedPool) close() {
 	}
 }
 
-// send writes every request of train in one vectored write: headers,
-// frame words and terminators from scratch, bodies from the callers' own
-// slices, never copied. A train of gets is one list get.
+// send writes every request of train in one vectored write: headers
+// and length words from scratch, payloads and bodies from the callers'
+// own slices, never copied. A train of gets is one list get.
 func (fc *framedConn) send(train []*framedCall) error {
 	buf, bufs, sent := fc.scratch[:0], fc.bufs[:0], 0
 	if train[0].h.op == opGet {
@@ -1375,37 +1268,37 @@ func (fc *framedConn) send(train []*framedCall) error {
 	}
 	for _, c := range train {
 		buf = appendHeader(buf, &c.h)
-		if !sendsBody(c.h.op) {
-			continue
+		if bodyLimit(c.h.op) > 0 {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.data)))
 		}
-		for data := c.data; len(data) > 0; {
-			frame := data[:min(len(data), maxFrame)]
-			data = data[len(frame):]
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(frame)))
-			bufs = append(bufs, buf[sent:], frame)
+		// A call without a body has no data before its reply. No empty
+		// entry: on some conns one is a write of its own.
+		if len(c.data) > 0 {
+			bufs = append(bufs, buf[sent:], c.data)
 			sent = len(buf)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, 0) // terminator
 	}
-	bufs = append(bufs, buf[sent:])
+	if sent < len(buf) {
+		bufs = append(bufs, buf[sent:])
+	}
 	// Keep what the appends grew; WriteTo clears the entries it wrote.
 	fc.scratch, fc.bufs = buf[:0], bufs[:0]
 	_, err := bufs.WriteTo(fc.c)
 	return err
 }
 
-// appendGets appends a list get of the calls: the header, then a body of
-// one frame — the count and each call's get header — and its terminator.
+// appendGets appends a list get of the calls: the header, then a body
+// of the count and each call's get header.
 func appendGets(buf []byte, calls []*framedCall) []byte {
 	buf = appendHeader(buf, &frameHeader{op: opGet})
 	word := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // the frame word, set below
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // the body's length, set below
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(calls)))
 	for _, c := range calls {
 		buf = appendHeader(buf, &c.h)
 	}
 	binary.LittleEndian.PutUint32(buf[word:], uint32(len(buf)-word-4))
-	return binary.LittleEndian.AppendUint32(buf, 0)
+	return buf
 }
 
 // readGets reads the reply to a list get of calls into them: each call's
@@ -1495,25 +1388,26 @@ func (fc *framedConn) readReply(c *framedCall) error {
 	if c.err, err = readStatus(fc.br); c.err != nil || err != nil {
 		return err
 	}
+	limit := maxVMBody
 	switch c.h.op {
+	case opPut:
+		c.ids, err = readIDs(fc.br)
+		return err
 	case opNodePut:
 		return nil
 	case opNodeGet, opNodeTryGet:
-		c.data, err = readBody(&frameBodyReader{r: fc.br}, maxNodeBody) // never nil: only a miss is
-		return err
+		limit = maxNodeBody
+	case opWalkNodes:
+		limit = maxWalkBody
 	}
-	if c.h.op >= opCreateBlob {
-		// Kept only whole: the request body stays for a re-send.
-		limit := maxVMBody
-		if c.h.op == opWalkNodes {
-			limit = maxWalkBody
-		}
-		body, err := readBody(&frameBodyReader{r: fc.br}, limit)
-		if err == nil {
-			c.data = body
-		}
-		return err
+	// Kept only whole: a request body stays for a re-send. A node is
+	// never nil: only a miss is.
+	body, refused, err := readBody(fc.br, nil, limit)
+	if err == nil {
+		err = refused
 	}
-	c.ids, err = readIDs(fc.br) // a put's
+	if err == nil {
+		c.data = body
+	}
 	return err
 }

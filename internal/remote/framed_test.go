@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -30,13 +31,13 @@ import (
 )
 
 // TestFramedChunkRoundTrip drives Put/Get/GetFrom over the framed wire
-// against a live node and checks payload fidelity for both a
-// sub-frame-sized chunk and one spanning several frames.
+// against a live node and checks payload fidelity for both a chunk
+// shorter than a body's read step and one spanning several.
 func TestFramedChunkRoundTrip(t *testing.T) {
 	_, ep := startNode(t)
 	c := dialClient(t, ep)
 
-	for i, size := range []int{100, maxFrame*2 + 7777} {
+	for i, size := range []int{100, bodyStep*2 + 7777} {
 		key := chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}
 		data := make([]byte, size)
 		for j := range data {
@@ -184,7 +185,7 @@ func TestFramedMetrics(t *testing.T) {
 	c := dialClient(t, ep)
 
 	key := chunk.Key{Blob: 3, Version: 1, Index: 0}
-	data := make([]byte, maxFrame+1000) // two frames up, unframed bytes back
+	data := make([]byte, bodyStep+1000) // a payload up, its bytes back
 	if _, err := c.Put(key, data); err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +197,10 @@ func TestFramedMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	if !strings.Contains(text, "bs_data_frames_total 2") {
-		t.Fatalf("want the put's 2 data frames, got:\n%s", text)
+	if strings.Contains(text, "bs_data_frames_total") {
+		t.Fatalf("a series of frames the wire no longer has:\n%s", text)
 	}
-	want := int64(2 * (maxFrame + 1000))
+	want := int64(2 * (bodyStep + 1000))
 	if !strings.Contains(text, "bs_data_stream_bytes_total "+itoa(want)) {
 		t.Fatalf("want %d stream bytes, got:\n%s", want, text)
 	}
@@ -366,23 +367,29 @@ func listenRetry(addr string, roles Roles) (node *Node, err error) {
 	return nil, err
 }
 
-// TestFramedServerRejectsOversizedPut speaks the raw wire protocol and
-// forges a put header declaring a 2 GiB payload: the server must answer
-// with the typed size-bound error — BEFORE the router sees the request,
-// and without desyncing the connection.
+// TestFramedServerRejectsOversizedPut speaks the raw wire protocol: a
+// put header declaring more than the chunk bound is answered with the
+// typed size-bound error — BEFORE the router sees the request — and its
+// declared bytes are skipped as they arrive, so the connection serves on.
 func TestFramedServerRejectsOversizedPut(t *testing.T) {
-	_, ep := startNode(t)
+	node, ep := startNode(t)
+	node.fr.r.SetMaxChunkSize(4 << 10)
 	conn, br := rawFramedConn(t, ep.Data)
 	key := chunk.Key{Blob: 42}
 
-	if _, err := conn.Write(rawPut(key, 1<<31)); err != nil {
+	if _, err := conn.Write(rawPut(key, 8<<10, make([]byte, 8<<10))); err != nil {
 		t.Fatal(err)
 	}
 	if _, msg := readPutReply(t, br); !strings.Contains(msg, "max chunk size") {
 		t.Fatalf("oversized put error = %q, want the size-bound error", msg)
 	}
+	for _, u := range node.fr.r.Usage() {
+		if u.Chunks != 0 {
+			t.Fatalf("the refused put stored a chunk on provider %d", u.Provider)
+		}
+	}
 
-	// The rejection drained the body: the same connection still serves
+	// The refusal skipped the payload: the same connection still serves
 	// a well-formed put.
 	if _, err := conn.Write(rawPut(key, 5, []byte("hello"))); err != nil {
 		t.Fatal(err)
@@ -409,18 +416,33 @@ func rawFramedConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 }
 
 // rawPut is the wire form of a put whose header declares length and
-// whose body carries the given frames.
-func rawPut(key chunk.Key, length int64, frames ...[]byte) []byte {
-	return appendRawBody(appendHeader(nil, &frameHeader{op: opPut, key: key, length: length}), frames)
+// whose payload is payload, of that length or not.
+func rawPut(key chunk.Key, length int64, payload []byte) []byte {
+	return append(appendHeader(nil, &frameHeader{op: opPut, key: key, length: length}), payload...)
 }
 
-// appendRawBody appends a body of the given frames and its terminator.
-func appendRawBody(req []byte, frames [][]byte) []byte {
-	for _, f := range frames {
-		req = binary.LittleEndian.AppendUint32(req, uint32(len(f)))
-		req = append(req, f...)
+// appendRawBody appends body behind its length word.
+func appendRawBody(req []byte, body []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(req, uint32(len(body))), body...)
+}
+
+// skipRequestBody skips what follows the header h of a request — a
+// put's payload, or a body — as a fake server that answers without it
+// must.
+func skipRequestBody(br *bufio.Reader, h frameHeader) error {
+	n := h.length
+	if h.op != opPut {
+		n = 0
+		if bodyLimit(h.op) > 0 {
+			w, err := readU32(br)
+			if err != nil {
+				return err
+			}
+			n = int64(w)
+		}
 	}
-	return binary.LittleEndian.AppendUint32(req, 0)
+	_, err := br.Discard(int(n))
+	return err
 }
 
 // readPutReply reads one put reply: the replica set, or the server's
@@ -443,43 +465,33 @@ func readPutReply(t *testing.T, br *bufio.Reader) (ids []provider.ID, msg string
 	return ids, ""
 }
 
-// TestFramedServerRejectsOverlongPut: a body carrying more payload than
-// its header declared used to be acknowledged — the store took the
-// declared bytes, the rest was discarded in silence and the reply said
-// ok. It must be an error, leave the connection aligned, and inside a
-// train of pipelined puts fail alone.
+// TestFramedServerRejectsOverlongPut: a put longer than the chunk bound
+// inside a train of pipelined puts, written in one go, fails alone — its
+// train-mates stored, the connection aligned on the put behind it.
 func TestFramedServerRejectsOverlongPut(t *testing.T) {
-	_, ep := startNode(t)
+	node, ep := startNode(t)
+	node.fr.r.SetMaxChunkSize(4 << 10)
 	conn, br := rawFramedConn(t, ep.Data)
 	key := func(i uint32) chunk.Key { return chunk.Key{Blob: 42, Version: 1, Index: i} }
-	extra := bytes.Repeat([]byte{0xEE}, 100)
+	overlong := bytes.Repeat([]byte{0xEE}, 4<<10+1)
 
-	// Alone: 5 + 100 bytes under a header declaring 5.
-	if _, err := conn.Write(rawPut(key(0), 5, []byte("hello"), extra)); err != nil {
-		t.Fatal(err)
-	}
-	if _, msg := readPutReply(t, br); !strings.Contains(msg, "100 bytes beyond the 5 declared") {
-		t.Fatalf("overlong put answered %q, want the overrun error", msg)
-	}
-	// Within one frame too: a single 105-byte frame under the same header.
-	if _, err := conn.Write(rawPut(key(1), 5, append([]byte("hello"), extra...))); err != nil {
-		t.Fatal(err)
-	}
-	if _, msg := readPutReply(t, br); !strings.Contains(msg, "100 bytes beyond the 5 declared") {
-		t.Fatalf("overlong single-frame put answered %q, want the overrun error", msg)
-	}
-
-	// In a train, written in one go: good, overlong, good.
-	train := rawPut(key(2), 5, []byte("first"))
-	train = append(train, rawPut(key(3), 5, []byte("hello"), extra)...)
-	train = append(train, rawPut(key(4), 5, []byte("third"))...)
+	train := rawPut(key(0), 5, []byte("first"))
+	train = append(train, rawPut(key(1), int64(len(overlong)), overlong)...)
+	train = append(train, rawPut(key(2), 5, []byte("third"))...)
 	if _, err := conn.Write(train); err != nil {
 		t.Fatal(err)
 	}
 	for i, wantErr := range []bool{false, true, false} {
 		ids, msg := readPutReply(t, br)
-		if wantErr != (msg != "") || wantErr == (len(ids) > 0) {
+		if wantErr != (msg != "") || wantErr == (len(ids) > 0) || (wantErr && !strings.Contains(msg, "max chunk size")) {
 			t.Fatalf("train put %d: ids %v, error %q", i, ids, msg)
+		}
+	}
+	c := dialClient(t, ep)
+	for i, want := range []string{"first", "", "third"} {
+		got, err := c.Get(key(uint32(i)), 0, 5)
+		if (want == "") != (err != nil) || string(got) != want {
+			t.Fatalf("chunk %d: %q, %v; want %q", i, got, err, want)
 		}
 	}
 }
@@ -493,13 +505,13 @@ func rawGets(calls ...framedCall) []byte {
 	return appendGets(nil, ptrs)
 }
 
-// rawNodeOp is the wire form of a node op; frames are the body of a put.
-func rawNodeOp(op byte, blob uint64, key segtree.NodeKey, frames ...[]byte) []byte {
+// rawNodeOp is the wire form of a node op; body is a put's.
+func rawNodeOp(op byte, blob uint64, key segtree.NodeKey, body []byte) []byte {
 	req := appendHeader(nil, &frameHeader{op: op, key: chunk.Key{Blob: blob, Version: key.Version}, off: key.Offset, length: key.Size})
 	if op != opNodePut {
 		return req
 	}
-	return appendRawBody(req, frames)
+	return appendRawBody(req, body)
 }
 
 // readNodeReply reads the reply to one node op sent by hand: the node
@@ -518,10 +530,10 @@ func readNodeReply(t *testing.T, br *bufio.Reader, op byte) (enc []byte, miss bo
 
 // TestFramedServerBoundsNodeOps speaks the raw wire protocol: what a
 // node put carries comes straight off the wire, so a body over the
-// bound, a body that is no node, an aborted body and a different node
-// under a stored key are each refused in-band, alone — their train-mates
-// answered, the connection aligned, nothing stored — and the two kinds
-// of miss are told apart.
+// bound, a body that is no node and a different node under a stored key
+// are each refused in-band, alone — their train-mates answered, the
+// connection aligned, nothing stored — a node may arrive in pieces, and
+// the two kinds of miss are told apart.
 func TestFramedServerBoundsNodeOps(t *testing.T) {
 	node, ep := startNode(t)
 	store := node.fr.nodes
@@ -537,33 +549,28 @@ func TestFramedServerBoundsNodeOps(t *testing.T) {
 		return enc
 	}
 
-	// One frame more than the bound holds.
-	huge := make([][]byte, maxNodeBody/maxFrame+1)
-	for i := range huge {
-		huge[i] = make([]byte, maxFrame)
-	}
-	conn.Write(rawNodeOp(opNodePut, 1, key(0), huge...))
-	expect("an oversized node put", opNodePut, "body exceeds the limit of 4194304 bytes")
+	// A step of bytes past the bound, skipped as they arrive.
+	huge := make([]byte, maxNodeBody+bodyStep)
+	conn.Write(rawNodeOp(opNodePut, 1, key(0), huge))
+	expect("an oversized node put", opNodePut, "exceeds the limit of 4194304")
 	// Exactly the bound is read whole, and refused only for not being a node.
-	conn.Write(rawNodeOp(opNodePut, 1, key(0), huge[:len(huge)-1]...))
+	conn.Write(rawNodeOp(opNodePut, 1, key(0), huge[:maxNodeBody]))
 	expect("a bound-sized body of zeros", opNodePut, "inner node of "+itoa(maxNodeBody)+" bytes")
 
-	aborted := appendHeader(nil, &frameHeader{op: opNodePut, key: chunk.Key{Blob: 1, Version: 1}, length: 512})
-	aborted = binary.LittleEndian.AppendUint32(aborted, 10)
-	aborted = append(aborted, good(0)[:10]...)
-	aborted = binary.LittleEndian.AppendUint32(aborted, frameAbort)
-
-	// One write, seven requests: the refusals fail alone.
+	// Seven requests in two writes: the refusals fail alone. The fifth
+	// is the same node again, its bytes split across the two writes.
 	var train []byte
 	train = append(train, rawNodeOp(opNodePut, 1, key(1), good(1))...)
 	train = append(train, rawNodeOp(opNodePut, 1, key(2), []byte("not a node"))...)
-	train = append(train, aborted...)
-	train = append(train, rawNodeOp(opNodePut, 1, key(1), good(9))...)                    // key(1) holds another node
-	train = append(train, rawNodeOp(opNodePut, 1, key(1), good(1)[:40], good(1)[40:])...) // the same node, in two frames
-	train = append(train, rawNodeOp(opNodePut, 1, key(3))...)                             // no body at all
+	train = append(train, rawNodeOp(opNodePut, 1, key(2), huge[:maxNodeBody+1])...) // one byte past the bound
+	train = append(train, rawNodeOp(opNodePut, 1, key(1), good(9))...)              // key(1) holds another node
+	same := rawNodeOp(opNodePut, 1, key(1), good(1))
+	conn.Write(append(train, same[:frameHeaderLen+4+20]...))
+	time.Sleep(10 * time.Millisecond)                                                   // the server reads the first piece alone
+	train = append(same[frameHeaderLen+4+20:], rawNodeOp(opNodePut, 1, key(3), nil)...) // no body at all
 	train = append(train, rawNodeOp(opNodePut, 1, key(4), good(4))...)
 	conn.Write(train)
-	for i, wantErr := range []string{"", "unknown node kind 110", errAborted.Error(), metadata.ErrExists.Error(), "", "empty node encoding", ""} {
+	for i, wantErr := range []string{"", "unknown node kind 110", "exceeds the limit of 4194304", metadata.ErrExists.Error(), "", "empty node encoding", ""} {
 		expect("train put "+itoa(int64(i+1)), opNodePut, wantErr)
 	}
 	if n := store.Count(); n != 2 {
@@ -576,7 +583,7 @@ func TestFramedServerBoundsNodeOps(t *testing.T) {
 		op  byte
 		key segtree.NodeKey
 	}{{opNodeGet, key(1)}, {opNodeGet, key(2)}, {opNodeTryGet, key(2)}, {opNodeTryGet, key(4)}} {
-		gets = append(gets, rawNodeOp(g.op, 1, g.key)...)
+		gets = append(gets, rawNodeOp(g.op, 1, g.key, nil)...)
 	}
 	conn.Write(gets)
 	if enc := expect("a get", opNodeGet, ""); !bytes.Equal(enc, good(1)) {
@@ -597,6 +604,114 @@ func TestFramedServerBoundsNodeOps(t *testing.T) {
 		conn.Write(appendHeader(nil, &frameHeader{op: op}))
 		if _, err := br.ReadByte(); err != io.EOF {
 			t.Fatalf("after op %d: %v, want the connection closed", op, err)
+		}
+	}
+}
+
+// TestFramedServerRefusesLengths is the table of what a request's
+// length can be refused for. A body over its op's bound and a put
+// declaring more than the chunk bound are refused in-band, their
+// declared bytes skipped as they arrive, and the connection serves the
+// put behind them; a put declaring a negative length is answered with
+// the size-bound error and then costs the connection, nothing saying
+// where its payload ends.
+func TestFramedServerRefusesLengths(t *testing.T) {
+	node, ep := startNode(t)
+	node.fr.r.SetMaxChunkSize(4 << 10)
+	key := chunk.Key{Blob: 7, Version: 1}
+	overBound := appendRawBody(appendHeader(nil, &frameHeader{op: opWalkNodes, key: key}), make([]byte, maxWalkBody+1))
+	for _, tc := range []struct {
+		name, want string
+		req        []byte
+		kept       bool
+	}{
+		{"a body over its op's bound", "exceeds the limit of " + itoa(maxWalkBody), overBound, true},
+		{"a put over the chunk bound", "exceeds max chunk size 4096", rawPut(key, 8<<10, make([]byte, 8<<10)), true},
+		{"a put of a negative length", "declared chunk size -1", rawPut(key, -1, []byte("torn")), false},
+	} {
+		conn, br := rawFramedConn(t, ep.Data)
+		key.Index++
+		conn.Write(append(tc.req, rawPut(key, 2, []byte("ok"))...))
+		if reported, err := readStatus(br); err != nil || reported == nil || !strings.Contains(reported.Error(), tc.want) {
+			t.Fatalf("%s: answered %v, %v; want %q", tc.name, reported, err, tc.want)
+		}
+		if !tc.kept {
+			if _, err := br.ReadByte(); err != io.EOF {
+				t.Fatalf("%s: %v after the refusal, want the connection closed", tc.name, err)
+			}
+			continue
+		}
+		if ids, msg := readPutReply(t, br); len(ids) == 0 {
+			t.Fatalf("%s: the put behind it answered %q", tc.name, msg)
+		}
+	}
+}
+
+// TestLyingLengthWordsAllocateLittle: a body's length word comes
+// straight off the wire. One that claims its op's bound and carries ten
+// bytes before the peer hangs up costs at most a read step of buffer,
+// never the bound — at the server, for each op that sends a body, and
+// at the client, for a node-get or version-manager reply.
+func TestLyingLengthWordsAllocateLittle(t *testing.T) {
+	const most = 1 << 20
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	mgr, _ := provider.NewPool(2, iosim.CostModel{})
+	fs := newFramedServer(Roles{VM: vmanager.New(iosim.CostModel{}), Meta: metadata.NewStore(2, iosim.CostModel{}), Data: provider.NewRouter(mgr)})
+	for _, op := range []byte{opNodePut, opAssignTicket, opWalkNodes, opGet} {
+		req := binary.LittleEndian.AppendUint32(appendHeader(nil, &frameHeader{op: op, key: chunk.Key{Blob: 1}}), uint32(bodyLimit(op)))
+		req = append(req, make([]byte, 10)...)
+		client, server := net.Pipe()
+		go func() {
+			client.Write(req)
+			client.Close()
+		}()
+		br := bufio.NewReaderSize(server, 64<<10)
+		if n := allocated(func() { fs.serve(server, br) }); n >= most {
+			t.Errorf("op %d: a body claiming %d bytes and carrying 10 cost the server %d bytes", op, bodyLimit(op), n)
+		}
+	}
+	for op, limit := range map[byte]int{opNodeGet: maxNodeBody, opVersions: maxVMBody} {
+		reply := binary.LittleEndian.AppendUint32([]byte{statusOK}, uint32(limit))
+		fc := &framedConn{br: bufio.NewReader(bytes.NewReader(append(reply, make([]byte, 10)...)))}
+		var err error
+		if n := allocated(func() { err = fc.readReply(&framedCall{h: frameHeader{op: op}}) }); n >= most || err == nil {
+			t.Errorf("op %d: a reply claiming %d bytes and carrying 10 cost the client %d bytes (%v)", op, limit, n, err)
+		}
+	}
+}
+
+// TestFramedOldWireVersionIsNotServed: a peer of another wire version
+// opens with its own magic, and the node does not serve it as framed —
+// the connection lands on the HTTP server, which answers it as a
+// malformed request — while the same request behind the current magic
+// gets its framed reply.
+func TestFramedOldWireVersionIsNotServed(t *testing.T) {
+	_, ep := startNode(t)
+	req := appendHeader(nil, &frameHeader{op: opVersions, key: chunk.Key{Blob: 1}})
+	for _, magic := range []string{"BSD1", framedMagic} {
+		conn, err := net.Dial("tcp", ep.VM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReader(conn)
+		if magic == framedMagic {
+			conn.Write(append([]byte(magic), req...))
+			if reported, err := readStatus(br); err != nil || !errors.Is(reported, vmanager.ErrUnknownBlob) {
+				t.Fatalf("behind %s: %v, %v; want the framed error reply", magic, reported, err)
+			}
+			continue
+		}
+		conn.Write(append(append([]byte(magic), req...), "\r\n"...))
+		if line, err := br.ReadString('\n'); !strings.HasPrefix(line, "HTTP/1.1 400 ") {
+			t.Fatalf("behind %s: %q, %v; want the HTTP server's refusal", magic, line, err)
 		}
 	}
 }
@@ -638,8 +753,8 @@ func TestFramedServerRefusesOpsOfAMissingRole(t *testing.T) {
 
 	conn, br = rawFramedConn(t, dataNode.Addr())
 	req = rawNodeOp(opNodePut, 1, nkey, enc)
-	req = append(req, rawNodeOp(opNodeGet, 1, nkey)...)
-	req = append(req, rawNodeOp(opNodeTryGet, 1, nkey)...)
+	req = append(req, rawNodeOp(opNodeGet, 1, nkey, nil)...)
+	req = append(req, rawNodeOp(opNodeTryGet, 1, nkey, nil)...)
 	req = append(req, rawWalk(1, walkBody(walkPart{nkey, extent.List{nkey.Range()}}))...)
 	req = append(req, rawPut(ckey, 5, []byte("hello"))...)
 	conn.Write(req)
@@ -824,7 +939,7 @@ func TestFramedCodedRoundTrip(t *testing.T) {
 	c := dialClient(t, ep)
 
 	key := chunk.Key{Blob: 5, Version: 1, Index: 0}
-	data := make([]byte, maxFrame+12345)
+	data := make([]byte, bodyStep+12345)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
@@ -989,8 +1104,8 @@ func fakeListServer(t *testing.T, answer func(conn, req int, entries []frameHead
 					if _, err := readHeader(br); err != nil {
 						return // EOF, or a reset if replies went unread
 					}
-					body, err := readBody(&frameBodyReader{r: br}, maxGetBody)
-					if err != nil {
+					body, refused, err := readBody(br, nil, maxGetBody)
+					if err != nil || refused != nil {
 						return
 					}
 					entries, err := decodeGets(body, nil)
@@ -1208,7 +1323,7 @@ func TestFramedServerBoundsListGet(t *testing.T) {
 		return b
 	}
 	list := func(body []byte) []byte {
-		return appendRawBody(appendHeader(nil, &frameHeader{op: opGet}), [][]byte{body})
+		return appendRawBody(appendHeader(nil, &frameHeader{op: opGet}), body)
 	}
 	get := func(off, length int64) frameHeader { return frameHeader{op: opGet, key: key, off: off, length: length} }
 	many := func(n int, length int64) []frameHeader {
@@ -1232,7 +1347,7 @@ func TestFramedServerBoundsListGet(t *testing.T) {
 		{"a range past the largest int64", "asks for 20 bytes", list(body(1, get(math.MaxInt64-10, 20)))},
 		{"another op", "is op 1", list(body(1, frameHeader{op: opPut, key: key, length: 5}))},
 		{"bytes after the list", "1 bytes after a list get", list(append(body(1, get(0, 5)), 0))},
-		{"a body past its bound", "body exceeds the limit", appendRawBody(appendHeader(nil, &frameHeader{op: opGet}), [][]byte{make([]byte, maxGetBody), {0}})},
+		{"a body past its bound", "exceeds the limit", appendRawBody(appendHeader(nil, &frameHeader{op: opGet}), make([]byte, maxGetBody+1))},
 	} {
 		conn.Write(tc.req)
 		call := getCall(nil, 0, 5, nil, key, 0)

@@ -31,11 +31,15 @@ const fuzzMaxChunk = 4 << 10
 // a malformed request — and must not have stored a chunk over its bound
 // or more bytes than the input carried. The seed corpus (testdata/fuzz)
 // holds a legal train of each op kind, each version-manager op, hostile
-// version-manager, walk and list get bodies, walks over stored nodes — one of them
-// a leaf chained to itself, which once spun a reader for good — a put of
-// a leaf without fragments, the shortest node there is, and the two
-// framing bugs once fixed by hand: a put body longer than its header
-// declared, and one shorter, followed by a get of the declared length.
+// version-manager, walk and list get bodies, walks over stored nodes —
+// one of them a leaf chained to itself, which once spun a reader for
+// good — a put of a leaf without fragments, the shortest node there is,
+// and lengths that lie: a put cut short (aborted-put), a node body four
+// bytes short of its length word (bug-node-body-without-terminator), a
+// put followed by bytes its header never declared, which the server
+// reads as the next request (bug-overlong-put), and a put declaring
+// more than it carries, which swallows the get behind it
+// (bug-short-put-then-get).
 func FuzzFramedServer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input []byte) {
 		mgr := provider.NewManager()
@@ -80,9 +84,9 @@ func FuzzFramedServer(f *testing.F) {
 			}
 			stored += u.Bytes
 		}
-		// A stored node took a header, a frame word, the 29 bytes of a
-		// leaf without fragments at the least, and a terminator.
-		if sent := int64(len(input)); stored > sent || int64(nodes.Count())*(frameHeaderLen+4+29+4) > sent {
+		// A stored node took a header, a length word and the 29 bytes of
+		// a leaf without fragments at the least.
+		if sent := int64(len(input)); stored > sent || int64(nodes.Count())*(frameHeaderLen+4+29) > sent {
 			t.Fatalf("%d chunk bytes and %d nodes stored out of %d bytes of input", stored, nodes.Count(), sent)
 		}
 	})
@@ -141,7 +145,7 @@ func pipedPeer(t *testing.T, p *framedPool, reply []byte) <-chan []byte {
 		if err != nil {
 			return // the test made no call on this pool
 		}
-		if sendsBody(h.op) && (&frameBodyReader{r: br}).drain() != nil {
+		if skipRequestBody(br, h) != nil {
 			return
 		}
 		req <- got.Bytes()
@@ -212,9 +216,13 @@ func listReplyModel(reply []byte, n, length int) (data [][]byte, succeeds, sure 
 // version-manager call succeeds only on an ok reply. The seed corpus
 // (testdata/fuzz) holds a legal reply of each kind, the wrong-length
 // replies of TestFramedGetRejectsWrongLengthReply, a status block cut
-// short, a list whose middle entry failed, and the replies of the framed
-// single get the list get replaced (get-abort-sentinel, get-*-frame*),
-// which a list reader refuses.
+// short, a list whose middle entry failed, and ok replies whose length
+// word lies: past every bound (get-abort-sentinel), one byte past the
+// node bound (get-oversized-frame-word), a body cut short
+// (get-cut-mid-frame, get-one-frame-too-few), bytes past a body
+// (get-one-frame-too-many), a body longer than a get asked for
+// (get-last-frame-too-big) and a node encoding with bytes behind it
+// (node-get-leaf-two-frames).
 func FuzzFramedReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, reply []byte, length uint16) {
 		key := chunk.Key{Blob: 1, Version: 2, Index: 3}

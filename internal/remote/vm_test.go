@@ -120,22 +120,22 @@ var vmGolden = []struct {
 	{"Geometry", func(c *Client) (any, error) { return c.Geometry(9) }, scriptGeometry,
 		"Geometry(9)",
 		"07000000" + "00000000" + "0900000000000000" + zeros3,
-		"00" + "10000000" + "0000100000000000" + "0010000000000000" + "00000000"},
+		"00" + "10000000" + "0000100000000000" + "0010000000000000"},
 	{"AssignTicket", func(c *Client) (any, error) {
 		return c.AssignTicket(9, extent.List{{Offset: 0, Length: 100}, {Offset: 8192, Length: 100}})
 	}, scriptTicket,
 		"AssignTicket(9, [[0,100) [8192,8292)])",
 		"08000000" + "00000000" + "0900000000000000" + zeros3 +
-			"24000000" + "02000000" + "0000000000000000" + "6400000000000000" + "0020000000000000" + "6400000000000000" + "00000000",
+			"24000000" + "02000000" + "0000000000000000" + "6400000000000000" + "0020000000000000" + "6400000000000000",
 		"00" + "3c000000" + "0700000000000000" + "02000000" +
 			"0000000000000000" + "0010000000000000" + "0300000000000000" +
-			"0020000000000000" + "0010000000000000" + "0000000000000000" + "00000000"},
+			"0020000000000000" + "0010000000000000" + "0000000000000000"},
 	{"Complete", func(c *Client) (any, error) {
 		return nil, c.Complete(9, 7, segtree.NodeKey{Version: 7, Size: 1 << 20})
 	}, nil,
 		"Complete(9, 7, v7[0,1048576))",
 		"09000000" + "00000000" + "0900000000000000" + "0700000000000000" + zeros2 +
-			"18000000" + "0700000000000000" + "0000000000000000" + "0000100000000000" + "00000000",
+			"18000000" + "0700000000000000" + "0000000000000000" + "0000100000000000",
 		"00" + "00000000"},
 	{"Abort", func(c *Client) (any, error) { return nil, c.Abort(9, 7) }, nil, "Abort(9, 7)",
 		"0a000000" + "00000000" + "0900000000000000" + "0700000000000000" + zeros2, "00" + "00000000"},
@@ -145,20 +145,20 @@ var vmGolden = []struct {
 		"LatestPublished(9)",
 		"0c000000" + "00000000" + "0900000000000000" + zeros3,
 		"00" + "28000000" + "0600000000000000" + "0600000000000000" + "0000000000000000" + "0000100000000000" +
-			"0030000000000000" + "00000000"},
+			"0030000000000000"},
 	{"Snapshot", func(c *Client) (any, error) { return c.Snapshot(9, 6) }, scriptSnapshot,
 		"Snapshot(9, 6)",
 		"0d000000" + "00000000" + "0900000000000000" + "0600000000000000" + zeros2,
 		"00" + "28000000" + "0600000000000000" + "0600000000000000" + "0000000000000000" + "0000100000000000" +
-			"0030000000000000" + "00000000"},
+			"0030000000000000"},
 	{"Versions", func(c *Client) (any, error) { return c.Versions(9) }, []uint64{0, 1, 2},
 		"Versions(9)",
 		"0e000000" + "00000000" + "0900000000000000" + zeros3,
-		"00" + "1c000000" + "03000000" + "0000000000000000" + "0100000000000000" + "0200000000000000" + "00000000"},
+		"00" + "1c000000" + "03000000" + "0000000000000000" + "0100000000000000" + "0200000000000000"},
 	{"Retain", func(c *Client) (any, error) { return c.Retain(9, 2) }, []uint64{1},
 		"Retain(9, 2)",
 		"0f000000" + "00000000" + "0900000000000000" + "0000000000000000" + "0200000000000000" + "0000000000000000",
-		"00" + "0c000000" + "01000000" + "0100000000000000" + "00000000"},
+		"00" + "0c000000" + "01000000" + "0100000000000000"},
 	{"DropVersion", func(c *Client) (any, error) { return nil, c.DropVersion(9, 3) }, nil, "DropVersion(9, 3)",
 		"10000000" + "00000000" + "0900000000000000" + "0300000000000000" + zeros2, "00" + "00000000"},
 	{"Pin", func(c *Client) (any, error) { return nil, c.Pin(9, 5) }, nil, "Pin(9, 5)",
@@ -171,8 +171,7 @@ var vmGolden = []struct {
 		"00" + "64000000" + "0600000000000000" + "0300000000000000" +
 			"03000000" + "0000000000000000" + "0500000000000000" + "0600000000000000" +
 			"01000000" + "0500000000000000" +
-			"01000000" + "0400000000000000" + "0400000000000000" + "0000000000000000" + "0000100000000000" + "0020000000000000" +
-			"00000000"},
+			"01000000" + "0400000000000000" + "0400000000000000" + "0000000000000000" + "0000100000000000" + "0020000000000000"},
 	{"MarkReclaimed", func(c *Client) (any, error) { return nil, c.MarkReclaimed(9, 4) }, nil, "MarkReclaimed(9, 4)",
 		"14000000" + "00000000" + "0900000000000000" + "0400000000000000" + zeros2, "00" + "00000000"},
 }
@@ -261,7 +260,7 @@ func serveRaw(t *testing.T, fs *framedServer, req []byte) []byte {
 func TestVMCodecsRefuseHostileBodies(t *testing.T) {
 	vm := &scriptedVM{}
 	ticket := func(body []byte) []byte {
-		return appendRawBody(appendHeader(nil, &frameHeader{op: opAssignTicket, key: chunk.Key{Blob: 9}}), [][]byte{body})
+		return appendRawBody(appendHeader(nil, &frameHeader{op: opAssignTicket, key: chunk.Key{Blob: 9}}), body)
 	}
 	for name, body := range map[string][]byte{
 		"count past the body": {0xff, 0xff, 0xff, 0x0f, 1, 2, 3},

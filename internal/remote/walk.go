@@ -134,27 +134,18 @@ func decodeWalkRequest(b []byte) ([]segtree.NodeKey, []extent.List, error) {
 // serveWalk answers a walk: segtree's own walk over the metadata store,
 // each node encoded as it is read, until the walk ends or the next node
 // would take the reply past walkBound. The reply is built in *scratch,
-// which the connection keeps for its next walk unless it grew past one
-// frame. As in serveNodePut the body is consumed whatever becomes of the
-// request, and what is wrong with it fails this op alone.
-func (s *framedServer) serveWalk(body *frameBodyReader, w *replyWriter, h frameHeader, scratch *[]byte) error {
-	body.reset()
-	var req []byte
+// which the connection keeps for its next walk unless it grew past
+// bodyStep. What is wrong with the request, req, fails this op alone.
+func (s *framedServer) serveWalk(w *replyWriter, h frameHeader, req []byte, scratch *[]byte) error {
+	var reply []byte
 	err := errNoMetaRole
 	if s.nodes != nil {
-		req, err = readBody(body, maxWalkBody)
-	}
-	if derr := body.drain(); derr != nil {
-		return derr
-	}
-	var reply []byte
-	if err == nil {
 		reply, err = s.walk((*scratch)[:0], h.key.Blob, req)
 	}
 	if err != nil {
 		return writeErrReply(w, err)
 	}
-	if cap(reply) <= maxFrame {
+	if cap(reply) <= bodyStep {
 		*scratch = reply
 	}
 	return s.writeOK(w, reply)

@@ -40,11 +40,7 @@ func walkBody(parts ...walkPart) []byte {
 
 // rawWalk is the wire form of a walk whose body is body.
 func rawWalk(blobID uint64, body []byte) []byte {
-	req := appendHeader(nil, &frameHeader{op: opWalkNodes, key: chunk.Key{Blob: blobID}})
-	if len(body) == 0 {
-		return appendRawBody(req, nil)
-	}
-	return appendRawBody(req, [][]byte{body})
+	return appendRawBody(appendHeader(nil, &frameHeader{op: opWalkNodes, key: chunk.Key{Blob: blobID}}), body)
 }
 
 // readWalkReply reads the reply to one walk sent by hand: the keys of the
