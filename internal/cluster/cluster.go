@@ -104,9 +104,6 @@ type Env struct {
 	RetainLast int
 	// GCRate caps chunk deletions per reaper tick (GC; 0 = default 4).
 	GCRate int
-	// GCWalkRate caps retained-ref walk steps per reaper tick (GC;
-	// 0 = default 64).
-	GCWalkRate int
 	// GCQueue bounds the delete queue depth (GC; 0 = 256).
 	GCQueue int
 
@@ -119,9 +116,6 @@ type Env struct {
 	// CacheBytes bounds the read cache footprint (ReadCache;
 	// 0 = default 64 MiB).
 	CacheBytes int64
-	// CacheShards is the cache's fixed shard count, rounded up to a
-	// power of two (ReadCache; 0 = default 16).
-	CacheShards int
 	// LocalDomain, when set, declares the failure domain this
 	// deployment's reads originate from: the router prefers
 	// same-domain replicas and counts cross-domain bytes avoided
@@ -276,7 +270,6 @@ func NewVersioning(env Env) (*Versioning, error) {
 	var cache *provider.ReadCache
 	if env.ReadCache {
 		cache = provider.NewReadCache(provider.ReadCacheConfig{
-			Shards:   env.CacheShards,
 			MaxBytes: env.CacheBytes,
 		})
 		cache.SetMetrics(reg)
@@ -313,10 +306,9 @@ func NewVersioning(env Env) (*Versioning, error) {
 	}
 	if env.GC {
 		v.Reaper = core.NewReaper(router, core.ReaperConfig{
-			RetainLast:        env.RetainLast,
-			DeletesPerTick:    env.GCRate,
-			WalkChunksPerTick: env.GCWalkRate,
-			QueueDepth:        env.GCQueue,
+			RetainLast:     env.RetainLast,
+			DeletesPerTick: env.GCRate,
+			QueueDepth:     env.GCQueue,
 		})
 		v.Reaper.SetMetrics(reg)
 		if cache != nil {

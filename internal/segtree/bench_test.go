@@ -83,41 +83,82 @@ func BenchmarkResolve(b *testing.B) {
 				b.Fatal(err)
 			}
 			query := extent.List{{Offset: 0, Length: 1 << 22}}
-			var before float64
-			if trips != nil {
-				before = trips()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := h.tree.Resolve(info.Root, query); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if trips != nil {
-				b.ReportMetric((trips()-before)/float64(b.N), "wire-reqs/op")
-			}
+			runCounted(b, trips, func() error {
+				_, _, err := h.tree.Resolve(info.Root, query)
+				return err
+			})
 		})
 	}
 }
 
-// BenchmarkDiff measures snapshot diffing between adjacent versions.
+// BenchmarkDiff measures snapshot diffing between adjacent versions: a
+// whole-blob write, then a 32 KiB one. Over loopback it reports
+// wire-reqs/op, the round trips of one comparison.
 func BenchmarkDiff(b *testing.B) {
-	h := newHarness(b, segtree.Geometry{Capacity: 1 << 22, Page: 16 << 10})
-	full := extent.List{{Offset: 0, Length: 1 << 22}}
-	buf := make([]byte, full.TotalLength())
-	vec, _ := extent.NewVec(full, buf)
-	h.write(vec)
-	small := extent.List{{Offset: 1 << 20, Length: 32 << 10}}
-	sbuf := make([]byte, small.TotalLength())
-	svec, _ := extent.NewVec(small, sbuf)
-	h.write(svec)
-	i1, _ := h.mgr.Snapshot(h.blob, 1)
-	i2, _ := h.mgr.Snapshot(h.blob, 2)
+	for _, st := range stores {
+		b.Run(st.name, func(b *testing.B) {
+			h := newHarness(b, segtree.Geometry{Capacity: 1 << 22, Page: 16 << 10})
+			full := extent.List{{Offset: 0, Length: 1 << 22}}
+			vec, _ := extent.NewVec(full, make([]byte, full.TotalLength()))
+			h.write(vec)
+			small := extent.List{{Offset: 1 << 20, Length: 32 << 10}}
+			svec, _ := extent.NewVec(small, make([]byte, small.TotalLength()))
+			h.write(svec)
+			i1, _ := h.mgr.Snapshot(h.blob, 1)
+			i2, _ := h.mgr.Snapshot(h.blob, 2)
+			var trips func() float64
+			h.tree.Store, trips = st.wrap(b, h.tree.Store.(*metadata.Store))
+			runCounted(b, trips, func() error {
+				_, err := h.tree.Diff(i1.Root, i2.Root)
+				return err
+			})
+		})
+	}
+}
+
+// BenchmarkExclusiveChunks measures the garbage collector's question for
+// one dropped version: 16 paged writes of 512 KiB at (v mod 8) x 256 KiB
+// into a 4 MiB blob of 16 KiB pages, then v1 dropped against v2..v16.
+// Over loopback it reports wire-reqs/op, the round trips of one answer.
+func BenchmarkExclusiveChunks(b *testing.B) {
+	for _, st := range stores {
+		b.Run(st.name, func(b *testing.B) {
+			h := newHarness(b, segtree.Geometry{Capacity: 1 << 22, Page: 16 << 10})
+			for v := 0; v < 16; v++ {
+				l := extent.List{{Offset: int64(v%8) * 256 << 10, Length: 512 << 10}}
+				vec, _ := extent.NewVec(l, make([]byte, l.TotalLength()))
+				h.writePaged(vec)
+			}
+			drop := h.root(1)
+			var keep []segtree.NodeKey
+			for v := uint64(2); v <= 16; v++ {
+				keep = append(keep, h.root(v))
+			}
+			var trips func() float64
+			h.tree.Store, trips = st.wrap(b, h.tree.Store.(*metadata.Store))
+			runCounted(b, trips, func() error {
+				_, err := h.tree.ExclusiveChunks(drop, keep)
+				return err
+			})
+		})
+	}
+}
+
+// runCounted times b.N calls of op and, when trips counts round trips,
+// reports them per call as wire-reqs/op.
+func runCounted(b *testing.B, trips func() float64, op func() error) {
+	var before float64
+	if trips != nil {
+		before = trips()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.tree.Diff(i1.Root, i2.Root); err != nil {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if trips != nil {
+		b.ReportMetric((trips()-before)/float64(b.N), "wire-reqs/op")
 	}
 }

@@ -12,7 +12,9 @@ import (
 // two halves of its range at versions no newer than its own, or a leaf
 // whose chain link is not its own range at an older version. Such a link
 // leaves its range or can lead back to where it started, so a walk that
-// followed it could read the wrong bytes or never end.
+// followed it could read the wrong bytes or never end. The comparisons'
+// descent (Diff, ExclusiveChunks) also refuses a node off its level: a
+// leaf above the page size, or an inner node at or below it.
 var ErrBadLink = errors.New("segtree: node links outside its range or not to an older version")
 
 // FetchLevel returns the nodes of keys, in key order. queries[i] is the
@@ -110,7 +112,8 @@ func checkLinks(k NodeKey, n *Node) error {
 	return nil
 }
 
-// levels is what Resolve fetches each round of its walk with. Over a
+// levels is what Resolve fetches each round of its walk with, and the
+// comparisons' descent each of its rounds (with empty queries). Over a
 // store that walks — bare, or under a NodeCache — a round's misses go out
 // as one walk; over any other store each round is one list get, through
 // the cache when there is one, exactly as an in-process store has always

@@ -36,9 +36,12 @@ func randomQuery(rng *rand.Rand, geo segtree.Geometry, i int) extent.List {
 
 // TestWalkRefusesBadLinks: a store may hold nodes no Build wrote — any
 // client can put them. A link that loops or leaves its range is refused
-// with ErrBadLink, in process and by the metadata node's walk alike,
-// where a walk that followed a self-referencing chain used to spin for
-// good.
+// with ErrBadLink, in process and by the metadata node's walk alike, by
+// a resolve and by the two comparisons, Diff and ExclusiveChunks, where a
+// walk that followed a self-referencing chain used to spin for good and
+// a Diff that followed a self-linked inner node overflowed the stack. The
+// comparisons also refuse a node off its level — a leaf above the page
+// size, an inner node at it — which a resolve reads like any other.
 func TestWalkRefusesBadLinks(t *testing.T) {
 	const page = 1 << 10
 	root := segtree.NodeKey{Version: 5, Offset: 0, Size: 2 * page}
@@ -46,20 +49,23 @@ func TestWalkRefusesBadLinks(t *testing.T) {
 	inner := func(l, r segtree.NodeKey) *segtree.Node { return &segtree.Node{Left: l, Right: r} }
 	leaf := func(prev segtree.NodeKey) *segtree.Node { return &segtree.Node{Leaf: true, Prev: prev} }
 	for _, tc := range []struct {
-		name  string
-		root  segtree.NodeKey
-		nodes map[segtree.NodeKey]*segtree.Node
+		name     string
+		root     segtree.NodeKey
+		nodes    map[segtree.NodeKey]*segtree.Node
+		offLevel bool // refused by the comparisons alone
 	}{
-		{"leaf chained to itself", left, map[segtree.NodeKey]*segtree.Node{left: leaf(left)}},
-		{"leaf chained to a newer version", left, map[segtree.NodeKey]*segtree.Node{left: leaf(segtree.NodeKey{Version: 6, Size: page})}},
-		{"leaf chained to another range", left, map[segtree.NodeKey]*segtree.Node{left: leaf(segtree.NodeKey{Version: 4, Size: 2 * page})}},
-		{"child linked back to its parent", root, map[segtree.NodeKey]*segtree.Node{root: inner(root, segtree.NodeKey{})}},
-		{"child not a half", root, map[segtree.NodeKey]*segtree.Node{root: inner(segtree.NodeKey{Version: 5, Size: page / 2}, segtree.NodeKey{})}},
-		{"right child on the left half", root, map[segtree.NodeKey]*segtree.Node{root: inner(segtree.NodeKey{}, left)}},
-		{"child newer than its parent", root, map[segtree.NodeKey]*segtree.Node{root: inner(segtree.NodeKey{Version: 6, Size: page}, segtree.NodeKey{})}},
+		{"leaf chained to itself", left, map[segtree.NodeKey]*segtree.Node{left: leaf(left)}, false},
+		{"leaf chained to a newer version", left, map[segtree.NodeKey]*segtree.Node{left: leaf(segtree.NodeKey{Version: 6, Size: page})}, false},
+		{"leaf chained to another range", left, map[segtree.NodeKey]*segtree.Node{left: leaf(segtree.NodeKey{Version: 4, Size: 2 * page})}, false},
+		{"child linked back to its parent", root, map[segtree.NodeKey]*segtree.Node{root: inner(root, segtree.NodeKey{})}, false},
+		{"child not a half", root, map[segtree.NodeKey]*segtree.Node{root: inner(segtree.NodeKey{Version: 5, Size: page / 2}, segtree.NodeKey{})}, false},
+		{"right child on the left half", root, map[segtree.NodeKey]*segtree.Node{root: inner(segtree.NodeKey{}, left)}, false},
+		{"child newer than its parent", root, map[segtree.NodeKey]*segtree.Node{root: inner(segtree.NodeKey{Version: 6, Size: page}, segtree.NodeKey{})}, false},
 		{"inner node with no halves", segtree.NodeKey{Version: 5, Size: 1}, map[segtree.NodeKey]*segtree.Node{
 			{Version: 5, Size: 1}: inner(segtree.NodeKey{Version: 5, Size: 0}, segtree.NodeKey{Version: 5, Size: 0}),
-		}},
+		}, false},
+		{"leaf above the page size", root, map[segtree.NodeKey]*segtree.Node{root: leaf(segtree.NodeKey{})}, true},
+		{"inner node at the page size", left, map[segtree.NodeKey]*segtree.Node{left: inner(segtree.NodeKey{}, segtree.NodeKey{})}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := metadata.NewStore(1, iosim.CostModel{})
@@ -68,20 +74,40 @@ func TestWalkRefusesBadLinks(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			ops := []struct {
+				name string
+				run  func(tree *segtree.Tree) error
+			}{
+				{"Resolve", func(tree *segtree.Tree) error {
+					_, _, err := tree.Resolve(tc.root, extent.List{tc.root.Range()})
+					return err
+				}},
+				{"Diff", func(tree *segtree.Tree) error {
+					_, err := tree.Diff(tc.root, segtree.NodeKey{})
+					return err
+				}},
+				{"ExclusiveChunks", func(tree *segtree.Tree) error {
+					_, err := tree.ExclusiveChunks(tc.root, nil)
+					return err
+				}},
+			}
 			for name, s := range map[string]segtree.NodeStore{"in process": store, "over the wire": loopback(t, store)} {
 				tree := &segtree.Tree{Blob: 1, Geo: segtree.Geometry{Capacity: 2 * page, Page: page}, Store: s}
-				done := make(chan error, 1)
-				go func() {
-					_, _, err := tree.Resolve(tc.root, extent.List{tc.root.Range()})
-					done <- err
-				}()
-				select {
-				case err := <-done:
-					if !errors.Is(err, segtree.ErrBadLink) {
-						t.Fatalf("Resolve %s: %v, want ErrBadLink", name, err)
+				for _, op := range ops {
+					done := make(chan error, 1)
+					go func() { done <- op.run(tree) }()
+					select {
+					case err := <-done:
+						if tc.offLevel && op.name == "Resolve" {
+							if err != nil {
+								t.Fatalf("Resolve %s: %v", name, err)
+							}
+						} else if !errors.Is(err, segtree.ErrBadLink) {
+							t.Fatalf("%s %s: %v, want ErrBadLink", op.name, name, err)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatalf("%s %s did not return", op.name, name)
 					}
-				case <-time.After(10 * time.Second):
-					t.Fatalf("Resolve %s did not return", name)
 				}
 			}
 		})
