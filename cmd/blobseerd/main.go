@@ -15,6 +15,9 @@
 //
 // Clients (cmd/bsctl, examples/distributed) connect with the endpoints
 // of the three roles, which may be the same node or different nodes.
+// The background loops run as in every in-process deployment
+// (internal/cluster): -self-heal scrubs the data role's placement map,
+// and -gc finds blobs through the version manager's catalog.
 package main
 
 import (
@@ -62,7 +65,6 @@ func main() {
 		scrubRate     = flag.Int("scrub-rate", 64, "chunk replica verifications per healer tick (self-heal)")
 		repairRate    = flag.Int("repair-rate", 4, "re-replications per healer tick (self-heal)")
 		repairQueue   = flag.Int("repair-queue", 256, "bounded repair queue depth (self-heal)")
-		scrubOrder    = flag.String("scrub-order", "oldest", "scrub walk order over versions: oldest (default) or newest first (self-heal)")
 
 		gcEnable   = flag.Bool("gc", false, "run the version-lifecycle garbage collector (requires vm,meta,data roles on this node)")
 		retain     = flag.Int("retain", 0, "automatic retention policy: keep the newest N versions of every blob, drop the rest (implies -gc; 0 = manual drops only)")
@@ -163,28 +165,18 @@ func main() {
 				roles.Data.SetReadCache(cache)
 			}
 			if *selfHeal {
-				order := core.OldestFirst
-				switch *scrubOrder {
-				case "oldest":
-				case "newest":
-					order = core.NewestFirst
-				default:
-					fmt.Fprintf(os.Stderr, "unknown -scrub-order %q (want oldest or newest)\n", *scrubOrder)
-					os.Exit(2)
-				}
 				roles.Health = provider.NewHealthMonitor(pool, provider.HealthConfig{
 					Threshold: *failThreshold,
 					Probation: *probation,
 				})
 				roles.Data.SetHealthMonitor(roles.Health)
-				// A data-only daemon holds no blob handles; the healer
-				// scrubs the router's placement map directly.
+				// The healer scrubs the router's placement map, as
+				// every in-process deployment's does.
 				roles.Healer = core.NewHealer(roles.Data, roles.Health, core.HealerConfig{
 					ScrubChunksPerTick: *scrubRate,
 					RepairsPerTick:     *repairRate,
 					QueueDepth:         *repairQueue,
 					Interval:           *scrubInterval,
-					Order:              order,
 				})
 				roles.Healer.SetMetrics(reg)
 				roles.Data.SetDegradedHandler(roles.Healer.EnqueueRepair)
@@ -210,7 +202,8 @@ func main() {
 			Interval:       *gcInterval,
 		})
 		// Blobs are created by remote clients; the reaper discovers
-		// them from the version manager at each pass start.
+		// them from the version manager's catalog at each pass start,
+		// as every in-process deployment's does.
 		roles.Reaper.SetMetrics(reg)
 		roles.Reaper.SetCatalog(blob.Services{VM: roles.VM, Meta: roles.Meta, Data: roles.Data}, roles.VM)
 		if c := roles.Data.ReadCache(); c != nil {
@@ -233,8 +226,8 @@ func main() {
 		// Print what runs, not what was typed: out-of-range flags fall
 		// back to defaults inside the constructors.
 		hc, mc := roles.Healer.Config(), roles.Health.Config()
-		fmt.Printf("self-heal: threshold %d, probation %s, scrub %d chunks (%s first) / repair %d chunks per %s tick\n",
-			mc.Threshold, mc.Probation, hc.ScrubChunksPerTick, hc.Order, hc.RepairsPerTick, hc.Interval)
+		fmt.Printf("self-heal: threshold %d, probation %s, scrub %d chunks / repair %d chunks per %s tick\n",
+			mc.Threshold, mc.Probation, hc.ScrubChunksPerTick, hc.RepairsPerTick, hc.Interval)
 	}
 	if roles.Reaper != nil {
 		roles.Reaper.Run()

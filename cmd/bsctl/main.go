@@ -264,8 +264,8 @@ func main() {
 	case "scrub":
 		var st core.HealerStats
 		admin(http.MethodPost, fmt.Sprintf("/scrub?sync=%t", *syncScrub), &st)
-		fmt.Printf("scrub: ticks %d, passes %d, verified %d chunks (%d errors)\n",
-			st.Ticks, st.ScrubPasses, st.ScrubbedChunks, st.ScrubErrors)
+		fmt.Printf("scrub: ticks %d, passes %d, verified %d chunks\n",
+			st.Ticks, st.ScrubPasses, st.ScrubbedChunks)
 		fmt.Printf("queue: enqueued %d, dup %d, dropped %d, depth %d\n",
 			st.Enqueued, st.Duplicates, st.Dropped, st.QueueLen)
 		fmt.Printf("repair: restored %d, healthy %d, failed %d, lost %d\n",

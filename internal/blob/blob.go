@@ -72,13 +72,6 @@ type DataService interface {
 
 var _ DataService = (*provider.Router)(nil)
 
-// intoGetter is what a DataService may implement beside its interface:
-// GetFrom into the caller's buffer — exactly len(dst) bytes at off of the
-// chunk, none written past them.
-type intoGetter interface {
-	GetInto(dst []byte, replicas []provider.ID, key chunk.Key, off int64) (fresh []provider.ID, err error)
-}
-
 // ChunkRead is one read of a list handed to a data service's GetManyInto:
 // fill the Length bytes of the list's destination at At with the bytes at
 // Off of chunk Key, trying Replicas first. The service sets Fresh where
@@ -208,9 +201,7 @@ func newBlob(svc Services, id uint64, geo segtree.Geometry) *Blob {
 	nodes := segtree.NewNodeCache(svc.Meta, nodeCacheEntries)
 	data, ok := svc.Data.(chunkBatcher)
 	if !ok {
-		each := eachChunk{svc: svc.Data, window: DefaultWindow * geo.Page}
-		each.into, _ = svc.Data.(intoGetter)
-		data = each
+		data = eachChunk{svc: svc.Data, window: DefaultWindow * geo.Page}
 	}
 	return &Blob{
 		svc:   svc,
@@ -552,8 +543,7 @@ func windowed(window int64, n int, costOf func(i int) int64, call func(i int) er
 // meets its provider's meter as one call.
 type eachChunk struct {
 	svc    DataService
-	into   intoGetter // svc's GetInto, if it has one
-	window int64      // bytes a list of reads keeps in flight
+	window int64 // bytes a list of reads keeps in flight
 }
 
 // PutMany stores every chunk at once, a goroutine each.
@@ -578,24 +568,18 @@ func (e eachChunk) PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, er
 }
 
 // GetManyInto fetches under the window: worst-case memory beside the
-// destinations — a service without GetInto returns each fragment in a
-// buffer of its own — is that of DefaultWindow pages however long the
-// list, while a list of many small reads puts enough of them in flight
-// for a data wire to carry several per round trip. Each read's slice of
-// dst is clipped, so no implementation can reach a neighbour's bytes.
+// destinations — each fragment comes back in a buffer of its own and is
+// copied into its slice of dst — is that of DefaultWindow pages however
+// long the list, while a list of many small reads puts enough of them
+// in flight for a data wire to carry several per round trip.
 func (e eachChunk) GetManyInto(dst []byte, reads []ChunkRead) error {
 	return windowed(e.window, len(reads),
 		func(i int) int64 { return reads[i].Length },
 		func(i int) (err error) {
 			r := &reads[i]
-			into := dst[r.At : r.At+r.Length : r.At+r.Length]
-			if e.into != nil {
-				r.Fresh, err = e.into.GetInto(into, r.Replicas, r.Key, r.Off)
-				return err
-			}
 			var d []byte
 			d, r.Fresh, err = getExact(e.svc, r.Replicas, chunk.Ref{Key: r.Key, Offset: r.Off, Length: r.Length})
-			copy(into, d)
+			copy(dst[r.At:r.At+r.Length], d)
 			return err
 		})
 }
@@ -664,8 +648,8 @@ func (b *Blob) Versions() ([]uint64, error) {
 
 // ChunkRefs enumerates the chunk references a published snapshot is
 // assembled from, by resolving its metadata over the full snapshot
-// extent. The background scrubber walks these to verify that every
-// chunk a published version depends on still has its full replica set.
+// extent. The reaper's hint walk audits each one's replica hint
+// against placement.
 func (b *Blob) ChunkRefs(version uint64) ([]chunk.Ref, error) {
 	info, err := b.svc.VM.Snapshot(b.id, version)
 	if err != nil {

@@ -351,44 +351,31 @@ func TestReadListRejectsShortFragment(t *testing.T) {
 	}
 }
 
-// intoData is a DataService that also reads into the caller's buffer,
-// as the framed client does. It records each call of either form, and
-// whether any destination came with capacity beyond its length.
-type intoData struct {
+// countedData is a DataService that counts its GetFrom calls.
+type countedData struct {
 	DataService
-	failInto error         // returned by every GetInto, if set
-	fresh    []provider.ID // returned by every GetInto that succeeds
 
-	mu         sync.Mutex
-	into, from int
-	unclipped  bool
+	mu   sync.Mutex
+	from int
 }
 
-func (d *intoData) GetInto(dst []byte, replicas []provider.ID, key chunk.Key, off int64) ([]provider.ID, error) {
-	d.mu.Lock()
-	d.into++
-	d.unclipped = d.unclipped || cap(dst) != len(dst)
-	d.mu.Unlock()
-	if d.failInto != nil {
-		return nil, d.failInto
-	}
-	data, _, err := d.DataService.GetFrom(replicas, key, off, int64(len(dst)))
-	copy(dst, data)
-	return d.fresh, err
-}
-
-func (d *intoData) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
+func (d *countedData) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
 	d.mu.Lock()
 	d.from++
 	d.mu.Unlock()
 	return d.DataService.GetFrom(replicas, key, off, length)
 }
 
-// manyData is an intoData that also takes the reads as a list, as the
-// framed client does. It records the lists and the reads they carried.
+// manyData is a countedData that also takes the reads as a list, as the
+// framed client does. It records the lists and the reads they carried,
+// and whether any read reached outside its own place in the destination.
 type manyData struct {
-	intoData
+	countedData
+	failInto error         // returned by every GetManyInto, if set
+	fresh    []provider.ID // set as each read's Fresh
+
 	lists, reads int
+	unclipped    bool
 }
 
 func (d *manyData) PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, error) {
@@ -423,12 +410,12 @@ func (d *manyData) GetManyInto(dst []byte, reads []ChunkRead) error {
 	return nil
 }
 
-// A data service that can read into the caller's buffer is asked to
-// exactly for the fragments that land whole in one place, always with a
-// destination clipped to the fragment — one by one, or, where it takes a
-// list, all in one list; every other fragment, and every fragment of a
-// service with neither method, is fetched and copied. All three give the
-// same bytes, for every shape of query.
+// A data service that takes a list of reads into the caller's buffer is
+// asked to exactly for the fragments that land whole in one place, all
+// in one list, each read within its own place in the destination; every
+// other fragment, and every fragment of a service without the list, is
+// fetched and copied. Both give the same bytes, for every shape of
+// query.
 func TestReadListIntoAndCopyAgree(t *testing.T) {
 	const page = 1 << 10
 	svc := testServices()
@@ -448,8 +435,8 @@ func TestReadListIntoAndCopyAgree(t *testing.T) {
 	extent.Vec{Extents: written, Buf: payload}.ScatterInto(model, 0)
 
 	for name, tc := range map[string]struct {
-		q          extent.List
-		into, from int // fragment fetches of each form, with GetInto on offer
+		q            extent.List
+		listed, from int // fragment fetches of each form, with the list on offer
 	}{
 		"sorted, whole fragments":          {extent.List{{Offset: 0, Length: 3 * page}}, 3, 0},
 		"sorted, across holes":             {extent.List{{Offset: 0, Length: page}, {Offset: 3 * page, Length: page}, {Offset: 5 * page, Length: page}}, 2, 0},
@@ -468,64 +455,49 @@ func TestReadListIntoAndCopyAgree(t *testing.T) {
 			for _, e := range tc.q {
 				want = append(want, model[e.Offset:e.End()]...)
 			}
-			plain := &intoData{DataService: svc.Data}
-			copied, err := openWith(t, svc, struct{ DataService }{plain}).ReadList(v, tc.q)
+			plain := &countedData{DataService: svc.Data}
+			copied, err := openWith(t, svc, plain).ReadList(v, tc.q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			data := &intoData{DataService: svc.Data}
-			direct, err := openWith(t, svc, data).ReadList(v, tc.q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			many := &manyData{intoData: intoData{DataService: svc.Data}}
+			many := &manyData{countedData: countedData{DataService: svc.Data}}
 			listed, err := openWith(t, svc, many).ReadList(v, tc.q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(copied, want) || !bytes.Equal(direct, want) || !bytes.Equal(listed, want) {
-				t.Fatalf("copied matches the model: %v, direct: %v, listed: %v", bytes.Equal(copied, want), bytes.Equal(direct, want), bytes.Equal(listed, want))
+			if !bytes.Equal(copied, want) || !bytes.Equal(listed, want) {
+				t.Fatalf("copied matches the model: %v, listed: %v", bytes.Equal(copied, want), bytes.Equal(listed, want))
 			}
-			if many.lists > 1 || many.reads != tc.into || many.into != 0 || many.from != tc.from {
-				t.Errorf("with the list on offer: %d lists of %d reads, %d GetInto and %d GetFrom calls, want one list of %d, 0 and %d",
-					many.lists, many.reads, many.into, many.from, tc.into, tc.from)
+			if many.lists > 1 || many.reads != tc.listed || many.from != tc.from {
+				t.Errorf("with the list on offer: %d lists of %d reads and %d GetFrom calls, want one list of %d and %d",
+					many.lists, many.reads, many.from, tc.listed, tc.from)
 			}
-			if data.into != tc.into || data.from != tc.from {
-				t.Errorf("%d GetInto and %d GetFrom calls, want %d and %d", data.into, data.from, tc.into, tc.from)
+			if plain.from != tc.listed+tc.from {
+				t.Errorf("without the list on offer: %d GetFrom calls, want %d", plain.from, tc.listed+tc.from)
 			}
-			if plain.into != 0 || plain.from != tc.into+tc.from {
-				t.Errorf("without the method on offer: %d GetInto and %d GetFrom calls, want 0 and %d", plain.into, plain.from, tc.into+tc.from)
-			}
-			if data.unclipped || many.unclipped {
-				t.Error("a destination reached past its fragment")
+			if many.unclipped {
+				t.Error("a read reached outside its place in the destination")
 			}
 		})
 	}
 
-	// What GetInto or GetManyInto returns is handled as what GetFrom
-	// returns is: an error fails the read, a fresh replica set is cached
-	// for the chunk.
+	// What GetManyInto returns is handled as what GetFrom returns is: an
+	// error fails the read, a fresh replica set is cached for the chunk.
 	q := extent.List{{Offset: 0, Length: page}}
 	boom := errors.New("boom")
 	fresh := []provider.ID{3, 1}
-	for name, with := range map[string]func(failInto error, fresh []provider.ID) DataService{
-		"GetInto": func(failInto error, fresh []provider.ID) DataService {
-			return &intoData{DataService: svc.Data, failInto: failInto, fresh: fresh}
-		},
-		"GetManyInto": func(failInto error, fresh []provider.ID) DataService {
-			return &manyData{intoData: intoData{DataService: svc.Data, failInto: failInto, fresh: fresh}}
-		},
-	} {
-		if _, err := openWith(t, svc, with(boom, nil)).ReadList(v, q); !errors.Is(err, boom) {
-			t.Fatalf("a failed %s: ReadList returned %v", name, err)
-		}
-		r := openWith(t, svc, with(nil, fresh))
-		if _, err := r.ReadList(v, q); err != nil {
-			t.Fatal(err)
-		}
-		if got, ok := r.FreshHint(chunk.Key{Blob: 1, Version: v, Index: 0}); !ok || !slices.Equal(got, fresh) {
-			t.Fatalf("fresh set returned by %s: cached %v, %v", name, got, ok)
-		}
+	with := func(failInto error, fresh []provider.ID) DataService {
+		return &manyData{countedData: countedData{DataService: svc.Data}, failInto: failInto, fresh: fresh}
+	}
+	if _, err := openWith(t, svc, with(boom, nil)).ReadList(v, q); !errors.Is(err, boom) {
+		t.Fatalf("a failed GetManyInto: ReadList returned %v", err)
+	}
+	r := openWith(t, svc, with(nil, fresh))
+	if _, err := r.ReadList(v, q); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := r.FreshHint(chunk.Key{Blob: 1, Version: v, Index: 0}); !ok || !slices.Equal(got, fresh) {
+		t.Fatalf("fresh set returned by GetManyInto: cached %v, %v", got, ok)
 	}
 }
 

@@ -64,7 +64,8 @@ type Env struct {
 
 	// SelfHeal enables the autonomous repair loop: an error-driven
 	// provider HealthMonitor wired into the router plus a core.Healer
-	// (background scrubber + bounded read-repair queue). Off by
+	// (a background scrub of the router's placement map + a bounded
+	// read-repair queue), run as blobseerd -self-heal runs it. Off by
 	// default: deployments then behave exactly as before, with
 	// replication managed administratively (bsctl down/repair).
 	SelfHeal bool
@@ -87,16 +88,14 @@ type Env struct {
 	// kill a machine at the store level — the failure the health
 	// monitor must detect from errors alone.
 	FaultInjection bool
-	// ScrubNewestFirst makes the scrubber walk versions newest-first
-	// (recently written versions are the most likely under-replicated
-	// after a loss); default is the historical oldest-first order.
-	ScrubNewestFirst bool
 
 	// GC enables the version-lifecycle garbage collector (core.Reaper):
 	// dropped versions' exclusively referenced chunks are deleted from
-	// every reachable replica at a bounded rate. Off by default —
-	// versions then behave exactly as before (retained forever unless
-	// the operator drops them, and even then nothing is reclaimed).
+	// every reachable replica at a bounded rate. The reaper finds blobs
+	// in the version manager's catalog, as blobseerd -gc's does. Off by
+	// default — versions then behave exactly as before (retained
+	// forever unless the operator drops them, and even then nothing is
+	// reclaimed).
 	GC bool
 	// RetainLast, with GC, applies the retention policy automatically:
 	// each blob keeps its newest RetainLast versions (0 = manual drops
@@ -291,15 +290,10 @@ func NewVersioning(env Env) (*Versioning, error) {
 			Probation: env.Probation,
 		})
 		router.SetHealthMonitor(v.Health)
-		order := core.OldestFirst
-		if env.ScrubNewestFirst {
-			order = core.NewestFirst
-		}
 		v.Healer = core.NewHealer(router, v.Health, core.HealerConfig{
 			ScrubChunksPerTick: env.ScrubRate,
 			RepairsPerTick:     env.RepairRate,
 			QueueDepth:         env.RepairQueue,
-			Order:              order,
 		})
 		v.Healer.SetMetrics(reg)
 		router.SetDegradedHandler(v.Healer.EnqueueRepair)
@@ -311,6 +305,7 @@ func NewVersioning(env Env) (*Versioning, error) {
 			QueueDepth:     env.GCQueue,
 		})
 		v.Reaper.SetMetrics(reg)
+		v.Reaper.SetCatalog(v.Services(), vm)
 		if cache != nil {
 			v.Reaper.SetReadCache(cache)
 		}
@@ -325,9 +320,9 @@ func (v *Versioning) Services() blob.Services {
 
 // Backend creates a versioning backend over a new blob sized to cover
 // span bytes (rounded up to a power-of-two multiple of the chunk size).
-// With SelfHeal on, the new blob's published versions join the
-// healer's scrub walk; with GC on, they join the reaper's collection
-// walk too.
+// It registers nothing: the healer scrubs the router's placement map,
+// and the reaper finds the blob in the version manager's catalog at
+// its next pass start.
 func (v *Versioning) Backend(blobID uint64, span int64) (*core.VersioningBackend, error) {
 	geo := segtree.Geometry{Capacity: CapacityFor(span, v.env.ChunkSize), Page: v.env.ChunkSize}
 	be, err := core.NewVersioning(v.Services(), blobID, geo)
@@ -335,12 +330,6 @@ func (v *Versioning) Backend(blobID uint64, span int64) (*core.VersioningBackend
 		return nil, err
 	}
 	be.SetMetrics(v.Metrics)
-	if v.Healer != nil {
-		v.Healer.RegisterBlob(be.Blob())
-	}
-	if v.Reaper != nil {
-		v.Reaper.RegisterBlob(be.Blob())
-	}
 	return be, nil
 }
 

@@ -4,14 +4,15 @@
 //
 // Three feeds converge on one bounded repair queue:
 //
-//   - The Scrub walk: the healer iterates every published version of
-//     every registered blob (falling back to the router's placement map
-//     when it has no blob handles), verifying each referenced chunk's
-//     replica set with store probes — both the replica COUNT and the
-//     failure-domain SPREAD (copies co-located in one domain while a
-//     spare live domain exists are repair work too). Probe errors feed
-//     the provider HealthMonitor, so scrub traffic itself trips failure
-//     detection.
+//   - The scrub walk: each pass is one snapshot of the router's
+//     placement map (Router.Keys, sorted by blob, version and index),
+//     every chunk it holds verified with store probes — both the
+//     replica COUNT and the failure-domain SPREAD (copies co-located in
+//     one domain while a spare live domain exists are repair work too).
+//     The walk is the set Router.UnderReplicated counts: published
+//     versions' chunks, and those of dropped-but-unreclaimed versions
+//     and tombstoned writes alike. Probe errors feed the provider
+//     HealthMonitor, so scrub traffic itself trips failure detection.
 //   - Read-repair: a degraded read (failover was needed) or a write
 //     that quorum-committed short of R copies reports the exact chunk
 //     through the router's degraded handler.
@@ -40,26 +41,24 @@
 //     too small to restore R cannot spin the worker.
 //
 // Convergence: after a provider loss, every chunk that lost a copy is
-// found within one full scrub pass (pass length = total refs /
+// found within one full scrub pass (pass length = placed chunks /
 // ScrubChunksPerTick ticks) and repaired within queue-drain time
 // (degraded chunks / RepairsPerTick ticks); read-repair short-circuits
 // the wait for whatever the foreground workload actually touches.
 package core
 
 import (
-	"errors"
 	"sync"
 	"time"
 
-	"repro/internal/blob"
 	"repro/internal/chunk"
 	"repro/internal/metrics"
 	"repro/internal/provider"
-	"repro/internal/vmanager"
 )
 
 // HealRouter is the slice of the provider router the healer drives:
-// one verification per scrubbed chunk and single-chunk repair.
+// the placement map's keys, one verification per scrubbed chunk and
+// single-chunk repair.
 // Implemented by *provider.Router, whose VerifyReplicas answers for the
 // live count and the placement together: a chunk at full live degree is
 // still misplaced when its copies co-locate in fewer failure domains
@@ -70,31 +69,9 @@ type HealRouter interface {
 	VerifyReplicas(key chunk.Key) (live, want int, misplaced bool)
 	RepairChunk(key chunk.Key) (provider.RepairOutcome, int, error)
 	Keys() []chunk.Key
-	UnderReplicated() int
 }
 
 var _ HealRouter = (*provider.Router)(nil)
-
-// ScrubOrder selects which end of the version history a scrub pass
-// starts from.
-type ScrubOrder int
-
-// Scrub orders. OldestFirst is the historical default; NewestFirst
-// prioritizes recently written versions, which are the most likely to
-// be under-replicated right after a provider loss (their writes may
-// have quorum-committed short of R against the dying machine), so the
-// vulnerability window for fresh data shrinks.
-const (
-	OldestFirst ScrubOrder = iota
-	NewestFirst
-)
-
-func (o ScrubOrder) String() string {
-	if o == NewestFirst {
-		return "newest"
-	}
-	return "oldest"
-}
 
 // HealerConfig tunes the control loop. Zero fields select defaults.
 type HealerConfig struct {
@@ -106,9 +83,6 @@ type HealerConfig struct {
 	QueueDepth int
 	// Interval is the background loop period for Run (default 100ms).
 	Interval time.Duration
-	// Order is the scrub walk direction over each blob's versions
-	// (default OldestFirst).
-	Order ScrubOrder
 }
 
 func (c HealerConfig) withDefaults() HealerConfig {
@@ -130,9 +104,8 @@ func (c HealerConfig) withDefaults() HealerConfig {
 // HealerStats are cumulative control-loop counters.
 type HealerStats struct {
 	Ticks          int64 // control-loop iterations
-	ScrubPasses    int64 // completed walks over every published version
+	ScrubPasses    int64 // completed walks over the placement map
 	ScrubbedChunks int64 // replica sets verified
-	ScrubErrors    int64 // versions whose metadata could not be resolved
 	Enqueued       int64 // chunks accepted into the repair queue
 	Duplicates     int64 // enqueues dropped because already queued
 	Dropped        int64 // enqueues dropped because the queue was full
@@ -142,13 +115,6 @@ type HealerStats struct {
 	Lost           int64 // chunks with no surviving replica
 	SpreadFound    int64 // full-live-count chunks accepted into the queue for a suspect placement (spread violation, stale entry, above-degree set)
 	QueueLen       int   // current queue length
-}
-
-// scrubUnit is one pending unit of the current scrub pass: a published
-// version of a registered blob, or (blob == nil) the raw placement walk.
-type scrubUnit struct {
-	blob    *blob.Blob
-	version uint64
 }
 
 // Healer is the background self-healing loop: scrubber, repair queue
@@ -163,11 +129,9 @@ type Healer struct {
 	queue *keyQueue // bounded dedup repair queue (shared machinery, queue.go)
 
 	mu        sync.Mutex
-	targets   []*blob.Blob
-	pass      []scrubUnit          // remaining units of the current pass
-	refs      []chunk.Key          // refs of the unit being scrubbed
-	passSeen  map[chunk.Key]string // dedup within one pass (key -> "")
-	passStart time.Time            // wall-clock start of the current pass (metrics only)
+	inPass    bool        // a pass has started and not yet completed
+	pass      []chunk.Key // keys of the current pass still to verify
+	passStart time.Time   // wall-clock start of the current pass (metrics only)
 	stats     HealerStats
 
 	// met holds nil-tolerant metric handles, nil until SetMetrics.
@@ -205,16 +169,6 @@ func NewHealer(router HealRouter, health *provider.HealthMonitor, cfg HealerConf
 // Config returns the effective (defaulted) configuration.
 func (h *Healer) Config() HealerConfig { return h.cfg }
 
-// RegisterBlob adds a blob whose published versions the scrub walk
-// covers. With no registered blobs the walk falls back to the router's
-// placement map (every chunk it knows), which is what a data-only
-// daemon uses.
-func (h *Healer) RegisterBlob(b *blob.Blob) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.targets = append(h.targets, b)
-}
-
 // EnqueueRepair adds one chunk to the bounded repair queue; it is the
 // router's degraded handler (read-repair) and the scrubber's sink.
 // Never blocks: duplicates and overflow are dropped (and counted) —
@@ -225,7 +179,7 @@ func (h *Healer) EnqueueRepair(key chunk.Key) {
 
 // Tick runs one bounded control-loop iteration: advance health
 // probation probes, drain up to RepairsPerTick queued repairs, then
-// verify up to ScrubChunksPerTick chunk references of the scrub walk.
+// verify up to ScrubChunksPerTick chunks of the scrub walk.
 func (h *Healer) Tick() {
 	h.mu.Lock()
 	h.stats.Ticks++
@@ -265,15 +219,14 @@ func (h *Healer) drainRepairs() {
 	}
 }
 
-// scrubStep verifies up to ScrubChunksPerTick chunk refs, refilling the
-// pass work list as needed. Beyond the replica count, a chunk whose
-// copies co-locate in one failure domain while a spare domain exists
-// is enqueued too — repair restores the spread invariant, not just the
-// degree.
+// scrubStep verifies up to ScrubChunksPerTick chunks of the current
+// pass. Beyond the replica count, a chunk whose copies co-locate in one
+// failure domain while a spare domain exists is enqueued too — repair
+// restores the spread invariant, not just the degree.
 func (h *Healer) scrubStep() {
 	budget := h.cfg.ScrubChunksPerTick
 	for budget > 0 {
-		key, ok := h.nextRef()
+		key, ok := h.nextKey()
 		if !ok {
 			return // pass exhausted this tick; next tick starts a new one
 		}
@@ -295,111 +248,33 @@ func (h *Healer) scrubStep() {
 	}
 }
 
-// nextRef pops the next chunk key of the scrub walk, resolving one
-// version's metadata at a time and deduplicating within the pass. ok is
-// false when the current pass just ended (the next call starts a new
-// pass — callers stop for this tick so pass boundaries are visible in
-// virtual time).
-func (h *Healer) nextRef() (chunk.Key, bool) {
+// nextKey pops the next chunk key of the scrub walk. ok is false when
+// the current pass just ended (the next call starts a new pass —
+// callers stop for this tick so pass boundaries are visible in virtual
+// time). An empty placement map still makes a completed pass, so
+// Pass() terminates promptly on an empty deployment.
+func (h *Healer) nextKey() (chunk.Key, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for {
-		if len(h.refs) > 0 {
-			key := h.refs[0]
-			h.refs = h.refs[1:]
-			return key, true
-		}
-		if len(h.pass) == 0 {
-			if h.passSeen != nil {
-				// A pass was in progress and is now complete.
-				h.completePassLocked()
-				return chunk.Key{}, false
-			}
-			h.startPassLocked()
-			if len(h.pass) == 0 && len(h.refs) == 0 {
-				// Nothing to scrub: an empty walk still counts as a
-				// completed pass, so Pass() terminates promptly on an
-				// empty deployment.
-				h.completePassLocked()
-				return chunk.Key{}, false
-			}
-			continue
-		}
-		unit := h.pass[0]
-		h.pass = h.pass[1:]
-		h.loadUnitLocked(unit)
-	}
-}
-
-// completePassLocked counts one finished scrub pass and observes its
-// wall-clock duration.
-func (h *Healer) completePassLocked() {
-	h.stats.ScrubPasses++
-	h.passSeen = nil
-	if h.met.passSec != nil && !h.passStart.IsZero() {
-		h.met.passSec.ObserveSince(h.passStart)
-		h.passStart = time.Time{}
-	}
-}
-
-// startPassLocked snapshots the work list for a new scrub pass.
-func (h *Healer) startPassLocked() {
-	if h.met.passSec != nil {
-		h.passStart = time.Now()
-	}
-	h.passSeen = make(map[chunk.Key]string)
-	h.pass = h.pass[:0]
-	if len(h.targets) == 0 {
-		// Data-only deployment: walk the placement map directly.
-		h.refs = append(h.refs[:0], h.router.Keys()...)
-		return
-	}
-	for _, b := range h.targets {
-		versions, err := b.Versions()
-		if err != nil {
-			h.stats.ScrubErrors++
-			continue
-		}
-		if h.cfg.Order == NewestFirst {
-			for i := len(versions) - 1; i >= 0; i-- {
-				h.pass = append(h.pass, scrubUnit{blob: b, version: versions[i]})
-			}
-		} else {
-			for _, v := range versions {
-				h.pass = append(h.pass, scrubUnit{blob: b, version: v})
-			}
+	if !h.inPass {
+		h.inPass = true
+		h.pass = h.router.Keys()
+		if h.met.passSec != nil {
+			h.passStart = time.Now()
 		}
 	}
-}
-
-// loadUnitLocked resolves one version's chunk refs into the ref buffer,
-// skipping keys already verified this pass. Resolution drops the lock
-// (metadata I/O can be metered and slow), so the pass may have been
-// reset meanwhile (Pass() restarts the walk); the refs then belong to
-// an abandoned pass and are discarded.
-func (h *Healer) loadUnitLocked(unit scrubUnit) {
-	h.mu.Unlock()
-	refs, err := unit.blob.ChunkRefs(unit.version)
-	h.mu.Lock()
-	if err != nil {
-		// A version dropped by the retention policy between pass
-		// snapshot and resolution is not an error: the lifecycle
-		// removed it from the scrub set on purpose.
-		if !errors.Is(err, vmanager.ErrVersionDropped) {
-			h.stats.ScrubErrors++
+	if len(h.pass) == 0 {
+		h.inPass = false
+		h.stats.ScrubPasses++
+		if h.met.passSec != nil && !h.passStart.IsZero() {
+			h.met.passSec.ObserveSince(h.passStart)
+			h.passStart = time.Time{}
 		}
-		return
+		return chunk.Key{}, false
 	}
-	if h.passSeen == nil {
-		return // pass was reset while unlocked
-	}
-	for _, ref := range refs {
-		if _, seen := h.passSeen[ref.Key]; seen {
-			continue
-		}
-		h.passSeen[ref.Key] = ""
-		h.refs = append(h.refs, ref.Key)
-	}
+	key := h.pass[0]
+	h.pass = h.pass[1:]
+	return key, true
 }
 
 // Pass runs ticks until one full scrub pass completes AND the repair
@@ -414,9 +289,8 @@ func (h *Healer) Pass() HealerStats {
 	h.mu.Lock()
 	start := h.stats.ScrubPasses
 	// Restart cleanly so the pass covers everything from now.
+	h.inPass = false
 	h.pass = nil
-	h.refs = nil
-	h.passSeen = nil
 	h.mu.Unlock()
 	const maxIters = 100000
 	for i := 0; i < maxIters; i++ {

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -138,11 +140,12 @@ func TestScrubRateAndPasses(t *testing.T) {
 	}
 }
 
-// TestHealerScrubWalksPublishedVersions: with a registered blob the
-// scrub walk resolves published versions' metadata, verifies every
-// referenced chunk once per pass, and heals a store-level kill
-// end-to-end on a real deployment.
-func TestHealerScrubWalksPublishedVersions(t *testing.T) {
+// TestHealerScrubHealsEveryPlacedChunk: the scrub walk is the router's
+// placement map, so it heals a store-level kill end-to-end on a real
+// deployment — every published version's chunks, and with GC off also
+// those held only by a dropped version, which no published version's
+// metadata reaches.
+func TestHealerScrubHealsEveryPlacedChunk(t *testing.T) {
 	env := cluster.Default()
 	env.Replicas = 2
 	env.SelfHeal = true
@@ -156,6 +159,16 @@ func TestHealerScrubWalksPublishedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// v1..v3 rewrite one 256 KiB range whole: once v1 is dropped, its
+	// chunks are held by a dropped version only.
+	for i := 0; i < 3; i++ {
+		if _, err := be.WriteList(mustVec(t, 512<<10, bytes.Repeat([]byte{byte(0x10 + i)}, 256<<10))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := be.Blob().DropVersion(1); err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, 32<<10)
 	for i := 0; i < 8; i++ {
 		for j := range buf {
@@ -164,6 +177,13 @@ func TestHealerScrubWalksPublishedVersions(t *testing.T) {
 		if _, err := be.WriteList(mustVec(t, int64(i)*(32<<10), buf)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	keys := svc.Router.Keys()
+	if !slices.ContainsFunc(keys, func(k chunk.Key) bool {
+		ids, _ := svc.Router.Locate(k)
+		return k.Version == 1 && slices.Contains(ids, 0)
+	}) {
+		t.Fatalf("no chunk of dropped v1 has a copy on provider 0: the kill would test nothing (%v)", keys)
 	}
 	svc.Faults[0].SetDown(true)
 	for i := 0; i < 200 && svc.Router.UnderReplicated() > 0; i++ {

@@ -9,7 +9,7 @@
 //
 // One pass:
 //
-//  1. Retention: with RetainLast set, each registered blob drops every
+//  1. Retention: with RetainLast set, each blob drops every
 //     version older than the newest RetainLast (pinned versions are
 //     skipped by the version manager).
 //  2. Hint walk: the pass walks every retained version's chunk refs at
@@ -42,6 +42,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,9 +63,9 @@ type ReapRouter interface {
 var _ ReapRouter = (*provider.Router)(nil)
 
 // BlobLister enumerates the registered blob IDs; implemented by
-// *vmanager.Manager and *vmanager.Sharded. The reaper uses it (via
-// SetCatalog) to discover blobs it was not explicitly handed — the
-// daemon case, where clients create blobs over RPC.
+// *vmanager.Manager and *vmanager.Sharded. It is the reaper's only way
+// to find blobs (see SetCatalog), in process as in the daemon, where
+// clients create blobs over RPC.
 type BlobLister interface {
 	Blobs() []uint64
 }
@@ -127,7 +128,8 @@ type ReaperStats struct {
 	QueueLen        int   // current delete-queue depth
 }
 
-// reapOwner identifies one pending version within a pass.
+// reapOwner identifies one version within a pass: a retained one to
+// hint-walk, or a pending one to diff.
 type reapOwner struct {
 	blob    *blob.Blob
 	version uint64
@@ -135,7 +137,7 @@ type reapOwner struct {
 
 // reapPass is the in-flight state of one collection pass.
 type reapPass struct {
-	walkUnits  []scrubUnit         // retained versions still to hint-walk
+	walkUnits  []reapOwner         // retained versions still to hint-walk
 	walkRefs   []chunk.Ref         // refs of the version being walked
 	pendings   []reapOwner         // pending versions still to diff
 	owners     map[chunk.Key][]int // queued key -> owner indexes awaiting its delete
@@ -214,26 +216,18 @@ func (r *Reaper) SetReadCache(c *provider.ReadCache) {
 	r.mu.Unlock()
 }
 
-// RegisterBlob adds a blob to the collection walk.
-func (r *Reaper) RegisterBlob(b *blob.Blob) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.known[b.ID()] {
-		return
-	}
-	r.known[b.ID()] = true
-	r.targets = append(r.targets, b)
-}
-
-// SetCatalog wires blob discovery for deployments where blobs are
-// created remotely: at each pass start the reaper opens a handle for
-// every blob the version manager knows that it has not seen yet.
+// SetCatalog wires blob discovery: at each pass start the reaper opens
+// a handle for every blob the version manager knows that it has not
+// seen yet, in blob ID order. Without a catalog the reaper collects
+// nothing.
 func (r *Reaper) SetCatalog(svc blob.Services, vm BlobLister) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.catalog = func() []*blob.Blob {
 		var fresh []*blob.Blob
-		for _, id := range vm.Blobs() {
+		ids := vm.Blobs()
+		slices.Sort(ids)
+		for _, id := range ids {
 			if r.known[id] {
 				continue
 			}
@@ -296,7 +290,7 @@ func (r *Reaper) startPassLocked() {
 			if v == 0 {
 				continue
 			}
-			p.walkUnits = append(p.walkUnits, scrubUnit{blob: b, version: v})
+			p.walkUnits = append(p.walkUnits, reapOwner{blob: b, version: v})
 		}
 		for _, pd := range info.Pending {
 			p.pendings = append(p.pendings, reapOwner{blob: b, version: pd.Version})

@@ -196,7 +196,7 @@ func TestReaperDefersBusyChunksToNextPass(t *testing.T) {
 	svc, be := gcCluster(t, 4, 0)
 	b := be.Blob()
 	reaper := core.NewReaper(&busyOnceRouter{Router: svc.Router}, core.ReaperConfig{DeletesPerTick: 8})
-	reaper.RegisterBlob(b)
+	reaper.SetCatalog(svc.Services(), svc.VM)
 	if _, err := b.Retain(1); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestReaperDeleteRateLimit(t *testing.T) {
 	svc, be := gcCluster(t, 6, 0)
 	b := be.Blob()
 	reaper := core.NewReaper(svc.Router, core.ReaperConfig{DeletesPerTick: 1})
-	reaper.RegisterBlob(b)
+	reaper.SetCatalog(svc.Services(), svc.VM)
 	if _, err := b.Retain(1); err != nil {
 		t.Fatal(err)
 	}

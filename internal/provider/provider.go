@@ -115,6 +115,7 @@ package provider
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -1291,16 +1292,20 @@ func (r *Router) Locate(key chunk.Key) ([]ID, bool) {
 	return out, true
 }
 
-// Keys returns a snapshot of every chunk key the placement map knows.
-// The daemon-side scrubber walks this when it has no blob handles to
-// enumerate published versions with.
+// Keys returns a snapshot of every chunk key the placement map knows,
+// sorted by blob, version and index: the healer's scrub walk, which
+// then visits each blob's chunks oldest version first, in the same
+// order every run.
 func (r *Router) Keys() []chunk.Key {
 	r.place.mu.RLock()
-	defer r.place.mu.RUnlock()
 	keys := make([]chunk.Key, 0, len(r.place.m))
 	for k := range r.place.m {
 		keys = append(keys, k)
 	}
+	r.place.mu.RUnlock()
+	slices.SortFunc(keys, func(a, b chunk.Key) int {
+		return cmp.Or(cmp.Compare(a.Blob, b.Blob), cmp.Compare(a.Version, b.Version), cmp.Compare(a.Index, b.Index))
+	})
 	return keys
 }
 

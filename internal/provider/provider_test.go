@@ -1,9 +1,11 @@
 package provider
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -230,9 +232,12 @@ func TestRouterGetUnknown(t *testing.T) {
 func TestRouterDistributesChunks(t *testing.T) {
 	m, _ := NewPool(4, iosim.CostModel{})
 	r := NewRouter(m)
+	// Keys put out of (blob, version, index) order.
+	keyOf := func(i int) chunk.Key {
+		return chunk.Key{Blob: uint64(2 - i%2), Version: uint64(3 - i%3), Index: uint32(16 - i)}
+	}
 	for i := 0; i < 16; i++ {
-		key := chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}
-		if _, err := r.Put(key, []byte{byte(i)}); err != nil {
+		if _, err := r.Put(keyOf(i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,10 +246,16 @@ func TestRouterDistributesChunks(t *testing.T) {
 			t.Fatalf("provider %d holds %d chunks, want 4", p.ID(), got)
 		}
 	}
+	// The placement map lists them by blob, version and index.
+	keys := r.Keys()
+	if len(keys) != 16 || !slices.IsSortedFunc(keys, func(a, b chunk.Key) int {
+		return cmp.Or(cmp.Compare(a.Blob, b.Blob), cmp.Compare(a.Version, b.Version), cmp.Compare(a.Index, b.Index))
+	}) {
+		t.Fatalf("Keys() = %v, want the 16 keys sorted", keys)
+	}
 	// Every chunk must still be readable through the router.
 	for i := 0; i < 16; i++ {
-		key := chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}
-		got, err := r.Get(key, 0, 1)
+		got, err := r.Get(keyOf(i), 0, 1)
 		if err != nil || got[0] != byte(i) {
 			t.Fatalf("chunk %d: %v %v", i, got, err)
 		}

@@ -293,10 +293,8 @@ func BenchmarkFramedPut1MiBWindow8(b *testing.B) {
 // BenchmarkFramedGet1MiBWindow8 is checkpoint_restore's read shape, the
 // mirror of the put benchmark above: 32 gets of 1 MiB from mem:// stores
 // under the reader's window of 8. GetFrom allocates what it returns, a
-// megabyte a get; GetInto reads into the caller's buffer, and what is
-// left in its B/op (client and server share the process) is per-call
-// bookkeeping — well under 1 KiB a get, nothing sized by the payload.
-// Server drives one connection by hand, reading replies into a fixed
+// megabyte a get (client and server share the process, so B/op counts
+// both). Server drives one connection by hand, reading replies into a fixed
 // buffer, so every allocation counted there is the server's: the router
 // opening the chunk (its replica order, the store's reader), none by the
 // framed loop that sends it.
@@ -317,32 +315,23 @@ func BenchmarkFramedGet1MiBWindow8(b *testing.B) {
 		}
 		return c
 	}
-	run := func(b *testing.B, get func(c *Client, j int64) error) {
-		c := boot(b)
-		b.SetBytes(chunks * size)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !windowed(window, chunks, func(j int64) error { return get(c, j) }) {
-				b.Fatal("a get failed")
-			}
-		}
-	}
 	b.Run("GetFrom", func(b *testing.B) {
-		run(b, func(c *Client, j int64) error {
+		c := boot(b)
+		get := func(j int64) error {
 			data, _, err := c.GetFrom(nil, chunk.Key{Blob: 1, Index: uint32(j)}, 0, size)
 			if err == nil && len(data) != size {
 				err = io.ErrUnexpectedEOF
 			}
 			return err
-		})
-	})
-	b.Run("GetInto", func(b *testing.B) {
-		out := make([]byte, chunks*size)
-		run(b, func(c *Client, j int64) error {
-			_, err := c.GetInto(out[j*size:(j+1)*size:(j+1)*size], nil, chunk.Key{Blob: 1, Index: uint32(j)}, 0)
-			return err
-		})
+		}
+		b.SetBytes(chunks * size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !windowed(window, chunks, get) {
+				b.Fatal("a get failed")
+			}
+		}
 	})
 	b.Run("Server", func(b *testing.B) {
 		c := boot(b)

@@ -1152,9 +1152,9 @@ func TestFramedGetRejectsWrongLengthReply(t *testing.T) {
 			data, _, err := c.GetFrom(nil, key, 0, 3000)
 			return len(data), true, err
 		},
-		"GetInto": func(c *Client) (int, bool, error) {
+		"GetManyInto": func(c *Client) (int, bool, error) {
 			dst, intact := guarded(3000)
-			_, err := c.GetInto(dst, nil, key, 0)
+			err := c.GetManyInto(dst, []blob.ChunkRead{{Key: key, Length: 3000}})
 			return len(dst), intact(), err
 		},
 	}
@@ -1203,7 +1203,7 @@ func TestFramedGetRejectsWrongLengthReply(t *testing.T) {
 		t.Fatalf("exact reply: %d bytes, %v", len(data), err)
 	}
 	dst, intact := guarded(3000)
-	if _, err := c.GetInto(dst, nil, key, 0); err != nil || !intact() || bytes.Count(dst, []byte{0xAB}) != 3000 {
+	if err := c.GetManyInto(dst, []blob.ChunkRead{{Key: key, Length: 3000}}); err != nil || !intact() || bytes.Count(dst, []byte{0xAB}) != 3000 {
 		t.Fatalf("exact reply into a buffer: %v, guards intact %v", err, intact())
 	}
 	if len(c.pool.idle) != 1 {

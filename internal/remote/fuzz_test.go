@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/chunk"
 	"repro/internal/extent"
 	"repro/internal/iosim"
@@ -206,13 +207,13 @@ func listReplyModel(reply []byte, n, length int) (data [][]byte, succeeds, sure 
 }
 
 // FuzzFramedReply feeds arbitrary bytes to the client as a server's
-// answer to each kind of call — a get, a get into the caller's buffer, a
-// list of three gets into one buffer, a put, the three node ops, a walk
-// and every version-manager call — over an in-memory connection. No call
-// may panic or hang. A get succeeds exactly when the reply is a
-// well-formed list reply whose every entry is ok with the length asked
-// for, and returns those bytes; an into-get, besides, never writes
-// outside its destination, whatever the reply claims; a walk or a
+// answer to each kind of call — a get, a list of one get into the
+// caller's buffer, a list of three gets into one buffer, a put, the
+// three node ops, a walk and every version-manager call — over an
+// in-memory connection. No call may panic or hang. A get succeeds
+// exactly when the reply is a well-formed list reply whose every entry
+// is ok with the length asked for, and returns those bytes; a get into
+// the caller's buffer, besides, never writes outside its destination, whatever the reply claims; a walk or a
 // version-manager call succeeds only on an ok reply. The seed corpus
 // (testdata/fuzz) holds a legal reply of each kind, the wrong-length
 // replies of TestFramedGetRejectsWrongLengthReply, a status block cut
@@ -234,12 +235,12 @@ func FuzzFramedReply(f *testing.F) {
 		}
 
 		dst, intact := guarded(int(length))
-		_, err = pipedClient(t, reply).GetInto(dst, nil, key, 0)
+		err = pipedClient(t, reply).GetManyInto(dst, []blob.ChunkRead{{Key: key, Length: int64(length)}})
 		if !intact() {
-			t.Fatalf("GetInto of %d bytes wrote outside its destination (%v)", length, err)
+			t.Fatalf("GetManyInto of one %d-byte read wrote outside its destination (%v)", length, err)
 		}
 		if (sure && (err == nil) != ok) || (err == nil && !bytes.Equal(dst, want[0])) {
-			t.Fatalf("GetInto of %d bytes: %v; the model: %v", length, err, ok)
+			t.Fatalf("GetManyInto of one %d-byte read: %v; the model: %v", length, err, ok)
 		}
 
 		// A train of three gets into one buffer, end to end: one list get.

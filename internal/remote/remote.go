@@ -442,19 +442,11 @@ func (c *Client) GetFrom(replicas []provider.ID, key chunk.Key, off, length int6
 	return r.data, r.ids, nil
 }
 
-// GetInto is GetFrom into the caller's buffer: exactly len(dst) bytes at
-// off, off the socket into dst, never past them; after an error dst holds
-// nothing the caller may use. (blob finds it by assertion.)
-func (c *Client) GetInto(dst []byte, replicas []provider.ID, key chunk.Key, off int64) (fresh []provider.ID, err error) {
-	r := c.pool.one(getCall(dst, 0, int64(len(dst)), replicas, key, off))
-	return r.ids, r.err
-}
-
-// GetManyInto is GetInto for every read of the list, each into dst at
-// its At, as one batch, each Fresh set where the hint was stale; reads
-// that fill consecutive bytes of dst leave the socket as one. Every read
-// is attempted; the error is the first in list order, after which no
-// read's bytes are to be used.
+// GetManyInto is GetFrom for every read of the list, each off the socket
+// into dst at its At and never past its Length, as one batch, each Fresh
+// set where the hint was stale; reads that fill consecutive bytes of dst
+// leave the socket as one. Every read is attempted; the error is the
+// first in list order, after which no read's bytes are to be used.
 func (c *Client) GetManyInto(dst []byte, reads []blob.ChunkRead) error {
 	batch := make([]framedCall, len(reads))
 	for i, r := range reads {

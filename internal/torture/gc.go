@@ -78,13 +78,10 @@ type GCReport struct {
 
 // gcEnv pins the deployment knobs so the schedule is reproducible:
 // self-heal as in the heal schedule (see selfHealEnv: threshold 2,
-// small queue so backpressure is exercised), newest-first scrub order
-// (the smarter scheduling option rides under fire here), and the
-// reaper with the configured retention applied continuously at a
-// bounded delete rate.
+// small queue so backpressure is exercised) and the reaper with the
+// configured retention applied continuously at a bounded delete rate.
 func gcEnv(cfg GCConfig) cluster.Env {
 	env := selfHealEnv(cfg.Providers, cfg.Replicas)
-	env.ScrubNewestFirst = true
 	env.GC = true
 	env.RetainLast = cfg.KeepLast
 	env.GCRate = 8
