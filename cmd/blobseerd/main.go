@@ -9,7 +9,7 @@
 //	blobseerd -listen :4004 -roles vm,meta,data -replicas 2 -retain 8 -gc-rate 8
 //	blobseerd -listen :4005 -roles data -providers 16 -replicas 3 -domains 4
 //	blobseerd -listen :4006 -roles data -replicas 2 -domains rackA,rackB,rackC
-//	blobseerd -listen :4007 -roles data -replicas 2 -domains 4 -domain zone0 -read-cache 67108864
+//	blobseerd -listen :4007 -roles data -replicas 2 -domains 4 -domain zone0
 //	blobseerd -listen :4009 -roles data -providers 16 -store disk:///var/blobseer/chunks
 //	blobseerd -listen :4010 -roles data -providers 8 -coding rs-4+2 -domains 6
 //
@@ -73,8 +73,6 @@ func main() {
 		gcQueue    = flag.Int("gc-queue", 256, "bounded delete queue depth (gc)")
 
 		localDomain = flag.String("domain", "", "failure domain this node's readers sit in: same-domain replicas are tried first and cross-domain bytes avoided are counted (data role)")
-		readCache   = flag.Int64("read-cache", 0, "bounded read cache size in bytes, invalidated on placement changes. Every network client reads chunks by framed stream, which bypasses the cache, so in a daemon it holds chunk data for no remote reader — replica-set hints for the reaper only (data role; 0 = off)")
-		cacheShards = flag.Int("cache-shards", 0, "read cache shard count, rounded up to a power of two (read-cache; 0 = default 16)")
 	)
 	flag.Parse()
 	if *retain > 0 {
@@ -156,14 +154,6 @@ func main() {
 			if *localDomain != "" {
 				roles.Data.SetLocalDomain(*localDomain)
 			}
-			if *readCache > 0 {
-				cache := provider.NewReadCache(provider.ReadCacheConfig{
-					Shards:   *cacheShards,
-					MaxBytes: *readCache,
-				})
-				cache.SetMetrics(reg)
-				roles.Data.SetReadCache(cache)
-			}
 			if *selfHeal {
 				roles.Health = provider.NewHealthMonitor(pool, provider.HealthConfig{
 					Threshold: *failThreshold,
@@ -206,12 +196,6 @@ func main() {
 		// as every in-process deployment's does.
 		roles.Reaper.SetMetrics(reg)
 		roles.Reaper.SetCatalog(blob.Services{VM: roles.VM, Meta: roles.Meta, Data: roles.Data}, roles.VM)
-		if c := roles.Data.ReadCache(); c != nil {
-			// The reaper's hint walk then repairs hint rot: stale
-			// metadata hints get the current placement rewritten into
-			// the cache instead of merely being counted.
-			roles.Reaper.SetReadCache(c)
-		}
 	}
 
 	node, err := remote.Listen(*listen, roles)
@@ -259,15 +243,8 @@ func main() {
 	if roles.Data != nil && *storeURL != "mem://" {
 		fmt.Printf("chunk store: %s (one backend per provider)\n", *storeURL)
 	}
-	if roles.Data != nil && (*localDomain != "" || *readCache > 0) {
-		parts := []string{}
-		if *localDomain != "" {
-			parts = append(parts, fmt.Sprintf("zone-local reads from %s", *localDomain))
-		}
-		if *readCache > 0 {
-			parts = append(parts, fmt.Sprintf("read cache %d bytes", *readCache))
-		}
-		fmt.Printf("read tier: %s\n", strings.Join(parts, ", "))
+	if roles.Data != nil && *localDomain != "" {
+		fmt.Printf("read tier: zone-local reads from %s\n", *localDomain)
 	}
 	if roles.VM != nil && *vmShards > 1 {
 		fmt.Printf("control plane: %d vmanager shards (stable blob-ID hash)\n", *vmShards)

@@ -310,8 +310,7 @@ func main() {
 		admin(http.MethodPost, fmt.Sprintf("/gc?sync=%t", *syncScrub), &st)
 		fmt.Printf("gc: ticks %d, passes %d, auto-dropped %d versions, reclaimed %d versions\n",
 			st.Ticks, st.Passes, st.AutoDropped, st.Reclaimed)
-		fmt.Printf("walk: %d refs (%d stale hints, %d errors), %d pending versions diffed\n",
-			st.WalkedRefs, st.StaleHints, st.WalkErrors, st.PendingSeen)
+		fmt.Printf("diff: %d pending versions diffed\n", st.PendingSeen)
 		fmt.Printf("delete: %d chunks / %d replicas / %d bytes reclaimed (%d failed, %d deferred to repair)\n",
 			st.Deleted, st.ReplicasRemoved, st.DeletedBytes, st.DeleteFailed, st.DeferredBusy)
 		fmt.Printf("queue: enqueued %d, dup %d, dropped %d, depth %d\n",
@@ -373,13 +372,12 @@ func main() {
 		fmt.Printf("locality: %d local / %d remote reads, %d local / %d remote bytes (cross-domain fraction %.3f)\n",
 			loc.LocalReads, loc.RemoteReads, loc.LocalBytes, loc.RemoteBytes, loc.CrossFraction())
 		if !rt.CacheEnabled {
-			fmt.Println("read cache: off (enable with blobseerd -read-cache)")
+			fmt.Println("read cache: off")
 			break
 		}
 		cs := rt.Cache
 		fmt.Printf("read cache: %d entries / %d bytes, hit rate %.3f (%d hits, %d misses)\n",
 			cs.Entries, cs.Bytes, cs.HitRate(), cs.Hits, cs.Misses)
-		fmt.Printf("hints: %d hits, %d misses, %d fills\n", cs.HintHits, cs.HintMisses, cs.HintFills)
 		fmt.Printf("churn: %d fills, %d evictions, %d invalidations\n", cs.Fills, cs.Evictions, cs.Invalidations)
 
 	case "metrics":

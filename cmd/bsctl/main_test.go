@@ -116,7 +116,8 @@ func checkTranscript(t *testing.T, name, got string) {
 
 // TestEveryCommandOnACodedNode drives every subcommand against a node
 // like `blobseerd -providers 12 -domains 6 -coding rs-4+2 -self-heal -gc
-// -domain zone0 -read-cache 8388608`, checking what bsctl prints.
+// -domain zone0`, its router given a read cache in process, checking
+// what bsctl prints.
 func TestEveryCommandOnACodedNode(t *testing.T) {
 	reg := metrics.NewRegistry()
 	pool, _, err := provider.NewURLPoolInDomains("mem://", 12, 0, iosim.CostModel{}, false)

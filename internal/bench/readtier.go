@@ -176,9 +176,9 @@ func RunReadTier(env cluster.Env, opts ReadTierOptions) (ReadTierResult, error) 
 	res.ReadMBps = mbps(res.Reads*env.ChunkSize, elapsed)
 	res.Locality = svc.Router.ReadLocality()
 	res.CrossFraction = res.Locality.CrossFraction()
-	if svc.Cache != nil {
+	if c := svc.Router.ReadCache(); c != nil {
 		res.CacheOn = true
-		res.Cache = svc.Cache.Stats()
+		res.Cache = c.Stats()
 	}
 	return res, nil
 }

@@ -9,8 +9,9 @@
 // obtained with its ticket, and hands the new root to the version
 // manager, which publishes snapshots strictly in ticket order. A read
 // runs against one immutable published snapshot and therefore needs no
-// synchronization at all; when a data provider is down it fails over
-// to the surviving replicas recorded in each chunk ref.
+// synchronization at all; when a data provider is down the data
+// service fails over to the surviving replicas its placement map
+// names.
 package blob
 
 import (
@@ -58,15 +59,14 @@ var (
 // DataService is the data-provider API: store and fetch immutable
 // chunks. Implemented by *provider.Router in-process and by the RPC
 // client remotely. Put returns the replica set — the providers that
-// hold a copy — which writers record in metadata (chunk.Ref.Replicas)
-// so readers can fail over across copies; GetFrom is the replica-aware
-// read that tries that set first. When the hinted set could not serve
-// the read (stale after a repair moved the copies) GetFrom serves from
-// authoritative placement instead and returns the current replica set
-// as fresh; the blob caches it so later reads skip the dead hint.
+// hold a copy; Get reads from the set the service's placement map names
+// at that moment, the one answer to where a chunk lives, so metadata
+// records none.
 type DataService interface {
 	Put(key chunk.Key, data []byte) ([]provider.ID, error)
 	Get(key chunk.Key, off, length int64) ([]byte, error)
+	// Deprecated: GetFrom is Get; implementations ignore replicas and
+	// return fresh == nil.
 	GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) (data []byte, fresh []provider.ID, err error)
 }
 
@@ -74,16 +74,12 @@ var _ DataService = (*provider.Router)(nil)
 
 // ChunkRead is one read of a list handed to a data service's GetManyInto:
 // fill the Length bytes of the list's destination at At with the bytes at
-// Off of chunk Key, trying Replicas first. The service sets Fresh where
-// GetFrom would return a fresh set.
+// Off of chunk Key.
 type ChunkRead struct {
-	Replicas []provider.ID
-	Key      chunk.Key
-	Off      int64
-	At       int64
-	Length   int64
-
-	Fresh []provider.ID
+	Key    chunk.Key
+	Off    int64
+	At     int64
+	Length int64
 }
 
 // chunkBatcher is what a DataService may implement beside its interface:
@@ -107,21 +103,7 @@ type Services struct {
 	VM   VersionService
 	Meta segtree.NodeStore
 	Data DataService
-
-	// Cache, when set, is the deployment's shared read cache
-	// (cluster.Env.ReadCache wires the router's): blob handles consult
-	// it for fresh replica-set hints, so a hint corrected by one handle
-	// benefits every handle, and the router invalidates it on placement
-	// changes. When nil each handle falls back to a small private
-	// hint-only cache — still bounded, unlike the per-handle map it
-	// replaced, but invalidated only by capacity.
-	Cache *provider.ReadCache
 }
-
-// privateHintCacheBytes bounds the per-handle fallback hint cache used
-// when no shared cache is wired: a few thousand hint entries, enough
-// for a handle's working set, nothing like the old unbounded map.
-const privateHintCacheBytes = 256 << 10
 
 // nodeCacheEntries bounds the per-handle cache of immutable tree nodes
 // (segtree.NodeCache): a few trees' worth of root paths and leaves, on
@@ -140,16 +122,6 @@ type Blob struct {
 	// stored, so a read goes to the metadata service only for nodes it
 	// has never seen.
 	nodes *segtree.NodeCache
-
-	// hints caches fresh replica sets learned from stale-hint reads:
-	// metadata refs are immutable, so after a repair moves a chunk's
-	// copies the ref's replica list goes stale forever. The first read
-	// through a stale hint falls back to the placement map and returns
-	// the current set; caching it makes every later read of the same
-	// chunk go straight to the live copies. Either the shared
-	// Services.Cache (placement-invalidated) or a private bounded
-	// hint-only cache.
-	hints *provider.ReadCache
 }
 
 // WriteOptions tunes one write call.
@@ -191,13 +163,6 @@ func Open(svc Services, id uint64) (*Blob, error) {
 }
 
 func newBlob(svc Services, id uint64, geo segtree.Geometry) *Blob {
-	hints := svc.Cache
-	if hints == nil {
-		hints = provider.NewReadCache(provider.ReadCacheConfig{
-			Shards:   4,
-			MaxBytes: privateHintCacheBytes,
-		})
-	}
 	nodes := segtree.NewNodeCache(svc.Meta, nodeCacheEntries)
 	data, ok := svc.Data.(chunkBatcher)
 	if !ok {
@@ -210,23 +175,11 @@ func newBlob(svc Services, id uint64, geo segtree.Geometry) *Blob {
 		tree:  &segtree.Tree{Blob: id, Geo: geo, Store: nodes},
 		data:  data,
 		nodes: nodes,
-		hints: hints,
 	}
 }
 
 // NodeCacheStats reports the handle's tree-node cache counters.
 func (b *Blob) NodeCacheStats() segtree.NodeCacheStats { return b.nodes.Stats() }
-
-// FreshHint returns the cached fresh replica set for a chunk whose
-// metadata hint was observed stale, if any.
-func (b *Blob) FreshHint(key chunk.Key) ([]provider.ID, bool) {
-	return b.hints.Hint(key)
-}
-
-// cacheHint records a fresh replica set for a stale-hinted chunk.
-func (b *Blob) cacheHint(key chunk.Key, ids []provider.ID) {
-	b.hints.FillHint(key, ids)
-}
 
 // ID returns the blob identifier.
 func (b *Blob) ID() uint64 { return b.id }
@@ -354,25 +307,14 @@ func (b *Blob) storeChunks(version uint64, vec extent.Vec) ([]segtree.Placed, er
 		keys[i] = chunk.Key{Blob: b.id, Version: version, Index: uint32(i)}
 		data[i] = p.data
 	}
-	ids, err := b.data.PutMany(keys, data)
-	if err != nil {
+	if _, err := b.data.PutMany(keys, data); err != nil {
 		return nil, fmt.Errorf("blob: store chunks: %w", err)
 	}
 	placed := make([]segtree.Placed, len(pieces))
 	for i, p := range pieces {
-		placed[i] = segtree.Placed{Ext: p.ext, Ref: placedRef(keys[i], p.ext.Length, ids[i])}
+		placed[i] = segtree.Placed{Ext: p.ext, Ref: chunk.Ref{Key: keys[i], Length: p.ext.Length}}
 	}
 	return placed, nil
-}
-
-// placedRef is the reference a tree leaf records for a whole chunk just
-// stored on ids.
-func placedRef(key chunk.Key, length int64, ids []provider.ID) chunk.Ref {
-	replicas := make([]uint32, len(ids))
-	for j, id := range ids {
-		replicas[j] = uint32(id)
-	}
-	return chunk.Ref{Key: key, Offset: 0, Length: length, Replicas: replicas}
 }
 
 // WaitPublished blocks until version v is published, making it visible
@@ -422,18 +364,13 @@ func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, 
 	var scattered []int // indexes into frags
 	for i, f := range frags {
 		if c := plan[i]; len(c) == 1 && c[0].src == 0 && c[0].n == f.Ref.Length {
-			whole = append(whole, ChunkRead{Replicas: b.replicasOf(f.Ref), Key: f.Ref.Key, Off: f.Ref.Offset, At: c[0].dst, Length: c[0].n})
+			whole = append(whole, ChunkRead{Key: f.Ref.Key, Off: f.Ref.Offset, At: c[0].dst, Length: c[0].n})
 		} else {
 			scattered = append(scattered, i)
 		}
 	}
 	err = b.data.GetManyInto(out, whole)
 	if err == nil {
-		for _, r := range whole {
-			if r.Fresh != nil {
-				b.cacheHint(r.Key, r.Fresh)
-			}
-		}
 		// Each copied fragment lives in a buffer of its own until it is laid
 		// out: those are fetched under the window.
 		err = windowed(DefaultWindow*b.geo.Page, len(scattered),
@@ -449,45 +386,24 @@ func (b *Blob) readSnapshot(info vmanager.SnapshotInfo, q extent.List) ([]byte, 
 // fetchAndCopy fetches one fragment and lays it out in out, once per
 // copy.
 func (b *Blob) fetchAndCopy(out []byte, f segtree.Fragment, copies []scatterCopy) error {
-	d, fresh, err := getExact(b.svc.Data, b.replicasOf(f.Ref), f.Ref)
+	d, err := getExact(b.svc.Data, f.Ref)
 	if err != nil {
 		return err
 	}
 	for _, c := range copies {
 		copy(out[c.dst:c.dst+c.n], d[c.src:])
 	}
-	if fresh != nil {
-		b.cacheHint(f.Ref.Key, fresh)
-	}
 	return nil
 }
 
-// replicasOf is the replica set to try first for a fragment. Refs carry
-// the set recorded at write time: the data service fails over across
-// those copies when a provider is down, falling back to the router's
-// placement map when the hint has gone stale (a repair moved the
-// copies). A cached fresh hint from an earlier stale read overrides the
-// metadata hint, and any newly learned fresh set is cached for next
-// time.
-func (b *Blob) replicasOf(ref chunk.Ref) []provider.ID {
-	if fresh, ok := b.FreshHint(ref.Key); ok {
-		return fresh
-	}
-	replicas := make([]provider.ID, len(ref.Replicas))
-	for j, id := range ref.Replicas {
-		replicas[j] = provider.ID(id)
-	}
-	return replicas
-}
-
-// getExact is GetFrom held to its length: a fragment that comes back
+// getExact is Get held to its length: a fragment that comes back
 // shorter or longer than its ref fails the read and names the chunk.
-func getExact(svc DataService, replicas []provider.ID, ref chunk.Ref) ([]byte, []provider.ID, error) {
-	d, fresh, err := svc.GetFrom(replicas, ref.Key, ref.Offset, ref.Length)
+func getExact(svc DataService, ref chunk.Ref) ([]byte, error) {
+	d, err := svc.Get(ref.Key, ref.Offset, ref.Length)
 	if err == nil && int64(len(d)) != ref.Length {
 		err = fmt.Errorf("chunk %v: got %d bytes at offset %d, want %d", ref.Key, len(d), ref.Offset, ref.Length)
 	}
-	return d, fresh, err
+	return d, err
 }
 
 // windowed makes calls 0..n-1, each from a goroutine of its own, under a
@@ -575,10 +491,9 @@ func (e eachChunk) PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, er
 func (e eachChunk) GetManyInto(dst []byte, reads []ChunkRead) error {
 	return windowed(e.window, len(reads),
 		func(i int) int64 { return reads[i].Length },
-		func(i int) (err error) {
-			r := &reads[i]
-			var d []byte
-			d, r.Fresh, err = getExact(e.svc, r.Replicas, chunk.Ref{Key: r.Key, Offset: r.Off, Length: r.Length})
+		func(i int) error {
+			r := reads[i]
+			d, err := getExact(e.svc, chunk.Ref{Key: r.Key, Offset: r.Off, Length: r.Length})
 			copy(dst[r.At:r.At+r.Length], d)
 			return err
 		})
@@ -644,29 +559,6 @@ func (b *Blob) Size(version uint64) (int64, error) {
 // Versions lists all published versions of the blob.
 func (b *Blob) Versions() ([]uint64, error) {
 	return b.svc.VM.Versions(b.id)
-}
-
-// ChunkRefs enumerates the chunk references a published snapshot is
-// assembled from, by resolving its metadata over the full snapshot
-// extent. The reaper's hint walk audits each one's replica hint
-// against placement.
-func (b *Blob) ChunkRefs(version uint64) ([]chunk.Ref, error) {
-	info, err := b.svc.VM.Snapshot(b.id, version)
-	if err != nil {
-		return nil, err
-	}
-	if info.Size == 0 {
-		return nil, nil
-	}
-	frags, _, err := b.tree.Resolve(info.Root, extent.List{{Offset: 0, Length: info.Size}})
-	if err != nil {
-		return nil, err
-	}
-	refs := make([]chunk.Ref, 0, len(frags))
-	for _, f := range frags {
-		refs = append(refs, f.Ref)
-	}
-	return refs, nil
 }
 
 // Retain applies the retention policy: drop every published version

@@ -363,8 +363,9 @@ func TestWriteRecordsReplicaSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A write spanning several pages stores several chunks; every leaf
-	// ref must carry a 2-provider replica set.
+	// A write spanning several pages stores several chunks, each on two
+	// distinct providers: the router's placement records the set, the
+	// leaf ref names the chunk alone.
 	v, err := b.Write(0, make([]byte, 2048), WriteOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -380,12 +381,11 @@ func TestWriteRecordsReplicaSets(t *testing.T) {
 	if len(frags) == 0 {
 		t.Fatal("no fragments resolved")
 	}
+	router := svc.Data.(*provider.Router)
 	for _, f := range frags {
-		if len(f.Ref.Replicas) != 2 {
-			t.Fatalf("ref %v carries %d replicas, want 2", f.Ref.Key, len(f.Ref.Replicas))
-		}
-		if f.Ref.Replicas[0] == f.Ref.Replicas[1] {
-			t.Fatalf("ref %v replicas not distinct: %v", f.Ref.Key, f.Ref.Replicas)
+		ids, ok := router.Locate(f.Ref.Key)
+		if !ok || len(ids) != 2 || ids[0] == ids[1] {
+			t.Fatalf("chunk %v placed on %v, want 2 distinct providers", f.Ref.Key, ids)
 		}
 	}
 }

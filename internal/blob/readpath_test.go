@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -225,7 +224,7 @@ type gatedData struct {
 	maxCalls, maxBytes int64
 }
 
-func (g *gatedData) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
+func (g *gatedData) Get(key chunk.Key, off, length int64) ([]byte, error) {
 	g.mu.Lock()
 	g.calls++
 	g.bytes += length
@@ -238,7 +237,7 @@ func (g *gatedData) GetFrom(replicas []provider.ID, key chunk.Key, off, length i
 		g.bytes -= length
 		g.mu.Unlock()
 	}()
-	return g.DataService.GetFrom(replicas, key, off, length)
+	return g.DataService.Get(key, off, length)
 }
 
 func (g *gatedData) inFlight() int64 {
@@ -316,12 +315,12 @@ func TestReadWindowIsBytes(t *testing.T) {
 // shortData returns every fragment one byte short.
 type shortData struct{ DataService }
 
-func (s shortData) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
-	d, fresh, err := s.DataService.GetFrom(replicas, key, off, length)
+func (s shortData) Get(key chunk.Key, off, length int64) ([]byte, error) {
+	d, err := s.DataService.Get(key, off, length)
 	if err == nil && len(d) > 0 {
 		d = d[:len(d)-1]
 	}
-	return d, fresh, err
+	return d, err
 }
 
 // A fragment that comes back shorter than its ref must fail the read
@@ -351,7 +350,7 @@ func TestReadListRejectsShortFragment(t *testing.T) {
 	}
 }
 
-// countedData is a DataService that counts its GetFrom calls.
+// countedData is a DataService that counts its Get calls.
 type countedData struct {
 	DataService
 
@@ -359,11 +358,11 @@ type countedData struct {
 	from int
 }
 
-func (d *countedData) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
+func (d *countedData) Get(key chunk.Key, off, length int64) ([]byte, error) {
 	d.mu.Lock()
 	d.from++
 	d.mu.Unlock()
-	return d.DataService.GetFrom(replicas, key, off, length)
+	return d.DataService.Get(key, off, length)
 }
 
 // manyData is a countedData that also takes the reads as a list, as the
@@ -371,8 +370,7 @@ func (d *countedData) GetFrom(replicas []provider.ID, key chunk.Key, off, length
 // and whether any read reached outside its own place in the destination.
 type manyData struct {
 	countedData
-	failInto error         // returned by every GetManyInto, if set
-	fresh    []provider.ID // set as each read's Fresh
+	failInto error // returned by every GetManyInto, if set
 
 	lists, reads int
 	unclipped    bool
@@ -395,17 +393,15 @@ func (d *manyData) GetManyInto(dst []byte, reads []ChunkRead) error {
 		}
 	}
 	d.mu.Unlock()
-	for i := range reads {
-		r := &reads[i]
+	for _, r := range reads {
 		if d.failInto != nil {
 			return d.failInto
 		}
-		data, _, err := d.DataService.GetFrom(r.Replicas, r.Key, r.Off, r.Length)
+		data, err := d.DataService.Get(r.Key, r.Off, r.Length)
 		if err != nil {
 			return err
 		}
 		copy(dst[r.At:r.At+r.Length], data)
-		r.Fresh = d.fresh
 	}
 	return nil
 }
@@ -469,11 +465,11 @@ func TestReadListIntoAndCopyAgree(t *testing.T) {
 				t.Fatalf("copied matches the model: %v, listed: %v", bytes.Equal(copied, want), bytes.Equal(listed, want))
 			}
 			if many.lists > 1 || many.reads != tc.listed || many.from != tc.from {
-				t.Errorf("with the list on offer: %d lists of %d reads and %d GetFrom calls, want one list of %d and %d",
+				t.Errorf("with the list on offer: %d lists of %d reads and %d Get calls, want one list of %d and %d",
 					many.lists, many.reads, many.from, tc.listed, tc.from)
 			}
 			if plain.from != tc.listed+tc.from {
-				t.Errorf("without the list on offer: %d GetFrom calls, want %d", plain.from, tc.listed+tc.from)
+				t.Errorf("without the list on offer: %d Get calls, want %d", plain.from, tc.listed+tc.from)
 			}
 			if many.unclipped {
 				t.Error("a read reached outside its place in the destination")
@@ -481,23 +477,13 @@ func TestReadListIntoAndCopyAgree(t *testing.T) {
 		})
 	}
 
-	// What GetManyInto returns is handled as what GetFrom returns is: an
-	// error fails the read, a fresh replica set is cached for the chunk.
+	// What GetManyInto returns is handled as what Get returns is: an
+	// error fails the read.
 	q := extent.List{{Offset: 0, Length: page}}
 	boom := errors.New("boom")
-	fresh := []provider.ID{3, 1}
-	with := func(failInto error, fresh []provider.ID) DataService {
-		return &manyData{countedData: countedData{DataService: svc.Data}, failInto: failInto, fresh: fresh}
-	}
-	if _, err := openWith(t, svc, with(boom, nil)).ReadList(v, q); !errors.Is(err, boom) {
+	failing := &manyData{countedData: countedData{DataService: svc.Data}, failInto: boom}
+	if _, err := openWith(t, svc, failing).ReadList(v, q); !errors.Is(err, boom) {
 		t.Fatalf("a failed GetManyInto: ReadList returned %v", err)
-	}
-	r := openWith(t, svc, with(nil, fresh))
-	if _, err := r.ReadList(v, q); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := r.FreshHint(chunk.Key{Blob: 1, Version: v, Index: 0}); !ok || !slices.Equal(got, fresh) {
-		t.Fatalf("fresh set returned by GetManyInto: cached %v, %v", got, ok)
 	}
 }
 

@@ -33,75 +33,34 @@ func (k Key) String() string {
 }
 
 // Ref points at a sub-range of a stored chunk. Metadata leaves hold
-// Refs. Replicas, when non-empty, lists the data providers that hold a
-// copy of the chunk (write-time placement): readers try those first
-// and fail over across them when a provider is down. An empty set
-// means placement is resolved by the provider router alone
-// (pre-replication refs).
+// Refs. A ref names bytes, not where they live: the provider router's
+// placement map is the one answer to which providers hold a chunk.
 type Ref struct {
-	Key      Key
-	Offset   int64    // offset within the chunk
-	Length   int64    // number of bytes referenced
-	Replicas []uint32 // provider IDs holding a copy (may be empty)
+	Key    Key
+	Offset int64 // offset within the chunk
+	Length int64 // number of bytes referenced
 }
 
-// EqualData reports whether two refs reference the same bytes — the
-// same sub-range of the same chunk. Replica placement is ignored: a
-// repair that moves copies does not change the data a ref denotes.
-func (r Ref) EqualData(o Ref) bool {
-	return r.Key == o.Key && r.Offset == o.Offset && r.Length == o.Length
+// RefLen is the size of a ref's binary form.
+const RefLen = 36
+
+// Append appends the ref's fixed RefLen-byte form to b: blob u64,
+// version u64, index u32, offset i64, length i64, little-endian.
+func (r Ref) Append(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, r.Key.Blob)
+	b = binary.LittleEndian.AppendUint64(b, r.Key.Version)
+	b = binary.LittleEndian.AppendUint32(b, r.Key.Index)
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.Offset))
+	return binary.LittleEndian.AppendUint64(b, uint64(r.Length))
 }
 
-// Marshal encodes the ref: a fixed 36-byte base followed, when the ref
-// carries a replica set, by a count byte and 4 bytes per replica.
-// Replica-less refs keep the legacy fixed 36-byte form. The replica
-// set is a read hint, so encodings keep only the first 255 entries
-// rather than wrapping the count byte; readers holding a truncated
-// hint fall back to the router's placement map.
-func (r Ref) Marshal() []byte {
-	if len(r.Replicas) > 255 {
-		r.Replicas = r.Replicas[:255]
+// DecodeRef decodes the ref at the head of b, which may go on past it
+// (a ref embedded in a larger encoding).
+func DecodeRef(b []byte) (Ref, error) {
+	if len(b) < RefLen {
+		return Ref{}, fmt.Errorf("chunk: ref too short (%d bytes)", len(b))
 	}
-	n := 36
-	if len(r.Replicas) > 0 {
-		n += 1 + 4*len(r.Replicas)
-	}
-	b := make([]byte, n)
-	binary.LittleEndian.PutUint64(b[0:], r.Key.Blob)
-	binary.LittleEndian.PutUint64(b[8:], r.Key.Version)
-	binary.LittleEndian.PutUint32(b[16:], r.Key.Index)
-	binary.LittleEndian.PutUint64(b[20:], uint64(r.Offset))
-	binary.LittleEndian.PutUint64(b[28:], uint64(r.Length))
-	if len(r.Replicas) > 0 {
-		b[36] = byte(len(r.Replicas))
-		for i, id := range r.Replicas {
-			binary.LittleEndian.PutUint32(b[37+4*i:], id)
-		}
-	}
-	return b
-}
-
-// UnmarshalRef decodes a ref written by Marshal, accepting both the
-// legacy 36-byte form and the replicated form. b must hold the ref and
-// nothing else.
-func UnmarshalRef(b []byte) (Ref, error) {
-	r, n, err := DecodeRef(b)
-	if err == nil && n != len(b) {
-		return Ref{}, fmt.Errorf("chunk: %d trailing bytes after a %d-byte ref", len(b)-n, n)
-	}
-	return r, err
-}
-
-// DecodeRef decodes the ref at the head of b and reports the bytes it
-// occupies, for a ref embedded in a larger encoding: 36 when b is
-// exactly the legacy form, otherwise the base, the count byte and 4
-// bytes per replica. A ref that is followed by anything must therefore
-// carry its count byte, zero included.
-func DecodeRef(b []byte) (Ref, int, error) {
-	if len(b) < 36 {
-		return Ref{}, 0, fmt.Errorf("chunk: ref too short (%d bytes)", len(b))
-	}
-	r := Ref{
+	return Ref{
 		Key: Key{
 			Blob:    binary.LittleEndian.Uint64(b[0:]),
 			Version: binary.LittleEndian.Uint64(b[8:]),
@@ -109,21 +68,7 @@ func DecodeRef(b []byte) (Ref, int, error) {
 		},
 		Offset: int64(binary.LittleEndian.Uint64(b[20:])),
 		Length: int64(binary.LittleEndian.Uint64(b[28:])),
-	}
-	if len(b) == 36 {
-		return r, 36, nil
-	}
-	n := int(b[36])
-	if len(b) < 37+4*n {
-		return Ref{}, 0, fmt.Errorf("chunk: ref replica set truncated (%d bytes for %d replicas)", len(b), n)
-	}
-	if n > 0 {
-		r.Replicas = make([]uint32, n)
-		for i := range r.Replicas {
-			r.Replicas[i] = binary.LittleEndian.Uint32(b[37+4*i:])
-		}
-	}
-	return r, 37 + 4*n, nil
+	}, nil
 }
 
 // ErrNotFound is returned when a chunk key is unknown.

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -243,23 +242,10 @@ func TestMeterIsCharged(t *testing.T) {
 }
 
 func TestRefMarshalRoundTrip(t *testing.T) {
-	f := func(blob, ver uint64, idx uint32, off, length int64, replicas []uint32) bool {
-		if off < 0 {
-			off = -off
-		}
-		if length < 0 {
-			length = -length
-		}
-		if len(replicas) > 255 {
-			replicas = replicas[:255]
-		}
-		if len(replicas) == 0 {
-			replicas = nil
-		}
-		r := Ref{Key: Key{Blob: blob, Version: ver, Index: idx}, Offset: off, Length: length, Replicas: replicas}
-		got, err := UnmarshalRef(r.Marshal())
-		return err == nil && got.Key == r.Key && got.Offset == r.Offset &&
-			got.Length == r.Length && reflect.DeepEqual(got.Replicas, r.Replicas)
+	f := func(blob, ver uint64, idx uint32, off, length int64) bool {
+		r := Ref{Key: Key{Blob: blob, Version: ver, Index: idx}, Offset: off, Length: length}
+		got, err := DecodeRef(r.Append(nil))
+		return err == nil && got == r
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -267,93 +253,50 @@ func TestRefMarshalRoundTrip(t *testing.T) {
 }
 
 func TestRefMarshalLegacyForm(t *testing.T) {
-	// A replica-less ref keeps the fixed 36-byte pre-replication
-	// encoding, so old marshaled refs stay decodable.
+	// Every ref is the fixed 36-byte pre-replication encoding, appended
+	// where the caller's buffer ends.
 	r := Ref{Key: Key{Blob: 1, Version: 2, Index: 3}, Offset: 4, Length: 5}
-	b := r.Marshal()
-	if len(b) != 36 {
-		t.Fatalf("replica-less ref marshals to %d bytes, want 36", len(b))
+	b := r.Append([]byte("head"))
+	if len(b) != 4+RefLen || RefLen != 36 {
+		t.Fatalf("ref appends %d bytes, want 36", len(b)-4)
 	}
-	got, err := UnmarshalRef(b)
-	if err != nil || !got.EqualData(r) || got.Replicas != nil {
-		t.Fatalf("legacy round trip = %+v, %v", got, err)
-	}
-}
-
-func TestRefMarshalTruncatesOversizedHint(t *testing.T) {
-	// The count byte cannot wrap: oversized replica hints are cut to
-	// 255 entries, not encoded mod 256.
-	reps := make([]uint32, 300)
-	for i := range reps {
-		reps[i] = uint32(i)
-	}
-	r := Ref{Key: Key{Blob: 1}, Length: 1, Replicas: reps}
-	got, err := UnmarshalRef(r.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Replicas) != 255 || got.Replicas[254] != 254 {
-		t.Fatalf("decoded %d replicas, want the first 255", len(got.Replicas))
+	got, err := DecodeRef(b[4:])
+	if err != nil || got != r {
+		t.Fatalf("round trip = %+v, %v", got, err)
 	}
 }
 
-func TestRefEqualDataIgnoresReplicas(t *testing.T) {
-	a := Ref{Key: Key{Blob: 1}, Offset: 2, Length: 3, Replicas: []uint32{0, 1}}
-	b := Ref{Key: Key{Blob: 1}, Offset: 2, Length: 3, Replicas: []uint32{4, 5}}
-	if !a.EqualData(b) {
-		t.Fatal("EqualData must ignore replica placement")
-	}
-	b.Offset = 9
-	if a.EqualData(b) {
-		t.Fatal("EqualData must see a range change")
-	}
-}
-
-func TestUnmarshalRefShort(t *testing.T) {
-	r := Ref{Key: Key{Blob: 1}, Length: 1, Replicas: []uint32{1, 2, 3}}
-	full := r.Marshal()
-	overCount := bytes.Clone(full)
-	overCount[36] = 4 // promises a replica the buffer does not hold
-	for name, tc := range map[string]struct {
-		b    []byte
-		want string
-	}{
-		"short buffer":             {make([]byte, 10), "too short"},
-		"truncated replica set":    {full[:len(full)-4], "truncated"},
-		"truncated mid-replica":    {full[:len(full)-1], "truncated"},
-		"replica over-count":       {overCount, "truncated"},
-		"garbage after replicas":   {append(bytes.Clone(full), 0xEE), "1 trailing bytes"},
-		"garbage after no replica": {append(bytes.Clone(full[:36]), 0, 0xEE), "1 trailing bytes"},
-	} {
-		if got, err := UnmarshalRef(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: %+v, %v, want an error with %q", name, got, err, tc.want)
+func TestDecodeRefShort(t *testing.T) {
+	r := Ref{Key: Key{Blob: 1}, Length: 1}
+	full := r.Append(nil)
+	for _, n := range []int{0, 10, RefLen - 1} {
+		if got, err := DecodeRef(full[:n]); err == nil || !strings.Contains(err.Error(), "too short") {
+			t.Errorf("%d bytes: %+v, %v, want a too-short error", n, got, err)
 		}
 	}
-	// DecodeRef is the same decoder for a ref with something behind it:
-	// it says where the ref ends and leaves the rest to its caller.
-	tail := append(bytes.Clone(full), "next"...)
-	got, n, err := DecodeRef(tail)
-	if err != nil || n != len(full) || !reflect.DeepEqual(got, r) {
-		t.Fatalf("DecodeRef with a tail = %+v, %d, %v", got, n, err)
-	}
-	// A zero count byte is the replica-less ref, delimited.
-	got, n, err = DecodeRef(append(bytes.Clone(full[:36]), 0, 'x'))
-	if err != nil || n != 37 || got.Replicas != nil || !got.EqualData(r) {
-		t.Fatalf("DecodeRef of a zero-count ref = %+v, %d, %v", got, n, err)
+	// A ref with something behind it decodes from its head and leaves
+	// the rest to its caller.
+	if got, err := DecodeRef(append(bytes.Clone(full), "next"...)); err != nil || got != r {
+		t.Fatalf("DecodeRef with a tail = %+v, %v", got, err)
 	}
 }
 
-// FuzzUnmarshalRef: arbitrary bytes never panic the decoder, and
-// whatever it accepts is exactly what Marshal writes for the ref it
-// returned — but for a zero count byte, which Marshal omits. The seed
-// corpus (testdata/fuzz) is one ref of each form.
+// FuzzUnmarshalRef: arbitrary bytes never panic the ref decoder,
+// DecodeRef; it accepts exactly the inputs of RefLen bytes or more, and
+// what it accepts is what Append writes for the ref it returned, then
+// whatever followed. The seed corpus (testdata/fuzz) holds a ref alone,
+// refs followed by the bytes the old leaf format put behind them (a
+// replica count and IDs, a zero count) and one byte too few.
 func FuzzUnmarshalRef(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
-		r, err := UnmarshalRef(b)
+		r, err := DecodeRef(b)
+		if (err == nil) != (len(b) >= RefLen) {
+			t.Fatalf("DecodeRef of %d bytes: %v", len(b), err)
+		}
 		if err != nil {
 			return
 		}
-		if enc := r.Marshal(); !bytes.Equal(enc, b) && !(len(b) == 37 && b[36] == 0 && bytes.Equal(enc, b[:36])) {
+		if enc := r.Append(nil); !bytes.Equal(enc, b[:RefLen]) {
 			t.Fatalf("accepted %x, which decodes to %+v, which marshals to %x", b, r, enc)
 		}
 	})
@@ -424,7 +367,7 @@ func BenchmarkMemStorePut(b *testing.B) {
 
 func ExampleRef() {
 	r := Ref{Key: Key{Blob: 1, Version: 4, Index: 2}, Offset: 128, Length: 64}
-	back, _ := UnmarshalRef(r.Marshal())
+	back, _ := DecodeRef(r.Append(nil))
 	fmt.Println(back.Key, back.Offset, back.Length)
 	// Output: b1-v4-c2 128 64
 }

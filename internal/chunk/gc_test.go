@@ -2,11 +2,9 @@ package chunk
 
 import (
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
-	"testing/quick"
 )
 
 func TestStoreDeleteAndUsage(t *testing.T) {
@@ -93,69 +91,6 @@ func TestFaultStoreDeleteDown(t *testing.T) {
 	}
 	f.SetDown(false)
 	if err := f.Delete(key); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropRefLegacyVsReplicaForms pins the wire compatibility between
-// the legacy fixed 36-byte ref encoding and the variable-length
-// replica form: a replica-less ref always round-trips through exactly
-// 36 bytes; a replicated ref round-trips through 37+4n bytes; and the
-// 36-byte prefix of a replicated encoding decodes as the same data
-// seen by a pre-replication reader (EqualData true, no replicas) —
-// placement is a hint layered on top of the data identity, never part
-// of it.
-func TestPropRefLegacyVsReplicaForms(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(blob, ver uint64, idx uint32, off, length int64, nReplicas uint8) bool {
-		if off < 0 {
-			off = -off
-		}
-		if length < 0 {
-			length = -length
-		}
-		r := Ref{Key: Key{Blob: blob, Version: ver, Index: idx}, Offset: off, Length: length}
-		for i := 0; i < int(nReplicas); i++ {
-			r.Replicas = append(r.Replicas, rng.Uint32())
-		}
-		b := r.Marshal()
-		if len(r.Replicas) == 0 {
-			if len(b) != 36 {
-				return false
-			}
-		} else if len(b) != 37+4*len(r.Replicas) {
-			return false
-		}
-		got, err := UnmarshalRef(b)
-		if err != nil || !got.EqualData(r) || len(got.Replicas) != len(r.Replicas) {
-			return false
-		}
-		for i := range got.Replicas {
-			if got.Replicas[i] != r.Replicas[i] {
-				return false
-			}
-		}
-		// Legacy view: the fixed 36-byte prefix is a complete,
-		// replica-less encoding of the same data.
-		legacy, err := UnmarshalRef(b[:36])
-		if err != nil || !legacy.EqualData(r) || legacy.Replicas != nil {
-			return false
-		}
-		// EqualData ignores placement: reshuffled replicas compare
-		// equal, a moved byte range does not.
-		shuffled := r
-		shuffled.Replicas = append([]uint32(nil), r.Replicas...)
-		rng.Shuffle(len(shuffled.Replicas), func(i, j int) {
-			shuffled.Replicas[i], shuffled.Replicas[j] = shuffled.Replicas[j], shuffled.Replicas[i]
-		})
-		if !r.EqualData(shuffled) {
-			return false
-		}
-		moved := r
-		moved.Offset++
-		return !r.EqualData(moved)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

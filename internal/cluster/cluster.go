@@ -106,11 +106,10 @@ type Env struct {
 	// GCQueue bounds the delete queue depth (GC; 0 = 256).
 	GCQueue int
 
-	// ReadCache enables the hot-path read tier's shared bounded cache:
-	// the router serves repeated chunk reads and fresh replica-set
-	// hints from it, invalidating on every placement change, blob
-	// handles share it for hints, and (with GC on) the reaper's hint
-	// walk rewrites stale metadata hints into it. Off by default.
+	// ReadCache enables the hot-path read tier's shared bounded cache
+	// (Router.ReadCache): the router serves repeated chunk byte reads
+	// from it and invalidates an entry on every placement change. Off by
+	// default.
 	ReadCache bool
 	// CacheBytes bounds the read cache footprint (ReadCache;
 	// 0 = default 64 MiB).
@@ -220,7 +219,6 @@ type Versioning struct {
 	Health    *provider.HealthMonitor
 	Healer    *core.Healer
 	Reaper    *core.Reaper
-	Cache     *provider.ReadCache // non-nil only with Env.ReadCache
 	Faults    []*chunk.FaultStore
 	// Metrics is the deployment-wide registry every component reports
 	// into: vmanager ticket/commit/publish, chunk put/get, cache,
@@ -266,9 +264,8 @@ func NewVersioning(env Env) (*Versioning, error) {
 	if env.LocalDomain != "" {
 		router.SetLocalDomain(env.LocalDomain)
 	}
-	var cache *provider.ReadCache
 	if env.ReadCache {
-		cache = provider.NewReadCache(provider.ReadCacheConfig{
+		cache := provider.NewReadCache(provider.ReadCacheConfig{
 			MaxBytes: env.CacheBytes,
 		})
 		cache.SetMetrics(reg)
@@ -279,7 +276,6 @@ func NewVersioning(env Env) (*Versioning, error) {
 		Meta:      metadata.NewStore(env.MetaShards, env.MetaModel),
 		Providers: mgr,
 		Router:    router,
-		Cache:     cache,
 		Faults:    faults,
 		Metrics:   reg,
 		env:       env,
@@ -306,16 +302,13 @@ func NewVersioning(env Env) (*Versioning, error) {
 		})
 		v.Reaper.SetMetrics(reg)
 		v.Reaper.SetCatalog(v.Services(), vm)
-		if cache != nil {
-			v.Reaper.SetReadCache(cache)
-		}
 	}
 	return v, nil
 }
 
 // Services returns the client-facing service bundle.
 func (v *Versioning) Services() blob.Services {
-	return blob.Services{VM: v.VM, Meta: v.Meta, Data: v.Router, Cache: v.Cache}
+	return blob.Services{VM: v.VM, Meta: v.Meta, Data: v.Router}
 }
 
 // Backend creates a versioning backend over a new blob sized to cover

@@ -7,30 +7,26 @@
 // same constraint: background traffic must never starve foreground
 // writes or repair.
 //
-// One pass:
+// One pass is discover, then diff, then delete:
 //
-//  1. Retention: with RetainLast set, each blob drops every
-//     version older than the newest RetainLast (pinned versions are
-//     skipped by the version manager).
-//  2. Hint walk: the pass walks every retained version's chunk refs at
-//     WalkChunksPerTick refs per tick, comparing each metadata replica
-//     hint against authoritative placement and counting stale ones
-//     (ReaperStats.StaleHints) — the operator's measure of hint rot
-//     left behind by repairs (a full metadata rewrite is future work).
-//  3. Exclusive-ref diff: for each version pending reclamation (one
+//  1. Discovery and retention: the pass opens a handle for every blob
+//     the catalog names that it has not seen, and with RetainLast set
+//     each blob drops every version older than the newest RetainLast
+//     (pinned versions are skipped by the version manager).
+//  2. Exclusive-ref diff: for each version pending reclamation (one
 //     version per tick; the walk is metadata I/O), the segment-tree
 //     diff walk (blob.ExclusiveChunks) computes the chunks no retained
 //     version can reach — the refcount-by-metadata-diff step. Those
 //     keys enter the bounded delete queue.
-//  4. Deletion: every tick drains at most DeletesPerTick keys through
+//  3. Deletion: every tick drains at most DeletesPerTick keys through
 //     Router.DeleteReplicas, which removes the chunk from every
 //     reachable replica and retires placement. A chunk with an
 //     in-flight repair returns ErrChunkBusy and is retried next pass —
 //     GC never deletes under a running repair.
-//  5. Reclamation: when the pass's queue has drained, every pending
+//  4. Reclamation: when the pass's queue has drained, every pending
 //     version whose deletes all succeeded is marked reclaimed at the
 //     version manager; versions with failed or deferred deletes stay
-//     pending and are re-walked next pass (deletion is idempotent:
+//     pending and are re-diffed next pass (deletion is idempotent:
 //     already-deleted replicas answer ErrNotFound, which is success).
 //
 // Safety against concurrent writers: a new write's borrow answers only
@@ -50,14 +46,12 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/metrics"
 	"repro/internal/provider"
-	"repro/internal/vmanager"
 )
 
 // ReapRouter is the slice of the provider router the reaper drives.
 // Implemented by *provider.Router.
 type ReapRouter interface {
 	DeleteReplicas(key chunk.Key) (removed int, bytes int64, err error)
-	Locate(key chunk.Key) ([]provider.ID, bool)
 }
 
 var _ ReapRouter = (*provider.Router)(nil)
@@ -77,8 +71,7 @@ type ReaperConfig struct {
 	// drop the rest (pins excepted). 0 means drops are manual
 	// (DropVersion / Retain calls only).
 	RetainLast int
-	// WalkChunksPerTick caps retained-ref walk steps per tick
-	// (default 64).
+	// Deprecated: nothing reads it; a pass walks no retained refs.
 	WalkChunksPerTick int
 	// DeletesPerTick caps chunk deletions per tick (default 4) — the
 	// gc-rate knob bounding reclamation bandwidth so a GC storm cannot
@@ -91,9 +84,6 @@ type ReaperConfig struct {
 }
 
 func (c ReaperConfig) withDefaults() ReaperConfig {
-	if c.WalkChunksPerTick <= 0 {
-		c.WalkChunksPerTick = 64
-	}
 	if c.DeletesPerTick <= 0 {
 		c.DeletesPerTick = 4
 	}
@@ -109,13 +99,9 @@ func (c ReaperConfig) withDefaults() ReaperConfig {
 // ReaperStats are cumulative collector counters.
 type ReaperStats struct {
 	Ticks           int64 // control-loop iterations
-	Passes          int64 // completed retention+walk+delete passes
+	Passes          int64 // completed discover+diff+delete passes
 	AutoDropped     int64 // versions dropped by the RetainLast policy
-	WalkedRefs      int64 // retained chunk refs walked (hint verification)
-	StaleHints      int64 // refs whose replica hint disagreed with placement
-	HintsRewritten  int64 // stale hints rewritten into the shared read cache
-	WalkErrors      int64 // versions whose metadata could not be resolved
-	PendingSeen     int64 // pending version walks started
+	PendingSeen     int64 // pending version diffs started
 	Enqueued        int64 // keys accepted into the delete queue
 	Duplicates      int64 // enqueues dropped as already queued
 	Dropped         int64 // enqueues dropped on a full queue
@@ -128,8 +114,7 @@ type ReaperStats struct {
 	QueueLen        int   // current delete-queue depth
 }
 
-// reapOwner identifies one version within a pass: a retained one to
-// hint-walk, or a pending one to diff.
+// reapOwner identifies one pending version within a pass.
 type reapOwner struct {
 	blob    *blob.Blob
 	version uint64
@@ -137,8 +122,6 @@ type reapOwner struct {
 
 // reapPass is the in-flight state of one collection pass.
 type reapPass struct {
-	walkUnits  []reapOwner         // retained versions still to hint-walk
-	walkRefs   []chunk.Ref         // refs of the version being walked
 	pendings   []reapOwner         // pending versions still to diff
 	owners     map[chunk.Key][]int // queued key -> owner indexes awaiting its delete
 	ownerList  []reapOwner         // pending versions seen this pass
@@ -146,13 +129,12 @@ type reapPass struct {
 	remaining  []int               // per owner: keys still in the queue
 	enqueued   map[chunk.Key]bool  // keys this pass put in the queue
 	failedKeys map[chunk.Key]bool  // keys whose delete failed or was deferred
-	walkDone   bool
 }
 
 // Reaper is the background garbage collector: retention trigger,
-// stale-hint auditor, exclusive-chunk differ and rate-limited delete
-// worker in one tickable object, driven exactly like the Healer (Tick
-// from virtual-time loops, or Run for wall-clock operation).
+// exclusive-chunk differ and rate-limited delete worker in one tickable
+// object, driven exactly like the Healer (Tick from virtual-time loops,
+// or Run for wall-clock operation).
 type Reaper struct {
 	router ReapRouter
 	cfg    ReaperConfig
@@ -165,7 +147,6 @@ type Reaper struct {
 	pass      *reapPass
 	passStart time.Time // wall-clock start of the current pass (metrics only)
 	stats     ReaperStats
-	cache     *provider.ReadCache // stale-hint rewrite target (optional)
 
 	// met holds nil-tolerant metric handles, nil until SetMetrics.
 	met struct {
@@ -204,18 +185,6 @@ func NewReaper(router ReapRouter, cfg ReaperConfig) *Reaper {
 // Config returns the effective (defaulted) configuration.
 func (r *Reaper) Config() ReaperConfig { return r.cfg }
 
-// SetReadCache wires the shared read cache into the hint walk:
-// metadata refs are immutable, so a stale hint can never be fixed in
-// place — but rewriting the CURRENT placement into the cache gives
-// every reader the corrected set without waiting for a read to stumble
-// over the stale hint and fail over first. The walk becomes the
-// repair path for hint rot, not just its auditor.
-func (r *Reaper) SetReadCache(c *provider.ReadCache) {
-	r.mu.Lock()
-	r.cache = c
-	r.mu.Unlock()
-}
-
 // SetCatalog wires blob discovery: at each pass start the reaper opens
 // a handle for every blob the version manager knows that it has not
 // seen yet, in blob ID order. Without a catalog the reaper collects
@@ -242,8 +211,8 @@ func (r *Reaper) SetCatalog(svc blob.Services, vm BlobLister) {
 }
 
 // Tick runs one bounded collector iteration: drain up to
-// DeletesPerTick queued deletions, then advance the walk within its
-// per-tick budgets, finalizing the pass when all work has drained.
+// DeletesPerTick queued deletions, then diff at most one pending
+// version, finalizing the pass when all work has drained.
 func (r *Reaper) Tick() {
 	r.mu.Lock()
 	r.stats.Ticks++
@@ -252,7 +221,7 @@ func (r *Reaper) Tick() {
 	}
 	r.mu.Unlock()
 	r.drainDeletes()
-	r.walkStep()
+	r.diffOnePending()
 	r.maybeFinishPass()
 	r.met.queueDepth.Set(int64(r.queue.len()))
 }
@@ -283,123 +252,13 @@ func (r *Reaper) startPassLocked() {
 		}
 		info, err := b.GCInfo()
 		if err != nil {
-			r.stats.WalkErrors++
-			continue
-		}
-		for _, v := range info.Retained {
-			if v == 0 {
-				continue
-			}
-			p.walkUnits = append(p.walkUnits, reapOwner{blob: b, version: v})
+			continue // retried next pass
 		}
 		for _, pd := range info.Pending {
 			p.pendings = append(p.pendings, reapOwner{blob: b, version: pd.Version})
 		}
 	}
 	r.pass = p
-}
-
-// walkStep advances the hint walk by its ref budget, then diffs at
-// most one pending version into the delete queue.
-func (r *Reaper) walkStep() {
-	budget := r.cfg.WalkChunksPerTick
-	for budget > 0 {
-		ref, ok := r.nextWalkRef()
-		if !ok {
-			break
-		}
-		budget--
-		r.auditHint(ref)
-	}
-	r.diffOnePending()
-}
-
-// nextWalkRef pops the next retained ref of the hint walk, resolving
-// one version's metadata at a time.
-func (r *Reaper) nextWalkRef() (chunk.Ref, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := r.pass
-	if p == nil {
-		return chunk.Ref{}, false
-	}
-	for {
-		if len(p.walkRefs) > 0 {
-			ref := p.walkRefs[0]
-			p.walkRefs = p.walkRefs[1:]
-			return ref, true
-		}
-		if len(p.walkUnits) == 0 {
-			p.walkDone = true
-			return chunk.Ref{}, false
-		}
-		unit := p.walkUnits[0]
-		p.walkUnits = p.walkUnits[1:]
-		r.mu.Unlock()
-		refs, err := unit.blob.ChunkRefs(unit.version)
-		r.mu.Lock()
-		if r.pass != p {
-			return chunk.Ref{}, false // pass reset while unlocked
-		}
-		if err != nil {
-			// Dropped mid-pass (retention raced us) is benign; anything
-			// else is a real resolution failure.
-			if !errors.Is(err, vmanager.ErrVersionDropped) {
-				r.stats.WalkErrors++
-			}
-			continue
-		}
-		p.walkRefs = append(p.walkRefs, refs...)
-	}
-}
-
-// auditHint compares one retained ref's replica hint against
-// authoritative placement, counting rot — and, with a read cache
-// wired, rewriting the current set into the cache so readers stop
-// paying the stale hint's failover.
-func (r *Reaper) auditHint(ref chunk.Ref) {
-	r.mu.Lock()
-	r.stats.WalkedRefs++
-	cache := r.cache
-	r.mu.Unlock()
-	if len(ref.Replicas) == 0 {
-		return
-	}
-	ids, ok := r.router.Locate(ref.Key)
-	if !ok {
-		return
-	}
-	if !hintMatches(ref.Replicas, ids) {
-		r.mu.Lock()
-		r.stats.StaleHints++
-		if cache != nil {
-			r.stats.HintsRewritten++
-		}
-		r.mu.Unlock()
-		if cache != nil {
-			cache.FillHint(ref.Key, ids)
-		}
-	}
-}
-
-// hintMatches reports whether a metadata replica hint names the same
-// provider set as authoritative placement, ignoring order.
-func hintMatches(hint []uint32, ids []provider.ID) bool {
-	if len(hint) != len(ids) {
-		return false
-	}
-	seen := make(map[provider.ID]int, len(ids))
-	for _, id := range ids {
-		seen[id]++
-	}
-	for _, h := range hint {
-		id := provider.ID(h)
-		if seen[id] == 0 {
-			return false
-		}
-		seen[id]--
-	}
-	return true
 }
 
 // diffOnePending runs the exclusive-chunk diff for one pending version
@@ -428,8 +287,7 @@ func (r *Reaper) diffOnePending() {
 		return // pass reset while unlocked
 	}
 	if err != nil {
-		r.stats.WalkErrors++
-		p.failed[idx] = true
+		p.failed[idx] = true // re-diffed next pass
 		return
 	}
 	for _, key := range keys {
@@ -498,13 +356,13 @@ func (r *Reaper) drainDeletes() {
 	}
 }
 
-// maybeFinishPass finalizes the pass once the walk, the diffs and the
-// delete queue have all drained: versions whose deletes all succeeded
+// maybeFinishPass finalizes the pass once the diffs and the delete
+// queue have all drained: versions whose deletes all succeeded
 // are marked reclaimed, the rest stay pending for the next pass.
 func (r *Reaper) maybeFinishPass() {
 	r.mu.Lock()
 	p := r.pass
-	if p == nil || !p.walkDone || len(p.pendings) > 0 {
+	if p == nil || len(p.pendings) > 0 {
 		r.mu.Unlock()
 		return
 	}

@@ -302,27 +302,77 @@ func TestReaperSharedKeyAcrossPendingVersions(t *testing.T) {
 	}
 }
 
-func TestReaperCountsStaleHints(t *testing.T) {
-	svc, _ := gcCluster(t, 4, 0)
-	// Kill a provider and repair: copies move, metadata hints go stale.
-	if err := svc.Providers.SetDown(0, true); err != nil {
+// readsBack checks that every version of the n gcCluster wrote that is
+// still readable returns the writer's bytes: page 0 and its own private
+// page hold byte(version).
+func readsBack(t *testing.T, svc *cluster.Versioning, be *core.VersioningBackend, n int) {
+	t.Helper()
+	size := cluster.Default().ChunkSize
+	vs, err := be.Blob().Versions()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rst := svc.Router.Repair()
-	if rst.Repaired == 0 {
-		t.Fatal("repair moved nothing; hint-rot scenario not created")
-	}
-	st := svc.Reaper.Pass()
-	if st.WalkedRefs == 0 || st.StaleHints == 0 {
-		t.Fatalf("walk saw %d refs, %d stale hints; want both > 0", st.WalkedRefs, st.StaleHints)
+	for _, v := range vs {
+		if v == 0 || v > uint64(n) {
+			continue
+		}
+		q := extent.List{{Offset: 0, Length: size}, {Offset: int64(v) * size, Length: size / 2}}
+		got, err := be.ReadListAt(core.Version(v), q)
+		if err != nil {
+			t.Fatalf("v%d: %v", v, err)
+		}
+		for i, c := range got {
+			if c != byte(v) {
+				t.Fatalf("v%d byte %d = %d, want the writer's %d", v, i, c, v)
+			}
+		}
 	}
 }
 
+// TestReaperCountsStaleHints: after repair moved copies, a pass finds
+// every chunk where placement holds it now. It reclaims the dropped
+// versions' exclusive chunks from every copy, the moved ones included,
+// and every retained version reads back the writer's bytes.
+func TestReaperCountsStaleHints(t *testing.T) {
+	svc, be := gcCluster(t, 4, 0)
+	if err := svc.Providers.SetDown(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if rst := svc.Router.Repair(); rst.Repaired == 0 {
+		t.Fatal("repair moved nothing; the scenario is not constructed")
+	}
+	readsBack(t, svc, be, 4)
+	dropped, err := be.Blob().Retain(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exclusive := make(map[chunk.Key]bool)
+	for _, v := range dropped {
+		keys, err := be.Blob().ExclusiveChunks(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			exclusive[k] = true
+		}
+	}
+	st := svc.Reaper.Pass()
+	if st.Reclaimed != 3 || st.DeleteFailed != 0 || st.Deleted != int64(len(exclusive)) {
+		t.Fatalf("pass after the move: %+v, want 3 versions and %d chunks reclaimed", st, len(exclusive))
+	}
+	for _, key := range svc.Router.Keys() {
+		if exclusive[key] {
+			t.Fatalf("exclusive chunk %s survived the pass", key)
+		}
+	}
+	readsBack(t, svc, be, 4)
+}
+
 // TestReaperRewritesStaleHintsIntoCache: with the shared read cache
-// wired in, the reaper's hint walk is a repair path, not just an
-// auditor — every stale ref gets the CURRENT placement written into
-// the cache, so the next read through that ref starts at the live
-// copies instead of walking the dead hint.
+// wired in, reads after repair moved copies fill it with the writer's
+// bytes; a pass that deletes the dropped versions' chunks drops their
+// cached data too, so no cached copy outlives its chunk, and every
+// retained version still reads back the writer's bytes.
 func TestReaperRewritesStaleHintsIntoCache(t *testing.T) {
 	env := cluster.Default()
 	env.Providers = 4
@@ -338,10 +388,13 @@ func TestReaperRewritesStaleHintsIntoCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := int64(64 << 10)
+	page := env.ChunkSize
 	for i := 0; i < 3; i++ {
 		l := extent.List{{Offset: 0, Length: page}, {Offset: int64(i+1) * page, Length: page / 2}}
 		buf := make([]byte, l.TotalLength())
+		for j := range buf {
+			buf[j] = byte(i + 1)
+		}
 		vec, err := extent.NewVec(l, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -350,53 +403,27 @@ func TestReaperRewritesStaleHintsIntoCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// Rot the hints: kill a provider, repair, copies move.
 	if err := svc.Providers.SetDown(0, true); err != nil {
 		t.Fatal(err)
 	}
 	if rst := svc.Router.Repair(); rst.Repaired == 0 {
-		t.Fatal("repair moved nothing; hint-rot scenario not created")
+		t.Fatal("repair moved nothing; the scenario is not constructed")
 	}
-
-	st := svc.Reaper.Pass()
-	if st.StaleHints == 0 {
-		t.Fatalf("walk found no stale hints: %+v", st)
+	readsBack(t, svc, be, 3)
+	cache := svc.Router.ReadCache()
+	if st := cache.Stats(); st.Fills == 0 {
+		t.Fatalf("reads after the move filled nothing: %+v", st)
 	}
-	if st.HintsRewritten != st.StaleHints {
-		t.Fatalf("rewrote %d of %d stale hints", st.HintsRewritten, st.StaleHints)
-	}
-	// Every rewritten hint must name the chunk's CURRENT replica set.
-	rewritten := 0
-	for _, key := range svc.Router.Keys() {
-		hint, ok := svc.Cache.Hint(key)
-		if !ok {
-			continue
-		}
-		rewritten++
-		now, _ := svc.Router.Locate(key)
-		if len(hint) != len(now) {
-			t.Fatalf("chunk %s: cached hint %v, placement %v", key, hint, now)
-		}
-		for i := range hint {
-			if hint[i] != now[i] {
-				t.Fatalf("chunk %s: cached hint %v, placement %v", key, hint, now)
-			}
-		}
-	}
-	if rewritten == 0 {
-		t.Fatal("no hint landed in the cache")
-	}
-
-	// Without the cache wired, the walk stays a pure auditor.
-	svc2, _ := gcCluster(t, 2, 0)
-	if err := svc2.Providers.SetDown(0, true); err != nil {
+	if _, err := be.Blob().Retain(1); err != nil {
 		t.Fatal(err)
 	}
-	if rst := svc2.Router.Repair(); rst.Repaired == 0 {
-		t.Fatal("repair moved nothing")
+	before := cache.Stats().Invalidations
+	st := svc.Reaper.Pass()
+	if st.Reclaimed != 2 || st.Deleted == 0 {
+		t.Fatalf("pass: %+v, want 2 versions reclaimed", st)
 	}
-	if st2 := svc2.Reaper.Pass(); st2.StaleHints == 0 || st2.HintsRewritten != 0 {
-		t.Fatalf("cache-less walk: %d stale, %d rewritten; want >0, 0", st2.StaleHints, st2.HintsRewritten)
+	if got := cache.Stats().Invalidations - before; got != st.Deleted {
+		t.Fatalf("%d deletes dropped %d cache entries, want one each", st.Deleted, got)
 	}
+	readsBack(t, svc, be, 3)
 }

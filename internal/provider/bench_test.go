@@ -107,13 +107,10 @@ func BenchmarkRouterRead(b *testing.B) {
 	forRouterCells(b, func(b *testing.B, c routerCell, r *provider.Router, stream bool, payload []byte) {
 		const chunks = 16
 		size := int64(len(payload))
-		hints := make([][]provider.ID, chunks)
-		for i := range hints {
-			ids, err := r.Put(chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}, payload)
-			if err != nil {
+		for i := 0; i < chunks; i++ {
+			if _, err := r.Put(chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}, payload); err != nil {
 				b.Fatal(err)
 			}
-			hints[i] = ids
 		}
 		for id := 0; id < c.down; id++ {
 			if err := r.SetDown(provider.ID(id), true); err != nil {
@@ -125,7 +122,7 @@ func BenchmarkRouterRead(b *testing.B) {
 			key := chunk.Key{Blob: 1, Version: 1, Index: uint32(i % chunks)}
 			var n int64
 			if stream {
-				rc, _, err := r.OpenFrom(hints[i%chunks], key, 0, size)
+				rc, err := r.Open(key, 0, size)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -135,7 +132,7 @@ func BenchmarkRouterRead(b *testing.B) {
 					b.Fatal(err)
 				}
 			} else {
-				data, _, err := r.GetFrom(hints[i%chunks], key, 0, size)
+				data, err := r.Get(key, 0, size)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -101,11 +101,6 @@ func (r *Router) Coding() (k, m int, on bool) { return r.placementMode().coding(
 //     the new copy is deleted again and the repair returns the error,
 //     so no fragment is left outside placement without an error naming
 //     it (DeleteReplicas reclaims only what placement names).
-//   - Replica-set hints are refreshed but never read through:
-//     positions may have moved since the hint was recorded, and a
-//     positional misread cannot always be detected. Placement is the
-//     only read authority; a hint that differs from it (ordered
-//     compare — position matters) returns a fresh set.
 //
 // Mode selection is boot-time configuration: switching a router with
 // recorded placement between replicated and coded modes is not
@@ -116,9 +111,7 @@ type coded struct{ code *chunk.RSCode }
 func (c coded) width() int               { return c.code.K + c.code.M }
 func (c coded) floor() int               { return c.code.K }
 func (c coded) coding() (int, int, bool) { return c.code.K, c.code.M, true }
-func (c coded) readsHints() bool         { return false }
 func (c coded) copies() bool             { return false }
-func (c coded) sameHint(a, b []ID) bool  { return slices.Equal(a, b) } // ordered: position matters
 
 // allocate spreads the stripe in allocateSpread's water-fill mode, which
 // an empty non-nil have selects: fragments still land one-per-domain

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -521,9 +522,10 @@ func TestCodedRepairPassDomainKill(t *testing.T) {
 	}
 }
 
-// TestCodedGetFromHint: coded hints are positional, so GetFrom must
-// serve from CURRENT placement and refresh the caller whenever the hint
-// differs from it in any position or order.
+// TestCodedGetFromHint: a coded read after repair moved a fragment
+// returns the writer's bytes, from the positions placement names now.
+// The deprecated GetFrom ignores the set it is handed — the write-time
+// one, or one naming no provider — and never returns a fresh set.
 func TestCodedGetFromHint(t *testing.T) {
 	r, faults := codedRouter(t, 8, 0, 4, 2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -532,27 +534,21 @@ func TestCodedGetFromHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fresh hint: no refresh.
-	got, fresh, err := r.GetFrom(ids, key, 0, int64(len(data)))
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("GetFrom: %v", err)
-	}
-	if fresh != nil {
-		t.Fatalf("up-to-date hint refreshed to %v", fresh)
-	}
-	// Repair moves fragments; the old hint must be replaced with the
-	// exact new placement (order matters for positional fragments).
 	faults[ids[2]].SetDown(true)
 	if outcome, _, err := r.RepairChunk(key); outcome != RepairRepaired || err != nil {
 		t.Fatalf("repair: %v/%v", outcome, err)
 	}
-	want, _ := r.Locate(key)
-	got, fresh, err = r.GetFrom(ids, key, 0, int64(len(data)))
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("stale-hint GetFrom: %v", err)
+	if now, _ := r.Locate(key); slices.Equal(now, ids) {
+		t.Fatalf("repair left placement at %v", now)
 	}
-	if fmt.Sprint(fresh) != fmt.Sprint(want) {
-		t.Fatalf("refreshed hint = %v, want placement %v", fresh, want)
+	for _, set := range [][]ID{nil, ids, {77, 78}} {
+		got, fresh, err := r.GetFrom(set, key, 0, int64(len(data)))
+		if err != nil || !bytes.Equal(got, data) || fresh != nil {
+			t.Fatalf("GetFrom(%v) after repair: %v, fresh %v", set, err, fresh)
+		}
+	}
+	if got, err := r.Get(key, 0, int64(len(data))); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("Get after repair: %v", err)
 	}
 }
 
@@ -569,14 +565,14 @@ func TestCodedOpenReader(t *testing.T) {
 	}
 	check := func(off, length int64) {
 		t.Helper()
-		rc, _, err := r.OpenFrom(nil, key, off, length)
+		rc, err := r.Open(key, off, length)
 		if err != nil {
-			t.Fatalf("OpenFrom(%d,%d): %v", off, length, err)
+			t.Fatalf("Open(%d,%d): %v", off, length, err)
 		}
 		defer rc.Close()
 		got, err := io.ReadAll(rc)
 		if err != nil || !bytes.Equal(got, data[off:off+length]) {
-			t.Fatalf("OpenFrom(%d,%d) mismatch (%v)", off, length, err)
+			t.Fatalf("Open(%d,%d) mismatch (%v)", off, length, err)
 		}
 	}
 	check(0, 5000)
@@ -648,7 +644,7 @@ func TestCodedSlabHygiene(t *testing.T) {
 					t.Errorf("%s position %d, %s, bytes: wrong (%v)", lose, pos, rg.name, err)
 				}
 				poison()
-				rc, _, err := r.OpenFrom(nil, key, rg.off, rg.length)
+				rc, err := r.Open(key, rg.off, rg.length)
 				if err != nil {
 					t.Fatalf("%s position %d, %s, stream: %v", lose, pos, rg.name, err)
 				}
@@ -698,7 +694,7 @@ func TestCodedStreamReadAllocations(t *testing.T) {
 			}
 		}
 		read := func() {
-			rc, _, err := r.OpenFrom(nil, key, 0, size)
+			rc, err := r.Open(key, 0, size)
 			if err != nil {
 				t.Fatal(err)
 			}

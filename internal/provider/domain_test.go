@@ -553,7 +553,7 @@ func TestRespreadAboveDegreeConverges(t *testing.T) {
 			if len(now) != want {
 				t.Fatalf("placement %v, want %d replicas", now, want)
 			}
-			if h := holders(r, key); !sameIDSet(h, now) {
+			if h := holders(r, key); !slices.Equal(h, slices.Sorted(slices.Values(now))) {
 				t.Fatalf("stores %v hold a copy, placement names %v", h, now)
 			}
 			if audit := r.SpreadAudit(); len(audit) != 0 {

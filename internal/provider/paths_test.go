@@ -15,11 +15,11 @@ import (
 )
 
 // The scenario tables of the router's data path: every way in — Get,
-// GetFrom, OpenFrom; Put, PutStream — is run through the same scenarios
-// under the three placements, and held to the same bytes, fresh set,
-// read-repair notes, health reports, locality counts and metric counts.
-// They are one read core and one put core underneath; these tables are
-// what says so from outside.
+// the deprecated GetFrom, Open; Put, PutStream — is run through the
+// same scenarios under the three placements, and held to the same
+// bytes, read-repair notes, health reports, locality counts and metric
+// counts. They are one read core and one put core underneath; these
+// tables are what says so from outside.
 
 // pathRig is one router over fault stores with everything the data path
 // reports to wired in and counted.
@@ -99,14 +99,15 @@ func readRig(t *testing.T, placement string) (rig *pathRig, placed []ID) {
 type readOutcome struct {
 	Data                string
 	Err                 string // "", or the sentinel the error matches
-	Fresh               []ID
+	Fresh               []ID   // GetFrom's, which must stay nil
 	Notes               int64
 	Failures, Successes int64 // health reports
 	Locality            ReadLocalityStats
 	GetSeconds          float64 // bs_chunk_get_seconds_count
 }
 
-// readEntry is one way into the read core.
+// readEntry is one way into the read core. hint is the set a caller
+// hands GetFrom, which ignores it.
 type readEntry struct {
 	name string
 	read func(r *Router, hint []ID) ([]byte, []ID, error)
@@ -116,17 +117,17 @@ var readEntries = []readEntry{
 	{"GetFrom", func(r *Router, hint []ID) ([]byte, []ID, error) {
 		return r.GetFrom(hint, pathKey, 0, int64(len(pathData)))
 	}},
-	{"OpenFrom", func(r *Router, hint []ID) ([]byte, []ID, error) {
-		rc, fresh, err := r.OpenFrom(hint, pathKey, 0, int64(len(pathData)))
+	// The stream entry point, Open, under the name the table has always
+	// run it as.
+	{"OpenFrom", func(r *Router, _ []ID) ([]byte, []ID, error) {
+		rc, err := r.Open(pathKey, 0, int64(len(pathData)))
 		if err != nil {
 			return nil, nil, err
 		}
 		defer rc.Close()
 		data, err := io.ReadAll(rc)
-		return data, fresh, err
+		return data, nil, err
 	}},
-	// Get has no hint to give and no fresh set to return: it is held to
-	// the outcome of a hintless GetFrom, fresh aside.
 	{"Get", func(r *Router, _ []ID) ([]byte, []ID, error) {
 		data, err := r.Get(pathKey, 0, int64(len(pathData)))
 		return data, nil, err
@@ -154,7 +155,10 @@ func (rig *pathRig) observe(e readEntry, hint []ID) readOutcome {
 	return out
 }
 
-// TestReadPathsAgree is the read table.
+// TestReadPathsAgree is the read table. Every entry point reads the set
+// placement names: the set a row hands GetFrom — placement's own, one
+// naming no provider, one naming a copy repair moved away — changes
+// nothing, so every entry point has the one outcome.
 func TestReadPathsAgree(t *testing.T) {
 	size := int64(len(pathData))
 	local := func(n int64) ReadLocalityStats { return ReadLocalityStats{LocalReads: n, LocalBytes: n * size} }
@@ -174,15 +178,10 @@ func TestReadPathsAgree(t *testing.T) {
 	rows := []struct {
 		name      string
 		placement string
-		// arrange breaks what the scenario breaks and returns the hint the
-		// hinted entry points carry.
+		// arrange breaks what the scenario breaks and returns the set
+		// GetFrom is handed.
 		arrange func(t *testing.T, rig *pathRig, placed []ID) (hint []ID)
-		// want is the outcome of the hinted entry points; Fresh is filled
-		// in from freshIsPlacement at run time. wantGet, when set, is the
-		// hintless outcome where it legitimately differs.
-		want             readOutcome
-		freshIsPlacement bool
-		wantGet          *readOutcome
+		want    readOutcome
 	}{
 		{
 			name: "hint serves", placement: "R1",
@@ -195,26 +194,24 @@ func TestReadPathsAgree(t *testing.T) {
 			want:    readOutcome{Data: string(pathData), Successes: 1, Locality: local(1), GetSeconds: 1},
 		},
 		{
-			// Coded direct: the hint is compared, not read through, and
-			// agrees with placement in every position.
 			name: "hint serves", placement: "rs4+2",
 			arrange: func(_ *testing.T, _ *pathRig, placed []ID) []ID { return placed },
 			want:    readOutcome{Data: string(pathData), Successes: codedDirect, Locality: flat, GetSeconds: 1},
 		},
 		{
-			name: "hint stale", placement: "R1", freshIsPlacement: true,
+			name: "hint stale", placement: "R1",
 			arrange: func(_ *testing.T, _ *pathRig, _ []ID) []ID { return []ID{77, 78} },
 			want:    readOutcome{Data: string(pathData), Successes: 1, Locality: flat, GetSeconds: 1},
 		},
 		{
-			name: "hint stale", placement: "R3", freshIsPlacement: true,
+			name: "hint stale", placement: "R3",
 			arrange: func(_ *testing.T, _ *pathRig, _ []ID) []ID { return []ID{77, 78, 79} },
 			want:    readOutcome{Data: string(pathData), Successes: 1, Locality: local(1), GetSeconds: 1},
 		},
 		{
 			// The same providers in another order are another coded
-			// placement: position matters.
-			name: "hint stale", placement: "rs4+2", freshIsPlacement: true,
+			// placement: position matters, and GetFrom reads none of it.
+			name: "hint stale", placement: "rs4+2",
 			arrange: func(_ *testing.T, _ *pathRig, placed []ID) []ID {
 				return []ID{placed[1], placed[0], placed[2], placed[3], placed[4], placed[5]}
 			},
@@ -223,7 +220,6 @@ func TestReadPathsAgree(t *testing.T) {
 		{
 			// One copy's store errors once: the read fails over, is noted
 			// for read-repair, and the error reaches the health monitor.
-			// Placement still records what the hint names: fresh is nil.
 			name: "one replica store-errors", placement: "R3",
 			arrange: func(_ *testing.T, rig *pathRig, placed []ID) []ID {
 				rig.faults[placed[0]].FailNextGets(1)
@@ -232,13 +228,11 @@ func TestReadPathsAgree(t *testing.T) {
 			want: readOutcome{Data: string(pathData), Notes: 1, Failures: 1, Successes: 1, Locality: remote(1), GetSeconds: 1},
 		},
 		{
-			// The hint names a copy whose provider was flagged down and
-			// repaired around: it is skipped on the flag — no store
-			// attempt, no health report — and, placement being back at
-			// degree, not noted; the repaired set comes back as fresh.
-			// Hintless, the read goes to the repaired set, whose new copy
-			// is the local one.
-			name: "stale hint names a flagged-down provider, placement at degree", placement: "R3", freshIsPlacement: true,
+			// GetFrom is handed the write-time set, which names a copy
+			// whose provider was flagged down and repaired around. Every
+			// entry point reads the repaired set, whose new copy is the
+			// local one: no skip, no note.
+			name: "stale hint names a flagged-down provider, placement at degree", placement: "R3",
 			arrange: func(t *testing.T, rig *pathRig, placed []ID) []ID {
 				if err := rig.r.SetDown(placed[0], true); err != nil {
 					t.Fatal(err)
@@ -248,19 +242,16 @@ func TestReadPathsAgree(t *testing.T) {
 				}
 				return placed
 			},
-			want:    readOutcome{Data: string(pathData), Successes: 1, Locality: remote(1), GetSeconds: 1},
-			wantGet: &readOutcome{Data: string(pathData), Successes: 1, Locality: local(1), GetSeconds: 1},
+			want: readOutcome{Data: string(pathData), Successes: 1, Locality: local(1), GetSeconds: 1},
 		},
 		{
-			// The hint's one copy fails, and so does placement's — the
-			// same one: two store attempts. Hintless there is one.
+			// Placement's one copy fails: one store attempt.
 			name: "every replica down", placement: "R1",
 			arrange: func(_ *testing.T, rig *pathRig, placed []ID) []ID {
 				rig.faults[placed[0]].SetDown(true)
 				return placed
 			},
-			want:    readOutcome{Err: "store-down", Failures: 2},
-			wantGet: &readOutcome{Err: "store-down", Failures: 1},
+			want: readOutcome{Err: "store-down", Failures: 1},
 		},
 		{
 			name: "every replica down", placement: "R3",
@@ -318,16 +309,8 @@ func TestReadPathsAgree(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s/%s", row.placement, row.name, e.name), func(t *testing.T) {
 				rig, placed := readRig(t, row.placement)
 				hint := row.arrange(t, rig, placed)
-				want := row.want
-				if e.name == "Get" {
-					if row.wantGet != nil {
-						want = *row.wantGet
-					}
-				} else if row.freshIsPlacement {
-					want.Fresh, _ = rig.r.Locate(pathKey)
-				}
-				if got := rig.observe(e, hint); !reflect.DeepEqual(got, want) {
-					t.Fatalf("outcome\n got %+v\nwant %+v", got, want)
+				if got := rig.observe(e, hint); !reflect.DeepEqual(got, row.want) {
+					t.Fatalf("outcome\n got %+v\nwant %+v", got, row.want)
 				}
 			})
 		}
@@ -341,9 +324,9 @@ func TestReadPathsAgree(t *testing.T) {
 func TestOpenFromFailsOverOnlyAtOpen(t *testing.T) {
 	rig, placed := readRig(t, "R3")
 	rig.faults[placed[0]].FailGetStreamAfter(100)
-	rc, fresh, err := rig.r.OpenFrom(placed, pathKey, 0, int64(len(pathData)))
-	if err != nil || fresh != nil {
-		t.Fatalf("open = %v, fresh %v", err, fresh)
+	rc, err := rig.r.Open(pathKey, 0, int64(len(pathData)))
+	if err != nil {
+		t.Fatalf("open = %v", err)
 	}
 	defer rc.Close()
 	got, err := io.ReadAll(rc)
@@ -366,7 +349,7 @@ func TestStreamReadsBypassReadCache(t *testing.T) {
 			rig.r.SetReadCache(cache)
 			for i := 0; i < 2; i++ {
 				if got := rig.observe(readEntries[1], placed); got.Data != string(pathData) {
-					t.Fatalf("OpenFrom %d: %+v", i, got)
+					t.Fatalf("Open %d: %+v", i, got)
 				}
 			}
 			if st := cache.Stats(); st != (ReadCacheStats{}) {

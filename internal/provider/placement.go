@@ -29,10 +29,6 @@ type placementMode interface {
 	// targets[i] ended in errs[i], a quorum of them nil.
 	recorded(targets []*Provider, errs []error) []ID
 
-	// readsHints says whether a caller-supplied set may be read through
-	// or only compared; sameHint whether two sets name the same layout.
-	readsHints() bool
-	sameHint(a, b []ID) bool
 	// read serves q from the set ids and counts the read's locality.
 	// skips are members bypassed on flags (down or unknown), storeErrs
 	// real store errors met on the way to the bytes; either makes the
@@ -62,16 +58,14 @@ type placementMode interface {
 
 // replicated is R-way replication: n whole copies on n distinct
 // providers. Any copy serves any read, so a replica set is a SET — order
-// carries no meaning, reads rotate over it, a hint naming live copies
-// may be read through — and placement records the copies that landed.
+// carries no meaning, reads rotate over it — and placement records the
+// copies that landed.
 type replicated struct{ n int }
 
 func (m replicated) width() int                                           { return m.n }
 func (m replicated) floor() int                                           { return 1 }
 func (m replicated) coding() (int, int, bool)                             { return 0, 0, false }
-func (m replicated) readsHints() bool                                     { return true }
 func (m replicated) copies() bool                                         { return true }
-func (m replicated) sameHint(a, b []ID) bool                              { return sameIDSet(a, b) }
 func (m replicated) allocate(r *Router, _ chunk.Key) ([]*Provider, error) { return r.AllocateN(m.n) }
 
 func (m replicated) payloads(data []byte) [][]byte {
@@ -199,23 +193,4 @@ func (r *Router) replicaOrder(ids []ID, local string, prefer bool) []ID {
 		}
 	}
 	return ordered
-}
-
-// sameIDSet reports whether two replica sets name the same providers,
-// ignoring order.
-func sameIDSet(a, b []ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[ID]int, len(a))
-	for _, id := range a {
-		seen[id]++
-	}
-	for _, id := range b {
-		if seen[id] == 0 {
-			return false
-		}
-		seen[id]--
-	}
-	return true
 }

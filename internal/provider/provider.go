@@ -26,11 +26,10 @@
 //     Put and PutStream are its entry points and hand it the same thing,
 //     a reader — Put's over the caller's bytes, which the caller keeps —
 //     so a store is only ever handed a buffer the router owns.
-//   - Router.read is the one read core: the caller's hint, then recorded
-//     placement, the fresh decision, read-repair, the ReadCache rule.
-//     Get, GetFrom and OpenFrom are its entry points and differ only in
-//     how the bytes leave a store (chunkRead): into a slice or as a
-//     stream.
+//   - Router.read is the one read core: the set placement names,
+//     read-repair, the ReadCache rule. Get and Open are its entry
+//     points and differ only in how the bytes leave a store
+//     (chunkRead): into a slice or as a stream.
 //   - Router.repair (repair.go) is the one repair core, behind
 //     RepairChunk: probe every position, restore the missing ones onto
 //     fresh providers in uncovered domains, re-spread a co-located chunk,
@@ -38,8 +37,8 @@
 //   - placementMode (placement.go) is the seam the three cores are
 //     written against, and the only code that knows whether chunks are
 //     replicated (placement.go) or erasure coded (coded.go): width and
-//     quorum floor, what each target stores and what is recorded,
-//     whether a hint may be read through, the read algorithm, and for
+//     quorum floor, what each target stores and what is recorded, the
+//     read algorithm, and for
 //     repair how a missing position's bytes are decoded, how a repaired
 //     placement is recorded, and whether positions are interchangeable
 //     copies.
@@ -82,25 +81,26 @@
 //     pass to trim; a coded position holds one provider, so the copy is
 //     deleted again and the error returned — no fragment is left
 //     outside placement without an error naming it.
-//   - Router.GetFrom and OpenFrom (and every other blob.DataService
-//     implementation) return fresh == nil when the set the caller's
-//     replica hint names served the read. A non-nil fresh set means the
-//     hint is stale — the read was served from a different authoritative
-//     placement, or placement disagrees with the hint after failover —
-//     and the caller should cache fresh in place of the hint.
+//   - One placement truth: the placement map (Locate) is the only
+//     answer to where a chunk lives. Metadata refs name no providers,
+//     and every read — Get, Open, and over the framed plane every get —
+//     reads the set placement names at that moment, so a repair that
+//     moved copies is followed by the next read, and a copy a read
+//     skips or fails on is one placement names: the chunk is below
+//     degree and goes to read-repair. GetFrom (every blob.DataService
+//     implementation) is deprecated: it ignores its replica set and
+//     returns fresh == nil.
 //   - Read tier: with a local domain set (SetLocalDomain) reads try
 //     same-domain replicas first, then rotate the rest — never
 //     narrowing the failover set, only reordering it. With a ReadCache
 //     wired (SetReadCache) BYTE reads are served read-through: chunk
-//     data and fresh replica-set hints are cached on success, and
-//     because chunks are immutable the ONLY invalidation signal is a
-//     placement change — every post-Put placement mutation (RepairChunk's
-//     restore, re-spread and trim; DeleteReplicas) drops the chunk's
-//     cache entry. A stale cached hint can never fail a read: at worst
-//     it costs one extra failover, which refreshes the entry. STREAM
-//     reads (OpenFrom) bypass the cache in both placement modes — and
-//     every network client reads by stream (the framed plane), so a
-//     daemon's cache holds chunk data for in-process readers only.
+//     data is cached on success, and because chunks are immutable the
+//     ONLY invalidation signal is a placement change — every post-Put
+//     placement mutation (RepairChunk's restore, re-spread and trim;
+//     DeleteReplicas) drops the chunk's cache entry. STREAM reads
+//     (Open) bypass the cache in both placement modes — and every
+//     network client reads by stream (the framed plane), so a cache
+//     holds chunk data for in-process readers only.
 //
 // # Space reclamation
 //
@@ -724,8 +724,8 @@ type Router struct {
 	locLocalReads, locRemoteReads atomic.Int64
 	locLocalBytes, locRemoteBytes atomic.Int64
 
-	// cache, when set, makes reads read-through: data and fresh hints
-	// fill it, placement changes invalidate it.
+	// cache, when set, makes byte reads read-through: their data fills
+	// it, placement changes invalidate it.
 	cache *ReadCache
 
 	// health, when set, receives the outcome of every replica store
@@ -917,8 +917,7 @@ func (r *Router) ReadLocality() ReadLocalityStats {
 // SetReadCache wires the shared bounded read-through cache into the
 // read path (nil disables caching). The router is the cache's single
 // owner: it fills on successful reads and invalidates on every
-// placement change, so callers above (blob) only ever consult it for
-// hints.
+// placement change.
 func (r *Router) SetReadCache(c *ReadCache) {
 	r.cfg.Lock()
 	r.cache = c
@@ -1086,7 +1085,9 @@ func (r *Router) put(key chunk.Key, size int64, rd io.Reader) ([]ID, error) {
 	if r.met.putSec != nil {
 		r.met.putSec.ObserveSince(start)
 	}
-	return stored, nil
+	// Reads use the installed set uncopied (placed), so the caller gets
+	// a copy of its own.
+	return slices.Clone(stored), nil
 }
 
 // putOne stores one payload on one provider, treating a down provider
@@ -1127,96 +1128,57 @@ type served struct {
 	rc   io.ReadCloser
 }
 
-// Get reads a chunk sub-range from recorded placement: GetFrom with no
-// hint to try.
+// Get reads a chunk sub-range from the providers placement names.
 func (r *Router) Get(key chunk.Key, off, length int64) ([]byte, error) {
-	out, _, err := r.read(nil, chunkRead{key: key, off: off, length: length})
+	out, err := r.read(chunkRead{key: key, off: off, length: length})
 	return out.data, err
 }
 
-// GetFrom reads a chunk sub-range trying the given replica set first —
-// the hint carried by chunk.Ref in metadata — and recorded placement
-// after it. fresh is nil when the set the hint names served the read,
-// and otherwise the set the caller should hold in its place (blob
-// caches it, so later reads of the chunk skip the dead copies).
-func (r *Router) GetFrom(replicas []ID, key chunk.Key, off, length int64) (data []byte, fresh []ID, err error) {
-	out, fresh, err := r.read(replicas, chunkRead{key: key, off: off, length: length})
-	return out.data, fresh, err
+// GetFrom is Get: placement is the one answer to where a chunk lives.
+//
+// Deprecated: replicas is ignored and fresh is always nil; call Get.
+func (r *Router) GetFrom(_ []ID, key chunk.Key, off, length int64) (data []byte, fresh []ID, err error) {
+	data, err = r.Get(key, off, length)
+	return data, nil, err
 }
 
-// read is the one read core. It tries the caller's hint where the
-// placement mode reads through hints, falls back to recorded placement,
-// and decides fresh: nil exactly when the read was served by the set
-// the hint names. Every store attempt feeds the health monitor (in the
-// mode's read), a read that needed failover feeds read-repair by
-// maybeNoteDegraded's rule, and bs_chunk_get_seconds sees each read that
-// reached a store once.
+// read is the one read core: it reads q from the set placement names.
+// Every store attempt feeds the health monitor (in the mode's read), a
+// read that skipped or failed past a copy feeds read-repair, and
+// bs_chunk_get_seconds sees each read that reached a store once.
 //
 // The read cache has one rule for both modes. Byte reads are served
-// from it and fill it, data and fresh sets alike, and a cached set that
-// differs from the caller's hint — left by an earlier read that
-// corrected a stale one — supersedes it. Stream reads bypass it: they
-// exist to move a payload store→socket without materializing it, which
-// a cache fill or a cached copy would do.
-func (r *Router) read(hint []ID, q chunkRead) (out served, fresh []ID, err error) {
-	mode := r.placementMode()
-	var cache *ReadCache
-	if !q.stream {
-		cache = r.ReadCache()
+// from it and fill it. Stream reads bypass it: they exist to move a
+// payload store→socket without materializing it, which a cache fill or
+// a cached copy would do.
+func (r *Router) read(q chunkRead) (served, error) {
+	r.cfg.RLock()
+	mode, cache := r.mode, r.cache
+	r.cfg.RUnlock()
+	if q.stream {
+		cache = nil
 	}
-	try := hint
 	if cache != nil {
-		data, hit := cache.GetData(q.key, q.off, q.length)
-		if h, ok := cache.Hint(q.key); ok && !mode.sameHint(h, hint) {
-			try, fresh = h, h
-		}
-		if hit {
-			return served{data: data}, fresh, nil
+		if data, hit := cache.GetData(q.key, q.off, q.length); hit {
+			return served{data: data}, nil
 		}
 	}
 	var start time.Time
 	if r.met.getSec != nil {
 		start = time.Now()
 	}
-	var skips, storeErrs int
-	viaHint := len(try) > 0 && mode.readsHints()
-	if viaHint {
-		out, skips, storeErrs, err = mode.read(r, try, q)
-		viaHint = err == nil
+	ids, ok := r.placed(q.key)
+	if !ok {
+		return served{}, fmt.Errorf("%w: %s", chunk.ErrNotFound, q.key)
 	}
-	if viaHint {
-		if skips+storeErrs > 0 {
-			// The hint served, but not at once: it names a copy that is
-			// gone. Hand back what placement records if that differs, or
-			// every later read walks the half-dead hint again.
-			if ids, ok := r.Locate(q.key); ok && !mode.sameHint(ids, try) {
-				fresh = ids
-				r.fillHint(cache, q.key, ids)
-			}
-		}
-	} else {
-		// Fallback: no hint to read through, or every copy it names
-		// failed (stale after a repair moved them). Snapshot the
-		// authoritative set ONCE and read from exactly that snapshot, so
-		// the fresh set returned is the set that served the read — reading
-		// and then locating as two acquisitions (as this path once did)
-		// let a repair slip between them and hand the caller a set that
-		// never served anything.
-		ids, ok := r.Locate(q.key)
-		if !ok {
-			return served{}, nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, q.key)
-		}
-		if out, skips, storeErrs, err = mode.read(r, ids, q); err != nil {
-			return served{}, nil, err
-		}
-		fresh = ids
-		if mode.sameHint(ids, hint) {
-			fresh = nil
-		}
-		r.fillHint(cache, q.key, ids)
+	out, skips, storeErrs, err := mode.read(r, ids, q)
+	if err != nil {
+		return served{}, err
 	}
 	if skips+storeErrs > 0 {
-		r.maybeNoteDegraded(q.key, storeErrs)
+		// Every copy skipped or failed is one placement names: the chunk
+		// is below degree.
+		r.noteDegraded(q.key)
 	}
 	if cache != nil && q.off == 0 && len(out.data) > 0 {
 		// The cache stores prefixes, so it takes the common whole-fragment
@@ -1226,42 +1188,16 @@ func (r *Router) read(hint []ID, q chunkRead) (out served, fresh []ID, err error
 	if r.met.getSec != nil {
 		r.met.getSec.ObserveSince(start)
 	}
-	return out, fresh, nil
+	return out, nil
 }
 
-// fillHint caches a fresh replica set alongside any cached data.
-func (r *Router) fillHint(cache *ReadCache, key chunk.Key, ids []ID) {
-	if cache != nil {
-		cache.FillHint(key, ids)
-	}
-}
-
-// maybeNoteDegraded decides whether a read that needed failover should
-// feed the repair queue. A real store error is a strong signal (the
-// copy is gone or the machine is dying). A flag-only skip is not by
-// itself: a permanently stale metadata hint skips the same long-dead
-// provider on every read even after repair restored the chunk, and
-// those enqueues would crowd genuinely degraded chunks out of the
-// bounded queue — so flag skips enqueue only when placement agrees the
-// chunk is below degree.
-func (r *Router) maybeNoteDegraded(key chunk.Key, storeErrs int) {
-	if storeErrs > 0 {
-		r.noteDegraded(key)
-		return
-	}
-	ids, ok := r.Locate(key)
-	if ok && len(slices.DeleteFunc(ids, func(id ID) bool { return r.liveStore(id) == nil })) < r.degree() {
-		r.noteDegraded(key)
-	}
-}
-
-// setPlacement installs a chunk's new replica set and invalidates any
-// cached state for it: placement changed, so a cached hint is stale
-// (the cached DATA would still be valid — chunks are immutable — but
-// dropping the whole entry keeps the invalidation surface trivial).
-// Every placement mutation after the initial Put goes through here or
-// through DeleteReplicas' retire path; Put installs directly because
-// nothing can be cached for a key that was never readable.
+// setPlacement installs a chunk's new replica set and drops its cached
+// data (still valid — chunks are immutable — but dropping it keeps the
+// invalidation surface trivial). Every placement mutation after the
+// initial Put goes through here or through DeleteReplicas' retire path;
+// Put installs directly because nothing can be cached for a key that
+// was never readable. ids is the router's from here on: placement
+// installs a new slice on every change and never writes one it holds.
 func (r *Router) setPlacement(key chunk.Key, ids []ID) {
 	r.place.mu.Lock()
 	r.place.m[key] = ids
@@ -1271,25 +1207,28 @@ func (r *Router) setPlacement(key chunk.Key, ids []ID) {
 
 // invalidateCached drops a chunk's read-cache entry, if a cache is
 // wired. A read racing this may re-fill the entry a moment later;
-// that is safe (see the ReadCache contract) because data is immutable
-// and a stale re-filled hint self-corrects on its next use.
+// that is safe (see the ReadCache contract) because data is immutable.
 func (r *Router) invalidateCached(key chunk.Key) {
 	if c := r.ReadCache(); c != nil {
 		c.Invalidate(key)
 	}
 }
 
-// Locate returns the replica set recorded for the key.
+// Locate returns the replica set recorded for the key: the one answer
+// to where a chunk lives.
 func (r *Router) Locate(key chunk.Key) ([]ID, bool) {
+	ids, ok := r.placed(key)
+	return slices.Clone(ids), ok
+}
+
+// placed is Locate without the copy, for the read core: the set is
+// never written once installed (see setPlacement), so it is the
+// caller's to read, not to write.
+func (r *Router) placed(key chunk.Key) ([]ID, bool) {
 	r.place.mu.RLock()
-	defer r.place.mu.RUnlock()
 	ids, ok := r.place.m[key]
-	if !ok {
-		return nil, false
-	}
-	out := make([]ID, len(ids))
-	copy(out, ids)
-	return out, true
+	r.place.mu.RUnlock()
+	return ids, ok
 }
 
 // Keys returns a snapshot of every chunk key the placement map knows,

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -310,14 +311,14 @@ func TestRouterFailoverRead(t *testing.T) {
 			t.Fatalf("degraded Get = %q, %v", data, err)
 		}
 	}
-	// GetFrom with the write-time hint works the same way; the hint is
-	// still the recorded set, so no fresh hint is returned.
+	// The deprecated GetFrom reads the same way and returns no fresh
+	// set.
 	data, fresh, err := r.GetFrom(ids, key, 0, 8)
 	if err != nil || string(data) != "survives" {
 		t.Fatalf("degraded GetFrom = %q, %v", data, err)
 	}
 	if fresh != nil {
-		t.Fatalf("hint served the read but GetFrom returned fresh set %v", fresh)
+		t.Fatalf("GetFrom returned fresh set %v", fresh)
 	}
 	// Kill the second replica too: the read must now fail.
 	if err := m.SetDown(ids[1], true); err != nil {
@@ -329,8 +330,8 @@ func TestRouterFailoverRead(t *testing.T) {
 }
 
 func TestRouterGetFromStaleHint(t *testing.T) {
-	// A hint referencing only dead/unknown providers must fall back to
-	// the router's placement map.
+	// A set naming only unknown providers changes nothing: GetFrom
+	// reads the router's placement map, as every read does.
 	m, _ := NewPool(3, iosim.CostModel{})
 	r := NewRouter(m)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -338,12 +339,8 @@ func TestRouterGetFromStaleHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, fresh, err := r.GetFrom([]ID{77, 78}, key, 0, 4)
-	if err != nil || string(data) != "real" {
-		t.Fatalf("stale-hint GetFrom = %q, %v", data, err)
-	}
-	want, _ := r.Locate(key)
-	if fmt.Sprintf("%v", fresh) != fmt.Sprintf("%v", want) {
-		t.Fatalf("stale-hint GetFrom returned fresh %v, want placement %v", fresh, want)
+	if err != nil || string(data) != "real" || fresh != nil {
+		t.Fatalf("GetFrom = %q, %v, fresh %v", data, err, fresh)
 	}
 }
 
@@ -607,10 +604,10 @@ func TestRepairChunk(t *testing.T) {
 	}
 }
 
-// TestGetFromRefreshesPartiallyStaleHint: a hint that still WORKS (one
-// listed replica serves the read) but names a dead provider must be
-// refreshed from placement when placement disagrees — otherwise every
-// future read walks the half-dead hint forever.
+// TestGetFromRefreshesPartiallyStaleHint: after repair moved one copy
+// off a dead provider, every read returns the writer's bytes from the
+// repaired set — handed the write-time set [dead, live] or not — and
+// none of them skips the dead provider or reports the chunk degraded.
 func TestGetFromRefreshesPartiallyStaleHint(t *testing.T) {
 	m, _ := NewPool(4, iosim.CostModel{})
 	r := NewRouter(m)
@@ -626,28 +623,27 @@ func TestGetFromRefreshesPartiallyStaleHint(t *testing.T) {
 	if st := r.Repair(); st.Repaired != 1 {
 		t.Fatalf("repair: %+v", st)
 	}
-	fresh, _ := r.Locate(key)
-	// The stale hint [dead, live]: reads succeed via the survivor but
-	// must hand back the repaired placement set.
-	var got []ID
-	for i := 0; i < 4 && got == nil; i++ { // rotation: some reads start at the live copy
+	var notes atomic.Int64
+	r.SetDegradedHandler(func(chunk.Key) { notes.Add(1) })
+	for i := 0; i < 4; i++ { // rotation: each copy is tried first
 		data, f, err := r.GetFrom(ids, key, 0, 7)
-		if err != nil || string(data) != "refresh" {
-			t.Fatalf("GetFrom = %q, %v", data, err)
+		if err != nil || string(data) != "refresh" || f != nil {
+			t.Fatalf("GetFrom = %q, %v, fresh %v", data, err, f)
 		}
-		if f != nil {
-			got = f
+		if data, err := r.Get(key, 0, 7); err != nil || string(data) != "refresh" {
+			t.Fatalf("Get = %q, %v", data, err)
 		}
 	}
-	if fmt.Sprint(got) != fmt.Sprint(fresh) {
-		t.Fatalf("refreshed hint = %v, want placement %v", got, fresh)
+	if n := notes.Load(); n != 0 {
+		t.Fatalf("reads of the repaired chunk reported it degraded %d times", n)
 	}
 }
 
-// TestStaleHintDoesNotSpamRepairQueue: reads through a stale hint that
-// skips a long-dead provider must NOT enqueue the chunk once placement
-// says it is back at full degree — healthy chunks would crowd real
-// work out of the bounded queue.
+// TestStaleHintDoesNotSpamRepairQueue: reads handed the write-time set,
+// which names a long-dead provider, must NOT enqueue the chunk once
+// repair brought it back to full degree — healthy chunks would crowd
+// real work out of the bounded queue. They read the repaired set, which
+// skips nothing.
 func TestStaleHintDoesNotSpamRepairQueue(t *testing.T) {
 	m, _ := NewPool(4, iosim.CostModel{})
 	r := NewRouter(m)

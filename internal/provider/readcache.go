@@ -8,16 +8,11 @@
 // funnels through exactly two call sites (RepairChunk and
 // DeleteReplicas, both under the per-chunk in-flight claim).
 //
-// The cache serves two things per chunk key:
-//
-//   - data: a prefix [0, len) of the chunk's bytes, filled by
-//     successful whole-prefix reads (off == 0). Sub-range reads inside
-//     the prefix are served without touching any provider.
-//   - hint: the freshest replica set observed for the chunk, filled
-//     from the fresh-set returns the stale-hint machinery already
-//     produces (see GetFrom) and from the reaper's hint-rewrite. A
-//     cached hint is advisory: at worst it is stale and costs one
-//     failover that refreshes it; it can never fail a read.
+// The cache holds chunk data only: per chunk key, a prefix [0, len) of
+// the chunk's bytes, filled by successful whole-prefix reads (off == 0).
+// Sub-range reads inside the prefix are served without touching any
+// provider. Where a chunk lives is the router's placement map's to say,
+// never the cache's.
 //
 // Capacity is bounded in bytes, split evenly across a fixed power-of-two
 // shard count (one lock per shard, so concurrent readers on different
@@ -26,7 +21,7 @@
 // it fits. Invalidation is best-effort against in-flight fills — a read
 // racing a repair may re-install an entry the repair just dropped — but
 // that is safe for the same reason the cache exists at all: data is
-// immutable and hints self-correct on the next read.
+// immutable.
 package provider
 
 import (
@@ -43,8 +38,7 @@ type ReadCacheConfig struct {
 	// (default 16). More shards means less lock contention.
 	Shards int
 	// MaxBytes bounds the cache's total footprint across all shards —
-	// cached chunk bytes plus a nominal cost per hint entry
-	// (default 64 MiB).
+	// cached chunk bytes plus a nominal cost per entry (default 64 MiB).
 	MaxBytes int64
 }
 
@@ -68,10 +62,7 @@ func (c ReadCacheConfig) withDefaults() ReadCacheConfig {
 type ReadCacheStats struct {
 	Hits          int64 // data lookups served from the cache
 	Misses        int64 // data lookups that went to a provider
-	HintHits      int64 // hint lookups that found a cached replica set
-	HintMisses    int64
 	Fills         int64 // data entries installed or grown
-	HintFills     int64 // hint entries installed or replaced
 	Evictions     int64 // entries trimmed under capacity pressure
 	Invalidations int64 // entries dropped by placement changes
 	Entries       int   // current entry count
@@ -86,26 +77,18 @@ func (s ReadCacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// cacheEntry is one chunk's cached state: a data prefix, a replica-set
-// hint, or both.
-type cacheEntry struct {
-	data []byte // prefix [0, len) of the chunk; nil = hint-only
-	hint []ID   // freshest replica set observed; nil = data-only
-}
-
 // entryOverhead is the nominal bookkeeping cost charged per entry, so
-// a flood of hint-only entries (the old per-handle leak) is bounded by
-// MaxBytes too, not just data.
+// a flood of tiny entries is bounded by MaxBytes too, not just data.
 const entryOverhead = 64
 
-func (e *cacheEntry) cost() int64 {
-	return int64(len(e.data)) + int64(len(e.hint))*8 + entryOverhead
-}
+// cost is what an entry holding data counts against the budget.
+func cost(data []byte) int64 { return int64(len(data)) + entryOverhead }
 
-// cacheShard is one lock domain of the cache.
+// cacheShard is one lock domain of the cache: per chunk key, the cached
+// prefix [0, len) of its bytes.
 type cacheShard struct {
 	mu      sync.Mutex
-	entries map[chunk.Key]*cacheEntry
+	entries map[chunk.Key][]byte
 	order   []chunk.Key // insertion order; the trim victim queue
 	bytes   int64
 }
@@ -117,11 +100,10 @@ type ReadCache struct {
 	mask     uint64
 	perShard int64
 
-	hits, misses         atomic.Int64
-	hintHits, hintMisses atomic.Int64
-	fills, hintFills     atomic.Int64
-	evictions            atomic.Int64
-	invalidations        atomic.Int64
+	hits, misses  atomic.Int64
+	fills         atomic.Int64
+	evictions     atomic.Int64
+	invalidations atomic.Int64
 
 	// met mirrors the counters above into a metrics registry; handles
 	// are nil until SetMetrics, so every mirror call no-ops when the
@@ -135,10 +117,9 @@ type ReadCache struct {
 	}
 }
 
-// SetMetrics mirrors the cache's data-path counters (hits, misses,
-// fills, evictions, invalidations; hint traffic is visible via Stats)
-// into reg. Call before serving traffic; a nil registry leaves metrics
-// disabled.
+// SetMetrics mirrors the cache's counters (hits, misses, fills,
+// evictions, invalidations) into reg. Call before serving traffic; a
+// nil registry leaves metrics disabled.
 func (c *ReadCache) SetMetrics(reg *metrics.Registry) {
 	c.met.hits = reg.Counter("bs_cache_hits_total")
 	c.met.misses = reg.Counter("bs_cache_misses_total")
@@ -159,7 +140,7 @@ func NewReadCache(cfg ReadCacheConfig) *ReadCache {
 		c.perShard = 1
 	}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[chunk.Key]*cacheEntry)
+		c.shards[i].entries = make(map[chunk.Key][]byte)
 	}
 	return c
 }
@@ -190,114 +171,62 @@ func (c *ReadCache) shardFor(key chunk.Key) *cacheShard {
 func (c *ReadCache) GetData(key chunk.Key, off, length int64) ([]byte, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	e := s.entries[key]
-	if e == nil || e.data == nil || off < 0 || length < 0 || off+length > int64(len(e.data)) {
+	data := s.entries[key]
+	if data == nil || off < 0 || length < 0 || off+length > int64(len(data)) {
 		s.mu.Unlock()
 		c.misses.Add(1)
 		c.met.misses.Inc()
 		return nil, false
 	}
 	out := make([]byte, length)
-	copy(out, e.data[off:off+length])
+	copy(out, data[off:off+length])
 	s.mu.Unlock()
 	c.hits.Add(1)
 	c.met.hits.Inc()
 	return out, true
 }
 
-// Hint returns the cached fresh replica set for a chunk, if any. The
-// returned slice is a copy.
-func (c *ReadCache) Hint(key chunk.Key) ([]ID, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e := s.entries[key]
-	if e == nil || e.hint == nil {
-		s.mu.Unlock()
-		c.hintMisses.Add(1)
-		return nil, false
-	}
-	out := make([]ID, len(e.hint))
-	copy(out, e.hint)
-	s.mu.Unlock()
-	c.hintHits.Add(1)
-	return out, true
-}
-
 // FillData installs (or grows) a chunk's cached prefix. data must be
 // the chunk's bytes starting at offset 0; the cache takes ownership of
-// the slice. Shorter prefixes than the cached one are ignored.
+// the slice. Prefixes no longer than the cached one are ignored. One
+// over the shard budget would evict everything else and still not fit:
+// it is refused, and the shorter prefix it would have replaced dropped.
+// Inserts that push the shard past its budget evict entries in
+// insertion order until it fits.
 func (c *ReadCache) FillData(key chunk.Key, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	if c.fill(key, func(e *cacheEntry) bool {
-		if len(e.data) >= len(data) {
-			return false
-		}
-		e.data = data
-		return true
-	}) {
-		c.fills.Add(1)
-		c.met.fills.Inc()
-	}
-}
-
-// FillHint installs (or replaces) a chunk's cached replica set. The
-// ids slice is copied.
-func (c *ReadCache) FillHint(key chunk.Key, ids []ID) {
-	if len(ids) == 0 {
-		return
-	}
-	if c.fill(key, func(e *cacheEntry) bool {
-		e.hint = append([]ID(nil), ids...)
-		return true
-	}) {
-		c.hintFills.Add(1)
-	}
-}
-
-// fill applies update to the key's entry (creating it if needed) and
-// trims the shard under pressure. update returns false to leave the
-// entry untouched; fill reports whether the value was installed.
-func (c *ReadCache) fill(key chunk.Key, update func(*cacheEntry) bool) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entries[key]
-	fresh := e == nil
-	if fresh {
-		e = &cacheEntry{}
+	old, ok := s.entries[key]
+	if len(old) >= len(data) {
+		return
 	}
-	before := e.cost()
-	if !update(e) {
-		return false
-	}
-	if e.cost() > c.perShard {
-		// A single entry over the shard budget would evict everything
-		// else and still not fit; refuse it instead.
-		if fresh {
-			return false
+	if cost(data) > c.perShard {
+		if ok {
+			s.bytes -= cost(old)
+			delete(s.entries, key)
+			c.evictions.Add(1)
+			c.met.evictions.Inc()
 		}
-		s.bytes -= before
-		delete(s.entries, key)
-		c.evictions.Add(1)
-		c.met.evictions.Inc()
-		return false
+		return
 	}
-	if fresh {
-		s.entries[key] = e
-		s.order = append(s.order, key)
-		s.bytes += e.cost()
+	s.entries[key] = data
+	if ok {
+		s.bytes += cost(data) - cost(old)
 	} else {
-		s.bytes += e.cost() - before
+		s.order = append(s.order, key)
+		s.bytes += cost(data)
 	}
-	// Trim under pressure: evict in insertion order until the shard
-	// fits its budget again.
+	c.fills.Add(1)
+	c.met.fills.Inc()
 	for s.bytes > c.perShard && len(s.order) > 0 {
 		victim := s.order[0]
 		s.order = s.order[1:]
-		ve := s.entries[victim]
-		if ve == nil {
+		vd, ok := s.entries[victim]
+		if !ok {
 			continue // already invalidated
 		}
 		if victim == key {
@@ -309,12 +238,11 @@ func (c *ReadCache) fill(key chunk.Key, update func(*cacheEntry) bool) bool {
 			}
 			continue
 		}
-		s.bytes -= ve.cost()
+		s.bytes -= cost(vd)
 		delete(s.entries, victim)
 		c.evictions.Add(1)
 		c.met.evictions.Inc()
 	}
-	return true
 }
 
 // Invalidate drops everything cached for a chunk — called by the
@@ -323,8 +251,8 @@ func (c *ReadCache) fill(key chunk.Key, update func(*cacheEntry) bool) bool {
 func (c *ReadCache) Invalidate(key chunk.Key) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if e := s.entries[key]; e != nil {
-		s.bytes -= e.cost()
+	if data, ok := s.entries[key]; ok {
+		s.bytes -= cost(data)
 		delete(s.entries, key)
 		c.invalidations.Add(1)
 		c.met.invalidations.Inc()
@@ -361,10 +289,7 @@ func (c *ReadCache) Stats() ReadCacheStats {
 	return ReadCacheStats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
-		HintHits:      c.hintHits.Load(),
-		HintMisses:    c.hintMisses.Load(),
 		Fills:         c.fills.Load(),
-		HintFills:     c.hintFills.Load(),
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
 		Entries:       c.Len(),

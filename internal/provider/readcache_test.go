@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
+	"repro/internal/iosim"
 )
 
 func cacheKey(i int) chunk.Key {
@@ -44,49 +45,49 @@ func TestReadCacheDataPrefixSemantics(t *testing.T) {
 	}
 }
 
+// TestReadCacheHints: the cache holds chunk data only — where a chunk
+// lives is placement's to say — so a byte read after a repair moved the
+// copies returns the writer's bytes: the move dropped the cached entry,
+// the read misses, goes to the copies placement names now, and fills
+// the entry again.
 func TestReadCacheHints(t *testing.T) {
+	mgr, faults := NewFaultPool(4, iosim.CostModel{})
+	r := NewRouter(mgr)
+	r.SetReplicas(2)
 	c := NewReadCache(ReadCacheConfig{})
+	r.SetReadCache(c)
 	key := cacheKey(0)
-	if _, ok := c.Hint(key); ok {
-		t.Fatal("hint hit on an empty cache")
+	data := []byte("the writer's bytes")
+	ids, err := r.Put(key, data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ids := []ID{3, 1, 4}
-	c.FillHint(key, ids)
-	got, ok := c.Hint(key)
-	if !ok || !sameIDSet(got, ids) {
-		t.Fatalf("Hint = %v,%v want %v", got, ok, ids)
+	if got, err := r.Get(key, 0, int64(len(data))); err != nil || string(got) != string(data) {
+		t.Fatalf("first read = %q, %v", got, err)
 	}
-	// The stored hint is a copy of the fill argument and the returned
-	// hint a copy of the stored one.
-	ids[0] = 99
-	got[1] = 99
-	if again, _ := c.Hint(key); !sameIDSet(again, []ID{3, 1, 4}) {
-		t.Fatalf("caller write leaked into the cached hint: %v", again)
-	}
-	// Data and hint coexist on one entry; Invalidate drops both.
-	c.FillData(key, []byte("data"))
-	c.Invalidate(key)
-	if _, ok := c.GetData(key, 0, 4); ok {
-		t.Fatal("data survived Invalidate")
-	}
-	if _, ok := c.Hint(key); ok {
-		t.Fatal("hint survived Invalidate")
+	faults[ids[0]].SetDown(true)
+	if outcome, _, err := r.RepairChunk(key); outcome != RepairRepaired || err != nil {
+		t.Fatalf("repair = %v, %v", outcome, err)
 	}
 	if st := c.Stats(); st.Invalidations != 1 || st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("post-invalidate stats: %+v", st)
+		t.Fatalf("the move left the cache at %+v", st)
+	}
+	if got, err := r.Get(key, 0, int64(len(data))); err != nil || string(got) != string(data) {
+		t.Fatalf("read after the move = %q, %v", got, err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Fills != 2 || st.Entries != 1 {
+		t.Fatalf("read after the move: %+v, want a miss and a fill", st)
 	}
 }
 
 // TestReadCacheBounded floods the cache far past its capacity and
-// asserts the byte bound holds — the regression guard for the unbounded
-// per-handle hint map this cache retired.
+// asserts the byte bound holds.
 func TestReadCacheBounded(t *testing.T) {
 	const maxBytes = 64 << 10
 	c := NewReadCache(ReadCacheConfig{Shards: 4, MaxBytes: maxBytes})
 	payload := make([]byte, 1024)
 	for i := 0; i < 4096; i++ {
 		c.FillData(cacheKey(i), append([]byte(nil), payload...))
-		c.FillHint(cacheKey(i), []ID{ID(i % 7), ID(i % 5)})
 	}
 	if got := c.Bytes(); got > maxBytes {
 		t.Fatalf("cache holds %d bytes after flood, bound is %d", got, maxBytes)
@@ -98,13 +99,13 @@ func TestReadCacheBounded(t *testing.T) {
 	if st.Entries == 0 {
 		t.Fatal("trim evicted everything; recent entries should survive")
 	}
-	// Hint-only entries are bounded too (they carry entryOverhead).
+	// Tiny entries are bounded too (they carry entryOverhead).
 	c2 := NewReadCache(ReadCacheConfig{Shards: 1, MaxBytes: 8 << 10})
 	for i := 0; i < 100000; i++ {
-		c2.FillHint(cacheKey(i), []ID{1, 2})
+		c2.FillData(cacheKey(i), []byte{1})
 	}
 	if got := c2.Bytes(); got > 8<<10 {
-		t.Fatalf("hint flood holds %d bytes, bound is %d", got, 8<<10)
+		t.Fatalf("tiny-entry flood holds %d bytes, bound is %d", got, 8<<10)
 	}
 }
 
@@ -167,12 +168,11 @@ func TestReadCacheConcurrent(t *testing.T) {
 				case 0:
 					c.FillData(key, []byte(fmt.Sprintf("payload-%d", i%64)))
 				case 1:
-					c.FillHint(key, []ID{ID(i % 8), ID((i + 1) % 8)})
+					c.FillData(key, []byte(fmt.Sprintf("payload-%d, grown", i%64)))
 				case 2:
 					if data, ok := c.GetData(key, 0, 8); ok && string(data) != fmt.Sprintf("payload-%d", i%64)[:8] {
 						t.Errorf("corrupt cached data %q for %v", data, key)
 					}
-					c.Hint(key)
 				default:
 					c.Invalidate(key)
 				}

@@ -2,6 +2,7 @@ package provider
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -154,10 +155,12 @@ func TestRouterGetReadThrough(t *testing.T) {
 	}
 }
 
-// TestGetFromCacheLifecycle walks the full hint lifecycle through the
-// shared cache: a stale hint falls back and caches the served set, a
-// later read is served from cache with the fresher hint attached, and a
-// placement change drops the entry.
+// TestGetFromCacheLifecycle walks a chunk's life through the shared
+// cache while repair moves every copy: a read after the move returns
+// the writer's bytes from the copies placement names now and fills the
+// cache, a later read is served from the cache, and the next placement
+// change drops the entry. The deprecated GetFrom, handed the write-time
+// set, reads the same and never returns a fresh set.
 func TestGetFromCacheLifecycle(t *testing.T) {
 	r, cache := cachedRouter(t, 4, 2, 2)
 	key := chunk.Key{Blob: 7, Version: 1}
@@ -178,34 +181,19 @@ func TestGetFromCacheLifecycle(t *testing.T) {
 		}
 	}
 	moved, _ := r.Locate(key)
-	if sameIDSet(moved, orig) {
-		t.Fatalf("repair did not move placement: %v", moved)
+	for _, id := range moved {
+		if slices.Contains(orig, id) {
+			t.Fatalf("repair did not move placement: %v", moved)
+		}
 	}
-	// Read with the now-dead hint: fallback serves, fresh = the set
-	// that served, and both data and hint land in the cache.
-	got, fresh, err := r.GetFrom(orig, key, 0, int64(len(data)))
-	if err != nil || string(got) != string(data) {
-		t.Fatalf("stale-hint read = %q, %v", got, err)
+	for i := 0; i < 2; i++ {
+		got, fresh, err := r.GetFrom(orig, key, 0, int64(len(data)))
+		if err != nil || string(got) != string(data) || fresh != nil {
+			t.Fatalf("read %d after the move = %q, %v, fresh %v", i, got, err, fresh)
+		}
 	}
-	if !sameIDSet(fresh, moved) {
-		t.Fatalf("fresh = %v, want the serving set %v", fresh, moved)
-	}
-	// Same stale hint again: cache data serves it, cached hint rides
-	// along as fresh — no provider involved.
-	got, fresh, err = r.GetFrom(orig, key, 0, int64(len(data)))
-	if err != nil || string(got) != string(data) {
-		t.Fatalf("cached read = %q, %v", got, err)
-	}
-	if !sameIDSet(fresh, moved) {
-		t.Fatalf("cached fresh = %v, want %v", fresh, moved)
-	}
-	if st := cache.Stats(); st.Hits == 0 || st.HintHits == 0 {
-		t.Fatalf("cache not consulted: %+v", st)
-	}
-	// A read carrying the CURRENT set gets fresh == nil (nothing to
-	// correct).
-	if _, fresh, err = r.GetFrom(moved, key, 0, int64(len(data))); err != nil || fresh != nil {
-		t.Fatalf("up-to-date hint returned fresh %v, err %v", fresh, err)
+	if st := cache.Stats(); st.Fills != 1 || st.Hits != 1 {
+		t.Fatalf("the first read should fill, the second hit: %+v", st)
 	}
 	// Placement changes invalidate: revive the originals, kill one
 	// current holder, repair — the cached entry must be gone.
@@ -226,11 +214,7 @@ func TestGetFromCacheLifecycle(t *testing.T) {
 	if _, ok := cache.GetData(key, 0, 1); ok {
 		t.Fatal("cached data survived the placement change")
 	}
-	if _, ok := cache.Hint(key); ok {
-		t.Fatal("cached hint survived the placement change")
-	}
-	// And the next read through the stale cache state still succeeds.
-	if got, _, err := r.GetFrom(orig, key, 0, int64(len(data))); err != nil || string(got) != string(data) {
+	if got, err := r.Get(key, 0, int64(len(data))); err != nil || string(got) != string(data) {
 		t.Fatalf("read after invalidation = %q, %v", got, err)
 	}
 }
@@ -260,31 +244,36 @@ func TestDeleteReplicasInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestGetFromFallbackFreshMatchesServingSet is the regression for the
-// two-acquisition fallback: the fresh set returned must be the snapshot
-// the read was served from, taken in the same Locate call.
+// TestGetFromFallbackFreshMatchesServingSet: the deprecated GetFrom
+// reads what Get reads — the set placement names, snapshotted once —
+// whatever set it is handed, and never returns a fresh one; a read after
+// repair moved a copy returns the writer's bytes.
 func TestGetFromFallbackFreshMatchesServingSet(t *testing.T) {
 	r, _ := replicatedRouter(t, 4, 2)
 	key := chunk.Key{Blob: 3, Version: 1}
 	data := []byte("served set")
-	if _, err := r.Put(key, data); err != nil {
+	ids, err := r.Put(key, data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := r.Locate(key)
-	// A hint naming no real provider forces the fallback.
-	got, fresh, err := r.GetFrom([]ID{97, 98}, key, 0, int64(len(data)))
-	if err != nil || string(got) != string(data) {
-		t.Fatalf("fallback read = %q, %v", got, err)
+	if err := r.SetDown(ids[0], true); err != nil {
+		t.Fatal(err)
 	}
-	if !sameIDSet(fresh, want) {
-		t.Fatalf("fresh = %v, want serving set %v", fresh, want)
+	if outcome, _, err := r.RepairChunk(key); outcome != RepairRepaired || err != nil {
+		t.Fatalf("repair = %v, %v", outcome, err)
+	}
+	for _, set := range [][]ID{nil, ids, {97, 98}} {
+		got, fresh, err := r.GetFrom(set, key, 0, int64(len(data)))
+		if err != nil || string(got) != string(data) || fresh != nil {
+			t.Fatalf("GetFrom(%v) = %q, %v, fresh %v", set, got, err, fresh)
+		}
 	}
 }
 
 // TestReadTierRace exercises cache fills racing RepairChunk and
 // DeleteReplicas invalidation — run under -race, this is the memory-
-// model check for the whole read tier. Stale cache state may cost a
-// failover but must never fail a read before the chunk is deleted.
+// model check for the whole read tier. A read racing a move must never
+// fail before the chunk is deleted.
 func TestReadTierRace(t *testing.T) {
 	r, cache := cachedRouter(t, 6, 3, 2)
 	r.SetLocalDomain("zone0")

@@ -12,7 +12,7 @@ import (
 // from an io.Reader and chunk reads served as an io.ReadCloser, so the
 // remote framed transport can move payloads socket→store and
 // store→socket without materializing them. They run through the same
-// put core and read core as Put and GetFrom (provider.go); only how the
+// put core and read core as Put and Get (provider.go); only how the
 // bytes enter and leave a store differs.
 
 // DefaultMaxChunkSize bounds the declared size of a streamed chunk put
@@ -78,10 +78,9 @@ func (r *Router) PutStream(key chunk.Key, size int64, rd io.Reader) ([]ID, error
 	return r.put(key, size, rd)
 }
 
-// OpenFrom is GetFrom with the bytes leaving as a stream the caller
-// must Close: the same hint, fallback and fresh-set semantics, through
-// the same read core. An empty hint reads from recorded placement.
-func (r *Router) OpenFrom(replicas []ID, key chunk.Key, off, length int64) (rc io.ReadCloser, fresh []ID, err error) {
-	out, fresh, err := r.read(replicas, chunkRead{key: key, off: off, length: length, stream: true})
-	return out.rc, fresh, err
+// Open is Get with the bytes leaving as a stream the caller must Close,
+// through the same read core.
+func (r *Router) Open(key chunk.Key, off, length int64) (io.ReadCloser, error) {
+	out, err := r.read(chunkRead{key: key, off: off, length: length, stream: true})
+	return out.rc, err
 }

@@ -292,7 +292,7 @@ func BenchmarkFramedPut1MiBWindow8(b *testing.B) {
 
 // BenchmarkFramedGet1MiBWindow8 is checkpoint_restore's read shape, the
 // mirror of the put benchmark above: 32 gets of 1 MiB from mem:// stores
-// under the reader's window of 8. GetFrom allocates what it returns, a
+// under the reader's window of 8. Get allocates what it returns, a
 // megabyte a get (client and server share the process, so B/op counts
 // both). Server drives one connection by hand, reading replies into a fixed
 // buffer, so every allocation counted there is the server's: the router
@@ -315,10 +315,10 @@ func BenchmarkFramedGet1MiBWindow8(b *testing.B) {
 		}
 		return c
 	}
-	b.Run("GetFrom", func(b *testing.B) {
+	b.Run("Get", func(b *testing.B) {
 		c := boot(b)
 		get := func(j int64) error {
-			data, _, err := c.GetFrom(nil, chunk.Key{Blob: 1, Index: uint32(j)}, 0, size)
+			data, err := c.Get(chunk.Key{Blob: 1, Index: uint32(j)}, 0, size)
 			if err == nil && len(data) != size {
 				err = io.ErrUnexpectedEOF
 			}
@@ -343,12 +343,11 @@ func BenchmarkFramedGet1MiBWindow8(b *testing.B) {
 		conn.Write([]byte(framedMagic))
 		var reqs [chunks][]byte
 		for j := range reqs {
-			get := getCall(nil, 0, size, nil, chunk.Key{Blob: 1, Index: uint32(j)}, 0)
+			get := getCall(nil, 0, size, chunk.Key{Blob: 1, Index: uint32(j)}, 0)
 			reqs[j] = appendGets(nil, []*framedCall{&get})
 		}
-		// The list's status, the entry's and the fresh set an unhinted get
-		// is answered with (R=1: one ID), then the payload.
-		reply := make([]byte, 3+4+size)
+		// The list's status and the entry's, then the payload.
+		reply := make([]byte, 2+size)
 		b.SetBytes(chunks * size)
 		b.ReportAllocs()
 		b.ResetTimer()

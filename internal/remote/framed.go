@@ -3,7 +3,7 @@
 // segment-tree nodes — each body behind its length.
 //
 // A client opens each framed connection by sending the 4-byte magic
-// "BSD2", the wire's version; the server peeks the first bytes of every
+// "BSD3", the wire's version; the server peeks the first bytes of every
 // accepted connection and routes magic-led ones to the framed loop,
 // everything else — a peer of another wire version too — to the HTTP
 // server of the operator calls (admin.go). A node answers an op whose
@@ -12,10 +12,11 @@
 //
 // Wire format (all integers little-endian, matching chunk.Ref):
 //
-//	request header (40 bytes + hints):
-//	  op u8, flags u8 (reserved), hintCount u8, pad u8,
-//	  index u32, blob u64, version u64, off i64, length i64,
-//	  hintCount * u32 replica IDs
+//	request header (40 bytes):
+//	  op u8, flags u8 (reserved), reserved u8 (must be 0), pad u8,
+//	  index u32, blob u64, version u64, off i64, length i64
+//	            A header whose must-be-0 byte is not 0 closes the
+//	            connection (in a list get: refuses the list in-band).
 //	ops:        1=put, 2=list get (chunks, data role); 3=node put, 4=node
 //	            get, 5=node try-get (tree nodes, meta role: blob,
 //	            version, off and length name the node); 6..20 (VM role)
@@ -37,10 +38,11 @@
 //	            count*u32 replica IDs.
 //	list get:   header (op alone) + body: count u32 (1..maxTrainCalls),
 //	            then per entry a get header — op 2, the chunk key, off,
-//	            length, the replica hint — asking for at most
-//	            maxTrainBytes in all (one entry may ask for more alone).
-//	            A malformed list is refused whole, in-band. Reply: ok →
-//	            per entry a status, ok → u8 freshCount (+IDs), err → u32
+//	            length — asking for at most maxTrainBytes in all (one
+//	            entry may ask for more alone). Each entry is read from the
+//	            providers the data node's placement map names. A
+//	            malformed list is refused whole, in-band. Reply: ok →
+//	            per entry a status, ok → nothing more, err → u32
 //	            len + message; then the ok entries' bytes back to back,
 //	            no length word, exactly the sum of their lengths. A store
 //	            failure mid-payload closes the connection — the statuses
@@ -116,7 +118,7 @@ import (
 // bumps it, so peers of different versions refuse each other at
 // connect. No HTTP request starts with these bytes (a method name comes
 // first), so the peek is unambiguous.
-const framedMagic = "BSD2"
+const framedMagic = "BSD3"
 
 const (
 	// Chunk ops (data role), node ops (meta role).
@@ -152,9 +154,8 @@ const (
 	// length.
 	maxWalkBody = 4 + walkHead + maxNodeBody
 
-	// maxGetBody bounds a list get's request body: a train of gets, each
-	// with the longest hint the header can carry.
-	maxGetBody = 4 + maxTrainCalls*(frameHeaderLen+4*maxWireIDs)
+	// maxGetBody bounds a list get's request body: a train of gets.
+	maxGetBody = 4 + maxTrainCalls*frameHeaderLen
 
 	// replyBufSize is how many bytes a server copies into its replies
 	// before it writes them out, and how many it queues at most between
@@ -212,7 +213,7 @@ type frameHeader struct {
 	key      chunk.Key // node ops: Blob and Version name the node, Index goes unused
 	off      int64     // node ops: the node's offset
 	length   int64     // put: total payload size; get entry: read length; node ops: the node's size
-	replicas []provider.ID
+	reserved byte      // as received; sent as 0, and refused otherwise
 }
 
 // nodeKey is the node a node op names.
@@ -220,25 +221,17 @@ func (h *frameHeader) nodeKey() segtree.NodeKey {
 	return segtree.NodeKey{Version: h.key.Version, Offset: h.off, Size: h.length}
 }
 
-// maxWireIDs is what the one-byte ID counts of the format can carry.
+// maxWireIDs is what the one-byte ID count of a put reply can carry.
 const maxWireIDs = 255
 
 // appendHeader appends h's wire form to buf.
 func appendHeader(buf []byte, h *frameHeader) []byte {
-	hints := h.replicas
-	if len(hints) > maxWireIDs {
-		hints = hints[:maxWireIDs]
-	}
-	buf = append(buf, h.op, 0, byte(len(hints)), 0)
+	buf = append(buf, h.op, 0, 0, 0)
 	buf = binary.LittleEndian.AppendUint32(buf, h.key.Index)
 	buf = binary.LittleEndian.AppendUint64(buf, h.key.Blob)
 	buf = binary.LittleEndian.AppendUint64(buf, h.key.Version)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.off))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.length))
-	for _, id := range hints {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	}
-	return buf
+	return binary.LittleEndian.AppendUint64(buf, uint64(h.length))
 }
 
 // peek returns the next n bytes of r, at most its buffer, unconsumed. A
@@ -257,17 +250,16 @@ func readHeader(r *bufio.Reader) (frameHeader, error) {
 	if err != nil {
 		return frameHeader{}, err
 	}
-	h, hints := parseHeader(buf)
+	h := parseHeader(buf)
 	r.Discard(frameHeaderLen)
-	h.replicas, err = readIDList(r, hints)
-	return h, err
+	return h, nil
 }
 
-// parseHeader decodes the fixed part of a header, frameHeaderLen bytes of
-// buf, and returns how many replica IDs follow it.
-func parseHeader(buf []byte) (h frameHeader, hints int) {
+// parseHeader decodes a header, frameHeaderLen bytes of buf.
+func parseHeader(buf []byte) frameHeader {
 	return frameHeader{
-		op: buf[0],
+		op:       buf[0],
+		reserved: buf[2],
 		key: chunk.Key{
 			Index:   binary.LittleEndian.Uint32(buf[4:]),
 			Blob:    binary.LittleEndian.Uint64(buf[8:]),
@@ -275,7 +267,7 @@ func parseHeader(buf []byte) (h frameHeader, hints int) {
 		},
 		off:    int64(binary.LittleEndian.Uint64(buf[24:])),
 		length: int64(binary.LittleEndian.Uint64(buf[32:])),
-	}, int(buf[2])
+	}
 }
 
 func readU32(r *bufio.Reader) (uint32, error) {
@@ -321,19 +313,14 @@ func appendIDs(buf []byte, ids []provider.ID) []byte {
 	return buf
 }
 
+// readIDs reads a put reply's replica set: a u8 count, then count u32
+// IDs; none is a nil list.
 func readIDs(r *bufio.Reader) ([]provider.ID, error) {
 	c, err := r.ReadByte()
-	if err != nil {
+	if err != nil || c == 0 {
 		return nil, err
 	}
-	return readIDList(r, int(c))
-}
-
-// readIDList reads n u32 replica IDs; none is a nil list.
-func readIDList(r *bufio.Reader, n int) ([]provider.ID, error) {
-	if n == 0 {
-		return nil, nil
-	}
+	n := int(c)
 	buf, err := peek(r, 4*n)
 	if err != nil {
 		return nil, err
@@ -430,8 +417,8 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 	answered := 0                   // requests served since the input last ran dry
 	for {
 		h, err := readHeader(br)
-		if err != nil {
-			return // EOF or dead peer
+		if err != nil || h.reserved != 0 {
+			return // EOF, dead peer or protocol violation
 		}
 		// A body is read whole before its op is served; one over its
 		// op's bound fails the op alone.
@@ -638,11 +625,11 @@ func (s *framedServer) serveGets(w *replyWriter, g *getScratch, req []byte) (int
 	w.buf = append(w.buf, statusOK)
 	readers := g.readers[:0]
 	for _, h := range g.entries {
-		rc, fresh, err := s.r.OpenFrom(h.replicas, h.key, h.off, h.length)
+		rc, err := s.r.Open(h.key, h.off, h.length)
 		if err != nil {
 			w.buf, rc = appendErrReply(w.buf, err), nil
 		} else {
-			w.buf = appendIDs(append(w.buf, statusOK), fresh)
+			w.buf = append(w.buf, statusOK)
 		}
 		readers = append(readers, rc)
 	}
@@ -670,8 +657,9 @@ func (s *framedServer) serveGets(w *replyWriter, g *getScratch, req []byte) (int
 // decodeGets decodes a list get's body into entries, refusing what no
 // client sends: no entries, more than maxTrainCalls, or more than the
 // body holds; an entry of another op, with a negative offset or length,
-// or a range past the largest int64; entries asking for more than
-// maxTrainBytes together (an entry alone may ask for more).
+// a non-zero reserved byte, or a range past the largest int64; entries
+// asking for more than maxTrainBytes together (an entry alone may ask
+// for more).
 func decodeGets(b []byte, entries []frameHeader) ([]frameHeader, error) {
 	if len(b) < 4 {
 		return entries, errors.New("remote: list get truncated")
@@ -686,20 +674,13 @@ func decodeGets(b []byte, entries []frameHeader) ([]frameHeader, error) {
 		if len(b) < frameHeaderLen {
 			return entries, fmt.Errorf("remote: list get entry %d of %d runs past the body", i, n)
 		}
-		h, hints := parseHeader(b)
-		if b = b[frameHeaderLen:]; len(b) < 4*hints {
-			return entries, fmt.Errorf("remote: list get entry %d of %d runs past the body", i, n)
-		}
-		if hints > 0 {
-			h.replicas = make([]provider.ID, hints)
-			for j := range h.replicas {
-				h.replicas[j] = provider.ID(binary.LittleEndian.Uint32(b[4*j:]))
-			}
-			b = b[4*hints:]
-		}
+		h := parseHeader(b)
+		b = b[frameHeaderLen:]
 		switch {
 		case h.op != opGet:
 			return entries, fmt.Errorf("remote: list get entry %d is op %d", i, h.op)
+		case h.reserved != 0:
+			return entries, fmt.Errorf("remote: list get entry %d has reserved byte %d, want 0", i, h.reserved)
 		case h.off < 0 || h.length < 0 || h.length > math.MaxInt64-h.off:
 			return entries, fmt.Errorf("remote: list get entry %d asks for %d bytes at %d", i, h.length, h.off)
 		case n > 1 && h.length > maxTrainBytes-total:
@@ -858,7 +839,7 @@ type framedCall struct {
 	// consecutive bytes of one buffer are read off the socket as one.
 	into []byte
 	at   int
-	ids  []provider.ID // put: the replica set; get: the fresh set, if any
+	ids  []provider.ID // put: the replica set
 	err  error
 
 	retried bool         // re-sent after a transport failure, or never to be
@@ -944,8 +925,8 @@ func putCall(key chunk.Key, data []byte) framedCall {
 
 // getCall reads length bytes into into[at:], or — into nil — into a
 // buffer of its own once the reply is ok.
-func getCall(into []byte, at int, length int64, replicas []provider.ID, key chunk.Key, off int64) framedCall {
-	c := framedCall{h: frameHeader{op: opGet, key: key, off: off, length: length, replicas: replicas}, into: into, at: at}
+func getCall(into []byte, at int, length int64, key chunk.Key, off int64) framedCall {
+	c := framedCall{h: frameHeader{op: opGet, key: key, off: off, length: length}, into: into, at: at}
 	if into != nil {
 		c.data = into[at : at+int(length) : at+int(length)]
 	}
@@ -1302,9 +1283,9 @@ func appendGets(buf []byte, calls []*framedCall) []byte {
 }
 
 // readGets reads the reply to a list get of calls into them: each call's
-// status and fresh set, then the ok calls' bytes, exactly their lengths,
-// into their destinations from byte 0 (a re-sent get refills them).
-// GetFrom's destination is allocated only now, its entry being ok. Calls
+// status, then the ok calls' bytes, exactly their lengths, into their
+// destinations from byte 0 (a re-sent get refills them). Get's
+// destination is allocated only now, its entry being ok. Calls
 // that fill consecutive bytes of one buffer are read as one run. Errors
 // are as for readReply.
 func (fc *framedConn) readGets(calls []*framedCall) error {
@@ -1313,12 +1294,9 @@ func (fc *framedConn) readGets(calls []*framedCall) error {
 		return err
 	}
 	for _, c := range calls {
-		c.ids, c.err = nil, listErr
+		c.err = listErr
 		if listErr == nil {
-			if c.err, err = readStatus(fc.br); err == nil && c.err == nil {
-				c.ids, err = readIDs(fc.br)
-			}
-			if err != nil {
+			if c.err, err = readStatus(fc.br); err != nil {
 				return err
 			}
 		}

@@ -57,13 +57,14 @@ func TestFramedChunkRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("framed Get(%d bytes): payload mismatch", size)
 		}
-		// Ranged read through the hint path.
+		// Ranged read through the deprecated GetFrom: the set it is
+		// handed goes nowhere, and no fresh set comes back.
 		part, fresh, err := c.GetFrom(ids, key, int64(size)/2, int64(size)/4)
 		if err != nil {
 			t.Fatalf("framed GetFrom: %v", err)
 		}
 		if fresh != nil {
-			t.Fatalf("fresh set on a correct hint: %v", fresh)
+			t.Fatalf("GetFrom returned a fresh set: %v", fresh)
 		}
 		if !bytes.Equal(part, data[size/2:size/2+size/4]) {
 			t.Fatal("framed GetFrom: payload mismatch")
@@ -687,14 +688,15 @@ func TestLyingLengthWordsAllocateLittle(t *testing.T) {
 }
 
 // TestFramedOldWireVersionIsNotServed: a peer of another wire version
-// opens with its own magic, and the node does not serve it as framed —
-// the connection lands on the HTTP server, which answers it as a
-// malformed request — while the same request behind the current magic
-// gets its framed reply.
+// opens with its own magic — BSD1, or BSD2, whose gets carried replica
+// hints and whose replies carried fresh sets — and the node does not
+// serve it as framed: the connection lands on the HTTP server, which
+// answers it as a malformed request, while the same request behind the
+// current magic gets its framed reply.
 func TestFramedOldWireVersionIsNotServed(t *testing.T) {
 	_, ep := startNode(t)
 	req := appendHeader(nil, &frameHeader{op: opVersions, key: chunk.Key{Blob: 1}})
-	for _, magic := range []string{"BSD1", framedMagic} {
+	for _, magic := range []string{"BSD1", "BSD2", framedMagic} {
 		conn, err := net.Dial("tcp", ep.VM)
 		if err != nil {
 			t.Fatal(err)
@@ -713,6 +715,26 @@ func TestFramedOldWireVersionIsNotServed(t *testing.T) {
 		if line, err := br.ReadString('\n'); !strings.HasPrefix(line, "HTTP/1.1 400 ") {
 			t.Fatalf("behind %s: %q, %v; want the HTTP server's refusal", magic, line, err)
 		}
+	}
+}
+
+// TestFramedHeaderReservedByteClosesTheConnection: where the wire before
+// BSD3 put a replica hint's count, a header now has a byte that must be
+// 0. A request whose byte is not is a protocol violation: the node
+// answers nothing and closes the connection, while the same request with
+// the byte 0 is served.
+func TestFramedHeaderReservedByteClosesTheConnection(t *testing.T) {
+	_, ep := startNode(t)
+	req := appendHeader(nil, &frameHeader{op: opVersions, key: chunk.Key{Blob: 1}})
+	conn, br := rawFramedConn(t, ep.VM)
+	conn.Write(req)
+	if reported, err := readStatus(br); err != nil || !errors.Is(reported, vmanager.ErrUnknownBlob) {
+		t.Fatalf("reserved byte 0: %v, %v; want the framed error reply", reported, err)
+	}
+	req[2] = 1
+	conn.Write(req)
+	if b, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("reserved byte 1: read %d, %v; want the connection closed", b, err)
 	}
 }
 
@@ -737,13 +759,13 @@ func TestFramedServerRefusesOpsOfAMissingRole(t *testing.T) {
 
 	conn, br := rawFramedConn(t, metaNode.Addr())
 	req := rawPut(ckey, 5, []byte("hello"))
-	req = append(req, rawGets(getCall(nil, 0, 5, nil, ckey, 0))...)
+	req = append(req, rawGets(getCall(nil, 0, 5, ckey, 0))...)
 	req = append(req, rawNodeOp(opNodePut, 1, nkey, enc)...)
 	conn.Write(req)
 	if _, msg := readPutReply(t, br); msg != errNoDataRole.Error() {
 		t.Fatalf("chunk put on a meta-only node: %q", msg)
 	}
-	get := getCall(nil, 0, 5, nil, ckey, 0)
+	get := getCall(nil, 0, 5, ckey, 0)
 	if err := (&framedConn{c: conn, br: br}).readGets([]*framedCall{&get}); err != nil || get.err == nil || get.err.Error() != errNoDataRole.Error() {
 		t.Fatalf("chunk get on a meta-only node: %v, %v", err, get.err)
 	}
@@ -785,7 +807,7 @@ func TestFramedServerAnswersLoneAndPipelinedRequests(t *testing.T) {
 	conn, br := rawFramedConn(t, ep.Data)
 	payload := func(i uint32) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 3000+int(i)) }
 	key := func(i uint32) chunk.Key { return chunk.Key{Blob: 7, Version: 1, Index: i} }
-	get := func(i uint32, length int) framedCall { return getCall(nil, 0, int64(length), nil, key(i), 0) }
+	get := func(i uint32, length int) framedCall { return getCall(nil, 0, int64(length), key(i), 0) }
 	rawGet := func(i uint32) []byte { return rawGets(get(i, len(payload(i)))) }
 	readGet := func(i uint32) {
 		t.Helper()
@@ -897,7 +919,7 @@ func TestTrainsMatchRouter(t *testing.T) {
 				}
 				part, fresh, err := c.GetFrom(ids, key, 10, 50)
 				if err != nil || fresh != nil || !bytes.Equal(part, direct) {
-					t.Errorf("hinted get %v: fresh %v, %v", key, fresh, err)
+					t.Errorf("GetFrom %v: fresh %v, %v", key, fresh, err)
 				}
 				if _, err := c.Get(chunk.Key{Blob: 10, Version: uint64(g + 1), Index: uint32(i)}, 0, 1); err == nil || !strings.Contains(err.Error(), "not found") {
 					t.Errorf("missing get: %v, want a not-found error", err)
@@ -954,13 +976,13 @@ func TestFramedCodedRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("coded framed Get: %v", err)
 	}
-	// Hinted read: the positional hint matches placement, so no refresh.
+	// The deprecated GetFrom reads a range as Get does: no fresh set.
 	part, fresh, err := c.GetFrom(ids, key, 100, 5000)
 	if err != nil || !bytes.Equal(part, data[100:5100]) {
 		t.Fatalf("coded framed GetFrom: %v", err)
 	}
 	if fresh != nil {
-		t.Fatalf("fresh set on an up-to-date coded hint: %v", fresh)
+		t.Fatalf("coded framed GetFrom returned a fresh set: %v", fresh)
 	}
 	rep, err := opsOf(c).Coding()
 	if err != nil {
@@ -1022,7 +1044,7 @@ func TestFramedCodedGetsWithAZoneDown(t *testing.T) {
 			for round := range 8 {
 				off := int64(round * 4099 % (size / 2))
 				dst := make([]byte, size-2*off)
-				if _, err := pool.get(dst, nil, key, off); err != nil {
+				if err := pool.get(dst, key, off); err != nil {
 					t.Errorf("chunk %d, round %d: %v", i, round, err)
 					return
 				}
@@ -1061,7 +1083,7 @@ func fakeFramedGets(t *testing.T, sizes []int) (addr string, closed <-chan struc
 	return fakeListServer(t, func(_, _ int, entries []frameHeader) ([]byte, bool) {
 		reply, want := []byte{statusOK}, int64(0)
 		for _, e := range entries {
-			reply = appendIDs(append(reply, statusOK), nil)
+			reply = append(reply, statusOK)
 			want += e.length
 		}
 		reply = append(reply, bytes.Repeat([]byte{0xAB}, per*len(entries))...)
@@ -1236,7 +1258,7 @@ func TestFramedListGetRetriesAndErrors(t *testing.T) {
 				reply = appendErrReply(reply, chunk.ErrNotFound)
 				continue
 			}
-			reply = appendIDs(append(reply, statusOK), nil)
+			reply = append(reply, statusOK)
 			payload = append(payload, bytes.Repeat([]byte{byte(e.key.Index + 1)}, int(e.length))...)
 		}
 		if dying {
@@ -1246,13 +1268,13 @@ func TestFramedListGetRetriesAndErrors(t *testing.T) {
 	})
 	pool := newFramedPool(addr)
 	defer pool.close()
-	if _, err := pool.get(make([]byte, 10), nil, key(0), 0); err != nil {
+	if err := pool.get(make([]byte, 10), key(0), 0); err != nil {
 		t.Fatal(err)
 	}
 	dst := bytes.Repeat([]byte{0xCC}, reads*size)
 	train := make([]framedCall, reads)
 	for i := range train {
-		train[i] = getCall(dst, i*size, size, nil, key(i), 0)
+		train[i] = getCall(dst, i*size, size, key(i), 0)
 	}
 	pool.train(train)
 	for i := range train {
@@ -1302,10 +1324,12 @@ func TestFramedListGetRetriesAndErrors(t *testing.T) {
 
 // TestFramedServerBoundsListGet speaks the raw wire protocol: what a list
 // get names comes straight off the wire, so a count past the body, none
-// or more than maxTrainCalls entries, an entry of another op, a negative
-// offset or length, a range past the largest int64 and a list asking for
-// more than maxTrainBytes are each refused in-band, the list alone — the
-// connection aligned, a good list behind them answered.
+// or more than maxTrainCalls entries, an entry of another op, one whose
+// must-be-0 byte is not (where the wire before BSD3 put a replica hint's
+// count), a negative offset or length, a range past the largest int64
+// and a list asking for more than maxTrainBytes are each refused
+// in-band, the list alone — the connection aligned, a good list behind
+// them answered.
 func TestFramedServerBoundsListGet(t *testing.T) {
 	_, ep := startNode(t)
 	key := chunk.Key{Blob: 9, Version: 1}
@@ -1333,6 +1357,8 @@ func TestFramedServerBoundsListGet(t *testing.T) {
 		}
 		return entries
 	}
+	hinted := body(1, get(0, 5))
+	hinted[4+2] = 1 // one replica ID, by the old wire's reading
 	conn, br := rawFramedConn(t, ep.Data)
 	for _, tc := range []struct {
 		name, want string
@@ -1340,7 +1366,10 @@ func TestFramedServerBoundsListGet(t *testing.T) {
 	}{
 		{"a count past the body", "runs past the body", list(body(3, get(0, 5)))},
 		{"no entries", "list get of 0 entries", list(body(0))},
-		{"more than 32 entries", "list get of 33 entries", list(body(33, many(33, 1)...))},
+		// 33 whole entries are past the body bound; the count word alone
+		// may still claim them.
+		{"more than 32 entries", "list get of 33 entries", list(body(33, many(32, 1)...))},
+		{"an entry with a replica hint", "entry 0 has reserved byte 1, want 0", list(hinted)},
 		{"more than 1 MiB", "asks for more than 1048576 bytes", list(body(2, get(0, 600<<10), get(0, 600<<10)))},
 		{"a negative length", "asks for -1 bytes", list(body(1, get(0, -1)))},
 		{"a negative offset", "asks for 5 bytes at -1", list(body(1, get(-1, 5)))},
@@ -1350,7 +1379,7 @@ func TestFramedServerBoundsListGet(t *testing.T) {
 		{"a body past its bound", "exceeds the limit", appendRawBody(appendHeader(nil, &frameHeader{op: opGet}), make([]byte, maxGetBody+1))},
 	} {
 		conn.Write(tc.req)
-		call := getCall(nil, 0, 5, nil, key, 0)
+		call := getCall(nil, 0, 5, key, 0)
 		if err := (&framedConn{c: conn, br: br}).readGets([]*framedCall{&call}); err != nil {
 			t.Fatalf("%s: %v, want an in-band refusal", tc.name, err)
 		}
@@ -1362,7 +1391,7 @@ func TestFramedServerBoundsListGet(t *testing.T) {
 	// within the bounds.
 	calls := make([]framedCall, maxTrainCalls)
 	for i := range calls {
-		calls[i] = getCall(nil, 0, 5, nil, key, int64(i%6))
+		calls[i] = getCall(nil, 0, 5, key, int64(i%6))
 	}
 	conn.Write(rawGets(calls...))
 	ptrs := make([]*framedCall, len(calls))
@@ -1441,9 +1470,8 @@ func TestFramedGetTrainLeavesInOneVectoredWrite(t *testing.T) {
 	key := func(i int) chunk.Key { return chunk.Key{Blob: 1, Version: 1, Index: uint32(i)} }
 	// boot serves one provider — six, coded — on stores behind a counting
 	// listener, with the chunks stored; degraded flags the provider of
-	// data fragment 0 down. It returns the chunks' placements and the
-	// node's registry.
-	boot := func(store func() chunk.Store, coded, degraded bool) (*writeCountingListener, string, [][]provider.ID, *metrics.Registry) {
+	// data fragment 0 down. It returns the node's registry.
+	boot := func(store func() chunk.Store, coded, degraded bool) (*writeCountingListener, string, *metrics.Registry) {
 		t.Helper()
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -1480,7 +1508,7 @@ func TestFramedGetTrainLeavesInOneVectoredWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return counted, node.Addr(), ids, reg
+		return counted, node.Addr(), reg
 	}
 	mem := func() chunk.Store { return chunk.NewMemStore(nil) }
 	disk := func() chunk.Store {
@@ -1509,13 +1537,13 @@ func TestFramedGetTrainLeavesInOneVectoredWrite(t *testing.T) {
 		{name: "coded mem, degraded", store: mem, coded: true, degraded: true, vectored: true},
 		{name: "coded disk", store: disk, coded: true, vectored: true},
 	} {
-		counted, addr, ids, reg := boot(c.store, c.coded, c.degraded)
+		counted, addr, reg := boot(c.store, c.coded, c.degraded)
 		pool := newFramedPool(addr)
 		n := size - 2*c.off
 		dst, intact := guarded(entries * n)
 		batch := make([]framedCall, entries)
 		for i := range batch {
-			batch[i] = getCall(dst, i*n, int64(n), ids[i], key(i), int64(c.off))
+			batch[i] = getCall(dst, i*n, int64(n), key(i), int64(c.off))
 		}
 		pool.train(batch)
 		pool.close()
@@ -1551,15 +1579,15 @@ func TestFramedGetTrainLeavesInOneVectoredWrite(t *testing.T) {
 	}
 
 	faults := chunk.NewFaultStore(chunk.NewMemStore(nil))
-	_, addr, _, _ := boot(func() chunk.Store { return faults }, false, false)
+	_, addr, _ := boot(func() chunk.Store { return faults }, false, false)
 	conn, br := rawFramedConn(t, addr)
 	faults.FailGetStreamAfter(100 << 10) // inside the first entry
-	conn.Write(rawGets(getCall(nil, 0, size, nil, key(0), 0), getCall(nil, 0, size, nil, key(1), 0)))
+	conn.Write(rawGets(getCall(nil, 0, size, key(0), 0), getCall(nil, 0, size, key(1), 0)))
 	got, err := io.ReadAll(br)
 	if err != nil {
 		t.Fatalf("reading up to the server's hang-up: %v", err)
 	}
-	const head = 1 + 2*(2+4) // the list's status; each entry's, its count and one fresh ID
+	const head = 1 + 2 // the list's status; each entry's
 	if len(got) <= head || len(got) >= head+size {
 		t.Fatalf("%d bytes of reply before the hang-up: want the statuses and part of the first entry", len(got))
 	}

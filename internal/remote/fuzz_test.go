@@ -32,7 +32,9 @@ const fuzzMaxChunk = 4 << 10
 // a malformed request — and must not have stored a chunk over its bound
 // or more bytes than the input carried. The seed corpus (testdata/fuzz)
 // holds a legal train of each op kind, each version-manager op, hostile
-// version-manager, walk and list get bodies, walks over stored nodes —
+// version-manager, walk and list get bodies — one of them an entry with
+// a replica hint as the wire before BSD3 sent it, refused in-band
+// (list-get-entry-with-hint) — walks over stored nodes —
 // one of them a leaf chained to itself, which once spun a reader for
 // good — a put of a leaf without fragments, the shortest node there is,
 // and lengths that lie: a put cut short (aborted-put), a node body four
@@ -179,8 +181,8 @@ func listReplyModel(reply []byte, n, length int) (data [][]byte, succeeds, sure 
 	ok := make([]bool, n)
 	for i := range ok {
 		switch {
-		case len(rest) >= 2 && rest[0] == statusOK && len(rest) >= 2+4*int(rest[1]):
-			rest, ok[i] = rest[2+4*int(rest[1]):], true
+		case len(rest) >= 1 && rest[0] == statusOK:
+			rest, ok[i] = rest[1:], true
 		case len(rest) >= 5 && rest[0] == statusErr:
 			m := int64(binary.LittleEndian.Uint32(rest[1:]))
 			if m > 1<<20 || m > int64(len(rest)-5) {
@@ -207,7 +209,7 @@ func listReplyModel(reply []byte, n, length int) (data [][]byte, succeeds, sure 
 }
 
 // FuzzFramedReply feeds arbitrary bytes to the client as a server's
-// answer to each kind of call — a get, a list of one get into the
+// answer to each kind of call — a Get, a list of one get into the
 // caller's buffer, a list of three gets into one buffer, a put, the
 // three node ops, a walk and every version-manager call — over an
 // in-memory connection. No call may panic or hang. A get succeeds
@@ -217,7 +219,9 @@ func listReplyModel(reply []byte, n, length int) (data [][]byte, succeeds, sure 
 // version-manager call succeeds only on an ok reply. The seed corpus
 // (testdata/fuzz) holds a legal reply of each kind, the wrong-length
 // replies of TestFramedGetRejectsWrongLengthReply, a status block cut
-// short, a list whose middle entry failed, and ok replies whose length
+// short, a list whose middle entry failed, a get reply of the wire before
+// BSD3 whose ok status carried a fresh set (get-exact-fresh-set), which
+// must read as one of the wrong length, and ok replies whose length
 // word lies: past every bound (get-abort-sentinel), one byte past the
 // node bound (get-oversized-frame-word), a body cut short
 // (get-cut-mid-frame, get-one-frame-too-few), bytes past a body
@@ -229,9 +233,9 @@ func FuzzFramedReply(f *testing.F) {
 		key := chunk.Key{Blob: 1, Version: 2, Index: 3}
 		want, ok, sure := listReplyModel(reply, 1, int(length))
 
-		data, _, err := pipedClient(t, reply).GetFrom(nil, key, 0, int64(length))
+		data, err := pipedClient(t, reply).Get(key, 0, int64(length))
 		if (sure && (err == nil) != ok) || (err == nil && !bytes.Equal(data, want[0])) {
-			t.Fatalf("GetFrom of %d bytes: %d bytes, %v; the model: %v", length, len(data), err, ok)
+			t.Fatalf("Get of %d bytes: %d bytes, %v; the model: %v", length, len(data), err, ok)
 		}
 
 		dst, intact := guarded(int(length))
@@ -248,7 +252,7 @@ func FuzzFramedReply(f *testing.F) {
 		dst, intact = guarded(3 * int(length))
 		train := make([]framedCall, 3)
 		for i := range train {
-			train[i] = getCall(dst, i*int(length), int64(length), nil, chunk.Key{Blob: 1, Version: 2, Index: uint32(i)}, 0)
+			train[i] = getCall(dst, i*int(length), int64(length), chunk.Key{Blob: 1, Version: 2, Index: uint32(i)}, 0)
 		}
 		pipedClient(t, reply).pool.train(train)
 		err = firstErr(train)

@@ -197,9 +197,8 @@ func (p *framedPool) node(op byte, blob uint64, key segtree.NodeKey, body []byte
 	return c.data, c.err
 }
 
-func (p *framedPool) get(dst []byte, replicas []provider.ID, key chunk.Key, off int64) ([]provider.ID, error) {
-	c := p.one(getCall(dst, 0, int64(len(dst)), replicas, key, off))
-	return c.ids, c.err
+func (p *framedPool) get(dst []byte, key chunk.Key, off int64) error {
+	return p.one(getCall(dst, 0, int64(len(dst)), key, off)).err
 }
 
 // train runs calls as one train, whatever the bounds: one round trip, a
@@ -526,7 +525,7 @@ func TestTrainAgainstServerThatFlushesEveryReply(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			data := make([]byte, 3000)
-			_, err := gets.get(data, nil, chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}, 0)
+			err := gets.get(data, chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}, 0)
 			if err != nil || data[2999] != 0xAB {
 				t.Errorf("get %d: last byte %#x, %v", i, data[2999], err)
 			}

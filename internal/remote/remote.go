@@ -421,31 +421,32 @@ func (c *Client) PutMany(keys []chunk.Key, data [][]byte) ([][]provider.ID, erro
 	return ids, nil
 }
 
-// Get implements blob.DataService over the framed plane.
+// Get implements blob.DataService over the framed plane: a read from
+// the providers the data node's placement map names, failed over
+// server-side. The result's buffer is allocated once the server answers
+// ok, so a miss costs none.
 func (c *Client) Get(key chunk.Key, off, length int64) ([]byte, error) {
-	data, _, err := c.GetFrom(nil, key, off, length)
-	return data, err
-}
-
-// GetFrom implements blob.DataService over the framed plane: a read with
-// the replica hint recorded in metadata, failed over server-side; a
-// non-nil fresh set means the hint was stale. The result's buffer is
-// allocated once the server answers ok, so a miss costs none.
-func (c *Client) GetFrom(replicas []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
 	if length < 0 {
-		return nil, nil, fmt.Errorf("remote: negative read length %d for chunk %v", length, key)
+		return nil, fmt.Errorf("remote: negative read length %d for chunk %v", length, key)
 	}
-	r := c.pool.one(getCall(nil, 0, length, replicas, key, off))
+	r := c.pool.one(getCall(nil, 0, length, key, off))
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, r.err
 	}
-	return r.data, r.ids, nil
+	return r.data, nil
 }
 
-// GetManyInto is GetFrom for every read of the list, each off the socket
-// into dst at its At and never past its Length, as one batch, each Fresh
-// set where the hint was stale; reads that fill consecutive bytes of dst
-// leave the socket as one. Every read is attempted; the error is the
+// GetFrom is Get.
+//
+// Deprecated: replicas is ignored and fresh is always nil; call Get.
+func (c *Client) GetFrom(_ []provider.ID, key chunk.Key, off, length int64) ([]byte, []provider.ID, error) {
+	data, err := c.Get(key, off, length)
+	return data, nil, err
+}
+
+// GetManyInto is Get for every read of the list, each off the socket
+// into dst at its At and never past its Length, as one batch; reads
+// that fill consecutive bytes of dst leave the socket as one. Every read is attempted; the error is the
 // first in list order, after which no read's bytes are to be used.
 func (c *Client) GetManyInto(dst []byte, reads []blob.ChunkRead) error {
 	batch := make([]framedCall, len(reads))
@@ -453,11 +454,8 @@ func (c *Client) GetManyInto(dst []byte, reads []blob.ChunkRead) error {
 		if r.At < 0 || r.Length < 0 || r.Length > int64(len(dst))-r.At {
 			return fmt.Errorf("remote: read %d of chunk %v: %d bytes at %d of a %d-byte destination", i, r.Key, r.Length, r.At, len(dst))
 		}
-		batch[i] = getCall(dst, int(r.At), r.Length, r.Replicas, r.Key, r.Off)
+		batch[i] = getCall(dst, int(r.At), r.Length, r.Key, r.Off)
 	}
 	c.pool.run(batch)
-	for i := range batch {
-		reads[i].Fresh = batch[i].ids
-	}
 	return firstErr(batch)
 }

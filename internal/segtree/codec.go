@@ -17,17 +17,15 @@ import (
 //	inner:    kind u8 = 0, left key, right key                 (49 bytes)
 //	leaf:     kind u8 = 1, prev key, count u32, count fragments
 //	fragment: extent offset i64, extent length i64, then the ref in
-//	          chunk.Ref.Marshal's form with its count byte always
-//	          present (a zero where Marshal's legacy form omits it), so
-//	          every ref says where it ends
+//	          chunk.Ref.Append's form                         (52 bytes)
+//
+// A ref names no providers: placement is the router's alone.
 const (
 	kindInner = 0
 	kindLeaf  = 1
 
 	nodeKeyLen = 24
-	// minFragLen is a fragment whose ref names no replica: extent, the
-	// ref's 36-byte base, a zero count byte.
-	minFragLen = 16 + 36 + 1
+	fragLen    = 16 + chunk.RefLen
 )
 
 func appendKey(buf []byte, k NodeKey) []byte {
@@ -56,17 +54,14 @@ func AppendNode(buf []byte, n *Node) []byte {
 		buf = appendKey(buf, n.Left)
 		return appendKey(buf, n.Right)
 	}
-	buf = slices.Grow(buf, 1+nodeKeyLen+4+len(n.Frags)*minFragLen)
+	buf = slices.Grow(buf, 1+nodeKeyLen+4+len(n.Frags)*fragLen)
 	buf = append(buf, kindLeaf)
 	buf = appendKey(buf, n.Prev)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n.Frags)))
 	for _, f := range n.Frags {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Ext.Offset))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Ext.Length))
-		buf = append(buf, f.Ref.Marshal()...)
-		if len(f.Ref.Replicas) == 0 {
-			buf = append(buf, 0)
-		}
+		buf = f.Ref.Append(buf)
 	}
 	return buf
 }
@@ -93,21 +88,14 @@ func DecodeNode(b []byte) (*Node, error) {
 		}
 		n := &Node{Leaf: true, Prev: decodeKey(b)}
 		count := int64(binary.LittleEndian.Uint32(b[nodeKeyLen:]))
-		b = b[nodeKeyLen+4:]
-		if count > int64(len(b)/minFragLen) {
-			return nil, fmt.Errorf("segtree: leaf node claims %d fragments in %d bytes", count, len(b))
+		if b = b[nodeKeyLen+4:]; int64(len(b)) != count*fragLen {
+			return nil, fmt.Errorf("segtree: leaf node of %d fragments holds %d bytes of them, want %d", count, len(b), count*fragLen)
 		}
 		if count > 0 {
 			n.Frags = make([]Fragment, count)
 		}
 		for i := range n.Frags {
-			if len(b) < minFragLen {
-				return nil, fmt.Errorf("segtree: leaf node truncated in fragment %d of %d", i, count)
-			}
-			ref, used, err := chunk.DecodeRef(b[16:])
-			if err != nil {
-				return nil, fmt.Errorf("segtree: leaf node fragment %d: %w", i, err)
-			}
+			ref, _ := chunk.DecodeRef(b[16:])
 			n.Frags[i] = Fragment{
 				Ext: extent.Extent{
 					Offset: int64(binary.LittleEndian.Uint64(b[0:])),
@@ -115,10 +103,7 @@ func DecodeNode(b []byte) (*Node, error) {
 				},
 				Ref: ref,
 			}
-			b = b[16+used:]
-		}
-		if len(b) != 0 {
-			return nil, fmt.Errorf("segtree: %d trailing bytes after a leaf node", len(b))
+			b = b[fragLen:]
 		}
 		return n, nil
 	}

@@ -24,7 +24,7 @@ var (
 		Prev: NodeKey{Version: 1, Offset: 8192, Size: 1024},
 		Frags: []Fragment{
 			{Ext: extent.Extent{Offset: 8192, Length: 16}, Ref: chunk.Ref{Key: chunk.Key{Blob: 7, Version: 3, Index: 1}, Offset: 32, Length: 16}},
-			{Ext: extent.Extent{Offset: 8300, Length: 5}, Ref: chunk.Ref{Key: chunk.Key{Blob: 7, Version: 3, Index: 2}, Length: 5, Replicas: []uint32{4, 258}}},
+			{Ext: extent.Extent{Offset: 8300, Length: 5}, Ref: chunk.Ref{Key: chunk.Key{Blob: 7, Version: 3, Index: 2}, Length: 5}},
 		},
 	}
 )
@@ -37,9 +37,9 @@ const (
 		"0100000000000000" + "0020000000000000" + "0004000000000000" + // prev
 		"02000000" + // two fragments
 		"0020000000000000" + "1000000000000000" + // extent [8192, +16)
-		"0700000000000000" + "0300000000000000" + "01000000" + "2000000000000000" + "1000000000000000" + "00" + // ref, no replicas
+		"0700000000000000" + "0300000000000000" + "01000000" + "2000000000000000" + "1000000000000000" + // ref
 		"6c20000000000000" + "0500000000000000" + // extent [8300, +5)
-		"0700000000000000" + "0300000000000000" + "02000000" + "0000000000000000" + "0500000000000000" + "02" + "04000000" + "02010000"
+		"0700000000000000" + "0300000000000000" + "02000000" + "0000000000000000" + "0500000000000000"
 )
 
 func TestNodeCodecGoldenBytes(t *testing.T) {
@@ -65,9 +65,8 @@ func TestNodeCodecGoldenBytes(t *testing.T) {
 	}
 }
 
-// randomLeaf builds a leaf of frags fragments, each ref naming replicas
-// providers.
-func randomLeaf(rng *rand.Rand, frags, replicas int, prev bool) *Node {
+// randomLeaf builds a leaf of frags fragments.
+func randomLeaf(rng *rand.Rand, frags int, prev bool) *Node {
 	n := &Node{Leaf: true}
 	if prev {
 		n.Prev = NodeKey{Version: 1 + rng.Uint64(), Offset: rng.Int63(), Size: rng.Int63()}
@@ -77,18 +76,14 @@ func randomLeaf(rng *rand.Rand, frags, replicas int, prev bool) *Node {
 			Ext: extent.Extent{Offset: rng.Int63(), Length: rng.Int63()},
 			Ref: chunk.Ref{Key: chunk.Key{Blob: rng.Uint64(), Version: rng.Uint64(), Index: rng.Uint32()}, Offset: rng.Int63(), Length: rng.Int63()},
 		}
-		for j := 0; j < replicas; j++ {
-			f.Ref.Replicas = append(f.Ref.Replicas, rng.Uint32())
-		}
 		n.Frags = append(n.Frags, f)
 	}
 	return n
 }
 
-// TestNodeCodecRoundTrip: every leaf shape — 0…n fragments, refs with
-// no, one and the most replicas the count byte carries, with and without
-// a back-pointer — and inner nodes survive encode → decode unchanged,
-// and no strict prefix of an encoding decodes.
+// TestNodeCodecRoundTrip: every leaf shape — 0…n fragments, with and
+// without a back-pointer — and inner nodes survive encode → decode
+// unchanged, and no strict prefix of an encoding decodes.
 func TestNodeCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	nodes := []*Node{
@@ -97,10 +92,8 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 		{Left: NodeKey{Version: 1, Size: -1}, Right: NodeKey{Version: ^uint64(0), Offset: -1 << 63, Size: 1<<63 - 1}},
 	}
 	for frags := 0; frags <= 9; frags++ {
-		for _, replicas := range []int{0, 1, 255} {
-			for _, prev := range []bool{false, true} {
-				nodes = append(nodes, randomLeaf(rng, frags, replicas, prev))
-			}
+		for _, prev := range []bool{false, true} {
+			nodes = append(nodes, randomLeaf(rng, frags, prev))
 		}
 	}
 	for _, n := range nodes {
@@ -121,13 +114,6 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 			t.Fatalf("an encoding with a trailing byte decoded")
 		}
 	}
-	// Replica hints past the count byte's 255 are dropped, as
-	// chunk.Ref.Marshal documents; the data the ref names is kept.
-	long := randomLeaf(rng, 1, 300, false)
-	got, err := DecodeNode(AppendNode(nil, long))
-	if err != nil || len(got.Frags[0].Ref.Replicas) != 255 || !got.Frags[0].Ref.EqualData(long.Frags[0].Ref) {
-		t.Fatalf("a 300-replica ref: %v", err)
-	}
 }
 
 // TestDecodeNodeHostileBytes: lengths are checked against what remains
@@ -139,9 +125,7 @@ func TestDecodeNodeHostileBytes(t *testing.T) {
 		b = append(b, byte(count), byte(count>>8), byte(count>>16), byte(count>>24))
 		return append(b, rest...)
 	}
-	oneFrag := AppendNode(nil, randomLeaf(rand.New(rand.NewSource(1)), 1, 2, false))
-	overCount := bytes.Clone(oneFrag)
-	overCount[len(overCount)-9] = 3 // the ref claims a third replica
+	oneFrag := AppendNode(nil, randomLeaf(rand.New(rand.NewSource(1)), 1, false))
 	for name, tc := range map[string]struct {
 		b    []byte
 		want string
@@ -151,10 +135,9 @@ func TestDecodeNodeHostileBytes(t *testing.T) {
 		"short inner":            {make([]byte, 48), "inner node of 48 bytes"},
 		"long inner":             {make([]byte, 50), "inner node of 50 bytes"},
 		"leaf without a count":   {leaf(0)[:nodeKeyLen+3], "truncated"},
-		"four billion fragments": {leaf(^uint32(0)), "claims 4294967295 fragments in 0 bytes"},
-		"one more than fits":     {leaf(2, make([]byte, minFragLen+minFragLen-1)...), "claims 2 fragments"},
-		"replica over-count":     {overCount, "replica set truncated"},
-		"trailing after a leaf":  {append(bytes.Clone(oneFrag), 1, 2, 3), "3 trailing bytes"},
+		"four billion fragments": {leaf(^uint32(0)), "4294967295 fragments holds 0 bytes of them"},
+		"one byte short":         {leaf(2, make([]byte, 2*fragLen-1)...), "2 fragments holds 103 bytes of them, want 104"},
+		"trailing after a leaf":  {append(bytes.Clone(oneFrag), 1, 2, 3), "1 fragments holds 55 bytes of them, want 52"},
 	} {
 		n, err := DecodeNode(tc.b)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -174,13 +157,8 @@ func FuzzDecodeNode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if max := len(b) / minFragLen; len(n.Frags) > max {
+		if max := len(b) / fragLen; len(n.Frags) > max {
 			t.Fatalf("%d fragments out of %d bytes", len(n.Frags), len(b))
-		}
-		for _, fr := range n.Frags {
-			if len(fr.Ref.Replicas)*4 > len(b) {
-				t.Fatalf("%d replicas out of %d bytes", len(fr.Ref.Replicas), len(b))
-			}
 		}
 		again, err := DecodeNode(AppendNode(nil, n))
 		if err != nil || !reflect.DeepEqual(again, n) {

@@ -158,12 +158,12 @@ func (t *Tree) walkLeaves(leaves []NodeKey, nodes map[NodeKey]*Node) ([]Fragment
 // reference only when both fragment lists are flat.
 func diffLeaves(page extent.Extent, a, b *Node) extent.List {
 	if !a.Prev.IsZero() || !b.Prev.IsZero() {
-		if a.Prev == b.Prev && fragmentsEqual(a.Frags, b.Frags) {
+		if a.Prev == b.Prev && slices.Equal(a.Frags, b.Frags) {
 			return nil
 		}
 		return extent.List{page}
 	}
-	if fragmentsEqual(a.Frags, b.Frags) {
+	if slices.Equal(a.Frags, b.Frags) {
 		return nil
 	}
 	// Report ranges covered on one side only, plus ranges whose backing
@@ -177,7 +177,7 @@ func diffLeaves(page extent.Extent, a, b *Node) extent.List {
 			ra, la := refAt(a.Frags, off)
 			rb, lb := refAt(b.Frags, off)
 			n := min(la, lb, ext.End()-off) // both > 0: off is covered on both sides
-			if !ra.EqualData(rb) {
+			if ra != rb {
 				out = append(out, extent.Extent{Offset: off, Length: n})
 			}
 			off += n
@@ -206,8 +206,4 @@ func refAt(frags []Fragment, off int64) (ref chunk.Ref, remaining int64) {
 		}
 	}
 	return chunk.Ref{}, 0
-}
-
-func fragmentsEqual(a, b []Fragment) bool {
-	return slices.EqualFunc(a, b, func(x, y Fragment) bool { return x.Ext == y.Ext && x.Ref.EqualData(y.Ref) })
 }

@@ -350,10 +350,9 @@ func (f Fragment) clip(want extent.Extent) Fragment {
 	return Fragment{
 		Ext: want,
 		Ref: chunk.Ref{
-			Key:      f.Ref.Key,
-			Offset:   f.Ref.Offset + (want.Offset - f.Ext.Offset),
-			Length:   want.Length,
-			Replicas: f.Ref.Replicas,
+			Key:    f.Ref.Key,
+			Offset: f.Ref.Offset + (want.Offset - f.Ext.Offset),
+			Length: want.Length,
 		},
 	}
 }
@@ -433,7 +432,7 @@ func SplitPlaced(pieces []Placed, page int64) []Placed {
 			}
 			out = append(out, Placed{
 				Ext: extent.Extent{Offset: off, Length: n},
-				Ref: chunk.Ref{Key: p.Ref.Key, Offset: refOff, Length: n, Replicas: p.Ref.Replicas},
+				Ref: chunk.Ref{Key: p.Ref.Key, Offset: refOff, Length: n},
 			})
 			off += n
 			refOff += n

@@ -17,8 +17,8 @@ import (
 // tier switched ON — zone-local replica selection from zone0 and the
 // shared bounded read-through cache — while skewed hot/cold readers
 // hammer the file before, during and after the kill. The schedule
-// exists to prove the tier is read-only in its effects: placements rot
-// under the kill and the repairs, the cache holds data and hints from
+// exists to prove the tier is read-only in its effects: placements
+// move under the kill and the repairs, the cache holds data from
 // before both, and not one read may fail for it.
 type ReadTierConfig struct {
 	DomainConfig
@@ -46,9 +46,9 @@ type ReadTierReport struct {
 //
 //   - Zero failed reads, ever: while readers race the writers and the
 //     whole-domain kill, and again in a full post-kill pass when the
-//     cache is primed with pre-kill data and hints and every placement
-//     referencing the dead domain is stale. A stale cached hint may
-//     cost a failover, never a failure.
+//     cache is primed with pre-kill data and every placement still
+//     names the dead domain. A dead copy may cost a failover, never a
+//     failure.
 //   - The cache actually serves the hot set (hits > 0) and placement
 //     changes actually flow through it (invalidations > 0 once the
 //     healer re-replicates out of the dead domain).
@@ -141,8 +141,8 @@ func RunReadTier(cfg ReadTierConfig) (ReadTierReport, error) {
 	}
 
 	// Phase 2: the domain is dead, nothing is healed yet, and the cache
-	// is primed with pre-kill data and hints. Every read must still
-	// succeed — stale cache state may cost failovers, never failures.
+	// is primed with pre-kill data. Every read must still succeed —
+	// dead copies may cost failovers, never failures.
 	if err := readPhase(2); err != nil {
 		return report, failf(cfg.Seed, "reads failed on the unhealed degraded cluster: %w", err)
 	}
@@ -179,7 +179,7 @@ func RunReadTier(cfg ReadTierConfig) (ReadTierReport, error) {
 	}
 
 	report.Reads = reads.Load()
-	st := svc.Cache.Stats()
+	st := svc.Router.ReadCache().Stats()
 	report.CacheHits = st.Hits
 	report.Invalidated = st.Invalidations
 	if report.CacheHits == 0 {
