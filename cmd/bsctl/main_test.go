@@ -11,15 +11,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/blob"
-	"repro/internal/core"
+	"repro/internal/cluster"
 	"repro/internal/extent"
-	"repro/internal/iosim"
-	"repro/internal/metadata"
-	"repro/internal/metrics"
-	"repro/internal/provider"
 	"repro/internal/remote"
-	"repro/internal/vmanager"
 )
 
 func TestParseExtents(t *testing.T) {
@@ -114,45 +108,37 @@ func checkTranscript(t *testing.T, name, got string) {
 	}
 }
 
-// TestEveryCommandOnACodedNode drives every subcommand against a node
-// like `blobseerd -providers 12 -domains 6 -coding rs-4+2 -self-heal -gc
-// -domain zone0`, its router given a read cache in process, checking
-// what bsctl prints.
-func TestEveryCommandOnACodedNode(t *testing.T) {
-	reg := metrics.NewRegistry()
-	pool, _, err := provider.NewURLPoolInDomains("mem://", 12, 0, iosim.CostModel{}, false)
+// serve boots env as a daemon does, every role built by the cluster
+// constructors, and serves it on a loopback port. Its background loops
+// are not started, so their counters move only when a command asks.
+func serve(t *testing.T, env cluster.Env) string {
+	t.Helper()
+	v, err := cluster.NewVersioning(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		if err := pool.SetDomain(provider.ID(i), provider.DomainLabel(i, 12, 6)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	router := provider.NewRouter(pool)
-	router.SetMetrics(reg)
-	if err := router.SetCoding(4, 2); err != nil {
-		t.Fatal(err)
-	}
-	router.SetLocalDomain("zone0")
-	router.SetReadCache(provider.NewReadCache(provider.ReadCacheConfig{MaxBytes: 8 << 20}))
-	health := provider.NewHealthMonitor(pool, provider.HealthConfig{})
-	router.SetHealthMonitor(health)
-	healer := core.NewHealer(router, health, core.HealerConfig{})
-	router.SetDegradedHandler(healer.EnqueueRepair)
-	vm := vmanager.NewSharded(iosim.CostModel{}, 1)
-	meta := metadata.NewStore(4, iosim.CostModel{})
-	reaper := core.NewReaper(router, core.ReaperConfig{})
-	reaper.SetCatalog(blob.Services{VM: vm, Meta: meta, Data: router}, vm)
 	node, err := remote.Listen("127.0.0.1:0", remote.Roles{
-		VM: vm, Meta: meta, Data: router, Health: health, Healer: healer, Reaper: reaper, Metrics: reg,
+		VM: v.VM, Meta: v.Meta, Data: v.Router, Health: v.Health, Healer: v.Healer, Reaper: v.Reaper, Metrics: v.Metrics,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
+	t.Cleanup(func() { node.Close() })
+	return node.Addr()
+}
 
-	checkTranscript(t, "coded", transcript(t, node.Addr(), []string{
+// TestEveryCommandOnACodedNode drives every subcommand against a node
+// like `blobseerd -providers 12 -domains 6 -coding rs-4+2 -self-heal -gc
+// -domain zone0`, with a read cache, checking what bsctl prints.
+func TestEveryCommandOnACodedNode(t *testing.T) {
+	env := cluster.Default()
+	env.Providers, env.Domains, env.Coding, env.LocalDomain = 12, 6, "rs-4+2", "zone0"
+	env.MetaShards = 4
+	env.SelfHeal, env.GC = true, true
+	env.ReadCache, env.Cache.MaxBytes = true, 8<<20
+	addr := serve(t, env)
+
+	checkTranscript(t, "coded", transcript(t, addr, []string{
 		"create -blob 1 -capacity 1048576 -page 4096",
 		"create -blob 1 -capacity 1048576 -page 4096",
 		// One page a write: the chunks of one write reach the router in
@@ -202,18 +188,9 @@ func TestEveryCommandOnACodedNode(t *testing.T) {
 // `blobseerd -vm-shards 4 -replicas 2 -providers 3`, and the operator
 // commands a node without -self-heal or -gc refuses.
 func TestEveryCommandOnAShardedControlPlane(t *testing.T) {
-	pool, _ := provider.NewPool(3, iosim.CostModel{})
-	router := provider.NewRouter(pool)
-	router.SetReplicas(2)
-	node, err := remote.Listen("127.0.0.1:0", remote.Roles{
-		VM:   vmanager.NewSharded(iosim.CostModel{}, 4),
-		Meta: metadata.NewStore(4, iosim.CostModel{}),
-		Data: router,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	env := cluster.Default()
+	env.Providers, env.Replicas, env.VMShards, env.MetaShards = 3, 2, 4, 4
+	addr := serve(t, env)
 
 	lines := []string{"status"}
 	for b := 1; b <= 6; b++ {
@@ -232,5 +209,5 @@ func TestEveryCommandOnAShardedControlPlane(t *testing.T) {
 		"readtier",
 		"repair",
 	)
-	checkTranscript(t, "sharded", transcript(t, node.Addr(), lines))
+	checkTranscript(t, "sharded", transcript(t, addr, lines))
 }

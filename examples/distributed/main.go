@@ -15,37 +15,36 @@ import (
 	"sync"
 
 	"repro/internal/blob"
+	"repro/internal/cluster"
 	"repro/internal/extent"
-	"repro/internal/iosim"
-	"repro/internal/metadata"
-	"repro/internal/provider"
+	"repro/internal/metrics"
 	"repro/internal/remote"
 	"repro/internal/segtree"
-	"repro/internal/vmanager"
 )
 
 func main() {
-	// --- Service side: three independent nodes on loopback TCP ---
-	vmNode, err := remote.Listen("127.0.0.1:0", remote.Roles{
-		VM: vmanager.New(iosim.CostModel{}),
-	})
+	// --- Service side: three independent nodes on loopback TCP, each
+	// role built by the constructor blobseerd uses for it ---
+	env := cluster.Default()
+	env.Providers = 4
+	reg := metrics.NewRegistry()
+	vmNode, err := remote.Listen("127.0.0.1:0", remote.Roles{VM: cluster.NewVM(env, reg)})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer vmNode.Close()
 
-	metaNode, err := remote.Listen("127.0.0.1:0", remote.Roles{
-		Meta: metadata.NewStore(8, iosim.CostModel{}),
-	})
+	metaNode, err := remote.Listen("127.0.0.1:0", remote.Roles{Meta: cluster.NewMeta(env)})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer metaNode.Close()
 
-	pool, _ := provider.NewPool(4, iosim.CostModel{})
-	dataNode, err := remote.Listen("127.0.0.1:0", remote.Roles{
-		Data: provider.NewRouter(pool),
-	})
+	dataRole, err := cluster.NewData(env, reg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dataNode, err := remote.Listen("127.0.0.1:0", remote.Roles{Data: dataRole.Router})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -108,9 +108,9 @@ func RunCheckpointBlaster(env cluster.Env, spec workload.CheckpointSpec, opts Ch
 	env.SelfHeal = true
 	env.FaultInjection = opts.Kill
 	env.GC = true
-	env.RetainLast = opts.KeepLast
-	env.GCQueue = 4096
-	env.RepairQueue = 4096
+	env.Reaper.RetainLast = opts.KeepLast
+	env.Reaper.QueueDepth = 4096
+	env.Healer.QueueDepth = 4096
 	env.ReadCache = true
 	svc, err := cluster.NewVersioning(env)
 	if err != nil {

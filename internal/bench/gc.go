@@ -79,10 +79,10 @@ func RunGC(env cluster.Env, spec workload.OverlapSpec, opts GCOptions) (GCResult
 	}
 	env.Replicas = opts.Replicas
 	env.GC = true
-	env.GCRate = opts.GCRate
+	env.Reaper.DeletesPerTick = opts.GCRate
 	// The bench drains the whole drop schedule; size the queue to it
 	// so progress is delete-rate-limited, not queue-retry-limited.
-	env.GCQueue = 4096
+	env.Reaper.QueueDepth = 4096
 	svc, err := cluster.NewVersioning(env)
 	if err != nil {
 		return GCResult{}, err

@@ -157,9 +157,9 @@ func RunLoss(env cluster.Env, spec workload.OverlapSpec, opts LossOptions) (Loss
 		// are comparable across experiments.
 		env.SelfHeal = true
 		env.FaultInjection = true
-		env.FailThreshold = 2
-		env.ScrubRate = 16
-		env.RepairRate = 4
+		env.Health.Threshold = 2
+		env.Healer.ScrubChunksPerTick = 16
+		env.Healer.RepairsPerTick = 4
 	}
 	svc, err := cluster.NewVersioning(env)
 	if err != nil {

@@ -115,7 +115,7 @@ func RunReadTier(env cluster.Env, opts ReadTierOptions) (ReadTierResult, error) 
 	}
 	if opts.Mode == ReadZoneLocalCached {
 		env.ReadCache = true
-		env.CacheBytes = opts.CacheBytes
+		env.Cache.MaxBytes = opts.CacheBytes
 	}
 	svc, err := cluster.NewVersioning(env)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/chunk"
 	"repro/internal/extent"
 	"repro/internal/iosim"
 	"repro/internal/metadata"
@@ -14,8 +15,27 @@ import (
 	"repro/internal/vmanager"
 )
 
+// memPool builds n unmetered in-memory providers.
+func memPool(n int) *provider.Manager {
+	mgr, _, err := provider.NewURLPoolInDomains("mem://", n, 0, iosim.CostModel{}, false)
+	if err != nil {
+		panic(err) // a mem:// store always opens
+	}
+	return mgr
+}
+
+// faultPool is memPool with every store wrapped in a
+// chunk.FaultStore, the handles returned by provider index.
+func faultPool(n int) (*provider.Manager, []*chunk.FaultStore) {
+	mgr, faults, err := provider.NewURLPoolInDomains("mem://", n, 0, iosim.CostModel{}, true)
+	if err != nil {
+		panic(err) // a mem:// store always opens
+	}
+	return mgr, faults
+}
+
 func testServices() Services {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr := memPool(4)
 	return Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(4, iosim.CostModel{}),
@@ -300,7 +320,7 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 }
 
 func TestStripingAcrossProviders(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr := memPool(4)
 	svc := Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),
@@ -347,7 +367,7 @@ func TestDiffAPI(t *testing.T) {
 // replicatedServices builds a deployment with replication degree R,
 // returning the manager so tests can kill providers.
 func replicatedServices(r int) (Services, *provider.Manager) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr := memPool(4)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(r)
 	return Services{

@@ -74,7 +74,7 @@ func TestWriteFailureRetiresTicket(t *testing.T) {
 		}, aborted: true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			mgr, faults := provider.NewFaultPool(1, iosim.CostModel{})
+			mgr, faults := faultPool(1)
 			vm := vmanager.New(iosim.CostModel{})
 			reg := metrics.NewRegistry()
 			vm.SetMetrics(reg)

@@ -76,7 +76,7 @@ func movedChunk(t *testing.T, svc Services, router *provider.Router, mgr *provid
 // the handle asks the data service, whose placement map is the one
 // answer to where the chunk lives, and records nothing of its own.
 func TestStaleHintFallbackAndRefresh(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr := memPool(4)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	rec := &recordingData{DataService: router}
@@ -106,7 +106,7 @@ func TestStaleHintFallbackAndRefresh(t *testing.T) {
 // read is served from it, and the next placement change drops the entry
 // for both — reads keep returning the writer's bytes throughout.
 func TestSharedCacheHintLifecycle(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr := memPool(4)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	cache := provider.NewReadCache(provider.ReadCacheConfig{Shards: 4, MaxBytes: 256 << 10})

@@ -23,7 +23,6 @@ import (
 func OpenStore(rawURL string, meter *iosim.Meter) (Store, error) {
 	scheme, rest, query, fault := splitScheme(rawURL)
 	var inner Store
-	var err error
 	switch scheme {
 	case "mem":
 		inner = NewMemStore(meter)
@@ -41,9 +40,6 @@ func OpenStore(rawURL string, meter *iosim.Meter) (Store, error) {
 		inner = NewNullStore()
 	default:
 		return nil, fmt.Errorf("chunk: unknown store scheme %q in %q", scheme, rawURL)
-	}
-	if err != nil {
-		return nil, err
 	}
 	if fault {
 		return NewFaultStore(inner), nil

@@ -54,16 +54,14 @@ func NewFaultStore(inner Store) *FaultStore { return &FaultStore{Inner: inner} }
 // FailNextPuts arms n upcoming Put failures.
 func (f *FaultStore) FailNextPuts(n int64) { f.failPuts.Store(n) }
 
-// FailNextGets arms n upcoming Get failures.
+// FailNextGets arms n upcoming Get failures. TestReadPathsAgree and
+// TestCodedReadCounts in internal/provider use it to fail one open.
 func (f *FaultStore) FailNextGets(n int64) { f.failGets.Store(n) }
 
 // SetDown enters (true) or leaves (false) permanent down mode. While
 // down, every Put, Get and Len fails with ErrDown; the stored chunks
 // survive and become readable again on revival.
 func (f *FaultStore) SetDown(down bool) { f.down.Store(down) }
-
-// IsDown reports whether the store is in permanent down mode.
-func (f *FaultStore) IsDown() bool { return f.down.Load() }
 
 // HoldPut arms the nth put from now (Put or PutFromReader; n >= 1) to
 // stop at call time, before it reaches the inner store. held is closed
@@ -139,7 +137,10 @@ func (f *FaultStore) FailPutStreamAfter(n int64) { f.failPutStream.Store(n + 1) 
 
 // FailGetStreamAfter arms the next OpenReader's stream to fail with
 // ErrInjected after roughly n bytes have been served — a reader losing
-// its provider mid-download. One-shot.
+// its provider mid-download. One-shot. TestOpenFromFailsOverOnlyAtOpen
+// and TestCodedReadCounts in internal/provider, and
+// TestFramedGetTrainLeavesInOneVectoredWrite in internal/remote, cut a
+// read with it.
 func (f *FaultStore) FailGetStreamAfter(n int64) { f.failGetStream.Store(n + 1) }
 
 // claimStream takes an armed stream-fault threshold, returning

@@ -1,12 +1,20 @@
-// Package cluster wires complete deployments of both storage systems —
-// the versioning service (version manager + metadata shards + data
+// Package cluster assembles deployments of both storage systems — the
+// versioning service (version manager + metadata shards + data
 // providers) and the Lustre-like locking file system — either
 // unmetered for fast tests or with the synthetic Grid'5000-style cost
-// models for experiments. Examples, commands and the benchmark harness
-// all build their systems here.
+// models for experiments. The versioning service is built one role at
+// a time: NewVM, NewMeta and NewData, then NewReaper over all three.
+// NewVersioning runs every one of them in one process, and blobseerd
+// runs the ones its -roles name, so a daemon's node and an in-process
+// deployment are the same assembly. Examples, commands and tests build
+// their systems here. The wall-clock benchmark (benchmark/) wires its
+// node by hand, through the components' public constructors and
+// setters, on purpose: its frozen shape must not move when this
+// package does.
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -69,20 +77,12 @@ type Env struct {
 	// default: deployments then behave exactly as before, with
 	// replication managed administratively (bsctl down/repair).
 	SelfHeal bool
-	// FailThreshold is the consecutive-error count that marks a
-	// provider down (SelfHeal; 0 = default 3).
-	FailThreshold int
-	// Probation is how long a detected-down provider sits out before
-	// health probes may revive it (SelfHeal; 0 = default 2s).
-	Probation time.Duration
-	// ScrubRate caps chunk replica verifications per healer tick
-	// (SelfHeal; 0 = default 64).
-	ScrubRate int
-	// RepairRate caps re-replications per healer tick (SelfHeal;
-	// 0 = default 4).
-	RepairRate int
-	// RepairQueue bounds the repair queue depth (SelfHeal; 0 = 256).
-	RepairQueue int
+	// Health configures the failure detector (SelfHeal): the error
+	// count that marks a provider down and its probation.
+	Health provider.HealthConfig
+	// Healer configures the scrub and repair budgets per tick, the
+	// repair queue and the tick period (SelfHeal).
+	Healer core.HealerConfig
 	// FaultInjection wraps every provider's chunk store in a
 	// chunk.FaultStore (exposed as Versioning.Faults) so tests can
 	// kill a machine at the store level — the failure the health
@@ -92,28 +92,21 @@ type Env struct {
 	// GC enables the version-lifecycle garbage collector (core.Reaper):
 	// dropped versions' exclusively referenced chunks are deleted from
 	// every reachable replica at a bounded rate. The reaper finds blobs
-	// in the version manager's catalog, as blobseerd -gc's does. Off by
-	// default — versions then behave exactly as before (retained
-	// forever unless the operator drops them, and even then nothing is
-	// reclaimed).
+	// in the version manager's catalog. Off by default — versions then
+	// behave exactly as before (retained forever unless the operator
+	// drops them, and even then nothing is reclaimed).
 	GC bool
-	// RetainLast, with GC, applies the retention policy automatically:
-	// each blob keeps its newest RetainLast versions (0 = manual drops
-	// only).
-	RetainLast int
-	// GCRate caps chunk deletions per reaper tick (GC; 0 = default 4).
-	GCRate int
-	// GCQueue bounds the delete queue depth (GC; 0 = 256).
-	GCQueue int
+	// Reaper configures the collector (GC): the retention policy, the
+	// delete budget per tick, the delete queue and the tick period.
+	Reaper core.ReaperConfig
 
 	// ReadCache enables the hot-path read tier's shared bounded cache
 	// (Router.ReadCache): the router serves repeated chunk byte reads
 	// from it and invalidates an entry on every placement change. Off by
 	// default.
 	ReadCache bool
-	// CacheBytes bounds the read cache footprint (ReadCache;
-	// 0 = default 64 MiB).
-	CacheBytes int64
+	// Cache bounds the read cache (ReadCache).
+	Cache provider.ReadCacheConfig
 	// LocalDomain, when set, declares the failure domain this
 	// deployment's reads originate from: the router prefers
 	// same-domain replicas and counts cross-domain bytes avoided
@@ -208,18 +201,87 @@ func (e Env) Validate() error {
 	return nil
 }
 
-// Versioning is a full in-process deployment of the paper's storage
-// service. Health and Healer are non-nil only when Env.SelfHeal is
-// set; Faults is non-nil only with Env.FaultInjection.
-type Versioning struct {
-	VM        *vmanager.Sharded
-	Meta      *metadata.Store
+// NewVM builds the version-manager role: the sharded manager with its
+// group-commit batching, reporting into reg.
+func NewVM(env Env, reg *metrics.Registry) *vmanager.Sharded {
+	vm := vmanager.NewSharded(env.CtrlModel, max(env.VMShards, 1))
+	vm.SetBatching(env.VMBatch)
+	vm.SetMetrics(reg)
+	return vm
+}
+
+// NewMeta builds the metadata role.
+func NewMeta(env Env) *metadata.Store {
+	return metadata.NewStore(env.MetaShards, env.MetaModel)
+}
+
+// Data is the data role: the provider pool behind its router and, with
+// SelfHeal, the health monitor and healer wired into it. Health and
+// Healer are nil without SelfHeal; Faults is nil without FaultInjection.
+type Data struct {
 	Providers *provider.Manager
 	Router    *provider.Router
 	Health    *provider.HealthMonitor
 	Healer    *core.Healer
-	Reaper    *core.Reaper
 	Faults    []*chunk.FaultStore
+}
+
+// NewData builds the data role of a validated environment, every
+// component reporting into reg. The healer's loop is not started: the
+// caller runs Healer.Run, or ticks it by hand.
+func NewData(env Env, reg *metrics.Registry) (*Data, error) {
+	storeURL := cmp.Or(env.StoreURL, "mem://")
+	pool, faults, err := provider.NewURLPoolInDomains(storeURL, env.Providers, env.Domains, env.DataModel, env.FaultInjection)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: open store %q: %w", storeURL, err)
+	}
+	router := provider.NewRouter(pool)
+	router.SetMetrics(reg)
+	router.SetReplicas(env.Replicas)
+	if env.Coding != "" {
+		k, m, _ := provider.ParseCoding(env.Coding) // Validate vetted it
+		if err := router.SetCoding(k, m); err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
+	}
+	router.SetWriteQuorum(env.WriteQuorum)
+	if env.LocalDomain != "" {
+		router.SetLocalDomain(env.LocalDomain)
+	}
+	if env.ReadCache {
+		cache := provider.NewReadCache(env.Cache)
+		cache.SetMetrics(reg)
+		router.SetReadCache(cache)
+	}
+	d := &Data{Providers: pool, Router: router, Faults: faults}
+	if env.SelfHeal {
+		d.Health = provider.NewHealthMonitor(pool, env.Health)
+		router.SetHealthMonitor(d.Health)
+		d.Healer = core.NewHealer(router, d.Health, env.Healer)
+		d.Healer.SetMetrics(reg)
+		router.SetDegradedHandler(d.Healer.EnqueueRepair)
+	}
+	return d, nil
+}
+
+// NewReaper wires the garbage collector over a node's three roles: it
+// deletes through the router and finds blobs in the version manager's
+// catalog. Its loop is not started: the caller runs Run, or calls Pass.
+func NewReaper(env Env, reg *metrics.Registry, vm *vmanager.Sharded, meta *metadata.Store, router *provider.Router) *core.Reaper {
+	r := core.NewReaper(router, env.Reaper)
+	r.SetMetrics(reg)
+	r.SetCatalog(blob.Services{VM: vm, Meta: meta, Data: router}, vm)
+	return r
+}
+
+// Versioning is a full in-process deployment of the paper's storage
+// service: every role of one node. Reaper is non-nil only when Env.GC
+// is set.
+type Versioning struct {
+	VM   *vmanager.Sharded
+	Meta *metadata.Store
+	*Data
+	Reaper *core.Reaper
 	// Metrics is the deployment-wide registry every component reports
 	// into: vmanager ticket/commit/publish, chunk put/get, cache,
 	// repair and reap counters plus their latency histograms. Always
@@ -233,75 +295,14 @@ func NewVersioning(env Env) (*Versioning, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	var mgr *provider.Manager
-	var faults []*chunk.FaultStore
-	switch {
-	case env.StoreURL != "":
-		var err error
-		mgr, faults, err = provider.NewURLPoolInDomains(env.StoreURL, env.Providers, env.Domains, env.DataModel, env.FaultInjection)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: open store %q: %w", env.StoreURL, err)
-		}
-	case env.FaultInjection:
-		mgr, faults = provider.NewFaultPoolInDomains(env.Providers, env.Domains, env.DataModel)
-	default:
-		mgr, _ = provider.NewPoolInDomains(env.Providers, env.Domains, env.DataModel)
-	}
 	reg := metrics.NewRegistry()
-	vm := vmanager.NewSharded(env.CtrlModel, max(env.VMShards, 1))
-	vm.SetBatching(env.VMBatch)
-	vm.SetMetrics(reg)
-	router := provider.NewRouter(mgr)
-	router.SetMetrics(reg)
-	router.SetReplicas(env.Replicas)
-	if env.Coding != "" {
-		k, m, _ := provider.ParseCoding(env.Coding) // Validate already vetted it
-		if err := router.SetCoding(k, m); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
+	data, err := NewData(env, reg)
+	if err != nil {
+		return nil, err
 	}
-	router.SetWriteQuorum(env.WriteQuorum)
-	if env.LocalDomain != "" {
-		router.SetLocalDomain(env.LocalDomain)
-	}
-	if env.ReadCache {
-		cache := provider.NewReadCache(provider.ReadCacheConfig{
-			MaxBytes: env.CacheBytes,
-		})
-		cache.SetMetrics(reg)
-		router.SetReadCache(cache)
-	}
-	v := &Versioning{
-		VM:        vm,
-		Meta:      metadata.NewStore(env.MetaShards, env.MetaModel),
-		Providers: mgr,
-		Router:    router,
-		Faults:    faults,
-		Metrics:   reg,
-		env:       env,
-	}
-	if env.SelfHeal {
-		v.Health = provider.NewHealthMonitor(mgr, provider.HealthConfig{
-			Threshold: env.FailThreshold,
-			Probation: env.Probation,
-		})
-		router.SetHealthMonitor(v.Health)
-		v.Healer = core.NewHealer(router, v.Health, core.HealerConfig{
-			ScrubChunksPerTick: env.ScrubRate,
-			RepairsPerTick:     env.RepairRate,
-			QueueDepth:         env.RepairQueue,
-		})
-		v.Healer.SetMetrics(reg)
-		router.SetDegradedHandler(v.Healer.EnqueueRepair)
-	}
+	v := &Versioning{VM: NewVM(env, reg), Meta: NewMeta(env), Data: data, Metrics: reg, env: env}
 	if env.GC {
-		v.Reaper = core.NewReaper(router, core.ReaperConfig{
-			RetainLast:     env.RetainLast,
-			DeletesPerTick: env.GCRate,
-			QueueDepth:     env.GCQueue,
-		})
-		v.Reaper.SetMetrics(reg)
-		v.Reaper.SetCatalog(v.Services(), vm)
+		v.Reaper = NewReaper(env, reg, v.VM, v.Meta, v.Router)
 	}
 	return v, nil
 }

@@ -83,8 +83,7 @@ type Stats struct {
 // VersioningBackend is the paper's storage backend: versioning-based
 // MPI-atomic list I/O over the BlobSeer-equivalent service.
 type VersioningBackend struct {
-	b    *blob.Blob
-	opts blob.WriteOptions
+	b *blob.Blob
 
 	writes, reads    atomic.Int64
 	bytesWr, bytesRd atomic.Int64
@@ -130,10 +129,6 @@ func OpenVersioning(svc blob.Services, blobID uint64) (*VersioningBackend, error
 	return &VersioningBackend{b: b}, nil
 }
 
-// SetNoWait controls whether writes wait for in-order publication
-// before returning (default: they wait, giving read-your-writes).
-func (v *VersioningBackend) SetNoWait(noWait bool) { v.opts.NoWait = noWait }
-
 // Blob exposes the underlying blob handle (for version-aware tools).
 func (v *VersioningBackend) Blob() *blob.Blob { return v.b }
 
@@ -142,7 +137,7 @@ func (v *VersioningBackend) Name() string { return "versioning" }
 
 // WriteList implements Backend.
 func (v *VersioningBackend) WriteList(vec extent.Vec) (Version, error) {
-	ver, err := v.b.WriteList(vec, v.opts)
+	ver, err := v.b.WriteList(vec, blob.WriteOptions{})
 	if err != nil {
 		return 0, err
 	}

@@ -14,8 +14,17 @@ import (
 	"repro/internal/vmanager"
 )
 
+// memPool builds n unmetered in-memory providers.
+func memPool(n int) *provider.Manager {
+	mgr, _, err := provider.NewURLPoolInDomains("mem://", n, 0, iosim.CostModel{}, false)
+	if err != nil {
+		panic(err) // a mem:// store always opens
+	}
+	return mgr
+}
+
 func services() blob.Services {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr := memPool(4)
 	return blob.Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(4, iosim.CostModel{}),
@@ -130,22 +139,6 @@ func TestOpenVersioning(t *testing.T) {
 	}
 }
 
-func TestSetNoWait(t *testing.T) {
-	be := backend(t)
-	be.SetNoWait(true)
-	vec, _ := extent.NewVec(extent.List{{Offset: 0, Length: 4}}, []byte{1, 2, 3, 4})
-	if _, err := be.WriteList(vec); err != nil {
-		t.Fatal(err)
-	}
-	be.SetNoWait(false)
-	if _, err := be.WriteList(vec); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := be.Latest(); v != 2 {
-		t.Fatalf("latest = %d", v)
-	}
-}
-
 // TestConcurrentAtomicSemantics pins the Backend contract: overlapping
 // concurrent WriteList calls never interleave.
 func TestConcurrentAtomicSemantics(t *testing.T) {
@@ -182,7 +175,7 @@ func TestConcurrentAtomicSemantics(t *testing.T) {
 }
 
 func TestScrub(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr := memPool(4)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	svc := blob.Services{

@@ -150,7 +150,7 @@ func TestHealerScrubHealsEveryPlacedChunk(t *testing.T) {
 	env.Replicas = 2
 	env.SelfHeal = true
 	env.FaultInjection = true
-	env.FailThreshold = 2
+	env.Health.Threshold = 2
 	svc, err := cluster.NewVersioning(env)
 	if err != nil {
 		t.Fatal(err)
@@ -227,9 +227,9 @@ func TestRepairStormLatencyGuard(t *testing.T) {
 	env.Replicas = 2
 	env.SelfHeal = true
 	env.FaultInjection = true
-	env.FailThreshold = 2
-	env.ScrubRate = 16
-	env.RepairRate = 2 // the knob under test: repair trickles, writes flow
+	env.Health.Threshold = 2
+	env.Healer.ScrubChunksPerTick = 16
+	env.Healer.RepairsPerTick = 2 // the knob under test: repair trickles, writes flow
 	// A deliberately slow cost model: per-op virtual time two orders
 	// above scheduler/instrumentation noise, so the measured ratio
 	// reflects metered service time, not -race overhead.
@@ -362,7 +362,10 @@ func TestHealerPassEmptyDeployment(t *testing.T) {
 // the scrubber re-enqueues it every pass, so "queue drained" alone
 // would never hold.
 func TestHealerPassWithLostChunk(t *testing.T) {
-	mgr, faults := provider.NewFaultPool(3, iosim.CostModel{})
+	mgr, faults, err := provider.NewURLPoolInDomains("mem://", 3, 0, iosim.CostModel{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := provider.NewRouter(mgr)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}

@@ -67,7 +67,7 @@ func (p *WritePipe) Submit(vec extent.Vec) error {
 	p.be.met.pipeInflight.Add(1)
 	start := time.Now()
 	go func() {
-		ver, err := p.be.b.WriteList(vec, writeNoWait(p.be.opts))
+		ver, err := p.be.b.WriteList(vec, blob.WriteOptions{NoWait: true}) // the pipe waits once, at Flush
 		p.be.met.pipeInflight.Add(-1)
 		p.be.met.pipeWriteSec.ObserveSince(start)
 		<-p.tokens
@@ -116,11 +116,4 @@ func (p *WritePipe) Flush() (Version, error) {
 		err = werr
 	}
 	return ver, err
-}
-
-// writeNoWait copies the backend's write options with publication
-// waiting disabled; the pipe waits once at Flush instead.
-func writeNoWait(o blob.WriteOptions) blob.WriteOptions {
-	o.NoWait = true
-	return o
 }

@@ -20,7 +20,7 @@ func batchedBackend(t *testing.T, cfg vmanager.BatchConfig) *VersioningBackend {
 	t.Helper()
 	vm := vmanager.New(iosim.CostModel{})
 	vm.SetBatching(cfg)
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr := memPool(4)
 	svc := blob.Services{VM: vm, Meta: metadata.NewStore(4, iosim.CostModel{}), Data: provider.NewRouter(mgr)}
 	be, err := NewVersioning(svc, 1, segtree.Geometry{Capacity: 1 << 20, Page: 1024})
 	if err != nil {
@@ -162,7 +162,7 @@ func TestWritePipeSurfacesErrors(t *testing.T) {
 // another write in the train failed.
 func TestWritePipeFlushWaitsOnErrorPath(t *testing.T) {
 	vm := vmanager.New(iosim.CostModel{})
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr := memPool(4)
 	svc := blob.Services{VM: vm, Meta: metadata.NewStore(4, iosim.CostModel{}), Data: provider.NewRouter(mgr)}
 	be, err := NewVersioning(svc, 1, segtree.Geometry{Capacity: 1 << 20, Page: 1024})
 	if err != nil {

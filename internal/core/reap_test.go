@@ -23,8 +23,8 @@ func gcCluster(t *testing.T, n, retainLast int) (*cluster.Versioning, *core.Vers
 	env.Providers = 4
 	env.Replicas = 2
 	env.GC = true
-	env.RetainLast = retainLast
-	env.GCRate = 8
+	env.Reaper.RetainLast = retainLast
+	env.Reaper.DeletesPerTick = 8
 	svc, err := cluster.NewVersioning(env)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestReaperSharedKeyAcrossPendingVersions(t *testing.T) {
 	env.Providers = 4
 	env.Replicas = 2
 	env.GC = true
-	env.GCRate = 8
+	env.Reaper.DeletesPerTick = 8
 	svc, err := cluster.NewVersioning(env)
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +378,7 @@ func TestReaperRewritesStaleHintsIntoCache(t *testing.T) {
 	env.Providers = 4
 	env.Replicas = 2
 	env.GC = true
-	env.GCRate = 8
+	env.Reaper.DeletesPerTick = 8
 	env.ReadCache = true
 	svc, err := cluster.NewVersioning(env)
 	if err != nil {

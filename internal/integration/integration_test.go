@@ -77,7 +77,10 @@ func TestPropRandomOverlapSerializableEverySystem(t *testing.T) {
 // TestMPIIOTileOverRPC runs the tile workload through the MPI-I/O
 // layer against the versioning service running over real TCP.
 func TestMPIIOTileOverRPC(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, err := provider.NewURLPoolInDomains("mem://", 4, 0, iosim.CostModel{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	node, err := remote.Listen("127.0.0.1:0", remote.Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(4, iosim.CostModel{}),

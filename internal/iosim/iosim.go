@@ -201,9 +201,3 @@ func (m *Meter) Model() CostModel { return m.model }
 func DefaultNetwork() CostModel {
 	return CostModel{PerOp: 100 * time.Microsecond, BytesPerSec: 1 << 30}
 }
-
-// DefaultMetadata is a representative cost model for a metadata server:
-// latency-bound small messages.
-func DefaultMetadata() CostModel {
-	return CostModel{PerOp: 50 * time.Microsecond, BytesPerSec: 4 << 30}
-}

@@ -89,8 +89,8 @@ func TestSharedMeterOverlaps(t *testing.T) {
 }
 
 func TestDefaultModels(t *testing.T) {
-	if DefaultNetwork().Zero() || DefaultMetadata().Zero() {
-		t.Fatal("default models must charge")
+	if DefaultNetwork().Zero() {
+		t.Fatal("the default model must charge")
 	}
 	if DefaultNetwork().BytesPerSec <= 0 {
 		t.Fatal("network model needs positive bandwidth")

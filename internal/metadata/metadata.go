@@ -61,6 +61,8 @@ func NewStore(n int, model iosim.CostModel) *Store {
 }
 
 // Meters returns the per-shard meters for inspection.
+// TestDiffSharedSubtreesSkipped in internal/segtree counts the node
+// gets a comparison makes with them.
 func (s *Store) Meters() []*iosim.Meter {
 	out := make([]*iosim.Meter, len(s.shards))
 	for i, sh := range s.shards {
@@ -68,9 +70,6 @@ func (s *Store) Meters() []*iosim.Meter {
 	}
 	return out
 }
-
-// ShardCount returns the number of metadata providers.
-func (s *Store) ShardCount() int { return len(s.shards) }
 
 func (s *Store) shardFor(id nodeID) *shard {
 	h := fnv.New64a()

@@ -146,8 +146,8 @@ func TestShardingDistributes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.ShardCount() != 4 {
-		t.Fatalf("ShardCount = %d", s.ShardCount())
+	if len(s.shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(s.shards))
 	}
 	nonEmpty := 0
 	for _, m := range s.Meters() {
@@ -188,8 +188,8 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestMinimumOneShard(t *testing.T) {
 	s := NewStore(0, iosim.CostModel{})
-	if s.ShardCount() != 1 {
-		t.Fatalf("ShardCount = %d, want 1", s.ShardCount())
+	if len(s.shards) != 1 {
+		t.Fatalf("%d shards, want 1", len(s.shards))
 	}
 }
 

@@ -20,7 +20,10 @@ import (
 
 func newVersioningDriver(t *testing.T) *VersioningDriver {
 	t.Helper()
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, err := provider.NewURLPoolInDomains("mem://", 4, 0, iosim.CostModel{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	svc := blob.Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),

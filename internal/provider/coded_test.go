@@ -22,7 +22,7 @@ import (
 // providers split into the given number of contiguous domains.
 func codedRouter(t *testing.T, n, domains, k, m int) (*Router, []*chunk.FaultStore) {
 	t.Helper()
-	mgr, faults := NewFaultPoolInDomains(n, domains, iosim.CostModel{})
+	mgr, faults := testPool(n, domains, true)
 	r := NewRouter(mgr)
 	if err := r.SetCoding(k, m); err != nil {
 		t.Fatal(err)
@@ -477,7 +477,7 @@ func TestCodedRepairPassDomainKill(t *testing.T) {
 	// domain; killing one domain costs every chunk exactly one fragment.
 	// The kill is flag-level (the detector/operator has noticed), so the
 	// spread audit measures against the 5 remaining live domains.
-	mgr, _ := NewPoolInDomains(12, 6, iosim.CostModel{})
+	mgr, _ := testPool(12, 6, false)
 	r := NewRouter(mgr)
 	if err := r.SetCoding(4, 2); err != nil {
 		t.Fatal(err)
@@ -679,7 +679,7 @@ func TestCodedStreamReadAllocations(t *testing.T) {
 	key := chunk.Key{Blob: 1, Version: 1}
 	data := bytes.Repeat([]byte("allocation"), size/10+1)[:size]
 	for _, degraded := range []bool{false, true} {
-		mgr, _ := NewPoolInDomains(12, 6, iosim.CostModel{})
+		mgr, _ := testPool(12, 6, false)
 		r := NewRouter(mgr)
 		if err := r.SetCoding(4, 2); err != nil {
 			t.Fatal(err)
@@ -724,7 +724,7 @@ func TestCodedStreamReadAllocations(t *testing.T) {
 // TestCodedModeExclusions: coding config is validated and the mode is
 // all-or-nothing at the router level.
 func TestCodedModeExclusions(t *testing.T) {
-	m, _ := NewPool(6, iosim.CostModel{})
+	m, _ := testPool(6, 0, false)
 	r := NewRouter(m)
 	if err := r.SetCoding(0, 2); err == nil {
 		t.Fatal("SetCoding(0,2) must fail")
@@ -749,7 +749,7 @@ func TestCodedModeExclusions(t *testing.T) {
 // allocation. Now the declared size is bounded by MaxChunkSize with a
 // typed error BEFORE any allocation.
 func TestPutStreamSizeBound(t *testing.T) {
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _ := testPool(3, 0, false)
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -814,12 +814,12 @@ func TestCodedStorageOverhead(t *testing.T) {
 		}
 		return n
 	}
-	mgrC, _ := NewPool(6, iosim.CostModel{})
+	mgrC, _ := testPool(6, 0, false)
 	rc := NewRouter(mgrC)
 	if err := rc.SetCoding(4, 2); err != nil {
 		t.Fatal(err)
 	}
-	mgrR, _ := NewPool(6, iosim.CostModel{})
+	mgrR, _ := testPool(6, 0, false)
 	rr := NewRouter(mgrR)
 	rr.SetReplicas(3)
 	rng := rand.New(rand.NewSource(17))

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 )
 
 // domainPool builds an unmetered manager with the given domain labels,
@@ -26,7 +25,7 @@ func domainPool(labels ...string) *Manager {
 // providers split into the given number of contiguous domains.
 func domainRouter(t *testing.T, n, domains, replicas int) (*Router, []*chunk.FaultStore) {
 	t.Helper()
-	mgr, faults := NewFaultPoolInDomains(n, domains, iosim.CostModel{})
+	mgr, faults := testPool(n, domains, true)
 	r := NewRouter(mgr)
 	r.SetReplicas(replicas)
 	return r, faults
@@ -322,7 +321,7 @@ var repairModes = []struct {
 // repairModes.
 func modeRouter(t *testing.T, n, domains int, set func(*Router) error) (*Router, []*chunk.FaultStore) {
 	t.Helper()
-	mgr, faults := NewFaultPoolInDomains(n, domains, iosim.CostModel{})
+	mgr, faults := testPool(n, domains, true)
 	r := NewRouter(mgr)
 	if err := set(r); err != nil {
 		t.Fatal(err)
@@ -770,7 +769,7 @@ func TestRepairDomainKillStoreLevel(t *testing.T) {
 // chunks at R=3 on 64 providers in 8 domains: the healer's per-chunk
 // router cost.
 func BenchmarkVerifyReplicas(b *testing.B) {
-	mgr, _ := NewFaultPoolInDomains(64, 8, iosim.CostModel{})
+	mgr, _ := testPool(64, 8, true)
 	r := NewRouter(mgr)
 	r.SetReplicas(3)
 	keys := make([]chunk.Key, 2000)

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 )
 
 func replicatedRouter(t *testing.T, n, replicas int) (*Router, []*chunk.FaultStore) {
 	t.Helper()
-	mgr, faults := NewFaultPool(n, iosim.CostModel{})
+	mgr, faults := testPool(n, 0, true)
 	r := NewRouter(mgr)
 	r.SetReplicas(replicas)
 	return r, faults

@@ -153,13 +153,6 @@ func (h *HealthMonitor) SetClock(now func() time.Time) {
 	h.now = now
 }
 
-// SetProbe substitutes the probe function (tests).
-func (h *HealthMonitor) SetProbe(probe func(ID) error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.probe = probe
-}
-
 // defaultProbe asks the provider's store for the length of an arbitrary
 // key: a dead machine errors (chunk.ErrDown, transport failure), a live
 // one answers — chunk.ErrNotFound is a healthy answer.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 )
 
 // healthRig is a monitor over a small pool with a manual clock and a
@@ -22,7 +21,7 @@ type healthRig struct {
 
 func newHealthRig(t *testing.T, providers int, cfg HealthConfig) *healthRig {
 	t.Helper()
-	m, _ := NewPool(providers, iosim.CostModel{})
+	m, _ := testPool(providers, 0, false)
 	rig := &healthRig{
 		m:       m,
 		h:       NewHealthMonitor(m, cfg),
@@ -30,12 +29,12 @@ func newHealthRig(t *testing.T, providers int, cfg HealthConfig) *healthRig {
 		probeOK: make(map[ID]bool),
 	}
 	rig.h.SetClock(func() time.Time { return rig.now })
-	rig.h.SetProbe(func(id ID) error {
+	rig.h.probe = func(id ID) error {
 		if rig.probeOK[id] {
 			return nil
 		}
 		return chunk.ErrDown
-	})
+	}
 	return rig
 }
 
@@ -145,7 +144,7 @@ func TestHealthFailedProbeRestartsProbation(t *testing.T) {
 	cfg := HealthConfig{Threshold: 1, Probation: 10 * time.Second, ProbeSuccesses: 1}
 	rig := newHealthRig(t, 1, cfg)
 	probes := 0
-	rig.h.SetProbe(func(ID) error { probes++; return chunk.ErrDown })
+	rig.h.probe = func(ID) error { probes++; return chunk.ErrDown }
 	rig.h.ReportFailure(0)
 
 	// 100 virtual seconds of ticking at 1s: exactly 10 probes fit.

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 	"repro/internal/metrics"
 )
 
@@ -49,7 +48,7 @@ func newPathRig(t *testing.T, placement string) *pathRig {
 	if !ok {
 		t.Fatalf("unknown placement %q", placement)
 	}
-	mgr, faults := NewFaultPoolInDomains(p.providers, p.domains, iosim.CostModel{})
+	mgr, faults := testPool(p.providers, p.domains, true)
 	rig := &pathRig{r: NewRouter(mgr), faults: faults, reg: metrics.NewRegistry()}
 	rig.r.SetReplicas(p.replicas)
 	if err := rig.r.SetCoding(p.k, p.m); err != nil {
@@ -521,7 +520,7 @@ func TestTornPutStreamLeavesNoTrace(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			router := func() *Router {
-				mgr, _ := NewPoolInDomains(tc.providers, tc.domains, iosim.CostModel{})
+				mgr, _ := testPool(tc.providers, tc.domains, false)
 				r := NewRouter(mgr)
 				r.SetReplicas(tc.replicas)
 				if err := r.SetCoding(tc.k, tc.m); err != nil {

@@ -265,13 +265,6 @@ type Manager struct {
 // NewManager builds an empty round-robin manager.
 func NewManager() *Manager { return &Manager{} }
 
-// NewPool builds a manager with n in-memory providers, each metered by
-// its own exclusive meter using the given cost model. It returns the
-// manager and the meters for inspection.
-func NewPool(n int, model iosim.CostModel) (*Manager, []*iosim.Meter) {
-	return NewPoolInDomains(n, 0, model)
-}
-
 // DomainLabel names the failure domain of provider i in a pool of n
 // providers split into the given number of equal contiguous blocks
 // ("zone0", "zone1", ...). Fewer than two domains yields the flat
@@ -286,51 +279,18 @@ func DomainLabel(i, n, domains int) string {
 	return fmt.Sprintf("zone%d", i*domains/n)
 }
 
-// NewPoolInDomains is NewPool with the providers split into the given
-// number of failure domains — contiguous blocks labeled per
-// DomainLabel, modeling machines racked together. domains <= 1 builds
-// the flat single-domain pool.
-func NewPoolInDomains(n, domains int, model iosim.CostModel) (*Manager, []*iosim.Meter) {
-	m := NewManager()
-	meters := make([]*iosim.Meter, 0, n)
-	for i := 0; i < n; i++ {
-		meter := iosim.NewMeter(model, true)
-		meters = append(meters, meter)
-		m.Register(NewInDomain(ID(i), chunk.NewMemStore(meter), DomainLabel(i, n, domains)))
-	}
-	return m, meters
-}
-
-// NewFaultPool builds the same pool as NewPool with each provider's
-// store wrapped in a chunk.FaultStore, so callers can kill a machine
-// at the STORE level (every operation errors) — the failure that
-// error-driven detection must notice without an administrative
-// SetDown. Returns the manager and the fault stores by provider index.
-func NewFaultPool(n int, model iosim.CostModel) (*Manager, []*chunk.FaultStore) {
-	return NewFaultPoolInDomains(n, 0, model)
-}
-
-// NewFaultPoolInDomains is NewFaultPool with the providers split into
-// failure domains exactly as NewPoolInDomains does.
-func NewFaultPoolInDomains(n, domains int, model iosim.CostModel) (*Manager, []*chunk.FaultStore) {
-	m := NewManager()
-	faults := make([]*chunk.FaultStore, 0, n)
-	for i := 0; i < n; i++ {
-		fs := chunk.NewFaultStore(chunk.NewMemStore(iosim.NewMeter(model, true)))
-		faults = append(faults, fs)
-		m.Register(NewInDomain(ID(i), fs, DomainLabel(i, n, domains)))
-	}
-	return m, faults
-}
-
-// NewURLPoolInDomains builds a pool whose provider stores come from
-// the chunk backend factory: the pool-level URL is specialized per
-// provider (disk schemes get a /pN subdirectory) and opened with an
-// exclusive meter, so -store mem:// matches NewPoolInDomains exactly
-// while disk:// and null:// swap the medium without touching placement.
-// With faulty set, every store is additionally wrapped in a
-// chunk.FaultStore (reusing the wrapper when the URL already carries
-// the fault+ prefix) and the handles are returned by provider index.
+// NewURLPoolInDomains builds a pool of n providers whose stores come
+// from the chunk backend factory, each with an exclusive meter charging
+// model: the pool-level URL is specialized per provider (disk schemes
+// get a /pN subdirectory), so mem://, disk:// and null:// swap the
+// medium without touching placement. The providers are split into the
+// given number of failure domains — contiguous blocks labeled per
+// DomainLabel, modeling machines racked together; domains <= 1 builds
+// the flat single-domain pool. With faulty set, every store is
+// additionally wrapped in a chunk.FaultStore (reusing the wrapper when
+// the URL already carries the fault+ prefix), so callers can kill a
+// machine at the store level, and the handles are returned by provider
+// index.
 func NewURLPoolInDomains(rawURL string, n, domains int, model iosim.CostModel, faulty bool) (*Manager, []*chunk.FaultStore, error) {
 	m := NewManager()
 	var faults []*chunk.FaultStore

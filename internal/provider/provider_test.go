@@ -47,7 +47,7 @@ func TestAllocateEmpty(t *testing.T) {
 }
 
 func TestAllocateSkipsDownProviders(t *testing.T) {
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _ := testPool(3, 0, false)
 	if err := m.SetDown(1, true); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPropAllocateNDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		pool := 1 + rng.Intn(8)
-		m, _ := NewPool(pool, iosim.CostModel{})
+		m, _ := testPool(pool, 0, false)
 		down := map[ID]bool{}
 		for id := 0; id < pool; id++ {
 			if rng.Intn(3) == 0 {
@@ -119,7 +119,7 @@ func TestPropAllocateNBalanced(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		pool := 2 + rng.Intn(7)
-		m, _ := NewPool(pool, iosim.CostModel{})
+		m, _ := testPool(pool, 0, false)
 		r := 1 + rng.Intn(pool)
 		calls := 20 + rng.Intn(100)
 		for i := 0; i < calls; i++ {
@@ -146,7 +146,7 @@ func TestPropAllocateNBalanced(t *testing.T) {
 // AllocateN must fail with the typed error when the replication degree
 // exceeds the live provider count.
 func TestAllocateNInsufficientProviders(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _ := testPool(4, 0, false)
 	if err := m.SetDown(0, true); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestAllocateNInsufficientProviders(t *testing.T) {
 func TestConcurrentAllocationBalance(t *testing.T) {
 	const providers = 8
 	const rounds = 100
-	m, _ := NewPool(providers, iosim.CostModel{})
+	m, _ := testPool(providers, 0, false)
 	var wg sync.WaitGroup
 	for g := 0; g < providers; g++ {
 		wg.Add(1)
@@ -200,7 +200,7 @@ func TestConcurrentAllocationBalance(t *testing.T) {
 }
 
 func TestRouterPutGet(t *testing.T) {
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _ := testPool(3, 0, false)
 	r := NewRouter(m)
 	key := chunk.Key{Blob: 1, Version: 5, Index: 0}
 	ids, err := r.Put(key, []byte("routed data"))
@@ -231,7 +231,7 @@ func TestRouterGetUnknown(t *testing.T) {
 }
 
 func TestRouterDistributesChunks(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _ := testPool(4, 0, false)
 	r := NewRouter(m)
 	// Keys put out of (blob, version, index) order.
 	keyOf := func(i int) chunk.Key {
@@ -264,7 +264,7 @@ func TestRouterDistributesChunks(t *testing.T) {
 }
 
 func TestRouterReplicatedPut(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _ := testPool(4, 0, false)
 	r := NewRouter(m)
 	r.SetReplicas(3)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -292,7 +292,7 @@ func TestRouterReplicatedPut(t *testing.T) {
 }
 
 func TestRouterFailoverRead(t *testing.T) {
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _ := testPool(3, 0, false)
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -332,7 +332,7 @@ func TestRouterFailoverRead(t *testing.T) {
 func TestRouterGetFromStaleHint(t *testing.T) {
 	// A set naming only unknown providers changes nothing: GetFrom
 	// reads the router's placement map, as every read does.
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _ := testPool(3, 0, false)
 	r := NewRouter(m)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
 	if _, err := r.Put(key, []byte("real")); err != nil {
@@ -390,7 +390,7 @@ func TestRouterWriteQuorum(t *testing.T) {
 }
 
 func TestRouterRepair(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _ := testPool(4, 0, false)
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	const chunks = 12
@@ -440,7 +440,7 @@ func TestRouterRepair(t *testing.T) {
 func TestRouterRepairLost(t *testing.T) {
 	// R=1 with the single holder dead: the chunk is lost, counted, and
 	// repair does not invent data.
-	m, _ := NewPool(2, iosim.CostModel{})
+	m, _ := testPool(2, 0, false)
 	r := NewRouter(m)
 	key := chunk.Key{Blob: 1}
 	ids, err := r.Put(key, []byte("only copy"))
@@ -456,31 +456,54 @@ func TestRouterRepairLost(t *testing.T) {
 	}
 }
 
-func TestNewPoolMeters(t *testing.T) {
-	m, meters := NewPool(2, iosim.CostModel{})
-	if m.Count() != 2 || len(meters) != 2 {
-		t.Fatalf("pool size mismatch: %d providers, %d meters", m.Count(), len(meters))
+// TestNewURLPoolInDomains: the one pool constructor builds n
+// providers racked into contiguous domains, hands out a fault handle
+// per provider when asked (reusing a fault+ URL's own wrapper), and
+// refuses a store it cannot open.
+func TestNewURLPoolInDomains(t *testing.T) {
+	m, faults := testPool(4, 2, false)
+	if m.Count() != 4 || faults != nil {
+		t.Fatalf("pool of %d providers with %d fault handles, want 4 and none", m.Count(), len(faults))
 	}
-	r := NewRouter(m)
-	if _, err := r.Put(chunk.Key{Blob: 1}, make([]byte, 10)); err != nil {
-		t.Fatal(err)
+	for i, p := range m.Providers() {
+		if want := DomainLabel(i, 4, 2); p.Domain() != want {
+			t.Fatalf("provider %d in domain %q, want %q", i, p.Domain(), want)
+		}
 	}
-	total := meters[0].Stats().Bytes + meters[1].Stats().Bytes
-	if total != 10 {
-		t.Fatalf("metered bytes = %d, want 10", total)
+	for _, url := range []string{"mem://", "fault+mem://"} {
+		m, faults, err := NewURLPoolInDomains(url, 3, 0, iosim.CostModel{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(faults) != 3 {
+			t.Fatalf("%s: %d fault handles, want 3", url, len(faults))
+		}
+		faults[1].SetDown(true)
+		if _, err := m.Providers()[1].Store().Len(chunk.Key{Blob: 1}); !errors.Is(err, chunk.ErrDown) {
+			t.Fatalf("%s: a downed fault handle's store answered %v, want ErrDown", url, err)
+		}
+	}
+	if _, _, err := NewURLPoolInDomains("bogus://", 2, 0, iosim.CostModel{}, false); err == nil {
+		t.Fatal("an unknown store scheme opened")
 	}
 }
 
-// faultPool is NewFaultPool unmetered, for brevity.
-func faultPool(n int) (*Manager, []*chunk.FaultStore) {
-	return NewFaultPool(n, iosim.CostModel{})
+// testPool builds n unmetered in-memory providers in the given number
+// of failure domains, each store wrapped in a chunk.FaultStore when
+// faulty.
+func testPool(n, domains int, faulty bool) (*Manager, []*chunk.FaultStore) {
+	m, faults, err := NewURLPoolInDomains("mem://", n, domains, iosim.CostModel{}, faulty)
+	if err != nil {
+		panic(err) // a mem:// store always opens
+	}
+	return m, faults
 }
 
 // TestRouterReadRepairSignals: a degraded read (failover needed) and a
 // quorum-committed short write must both report the exact chunk to the
 // degraded handler — the feed of the read-repair queue.
 func TestRouterReadRepairSignals(t *testing.T) {
-	m, faults := faultPool(3)
+	m, faults := testPool(3, 0, true)
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	var mu sync.Mutex
@@ -540,7 +563,7 @@ func TestRouterReadRepairSignals(t *testing.T) {
 // whose provider is flag-live but store-dead — the detection gap
 // between a machine dying and the monitor noticing.
 func TestVerifyReplicasProbesStores(t *testing.T) {
-	m, faults := faultPool(3)
+	m, faults := testPool(3, 0, true)
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -567,7 +590,7 @@ func TestVerifyReplicasProbesStores(t *testing.T) {
 // TestRepairChunk: single-chunk repair restores degree, moves
 // placement off the dead store, and reports healthy/lost outcomes.
 func TestRepairChunk(t *testing.T) {
-	m, faults := faultPool(4)
+	m, faults := testPool(4, 0, true)
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 9, Version: 1, Index: 0}
@@ -609,7 +632,7 @@ func TestRepairChunk(t *testing.T) {
 // repaired set — handed the write-time set [dead, live] or not — and
 // none of them skips the dead provider or reports the chunk degraded.
 func TestGetFromRefreshesPartiallyStaleHint(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _ := testPool(4, 0, false)
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -645,7 +668,7 @@ func TestGetFromRefreshesPartiallyStaleHint(t *testing.T) {
 // real work out of the bounded queue. They read the repaired set, which
 // skips nothing.
 func TestStaleHintDoesNotSpamRepairQueue(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _ := testPool(4, 0, false)
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	var mu sync.Mutex
@@ -681,7 +704,7 @@ func TestStaleHintDoesNotSpamRepairQueue(t *testing.T) {
 // replica whose provider is flag-live but store-dead — manual repair
 // cannot depend on the failure detector having tripped first.
 func TestRepairCatchesStoreDeadReplica(t *testing.T) {
-	m, faults := faultPool(4)
+	m, faults := testPool(4, 0, true)
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}

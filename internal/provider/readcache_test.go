@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 )
 
 func cacheKey(i int) chunk.Key {
@@ -51,7 +50,7 @@ func TestReadCacheDataPrefixSemantics(t *testing.T) {
 // the read misses, goes to the copies placement names now, and fills
 // the entry again.
 func TestReadCacheHints(t *testing.T) {
-	mgr, faults := NewFaultPool(4, iosim.CostModel{})
+	mgr, faults := testPool(4, 0, true)
 	r := NewRouter(mgr)
 	r.SetReplicas(2)
 	c := NewReadCache(ReadCacheConfig{})

@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 )
 
 // cachedRouter is a domain router with the read cache wired.
 func cachedRouter(t *testing.T, n, domains, replicas int) (*Router, *ReadCache) {
 	t.Helper()
-	mgr, _ := NewPoolInDomains(n, domains, iosim.CostModel{})
+	mgr, _ := testPool(n, domains, false)
 	r := NewRouter(mgr)
 	r.SetReplicas(replicas)
 	cache := NewReadCache(ReadCacheConfig{Shards: 4, MaxBytes: 1 << 20})
@@ -27,7 +26,7 @@ func cachedRouter(t *testing.T, n, domains, replicas int) (*Router, *ReadCache) 
 // reordered, never narrowed.
 func TestZoneLocalReplicaOrder(t *testing.T) {
 	// 6 providers, 3 domains: zone0={0,1}, zone1={2,3}, zone2={4,5}.
-	mgr, _ := NewPoolInDomains(6, 3, iosim.CostModel{})
+	mgr, _ := testPool(6, 3, false)
 	r := NewRouter(mgr)
 	r.SetLocalDomain("zone1")
 	if got := r.LocalDomain(); got != "zone1" {

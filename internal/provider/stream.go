@@ -45,7 +45,9 @@ func (e *ChunkTooLargeError) Error() string {
 func (e *ChunkTooLargeError) Is(target error) bool { return target == ErrChunkTooLarge }
 
 // SetMaxChunkSize bounds the declared size PutStream accepts; v <= 0
-// restores DefaultMaxChunkSize.
+// restores DefaultMaxChunkSize. Only tests lower it, so that a refused
+// size is small: TestFramedServerRejectsOversizedPut and
+// FuzzFramedServer in internal/remote, TestPutStreamSizeBound here.
 func (r *Router) SetMaxChunkSize(v int64) {
 	r.cfg.Lock()
 	r.maxChunk = v

@@ -70,7 +70,7 @@ func (o ops) SetProviderDomain(id provider.ID, domain string) error {
 // the name it had as an RPC.
 func TestAdminRoutesOverHTTP(t *testing.T) {
 	reg := metrics.NewRegistry()
-	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	mgr := memPool(3, 0)
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:      vmanager.NewSharded(iosim.CostModel{}, 2),
 		Meta:    metadata.NewStore(2, iosim.CostModel{}),

@@ -129,7 +129,7 @@ func TestBatchOfTwoUsesTwoConnections(t *testing.T) {
 func TestBatchServerErrorFailsThatCallAlone(t *testing.T) {
 	// One provider, so a second put of a chunk lands on the store that
 	// holds it.
-	mgr, _ := provider.NewPool(1, iosim.CostModel{})
+	mgr := memPool(1, 0)
 	node, err := Listen("127.0.0.1:0", Roles{Data: provider.NewRouter(mgr), VM: vmanager.New(iosim.CostModel{})})
 	if err != nil {
 		t.Fatal(err)

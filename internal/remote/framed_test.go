@@ -78,7 +78,7 @@ func TestFramedChunkRoundTrip(t *testing.T) {
 func TestFramedErrorsKeepConnection(t *testing.T) {
 	// One provider, so the duplicate put lands on the same store and
 	// surfaces the ErrExists protocol violation.
-	mgr, _ := provider.NewPool(1, iosim.CostModel{})
+	mgr := memPool(1, 0)
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),
@@ -171,7 +171,7 @@ func TestFramedAndHTTPCoexist(t *testing.T) {
 // with a metrics role.
 func TestFramedMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	mgr := memPool(3, 0)
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:      vmanager.New(iosim.CostModel{}),
 		Meta:    metadata.NewStore(2, iosim.CostModel{}),
@@ -254,7 +254,7 @@ func TestFramedMetrics(t *testing.T) {
 // transparently retry the op on a fresh dial. Roles are split, so each
 // row restarts only the node its calls go to.
 func TestFramedPoolSurvivesNodeRestart(t *testing.T) {
-	mgr, _ := provider.NewPool(1, iosim.CostModel{})
+	mgr := memPool(1, 0)
 	vmNode, err := Listen("127.0.0.1:0", Roles{VM: vmanager.New(iosim.CostModel{})})
 	if err != nil {
 		t.Fatal(err)
@@ -662,7 +662,7 @@ func TestLyingLengthWordsAllocateLittle(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	mgr, _ := provider.NewPool(2, iosim.CostModel{})
+	mgr := memPool(2, 0)
 	fs := newFramedServer(Roles{VM: vmanager.New(iosim.CostModel{}), Meta: metadata.NewStore(2, iosim.CostModel{}), Data: provider.NewRouter(mgr)})
 	for _, op := range []byte{opNodePut, opAssignTicket, opWalkNodes, opGet} {
 		req := binary.LittleEndian.AppendUint32(appendHeader(nil, &frameHeader{op: op, key: chunk.Key{Blob: 1}}), uint32(bodyLimit(op)))
@@ -748,7 +748,7 @@ func TestFramedServerRefusesOpsOfAMissingRole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer metaNode.Close()
-	mgr, _ := provider.NewPool(2, iosim.CostModel{})
+	mgr := memPool(2, 0)
 	dataNode, err := Listen("127.0.0.1:0", Roles{Data: provider.NewRouter(mgr)})
 	if err != nil {
 		t.Fatal(err)
@@ -863,7 +863,7 @@ func TestFramedServerAnswersLoneAndPipelinedRequests(t *testing.T) {
 func TestTrainsMatchRouter(t *testing.T) {
 	// R=3 over three providers: a duplicate put collides on every
 	// store, and replica sets are rotations worth comparing.
-	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	mgr := memPool(3, 0)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(3)
 	node, err := Listen("127.0.0.1:0", Roles{
@@ -943,7 +943,7 @@ func TestTrainsMatchRouter(t *testing.T) {
 // rs-4+2 mode: fragments place over the wire-invisible coded path, and
 // the Coding RPC reports the mode to operators.
 func TestFramedCodedRoundTrip(t *testing.T) {
-	mgr, _ := provider.NewPool(6, iosim.CostModel{})
+	mgr := memPool(6, 0)
 	r := provider.NewRouter(mgr)
 	if err := r.SetCoding(4, 2); err != nil {
 		t.Fatal(err)
@@ -1008,7 +1008,7 @@ func TestFramedCodedRoundTrip(t *testing.T) {
 // hands from read to read; a slab back in the pool before its reply had
 // left, or one handed to two reads, would show here as a wrong byte.
 func TestFramedCodedGetsWithAZoneDown(t *testing.T) {
-	mgr, _ := provider.NewPoolInDomains(12, 6, iosim.CostModel{})
+	mgr := memPool(12, 6)
 	r := provider.NewRouter(mgr)
 	if err := r.SetCoding(4, 2); err != nil {
 		t.Fatal(err)

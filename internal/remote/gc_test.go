@@ -20,7 +20,7 @@ func startGCNode(t *testing.T, retainLast int) (Endpoints, *core.Reaper) {
 	t.Helper()
 	vm := vmanager.New(iosim.CostModel{})
 	meta := metadata.NewStore(2, iosim.CostModel{})
-	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	mgr := memPool(3, 0)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	reaper := core.NewReaper(router, core.ReaperConfig{RetainLast: retainLast, DeletesPerTick: 8})

@@ -21,7 +21,7 @@ func TestMetricsOverRPC(t *testing.T) {
 	reg := metrics.NewRegistry()
 	vm := vmanager.New(iosim.CostModel{})
 	vm.SetMetrics(reg)
-	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	mgr := memPool(3, 0)
 	router := provider.NewRouter(mgr)
 	router.SetMetrics(reg)
 	node, err := Listen("127.0.0.1:0", Roles{

@@ -16,7 +16,7 @@ import (
 // bounded cache reports its reader domain, locality counters and cache
 // counters through the ReadTier RPC; a plain node reports the tier off.
 func TestReadTierOverRPC(t *testing.T) {
-	mgr, _ := provider.NewPoolInDomains(4, 2, iosim.CostModel{})
+	mgr := memPool(4, 2)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	router.SetLocalDomain("zone0")

@@ -17,10 +17,30 @@ import (
 	"repro/internal/vmanager"
 )
 
+// memPool builds n unmetered in-memory providers in the given number of
+// failure domains.
+func memPool(n, domains int) *provider.Manager {
+	mgr, _, err := provider.NewURLPoolInDomains("mem://", n, domains, iosim.CostModel{}, false)
+	if err != nil {
+		panic(err) // a mem:// store always opens
+	}
+	return mgr
+}
+
+// faultPool is memPool on one domain with every store wrapped in a
+// chunk.FaultStore, the handles returned by provider index.
+func faultPool(n int) (*provider.Manager, []*chunk.FaultStore) {
+	mgr, faults, err := provider.NewURLPoolInDomains("mem://", n, 0, iosim.CostModel{}, true)
+	if err != nil {
+		panic(err) // a mem:// store always opens
+	}
+	return mgr, faults
+}
+
 // startNode boots a single node hosting all roles on a loopback port.
 func startNode(t *testing.T) (*Node, Endpoints) {
 	t.Helper()
-	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	mgr := memPool(3, 0)
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),
@@ -174,7 +194,7 @@ func TestSplitRoleNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer metaNode.Close()
-	mgr, _ := provider.NewPool(2, iosim.CostModel{})
+	mgr := memPool(2, 0)
 	dataNode, err := Listen("127.0.0.1:0", Roles{Data: provider.NewRouter(mgr)})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +246,7 @@ func TestReplicatedDataNodeOverRPC(t *testing.T) {
 	// A data node with R=2: writes return replica sets, a provider
 	// killed over RPC leaves every version readable via failover, and
 	// the repair RPC restores full degree so a second loss is survivable.
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr := memPool(4, 0)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	node, err := Listen("127.0.0.1:0", Roles{
@@ -326,7 +346,7 @@ func TestSelfHealNodeOverRPC(t *testing.T) {
 	// A data node running the self-healing loop: health and scrub RPCs
 	// report the error-driven detector's state, and a synchronous scrub
 	// pass repairs a lost provider with no repair RPC ever issued.
-	mgr, faults := provider.NewFaultPool(4, iosim.CostModel{})
+	mgr, faults := faultPool(4)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	health := provider.NewHealthMonitor(mgr, provider.HealthConfig{Threshold: 2})
@@ -408,7 +428,7 @@ func TestSelfHealNodeOverRPC(t *testing.T) {
 }
 
 func TestSelfHealRPCsRequireHealer(t *testing.T) {
-	mgr, _ := provider.NewPool(2, iosim.CostModel{})
+	mgr := memPool(2, 0)
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),

@@ -296,7 +296,7 @@ func TestVMCodecsRefuseHostileBodies(t *testing.T) {
 // its message intact — what blob's GC walk and the shard torture test
 // tell errors apart by.
 func TestVMErrorsKeepTheirSentinels(t *testing.T) {
-	mgr, _ := provider.NewPool(1, iosim.CostModel{})
+	mgr := memPool(1, 0)
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),

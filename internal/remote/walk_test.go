@@ -169,7 +169,7 @@ func serveFramed(t *testing.T, fs *framedServer) Endpoints {
 // the history reads back byte for byte.
 func TestWalkCutShortByItsBoundReadsBackIdentical(t *testing.T) {
 	reg := metrics.NewRegistry()
-	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	mgr := memPool(3, 0)
 	fs := newFramedServer(Roles{VM: vmanager.New(iosim.CostModel{}), Meta: metadata.NewStore(2, iosim.CostModel{}), Data: provider.NewRouter(mgr), Metrics: reg})
 	fs.walkBound = 400 // a handful of nodes a reply
 	ep := serveFramed(t, fs)

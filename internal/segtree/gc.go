@@ -22,8 +22,8 @@ import "repro/internal/chunk"
 // each chunk is stored page-split (blob.storeChunks splits pieces at page
 // boundaries BEFORE storing), so a chunk key is referenced by leaves of
 // one page only, and only the keepers' leaves on drop's differing pages
-// can hold drop's keys. Refs that place one chunk across pages
-// (SplitPlaced over a multi-page chunk) break it: a key could then be
+// can hold drop's keys. Refs that place one chunk across pages (a
+// multi-page chunk split after storing) break it: a key could then be
 // protected by a keeper at one page yet reported exclusive at another.
 func (t *Tree) ExclusiveChunks(drop NodeKey, keep []NodeKey) ([]chunk.Key, error) {
 	pages, nodes, err := t.descend(drop, keep, true)

@@ -12,7 +12,7 @@ import (
 // writePaged performs a versioned write that stores one chunk per
 // page-split piece, mirroring the real write path (blob.storeChunks):
 // ExclusiveChunks requires the chunk-per-page invariant, which the
-// generic harness write (one chunk per extent, SplitPlaced across
+// generic harness write (one chunk per extent, splitPlaced across
 // pages) does not maintain.
 func (h *harness) writePaged(v extent.Vec) uint64 {
 	h.t.Helper()

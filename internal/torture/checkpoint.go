@@ -136,9 +136,9 @@ type CheckpointReport struct {
 func checkpointEnv(cfg CheckpointConfig) cluster.Env {
 	env := selfHealEnv(cfg.Providers, cfg.Replicas)
 	env.GC = true
-	env.RetainLast = cfg.KeepLast
-	env.GCRate = 8
-	env.GCQueue = 64
+	env.Reaper.RetainLast = cfg.KeepLast
+	env.Reaper.DeletesPerTick = 8
+	env.Reaper.QueueDepth = 64
 	env.ReadCache = true
 	return env
 }

@@ -83,9 +83,9 @@ type GCReport struct {
 func gcEnv(cfg GCConfig) cluster.Env {
 	env := selfHealEnv(cfg.Providers, cfg.Replicas)
 	env.GC = true
-	env.RetainLast = cfg.KeepLast
-	env.GCRate = 8
-	env.GCQueue = 64
+	env.Reaper.RetainLast = cfg.KeepLast
+	env.Reaper.DeletesPerTick = 8
+	env.Reaper.QueueDepth = 64
 	return env
 }
 

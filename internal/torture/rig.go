@@ -75,11 +75,11 @@ func selfHealEnv(providers, replicas int) cluster.Env {
 	env.Replicas = replicas
 	env.SelfHeal = true
 	env.FaultInjection = true
-	env.FailThreshold = 2
-	env.Probation = 30 * time.Second
-	env.ScrubRate = 32
-	env.RepairRate = 8
-	env.RepairQueue = 64
+	env.Health.Threshold = 2
+	env.Health.Probation = 30 * time.Second
+	env.Healer.ScrubChunksPerTick = 32
+	env.Healer.RepairsPerTick = 8
+	env.Healer.QueueDepth = 64
 	return env
 }
 

@@ -63,9 +63,6 @@ func NewSharded(model iosim.CostModel, n int) *Sharded {
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// ShardOf returns the index of the shard owning the blob.
-func (s *Sharded) ShardOf(blob uint64) int { return ShardIndex(blob, len(s.shards)) }
-
 // Shard exposes one shard's Manager — the fault-injection seam the
 // torture suite kills and restarts.
 func (s *Sharded) Shard(i int) *Manager { return s.shards[i] }
@@ -116,7 +113,7 @@ func (s *Sharded) Blobs() []uint64 {
 
 // --- VersionService: every call routes to the blob's owning shard ---
 
-func (s *Sharded) route(blob uint64) *Manager { return s.shards[s.ShardOf(blob)] }
+func (s *Sharded) route(blob uint64) *Manager { return s.shards[ShardIndex(blob, len(s.shards))] }
 
 func (s *Sharded) CreateBlob(blob uint64, geo segtree.Geometry) error {
 	return s.route(blob).CreateBlob(blob, geo)

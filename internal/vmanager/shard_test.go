@@ -22,7 +22,7 @@ func TestShardIndexStable(t *testing.T) {
 		}
 		a := NewSharded(iosim.CostModel{}, n)
 		b := NewSharded(iosim.CostModel{}, n)
-		return a.ShardOf(blob) == want && b.ShardOf(blob) == want
+		return a.route(blob) == a.shards[want] && b.route(blob) == b.shards[want]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
