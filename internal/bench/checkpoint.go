@@ -48,7 +48,7 @@ type CheckpointResult struct {
 	Ranks, Epochs int
 	Replicas      int
 	WrittenBytes  int64
-	Restores      int   // old-epoch restore reads completed
+	Restores      int   // old-epoch restore reads completed; free-running, not a function of the seed
 	Repaired      int64 // chunks re-replicated by the self-heal loop
 	Reclaimed     int64 // versions reclaimed by the reaper
 	// Stages are the per-stage latency histograms of the write and
@@ -122,16 +122,12 @@ func RunCheckpointBlaster(env cluster.Env, spec workload.CheckpointSpec, opts Ch
 	}
 	res := CheckpointResult{Ranks: spec.Ranks, Epochs: opts.Epochs, Replicas: opts.Replicas}
 
-	// Background driver: the healer and reaper tick concurrently with
-	// the blaster, exactly as the daemon runs them.
-	stopDriver := tickEvery(time.Millisecond, func() {
-		svc.Healer.Tick()
-		svc.Reaper.Tick()
-	})
-	fail := func(err error) (CheckpointResult, error) {
-		stopDriver()
-		return res, err
-	}
+	// The healer and reaper tick once per epoch from the epoch loop,
+	// and the kill is met by one whole scrub pass, both while no
+	// restore holds a pin (quiet), so what they repair and reclaim is a
+	// function of the seed, not of a wall-clock race with the blaster
+	// and the readers. Restores themselves stay free-running.
+	var quiet sync.RWMutex
 
 	// Restore readers: each repeatedly pins a retained version, pages
 	// its strided extents back in, verifies the constant-byte segment
@@ -166,12 +162,15 @@ func RunCheckpointBlaster(env cluster.Env, spec workload.CheckpointSpec, opts Ch
 				if v == 0 {
 					continue // the empty initial snapshot has nothing to restore
 				}
+				quiet.RLock()
 				if err := b.Pin(v); err != nil {
+					quiet.RUnlock()
 					continue // retention raced the pick; pick again
 				}
 				rank := rng.Intn(spec.Ranks)
 				got, err := be.ReadListAt(core.Version(v), spec.ExtentsFor(rank))
 				b.Unpin(v)
+				quiet.RUnlock()
 				if err != nil {
 					readErrs[i] = fmt.Errorf("bench: restore of v%d rank %d: %w", v, rank, err)
 					return
@@ -203,8 +202,12 @@ func RunCheckpointBlaster(env cluster.Env, spec workload.CheckpointSpec, opts Ch
 	for epoch := 1; epoch <= opts.Epochs; epoch++ {
 		if opts.Kill && epoch == opts.Epochs/2+1 {
 			// Store-level kill: the health monitor must find out from
-			// errors alone, and the quorum write path must ride it out.
+			// errors alone (the scrub pass's), and the quorum write path
+			// must ride it out.
 			svc.Faults[0].SetDown(true)
+			quiet.Lock()
+			svc.Healer.Pass()
+			quiet.Unlock()
 		}
 		err := eachClient(spec.Ranks, func(r int) error {
 			exts := spec.ExtentsFor(r)
@@ -227,18 +230,21 @@ func RunCheckpointBlaster(env cluster.Env, spec workload.CheckpointSpec, opts Ch
 		if err != nil {
 			close(readersStop)
 			restores.Wait()
-			return fail(err)
+			return res, err
 		}
 		res.WrittenBytes += spec.BytesPerRank() * int64(spec.Ranks)
+		quiet.Lock()
+		svc.Healer.Tick()
+		svc.Reaper.Tick()
+		quiet.Unlock()
 	}
 	close(readersStop)
 	restores.Wait()
 	for _, err := range readErrs {
 		if err != nil {
-			return fail(err)
+			return res, err
 		}
 	}
-	stopDriver()
 	res.Restores = int(restoreCount)
 
 	// Converge: drain the retention backlog first — dropped versions

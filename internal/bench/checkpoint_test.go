@@ -51,3 +51,27 @@ func TestCheckpointBlaster(t *testing.T) {
 		t.Errorf("repair histogram disagrees between snapshot and handle")
 	}
 }
+
+// The healer and reaper advance from the epoch loop, not a wall-clock
+// ticker, so chunks repaired and versions reclaimed repeat run to run
+// while the restore count is free to differ.
+func TestCheckpointBlasterCountsRepeat(t *testing.T) {
+	spec := workload.CheckpointSpec{Ranks: 4, Segments: 4, SegmentSize: 8 << 10}
+	var first CheckpointResult
+	for run := 0; run < 4; run++ {
+		res, err := RunCheckpointBlaster(cluster.Default(), spec, CheckpointOptions{
+			Replicas: 2, Epochs: 5, KeepLast: 2, Readers: 2, Kill: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = res
+			continue
+		}
+		if res.Repaired != first.Repaired || res.Reclaimed != first.Reclaimed {
+			t.Fatalf("run %d: repaired %d, reclaimed %d; run 0: repaired %d, reclaimed %d",
+				run, res.Repaired, res.Reclaimed, first.Repaired, first.Reclaimed)
+		}
+	}
+}

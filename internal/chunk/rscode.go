@@ -10,15 +10,22 @@
 // 0..7 together are one field element (packet t holds its bit t) — so a
 // shard carries len/8·8 elements side by side rather than one per byte.
 // Multiplication by a constant c is linear over GF(2): bit r of c·v is
-// the XOR of the bits t of v for which bit r of c·2^t is set. On
-// packets that is "packet r of dst ^= packet t of src" for at most 64
-// (r, t) pairs, each a crypto/subtle.XORBytes over whole slices — no
-// table lookup per byte. Pure Go, no dependencies.
+// the XOR of the bits t of v for which bit r of c·2^t is set. A
+// generator row therefore says, for each destination packet r, which
+// source packets (j, t) XOR together into it — a packet row. One
+// overwrite kernel (xorRows) evaluates packet rows: each destination
+// packet is written once from its first two terms and then XORed with
+// the rest, each a crypto/subtle.XORBytes over whole slices — no table
+// lookup per byte, no pass over zeros. The cost of a row is its term
+// count, which is why the generator is chosen for few ones (see
+// RSCode). Pure Go, no dependencies.
 package chunk
 
 import (
 	"crypto/subtle"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // GF(2^8) with the primitive polynomial x^8+x^4+x^3+x^2+1 (0x11D) and
@@ -26,6 +33,9 @@ import (
 var (
 	gfExp [512]byte // exp table doubled so mul needs no mod
 	gfLog [256]int  // log table; gfLog[0] unused
+	// gfBits[c][r] has bit t set when bit r of c·2^t is: the packets t
+	// of a source that feed packet r of c times that source.
+	gfBits [256][8]byte
 )
 
 func init() {
@@ -43,6 +53,14 @@ func init() {
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
 	}
+	for c := 1; c < 256; c++ {
+		for t := 0; t < 8; t++ {
+			col := gfMul(byte(c), 1<<t)
+			for r := range gfBits[c] {
+				gfBits[c][r] |= col >> r & 1 << t
+			}
+		}
+	}
 }
 
 func gfMul(a, b byte) byte {
@@ -59,44 +77,96 @@ func gfInv(a byte) byte {
 	return gfExp[255-gfLog[a]]
 }
 
-// xorSlice is how much of each packet mulAdd works on at a time: the 8
-// destination slices stay cache-resident while the sources stream by.
+// xorSlice is how much of each packet xorRows works on at a time: the
+// destination and source slices of one window stay cache-resident
+// while every row is written.
 const xorSlice = 4 << 10
 
-// mulAdd does dst ^= Σ row[j]·srcs[j] on shards in the packet layout
-// (equal lengths, a multiple of 8). It is the one place field
-// arithmetic touches shard bytes: encode, data solve and parity
-// re-encode differ only in the row and the sources they pass.
-func mulAdd(dst []byte, row []byte, srcs [][]byte) {
-	ps := len(dst) / 8
+// A packetRow is one generator row in packet form: packetRow[r] lists,
+// as j*8+t, the source packets (packet t of source shard j) whose XOR
+// is packet r of the destination. The bit matrix of a nonzero element
+// is invertible, so every list of a row with a nonzero coefficient —
+// every parity row, every row of an inverse — has at least one term.
+type packetRow [8][]int
+
+// newPacketRow expands a generator row of field elements into its
+// packet terms, all eight lists cut from one allocation.
+func newPacketRow(row []byte) (pr packetRow) {
+	n := 0
+	for _, c := range row {
+		n += ones(c)
+	}
+	terms := make([]int, 0, n)
+	for r := range pr {
+		from := len(terms)
+		for j, c := range row {
+			for ts := gfBits[c][r]; ts != 0; ts &= ts - 1 {
+				terms = append(terms, j*8+bits.TrailingZeros8(ts))
+			}
+		}
+		pr[r] = terms[from:len(terms):len(terms)]
+	}
+	return pr
+}
+
+// xorRows overwrites dsts[i] with Σ_j rows[i][j]·srcs[j] on shards in
+// the packet layout (at least one destination; equal lengths, a
+// multiple of 8; no destination aliases a source). It is the one place field arithmetic touches
+// shard bytes: encode, data solve and parity re-encode differ only in
+// the rows and the sources they pass. A destination packet's first two
+// terms are one three-operand XOR (a copy when it has one term), so no
+// destination is zeroed or read before it is written.
+func xorRows(dsts [][]byte, rows []packetRow, srcs [][]byte) {
+	ps := len(dsts[0]) / 8
 	for lo := 0; lo < ps; lo += xorSlice {
 		hi := min(lo+xorSlice, ps)
-		for j, c := range row {
-			for t := 0; t < 8; t++ {
-				col := gfMul(c, 1<<t) // bit r set: packet t of src feeds packet r of dst
-				s := srcs[j][t*ps+lo : t*ps+hi]
-				for r := 0; col != 0; r, col = r+1, col>>1 {
-					if col&1 != 0 {
-						d := dst[r*ps+lo : r*ps+hi]
-						subtle.XORBytes(d, d, s)
-					}
+		packet := func(x int) []byte {
+			off := x % 8 * ps
+			return srcs[x/8][off+lo : off+hi]
+		}
+		for i, row := range rows {
+			for r, terms := range row {
+				d := dsts[i][r*ps+lo : r*ps+hi]
+				if len(terms) == 1 {
+					copy(d, packet(terms[0]))
+					continue
+				}
+				subtle.XORBytes(d, packet(terms[0]), packet(terms[1]))
+				for _, x := range terms[2:] {
+					subtle.XORBytes(d, d, packet(x))
 				}
 			}
 		}
 	}
 }
 
-// RSCode is a systematic k+m Reed-Solomon code. The generator matrix
-// is [I_k ; C] where C is the m×k Cauchy matrix 1/((k+i) XOR j) with
+// RSCode is a systematic k+m Reed-Solomon code with generator matrix
+// [I_k ; P]: data shard i is row i of the identity, parity shard i is
+// row i of P. Any k of the k+m shards reconstruct exactly when every
+// k×k submatrix of rows is invertible (the code is MDS).
+//
+// For m = 2, P is [1 … 1 ; a_1 … a_k] where a_1..a_k are the k nonzero
+// field elements whose bit matrices hold the fewest ones, lightest
+// first, ties broken by value ([1 2 142 4] for k = 4). That is MDS: a
+// submatrix with no parity row is the identity; one with one parity
+// row in place of data row j has that row's entry in column j as its
+// determinant, and every entry is nonzero; one with both parity rows
+// in place of data rows j and l reduces to the minor a_l ⊕ a_j, nonzero
+// because the a's are distinct. The first parity shard is the plain
+// XOR of the data shards (8 packet terms per coefficient, RAID-5's
+// cost for the common single-loss rebuild), and the second costs 44
+// terms for k = 4 where a Cauchy row costs 142 — rs-4+2's generator
+// has 76 packet terms, not 174. There are 255 nonzero elements, so
+// k ≤ 254, which k+m ≤ 256 already implies.
+//
+// For any other m, P is the m×k Cauchy matrix 1/((k+i) XOR j) with
 // each column scaled so that its first row is all ones: every square
 // submatrix of a Cauchy matrix is invertible and scaling a column by a
-// nonzero constant keeps it so, hence any k of the k+m rows — any k
-// surviving shards — suffice to reconstruct, and the first parity shard
-// is the plain XOR of the data shards (8 XORs per coefficient, not ~32:
-// the common single-loss rebuild through it costs what RAID-5's does).
+// nonzero constant keeps it so.
 type RSCode struct {
 	K, M   int
-	parity [][]byte // m rows × k cols of the generator's parity half
+	parity [][]byte    // m rows × k cols of the generator's parity half
+	rows   []packetRow // parity in packet form, what encoding evaluates
 }
 
 // NewRSCode builds a k data + m parity code. The Cauchy construction
@@ -113,7 +183,33 @@ func NewRSCode(k, m int) (*RSCode, error) {
 			c.parity[i][j] = gfMul(gfInv(byte(k+i)^byte(j)), byte(k)^byte(j))
 		}
 	}
+	if m == 2 {
+		c.parity[1] = lightestElements(k)
+	}
+	for _, row := range c.parity {
+		c.rows = append(c.rows, newPacketRow(row))
+	}
 	return c, nil
+}
+
+// lightestElements returns the k nonzero field elements with the
+// fewest ones in their bit matrices, lightest first, ties by value.
+func lightestElements(k int) []byte {
+	els := make([]byte, 255)
+	for i := range els {
+		els[i] = byte(i + 1)
+	}
+	slices.SortStableFunc(els, func(a, b byte) int { return ones(a) - ones(b) })
+	return els[:k:k]
+}
+
+// ones counts the ones in c's bit matrix: the packet terms multiplying
+// by c costs.
+func ones(c byte) (n int) {
+	for _, ts := range gfBits[c] {
+		n += bits.OnesCount8(ts)
+	}
+	return n
 }
 
 // ShardSize is the per-fragment size for a chunk of size bytes: the
@@ -143,18 +239,11 @@ func (c *RSCode) Encode(data []byte) [][]byte {
 		shards[i] = make([]byte, ss) // the padded tail; never nil
 		copy(shards[i], data[lo:hi])
 	}
-	c.fillParity(shards, int(ss))
-	return shards
-}
-
-// fillParity computes the nil parity shards from the K data shards.
-func (c *RSCode) fillParity(shards [][]byte, ss int) {
-	for i, row := range c.parity {
-		if shards[c.K+i] == nil {
-			shards[c.K+i] = make([]byte, ss)
-			mulAdd(shards[c.K+i], row, shards[:c.K])
-		}
+	for i := c.K; i < len(shards); i++ {
+		shards[i] = make([]byte, ss)
 	}
+	xorRows(shards[c.K:], c.rows, shards[:c.K]) // every row in one pass over the data
+	return shards
 }
 
 // survey checks a decode argument — K+M entries, the non-nil ones of one
@@ -216,9 +305,9 @@ func (c *RSCode) ReconstructData(shards, fill [][]byte) error {
 		return nil
 	}
 	// The k present shards relate to the data shards by the k×k
-	// submatrix of their generator rows ([I_k ; C], see RSCode), which
-	// the Cauchy construction guarantees invertible; row i of the
-	// inverse solves data shard i.
+	// submatrix of their generator rows ([I_k ; P], see RSCode), which
+	// the construction guarantees invertible; row i of the inverse
+	// solves data shard i, written straight over its fill buffer.
 	mat, srcs := make([][]byte, c.K), make([][]byte, c.K)
 	for r, idx := range have {
 		mat[r], srcs[r] = make([]byte, c.K), shards[idx]
@@ -232,11 +321,11 @@ func (c *RSCode) ReconstructData(shards, fill [][]byte) error {
 	if err != nil {
 		return err
 	}
-	for _, i := range todo {
-		clear(fill[i])
-		mulAdd(fill[i], inv[i], srcs)
-		shards[i] = fill[i]
+	dsts, rows := make([][]byte, len(todo)), make([]packetRow, len(todo))
+	for n, i := range todo {
+		dsts[n], rows[n], shards[i] = fill[i], newPacketRow(inv[i]), fill[i]
 	}
+	xorRows(dsts, rows, srcs)
 	return nil
 }
 
@@ -256,10 +345,16 @@ func (c *RSCode) Reconstruct(shards [][]byte) error {
 			fill[i] = make([]byte, ss)
 		}
 	}
-	if err = c.ReconstructData(shards, fill); err == nil {
-		c.fillParity(shards, ss) // with all data shards in hand, a re-encode
+	if err = c.ReconstructData(shards, fill); err != nil {
+		return err
 	}
-	return err
+	for i := range c.rows { // with all data shards in hand, a re-encode
+		if shards[c.K+i] == nil {
+			shards[c.K+i] = make([]byte, ss)
+			xorRows(shards[c.K+i:][:1], c.rows[i:][:1], shards[:c.K])
+		}
+	}
+	return nil
 }
 
 // Join concatenates the K data shards and trims padding to size bytes

@@ -96,7 +96,11 @@ func lossPatterns(n, max int, visit func(lost []bool)) {
 // shards it is handed buffers for and leave parity alone.
 func TestRSCodeAllLossPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, km := range [][2]int{{1, 1}, {2, 1}, {4, 2}, {6, 3}, {10, 4}} {
+	codes := [][2]int{{1, 1}, {2, 1}, {4, 2}, {6, 3}, {10, 4}}
+	for _, k := range []int{1, 2, 3, 6, 8, 16} { // the lightest-row construction
+		codes = append(codes, [2]int{k, 2})
+	}
+	for _, km := range codes {
 		c, err := NewRSCode(km[0], km[1])
 		if err != nil {
 			t.Fatal(err)
@@ -146,28 +150,160 @@ func TestRSCodeAllLossPatterns(t *testing.T) {
 	}
 }
 
-// TestRSCodeGoldenFragments pins the six fragments of one 64-byte chunk
-// under rs-4+2. Fragments are a stored format: a kernel or matrix change
-// that alters them must say so here, not pass silently.
+// TestRSCodeGoldenFragments pins the fragments of one 64-byte chunk
+// under rs-4+2, rs-4+3 and rs-2+1. Fragments are a stored format: a
+// kernel or matrix change that alters them must say so here, not pass
+// silently. rs-4+2's second parity row is the lightest-element row;
+// the m ≠ 2 files hold the scaled Cauchy parity of every earlier build.
 func TestRSCodeGoldenFragments(t *testing.T) {
-	c, err := NewRSCode(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	data := make([]byte, 64)
 	for i := range data {
 		data[i] = byte(i*131 + 7)
 	}
-	var got strings.Builder
-	for _, s := range c.Encode(data) {
-		fmt.Fprintf(&got, "%x\n", s)
+	for _, km := range [][2]int{{4, 2}, {4, 3}, {2, 1}} {
+		c, err := NewRSCode(km[0], km[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for _, s := range c.Encode(data) {
+			fmt.Fprintf(&got, "%x\n", s)
+		}
+		name := fmt.Sprintf("testdata/rs-%d+%d-64B.golden", c.K, c.M)
+		want, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != string(want) {
+			t.Fatalf("rs-%d+%d fragments of the golden chunk changed (%s):\n%swant:\n%s", c.K, c.M, name, got.String(), want)
+		}
 	}
-	want, err := os.ReadFile("testdata/rs-4+2-64B.golden")
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRSCodeMatchesFieldArithmetic holds the packet kernel to the
+// generator it claims to evaluate: element o of a shard is bit o%8 of
+// byte o/8 of each of its 8 packets, and every parity element must be
+// Σ_j parity[i][j]·(element of data shard j), computed with gfMul.
+func TestRSCodeMatchesFieldArithmetic(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	element := func(s []byte, o int) (v byte) {
+		ps := len(s) / 8
+		for b := 0; b < 8; b++ {
+			v |= (s[b*ps+o/8] >> (o % 8) & 1) << b
+		}
+		return v
 	}
-	if got.String() != string(want) {
-		t.Fatalf("rs-4+2 fragments of the golden chunk changed:\n%swant:\n%s", got.String(), want)
+	for _, km := range [][2]int{{1, 2}, {4, 2}, {5, 2}, {4, 3}, {2, 1}} {
+		c, err := NewRSCode(km[0], km[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, 1000)
+		rng.Read(data)
+		shards := c.Encode(data)
+		for o := 0; o < len(shards[0]); o++ {
+			for i, row := range c.parity {
+				var want byte
+				for j, a := range row {
+					want ^= gfMul(a, element(shards[j], o))
+				}
+				if got := element(shards[c.K+i], o); got != want {
+					t.Fatalf("rs-%d+%d parity %d element %d = %#x, want %#x", c.K, c.M, i, o, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRSCodeLightestRowIsMDS: for every k an rs-k+2 code admits, the
+// second parity row holds k distinct nonzero elements and the first is
+// all ones — the two facts the MDS argument in RSCode rests on.
+func TestRSCodeLightestRowIsMDS(t *testing.T) {
+	for k := 1; k <= 254; k++ {
+		c, err := NewRSCode(k, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[byte]bool)
+		for j, a := range c.parity[1] {
+			if a == 0 || seen[a] {
+				t.Fatalf("rs-%d+2: second parity row entry %d is %d (zero or repeated): %v", k, j, a, c.parity[1])
+			}
+			seen[a] = true
+		}
+		if len(c.parity[1]) != k || slices.ContainsFunc(c.parity[0], func(x byte) bool { return x != 1 }) {
+			t.Fatalf("rs-%d+2: parity rows %v / %v", k, c.parity[0], c.parity[1])
+		}
+	}
+	if c, _ := NewRSCode(4, 2); !slices.Equal(c.parity[1], []byte{1, 2, 142, 4}) {
+		t.Fatalf("rs-4+2's second parity row is %v, want the lightest elements [1 2 142 4]", c.parity[1])
+	}
+}
+
+// TestRSCodeEncodeCost pins what an rs-4+2 encode costs: 76 (r, t)
+// packet terms over both parity rows — 32 for the all-ones row, 44 for
+// the lightest row — where the scaled Cauchy rows took 174.
+func TestRSCodeEncodeCost(t *testing.T) {
+	cauchy := 0
+	for j := 0; j < 4; j++ {
+		cauchy += ones(1) + ones(gfMul(gfInv(byte(5^j)), byte(4^j)))
+	}
+	if cauchy != 174 {
+		t.Errorf("rs-4+2's scaled Cauchy rows cost %d packet terms, want 174", cauchy)
+	}
+	for _, tc := range []struct{ k, m, terms int }{{4, 2, 76}, {8, 2, 64 + 111}, {2, 1, 16}} {
+		c, err := NewRSCode(tc.k, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, sum := 0, 0
+		for i, row := range c.rows {
+			for _, terms := range row {
+				n += len(terms)
+			}
+			for _, a := range c.parity[i] {
+				sum += ones(a)
+			}
+		}
+		if n != tc.terms || sum != n {
+			t.Errorf("rs-%d+%d generator has %d packet terms (%d by its coefficients), want %d", tc.k, tc.m, n, sum, tc.terms)
+		}
+	}
+}
+
+// TestRSCodeEmptyChunk: a chunk of 0 bytes still encodes to k+m non-nil
+// empty shards, and losing any m of them reconstructs.
+func TestRSCodeEmptyChunk(t *testing.T) {
+	for _, km := range [][2]int{{4, 2}, {4, 3}, {2, 1}} {
+		c, err := NewRSCode(km[0], km[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := c.Encode(nil)
+		if len(shards) != c.K+c.M {
+			t.Fatalf("rs-%d+%d: empty chunk encodes to %d shards", c.K, c.M, len(shards))
+		}
+		for i, s := range shards {
+			if s == nil || len(s) != 0 {
+				t.Fatalf("rs-%d+%d: empty chunk's shard %d is %v, want non-nil and empty", c.K, c.M, i, s)
+			}
+		}
+		for i := 0; i < c.M; i++ { // data shard 0 and the last m-1 parity shards
+			shards[(c.K+c.M-i)%(c.K+c.M)] = nil
+		}
+		dataOnly, fill := slices.Clone(shards), make([][]byte, c.K)
+		fill[0] = []byte{}
+		if err := c.ReconstructData(dataOnly, fill); err != nil || dataOnly[0] == nil {
+			t.Fatalf("rs-%d+%d: data-only rebuild of an empty shard: %v, %v", c.K, c.M, dataOnly[0], err)
+		}
+		if err := c.Reconstruct(shards); err != nil {
+			t.Fatalf("rs-%d+%d: reconstruct empty chunk: %v", c.K, c.M, err)
+		}
+		for i, s := range shards {
+			if s == nil || len(s) != 0 {
+				t.Fatalf("rs-%d+%d: reconstructed empty shard %d is %v", c.K, c.M, i, s)
+			}
+		}
 	}
 }
 

@@ -656,7 +656,7 @@ func runE14(w io.Writer, quick bool) error {
 	}
 	run := bench.NewTable(
 		fmt.Sprintf("E14: checkpoint blaster (%d ranks x %d segments x 32 KiB, %d epochs, keep 2, kill mid-run)", ranks, spec.Segments, epochs),
-		"written MiB", "restores", "chunks repaired", "versions reclaimed")
+		"written MiB", "restores (free-running)", "chunks repaired", "versions reclaimed")
 	run.AddRow(fmt.Sprintf("%.1f", float64(res.WrittenBytes)/(1<<20)), fmt.Sprint(res.Restores), fmt.Sprint(res.Repaired), fmt.Sprint(res.Reclaimed))
 	if err := render(w, run); err != nil {
 		return err

@@ -226,9 +226,9 @@ func span(i int, ss, off, length int64) (flo, fhi int64) {
 //
 // Slabs are not zeroed. That is sound because every byte served from one
 // was either read whole from a store or rebuilt by ReconstructData, which
-// clears what it fills first; a slot that neither happened to — a missing
-// fragment the range does not cover, a parity slot never read — lies
-// outside the range.
+// overwrites every byte of what it fills without reading it first; a slot
+// that neither happened to — a missing fragment the range does not cover,
+// a parity slot never read — lies outside the range.
 func (r *Router) readCoded(code *chunk.RSCode, ids []ID, q chunkRead) (out served, skips, storeErrs int, err error) {
 	k, n := code.K, code.K+code.M
 	key, off, length := q.key, q.off, q.length
