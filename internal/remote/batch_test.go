@@ -28,6 +28,37 @@ func putBatch(version uint64, n, size int) []framedCall {
 	return batch
 }
 
+// callBatch is n calls of op under one version, each carrying (or, a
+// get, asking for) size bytes; try-gets carry none.
+func callBatch(op byte, n, size int) []framedCall {
+	if op == opPut {
+		return putBatch(1, n, size)
+	}
+	batch := make([]framedCall, n)
+	for i := range batch {
+		key := segtree.NodeKey{Version: 1, Offset: int64(i), Size: 1}
+		switch op {
+		case opGet:
+			batch[i] = getCall(nil, 0, int64(size), chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}, 0)
+		case opNodePut:
+			batch[i] = nodeCall(op, 1, key, make([]byte, size))
+		default: // opNodeTryGet
+			batch[i] = nodeCall(op, 1, key, nil)
+		}
+	}
+	return batch
+}
+
+// trainLengths is the calls per train a batch of n calls of size bytes
+// each is cut into.
+func trainLengths(op byte, n, size int) []int {
+	var lengths []int
+	for _, tr := range cutTrains(callBatch(op, n, size)) {
+		lengths = append(lengths, len(tr.calls))
+	}
+	return lengths
+}
+
 // trainSeries gives p a train histogram of its own and returns a reader
 // of (trains, calls carried) so far.
 func trainSeries(p *framedPool) func() (trains, calls float64) {
@@ -39,28 +70,39 @@ func trainSeries(p *framedPool) func() (trains, calls float64) {
 	}
 }
 
-// TestBatchIsCutAtTheTrainBounds: a batch becomes as many trains as it
-// could use connections, of equal length — and more, shorter ones where
-// 32 calls or 1 MiB of payload say so. Every call is in exactly one
-// train, in batch order.
+// TestBatchIsCutAtTheTrainBounds: a batch becomes one train per 128 KiB
+// of its payload or part of it, at least two (so a batch of two calls or
+// more never rides one) and at most one per connection, of equal length
+// — and more, shorter ones where 32 calls or 1 MiB of payload say so.
+// Every call is in exactly one train, in batch order.
 func TestBatchIsCutAtTheTrainBounds(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
+		op      byte // opPut, opGet (size bytes asked for), opNodePut or opNodeTryGet (no body)
 		n, size int
 		want    []int // calls per train
 	}{
-		{"one call", 1, 100, []int{1}},
-		{"two calls, two trains", 2, 100, []int{1, 1}},
-		{"five calls", 5, 100, []int{2, 2, 1}},
-		{"a tile write's node puts", 127, 60, []int{32, 32, 32, 31}},
-		{"a tile write's chunk puts", 92, 22 << 10, []int{23, 23, 23, 23}},
-		{"past the call bound", 200, 10, []int{32, 32, 32, 32, 32, 32, 8}},
-		{"past the byte bound", 12, 400 << 10, []int{2, 2, 2, 2, 2, 2}},
-		{"megabyte chunks travel alone", 8, 1 << 20, []int{1, 1, 1, 1, 1, 1, 1, 1}},
-		{"oversized calls travel alone too", 3, 2 << 20, []int{1, 1, 1}},
+		{"one call", opPut, 1, 100, []int{1}},
+		{"two calls, two trains", opPut, 2, 100, []int{1, 1}},
+		{"five calls", opPut, 5, 100, []int{3, 2}},
+		{"two 128 KiB calls, two trains", opPut, 2, 128 << 10, []int{1, 1}},
+		{"an 8-row subarray read", opGet, 8, 16 << 10, []int{4, 4}},
+		{"a 15-row subarray read", opGet, 15, 16 << 10, []int{8, 7}},
+		{"a subarray read", opGet, 16, 16 << 10, []int{8, 8}},
+		{"just over 256 KiB, three trains", opPut, 3, 86 << 10, []int{1, 1, 1}},
+		{"a subarray producer's node puts", opNodePut, 11, 60, []int{6, 5}},
+		{"a tile write's predecessor try-gets", opNodeTryGet, 92, 0, []int{32, 32, 28}},
+		{"a tile write's node puts", opNodePut, 127, 60, []int{32, 32, 32, 31}},
+		{"a tile write's chunk puts", opPut, 92, 22 << 10, []int{23, 23, 23, 23}},
+		{"a tile read's gets", opGet, 122, 16 << 10, []int{31, 31, 31, 29}},
+		{"past the call bound", opPut, 200, 10, []int{32, 32, 32, 32, 32, 32, 8}},
+		{"past the byte bound", opPut, 12, 400 << 10, []int{2, 2, 2, 2, 2, 2}},
+		{"megabyte chunks travel alone", opPut, 8, 1 << 20, []int{1, 1, 1, 1, 1, 1, 1, 1}},
+		{"megabyte gets travel alone", opGet, 8, 1 << 20, []int{1, 1, 1, 1, 1, 1, 1, 1}},
+		{"oversized calls travel alone too", opPut, 3, 2 << 20, []int{1, 1, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			batch := putBatch(1, tc.n, tc.size)
+			batch := callBatch(tc.op, tc.n, tc.size)
 			var got []int
 			next := 0
 			for _, tr := range cutTrains(batch) {
@@ -93,26 +135,63 @@ func TestBatchIsCutAtTheTrainBounds(t *testing.T) {
 // TestBatchOfTwoUsesTwoConnections: the two pieces of a small write move
 // on two sockets at once, not one behind the other.
 func TestBatchOfTwoUsesTwoConnections(t *testing.T) {
+	if trains := batchUsesConnections(t, 2, 100); trains != 2 {
+		t.Fatalf("two small puts left as %d trains, want 2", trains)
+	}
+}
+
+// TestBatchNeverLeavesAsOneTrain: a batch of two calls or more is never
+// one train, however few bytes it carries — a 128 KiB read no more than
+// a 256 KiB one. A caller whose batch left as one train would run it
+// alone, with no helper goroutine, and an open-loop writer's timer beside
+// such reads was seen to fire tens of milliseconds late.
+func TestBatchNeverLeavesAsOneTrain(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		n, size int
+	}{
+		{"a subarray producer's node puts' size", 11, 60},
+		{"an 8-row subarray read's size", 8, 16 << 10},
+		{"a 15-row subarray read's size", 15, 16 << 10},
+		{"a subarray read's size", 16, 16 << 10},
+		{"a tile write's size", 92, 22 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if trains := batchUsesConnections(t, tc.n, tc.size); trains < 2 {
+				t.Fatalf("%d x %d bytes left as one train", tc.n, tc.size)
+			}
+		})
+	}
+}
+
+// batchUsesConnections runs a batch of n puts of size bytes against a
+// server that withholds every reply and checks that the batch's trains
+// all leave at once, each on a connection of its own; it returns how
+// many trains the batch was cut into.
+func batchUsesConnections(t *testing.T, n, size int) (trains int) {
+	t.Helper()
+	trains = len(trainLengths(opPut, n, size))
+	batch := putBatch(1, n, size)
 	srv := startHoldingFramedServer(t)
 	pool := newFramedPool(srv.ln.Addr().String())
 	defer pool.close()
-	batch := putBatch(1, 2, 100)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		pool.run(batch)
 	}()
 	// The server reads a connection's next request only after it answered
-	// the last: two puts read with no reply released are two connections.
-	for i := 0; i < 2; i++ {
+	// the last: a put read per train with no reply released is a
+	// connection per train.
+	for i := 0; i < trains; i++ {
 		select {
 		case <-srv.got:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("the server read %d of the 2 puts while it withheld every reply", i)
+			t.Fatalf("the server read %d of %d trains' first puts while it withheld every reply", i, trains)
 		}
 	}
-	if n := srv.accepted.Load(); n != 2 {
-		t.Fatalf("%d connections accepted, want 2", n)
+	if got := srv.accepted.Load(); got != int64(trains) {
+		t.Fatalf("%d connections accepted, want %d, one per train", got, trains)
 	}
 	srv.letGo()
 	<-done
@@ -121,6 +200,7 @@ func TestBatchOfTwoUsesTwoConnections(t *testing.T) {
 			t.Errorf("put %d: ids %v, %v", i, batch[i].ids, batch[i].err)
 		}
 	}
+	return trains
 }
 
 // TestBatchServerErrorFailsThatCallAlone: one chunk of a batch is stored
@@ -169,8 +249,9 @@ func TestBatchServerErrorFailsThatCallAlone(t *testing.T) {
 
 // TestBatchResendsOnlyUnansweredCallsOnce: the connection under one train
 // of a batch drops after the server answered the train's first call. That
-// call keeps its answer; the call the drop hit and the one behind it are
-// re-sent on one fresh dial, once; the batch's other trains never notice.
+// call keeps its answer; the call the drop hit and those behind it in its
+// train are re-sent on one fresh dial, once; the batch's other trains
+// never notice.
 func TestBatchResendsOnlyUnansweredCallsOnce(t *testing.T) {
 	for _, kind := range poolPuts {
 		t.Run(kind.name, func(t *testing.T) {
@@ -183,7 +264,7 @@ func TestBatchResendsOnlyUnansweredCallsOnce(t *testing.T) {
 			lone := occupy(t, srv, func(version uint64, i int, body []byte) ([]provider.ID, error) {
 				return kind.put(pool, version, i, body)
 			})
-			srv.letGo()
+			srv.answer(framedPoolCap)
 			for i := 0; i < framedPoolCap; i++ {
 				if err := <-lone; err != nil {
 					t.Fatal(err)
@@ -191,9 +272,21 @@ func TestBatchResendsOnlyUnansweredCallsOnce(t *testing.T) {
 			}
 			waitFor(t, "every connection to come back idle", func() bool { _, idle, _ := poolCounts(pool); return idle == framedPoolCap })
 
-			// Ten calls are cut 3, 3, 3, 1; the drop hits the middle call of
-			// the second train.
-			const n, hit = 10, 4
+			// Ten calls of 64 KiB are cut 3, 3, 3, 1; the drop hits the
+			// middle call of the second train, and the rest of that train
+			// is re-sent with it.
+			const n, hit, size = 10, 4, 64 << 10
+			cut := trainLengths(opPut, n, size)
+			if len(cut) < 2 || len(cut) > framedPoolCap {
+				t.Fatalf("a batch of %d x %d bytes is cut %v: want a train per connection, more than one", n, size, cut)
+			}
+			resent := 0 // the calls from hit to the end of its train
+			for end, i := 0, 0; resent == 0; i++ {
+				if end += cut[i]; end > hit {
+					resent = end - hit
+				}
+			}
+			body := bytes.Repeat([]byte("batch"), size/5+1)[:size]
 			batch := make([]framedCall, n)
 			for i := range batch {
 				version := uint64(2)
@@ -201,13 +294,25 @@ func TestBatchResendsOnlyUnansweredCallsOnce(t *testing.T) {
 					version = dropVersion
 				}
 				if kind.echoes {
-					batch[i] = putCall(chunk.Key{Blob: 1, Version: version, Index: uint32(100 + i)}, []byte("batch"))
+					batch[i] = putCall(chunk.Key{Blob: 1, Version: version, Index: uint32(100 + i)}, body)
 				} else {
-					batch[i] = nodeCall(opNodePut, 1, segtree.NodeKey{Version: version, Offset: int64(100 + i), Size: 1}, []byte("batch"))
+					batch[i] = nodeCall(opNodePut, 1, segtree.NodeKey{Version: version, Offset: int64(100 + i), Size: 1}, body)
 				}
 			}
 			srv.dropArmed.Store(true)
-			pool.run(batch)
+			ran := make(chan struct{})
+			go func() {
+				defer close(ran)
+				pool.run(batch)
+			}()
+			// Every train holds its connection before any reply is
+			// released, so the drop flushes no idle connection a train of
+			// the batch was about to take.
+			for range cut {
+				<-srv.got
+			}
+			srv.letGo()
+			<-ran
 			if srv.dropArmed.Load() {
 				t.Fatal("the server never dropped a connection")
 			}
@@ -215,7 +320,7 @@ func TestBatchResendsOnlyUnansweredCallsOnce(t *testing.T) {
 				if err := batch[i].err; err != nil || (kind.echoes && (len(batch[i].ids) != 1 || batch[i].ids[0] != provider.ID(100+i))) {
 					t.Errorf("call %d: ids %v, %v", i, batch[i].ids, err)
 				}
-				if batch[i].retried != (i == hit || i == hit+1) {
+				if batch[i].retried != (hit <= i && i < hit+resent) {
 					t.Errorf("call %d: re-sent = %v", i, batch[i].retried)
 				}
 			}
@@ -224,12 +329,13 @@ func TestBatchResendsOnlyUnansweredCallsOnce(t *testing.T) {
 			}
 			// Every put the server read to its end it answered, and none
 			// twice: the lone ones, then the batch's ten.
-			if got := len(srv.got); got != n {
+			if got := len(cut) + len(srv.got); got != n {
 				t.Errorf("the server read %d puts of the batch to their end, want %d", got, n)
 			}
-			// Four lone trains, the batch's four, and the re-sent pair.
-			if count, sum := trains(); count != framedPoolCap+4+1 || sum != framedPoolCap+n+2 {
-				t.Errorf("%v trains carried %v calls, want %d and %d", count, sum, framedPoolCap+4+1, framedPoolCap+n+2)
+			// The lone trains, the batch's, and the re-sent calls.
+			wantCount, wantSum := float64(framedPoolCap+len(cut)+1), float64(framedPoolCap+n+resent)
+			if count, sum := trains(); count != wantCount || sum != wantSum {
+				t.Errorf("%v trains carried %v calls, want %v and %v", count, sum, wantCount, wantSum)
 			}
 		})
 	}
@@ -251,24 +357,30 @@ func TestBatchQueuedAtCloseFailsEveryMember(t *testing.T) {
 		return c.Put(chunk.Key{Blob: 1, Version: version, Index: uint32(i)}, body)
 	})
 
-	const n = 10 // cut 3, 3, 3, 1: the caller and three helpers queue a train each
+	// Ten calls of 64 KiB are cut 3, 3, 3, 1: the caller and three
+	// helpers queue a train each. The second batch is small, two trains.
+	const n, size, small = 10, 64 << 10, 16
+	first, second := len(trainLengths(opPut, n, size)), len(trainLengths(opPut, n, small))
+	if first < 2 {
+		t.Fatalf("a batch of %d x %d bytes is one train: no helper to leave the queue", n, size)
+	}
 	keys, data := make([]chunk.Key, n), make([][]byte, n)
 	for i := range keys {
-		keys[i], data[i] = chunk.Key{Blob: 1, Version: 2, Index: uint32(i)}, []byte("queued")
+		keys[i], data[i] = chunk.Key{Blob: 1, Version: 2, Index: uint32(i)}, bytes.Repeat([]byte{byte(i)}, size)
 	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.PutMany(keys, data)
 		done <- err
 	}()
-	waitFor(t, "the batch's trains to queue", func() bool { _, _, q := poolCounts(c.pool); return q == framedPoolCap })
-	batch := putBatch(3, n, 16)
+	waitFor(t, "the batch's trains to queue", func() bool { _, _, q := poolCounts(c.pool); return q == first })
+	batch := putBatch(3, n, small)
 	ran := make(chan struct{})
 	go func() {
 		defer close(ran)
 		c.pool.run(batch)
 	}()
-	waitFor(t, "the second batch's trains to queue", func() bool { _, _, q := poolCounts(c.pool); return q == 2*framedPoolCap })
+	waitFor(t, "the second batch's trains to queue", func() bool { _, _, q := poolCounts(c.pool); return q == first+second })
 
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -807,11 +807,29 @@ func (s *framedServer) callVM(h frameHeader, req []byte) ([]byte, error) {
 // --- client side ---
 
 // framedPoolCap bounds the connections, in use plus idle, a pool keeps
-// to its endpoint. More connections buy parallelism at the server and
-// cost shorter trains: tile_atomic's many-piece writes and reads are
-// fastest on 2 or 4, checkpoint_restore's 1 MiB transfers flat from 2 to
-// 16 (CHANGES.md, PR 17); 4 keeps four large transfers moving at once.
+// to its endpoint, and so the trains a batch is cut into by its payload
+// (cutTrains). More connections buy parallelism at the server and cost
+// shorter trains: tile_atomic's many-piece writes and reads are fastest
+// on 2 or 4, checkpoint_restore's 1 MiB transfers flat from 2 to 16
+// (CHANGES.md); 4 keeps four large transfers moving at once.
 const framedPoolCap = 4
+
+// minTrainBytes is the payload one train of a batch carries at most
+// before the batch is cut into one more, from two up to framedPoolCap: a
+// list of small calls travels in as few round trips as its bytes need,
+// not in one per connection, since a round trip's fixed cost dominates a
+// small list. Swept on subarray_reread_beside_writer (a 16 x 16 KiB read
+// beside an open-loop writer, 2-vCPU loopback host): at 64 KiB that read
+// is 4 trains, one per connection, and gains nothing; at 128 KiB it is 2,
+// read_mibps +12 % with the writer on time.
+//
+// A batch of two calls or more is never one train, whatever its bytes:
+// its caller would run it alone, with no helper goroutine, and the
+// writer beside reads so cut starved — 16, 15 or 8 x 16 KiB reads as one
+// train gained up to 40 % read_mibps, but a fifth to a third of the
+// writes started over 5 ms late, the latest 104 ms. The likely cause: no
+// new goroutine wakes the idle P that holds the writer's timer.
+const minTrainBytes = 128 << 10
 
 // A train is the run of calls one connection carries in one round trip:
 // at most maxTrainCalls of them and, past the first, at most
@@ -883,16 +901,17 @@ type framedConn struct {
 
 // framedPool runs batches of framed calls — all of a caller's calls of
 // one kind at once — over a bounded set of connections to one endpoint.
-// It cuts a batch into trains within the train bounds, no fewer than the
-// connections the batch could use (a write of two pieces moves on two
-// sockets), each carried in one round trip. A train that finds a
-// connection free, or room to dial one, leaves at once; otherwise it
-// queues, and a connection that comes free takes the head of the queue
-// plus the trains of the same kind behind it, up to the bounds — so
-// concurrent lone callers share round trips too. Whoever brought the head
-// train leads: no pool goroutine, no timer, and of one batch only the
-// caller and at most framedPoolCap-1 helpers block. Steady state dials
-// nothing.
+// It cuts a batch into trains by its payload, one per minTrainBytes or
+// part of it, two at least (the two pieces of a small write still move
+// on two sockets) and one per connection at most, and more where the
+// train bounds say so, each carried in one round trip. A train that
+// finds a connection free, or room to dial one, leaves at once;
+// otherwise it queues, and a connection that comes free takes the head
+// of the queue plus the trains of the same kind behind it, up to the
+// bounds — so concurrent lone callers share round trips too. Whoever
+// brought the head train leads: no pool goroutine, no timer, and of one
+// batch only the caller and at most framedPoolCap-1 helpers block.
+// Steady state dials nothing.
 type framedPool struct {
 	addr     string
 	max      int                // connections in use plus idle: framedPoolCap, or no bound
@@ -996,14 +1015,19 @@ func (p *framedPool) run(batch []framedCall) {
 	helpers.Wait()
 }
 
-// cutTrains cuts a batch into trains of equal length, as many as the
-// batch could use connections, shorter where the train bounds say so.
+// cutTrains cuts a batch into trains of equal length, one per
+// minTrainBytes of its payload or part of it, at least two (a lone call
+// is one) and at most framedPoolCap, shorter where the train bounds say
+// so.
 func cutTrains(batch []framedCall) []*framedTrain {
 	calls := make([]*framedCall, len(batch))
+	var total int64
 	for i := range batch {
 		calls[i] = &batch[i]
+		total += batch[i].payload()
 	}
-	per := min((len(batch)+framedPoolCap-1)/framedPoolCap, maxTrainCalls)
+	cut := int(min(max((total+minTrainBytes-1)/minTrainBytes, 2), framedPoolCap))
+	per := min((len(batch)+cut-1)/cut, maxTrainCalls)
 	var trains []*framedTrain
 	for len(calls) > 0 {
 		n, bytes := 1, calls[0].payload()
