@@ -51,6 +51,9 @@ const (
 
 // AllAtomicSystems lists every system that claims MPI atomicity, in
 // report order.
+// Kept for tests of two packages: TestRunOverlapAllAtomicSystemsVerify
+// here and TestPropRandomOverlapSerializableEverySystem in
+// internal/integration.
 func AllAtomicSystems() []SystemKind {
 	return []SystemKind{Versioning, LockWholeFile, LockBounding, LockList, LockConflictDetect, LockDataSieve}
 }

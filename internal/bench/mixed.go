@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/extent"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -107,8 +106,3 @@ func RunMixed(kind SystemKind, env cluster.Env, spec MixedSpec) (MixedResult, er
 	res.MaxReadLatency = res.ReadLatency.Max
 	return res, nil
 }
-
-// VersionedBackend exposes the versioning backend of a built system,
-// or nil for locking systems. Used by tests that need version-aware
-// access on top of a harness-built system.
-func (s *System) VersionedBackend() *core.VersioningBackend { return s.backend }

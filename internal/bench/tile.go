@@ -89,6 +89,8 @@ func RunTile(kind SystemKind, env cluster.Env, spec workload.TileSpec, opts Tile
 // RunHalo measures the ghost-cell dump workload (the motivating
 // application pattern): each rank writes its halo-extended subdomain
 // under MPI atomicity.
+// Kept for tests of two packages: TestRunHalo here and the root
+// package's BenchmarkHaloDump; no experiment table runs it.
 func RunHalo(kind SystemKind, env cluster.Env, spec workload.HaloSpec, iterations int) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err

@@ -179,12 +179,16 @@ func newBlob(svc Services, id uint64, geo segtree.Geometry) *Blob {
 }
 
 // NodeCacheStats reports the handle's tree-node cache counters.
+// Public through repro.Store.Backend().Blob();
+// TestReaderFollowsWriterThroughNodeCache and, in internal/remote,
+// TestWalkCostsOneRoundTrip read it.
 func (b *Blob) NodeCacheStats() segtree.NodeCacheStats { return b.nodes.Stats() }
 
 // ID returns the blob identifier.
 func (b *Blob) ID() uint64 { return b.id }
 
 // Geometry returns the blob's tree geometry.
+// Public through repro.Store.Backend().Blob().
 func (b *Blob) Geometry() segtree.Geometry { return b.geo }
 
 // WriteList atomically writes a non-contiguous vector of extents,
@@ -571,6 +575,8 @@ func (b *Blob) Retain(keepLast int) ([]uint64, error) {
 // DropVersion removes one published version from the readable set and
 // queues it for chunk reclamation. The latest version, version 0 and
 // pinned versions are refused.
+// Public through repro.Store.Backend().Blob(); tests in internal/blob,
+// internal/core, internal/remote and internal/vmanager call it.
 func (b *Blob) DropVersion(v uint64) error {
 	return b.svc.VM.DropVersion(b.id, v)
 }

@@ -96,8 +96,6 @@ type Store interface {
 	// ErrNotFound. Only the garbage collector may call this, and only
 	// for chunks no retained version references.
 	Delete(key Key) error
-	// Count returns the number of chunks held.
-	Count() int
 	// Usage reports the chunks held and their total payload bytes —
 	// the accounting behind per-provider space reporting (bsctl usage)
 	// and reclamation verification.
@@ -200,13 +198,6 @@ func (s *MemStore) Delete(key Key) error {
 		s.meter.Charge(0)
 	}
 	return nil
-}
-
-// Count implements Store.
-func (s *MemStore) Count() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.chunks)
 }
 
 // Usage implements Store.
@@ -562,13 +553,6 @@ func (s *DiskStore) Delete(key Key) error {
 		s.meter.Charge(0)
 	}
 	return nil
-}
-
-// Count implements Store.
-func (s *DiskStore) Count() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.known)
 }
 
 // Usage implements Store.

@@ -80,7 +80,7 @@ func runConformance(t *testing.T, s Store, fidelity bool) {
 	if n, err := s.Len(key); err != nil || n != int64(len(payload)) {
 		t.Fatalf("Len: got (%d, %v), want (%d, nil)", n, err, len(payload))
 	}
-	if c := s.Count(); c != 1 {
+	if c := chunksHeld(s); c != 1 {
 		t.Fatalf("Count: got %d, want 1", c)
 	}
 	if c, b := s.Usage(); c != 1 || b != int64(len(payload)) {
@@ -336,7 +336,7 @@ func TestDiskPutCrashSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := s2.Count(); c != 1 {
+	if c := chunksHeld(s2); c != 1 {
 		t.Fatalf("rescan indexed temp debris: Count=%d, want 1", c)
 	}
 	if _, err := os.Stat(planted); !os.IsNotExist(err) {

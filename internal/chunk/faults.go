@@ -56,6 +56,7 @@ func (f *FaultStore) FailNextPuts(n int64) { f.failPuts.Store(n) }
 
 // FailNextGets arms n upcoming Get failures. TestReadPathsAgree and
 // TestCodedReadCounts in internal/provider use it to fail one open.
+// Kept as a test seam (fault arming); no product code calls it.
 func (f *FaultStore) FailNextGets(n int64) { f.failGets.Store(n) }
 
 // SetDown enters (true) or leaves (false) permanent down mode. While
@@ -141,6 +142,7 @@ func (f *FaultStore) FailPutStreamAfter(n int64) { f.failPutStream.Store(n + 1) 
 // and TestCodedReadCounts in internal/provider, and
 // TestFramedGetTrainLeavesInOneVectoredWrite in internal/remote, cut a
 // read with it.
+// Kept as a test seam (fault arming); no product code calls it.
 func (f *FaultStore) FailGetStreamAfter(n int64) { f.failGetStream.Store(n + 1) }
 
 // claimStream takes an armed stream-fault threshold, returning
@@ -233,9 +235,6 @@ func (f *FaultStore) OpenReader(key Key, off, length int64) (io.ReadCloser, erro
 	}
 	return &faultReadCloser{faultReader: faultReader{r: rc, f: f, limit: limit}, c: rc}, nil
 }
-
-// Count implements Store.
-func (f *FaultStore) Count() int { return f.Inner.Count() }
 
 // Usage implements Store. Accounting is answered even while the store
 // is down: it models out-of-band bookkeeping, not a data-path request

@@ -124,13 +124,6 @@ func (s *NullStore) Delete(key Key) error {
 	return nil
 }
 
-// Count implements Store.
-func (s *NullStore) Count() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.sizes)
-}
-
 // Usage implements Store.
 func (s *NullStore) Usage() (int, int64) {
 	s.mu.RLock()

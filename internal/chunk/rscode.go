@@ -359,6 +359,9 @@ func (c *RSCode) Reconstruct(shards [][]byte) error {
 
 // Join concatenates the K data shards and trims padding to size bytes
 // — the inverse of Encode for an original chunk of that size.
+// Kept as the reference tests compare a decode against
+// (TestRSCodeRoundTrip, TestRSCodeAllLossPatterns, FuzzRSReconstruct);
+// reads assemble fragments without it.
 func (c *RSCode) Join(shards [][]byte, size int64) []byte {
 	out := make([]byte, 0, size)
 	for i := 0; i < c.K && int64(len(out)) < size; i++ {

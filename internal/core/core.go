@@ -46,7 +46,8 @@ type Version uint64
 //   - ReadList is atomic: it observes a state produced by whole write
 //     calls, never a partial write.
 type Backend interface {
-	// Name identifies the implementation in benchmark output.
+	// Name identifies the implementation in benchmark output. Public
+	// as repro.Backend.Name, as is Size.
 	Name() string
 	// WriteList atomically writes a non-contiguous vector and returns
 	// the snapshot version it produced (implementations without
@@ -58,18 +59,6 @@ type Backend interface {
 	ReadList(q extent.List) ([]byte, Version, error)
 	// Size returns the current file size (highest written byte + 1).
 	Size() (int64, error)
-}
-
-// Versioned is implemented by backends that retain historical
-// snapshots and can read them; only the versioning backend does.
-type Versioned interface {
-	Backend
-	// ReadListAt reads from a specific published snapshot.
-	ReadListAt(v Version, q extent.List) ([]byte, error)
-	// Latest returns the newest published version.
-	Latest() (Version, error)
-	// Versions enumerates all published snapshot versions.
-	Versions() ([]Version, error)
 }
 
 // Stats counts backend operations; all fields are cumulative.
@@ -106,10 +95,7 @@ func (v *VersioningBackend) SetMetrics(reg *metrics.Registry) {
 	v.met.pipeWriteSec = reg.Histogram("bs_pipe_write_seconds", nil)
 }
 
-var (
-	_ Backend   = (*VersioningBackend)(nil)
-	_ Versioned = (*VersioningBackend)(nil)
-)
+var _ Backend = (*VersioningBackend)(nil)
 
 // NewVersioning creates the blob backing a new versioning backend.
 func NewVersioning(svc blob.Services, blobID uint64, geo segtree.Geometry) (*VersioningBackend, error) {
@@ -157,7 +143,7 @@ func (v *VersioningBackend) ReadList(q extent.List) ([]byte, Version, error) {
 	return data, Version(ver), nil
 }
 
-// ReadListAt implements Versioned.
+// ReadListAt reads from a specific published snapshot.
 func (v *VersioningBackend) ReadListAt(ver Version, q extent.List) ([]byte, error) {
 	data, err := v.b.ReadList(uint64(ver), q)
 	if err != nil {
@@ -168,7 +154,7 @@ func (v *VersioningBackend) ReadListAt(ver Version, q extent.List) ([]byte, erro
 	return data, nil
 }
 
-// Latest implements Versioned.
+// Latest returns the newest published version.
 func (v *VersioningBackend) Latest() (Version, error) {
 	info, err := v.b.Latest()
 	if err != nil {
@@ -177,7 +163,7 @@ func (v *VersioningBackend) Latest() (Version, error) {
 	return Version(info.Version), nil
 }
 
-// Versions implements Versioned.
+// Versions enumerates all published snapshot versions.
 func (v *VersioningBackend) Versions() ([]Version, error) {
 	vs, err := v.b.Versions()
 	if err != nil {
@@ -233,6 +219,7 @@ func (v *VersioningBackend) Size() (int64, error) {
 }
 
 // Stats returns cumulative operation counters.
+// Public through repro.Store.Backend().
 func (v *VersioningBackend) Stats() Stats {
 	return Stats{
 		Writes:       v.writes.Load(),

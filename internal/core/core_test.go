@@ -47,7 +47,6 @@ func TestNameAndInterfaces(t *testing.T) {
 		t.Fatalf("name = %q", be.Name())
 	}
 	var _ Backend = be
-	var _ Versioned = be
 }
 
 func TestWriteListReadListRoundTrip(t *testing.T) {

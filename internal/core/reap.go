@@ -427,9 +427,6 @@ func (r *Reaper) Stats() ReaperStats {
 	return st
 }
 
-// QueueLen returns the current delete-queue depth.
-func (r *Reaper) QueueLen() int { return r.queue.len() }
-
 // Run starts the background wall-clock loop, ticking every
 // cfg.Interval until Stop. Starting an already running reaper is a
 // no-op.

@@ -32,13 +32,11 @@ type Elementary struct {
 	Width int64
 }
 
-// Common elementary types.
+// Common elementary types. Int32 is kept for tests of two packages:
+// TestContiguous here and TestViewValidate in internal/mpiio.
 var (
-	Byte    = Elementary{Width: 1}
-	Int32   = Elementary{Width: 4}
-	Int64   = Elementary{Width: 8}
-	Float32 = Elementary{Width: 4}
-	Float64 = Elementary{Width: 8}
+	Byte  = Elementary{Width: 1}
+	Int32 = Elementary{Width: 4}
 )
 
 // Size implements Datatype.
@@ -53,6 +51,10 @@ func (e Elementary) Flatten() extent.List {
 }
 
 // Contiguous repeats Base Count times back to back (MPI_Type_contiguous).
+// Kept, with Vector and Indexed, for tests of two packages: the
+// datatype tests and internal/mpiio's view tests (TestViewValidate,
+// TestViewExtentsVectorFiletype, TestPropViewExtentsMatchOracle) build
+// views from them; the workloads use Subarray alone.
 type Contiguous struct {
 	Count int
 	Base  Datatype
@@ -79,6 +81,7 @@ func (c Contiguous) Flatten() extent.List {
 
 // Vector is Count blocks of BlockLen base elements, spaced Stride base
 // elements apart (MPI_Type_vector).
+// Kept for tests of two packages (see Contiguous).
 type Vector struct {
 	Count    int
 	BlockLen int
@@ -113,6 +116,7 @@ func (v Vector) Flatten() extent.List {
 // Indexed places blocks of base elements at explicit displacements, in
 // the given order (MPI_Type_indexed). Displacements are in base-extent
 // units and must be non-decreasing with non-overlapping blocks.
+// Kept for tests of two packages (see Contiguous).
 type Indexed struct {
 	BlockLens []int
 	Displs    []int64

@@ -9,10 +9,10 @@ import (
 )
 
 func TestElementary(t *testing.T) {
-	if Byte.Size() != 1 || Int32.Size() != 4 || Int64.Size() != 8 || Float32.Size() != 4 || Float64.Size() != 8 {
+	if Byte.Size() != 1 || Int32.Size() != 4 || (Elementary{Width: 8}).Size() != 8 {
 		t.Fatal("elementary widths wrong")
 	}
-	fl := Float64.Flatten()
+	fl := Elementary{Width: 8}.Flatten()
 	if len(fl) != 1 || fl[0] != (extent.Extent{Offset: 0, Length: 8}) {
 		t.Fatalf("Flatten = %v", fl)
 	}
@@ -130,7 +130,7 @@ func TestSubarray2DWithElemWidth(t *testing.T) {
 		Sizes:    []int{3, 4},
 		Subsizes: []int{2, 2},
 		Starts:   []int{0, 1},
-		Elem:     Float64,
+		Elem:     Elementary{Width: 8},
 	}
 	want := extent.List{
 		{Offset: 8, Length: 16},  // (0*4+1)*8
@@ -219,7 +219,7 @@ func TestPropFlattenSizeConsistency(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		elem := []Datatype{Byte, Int32, Float64}[r.Intn(3)]
+		elem := []Datatype{Byte, Int32, Elementary{Width: 8}}[r.Intn(3)]
 		switch r.Intn(4) {
 		case 0:
 			return check(Contiguous{Count: r.Intn(10) + 1, Base: elem})

@@ -10,7 +10,6 @@ package extent
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -52,6 +51,7 @@ func (e Extent) Intersect(o Extent) Extent {
 // Union returns the smallest extent covering both inputs. It is only
 // meaningful when the extents overlap or touch; callers wanting exact set
 // union should use List operations.
+// Public as repro.Extent.Union.
 func (e Extent) Union(o Extent) Extent {
 	if e.Empty() {
 		return o
@@ -83,10 +83,6 @@ func (e Extent) Validate() error {
 	}
 	return nil
 }
-
-// ErrUnsorted is returned by strict constructors when input extents are
-// not sorted or overlap each other.
-var ErrUnsorted = errors.New("extent: list not sorted/disjoint")
 
 // List is a sequence of extents. A normalized list is sorted by offset,
 // contains no empty extents, and adjacent or overlapping extents are
@@ -309,12 +305,14 @@ func (l List) Union(o List) List {
 }
 
 // CoveredBy reports whether every byte of l is also covered by o.
+// Public as repro.ExtentList.CoveredBy.
 func (l List) CoveredBy(o List) bool {
 	return len(l.Subtract(o)) == 0
 }
 
 // Equal reports whether two normalized lists cover exactly the same byte
 // set. Inputs are normalized defensively.
+// Public as repro.ExtentList.Equal.
 func (l List) Equal(o List) bool {
 	a := l.Normalize()
 	b := o.Normalize()

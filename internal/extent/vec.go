@@ -24,6 +24,7 @@ func NewVec(extents List, buf []byte) (Vec, error) {
 }
 
 // Slice returns the sub-buffer of Buf corresponding to extent index i.
+// Public as repro.Vec.Slice.
 func (v Vec) Slice(i int) []byte {
 	var start int64
 	for j := 0; j < i; j++ {

@@ -48,18 +48,9 @@ func (c CostModel) Duration(n int64) time.Duration {
 // Zero reports whether the model charges nothing.
 func (c CostModel) Zero() bool { return c.PerOp == 0 && c.BytesPerSec == 0 }
 
-// Waiter blocks until a deadline. The default implementation spins
-// with scheduler yields; tests may substitute NopClock.
-type Waiter interface {
-	WaitUntil(deadline time.Time)
-}
-
-// SpinClock waits by yielding-spinning on the monotonic clock. It is
+// waitUntil waits by yielding-spinning on the monotonic clock. It is
 // accurate to a few microseconds even when waiters outnumber cores.
-type SpinClock struct{}
-
-// WaitUntil implements Waiter.
-func (SpinClock) WaitUntil(deadline time.Time) {
+func waitUntil(deadline time.Time) {
 	// For long waits, sleep off the bulk and spin only the tail, so a
 	// heavily queued server does not burn a core for its whole backlog.
 	const spinTail = 2 * time.Millisecond
@@ -79,12 +70,6 @@ func (SpinClock) WaitUntil(deadline time.Time) {
 	}
 }
 
-// NopClock ignores all waits; used by fast unit tests.
-type NopClock struct{}
-
-// WaitUntil implements Waiter.
-func (NopClock) WaitUntil(time.Time) {}
-
 // Meter is the per-server accounting object: it applies the cost model
 // and tracks operation statistics. A Meter is safe for concurrent use.
 //
@@ -95,7 +80,6 @@ func (NopClock) WaitUntil(time.Time) {}
 // caller's latency.
 type Meter struct {
 	model     CostModel
-	clock     Waiter
 	exclusive bool
 
 	mu        sync.Mutex // guards busyUntil
@@ -110,11 +94,8 @@ type Meter struct {
 // serialize the simulated service time, modelling a server with a
 // single bandwidth-limited resource.
 func NewMeter(model CostModel, exclusive bool) *Meter {
-	return &Meter{model: model, clock: SpinClock{}, exclusive: exclusive}
+	return &Meter{model: model, exclusive: exclusive}
 }
-
-// SetClock substitutes the waiter; intended for tests.
-func (m *Meter) SetClock(w Waiter) { m.clock = w }
 
 // Charge accounts one operation of n bytes, blocking for the simulated
 // service time.
@@ -136,10 +117,10 @@ func (m *Meter) Charge(n int64) {
 		deadline := start.Add(d)
 		m.busyUntil = deadline
 		m.mu.Unlock()
-		m.clock.WaitUntil(deadline)
+		waitUntil(deadline)
 		return
 	}
-	m.clock.WaitUntil(time.Now().Add(d))
+	waitUntil(time.Now().Add(d))
 }
 
 // ChargeDuration accounts an operation with an explicit duration
@@ -163,10 +144,10 @@ func (m *Meter) ChargeDuration(d time.Duration) {
 		deadline := start.Add(d)
 		m.busyUntil = deadline
 		m.mu.Unlock()
-		m.clock.WaitUntil(deadline)
+		waitUntil(deadline)
 		return
 	}
-	m.clock.WaitUntil(time.Now().Add(d))
+	waitUntil(time.Now().Add(d))
 }
 
 // Stats is a snapshot of meter counters.
@@ -191,9 +172,6 @@ func (m *Meter) Reset() {
 	m.bytes.Store(0)
 	m.busy.Store(0)
 }
-
-// Model returns the meter's cost model.
-func (m *Meter) Model() CostModel { return m.model }
 
 // DefaultNetwork is a representative cost model for one storage server
 // reachable over a cluster network, tuned so experiments complete in

@@ -43,7 +43,6 @@ func TestMeterCounters(t *testing.T) {
 
 func TestMeterBusyAccumulates(t *testing.T) {
 	m := NewMeter(CostModel{PerOp: time.Millisecond}, true)
-	m.SetClock(NopClock{})
 	for i := 0; i < 5; i++ {
 		m.Charge(0)
 	}

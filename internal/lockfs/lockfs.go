@@ -22,9 +22,6 @@ import (
 	"repro/internal/lockmgr"
 )
 
-// ErrNotFound is returned when opening an unknown file.
-var ErrNotFound = errors.New("lockfs: file not found")
-
 // ErrExists is returned when creating a file twice.
 var ErrExists = errors.New("lockfs: file already exists")
 
@@ -83,21 +80,6 @@ func New(cfg Config) (*FS, error) {
 	return fs, nil
 }
 
-// StripeSize returns the stripe unit.
-func (fs *FS) StripeSize() int64 { return fs.stripeSize }
-
-// OSTCount returns the number of OSTs.
-func (fs *FS) OSTCount() int { return len(fs.osts) }
-
-// OSTMeters returns the per-OST meters for inspection.
-func (fs *FS) OSTMeters() []*iosim.Meter {
-	out := make([]*iosim.Meter, len(fs.osts))
-	for i, o := range fs.osts {
-		out[i] = o.meter
-	}
-	return out
-}
-
 // Create creates a new file.
 func (fs *FS) Create(name string) (*File, error) {
 	fs.mu.Lock()
@@ -116,17 +98,6 @@ func (fs *FS) Create(name string) (*File, error) {
 	return f, nil
 }
 
-// Open returns an existing file.
-func (fs *FS) Open(name string) (*File, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return f, nil
-}
-
 // File is a handle to one striped file. All methods are safe for
 // concurrent use.
 type File struct {
@@ -136,12 +107,6 @@ type File struct {
 	lm   *lockmgr.Manager
 	size atomic.Int64
 }
-
-// Name returns the file name.
-func (f *File) Name() string { return f.name }
-
-// Size returns the current file size.
-func (f *File) Size() int64 { return f.size.Load() }
 
 // LockManager exposes the file's distributed lock manager; the MPI-I/O
 // layer uses it to implement atomicity strategies (whole-file and

@@ -35,18 +35,11 @@ func TestCreateOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Name() != "a" {
-		t.Fatalf("name = %q", f.Name())
+	if fs.files["a"] != f {
+		t.Fatal("created file is not the one the file system holds")
 	}
 	if _, err := fs.Create("a"); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate create err = %v", err)
-	}
-	f2, err := fs.Open("a")
-	if err != nil || f2 != f {
-		t.Fatalf("Open = %v, %v", f2, err)
-	}
-	if _, err := fs.Open("b"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing open err = %v", err)
 	}
 }
 
@@ -64,8 +57,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("read = %q", got)
 	}
-	if f.Size() != 10+int64(len(data)) {
-		t.Fatalf("size = %d", f.Size())
+	if size := f.Stats().Size; size != 10+int64(len(data)) {
+		t.Fatalf("size = %d", size)
 	}
 }
 
@@ -114,8 +107,8 @@ func TestStripingUsesAllOSTs(t *testing.T) {
 	if err := f.WriteAt(0, make([]byte, 8*64)); err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range fs.OSTMeters() {
-		st := m.Stats()
+	for i, o := range fs.osts {
+		st := o.meter.Stats()
 		if st.Bytes != 2*64 {
 			t.Fatalf("OST %d got %d bytes, want %d", i, st.Bytes, 2*64)
 		}
@@ -127,8 +120,8 @@ func TestSizeWatermarkMonotonic(t *testing.T) {
 	f, _ := fs.Create("f")
 	f.WriteAt(100, []byte{1})
 	f.WriteAt(0, []byte{1})
-	if f.Size() != 101 {
-		t.Fatalf("size = %d, want 101", f.Size())
+	if size := f.Stats().Size; size != 101 {
+		t.Fatalf("size = %d, want 101", size)
 	}
 }
 

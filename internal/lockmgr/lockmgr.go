@@ -83,9 +83,6 @@ func New(model iosim.CostModel) *Manager {
 	return m
 }
 
-// Meter exposes the request meter.
-func (m *Manager) Meter() *iosim.Meter { return m.meter }
-
 // Grant represents a held lock; Release returns it. A grant covering a
 // multi-range list charges one unlock RPC per range on release,
 // mirroring the per-extent charges of its acquisition.
@@ -211,11 +208,4 @@ func (m *Manager) Stats() Stats {
 		TotalWait: time.Duration(m.waitNanos.Load()),
 		MaxQueue:  m.maxQueue.Load(),
 	}
-}
-
-// HeldCount returns the number of currently held locks (for tests).
-func (m *Manager) HeldCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.held)
 }

@@ -13,12 +13,12 @@ import (
 func TestAcquireReleaseBasic(t *testing.T) {
 	m := New(iosim.CostModel{})
 	g := m.Acquire(extent.Extent{Offset: 0, Length: 100}, Exclusive)
-	if m.HeldCount() != 1 {
-		t.Fatalf("held = %d", m.HeldCount())
+	if heldCount(m) != 1 {
+		t.Fatalf("held = %d", heldCount(m))
 	}
 	g.Release()
-	if m.HeldCount() != 0 {
-		t.Fatalf("held after release = %d", m.HeldCount())
+	if heldCount(m) != 0 {
+		t.Fatalf("held after release = %d", heldCount(m))
 	}
 	// Double release is a no-op.
 	g.Release()
@@ -170,8 +170,8 @@ func TestAcquireListOrderedNoDeadlock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("AcquireList deadlocked")
 	}
-	if m.HeldCount() != 0 {
-		t.Fatalf("leaked %d locks", m.HeldCount())
+	if heldCount(m) != 0 {
+		t.Fatalf("leaked %d locks", heldCount(m))
 	}
 }
 
@@ -197,7 +197,7 @@ func TestMeterCharged(t *testing.T) {
 	m := New(iosim.CostModel{})
 	g := m.Acquire(extent.Extent{Offset: 0, Length: 1}, Exclusive)
 	g.Release()
-	if got := m.Meter().Stats().Ops; got != 2 { // acquire + release
+	if got := m.meter.Stats().Ops; got != 2 { // acquire + release
 		t.Fatalf("meter ops = %d, want 2", got)
 	}
 }
@@ -232,8 +232,8 @@ func TestAcquireListCrossingListsNoDeadlock(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("crossing AcquireList deadlocked")
 	}
-	if m.HeldCount() != 0 {
-		t.Fatalf("leaked %d locks", m.HeldCount())
+	if heldCount(m) != 0 {
+		t.Fatalf("leaked %d locks", heldCount(m))
 	}
 }
 
@@ -263,4 +263,11 @@ func TestAcquireListGrantsAtomically(t *testing.T) {
 	if len(grants) == 0 {
 		t.Fatal("empty grant slice for non-empty list")
 	}
+}
+
+// heldCount is the number of locks m holds.
+func heldCount(m *Manager) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.held)
 }

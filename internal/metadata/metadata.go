@@ -63,6 +63,8 @@ func NewStore(n int, model iosim.CostModel) *Store {
 // Meters returns the per-shard meters for inspection.
 // TestDiffSharedSubtreesSkipped in internal/segtree counts the node
 // gets a comparison makes with them.
+// Kept for tests of two packages: TestShardingDistributes here and
+// TestDiffSharedSubtreesSkipped in internal/segtree.
 func (s *Store) Meters() []*iosim.Meter {
 	out := make([]*iosim.Meter, len(s.shards))
 	for i, sh := range s.shards {

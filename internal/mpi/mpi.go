@@ -1,6 +1,7 @@
 // Package mpi provides an in-process MPI runtime: ranks run as
 // goroutines inside one world and communicate through typed mailboxes
-// and collectives (barrier, broadcast, gather, allgather, allreduce).
+// and the collectives the MPI-I/O layer uses (barrier, broadcast,
+// gather, allgather, alltoall).
 // It exists so that the MPI-I/O layer and the paper's benchmarks
 // (MPI-tile-IO, the ghost-cell workloads) can run with the exact
 // communication structure of their MPI originals — per-rank
@@ -152,13 +153,10 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.w.size }
 
-// Reserved internal tags for collectives; user tags must be >= 0.
+// Tags of the collectives' mailboxes.
 const (
 	tagBcast = -1 - iota
 	tagGather
-	tagAllgather
-	tagReduce
-	tagScatter
 	tagAlltoall
 )
 
@@ -174,31 +172,7 @@ func (w *World) box(src, dst, tag int) *mailbox {
 	return b
 }
 
-// Send delivers v to rank dst under the given tag (non-blocking with
-// unbounded buffering, like an eager-protocol MPI_Send).
-func (c *Comm) Send(dst, tag int, v any) error {
-	if dst < 0 || dst >= c.w.size {
-		return fmt.Errorf("mpi: send to invalid rank %d", dst)
-	}
-	if tag < 0 {
-		return fmt.Errorf("mpi: user tags must be >= 0, got %d", tag)
-	}
-	c.w.box(c.rank, dst, tag).put(v)
-	return nil
-}
-
-// Recv blocks until a message from src with the given tag arrives.
-func (c *Comm) Recv(src, tag int) (any, error) {
-	if src < 0 || src >= c.w.size {
-		return nil, fmt.Errorf("mpi: recv from invalid rank %d", src)
-	}
-	if tag < 0 {
-		return nil, fmt.Errorf("mpi: user tags must be >= 0, got %d", tag)
-	}
-	return c.w.box(src, c.rank, tag).take(), nil
-}
-
-// send/recv on the internal tag space (no validation).
+// isend and irecv pass v through the mailbox of (sender, receiver, tag).
 func (c *Comm) isend(dst, tag int, v any) { c.w.box(c.rank, dst, tag).put(v) }
 func (c *Comm) irecv(src, tag int) any    { return c.w.box(src, c.rank, tag).take() }
 
@@ -246,23 +220,6 @@ func (c *Comm) Allgather(v any) []any {
 	return res.([]any)
 }
 
-// Scatter distributes vals[r] from root to each rank r and returns the
-// local element. Only root's vals argument is consulted.
-func (c *Comm) Scatter(root int, vals []any) (any, error) {
-	if c.rank == root {
-		if len(vals) != c.w.size {
-			return nil, fmt.Errorf("mpi: scatter of %d values to %d ranks", len(vals), c.w.size)
-		}
-		for r := 0; r < c.w.size; r++ {
-			if r != root {
-				c.isend(r, tagScatter, vals[r])
-			}
-		}
-		return vals[root], nil
-	}
-	return c.irecv(root, tagScatter), nil
-}
-
 // Alltoall sends vals[r] to rank r and returns the values received
 // from every rank, indexed by sender (MPI_Alltoall). The caller must
 // supply exactly one value per rank.
@@ -278,46 +235,4 @@ func (c *Comm) Alltoall(vals []any) ([]any, error) {
 		out[r] = c.irecv(r, tagAlltoall)
 	}
 	return out, nil
-}
-
-// ReduceOp is a binary associative reduction operator on int64.
-type ReduceOp func(a, b int64) int64
-
-// Predefined reduction operators.
-var (
-	OpSum ReduceOp = func(a, b int64) int64 { return a + b }
-	OpMax ReduceOp = func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin ReduceOp = func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-)
-
-// Allreduce combines one int64 per rank with op and returns the result
-// on every rank.
-func (c *Comm) Allreduce(v int64, op ReduceOp) int64 {
-	vals := c.Allgather(v)
-	acc := vals[0].(int64)
-	for _, x := range vals[1:] {
-		acc = op(acc, x.(int64))
-	}
-	return acc
-}
-
-// AllreduceFloat combines one float64 per rank (sum only, which is all
-// the benchmarks need) and returns the result on every rank.
-func (c *Comm) AllreduceFloat(v float64) float64 {
-	vals := c.Allgather(v)
-	var acc float64
-	for _, x := range vals {
-		acc += x.(float64)
-	}
-	return acc
 }

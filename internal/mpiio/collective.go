@@ -6,10 +6,6 @@ import (
 	"repro/internal/extent"
 )
 
-// Reserved tag space for collective I/O data exchange; high enough not
-// to collide with application tags.
-const tagTwoPhase = 1 << 20
-
 // exchangeMsg carries one rank's pieces for one aggregator domain.
 type exchangeMsg struct {
 	Exts extent.List // file extents, sorted, within the domain
@@ -170,17 +166,4 @@ func overlayMessages(dom extent.Extent, msgs []exchangeMsg) exchangeMsg {
 		i = j
 	}
 	return out
-}
-
-// ReadAtAll is the collective read (MPI_File_read_at_all). Each rank
-// reads its own view extents; a barrier provides the collective
-// completion semantics. (Two-phase read aggregation would only shuffle
-// which process touches which OST; the access pattern is identical for
-// the backends modelled here.)
-func (f *File) ReadAtAll(offset int64, length int64) ([]byte, error) {
-	data, err := f.ReadAt(offset, length)
-	if f.comm != nil {
-		f.comm.Barrier()
-	}
-	return data, err
 }

@@ -23,16 +23,12 @@ import (
 // Driver is the ADIO-style backend interface: everything the MPI-I/O
 // layer needs from a storage backend, expressed as List I/O.
 type Driver interface {
-	// Name identifies the driver in benchmark output.
-	Name() string
 	// WriteList writes a vector of extents; when atomic is set the
 	// whole vector must be applied as one MPI-atomic transaction.
 	WriteList(vec extent.Vec, atomic bool) error
 	// ReadList reads a vector of extents; when atomic is set the read
 	// must observe a state produced by whole write calls.
 	ReadList(q extent.List, atomic bool) ([]byte, error)
-	// Size returns the current file size.
-	Size() (int64, error)
 }
 
 // VersioningDriver adapts the paper's storage backend (internal/core)
@@ -44,9 +40,6 @@ type VersioningDriver struct {
 }
 
 var _ Driver = (*VersioningDriver)(nil)
-
-// Name implements Driver.
-func (d *VersioningDriver) Name() string { return "versioning" }
 
 // WriteList implements Driver. The backend's writes are always atomic;
 // the flag costs nothing either way.
@@ -60,9 +53,6 @@ func (d *VersioningDriver) ReadList(q extent.List, _ bool) ([]byte, error) {
 	data, _, err := d.Backend.ReadList(q)
 	return data, err
 }
-
-// Size implements Driver.
-func (d *VersioningDriver) Size() (int64, error) { return d.Backend.Size() }
 
 // Strategy selects how the locking driver layers MPI atomicity over
 // POSIX semantics. These are the approaches the paper's Related Work
@@ -120,11 +110,6 @@ func (s Strategy) String() string {
 	default:
 		return fmt.Sprintf("strategy(%d)", int(s))
 	}
-}
-
-// AtomicStrategies lists every strategy that provides MPI atomicity.
-func AtomicStrategies() []Strategy {
-	return []Strategy{StrategyWholeFile, StrategyBoundingRange, StrategyListLock, StrategyConflictDetect, StrategyDataSieve}
 }
 
 // Detector implements the conflict-detection protocol: an operation
@@ -220,9 +205,6 @@ func (d *Detector) Stats() DetectorStats {
 	return DetectorStats{Ops: d.ops.Load(), Conflicts: d.conflicts.Load()}
 }
 
-// Meter exposes the request meter.
-func (d *Detector) Meter() *iosim.Meter { return d.meter }
-
 // LockFSDriver adapts the Lustre-like file system to the ADIO
 // interface, implementing MPI atomicity with the configured locking
 // strategy. This is the baseline the paper evaluates against.
@@ -235,9 +217,6 @@ type LockFSDriver struct {
 }
 
 var _ Driver = (*LockFSDriver)(nil)
-
-// Name implements Driver.
-func (d *LockFSDriver) Name() string { return "lockfs/" + d.Strategy.String() }
 
 // WriteList implements Driver.
 func (d *LockFSDriver) WriteList(vec extent.Vec, atomicMode bool) error {
@@ -366,6 +345,3 @@ func (d *LockFSDriver) readEach(q extent.List, locked bool) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// Size implements Driver.
-func (d *LockFSDriver) Size() (int64, error) { return d.File.Size(), nil }

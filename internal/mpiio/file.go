@@ -24,10 +24,19 @@ func DefaultView() View {
 	return View{Disp: 0, Etype: datatype.Byte, Filetype: datatype.Byte}
 }
 
-// Validate checks the MPI view constraints.
+// Validate checks the MPI view constraints, and the invariants of any
+// etype or filetype that can check its own (datatype.Indexed,
+// datatype.Subarray).
 func (v View) Validate() error {
 	if v.Disp < 0 {
 		return fmt.Errorf("mpiio: negative displacement %d", v.Disp)
+	}
+	for _, d := range []datatype.Datatype{v.Etype, v.Filetype} {
+		if c, ok := d.(interface{ Validate() error }); ok {
+			if err := c.Validate(); err != nil {
+				return fmt.Errorf("mpiio: %w", err)
+			}
+		}
 	}
 	if v.Etype.Size() <= 0 {
 		return errors.New("mpiio: etype must have positive size")
@@ -62,9 +71,6 @@ func Open(comm *mpi.Comm, drv Driver) *File {
 	return &File{comm: comm, drv: drv, view: DefaultView()}
 }
 
-// Driver exposes the underlying ADIO driver.
-func (f *File) Driver() Driver { return f.drv }
-
 // SetView installs a new file view (MPI_File_set_view).
 func (f *File) SetView(v View) error {
 	if err := v.Validate(); err != nil {
@@ -76,29 +82,12 @@ func (f *File) SetView(v View) error {
 	return nil
 }
 
-// View returns the current view.
-func (f *File) View() View {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.view
-}
-
 // SetAtomicity toggles MPI atomic mode (MPI_File_set_atomicity).
 func (f *File) SetAtomicity(on bool) {
 	f.mu.Lock()
 	f.atomicMode = on
 	f.mu.Unlock()
 }
-
-// Atomicity reports whether atomic mode is on.
-func (f *File) Atomicity() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.atomicMode
-}
-
-// Size returns the file size in bytes.
-func (f *File) Size() (int64, error) { return f.drv.Size() }
 
 // viewExtents maps the byte range [dataOff, dataOff+length) of the
 // view's data space onto file extents, in data order. The returned

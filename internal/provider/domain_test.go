@@ -786,3 +786,41 @@ func BenchmarkVerifyReplicas(b *testing.B) {
 		}
 	}
 }
+
+// TestAllocateNRingRotation pins what the domain ring's rotation gives
+// over 999 calls: every provider's allocation count within one of every
+// other, while the first pick starts in only domains/gcd(n, domains) of
+// the domains, since the ring turns by n a call — in zone0 alone when n
+// is a multiple of the domain count. That is harmless: a replica set's
+// order means nothing, and coded placement rotates the stripe it is
+// handed by a hash of the key.
+func TestAllocateNRingRotation(t *testing.T) {
+	for _, tc := range []struct{ n, providers, domains int }{
+		{3, 9, 3}, {3, 6, 3}, {6, 12, 6}, {2, 8, 4}, {2, 9, 3}, {4, 8, 2},
+	} {
+		t.Run(fmt.Sprintf("n=%d/providers=%d/domains=%d", tc.n, tc.providers, tc.domains), func(t *testing.T) {
+			m, _ := testPool(tc.providers, tc.domains, false)
+			first := map[string]int{}
+			for i := 0; i < 999; i++ {
+				ps, err := m.AllocateN(tc.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first[ps[0].Domain()]++
+			}
+			lo, hi := int64(1<<62), int64(0)
+			for _, p := range m.Providers() {
+				lo, hi = min(lo, p.Allocated()), max(hi, p.Allocated())
+			}
+			if hi-lo > 1 {
+				t.Errorf("per-provider allocations %d..%d, want within one", lo, hi)
+			}
+			gcd := tc.n
+			for b := tc.domains; b != 0; gcd, b = b, gcd%b {
+			}
+			if len(first) != tc.domains/gcd || first["zone0"] == 0 {
+				t.Errorf("first picks by domain %v, want %d domains from zone0 on", first, tc.domains/gcd)
+			}
+		})
+	}
+}

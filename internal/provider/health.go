@@ -17,7 +17,7 @@
 // CONSECUTIVE failures (any success resets the count, so alternating
 // ok/fail never trips it), and a down provider can only return to Live
 // after sitting out the full Probation interval and then answering
-// ProbeSuccesses consecutive probes — so down/live oscillation is rate
+// probeSuccesses consecutive probes — so down/live oscillation is rate
 // limited by the probation clock, not by traffic.
 //
 // Time is injectable (SetClock) so torture tests drive the machine in
@@ -70,10 +70,11 @@ type HealthConfig struct {
 	// Probation is how long a down provider sits out before the monitor
 	// probes it again (default 2s on the monitor's clock).
 	Probation time.Duration
-	// ProbeSuccesses is the number of consecutive successful probes a
-	// provider in probation must answer to be marked live (default 2).
-	ProbeSuccesses int
 }
+
+// probeSuccesses is the number of consecutive successful probes a
+// provider in probation must answer to be marked live.
+const probeSuccesses = 2
 
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.Threshold <= 0 {
@@ -81,9 +82,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.Probation <= 0 {
 		c.Probation = 2 * time.Second
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 2
 	}
 	return c
 }
@@ -295,7 +293,7 @@ func (h *HealthMonitor) probeResultLocked(id ID, e *healthEntry, ok bool) {
 		return
 	}
 	e.probeOK++
-	if e.probeOK >= h.cfg.ProbeSuccesses {
+	if e.probeOK >= probeSuccesses {
 		e.state = Live
 		e.consec = 0
 		e.probeOK = 0

@@ -95,10 +95,10 @@ func TestHealthFlappingNeverTrips(t *testing.T) {
 
 // TestHealthProbationTiming: a down provider is re-probed only after
 // the probation interval, every time, and revives only after
-// ProbeSuccesses consecutive good probes — so down/live oscillation is
+// probeSuccesses consecutive good probes — so down/live oscillation is
 // rate-limited by the probation clock.
 func TestHealthProbationTiming(t *testing.T) {
-	cfg := HealthConfig{Threshold: 2, Probation: 10 * time.Second, ProbeSuccesses: 2}
+	cfg := HealthConfig{Threshold: 2, Probation: 10 * time.Second}
 	rig := newHealthRig(t, 1, cfg)
 	rig.h.ReportFailure(0)
 	rig.h.ReportFailure(0)
@@ -129,7 +129,7 @@ func TestHealthProbationTiming(t *testing.T) {
 	}
 	rig.h.Tick()
 	if st := rig.h.State(0); st != Live {
-		t.Fatalf("state after %d good probes = %s, want live", cfg.ProbeSuccesses, st)
+		t.Fatalf("state after %d good probes = %s, want live", probeSuccesses, st)
 	}
 	if rig.m.Providers()[0].Down() {
 		t.Fatal("revival did not clear the manager's down flag")
@@ -141,7 +141,7 @@ func TestHealthProbationTiming(t *testing.T) {
 // oscillation rate limit. A provider that keeps failing probes is
 // probed at most once per probation interval.
 func TestHealthFailedProbeRestartsProbation(t *testing.T) {
-	cfg := HealthConfig{Threshold: 1, Probation: 10 * time.Second, ProbeSuccesses: 1}
+	cfg := HealthConfig{Threshold: 1, Probation: 10 * time.Second}
 	rig := newHealthRig(t, 1, cfg)
 	probes := 0
 	rig.h.probe = func(ID) error { probes++; return chunk.ErrDown }
@@ -164,7 +164,7 @@ func TestHealthFailedProbeRestartsProbation(t *testing.T) {
 // heavy failure bursts and recoveries, two consecutive down->live
 // transitions are separated by at least the probation interval.
 func TestHealthMinOscillation(t *testing.T) {
-	cfg := HealthConfig{Threshold: 2, Probation: 5 * time.Second, ProbeSuccesses: 1}
+	cfg := HealthConfig{Threshold: 2, Probation: 5 * time.Second}
 	rig := newHealthRig(t, 1, cfg)
 	rig.probeOK[0] = true
 	rng := rand.New(rand.NewSource(42))
@@ -247,7 +247,7 @@ func TestHealthSnapshotAdminDown(t *testing.T) {
 // reporting), the monitor must not claim the flag — and must never
 // revive it, even though probes would succeed.
 func TestHealthAdminDownFirstNeverClaimed(t *testing.T) {
-	cfg := HealthConfig{Threshold: 3, Probation: time.Second, ProbeSuccesses: 1}
+	cfg := HealthConfig{Threshold: 3, Probation: time.Second}
 	rig := newHealthRig(t, 1, cfg)
 	rig.probeOK[0] = true
 	rig.h.ReportFailure(0)

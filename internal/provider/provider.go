@@ -214,7 +214,7 @@ func (e *InsufficientProvidersError) Error() string {
 	return fmt.Sprintf("provider: need %d distinct live providers, only %d live", e.Want, e.Live)
 }
 
-// Is matches the ErrInsufficientProviders sentinel.
+// Is matches the ErrInsufficientProviders sentinel; errors.Is calls it.
 func (e *InsufficientProvidersError) Is(target error) bool {
 	return target == ErrInsufficientProviders
 }
@@ -240,7 +240,7 @@ func (e *InsufficientDomainsError) Error() string {
 		e.Want, e.Live, e.Configured)
 }
 
-// Is matches the ErrInsufficientDomains sentinel.
+// Is matches the ErrInsufficientDomains sentinel; errors.Is calls it.
 func (e *InsufficientDomainsError) Is(target error) bool {
 	return target == ErrInsufficientDomains
 }
@@ -326,26 +326,6 @@ func (m *Manager) invalidateDomains() {
 	m.domMu.Lock()
 	m.domCached = false
 	m.domMu.Unlock()
-}
-
-// Count returns the number of registered providers.
-func (m *Manager) Count() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.providers)
-}
-
-// Live returns the number of providers not marked down.
-func (m *Manager) Live() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n := 0
-	for _, p := range m.providers {
-		if !p.Down() {
-			n++
-		}
-	}
-	return n
 }
 
 // SetDown marks a provider dead (down=true) or revived (down=false).

@@ -51,8 +51,8 @@ func TestAllocateSkipsDownProviders(t *testing.T) {
 	if err := m.SetDown(1, true); err != nil {
 		t.Fatal(err)
 	}
-	if m.Live() != 2 || m.Count() != 3 {
-		t.Fatalf("Live = %d, Count = %d", m.Live(), m.Count())
+	if liveCount(m) != 2 || len(m.Providers()) != 3 {
+		t.Fatalf("Live = %d, Count = %d", liveCount(m), len(m.Providers()))
 	}
 	for i := 0; i < 12; i++ {
 		ps, err := m.AllocateN(1)
@@ -66,8 +66,8 @@ func TestAllocateSkipsDownProviders(t *testing.T) {
 	if err := m.SetDown(1, false); err != nil {
 		t.Fatal(err)
 	}
-	if m.Live() != 3 {
-		t.Fatalf("Live after revival = %d", m.Live())
+	if liveCount(m) != 3 {
+		t.Fatalf("Live after revival = %d", liveCount(m))
 	}
 	if err := m.SetDown(99, true); err == nil {
 		t.Fatal("SetDown of unknown provider must fail")
@@ -243,7 +243,7 @@ func TestRouterDistributesChunks(t *testing.T) {
 		}
 	}
 	for _, p := range m.Providers() {
-		if got := p.Store().Count(); got != 4 {
+		if got := chunksHeld(p.Store()); got != 4 {
 			t.Fatalf("provider %d holds %d chunks, want 4", p.ID(), got)
 		}
 	}
@@ -462,8 +462,8 @@ func TestRouterRepairLost(t *testing.T) {
 // refuses a store it cannot open.
 func TestNewURLPoolInDomains(t *testing.T) {
 	m, faults := testPool(4, 2, false)
-	if m.Count() != 4 || faults != nil {
-		t.Fatalf("pool of %d providers with %d fault handles, want 4 and none", m.Count(), len(faults))
+	if len(m.Providers()) != 4 || faults != nil {
+		t.Fatalf("pool of %d providers with %d fault handles, want 4 and none", len(m.Providers()), len(faults))
 	}
 	for i, p := range m.Providers() {
 		if want := DomainLabel(i, 4, 2); p.Domain() != want {
@@ -726,7 +726,7 @@ func TestRepairCatchesStoreDeadReplica(t *testing.T) {
 // WHILE the monitor also has it down, probation probes must not revive
 // it — the operator's decision wins until the operator reverses it.
 func TestHealthAdminOverrideNotRevived(t *testing.T) {
-	cfg := HealthConfig{Threshold: 1, Probation: time.Second, ProbeSuccesses: 1}
+	cfg := HealthConfig{Threshold: 1, Probation: time.Second}
 	rig := newHealthRig(t, 1, cfg)
 	rig.probeOK[0] = true // store would answer probes
 	rig.h.ReportFailure(0)
@@ -760,4 +760,21 @@ func TestHealthAdminOverrideNotRevived(t *testing.T) {
 	if st := rig2.h.State(0); st != Live {
 		t.Fatalf("monitor state after ceding = %s, want live", st)
 	}
+}
+
+// chunksHeld is the chunk count a store's Usage reports.
+func chunksHeld(s chunk.Store) int {
+	n, _ := s.Usage()
+	return n
+}
+
+// liveCount is the number of m's providers not marked down.
+func liveCount(m *Manager) int {
+	n := 0
+	for _, p := range m.Providers() {
+		if !p.Down() {
+			n++
+		}
+	}
+	return n
 }

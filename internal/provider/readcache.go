@@ -35,7 +35,9 @@ import (
 // ReadCacheConfig sizes a ReadCache. Zero fields select defaults.
 type ReadCacheConfig struct {
 	// Shards is the fixed shard count, rounded up to a power of two
-	// (default 16). More shards means less lock contention.
+	// (default 16). More shards means less lock contention. Only tests
+	// set it, as a seam: one shard gives TestReadCacheBounded and
+	// TestReadCacheOversizeEntryRefused a deterministic eviction order.
 	Shards int
 	// MaxBytes bounds the cache's total footprint across all shards —
 	// cached chunk bytes plus a nominal cost per entry (default 64 MiB).

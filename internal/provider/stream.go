@@ -41,7 +41,7 @@ func (e *ChunkTooLargeError) Error() string {
 	return fmt.Sprintf("provider: declared chunk size %d exceeds max chunk size %d", e.Size, e.Max)
 }
 
-// Is matches the ErrChunkTooLarge sentinel.
+// Is matches the ErrChunkTooLarge sentinel; errors.Is calls it.
 func (e *ChunkTooLargeError) Is(target error) bool { return target == ErrChunkTooLarge }
 
 // SetMaxChunkSize bounds the declared size PutStream accepts; v <= 0

@@ -774,11 +774,10 @@ func (s *framedServer) callVM(h frameHeader, req []byte) ([]byte, error) {
 		}
 		return encoded(vmanager.AppendTicket)(m.AssignTicket(blob, l))
 	case opComplete:
-		root, err := vmanager.DecodeNodeKey(req)
-		if err != nil {
-			return nil, err
+		if len(req) != segtree.NodeKeyLen {
+			return nil, fmt.Errorf("remote: complete body of %d bytes, want %d", len(req), segtree.NodeKeyLen)
 		}
-		return nil, m.Complete(blob, v, root)
+		return nil, m.Complete(blob, v, segtree.DecodeKey(req))
 	case opAbort:
 		return nil, m.Abort(blob, v)
 	case opWaitPublished:

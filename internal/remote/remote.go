@@ -29,12 +29,10 @@ import (
 )
 
 // VMBackend is what a version-manager node serves: the client-facing
-// VersionService plus the blob catalog the reaper walks and the
-// shard-status report — a *vmanager.Manager or, its clients none the
+// VersionService plus the shard-status report — a *vmanager.Manager or, its clients none the
 // wiser, a *vmanager.Sharded.
 type VMBackend interface {
 	blob.VersionService
-	Blobs() []uint64
 	ShardStatuses() []vmanager.ShardStatus
 }
 
@@ -207,6 +205,9 @@ func DialFramed(ep Endpoints) (*Client, error) {
 // SetMetrics registers the chunk and node pools' series in reg, before
 // their first call: bs_data_dials_total, the connections dialed (flat in
 // steady state), and bs_data_train_ops, the requests per round trip.
+// Only tests call it today (TestFramedMetrics, TestFramedPoolIsBounded,
+// TestTrainsMatchRouter and the wire benchmarks read the pools' series
+// through it); bsctl is to wire it in.
 func (c *Client) SetMetrics(reg *metrics.Registry) {
 	for _, p := range []*framedPool{c.pool, c.nodes} {
 		p.dials = reg.Counter("bs_data_dials_total")
@@ -269,7 +270,7 @@ func (c *Client) CreateBlob(blobID uint64, geo segtree.Geometry) error {
 }
 
 func (c *Client) Complete(blobID, v uint64, root segtree.NodeKey) error {
-	_, err := c.vmOp(opComplete, blobID, v, 0, 0, vmanager.AppendNodeKey(nil, root))
+	_, err := c.vmOp(opComplete, blobID, v, 0, 0, segtree.AppendKey(nil, root))
 	return err
 }
 

@@ -16,10 +16,9 @@ import (
 // one request; the bodies are in the file header of framed.go.
 
 const (
-	walkKeyLen    = 24             // a node key: version, offset, size
-	walkHead      = walkKeyLen + 4 // a key and a u32: a request part's extent count, a reply entry's length
-	walkEntryMin  = walkHead + 1   // a node is a kind byte at least
-	walkExtentLen = 16             // offset, length
+	walkHead      = segtree.NodeKeyLen + 4 // a key and a u32: a request part's extent count, a reply entry's length
+	walkEntryMin  = walkHead + 1           // a node is a kind byte at least
+	walkExtentLen = 16                     // offset, length
 )
 
 // errWalkFull stops a server's walk at the reply's bound.
@@ -47,7 +46,7 @@ func (c *Client) WalkNodes(blobID uint64, keys []segtree.NodeKey, queries []exte
 			}
 			q = extent.List{q.Bounding()}
 		}
-		body = vmanager.AppendNodeKey(body, key)
+		body = segtree.AppendKey(body, key)
 		body = vmanager.AppendExtents(body, q)
 		parts++
 	}
@@ -75,8 +74,8 @@ func decodeWalkReply(b []byte) ([]segtree.NodeKey, [][]byte, error) {
 		if len(b) < walkHead {
 			return nil, nil, errors.New("remote: walk reply truncated")
 		}
-		keys[i], _ = vmanager.DecodeNodeKey(b[:walkKeyLen])
-		size := int64(binary.LittleEndian.Uint32(b[walkKeyLen:]))
+		keys[i] = segtree.DecodeKey(b)
+		size := int64(binary.LittleEndian.Uint32(b[segtree.NodeKeyLen:]))
 		b = b[walkHead:]
 		if size > int64(len(b)) {
 			return nil, nil, fmt.Errorf("remote: walk reply node %s of %d bytes in %d", keys[i], size, len(b))
@@ -108,12 +107,12 @@ func decodeWalkRequest(b []byte) ([]segtree.NodeKey, []extent.List, error) {
 		if len(b) < walkHead {
 			return nil, nil, errors.New("remote: walk request truncated")
 		}
-		key, _ := vmanager.DecodeNodeKey(b[:walkKeyLen])
-		end := walkHead + walkExtentLen*int64(binary.LittleEndian.Uint32(b[walkKeyLen:]))
+		key := segtree.DecodeKey(b)
+		end := walkHead + walkExtentLen*int64(binary.LittleEndian.Uint32(b[segtree.NodeKeyLen:]))
 		if end > int64(len(b)) {
 			return nil, nil, fmt.Errorf("remote: walk request part %d runs past the body", i)
 		}
-		q, err := vmanager.DecodeExtents(b[walkKeyLen:end])
+		q, err := vmanager.DecodeExtents(b[segtree.NodeKeyLen:end])
 		if err != nil {
 			return nil, nil, fmt.Errorf("remote: walk request part %d: %w", i, err)
 		}
@@ -168,10 +167,10 @@ func (s *framedServer) walk(buf []byte, blob uint64, req []byte) ([]byte, error)
 				return nil, err
 			}
 			start := len(reply)
-			reply = vmanager.AppendNodeKey(reply, key)
+			reply = segtree.AppendKey(reply, key)
 			reply = binary.LittleEndian.AppendUint32(reply, 0)
 			reply = segtree.AppendNode(reply, n)
-			binary.LittleEndian.PutUint32(reply[start+walkKeyLen:], uint32(len(reply)-start-walkHead))
+			binary.LittleEndian.PutUint32(reply[start+segtree.NodeKeyLen:], uint32(len(reply)-start-walkHead))
 			if len(reply) > s.walkBound {
 				if count == 0 {
 					return nil, fmt.Errorf("remote: node %s takes a walk reply past its bound of %d bytes", key, s.walkBound)

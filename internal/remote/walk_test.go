@@ -32,7 +32,7 @@ type walkPart struct {
 func walkBody(parts ...walkPart) []byte {
 	body := binary.LittleEndian.AppendUint32(nil, uint32(len(parts)))
 	for _, p := range parts {
-		body = vmanager.AppendNodeKey(body, p.key)
+		body = segtree.AppendKey(body, p.key)
 		body = vmanager.AppendExtents(body, p.q)
 	}
 	return body

@@ -14,6 +14,11 @@ import (
 // a peer may hold. All integers little-endian, matching chunk.Ref:
 //
 //	key:      version u64, offset i64, size i64                (24 bytes)
+//
+// The key's form is also the one every other encoding of a key takes:
+// the version manager's Complete body, SnapshotInfo and GCInfo, and the
+// walk's request and reply bodies.
+//
 //	inner:    kind u8 = 0, left key, right key                 (49 bytes)
 //	leaf:     kind u8 = 1, prev key, count u32, count fragments
 //	fragment: extent offset i64, extent length i64, then the ref in
@@ -24,19 +29,22 @@ const (
 	kindInner = 0
 	kindLeaf  = 1
 
-	nodeKeyLen = 24
-	fragLen    = 16 + chunk.RefLen
+	fragLen = 16 + chunk.RefLen
 )
 
-func appendKey(buf []byte, k NodeKey) []byte {
+// NodeKeyLen is the length of a node key's binary form.
+const NodeKeyLen = 24
+
+// AppendKey appends k's binary form to buf.
+func AppendKey(buf []byte, k NodeKey) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, k.Version)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(k.Offset))
 	return binary.LittleEndian.AppendUint64(buf, uint64(k.Size))
 }
 
-// decodeKey reads the key at the head of b, which holds nodeKeyLen bytes
+// DecodeKey reads the key at the head of b, which holds NodeKeyLen bytes
 // or more.
-func decodeKey(b []byte) NodeKey {
+func DecodeKey(b []byte) NodeKey {
 	return NodeKey{
 		Version: binary.LittleEndian.Uint64(b[0:]),
 		Offset:  int64(binary.LittleEndian.Uint64(b[8:])),
@@ -49,14 +57,14 @@ func decodeKey(b []byte) NodeKey {
 // back-pointer of a leaf.
 func AppendNode(buf []byte, n *Node) []byte {
 	if !n.Leaf {
-		buf = slices.Grow(buf, 1+2*nodeKeyLen)
+		buf = slices.Grow(buf, 1+2*NodeKeyLen)
 		buf = append(buf, kindInner)
-		buf = appendKey(buf, n.Left)
-		return appendKey(buf, n.Right)
+		buf = AppendKey(buf, n.Left)
+		return AppendKey(buf, n.Right)
 	}
-	buf = slices.Grow(buf, 1+nodeKeyLen+4+len(n.Frags)*fragLen)
+	buf = slices.Grow(buf, 1+NodeKeyLen+4+len(n.Frags)*fragLen)
 	buf = append(buf, kindLeaf)
-	buf = appendKey(buf, n.Prev)
+	buf = AppendKey(buf, n.Prev)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n.Frags)))
 	for _, f := range n.Frags {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Ext.Offset))
@@ -78,17 +86,17 @@ func DecodeNode(b []byte) (*Node, error) {
 	kind, b := b[0], b[1:]
 	switch kind {
 	case kindInner:
-		if len(b) != 2*nodeKeyLen {
-			return nil, fmt.Errorf("segtree: inner node of %d bytes, want %d", 1+len(b), 1+2*nodeKeyLen)
+		if len(b) != 2*NodeKeyLen {
+			return nil, fmt.Errorf("segtree: inner node of %d bytes, want %d", 1+len(b), 1+2*NodeKeyLen)
 		}
-		return &Node{Left: decodeKey(b), Right: decodeKey(b[nodeKeyLen:])}, nil
+		return &Node{Left: DecodeKey(b), Right: DecodeKey(b[NodeKeyLen:])}, nil
 	case kindLeaf:
-		if len(b) < nodeKeyLen+4 {
+		if len(b) < NodeKeyLen+4 {
 			return nil, fmt.Errorf("segtree: leaf node truncated at %d bytes", 1+len(b))
 		}
-		n := &Node{Leaf: true, Prev: decodeKey(b)}
-		count := int64(binary.LittleEndian.Uint32(b[nodeKeyLen:]))
-		if b = b[nodeKeyLen+4:]; int64(len(b)) != count*fragLen {
+		n := &Node{Leaf: true, Prev: DecodeKey(b)}
+		count := int64(binary.LittleEndian.Uint32(b[NodeKeyLen:]))
+		if b = b[NodeKeyLen+4:]; int64(len(b)) != count*fragLen {
 			return nil, fmt.Errorf("segtree: leaf node of %d fragments holds %d bytes of them, want %d", count, len(b), count*fragLen)
 		}
 		if count > 0 {

@@ -121,7 +121,7 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 // claim is refused, not attempted.
 func TestDecodeNodeHostileBytes(t *testing.T) {
 	leaf := func(count uint32, rest ...byte) []byte {
-		b := append([]byte{kindLeaf}, make([]byte, nodeKeyLen)...)
+		b := append([]byte{kindLeaf}, make([]byte, NodeKeyLen)...)
 		b = append(b, byte(count), byte(count>>8), byte(count>>16), byte(count>>24))
 		return append(b, rest...)
 	}
@@ -134,7 +134,7 @@ func TestDecodeNodeHostileBytes(t *testing.T) {
 		"unknown kind":           {[]byte{2}, "unknown node kind 2"},
 		"short inner":            {make([]byte, 48), "inner node of 48 bytes"},
 		"long inner":             {make([]byte, 50), "inner node of 50 bytes"},
-		"leaf without a count":   {leaf(0)[:nodeKeyLen+3], "truncated"},
+		"leaf without a count":   {leaf(0)[:NodeKeyLen+3], "truncated"},
 		"four billion fragments": {leaf(^uint32(0)), "4294967295 fragments holds 0 bytes of them"},
 		"one byte short":         {leaf(2, make([]byte, 2*fragLen-1)...), "2 fragments holds 103 bytes of them, want 104"},
 		"trailing after a leaf":  {append(bytes.Clone(oneFrag), 1, 2, 3), "1 fragments holds 55 bytes of them, want 52"},

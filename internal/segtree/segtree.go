@@ -112,6 +112,7 @@ func (g Geometry) Validate() error {
 }
 
 // Root returns the range covered by the root node.
+// Public through repro.Store.Backend().Blob().Geometry().
 func (g Geometry) Root() extent.Extent { return extent.Extent{Offset: 0, Length: g.Capacity} }
 
 // Borrows lists, for a write covering the normalized extent list e,

@@ -3,6 +3,7 @@ package vmanager
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -255,5 +256,75 @@ func TestBatchingAmortizesMeterOps(t *testing.T) {
 	}
 	if batched >= unbatched {
 		t.Fatalf("batched ops = %d, not amortized below unbatched %d", batched, unbatched)
+	}
+}
+
+// TestCombinerSplitsALongQueue: requests that queued behind a leader
+// busy applying its own group are drained in groups of at most
+// MaxBatch, in arrival order, and every one is answered.
+func TestCombinerSplitsALongQueue(t *testing.T) {
+	const maxBatch, queued = 4, 10
+	m := newTestManager(t, BatchConfig{MaxBatch: maxBatch})
+	vs := make([]uint64, 1+queued)
+	for i := range vs {
+		tk, err := m.AssignTicket(1, ext(0, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs[i] = tk.Version
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var groups [][]uint64 // the versions of each group, written under the manager lock
+	m.SetCrashpoint(func(group []PublishRequest, applied int) bool {
+		if applied > 0 {
+			return false
+		}
+		if len(groups) == 0 {
+			close(entered)
+			<-release // the leader's own group holds the queue back
+		}
+		g := make([]uint64, len(group))
+		for i, r := range group {
+			g[i] = r.Version
+		}
+		groups = append(groups, g)
+		return false
+	})
+	complete := func(v uint64) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- m.Complete(1, v, segtree.NodeKey{Version: v, Size: 1 << 20}) }()
+		return done
+	}
+	results := []<-chan error{complete(vs[0])}
+	<-entered
+	for i, v := range vs[1:] {
+		results = append(results, complete(v))
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			m.commits.mu.Lock()
+			n := len(m.commits.queue)
+			m.commits.mu.Unlock()
+			if n == i+1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d requests queued, want %d", n, i+1)
+			}
+		}
+	}
+	close(release)
+	for i, done := range results {
+		if err := <-done; err != nil {
+			t.Fatalf("complete of v%d: %v", vs[i], err)
+		}
+	}
+	want := [][]uint64{vs[:1]}
+	for rest := vs[1:]; len(rest) > 0; rest = rest[min(maxBatch, len(rest)):] {
+		want = append(want, rest[:min(maxBatch, len(rest))])
+	}
+	if !reflect.DeepEqual(groups, want) {
+		t.Fatalf("groups %v, want %v", groups, want)
+	}
+	if info, err := m.LatestPublished(1); err != nil || info.Version != vs[len(vs)-1] {
+		t.Fatalf("latest published %+v, %v; want v%d", info, err, vs[len(vs)-1])
 	}
 }

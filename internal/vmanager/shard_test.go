@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/extent"
 	"repro/internal/iosim"
 	"repro/internal/segtree"
 )
@@ -91,5 +93,48 @@ func TestShardedBlobsPartition(t *testing.T) {
 	}
 	if len(seen) != 32 {
 		t.Fatalf("%d blobs across shards, want 32", len(seen))
+	}
+}
+
+// TestShardedAbortReachesTheBlobsShard: an Abort through the router
+// reaches the shard that owns the blob, so the version after the
+// aborted one publishes. blob.retireTicket sends it when even a failed
+// write's tombstone is refused.
+func TestShardedAbortReachesTheBlobsShard(t *testing.T) {
+	s := NewSharded(iosim.CostModel{}, 2)
+	blob := uint64(1)
+	for ShardIndex(blob, 2) != 1 {
+		blob++
+	}
+	if err := s.CreateBlob(blob, geo()); err != nil {
+		t.Fatal(err)
+	}
+	var tks [2]Ticket
+	for i := range tks {
+		tk, err := s.AssignTicket(blob, extent.List{{Offset: 0, Length: 64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks[i] = tk
+	}
+	next := tks[1].Version
+	if err := s.Complete(blob, next, segtree.NodeKey{Version: next, Size: geo().Capacity}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Abort(blob, tks[0].Version); err != nil {
+		t.Fatalf("abort of v%d: %v", tks[0].Version, err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.WaitPublished(blob, next) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("wait for v%d: %v", next, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("v%d did not publish behind the aborted v%d", next, tks[0].Version)
+	}
+	if info, err := s.LatestPublished(blob); err != nil || info.Version != next {
+		t.Fatalf("latest published %+v, %v; want v%d", info, err, next)
 	}
 }

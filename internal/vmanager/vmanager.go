@@ -574,6 +574,9 @@ func (m *Manager) Down() bool {
 // ErrShardDown until Restart, and every blocked WaitPublished waiter is
 // woken to observe the death. State already committed is retained —
 // kill models a crash of the serving process, not data loss.
+// Kept as a test seam (a crash): only TestWaitPublishedWakesOnKill and
+// TestWaitPublishedWakesOnRestartRecovery call it; the sharded manager
+// kills a shard through Sharded.Kill.
 func (m *Manager) Kill() {
 	m.mu.Lock()
 	defer m.mu.Unlock()

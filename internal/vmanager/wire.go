@@ -59,20 +59,6 @@ func DecodeExtents(b []byte) (extent.List, error) {
 	return l, r.done()
 }
 
-// AppendNodeKey appends k's binary form to buf.
-func AppendNodeKey(buf []byte, k segtree.NodeKey) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, k.Version)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(k.Offset))
-	return binary.LittleEndian.AppendUint64(buf, uint64(k.Size))
-}
-
-// DecodeNodeKey decodes a key written by AppendNodeKey.
-func DecodeNodeKey(b []byte) (segtree.NodeKey, error) {
-	r := wireReader{b: b}
-	k := r.key()
-	return k, r.done()
-}
-
 // AppendGeometry appends g's binary form to buf.
 func AppendGeometry(buf []byte, g segtree.Geometry) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.Capacity))
@@ -114,7 +100,7 @@ func DecodeTicket(b []byte) (Ticket, error) {
 // AppendSnapshotInfo appends s's binary form to buf.
 func AppendSnapshotInfo(buf []byte, s SnapshotInfo) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, s.Version)
-	buf = AppendNodeKey(buf, s.Root)
+	buf = segtree.AppendKey(buf, s.Root)
 	return binary.LittleEndian.AppendUint64(buf, uint64(s.Size))
 }
 
@@ -151,7 +137,7 @@ func AppendGCInfo(buf []byte, g GCInfo) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(g.Pending)))
 	for _, p := range g.Pending {
 		buf = binary.LittleEndian.AppendUint64(buf, p.Version)
-		buf = AppendNodeKey(buf, p.Root)
+		buf = segtree.AppendKey(buf, p.Root)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Size))
 	}
 	return buf
@@ -236,7 +222,13 @@ func (r *wireReader) extent() extent.Extent {
 }
 
 func (r *wireReader) key() segtree.NodeKey {
-	return segtree.NodeKey{Version: r.u64(), Offset: r.i64(), Size: r.i64()}
+	if len(r.b) < segtree.NodeKeyLen {
+		r.fail(errTruncated)
+		return segtree.NodeKey{}
+	}
+	k := segtree.DecodeKey(r.b)
+	r.b = r.b[segtree.NodeKeyLen:]
+	return k
 }
 
 func (r *wireReader) versions() []uint64 {

@@ -25,7 +25,6 @@ func TestWireRoundTrips(t *testing.T) {
 	}{
 		{"extents", AppendExtents(nil, ext), func(b []byte) (any, error) { return DecodeExtents(b) }, ext},
 		{"no extents", AppendExtents(nil, nil), func(b []byte) (any, error) { return DecodeExtents(b) }, extent.List{}},
-		{"key", AppendNodeKey(nil, key), func(b []byte) (any, error) { return DecodeNodeKey(b) }, key},
 		{"geometry", AppendGeometry(nil, segtree.Geometry{Capacity: 1 << 30, Page: 1 << 16}),
 			func(b []byte) (any, error) { return DecodeGeometry(b) }, segtree.Geometry{Capacity: 1 << 30, Page: 1 << 16}},
 		{"ticket", AppendTicket(nil, tk), func(b []byte) (any, error) { return DecodeTicket(b) }, tk},

@@ -192,6 +192,8 @@ func (s TileSpec) Subarray(rank int) datatype.Subarray {
 
 // ExtentsFor returns rank's file extent list (one extent per tile row,
 // merged where rows happen to be contiguous).
+// Kept for tests of two packages: the workload tests and
+// TestMPIIOTileOverRPC in internal/integration.
 func (s TileSpec) ExtentsFor(rank int) extent.List {
 	return s.Subarray(rank).Flatten()
 }
