@@ -200,7 +200,11 @@ type OverlapOptions struct {
 	// no verification stamps).
 	Warmup int
 	// Verify re-reads the final state and checks MPI atomicity
-	// (serializability). Requires Clients*Iterations <= 255.
+	// (serializability). Requires Clients*Iterations <= 255. Only tests
+	// set it, in three packages: TestRunOverlapAllAtomicSystemsVerify
+	// here, TestPropRandomOverlapSerializableEverySystem in
+	// internal/integration and TestTortureOverlapSpecPattern in
+	// internal/torture.
 	Verify bool
 }
 
@@ -277,17 +281,8 @@ func RunOverlap(kind SystemKind, env cluster.Env, spec workload.OverlapSpec, opt
 
 	res := sys.result(spec.Clients, spec.Clients*iters, int64(spec.Clients)*int64(iters)*spec.BytesPerClient(), elapsed, warmWait)
 	if opts.Verify {
-		res.VerifyErr = verify.CheckCalls(readerFor(sys), calls)
+		res.VerifyErr = verify.CheckCalls(sys.Driver, calls)
 		res.Verified = res.VerifyErr == nil
 	}
 	return res, nil
-}
-
-// readerFor adapts a system's driver to the verifier interface.
-func readerFor(s *System) verify.Reader { return driverReader{s.Driver} }
-
-type driverReader struct{ d mpiio.Driver }
-
-func (r driverReader) ReadList(q extent.List, atomic bool) ([]byte, error) {
-	return r.d.ReadList(q, atomic)
 }

@@ -109,7 +109,7 @@ func TestSharedCacheHintLifecycle(t *testing.T) {
 	mgr := memPool(4)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
-	cache := provider.NewReadCache(provider.ReadCacheConfig{Shards: 4, MaxBytes: 256 << 10})
+	cache := provider.NewReadCache(provider.ReadCacheConfig{MaxBytes: 256 << 10})
 	router.SetReadCache(cache)
 	svc := Services{
 		VM:   vmanager.New(iosim.CostModel{}),

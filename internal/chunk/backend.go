@@ -6,14 +6,11 @@
 //	disk:///path          one file per chunk under /path
 //	disk:///path?sync=1   fsync every chunk before publishing it
 //	null://               discard payloads, keep accounting (bench-only)
-//	fault+mem://          any scheme wrapped in a FaultStore
-//	fault+disk:///p       (fault injection for tests and torture runs)
 package chunk
 
 import (
 	"fmt"
 	"net/url"
-	"strings"
 
 	"repro/internal/iosim"
 )
@@ -21,11 +18,10 @@ import (
 // OpenStore builds a chunk store from its URL. meter may be nil; it is
 // ignored by schemes with no metered medium (null).
 func OpenStore(rawURL string, meter *iosim.Meter) (Store, error) {
-	scheme, rest, query, fault := splitScheme(rawURL)
-	var inner Store
+	scheme, rest, query := splitScheme(rawURL)
 	switch scheme {
 	case "mem":
-		inner = NewMemStore(meter)
+		return NewMemStore(meter), nil
 	case "disk":
 		if rest == "" {
 			return nil, fmt.Errorf("chunk: disk store URL %q has no path", rawURL)
@@ -35,16 +31,12 @@ func OpenStore(rawURL string, meter *iosim.Meter) (Store, error) {
 			return nil, err
 		}
 		ds.SetSync(query.Get("sync") == "1")
-		inner = ds
+		return ds, nil
 	case "null":
-		inner = NewNullStore()
+		return NewNullStore(), nil
 	default:
 		return nil, fmt.Errorf("chunk: unknown store scheme %q in %q", scheme, rawURL)
 	}
-	if fault {
-		return NewFaultStore(inner), nil
-	}
-	return inner, nil
 }
 
 // ForProvider derives the store URL for one provider of a pool from a
@@ -53,28 +45,20 @@ func OpenStore(rawURL string, meter *iosim.Meter) (Store, error) {
 // schemes are returned unchanged (each OpenStore call builds a fresh
 // independent store anyway). Query options are preserved.
 func ForProvider(rawURL string, id uint32) string {
-	scheme, rest, _, fault := splitScheme(rawURL)
-	if scheme != "disk" || rest == "" {
+	u, err := url.Parse(rawURL)
+	if err != nil || u.Scheme != "disk" || u.Host+u.Path == "" {
 		return rawURL
 	}
 	// The subdirectory joins the parsed path, not the text: printed back
 	// unescaped, a path holding an escaped '?' or '#' would hand the rest
 	// of itself to the query.
-	u, err := url.Parse(strings.TrimPrefix(rawURL, "fault+"))
-	if err != nil {
-		return rawURL // splitScheme parsed the same text
-	}
-	out := u.JoinPath(fmt.Sprintf("p%d", id)).String()
-	if fault {
-		out = "fault+" + out
-	}
-	return out
+	return u.JoinPath(fmt.Sprintf("p%d", id)).String()
 }
 
 // ValidStoreURL reports whether OpenStore would accept the URL,
 // without touching the filesystem — configuration validation.
 func ValidStoreURL(rawURL string) error {
-	scheme, rest, _, _ := splitScheme(rawURL)
+	scheme, rest, _ := splitScheme(rawURL)
 	switch scheme {
 	case "mem", "null":
 		return nil
@@ -88,17 +72,11 @@ func ValidStoreURL(rawURL string) error {
 	}
 }
 
-// splitScheme parses a store URL into (scheme, path, query,
-// faultWrapped). The fault+ prefix is peeled first so url.Parse sees a
-// plain scheme.
-func splitScheme(rawURL string) (scheme, path string, query url.Values, fault bool) {
-	if strings.HasPrefix(rawURL, "fault+") {
-		fault = true
-		rawURL = strings.TrimPrefix(rawURL, "fault+")
-	}
+// splitScheme parses a store URL into (scheme, path, query).
+func splitScheme(rawURL string) (scheme, path string, query url.Values) {
 	u, err := url.Parse(rawURL)
 	if err != nil {
-		return "", "", nil, fault
+		return "", "", nil
 	}
 	// disk:///var/chunks parses with empty Host and Path=/var/chunks;
 	// disk://relative/dir parses with Host=relative — rejoin them so
@@ -107,5 +85,5 @@ func splitScheme(rawURL string) (scheme, path string, query url.Values, fault bo
 	if u.Host != "" {
 		p = u.Host + p
 	}
-	return u.Scheme, p, u.Query(), fault
+	return u.Scheme, p, u.Query()
 }

@@ -11,10 +11,11 @@ import (
 // -store URL without opening it (neither touches the filesystem, and
 // OpenStore is never called here). A URL the validator accepts must
 // derive, for any provider, a URL it accepts as well — one that keeps the
-// scheme, the fault+ prefix and the query options, and for a disk store
-// ends in that provider's own subdirectory of the path.
+// scheme and the query options, and for a disk store ends in that
+// provider's own subdirectory of the path.
 func FuzzStoreURL(f *testing.F) {
-	// The usual spellings; the awkward ones are under testdata/fuzz.
+	// The usual spellings (and the retired fault+ prefix, now refused);
+	// the awkward ones are under testdata/fuzz.
 	for _, seed := range []string{
 		"mem://", "null://", "disk:///var/chunks", "disk://relative/dir", "disk:///tmp/x?sync=1",
 		"fault+mem://", "disk://", "s3://bucket", "",
@@ -26,15 +27,15 @@ func FuzzStoreURL(f *testing.F) {
 			ForProvider(raw, id) // whatever it returns, it must not panic
 			return
 		}
-		scheme, path, query, fault := splitScheme(raw)
+		scheme, path, query := splitScheme(raw)
 		out := ForProvider(raw, id)
 		if err := ValidStoreURL(out); err != nil {
 			t.Fatalf("ForProvider(%q, %d) = %q, which is refused: %v", raw, id, out, err)
 		}
-		oscheme, opath, oquery, ofault := splitScheme(out)
-		if oscheme != scheme || ofault != fault || !reflect.DeepEqual(oquery, query) {
-			t.Fatalf("ForProvider(%q, %d) = %q: scheme %q → %q, fault+ %v → %v, query %v → %v",
-				raw, id, out, scheme, oscheme, fault, ofault, query, oquery)
+		oscheme, opath, oquery := splitScheme(out)
+		if oscheme != scheme || !reflect.DeepEqual(oquery, query) {
+			t.Fatalf("ForProvider(%q, %d) = %q: scheme %q → %q, query %v → %v",
+				raw, id, out, scheme, oscheme, query, oquery)
 		}
 		switch scheme {
 		case "disk":

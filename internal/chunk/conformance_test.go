@@ -19,6 +19,8 @@ import (
 type backendCase struct {
 	name string
 	url  func(t *testing.T) string
+	// fault wraps the opened store in a FaultStore, armed with nothing.
+	fault bool
 	// fidelity is false for backends that intentionally discard
 	// payload bytes (null): size and error behavior are still
 	// checked, data round trips are not.
@@ -29,19 +31,28 @@ func backends() []backendCase {
 	return []backendCase{
 		{name: "mem", url: func(t *testing.T) string { return "mem://" }, fidelity: true},
 		{name: "disk", url: func(t *testing.T) string { return "disk://" + t.TempDir() }, fidelity: true},
-		{name: "fault+mem", url: func(t *testing.T) string { return "fault+mem://" }, fidelity: true},
+		{name: "fault+mem", url: func(t *testing.T) string { return "mem://" }, fault: true, fidelity: true},
 		{name: "null", url: func(t *testing.T) string { return "null://" }, fidelity: false},
 	}
+}
+
+// open builds the case's store through the factory.
+func (bc backendCase) open(t *testing.T) Store {
+	t.Helper()
+	s, err := OpenStore(bc.url(t), nil)
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	if bc.fault {
+		return NewFaultStore(s)
+	}
+	return s
 }
 
 func TestStoreConformance(t *testing.T) {
 	for _, bc := range backends() {
 		t.Run(bc.name, func(t *testing.T) {
-			s, err := OpenStore(bc.url(t), nil)
-			if err != nil {
-				t.Fatalf("OpenStore: %v", err)
-			}
-			runConformance(t, s, bc.fidelity)
+			runConformance(t, bc.open(t), bc.fidelity)
 		})
 	}
 }
@@ -193,10 +204,7 @@ func runConformance(t *testing.T, s Store, fidelity bool) {
 func TestStoreOwnership(t *testing.T) {
 	for _, bc := range backends() {
 		t.Run(bc.name, func(t *testing.T) {
-			s, err := OpenStore(bc.url(t), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := bc.open(t)
 			key := Key{Blob: 4, Version: 1}
 			data := make([]byte, 8192)
 			for i := range data {
@@ -241,7 +249,7 @@ func TestStoreOwnership(t *testing.T) {
 
 // TestFactoryRejectsBadURLs pins the factory's validation behavior.
 func TestFactoryRejectsBadURLs(t *testing.T) {
-	for _, bad := range []string{"s3://bucket", "disk://", "", "fault+s3://x"} {
+	for _, bad := range []string{"s3://bucket", "disk://", "", "fault+mem://", "fault+s3://x"} {
 		if _, err := OpenStore(bad, nil); err == nil {
 			t.Errorf("OpenStore(%q): want error", bad)
 		}
@@ -249,7 +257,7 @@ func TestFactoryRejectsBadURLs(t *testing.T) {
 			t.Errorf("ValidStoreURL(%q): want error", bad)
 		}
 	}
-	for _, good := range []string{"mem://", "null://", "disk:///tmp/x", "fault+mem://"} {
+	for _, good := range []string{"mem://", "null://", "disk:///tmp/x"} {
 		if err := ValidStoreURL(good); err != nil {
 			t.Errorf("ValidStoreURL(%q): %v", good, err)
 		}
@@ -262,9 +270,6 @@ func TestFactoryRejectsBadURLs(t *testing.T) {
 func TestForProviderDerivesDiskSubdirs(t *testing.T) {
 	if got := ForProvider("disk:///var/chunks", 3); got != "disk:///var/chunks/p3" {
 		t.Fatalf("ForProvider disk: got %q", got)
-	}
-	if got := ForProvider("fault+disk:///var/chunks", 0); got != "fault+disk:///var/chunks/p0" {
-		t.Fatalf("ForProvider fault+disk: got %q", got)
 	}
 	if got := ForProvider("mem://", 5); got != "mem://" {
 		t.Fatalf("ForProvider mem: got %q", got)

@@ -116,10 +116,10 @@ type Env struct {
 	// StoreURL selects the chunk store backend of every data provider
 	// via the chunk backend factory: "mem://" (the default when empty),
 	// "disk:///path" (one per-provider subdirectory under path),
-	// "null://" (discard payloads, bench-only), optionally wrapped with
-	// the "fault+" prefix. FaultInjection composes with any backend —
-	// the factory's store is wrapped in a chunk.FaultStore and the
-	// handles exposed as Versioning.Faults.
+	// "null://" (discard payloads, bench-only). Fault injection is
+	// FaultInjection's alone, and composes with any backend — the
+	// factory's store is wrapped in a chunk.FaultStore and the handles
+	// exposed as Versioning.Faults.
 	StoreURL string
 
 	DataModel iosim.CostModel // per provider / OST
@@ -246,7 +246,7 @@ func NewData(env Env, reg *metrics.Registry) (*Data, error) {
 	}
 	router.SetWriteQuorum(env.WriteQuorum)
 	if env.LocalDomain != "" {
-		router.SetLocalDomain(env.LocalDomain)
+		router.SetReadLocality(env.LocalDomain, true)
 	}
 	if env.ReadCache {
 		cache := provider.NewReadCache(env.Cache)

@@ -41,7 +41,7 @@ func (e Extent) Overlaps(o Extent) bool {
 // extent is empty if they do not overlap.
 func (e Extent) Intersect(o Extent) Extent {
 	off := max64(e.Offset, o.Offset)
-	end := min64(e.End(), o.End())
+	end := min(e.End(), o.End())
 	if end <= off {
 		return Extent{}
 	}
@@ -59,7 +59,7 @@ func (e Extent) Union(o Extent) Extent {
 	if o.Empty() {
 		return e
 	}
-	off := min64(e.Offset, o.Offset)
+	off := min(e.Offset, o.Offset)
 	end := max64(e.End(), o.End())
 	return Extent{Offset: off, Length: end - off}
 }
@@ -184,7 +184,7 @@ func (l List) Bounding() Extent {
 			first = false
 			continue
 		}
-		lo = min64(lo, e.Offset)
+		lo = min(lo, e.Offset)
 		hi = max64(hi, e.End())
 	}
 	if first {
@@ -340,20 +340,13 @@ func (l List) SplitAt(stride int64) List {
 		remaining := e.Length
 		for remaining > 0 {
 			boundary := (off/stride + 1) * stride
-			n := min64(remaining, boundary-off)
+			n := min(remaining, boundary-off)
 			out = append(out, Extent{Offset: off, Length: n})
 			off += n
 			remaining -= n
 		}
 	}
 	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func max64(a, b int64) int64 {

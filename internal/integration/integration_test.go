@@ -128,15 +128,9 @@ func TestMPIIOTileOverRPC(t *testing.T) {
 	for r := 0; r < spec.Ranks(); r++ {
 		calls = append(calls, verify.Call{ID: r + 1, Extents: spec.ExtentsFor(r)})
 	}
-	if err := verify.CheckCalls(driverReader{drv}, calls); err != nil {
+	if err := verify.CheckCalls(drv, calls); err != nil {
 		t.Fatal(err)
 	}
-}
-
-type driverReader struct{ d mpiio.Driver }
-
-func (r driverReader) ReadList(q extent.List, atomic bool) ([]byte, error) {
-	return r.d.ReadList(q, atomic)
 }
 
 // TestSnapshotIsolationUnderWriteStorm pins one version and re-reads
@@ -261,7 +255,7 @@ func TestFailedWriteDoesNotWedgeTheBlob(t *testing.T) {
 	inner := chunk.NewMemStore(nil)
 	faulty := chunk.NewFaultStore(inner)
 	mgr := provider.NewManager()
-	mgr.Register(provider.New(0, faulty))
+	mgr.Register(provider.NewInDomain(0, faulty, ""))
 	svc := blob.Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),
@@ -326,7 +320,7 @@ func TestConcurrentFailuresAndSuccesses(t *testing.T) {
 	inner := chunk.NewMemStore(nil)
 	faulty := chunk.NewFaultStore(inner)
 	mgr := provider.NewManager()
-	mgr.Register(provider.New(0, faulty))
+	mgr.Register(provider.NewInDomain(0, faulty, ""))
 	svc := blob.Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),

@@ -37,7 +37,9 @@ type shard struct {
 }
 
 // Store is a sharded in-memory node store implementing
-// segtree.NodeStore. It is safe for concurrent use.
+// segtree.NodeStore. It is safe for concurrent use. It keeps the node a
+// put hands it and returns that node to every get, shared: nodes are
+// immutable, so no caller modifies one it put or got.
 type Store struct {
 	shards []*shard
 }
@@ -100,7 +102,7 @@ func nodeSize(n *segtree.Node) int64 {
 	return 48
 }
 
-// PutNode implements segtree.NodeStore.
+// PutNode implements segtree.NodeStore, keeping n itself.
 func (s *Store) PutNode(blob uint64, key segtree.NodeKey, n *segtree.Node) error {
 	id := nodeID{blob: blob, key: key}
 	sh := s.shardFor(id)
@@ -116,7 +118,7 @@ func (s *Store) PutNode(blob uint64, key segtree.NodeKey, n *segtree.Node) error
 		}
 		return fmt.Errorf("%w: blob %d %s", ErrExists, blob, key)
 	}
-	sh.nodes[id] = cloneNode(n)
+	sh.nodes[id] = n
 	sh.mu.Unlock()
 	sh.meter.Charge(nodeSize(n))
 	return nil
@@ -124,18 +126,6 @@ func (s *Store) PutNode(blob uint64, key segtree.NodeKey, n *segtree.Node) error
 
 // GetNode implements segtree.NodeStore.
 func (s *Store) GetNode(blob uint64, key segtree.NodeKey) (*segtree.Node, error) {
-	n, err := s.Peek(blob, key)
-	if err != nil {
-		return nil, err
-	}
-	return cloneNode(n), nil
-}
-
-// Peek is GetNode without the copy: the stored node itself, shared with
-// the store and every other caller, which must not be modified — for a
-// caller that only encodes what it reads, as the framed server's walk
-// does.
-func (s *Store) Peek(blob uint64, key segtree.NodeKey) (*segtree.Node, error) {
 	id := nodeID{blob: blob, key: key}
 	sh := s.shardFor(id)
 	sh.mu.RLock()
@@ -159,7 +149,7 @@ func (s *Store) TryGetNode(blob uint64, key segtree.NodeKey) (*segtree.Node, boo
 		return nil, false, nil
 	}
 	sh.meter.Charge(nodeSize(n))
-	return cloneNode(n), true, nil
+	return n, true, nil
 }
 
 // Count returns the total number of stored nodes across shards.
@@ -171,14 +161,4 @@ func (s *Store) Count() int {
 		sh.mu.RUnlock()
 	}
 	return total
-}
-
-// cloneNode deep-copies a node so callers never share fragment slices.
-func cloneNode(n *segtree.Node) *segtree.Node {
-	cp := *n
-	if n.Frags != nil {
-		cp.Frags = make([]segtree.Fragment, len(n.Frags))
-		copy(cp.Frags, n.Frags)
-	}
-	return &cp
 }

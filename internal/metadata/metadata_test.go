@@ -119,22 +119,29 @@ func TestBlobsAreIsolated(t *testing.T) {
 	}
 }
 
-func TestNodesAreDeepCopied(t *testing.T) {
+// TestGetsShareTheStoredNode: nodes are immutable, so the store keeps
+// the node a put hands it and every get returns that node, uncopied.
+func TestGetsShareTheStoredNode(t *testing.T) {
 	s := NewStore(1, iosim.CostModel{})
 	key := segtree.NodeKey{Version: 1, Size: 64}
-	orig := leafNode(1)
-	if err := s.PutNode(1, key, orig); err != nil {
+	put := leafNode(1)
+	if err := s.PutNode(1, key, put); err != nil {
 		t.Fatal(err)
 	}
-	orig.Frags[0].Ext.Offset = 99 // caller mutates after put
-	got, _ := s.GetNode(1, key)
-	if got.Frags[0].Ext.Offset != 1 {
-		t.Fatal("store aliased caller slice")
+	a, err := s.GetNode(1, key)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got.Frags[0].Ext.Offset = 77 // reader mutates
-	got2, _ := s.GetNode(1, key)
-	if got2.Frags[0].Ext.Offset != 1 {
-		t.Fatal("store aliased reader slice")
+	b, err := s.GetNode(1, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok, err := s.TryGetNode(1, key)
+	if !ok || err != nil {
+		t.Fatalf("TryGetNode = %v, %v", ok, err)
+	}
+	if a != put || b != put || c != put {
+		t.Fatalf("gets returned %p, %p and %p, want the stored node %p", a, b, c, put)
 	}
 }
 

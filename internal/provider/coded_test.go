@@ -104,7 +104,7 @@ func TestCodedReadCounts(t *testing.T) {
 	for i := range stores {
 		faults[i] = chunk.NewFaultStore(chunk.NewMemStore(nil))
 		stores[i] = &countingStore{Store: faults[i]}
-		mgr.Register(New(ID(i), stores[i]))
+		mgr.Register(NewInDomain(ID(i), stores[i], ""))
 	}
 	r := NewRouter(mgr)
 	if err := r.SetCoding(k, m); err != nil {
@@ -617,7 +617,7 @@ func TestCodedSlabHygiene(t *testing.T) {
 				faults[i] = chunk.NewFaultStore(s)
 				s = faults[i]
 			}
-			mgr.Register(New(ID(i), s))
+			mgr.Register(NewInDomain(ID(i), s, ""))
 		}
 		r := NewRouter(mgr)
 		if err := r.SetCoding(k, m); err != nil {

@@ -49,7 +49,7 @@ func TestPropAllocateNDomainSpread(t *testing.T) {
 			labels[i] = fmt.Sprintf("d%d", rng.Intn(confDomains))
 		}
 		m := domainPool(labels...)
-		configured := m.configuredDomains()
+		configured, _ := m.domainPromise()
 
 		down := map[ID]bool{}
 		for id := 0; id < pool; id++ {
@@ -428,7 +428,7 @@ func refusingRouter(n int) (*Router, []*refusingStore) {
 	stores := make([]*refusingStore, n)
 	for i := range stores {
 		stores[i] = &refusingStore{Store: chunk.NewMemStore(nil)}
-		m.Register(New(ID(i), stores[i]))
+		m.Register(NewInDomain(ID(i), stores[i], ""))
 	}
 	return NewRouter(m), stores
 }

@@ -89,7 +89,7 @@ func readRig(t *testing.T, placement string) (rig *pathRig, placed []ID) {
 		t.Fatal(err)
 	}
 	if placement == "R3" {
-		rig.r.SetLocalDomain(rig.r.DomainOf(placed[0]))
+		rig.r.SetReadLocality(rig.r.DomainOf(placed[0]), true)
 	}
 	return rig, placed
 }
@@ -344,7 +344,7 @@ func TestStreamReadsBypassReadCache(t *testing.T) {
 	for _, placement := range []string{"R3", "rs4+2"} {
 		t.Run(placement, func(t *testing.T) {
 			rig, placed := readRig(t, placement)
-			cache := NewReadCache(ReadCacheConfig{Shards: 4, MaxBytes: 1 << 20})
+			cache := NewReadCache(ReadCacheConfig{MaxBytes: 1 << 20})
 			rig.r.SetReadCache(cache)
 			for i := 0; i < 2; i++ {
 				if got := rig.observe(readEntries[1], placed); got.Data != string(pathData) {
@@ -569,7 +569,7 @@ func TestPutStreamReachesTheStoreUnbuffered(t *testing.T) {
 		stores := make([]*countingStore, 3)
 		for i := range stores {
 			stores[i] = &countingStore{Store: chunk.NewMemStore(nil)}
-			mgr.Register(New(ID(i), stores[i]))
+			mgr.Register(NewInDomain(ID(i), stores[i], ""))
 		}
 		r := NewRouter(mgr)
 		r.SetReplicas(tc.replicas)

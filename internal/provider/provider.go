@@ -90,7 +90,7 @@
 //     degree and goes to read-repair. GetFrom (every blob.DataService
 //     implementation) is deprecated: it ignores its replica set and
 //     returns fresh == nil.
-//   - Read tier: with a local domain set (SetLocalDomain) reads try
+//   - Read tier: with a local domain set (SetReadLocality) reads try
 //     same-domain replicas first, then rotate the rest — never
 //     narrowing the failover set, only reordering it. With a ReadCache
 //     wired (SetReadCache) BYTE reads are served read-through: chunk
@@ -150,17 +150,10 @@ type Provider struct {
 	domain   string
 }
 
-// New builds a provider around the given store, in the default (flat)
-// failure domain.
-func New(id ID, store chunk.Store) *Provider {
-	return &Provider{id: id, store: store}
-}
-
-// NewInDomain builds a provider tagged with a failure-domain label.
+// NewInDomain builds a provider tagged with a failure-domain label ("" =
+// the default domain of a flat pool).
 func NewInDomain(id ID, store chunk.Store, domain string) *Provider {
-	p := New(id, store)
-	p.domain = domain
-	return p
+	return &Provider{id: id, store: store, domain: domain}
 }
 
 // ID returns the provider's identity.
@@ -287,8 +280,7 @@ func DomainLabel(i, n, domains int) string {
 // given number of failure domains — contiguous blocks labeled per
 // DomainLabel, modeling machines racked together; domains <= 1 builds
 // the flat single-domain pool. With faulty set, every store is
-// additionally wrapped in a chunk.FaultStore (reusing the wrapper when
-// the URL already carries the fault+ prefix), so callers can kill a
+// additionally wrapped in a chunk.FaultStore, so callers can kill a
 // machine at the store level, and the handles are returned by provider
 // index.
 func NewURLPoolInDomains(rawURL string, n, domains int, model iosim.CostModel, faulty bool) (*Manager, []*chunk.FaultStore, error) {
@@ -300,10 +292,7 @@ func NewURLPoolInDomains(rawURL string, n, domains int, model iosim.CostModel, f
 			return nil, nil, fmt.Errorf("provider %d: %w", i, err)
 		}
 		if faulty {
-			fs, ok := s.(*chunk.FaultStore)
-			if !ok {
-				fs = chunk.NewFaultStore(s)
-			}
+			fs := chunk.NewFaultStore(s)
 			faults = append(faults, fs)
 			s = fs
 		}
@@ -442,13 +431,6 @@ func (m *Manager) domainPromise() (configured int, full bool) {
 	return m.domCount, m.domFull
 }
 
-// configuredDomains counts the distinct failure domains among all
-// registered providers.
-func (m *Manager) configuredDomains() int {
-	configured, _ := m.domainPromise()
-	return configured
-}
-
 // byID returns the provider with the given ID, or nil.
 func (m *Manager) byID(id ID) *Provider {
 	m.mu.RLock()
@@ -559,12 +541,14 @@ func (m *Manager) allocateSpread(n int, exclude map[ID]bool, have map[string]int
 
 	base := m.next.Add(uint64(n)) - uint64(n)
 	// Rotate the domain ring so successive calls start their fill from
-	// different domains (cross-call balance) — which this does only while
-	// n is not a multiple of the live domain count: base advances by n a
-	// call, so R=3 on 3 domains or a 6-wide stripe on 6 starts every fill
-	// at the same domain. Harmless for a replica set, whose order means
-	// nothing; coded placement, whose order is fragment position, rotates
-	// the stripe it is handed by a hash of the key (coded.allocate).
+	// different domains (cross-call balance). base advances by n a call,
+	// so fills start from domains/gcd(n, domains) of the live domains
+	// only: from one when n is a multiple of the count (R=3 on 3 domains,
+	// a 6-wide stripe on 6), from every other one for n=2 on 4
+	// (TestAllocateNRingRotation). Harmless for a replica set, whose order
+	// means nothing; coded placement, whose order is fragment position,
+	// rotates the stripe it is handed by a hash of the key
+	// (coded.allocate).
 	if r := int(base % uint64(len(order))); r > 0 {
 		order = append(order[r:], order[:r]...)
 	}
@@ -790,18 +774,15 @@ func (r *Router) noteDegraded(key chunk.Key) {
 	}
 }
 
-// SetLocalDomain declares the failure domain this router's reads
-// originate from and turns on zone-local replica preference:
-// getFromSet tries same-domain replicas first, then the rest in
-// rotation. The failover set is never narrowed — a zone whose local
-// copies are all dead still reads remotely.
-func (r *Router) SetLocalDomain(domain string) { r.SetReadLocality(domain, true) }
-
-// SetReadLocality sets the reader's failure domain and whether to
-// PREFER local replicas. prefer=false keeps the blind rotation but
-// still counts local/remote reads — the measurement baseline the E13
-// bench compares zone-local selection against. An empty domain turns
-// locality (ordering and counting) off.
+// SetReadLocality sets the failure domain this router's reads
+// originate from and whether to PREFER local replicas. prefer=true
+// turns on zone-local replica preference: getFromSet tries same-domain
+// replicas first, then the rest in rotation. The failover set is never
+// narrowed — a zone whose local copies are all dead still reads
+// remotely. prefer=false keeps the blind rotation but still counts
+// local/remote reads — the measurement baseline the E13 bench compares
+// zone-local selection against. An empty domain turns locality
+// (ordering and counting) off.
 func (r *Router) SetReadLocality(domain string, prefer bool) {
 	r.cfg.Lock()
 	r.localDomain = domain

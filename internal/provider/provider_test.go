@@ -18,7 +18,7 @@ import (
 func TestAllocateRoundRobin(t *testing.T) {
 	m := NewManager()
 	for i := 0; i < 3; i++ {
-		m.Register(New(ID(i), chunk.NewMemStore(nil)))
+		m.Register(NewInDomain(ID(i), chunk.NewMemStore(nil), ""))
 	}
 	var seq []ID
 	for i := 0; i < 6; i++ {
@@ -351,7 +351,7 @@ func TestRouterWriteQuorum(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			f := chunk.NewFaultStore(chunk.NewMemStore(nil))
 			faults = append(faults, f)
-			m.Register(New(ID(i), f))
+			m.Register(NewInDomain(ID(i), f, ""))
 		}
 		r := NewRouter(m)
 		r.SetReplicas(replicas)
@@ -458,8 +458,7 @@ func TestRouterRepairLost(t *testing.T) {
 
 // TestNewURLPoolInDomains: the one pool constructor builds n
 // providers racked into contiguous domains, hands out a fault handle
-// per provider when asked (reusing a fault+ URL's own wrapper), and
-// refuses a store it cannot open.
+// per provider when asked, and refuses a store it cannot open.
 func TestNewURLPoolInDomains(t *testing.T) {
 	m, faults := testPool(4, 2, false)
 	if len(m.Providers()) != 4 || faults != nil {
@@ -470,21 +469,18 @@ func TestNewURLPoolInDomains(t *testing.T) {
 			t.Fatalf("provider %d in domain %q, want %q", i, p.Domain(), want)
 		}
 	}
-	for _, url := range []string{"mem://", "fault+mem://"} {
-		m, faults, err := NewURLPoolInDomains(url, 3, 0, iosim.CostModel{}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(faults) != 3 {
-			t.Fatalf("%s: %d fault handles, want 3", url, len(faults))
-		}
-		faults[1].SetDown(true)
-		if _, err := m.Providers()[1].Store().Len(chunk.Key{Blob: 1}); !errors.Is(err, chunk.ErrDown) {
-			t.Fatalf("%s: a downed fault handle's store answered %v, want ErrDown", url, err)
-		}
+	m, faults = testPool(3, 0, true)
+	if len(faults) != 3 {
+		t.Fatalf("%d fault handles, want 3", len(faults))
 	}
-	if _, _, err := NewURLPoolInDomains("bogus://", 2, 0, iosim.CostModel{}, false); err == nil {
-		t.Fatal("an unknown store scheme opened")
+	faults[1].SetDown(true)
+	if _, err := m.Providers()[1].Store().Len(chunk.Key{Blob: 1}); !errors.Is(err, chunk.ErrDown) {
+		t.Fatalf("a downed fault handle's store answered %v, want ErrDown", err)
+	}
+	for _, url := range []string{"bogus://", "fault+mem://"} {
+		if _, _, err := NewURLPoolInDomains(url, 2, 0, iosim.CostModel{}, false); err == nil {
+			t.Fatalf("the unknown store scheme of %s opened", url)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package provider
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -83,12 +84,12 @@ func TestReadCacheHints(t *testing.T) {
 // asserts the byte bound holds.
 func TestReadCacheBounded(t *testing.T) {
 	const maxBytes = 64 << 10
-	c := NewReadCache(ReadCacheConfig{Shards: 4, MaxBytes: maxBytes})
+	c := NewReadCache(ReadCacheConfig{MaxBytes: maxBytes})
 	payload := make([]byte, 1024)
 	for i := 0; i < 4096; i++ {
 		c.FillData(cacheKey(i), append([]byte(nil), payload...))
 	}
-	if got := c.Bytes(); got > maxBytes {
+	if got := c.Stats().Bytes; got > maxBytes {
 		t.Fatalf("cache holds %d bytes after flood, bound is %d", got, maxBytes)
 	}
 	st := c.Stats()
@@ -99,11 +100,11 @@ func TestReadCacheBounded(t *testing.T) {
 		t.Fatal("trim evicted everything; recent entries should survive")
 	}
 	// Tiny entries are bounded too (they carry entryOverhead).
-	c2 := NewReadCache(ReadCacheConfig{Shards: 1, MaxBytes: 8 << 10})
+	c2 := NewReadCache(ReadCacheConfig{MaxBytes: 8 << 10})
 	for i := 0; i < 100000; i++ {
 		c2.FillData(cacheKey(i), []byte{1})
 	}
-	if got := c2.Bytes(); got > 8<<10 {
+	if got := c2.Stats().Bytes; got > 8<<10 {
 		t.Fatalf("tiny-entry flood holds %d bytes, bound is %d", got, 8<<10)
 	}
 }
@@ -111,7 +112,7 @@ func TestReadCacheBounded(t *testing.T) {
 // TestReadCacheOversizeEntryRefused: a single value larger than a
 // shard's budget must not evict the whole shard just to fail to fit.
 func TestReadCacheOversizeEntryRefused(t *testing.T) {
-	c := NewReadCache(ReadCacheConfig{Shards: 1, MaxBytes: 4 << 10})
+	c := NewReadCache(ReadCacheConfig{MaxBytes: 4 << 10})
 	c.FillData(cacheKey(1), make([]byte, 512))
 	c.FillData(cacheKey(2), make([]byte, 8<<10)) // over the whole budget
 	if _, ok := c.GetData(cacheKey(2), 0, 8<<10); ok {
@@ -126,8 +127,68 @@ func TestReadCacheOversizeEntryRefused(t *testing.T) {
 	if _, ok := c.GetData(cacheKey(1), 0, 512); ok {
 		t.Fatal("entry grown past the budget stayed resident")
 	}
-	if got := c.Bytes(); got != 0 {
+	if got := c.Stats().Bytes; got != 0 {
 		t.Fatalf("bytes = %d after refusals, want 0", got)
+	}
+}
+
+// TestReadCacheOneBudget: the budget is the cache's, not a slice of it,
+// so an entry far over a sixteenth of MaxBytes but under the whole is
+// cached.
+func TestReadCacheOneBudget(t *testing.T) {
+	const maxBytes = 1 << 20
+	c := NewReadCache(ReadCacheConfig{MaxBytes: maxBytes})
+	c.FillData(cacheKey(0), make([]byte, maxBytes/2))
+	if _, ok := c.GetData(cacheKey(0), 0, maxBytes/2); !ok {
+		t.Fatalf("an entry of half the budget was not cached: %+v", c.Stats())
+	}
+}
+
+// TestReadCacheEvictsInInsertionOrder: whatever the keys, a fill past
+// the budget evicts the oldest entries first, a grown or refilled prefix
+// counts as inserted when it was filled, and the footprint never exceeds
+// MaxBytes.
+func TestReadCacheEvictsInInsertionOrder(t *testing.T) {
+	const size = 1024
+	const maxBytes = 4 * (size + entryOverhead)
+	c := NewReadCache(ReadCacheConfig{MaxBytes: maxBytes})
+	resident := func() []int {
+		var keys []int
+		for i := 0; i < 16; i++ {
+			if _, ok := c.GetData(cacheKey(i), 0, 1); ok {
+				keys = append(keys, i)
+			}
+		}
+		return keys
+	}
+	fill := func(i, n int) {
+		t.Helper()
+		c.FillData(cacheKey(i), make([]byte, n))
+		if got := c.Stats().Bytes; got > maxBytes {
+			t.Fatalf("after filling key %d the cache holds %d bytes, bound is %d", i, got, maxBytes)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		fill(i, size)
+		if i >= 3 {
+			if got, want := resident(), []int{i - 3, i - 2, i - 1, i}; !slices.Equal(got, want) {
+				t.Fatalf("after filling key %d: resident %v, want %v", i, got, want)
+			}
+		}
+	}
+	fill(6, 2*size) // grows the oldest entry: it moves to the back, 7 goes
+	if got, want := resident(), []int{6, 8, 9}; !slices.Equal(got, want) {
+		t.Fatalf("after growing key 6: resident %v, want %v", got, want)
+	}
+	fill(10, size) // 8 is now the oldest
+	if got, want := resident(), []int{6, 9, 10}; !slices.Equal(got, want) {
+		t.Fatalf("after filling key 10: resident %v, want %v", got, want)
+	}
+	c.Invalidate(cacheKey(6))
+	fill(6, 2*size) // refilled after its invalidation: the newest, not the oldest
+	fill(11, size)  // 9 is now the oldest
+	if got, want := resident(), []int{6, 10, 11}; !slices.Equal(got, want) {
+		t.Fatalf("after refilling key 6 and filling key 11: resident %v, want %v", got, want)
 	}
 }
 
@@ -155,7 +216,7 @@ func TestReadCacheStatsAndHitRate(t *testing.T) {
 // holds throughout.
 func TestReadCacheConcurrent(t *testing.T) {
 	const maxBytes = 32 << 10
-	c := NewReadCache(ReadCacheConfig{Shards: 4, MaxBytes: maxBytes})
+	c := NewReadCache(ReadCacheConfig{MaxBytes: maxBytes})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -179,7 +240,7 @@ func TestReadCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := c.Bytes(); got > maxBytes {
+	if got := c.Stats().Bytes; got > maxBytes {
 		t.Fatalf("cache holds %d bytes after concurrent churn, bound is %d", got, maxBytes)
 	}
 }

@@ -15,7 +15,7 @@ func cachedRouter(t *testing.T, n, domains, replicas int) (*Router, *ReadCache) 
 	mgr, _ := testPool(n, domains, false)
 	r := NewRouter(mgr)
 	r.SetReplicas(replicas)
-	cache := NewReadCache(ReadCacheConfig{Shards: 4, MaxBytes: 1 << 20})
+	cache := NewReadCache(ReadCacheConfig{MaxBytes: 1 << 20})
 	r.SetReadCache(cache)
 	return r, cache
 }
@@ -28,7 +28,7 @@ func TestZoneLocalReplicaOrder(t *testing.T) {
 	// 6 providers, 3 domains: zone0={0,1}, zone1={2,3}, zone2={4,5}.
 	mgr, _ := testPool(6, 3, false)
 	r := NewRouter(mgr)
-	r.SetLocalDomain("zone1")
+	r.SetReadLocality("zone1", true)
 	if got := r.LocalDomain(); got != "zone1" {
 		t.Fatalf("LocalDomain = %q", got)
 	}
@@ -68,7 +68,7 @@ func TestZoneLocalReplicaOrder(t *testing.T) {
 func TestZoneLocalReadsStayLocal(t *testing.T) {
 	r, _ := cachedRouter(t, 6, 3, 2)
 	r.SetReadCache(nil) // count provider reads, not cache hits
-	r.SetLocalDomain("zone0")
+	r.SetReadLocality("zone0", true)
 	data := []byte("stay local")
 	// Write chunks until one has a zone0 replica (R=2 over 3 domains —
 	// most do).
@@ -275,7 +275,7 @@ func TestGetFromFallbackFreshMatchesServingSet(t *testing.T) {
 // fail before the chunk is deleted.
 func TestReadTierRace(t *testing.T) {
 	r, cache := cachedRouter(t, 6, 3, 2)
-	r.SetLocalDomain("zone0")
+	r.SetReadLocality("zone0", true)
 	const chunks = 8
 	data := []byte("racing bytes")
 	keys := make([]chunk.Key, chunks)

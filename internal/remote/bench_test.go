@@ -53,7 +53,7 @@ func startCountedNode(tb testing.TB, storeURL string, reg *metrics.Registry) (*c
 		if err != nil {
 			tb.Fatal(err)
 		}
-		mgr.Register(provider.New(provider.ID(i), store))
+		mgr.Register(provider.NewInDomain(provider.ID(i), store, ""))
 	}
 	node, err := serve(cl, Roles{
 		VM:      vmanager.New(iosim.CostModel{}),

@@ -1488,7 +1488,7 @@ func TestFramedGetTrainLeavesInOneVectoredWrite(t *testing.T) {
 			}
 		}
 		for i := range providers {
-			mgr.Register(provider.New(provider.ID(i), store()))
+			mgr.Register(provider.NewInDomain(provider.ID(i), store(), ""))
 		}
 		reg := metrics.NewRegistry()
 		node, err := serve(counted, Roles{Data: router, Metrics: reg})

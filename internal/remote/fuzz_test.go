@@ -51,7 +51,7 @@ func FuzzFramedServer(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mgr.Register(provider.New(provider.ID(i), store))
+			mgr.Register(provider.NewInDomain(provider.ID(i), store, ""))
 		}
 		router := provider.NewRouter(mgr)
 		router.SetMaxChunkSize(fuzzMaxChunk)

@@ -19,8 +19,8 @@ func TestReadTierOverRPC(t *testing.T) {
 	mgr := memPool(4, 2)
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
-	router.SetLocalDomain("zone0")
-	router.SetReadCache(provider.NewReadCache(provider.ReadCacheConfig{Shards: 4, MaxBytes: 1 << 20}))
+	router.SetReadLocality("zone0", true)
+	router.SetReadCache(provider.NewReadCache(provider.ReadCacheConfig{MaxBytes: 1 << 20}))
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),

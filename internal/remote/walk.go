@@ -150,8 +150,7 @@ func (s *framedServer) serveWalk(w *replyWriter, h frameHeader, req []byte, scra
 	return s.writeOK(w, reply)
 }
 
-// walk runs the walk a request asks for and appends the reply body to
-// buf. The stored nodes are read uncopied: they are only encoded.
+// walk runs the walk a request asks for and appends the reply body to buf.
 func (s *framedServer) walk(buf []byte, blob uint64, req []byte) ([]byte, error) {
 	keys, queries, err := decodeWalkRequest(req)
 	if err != nil {
@@ -162,7 +161,7 @@ func (s *framedServer) walk(buf []byte, blob uint64, req []byte) ([]byte, error)
 	_, err = segtree.Walk(keys, queries, func(keys []segtree.NodeKey, _ []extent.List) ([]*segtree.Node, error) {
 		nodes := make([]*segtree.Node, len(keys))
 		for i, key := range keys {
-			n, err := s.nodes.Peek(blob, key)
+			n, err := s.nodes.GetNode(blob, key)
 			if err != nil {
 				return nil, err
 			}

@@ -73,9 +73,12 @@ type Node struct {
 // NodeStore is the metadata repository the tree reads and writes.
 // Implementations live in internal/metadata.
 type NodeStore interface {
-	// PutNode stores an immutable node.
+	// PutNode stores an immutable node. The store may keep n as the
+	// stored node and hand it to later gets, so the caller hands it
+	// over: no caller may modify a node after putting it or getting it.
 	PutNode(blob uint64, key NodeKey, n *Node) error
-	// GetNode returns a node or an error if it is missing.
+	// GetNode returns a node or an error if it is missing. The node may
+	// be shared with the store and with every other caller.
 	GetNode(blob uint64, key NodeKey) (*Node, error)
 	// TryGetNode returns (node, true) if present, (nil, false) if the
 	// node is not (yet) stored. Used for the leaf-flattening

@@ -164,7 +164,7 @@ func RunCodedDomain(cfg CodedConfig) (CodedReport, error) {
 	// reconstruction — any k of the surviving fragments rebuild the
 	// exact original bytes.
 	rg.killStores(plan.SecondVictims...)
-	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
+	if err := verify.CheckCalls(d, okCalls); err != nil {
 		return report, failf(cfg.Seed, "degraded reconstruction at m=%d losses: %w", m, err)
 	}
 

@@ -116,7 +116,7 @@ func RunCrash(cfg CrashConfig) (CrashReport, error) {
 	}
 
 	// MPI atomicity over the calls that committed.
-	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
+	if err := verify.CheckCalls(d, okCalls); err != nil {
 		if cfg.Replicas == 1 && isLossErr(err) {
 			report.DataLoss = true
 			return report, nil

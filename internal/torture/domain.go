@@ -129,7 +129,7 @@ func RunDomain(cfg DomainConfig) (DomainReport, error) {
 
 	// Atomicity survives the correlated loss (degraded reads fail over
 	// to the replicas in surviving domains and feed read-repair).
-	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
+	if err := verify.CheckCalls(d, okCalls); err != nil {
 		return report, failf(cfg.Seed, "%w", err)
 	}
 

@@ -32,7 +32,7 @@ func faultyBackend(t *testing.T, cfg vmanager.BatchConfig, providers int, span i
 	for i := 0; i < providers; i++ {
 		f := chunk.NewFaultStore(chunk.NewMemStore(nil))
 		faults = append(faults, f)
-		mgr.Register(provider.New(provider.ID(i), f))
+		mgr.Register(provider.NewInDomain(provider.ID(i), f, ""))
 	}
 	svc := blob.Services{
 		VM:   vm,
@@ -116,7 +116,7 @@ func TestFaultMidBatchDoesNotCorruptPeers(t *testing.T) {
 			// Serializability over the successful calls only: if a dead
 			// writer's bytes leaked into the image, the checker reports
 			// them as foreign data.
-			if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
+			if err := verify.CheckCalls(d, okCalls); err != nil {
 				t.Fatalf("failed writer corrupted batch peers: %v", err)
 			}
 

@@ -215,7 +215,7 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	}
 
 	// Serializability of the surviving latest state.
-	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
+	if err := verify.CheckCalls(d, okCalls); err != nil {
 		return report, failf(cfg.Seed, "%w", err)
 	}
 

@@ -111,7 +111,7 @@ func RunHeal(cfg HealConfig) (HealReport, error) {
 
 	// Atomicity survives the kill; these degraded reads also feed the
 	// read-repair queue with exactly the chunks that needed failover.
-	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
+	if err := verify.CheckCalls(d, okCalls); err != nil {
 		return report, failf(cfg.Seed, "%w", err)
 	}
 

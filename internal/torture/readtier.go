@@ -149,7 +149,7 @@ func RunReadTier(cfg ReadTierConfig) (ReadTierReport, error) {
 
 	// Serializability read THROUGH the cache: the verifier's reads take
 	// the same cached path the torture readers warmed up.
-	if err := verify.CheckCalls(reader{d}, okCalls); err != nil {
+	if err := verify.CheckCalls(d, okCalls); err != nil {
 		return report, failf(cfg.Seed, "%w", err)
 	}
 

@@ -341,7 +341,7 @@ func RunShard(cfg ShardConfig) (ShardReport, error) {
 	}
 
 	// The restarted shard serves writes again.
-	probe := extent.List{{Offset: 0, Length: min64(cfg.Window, 4096)}}
+	probe := extent.List{{Offset: 0, Length: min(cfg.Window, 4096)}}
 	for _, b := range doomedBlobs {
 		call := verify.Call{ID: cfg.CallsPerBlob + 1, Extents: probe}
 		vec, err := verify.MakeVec(call)
@@ -359,7 +359,7 @@ func RunShard(cfg ShardConfig) (ShardReport, error) {
 	// as foreign data — this is the ErrShardDown-means-not-committed
 	// check.
 	for b := uint64(1); b <= uint64(cfg.Blobs); b++ {
-		if err := verify.CheckCalls(reader{drivers[b]}, okCalls[b]); err != nil {
+		if err := verify.CheckCalls(drivers[b], okCalls[b]); err != nil {
 			return report, failf(cfg.Seed, "blob %d: %w", b, err)
 		}
 		report.OKCalls += len(okCalls[b])
@@ -408,11 +408,4 @@ func RunShard(cfg ShardConfig) (ShardReport, error) {
 		}
 	}
 	return report, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

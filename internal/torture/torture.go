@@ -116,17 +116,10 @@ func Run(d mpiio.Driver, cfg Config) error {
 	if len(failures) > 0 {
 		return failf(cfg.Seed, "%w", errors.Join(failures...))
 	}
-	if err := verify.CheckCalls(reader{d}, all); err != nil {
+	if err := verify.CheckCalls(d, all); err != nil {
 		return failf(cfg.Seed, "%w", err)
 	}
 	return nil
-}
-
-// reader adapts a driver to the verifier's read interface.
-type reader struct{ d mpiio.Driver }
-
-func (r reader) ReadList(q extent.List, atomic bool) ([]byte, error) {
-	return r.d.ReadList(q, atomic)
 }
 
 // awaitFirst keeps a schedule's concurrent readers running after its
