@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/extent"
-	"repro/internal/vmanager"
 	"repro/internal/workload"
 )
 
@@ -156,7 +155,7 @@ func RunGC(env cluster.Env, spec workload.OverlapSpec, opts GCOptions) (GCResult
 	// GC storm: the reaper drains the drop schedule at GCRate deletes
 	// per tick while foreground writes continue; the latency ratio is
 	// the starvation guard.
-	stopReaper := tickEvery(2*time.Millisecond, svc.Reaper.Tick)
+	stopReaper := TickEvery(2*time.Millisecond, svc.Reaper.Tick)
 	var storm time.Duration
 	stormRounds := 4
 	start := time.Now()
@@ -176,7 +175,8 @@ func RunGC(env cluster.Env, spec workload.OverlapSpec, opts GCOptions) (GCResult
 	// on the metered model each tick pays real (virtual) metadata and
 	// store time, so the reclamation rate reflects the configured
 	// delete budget, not wall-clock ticker cadence.
-	if err := reapUntilDrained(svc, be, opts.MaxTicks); err != nil {
+	TickUntil(opts.MaxTicks, svc.Reaper.Tick, Drained(be, &err))
+	if err != nil {
 		return res, err
 	}
 	res.GCElapsed = time.Since(start)
@@ -195,18 +195,6 @@ func RunGC(env cluster.Env, spec workload.OverlapSpec, opts GCOptions) (GCResult
 		return res, fmt.Errorf("bench: scrub after GC: %w", err)
 	}
 	return res, nil
-}
-
-// reapUntilDrained ticks the reaper until no dropped version is still
-// pending reclamation, or max ticks have passed.
-func reapUntilDrained(svc *cluster.Versioning, be *core.VersioningBackend, max int) error {
-	var err error
-	tickUntil(max, svc.Reaper.Tick, func() bool {
-		var info vmanager.GCInfo
-		info, err = be.Blob().GCInfo()
-		return err != nil || len(info.Pending) == 0
-	})
-	return err
 }
 
 // poolBytes sums stored bytes across the provider pool.

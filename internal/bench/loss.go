@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -172,11 +171,9 @@ func RunLoss(env cluster.Env, spec workload.OverlapSpec, opts LossOptions) (Loss
 	d := &mpiio.VersioningDriver{Backend: be}
 	iters := max(opts.Iterations, 1)
 	span := spec.FileSpan()
-	// Virtual time for the health monitor's probation: one healer
-	// tick, one second.
-	var vsec atomic.Int64
+	var clock *Clock
 	if opts.SelfHeal {
-		svc.Health.SetClock(func() time.Time { return time.Unix(vsec.Load(), 0) })
+		clock = NewClock(svc)
 	}
 
 	start := time.Now()
@@ -204,16 +201,21 @@ func RunLoss(env cluster.Env, spec workload.OverlapSpec, opts LossOptions) (Loss
 
 	// The loss. The flat control kills the same machines as the spread
 	// run: only placement differs between the modes.
+	victims := []provider.ID{0}
+	if opts.Domains > 0 {
+		victims = DomainProviders(env.Providers, opts.Domains, 0)
+	}
 	dead := make(map[provider.ID]bool)
-	for i := 0; i < env.Providers; i++ {
-		if (opts.Domains == 0 && i == 0) || (opts.Domains > 0 && provider.DomainLabel(i, env.Providers, opts.Domains) == "zone0") {
-			dead[provider.ID(i)] = true
-			if opts.SelfHeal {
-				svc.Faults[i].SetDown(true)
-			} else if err := svc.Providers.SetDown(provider.ID(i), true); err != nil {
+	for _, id := range victims {
+		dead[id] = true
+		if !opts.SelfHeal {
+			if err := svc.Providers.SetDown(id, true); err != nil {
 				return res, err
 			}
 		}
+	}
+	if opts.SelfHeal {
+		KillStores(svc, victims...)
 	}
 	res.Killed = len(dead)
 
@@ -271,28 +273,19 @@ func RunLoss(env cluster.Env, spec workload.OverlapSpec, opts LossOptions) (Loss
 		// Tick until every victim is detected and every chunk is back
 		// at full degree and full domain spread, counting virtual time.
 		res.Prefed = svc.Healer.Stats().Enqueued
-		allDown := func() bool {
-			for id := range dead {
-				if svc.Health.State(id) != provider.Down {
-					return false
-				}
-			}
-			return true
-		}
-		ticks := 0
+		allDown := func() bool { return Detected(svc, victims...) == len(victims) }
 		if allDown() {
 			res.DetectTicks = 0
 		}
+		healed := HealedAndSpread(svc)
+		ticks := 0
 		start := time.Now()
-		res.HealTicks = tickUntil(lossMaxTicks, func() {
-			vsec.Add(1)
-			svc.Healer.Tick()
-		}, func() bool {
+		res.HealTicks = TickUntil(lossMaxTicks, clock.Tick, func() bool {
 			ticks++
 			if res.DetectTicks == NotConverged && allDown() {
 				res.DetectTicks = ticks
 			}
-			return svc.Healer.QueueLen() == 0 && svc.Router.UnderReplicated() == 0 && len(svc.Router.SpreadAudit()) == 0
+			return healed()
 		})
 		res.HealElapsed = time.Since(start)
 		res.Healer = svc.Healer.Stats()

@@ -1,17 +1,24 @@
 package bench
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/extent"
 	"repro/internal/mpiio"
+	"repro/internal/provider"
+	"repro/internal/vmanager"
 )
 
 // The phases every scenario is assembled from. A scenario says what it
 // measures; how N clients run side by side, what a client writes, how a
-// file is read back whole and how a background loop is driven to
-// quiescence is said here, once.
+// file is read back whole, how a provider is lost and how a background
+// loop is driven to quiescence is said here, once. The torture
+// schedules drive their deployments with the same loop helpers.
 
 // eachClient runs fn for clients 0..n-1 concurrently and returns the
 // first error in client order. The clients are released together once
@@ -93,10 +100,10 @@ func mbps(bytes int64, elapsed time.Duration) float64 {
 // because there was nothing left to converge to (data already lost).
 const NotConverged = -1
 
-// tickUntil drives a background loop synchronously: tick, then ask
+// TickUntil drives a background loop synchronously: tick, then ask
 // done, at most max times. It returns the number of ticks it took, or
 // NotConverged.
-func tickUntil(max int, tick func(), done func() bool) int {
+func TickUntil(max int, tick func(), done func() bool) int {
 	for t := 1; t <= max; t++ {
 		tick()
 		if done() {
@@ -106,10 +113,10 @@ func tickUntil(max int, tick func(), done func() bool) int {
 	return NotConverged
 }
 
-// tickEvery drives a background loop on the wall clock beside a
+// TickEvery drives a background loop on the wall clock beside a
 // foreground workload, as the daemon runs it; the returned function
-// stops it and waits for the tick in progress.
-func tickEvery(interval time.Duration, tick func()) (stop func()) {
+// stops it and waits for the tick in progress. Call it once.
+func TickEvery(interval time.Duration, tick func()) (stop func()) {
 	quit := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -129,4 +136,93 @@ func tickEvery(interval time.Duration, tick func()) (stop func()) {
 		close(quit)
 		<-done
 	}
+}
+
+// Clock is the virtual time a deployment's background loops run on:
+// one Tick, one second. The health monitor reads no other clock, so
+// probation timing is a function of the tick count, not of the host.
+type Clock struct {
+	svc *cluster.Versioning
+	sec atomic.Int64
+}
+
+// NewClock puts svc's health monitor, when it has one, on a new Clock.
+func NewClock(svc *cluster.Versioning) *Clock {
+	c := &Clock{svc: svc}
+	if svc.Health != nil {
+		svc.Health.SetClock(c.Now)
+	}
+	return c
+}
+
+// Now is the clock's current time.
+func (c *Clock) Now() time.Time { return time.Unix(c.sec.Load(), 0) }
+
+// Tick advances the clock one second and runs one iteration of every
+// background loop the deployment has: the healer, and the reaper when
+// GC is on.
+func (c *Clock) Tick() {
+	c.sec.Add(1)
+	c.svc.Healer.Tick()
+	if c.svc.Reaper != nil {
+		c.svc.Reaper.Tick()
+	}
+}
+
+// Healed is the healer's quiescence: the repair queue is drained and
+// every chunk is back at full degree.
+func Healed(svc *cluster.Versioning) func() bool {
+	return func() bool { return svc.Healer.QueueLen() == 0 && svc.Router.UnderReplicated() == 0 }
+}
+
+// HealedAndSpread is Healed plus a clean spread audit: count and
+// distinct-domain spread both restored.
+func HealedAndSpread(svc *cluster.Versioning) func() bool {
+	healed := Healed(svc)
+	return func() bool { return healed() && len(svc.Router.SpreadAudit()) == 0 }
+}
+
+// Drained is the reaper's quiescence: no version retention dropped is
+// still pending reclamation. A failed query ends the wait too, and
+// leaves its error in *err.
+func Drained(be *core.VersioningBackend, err *error) func() bool {
+	return func() bool {
+		var info vmanager.GCInfo
+		info, *err = be.Blob().GCInfo()
+		return *err != nil || len(info.Pending) == 0
+	}
+}
+
+// KillStores makes the given providers' chunk stores fail every call.
+// Their liveness flags stay up: nobody has told the system, it must
+// notice from errors.
+func KillStores(svc *cluster.Versioning, ids ...provider.ID) {
+	for _, id := range ids {
+		svc.Faults[id].SetDown(true)
+	}
+}
+
+// Detected counts how many of the given providers the health monitor
+// has marked down.
+func Detected(svc *cluster.Versioning, ids ...provider.ID) int {
+	n := 0
+	for _, id := range ids {
+		if svc.Health.State(id) == provider.Down {
+			n++
+		}
+	}
+	return n
+}
+
+// DomainProviders lists the providers of failure domain number domain:
+// the contiguous block cluster.Env.Domains carves out for it.
+func DomainProviders(providers, domains, domain int) []provider.ID {
+	label := fmt.Sprintf("zone%d", domain)
+	var ids []provider.ID
+	for i := 0; i < providers; i++ {
+		if provider.DomainLabel(i, providers, domains) == label {
+			ids = append(ids, provider.ID(i))
+		}
+	}
+	return ids
 }

@@ -639,25 +639,30 @@ func runE13(w io.Writer, quick bool) error {
 
 // E14: the checkpoint blaster — every rank checkpoints the strided
 // N-1 pattern epoch after epoch through write pipes while restore
-// readers pin and re-read old epochs, retention feeds the reaper, a
-// provider store dies mid-run for the self-heal loop to absorb, and
-// the metrics registry times every stage. The first table is the
-// run-level counters; the second is the registry's own per-stage
-// latency histograms. How fast the checkpoint was written is the
-// wall-clock benchmark's to say (checkpoint_restore).
+// readers pin and re-read retained versions, retention feeds the
+// reaper, the seed-planned victim's store dies mid-run for the
+// self-heal loop to absorb, and the metrics registry times every stage.
+// The first table is the run-level counters, each a function of the
+// seed but the chunks repaired; the second is the registry's own
+// per-stage latency histograms, whose repair and chunk get counts
+// follow the order the ranks' writes arrive in. How fast
+// the checkpoint was written is the wall-clock benchmark's to say
+// (checkpoint_restore).
 func runE14(w io.Writer, quick bool) error {
 	ranks, epochs := pick(quick, 8, 4), pick(quick, 6, 4)
+	env := cluster.Metered()
 	spec := workload.CheckpointSpec{Ranks: ranks, Segments: 8, SegmentSize: 32 << 10}
-	res, err := bench.RunCheckpointBlaster(cluster.Metered(), spec, bench.CheckpointOptions{
-		Replicas: 2, Epochs: epochs, KeepLast: 2, Readers: 2, Kill: true,
-	})
+	opts := bench.CheckpointOptions{Replicas: 2, Epochs: epochs, KeepLast: 2, Readers: 2, Kill: true, Seed: 14}
+	res, err := bench.RunCheckpointBlaster(env, spec, opts)
 	if err != nil {
 		return err
 	}
+	plan := opts.Plan(env.Providers)
 	run := bench.NewTable(
-		fmt.Sprintf("E14: checkpoint blaster (%d ranks x %d segments x 32 KiB, %d epochs, keep 2, kill mid-run)", ranks, spec.Segments, epochs),
-		"written MiB", "restores (free-running)", "chunks repaired", "versions reclaimed")
-	run.AddRow(fmt.Sprintf("%.1f", float64(res.WrittenBytes)/(1<<20)), fmt.Sprint(res.Restores), fmt.Sprint(res.Repaired), fmt.Sprint(res.Reclaimed))
+		fmt.Sprintf("E14: checkpoint blaster (%d ranks x %d segments x 32 KiB, %d epochs, keep 2, seed %d kills a provider mid-run)", ranks, spec.Segments, epochs, opts.Seed),
+		"written MiB", "restores", "victim", "kill epoch", "chunks repaired", "versions reclaimed")
+	run.AddRow(fmt.Sprintf("%.1f", float64(res.WrittenBytes)/(1<<20)), fmt.Sprint(res.Restores),
+		fmt.Sprint(plan.Victim), fmt.Sprint(plan.AfterEpoch), fmt.Sprint(res.Repaired), fmt.Sprint(res.Reclaimed))
 	if err := render(w, run); err != nil {
 		return err
 	}

@@ -3,112 +3,65 @@ package torture
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/cluster"
+	"repro/internal/workload"
 )
 
-// ckptConfig is the standard checkpoint-blaster schedule shape: 4
-// ranks checkpointing 6 epochs of a 4x4KiB strided pattern over 8
-// providers, keep-newest-2 retention, restore readers, and the
-// seed-scheduled store-level kill.
-func ckptConfig(seed int64, replicas int) CheckpointConfig {
-	return CheckpointConfig{
-		Seed:     seed,
-		Replicas: replicas,
-	}
+// The checkpoint schedule is bench.RunCheckpointBlaster, experiment
+// E14's scenario, run on the self-healing deployment every schedule
+// shares: 4 ranks checkpointing 6 epochs of a 4x4KiB strided pattern
+// over 8 providers, keep-newest-2 retention reaped 8 chunks a tick,
+// restore readers, and the seed-planned store-level kill.
+const ckptProviders = 8
+
+var ckptSpec = workload.CheckpointSpec{Ranks: 4, Segments: 4, SegmentSize: 4 << 10}
+
+func ckptOptions(seed int64, replicas int) bench.CheckpointOptions {
+	return bench.CheckpointOptions{Seed: seed, Replicas: replicas, Kill: true}
+}
+
+func ckptEnv(replicas int) cluster.Env {
+	env := selfHealEnv(ckptProviders, replicas)
+	env.Reaper.DeletesPerTick = 8
+	env.Reaper.QueueDepth = 64
+	return env
 }
 
 // TestCheckpointSchedule is the checkpoint-blaster torture suite:
-// every checkpoint write must commit through the kill and the
-// continuous reap traffic, every restore of a pinned version must
-// decode to whole (rank, epoch) stamps, the victim must be detected
-// and healed, and the metrics registry must stay monotone and
-// self-consistent under all of it — ending with publish/repair/reap
-// counters that match the work actually done.
+// every checkpoint write must commit through the kill and the reap
+// traffic, every restore of a pinned version must decode to whole
+// (rank, epoch) stamps, the victim must be detected and healed, and
+// the metrics registry must stay monotone and self-consistent under
+// all of it — ending with publish/repair/reap counters that match the
+// work actually done.
 func TestCheckpointSchedule(t *testing.T) {
 	for _, r := range []int{2, 3} {
 		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
 			for _, seed := range seeds(t) {
-				rep, err := RunCheckpoint(ckptConfig(seed, r))
+				opts := ckptOptions(seed, r)
+				res, err := bench.RunCheckpointBlaster(ckptEnv(r), ckptSpec, opts)
 				if err != nil {
 					t.Fatalf("replay with REPRO_TORTURE_SEED=%d: %v", seed, err)
 				}
-				if rep.FailedWrites != 0 {
-					t.Fatalf("seed %d: %d checkpoint writes failed at R=%d", seed, rep.FailedWrites, r)
+				plan := opts.Plan(ckptProviders)
+				publish := res.Metrics["bs_vm_publish_total"]
+				repaired := res.Metrics[`bs_repair_total{outcome="repaired"}`]
+				reaped := res.Metrics["bs_reap_deleted_total"]
+				if want := float64(ckptSpec.Ranks * res.Epochs); publish != want {
+					t.Fatalf("seed %d: bs_vm_publish_total = %g, want %g", seed, publish, want)
 				}
-				if !rep.Detected {
-					t.Fatalf("seed %d: victim never detected: %+v", seed, rep)
+				if res.Restores == 0 {
+					t.Fatalf("seed %d: schedule lost its teeth: %+v", seed, res)
 				}
-				if rep.Restores == 0 || rep.MetricChecks == 0 {
-					t.Fatalf("seed %d: schedule lost its teeth: %+v", seed, rep)
+				if res.Repaired == 0 || repaired == 0 || reaped == 0 {
+					t.Fatalf("seed %d: background loops left no metric tracks: repaired %d (%g in the registry), reaped %g",
+						seed, res.Repaired, repaired, reaped)
 				}
-				if rep.Repaired == 0 || rep.ReapDeleted == 0 {
-					t.Fatalf("seed %d: background loops left no metric tracks: %+v", seed, rep)
-				}
-				t.Logf("seed %d R=%d: victim %d killed after epoch %d; %d restores verified, healed in %d ticks; %d mid-churn registry snapshots consistent; publish=%g repaired=%d reaped=%d",
-					seed, r, rep.Plan.Victim, rep.Plan.AfterEpoch, rep.Restores,
-					rep.HealTicks, rep.MetricChecks, rep.PublishTotal, rep.Repaired, rep.ReapDeleted)
+				t.Logf("seed %d R=%d: victim %d killed as epoch %d began; %d restores and registry snapshots verified; publish=%g repaired=%g reaped=%g",
+					seed, r, plan.Victim, plan.AfterEpoch, res.Restores, publish, repaired, reaped)
 			}
 		})
-	}
-}
-
-// TestCheckpointPlanDeterminism: equal seeds derive equal schedules,
-// schedules vary with the seed, and the checkpoint stream is
-// independent of the GC stream.
-func TestCheckpointPlanDeterminism(t *testing.T) {
-	a := ckptConfig(5, 2).Plan()
-	b := ckptConfig(5, 2).Plan()
-	if a != b {
-		t.Fatalf("same seed planned %+v vs %+v", a, b)
-	}
-	seen := map[CheckpointPlan]bool{}
-	for seed := int64(1); seed <= 8; seed++ {
-		cfg := ckptConfig(seed, 2).withDefaults()
-		p := cfg.Plan()
-		if p.AfterEpoch < 2 || p.AfterEpoch > cfg.Epochs {
-			t.Fatalf("seed %d: kill epoch %d outside (1, %d]", seed, p.AfterEpoch, cfg.Epochs)
-		}
-		seen[p] = true
-	}
-	if len(seen) < 2 {
-		t.Fatal("schedules do not vary with the seed")
-	}
-	if cp, gp := ckptConfig(5, 2).Plan(), gcConfig(5, 2).Plan(); int(cp.Victim) == int(gp.Victim) && cp.AfterEpoch == gp.AfterCalls {
-		t.Fatalf("checkpoint plan %+v collides with gc plan %+v — streams not independent", cp, gp)
-	}
-}
-
-// TestCheckpointRejectsUnreplicated: the schedule kills a provider, so
-// R=1 would conflate data loss with the write path; refuse it.
-func TestCheckpointRejectsUnreplicated(t *testing.T) {
-	if _, err := RunCheckpoint(ckptConfig(1, 1)); err == nil {
-		t.Fatal("RunCheckpoint accepted R=1")
-	}
-	rejectsBadPools(t, func(providers, replicas int) error {
-		cfg := ckptConfig(1, replicas)
-		cfg.Providers = providers
-		_, err := RunCheckpoint(cfg)
-		return err
-	})
-}
-
-// TestCheckpointStampRoundTrip: the payload byte encodes (rank, epoch)
-// losslessly over the whole configured space.
-func TestCheckpointStampRoundTrip(t *testing.T) {
-	cfg := CheckpointConfig{}.withDefaults()
-	seen := map[byte]bool{}
-	for e := 1; e <= cfg.Epochs; e++ {
-		for r := 0; r < cfg.Ranks; r++ {
-			s := cfg.stamp(r, e)
-			if s == 0 {
-				t.Fatalf("stamp(%d,%d) = 0 — collides with unwritten bytes", r, e)
-			}
-			if seen[s] {
-				t.Fatalf("stamp(%d,%d) = %d not unique", r, e, s)
-			}
-			seen[s] = true
-			if cfg.stampRank(s) != r || cfg.stampEpoch(s) != e {
-				t.Fatalf("stamp(%d,%d) decodes to (%d,%d)", r, e, cfg.stampRank(s), cfg.stampEpoch(s))
-			}
-		}
 	}
 }

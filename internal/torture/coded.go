@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/provider"
 	"repro/internal/verify"
@@ -72,8 +73,8 @@ func (c CodedConfig) Plan() CodedPlan {
 		FirstDomain:   perm[0],
 		SecondDomain:  perm[1],
 		AfterCalls:    midWorkload(rng, c.Writers*c.CallsPerWriter),
-		FirstVictims:  domainVictims(c.Providers, c.Domains, perm[0]),
-		SecondVictims: domainVictims(c.Providers, c.Domains, perm[1]),
+		FirstVictims:  bench.DomainProviders(c.Providers, c.Domains, perm[0]),
+		SecondVictims: bench.DomainProviders(c.Providers, c.Domains, perm[1]),
 	}
 }
 
@@ -151,7 +152,7 @@ func RunCodedDomain(cfg CodedConfig) (CodedReport, error) {
 
 	// The workload, racing the first whole-domain store-level kill. No
 	// SetDown, no Repair — ever.
-	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() { rg.killStores(plan.FirstVictims...) })
+	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() { bench.KillStores(svc, plan.FirstVictims...) })
 
 	report.FailedCalls = len(failures)
 	if len(failures) > 0 {
@@ -163,7 +164,7 @@ func RunCodedDomain(cfg CodedConfig) (CodedReport, error) {
 	// missing up to m fragments, and atomicity must survive on pure
 	// reconstruction — any k of the surviving fragments rebuild the
 	// exact original bytes.
-	rg.killStores(plan.SecondVictims...)
+	bench.KillStores(svc, plan.SecondVictims...)
 	if err := verify.CheckCalls(d, okCalls); err != nil {
 		return report, failf(cfg.Seed, "degraded reconstruction at m=%d losses: %w", m, err)
 	}
@@ -173,14 +174,14 @@ func RunCodedDomain(cfg CodedConfig) (CodedReport, error) {
 	// clean against the surviving domains (fragments double up where
 	// the domain count no longer covers the degree — that is the
 	// audit's achievable bound, not a violation).
-	report.Ticks = rg.tickUntil(cfg.MaxTicks, rg.healedAndSpread)
-	if report.Ticks == notConverged {
+	report.Ticks = rg.tickUntil(cfg.MaxTicks, bench.HealedAndSpread(svc))
+	if report.Ticks == bench.NotConverged {
 		return report, failf(cfg.Seed, "%d under-replicated / %d spread-violated chunks remain after %d ticks (domains %d+%d = %v+%v): %+v",
 			svc.Router.UnderReplicated(), len(svc.Router.SpreadAudit()), cfg.MaxTicks,
 			plan.FirstDomain, plan.SecondDomain, plan.FirstVictims, plan.SecondVictims, svc.Healer.Stats())
 	}
 	victims := append(append([]provider.ID(nil), plan.FirstVictims...), plan.SecondVictims...)
-	report.Detected = rg.detected(victims...)
+	report.Detected = bench.Detected(svc, victims...)
 	if report.Detected != len(victims) {
 		return report, failf(cfg.Seed, "only %d of %d domain victims detected down: %v",
 			report.Detected, len(victims), victims)

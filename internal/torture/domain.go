@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/provider"
 	"repro/internal/verify"
@@ -58,7 +59,7 @@ func (c DomainConfig) Plan() DomainPlan {
 	return DomainPlan{
 		VictimDomain: victim,
 		AfterCalls:   midWorkload(rng, c.Writers*c.CallsPerWriter),
-		Victims:      domainVictims(c.Providers, c.Domains, victim),
+		Victims:      bench.DomainProviders(c.Providers, c.Domains, victim),
 	}
 }
 
@@ -119,7 +120,7 @@ func RunDomain(cfg DomainConfig) (DomainReport, error) {
 
 	// The workload, racing the whole-domain store-level kill. No
 	// SetDown, no Repair — ever.
-	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() { rg.killStores(plan.Victims...) })
+	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() { bench.KillStores(svc, plan.Victims...) })
 
 	report.FailedCalls = len(failures)
 	if len(failures) > 0 {
@@ -136,13 +137,13 @@ func RunDomain(cfg DomainConfig) (DomainReport, error) {
 	// Autonomous healing: converged means the repair queue is drained,
 	// every chunk is back at full degree, AND no chunk's replicas
 	// share a failure domain — count and spread both restored.
-	report.Ticks = rg.tickUntil(cfg.MaxTicks, rg.healedAndSpread)
-	if report.Ticks == notConverged {
+	report.Ticks = rg.tickUntil(cfg.MaxTicks, bench.HealedAndSpread(svc))
+	if report.Ticks == bench.NotConverged {
 		return report, failf(cfg.Seed, "%d under-replicated / %d spread-violated chunks remain after %d ticks (domain %d = %v): %+v",
 			svc.Router.UnderReplicated(), len(svc.Router.SpreadAudit()), cfg.MaxTicks,
 			plan.VictimDomain, plan.Victims, svc.Healer.Stats())
 	}
-	report.Detected = rg.detected(plan.Victims...)
+	report.Detected = bench.Detected(svc, plan.Victims...)
 	if report.Detected != len(plan.Victims) {
 		return report, failf(cfg.Seed, "only %d of %d domain victims detected down: %v",
 			report.Detected, len(plan.Victims), plan.Victims)
@@ -204,7 +205,7 @@ func RunDomainFlat(cfg DomainConfig) (FlatReport, error) {
 	// Write failures are expected here: with both copies of a chunk
 	// allocated inside the dying block, the quorum itself is
 	// unsatisfiable. The control run measures loss, not availability.
-	race(rg.d, perWriter, plan.AfterCalls, func() { rg.killStores(plan.Victims...) })
+	race(rg.d, perWriter, plan.AfterCalls, func() { bench.KillStores(svc, plan.Victims...) })
 
 	// Count chunks with no surviving copy: every recorded replica's
 	// store is dead.

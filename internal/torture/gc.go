@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/chunk"
 	"repro/internal/cluster"
 	"repro/internal/provider"
@@ -123,8 +124,7 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	b := be.Blob()
 
 	// Continuous GC: heal and reap concurrently with the workload.
-	stopTicker := rg.tickInBackground()
-	defer stopTicker()
+	stopTicker := bench.TickEvery(100*time.Microsecond, rg.clock.Tick)
 
 	// The pinned reader: pin the earliest version still retained,
 	// remember its bytes, and re-read it under fire until the workload
@@ -192,7 +192,7 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 
 	// The workload, racing a store-level kill and the retain/reap loop.
 	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() {
-		rg.killStores(plan.Victim)
+		bench.KillStores(svc, plan.Victim)
 	})
 	awaitFirst(&pinnedReads, readerErr)
 	close(stopReader)
@@ -220,8 +220,8 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	}
 
 	// Self-heal to quiescence under the same tick loop GC shares.
-	report.HealTicks = rg.tickUntil(cfg.MaxTicks, rg.healed)
-	if report.HealTicks == notConverged {
+	report.HealTicks = rg.tickUntil(cfg.MaxTicks, bench.Healed(svc))
+	if report.HealTicks == bench.NotConverged {
 		return report, failf(cfg.Seed, "%d under-replicated chunks after %d ticks (victim %d)",
 			svc.Router.UnderReplicated(), cfg.MaxTicks, plan.Victim)
 	}
@@ -268,7 +268,7 @@ func RunGC(cfg GCConfig) (GCReport, error) {
 	// Reap to a drained pending set, with usage watched across it.
 	usageBefore := liveBytes(svc)
 	statsBefore := svc.Reaper.Stats()
-	drained, err := rg.tickUntilReclaimed(cfg.MaxTicks)
+	drained := rg.tickUntil(cfg.MaxTicks, bench.Drained(be, &err)) != bench.NotConverged
 	if err != nil {
 		return report, err
 	}

@@ -78,6 +78,9 @@ func TestGCPlanDeterminism(t *testing.T) {
 	if gp, hp := gcConfig(5, 2).Plan(), healConfig(5, 2).Plan(); gp.Victim == hp.Victim && gp.AfterCalls == hp.AfterCalls {
 		t.Fatalf("gc plan %+v collides with heal plan %+v — streams not independent", gp, hp)
 	}
+	if gp, cp := gcConfig(5, 2).Plan(), ckptOptions(5, 2).Plan(ckptProviders); gp.Victim == cp.Victim && gp.AfterCalls == cp.AfterEpoch {
+		t.Fatalf("gc plan %+v collides with checkpoint plan %+v — streams not independent", gp, cp)
+	}
 }
 
 // TestGCRejectsUnreplicated: the schedule kills a provider, so R=1

@@ -22,7 +22,7 @@ func goldenSchedules(t *testing.T, seed int64) []string {
 		fmt.Sprintf("gc %+v", gcConfig(seed, 2).Plan()),
 		fmt.Sprintf("domain %+v", domainConfig(seed, 2).Plan()),
 		fmt.Sprintf("coded %+v", codedConfig(seed).Plan()),
-		fmt.Sprintf("checkpoint %+v", ckptConfig(seed, 2).Plan()),
+		fmt.Sprintf("checkpoint %+v", ckptOptions(seed, 2).Plan(ckptProviders)),
 		fmt.Sprintf("shard %+v", ShardConfig{Seed: seed}.Plan()),
 		fmt.Sprintf("stream %+v", StreamConfig{Seed: seed}.Plan()),
 		fmt.Sprintf("borrow %+v", BorrowConfig{Seed: seed}.Plan()),

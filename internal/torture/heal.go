@@ -3,6 +3,7 @@ package torture
 import (
 	"errors"
 
+	"repro/internal/bench"
 	"repro/internal/provider"
 	"repro/internal/verify"
 )
@@ -100,7 +101,7 @@ func RunHeal(cfg HealConfig) (HealReport, error) {
 	// The workload, racing a store-level kill. Note what is absent:
 	// no svc.Providers.SetDown, no svc.Router.Repair, ever.
 	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() {
-		rg.killStores(plan.Victim)
+		bench.KillStores(svc, plan.Victim)
 	})
 
 	report.FailedCalls = len(failures)
@@ -116,8 +117,8 @@ func RunHeal(cfg HealConfig) (HealReport, error) {
 	}
 
 	// Self-healing round 1: no operator, bounded virtual time.
-	report.TicksFirst = rg.tickUntil(cfg.MaxTicks, rg.healed)
-	if report.TicksFirst == notConverged {
+	report.TicksFirst = rg.tickUntil(cfg.MaxTicks, bench.Healed(svc))
+	if report.TicksFirst == bench.NotConverged {
 		return report, failf(cfg.Seed, "%d under-replicated chunks remain after %d ticks (victim %d): %+v",
 			svc.Router.UnderReplicated(), cfg.MaxTicks, plan.Victim, svc.Healer.Stats())
 	}
@@ -134,9 +135,9 @@ func RunHeal(cfg HealConfig) (HealReport, error) {
 
 	// Round 2: a different provider dies. Replication was restored, so
 	// this too must heal without losing any published byte.
-	rg.killStores(plan.Second)
-	report.TicksSecond = rg.tickUntil(cfg.MaxTicks, rg.healed)
-	if report.TicksSecond == notConverged {
+	bench.KillStores(svc, plan.Second)
+	report.TicksSecond = rg.tickUntil(cfg.MaxTicks, bench.Healed(svc))
+	if report.TicksSecond == bench.NotConverged {
 		return report, failf(cfg.Seed, "second kill (provider %d) did not heal in %d ticks: %+v",
 			plan.Second, cfg.MaxTicks, svc.Healer.Stats())
 	}
@@ -151,7 +152,7 @@ func RunHeal(cfg HealConfig) (HealReport, error) {
 	svc.Faults[plan.Victim].SetDown(false)
 	report.Revived = rg.tickUntil(cfg.MaxTicks, func() bool {
 		return svc.Health.State(plan.Victim) == provider.Live
-	}) != notConverged
+	}) != bench.NotConverged
 	if !report.Revived {
 		return report, failf(cfg.Seed, "victim %d never revived after its store recovered (state %s)",
 			plan.Victim, svc.Health.State(plan.Victim))

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bench"
 	"repro/internal/extent"
 	"repro/internal/verify"
 	"repro/internal/workload"
@@ -129,7 +130,7 @@ func RunReadTier(cfg ReadTierConfig) (ReadTierReport, error) {
 		defer readers.Done()
 		readErr = readPhase(1)
 	}()
-	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() { rg.killStores(plan.Victims...) })
+	okCalls, failures := race(d, perWriter, plan.AfterCalls, func() { bench.KillStores(svc, plan.Victims...) })
 	readers.Wait()
 
 	report.FailedCalls = len(failures)
@@ -155,12 +156,12 @@ func RunReadTier(cfg ReadTierConfig) (ReadTierReport, error) {
 
 	// Autonomous healing converges with the cache bolted on; every
 	// re-replication is a placement change the cache must absorb.
-	report.Ticks = rg.tickUntil(cfg.MaxTicks, rg.healedAndSpread)
-	if report.Ticks == notConverged {
+	report.Ticks = rg.tickUntil(cfg.MaxTicks, bench.HealedAndSpread(svc))
+	if report.Ticks == bench.NotConverged {
 		return report, failf(cfg.Seed, "%d under-replicated / %d spread-violated chunks remain after %d ticks with the cache on: %+v",
 			svc.Router.UnderReplicated(), len(svc.Router.SpreadAudit()), cfg.MaxTicks, svc.Healer.Stats())
 	}
-	report.Detected = rg.detected(plan.Victims...)
+	report.Detected = bench.Detected(svc, plan.Victims...)
 	if report.Detected != len(plan.Victims) {
 		return report, failf(cfg.Seed, "only %d of %d domain victims detected down",
 			report.Detected, len(plan.Victims))

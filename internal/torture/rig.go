@@ -7,25 +7,23 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/chunk"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpiio"
 	"repro/internal/provider"
 	"repro/internal/verify"
-	"repro/internal/vmanager"
 )
 
 // This file is the rig every schedule stands on: what a schedule is —
 // its Plan, its fault events, its assertions — lives in the schedule's
-// own file; what all of them need in order to run — a booted
-// deployment, virtual time, the writers-race-an-event loop, the
-// seed-derived plan stream and the replayable error prefix — lives
-// here, once.
-
-// notConverged is what tickUntil returns when its budget runs out, and
-// what every report's tick field holds after a run that timed out.
-const notConverged = -1
+// own file; what only the schedules need in order to run — a booted
+// deployment, the writers-race-an-event loop, the seed-derived plan
+// stream and the replayable error prefix — lives here. How a provider
+// is lost and how the background loops are driven on virtual time to
+// quiescence is bench's (internal/bench/phases.go), shared with the
+// experiments.
 
 // failf formats a schedule failure. Every error a run reports carries
 // the seed, so the line CI prints is the replay command's argument.
@@ -46,19 +44,6 @@ func planRNG(seed, stream int64) *rand.Rand {
 // writes race it from both sides.
 func midWorkload(rng *rand.Rand, total int) int {
 	return total/4 + rng.Intn(total/2+1)
-}
-
-// domainVictims lists the providers of failure domain number domain —
-// the contiguous block cluster.Env.Domains carves out for it.
-func domainVictims(providers, domains, domain int) []provider.ID {
-	label := fmt.Sprintf("zone%d", domain)
-	var ids []provider.ID
-	for i := 0; i < providers; i++ {
-		if provider.DomainLabel(i, providers, domains) == label {
-			ids = append(ids, provider.ID(i))
-		}
-	}
-	return ids
 }
 
 // selfHealEnv is the deployment the self-healing schedules share,
@@ -88,17 +73,16 @@ type rig struct {
 	svc *cluster.Versioning
 	be  *core.VersioningBackend
 	d   *mpiio.VersioningDriver
-	// vsec is the virtual clock, in seconds: one tick, one second. The
-	// health monitor never reads the wall clock, so probation timing is
-	// deterministic.
-	vsec atomic.Int64
+	// clock is the virtual time the background loops run on: one tick,
+	// one second.
+	clock *bench.Clock
 }
 
 // boot validates the environment (cluster.NewVersioning refuses a bad
 // shape with an error before building anything — which is why every
 // schedule boots BEFORE it derives its plan: a plan drawn from an
 // impossible pool is a panic, not a refusal), starts the deployment
-// with one blob spanning span bytes, and installs the virtual clock.
+// with one blob spanning span bytes, and puts it on virtual time.
 func boot(env cluster.Env, span int64) (*rig, error) {
 	svc, err := cluster.NewVersioning(env)
 	if err != nil {
@@ -108,106 +92,14 @@ func boot(env cluster.Env, span int64) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &rig{svc: svc, be: be, d: &mpiio.VersioningDriver{Backend: be}}
-	if svc.Health != nil {
-		svc.Health.SetClock(func() time.Time { return time.Unix(r.vsec.Load(), 0) })
-	}
-	return r, nil
+	return &rig{svc: svc, be: be, d: &mpiio.VersioningDriver{Backend: be}, clock: bench.NewClock(svc)}, nil
 }
 
-// tick advances virtual time one second and runs one iteration of
-// every background loop the deployment has: the healer, and the reaper
-// when GC is on.
-func (r *rig) tick() {
-	r.vsec.Add(1)
-	r.svc.Healer.Tick()
-	if r.svc.Reaper != nil {
-		r.svc.Reaper.Tick()
-	}
-}
-
-// tickUntil ticks until done reports true, checking after every tick,
-// and returns the number of ticks that took — or notConverged once max
-// ticks have passed without it.
+// tickUntil ticks every background loop until done reports true,
+// checking after every tick, and returns the number of ticks that took
+// — or bench.NotConverged once max ticks have passed without it.
 func (r *rig) tickUntil(max int, done func() bool) int {
-	for t := 1; t <= max; t++ {
-		r.tick()
-		if done() {
-			return t
-		}
-	}
-	return notConverged
-}
-
-// tickUntilReclaimed ticks until the reaper has reclaimed every
-// version retention dropped (the blob's pending set is empty),
-// reporting false when max ticks did not get it there.
-func (r *rig) tickUntilReclaimed(max int) (drained bool, err error) {
-	ticks := r.tickUntil(max, func() bool {
-		var info vmanager.GCInfo
-		info, err = r.be.Blob().GCInfo()
-		return err != nil || len(info.Pending) == 0
-	})
-	return ticks != notConverged && err == nil, err
-}
-
-// tickInBackground runs the background loops continuously beside a
-// workload, as the daemon does; the returned function stops them and
-// waits for the last tick to finish.
-func (r *rig) tickInBackground() (stop func()) {
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-quit:
-				return
-			default:
-				r.tick()
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(quit) })
-		wg.Wait()
-	}
-}
-
-// healed reports whether the repair queue is drained and every chunk
-// is back at full degree.
-func (r *rig) healed() bool {
-	return r.svc.Healer.QueueLen() == 0 && r.svc.Router.UnderReplicated() == 0
-}
-
-// healedAndSpread is healed plus a clean spread audit: count and
-// distinct-domain spread both restored.
-func (r *rig) healedAndSpread() bool {
-	return r.healed() && len(r.svc.Router.SpreadAudit()) == 0
-}
-
-// killStores makes the given providers' chunk stores fail every call.
-// Their liveness flags stay up: nobody has told the system, it must
-// notice from errors.
-func (r *rig) killStores(ids ...provider.ID) {
-	for _, id := range ids {
-		r.svc.Faults[id].SetDown(true)
-	}
-}
-
-// detected counts how many of the given providers the health monitor
-// has marked down.
-func (r *rig) detected(ids ...provider.ID) int {
-	n := 0
-	for _, id := range ids {
-		if r.svc.Health.State(id) == provider.Down {
-			n++
-		}
-	}
-	return n
+	return bench.TickUntil(max, r.clock.Tick, done)
 }
 
 // placedIn finds a chunk whose placement record still names a provider

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/extent"
 	"repro/internal/verify"
 )
@@ -126,10 +127,10 @@ func TestTickUntil(t *testing.T) {
 	if got := rg.tickUntil(7, func() bool { calls++; return calls == 3 }); got != 3 {
 		t.Fatalf("tickUntil = %d, want 3", got)
 	}
-	if got := rg.tickUntil(5, func() bool { return false }); got != notConverged {
-		t.Fatalf("tickUntil = %d on a condition that never holds, want notConverged", got)
+	if got := rg.tickUntil(5, func() bool { return false }); got != bench.NotConverged {
+		t.Fatalf("tickUntil = %d on a condition that never holds, want NotConverged", got)
 	}
-	if got := rg.vsec.Load(); got != 3+5 {
+	if got := rg.clock.Now().Unix(); got != 3+5 {
 		t.Fatalf("virtual clock at %ds after 8 ticks", got)
 	}
 	if ticks := rg.svc.Healer.Stats().Ticks; ticks != 8 {
