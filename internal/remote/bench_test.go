@@ -454,3 +454,76 @@ func BenchmarkNodeGetSerial(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric((roundTrips(reg)-1)/float64(b.N), "wire-reqs/op")
 }
+
+// nodeLists is a client without its build: a Tree over it sends the
+// try-get and node-put lists a framed write's Build sent before the build
+// op.
+type nodeLists struct{ *Client }
+
+func (l nodeLists) BuildTree() {} // hides the client's: no treeBuilder
+
+// BenchmarkBuildTree is the tree half of one tile_atomic write: the
+// metadata of 64 strided 32 KiB rows at a 60 KiB pitch — 92 pieces — over
+// a preloaded 60 MiB image, page 64 KiB (a depth-10 tree), the band
+// advancing each op, through one client to a loopback node. op: one build
+// request; lists: the try-get list, then the node-put list. It reports
+// µs/op and wire-reqs/op (round trips).
+func BenchmarkBuildTree(b *testing.B) {
+	const page, pitch, row, rows = 64 << 10, 60 << 10, 32 << 10, 64
+	geo := segtree.Geometry{Capacity: 1024 * page, Page: page}
+	tile := func(band int) extent.List {
+		l := make(extent.List, rows)
+		for r := range l {
+			l[r] = extent.Extent{Offset: int64(band*rows+r) * pitch, Length: row}
+		}
+		return l
+	}
+	for _, form := range []struct {
+		name  string
+		store func(c *Client) segtree.NodeStore
+	}{
+		{"op", func(c *Client) segtree.NodeStore { return c }},
+		{"lists", func(c *Client) segtree.NodeStore { return nodeLists{c} }},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			_, ep := startCountedNode(b, "null://", nil)
+			c, err := DialFramed(ep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			reg := metrics.NewRegistry()
+			c.SetMetrics(reg)
+			tree := &segtree.Tree{Blob: 1, Geo: geo, Store: form.store(c)}
+			written := make([]uint64, geo.Capacity/page) // the last version to write each page
+			build := func(v uint64, l extent.List) {
+				borrows := make(map[extent.Extent]uint64)
+				for _, r := range geo.Borrows(l) {
+					for p := r.Offset / page; p < r.End()/page; p++ {
+						if written[p] > borrows[r] {
+							borrows[r] = written[p]
+						}
+					}
+				}
+				for _, e := range l {
+					for p := e.Offset / page; p <= (e.End()-1)/page; p++ {
+						written[p] = v
+					}
+				}
+				if _, err := tree.Build(v, placedPieces(v, l, page), borrows); err != nil {
+					b.Fatal(err)
+				}
+			}
+			build(1, extent.List{{Offset: 0, Length: 16 * rows * pitch}})
+			before := roundTrips(reg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				build(uint64(i+2), tile(i%16))
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+			b.ReportMetric((roundTrips(reg)-before)/float64(b.N), "wire-reqs/op")
+		})
+	}
+}

@@ -3,7 +3,7 @@
 // segment-tree nodes — each body behind its length.
 //
 // A client opens each framed connection by sending the 4-byte magic
-// "BSD3", the wire's version; the server peeks the first bytes of every
+// "BSD4", the wire's version; the server peeks the first bytes of every
 // accepted connection and routes magic-led ones to the framed loop,
 // everything else — a peer of another wire version too — to the HTTP
 // server of the operator calls (admin.go). A node answers an op whose
@@ -25,7 +25,8 @@
 //	            Complete, Abort, WaitPublished, LatestPublished,
 //	            Snapshot, Versions, Retain (off = keepLast), DropVersion,
 //	            Pin, Unpin, GCInfo, MarkReclaimed; 21=walk (meta role: a
-//	            resolve's tree walk, blob in the header).
+//	            resolve's tree walk, blob in the header); 22=build (meta
+//	            role: a write's tree, blob in the header).
 //	body:       a u32 length, then exactly that many bytes, at most the
 //	            bound of its op (bodyLimit); a request body over it is
 //	            refused in-band, its bytes skipped as they arrive.
@@ -64,6 +65,17 @@
 //	            a whole node and holds at least the first part's (a
 //	            request too long for the bound is sent shorter; see
 //	            Client.WalkNodes).
+//	build:      header + body: the geometry (capacity i64, page i64),
+//	            the ticket in vmanager's form (version u64, count u32,
+//	            count × (extent, version u64)), then the placed list
+//	            (count u32, count × (offset i64, length i64, chunk.Ref)),
+//	            at most maxBuildBody bytes. The server refuses a geometry
+//	            that fails Validate, counts the body cannot hold and bytes
+//	            after the list, then runs segtree.Tree.Build over its
+//	            store, which refuses pieces out of order or across a page.
+//	            Reply: ok → a body, the root key. A build stores up to
+//	            pieces × (tree depth + 1) nodes; it is never re-sent after
+//	            a transport failure (Client.BuildTree).
 //	VM ops:     AssignTicket sends a body, the extent list, Complete one,
 //	            the root key. Reply: ok → a body, the result (empty for
 //	            calls that return none). Bodies are vmanager's binary
@@ -118,7 +130,7 @@ import (
 // bumps it, so peers of different versions refuse each other at
 // connect. No HTTP request starts with these bytes (a method name comes
 // first), so the peek is unambiguous.
-const framedMagic = "BSD3"
+const framedMagic = "BSD4"
 
 const (
 	// Chunk ops (data role), node ops (meta role).
@@ -127,8 +139,8 @@ const (
 	opCreateBlob, opGeometry, opAssignTicket, opComplete, opAbort        = 6, 7, 8, 9, 10
 	opWaitPublished, opLatestPublished, opSnapshot, opVersions, opRetain = 11, 12, 13, 14, 15
 	opDropVersion, opPin, opUnpin, opGCInfo, opMarkReclaimed             = 16, 17, 18, 19, 20
-	// A resolve's tree walk (meta role).
-	opWalkNodes = 21
+	// A resolve's tree walk, a write's tree build (meta role).
+	opWalkNodes, opBuildTree = 21, 22
 
 	// Reply statuses; a miss answers a node try-get only.
 	statusOK, statusErr, statusMiss = 0, 1, 2
@@ -154,6 +166,10 @@ const (
 	// length.
 	maxWalkBody = 4 + walkHead + maxNodeBody
 
+	// maxBuildBody bounds a build's request body: room for the largest
+	// ticket a version manager sends and a placed list as long.
+	maxBuildBody = 2 * maxVMBody
+
 	// maxGetBody bounds a list get's request body: a train of gets.
 	maxGetBody = 4 + maxTrainCalls*frameHeaderLen
 
@@ -176,6 +192,8 @@ func bodyLimit(op byte) int {
 		return maxVMBody
 	case opWalkNodes:
 		return maxWalkBody
+	case opBuildTree:
+		return maxBuildBody
 	}
 	return 0
 }
@@ -374,7 +392,7 @@ type framedServer struct {
 	// Requests answered: bs_data_requests_total{op} (a list get counts
 	// its entries), bs_meta_node_ops_total{op},
 	// bs_rpc_requests_total{method}.
-	requests  [opWalkNodes + 1]*metrics.Counter
+	requests  [opBuildTree + 1]*metrics.Counter
 	walkNodes *metrics.Histogram // bs_meta_walk_nodes: nodes per walk reply
 	walkBound int                // a walk reply's bytes: maxWalkBody (tests lower it)
 }
@@ -390,6 +408,7 @@ func newFramedServer(roles Roles) *framedServer {
 		s.requests[opNodeGet] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "get"})
 		s.requests[opNodeTryGet] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "tryget"})
 		s.requests[opWalkNodes] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "walk"})
+		s.requests[opBuildTree] = reg.Counter("bs_meta_node_ops_total", metrics.Label{Key: "op", Value: "build"})
 		s.walkNodes = reg.Histogram("bs_meta_walk_nodes", metrics.ExponentialBuckets(1, 2, 14))
 		for i, name := range strings.Fields("CreateBlob Geometry AssignTicket Complete Abort WaitPublished " +
 			"LatestPublished Snapshot Versions Retain DropVersion Pin Unpin GCInfo MarkReclaimed") {
@@ -449,6 +468,8 @@ func (s *framedServer) serve(conn net.Conn, br *bufio.Reader) {
 			err = s.serveNodeGet(w, h)
 		case h.op == opWalkNodes:
 			err = s.serveWalk(w, h, body, &walkReply)
+		case h.op == opBuildTree:
+			err = s.serveBuild(w, h, body)
 		case h.op < opCreateBlob || h.op > opMarkReclaimed:
 			return // protocol violation
 		default:
@@ -1400,6 +1421,8 @@ func (fc *framedConn) readReply(c *framedCall) error {
 		limit = maxNodeBody
 	case opWalkNodes:
 		limit = maxWalkBody
+	case opBuildTree:
+		limit = segtree.NodeKeyLen
 	}
 	// Kept only whole: a request body stays for a re-send. A node is
 	// never nil: only a miss is.

@@ -600,7 +600,7 @@ func TestFramedServerBoundsNodeOps(t *testing.T) {
 	}
 
 	// An op code nobody defined is a protocol violation: the connection.
-	for _, op := range []byte{0, opWalkNodes + 1} {
+	for _, op := range []byte{0, opBuildTree + 1} {
 		conn, br := rawFramedConn(t, ep.Meta)
 		conn.Write(appendHeader(nil, &frameHeader{op: op}))
 		if _, err := br.ReadByte(); err != io.EOF {
@@ -664,7 +664,7 @@ func TestLyingLengthWordsAllocateLittle(t *testing.T) {
 	}
 	mgr := memPool(2, 0)
 	fs := newFramedServer(Roles{VM: vmanager.New(iosim.CostModel{}), Meta: metadata.NewStore(2, iosim.CostModel{}), Data: provider.NewRouter(mgr)})
-	for _, op := range []byte{opNodePut, opAssignTicket, opWalkNodes, opGet} {
+	for _, op := range []byte{opNodePut, opAssignTicket, opWalkNodes, opBuildTree, opGet} {
 		req := binary.LittleEndian.AppendUint32(appendHeader(nil, &frameHeader{op: op, key: chunk.Key{Blob: 1}}), uint32(bodyLimit(op)))
 		req = append(req, make([]byte, 10)...)
 		client, server := net.Pipe()
@@ -688,15 +688,16 @@ func TestLyingLengthWordsAllocateLittle(t *testing.T) {
 }
 
 // TestFramedOldWireVersionIsNotServed: a peer of another wire version
-// opens with its own magic — BSD1, or BSD2, whose gets carried replica
-// hints and whose replies carried fresh sets — and the node does not
+// opens with its own magic — BSD1; BSD2, whose gets carried replica
+// hints and whose replies carried fresh sets; or BSD3, which had no build
+// op — and the node does not
 // serve it as framed: the connection lands on the HTTP server, which
 // answers it as a malformed request, while the same request behind the
 // current magic gets its framed reply.
 func TestFramedOldWireVersionIsNotServed(t *testing.T) {
 	_, ep := startNode(t)
 	req := appendHeader(nil, &frameHeader{op: opVersions, key: chunk.Key{Blob: 1}})
-	for _, magic := range []string{"BSD1", "BSD2", framedMagic} {
+	for _, magic := range []string{"BSD1", "BSD2", "BSD3", framedMagic} {
 		conn, err := net.Dial("tcp", ep.VM)
 		if err != nil {
 			t.Fatal(err)

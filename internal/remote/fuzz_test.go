@@ -36,8 +36,11 @@ const fuzzMaxChunk = 4 << 10
 // a replica hint as the wire before BSD3 sent it, refused in-band
 // (list-get-entry-with-hint) — walks over stored nodes —
 // one of them a leaf chained to itself, which once spun a reader for
-// good — a put of a leaf without fragments, the shortest node there is,
-// and lengths that lie: a put cut short (aborted-put), a node body four
+// good — builds, one legal (build-legal) and five the server refuses
+// in-band (build-geometry-invalid, build-pieces-unsorted,
+// build-piece-crosses-page, build-ticket-count-past-body,
+// build-trailing-bytes), a put of a leaf without fragments, the
+// shortest node there is, and lengths that lie: a put cut short (aborted-put), a node body four
 // bytes short of its length word (bug-node-body-without-terminator), a
 // put followed by bytes its header never declared, which the server
 // reads as the next request (bug-overlong-put), and a put declaring
@@ -87,9 +90,12 @@ func FuzzFramedServer(f *testing.F) {
 			}
 			stored += u.Bytes
 		}
-		// A stored node took a header, a length word and the 29 bytes of
-		// a leaf without fragments at the least.
-		if sent := int64(len(input)); stored > sent || int64(nodes.Count())*(frameHeaderLen+4+29) > sent {
+		// A stored node came from a node put — a header, a length word and
+		// the 29 bytes of a leaf without fragments at the least, more than
+		// placedLen — or from a build's piece, placedLen bytes that store
+		// tree depth + 1 nodes at most: 63, a capacity under 2^63 holding
+		// 2^62 pages at most. So every placedLen bytes stored 64 at most.
+		if sent := int64(len(input)); stored > sent || int64(nodes.Count())*placedLen > 64*sent {
 			t.Fatalf("%d chunk bytes and %d nodes stored out of %d bytes of input", stored, nodes.Count(), sent)
 		}
 	})
@@ -211,12 +217,14 @@ func listReplyModel(reply []byte, n, length int) (data [][]byte, succeeds, sure 
 // FuzzFramedReply feeds arbitrary bytes to the client as a server's
 // answer to each kind of call — a Get, a list of one get into the
 // caller's buffer, a list of three gets into one buffer, a put, the
-// three node ops, a walk and every version-manager call — over an
-// in-memory connection. No call may panic or hang. A get succeeds
+// three node ops, a walk, a build and every version-manager call — over
+// an in-memory connection. No call may panic or hang. A get succeeds
 // exactly when the reply is a well-formed list reply whose every entry
 // is ok with the length asked for, and returns those bytes; a get into
-// the caller's buffer, besides, never writes outside its destination, whatever the reply claims; a walk or a
-// version-manager call succeeds only on an ok reply. The seed corpus
+// the caller's buffer, besides, never writes outside its destination,
+// whatever the reply claims; a build succeeds exactly when the reply
+// opens with an ok body of one root key, and returns that key; a walk or
+// a version-manager call succeeds only on an ok reply. The seed corpus
 // (testdata/fuzz) holds a legal reply of each kind, the wrong-length
 // replies of TestFramedGetRejectsWrongLengthReply, a status block cut
 // short, a list whose middle entry failed, a get reply of the wire before
@@ -226,8 +234,9 @@ func listReplyModel(reply []byte, n, length int) (data [][]byte, succeeds, sure 
 // node bound (get-oversized-frame-word), a body cut short
 // (get-cut-mid-frame, get-one-frame-too-few), bytes past a body
 // (get-one-frame-too-many), a body longer than a get asked for
-// (get-last-frame-too-big) and a node encoding with bytes behind it
-// (node-get-leaf-two-frames).
+// (get-last-frame-too-big), a node encoding with bytes behind it
+// (node-get-leaf-two-frames) and a build reply one byte short of a root
+// key (build-reply-wrong-length).
 func FuzzFramedReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, reply []byte, length uint16) {
 		key := chunk.Key{Blob: 1, Version: 2, Index: 3}
@@ -282,6 +291,13 @@ func FuzzFramedReply(f *testing.F) {
 		}
 		if miss := len(reply) >= 1 && reply[0] == statusMiss; miss && (found || err != nil) {
 			t.Fatalf("TryGetNode of a miss: %v, %v", found, err)
+		}
+		geo := segtree.Geometry{Capacity: 4096, Page: 1024}
+		placed := []segtree.Placed{{Ext: extent.Extent{Offset: 10, Length: 5}, Ref: chunk.Ref{Key: key, Length: 5}}}
+		root, err := pipedClient(t, reply).BuildTree(1, geo, 2, placed, nil)
+		legal := len(reply) >= 5+segtree.NodeKeyLen && reply[0] == statusOK && binary.LittleEndian.Uint32(reply[1:]) == segtree.NodeKeyLen
+		if (err == nil) != legal || (legal && root != segtree.DecodeKey(reply[5:])) {
+			t.Fatalf("BuildTree: %v, %v; a legal reply: %v", root, err, legal)
 		}
 		keys, encs, err := pipedClient(t, reply).WalkNodes(1, []segtree.NodeKey{node}, []extent.List{{node.Range()}})
 		if err == nil && (reply[0] != statusOK || len(keys) != len(encs)) {

@@ -7,10 +7,10 @@ import (
 
 // nodeBatcher is what a NodeStore may implement beside its interface: a
 // whole list of node calls as one operation, for a store that can carry
-// the list as a unit (the framed client sends it as a few trains). Build,
-// BuildEmpty and — over a store that does not walk (walk.go) — Resolve
-// are written against these two methods alone; a store without them is
-// driven through eachNode.
+// the list as a unit (the framed client sends it as a few trains).
+// BuildEmpty, Build over a store that does not build, and Resolve over a
+// store that does not walk (walk.go) are written against these two
+// methods alone; a store without them is driven through eachNode.
 type nodeBatcher interface {
 	// PutNodes stores nodes[i] under keys[i]. Every put is attempted; the
 	// error is that of the first in key order to fail.

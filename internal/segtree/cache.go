@@ -25,11 +25,14 @@ import (
 // store's own, or the per-call adapter's, chosen once in NewNodeCache.
 // When the inner store walks (the framed client), Tree.Resolve answers
 // each level of its walk from the cache and sends only the level's misses,
-// as one walk, whose nodes fill the cache like a get's.
+// as one walk, whose nodes fill the cache like a get's. When it builds
+// too, Tree.Build hands it each update whole and none of the update's
+// nodes is cached: a writer's first read of its own write costs one walk.
 type NodeCache struct {
 	inner    NodeStore
 	batch    nodeBatcher // inner's list methods
 	walker   nodeWalker  // inner's walk, nil when it has none
+	builder  treeBuilder // inner's build, nil when it has none
 	capacity int
 
 	mu      sync.Mutex
@@ -66,10 +69,12 @@ var (
 func NewNodeCache(inner NodeStore, capacity int) *NodeCache {
 	capacity = max(capacity, 1)
 	walker, _ := inner.(nodeWalker)
+	builder, _ := inner.(treeBuilder)
 	return &NodeCache{
 		inner:    inner,
 		batch:    batchOf(inner),
 		walker:   walker,
+		builder:  builder,
 		capacity: capacity,
 		entries:  make(map[cacheKey]*list.Element),
 		lru:      list.New(),

@@ -170,7 +170,10 @@ var ErrOutOfRange = errors.New("segtree: access beyond blob capacity")
 // leaves that flattening needs, then one put of every node of the update
 // (readers only see the tree after publication, so the nodes need no
 // order among themselves). Nothing is put before the try-get succeeds, so
-// a build that fails there leaves the ticket to BuildEmpty.
+// a build that fails there leaves the ticket to BuildEmpty. A store that
+// builds (the framed client), bare or under a NodeCache, is instead
+// handed the checked update whole, and runs this same Build where the
+// nodes are.
 func (t *Tree) Build(v uint64, placed []Placed, borrows map[extent.Extent]uint64) (NodeKey, error) {
 	if len(placed) == 0 {
 		return NodeKey{}, errors.New("segtree: empty update")
@@ -185,6 +188,9 @@ func (t *Tree) Build(v uint64, placed []Placed, borrows map[extent.Extent]uint64
 		if i > 0 && placed[i-1].Ext.End() > p.Ext.Offset {
 			return NodeKey{}, fmt.Errorf("segtree: pieces unsorted or overlapping at %d", i)
 		}
+	}
+	if b := t.builder(); b != nil {
+		return b.BuildTree(t.Blob, t.Geo, v, placed, borrows)
 	}
 
 	// Phase 1: plan the new tree in memory. Inner-node child keys are
@@ -245,6 +251,28 @@ func (t *Tree) Build(v uint64, placed []Placed, borrows map[extent.Extent]uint64
 		return NodeKey{}, err
 	}
 	return root, nil
+}
+
+// treeBuilder is what a NodeStore may implement beside the list methods
+// (the framed client does): a write's Build as one operation, answered
+// where the nodes are. BuildTree runs Build for the tree of geometry geo
+// over the store it reaches and returns the root key; none of the nodes it
+// stores comes back.
+type treeBuilder interface {
+	BuildTree(blob uint64, geo Geometry, v uint64, placed []Placed, borrows map[extent.Extent]uint64) (NodeKey, error)
+}
+
+// builder is the store Build hands its update to, found as levels finds a
+// walker: the store that builds, bare or under a NodeCache; nil when there
+// is none, and Build plans and stores the update itself.
+func (t *Tree) builder() treeBuilder {
+	switch s := t.Store.(type) {
+	case *NodeCache:
+		return s.builder
+	case treeBuilder:
+		return s
+	}
+	return nil
 }
 
 // borrowed is the key an update uses for a range it does not touch: the
